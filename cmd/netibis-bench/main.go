@@ -5,12 +5,15 @@
 //
 // Usage:
 //
-//	netibis-bench [table1|fig9|fig10|lan|crossover|matrix|delays|streams|zlib|multirelay|failover|datapath|estab|flowcontrol|scale|all]
+//	netibis-bench [table1|lan|fig9|fig10|crossover|streams|zlib|matrix|delays|failover|scale|all]
 //
 // The scale suite takes its own flags (not part of "all" — it is a
 // scenario run, not a paper figure):
 //
 //	netibis-bench scale [-seed N] [-soak] [-schedule file] [-log]
+//
+// Throughput, latency and allocation measurements of the real stack
+// live in ./benchmark (go run ./benchmark), not here.
 package main
 
 import (
@@ -18,67 +21,69 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"netibis/internal/bench"
 	"netibis/internal/churn"
 )
 
-func main() {
-	cmd := "all"
-	if len(os.Args) > 1 {
-		cmd = os.Args[1]
-	}
+// experiments are the subcommands "all" runs, in the order the paper
+// presents them.
+var experiments = []struct {
+	name string
+	run  func()
+}{
+	{"table1", table1},
+	{"lan", lan},
+	{"fig9", fig9},
+	{"fig10", fig10},
+	{"crossover", crossover},
+	{"streams", streams},
+	{"zlib", zlib},
+	{"matrix", matrix},
+	{"delays", delays},
+	{"failover", failover},
+}
+
+// resolve maps a subcommand to the experiments it runs; nil means the
+// name is unknown.
+func resolve(cmd string, args []string) []func() {
 	switch cmd {
-	case "table1":
-		table1()
-	case "fig9":
-		fig9()
-	case "fig10":
-		fig10()
-	case "lan":
-		lan()
-	case "crossover":
-		crossover()
-	case "matrix":
-		matrix()
-	case "delays":
-		delays()
-	case "streams":
-		streams()
-	case "zlib":
-		zlib()
-	case "multirelay":
-		multirelay()
-	case "failover":
-		failover()
-	case "datapath":
-		datapath()
-	case "estab":
-		estabLatency()
-	case "flowcontrol":
-		flowcontrol()
 	case "scale":
-		scale(os.Args[2:])
+		return []func(){func() { scale(args) }}
 	case "all":
-		table1()
-		lan()
-		fig9()
-		fig10()
-		crossover()
-		streams()
-		zlib()
-		matrix()
-		delays()
-		multirelay()
-		failover()
-		datapath()
-		estabLatency()
-		flowcontrol()
-	default:
+		all := make([]func(), len(experiments))
+		for i, e := range experiments {
+			all[i] = e.run
+		}
+		return all
+	}
+	for _, e := range experiments {
+		if e.name == cmd {
+			return []func(){e.run}
+		}
+	}
+	return nil
+}
+
+func main() {
+	cmd, args := "all", os.Args[1:]
+	if len(args) > 0 {
+		cmd, args = args[0], args[1:]
+	}
+	runs := resolve(cmd, args)
+	if runs == nil {
+		names := make([]string, len(experiments))
+		for i, e := range experiments {
+			names[i] = e.name
+		}
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", cmd)
-		fmt.Fprintln(os.Stderr, "experiments: table1 fig9 fig10 lan crossover matrix delays streams zlib multirelay failover datapath estab flowcontrol scale all")
+		fmt.Fprintf(os.Stderr, "experiments: %s scale all\n", strings.Join(names, " "))
 		os.Exit(2)
+	}
+	for _, run := range runs {
+		run()
 	}
 }
 
@@ -165,17 +170,6 @@ func zlib() {
 	}
 }
 
-func multirelay() {
-	header("Multi-relay mesh: one relay vs a three-relay overlay (routed traffic)")
-	results, err := bench.CompareRelayScaling(6, 4<<20)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "multirelay: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(bench.FormatMultiRelay(results))
-	fmt.Println()
-}
-
 func failover() {
 	header("Relay failover: kill one relay of a three-relay mesh mid-stream")
 	res, err := bench.RelayFailover()
@@ -185,38 +179,6 @@ func failover() {
 	}
 	fmt.Print(bench.FormatFailover(res))
 	fmt.Println()
-}
-
-func estabLatency() {
-	header("Measured establishment latency: sequential tree vs cold race vs cached reconnect")
-	rep, err := bench.RunEstabSuite()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "estab: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(bench.FormatEstab(rep))
-	path, err := bench.WriteEstabReport(rep, "")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "estab: writing report: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("report written to %s\n", path)
-}
-
-func flowcontrol() {
-	header("Measured flow control: healthy routed links vs one stalled receiver on a shared relay")
-	rep, err := bench.RunFlowcontrolSuite()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "flowcontrol: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(bench.FormatFlowcontrol(rep))
-	path, err := bench.WriteFlowcontrolReport(rep, "")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "flowcontrol: writing report: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("report written to %s\n", path)
 }
 
 // scale runs the churn/scale suite: a seeded chaos scenario (attach
@@ -280,20 +242,4 @@ func scale(args []string) {
 	if rep.Result.Failed() {
 		os.Exit(1)
 	}
-}
-
-func datapath() {
-	header("Measured data path: real stacks over in-memory links (throughput, allocs/op)")
-	rep, err := bench.RunDatapathSuite(64<<10, 512, true)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "datapath: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(bench.FormatDatapath(rep))
-	path, err := bench.WriteDatapathReport(rep, "")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "datapath: writing report: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("report written to %s\n", path)
 }

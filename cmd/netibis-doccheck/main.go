@@ -10,16 +10,6 @@
 //
 // With no arguments it checks every *.md file in the working directory.
 // The exit status is non-zero when any link is broken.
-//
-// With -metrics-lint the tool audits the observability naming scheme by
-// delegating to the metricname analyzer from the netibis-vet suite (the
-// flag predates the suite and is kept as an alias): the name reaching
-// every obs registration — through consts, concatenation and Sprintf —
-// must satisfy obs.CheckName (netibis_<subsystem>_<name>_<unit>, known
-// subsystem and unit tokens, counters ending in _total), as must loose
-// metric-shaped constants. CI runs the suite directly; the alias form is
-//
-//	netibis-doccheck -metrics-lint internal cmd
 package main
 
 import (
@@ -29,10 +19,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-
-	"netibis/internal/analysis"
-	"netibis/internal/analysis/load"
-	"netibis/internal/analysis/metricname"
 )
 
 // mdLink matches [text](target) markdown links. Images and reference
@@ -95,56 +81,8 @@ func checkFile(path string) (broken []string, err error) {
 	return broken, nil
 }
 
-// lintMetricNames delegates to the metricname analyzer from the
-// netibis-vet suite: it resolves the name actually reaching each obs
-// registration (through consts, concatenation and Sprintf) instead of
-// grepping literals, and still sweeps loose metric-shaped constants.
-// Each argument is a directory (the historical CLI: `internal cmd`) or
-// a go package pattern.
-func lintMetricNames(dirs []string) (findings []analysis.Finding, err error) {
-	wd, err := os.Getwd()
-	if err != nil {
-		return nil, err
-	}
-	patterns := make([]string, 0, len(dirs))
-	for _, d := range dirs {
-		if !strings.Contains(d, "...") {
-			d = "./" + filepath.ToSlash(filepath.Clean(d)) + "/..."
-		}
-		patterns = append(patterns, d)
-	}
-	pkgs, err := load.Dir(wd, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return analysis.RunPackages(pkgs, []*analysis.Analyzer{metricname.Analyzer})
-}
-
 func main() {
-	metricsLint := flag.Bool("metrics-lint", false,
-		"audit netibis_* metric-name literals in Go sources against the obs naming scheme instead of checking markdown links")
 	flag.Parse()
-
-	if *metricsLint {
-		dirs := flag.Args()
-		if len(dirs) == 0 {
-			dirs = []string{"internal", "cmd"}
-		}
-		findings, err := lintMetricNames(dirs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-			os.Exit(2)
-		}
-		for _, f := range findings {
-			fmt.Fprintln(os.Stderr, f)
-		}
-		if len(findings) > 0 {
-			fmt.Fprintf(os.Stderr, "doccheck: %d metric name(s) violate the naming scheme\n", len(findings))
-			os.Exit(1)
-		}
-		fmt.Println("doccheck: metric names conform to the naming scheme (via netibis-vet metricname)")
-		return
-	}
 
 	files := flag.Args()
 	if len(files) == 0 {

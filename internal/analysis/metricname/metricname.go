@@ -1,11 +1,11 @@
-// Package metricname is the AST-level replacement for the old
-// string-scrape `netibis-doccheck -metrics-lint`: instead of grepping
-// for "netibis_..." literals it resolves the metric name that actually
-// reaches an obs registration call — through named consts, constant
-// concatenation, and fmt.Sprintf over constant arguments — and applies
-// obs.CheckName plus the per-kind suffix rules to that value. Names the
-// literal grep could not see (built from consts or concat) are now
-// checked; names it false-matched (substrings in prose) are not.
+// Package metricname gates the observability naming scheme at the AST
+// level: instead of grepping for "netibis_..." literals it resolves the
+// metric name that actually reaches an obs registration call — through
+// named consts, constant concatenation, and fmt.Sprintf over constant
+// arguments — and applies obs.CheckName plus the per-kind suffix rules
+// to that value. Names a literal grep cannot see (built from consts or
+// concat) are checked; names it would false-match (substrings in prose)
+// are not.
 //
 // A registration whose name argument cannot be resolved to a constant
 // at analysis time is itself a finding: the registry panics on a bad
@@ -92,8 +92,7 @@ func run(pass *analysis.Pass) error {
 	}
 
 	// Fallback sweep: every constant metric-shaped string in the
-	// package, wherever it appears, must satisfy the scheme (the old
-	// -metrics-lint coverage).
+	// package, wherever it appears, must satisfy the scheme.
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			e, ok := n.(ast.Expr)

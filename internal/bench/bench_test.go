@@ -289,35 +289,6 @@ func TestEstablishmentDelays(t *testing.T) {
 	}
 }
 
-// TestMultiRelayScaling runs the one-relay vs three-relay throughput
-// scenario at a small size and checks that only the mesh run forwards
-// frames relay-to-relay.
-func TestMultiRelayScaling(t *testing.T) {
-	results, err := CompareRelayScaling(3, 256<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
-	}
-	single, mesh := results[0], results[1]
-	if single.Relays != 1 || mesh.Relays != 3 {
-		t.Fatalf("unexpected mesh sizes: %+v", results)
-	}
-	for _, r := range results {
-		if r.AggregateMBps <= 0 {
-			t.Fatalf("no throughput measured: %+v", r)
-		}
-	}
-	if single.ForwardedFrames != 0 {
-		t.Fatalf("single relay forwarded %d frames to nonexistent peers", single.ForwardedFrames)
-	}
-	if mesh.ForwardedFrames == 0 {
-		t.Fatal("three-relay run forwarded nothing: pairs were not spread across the mesh")
-	}
-	t.Logf("\n%s", FormatMultiRelay(results))
-}
-
 // TestRelayFailoverScenario runs the kill-one-relay bench run.
 func TestRelayFailoverScenario(t *testing.T) {
 	res, err := RelayFailover()

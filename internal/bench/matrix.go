@@ -61,8 +61,8 @@ var StrictArchetype = SiteArchetype{
 // SYNs — indistinguishable from a splice-friendly firewall in the
 // connectivity profile, so the preferred splice hangs instead of
 // failing fast. Like StrictArchetype it is not part of the paper's
-// testbed mix; the establishment-latency suite (estab.go) measures it,
-// and examples can append it to the matrix.
+// testbed mix; the benchmark's "raced" connect scenario measures it, and
+// examples can append it to the matrix.
 var AsymFirewallArchetype = SiteArchetype{
 	Name:   "asym-firewall",
 	Config: emunet.SiteConfig{Firewall: emunet.Stateful, SpliceHostile: true},

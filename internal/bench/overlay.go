@@ -3,8 +3,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"strings"
-	"sync"
 	"time"
 
 	"netibis/internal/core"
@@ -12,212 +10,11 @@ import (
 	"netibis/internal/ipl"
 )
 
-// This file is the multi-relay evaluation: the paper's routed-messages
-// relay as a federated mesh (package overlay) instead of a single
-// process. Two scenarios matter on the road to scale:
-//
-//   - throughput: N node pairs pushing routed traffic concurrently,
-//     once through one relay (the star topology of the paper) and once
-//     through a three-relay mesh where each site attaches to a nearby
-//     relay and frames hop relay-to-relay;
-//   - failover: a relay is killed mid-stream and its nodes must resume
-//     on the survivors.
-
-// relayBenchChunk is the message size used by the throughput scenario.
-const relayBenchChunk = 64 * 1024
-
-// MultiRelayResult is one throughput measurement.
-type MultiRelayResult struct {
-	// Relays is the mesh size.
-	Relays int
-	// Pairs is the number of concurrent sender/receiver pairs.
-	Pairs int
-	// BytesPerPair is the payload volume each pair transferred.
-	BytesPerPair int64
-	// Elapsed is the wall-clock time for all pairs to finish.
-	Elapsed time.Duration
-	// AggregateMBps is the total application-level rate across pairs.
-	AggregateMBps float64
-	// ForwardedFrames counts frames that crossed a relay-to-relay peer
-	// link (zero in the single-relay run, by definition).
-	ForwardedFrames int64
-	// EgressWrites counts vectored writev syscalls performed by the
-	// relays' egress schedulers during the run.
-	EgressWrites int64
-	// EgressFramesPerWrite is the mean number of frames emitted per
-	// vectored write — the batching win of the multi-frame egress path
-	// (the netibis_relay_egress_frames_per_write histogram's mean).
-	EgressFramesPerWrite float64
-}
-
-// MultiRelayThroughput runs the emunet multi-site scenario: pairs of
-// nodes in firewalled sites (one side behind a broken NAT with no
-// proxy, so every data link falls back to routed messages) transfer
-// bytesPerPair each, all concurrently. Senders and receivers are pinned
-// round-robin to different mesh members, so with more than one relay
-// the traffic crosses peer links.
-func MultiRelayThroughput(relayCount, pairs int, bytesPerPair int64) (MultiRelayResult, error) {
-	f := emunet.NewFabric(emunet.WithSeed(23))
-	defer f.Close()
-	dep, err := core.NewFederatedDeployment(f, relayCount)
-	if err != nil {
-		return MultiRelayResult{}, err
-	}
-	defer dep.Close()
-
-	pt := ipl.PortType{Name: "relaybench", Stack: "tcpblk"}
-	type benchPair struct {
-		sp ipl.SendPort
-		rp ipl.ReceivePort
-	}
-	var nodes []*core.Node
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	join := func(cfg core.Config) (*core.Node, error) {
-		n, err := core.Join(cfg)
-		if err == nil {
-			nodes = append(nodes, n)
-		}
-		return n, err
-	}
-
-	benchPairs := make([]benchPair, 0, pairs)
-	for i := 0; i < pairs; i++ {
-		srcHost := dep.AddSite(fmt.Sprintf("src-%d", i),
-			emunet.SiteConfig{Firewall: emunet.Stateful, NAT: emunet.BrokenNAT}).AddHost(fmt.Sprintf("sender-%d", i))
-		dstHost := dep.AddSite(fmt.Sprintf("dst-%d", i),
-			emunet.SiteConfig{Firewall: emunet.Stateful}).AddHost(fmt.Sprintf("receiver-%d", i))
-
-		srcCfg := dep.NodeConfigOnRelay(srcHost, "relaybench", fmt.Sprintf("sender-%d", i), i%relayCount)
-		srcCfg.Proxy = emunet.Endpoint{} // no proxy: force routed data links
-		dstCfg := dep.NodeConfigOnRelay(dstHost, "relaybench", fmt.Sprintf("receiver-%d", i), (i+1)%relayCount)
-
-		src, err := join(srcCfg)
-		if err != nil {
-			return MultiRelayResult{}, err
-		}
-		dst, err := join(dstCfg)
-		if err != nil {
-			return MultiRelayResult{}, err
-		}
-		rp, err := dst.CreateReceivePort(pt, fmt.Sprintf("sink-%d", i))
-		if err != nil {
-			return MultiRelayResult{}, err
-		}
-		sp, err := src.CreateSendPort(pt)
-		if err != nil {
-			return MultiRelayResult{}, err
-		}
-		if err := sp.Connect(rp.ID()); err != nil {
-			return MultiRelayResult{}, fmt.Errorf("pair %d connect: %w", i, err)
-		}
-		benchPairs = append(benchPairs, benchPair{sp: sp, rp: rp})
-	}
-
-	chunk := bytes.Repeat([]byte{0x5a}, relayBenchChunk)
-	messages := int(bytesPerPair / relayBenchChunk)
-	if messages < 1 {
-		messages = 1
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 2*pairs)
-	// A failing side closes both ports of its pair so the counterpart
-	// unblocks instead of waiting forever on messages that will never
-	// come — the error must reach the caller, not deadlock the run.
-	fail := func(p benchPair, err error) {
-		errs <- err
-		p.sp.Close()
-		p.rp.Close()
-	}
-	start := time.Now()
-	for _, p := range benchPairs {
-		wg.Add(2)
-		go func(p benchPair) {
-			defer wg.Done()
-			for m := 0; m < messages; m++ {
-				wm, err := p.sp.NewMessage()
-				if err != nil {
-					fail(p, err)
-					return
-				}
-				wm.WriteBytes(chunk)
-				if err := wm.Finish(); err != nil {
-					fail(p, err)
-					return
-				}
-			}
-		}(p)
-		go func(p benchPair) {
-			defer wg.Done()
-			for m := 0; m < messages; m++ {
-				msg, err := p.rp.Receive()
-				if err != nil {
-					fail(p, err)
-					return
-				}
-				if _, err := msg.ReadBytes(); err != nil {
-					fail(p, err)
-					return
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	for err := range errs {
-		return MultiRelayResult{}, fmt.Errorf("relay bench pair failed: %w", err)
-	}
-
-	res := MultiRelayResult{
-		Relays:       relayCount,
-		Pairs:        pairs,
-		BytesPerPair: int64(messages) * relayBenchChunk,
-		Elapsed:      elapsed,
-	}
-	res.AggregateMBps = float64(res.BytesPerPair) * float64(pairs) / elapsed.Seconds() / 1e6
-	var egressFrames int64
-	for _, ri := range dep.Relays {
-		res.ForwardedFrames += ri.Server.Stats().FramesForwarded
-		w, fr := ri.Server.EgressWriteStats()
-		res.EgressWrites += w
-		egressFrames += fr
-	}
-	if res.EgressWrites > 0 {
-		res.EgressFramesPerWrite = float64(egressFrames) / float64(res.EgressWrites)
-	}
-	return res, nil
-}
-
-// CompareRelayScaling runs the throughput scenario once through a single
-// relay and once through a three-relay mesh.
-func CompareRelayScaling(pairs int, bytesPerPair int64) ([]MultiRelayResult, error) {
-	var out []MultiRelayResult
-	for _, relays := range []int{1, 3} {
-		res, err := MultiRelayThroughput(relays, pairs, bytesPerPair)
-		if err != nil {
-			return nil, fmt.Errorf("%d relays: %w", relays, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// FormatMultiRelay renders throughput results as a text table.
-func FormatMultiRelay(results []MultiRelayResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-7s %-14s %-12s %-16s %-18s %s\n",
-		"relays", "pairs", "bytes/pair", "elapsed", "aggregate MB/s", "forwarded frames", "frames/write")
-	for _, r := range results {
-		fmt.Fprintf(&b, "%-8d %-7d %-14d %-12v %-16.2f %-18d %.2f\n",
-			r.Relays, r.Pairs, r.BytesPerPair, r.Elapsed.Round(time.Millisecond), r.AggregateMBps, r.ForwardedFrames, r.EgressFramesPerWrite)
-	}
-	return b.String()
-}
+// This file is the relay-failover scenario: on the federated relay mesh
+// (package overlay) a relay is killed mid-stream and its nodes must
+// resume on the survivors. Routed throughput through one relay and
+// across the mesh is measured by ./benchmark (relay.raw_MBps,
+// goodput_* @ routed_mesh), not here.
 
 // FailoverResult describes one kill-one-relay run.
 type FailoverResult struct {

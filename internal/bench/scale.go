@@ -151,6 +151,25 @@ func fmtMsList(ms []float64) string {
 	return strings.Join(parts, "/")
 }
 
+// findRepoRoot walks up from the working directory to the directory
+// containing go.mod.
+func findRepoRoot() (string, error) {
+	dir, err := os.Getwd()
+	if err != nil {
+		return "", err
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", fmt.Errorf("bench: no go.mod above working directory")
+		}
+		dir = parent
+	}
+}
+
 // WriteScaleReport writes the report as JSON. An empty path selects
 // BENCH_scale.json at the repository root.
 func WriteScaleReport(rep ScaleReport, path string) (string, error) {

@@ -146,11 +146,6 @@ type Config struct {
 	// (which method last won the establishment race per peer); zero
 	// means estab.DefaultCacheTTL.
 	EstabCacheTTL time.Duration
-	// SequentialEstablish disables establishment racing and restores
-	// the strict one-method-at-a-time decision tree. All nodes of a
-	// pool must agree on this setting; it exists for the
-	// establishment-latency benchmarks and ablations.
-	SequentialEstablish bool
 	// RoutedWindowBytes is the receive window this node advertises on
 	// relay-routed virtual links (credit-based flow control: a peer
 	// sending to this node blocks once that many bytes are in flight
@@ -316,7 +311,6 @@ func Join(cfg Config) (*Node, error) {
 		AcceptTimeout: cfg.AcceptTimeout,
 		RaceStagger:   cfg.RaceStagger,
 		Cache:         estab.NewCache(cfg.EstabCacheTTL),
-		Sequential:    cfg.SequentialEstablish,
 		AcceptRouted:  n.acceptRoutedData,
 		DialRouted:    n.dialRoutedData,
 		Trace:         cfg.Trace,

@@ -1,0 +1,97 @@
+package drivers_test
+
+import (
+	"fmt"
+	"io"
+	"runtime"
+	"testing"
+
+	"netibis/internal/testutil"
+	"netibis/internal/workload"
+)
+
+// allocsPerMessage pushes 64 KiB grid-workload messages through a stack
+// over in-memory pipes and returns the process-wide heap allocations
+// per message (both sides of the stack and their goroutines).
+func allocsPerMessage(t *testing.T, spec string) float64 {
+	t.Helper()
+	const msgSize, warmup, messages = 64 << 10, 4, 128
+	out, in := pipeStack(t, spec)
+	payload := workload.Generate(workload.Grid, msgSize, 7)
+	buf := make([]byte, msgSize)
+
+	step := make(chan struct{})
+	recvErr := make(chan error, 1)
+	go func() {
+		for i := 0; i < warmup+messages; i++ {
+			if _, err := io.ReadFull(in, buf); err != nil {
+				recvErr <- fmt.Errorf("message %d: %w", i, err)
+				return
+			}
+			if i == warmup-1 {
+				step <- struct{}{} // pools are warm, nothing in flight
+			}
+		}
+		recvErr <- nil
+	}()
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := out.Write(payload); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if err := out.Flush(); err != nil {
+				t.Fatalf("flush: %v", err)
+			}
+		}
+	}
+	send(warmup)
+	select {
+	case <-step:
+	case err := <-recvErr:
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	send(messages)
+	if err := <-recvErr; err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / messages
+}
+
+// TestStackAllocsPerMessage gates allocations per 64 KiB message on the
+// paper's full zip/multi/tcpblk stack (~41 before the pooled data path,
+// ~18 since; the remainder is the standard library's DEFLATE decoder
+// rebuilding Huffman tables per block) and on bare tcpblk. It runs at
+// several GOMAXPROCS because zip's parallel-stripe path only exists
+// with more than one P: when the stripe was smaller than a message,
+// every flush became four blocks and ~200 allocations. Under the race
+// detector the bound is looser: race-mode sync.Pool drops one put in
+// four, so a fraction of blocks rebuild pooled flate state from scratch
+// — that measures the instrumentation, not the data path.
+func TestStackAllocsPerMessage(t *testing.T) {
+	fullBound := 25.0
+	if testutil.RaceEnabled {
+		fullBound = 35.0
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct {
+			spec  string
+			bound float64
+		}{
+			{"zip/multi:streams=4/tcpblk", fullBound},
+			{"tcpblk", 2},
+		} {
+			t.Run(fmt.Sprintf("procs=%d/%s", procs, tc.spec), func(t *testing.T) {
+				got := allocsPerMessage(t, tc.spec)
+				t.Logf("%.1f allocs per message (bound %.0f)", got, tc.bound)
+				if got > tc.bound {
+					t.Fatalf("allocations per message regressed")
+				}
+			})
+		}
+	}
+}

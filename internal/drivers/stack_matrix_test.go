@@ -58,12 +58,10 @@ func TestStackCompositionMatrix(t *testing.T) {
 	}
 }
 
-// runStackRoundTrip pushes a tiny, a large and an odd-sized message
-// through the stack; the sender waits for each message to be fully
-// received before writing the next, so a lost flush boundary (bytes
-// stuck in some layer's buffer) deadlocks the subtest instead of
-// passing by accident.
-func runStackRoundTrip(t *testing.T, spec string) {
+// pipeStack builds both sides of a stack over in-memory pipes. The
+// input closes first at cleanup: pipes are synchronous, so the output's
+// close frame would block once nobody reads.
+func pipeStack(t testing.TB, spec string) (driver.Output, driver.Input) {
 	t.Helper()
 	stack, err := driver.ParseStack(spec)
 	if err != nil {
@@ -73,6 +71,8 @@ func runStackRoundTrip(t *testing.T, spec string) {
 	outCh := make(chan driver.Output, 1)
 	errCh := make(chan error, 1)
 	go func() {
+		// Output and input must build concurrently: tcpblk's Dial blocks
+		// in the pipe rendezvous until the input side accepts.
 		out, err := driver.BuildOutput(stack, dialEnv)
 		errCh <- err
 		if err == nil {
@@ -84,11 +84,25 @@ func runStackRoundTrip(t *testing.T, spec string) {
 		t.Fatal(err)
 	}
 	if err := <-errCh; err != nil {
+		in.Close()
 		t.Fatal(err)
 	}
 	out := <-outCh
-	defer out.Close()
-	defer in.Close()
+	t.Cleanup(func() {
+		in.Close()
+		out.Close()
+	})
+	return out, in
+}
+
+// runStackRoundTrip pushes a tiny, a large and an odd-sized message
+// through the stack; the sender waits for each message to be fully
+// received before writing the next, so a lost flush boundary (bytes
+// stuck in some layer's buffer) deadlocks the subtest instead of
+// passing by accident.
+func runStackRoundTrip(t *testing.T, spec string) {
+	t.Helper()
+	out, in := pipeStack(t, spec)
 
 	rng := rand.New(rand.NewSource(42))
 	messages := make([][]byte, 0, 3)

@@ -186,7 +186,7 @@ func TestIncompressibleEmitZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := NewOutputOptions(discardOutput{}, Options{Codec: c, Workers: 1})
+			out, err := NewOutputOptions(discardOutput{}, Options{Codec: c})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,10 +224,11 @@ func TestParallelStripesRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			link := newMemLink()
-			out, err := NewOutputOptions(memOutput{link}, Options{Codec: c, Stripe: 8 * 1024, Workers: 4})
+			out, err := NewOutputOptions(memOutput{link}, Options{Codec: c})
 			if err != nil {
 				t.Fatal(err)
 			}
+			out.stripe, out.workers = 8*1024, 4 // many stripes, whatever GOMAXPROCS is
 			in := NewInput(memInput{link})
 			payload := compressible(300_000)
 			if _, err := out.Write(payload); err != nil {
@@ -260,7 +261,7 @@ func TestMixedCodecStreamDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lzOut, err := NewOutputOptions(memOutput{link}, Options{Codec: lz, Workers: 1})
+	lzOut, err := NewOutputOptions(memOutput{link}, Options{Codec: lz})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,10 @@
 //
 // The codec is pluggable per block (zip:codec=flate is the compatible
 // default, zip:codec=lz the fast byte-aligned one — see codec.go), and
-// on multi-core senders a block is split into stripes compressed in
-// parallel (zip:par=, zip:stripe=): every stripe is a self-contained
-// block of the same wire format, so a legacy receiver that has never
-// heard of stripes decodes the sequence unchanged.
+// on multi-core senders a block larger than one stripe is split into
+// stripes compressed in parallel: every stripe is a self-contained
+// block of the same wire format, so a receiver that has never heard of
+// stripes decodes the sequence unchanged.
 package zip
 
 import (
@@ -47,10 +47,14 @@ const DefaultBlockSize = 128 * 1024
 
 // DefaultStripeSize is the parallel-compression stripe: a block (or
 // flushed partial block) larger than this is cut into stripe-sized
-// independent blocks compressed concurrently. 16 KiB keeps four workers
-// busy on the 64 KiB messages grid applications typically flush, while
-// costing flate only a little window warm-up per stripe.
-const DefaultStripeSize = 16 * 1024
+// independent blocks compressed concurrently. It is no smaller than the
+// 64 KiB messages grid applications typically flush, so such a message
+// stays one block: every extra block costs the receiver a fresh
+// dynamic-Huffman table build in the flate decoder (cutting a 64 KiB
+// flush into four 16 KiB stripes took the zip/multi/tcpblk stack from
+// ~18 to ~200 allocations per message and lowered its throughput).
+// Only a full DefaultBlockSize block splits, in two.
+const DefaultStripeSize = 64 * 1024
 
 // Block header layout: 1 flag byte + 4 bytes original length + 4 bytes
 // stored length.
@@ -82,10 +86,8 @@ func buildOutput(spec driver.Spec, _ *driver.Env, lower func() (driver.Output, e
 		return nil, err
 	}
 	out, err := NewOutputOptions(sub, Options{
-		Codec:   codec,
-		Block:   spec.IntParam("block", DefaultBlockSize),
-		Stripe:  spec.IntParam("stripe", DefaultStripeSize),
-		Workers: spec.IntParam("par", 0),
+		Codec: codec,
+		Block: spec.IntParam("block", DefaultBlockSize),
 	})
 	if err != nil {
 		sub.Close()
@@ -114,11 +116,6 @@ type Options struct {
 	Level int
 	// Block is the buffering granularity (0 = DefaultBlockSize).
 	Block int
-	// Stripe is the parallel-compression grain (0 = DefaultStripeSize).
-	Stripe int
-	// Workers caps how many stripes compress concurrently (0 = number
-	// of CPUs, at most 8; 1 = serial).
-	Workers int
 }
 
 // Output is the compressing side.
@@ -127,10 +124,12 @@ type Output struct {
 	lower     driver.Output
 	codec     Codec
 	blockSize int
-	stripe    int
-	workers   int
-	buf       []byte
-	closed    bool
+	// DefaultStripeSize and min(GOMAXPROCS, 8); fields only so the
+	// package's tests can force many stripes on any machine.
+	stripe  int
+	workers int
+	buf     []byte
+	closed  bool
 
 	// Reused parallel-emit state: one slot per stripe of the largest
 	// emit seen, so steady-state emits do not allocate.
@@ -162,23 +161,12 @@ func NewOutputOptions(lower driver.Output, o Options) (*Output, error) {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	stripe := o.Stripe
-	if stripe <= 0 {
-		stripe = DefaultStripeSize
-	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-	}
 	return &Output{
 		lower:     lower,
 		codec:     codec,
 		blockSize: blockSize,
-		stripe:    stripe,
-		workers:   workers,
+		stripe:    DefaultStripeSize,
+		workers:   min(runtime.GOMAXPROCS(0), 8),
 		buf:       make([]byte, 0, blockSize),
 	}, nil
 }

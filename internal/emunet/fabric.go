@@ -62,7 +62,7 @@ func WithDefaultLink(p LinkParams) Option {
 // unset). Writers block once the peer's unread backlog reaches the
 // bound, so a small buffer makes a stalled reader (SetReadStall)
 // backpressure its sender after realistically few bytes — the
-// slow-consumer scenarios of the flow-control suite shrink it to make a
+// slow-consumer scenarios of the flow-control tests shrink it to make a
 // stalled destination socket bite quickly.
 func WithSocketBuffer(bytes int) Option {
 	return func(f *Fabric) { f.sockBuf = bytes }

@@ -126,17 +126,15 @@ type Connector struct {
 	// head start of one stagger per precedence rank before the next
 	// candidate is tried concurrently. Zero selects
 	// DefaultRaceStagger; a negative value launches all candidates at
-	// once (no head starts).
+	// once (no head starts). A stagger longer than every method timeout
+	// is the strict one-method-at-a-time decision tree: the next
+	// candidate starts only once every launched one has failed. Only the
+	// initiator's value matters.
 	RaceStagger time.Duration
 	// Cache, when non-nil, remembers the winning method per peer so a
 	// reconnect can skip the race (see Cache). It is consulted and
 	// updated only when EstablishOpts.PeerKey identifies the peer.
 	Cache *Cache
-	// Sequential disables racing: methods are tried strictly one at a
-	// time in precedence order, as the pre-racing implementation did.
-	// Both endpoints of an establishment must agree on this setting; it
-	// exists for the establishment-latency benchmarks and ablations.
-	Sequential bool
 	// AcceptRouted, when set, is used instead of Relay.Accept to obtain
 	// the incoming routed link during a routed establishment (the
 	// integration layer multiplexes a single relay attachment between
@@ -220,19 +218,12 @@ func (c *Connector) Bootstrap(dst emunet.Endpoint) (net.Conn, error) {
 
 // --- brokered factory ---------------------------------------------------------------
 
-// brokerIO is the conversation surface a method establishment runs
-// against: the plain broker during sequential establishment, or a
-// per-method tagged view of the race session during a racing one.
-type brokerIO interface {
-	send(msgType byte, body []byte) error
-	recv() (byte, []byte, error)
-}
-
 // broker wraps the service link with the frame protocol used during
 // establishment negotiation. Sends are serialised so the concurrent
 // method attempts of a race can share the link; reads are owned by a
-// single reader at a time (the conversation itself when sequential, the
-// race round reader when racing).
+// single reader at a time (the profile exchange, then the race round
+// reader). Method conversations run against a methodBroker, the
+// per-method tagged view of the race session (race.go).
 type broker struct {
 	r   *wire.Reader
 	wmu sync.Mutex
@@ -289,18 +280,12 @@ func (c *Connector) EstablishInitiator(service io.ReadWriter) (net.Conn, Method,
 // a cache key for the connectivity cache and the peer's published
 // reachability class.
 func (c *Connector) EstablishInitiatorOpts(service io.ReadWriter, opts EstablishOpts) (net.Conn, Method, error) {
-	if c.Sequential {
-		return c.establishSequential(service, true)
-	}
 	return c.establishRacing(service, true, opts)
 }
 
 // EstablishAcceptor is the passive counterpart of EstablishInitiator; it
 // must be called on the peer for every EstablishInitiator call.
 func (c *Connector) EstablishAcceptor(service io.ReadWriter) (net.Conn, Method, error) {
-	if c.Sequential {
-		return c.establishSequential(service, false)
-	}
 	return c.establishRacing(service, false, EstablishOpts{})
 }
 
@@ -341,57 +326,10 @@ func (c *Connector) exchangeProfiles(b *broker, initiator bool) (local, remote P
 	return local, remote, nil
 }
 
-// establishSequential is the pre-racing establishment: both sides run
-// the same decision tree on the same exchanged profiles, agree on the
-// candidate order without a further round trip, and try the methods
-// strictly one at a time — each candidate runs to success or to its full
-// failure (timeout included) before the next one starts. Kept (behind
-// Connector.Sequential) as the baseline the establishment-latency
-// benchmarks compare the race against: on a pair whose preferred method
-// hangs, this path pays the whole timeout on every connect.
-func (c *Connector) establishSequential(service io.ReadWriter, initiator bool) (net.Conn, Method, error) {
-	b := newBroker(service)
-
-	local, remote, err := c.exchangeProfiles(b, initiator)
-	if err != nil {
-		return nil, MethodNone, err
-	}
-
-	var initiatorProfile, acceptorProfile Profile
-	if initiator {
-		initiatorProfile, acceptorProfile = local, remote
-	} else {
-		initiatorProfile, acceptorProfile = remote, local
-	}
-	methods := []Method{c.ForcedMethod}
-	if c.ForcedMethod == MethodNone {
-		// The peer ranks the same candidates from the same inputs and
-		// walks them in the same order; no coordination message is
-		// needed (and sending one could block on synchronous service
-		// links). Both sides stay in lockstep because every method's
-		// conversation is strictly ordered and every method fails on
-		// both sides before the next begins.
-		methods = RankCandidates(initiatorProfile, acceptorProfile, false)
-		if len(methods) == 0 {
-			return nil, MethodNone, ErrNoMethod
-		}
-	}
-	var lastMethod Method
-	var lastErr error
-	for _, m := range methods {
-		conn, err := c.runMethod(b, m, local, remote, initiator, nil)
-		if err == nil {
-			return conn, m, nil
-		}
-		lastMethod, lastErr = m, err
-	}
-	return nil, lastMethod, lastErr
-}
-
 // runMethod runs one establishment method's conversation over b. cancel,
-// when it fires, means the attempt lost a race and must wind down
-// promptly (nil during sequential establishment).
-func (c *Connector) runMethod(b brokerIO, method Method, local, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
+// when it fires, means the attempt lost the race and must wind down
+// promptly.
+func (c *Connector) runMethod(b *methodBroker, method Method, local, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
 	switch method {
 	case ClientServer:
 		return c.establishClientServer(b, local, remote, initiator, cancel)
@@ -410,7 +348,7 @@ func (c *Connector) runMethod(b brokerIO, method Method, local, remote Profile, 
 // advertises it; the other side dials. Which side listens is decided
 // deterministically from the two profiles, so no extra negotiation is
 // needed.
-func (c *Connector) establishClientServer(b brokerIO, local, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
+func (c *Connector) establishClientServer(b *methodBroker, local, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
 	// Prefer the acceptor as the listening side (matching the IPL's
 	// receive-port-listens convention) but fall back to whichever
 	// direction is dialable.
@@ -461,23 +399,12 @@ func (c *Connector) establishClientServer(b brokerIO, local, remote Profile, ini
 	}
 	conn, err := c.Host.Dial(emunet.Endpoint{Addr: emunet.Address(addr), Port: port})
 	if err != nil {
-		// In a race, let the listening side give up instead of waiting
-		// out its accept timeout.
-		notifyRaceAbort(b)
+		// Let the listening side give up instead of waiting out its
+		// accept timeout.
+		b.send(msgAbort, nil)
 		return nil, err
 	}
 	return conn, nil
-}
-
-// notifyRaceAbort sends a failure notice to the counterpart conversation
-// — but only during a race, where the message is tagged with its method.
-// The sequential protocol cannot carry it: its counterpart may be deep
-// in a blocking accept, and an untagged abort left in the stream would
-// desynchronise the next method's lockstep conversation.
-func notifyRaceAbort(b brokerIO) {
-	if mb, ok := b.(*methodBroker); ok {
-		mb.send(msgAbort, nil)
-	}
 }
 
 // establishSplicing: both sides reserve a local port, advertise the
@@ -485,7 +412,7 @@ func notifyRaceAbort(b brokerIO) {
 // requests towards each other's prediction. The exchange is ordered
 // (initiator advertises first) so it works over synchronous service
 // links; the connection requests themselves are simultaneous.
-func (c *Connector) establishSplicing(b brokerIO, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
+func (c *Connector) establishSplicing(b *methodBroker, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
 	localPort := c.Host.AllocatePort()
 	predicted := c.Host.PredictExternalEndpoint(localPort)
 	body := wire.AppendString(nil, string(predicted.Addr))
@@ -532,7 +459,7 @@ func (c *Connector) establishSplicing(b brokerIO, initiator bool, cancel <-chan 
 
 // establishProxy: the side with a SOCKS proxy dials out through it; the
 // reachable side listens and advertises its endpoint.
-func (c *Connector) establishProxy(b brokerIO, local, remote Profile, cancel <-chan struct{}) (net.Conn, error) {
+func (c *Connector) establishProxy(b *methodBroker, local, remote Profile, cancel <-chan struct{}) (net.Conn, error) {
 	proxySide := local.HasProxy && remote.Reachable()
 	if proxySide {
 		// Wait for the peer's listener endpoint, then CONNECT through the
@@ -564,7 +491,7 @@ func (c *Connector) establishProxy(b brokerIO, local, remote Profile, cancel <-c
 		}
 		if err := socks.Connect(proxyConn, addr, port, c.ProxyCreds); err != nil {
 			proxyConn.Close()
-			notifyRaceAbort(b)
+			b.send(msgAbort, nil)
 			return nil, err
 		}
 		return proxyConn, nil
@@ -592,7 +519,7 @@ func (c *Connector) establishProxy(b brokerIO, local, remote Profile, cancel <-c
 // relay; the acceptor waits for it. A canceled (race-lost) routed open
 // is abandoned — the far side receives an abandon frame and discards its
 // half of the link instead of keeping a half-open accept.
-func (c *Connector) establishRouted(b brokerIO, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
+func (c *Connector) establishRouted(b *methodBroker, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
 	if c.Relay == nil {
 		b.send(msgAbort, nil)
 		return nil, ErrNoRelay

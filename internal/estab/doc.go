@@ -28,8 +28,8 @@
 //
 // The brokering wire protocol, the racing rounds and the cache
 // semantics are specified in DESIGN.md ("Racing establishment and the
-// connectivity cache"); the measured latency comparison lives in the
-// establishment suite of package bench (BENCH_estab.json).
+// connectivity cache"); connect latency per method, cold and cached, is
+// measured by the connect_matrix workload of ./benchmark.
 //
 // Establishment composes with the security layer transparently: the
 // routed method's dials and accepts go through the relay client, so on

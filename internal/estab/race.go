@@ -2,7 +2,7 @@ package estab
 
 // Racing connection establishment (happy-eyeballs style).
 //
-// The sequential decision tree picks the single best method that the two
+// The paper's decision tree picks the single best method that the two
 // profiles say *should* work and commits to it. When the prediction is
 // wrong in a way only observable at connect time — an asymmetric
 // firewall that silently drops simultaneous-open SYNs, a NAT whose
@@ -231,9 +231,8 @@ func (rs *raceSession) waitElect() (Method, error) {
 	}
 }
 
-// methodBroker is the brokerIO a single racing method conversation runs
-// against: sends are tagged with the method, receives consume the
-// method's queue.
+// methodBroker is what a single method conversation runs against: sends
+// are tagged with the method, receives consume the method's queue.
 type methodBroker struct {
 	rs     *raceSession
 	m      Method
@@ -456,8 +455,8 @@ func (c *Connector) runRoundAcceptor(rs *raceSession, plan []Method, local, remo
 	return won.conn, elected, nil
 }
 
-// establishRacing is the racing counterpart of establishSequential: the
-// default establishment path.
+// establishRacing is the one establishment engine: profile exchange,
+// then the initiator-driven rounds.
 func (c *Connector) establishRacing(service io.ReadWriter, initiator bool, opts EstablishOpts) (net.Conn, Method, error) {
 	b := newBroker(service)
 	local, remote, err := c.exchangeProfiles(b, initiator)
@@ -480,9 +479,8 @@ func (c *Connector) raceInitiator(rs *raceSession, local, remote Profile, opts E
 	candidates := c.initiatorCandidates(local, remote, opts)
 	if len(candidates) == 0 {
 		c.Metrics.failed()
-		// Unlike the sequential path (where both sides reach the same
-		// verdict independently), the plan is initiator-authoritative:
-		// tell the acceptor explicitly.
+		// The plan is initiator-authoritative: tell the acceptor
+		// explicitly.
 		rs.b.send(msgPlan, nil)
 		return nil, MethodNone, ErrNoMethod
 	}

@@ -48,7 +48,7 @@ func establishPairOpts(t *testing.T, init, acc *Connector, opts EstablishOpts) (
 
 // TestRaceBeatsHostileSplice is the tentpole behaviour: between two
 // firewalled sites where one firewall silently drops simultaneous-open
-// SYNs, the decision tree picks splicing and the sequential path pays
+// SYNs, the decision tree picks splicing and a one-at-a-time walk pays
 // its full timeout before falling back. The race starts the routed
 // candidate one stagger tier later and wins long before the splice
 // would time out.
@@ -70,7 +70,7 @@ func TestRaceBeatsHostileSplice(t *testing.T) {
 	if m != Routed {
 		t.Fatalf("method = %v, want Routed (splice is hostile)", m)
 	}
-	// The sequential path would burn the full 2 s splice timeout; the
+	// A one-at-a-time walk would burn the full 2 s splice timeout; the
 	// race must settle in roughly one stagger tier.
 	if elapsed > time.Second {
 		t.Fatalf("race took %v, should beat the 2s splice timeout comfortably", elapsed)
@@ -194,14 +194,14 @@ func TestRaceNoMethodIsProtocolDriven(t *testing.T) {
 	}
 }
 
-// TestSequentialModePreserved: the pre-racing path is still available
-// for the benchmarks' baseline and behaves like the old decision tree.
+// TestSequentialModePreserved: the strict one-method-at-a-time decision
+// tree is the race with a stagger no method outlasts, set on the
+// initiator alone (the acceptor follows the initiator's plan).
 func TestSequentialModePreserved(t *testing.T) {
 	w := newWorld(t)
 	init := w.connector(t, "seq-a", "race-i5", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
 	acc := w.connector(t, "seq-b", "race-a5", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
-	init.Sequential = true
-	acc.Sequential = true
+	init.RaceStagger = time.Hour
 	a, b, m, err := establishPairOpts(t, init, acc, EstablishOpts{})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
@@ -212,15 +212,14 @@ func TestSequentialModePreserved(t *testing.T) {
 	verifyLink(t, a, b)
 }
 
-// TestSequentialPaysHostileSpliceTimeout pins down the cost the race
-// removes: the decision tree commits to splicing and eats the whole
-// timeout before failing.
+// TestSequentialPaysHostileSpliceTimeout pins down the cost the stagger
+// removes: with an infinite stagger the initiator commits to splicing,
+// eats the whole timeout, and only then launches the routed candidate.
 func TestSequentialPaysHostileSpliceTimeout(t *testing.T) {
 	w := newWorld(t)
 	init := w.connector(t, "seqh-a", "race-i6", emunet.SiteConfig{Firewall: emunet.Stateful, SpliceHostile: true}, false)
 	acc := w.connector(t, "seqh-b", "race-a6", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
-	init.Sequential = true
-	acc.Sequential = true
+	init.RaceStagger = time.Hour
 	init.SpliceTimeout = 300 * time.Millisecond
 	acc.SpliceTimeout = 300 * time.Millisecond
 	start := time.Now()
@@ -231,7 +230,7 @@ func TestSequentialPaysHostileSpliceTimeout(t *testing.T) {
 	if m != Routed {
 		t.Fatalf("method = %v, want Routed after the splice failed", m)
 	}
-	if elapsed := time.Since(start); elapsed < 250*time.Millisecond {
+	if elapsed := time.Since(start); elapsed < 270*time.Millisecond { // 0.9 × SpliceTimeout
 		t.Fatalf("sequential connected after %v, expected it to wait out the splice timeout first", elapsed)
 	}
 	verifyLink(t, a, b)

@@ -19,8 +19,8 @@
 // Metric names must follow the documented scheme
 // netibis_<subsystem>_<name>_<unit> (see DESIGN.md "Observability");
 // Register* methods panic on malformed names so a bad name can never
-// reach a release — the obs unit tests and the metrics-lint CI step
-// both exercise CheckName.
+// reach a release — the obs unit tests and the netibis-vet metricname
+// analyzer both exercise CheckName.
 package obs
 
 import (
@@ -167,8 +167,8 @@ var Units = map[string]bool{
 // netibis_<subsystem>_<name>_<unit> without knowing the metric kind:
 // the prefix must be netibis_, the subsystem must be registered in
 // Subsystems, the final token must be in Units, and every token is
-// lowercase [a-z0-9]. The metrics-lint tool applies this to every
-// metric-name literal in the tree.
+// lowercase [a-z0-9]. The netibis-vet metricname analyzer applies this
+// to every metric name in the tree.
 func CheckName(name string) error {
 	parts := strings.Split(name, "_")
 	if len(parts) < 4 || parts[0] != "netibis" {

@@ -419,18 +419,6 @@ func (s *Server) countForward(peerRelay string) {
 	s.statsMu.Unlock()
 }
 
-// EgressBacklog reports the number of frames currently queued towards
-// one attached node across all source links (0 when the node is not
-// attached). Diagnostics: the flow-control suite asserts the backlog for
-// a stalled destination stays bounded.
-func (s *Server) EgressBacklog(id string) int {
-	p := s.lookup(id)
-	if p == nil {
-		return 0
-	}
-	return p.eg.Backlog()
-}
-
 // NodeBacklog is one attached node's egress backlog.
 type NodeBacklog struct {
 	Node   string
@@ -605,17 +593,18 @@ func (s *Server) handleNode(c net.Conn, r *wire.Reader, attach wire.Frame) {
 		return
 	}
 
-	// Acknowledge before publishing the node: the instant it appears in
-	// s.nodes (and the mesh directory), forwarded frames may be injected
-	// into this connection, and they must not precede the attach ack the
-	// client's handshake is waiting for. The ack is written directly;
-	// only then does the egress writer take over the connection, so the
-	// ordering holds by construction.
+	// The attach ack must be the first frame the client sees, and the
+	// node must be routable by the time the client sees it: a client
+	// dials the moment Attach returns, and acking first and publishing
+	// after left a window in which an open towards a just-attached node
+	// was refused as unknown. So the egress writer takes over the
+	// connection now, and the node is published and its ack queued as
+	// the scheduler's first entry inside one s.mu critical section:
+	// nobody can look the node up (and enqueue a routed or forwarded
+	// frame) before the ack is queued, and the ack cannot be written
+	// before the node is published. A fresh egress never blocks.
 	ack := wire.AppendString(nil, s.ID())
 	ack = wire.AppendUvarint(ack, capCreditFlow)
-	if err := w.WriteFrame(KindAttachOK, 0, ack); err != nil {
-		return
-	}
 	peer.eg = NewEgress(c, w, s.egressQueue(), s.egressHist)
 	if batch := s.egressBatchFrames(); batch > 0 {
 		peer.eg.SetBatch(batch, 0)
@@ -631,6 +620,7 @@ func (s *Server) handleNode(c net.Conn, r *wire.Reader, attach wire.Frame) {
 	}
 	old := s.nodes[id]
 	s.nodes[id] = peer
+	peer.eg.Enqueue("", KindAttachOK, nil, ack, nil)
 	s.mu.Unlock()
 	if old != nil {
 		// Latest attachment wins. After an asymmetric failure the relay

@@ -196,6 +196,26 @@ func TestRelayDuplicateNodeIDEvictsStaleAttachment(t *testing.T) {
 	}
 }
 
+// TestDialRightAfterAttach: a node is routable the moment its Attach
+// returns. The relay used to ack first and publish the node after, so an
+// open that arrived inside that window was refused as "unknown peer"
+// (about one dial in twenty on a two-core box).
+func TestDialRightAfterAttach(t *testing.T) {
+	w := newRelayWorld(t)
+	a := w.attach(t, "early-a", emunet.NoNAT)
+	defer a.Close()
+	for i := 0; i < 200; i++ {
+		id := fmt.Sprintf("early-b-%d", i)
+		b := w.attach(t, id, emunet.NoNAT)
+		c, err := a.Dial(id, 2*time.Second)
+		if err != nil {
+			t.Fatalf("dial %s right after its attach returned: %v", id, err)
+		}
+		c.Close()
+		b.Close()
+	}
+}
+
 func TestRelayMultipleChannelsBetweenSamePair(t *testing.T) {
 	w := newRelayWorld(t)
 	a := w.attach(t, "multi-a", emunet.NoNAT)

@@ -124,26 +124,6 @@ func TestWriteFrameNoCopyZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestWriteFrameBufRoundTrip(t *testing.T) {
-	var enc bytes.Buffer
-	w := NewWriter(&enc)
-	b := GetBuf(5000)
-	for i := range b.Bytes() {
-		b.Bytes()[i] = byte(i)
-	}
-	want := append([]byte(nil), b.Bytes()...)
-	if err := w.WriteFrameBuf(KindData, 3, b); err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewReader(&enc).ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Flags != 3 || !bytes.Equal(f.Payload, want) {
-		t.Fatal("WriteFrameBuf round trip mismatch")
-	}
-}
-
 func TestWriteFramePartsRoundTrip(t *testing.T) {
 	var enc bytes.Buffer
 	w := NewWriter(&enc)

@@ -146,15 +146,6 @@ func (fw *Writer) WriteFrameNoCopy(kind, flags byte, payload []byte) error {
 	return err
 }
 
-// WriteFrameBuf writes a single frame whose payload is an owned Buf. It
-// consumes the caller's reference: the Buf is released once the write
-// completed (successfully or not).
-func (fw *Writer) WriteFrameBuf(kind, flags byte, b *Buf) error {
-	err := fw.WriteFrameNoCopy(kind, flags, b.Bytes())
-	b.Release()
-	return err
-}
-
 // WriteFramePairNoCopy writes two frames as a single vectored write
 // without copying either payload. TCP_Block uses it to flush its
 // aggregation buffer and a large bypassing payload in one writev instead
