@@ -70,11 +70,8 @@ type Deployment struct {
 	Gateway *emunet.Host
 
 	Registry *nameservice.Server
-	// Relay is the first relay's server, kept for the single-relay
-	// callers that predate the mesh.
-	Relay  *relay.Server
-	Relays []*RelayInstance
-	Socks  *socks.Server
+	Relays   []*RelayInstance
+	Socks    *socks.Server
 
 	// CA and Trust are set on secure deployments (see
 	// NewSecureFederatedDeployment): the deployment certificate
@@ -179,8 +176,6 @@ func newDeployment(f *emunet.Fabric, relayCount int, ca *identity.Authority, spr
 		}
 		d.Relays = append(d.Relays, ri)
 	}
-	d.Relay = d.Relays[0].Server
-
 	socksL, err := gw.Listen(SocksPort)
 	if err != nil {
 		return nil, fmt.Errorf("deployment: socks listener: %w", err)
@@ -258,9 +253,6 @@ func (d *Deployment) RestartRelay(i int) error {
 		return fmt.Errorf("deployment: restart %s: %w", old.Name, err)
 	}
 	d.Relays[i] = ri
-	if i == 0 {
-		d.Relay = ri.Server
-	}
 	return nil
 }
 

@@ -578,15 +578,14 @@ func encodeNodeRecord(relayID string, class estab.ReachClass) []byte {
 	return append(b, byte(class))
 }
 
-// decodeNodeRecord parses a node record. Records written by binaries
-// predating the reachability class (a bare relay-ID string) decode to
-// ClassUnknown, which prunes nothing.
+// decodeNodeRecord parses a node record. A record that does not decode
+// yields no relay ID and ClassUnknown, which prunes nothing.
 func decodeNodeRecord(v []byte) (relayID string, class estab.ReachClass) {
 	d := wire.NewDecoder(v)
 	id := d.String()
 	cls := d.Byte()
 	if d.Err() != nil || d.Remaining() != 0 {
-		return string(v), estab.ClassUnknown
+		return "", estab.ClassUnknown
 	}
 	return id, estab.ReachClass(cls)
 }

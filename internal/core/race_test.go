@@ -243,9 +243,17 @@ func TestReachabilityClassPublished(t *testing.T) {
 		t.Fatalf("peerClass after service link = %v, want ClassNATed", got)
 	}
 
-	// Old-format records (bare relay ID) decode to ClassUnknown.
-	id, cls := decodeNodeRecord([]byte("pool/legacy"))
-	if id != "pool/legacy" || cls != estab.ClassUnknown {
-		t.Fatalf("legacy record decoded to %q/%v", id, cls)
+	// The record has one layout: without its class byte, with a trailing
+	// byte, or as a bare string it yields no relay ID and no class.
+	rec := encodeNodeRecord("cls/beta", estab.ClassNATed)
+	for what, bad := range map[string][]byte{
+		"no class":      rec[:len(rec)-1],
+		"trailing byte": append(append([]byte(nil), rec...), 0),
+		"bare relay ID": []byte("cls/beta"),
+		"empty":         nil,
+	} {
+		if id, cls := decodeNodeRecord(bad); id != "" || cls != estab.ClassUnknown {
+			t.Errorf("record with %s decoded to %q/%v, want no ID and ClassUnknown", what, id, cls)
+		}
 	}
 }

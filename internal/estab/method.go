@@ -252,9 +252,6 @@ func DecodeProfile(b []byte) (Profile, error) {
 	p.SiteName = d.String()
 	flags := d.Byte()
 	nat := d.Byte()
-	if d.Err() != nil {
-		return Profile{}, errors.New("estab: corrupt profile")
-	}
 	p.Firewalled = flags&1 != 0
 	p.Strict = flags&2 != 0
 	p.PrivateAddr = flags&4 != 0
@@ -264,14 +261,9 @@ func DecodeProfile(b []byte) (Profile, error) {
 	p.Addr = emunet.Address(d.String())
 	p.PublicAddr = emunet.Address(d.String())
 	p.RelayID = d.String()
-	if d.Err() == nil && d.Remaining() > 0 {
-		// HomeRelay was appended to the profile format when the relay
-		// mesh arrived; profiles encoded by earlier binaries simply end
-		// here, so its absence means "no mesh home", not corruption.
-		p.HomeRelay = d.String()
-	}
-	if d.Err() != nil {
-		return Profile{}, d.Err()
+	p.HomeRelay = d.String()
+	if d.Err() != nil || d.Remaining() != 0 {
+		return Profile{}, errors.New("estab: corrupt profile")
 	}
 	return p, nil
 }

@@ -244,12 +244,25 @@ func TestProfileEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProfileDecodeCorrupt: the profile has one layout; anything shorter
+// or longer than it is an error, never a profile with fields defaulted.
 func TestProfileDecodeCorrupt(t *testing.T) {
-	if _, err := DecodeProfile([]byte{0xFF}); err == nil {
-		t.Fatal("corrupt profile should not decode")
+	home := natSite
+	home.HomeRelay = "relay-1"
+	full := home.Encode()
+	noHome := full[:len(full)-1-len(home.HomeRelay)] // one length byte + the ID
+	for what, bad := range map[string][]byte{
+		"garbage":       {0xFF},
+		"empty":         nil,
+		"no HomeRelay":  noHome,
+		"trailing byte": append(append([]byte(nil), full...), 0),
+	} {
+		if _, err := DecodeProfile(bad); err == nil {
+			t.Errorf("profile with %s decoded", what)
+		}
 	}
-	if _, err := DecodeProfile(nil); err == nil {
-		t.Fatal("empty profile should not decode")
+	if got, err := DecodeProfile(full); err != nil || got != home {
+		t.Fatalf("canonical profile: %+v, %v", got, err)
 	}
 }
 

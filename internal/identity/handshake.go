@@ -11,7 +11,7 @@ package identity
 // Attach (node -> relay, with mutual authentication):
 //
 //	node  -> relay  KindAttach    id, authV, clientNonce, announce
-//	relay -> node   KindChallenge serverNonce, serverID, relayAnnounce, relaySig
+//	relay -> node   KindChallenge serverNonce, serverID, authV, relayAnnounce, relaySig
 //	node  -> relay  KindAuth      echo(serverNonce), nodeSig
 //	relay -> node   KindAttachOK | KindAttachFail(code)
 //
@@ -39,9 +39,16 @@ import (
 	"netibis/internal/wire"
 )
 
-// AuthVersion is the current handshake version, carried in attach and
-// peer-hello frames so future revisions can negotiate.
-const AuthVersion = 1
+// Authentication modes. Attach, challenge and peer-hello bodies carry one
+// as a uvarint ahead of the sender's identity section, so a decoder never
+// infers "no identity" from a body that merely ends early.
+const (
+	// AuthAnonymous: the sender has no identity and nothing follows.
+	AuthAnonymous = 0
+	// AuthVersion is the current handshake version: the sender's identity
+	// section follows. Any other value is malformed.
+	AuthVersion = 1
+)
 
 // attachTranscript is the channel-binding byte string both attach
 // signatures cover (relay and node sign it under different contexts and

@@ -74,8 +74,8 @@ var (
 	// local policy demands it.
 	ErrAuthRequired = errors.New("identity: authentication required but peer sent none")
 	// ErrDowngraded is returned when a secure capability this side
-	// offered came back stripped: either the peer predates end-to-end
-	// security or something on the path removed the offer. With a
+	// offered came back stripped: either the peer has no identity to
+	// seal with or something on the path removed the offer. With a
 	// require-secure policy the link fails closed instead of silently
 	// running in the clear.
 	ErrDowngraded = errors.New("identity: secure capability stripped (peer answered without it)")

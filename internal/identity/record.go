@@ -17,7 +17,7 @@ import (
 )
 
 // recordMagic prefixes every sealed record value, distinguishing it from
-// a raw legacy value.
+// a raw, unsigned value.
 var recordMagic = []byte("NIS1")
 
 // SealRecord wraps a registry value with the identity's signature over

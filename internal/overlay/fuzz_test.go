@@ -80,6 +80,39 @@ func FuzzDecodeNack(f *testing.F) {
 	})
 }
 
+// TestPeerHelloStrictDecode: the hello has one layout per mode. Without
+// its last field, with a trailing byte or with an unknown mode it is a
+// handshake error — never an anonymous peer inferred from a short body.
+func TestPeerHelloStrictDecode(t *testing.T) {
+	id, err := identity.Generate("relay-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce, _ := identity.NewNonce()
+	name := wire.AppendString(nil, "relay-1")
+	for _, tc := range []struct {
+		mode     string
+		full     []byte
+		lastSize int // encoded size of the body's last field
+	}{
+		{"anonymous", encodePeerHello("relay-1", nil, nil, nil), 1},
+		{"authenticated", encodePeerHello("relay-1", id, nonce, []byte("sig")), 1 + len("sig")},
+	} {
+		if h, err := decodePeerHello(tc.full); err != nil || h.id != "relay-1" {
+			t.Errorf("%s: canonical hello rejected: %v", tc.mode, err)
+		}
+		if _, err := decodePeerHello(tc.full[:len(tc.full)-tc.lastSize]); err == nil {
+			t.Errorf("%s: hello without its last field accepted", tc.mode)
+		}
+		if _, err := decodePeerHello(append(append([]byte(nil), tc.full...), 0)); err == nil {
+			t.Errorf("%s: hello with a trailing byte accepted", tc.mode)
+		}
+	}
+	if _, err := decodePeerHello(wire.AppendUvarint(name, identity.AuthVersion+1)); err == nil {
+		t.Error("hello with an unknown authentication mode accepted")
+	}
+}
+
 func FuzzDecodePeerHello(f *testing.F) {
 	f.Add(encodePeerHello("relay-1", nil, nil, nil))
 	if id, err := identity.Generate("relay-1"); err == nil {

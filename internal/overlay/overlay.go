@@ -352,7 +352,8 @@ func (o *Relay) peer(id string) *peerLink {
 const peerAuthTimeout = 10 * time.Second
 
 // peerHello is the decoded hello / hello-OK payload: the relay ID plus,
-// when the sender has an identity, the authentication extension.
+// when the sender has an identity, its identity section. The body is
+// string(id) ‖ uvarint(mode) ‖ [bytes(nonce) ‖ announce ‖ bytes(sig)].
 type peerHello struct {
 	id       string
 	nonce    []byte
@@ -365,13 +366,13 @@ type peerHello struct {
 // the acceptor's nonce).
 func encodePeerHello(id string, ident *identity.Identity, nonce, sig []byte) []byte {
 	b := wire.AppendString(nil, id)
-	if ident != nil {
-		b = wire.AppendUvarint(b, identity.AuthVersion)
-		b = wire.AppendBytes(b, nonce)
-		b = identity.AppendAnnounce(b, ident.Announce())
-		b = wire.AppendBytes(b, sig)
+	if ident == nil {
+		return wire.AppendUvarint(b, identity.AuthAnonymous)
 	}
-	return b
+	b = wire.AppendUvarint(b, identity.AuthVersion)
+	b = wire.AppendBytes(b, nonce)
+	b = identity.AppendAnnounce(b, ident.Announce())
+	return wire.AppendBytes(b, sig)
 }
 
 func decodePeerHello(p []byte) (peerHello, error) {
@@ -381,19 +382,19 @@ func decodePeerHello(p []byte) (peerHello, error) {
 	if d.Err() != nil || h.id == "" {
 		return peerHello{}, ErrHandshake
 	}
-	if d.Remaining() == 0 {
-		return h, nil // legacy peer: no identity
-	}
-	if v := d.Uvarint(); d.Err() != nil || v == 0 {
+	switch d.Uvarint() { // 0 on a decode error, which the final check reports
+	case identity.AuthAnonymous:
+	case identity.AuthVersion:
+		h.nonce = append([]byte(nil), d.Bytes()...)
+		a, err := identity.DecodeAnnounce(d)
+		if err != nil {
+			return peerHello{}, ErrHandshake
+		}
+		h.announce = a
+		h.sig = append([]byte(nil), d.Bytes()...)
+	default:
 		return peerHello{}, ErrHandshake
 	}
-	h.nonce = append([]byte(nil), d.Bytes()...)
-	a, err := identity.DecodeAnnounce(d)
-	if err != nil {
-		return peerHello{}, ErrHandshake
-	}
-	h.announce = a
-	h.sig = append([]byte(nil), d.Bytes()...)
 	if d.Err() != nil || d.Remaining() != 0 {
 		return peerHello{}, ErrHandshake
 	}
@@ -518,7 +519,7 @@ func (o *Relay) handlePeerConn(first wire.Frame, conn net.Conn, r *wire.Reader) 
 		}
 		d := wire.NewDecoder(f.Payload)
 		authSig := d.Bytes()
-		if d.Err() != nil {
+		if d.Err() != nil || d.Remaining() != 0 {
 			conn.Close()
 			return
 		}

@@ -49,8 +49,8 @@ type AuthConfig struct {
 	// verification of end-to-end link peers.
 	Trust *identity.TrustStore
 	// RequireE2E (clients) makes the end-to-end seal mandatory on every
-	// routed link: an open answered without the secure capability — a
-	// legacy peer, or a stripped offer — fails closed with
+	// routed link: an open answered without the secure capability — an
+	// anonymous peer, or a stripped offer — fails closed with
 	// identity.ErrDowngraded instead of running in the clear.
 	RequireE2E bool
 }
@@ -117,39 +117,44 @@ func attachFailErr(code uint64) error {
 	return identity.ErrBadSignature
 }
 
-// attachExt is the authentication extension of an attach payload.
-type attachExt struct {
-	version     uint64
+// attachAuth is the identity section of an authenticated attach.
+type attachAuth struct {
 	clientNonce []byte
 	announce    identity.Announce
 }
 
-// appendAttachExt appends the extension to an attach payload.
-func appendAttachExt(dst []byte, id *identity.Identity, clientNonce []byte) []byte {
+// appendAttachAuth appends the authentication mode of an attach and, when
+// the node has an identity, its identity section. The attach body is
+// string(nodeID) ‖ uvarint(mode) ‖ [bytes(clientNonce) ‖ announce].
+func appendAttachAuth(dst []byte, id *identity.Identity, clientNonce []byte) []byte {
+	if id == nil {
+		return wire.AppendUvarint(dst, identity.AuthAnonymous)
+	}
 	dst = wire.AppendUvarint(dst, identity.AuthVersion)
 	dst = wire.AppendBytes(dst, clientNonce)
-	dst = identity.AppendAnnounce(dst, id.Announce())
-	return dst
+	return identity.AppendAnnounce(dst, id.Announce())
 }
 
-// decodeAttachExt parses the extension trailing the attach node ID.
-// A nil result with nil error means a legacy attach (no extension).
-func decodeAttachExt(d *wire.Decoder) (*attachExt, error) {
-	if d.Remaining() == 0 {
-		return nil, nil
-	}
-	var ext attachExt
-	ext.version = d.Uvarint()
-	ext.clientNonce = append([]byte(nil), d.Bytes()...)
-	a, err := identity.DecodeAnnounce(d)
-	if err != nil {
+// decodeAttachAuth parses what follows the attach node ID. A nil result
+// with nil error is an anonymous attach.
+func decodeAttachAuth(d *wire.Decoder) (*attachAuth, error) {
+	var ext *attachAuth
+	switch d.Uvarint() { // 0 on a decode error, which the final check reports
+	case identity.AuthAnonymous:
+	case identity.AuthVersion:
+		ext = &attachAuth{clientNonce: append([]byte(nil), d.Bytes()...)}
+		a, err := identity.DecodeAnnounce(d)
+		if err != nil {
+			return nil, identity.ErrMalformed
+		}
+		ext.announce = a
+	default:
 		return nil, identity.ErrMalformed
 	}
-	ext.announce = a
-	if d.Err() != nil || d.Remaining() != 0 || ext.version == 0 {
+	if d.Err() != nil || d.Remaining() != 0 {
 		return nil, identity.ErrMalformed
 	}
-	return &ext, nil
+	return ext, nil
 }
 
 // challengeBody is the decoded payload of a KindChallenge frame.
@@ -160,14 +165,18 @@ type challengeBody struct {
 	sig         []byte
 }
 
+// encodeChallenge builds a challenge: bytes(serverNonce) ‖ string(serverID)
+// ‖ uvarint(mode) ‖ [announce ‖ bytes(sig)], the bracketed section present
+// when the relay has an identity to prove.
 func encodeChallenge(serverNonce []byte, serverID string, id *identity.Identity, sig []byte) []byte {
 	b := wire.AppendBytes(nil, serverNonce)
 	b = wire.AppendString(b, serverID)
-	if id != nil {
-		b = identity.AppendAnnounce(b, id.Announce())
-		b = wire.AppendBytes(b, sig)
+	if id == nil {
+		return wire.AppendUvarint(b, identity.AuthAnonymous)
 	}
-	return b
+	b = wire.AppendUvarint(b, identity.AuthVersion)
+	b = identity.AppendAnnounce(b, id.Announce())
+	return wire.AppendBytes(b, sig)
 }
 
 func decodeChallenge(p []byte) (challengeBody, error) {
@@ -175,19 +184,20 @@ func decodeChallenge(p []byte) (challengeBody, error) {
 	var cb challengeBody
 	cb.serverNonce = append([]byte(nil), d.Bytes()...)
 	cb.serverID = d.String()
-	if d.Err() != nil {
-		return challengeBody{}, identity.ErrMalformed
-	}
-	if d.Remaining() > 0 {
+	switch d.Uvarint() { // 0 on a decode error, which the final check reports
+	case identity.AuthAnonymous:
+	case identity.AuthVersion:
 		a, err := identity.DecodeAnnounce(d)
 		if err != nil {
 			return challengeBody{}, identity.ErrMalformed
 		}
 		cb.announce = a
 		cb.sig = append([]byte(nil), d.Bytes()...)
-		if d.Err() != nil || d.Remaining() != 0 {
-			return challengeBody{}, identity.ErrMalformed
-		}
+	default:
+		return challengeBody{}, identity.ErrMalformed
+	}
+	if d.Err() != nil || d.Remaining() != 0 {
+		return challengeBody{}, identity.ErrMalformed
 	}
 	return cb, nil
 }
@@ -267,12 +277,12 @@ func (s *Server) rejectAttach(w *wire.Writer, id string, code uint64, msg string
 }
 
 // authenticateNode runs the server half of the attach handshake on a
-// connection whose attach frame carried ext (nil for a legacy attach).
+// connection whose attach frame carried ext (nil for an anonymous attach).
 // It reports whether the node proved a trusted identity for id; on any
 // failure it has already written the typed rejection.
 //
 //netibis:preauth
-func (s *Server) authenticateNode(c net.Conn, r *wire.Reader, w *wire.Writer, id string, ext *attachExt) bool {
+func (s *Server) authenticateNode(c net.Conn, r *wire.Reader, w *wire.Writer, id string, ext *attachAuth) bool {
 	cfg := s.authConfig()
 	if cfg.Trust == nil {
 		return true // authentication not enforced
@@ -334,7 +344,7 @@ func (s *Server) authenticateNode(c net.Conn, r *wire.Reader, w *wire.Writer, id
 // relay a fatal attach error), and arms end-to-end sealing for routed
 // links (see AuthConfig). A nil auth is exactly Attach.
 func AttachAuth(conn net.Conn, nodeID string, auth *AuthConfig) (*Client, error) {
-	w, r, serverID, caps, err := handshake(conn, nodeID, auth)
+	w, r, serverID, err := handshake(conn, nodeID, auth)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -344,7 +354,6 @@ func AttachAuth(conn net.Conn, nodeID string, auth *AuthConfig) (*Client, error)
 		conn:     conn,
 		w:        w,
 		serverID: serverID,
-		caps:     caps,
 		auth:     auth,
 		links:    make(map[linkID]*routedConn),
 		accepts:  make(chan *routedConn, 64),

@@ -201,7 +201,7 @@ func TestAttachReplayedNonce(t *testing.T) {
 	fr := wire.NewReader(conn)
 	clientNonce, _ := identity.NewNonce()
 	body := wire.AppendString(nil, "alice")
-	body = appendAttachExt(body, alice, clientNonce)
+	body = appendAttachAuth(body, alice, clientNonce)
 	if err := fw.WriteFrame(KindAttach, 0, body); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestAttachGarbageHandshakeFrames(t *testing.T) {
 	fr = wire.NewReader(conn)
 	clientNonce, _ := identity.NewNonce()
 	body = wire.AppendString(nil, "alice")
-	body = appendAttachExt(body, alice, clientNonce)
+	body = appendAttachAuth(body, alice, clientNonce)
 	fw.WriteFrame(KindAttach, 0, body)
 	if f, err = fr.ReadFrame(); err != nil || f.Kind != KindChallenge {
 		t.Fatalf("expected challenge: %v %v", f, err)
@@ -277,7 +277,7 @@ func TestAttachGarbageHandshakeFrames(t *testing.T) {
 	fr = wire.NewReader(conn)
 	clientNonce, _ = identity.NewNonce()
 	body = wire.AppendString(nil, "alice")
-	body = appendAttachExt(body, alice, clientNonce)
+	body = appendAttachAuth(body, alice, clientNonce)
 	fw.WriteFrame(KindAttach, 0, body)
 	if f, err = fr.ReadFrame(); err != nil || f.Kind != KindChallenge {
 		t.Fatalf("expected challenge: %v %v", f, err)
@@ -295,7 +295,7 @@ func TestClientRejectsUnauthenticatedRelay(t *testing.T) {
 	// A relay with no identity and no trust store accepts anonymously —
 	// but a client that carries a trust store refuses to attach to it.
 	srv := NewServer()
-	srv.SetID("legacy")
+	srv.SetID("anonymous")
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -420,29 +420,31 @@ func passFrame(kind, flags byte, payload []byte) []proxyFrame {
 	return []proxyFrame{{kind: kind, flags: flags, payload: payload}}
 }
 
-// stripOpenOffer rewrites a routed KindOpen body, removing the trailing
-// e2e offer — the classic capability-stripping downgrade.
-func stripOpenOffer(kind, flags byte, payload []byte) []proxyFrame {
-	if kind != KindOpen {
-		return passFrame(kind, flags, payload)
+// stripE2EBlob rewrites the routed open / open-OK frames of the given
+// kind, blanking the e2e exchange blob — the classic capability-stripping
+// downgrade: the body stays well-formed, it just says "no offer".
+func stripE2EBlob(strip byte) func(kind, flags byte, payload []byte) []proxyFrame {
+	return func(kind, flags byte, payload []byte) []proxyFrame {
+		if kind != strip {
+			return passFrame(kind, flags, payload)
+		}
+		hdr, body, ok := parseRouted(payload)
+		if !ok {
+			return passFrame(kind, flags, payload)
+		}
+		from, window, _, err := decodeOpenBody(body)
+		if err != nil {
+			return passFrame(kind, flags, payload)
+		}
+		body = appendOpenBody(nil, from, window, nil)
+		return []proxyFrame{{kind: kind, flags: flags, payload: AppendRouted(nil, hdr.dst, hdr.channel, body)}}
 	}
-	d := wire.NewDecoder(payload)
-	dst := d.String()
-	channel := d.Uvarint()
-	from := d.String()
-	window := d.Uvarint()
-	if d.Err() != nil || d.Remaining() == 0 {
-		return passFrame(kind, flags, payload)
-	}
-	body := wire.AppendString(nil, from)
-	body = wire.AppendUvarint(body, window)
-	return []proxyFrame{{kind: kind, flags: flags, payload: AppendRouted(nil, dst, channel, body)}}
 }
 
 func TestDowngradeStrippedOfferFailsClosed(t *testing.T) {
 	check := testutil.LeakCheck(t, 4)
 	w := newAuthWorld(t, "relay-0")
-	proxy := newTamperProxy(t, w.ln.Addr().String(), stripOpenOffer)
+	proxy := newTamperProxy(t, w.ln.Addr().String(), stripE2EBlob(KindOpen))
 
 	bob := w.attach("bob", w.issue("bob"), true)
 	go func() {
@@ -467,7 +469,7 @@ func TestDowngradeStrippedOfferFailsClosed(t *testing.T) {
 	}
 	defer alice.Close()
 
-	// The stripped open reaches Bob as a plaintext legacy open; Bob
+	// The stripped open reaches Bob as a plaintext open; Bob
 	// requires e2e and refuses it, so the dial fails — and must *not*
 	// produce a usable cleartext link.
 	_, err = alice.Dial("bob", time.Second)
@@ -485,31 +487,13 @@ func TestDowngradeStrippedOfferFailsClosed(t *testing.T) {
 	check()
 }
 
-// stripOpenOKAnswer rewrites a routed KindOpenOK ack, removing the e2e
-// answer blob: the initiator offered security, the relay pretends the
-// acceptor declined.
-func stripOpenOKAnswer(kind, flags byte, payload []byte) []proxyFrame {
-	if kind != KindOpenOK {
-		return passFrame(kind, flags, payload)
-	}
-	d := wire.NewDecoder(payload)
-	dst := d.String()
-	channel := d.Uvarint()
-	from := d.String()
-	window := d.Uvarint()
-	if d.Err() != nil || d.Remaining() == 0 {
-		return passFrame(kind, flags, payload)
-	}
-	body := wire.AppendString(nil, from)
-	body = wire.AppendUvarint(body, window)
-	return []proxyFrame{{kind: kind, flags: flags, payload: AppendRouted(nil, dst, channel, body)}}
-}
-
 func TestDowngradeStrippedAnswerFailsClosed(t *testing.T) {
 	check := testutil.LeakCheck(t, 4)
 	w := newAuthWorld(t, "relay-0")
-	// Bob's OpenOK travels to the relay through the tampering proxy.
-	proxy := newTamperProxy(t, w.ln.Addr().String(), stripOpenOKAnswer)
+	// Bob's OpenOK travels to the relay through the tampering proxy,
+	// which blanks the answer: the initiator offered security, the path
+	// pretends the acceptor declined.
+	proxy := newTamperProxy(t, w.ln.Addr().String(), stripE2EBlob(KindOpenOK))
 
 	bobID := w.issue("bob")
 	bconn, err := net.Dial("tcp", proxy.ln.Addr().String())

@@ -1,0 +1,452 @@
+package relay
+
+import (
+	"io"
+	"net"
+	"os"
+	"sync"
+	"time"
+
+	"netibis/internal/identity"
+	"netibis/internal/wire"
+)
+
+// routedConn is one virtual link routed through the relay. It implements
+// net.Conn so the rest of NetIbis treats it like any other link.
+//
+// Flow control: each side advertises its receive window when the link is
+// opened. A sender consumes window for every data byte and blocks (up to
+// the write deadline) once the peer's window is exhausted; the reader
+// returns drained bytes with credit frames. The receive buffer is
+// thereby bounded by the advertised window — a fast sender over a slow
+// reader holds bounded memory on both ends and in every relay queue
+// between them, instead of growing without limit.
+type routedConn struct {
+	client   *Client
+	peer     string
+	channel  uint64
+	outbound bool // true on the side that dialed
+
+	mu     sync.Mutex
+	cond   *sync.Cond // readers: data arrival, close, deadline wake-ups
+	wcond  *sync.Cond // writers: credit arrival, close, deadline wake-ups
+	buf    []byte
+	rerr   error
+	closed bool
+	// peerShut is set once the peer closed the link: it dropped its half,
+	// so no more credit will ever arrive and frames we send are discarded
+	// at the far end. Writes stop waiting for credit (see reserve).
+	peerShut bool
+
+	recvWindow int // our advertised window; deliver never exceeds it (conforming peers)
+	unacked    int // bytes drained by Read but not yet returned as credit
+	sendWindow int // remaining credit for sends
+	sendInit   int // the peer's advertised window
+
+	// End-to-end sealing (nil on plaintext links): data frames are AEAD
+	// records with an explicit, strictly increasing sequence number, so
+	// frames lost across a relay failover leave a tolerated gap while
+	// replayed or reordered records fail closed.
+	//
+	// sendMu serialises the {assign sequence, emit frame} pair of
+	// sealed writes: net.Conn permits concurrent Write calls, and
+	// without the outer lock two writers could put their sequence
+	// numbers on the wire in the opposite order of assignment — the
+	// peer's strictly-increasing check would kill the healthy link.
+	keys    *identity.LinkKeys
+	sendMu  sync.Mutex
+	sendSeq uint64 // last sequence sealed (guarded by sendMu)
+	recvSeq uint64 // last sequence accepted (guarded by mu)
+
+	rdeadline time.Time
+	wdeadline time.Time
+}
+
+func newRoutedConn(c *Client, peer string, channel uint64, outbound bool, peerWindow, recvWindow int) *routedConn {
+	rc := &routedConn{
+		client:     c,
+		peer:       peer,
+		channel:    channel,
+		outbound:   outbound,
+		recvWindow: recvWindow,
+		sendWindow: peerWindow,
+		sendInit:   peerWindow,
+	}
+	rc.cond = sync.NewCond(&rc.mu)
+	rc.wcond = sync.NewCond(&rc.mu)
+	return rc
+}
+
+// role returns the role byte stamped on frames sent over this link.
+func (rc *routedConn) role() byte {
+	if rc.outbound {
+		return roleInitiator
+	}
+	return roleAcceptor
+}
+
+// deliver appends received payload to the link's receive buffer. The
+// buffer is bounded by the flow-control invariant, not by a check here:
+// outstanding credit plus buffered bytes never exceeds recvWindow for a
+// conforming peer, because credit is only granted as Read drains.
+//
+// On a sealed link p is an AEAD record: it is authenticated and
+// decrypted in place (the plaintext is appended straight into the
+// receive buffer, no intermediate copy). A record that fails
+// authentication, or replays an already-accepted sequence number — an
+// injected, tampered or replayed frame, or plaintext smuggled onto a
+// sealed link — kills the link with ErrE2E instead of delivering it.
+func (rc *routedConn) deliver(p []byte) {
+	rc.mu.Lock()
+	if rc.keys != nil {
+		pt, seq, err := rc.keys.Open(rc.buf, p)
+		if err != nil || seq <= rc.recvSeq {
+			rc.failLocked(ErrE2E)
+			rc.mu.Unlock()
+			return
+		}
+		rc.recvSeq = seq
+		rc.buf = pt
+	} else {
+		rc.buf = append(rc.buf, p...)
+	}
+	rc.cond.Broadcast()
+	rc.mu.Unlock()
+}
+
+// failLocked closes the link for good with rc.mu held: reads report err
+// (unless an earlier failure already set one) and parked readers and
+// writers wake up.
+func (rc *routedConn) failLocked(err error) {
+	rc.closed = true
+	if rc.rerr == nil {
+		rc.rerr = err
+	}
+	rc.cond.Broadcast()
+	rc.wcond.Broadcast()
+}
+
+// addCredit returns drained bytes to the send window.
+func (rc *routedConn) addCredit(n int) {
+	rc.mu.Lock()
+	rc.sendWindow += n
+	rc.wcond.Broadcast()
+	rc.mu.Unlock()
+}
+
+func (rc *routedConn) peerClosed() {
+	rc.mu.Lock()
+	if rc.rerr == nil {
+		rc.rerr = io.EOF
+	}
+	// Release a writer parked at an exhausted window: it must not block
+	// forever on a dead link (writes keep "succeeding" into the void).
+	rc.peerShut = true
+	rc.cond.Broadcast()
+	rc.wcond.Broadcast()
+	rc.mu.Unlock()
+}
+
+// Abandoned reports whether the peer discarded this link with an abandon
+// frame (it lost an establishment race on the peer's side), so a consumer
+// holding the conn (e.g. in an accept backlog) can recognise and skip it.
+func (rc *routedConn) Abandoned() bool {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return rc.rerr == ErrAbandoned
+}
+
+// Abort discards the link as part of losing an establishment race: the
+// peer receives an abandon frame (not a half-close), telling it the link
+// must not be treated as a usable or half-open connection.
+func (rc *routedConn) Abort() error {
+	rc.mu.Lock()
+	if rc.closed {
+		rc.mu.Unlock()
+		return nil
+	}
+	rc.failLocked(ErrAbandoned)
+	rc.mu.Unlock()
+	rc.client.abandonLink(rc.peer, rc.channel, rc.role())
+	rc.client.dropLink(linkID{peer: rc.peer, channel: rc.channel, outbound: rc.outbound})
+	return nil
+}
+
+func (rc *routedConn) closeWithError(err error) {
+	rc.mu.Lock()
+	rc.failLocked(err)
+	rc.mu.Unlock()
+}
+
+// waitDeadline blocks on cond (mu held) until a broadcast, arranging a
+// wake-up when the deadline passes; it returns os.ErrDeadlineExceeded
+// once the deadline has expired. A zero deadline never expires.
+func waitDeadline(cond *sync.Cond, mu *sync.Mutex, deadline time.Time) error {
+	if deadline.IsZero() {
+		cond.Wait()
+		return nil
+	}
+	now := time.Now()
+	if !now.Before(deadline) {
+		return os.ErrDeadlineExceeded
+	}
+	t := time.AfterFunc(deadline.Sub(now), func() {
+		mu.Lock()
+		cond.Broadcast()
+		mu.Unlock()
+	})
+	cond.Wait()
+	t.Stop()
+	return nil
+}
+
+// Read implements net.Conn. Draining the buffer grants credit back to
+// the sender once half the window has been consumed (batching the grants
+// keeps the credit-frame overhead at two frames per window, not one per
+// Read).
+func (rc *routedConn) Read(p []byte) (int, error) {
+	rc.mu.Lock()
+	for {
+		if len(rc.buf) > 0 {
+			n := copy(p, rc.buf)
+			rc.buf = rc.buf[n:]
+			grant := 0
+			if rc.rerr == nil && !rc.closed {
+				rc.unacked += n
+				if 2*rc.unacked >= rc.recvWindow {
+					grant = rc.unacked
+					rc.unacked = 0
+				}
+			}
+			rc.mu.Unlock()
+			if grant > 0 {
+				rc.sendCredit(grant)
+			}
+			return n, nil
+		}
+		if rc.rerr != nil {
+			err := rc.rerr
+			rc.mu.Unlock()
+			return 0, err
+		}
+		if rc.closed {
+			rc.mu.Unlock()
+			return 0, ErrClosed
+		}
+		if err := waitDeadline(rc.cond, &rc.mu, rc.rdeadline); err != nil {
+			rc.mu.Unlock()
+			return 0, err
+		}
+	}
+}
+
+// sendCredit returns drained bytes to the peer's send window. Failures
+// are ignored: they mean the relay attachment is dying, which every
+// in-flight operation observes through its own error path.
+func (rc *routedConn) sendCredit(n int) {
+	rc.client.flowCreditSent.Add(1)
+	body := wire.AppendString(nil, rc.client.id)
+	body = wire.AppendUvarint(body, uint64(rc.role()))
+	body = wire.AppendUvarint(body, uint64(n))
+	rc.client.send(KindCredit, AppendRouted(nil, rc.peer, rc.channel, body))
+}
+
+// resyncAfterResume re-arms flow control after the client resumed its
+// attachment on a fresh relay connection (see Resume): the send window
+// is reset to the peer's advertisement and the peer is re-granted our
+// free receive space, compensating for data and credit frames lost with
+// the old relay.
+func (rc *routedConn) resyncAfterResume() {
+	rc.mu.Lock()
+	if rc.closed || rc.peerShut {
+		rc.mu.Unlock()
+		return
+	}
+	rc.sendWindow = rc.sendInit
+	grant := rc.recvWindow - len(rc.buf) - rc.unacked
+	rc.unacked = 0
+	rc.wcond.Broadcast()
+	rc.mu.Unlock()
+	if grant > 0 {
+		rc.sendCredit(grant)
+	}
+}
+
+// reserve blocks until the link may carry up to want more payload bytes
+// and returns how many were granted (at most one frame's worth). It
+// re-checks closure on every call, so a Write overtaken by a concurrent
+// Close or Abort stops mid-loop instead of emitting frames on a dead
+// link, and it honours the write deadline while waiting for credit.
+func (rc *routedConn) reserve(want int) (n int, err error) {
+	if want > maxDataFrame {
+		want = maxDataFrame
+	}
+	// blockedSince is set on the first pass that finds the window
+	// exhausted: one stall counted per blocked reserve, with the full
+	// parked duration accumulated on exit whatever the outcome. The
+	// uncontended path never touches the clock or the counters.
+	var blockedSince time.Time
+	rc.mu.Lock()
+	defer func() {
+		rc.mu.Unlock()
+		if !blockedSince.IsZero() {
+			rc.client.flowBlockedNanos.Add(time.Since(blockedSince).Nanoseconds())
+		}
+	}()
+	for {
+		if rc.closed {
+			return 0, ErrClosed
+		}
+		if rc.peerShut {
+			return want, nil
+		}
+		if rc.sendWindow > 0 {
+			n = want
+			if n > rc.sendWindow {
+				n = rc.sendWindow
+			}
+			rc.sendWindow -= n
+			return n, nil
+		}
+		if blockedSince.IsZero() {
+			blockedSince = time.Now()
+			rc.client.flowStalls.Add(1)
+		}
+		if err := waitDeadline(rc.wcond, &rc.mu, rc.wdeadline); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// Write implements net.Conn. Large writes are split into moderate relay
+// frames so that concurrent virtual links share the relay connection
+// fairly; each frame first reserves send credit, so a write against an
+// exhausted window blocks (up to the write deadline) with the partial
+// count reported on failure.
+//
+// On a sealed link each frame's payload is sealed into a pooled
+// wire.Buf *before* it enters the relay path: every relay on the route
+// forwards ciphertext through the ordinary cut-through machinery,
+// untouched and unreadable. Credit is accounted in plaintext bytes on
+// both ends; the per-record overhead (identity.SealOverhead) rides
+// outside the window.
+func (rc *routedConn) Write(p []byte) (int, error) {
+	total := 0
+	for len(p) > 0 {
+		n, err := rc.reserve(len(p))
+		if err != nil {
+			return total, err
+		}
+		// Routing header and data-frame body prefix in one small stack
+		// buffer; the payload itself rides along as a second vector and
+		// is never copied into an assembled body.
+		var arr [96]byte
+		hdr := arr[:0]
+		hdr = wire.AppendString(hdr, rc.peer)
+		hdr = wire.AppendUvarint(hdr, rc.channel)
+		hdr = wire.AppendString(hdr, rc.client.id)
+		hdr = wire.AppendUvarint(hdr, uint64(rc.role()))
+		if rc.keys != nil {
+			// Sequence assignment and frame emission under one lock, so
+			// concurrent writers cannot reorder sequence numbers on the
+			// wire (the receiver requires strictly increasing).
+			rc.sendMu.Lock()
+			rc.sendSeq++
+			seq := rc.sendSeq
+			sealed := wire.GetBuf(n + identity.SealOverhead)
+			rec := rc.keys.Seal(sealed.Bytes()[:0], seq, p[:n])
+			sealed.SetLen(len(rec))
+			hdr = wire.AppendUvarint(hdr, uint64(len(rec)))
+			err := rc.client.sendParts(KindData, hdr, rec)
+			sealed.Release()
+			rc.sendMu.Unlock()
+			if err != nil {
+				return total, err
+			}
+		} else {
+			hdr = wire.AppendUvarint(hdr, uint64(n))
+			if err := rc.client.sendParts(KindData, hdr, p[:n]); err != nil {
+				return total, err
+			}
+		}
+		total += n
+		p = p[n:]
+	}
+	return total, nil
+}
+
+// SendWindow reports the link's remaining send credit and the window the
+// peer advertised when the link was opened. size minus avail is the
+// sender-resident backlog: bytes sent but not yet drained by the peer's
+// reader — the quantity the flow-control benchmarks assert stays bounded.
+func (rc *routedConn) SendWindow() (avail, size int) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return rc.sendWindow, rc.sendInit
+}
+
+// Close implements net.Conn.
+func (rc *routedConn) Close() error {
+	rc.mu.Lock()
+	if rc.closed {
+		rc.mu.Unlock()
+		return nil
+	}
+	rc.closed = true
+	rc.cond.Broadcast()
+	rc.wcond.Broadcast()
+	rc.mu.Unlock()
+	body := wire.AppendString(nil, rc.client.id)
+	body = wire.AppendUvarint(body, uint64(rc.role()))
+	rc.client.send(KindShut, AppendRouted(nil, rc.peer, rc.channel, body))
+	rc.client.dropLink(linkID{peer: rc.peer, channel: rc.channel, outbound: rc.outbound})
+	return nil
+}
+
+// routedAddr is the net.Addr of a relay-routed endpoint.
+type routedAddr struct{ id string }
+
+func (a routedAddr) Network() string { return "relay" }
+func (a routedAddr) String() string  { return a.id }
+
+// LocalAddr implements net.Conn.
+func (rc *routedConn) LocalAddr() net.Addr { return routedAddr{id: rc.client.id} }
+
+// RemoteAddr implements net.Conn.
+func (rc *routedConn) RemoteAddr() net.Addr { return routedAddr{id: rc.peer} }
+
+// SetDeadline implements net.Conn: it bounds both pending and future
+// reads and writes, which fail with os.ErrDeadlineExceeded once the
+// deadline passes. A zero time clears the deadline.
+func (rc *routedConn) SetDeadline(t time.Time) error {
+	rc.mu.Lock()
+	rc.rdeadline = t
+	rc.wdeadline = t
+	rc.cond.Broadcast()
+	rc.wcond.Broadcast()
+	rc.mu.Unlock()
+	return nil
+}
+
+// SetReadDeadline implements net.Conn.
+func (rc *routedConn) SetReadDeadline(t time.Time) error {
+	rc.mu.Lock()
+	rc.rdeadline = t
+	rc.cond.Broadcast()
+	rc.mu.Unlock()
+	return nil
+}
+
+// SetWriteDeadline implements net.Conn. Writes block when the peer's
+// receive window is exhausted, so the deadline is what bounds a write
+// into a stalled link.
+func (rc *routedConn) SetWriteDeadline(t time.Time) error {
+	rc.mu.Lock()
+	rc.wdeadline = t
+	rc.wcond.Broadcast()
+	rc.mu.Unlock()
+	return nil
+}
+
+// Peer returns the node ID of the remote end of the routed link.
+func (rc *routedConn) Peer() string { return rc.peer }

@@ -248,20 +248,55 @@ func TestRoutedWriteRechecksCloseMidLoop(t *testing.T) {
 	}
 }
 
-// TestDecodeWindowLegacy: open bodies from peers predating flow control
-// carry no window and must decode to an uncredited link.
-func TestDecodeWindowLegacy(t *testing.T) {
-	legacy := wire.NewDecoder(wire.AppendString(nil, "peer"))
-	_ = legacy.String()
-	if got := decodeWindow(legacy); got != unlimitedWindow {
-		t.Fatalf("legacy body decoded to window %d, want unlimited", got)
+// TestRoutedWriteReleasedByPeerClose: a Write parked on an exhausted
+// window returns once the peer closes the link (no credit will ever
+// arrive), and later writes do not block either.
+func TestRoutedWriteReleasedByPeerClose(t *testing.T) {
+	w := newRelayWorld(t)
+	a := w.attach(t, "pc-a", emunet.NoNAT)
+	b := w.attach(t, "pc-b", emunet.NoNAT)
+	defer a.Close()
+	defer b.Close()
+	const window = 4096
+	a.SetWindow(window)
+	b.SetWindow(window)
+	ac, bc := dialPair(t, a, b, "pc-b")
+	defer ac.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := ac.Write(make([]byte, 4*window))
+		done <- err
+	}()
+	// Nobody reads bc: wait until the writer is parked at the window.
+	if why := testutil.Settle(func() (bool, string) {
+		avail, _ := ac.(*routedConn).SendWindow()
+		return avail == 0 && a.FlowStats().CreditStalls > 0,
+			fmt.Sprintf("writer not yet parked (%d bytes of window left)", avail)
+	}); why != "" {
+		t.Fatal(why)
 	}
-	body := wire.AppendString(nil, "peer")
-	body = wire.AppendUvarint(body, 12345)
-	d := wire.NewDecoder(body)
-	_ = d.String()
-	if got := decodeWindow(d); got != 12345 {
-		t.Fatalf("window decoded to %d, want 12345", got)
+	bc.Close()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("parked Write released by peer close = %v, want nil", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Write parked at the window not released by the peer's Close")
+	}
+	later := make(chan error, 1)
+	go func() {
+		_, err := ac.Write(make([]byte, 4*window))
+		later <- err
+	}()
+	select {
+	case err := <-later:
+		if err != nil {
+			t.Fatalf("write after peer close = %v, want nil", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("write after the peer's Close blocked")
 	}
 }
 
@@ -412,62 +447,6 @@ func TestStalledReceiverDoesNotDelayHealthyLinks(t *testing.T) {
 		t.Fatal("stalled sender's Write never unblocked on teardown")
 	}
 	checkLeaks()
-}
-
-// TestParseAttachAckCompatibility: ack payloads from older servers (no
-// capabilities, or no payload at all) decode to zero capabilities, so
-// credit accounting is never armed across a relay that would drop
-// credit frames.
-func TestParseAttachAckCompatibility(t *testing.T) {
-	if id, caps := parseAttachAck(nil); id != "" || caps != 0 {
-		t.Fatalf("empty ack = %q/%d", id, caps)
-	}
-	if id, caps := parseAttachAck(wire.AppendString(nil, "old-relay")); id != "old-relay" || caps != 0 {
-		t.Fatalf("bare-ID ack = %q/%d", id, caps)
-	}
-	ack := wire.AppendString(nil, "new-relay")
-	ack = wire.AppendUvarint(ack, capCreditFlow)
-	if id, caps := parseAttachAck(ack); id != "new-relay" || caps&capCreditFlow == 0 {
-		t.Fatalf("capability ack = %q/%d", id, caps)
-	}
-}
-
-// TestLegacyRelayRunsLinksUncredited: a client attached through a relay
-// that does not announce capCreditFlow must not advertise windows (the
-// relay would drop the peer's credit frames and wedge it at the window
-// forever) — its peer's sends run uncredited, exactly as before flow
-// control.
-func TestLegacyRelayRunsLinksUncredited(t *testing.T) {
-	w := newRelayWorld(t)
-	a := w.attach(t, "legacy-a", emunet.NoNAT)
-	b := w.attach(t, "legacy-b", emunet.NoNAT)
-	defer a.Close()
-	defer b.Close()
-
-	// Simulate a's relay predating flow control: strip the capability it
-	// announced at attach time.
-	a.mu.Lock()
-	a.caps = 0
-	a.mu.Unlock()
-
-	ac, bc := dialPair(t, a, b, "legacy-b")
-	defer ac.Close()
-	defer bc.Close()
-
-	// a advertised no window, so b's half is uncredited...
-	if avail, size := bc.(*routedConn).SendWindow(); avail != 0 || size != 0 {
-		t.Fatalf("peer of a legacy-relay client has send window %d/%d, want uncredited", avail, size)
-	}
-	// ...and can push far past any window with nobody reading.
-	const burst = 2 * DefaultWindowBytes
-	bc.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	if n, err := bc.Write(make([]byte, burst)); n != burst || err != nil {
-		t.Fatalf("uncredited write = (%d, %v), want (%d, nil)", n, err, burst)
-	}
-	// b's relay does announce credit, so a's own sends stay windowed.
-	if _, size := ac.(*routedConn).SendWindow(); size != DefaultWindowBytes {
-		t.Fatalf("credited direction's window = %d, want %d", size, DefaultWindowBytes)
-	}
 }
 
 // TestEgressCompactsIdleSources: per-source queues of identities that

@@ -1,9 +1,8 @@
 package relay
 
 // Native fuzz targets for the relay protocol's hand-rolled decoders:
-// routed headers, the attach extension, the challenge/auth handshake
-// frames and the open/open-OK bodies (window + end-to-end exchange
-// blobs). These parse bytes written by arbitrary, possibly hostile
+// routed headers, the attach body, the challenge/auth handshake frames
+// and the open/open-OK bodies (window + end-to-end exchange blob). These parse bytes written by arbitrary, possibly hostile
 // nodes; none may panic, over-read or accept a malformed handshake.
 
 import (
@@ -34,10 +33,10 @@ func FuzzParseRouted(f *testing.F) {
 }
 
 func FuzzDecodeAttach(f *testing.F) {
-	f.Add(wire.AppendString(nil, "pool/alice"))
+	f.Add(appendAttachAuth(wire.AppendString(nil, "pool/alice"), nil, nil))
 	if id, err := identity.Generate("pool/alice"); err == nil {
 		nonce, _ := identity.NewNonce()
-		f.Add(appendAttachExt(wire.AppendString(nil, "pool/alice"), id, nonce))
+		f.Add(appendAttachAuth(wire.AppendString(nil, "pool/alice"), id, nonce))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 'a', 'l', 'i', 'c', 'e', 0xff})
@@ -48,12 +47,8 @@ func FuzzDecodeAttach(f *testing.F) {
 		if d.Err() != nil || id == "" {
 			return
 		}
-		ext, err := decodeAttachExt(d)
-		if err != nil {
-			return
-		}
-		if ext != nil && ext.version == 0 {
-			t.Fatal("accepted extension with version 0")
+		if _, err := decodeAttachAuth(d); err == nil && d.Remaining() != 0 {
+			t.Fatal("accepted an attach body with trailing bytes")
 		}
 	})
 }
@@ -87,39 +82,28 @@ func FuzzDecodeAuthResponse(f *testing.F) {
 }
 
 // FuzzOpenBody fuzzes the open/open-OK body decode exactly as dispatch
-// performs it: originator ID, optional window varint, optional
-// end-to-end exchange blob.
+// performs it: originator ID, window, end-to-end exchange blob. A body is
+// either rejected or yields a positive window — never an unbounded sender.
 func FuzzOpenBody(f *testing.F) {
-	plain := wire.AppendString(nil, "pool/alice")
-	f.Add(plain)
-	windowed := wire.AppendUvarint(wire.AppendString(nil, "pool/alice"), 256<<10)
-	f.Add(windowed)
+	f.Add(wire.AppendString(nil, "pool/alice")) // truncated: no window
+	f.Add(appendOpenBody(nil, "pool/alice", 256<<10, nil))
 	if id, err := identity.Generate("pool/alice"); err == nil {
 		if offer, err := identity.OfferLink(id, "pool/alice", "pool/bob", 3); err == nil {
-			full := wire.AppendUvarint(wire.AppendString(nil, "pool/alice"), 0)
-			full = wire.AppendBytes(full, offer.Blob())
-			f.Add(full)
+			f.Add(appendOpenBody(nil, "pool/alice", DefaultWindowBytes, offer.Blob()))
 		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x02, 'h', 'i', 0x80})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := wire.NewDecoder(data)
-		from := d.String()
-		if d.Err() != nil {
+		from, window, blob, err := decodeOpenBody(data)
+		if err != nil {
 			return
 		}
-		_ = from
-		w := decodeWindow(d)
-		if w != unlimitedWindow && w <= 0 {
-			t.Fatalf("non-positive decoded window %d", w)
+		if window <= 0 {
+			t.Fatalf("accepted a body with window %d", window)
 		}
-		if d.Remaining() > 0 {
-			blob := d.Bytes()
-			if d.Err() != nil {
-				return
-			}
+		if len(blob) > 0 {
 			// The blob decode inside AcceptLink must never panic either;
 			// verification failures are expected.
 			bob, err := identity.Generate("pool/bob")

@@ -1,5 +1,10 @@
 // gencorpus writes seed corpus files for the repo's fuzz targets in the
-// Go fuzzing testdata format, built with the real protocol encoders.
+// Go fuzzing testdata format, built with the real protocol encoders. Run
+// it from anywhere inside the module: go run ./tools/gencorpus.
+//
+// The seeds embed freshly generated keys, nonces and signatures, so two
+// runs never produce the same bytes: the output is committed, not
+// regenerated or diffed by CI.
 package main
 
 import (
@@ -13,7 +18,26 @@ import (
 	"netibis/internal/wire"
 )
 
-const root = "/root/repo"
+// moduleRoot walks up from the working directory to the one holding
+// go.mod.
+func moduleRoot() string {
+	dir, err := os.Getwd()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			log.Fatal("gencorpus: no go.mod above the working directory")
+		}
+		dir = parent
+	}
+}
+
+var root string // the module root, set by main
 
 func write(pkg, target, name string, args ...any) {
 	dir := filepath.Join(root, "internal", pkg, "testdata", "fuzz", target)
@@ -38,6 +62,7 @@ func write(pkg, target, name string, args ...any) {
 }
 
 func main() {
+	root = moduleRoot()
 	// wire: frames.
 	var fb bytes.Buffer
 	fw := wire.NewWriter(&fb)
@@ -90,7 +115,7 @@ func main() {
 	write("relay", "FuzzParseRouted", "routed", routed)
 
 	attach := wire.AppendString(nil, "pool/alice")
-	write("relay", "FuzzDecodeAttach", "legacy", attach)
+	write("relay", "FuzzDecodeAttach", "anonymous", wire.AppendUvarint(attach, identity.AuthAnonymous))
 	ext := wire.AppendUvarint(attach, identity.AuthVersion)
 	ext = wire.AppendBytes(ext, nonce)
 	ext = identity.AppendAnnounce(ext, alice.Announce())
@@ -98,6 +123,8 @@ func main() {
 
 	challenge := wire.AppendBytes(nil, make([]byte, 32))
 	challenge = wire.AppendString(challenge, "relay-0")
+	write("relay", "FuzzDecodeChallenge", "anonymous", wire.AppendUvarint(challenge, identity.AuthAnonymous))
+	challenge = wire.AppendUvarint(challenge, identity.AuthVersion)
 	challenge = identity.AppendAnnounce(challenge, relay0.Announce())
 	challenge = wire.AppendBytes(challenge, sig)
 	write("relay", "FuzzDecodeChallenge", "signed", challenge)
@@ -107,11 +134,9 @@ func main() {
 	write("relay", "FuzzDecodeAuthResponse", "basic", resp)
 
 	openBody := wire.AppendString(nil, "pool/alice")
-	openBody = wire.AppendUvarint(openBody, 0)
-	openBody = wire.AppendBytes(openBody, offer.Blob())
-	write("relay", "FuzzOpenBody", "secure-open", openBody)
-	write("relay", "FuzzOpenBody", "windowed",
-		wire.AppendUvarint(wire.AppendString(nil, "pool/alice"), 256<<10))
+	openBody = wire.AppendUvarint(openBody, 256<<10)
+	write("relay", "FuzzOpenBody", "windowed", wire.AppendBytes(openBody, nil))
+	write("relay", "FuzzOpenBody", "secure-open", wire.AppendBytes(openBody, offer.Blob()))
 
 	// overlay: gossip / forward / nack / hello (formats documented in
 	// internal/overlay/overlay.go).
@@ -146,7 +171,7 @@ func main() {
 	write("overlay", "FuzzDecodeNack", "nack", nack)
 
 	hello := wire.AppendString(nil, "relay-1")
-	write("overlay", "FuzzDecodePeerHello", "legacy", hello)
+	write("overlay", "FuzzDecodePeerHello", "anonymous", wire.AppendUvarint(hello, identity.AuthAnonymous))
 	hello = wire.AppendUvarint(hello, identity.AuthVersion)
 	hello = wire.AppendBytes(hello, nonce)
 	hello = identity.AppendAnnounce(hello, relay0.Announce())
