@@ -8,25 +8,11 @@
 // Findings are suppressed per line with `//nolint:netibis-<name> //
 // justification`; the justification is mandatory (see DESIGN.md
 // "Static analysis").
-//
-// The command also speaks the `go vet -vettool=` unit-checker protocol
-// (-V=full fingerprinting plus *.cfg package units), so it can run
-// under the go command's caching and file-set plumbing:
-//
-//	go vet -vettool=$(which netibis-vet) ./...
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"strings"
 
@@ -36,24 +22,6 @@ import (
 )
 
 func main() {
-	// `go vet -vettool` probes the tool's version for its action cache
-	// before handing it package units. A "devel" version must carry a
-	// buildID the go command can key its cache on; hashing our own
-	// executable gives one that changes exactly when the tool does.
-	if len(os.Args) == 2 && (os.Args[1] == "-V=full" || os.Args[1] == "--V=full") {
-		fmt.Printf("netibis-vet version devel buildID=%s\n", selfID())
-		return
-	}
-	// It also probes `-flags` for the tool's flag definitions; none of
-	// ours are settable through `go vet`, so report an empty set.
-	if len(os.Args) == 2 && (os.Args[1] == "-flags" || os.Args[1] == "--flags") {
-		fmt.Println("[]")
-		return
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(unitCheck(os.Args[1]))
-	}
-
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	only := flag.String("only", "", "comma-separated subset of analyzers to run (default: all)")
 	flag.Usage = func() {
@@ -105,141 +73,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("netibis-vet: %d package(s) clean\n", len(pkgs))
-}
-
-// writeVetx creates the (empty) facts file the go command expects even
-// from tools that record none.
-func writeVetx(cfg *unitConfig) int {
-	if cfg.VetxOutput == "" {
-		return 0
-	}
-	if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-		fmt.Fprintln(os.Stderr, "netibis-vet:", err)
-		return 2
-	}
-	return 0
-}
-
-// selfID returns a content hash of the running executable for the
-// -V=full fingerprint.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
-}
-
-// unitConfig is the JSON the go command writes for each package unit
-// under `go vet -vettool` (x/tools unitchecker.Config, stable fields).
-type unitConfig struct {
-	ID           string
-	Dir          string
-	ImportPath   string
-	GoFiles      []string
-	NonGoFiles   []string
-	IgnoredFiles []string
-	ImportMap    map[string]string
-	PackageFile  map[string]string
-	Standard     map[string]bool
-	VetxOutput   string
-}
-
-// unitCheck analyses one package unit described by a .cfg file and
-// prints findings; the exit status tells the go command whether the
-// unit is clean.
-func unitCheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "netibis-vet:", err)
-		return 2
-	}
-	var cfg unitConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "netibis-vet: parsing", cfgPath+":", err)
-		return 2
-	}
-
-	// The go command hands the vettool every package in the dependency
-	// graph (it cannot know we record no facts) and the test variants of
-	// the listed ones. The suite's invariants govern the module's
-	// production code, matching the native `netibis-vet ./...` gate:
-	// dependency units and _test.go files pass through unchecked.
-	if cfg.ImportPath != "netibis" && !strings.HasPrefix(cfg.ImportPath, "netibis/") {
-		return writeVetx(&cfg)
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "netibis-vet:", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return writeVetx(&cfg)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Implicits:  map[ast.Node]types.Object{},
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "netibis-vet: typecheck:", err)
-		return 2
-	}
-
-	pkg := &load.Package{
-		ImportPath: cfg.ImportPath,
-		Dir:        cfg.Dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}
-	findings, err := analysis.RunPackages([]*load.Package{pkg}, suite.Analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "netibis-vet:", err)
-		return 2
-	}
-	if code := writeVetx(&cfg); code != 0 {
-		return code
-	}
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(findings) > 0 {
-		return 1
-	}
-	return 0
 }

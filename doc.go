@@ -9,7 +9,7 @@
 // relay (relay), the SOCKS proxy (socks), the Ibis Name Service
 // (nameservice), the link utilization driver stacks (driver, drivers/*),
 // the Ibis Portability Layer abstractions (ipl) and the NetIbis
-// integration layer (core). The benchmarks in bench_test.go and the
-// netibis-bench command regenerate the paper's tables and figures; see
-// DESIGN.md and EXPERIMENTS.md.
+// integration layer (core). The netibis-bench command regenerates the
+// paper's tables and figures and ./benchmark measures the real stack;
+// see DESIGN.md and EXPERIMENTS.md.
 package netibis

@@ -25,8 +25,8 @@
 //     sync.Mutex is held, no lock-containing value copies through the
 //     assignment shapes stock vet's copylocks does not look at.
 //
-// cmd/netibis-vet is the driver: a single checker runnable standalone
-// over package patterns or as a `go vet -vettool=` backend.
+// cmd/netibis-vet is the driver: a single checker run over package
+// patterns.
 //
 // Suppression: a finding is silenced by a `//nolint:netibis-<name>`
 // comment on the flagged line (or the line above) with a non-empty

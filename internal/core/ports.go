@@ -433,10 +433,13 @@ func (rp *receivePort) readLoop(src *inSource) {
 		rp.mu.Unlock()
 		src.in.Close()
 	}()
-	br := &byteReader{r: src.in}
+	lengths := wire.NewUvarintReader(src.in)
 	for {
-		length, err := readUvarint(br)
-		if err != nil {
+		length, err := lengths.ReadUvarint()
+		if err != nil || length > ipl.MaxMessageLen {
+			// End of stream, or a corrupt or hostile peer: the buffer
+			// below is sized from this length, so an announcement past
+			// the bound drops the link instead of being allocated.
 			return
 		}
 		payload := make([]byte, length)
@@ -503,43 +506,4 @@ func (rp *receivePort) Close() error {
 	rp.node.registry.Unregister(rp.node.portKey(rp.name))
 	close(rp.done)
 	return nil
-}
-
-// --- helpers -------------------------------------------------------------------------
-
-// byteReader adapts driver.Input to io.ByteReader for varint decoding.
-type byteReader struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
-		return 0, err
-	}
-	return b.one[0], nil
-}
-
-// readUvarint reads a varint; a clean EOF before the first byte is
-// passed through as io.EOF.
-func readUvarint(br *byteReader) (uint64, error) {
-	var x uint64
-	var s uint
-	for i := 0; ; i++ {
-		b, err := br.ReadByte()
-		if err != nil {
-			if i == 0 && err == io.EOF {
-				return 0, io.EOF
-			}
-			return 0, io.ErrUnexpectedEOF
-		}
-		if b < 0x80 {
-			return x | uint64(b)<<s, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-		if s >= 64 {
-			return 0, fmt.Errorf("core: varint overflow")
-		}
-	}
 }

@@ -404,14 +404,14 @@ func NewInput(subs []driver.Input) *Input {
 func (in *Input) reader(i int) {
 	defer in.wg.Done()
 	sub := in.subs[i]
-	br := &byteReader{r: sub}
+	br := wire.NewUvarintReader(sub)
 	for {
-		seq, err := readUvarint(br)
+		seq, err := br.ReadUvarint()
 		if err != nil {
 			in.finish(i, err)
 			return
 		}
-		length, err := readUvarint(br)
+		length, err := br.ReadUvarint()
 		if err != nil {
 			in.finish(i, io.ErrUnexpectedEOF)
 			return
@@ -512,43 +512,4 @@ func (in *Input) Close() error {
 	in.current.Drop()
 	in.mu.Unlock()
 	return first
-}
-
-// --- small helpers ---------------------------------------------------------------
-
-// byteReader adapts an io.Reader into an io.ByteReader for varint decoding.
-type byteReader struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
-		return 0, err
-	}
-	return b.one[0], nil
-}
-
-// readUvarint reads a varint, mapping an EOF on the very first byte to
-// io.EOF (clean end of stream) and later EOFs to ErrUnexpectedEOF.
-func readUvarint(br *byteReader) (uint64, error) {
-	var x uint64
-	var s uint
-	for i := 0; ; i++ {
-		b, err := br.ReadByte()
-		if err != nil {
-			if i == 0 && err == io.EOF {
-				return 0, io.EOF
-			}
-			return 0, io.ErrUnexpectedEOF
-		}
-		if b < 0x80 {
-			return x | uint64(b)<<s, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-		if s >= 64 {
-			return 0, errors.New("multi: varint overflow")
-		}
-	}
 }

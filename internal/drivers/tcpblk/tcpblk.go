@@ -165,24 +165,20 @@ func (o *Output) writeSmallLocked(p []byte) (int, error) {
 }
 
 // emitDirectLocked sends a block-sized payload around the aggregation
-// buffer: any buffered bytes and the payload leave as one vectored
-// write, preserving byte order on the wire.
+// buffer: any buffered bytes and the payload leave as one batch (one
+// vectored write, neither copied), preserving byte order on the wire.
 func (o *Output) emitDirectLocked(p []byte) error {
-	if len(o.buf) > 0 {
-		err := o.w.WriteFramePairNoCopy(wire.KindData, 0, o.buf, wire.KindData, 0, p)
-		if err != nil {
-			return err
-		}
-		o.blocksSent += 2
-		o.bytesSent += int64(len(o.buf)) + int64(len(p))
-		o.buf = o.buf[:0]
-		return nil
+	batch := [2]wire.BatchFrame{{Kind: wire.KindData, Payload: o.buf}, {Kind: wire.KindData, Payload: p}}
+	frames := batch[:]
+	if len(o.buf) == 0 {
+		frames = batch[1:]
 	}
-	if err := o.w.WriteFrameNoCopy(wire.KindData, 0, p); err != nil {
+	if err := o.w.WriteFrameBatch(frames); err != nil {
 		return err
 	}
-	o.blocksSent++
-	o.bytesSent += int64(len(p))
+	o.blocksSent += int64(len(frames))
+	o.bytesSent += int64(len(o.buf)) + int64(len(p))
+	o.buf = o.buf[:0]
 	return nil
 }
 

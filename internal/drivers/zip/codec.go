@@ -9,9 +9,9 @@ package zip
 // negotiation and legacy flagDeflate blocks keep decoding forever (the
 // legacy-decode guarantee — see DESIGN.md, "Pluggable compression").
 //
-// A Codec must be safe for concurrent use: the parallel emit path calls
-// Compress from several stripe workers at once, so per-call encoder
-// state (flate writers, LZ hash tables) is pooled inside the codec.
+// A Codec must be safe for concurrent use: one instance may serve
+// several Outputs, so per-call encoder state (flate writers, LZ hash
+// tables) is pooled inside the codec.
 
 import (
 	"compress/flate"
@@ -73,8 +73,7 @@ func codecByName(name string, level int) (Codec, error) {
 
 // flateCodec is DEFLATE, the original and compatible default. Encoder
 // state is expensive (flate.Writer holds ~half a MiB of window and
-// tables), so each codec instance pools writers for its level and the
-// stripe workers share the pool.
+// tables), so each codec instance pools writers for its level.
 type flateCodec struct {
 	level int
 	pool  *sync.Pool

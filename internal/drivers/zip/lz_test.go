@@ -213,45 +213,6 @@ func TestIncompressibleEmitZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestParallelStripesRoundTrip runs the striped emit path with both
-// codecs over a full Output/Input pair, checking the stripe boundaries
-// reassemble exactly and the block count reflects the striping.
-func TestParallelStripesRoundTrip(t *testing.T) {
-	for _, codec := range []string{"flate", "lz"} {
-		t.Run(codec, func(t *testing.T) {
-			c, err := codecByName(codec, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			link := newMemLink()
-			out, err := NewOutputOptions(memOutput{link}, Options{Codec: c})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out.stripe, out.workers = 8*1024, 4 // many stripes, whatever GOMAXPROCS is
-			in := NewInput(memInput{link})
-			payload := compressible(300_000)
-			if _, err := out.Write(payload); err != nil {
-				t.Fatal(err)
-			}
-			if err := out.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			out.Close()
-			got := make([]byte, len(payload))
-			if _, err := io.ReadFull(in, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, payload) {
-				t.Fatal("striped stream corrupted")
-			}
-			if _, _, blocks := out.Stats(); blocks < int64(len(payload)/(8*1024)) {
-				t.Fatalf("only %d blocks for %d bytes at 8 KiB stripes", blocks, len(payload))
-			}
-		})
-	}
-}
-
 // TestMixedCodecStreamDecodes interleaves lz and legacy deflate blocks
 // on one wire — the per-block flag dispatch must decode the mix, which
 // is exactly what a rolling upgrade of senders produces.

@@ -15,11 +15,7 @@
 // header bytes rather than an expansion.
 //
 // The codec is pluggable per block (zip:codec=flate is the compatible
-// default, zip:codec=lz the fast byte-aligned one — see codec.go), and
-// on multi-core senders a block larger than one stripe is split into
-// stripes compressed in parallel: every stripe is a self-contained
-// block of the same wire format, so a receiver that has never heard of
-// stripes decodes the sequence unchanged.
+// default, zip:codec=lz the fast byte-aligned one — see codec.go).
 package zip
 
 import (
@@ -27,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 
 	"netibis/internal/driver"
@@ -44,17 +39,6 @@ const DefaultLevel = 1
 // DefaultBlockSize is the compression block size. Bigger blocks compress
 // better but add latency and memory.
 const DefaultBlockSize = 128 * 1024
-
-// DefaultStripeSize is the parallel-compression stripe: a block (or
-// flushed partial block) larger than this is cut into stripe-sized
-// independent blocks compressed concurrently. It is no smaller than the
-// 64 KiB messages grid applications typically flush, so such a message
-// stays one block: every extra block costs the receiver a fresh
-// dynamic-Huffman table build in the flate decoder (cutting a 64 KiB
-// flush into four 16 KiB stripes took the zip/multi/tcpblk stack from
-// ~18 to ~200 allocations per message and lowered its throughput).
-// Only a full DefaultBlockSize block splits, in two.
-const DefaultStripeSize = 64 * 1024
 
 // Block header layout: 1 flag byte + 4 bytes original length + 4 bytes
 // stored length.
@@ -124,17 +108,8 @@ type Output struct {
 	lower     driver.Output
 	codec     Codec
 	blockSize int
-	// DefaultStripeSize and min(GOMAXPROCS, 8); fields only so the
-	// package's tests can force many stripes on any machine.
-	stripe  int
-	workers int
-	buf     []byte
-	closed  bool
-
-	// Reused parallel-emit state: one slot per stripe of the largest
-	// emit seen, so steady-state emits do not allocate.
-	emitBufs []*wire.Buf
-	emitErrs []error
+	buf       []byte
+	closed    bool
 
 	// Stats for the evaluation harness.
 	bytesIn  int64
@@ -165,8 +140,6 @@ func NewOutputOptions(lower driver.Output, o Options) (*Output, error) {
 		lower:     lower,
 		codec:     codec,
 		blockSize: blockSize,
-		stripe:    DefaultStripeSize,
-		workers:   min(runtime.GOMAXPROCS(0), 8),
 		buf:       make([]byte, 0, blockSize),
 	}, nil
 }
@@ -256,10 +229,8 @@ func compressBlock(codec Codec, src []byte) (*wire.Buf, error) {
 	return out, nil
 }
 
-// emitLocked compresses the buffered data and hands the resulting
-// block(s) to the lower driver in order. Data beyond one stripe is cut
-// into independent stripe blocks compressed by parallel workers — the
-// receiver sees a plain block sequence either way.
+// emitLocked compresses the buffered data and hands the resulting block
+// to the lower driver.
 func (o *Output) emitLocked() error {
 	if len(o.buf) == 0 {
 		return nil
@@ -272,79 +243,14 @@ func (o *Output) emitLocked() error {
 }
 
 // emitSliceLocked compresses data (the accumulation buffer or a large
-// caller slice passed through zero-copy) and writes the block(s) down.
+// caller slice passed through zero-copy) and writes the block down.
 func (o *Output) emitSliceLocked(data []byte) error {
-	stripes := (len(data) + o.stripe - 1) / o.stripe
-	if o.workers <= 1 || stripes == 1 {
-		out, err := compressBlock(o.codec, data)
-		if err != nil {
-			return err
-		}
-		o.countLocked(len(data), out.Len())
-		return driver.WriteBuf(o.lower, out)
+	out, err := compressBlock(o.codec, data)
+	if err != nil {
+		return err
 	}
-
-	if cap(o.emitBufs) < stripes {
-		o.emitBufs = make([]*wire.Buf, stripes)
-		o.emitErrs = make([]error, stripes)
-	}
-	bufs := o.emitBufs[:stripes]
-	errs := o.emitErrs[:stripes]
-	// Strided assignment: worker w compresses stripes w, w+workers, ...
-	// — no shared claim state, and the emitting goroutine is worker 0,
-	// so a machine with no spare core still makes progress.
-	workers := o.workers
-	if workers > stripes {
-		workers = stripes
-	}
-	work := func(start int) {
-		for i := start; i < stripes; i += workers {
-			lo := i * o.stripe
-			hi := lo + o.stripe
-			if hi > len(data) {
-				hi = len(data)
-			}
-			bufs[i], errs[i] = compressBlock(o.codec, data[lo:hi])
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			work(w)
-		}(w)
-	}
-	work(0)
-	wg.Wait()
-
-	var err error
-	for i := range bufs {
-		if err == nil {
-			err = errs[i]
-		}
-		if err != nil {
-			// A failed stripe poisons the stream (the receiver expects
-			// blocks in order): drop everything from the failure on.
-			if bufs[i] != nil {
-				bufs[i].Release()
-				bufs[i] = nil
-			}
-			continue
-		}
-		lo := i * o.stripe
-		hi := lo + o.stripe
-		if hi > len(data) {
-			hi = len(data)
-		}
-		o.countLocked(hi-lo, bufs[i].Len())
-		werr := driver.WriteBuf(o.lower, bufs[i]) // consumes the Buf
-		bufs[i] = nil
-		if werr != nil {
-			err = werr
-		}
-	}
-	return err
+	o.countLocked(len(data), out.Len())
+	return driver.WriteBuf(o.lower, out)
 }
 
 func (o *Output) countLocked(in, out int) {

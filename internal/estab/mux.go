@@ -203,7 +203,7 @@ func (s *muxStream) Write(p []byte) (int, error) {
 	if m.localDone {
 		return 0, ErrEstablishmentEnded
 	}
-	if err := m.w.WriteFrameParts(kindMuxData, 0, idb[:n], p); err != nil {
+	if err := m.w.WriteFrameBatch([]wire.BatchFrame{{Kind: kindMuxData, Hdr: idb[:n], Payload: p}}); err != nil {
 		return 0, err
 	}
 	return len(p), nil

@@ -88,7 +88,18 @@ var (
 	// ErrMessageActive is returned when a new message is started while
 	// the previous one has not been finished.
 	ErrMessageActive = errors.New("ipl: previous message not finished")
+	// ErrMessageTooLarge is returned by WriteMessage.Finish for a message
+	// whose encoding exceeds MaxMessageLen; nothing is sent.
+	ErrMessageTooLarge = errors.New("ipl: message exceeds maximum length")
 )
+
+// MaxMessageLen bounds the encoded size of one message (64 MiB, the
+// frame bound of the layers below). A receive port sizes a message's
+// buffer from the length announced on the link before the first payload
+// byte arrives, so this is what a corrupt or hostile peer can make a
+// node allocate per link: senders refuse a larger message, receivers
+// drop a link that announces one.
+const MaxMessageLen = 1 << 26
 
 // SendPort is the sending endpoint of unidirectional message channels.
 // One send port can be connected to several receive ports; a finished
@@ -216,7 +227,10 @@ func (m *WriteMessage) Finish() error {
 		return errors.New("ipl: message already finished")
 	}
 	m.finished = true
-	err := m.sink.Deliver(m.buf)
+	err := ErrMessageTooLarge
+	if len(m.buf) <= MaxMessageLen {
+		err = m.sink.Deliver(m.buf)
+	}
 	if m.onDone != nil {
 		m.onDone()
 	}

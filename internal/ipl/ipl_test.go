@@ -165,6 +165,27 @@ func TestDeliverErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestMessageTooLarge: a message past MaxMessageLen is refused with the
+// typed error before it reaches the sink (a receiver would drop the link
+// on its announced length); one exactly at the bound is delivered.
+func TestMessageTooLarge(t *testing.T) {
+	sink := &captureSink{}
+	done := 0
+	m := NewWriteMessage(sink, func() { done++ })
+	m.buf = make([]byte, MaxMessageLen)
+	if err := m.Finish(); err != nil || len(sink.payloads) != 1 {
+		t.Fatalf("message at the bound: %v, %d delivered", err, len(sink.payloads))
+	}
+	m = NewWriteMessage(sink, func() { done++ })
+	m.buf = make([]byte, MaxMessageLen+1)
+	if err := m.Finish(); !errors.Is(err, ErrMessageTooLarge) {
+		t.Fatalf("oversize message: got %v, want ErrMessageTooLarge", err)
+	}
+	if len(sink.payloads) != 1 || done != 2 {
+		t.Fatalf("oversize message reached the sink (%d delivered) or left the port busy (%d done)", len(sink.payloads), done)
+	}
+}
+
 func TestSerializationQuick(t *testing.T) {
 	f := func(b bool, i int64, fl float64, s string, raw []byte) bool {
 		if math.IsNaN(fl) {

@@ -361,9 +361,10 @@ func (c *Client) send(kind byte, payload []byte) error {
 	return c.w.WriteFrame(kind, 0, payload)
 }
 
-// sendParts sends one frame whose payload is hdr followed by data, as a
-// vectored write: the data bytes (an application Write in flight) are
-// never assembled into an intermediate body buffer.
+// sendParts sends one frame whose payload is hdr followed by data: a
+// small one leaves as a single conn write, and above the wire layer's
+// coalescing threshold the data bytes (an application Write in flight)
+// are never assembled into an intermediate body buffer.
 func (c *Client) sendParts(kind byte, hdr, data []byte) error {
 	c.mu.Lock()
 	detached := c.detached
@@ -373,7 +374,7 @@ func (c *Client) sendParts(kind byte, hdr, data []byte) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return c.w.WriteFrameParts(kind, 0, hdr, data)
+	return c.w.WriteFrameBatch([]wire.BatchFrame{{Kind: kind, Hdr: hdr, Payload: data}})
 }
 
 // Close detaches from the relay; all virtual links are torn down.

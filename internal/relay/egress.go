@@ -72,8 +72,9 @@ func (q *egressSource) push(e egressEntry) {
 //
 // The writer drains a burst per wakeup: up to batchFrames frames (and
 // batchBytes payload bytes), collected round-robin across the sources,
-// leave in one multi-frame vectored write (wire.Writer.WriteFrameBatch —
-// one writev instead of one per frame). The batch holds one reference to
+// leave in one multi-frame write (wire.Writer.WriteFrameBatch — one
+// writev instead of one per frame, or one plain write when the burst is
+// a few small control frames). The batch holds one reference to
 // every frame's owner Buf; all of them are released after the single
 // syscall, successful or not (see DESIGN.md, "Buffer ownership and the
 // zero-copy path").

@@ -477,3 +477,55 @@ func TestEgressCompactsIdleSources(t *testing.T) {
 		t.Fatal(why)
 	}
 }
+
+// writeCountingConn counts the Writes that reach the relay connection.
+type writeCountingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *writeCountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestRoutedSmallWriteIsOneConnWrite pins the link-crossing cost of a
+// routed control message: routing header, data-frame prefix and up to
+// 4 KiB of payload reach the relay connection as one Write (on anything
+// but a kernel TCP socket every Write is a crossing of the link), and a
+// block-sized one as the vectored three — wire header, routing header,
+// payload — with the payload not copied.
+func TestRoutedSmallWriteIsOneConnWrite(t *testing.T) {
+	w := newRelayWorld(t)
+	site := w.fabric.AddSite("site-counted", emunet.SiteConfig{Firewall: emunet.Stateful})
+	conn, err := site.AddHost("cw-a").Dial(emunet.Endpoint{Addr: w.relay.Address(), Port: 4500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &writeCountingConn{Conn: conn}
+	a, err := Attach(counted, "cw-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := w.attach(t, "cw-b", emunet.NoNAT)
+	defer a.Close()
+	defer b.Close()
+	ac, bc := dialPair(t, a, b, "cw-b")
+	defer ac.Close()
+	defer bc.Close()
+
+	for _, tc := range []struct{ size, writes int }{{1, 1}, {40, 1}, {4096, 1}, {maxDataFrame, 3}} {
+		payload := bytes.Repeat([]byte{0xC3}, tc.size)
+		before := counted.writes.Load()
+		if _, err := ac.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		if got := counted.writes.Load() - before; got != int64(tc.writes) {
+			t.Errorf("routed Write of %d bytes cost %d relay-conn writes, want %d", tc.size, got, tc.writes)
+		}
+		got := make([]byte, tc.size)
+		if _, err := io.ReadFull(bc, got); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("routed Write of %d bytes arrived damaged: %v", tc.size, err)
+		}
+	}
+}

@@ -109,40 +109,53 @@ func TestReadFrameBufZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestWriteFrameNoCopyZeroAlloc gates the vectored write path the same
-// way.
+// TestWriteFrameNoCopyZeroAlloc gates the vectored branch of the write
+// primitive the same way: a payload above the coalescing threshold
+// leaves without being copied and without an allocation.
 func TestWriteFrameNoCopyZeroAlloc(t *testing.T) {
-	w := NewWriter(io.Discard)
-	payload := bytes.Repeat([]byte{0x3C}, 32<<10)
+	cw := &countingWriter{}
+	w := NewWriter(cw)
+	payload := bytes.Repeat([]byte{0x3C}, 64<<10)
+	if err := w.WriteFrame(KindData, 0, payload); err != nil {
+		t.Fatal(err)
+	}
+	if cw.writes != 2 {
+		t.Fatalf("64 KiB frame took %d conn writes, want header + payload", cw.writes)
+	}
+	w = NewWriter(io.Discard)
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := w.WriteFrameNoCopy(KindData, 0, payload); err != nil {
+		if err := w.WriteFrame(KindData, 0, payload); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("WriteFrameNoCopy allocates %.1f objects per frame, want 0", allocs)
+		t.Fatalf("WriteFrame allocates %.1f objects per 64 KiB frame, want 0", allocs)
 	}
 }
 
 func TestWriteFramePartsRoundTrip(t *testing.T) {
 	var enc bytes.Buffer
 	w := NewWriter(&enc)
-	if err := w.WriteFrameParts(KindData, 1, []byte("head-"), nil, []byte("tail")); err != nil {
+	if err := w.WriteFrameBatch([]BatchFrame{{Kind: KindData, Flags: 1, Hdr: []byte("head-"), Payload: []byte("tail")}}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := NewReader(&enc).ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(f.Payload) != "head-tail" {
-		t.Fatalf("parts payload = %q", f.Payload)
+	if f.Flags != 1 || string(f.Payload) != "head-tail" {
+		t.Fatalf("parts frame = %v %q", f, f.Payload)
 	}
 }
 
 func TestWriteFramePairRoundTrip(t *testing.T) {
 	var enc bytes.Buffer
 	w := NewWriter(&enc)
-	if err := w.WriteFramePairNoCopy(KindData, 0, []byte("first"), KindData, 0, bytes.Repeat([]byte{9}, 9000)); err != nil {
+	pair := []BatchFrame{
+		{Kind: KindData, Payload: []byte("first")},
+		{Kind: KindData, Payload: bytes.Repeat([]byte{9}, 9000)},
+	}
+	if err := w.WriteFrameBatch(pair); err != nil {
 		t.Fatal(err)
 	}
 	r := NewReader(&enc)

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 )
 
 // Frame kinds used across NetIbis protocols. Drivers are free to define
@@ -70,24 +69,31 @@ func (f Frame) String() string {
 	return fmt.Sprintf("frame{kind=%d flags=%#x len=%d}", f.Kind, f.Flags, len(f.Payload))
 }
 
+// coalesceMax is the threshold of the one conn-write rule (see
+// WriteFrameBatch), in encoded bytes: 4 KiB of payload plus headroom for
+// the wire and routing headers in front of it, so a 4 KiB application
+// write is still one conn write after a routed link and a service mux
+// have each prefixed theirs.
+const coalesceMax = 4096 + 512
+
 // Writer encodes frames onto an io.Writer. It is not safe for concurrent
 // use; callers serialise access (the drivers hold a per-link mutex).
 type Writer struct {
-	w       io.Writer
-	hdr     [2 + binary.MaxVarintLen64]byte
-	hdr2    [2 + binary.MaxVarintLen64]byte
+	w io.Writer
+	// scratch is the coalescing buffer, allocated once at coalesceMax on
+	// the first small batch.
 	scratch []byte
 	// vecBase is the reused backing storage for vectored writes and
 	// vecView the consumable view handed to net.Buffers.WriteTo: WriteTo
 	// advances (consumes) its receiver, so the view is re-sliced from the
-	// base on every write. Both live in the Writer so the vectored fast
-	// path allocates nothing (a local view would escape through WriteTo's
+	// base on every write. Both live in the Writer so the vectored path
+	// allocates nothing (a local view would escape through WriteTo's
 	// pointer receiver).
 	vecBase net.Buffers
 	vecView net.Buffers
-	// batchHdr is the reused per-frame header arena of WriteFrameBatch:
-	// all wire headers of one batch are encoded into it back to back, so
-	// a steady-state batch write allocates nothing.
+	// batchHdr is the reused per-frame header arena: all wire headers of
+	// one batch are encoded into it back to back, so a steady-state
+	// batch write allocates nothing.
 	batchHdr []byte
 }
 
@@ -96,115 +102,18 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: w, vecBase: make(net.Buffers, 0, 8)}
 }
 
-// WriteFrame encodes and writes a single frame.
+// WriteFrame encodes and writes a single frame: a one-frame
+// WriteFrameBatch.
 func (fw *Writer) WriteFrame(kind, flags byte, payload []byte) error {
-	if len(payload) > MaxFrameLen {
-		return ErrFrameTooLarge
-	}
-	fw.hdr[0] = kind
-	fw.hdr[1] = flags
-	n := binary.PutUvarint(fw.hdr[2:], uint64(len(payload)))
-	// Coalesce header+payload into one Write where it is cheap to do so:
-	// small payloads dominate in parallel applications and issuing two
-	// Writes per frame doubles syscall (or emulated-link) cost.
-	if len(payload) <= 4096 {
-		need := 2 + n + len(payload)
-		if cap(fw.scratch) < need {
-			fw.scratch = make([]byte, 0, need+1024)
-		}
-		buf := fw.scratch[:0]
-		buf = append(buf, fw.hdr[:2+n]...)
-		buf = append(buf, payload...)
-		_, err := fw.w.Write(buf)
-		return err
-	}
-	if _, err := fw.w.Write(fw.hdr[:2+n]); err != nil {
-		return err
-	}
-	_, err := fw.w.Write(payload)
-	return err
+	one := [1]BatchFrame{{Kind: kind, Flags: flags, Payload: payload}}
+	return fw.WriteFrameBatch(one[:])
 }
 
-// WriteFrameNoCopy writes a single frame without ever copying the
-// payload: header and payload are submitted as one vectored write
-// (writev on TCP connections, sequential writes elsewhere). It is the
-// cut-through path used when the payload is re-emitted verbatim, e.g. a
-// routed frame crossing the relay.
-func (fw *Writer) WriteFrameNoCopy(kind, flags byte, payload []byte) error {
-	if len(payload) > MaxFrameLen {
-		return ErrFrameTooLarge
-	}
-	fw.hdr[0] = kind
-	fw.hdr[1] = flags
-	n := binary.PutUvarint(fw.hdr[2:], uint64(len(payload)))
-	if len(payload) == 0 {
-		_, err := fw.w.Write(fw.hdr[:2+n])
-		return err
-	}
-	fw.vecView = append(fw.vecBase[:0], fw.hdr[:2+n], payload)
-	_, err := fw.vecView.WriteTo(fw.w)
-	return err
-}
-
-// WriteFramePairNoCopy writes two frames as a single vectored write
-// without copying either payload. TCP_Block uses it to flush its
-// aggregation buffer and a large bypassing payload in one writev instead
-// of two round trips through the socket layer.
-func (fw *Writer) WriteFramePairNoCopy(kind1, flags1 byte, p1 []byte, kind2, flags2 byte, p2 []byte) error {
-	if len(p1) > MaxFrameLen || len(p2) > MaxFrameLen {
-		return ErrFrameTooLarge
-	}
-	fw.hdr[0] = kind1
-	fw.hdr[1] = flags1
-	n1 := binary.PutUvarint(fw.hdr[2:], uint64(len(p1)))
-	fw.hdr2[0] = kind2
-	fw.hdr2[1] = flags2
-	n2 := binary.PutUvarint(fw.hdr2[2:], uint64(len(p2)))
-	fw.vecView = append(fw.vecBase[:0], fw.hdr[:2+n1])
-	if len(p1) > 0 {
-		fw.vecView = append(fw.vecView, p1)
-	}
-	fw.vecView = append(fw.vecView, fw.hdr2[:2+n2])
-	if len(p2) > 0 {
-		fw.vecView = append(fw.vecView, p2)
-	}
-	_, err := fw.vecView.WriteTo(fw.w)
-	return err
-}
-
-// WriteFrameParts writes a single frame whose payload is the
-// concatenation of parts, as one vectored write and without copying any
-// part. It lets a sender prepend a small routing or framing header to a
-// payload it does not own without assembling the two into a fresh
-// buffer.
-func (fw *Writer) WriteFrameParts(kind, flags byte, parts ...[]byte) error {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total > MaxFrameLen {
-		return ErrFrameTooLarge
-	}
-	fw.hdr[0] = kind
-	fw.hdr[1] = flags
-	n := binary.PutUvarint(fw.hdr[2:], uint64(total))
-	fw.vecView = append(fw.vecBase[:0], fw.hdr[:2+n])
-	for _, p := range parts {
-		if len(p) > 0 {
-			fw.vecView = append(fw.vecView, p)
-		}
-	}
-	if cap(fw.vecView) > cap(fw.vecBase) {
-		fw.vecBase = fw.vecView[:0]
-	}
-	_, err := fw.vecView.WriteTo(fw.w)
-	return err
-}
-
-// BatchFrame describes one frame of a multi-frame vectored write. The
-// frame body is the concatenation Hdr ++ Payload; either part may be
-// empty. Neither slice is copied — both must stay valid (and unshared
-// with concurrent writers) until WriteFrameBatch returns.
+// BatchFrame describes one frame of a batch. The frame body is the
+// concatenation Hdr ++ Payload; either part may be empty, so a sender
+// can prepend a small routing or framing header to a payload it does
+// not own without assembling the two. Both slices must stay valid (and
+// unshared with concurrent writers) until WriteFrameBatch returns.
 type BatchFrame struct {
 	Kind    byte
 	Flags   byte
@@ -212,14 +121,19 @@ type BatchFrame struct {
 	Payload []byte
 }
 
-// WriteFrameBatch writes every frame of the batch as a single vectored
-// write (one writev on TCP connections): N frames cross the socket
-// layer for one syscall instead of N. No payload or header part is
-// copied; the per-frame wire headers are encoded into a Writer-local
-// arena reused across batches, so the steady-state batch write
-// allocates nothing. It is the relay egress scheduler's emission path:
-// a burst of queued frames drains in one syscall, and every retained
-// owner is released by the caller after the batch write returns.
+// WriteFrameBatch is the frame-write primitive: it writes every frame of
+// the batch, in order, and how many conn writes that costs depends only
+// on the batch's encoded size. Up to coalesceMax the batch is assembled
+// in the Writer's scratch and leaves as exactly one Write — the paper's
+// TCP_Block argument (one send per small message is ruinous) applied to
+// every control message; on a conn that is not a kernel TCP socket
+// (emulated, TLS, relay-routed) each Write is a link crossing. Above it
+// the batch leaves as one vectored write of wire header plus non-empty
+// parts per frame (one writev on TCP, one Write per element elsewhere)
+// and nothing is copied or allocated: a block-sized frame, a buffered
+// block followed by a bypassing one, and a relay egress burst all cross
+// the socket layer once. The bytes on the wire are the same either way,
+// and MaxFrameLen is checked for every frame before anything is written.
 func (fw *Writer) WriteFrameBatch(frames []BatchFrame) error {
 	if len(frames) == 0 {
 		return nil
@@ -232,6 +146,7 @@ func (fw *Writer) WriteFrameBatch(frames []BatchFrame) error {
 	}
 	hdrs := fw.batchHdr[:0]
 	vec := fw.vecBase[:0]
+	size := 0
 	for i := range frames {
 		f := &frames[i]
 		total := len(f.Hdr) + len(f.Payload)
@@ -239,9 +154,7 @@ func (fw *Writer) WriteFrameBatch(frames []BatchFrame) error {
 			return ErrFrameTooLarge
 		}
 		start := len(hdrs)
-		hdrs = append(hdrs, f.Kind, f.Flags)
-		n := binary.PutUvarint(hdrs[len(hdrs):len(hdrs)+binary.MaxVarintLen64], uint64(total))
-		hdrs = hdrs[:start+2+n]
+		hdrs = binary.AppendUvarint(append(hdrs, f.Kind, f.Flags), uint64(total))
 		vec = append(vec, hdrs[start:])
 		if len(f.Hdr) > 0 {
 			vec = append(vec, f.Hdr)
@@ -249,11 +162,23 @@ func (fw *Writer) WriteFrameBatch(frames []BatchFrame) error {
 		if len(f.Payload) > 0 {
 			vec = append(vec, f.Payload)
 		}
+		size += len(hdrs) - start + total
+	}
+	if cap(vec) > cap(fw.vecBase) {
+		fw.vecBase = vec[:0]
+	}
+	if size <= coalesceMax {
+		if fw.scratch == nil {
+			fw.scratch = make([]byte, 0, coalesceMax)
+		}
+		buf := fw.scratch
+		for _, part := range vec {
+			buf = append(buf, part...)
+		}
+		_, err := fw.w.Write(buf)
+		return err
 	}
 	fw.vecView = vec
-	if cap(fw.vecView) > cap(fw.vecBase) {
-		fw.vecBase = fw.vecView[:0]
-	}
 	_, err := fw.vecView.WriteTo(fw.w)
 	return err
 }
@@ -261,13 +186,13 @@ func (fw *Writer) WriteFrameBatch(frames []BatchFrame) error {
 // Reader decodes frames from an io.Reader.
 type Reader struct {
 	r      io.Reader
-	br     *byteReader
+	uv     *UvarintReader
 	hdrBuf [2]byte // reused header scratch (a local would escape into ReadFull)
 }
 
 // NewReader returns a frame Reader consuming from r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r, br: &byteReader{r: r}}
+	return &Reader{r: r, uv: NewUvarintReader(r)}
 }
 
 // ReadFrame reads the next frame. The returned payload is a stable copy
@@ -280,7 +205,7 @@ func (fr *Reader) ReadFrame() (Frame, error) {
 		return Frame{}, err
 	}
 	payload := make([]byte, length)
-	if _, err := io.ReadFull(fr.br, payload); err != nil {
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -299,7 +224,7 @@ func (fr *Reader) ReadFrameBuf() (kind, flags byte, payload *Buf, err error) {
 		return 0, 0, nil, err
 	}
 	b := GetBuf(int(length))
-	if _, err := io.ReadFull(fr.br, b.Bytes()); err != nil {
+	if _, err := io.ReadFull(fr.r, b.Bytes()); err != nil {
 		b.Release()
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -311,10 +236,10 @@ func (fr *Reader) ReadFrameBuf() (kind, flags byte, payload *Buf, err error) {
 
 // readHeader reads and validates the frame header.
 func (fr *Reader) readHeader() (kind, flags byte, length uint64, err error) {
-	if _, err := io.ReadFull(fr.br, fr.hdrBuf[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.hdrBuf[:]); err != nil {
 		return 0, 0, 0, err
 	}
-	length, err = binary.ReadUvarint(fr.br)
+	length, err = fr.uv.ReadUvarint()
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -327,51 +252,33 @@ func (fr *Reader) readHeader() (kind, flags byte, length uint64, err error) {
 	return fr.hdrBuf[0], fr.hdrBuf[1], length, nil
 }
 
-// byteReader adapts an io.Reader to io.ByteReader without losing
-// buffered data (it reads one byte at a time only for the varint).
-type byteReader struct {
+// UvarintReader reads length prefixes off a byte stream: one byte at a
+// time, so nothing past the varint is consumed and the payload behind
+// it can be read from the same stream directly. It is the one
+// stream-varint reader of the tree (frame headers here, fragment
+// headers in multi, message lengths in core).
+type UvarintReader struct {
 	r   io.Reader
 	one [1]byte
 }
 
-func (b *byteReader) Read(p []byte) (int, error) { return b.r.Read(p) }
+// NewUvarintReader returns a UvarintReader consuming from r.
+func NewUvarintReader(r io.Reader) *UvarintReader { return &UvarintReader{r: r} }
 
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
+// ReadByte implements io.ByteReader.
+func (u *UvarintReader) ReadByte() (byte, error) {
+	if _, err := io.ReadFull(u.r, u.one[:]); err != nil {
 		return 0, err
 	}
-	return b.one[0], nil
+	return u.one[0], nil
 }
 
-// --- buffer pooling -------------------------------------------------------
-
-// bufPool recycles payload buffers between drivers to keep allocation out
-// of the per-message fast path.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 64*1024)
-		return &b
-	},
-}
-
-// GetBuffer returns a pooled byte slice with length n. The slice must be
-// returned with PutBuffer when no longer needed.
-func GetBuffer(n int) []byte {
-	bp := bufPool.Get().(*[]byte)
-	b := *bp
-	if cap(b) < n {
-		b = make([]byte, n)
-	}
-	return b[:n]
-}
-
-// PutBuffer returns a buffer obtained from GetBuffer to the pool.
-func PutBuffer(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	bufPool.Put(&b)
+// ReadUvarint reads one unsigned varint. A stream that ends cleanly
+// before the first byte yields io.EOF, one that ends inside the varint
+// io.ErrUnexpectedEOF; any other read error is passed through, and an
+// encoding that overflows 64 bits is an error.
+func (u *UvarintReader) ReadUvarint() (uint64, error) {
+	return binary.ReadUvarint(u)
 }
 
 // --- primitive encoding helpers -------------------------------------------

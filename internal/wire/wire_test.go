@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -226,23 +227,6 @@ func TestPrimitiveQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBufferPool(t *testing.T) {
-	b := GetBuffer(1234)
-	if len(b) != 1234 {
-		t.Fatalf("GetBuffer length = %d", len(b))
-	}
-	for i := range b {
-		b[i] = byte(i)
-	}
-	PutBuffer(b)
-	b2 := GetBuffer(10)
-	if len(b2) != 10 {
-		t.Fatalf("GetBuffer length = %d", len(b2))
-	}
-	PutBuffer(b2)
-	PutBuffer(nil) // must not panic
-}
-
 func BenchmarkFrameWrite4K(b *testing.B) {
 	payload := bytes.Repeat([]byte{0x5A}, 4096)
 	w := NewWriter(io.Discard)
@@ -358,6 +342,82 @@ func BenchmarkWriteFrameBatch16x32K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := w.WriteFrameBatch(frames); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// countingWriter is a conn that is not a kernel TCP socket: every
+// element of a net.Buffers.WriteTo reaches it as one Write.
+type countingWriter struct {
+	writes int
+	bytes.Buffer
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Buffer.Write(p)
+}
+
+// TestWriteFrameBatchConnWrites pins the one conn-write rule: what a
+// batch costs depends on its encoded size and on nothing else. Up to
+// coalesceMax it is exactly one Write; above it, it is the one vectored
+// write — wire header plus each non-empty part, per frame — and a Reader
+// decodes the same frames either way.
+func TestWriteFrameBatchConnWrites(t *testing.T) {
+	fill := func(n int) []byte { return bytes.Repeat([]byte{'x'}, n) }
+	for _, n := range []int{1, 2, 16} {
+		for _, shape := range []struct{ hdr, payload bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+			for _, size := range []int{coalesceMax - 1, coalesceMax, coalesceMax + 1} {
+				// n-1 frames with an 8-byte body, then one padded so the
+				// batch encodes to exactly size bytes; with neither part
+				// every frame is empty and the batch is 3n bytes.
+				var batch []BatchFrame
+				encoded, vectored := 0, 0
+				for i := 0; i < n; i++ {
+					body := 8
+					if i == n-1 {
+						body = size - encoded - 4 // kind, flags, two-byte length
+					}
+					f := BatchFrame{Kind: KindData, Flags: byte(i)}
+					switch {
+					case shape.hdr && shape.payload:
+						f.Hdr, f.Payload = fill(4), fill(body-4)
+					case shape.hdr:
+						f.Hdr = fill(body)
+					case shape.payload:
+						f.Payload = fill(body)
+					}
+					batch = append(batch, f)
+					body = len(f.Hdr) + len(f.Payload)
+					encoded += 2 + len(AppendUvarint(nil, uint64(body))) + body
+					vectored += 1 + min(len(f.Hdr), 1) + min(len(f.Payload), 1)
+				}
+				name := fmt.Sprintf("%d frames hdr=%v payload=%v, %d bytes", n, shape.hdr, shape.payload, encoded)
+				if (shape.hdr || shape.payload) && encoded != size {
+					t.Fatalf("%s: want a %d-byte batch", name, size)
+				}
+				want := 1
+				if encoded > coalesceMax {
+					want = vectored
+				}
+				cw := &countingWriter{}
+				if err := NewWriter(cw).WriteFrameBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				if cw.writes != want || cw.Len() != encoded {
+					t.Errorf("%s: %d conn writes of %d bytes, want %d", name, cw.writes, cw.Len(), want)
+				}
+				r := NewReader(cw)
+				for i, f := range batch {
+					got, err := r.ReadFrame()
+					if err != nil || got.Flags != byte(i) || !bytes.Equal(got.Payload, append(f.Hdr[:len(f.Hdr):len(f.Hdr)], f.Payload...)) {
+						t.Fatalf("%s: frame %d decoded as %v, %v", name, i, got, err)
+					}
+				}
+				if _, err := r.ReadFrame(); err != io.EOF {
+					t.Fatalf("%s: bytes after the batch: %v", name, err)
+				}
+			}
 		}
 	}
 }
