@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	netibis-bench [table1|lan|fig9|fig10|crossover|streams|zlib|matrix|delays|failover|scale|all]
+//	netibis-bench [table1|lan|fig9|fig10|crossover|streams|zlib|matrix|scale|all]
 //
 // The scale suite takes its own flags (not part of "all" — it is a
 // scenario run, not a paper figure):
@@ -22,7 +22,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"netibis/internal/bench"
 	"netibis/internal/churn"
@@ -42,8 +41,6 @@ var experiments = []struct {
 	{"streams", streams},
 	{"zlib", zlib},
 	{"matrix", matrix},
-	{"delays", delays},
-	{"failover", failover},
 }
 
 // resolve maps a subcommand to the experiments it runs; nil means the
@@ -143,18 +140,6 @@ func matrix() {
 		bench.FullConnectivity(entries), bench.MethodHistogram(entries))
 }
 
-func delays() {
-	header("Ablation: connection establishment delay per method")
-	rows, err := bench.EstablishmentDelays()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "delays failed: %v\n", err)
-		os.Exit(1)
-	}
-	for _, r := range rows {
-		fmt.Printf("  %-18s %v\n", r.Method, r.Delay.Round(10*time.Microsecond))
-	}
-}
-
 func streams() {
 	header("Ablation: parallel stream count on the Delft-Sophia link")
 	for _, r := range bench.StreamSweep(16) {
@@ -168,17 +153,6 @@ func zlib() {
 		fmt.Printf("  level %d: ratio %4.2f, compressor %7.1f MB/s (this machine), effective on Amsterdam-Rennes %5.2f MB/s\n",
 			r.Level, r.Ratio, r.CompressMBps, r.EffectiveMBps)
 	}
-}
-
-func failover() {
-	header("Relay failover: kill one relay of a three-relay mesh mid-stream")
-	res, err := bench.RelayFailover()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "failover: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(bench.FormatFailover(res))
-	fmt.Println()
 }
 
 // scale runs the churn/scale suite: a seeded chaos scenario (attach

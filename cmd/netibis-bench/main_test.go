@@ -4,9 +4,10 @@ import "testing"
 
 // TestSubcommandDispatch: every documented subcommand resolves, "all"
 // is exactly the experiments table, and the names of the wall-clock
-// suites that moved to ./benchmark are gone.
+// suites that moved to ./benchmark (or, for failover, to the core and
+// churn tests) are gone.
 func TestSubcommandDispatch(t *testing.T) {
-	names := []string{"table1", "lan", "fig9", "fig10", "crossover", "streams", "zlib", "matrix", "delays", "failover"}
+	names := []string{"table1", "lan", "fig9", "fig10", "crossover", "streams", "zlib", "matrix"}
 	if len(experiments) != len(names) {
 		t.Fatalf("experiments table has %d entries, want %d", len(experiments), len(names))
 	}
@@ -24,7 +25,7 @@ func TestSubcommandDispatch(t *testing.T) {
 	if got := resolve("all", nil); len(got) != len(names) {
 		t.Errorf("all runs %d experiments, want %d", len(got), len(names))
 	}
-	for _, gone := range []string{"datapath", "estab", "flowcontrol", "multirelay", ""} {
+	for _, gone := range []string{"datapath", "estab", "flowcontrol", "multirelay", "delays", "failover", ""} {
 		if resolve(gone, nil) != nil {
 			t.Errorf("resolve(%q) still dispatches", gone)
 		}

@@ -274,36 +274,6 @@ func TestQualitativeConnectivityMatrix(t *testing.T) {
 	}
 }
 
-func TestEstablishmentDelays(t *testing.T) {
-	rows, err := EstablishmentDelays()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) < 2 {
-		t.Fatalf("expected delays for at least two methods, got %v", rows)
-	}
-	for _, r := range rows {
-		if r.Delay <= 0 {
-			t.Fatalf("non-positive delay for %v", r.Method)
-		}
-	}
-}
-
-// TestRelayFailoverScenario runs the kill-one-relay bench run.
-func TestRelayFailoverScenario(t *testing.T) {
-	res, err := RelayFailover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ReattachedTo == "" || res.ReattachedTo == res.Killed {
-		t.Fatalf("bad reattach target: %+v", res)
-	}
-	if res.Recovery <= 0 {
-		t.Fatalf("no recovery time recorded: %+v", res)
-	}
-	t.Logf("%s", FormatFailover(res))
-}
-
 // TestMultiRelayMatrixRow checks that the matrix's multi-relay row is
 // fully connected like every other row (its service links cross the
 // relay mesh).

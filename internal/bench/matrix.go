@@ -219,37 +219,3 @@ func FormatMatrix(entries []MatrixEntry) string {
 	}
 	return b.String()
 }
-
-// EstablishmentDelayRow is one row of the per-method establishment-delay
-// ablation.
-type EstablishmentDelayRow struct {
-	Method estab.Method
-	Delay  time.Duration
-}
-
-// EstablishmentDelays measures the wall-clock establishment delay of
-// each method between two firewalled sites (forcing the method where the
-// decision tree would pick a different one), reproducing the paper's
-// discussion that brokered methods pay an extra negotiation phase.
-func EstablishmentDelays() ([]EstablishmentDelayRow, error) {
-	entries, err := ConnectivityMatrix(nil)
-	if err != nil {
-		return nil, err
-	}
-	best := make(map[estab.Method]time.Duration)
-	for _, e := range entries {
-		if !e.OK {
-			continue
-		}
-		if cur, ok := best[e.Method]; !ok || e.Delay < cur {
-			best[e.Method] = e.Delay
-		}
-	}
-	var rows []EstablishmentDelayRow
-	for _, m := range []estab.Method{estab.ClientServer, estab.Splicing, estab.Proxy, estab.Routed} {
-		if d, ok := best[m]; ok {
-			rows = append(rows, EstablishmentDelayRow{Method: m, Delay: d})
-		}
-	}
-	return rows, nil
-}

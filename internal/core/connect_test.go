@@ -1,0 +1,377 @@
+package core
+
+// Tests of the connect path's two rules: the connectivity profiles cross
+// the service link once per connect (in the request and its reply), and
+// every name a peer writes into a body is held against the link's
+// relay-pinned Peer() — never used to dispatch, never believed.
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"netibis/internal/emunet"
+	"netibis/internal/estab"
+	"netibis/internal/ipl"
+	"netibis/internal/relay"
+	"netibis/internal/wire"
+)
+
+var stateful = emunet.SiteConfig{Firewall: emunet.Stateful}
+
+// request sends one frame on a service link and returns the reply's op
+// and payload.
+func request(t *testing.T, sl *serviceLink, op byte, payload []byte) (byte, []byte) {
+	t.Helper()
+	if err := sl.w.WriteFrame(wire.KindControl, op, payload); err != nil {
+		t.Fatal(err)
+	}
+	f, err := sl.r.ReadFrame()
+	if err != nil {
+		t.Fatalf("reading the reply to op %d: %v", op, err)
+	}
+	return f.Flags, f.Payload
+}
+
+// expectClosed asserts that the far end closes a routed link promptly
+// (rather than parking it or waiting for more).
+func expectClosed(t *testing.T, what string, conn net.Conn) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("%s: read = %v, want the peer to close the link", what, err)
+	}
+}
+
+// TestConnectRejectsImpersonation: on a secure deployment a member with
+// a valid identity of its own cannot speak under another member's name.
+// The connect request's sender used to be believed as written, so the
+// victim's name reached the application as ReadMessage.Origin.
+func TestConnectRejectsImpersonation(t *testing.T) {
+	g := newSecureGrid(t, 1)
+	alice := g.secureNode("alice", "site-a", stateful, nil)
+	bob := g.secureNode("bob", "site-b", stateful, nil)
+	mallory := g.secureNode("mallory", "site-m", stateful, nil)
+
+	pt := ipl.PortType{Name: "chan", Stack: "tcpblk"}
+	rp, err := bob.CreateReceivePort(pt, "inbox")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+
+	// Raw requests over mallory's own (authenticated, sealed) service
+	// link: each names alice somewhere.
+	sl, err := mallory.serviceLinkTo("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := connectRequest{portName: "inbox", portType: pt, sender: mallory.id, profile: mallory.Profile()}
+	for what, forge := range map[string]func(*connectRequest){
+		"sender name":      func(r *connectRequest) { r.sender.Name = "alice" },
+		"sender pool":      func(r *connectRequest) { r.sender.Pool = "otherpool" },
+		"profile relay ID": func(r *connectRequest) { r.profile.RelayID = alice.relayID() },
+	} {
+		req := honest
+		forge(&req)
+		if op, _ := request(t, sl, opConnect, encodeConnectRequest(req)); op != opConnectErr {
+			t.Errorf("forged %s: reply op %d, want opConnectErr", what, op)
+		}
+	}
+
+	// And through the front door: a send port of a node that claims to
+	// be alice.
+	mallory.id = alice.Identifier()
+	sp, err := mallory.CreateSendPort(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	if err := sp.Connect(rp.ID()); !errors.Is(err, ErrConnectRejected) {
+		t.Fatalf("connect as alice: %v, want ErrConnectRejected", err)
+	}
+	port := rp.(*receivePort)
+	port.mu.Lock()
+	sources := len(port.sources)
+	port.mu.Unlock()
+	if sources != 0 || port.Received() != 0 {
+		t.Fatalf("the receive port took %d source(s), %d message(s) from an impersonator", sources, port.Received())
+	}
+}
+
+// TestPurposeHeaderCarriesNoName: a purpose header is a flag with an
+// empty payload, and a service link carries requests only; anything else
+// closes the link. A purposeData header used to name its sender, so a
+// member could park links under any name — or hand its link to the
+// establishment waiting for someone else's.
+func TestPurposeHeaderCarriesNoName(t *testing.T) {
+	g := newSecureGrid(t, 1)
+	bob := g.secureNode("bob", "site-b", stateful, nil)
+	mallory := g.secureNode("mallory", "site-m", stateful, nil)
+	victim := wire.AppendString(nil, "testpool/alice")
+
+	for _, tc := range []struct {
+		what    string
+		purpose byte
+		payload []byte
+		then    byte // a frame to send after a valid service header (0: none)
+	}{
+		{"data header naming a sender", purposeData, victim, 0},
+		{"service header naming a sender", purposeService, victim, 0},
+		{"unknown purpose", 9, nil, 0},
+		{"unknown op on a service link", purposeService, nil, 99},
+		{"stray reply on a service link", purposeService, nil, opConnectOK},
+	} {
+		conn, err := mallory.relayCli.Dial(bob.relayID(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := wire.NewWriter(conn)
+		if err := w.WriteFrame(wire.KindControl, tc.purpose, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		if tc.then != 0 {
+			if err := w.WriteFrame(wire.KindControl, tc.then, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		expectClosed(t, tc.what, conn)
+		conn.Close()
+	}
+
+	// A well-formed data link is parked under the name the relay pinned,
+	// whatever the sender would like.
+	conn, err := mallory.relayCli.Dial(bob.relayID(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.NewWriter(conn).WriteFrame(wire.KindControl, purposeData, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitForCondition(t, 3*time.Second, "the data link was not parked", func() bool {
+		bob.mu.Lock()
+		defer bob.mu.Unlock()
+		return len(bob.pendingData) > 0
+	})
+	bob.mu.Lock()
+	defer bob.mu.Unlock()
+	if _, ok := bob.pendingData[mallory.relayID()]; !ok || len(bob.pendingData) != 1 {
+		t.Fatalf("routed data links parked under %d name(s), want only %s", len(bob.pendingData), mallory.relayID())
+	}
+}
+
+// recordingConn records everything written through it.
+type recordingConn struct {
+	net.Conn
+	mu    sync.Mutex
+	wrote bytes.Buffer
+}
+
+func (rc *recordingConn) Write(p []byte) (int, error) {
+	rc.mu.Lock()
+	rc.wrote.Write(p)
+	rc.mu.Unlock()
+	return rc.Conn.Write(p)
+}
+
+// TestProfilesCrossServiceLinkOncePerConnect: a stack of four parallel
+// sub-streams runs four establishments, and the initiator's profile
+// crosses the service link once — in the connect request — not once
+// more per establishment.
+func TestProfilesCrossServiceLinkOncePerConnect(t *testing.T) {
+	g := newTestGrid(t)
+	a := g.node("alice", "site-a", stateful, nil)
+	b := g.node("bob", "site-b", stateful, nil)
+	if _, err := a.Ping("bob"); err != nil {
+		t.Fatal(err)
+	}
+	sl, err := a.serviceLinkTo("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingConn{Conn: sl.conn}
+	sl.conn, sl.w = rec, wire.NewWriter(rec)
+
+	pt := ipl.PortType{Name: "striped", Stack: "multi:streams=4/tcpblk"}
+	sp, rp := channel(t, a, b, pt, "inbox")
+	defer sp.Close()
+	defer rp.Close()
+	sendText(t, sp, "over four sub-streams")
+	if got, _ := recvText(t, rp); got != "over four sub-streams" {
+		t.Fatalf("got %q", got)
+	}
+
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if n := bytes.Count(rec.wrote.Bytes(), a.Profile().Encode()); n != 1 {
+		t.Fatalf("the initiator's profile crossed the service link %d times in one connect, want 1", n)
+	}
+}
+
+// TestConnectRefusesBadReply: the initiator holds the connect reply to
+// the same rules — one layout, and a profile that names the node the
+// service link leads to — and treats anything else as a broken link.
+func TestConnectRefusesBadReply(t *testing.T) {
+	g := newTestGrid(t)
+	a := g.node("alice", "site-a", stateful, nil)
+
+	// The acceptor is a bare relay attachment that answers every connect
+	// request with the reply under test.
+	host := g.dep.AddSite("site-f", emunet.SiteConfig{Firewall: emunet.Open}).AddHost("fake")
+	conn, err := host.Dial(g.dep.RelayEndpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake, err := relay.Attach(conn, "testpool/fake")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fake.Close()
+	if err := a.registry.Register(a.nodeKey("fake"), wire.AppendString(nil, "testpool/fake")); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var reply []byte
+	go func() {
+		for {
+			link, err := fake.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer link.Close()
+				r, w := wire.NewReader(link), wire.NewWriter(link)
+				if _, err := r.ReadFrame(); err != nil { // the purpose header
+					return
+				}
+				for {
+					f, err := r.ReadFrame()
+					if err != nil {
+						return
+					}
+					if f.Flags == opConnect {
+						mu.Lock()
+						p := reply
+						mu.Unlock()
+						w.WriteFrame(wire.KindControl, opConnectOK, p)
+					}
+				}
+			}()
+		}
+	}()
+
+	good := estab.Profile{HasRelay: true, RelayID: "testpool/fake"}.Encode()
+	pt := ipl.PortType{Name: "chan", Stack: "tcpblk"}
+	for what, p := range map[string][]byte{
+		"empty":           nil,
+		"truncated":       good[:len(good)-1],
+		"trailing byte":   append(append([]byte(nil), good...), 0),
+		"another node's":  estab.Profile{HasRelay: true, RelayID: "testpool/bob"}.Encode(),
+		"the initiator's": a.Profile().Encode(),
+	} {
+		mu.Lock()
+		reply = p
+		mu.Unlock()
+		sp, err := a.CreateSendPort(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sp.Connect(ipl.PortID{Owner: ipl.Identifier{Name: "fake", Pool: "testpool"}, Port: "inbox"})
+		if err == nil || errors.Is(err, ErrConnectRejected) {
+			t.Errorf("%s profile in the connect reply: Connect = %v, want a service-link failure", what, err)
+		}
+		if len(sp.ConnectedTo()) != 0 {
+			t.Errorf("%s profile in the connect reply: the send port reports a link", what)
+		}
+		sp.Close()
+		a.mu.Lock()
+		cached := len(a.serviceLinks)
+		a.mu.Unlock()
+		if cached != 0 {
+			t.Errorf("%s profile in the connect reply: the service link stayed cached", what)
+		}
+	}
+}
+
+// TestConnectRequestStrictDecode: the connect request has one layout.
+// Cut anywhere, with a trailing byte, with a profile field of the wrong
+// length or a secure flag that is not 0 or 1, it is a protocol error.
+func TestConnectRequestStrictDecode(t *testing.T) {
+	req := connectRequest{
+		portName: "inbox",
+		portType: ipl.PortType{Name: "chan", Stack: "zip/tcpblk", Secure: true},
+		sender:   ipl.Identifier{Name: "alice", Pool: "testpool"},
+		profile:  estab.Profile{SiteName: "site-a", Firewalled: true, HasRelay: true, RelayID: "testpool/alice", HomeRelay: "relay-0"},
+	}
+	full := encodeConnectRequest(req)
+	got, err := decodeConnectRequest(full)
+	if err != nil || got != req {
+		t.Fatalf("round trip: %+v, %v", got, err)
+	}
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := decodeConnectRequest(full[:cut]); err == nil {
+			t.Errorf("request cut to %d of %d bytes accepted", cut, len(full))
+		}
+	}
+	withProfile := func(p []byte) []byte {
+		head := full[:len(full)-len(wire.AppendBytes(nil, req.profile.Encode()))]
+		return wire.AppendBytes(append([]byte(nil), head...), p)
+	}
+	secureAt := len(wire.AppendString(wire.AppendString(wire.AppendString(nil, req.portName), req.portType.Name), req.portType.Stack))
+	badFlag := append([]byte(nil), full...)
+	badFlag[secureAt] = 2
+	for what, bad := range map[string][]byte{
+		"trailing byte":            append(append([]byte(nil), full...), 0),
+		"profile one byte short":   withProfile(req.profile.Encode()[:len(req.profile.Encode())-1]),
+		"profile with a trailer":   withProfile(append(req.profile.Encode(), 0)),
+		"empty profile":            withProfile(nil),
+		"secure flag out of range": badFlag,
+	} {
+		if _, err := decodeConnectRequest(bad); err == nil {
+			t.Errorf("request with %s accepted", what)
+		}
+	}
+}
+
+// TestNodeRecordLayout: a node's registry record is its relay ID as one
+// wire string and nothing else (no reader is left for more: peers take a
+// node's connectivity from its live profile, its name from the link).
+func TestNodeRecordLayout(t *testing.T) {
+	g := newTestGrid(t)
+	a := g.node("alice", "site-a", stateful, nil)
+	val, err := a.registry.Lookup(a.nodeKey("alice"), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := wire.AppendString(nil, "testpool/alice"); !bytes.Equal(val, want) {
+		t.Fatalf("node record = %q, want %q", val, want)
+	}
+}
+
+func FuzzDecodeConnectRequest(f *testing.F) {
+	full := encodeConnectRequest(connectRequest{
+		portName: "inbox",
+		portType: ipl.PortType{Name: "chan", Stack: "tcpblk"},
+		sender:   ipl.Identifier{Name: "alice", Pool: "pool"},
+		profile:  estab.Profile{HasRelay: true, RelayID: "pool/alice"},
+	})
+	f.Add(full)
+	f.Add(full[:len(full)-3])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := decodeConnectRequest(data)
+		if err != nil {
+			return
+		}
+		// Whatever decodes survives its own encoding unchanged.
+		if again, err := decodeConnectRequest(encodeConnectRequest(req)); err != nil || again != req {
+			t.Fatalf("%+v re-encodes to %+v (%v)", req, again, err)
+		}
+	})
+}

@@ -50,7 +50,9 @@ import (
 )
 
 // Purpose header values stamped on relay-routed connections between
-// nodes, so the receiving node's dispatcher knows what arrived.
+// nodes, so the receiving node's dispatcher knows what arrived: the flag
+// of a wire.KindControl frame with an empty payload. Who it arrived from
+// is the link's own Peer(), never something the sender writes.
 const (
 	purposeService byte = 1
 	purposeData    byte = 2
@@ -218,7 +220,6 @@ type Node struct {
 	serviceLinks map[string]*serviceLink
 	recvPorts    map[string]*receivePort
 	pendingData  map[string]chan net.Conn
-	peerClasses  map[string]estab.ReachClass // published reachability, by peer name
 	closed       bool
 	done         chan struct{}
 
@@ -248,7 +249,9 @@ func (n *Node) MetricsInto(reg *obs.Registry) {
 // serviceLink is an outgoing service path to one peer, used to broker
 // data links. Requests over one service link are serialised.
 type serviceLink struct {
-	mu   sync.Mutex
+	mu sync.Mutex
+	// peer is the routed link's Peer(): the serviceLinks key, and the
+	// one name the peer's replies are held against.
 	peer string
 	conn net.Conn
 	r    *wire.Reader
@@ -294,7 +297,6 @@ func Join(cfg Config) (*Node, error) {
 		serviceLinks: make(map[string]*serviceLink),
 		recvPorts:    make(map[string]*receivePort),
 		pendingData:  make(map[string]chan net.Conn),
-		peerClasses:  make(map[string]estab.ReachClass),
 		done:         make(chan struct{}),
 	}
 	// Arm transparent failover: when the relay connection dies the node
@@ -324,11 +326,8 @@ func Join(cfg Config) (*Node, error) {
 	}
 
 	// Register the instance so that peers (and monitoring tools) can
-	// discover it. The record carries the node's relay identity plus its
-	// reachability class, so peers can prune impossible establishment
-	// methods before racing (and invalidate cached winners when the
-	// class changes).
-	record := encodeNodeRecord(n.relayID(), n.connector.Profile().Class())
+	// discover it. The record carries the node's relay identity.
+	record := wire.AppendString(nil, n.relayID())
 	if cfg.NodeIdentity != nil {
 		// Signed: peers (and a trust-enforcing registry) can verify the
 		// record really belongs to this node.
@@ -571,40 +570,6 @@ func (n *Node) onRelayDetach(err error) {
 	n.relayCli.Abandon(fmt.Errorf("core: relay failover failed: %w", err))
 }
 
-// encodeNodeRecord builds the name-service record value of a node: its
-// relay identity plus its published reachability class.
-func encodeNodeRecord(relayID string, class estab.ReachClass) []byte {
-	b := wire.AppendString(nil, relayID)
-	return append(b, byte(class))
-}
-
-// decodeNodeRecord parses a node record. A record that does not decode
-// yields no relay ID and ClassUnknown, which prunes nothing.
-func decodeNodeRecord(v []byte) (relayID string, class estab.ReachClass) {
-	d := wire.NewDecoder(v)
-	id := d.String()
-	cls := d.Byte()
-	if d.Err() != nil || d.Remaining() != 0 {
-		return "", estab.ClassUnknown
-	}
-	return id, estab.ReachClass(cls)
-}
-
-// notePeerClass remembers a peer's published reachability class.
-func (n *Node) notePeerClass(peerName string, class estab.ReachClass) {
-	n.mu.Lock()
-	n.peerClasses[peerName] = class
-	n.mu.Unlock()
-}
-
-// peerClass returns the last reachability class seen for a peer
-// (ClassUnknown when the peer's record has not been read yet).
-func (n *Node) peerClass(peerName string) estab.ReachClass {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.peerClasses[peerName]
-}
-
 func (n *Node) nodeKey(name string) string {
 	return n.cfg.Pool + "/" + nodeKeyPrefix + name
 }
@@ -672,23 +637,29 @@ func (n *Node) dispatcher() {
 	}
 }
 
-// dispatch reads the purpose header of one incoming routed connection.
-func (n *Node) dispatch(conn net.Conn) {
-	r := wire.NewReader(conn)
-	f, err := r.ReadFrame()
-	if err != nil || f.Kind != wire.KindControl {
-		conn.Close()
-		return
+// linkPeer returns the node ID at the far end of a relay-routed link:
+// the name the relay pinned to the (authenticated) attachment the link's
+// frames come from, and the one the end-to-end key agreement verified.
+// It is "" — which matches no peer — for anything else.
+func linkPeer(conn net.Conn) string {
+	if rl, ok := conn.(interface{ Peer() string }); ok {
+		return rl.Peer()
 	}
-	d := wire.NewDecoder(f.Payload)
-	peer := d.String()
-	if d.Err() != nil {
+	return ""
+}
+
+// dispatch reads the purpose header of one incoming routed connection:
+// a flag and nothing else. The consumer is keyed by the link's Peer().
+func (n *Node) dispatch(conn net.Conn) {
+	f, err := wire.NewReader(conn).ReadFrame()
+	peer := linkPeer(conn)
+	if err != nil || f.Kind != wire.KindControl || len(f.Payload) != 0 || peer == "" {
 		conn.Close()
 		return
 	}
 	switch f.Flags {
 	case purposeService:
-		n.serveServiceLink(conn, peer)
+		n.serveServiceLink(conn)
 	case purposeData:
 		n.deliverRoutedData(peer, conn)
 	default:
@@ -755,7 +726,7 @@ func (n *Node) dialRoutedData(peerID string, timeout time.Duration, cancel <-cha
 		return nil, err
 	}
 	w := wire.NewWriter(conn)
-	if err := w.WriteFrame(wire.KindControl, purposeData, wire.AppendString(nil, n.relayID())); err != nil {
+	if err := w.WriteFrame(wire.KindControl, purposeData, nil); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -775,7 +746,7 @@ func (n *Node) serviceLinkTo(peerName string) (*serviceLink, error) {
 		n.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if sl, ok := n.serviceLinks[peerName]; ok {
+	if sl, ok := n.serviceLinks[peerID]; ok {
 		n.mu.Unlock()
 		return sl, nil
 	}
@@ -785,47 +756,30 @@ func (n *Node) serviceLinkTo(peerName string) (*serviceLink, error) {
 	// which would make dialing a node that never joined slow. The
 	// registry knows instantly whether the peer exists, so check there
 	// first and only pay the retries for peers that are really joining.
-	// The record doubles as the peer's published reachability class,
-	// which the racing establishment uses to prune impossible methods.
-	val, lerr := n.registry.Lookup(n.nodeKey(peerName), 0)
-	if lerr != nil && errors.Is(lerr, nameservice.ErrNotFound) {
+	// Nothing in the record is used: the dial below targets the peer ID,
+	// whose attachment the relay authenticated.
+	if _, lerr := n.registry.Lookup(n.nodeKey(peerName), 0); errors.Is(lerr, nameservice.ErrNotFound) {
 		return nil, fmt.Errorf("%w: %v", ErrPeerUnavailable, lerr)
-	}
-	if lerr == nil {
-		if n.cfg.Trust != nil {
-			// Only believe the record's routing hints when it is signed by
-			// the node it describes; a poisoned record degrades to "class
-			// unknown" (no candidate pruning) rather than steering the
-			// establishment. The routed dial below still targets the peer
-			// *ID*, whose attachment the relay authenticated.
-			if v, verr := identity.VerifyRecord(n.cfg.Trust, peerID, n.nodeKey(peerName), val); verr == nil {
-				_, class := decodeNodeRecord(v)
-				n.notePeerClass(peerName, class)
-			}
-		} else {
-			_, class := decodeNodeRecord(identity.UnwrapRecord(val))
-			n.notePeerClass(peerName, class)
-		}
 	}
 	conn, err := n.dialRouted(peerID)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrPeerUnavailable, err)
 	}
 	w := wire.NewWriter(conn)
-	if err := w.WriteFrame(wire.KindControl, purposeService, wire.AppendString(nil, n.relayID())); err != nil {
+	if err := w.WriteFrame(wire.KindControl, purposeService, nil); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	sl := &serviceLink{peer: peerName, conn: conn, r: wire.NewReader(conn), w: w}
+	sl := &serviceLink{peer: linkPeer(conn), conn: conn, r: wire.NewReader(conn), w: w}
 
 	n.mu.Lock()
-	if existing, ok := n.serviceLinks[peerName]; ok {
+	if existing, ok := n.serviceLinks[sl.peer]; ok {
 		// Lost the race against a concurrent creator; keep the first.
 		n.mu.Unlock()
 		conn.Close()
 		return existing, nil
 	}
-	n.serviceLinks[peerName] = sl
+	n.serviceLinks[sl.peer] = sl
 	n.mu.Unlock()
 	return sl, nil
 }
@@ -897,41 +851,39 @@ func (n *Node) Ping(peerName string) (time.Duration, error) {
 }
 
 // serveServiceLink handles requests arriving on a service link created
-// by a peer.
-func (n *Node) serveServiceLink(conn net.Conn, peerID string) {
+// by a peer. Anything that is not a request closes the link.
+func (n *Node) serveServiceLink(conn net.Conn) {
 	defer conn.Close()
 	r := wire.NewReader(conn)
 	w := wire.NewWriter(conn)
 	for {
 		f, err := r.ReadFrame()
-		if err != nil {
+		if err != nil || f.Kind != wire.KindControl {
 			return
-		}
-		if f.Kind != wire.KindControl {
-			continue
 		}
 		switch f.Flags {
 		case opPing:
-			if err := w.WriteFrame(wire.KindControl, opPong, nil); err != nil {
-				return
-			}
+			err = w.WriteFrame(wire.KindControl, opPong, nil)
 		case opConnect:
-			if err := n.handleConnect(conn, r, w, f.Payload); err != nil {
-				return
-			}
-		case opConnectErr, opConnectOK, opPong:
-			// Stray responses; ignore.
+			err = n.handleConnect(conn, w, f.Payload)
 		default:
-			// Unknown request; ignore to stay forward compatible.
+			return
+		}
+		if err != nil {
+			return
 		}
 	}
 }
 
-// connectRequest is the decoded form of an opConnect payload.
+// connectRequest is the decoded form of an opConnect payload. sender and
+// profile.RelayID are checked against the service link's Peer() before
+// anything else is done with the request; profile is what the acceptor
+// plans its side of every establishment of this connect with.
 type connectRequest struct {
 	portName string
 	portType ipl.PortType
 	sender   ipl.Identifier
+	profile  estab.Profile
 }
 
 func encodeConnectRequest(req connectRequest) []byte {
@@ -946,7 +898,7 @@ func encodeConnectRequest(req connectRequest) []byte {
 	b = append(b, secureFlag)
 	b = wire.AppendString(b, req.sender.Name)
 	b = wire.AppendString(b, req.sender.Pool)
-	return b
+	return wire.AppendBytes(b, req.profile.Encode())
 }
 
 func decodeConnectRequest(p []byte) (connectRequest, error) {
@@ -955,38 +907,48 @@ func decodeConnectRequest(p []byte) (connectRequest, error) {
 	req.portName = d.String()
 	req.portType.Name = d.String()
 	req.portType.Stack = d.String()
-	req.portType.Secure = d.Byte() != 0
+	secureFlag := d.Byte()
+	req.portType.Secure = secureFlag == 1
 	req.sender.Name = d.String()
 	req.sender.Pool = d.String()
-	if d.Err() != nil {
-		return connectRequest{}, d.Err()
+	profile := d.Bytes()
+	if d.Err() != nil || d.Remaining() != 0 || secureFlag > 1 {
+		return connectRequest{}, errors.New("core: corrupt connect request")
 	}
-	return req, nil
+	var err error
+	req.profile, err = estab.DecodeProfile(profile)
+	return req, err
 }
 
 // handleConnect processes one data-link establishment request on the
-// accepting side: validate the target port, acknowledge, then establish
-// as many connections as the driver stack needs and build its input
-// side.
-func (n *Node) handleConnect(conn net.Conn, r *wire.Reader, w *wire.Writer, payload []byte) error {
+// accepting side: validate the sender and the target port, acknowledge
+// with this node's profile, then establish as many connections as the
+// driver stack needs and build its input side.
+func (n *Node) handleConnect(conn net.Conn, w *wire.Writer, payload []byte) error {
+	reject := func(reason string) error {
+		return w.WriteFrame(wire.KindControl, opConnectErr, wire.AppendString(nil, reason))
+	}
 	req, err := decodeConnectRequest(payload)
 	if err != nil {
-		return w.WriteFrame(wire.KindControl, opConnectErr, wire.AppendString(nil, "malformed connect request"))
+		return reject("malformed connect request")
+	}
+	if peer := linkPeer(conn); req.sender.Pool+"/"+req.sender.Name != peer || req.profile.RelayID != peer {
+		return reject("connect request does not name the node this service link belongs to")
 	}
 	n.mu.Lock()
 	rp := n.recvPorts[req.portName]
 	n.mu.Unlock()
 	if rp == nil {
-		return w.WriteFrame(wire.KindControl, opConnectErr, wire.AppendString(nil, ipl.ErrNoSuchPort.Error()))
+		return reject(ipl.ErrNoSuchPort.Error())
 	}
 	if !rp.portType.Compatible(req.portType) {
-		return w.WriteFrame(wire.KindControl, opConnectErr, wire.AppendString(nil, ipl.ErrIncompatiblePortTypes.Error()))
+		return reject(ipl.ErrIncompatiblePortTypes.Error())
 	}
 	stack, err := rp.portType.ParseStack()
 	if err != nil {
-		return w.WriteFrame(wire.KindControl, opConnectErr, wire.AppendString(nil, err.Error()))
+		return reject(err.Error())
 	}
-	if err := w.WriteFrame(wire.KindControl, opConnectOK, nil); err != nil {
+	if err := w.WriteFrame(wire.KindControl, opConnectOK, n.connector.Profile().Encode()); err != nil {
 		return err
 	}
 
@@ -997,7 +959,7 @@ func (n *Node) handleConnect(conn net.Conn, r *wire.Reader, w *wire.Writer, payl
 	mux := estab.NewServiceMux(conn)
 	env := &driver.Env{
 		Accept: func() (net.Conn, error) {
-			dataConn, _, err := n.connector.EstablishAcceptor(mux.Open())
+			dataConn, _, err := n.connector.EstablishAcceptor(mux.Open(), req.profile)
 			if err != nil {
 				return nil, err
 			}

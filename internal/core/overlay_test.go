@@ -3,14 +3,12 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"testing"
 	"time"
 
 	"netibis/internal/emunet"
 	"netibis/internal/estab"
 	"netibis/internal/ipl"
-	"netibis/internal/overlay"
 	"netibis/internal/relay"
 )
 
@@ -31,11 +29,7 @@ func newFederatedGrid(t *testing.T, relayCount int) *testGrid {
 	return g
 }
 
-// nodeOnRelay joins an instance pinned to the given relay of the mesh
-// and waits until every relay's directory lists it: a relay silently
-// drops a routed reply whose destination its directory does not know
-// yet (see ROADMAP open items), so a dial that outruns the dialer's own
-// attach gossip would wait out its whole timeout.
+// nodeOnRelay joins an instance pinned to the given relay of the mesh.
 func (g *testGrid) nodeOnRelay(name, siteName string, cfg emunet.SiteConfig, relayIdx int, mutate func(*Config)) *Node {
 	g.t.Helper()
 	site := g.fabric.Site(siteName)
@@ -54,15 +48,6 @@ func (g *testGrid) nodeOnRelay(name, siteName string, cfg emunet.SiteConfig, rel
 		g.t.Fatalf("join %s: %v", name, err)
 	}
 	g.addNode(n)
-	listed := func(e overlay.Entry) bool { return e.Node == n.relayID() && e.Present }
-	waitForCondition(g.t, 5*time.Second, "attachment of "+name+" did not reach every relay", func() bool {
-		for _, ri := range g.dep.Relays {
-			if !slices.ContainsFunc(ri.Overlay.Directory(), listed) {
-				return false
-			}
-		}
-		return true
-	})
 	return n
 }
 

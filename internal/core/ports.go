@@ -175,26 +175,30 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 
-	req := connectRequest{portName: to.Port, portType: sp.portType, sender: n.id}
+	// The request carries this node's connectivity profile and the
+	// accepting reply the peer's: one exchange per connect, shared by
+	// every establishment (one per sub-stream of the stack) below.
+	req := connectRequest{portName: to.Port, portType: sp.portType, sender: n.id, profile: n.connector.Profile()}
 	if err := sl.w.WriteFrame(wire.KindControl, opConnect, encodeConnectRequest(req)); err != nil {
 		return broken(err)
 	}
-	// Wait for the accept/reject verdict.
-	for {
-		f, err := sl.r.ReadFrame()
-		if err != nil {
-			return broken(err)
-		}
-		if f.Kind != wire.KindControl {
-			continue
-		}
-		if f.Flags == opConnectErr {
-			d := wire.NewDecoder(f.Payload)
-			return fmt.Errorf("%w: %s", ErrConnectRejected, d.String())
-		}
-		if f.Flags == opConnectOK {
-			break
-		}
+	f, err := sl.r.ReadFrame()
+	if err != nil {
+		return broken(err)
+	}
+	if f.Kind == wire.KindControl && f.Flags == opConnectErr {
+		d := wire.NewDecoder(f.Payload)
+		return fmt.Errorf("%w: %s", ErrConnectRejected, d.String())
+	}
+	if f.Kind != wire.KindControl || f.Flags != opConnectOK {
+		return broken(fmt.Errorf("core: unexpected reply (kind %d, op %d) to a connect request", f.Kind, f.Flags))
+	}
+	remote, err := estab.DecodeProfile(f.Payload)
+	if err == nil && remote.RelayID != sl.peer {
+		err = fmt.Errorf("core: connect reply names %q on the service link to %q", remote.RelayID, sl.peer)
+	}
+	if err != nil {
+		return broken(err)
 	}
 
 	stack, err := sp.portType.ParseStack()
@@ -206,19 +210,14 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	// them concurrently instead of paying WAN-RTT × N. Env.Dial must be
 	// concurrent-safe; the method is recorded under its own lock. The
 	// peer key routes the establishments through the connectivity cache
-	// (one race per peer, cached winner on reconnect), and the class
-	// hint is the peer's published reachability from its registry
-	// record.
-	estOpts := estab.EstablishOpts{
-		PeerKey:   n.cfg.Pool + "/" + to.Owner.Name,
-		PeerClass: n.peerClass(to.Owner.Name),
-	}
+	// (one race per peer, cached winner on reconnect).
+	estOpts := estab.EstablishOpts{PeerKey: sl.peer}
 	mux := estab.NewServiceMux(sl.conn)
 	var methodMu sync.Mutex
 	var usedMethod estab.Method
 	env := &driver.Env{
 		Dial: func() (net.Conn, error) {
-			dataConn, method, err := n.connector.EstablishInitiatorOpts(mux.Open(), estOpts)
+			dataConn, method, err := n.connector.EstablishInitiator(mux.Open(), remote, estOpts)
 			if err != nil {
 				return nil, err
 			}

@@ -196,64 +196,3 @@ func TestServiceLinkBrokenErrorSurfacesCause(t *testing.T) {
 		t.Fatal("Unwrap chain lost the cause")
 	}
 }
-
-// TestReachabilityClassPublished: a node's registry record carries its
-// reachability class, and a peer that looked the node up can read it.
-func TestReachabilityClassPublished(t *testing.T) {
-	f := emunet.NewFabric(emunet.WithSeed(29))
-	defer f.Close()
-	dep, err := NewDeployment(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dep.Close()
-
-	open := dep.AddSite("class-open", emunet.SiteConfig{Firewall: emunet.Open}).AddHost("open-node")
-	nated := dep.AddSite("class-nat", emunet.SiteConfig{Firewall: emunet.Stateful, NAT: emunet.CompliantNAT}).AddHost("nat-node")
-
-	a, err := Join(dep.NodeConfig(open, "cls", "alpha"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Join(dep.NodeConfig(nated, "cls", "beta"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	val, err := a.registry.Lookup(a.nodeKey("beta"), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relayID, class := decodeNodeRecord(val)
-	if relayID != "cls/beta" {
-		t.Fatalf("record relay ID = %q", relayID)
-	}
-	if class != estab.ClassNATed {
-		t.Fatalf("published class = %v, want ClassNATed", class)
-	}
-
-	// The service-link path records the class for the establishment's
-	// pruning hint.
-	if _, err := a.Ping("beta"); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.peerClass("beta"); got != estab.ClassNATed {
-		t.Fatalf("peerClass after service link = %v, want ClassNATed", got)
-	}
-
-	// The record has one layout: without its class byte, with a trailing
-	// byte, or as a bare string it yields no relay ID and no class.
-	rec := encodeNodeRecord("cls/beta", estab.ClassNATed)
-	for what, bad := range map[string][]byte{
-		"no class":      rec[:len(rec)-1],
-		"trailing byte": append(append([]byte(nil), rec...), 0),
-		"bare relay ID": []byte("cls/beta"),
-		"empty":         nil,
-	} {
-		if id, cls := decodeNodeRecord(bad); id != "" || cls != estab.ClassUnknown {
-			t.Errorf("record with %s decoded to %q/%v, want no ID and ClassUnknown", what, id, cls)
-		}
-	}
-}

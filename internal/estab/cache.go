@@ -16,17 +16,16 @@ const DefaultCacheTTL = 5 * time.Minute
 // cacheEntry is one remembered race outcome.
 type cacheEntry struct {
 	method Method
-	class  ReachClass // the peer's published class when the entry was written
 	expiry time.Time
 }
 
 // Cache is the per-pair connectivity cache: it remembers which
 // establishment method last won the race to a peer, so a reconnect can
-// skip the race and run the winner alone. Entries expire after the TTL,
-// are invalidated when the remembered method fails (the caller then
-// falls back to a full race), and are ignored when the peer's published
-// reachability class has changed since the entry was written — the class
-// change means the old winner's preconditions may no longer hold.
+// skip the race and run the winner alone. Entries expire after the TTL
+// and are invalidated when the remembered method fails (the caller then
+// falls back to a full race). A remembered method that the two live
+// profiles no longer allow is not the cache's business: the initiator
+// uses an entry only when its method is among the current candidates.
 //
 // The cache also deduplicates concurrent races: when several
 // establishments to the same peer run at once (a parallel-streams driver
@@ -55,9 +54,8 @@ func NewCache(ttl time.Duration) *Cache {
 }
 
 // Lookup returns the remembered winning method for a peer, if the entry
-// is fresh and consistent with the peer's current reachability class
-// (ClassUnknown on either side skips the class check).
-func (c *Cache) Lookup(peer string, class ReachClass) (Method, bool) {
+// is fresh.
+func (c *Cache) Lookup(peer string) (Method, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[peer]
@@ -68,22 +66,16 @@ func (c *Cache) Lookup(peer string, class ReachClass) (Method, bool) {
 		delete(c.entries, peer)
 		return MethodNone, false
 	}
-	if class != ClassUnknown && e.class != ClassUnknown && class != e.class {
-		// The peer's connectivity changed since the entry was written;
-		// the remembered winner may be impossible now.
-		delete(c.entries, peer)
-		return MethodNone, false
-	}
 	return e.method, true
 }
 
 // Store remembers the winning method for a peer.
-func (c *Cache) Store(peer string, m Method, class ReachClass) {
+func (c *Cache) Store(peer string, m Method) {
 	if m == MethodNone {
 		return
 	}
 	c.mu.Lock()
-	c.entries[peer] = cacheEntry{method: m, class: class, expiry: c.now().Add(c.ttl)}
+	c.entries[peer] = cacheEntry{method: m, expiry: c.now().Add(c.ttl)}
 	c.mu.Unlock()
 }
 

@@ -16,20 +16,19 @@ import (
 )
 
 // Brokering protocol message types, carried in wire.KindHandshake frames
-// over the service link. msgProfile..msgAbort form the per-method
+// over the service link. msgListen..msgAbort form the per-method
 // conversation vocabulary; msgPlan..msgRaceDone are the racing-control
 // messages added on top (see race.go and DESIGN.md, "Racing
 // establishment").
 const (
-	msgProfile  byte = iota + 1
-	msgListen        // "I am listening at this endpoint, dial me"
-	msgSplice        // "my predicted external endpoint for the splice is ..."
-	msgRouted        // "open a routed link to my relay ID"
-	msgAbort         // establishment failed on my side
-	msgPlan          // initiator -> acceptor: ordered candidate list for the next round
-	msgRace          // one tagged per-method conversation message (method, inner type, body)
-	msgElect         // initiator -> acceptor: winner of the current round (MethodNone = round failed)
-	msgRaceDone      // all of this side's conversations for the round have settled
+	msgListen   byte = iota + 1 // "I am listening at this endpoint, dial me"
+	msgSplice                   // "my predicted external endpoint for the splice is ..."
+	msgRouted                   // "I am opening a routed link to you" (empty: the link names its sender)
+	msgAbort                    // establishment failed on my side
+	msgPlan                     // initiator -> acceptor: ordered candidate list for the next round
+	msgRace                     // one tagged per-method conversation message (method, inner type, body)
+	msgElect                    // initiator -> acceptor: winner of the current round (MethodNone = round failed)
+	msgRaceDone                 // all of this side's conversations for the round have settled
 )
 
 // DefaultSpliceTimeout bounds how long a simultaneous open waits for the
@@ -221,9 +220,9 @@ func (c *Connector) Bootstrap(dst emunet.Endpoint) (net.Conn, error) {
 // broker wraps the service link with the frame protocol used during
 // establishment negotiation. Sends are serialised so the concurrent
 // method attempts of a race can share the link; reads are owned by a
-// single reader at a time (the profile exchange, then the race round
-// reader). Method conversations run against a methodBroker, the
-// per-method tagged view of the race session (race.go).
+// single reader at a time (the acceptor's plan loop between rounds, the
+// race round reader within one). Method conversations run against a
+// methodBroker, the per-method tagged view of the race session (race.go).
 type broker struct {
 	r   *wire.Reader
 	wmu sync.Mutex
@@ -253,77 +252,13 @@ func (b *broker) recv() (byte, []byte, error) {
 	}
 }
 
-// EstablishOpts carries per-peer context into an establishment.
+// EstablishOpts carries per-peer context into EstablishInitiator.
 type EstablishOpts struct {
 	// PeerKey is a stable identifier for the peer endpoint (the
 	// integration layer uses the peer's relay node ID). When non-empty,
 	// the connectivity cache is consulted before racing and updated with
 	// the winner afterwards.
 	PeerKey string
-	// PeerClass is the peer's reachability class as published in its
-	// name-service record (ClassUnknown when not known). It prunes
-	// candidates that the class proves impossible and guards cached
-	// entries against a peer whose connectivity changed since the cache
-	// entry was written.
-	PeerClass ReachClass
-}
-
-// EstablishInitiator negotiates and establishes a data link with the
-// peer at the other end of the service link. The initiator is the side
-// that wants the new link (in IPL terms: the send port connecting to a
-// receive port). It returns the established link and the method used.
-func (c *Connector) EstablishInitiator(service io.ReadWriter) (net.Conn, Method, error) {
-	return c.EstablishInitiatorOpts(service, EstablishOpts{})
-}
-
-// EstablishInitiatorOpts is EstablishInitiator with per-peer context:
-// a cache key for the connectivity cache and the peer's published
-// reachability class.
-func (c *Connector) EstablishInitiatorOpts(service io.ReadWriter, opts EstablishOpts) (net.Conn, Method, error) {
-	return c.establishRacing(service, true, opts)
-}
-
-// EstablishAcceptor is the passive counterpart of EstablishInitiator; it
-// must be called on the peer for every EstablishInitiator call.
-func (c *Connector) EstablishAcceptor(service io.ReadWriter) (net.Conn, Method, error) {
-	return c.establishRacing(service, false, EstablishOpts{})
-}
-
-// exchangeProfiles runs phase 1 of every establishment: the ordered
-// profile exchange (initiator first, acceptor in response), which also
-// works over strictly synchronous service links.
-func (c *Connector) exchangeProfiles(b *broker, initiator bool) (local, remote Profile, err error) {
-	local = c.Profile()
-	recvProfile := func() error {
-		t, body, err := b.recv()
-		if err != nil {
-			return err
-		}
-		if t == msgAbort {
-			return ErrAborted
-		}
-		if t != msgProfile {
-			return fmt.Errorf("%w: expected profile, got message %d", ErrProtocol, t)
-		}
-		remote, err = DecodeProfile(body)
-		return err
-	}
-	if initiator {
-		if err := b.send(msgProfile, local.Encode()); err != nil {
-			return local, remote, err
-		}
-		if err := recvProfile(); err != nil {
-			return local, remote, err
-		}
-	} else {
-		if err := recvProfile(); err != nil {
-			return local, remote, err
-		}
-		if err := b.send(msgProfile, local.Encode()); err != nil {
-			return local, remote, err
-		}
-	}
-	return local, remote, nil
 }
 
 // runMethod runs one establishment method's conversation over b. cancel,
@@ -525,8 +460,9 @@ func (c *Connector) establishRouted(b *methodBroker, remote Profile, initiator b
 		return nil, ErrNoRelay
 	}
 	if initiator {
-		// Let the acceptor know we are coming (and under which relay ID).
-		if err := b.send(msgRouted, wire.AppendString(nil, c.Relay.ID())); err != nil {
+		// Let the acceptor know we are coming; it knows from where (the
+		// link it accepts carries the relay-pinned sender).
+		if err := b.send(msgRouted, nil); err != nil {
 			return nil, err
 		}
 		dial := c.DialRouted
@@ -564,13 +500,11 @@ func (c *Connector) establishRouted(b *methodBroker, remote Profile, initiator b
 	if t != msgRouted {
 		return nil, fmt.Errorf("%w: expected routed, got message %d", ErrProtocol, t)
 	}
-	d := wire.NewDecoder(body)
-	peerID := d.String()
-	if d.Err() != nil {
-		return nil, d.Err()
+	if len(body) != 0 {
+		return nil, fmt.Errorf("%w: routed cue carries a body", ErrProtocol)
 	}
 	if c.AcceptRouted != nil {
-		return c.AcceptRouted(peerID, c.acceptTimeout(), cancel)
+		return c.AcceptRouted(remote.RelayID, c.acceptTimeout(), cancel)
 	}
 	return c.acceptRelayDirect(cancel)
 }

@@ -86,36 +86,15 @@ func (w *world) connector(t *testing.T, siteName, hostName string, cfg emunet.Si
 	return c
 }
 
-// establishPair runs EstablishInitiator/EstablishAcceptor concurrently
-// over an in-memory service link and returns both data links.
+// establishPair is establishPairOpts without a cache key, fatal on
+// error.
 func establishPair(t *testing.T, init, acc *Connector) (net.Conn, net.Conn, Method) {
 	t.Helper()
-	svcInit, svcAcc := net.Pipe()
-	defer svcInit.Close()
-	defer svcAcc.Close()
-
-	type res struct {
-		conn net.Conn
-		m    Method
-		err  error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		conn, m, err := acc.EstablishAcceptor(svcAcc)
-		ch <- res{conn, m, err}
-	}()
-	conn, m, err := init.EstablishInitiator(svcInit)
+	a, b, m, err := establishPairOpts(t, init, acc, EstablishOpts{})
 	if err != nil {
-		t.Fatalf("initiator: %v", err)
+		t.Fatalf("establish: %v", err)
 	}
-	r := <-ch
-	if r.err != nil {
-		t.Fatalf("acceptor: %v", r.err)
-	}
-	if r.m != m {
-		t.Fatalf("method mismatch: initiator %v, acceptor %v", m, r.m)
-	}
-	return conn, r.conn, m
+	return a, b, m
 }
 
 // verifyLink pushes data both ways across the established link.

@@ -344,77 +344,3 @@ func RankCandidates(initiator, acceptor Profile, bootstrap bool) []Method {
 	}
 	return out
 }
-
-// --- reachability classes ----------------------------------------------------------
-
-// ReachClass is the coarse reachability classification a node publishes
-// in its name-service record (see core.Node): enough for a peer to prune
-// establishment methods that cannot possibly work before racing, without
-// revealing the full topology, and available even before the profile
-// exchange of an establishment.
-type ReachClass byte
-
-const (
-	// ClassUnknown means no classification is available (old records,
-	// unknown peers); nothing is pruned.
-	ClassUnknown ReachClass = iota
-	// ClassPublic: the node accepts unsolicited inbound connections
-	// (open firewall, routable address, no NAT).
-	ClassPublic
-	// ClassFirewalled: inbound connections are filtered (stateful or
-	// strict firewall, or an unroutable address), but there is no NAT.
-	ClassFirewalled
-	// ClassNATed: the node sits behind network address translation (and
-	// so is also unreachable for unsolicited inbound connections).
-	ClassNATed
-)
-
-// String implements fmt.Stringer.
-func (r ReachClass) String() string {
-	switch r {
-	case ClassUnknown:
-		return "unknown"
-	case ClassPublic:
-		return "public"
-	case ClassFirewalled:
-		return "firewalled"
-	case ClassNATed:
-		return "nated"
-	default:
-		return fmt.Sprintf("ReachClass(%d)", int(r))
-	}
-}
-
-// Class derives the endpoint's reachability class from its profile.
-func (p Profile) Class() ReachClass {
-	switch {
-	case p.NAT != emunet.NoNAT:
-		return ClassNATed
-	case p.Firewalled || p.PrivateAddr:
-		return ClassFirewalled
-	default:
-		return ClassPublic
-	}
-}
-
-// PruneForClass drops candidate methods that the peer's published
-// reachability class proves impossible: a direct client/server
-// connection needs at least one dialable end, so when the peer is not
-// public and the local endpoint is not reachable either, the method is
-// pruned before the race ever spends a listener on it. The check is
-// deliberately conservative — only contradictions are pruned, everything
-// else races. (Same-site shortcuts are handled by the caller, which has
-// both full profiles.)
-func PruneForClass(cands []Method, local Profile, peer ReachClass) []Method {
-	if peer == ClassUnknown {
-		return cands
-	}
-	out := make([]Method, 0, len(cands))
-	for _, m := range cands {
-		if m == ClientServer && peer != ClassPublic && !local.Reachable() {
-			continue
-		}
-		out = append(out, m)
-	}
-	return out
-}

@@ -15,7 +15,8 @@ package estab
 // routed open abandoned so the far side discards its half).
 //
 // Protocol (all messages ride in wire.KindHandshake frames on the
-// service-link stream, after the usual ordered profile exchange):
+// service-link stream; both sides already hold each other's profile,
+// handed to EstablishInitiator/EstablishAcceptor by the caller):
 //
 //	initiator                                acceptor
 //	   | -- msgPlan [m1 m2 ...] ----------------> |   ordered candidates
@@ -455,28 +456,25 @@ func (c *Connector) runRoundAcceptor(rs *raceSession, plan []Method, local, remo
 	return won.conn, elected, nil
 }
 
-// establishRacing is the one establishment engine: profile exchange,
-// then the initiator-driven rounds.
-func (c *Connector) establishRacing(service io.ReadWriter, initiator bool, opts EstablishOpts) (net.Conn, Method, error) {
-	b := newBroker(service)
-	local, remote, err := c.exchangeProfiles(b, initiator)
-	if err != nil {
-		return nil, MethodNone, err
-	}
-	rs := newRaceSession(b)
-	if initiator {
-		return c.raceInitiator(rs, local, remote, opts)
-	}
-	return c.raceAcceptor(rs, local, remote)
-}
-
-// raceInitiator drives the rounds: a single-candidate cached round when
-// the connectivity cache has a fresh winner, the full staggered race
-// otherwise, and the cached→full fallback in between.
-func (c *Connector) raceInitiator(rs *raceSession, local, remote Profile, opts EstablishOpts) (net.Conn, Method, error) {
+// EstablishInitiator negotiates and establishes a data link with the
+// peer at the other end of the service link. The initiator is the side
+// that wants the new link (in IPL terms: the send port connecting to a
+// receive port). remote is the peer's connectivity profile: whoever asks
+// for a link is already talking to the peer, so the two profiles travel
+// in that conversation (core's connect request and its reply), once, and
+// not again per establishment. It drives the rounds — a single-candidate
+// cached round when the connectivity cache has a fresh winner that the
+// profiles still allow, the full staggered race otherwise, and the
+// cached→full fallback in between — and returns the established link and
+// the method used.
+func (c *Connector) EstablishInitiator(service io.ReadWriter, remote Profile, opts EstablishOpts) (net.Conn, Method, error) {
+	rs, local := newRaceSession(newBroker(service)), c.Profile()
 	start := time.Now()
 	c.Metrics.raceStarted()
-	candidates := c.initiatorCandidates(local, remote, opts)
+	candidates := RankCandidates(local, remote, false)
+	if c.ForcedMethod != MethodNone {
+		candidates = []Method{c.ForcedMethod}
+	}
 	if len(candidates) == 0 {
 		c.Metrics.failed()
 		// The plan is initiator-authoritative: tell the acceptor
@@ -489,7 +487,7 @@ func (c *Connector) raceInitiator(rs *raceSession, local, remote Profile, opts E
 	plan := candidates
 	cachedRound := false
 	if useCache {
-		if m, ok := c.Cache.Lookup(opts.PeerKey, opts.PeerClass); ok && methodIn(m, candidates) {
+		if m, ok := c.Cache.Lookup(opts.PeerKey); ok && methodIn(m, candidates) {
 			c.Metrics.cacheConsulted(true)
 			plan = []Method{m}
 			cachedRound = true
@@ -504,7 +502,7 @@ func (c *Connector) raceInitiator(rs *raceSession, local, remote Profile, opts E
 			// than deadlocking on it.
 			select {
 			case <-wait:
-				if m, ok := c.Cache.Lookup(opts.PeerKey, opts.PeerClass); ok && methodIn(m, candidates) {
+				if m, ok := c.Cache.Lookup(opts.PeerKey); ok && methodIn(m, candidates) {
 					plan = []Method{m}
 					cachedRound = true
 				}
@@ -524,7 +522,7 @@ func (c *Connector) raceInitiator(rs *raceSession, local, remote Profile, opts E
 		conn, m, err := c.runRoundInitiator(rs, plan, local, remote)
 		if err == nil {
 			if useCache {
-				c.Cache.Store(opts.PeerKey, m, opts.PeerClass)
+				c.Cache.Store(opts.PeerKey, m)
 			}
 			c.Metrics.won(m, cachedRound, time.Since(start))
 			c.Trace.Eventf("estab", "established to %s via %s (cached=%v)",
@@ -555,9 +553,12 @@ func (c *Connector) raceInitiator(rs *raceSession, local, remote Profile, opts E
 	}
 }
 
-// raceAcceptor follows the initiator's plans until a round elects a
-// winner or the initiator gives up.
-func (c *Connector) raceAcceptor(rs *raceSession, local, remote Profile) (net.Conn, Method, error) {
+// EstablishAcceptor is the passive counterpart of EstablishInitiator; it
+// must be called on the peer for every EstablishInitiator call, with the
+// initiator's profile. It follows the initiator's plans until a round
+// elects a winner or the initiator gives up.
+func (c *Connector) EstablishAcceptor(service io.ReadWriter, remote Profile) (net.Conn, Method, error) {
+	rs, local := newRaceSession(newBroker(service)), c.Profile()
 	for {
 		t, body, err := rs.b.recv()
 		if err != nil {
@@ -591,22 +592,6 @@ func (rs *raceSession) sessionErr() error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	return rs.err
-}
-
-// initiatorCandidates ranks the possible methods for this pair and
-// applies the pre-race pruning: forced method, and the peer's published
-// reachability class (which can rule methods out even when the exchanged
-// profile is stale — e.g. a peer that moved behind NAT since its record
-// was cached).
-func (c *Connector) initiatorCandidates(local, remote Profile, opts EstablishOpts) []Method {
-	if c.ForcedMethod != MethodNone {
-		return []Method{c.ForcedMethod}
-	}
-	cands := RankCandidates(local, remote, false)
-	if opts.PeerClass != ClassUnknown && (local.SiteName == "" || local.SiteName != remote.SiteName) {
-		cands = PruneForClass(cands, local, opts.PeerClass)
-	}
-	return cands
 }
 
 func methodIn(m Method, set []Method) bool {

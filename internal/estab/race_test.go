@@ -9,9 +9,10 @@ import (
 	"netibis/internal/emunet"
 )
 
-// establishPairOpts is establishPair with initiator-side options (cache
-// key, class hint) and without the fatal-on-error behaviour, so failure
-// paths can be asserted too.
+// establishPairOpts runs EstablishInitiator/EstablishAcceptor
+// concurrently over an in-memory service link, each side handed the
+// other's profile as core's connect request/reply would, and returns
+// both data links — or the error, so failure paths can be asserted too.
 func establishPairOpts(t *testing.T, init, acc *Connector, opts EstablishOpts) (net.Conn, net.Conn, Method, error) {
 	t.Helper()
 	svcInit, svcAcc := net.Pipe()
@@ -25,10 +26,10 @@ func establishPairOpts(t *testing.T, init, acc *Connector, opts EstablishOpts) (
 	}
 	ch := make(chan res, 1)
 	go func() {
-		conn, m, err := acc.EstablishAcceptor(svcAcc)
+		conn, m, err := acc.EstablishAcceptor(svcAcc, init.Profile())
 		ch <- res{conn, m, err}
 	}()
-	conn, m, err := init.EstablishInitiatorOpts(svcInit, opts)
+	conn, m, err := init.EstablishInitiator(svcInit, acc.Profile(), opts)
 	r := <-ch
 	if err != nil {
 		if r.conn != nil {
@@ -126,7 +127,7 @@ func TestCacheSkipsRaceOnReconnect(t *testing.T) {
 	}
 	a.Close()
 	b.Close()
-	if got, ok := init.Cache.Lookup("race-a3", ClassUnknown); !ok || got != Routed {
+	if got, ok := init.Cache.Lookup("race-a3"); !ok || got != Routed {
 		t.Fatalf("cache entry = %v/%v, want Routed/true", got, ok)
 	}
 
@@ -162,7 +163,7 @@ func TestCacheFailureFallsBackToFullRace(t *testing.T) {
 	acc.RaceStagger = 30 * time.Millisecond
 	init.Cache = NewCache(0)
 	// Poison the cache with the method that cannot work for this pair.
-	init.Cache.Store("race-a4", Splicing, ClassUnknown)
+	init.Cache.Store("race-a4", Splicing)
 	opts := EstablishOpts{PeerKey: "race-a4"}
 
 	a, b, m, err := establishPairOpts(t, init, acc, opts)
@@ -172,8 +173,40 @@ func TestCacheFailureFallsBackToFullRace(t *testing.T) {
 	if m != Routed {
 		t.Fatalf("method = %v, want Routed after cached splice failed", m)
 	}
-	if got, ok := init.Cache.Lookup("race-a4", ClassUnknown); !ok || got != Routed {
+	if got, ok := init.Cache.Lookup("race-a4"); !ok || got != Routed {
 		t.Fatalf("cache after fallback = %v/%v, want Routed", got, ok)
+	}
+	verifyLink(t, a, b)
+}
+
+// TestCachedMethodNoLongerPossibleIsSkipped: a remembered winner that the
+// two live profiles rule out (client/server between two stateful
+// firewalls — the peer was reachable when the entry was written) never
+// reaches a plan. The consultation counts as a miss, nothing is
+// invalidated or retried, the full race runs, and its winner replaces
+// the entry.
+func TestCachedMethodNoLongerPossibleIsSkipped(t *testing.T) {
+	w := newWorld(t)
+	init := w.connector(t, "stale-a", "race-i8", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
+	acc := w.connector(t, "stale-b", "race-a8", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
+	init.Cache = NewCache(0)
+	init.Metrics = NewMetrics()
+	init.Cache.Store("race-a8", ClientServer)
+
+	a, b, m, err := establishPairOpts(t, init, acc, EstablishOpts{PeerKey: "race-a8"})
+	if err != nil {
+		t.Fatalf("establish: %v", err)
+	}
+	if m != Splicing {
+		t.Fatalf("method = %v, want Splicing", m)
+	}
+	mt := init.Metrics
+	if mt.CacheHits.Value() != 0 || mt.CacheMisses.Value() != 1 || mt.Invalidations.Value() != 0 || mt.CachedRounds.Value() != 0 {
+		t.Fatalf("hits %d misses %d invalidations %d cached rounds %d: the impossible remembered method was planned",
+			mt.CacheHits.Value(), mt.CacheMisses.Value(), mt.Invalidations.Value(), mt.CachedRounds.Value())
+	}
+	if got, ok := init.Cache.Lookup("race-a8"); !ok || got != Splicing {
+		t.Fatalf("cache after the race = %v/%v, want Splicing", got, ok)
 	}
 	verifyLink(t, a, b)
 }
@@ -264,6 +297,42 @@ func TestPeerAbortUnblocksListener(t *testing.T) {
 	}
 }
 
+// TestRoutedCueCarriesNoBody: msgRouted is an empty cue. The acceptor
+// waits for the routed link of the peer whose profile it was handed; a
+// cue that tries to say who is coming is a protocol error.
+func TestRoutedCueCarriesNoBody(t *testing.T) {
+	w := newWorld(t)
+	acc := w.connector(t, "cue-b", "race-a9", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
+	svcInit, svcAcc := net.Pipe()
+	defer svcInit.Close()
+	defer svcAcc.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		conn, _, err := acc.EstablishAcceptor(svcAcc, Profile{HasRelay: true, RelayID: "race-i9"})
+		if conn != nil {
+			conn.Close()
+		}
+		done <- err
+	}()
+	// A hand-driven initiator: plan routed, cue with a body, elect it.
+	b := newBroker(svcInit)
+	go func() {
+		for {
+			if _, _, err := b.recv(); err != nil {
+				return
+			}
+		}
+	}()
+	b.send(msgPlan, encodePlan([]Method{Routed}))
+	b.send(msgRace, append([]byte{byte(Routed), msgRouted}, "race-a1"...))
+	b.send(msgElect, []byte{byte(Routed)})
+	b.send(msgRaceDone, nil)
+	if err := <-done; !errors.Is(err, ErrProtocol) {
+		t.Fatalf("acceptor returned %v for a routed cue with a body, want ErrProtocol", err)
+	}
+}
+
 // TestConnectorTimeoutDefaults pins the documented zero-value rule: both
 // timeout knobs fall back to their package defaults, identically.
 func TestConnectorTimeoutDefaults(t *testing.T) {
@@ -292,12 +361,12 @@ func TestCacheTTLExpiry(t *testing.T) {
 	c := NewCache(time.Minute)
 	now := time.Unix(1000, 0)
 	c.now = func() time.Time { return now }
-	c.Store("p", Splicing, ClassFirewalled)
-	if m, ok := c.Lookup("p", ClassFirewalled); !ok || m != Splicing {
+	c.Store("p", Splicing)
+	if m, ok := c.Lookup("p"); !ok || m != Splicing {
 		t.Fatalf("fresh entry = %v/%v", m, ok)
 	}
 	now = now.Add(2 * time.Minute)
-	if _, ok := c.Lookup("p", ClassFirewalled); ok {
+	if _, ok := c.Lookup("p"); ok {
 		t.Fatal("expired entry still served")
 	}
 	if c.Len() != 0 {
@@ -305,72 +374,12 @@ func TestCacheTTLExpiry(t *testing.T) {
 	}
 }
 
-func TestCacheClassChangeInvalidates(t *testing.T) {
-	c := NewCache(0)
-	c.Store("p", ClientServer, ClassPublic)
-	// The peer's record now says it moved behind NAT: the cached direct
-	// method cannot hold.
-	if _, ok := c.Lookup("p", ClassNATed); ok {
-		t.Fatal("class change must invalidate the entry")
-	}
-	if c.Len() != 0 {
-		t.Fatal("mismatched entry not evicted")
-	}
-	// Unknown on either side skips the check.
-	c.Store("q", Routed, ClassUnknown)
-	if m, ok := c.Lookup("q", ClassNATed); !ok || m != Routed {
-		t.Fatalf("unknown stored class should not be checked, got %v/%v", m, ok)
-	}
-}
-
 func TestCacheInvalidate(t *testing.T) {
 	c := NewCache(0)
-	c.Store("p", Routed, ClassUnknown)
+	c.Store("p", Routed)
 	c.Invalidate("p")
-	if _, ok := c.Lookup("p", ClassUnknown); ok {
+	if _, ok := c.Lookup("p"); ok {
 		t.Fatal("invalidated entry still served")
-	}
-}
-
-// --- class and pruning unit tests ---------------------------------------------------
-
-func TestProfileClass(t *testing.T) {
-	cases := []struct {
-		p    Profile
-		want ReachClass
-	}{
-		{Profile{}, ClassPublic},
-		{Profile{Firewalled: true}, ClassFirewalled},
-		{Profile{PrivateAddr: true}, ClassFirewalled},
-		{Profile{NAT: emunet.CompliantNAT}, ClassNATed},
-		{Profile{NAT: emunet.PortRestrictedNAT, Firewalled: true}, ClassNATed},
-	}
-	for _, tc := range cases {
-		if got := tc.p.Class(); got != tc.want {
-			t.Errorf("Class(%+v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-}
-
-func TestPruneForClass(t *testing.T) {
-	all := []Method{ClientServer, Splicing, Routed}
-	fwLocal := Profile{Firewalled: true}
-	openLocal := Profile{}
-
-	got := PruneForClass(all, fwLocal, ClassFirewalled)
-	if methodIn(ClientServer, got) {
-		t.Fatalf("ClientServer survived pruning for a firewalled peer + firewalled local: %v", got)
-	}
-	if !methodIn(Splicing, got) || !methodIn(Routed, got) {
-		t.Fatalf("pruning dropped too much: %v", got)
-	}
-	// A reachable local end keeps the reverse client/server direction.
-	if got := PruneForClass(all, openLocal, ClassNATed); !methodIn(ClientServer, got) {
-		t.Fatalf("reverse direction pruned despite reachable local end: %v", got)
-	}
-	// Unknown class prunes nothing.
-	if got := PruneForClass(all, fwLocal, ClassUnknown); len(got) != len(all) {
-		t.Fatalf("unknown class must prune nothing: %v", got)
 	}
 }
 

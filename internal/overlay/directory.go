@@ -138,6 +138,20 @@ func (d *directory) lookup(node string) (home string, ok bool) {
 	return e.Home, true
 }
 
+// learn records a node's home as proven by an open of its own that the
+// home relay just forwarded here, when the directory does not resolve
+// the node — its attach gossip is still in flight, and the reply to the
+// open must already find its way back. The guess carries the version the
+// directory last saw, so the first gossiped record replaces it, and a
+// wrong one draws the usual NACK repair.
+func (d *directory) learn(node, home string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if cur := d.entries[node]; !cur.Present {
+		d.entries[node] = Entry{Node: node, Home: home, Version: cur.Version, Present: true}
+	}
+}
+
 // invalidate repairs a stale route: if the directory still claims node
 // lives at home, the entry is marked absent. The version is deliberately
 // not bumped — the authoritative record (the node attaching somewhere,

@@ -668,6 +668,11 @@ func (o *Relay) handleForward(from *peerLink, b *wire.Buf) {
 	if err != nil {
 		return
 	}
+	if kind == relay.KindOpen && origin != o.cfg.ID {
+		// Reverse-path learning, before the open is delivered: its answer
+		// may come back before the dialer's attach gossip does.
+		o.dir.learn(srcNode, origin)
+	}
 	if o.cfg.Server.Inject(from.id, kind, routed, b) {
 		return
 	}

@@ -459,6 +459,39 @@ func TestCrossRelayDialAndData(t *testing.T) {
 	}
 }
 
+// TestCrossRelayDialRightAfterAttach is relay.TestDialRightAfterAttach
+// across the mesh: a node may dial the moment its Attach returns, before
+// its own attach gossip has reached the acceptor's relay. That relay
+// used to drop the open-OK travelling back (no route to the dialer yet),
+// so about one such dial in fifty burnt its whole timeout; the open
+// itself now teaches the acceptor's relay where the dialer lives.
+func TestCrossRelayDialRightAfterAttach(t *testing.T) {
+	w := newMeshWorld(t, 2)
+	acc := w.attach(1, "early-acc")
+	defer acc.Close()
+	w.waitFor(func() bool { return directoryKnows(w.relays[0], "early-acc", "relay-1") },
+		"the acceptor's attachment did not reach relay-0")
+	go func() {
+		for {
+			c, err := acc.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		id := fmt.Sprintf("early-dialer-%d", i)
+		d := w.attach(0, id)
+		c, err := d.Dial("early-acc", 500*time.Millisecond)
+		if err != nil {
+			t.Fatalf("dial by %s right after its attach returned: %v", id, err)
+		}
+		c.Close()
+		d.Close()
+	}
+}
+
 func TestCrossRelayBidirectional(t *testing.T) {
 	w := newMeshWorld(t, 3)
 	a := w.attach(0, "ping")

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"netibis/internal/estab"
 	"netibis/internal/identity"
 	"netibis/internal/wire"
 )
@@ -177,6 +178,21 @@ func main() {
 	hello = identity.AppendAnnounce(hello, relay0.Announce())
 	hello = wire.AppendBytes(hello, sig)
 	write("overlay", "FuzzDecodePeerHello", "authenticated", hello)
+
+	// core: the connect request (DESIGN.md, "Control-frame bodies"),
+	// which nests the initiator's profile.
+	connect := wire.AppendString(nil, "inbox")
+	connect = wire.AppendString(connect, "chan")
+	connect = wire.AppendString(connect, "zip/multi:streams=4/tcpblk")
+	connect = append(connect, 1)
+	connect = wire.AppendString(connect, "alice")
+	connect = wire.AppendString(connect, "pool")
+	connect = wire.AppendBytes(connect, estab.Profile{
+		SiteName: "site-a", Firewalled: true, Addr: "10.1.0.2", PublicAddr: "10.1.0.1",
+		HasRelay: true, RelayID: "pool/alice", HomeRelay: "relay-0",
+	}.Encode())
+	write("core", "FuzzDecodeConnectRequest", "request", connect)
+	write("core", "FuzzDecodeConnectRequest", "request-truncated", connect[:len(connect)-9])
 
 	fmt.Println("corpus written")
 }
