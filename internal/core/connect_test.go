@@ -10,6 +10,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -70,7 +71,7 @@ func TestConnectRejectsImpersonation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest := connectRequest{portName: "inbox", portType: pt, sender: mallory.id, profile: mallory.Profile()}
+	honest := connectRequest{portName: "inbox", typeDigest: portTypeDigest(pt), sender: mallory.id, profile: mallory.Profile()}
 	for what, forge := range map[string]func(*connectRequest){
 		"sender name":      func(r *connectRequest) { r.sender.Name = "alice" },
 		"sender pool":      func(r *connectRequest) { r.sender.Pool = "otherpool" },
@@ -165,11 +166,13 @@ func TestPurposeHeaderCarriesNoName(t *testing.T) {
 	}
 }
 
-// recordingConn records everything written through it.
+// recordingConn records everything written through it, and everything
+// read from it: what the far end wrote.
 type recordingConn struct {
 	net.Conn
 	mu    sync.Mutex
 	wrote bytes.Buffer
+	read  bytes.Buffer
 }
 
 func (rc *recordingConn) Write(p []byte) (int, error) {
@@ -177,6 +180,30 @@ func (rc *recordingConn) Write(p []byte) (int, error) {
 	rc.wrote.Write(p)
 	rc.mu.Unlock()
 	return rc.Conn.Write(p)
+}
+
+func (rc *recordingConn) Read(p []byte) (int, error) {
+	n, err := rc.Conn.Read(p)
+	rc.mu.Lock()
+	rc.read.Write(p[:n])
+	rc.mu.Unlock()
+	return n, err
+}
+
+// recordServiceLink puts a recordingConn under a's cached service link to
+// the named peer.
+func recordServiceLink(t *testing.T, a *Node, peer string) *recordingConn {
+	t.Helper()
+	if _, err := a.Ping(peer); err != nil {
+		t.Fatal(err)
+	}
+	sl, err := a.serviceLinkTo(peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingConn{Conn: sl.conn}
+	sl.conn, sl.r, sl.w = rec, wire.NewReader(rec), wire.NewWriter(rec)
+	return rec
 }
 
 // TestProfilesCrossServiceLinkOncePerConnect: a stack of four parallel
@@ -187,15 +214,7 @@ func TestProfilesCrossServiceLinkOncePerConnect(t *testing.T) {
 	g := newTestGrid(t)
 	a := g.node("alice", "site-a", stateful, nil)
 	b := g.node("bob", "site-b", stateful, nil)
-	if _, err := a.Ping("bob"); err != nil {
-		t.Fatal(err)
-	}
-	sl, err := a.serviceLinkTo("bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &recordingConn{Conn: sl.conn}
-	sl.conn, sl.w = rec, wire.NewWriter(rec)
+	rec := recordServiceLink(t, a, "bob")
 
 	pt := ipl.PortType{Name: "striped", Stack: "multi:streams=4/tcpblk"}
 	sp, rp := channel(t, a, b, pt, "inbox")
@@ -210,6 +229,47 @@ func TestProfilesCrossServiceLinkOncePerConnect(t *testing.T) {
 	defer rec.mu.Unlock()
 	if n := bytes.Count(rec.wrote.Bytes(), a.Profile().Encode()); n != 1 {
 		t.Fatalf("the initiator's profile crossed the service link %d times in one connect, want 1", n)
+	}
+}
+
+// TestPassphraseStaysHome: a psk= passphrase is configuration, written in
+// the two nodes' port types; the service link — which the relay reads on
+// an identity-less grid — carries a digest of the port type, never its
+// stack string. The connect request used to spell the stack out.
+func TestPassphraseStaysHome(t *testing.T) {
+	g := newTestGrid(t)
+	a := g.node("alice", "site-a", stateful, nil)
+	b := g.node("bob", "site-b", stateful, nil)
+	rec := recordServiceLink(t, a, "bob")
+
+	pt := ipl.PortType{Name: "sealed", Stack: "secure:psk=correct-horse/tcpblk"}
+	sp, rp := channel(t, a, b, pt, "inbox")
+	defer sp.Close()
+	defer rp.Close()
+	sendText(t, sp, "keyed at home")
+	if got, _ := recvText(t, rp); got != "keyed at home" {
+		t.Fatalf("got %q", got)
+	}
+
+	rec.mu.Lock()
+	if rec.wrote.Len() == 0 || rec.read.Len() == 0 {
+		t.Errorf("recorded %d bytes written, %d read: the connect did not use the recorded link", rec.wrote.Len(), rec.read.Len())
+	}
+	for who, stream := range map[string][]byte{"initiator": rec.wrote.Bytes(), "acceptor": rec.read.Bytes()} {
+		if bytes.Contains(stream, []byte("correct-horse")) {
+			t.Errorf("the %s wrote the passphrase on the service link", who)
+		}
+	}
+	rec.mu.Unlock()
+	// An acceptor configured with another passphrase is another port type.
+	other, err := b.CreateReceivePort(ipl.PortType{Name: "sealed", Stack: "secure:psk=battery-staple/tcpblk"}, "other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	err = sp.Connect(other.ID())
+	if !errors.Is(err, ErrConnectRejected) || !strings.Contains(err.Error(), ipl.ErrIncompatiblePortTypes.Error()) {
+		t.Fatalf("connect to a port type with another passphrase: %v, want a rejection as incompatible", err)
 	}
 }
 
@@ -300,13 +360,14 @@ func TestConnectRefusesBadReply(t *testing.T) {
 
 // TestConnectRequestStrictDecode: the connect request has one layout.
 // Cut anywhere, with a trailing byte, with a profile field of the wrong
-// length or a secure flag that is not 0 or 1, it is a protocol error.
+// length or a port type digest that is not 32 bytes, it is a protocol
+// error.
 func TestConnectRequestStrictDecode(t *testing.T) {
 	req := connectRequest{
-		portName: "inbox",
-		portType: ipl.PortType{Name: "chan", Stack: "zip/tcpblk", Secure: true},
-		sender:   ipl.Identifier{Name: "alice", Pool: "testpool"},
-		profile:  estab.Profile{SiteName: "site-a", Firewalled: true, HasRelay: true, RelayID: "testpool/alice", HomeRelay: "relay-0"},
+		portName:   "inbox",
+		typeDigest: portTypeDigest(ipl.PortType{Name: "chan", Stack: "zip/tcpblk"}),
+		sender:     ipl.Identifier{Name: "alice", Pool: "testpool"},
+		profile:    estab.Profile{SiteName: "site-a", Firewalled: true, HasRelay: true, RelayID: "testpool/alice", HomeRelay: "relay-0"},
 	}
 	full := encodeConnectRequest(req)
 	got, err := decodeConnectRequest(full)
@@ -322,15 +383,21 @@ func TestConnectRequestStrictDecode(t *testing.T) {
 		head := full[:len(full)-len(wire.AppendBytes(nil, req.profile.Encode()))]
 		return wire.AppendBytes(append([]byte(nil), head...), p)
 	}
-	secureAt := len(wire.AppendString(wire.AppendString(wire.AppendString(nil, req.portName), req.portType.Name), req.portType.Stack))
-	badFlag := append([]byte(nil), full...)
-	badFlag[secureAt] = 2
+	withDigest := func(digest []byte) []byte {
+		b := wire.AppendBytes(wire.AppendString(nil, req.portName), digest)
+		return append(b, full[len(wire.AppendString(nil, req.portName))+1+len(req.typeDigest):]...)
+	}
+	if _, err := decodeConnectRequest(withDigest(req.typeDigest[:])); err != nil {
+		t.Fatalf("withDigest does not rebuild the request: %v", err)
+	}
 	for what, bad := range map[string][]byte{
-		"trailing byte":            append(append([]byte(nil), full...), 0),
-		"profile one byte short":   withProfile(req.profile.Encode()[:len(req.profile.Encode())-1]),
-		"profile with a trailer":   withProfile(append(req.profile.Encode(), 0)),
-		"empty profile":            withProfile(nil),
-		"secure flag out of range": badFlag,
+		"trailing byte":          append(append([]byte(nil), full...), 0),
+		"profile one byte short": withProfile(req.profile.Encode()[:len(req.profile.Encode())-1]),
+		"profile with a trailer": withProfile(append(req.profile.Encode(), 0)),
+		"empty profile":          withProfile(nil),
+		"31-byte digest":         withDigest(req.typeDigest[:31]),
+		"33-byte digest":         withDigest(append(req.typeDigest[:], 0)),
+		"empty digest":           withDigest(nil),
 	} {
 		if _, err := decodeConnectRequest(bad); err == nil {
 			t.Errorf("request with %s accepted", what)
@@ -355,10 +422,10 @@ func TestNodeRecordLayout(t *testing.T) {
 
 func FuzzDecodeConnectRequest(f *testing.F) {
 	full := encodeConnectRequest(connectRequest{
-		portName: "inbox",
-		portType: ipl.PortType{Name: "chan", Stack: "tcpblk"},
-		sender:   ipl.Identifier{Name: "alice", Pool: "pool"},
-		profile:  estab.Profile{HasRelay: true, RelayID: "pool/alice"},
+		portName:   "inbox",
+		typeDigest: portTypeDigest(ipl.PortType{Name: "chan", Stack: "tcpblk"}),
+		sender:     ipl.Identifier{Name: "alice", Pool: "pool"},
+		profile:    estab.Profile{HasRelay: true, RelayID: "pool/alice"},
 	})
 	f.Add(full)
 	f.Add(full[:len(full)-3])

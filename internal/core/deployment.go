@@ -102,7 +102,7 @@ func NewFederatedDeployment(f *emunet.Fabric, relayCount int) (*Deployment, erro
 // and node records, every relay runs with an issued identity and the
 // CA's trust store (authenticated attaches, authenticated peer links),
 // and SecureNodeConfig issues node identities so routed links run
-// sealed end to end.
+// sealed end to end ("secure" in a stack is keyed by them too).
 func NewSecureFederatedDeployment(f *emunet.Fabric, relayCount int, ca *identity.Authority) (*Deployment, error) {
 	if ca == nil {
 		var err error
@@ -324,8 +324,10 @@ func (d *Deployment) NodeConfig(host *emunet.Host, pool, name string) Config {
 
 // SecureNodeConfig is NodeConfig on a secure deployment: the node gets
 // a CA-issued identity under its relay ID ("pool/name"), the
-// deployment's trust store, and the require-secure-routed policy — its
-// attaches are authenticated and its routed links sealed end to end.
+// deployment's trust store, the require-secure-routed policy and
+// "secure/tcpblk" as its default stack — its attaches are authenticated,
+// its routed links sealed end to end, and a port type that names no
+// stack is sealed whatever method carries its data link.
 func (d *Deployment) SecureNodeConfig(host *emunet.Host, pool, name string) (Config, error) {
 	cfg := d.NodeConfig(host, pool, name)
 	if d.CA == nil {
@@ -338,6 +340,7 @@ func (d *Deployment) SecureNodeConfig(host *emunet.Host, pool, name string) (Con
 	cfg.NodeIdentity = id
 	cfg.Trust = d.Trust
 	cfg.RequireSecureRouted = true
+	cfg.DefaultStack = "secure/tcpblk"
 	return cfg, nil
 }
 

@@ -2,7 +2,7 @@
 // the Ibis Portability Layer that ties together connection establishment
 // (package estab), link utilization driver stacks (package driver and
 // the drivers beneath internal/drivers), the routed-messages relay, the
-// SOCKS proxy client, TLS security and the Ibis Name Service.
+// SOCKS proxy client, the node identities and the Ibis Name Service.
 //
 // A process joins a pool by creating a Node. The node:
 //
@@ -16,7 +16,7 @@
 //     picking the best establishment method the topology allows (TCP
 //     client/server, TCP splicing, SOCKS proxy or routed messages) and
 //     then builds the configured driver stack (block aggregation,
-//     parallel streams, compression, TLS) on top of it.
+//     parallel streams, compression, sealing) on top of it.
 //
 // Establishment and utilization remain orthogonal throughout: any driver
 // stack runs over any establishment method, which is the paper's central
@@ -24,6 +24,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -36,7 +37,6 @@ import (
 
 	"netibis/internal/driver"
 	_ "netibis/internal/drivers" // install the built-in link utilization drivers
-	"netibis/internal/drivers/secure"
 	"netibis/internal/emunet"
 	"netibis/internal/estab"
 	"netibis/internal/identity"
@@ -110,14 +110,12 @@ type Config struct {
 	Proxy emunet.Endpoint
 	// ProxyCreds are optional SOCKS credentials.
 	ProxyCreds *socks.Credentials
-	// Identity is the TLS identity used for port types with Secure set.
-	Identity *secure.Identity
 	// NodeIdentity is the node's Ed25519 mesh identity (package
 	// identity), named after the node's relay ID ("pool/name"). With one
 	// configured the node authenticates its relay attachments (including
-	// re-attachments after failover), signs its registry record, and can
-	// seal routed links end to end. Use identity.LoadOrGenerate for file
-	// persistence.
+	// re-attachments after failover), signs its registry record, can seal
+	// routed links end to end and keys a "secure" stack layer that names
+	// no key. Use identity.LoadOrGenerate for file persistence.
 	NodeIdentity *identity.Identity
 	// Trust is the set of trusted identities (deployment CA keys and/or
 	// pinned keys). With one configured the node demands that relays
@@ -648,6 +646,16 @@ func linkPeer(conn net.Conn) string {
 	return ""
 }
 
+// linkKey returns the key only the two ends of a sealed service link
+// derive from its handshake: the driver.Env.LinkKey of every data link
+// brokered over it. On an unsealed link it is nil, never a default.
+func linkKey(conn net.Conn) []byte {
+	if rl, ok := conn.(interface{ ExportKey(label string) []byte }); ok {
+		return rl.ExportKey("data-link secure driver")
+	}
+	return nil
+}
+
 // dispatch reads the purpose header of one incoming routed connection:
 // a flag and nothing else. The consumer is keyed by the link's Peer().
 func (n *Node) dispatch(conn net.Conn) {
@@ -878,24 +886,25 @@ func (n *Node) serveServiceLink(conn net.Conn) {
 // connectRequest is the decoded form of an opConnect payload. sender and
 // profile.RelayID are checked against the service link's Peer() before
 // anything else is done with the request; profile is what the acceptor
-// plans its side of every establishment of this connect with.
+// plans its side of every establishment of this connect with. The port
+// type crosses as a digest: the acceptor only tests it for equality with
+// its own port's, and a stack string may hold a psk= passphrase.
 type connectRequest struct {
-	portName string
-	portType ipl.PortType
-	sender   ipl.Identifier
-	profile  estab.Profile
+	portName   string
+	typeDigest [sha256.Size]byte
+	sender     ipl.Identifier
+	profile    estab.Profile
+}
+
+// portTypeDigest is SHA-256 over string name ‖ string stack.
+func portTypeDigest(pt ipl.PortType) [sha256.Size]byte {
+	return sha256.Sum256(wire.AppendString(wire.AppendString(nil, pt.Name), pt.Stack))
 }
 
 func encodeConnectRequest(req connectRequest) []byte {
 	var b []byte
 	b = wire.AppendString(b, req.portName)
-	b = wire.AppendString(b, req.portType.Name)
-	b = wire.AppendString(b, req.portType.Stack)
-	secureFlag := byte(0)
-	if req.portType.Secure {
-		secureFlag = 1
-	}
-	b = append(b, secureFlag)
+	b = wire.AppendBytes(b, req.typeDigest[:])
 	b = wire.AppendString(b, req.sender.Name)
 	b = wire.AppendString(b, req.sender.Pool)
 	return wire.AppendBytes(b, req.profile.Encode())
@@ -905,16 +914,14 @@ func decodeConnectRequest(p []byte) (connectRequest, error) {
 	d := wire.NewDecoder(p)
 	var req connectRequest
 	req.portName = d.String()
-	req.portType.Name = d.String()
-	req.portType.Stack = d.String()
-	secureFlag := d.Byte()
-	req.portType.Secure = secureFlag == 1
+	digest := d.Bytes()
 	req.sender.Name = d.String()
 	req.sender.Pool = d.String()
 	profile := d.Bytes()
-	if d.Err() != nil || d.Remaining() != 0 || secureFlag > 1 {
+	if d.Err() != nil || d.Remaining() != 0 || len(digest) != len(req.typeDigest) {
 		return connectRequest{}, errors.New("core: corrupt connect request")
 	}
+	copy(req.typeDigest[:], digest)
 	var err error
 	req.profile, err = estab.DecodeProfile(profile)
 	return req, err
@@ -941,7 +948,7 @@ func (n *Node) handleConnect(conn net.Conn, w *wire.Writer, payload []byte) erro
 	if rp == nil {
 		return reject(ipl.ErrNoSuchPort.Error())
 	}
-	if !rp.portType.Compatible(req.portType) {
+	if portTypeDigest(rp.portType) != req.typeDigest {
 		return reject(ipl.ErrIncompatiblePortTypes.Error())
 	}
 	stack, err := rp.portType.ParseStack()
@@ -960,14 +967,9 @@ func (n *Node) handleConnect(conn net.Conn, w *wire.Writer, payload []byte) erro
 	env := &driver.Env{
 		Accept: func() (net.Conn, error) {
 			dataConn, _, err := n.connector.EstablishAcceptor(mux.Open(), req.profile)
-			if err != nil {
-				return nil, err
-			}
-			if rp.portType.Secure {
-				return secure.WrapServer(dataConn, n.cfg.Identity)
-			}
-			return dataConn, nil
+			return dataConn, err
 		},
+		LinkKey: linkKey(conn),
 	}
 	input, err := driver.BuildInput(stack, env)
 	if merr := mux.Finish(); merr != nil {

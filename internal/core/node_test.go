@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"netibis/internal/drivers/secure"
 	"netibis/internal/emunet"
 	"netibis/internal/estab"
 	"netibis/internal/ipl"
@@ -188,32 +187,6 @@ func TestCompressedParallelStreamsChannel(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("bulk payload corrupted: got %d bytes want %d", len(got), len(payload))
-	}
-}
-
-func TestSecureChannel(t *testing.T) {
-	ca, err := secure.NewAuthority("testpool-ca")
-	if err != nil {
-		t.Fatal(err)
-	}
-	idA, err := ca.Issue("sec-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	idB, err := ca.Issue("sec-b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := newTestGrid(t)
-	a := g.node("sec-a", "site-sec-a", emunet.SiteConfig{Firewall: emunet.Stateful}, func(c *Config) { c.Identity = idA })
-	b := g.node("sec-b", "site-sec-b", emunet.SiteConfig{Firewall: emunet.Open}, func(c *Config) { c.Identity = idB })
-
-	pt := ipl.PortType{Name: "secure-control", Stack: "tcpblk", Secure: true}
-	sp, rp := channel(t, a, b, pt, "secure-inbox")
-	sendText(t, sp, "authenticated and encrypted")
-	got, _ := recvText(t, rp)
-	if got != "authenticated and encrypted" {
-		t.Fatalf("got %q", got)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"netibis/internal/driver"
-	"netibis/internal/drivers/secure"
 	"netibis/internal/estab"
 	"netibis/internal/ipl"
 	"netibis/internal/wire"
@@ -178,7 +177,7 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	// The request carries this node's connectivity profile and the
 	// accepting reply the peer's: one exchange per connect, shared by
 	// every establishment (one per sub-stream of the stack) below.
-	req := connectRequest{portName: to.Port, portType: sp.portType, sender: n.id, profile: n.connector.Profile()}
+	req := connectRequest{portName: to.Port, typeDigest: portTypeDigest(sp.portType), sender: n.id, profile: n.connector.Profile()}
 	if err := sl.w.WriteFrame(wire.KindControl, opConnect, encodeConnectRequest(req)); err != nil {
 		return broken(err)
 	}
@@ -224,11 +223,9 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 			methodMu.Lock()
 			usedMethod = method
 			methodMu.Unlock()
-			if sp.portType.Secure {
-				return secure.WrapClient(dataConn, n.cfg.Identity, to.Owner.Name)
-			}
 			return dataConn, nil
 		},
+		LinkKey: linkKey(sl.conn),
 	}
 	out, err := driver.BuildOutput(stack, env)
 	// Always settle the mux session, success or not: it hands the

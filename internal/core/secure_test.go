@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"netibis/internal/drivers/secure"
 	"netibis/internal/emunet"
+	"netibis/internal/estab"
 	"netibis/internal/identity"
 	"netibis/internal/ipl"
 	"netibis/internal/nameservice"
@@ -81,6 +83,105 @@ func TestSecureDeploymentMessageChannel(t *testing.T) {
 	}
 	if origin.Name != "alice" {
 		t.Fatalf("origin %v", origin)
+	}
+}
+
+// keylessStack names "secure" without key= or psk=: the layer is keyed by
+// the two nodes' identities or not at all.
+const keylessStack = "zip:codec=lz/secure/multi:streams=2/tcpblk"
+
+// TestSecureStackSealedOnEveryMethod: the key of a keyless secure layer
+// comes from the service link's handshake, so it is there — and the same
+// on both ends — whichever establishment method carries the data link,
+// for each sub-stream of the stack.
+func TestSecureStackSealedOnEveryMethod(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		site emunet.SiteConfig
+		want estab.Method
+	}{
+		{"open", emunet.SiteConfig{Firewall: emunet.Open}, estab.ClientServer},
+		{"stateful", emunet.SiteConfig{Firewall: emunet.Stateful}, estab.Splicing},
+		{"strict", emunet.SiteConfig{Firewall: emunet.Strict}, estab.Routed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newSecureGrid(t, 1)
+			a := g.secureNode("alice", "site-a", tc.site, nil)
+			b := g.secureNode("bob", "site-b", tc.site, nil)
+			sp, rp := channel(t, a, b, ipl.PortType{Name: "sealed", Stack: keylessStack}, "inbox")
+			defer sp.Close()
+			defer rp.Close()
+
+			sendText(t, sp, "keyed by who we are")
+			got, origin := recvText(t, rp)
+			if got != "keyed by who we are" || origin != a.Identifier() {
+				t.Fatalf("got %q from %v", got, origin)
+			}
+			methods := SendPortMethods(sp)
+			if len(methods) != 1 || methods[rp.ID().String()] != tc.want {
+				t.Fatalf("methods %v, want %v", methods, tc.want)
+			}
+		})
+	}
+}
+
+// TestSecureChannel: on a secure deployment a port type that names no
+// stack is sealed all the same.
+func TestSecureChannel(t *testing.T) {
+	g := newSecureGrid(t, 1)
+	a := g.secureNode("sec-a", "site-sec-a", emunet.SiteConfig{Firewall: emunet.Stateful}, nil)
+	b := g.secureNode("sec-b", "site-sec-b", emunet.SiteConfig{Firewall: emunet.Open}, nil)
+
+	sp, rp := channel(t, a, b, ipl.PortType{Name: "secure-control"}, "secure-inbox")
+	defer sp.Close()
+	defer rp.Close()
+	if sp.Type().Stack != "secure/tcpblk" || rp.Type().Stack != "secure/tcpblk" {
+		t.Fatalf("stacks %q, %q, want secure/tcpblk", sp.Type().Stack, rp.Type().Stack)
+	}
+	sendText(t, sp, "authenticated and encrypted")
+	got, origin := recvText(t, rp)
+	if got != "authenticated and encrypted" || origin != a.Identifier() {
+		t.Fatalf("got %q from %v", got, origin)
+	}
+}
+
+// TestSecureStackFailsClosedWithoutIdentities: on a grid without
+// identities the service link exports no key, and a keyless secure layer
+// is an error on both ends before any data connection exists — never a
+// plaintext link.
+func TestSecureStackFailsClosedWithoutIdentities(t *testing.T) {
+	g := newTestGrid(t)
+	a := g.node("alice", "site-a", emunet.SiteConfig{Firewall: emunet.Open}, nil)
+	b := g.node("bob", "site-b", emunet.SiteConfig{Firewall: emunet.Open}, nil)
+
+	pt := ipl.PortType{Name: "sealed", Stack: keylessStack}
+	rp, err := b.CreateReceivePort(pt, "inbox")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	sp, err := a.CreateSendPort(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	if err := sp.Connect(rp.ID()); !errors.Is(err, secure.ErrNoKey) {
+		t.Fatalf("connect: %v, want secure.ErrNoKey", err)
+	}
+	if m := SendPortMethods(sp); len(m) != 0 {
+		t.Fatalf("a data connection was established: %v", m)
+	}
+	// The acceptor serves its end of the service link one request at a
+	// time: once it answers a ping it is done with the connect, and it
+	// refused to build its side too.
+	if _, err := a.Ping("bob"); err != nil {
+		t.Fatal(err)
+	}
+	port := rp.(*receivePort)
+	port.mu.Lock()
+	defer port.mu.Unlock()
+	if len(port.sources) != 0 {
+		t.Fatalf("the receive port took %d source(s) over an unkeyed secure stack", len(port.sources))
 	}
 }
 

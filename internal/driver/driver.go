@@ -115,6 +115,11 @@ type Env struct {
 	// receiving side. The first call returns the primary connection.
 	// Like Dial, Accept must be safe for concurrent use.
 	Accept func() (net.Conn, error)
+	// LinkKey is 32 bytes only the two nodes this link connects hold (the
+	// integration layer exports them from the end-to-end handshake of the
+	// service link), or nil when they share none. It keys a secure layer
+	// that names no key of its own, on every connection of the link.
+	LinkKey []byte
 }
 
 // Spec describes one driver in a stack together with its parameters,

@@ -1,13 +1,21 @@
-package secure
-
-// This file implements the "secure" *filtering driver*: authenticated
+// Package secure is the "secure" filtering driver: authenticated
 // encryption as a composable member of the driver stack ("the encryption
-// driver using SSL" the paper names as future work, realised with an
-// AEAD so it composes freely: zip/secure/multi/tcpblk is a valid stack).
-// It complements the TLS connection wrapping in this package — TLS
-// secures the whole connection below the stack, the driver seals the
-// byte stream inside the stack, which lets compression run on plaintext
-// while parallel sub-streams each carry independently sealed records.
+// driver using SSL" the paper names as future work in Section 4.4,
+// realised with an AEAD so it composes freely: zip/secure/multi/tcpblk is
+// a valid stack). Naming it in a port type's stack is the one way to ask
+// for a sealed data link: the driver seals the byte stream inside the
+// stack, on whatever connection establishment produced, which lets
+// compression run on plaintext while parallel sub-streams each carry
+// independently sealed records.
+//
+// Key material, in order of precedence: key=<64 hex chars>, then
+// psk=<passphrase> (hashed), then driver.Env.LinkKey — the key the two
+// nodes' identities agreed on the service link (identity.LinkKeys.Export),
+// never transmitted and held by exactly the authenticated peer. With none
+// of the three both builders fail with ErrNoKey before anything below is
+// built; there is no plaintext fallback. psk= and key= are as secret as
+// the two configuration files they are written in (the stack string never
+// crosses the wire): the one key source for deployments without identities.
 //
 // Wire format (per link, i.e. per driver instance):
 //
@@ -16,10 +24,10 @@ package secure
 //
 // Each link derives its own record key as SHA-256(master key ‖ salt), so
 // the per-record counter nonces can never collide across the many links
-// that share one pre-shared master key. Sealing and opening reuse the
-// AEAD codec state and work in pooled buffers: a record is sealed into
-// the buffer that travels down the stack by ownership transfer, and
-// opened in place in the buffer the ciphertext was read into.
+// that share one master key. Sealing and opening reuse the AEAD codec
+// state and work in pooled buffers: a record is sealed into the buffer
+// that travels down the stack by ownership transfer, and opened in place
+// in the buffer the ciphertext was read into.
 //
 // Nonce-reuse safety across reconnects and Resume: the record nonce is
 // a plain counter that restarts at 1 on every SealOutput — including
@@ -31,6 +39,7 @@ package secure
 // even though the nonce sequence is. Nothing may ever reuse a
 // SealOutput (or its salt) across sessions — the regression test
 // TestResumedSessionNeverReusesKeyNonce pins this invariant down.
+package secure
 
 import (
 	"crypto/aes"
@@ -62,17 +71,16 @@ const saltSize = 16
 // recordLenSize is the ciphertext length prefix.
 const recordLenSize = 4
 
-// ErrNoKey is returned when the secure driver is used without key
-// material.
-var ErrNoKey = errors.New("secure: stack parameter psk= or key= required")
+// ErrNoKey is returned when the secure driver has no key material: no
+// key= or psk= in the stack, no 32-byte identity-derived key on the link.
+var ErrNoKey = errors.New("secure: no key (no key= or psk= in the stack, no identity-keyed link)")
 
 func init() {
 	driver.Register(DriverName, buildDriverOutput, buildDriverInput)
 }
 
-// keyFromSpec derives the 32-byte master key from the stack parameters:
-// key=<64 hex chars> takes precedence, psk=<passphrase> is hashed.
-func keyFromSpec(spec driver.Spec) ([]byte, error) {
+// masterKey selects the 32-byte master key: key=, psk= (hashed), link key.
+func masterKey(spec driver.Spec, env *driver.Env) ([]byte, error) {
 	if h := spec.Param("key", ""); h != "" {
 		key, err := hex.DecodeString(h)
 		if err != nil || len(key) != 32 {
@@ -84,14 +92,17 @@ func keyFromSpec(spec driver.Spec) ([]byte, error) {
 		sum := sha256.Sum256([]byte(psk))
 		return sum[:], nil
 	}
+	if env != nil && len(env.LinkKey) == 32 {
+		return env.LinkKey, nil
+	}
 	return nil, ErrNoKey
 }
 
-func buildDriverOutput(spec driver.Spec, _ *driver.Env, lower func() (driver.Output, error)) (driver.Output, error) {
+func buildDriverOutput(spec driver.Spec, env *driver.Env, lower func() (driver.Output, error)) (driver.Output, error) {
 	if lower == nil {
 		return nil, errors.New("secure: requires a lower driver (it is a filtering driver)")
 	}
-	key, err := keyFromSpec(spec)
+	key, err := masterKey(spec, env)
 	if err != nil {
 		return nil, err
 	}
@@ -107,11 +118,11 @@ func buildDriverOutput(spec driver.Spec, _ *driver.Env, lower func() (driver.Out
 	return out, nil
 }
 
-func buildDriverInput(spec driver.Spec, _ *driver.Env, lower func() (driver.Input, error)) (driver.Input, error) {
+func buildDriverInput(spec driver.Spec, env *driver.Env, lower func() (driver.Input, error)) (driver.Input, error) {
 	if lower == nil {
 		return nil, errors.New("secure: requires a lower driver (it is a filtering driver)")
 	}
-	key, err := keyFromSpec(spec)
+	key, err := masterKey(spec, env)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +130,7 @@ func buildDriverInput(spec driver.Spec, _ *driver.Env, lower func() (driver.Inpu
 	if err != nil {
 		return nil, err
 	}
-	return NewSealInput(sub, key), nil
+	return NewSealInput(sub, key, spec.IntParam("block", DefaultSealBlock)), nil
 }
 
 // linkAEAD derives the per-link record cipher from the master key and
@@ -250,23 +261,28 @@ func (o *SealOutput) Close() error {
 
 // SealInput is the opening side of the secure driver.
 type SealInput struct {
-	mu      sync.Mutex
-	lower   driver.Input
-	master  []byte
-	aead    cipher.AEAD // nil until the salt arrived
-	seq     uint64
-	nonce   [12]byte
-	lenBuf  [recordLenSize]byte
-	current driver.BufCursor
+	mu        sync.Mutex
+	lower     driver.Input
+	master    []byte
+	aead      cipher.AEAD // nil until the salt arrived
+	blockSize int
+	seq       uint64
+	nonce     [12]byte
+	lenBuf    [recordLenSize]byte
+	current   driver.BufCursor
 
 	closeOnce sync.Once
 	closed    chan struct{}
 }
 
 // NewSealInput creates an opening input over lower with the given
-// 32-byte master key.
-func NewSealInput(lower driver.Input, master []byte) *SealInput {
-	return &SealInput{lower: lower, master: append([]byte(nil), master...), closed: make(chan struct{})}
+// 32-byte master key. blockSize is the sender's plaintext record size
+// (both ends parse the same stack string); a longer record is refused.
+func NewSealInput(lower driver.Input, master []byte, blockSize int) *SealInput {
+	if blockSize <= 0 {
+		blockSize = DefaultSealBlock
+	}
+	return &SealInput{lower: lower, master: append([]byte(nil), master...), blockSize: blockSize, closed: make(chan struct{})}
 }
 
 // Read implements driver.Input.
@@ -330,8 +346,10 @@ func (in *SealInput) fillLocked() error {
 		}
 		return err
 	}
-	ctLen := binary.BigEndian.Uint32(in.lenBuf[:])
-	if ctLen > uint32(wire.MaxFrameLen) || int(ctLen) < in.aead.Overhead() {
+	// Four unauthenticated bytes size the buffer below: hold them to what
+	// a conforming sender emits, one block plus the AEAD tag.
+	ctLen := int64(binary.BigEndian.Uint32(in.lenBuf[:]))
+	if tag := int64(in.aead.Overhead()); ctLen < tag || ctLen > int64(in.blockSize)+tag {
 		return fmt.Errorf("secure: record length %d out of range", ctLen)
 	}
 	rec := wire.GetBuf(int(ctLen))

@@ -12,11 +12,16 @@ import (
 
 func sealedLink(t *testing.T, spec string) (driver.Output, driver.Input) {
 	t.Helper()
+	dialEnv, acceptEnv := driver.PipeEnv()
+	return sealedLinkOver(t, spec, dialEnv, acceptEnv)
+}
+
+func sealedLinkOver(t *testing.T, spec string, dialEnv, acceptEnv *driver.Env) (driver.Output, driver.Input) {
+	t.Helper()
 	stack, err := driver.ParseStack(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dialEnv, acceptEnv := driver.PipeEnv()
 	outCh := make(chan driver.Output, 1)
 	errCh := make(chan error, 1)
 	go func() {
@@ -94,7 +99,7 @@ func TestSealWrongKeyFailsAuthentication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewSealInput(lowerIn, bytes.Repeat([]byte{2}, 32))
+	in := NewSealInput(lowerIn, bytes.Repeat([]byte{2}, 32), 0)
 	if _, err := in.Read(make([]byte, 64)); err == nil {
 		t.Fatal("record sealed under a different key must not authenticate")
 	}

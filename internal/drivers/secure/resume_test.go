@@ -40,7 +40,7 @@ func (s *sinkOutput) bytes() []byte {
 
 // runSession seals one plaintext through a fresh SealOutput (a new
 // session under master) and returns the raw stream: salt, then records.
-func runSession(t *testing.T, master, plaintext []byte) []byte {
+func runSession(t testing.TB, master, plaintext []byte) []byte {
 	t.Helper()
 	sink := &sinkOutput{}
 	out, err := NewSealOutput(sink, master, 0)
@@ -125,7 +125,7 @@ func TestSealInputAcceptsFreshSaltAfterResume(t *testing.T) {
 	master := sha256.Sum256([]byte("shared-psk"))
 	for session := 0; session < 2; session++ {
 		stream := runSession(t, master[:], []byte("hello after resume"))
-		in := NewSealInput(readerInput{bytes.NewReader(stream)}, master[:])
+		in := NewSealInput(readerInput{bytes.NewReader(stream)}, master[:], 0)
 		got := make([]byte, len("hello after resume"))
 		if _, err := io.ReadFull(in, got); err != nil {
 			t.Fatalf("session %d: %v", session, err)

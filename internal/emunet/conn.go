@@ -181,7 +181,7 @@ func (hp *halfPipe) setStall(stalled bool) {
 }
 
 // Conn is an emulated, reliable, bidirectional byte-stream connection.
-// It implements net.Conn, so TLS, frame readers and every NetIbis driver
+// It implements net.Conn, so frame readers and every NetIbis driver
 // can run over it unchanged.
 type Conn struct {
 	recv   *halfPipe

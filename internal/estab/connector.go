@@ -298,41 +298,15 @@ func (c *Connector) establishClientServer(b *methodBroker, local, remote Profile
 	}
 
 	if localListens {
-		l, err := c.Host.Listen(0)
-		if err != nil {
-			b.send(msgAbort, nil)
-			return nil, err
-		}
-		ep := emunet.Endpoint{Addr: c.Host.Address(), Port: l.Port()}
-		body := wire.AppendString(nil, string(ep.Addr))
-		body = wire.AppendUvarint(body, uint64(ep.Port))
-		if err := b.send(msgListen, body); err != nil {
-			l.Close()
-			return nil, err
-		}
-		conn, err := acceptWithTimeout(l, c.acceptTimeout(), cancel)
-		l.Close()
-		return conn, err
+		return c.listenAndAccept(b, cancel)
 	}
 
 	// Dialing side: wait for the peer's listen announcement.
-	t, body, err := b.recv()
+	ep, err := recvEndpoint(b, msgListen)
 	if err != nil {
 		return nil, err
 	}
-	if t == msgAbort {
-		return nil, ErrAborted
-	}
-	if t != msgListen {
-		return nil, fmt.Errorf("%w: expected listen, got message %d", ErrProtocol, t)
-	}
-	d := wire.NewDecoder(body)
-	addr := d.String()
-	port := int(d.Uvarint())
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	conn, err := c.Host.Dial(emunet.Endpoint{Addr: emunet.Address(addr), Port: port})
+	conn, err := c.Host.Dial(ep)
 	if err != nil {
 		// Let the listening side give up instead of waiting out its
 		// accept timeout.
@@ -350,40 +324,18 @@ func (c *Connector) establishClientServer(b *methodBroker, local, remote Profile
 func (c *Connector) establishSplicing(b *methodBroker, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
 	localPort := c.Host.AllocatePort()
 	predicted := c.Host.PredictExternalEndpoint(localPort)
-	body := wire.AppendString(nil, string(predicted.Addr))
-	body = wire.AppendUvarint(body, uint64(predicted.Port))
-
-	recvSplice := func() (emunet.Endpoint, error) {
-		t, peerBody, err := b.recv()
-		if err != nil {
-			return emunet.Endpoint{}, err
-		}
-		if t == msgAbort {
-			return emunet.Endpoint{}, ErrAborted
-		}
-		if t != msgSplice {
-			return emunet.Endpoint{}, fmt.Errorf("%w: expected splice, got message %d", ErrProtocol, t)
-		}
-		d := wire.NewDecoder(peerBody)
-		addr := d.String()
-		port := int(d.Uvarint())
-		if d.Err() != nil {
-			return emunet.Endpoint{}, d.Err()
-		}
-		return emunet.Endpoint{Addr: emunet.Address(addr), Port: port}, nil
-	}
 
 	var target emunet.Endpoint
 	var err error
 	if initiator {
-		if serr := b.send(msgSplice, body); serr != nil {
+		if serr := sendEndpoint(b, msgSplice, predicted); serr != nil {
 			return nil, serr
 		}
-		target, err = recvSplice()
+		target, err = recvEndpoint(b, msgSplice)
 	} else {
-		target, err = recvSplice()
+		target, err = recvEndpoint(b, msgSplice)
 		if err == nil {
-			err = b.send(msgSplice, body)
+			err = sendEndpoint(b, msgSplice, predicted)
 		}
 	}
 	if err != nil {
@@ -395,25 +347,11 @@ func (c *Connector) establishSplicing(b *methodBroker, initiator bool, cancel <-
 // establishProxy: the side with a SOCKS proxy dials out through it; the
 // reachable side listens and advertises its endpoint.
 func (c *Connector) establishProxy(b *methodBroker, local, remote Profile, cancel <-chan struct{}) (net.Conn, error) {
-	proxySide := local.HasProxy && remote.Reachable()
-	if proxySide {
-		// Wait for the peer's listener endpoint, then CONNECT through the
-		// proxy.
-		t, body, err := b.recv()
+	if local.HasProxy && remote.Reachable() {
+		// Wait for the peer's listener endpoint, then CONNECT to it.
+		ep, err := recvEndpoint(b, msgListen)
 		if err != nil {
 			return nil, err
-		}
-		if t == msgAbort {
-			return nil, ErrAborted
-		}
-		if t != msgListen {
-			return nil, fmt.Errorf("%w: expected listen, got message %d", ErrProtocol, t)
-		}
-		d := wire.NewDecoder(body)
-		addr := d.String()
-		port := int(d.Uvarint())
-		if d.Err() != nil {
-			return nil, d.Err()
 		}
 		if c.ProxyAddr.IsZero() {
 			b.send(msgAbort, nil)
@@ -424,30 +362,63 @@ func (c *Connector) establishProxy(b *methodBroker, local, remote Profile, cance
 			b.send(msgAbort, nil)
 			return nil, err
 		}
-		if err := socks.Connect(proxyConn, addr, port, c.ProxyCreds); err != nil {
+		if err := socks.Connect(proxyConn, string(ep.Addr), ep.Port, c.ProxyCreds); err != nil {
 			proxyConn.Close()
 			b.send(msgAbort, nil)
 			return nil, err
 		}
 		return proxyConn, nil
 	}
+	return c.listenAndAccept(b, cancel)
+}
 
-	// Listening side.
+// sendEndpoint announces an endpoint to the peer: string addr ‖ uvarint
+// port, the body of msgListen and msgSplice.
+func sendEndpoint(b *methodBroker, msgType byte, ep emunet.Endpoint) error {
+	body := wire.AppendString(nil, string(ep.Addr))
+	return b.send(msgType, wire.AppendUvarint(body, uint64(ep.Port)))
+}
+
+// recvEndpoint waits for the peer's announcement of the given type. An
+// abort is ErrAborted; any other message, a truncated body, trailing
+// bytes or a port that is not one are ErrProtocol.
+func recvEndpoint(b *methodBroker, want byte) (emunet.Endpoint, error) {
+	t, body, err := b.recv()
+	if err != nil {
+		return emunet.Endpoint{}, err
+	}
+	if t == msgAbort {
+		return emunet.Endpoint{}, ErrAborted
+	}
+	if t != want {
+		return emunet.Endpoint{}, fmt.Errorf("%w: expected message %d, got %d", ErrProtocol, want, t)
+	}
+	return decodeEndpoint(body)
+}
+
+func decodeEndpoint(body []byte) (emunet.Endpoint, error) {
+	d := wire.NewDecoder(body)
+	addr := d.String()
+	port := d.Uvarint()
+	if d.Err() != nil || d.Remaining() != 0 || port > 65535 {
+		return emunet.Endpoint{}, fmt.Errorf("%w: malformed endpoint", ErrProtocol)
+	}
+	return emunet.Endpoint{Addr: emunet.Address(addr), Port: int(port)}, nil
+}
+
+// listenAndAccept is the listening half of a client/server or proxy
+// establishment: listen on a fresh port, advertise it, wait for the peer.
+func (c *Connector) listenAndAccept(b *methodBroker, cancel <-chan struct{}) (net.Conn, error) {
 	l, err := c.Host.Listen(0)
 	if err != nil {
 		b.send(msgAbort, nil)
 		return nil, err
 	}
-	ep := emunet.Endpoint{Addr: c.Host.Address(), Port: l.Port()}
-	body := wire.AppendString(nil, string(ep.Addr))
-	body = wire.AppendUvarint(body, uint64(ep.Port))
-	if err := b.send(msgListen, body); err != nil {
-		l.Close()
+	defer l.Close()
+	if err := sendEndpoint(b, msgListen, emunet.Endpoint{Addr: c.Host.Address(), Port: l.Port()}); err != nil {
 		return nil, err
 	}
-	conn, err := acceptWithTimeout(l, c.acceptTimeout(), cancel)
-	l.Close()
-	return conn, err
+	return acceptWithTimeout(l, c.acceptTimeout(), cancel)
 }
 
 // establishRouted: the initiator opens a routed virtual link through the

@@ -1,10 +1,12 @@
 package estab
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"netibis/internal/emunet"
+	"netibis/internal/wire"
 )
 
 // Profile fixtures matching the site archetypes of the paper's testbed.
@@ -263,6 +265,32 @@ func TestProfileDecodeCorrupt(t *testing.T) {
 	}
 	if got, err := DecodeProfile(full); err != nil || got != home {
 		t.Fatalf("canonical profile: %+v, %v", got, err)
+	}
+}
+
+// TestEndpointDecodeCorrupt: the msgListen/msgSplice body is string addr ‖
+// uvarint port and nothing else, and a port is at most 65535.
+func TestEndpointDecodeCorrupt(t *testing.T) {
+	body := func(addr string, port uint64) []byte {
+		return wire.AppendUvarint(wire.AppendString(nil, addr), port)
+	}
+	full := body("10.1.0.2", 40000)
+	if ep, err := decodeEndpoint(full); err != nil || ep != (emunet.Endpoint{Addr: "10.1.0.2", Port: 40000}) {
+		t.Fatalf("canonical endpoint: %+v, %v", ep, err)
+	}
+	if _, err := decodeEndpoint(body("10.1.0.2", 65535)); err != nil {
+		t.Fatalf("port 65535: %v", err)
+	}
+	for what, bad := range map[string][]byte{
+		"empty":         nil,
+		"truncated":     full[:len(full)-1],
+		"no port":       wire.AppendString(nil, "10.1.0.2"),
+		"trailing byte": append(append([]byte(nil), full...), 0),
+		"port 65536":    body("10.1.0.2", 65536),
+	} {
+		if _, err := decodeEndpoint(bad); !errors.Is(err, ErrProtocol) {
+			t.Errorf("endpoint with %s: %v, want ErrProtocol", what, err)
+		}
 	}
 }
 

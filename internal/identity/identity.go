@@ -5,10 +5,11 @@
 // signed name-service records.
 //
 // The paper's title promises an integrated solution to connectivity,
-// performance *and* security. The point-to-point TLS layer (package
-// drivers/secure) covers direct links; this package covers the routed
-// path, where untrusted third-party relays forward every frame. Its
-// parts:
+// performance *and* security. This package is the one identity and the
+// one PKI behind it: it secures the routed path, where untrusted
+// third-party relays forward every frame, and its link handshake is what
+// keys the "secure" driver (package drivers/secure) on data links of
+// every establishment method. Its parts:
 //
 //   - Identity: an Ed25519 keypair bound to a node (or relay) name, with
 //     file persistence so daemons keep their identity across restarts.

@@ -25,7 +25,9 @@ package identity
 //
 // Key schedule: HKDF-SHA256(ikm = X25519 shared secret,
 // salt = nonceI ‖ nonceR, info = "netibis/link-aead/v1 " + direction)
-// yields a 32-byte AES-256-GCM key per direction.
+// yields a 32-byte AES-256-GCM key per direction, and with info
+// "netibis/link-aead/v1 exporter" a third output that keys nothing on the
+// link itself: Export derives the keys for uses outside it.
 //
 // Record format (the sealed payload of a routed data frame):
 //
@@ -142,11 +144,12 @@ func OfferLink(id *Identity, initID, respID string, channel uint64) (*LinkOffer,
 }
 
 // LinkKeys is a routed link's established end-to-end state: one sealing
-// AEAD (our sends) and one opening AEAD (the peer's sends), plus the
-// authenticated peer announcement for diagnostics.
+// AEAD (our sends), one opening AEAD (the peer's sends), the exporter
+// secret (see Export) and the authenticated peer key for diagnostics.
 type LinkKeys struct {
-	seal cipher.AEAD
-	open cipher.AEAD
+	seal     cipher.AEAD
+	open     cipher.AEAD
+	exporter []byte
 	// PeerPublic is the peer's authenticated identity key.
 	PeerPublic []byte
 }
@@ -174,10 +177,23 @@ func deriveLinkKeys(shared, nonceI, nonceR []byte, initiator bool) (*LinkKeys, e
 	if err != nil {
 		return nil, err
 	}
-	if initiator {
-		return &LinkKeys{seal: i2r, open: r2i}, nil
+	exporter, err := hkdf.Key(sha256.New, shared, salt, "netibis/link-aead/v1 exporter", 32)
+	if err != nil {
+		return nil, err
 	}
-	return &LinkKeys{seal: r2i, open: i2r}, nil
+	if initiator {
+		return &LinkKeys{seal: i2r, open: r2i, exporter: exporter}, nil
+	}
+	return &LinkKeys{seal: r2i, open: i2r, exporter: exporter}, nil
+}
+
+// Export derives a 32-byte key, bound to label, for a use outside the
+// link. Both ends of the link compute the same bytes; no other link, not
+// even another one between the same two nodes, does. It is nil if the
+// derivation fails, which every consumer treats as "no key".
+func (k *LinkKeys) Export(label string) []byte {
+	key, _ := hkdf.Key(sha256.New, k.exporter, nil, "netibis/link-export/v1 "+label, 32)
+	return key // nil on error
 }
 
 // AcceptLink runs the acceptor's half: verify the offer's identity and

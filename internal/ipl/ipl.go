@@ -37,16 +37,15 @@ func (id Identifier) IsZero() bool { return id.Name == "" && id.Pool == "" }
 
 // PortType groups the properties that send and receive ports of one
 // logical channel must agree on: the driver stack used for link
-// utilization and whether the link must be authenticated and encrypted.
-// Connecting ports of different types is an error, exactly as in Ibis.
+// utilization, which is also where a link asks to be authenticated and
+// encrypted — by naming the "secure" driver in it. Connecting ports of
+// different types is an error, exactly as in Ibis.
 type PortType struct {
 	// Name identifies the port type.
 	Name string
 	// Stack is the link utilization configuration, e.g.
 	// "zip:level=1/multi:streams=4/tcpblk".
 	Stack string
-	// Secure requests TLS on every connection of this type.
-	Secure bool
 }
 
 // ParseStack parses and validates the port type's driver stack,
@@ -61,7 +60,7 @@ func (pt PortType) ParseStack() (driver.Stack, error) {
 
 // Compatible reports whether two port types can be connected.
 func (pt PortType) Compatible(other PortType) bool {
-	return pt.Name == other.Name && pt.Stack == other.Stack && pt.Secure == other.Secure
+	return pt.Name == other.Name && pt.Stack == other.Stack
 }
 
 // PortID names one receive port of one Ibis instance.

@@ -59,8 +59,8 @@ func TestPortTypeStackAndCompatibility(t *testing.T) {
 	if pt.Compatible(PortType{Name: "bulk", Stack: "tcpblk"}) {
 		t.Fatal("different stacks should be incompatible")
 	}
-	if pt.Compatible(PortType{Name: "bulk", Stack: "zip:level=1/tcpblk", Secure: true}) {
-		t.Fatal("different security requirements should be incompatible")
+	if pt.Compatible(PortType{Name: "bulk", Stack: "zip:level=1/secure/tcpblk"}) {
+		t.Fatal("a sealed and an unsealed stack should be incompatible")
 	}
 }
 

@@ -765,3 +765,80 @@ func TestResumeReauthenticates(t *testing.T) {
 	alice.Close()
 	check()
 }
+
+// TestExportKeyBindsLink: both ends of a sealed link export the same key
+// for a label, and nothing else does — not a second link between the same
+// two nodes, not a link to a third node, not another label. A plaintext
+// link exports nil.
+func TestExportKeyBindsLink(t *testing.T) {
+	w := newAuthWorld(t, "relay-0")
+	alice := w.attach("alice", w.issue("alice"), true)
+	bob := w.attach("bob", w.issue("bob"), true)
+	carol := w.attach("carol", w.issue("carol"), true)
+
+	type exporter interface{ ExportKey(label string) []byte }
+	link := func(from, to *Client) (dialed, accepted exporter) {
+		t.Helper()
+		accepts := make(chan net.Conn, 1)
+		go func() {
+			conn, err := to.Accept()
+			if err != nil {
+				t.Error(err)
+			}
+			accepts <- conn
+		}()
+		conn, err := from.Dial(to.ID(), 2*time.Second)
+		if err != nil {
+			t.Fatalf("dial %s: %v", to.ID(), err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		accepted, ok := (<-accepts).(exporter)
+		if !ok {
+			t.Fatalf("%s accepted no link", to.ID())
+		}
+		return conn.(exporter), accepted
+	}
+
+	ab, ba := link(alice, bob)
+	key := ab.ExportKey("x")
+	if len(key) != 32 || !bytes.Equal(key, ba.ExportKey("x")) {
+		t.Fatalf("the two ends export %x and %x, want one 32-byte key", key, ba.ExportKey("x"))
+	}
+	ab2, _ := link(alice, bob)
+	ac, _ := link(alice, carol)
+	for what, other := range map[string][]byte{
+		"a second link between the same nodes": ab2.ExportKey("x"),
+		"a link to a third node":               ac.ExportKey("x"),
+		"another label":                        ab.ExportKey("y"),
+	} {
+		if len(other) != 32 || bytes.Equal(other, key) {
+			t.Errorf("%s exports %x; the first link's key is %x", what, other, key)
+		}
+	}
+
+	// No identities, no handshake, no key.
+	plain := NewServer()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go plain.Serve(ln)
+	defer plain.Close()
+	defer ln.Close()
+	anon := func(id string) *Client {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli, err := Attach(conn, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cli.Close() })
+		return cli
+	}
+	pd, pa := link(anon("dave"), anon("erin"))
+	if pd.ExportKey("x") != nil || pa.ExportKey("x") != nil {
+		t.Fatal("a plaintext link exported a key")
+	}
+}

@@ -450,3 +450,12 @@ func (rc *routedConn) SetWriteDeadline(t time.Time) error {
 
 // Peer returns the node ID of the remote end of the routed link.
 func (rc *routedConn) Peer() string { return rc.peer }
+
+// ExportKey returns a 32-byte key bound to label that only the two ends
+// of this sealed link can derive, or nil on a plaintext link.
+func (rc *routedConn) ExportKey(label string) []byte {
+	if rc.keys == nil {
+		return nil
+	}
+	return rc.keys.Export(label)
+}

@@ -127,7 +127,7 @@ type BatchFrame struct {
 // in the Writer's scratch and leaves as exactly one Write — the paper's
 // TCP_Block argument (one send per small message is ruinous) applied to
 // every control message; on a conn that is not a kernel TCP socket
-// (emulated, TLS, relay-routed) each Write is a link crossing. Above it
+// (emulated, relay-routed) each Write is a link crossing. Above it
 // the batch leaves as one vectored write of wire header plus non-empty
 // parts per frame (one writev on TCP, one Write per element elsewhere)
 // and nothing is copied or allocated: a block-sized frame, a buffered

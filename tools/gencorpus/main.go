@@ -9,11 +9,13 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 
+	"netibis/internal/drivers/secure"
 	"netibis/internal/estab"
 	"netibis/internal/identity"
 	"netibis/internal/wire"
@@ -39,6 +41,12 @@ func moduleRoot() string {
 }
 
 var root string // the module root, set by main
+
+// sink is a driver.Output that keeps what is written to it.
+type sink struct{ bytes.Buffer }
+
+func (*sink) Flush() error { return nil }
+func (*sink) Close() error { return nil }
 
 func write(pkg, target, name string, args ...any) {
 	dir := filepath.Join(root, "internal", pkg, "testdata", "fuzz", target)
@@ -182,9 +190,8 @@ func main() {
 	// core: the connect request (DESIGN.md, "Control-frame bodies"),
 	// which nests the initiator's profile.
 	connect := wire.AppendString(nil, "inbox")
-	connect = wire.AppendString(connect, "chan")
-	connect = wire.AppendString(connect, "zip/multi:streams=4/tcpblk")
-	connect = append(connect, 1)
+	typeDigest := sha256.Sum256(wire.AppendString(wire.AppendString(nil, "chan"), "zip/multi:streams=4/tcpblk"))
+	connect = wire.AppendBytes(connect, typeDigest[:])
 	connect = wire.AppendString(connect, "alice")
 	connect = wire.AppendString(connect, "pool")
 	connect = wire.AppendBytes(connect, estab.Profile{
@@ -193,6 +200,18 @@ func main() {
 	}.Encode())
 	write("core", "FuzzDecodeConnectRequest", "request", connect)
 	write("core", "FuzzDecodeConnectRequest", "request-truncated", connect[:len(connect)-9])
+
+	// drivers/secure: one sealed record under FuzzSealInput's fixed key,
+	// whole and cut mid-record.
+	var sealed sink
+	so, err := secure.NewSealOutput(&sealed, bytes.Repeat([]byte{7}, 32), 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	so.Write([]byte("one sealed record"))
+	so.Flush()
+	write("drivers/secure", "FuzzSealInput", "one-record", sealed.Bytes())
+	write("drivers/secure", "FuzzSealInput", "one-record-truncated", sealed.Bytes()[:sealed.Len()-5])
 
 	fmt.Println("corpus written")
 }
