@@ -166,6 +166,91 @@ func TestPurposeHeaderCarriesNoName(t *testing.T) {
 	}
 }
 
+// TestSecureMemberCannotCrashAcceptor: a member's brokering messages are
+// input from outside like any other. An authenticated member used to be
+// able to kill any node that owns a receive port with three frames on
+// its own service link — a plan, the election of a method the plan does
+// not name, the done marker — because the acceptor's establishment
+// returned no connection and no error, and the port's reader
+// dereferenced it. Now the establishment is a protocol error: bob
+// refuses the link, keeps serving that service link, and still accepts an
+// honest connect.
+func TestSecureMemberCannotCrashAcceptor(t *testing.T) {
+	g := newSecureGrid(t, 1)
+	alice := g.secureNode("alice", "site-a", stateful, nil)
+	bob := g.secureNode("bob", "site-b", stateful, nil)
+	mallory := g.secureNode("mallory", "site-m", stateful, nil)
+
+	pt := ipl.PortType{Name: "chan", Stack: "tcpblk"}
+	rp, err := bob.CreateReceivePort(pt, "inbox")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+
+	sl, err := mallory.serviceLinkTo("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := connectRequest{portName: "inbox", typeDigest: portTypeDigest(pt), sender: mallory.id, profile: mallory.Profile()}
+	if op, _ := request(t, sl, opConnect, encodeConnectRequest(req)); op != opConnectOK {
+		t.Fatalf("mallory's own connect request: reply op %d, want opConnectOK", op)
+	}
+	// The establishment's frames, written as DESIGN.md ("Control-frame
+	// bodies") lays them out: a mux message is stream ‖ method ‖ type ‖
+	// body, the done marker is the next frame kind and empty.
+	const (
+		kindMuxData, kindMuxDone = wire.KindUser + 0x28, wire.KindUser + 0x29
+		msgPlan, msgElect        = 5, 6
+	)
+	for _, f := range [][]byte{
+		{0, byte(estab.MethodNone), msgPlan, byte(estab.ClientServer)},
+		{0, byte(estab.MethodNone), msgElect, byte(estab.Proxy)},
+	} {
+		if err := sl.w.WriteFrame(kindMuxData, 0, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sl.w.WriteFrame(kindMuxDone, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Bob ends the connect with his own done marker, and took no source.
+	sl.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		f, err := sl.r.ReadFrame()
+		if err != nil {
+			t.Fatalf("waiting for bob's done marker: %v", err)
+		}
+		if f.Kind == kindMuxDone {
+			break
+		}
+	}
+	sl.conn.SetReadDeadline(time.Time{})
+	port := rp.(*receivePort)
+	port.mu.Lock()
+	sources := len(port.sources)
+	port.mu.Unlock()
+	if sources != 0 {
+		t.Fatalf("the receive port took %d source(s) from a failed establishment", sources)
+	}
+	if _, err := mallory.Ping("bob"); err != nil {
+		t.Fatalf("bob stopped serving the service link: %v", err)
+	}
+
+	sp, err := alice.CreateSendPort(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	if err := sp.Connect(rp.ID()); err != nil {
+		t.Fatalf("honest connect after the attack: %v", err)
+	}
+	sendText(t, sp, "still here")
+	if got, origin := recvText(t, rp); got != "still here" || origin != alice.Identifier() {
+		t.Fatalf("got %q from %v", got, origin)
+	}
+}
+
 // recordingConn records everything written through it, and everything
 // read from it: what the far end wrote.
 type recordingConn struct {
@@ -229,6 +314,55 @@ func TestProfilesCrossServiceLinkOncePerConnect(t *testing.T) {
 	defer rec.mu.Unlock()
 	if n := bytes.Count(rec.wrote.Bytes(), a.Profile().Encode()); n != 1 {
 		t.Fatalf("the initiator's profile crossed the service link %d times in one connect, want 1", n)
+	}
+	if n := bytes.Count(rec.read.Bytes(), b.Profile().Encode()); n != 1 {
+		t.Fatalf("the acceptor's profile crossed the service link %d times in one connect, want 1", n)
+	}
+}
+
+// TestConnectFrameCount pins what a cold connect puts on the service
+// link when the paper's simplest method wins: four frames from the
+// initiator (connect request, plan, election, done marker) and three from
+// the acceptor (connect-OK, its listening endpoint, done marker). The
+// losing candidates of the plan say nothing, and a round has no end
+// marker of its own.
+func TestConnectFrameCount(t *testing.T) {
+	g := newTestGrid(t)
+	a := g.node("alice", "site-a", stateful, nil)
+	b := g.node("bob", "site-b", emunet.SiteConfig{Firewall: emunet.Open}, nil)
+	rec := recordServiceLink(t, a, "bob")
+
+	sp, rp := channel(t, a, b, ipl.PortType{Name: "chan", Stack: "tcpblk"}, "inbox")
+	defer sp.Close()
+	defer rp.Close()
+	if m := SendPortMethods(sp)[rp.ID().String()]; m != estab.ClientServer {
+		t.Fatalf("connected via %v, want client/server", m)
+	}
+
+	frames := func(stream []byte) (n int, first wire.Frame) {
+		r := wire.NewReader(bytes.NewReader(stream))
+		for {
+			f, err := r.ReadFrame()
+			if err == io.EOF {
+				return n, first
+			}
+			if err != nil {
+				t.Fatalf("frame %d of the recorded stream: %v", n, err)
+			}
+			if n++; n == 1 {
+				first = f
+			}
+		}
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	sent, request := frames(rec.wrote.Bytes())
+	got, reply := frames(rec.read.Bytes())
+	if request.Flags != opConnect || reply.Flags != opConnectOK {
+		t.Fatalf("recorded streams start with ops %d and %d, want the connect request and its reply", request.Flags, reply.Flags)
+	}
+	if sent != 4 || got != 3 {
+		t.Fatalf("a cold client/server connect put %d frames from the initiator and %d from the acceptor on the service link, want 4 and 3", sent, got)
 	}
 }
 

@@ -792,18 +792,11 @@ func (n *Node) serviceLinkTo(peerName string) (*serviceLink, error) {
 	return sl, nil
 }
 
-func (n *Node) acceptTimeout() time.Duration {
-	if n.cfg.AcceptTimeout > 0 {
-		return n.cfg.AcceptTimeout
-	}
-	return estab.DefaultAcceptTimeout
-}
-
 // dialRouted opens a routed link to a peer node, retrying refusals and
 // detachments (the mesh's gossip window, or our own attachment being
 // resumed after a failover) until the accept timeout expires.
 func (n *Node) dialRouted(peerID string) (net.Conn, error) {
-	return estab.RetryRoutedDial(n.relayCli.Dial, peerID, n.acceptTimeout(), n.done)
+	return estab.RetryRoutedDial(n.relayCli.Dial, peerID, n.connector.ResolvedAcceptTimeout(), n.done)
 }
 
 // dropServiceLink evicts one cached service link (because an
@@ -960,9 +953,9 @@ func (n *Node) handleConnect(conn net.Conn, w *wire.Writer, payload []byte) erro
 	}
 
 	// Build the input side of the driver stack; every Accept call runs
-	// one brokered establishment over a mux stream of this service link,
-	// mirroring (and overlapping with) the Dial calls the initiator
-	// makes concurrently on its side.
+	// one brokered establishment over a mux conversation of this service
+	// link, mirroring (and overlapping with) the Dial calls the
+	// initiator makes concurrently on its side.
 	mux := estab.NewServiceMux(conn)
 	env := &driver.Env{
 		Accept: func() (net.Conn, error) {

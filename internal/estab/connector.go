@@ -3,7 +3,6 @@ package estab
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -15,20 +14,18 @@ import (
 	"netibis/internal/wire"
 )
 
-// Brokering protocol message types, carried in wire.KindHandshake frames
-// over the service link. msgListen..msgAbort form the per-method
-// conversation vocabulary; msgPlan..msgRaceDone are the racing-control
-// messages added on top (see race.go and DESIGN.md, "Racing
-// establishment").
+// Brokering protocol message types, the type byte of a ServiceMux message
+// (mux.go). The order is part of the decoder: the types below msgAbort
+// belong to a method's conversation, the ones above it are the
+// initiator's control messages (method 0), and msgAbort is both — under a
+// method it calls that attempt off, under method 0 the establishment.
 const (
-	msgListen   byte = iota + 1 // "I am listening at this endpoint, dial me"
-	msgSplice                   // "my predicted external endpoint for the splice is ..."
-	msgRouted                   // "I am opening a routed link to you" (empty: the link names its sender)
-	msgAbort                    // establishment failed on my side
-	msgPlan                     // initiator -> acceptor: ordered candidate list for the next round
-	msgRace                     // one tagged per-method conversation message (method, inner type, body)
-	msgElect                    // initiator -> acceptor: winner of the current round (MethodNone = round failed)
-	msgRaceDone                 // all of this side's conversations for the round have settled
+	msgListen byte = iota + 1 // "I am listening at this endpoint, dial me"
+	msgSplice                 // "my predicted external endpoint for the splice is ..."
+	msgRouted                 // "I am opening a routed link to you" (empty: the link names its sender)
+	msgAbort                  // failed on my side (empty)
+	msgPlan                   // ordered candidate list for the next round, one method byte each
+	msgElect                  // winner of the current round, one method byte (MethodNone = round failed)
 )
 
 // DefaultSpliceTimeout bounds how long a simultaneous open waits for the
@@ -79,8 +76,8 @@ func RetryRoutedDial(dial func(peerID string, timeout time.Duration) (net.Conn, 
 
 // Errors.
 var (
-	// ErrAborted is returned when the peer reported a failure during
-	// brokering.
+	// ErrAborted is returned when the initiator gave the establishment
+	// up.
 	ErrAborted = errors.New("estab: peer aborted connection establishment")
 	// ErrProtocol is returned on an unexpected brokering message.
 	ErrProtocol = errors.New("estab: brokering protocol error")
@@ -197,7 +194,8 @@ func (c *Connector) spliceTimeout() time.Duration {
 	return DefaultSpliceTimeout
 }
 
-func (c *Connector) acceptTimeout() time.Duration {
+// ResolvedAcceptTimeout is AcceptTimeout under its zero-value rule.
+func (c *Connector) ResolvedAcceptTimeout() time.Duration {
 	if c.AcceptTimeout > 0 {
 		return c.AcceptTimeout
 	}
@@ -217,41 +215,6 @@ func (c *Connector) Bootstrap(dst emunet.Endpoint) (net.Conn, error) {
 
 // --- brokered factory ---------------------------------------------------------------
 
-// broker wraps the service link with the frame protocol used during
-// establishment negotiation. Sends are serialised so the concurrent
-// method attempts of a race can share the link; reads are owned by a
-// single reader at a time (the acceptor's plan loop between rounds, the
-// race round reader within one). Method conversations run against a
-// methodBroker, the per-method tagged view of the race session (race.go).
-type broker struct {
-	r   *wire.Reader
-	wmu sync.Mutex
-	w   *wire.Writer
-}
-
-func newBroker(service io.ReadWriter) *broker {
-	return &broker{r: wire.NewReader(service), w: wire.NewWriter(service)}
-}
-
-func (b *broker) send(msgType byte, body []byte) error {
-	b.wmu.Lock()
-	defer b.wmu.Unlock()
-	return b.w.WriteFrame(wire.KindHandshake, msgType, body)
-}
-
-func (b *broker) recv() (byte, []byte, error) {
-	for {
-		f, err := b.r.ReadFrame()
-		if err != nil {
-			return 0, nil, err
-		}
-		if f.Kind != wire.KindHandshake {
-			continue // skip unrelated traffic (keep-alives)
-		}
-		return f.Flags, append([]byte(nil), f.Payload...), nil
-	}
-}
-
 // EstablishOpts carries per-peer context into EstablishInitiator.
 type EstablishOpts struct {
 	// PeerKey is a stable identifier for the peer endpoint (the
@@ -264,8 +227,8 @@ type EstablishOpts struct {
 // runMethod runs one establishment method's conversation over b. cancel,
 // when it fires, means the attempt lost the race and must wind down
 // promptly.
-func (c *Connector) runMethod(b *methodBroker, method Method, local, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
-	switch method {
+func (c *Connector) runMethod(b methodConv, local, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
+	switch b.m {
 	case ClientServer:
 		return c.establishClientServer(b, local, remote, initiator, cancel)
 	case Splicing:
@@ -283,7 +246,7 @@ func (c *Connector) runMethod(b *methodBroker, method Method, local, remote Prof
 // advertises it; the other side dials. Which side listens is decided
 // deterministically from the two profiles, so no extra negotiation is
 // needed.
-func (c *Connector) establishClientServer(b *methodBroker, local, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
+func (c *Connector) establishClientServer(b methodConv, local, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
 	// Prefer the acceptor as the listening side (matching the IPL's
 	// receive-port-listens convention) but fall back to whichever
 	// direction is dialable.
@@ -321,7 +284,7 @@ func (c *Connector) establishClientServer(b *methodBroker, local, remote Profile
 // requests towards each other's prediction. The exchange is ordered
 // (initiator advertises first) so it works over synchronous service
 // links; the connection requests themselves are simultaneous.
-func (c *Connector) establishSplicing(b *methodBroker, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
+func (c *Connector) establishSplicing(b methodConv, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
 	localPort := c.Host.AllocatePort()
 	predicted := c.Host.PredictExternalEndpoint(localPort)
 
@@ -346,7 +309,7 @@ func (c *Connector) establishSplicing(b *methodBroker, initiator bool, cancel <-
 
 // establishProxy: the side with a SOCKS proxy dials out through it; the
 // reachable side listens and advertises its endpoint.
-func (c *Connector) establishProxy(b *methodBroker, local, remote Profile, cancel <-chan struct{}) (net.Conn, error) {
+func (c *Connector) establishProxy(b methodConv, local, remote Profile, cancel <-chan struct{}) (net.Conn, error) {
 	if local.HasProxy && remote.Reachable() {
 		// Wait for the peer's listener endpoint, then CONNECT to it.
 		ep, err := recvEndpoint(b, msgListen)
@@ -374,21 +337,19 @@ func (c *Connector) establishProxy(b *methodBroker, local, remote Profile, cance
 
 // sendEndpoint announces an endpoint to the peer: string addr ‖ uvarint
 // port, the body of msgListen and msgSplice.
-func sendEndpoint(b *methodBroker, msgType byte, ep emunet.Endpoint) error {
+func sendEndpoint(b methodConv, msgType byte, ep emunet.Endpoint) error {
 	body := wire.AppendString(nil, string(ep.Addr))
 	return b.send(msgType, wire.AppendUvarint(body, uint64(ep.Port)))
 }
 
-// recvEndpoint waits for the peer's announcement of the given type. An
-// abort is ErrAborted; any other message, a truncated body, trailing
-// bytes or a port that is not one are ErrProtocol.
-func recvEndpoint(b *methodBroker, want byte) (emunet.Endpoint, error) {
+// recvEndpoint waits for the peer's announcement of the given type (the
+// peer's abort cancels the attempt, which fails the wait). Any other
+// message, a truncated body, trailing bytes or a port that is not one are
+// ErrProtocol.
+func recvEndpoint(b methodConv, want byte) (emunet.Endpoint, error) {
 	t, body, err := b.recv()
 	if err != nil {
 		return emunet.Endpoint{}, err
-	}
-	if t == msgAbort {
-		return emunet.Endpoint{}, ErrAborted
 	}
 	if t != want {
 		return emunet.Endpoint{}, fmt.Errorf("%w: expected message %d, got %d", ErrProtocol, want, t)
@@ -408,7 +369,7 @@ func decodeEndpoint(body []byte) (emunet.Endpoint, error) {
 
 // listenAndAccept is the listening half of a client/server or proxy
 // establishment: listen on a fresh port, advertise it, wait for the peer.
-func (c *Connector) listenAndAccept(b *methodBroker, cancel <-chan struct{}) (net.Conn, error) {
+func (c *Connector) listenAndAccept(b methodConv, cancel <-chan struct{}) (net.Conn, error) {
 	l, err := c.Host.Listen(0)
 	if err != nil {
 		b.send(msgAbort, nil)
@@ -418,14 +379,14 @@ func (c *Connector) listenAndAccept(b *methodBroker, cancel <-chan struct{}) (ne
 	if err := sendEndpoint(b, msgListen, emunet.Endpoint{Addr: c.Host.Address(), Port: l.Port()}); err != nil {
 		return nil, err
 	}
-	return acceptWithTimeout(l, c.acceptTimeout(), cancel)
+	return acceptWithTimeout(l, c.ResolvedAcceptTimeout(), cancel)
 }
 
 // establishRouted: the initiator opens a routed virtual link through the
 // relay; the acceptor waits for it. A canceled (race-lost) routed open
 // is abandoned — the far side receives an abandon frame and discards its
 // half of the link instead of keeping a half-open accept.
-func (c *Connector) establishRouted(b *methodBroker, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
+func (c *Connector) establishRouted(b methodConv, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
 	if c.Relay == nil {
 		b.send(msgAbort, nil)
 		return nil, ErrNoRelay
@@ -454,19 +415,16 @@ func (c *Connector) establishRouted(b *methodBroker, remote Profile, initiator b
 		// has not reached my relay yet" — the acceptor is already
 		// waiting, so the retries cover exactly the propagation window.
 		if remote.HomeRelay != "" && remote.HomeRelay == c.Relay.ServerID() {
-			conn, err := dialC(remote.RelayID, c.acceptTimeout())
+			conn, err := dialC(remote.RelayID, c.ResolvedAcceptTimeout())
 			if !errors.Is(err, relay.ErrDetached) {
 				return conn, err
 			}
 		}
-		return RetryRoutedDial(dialC, remote.RelayID, c.acceptTimeout(), cancel)
+		return RetryRoutedDial(dialC, remote.RelayID, c.ResolvedAcceptTimeout(), cancel)
 	}
 	t, body, err := b.recv()
 	if err != nil {
 		return nil, err
-	}
-	if t == msgAbort {
-		return nil, ErrAborted
 	}
 	if t != msgRouted {
 		return nil, fmt.Errorf("%w: expected routed, got message %d", ErrProtocol, t)
@@ -475,7 +433,7 @@ func (c *Connector) establishRouted(b *methodBroker, remote Profile, initiator b
 		return nil, fmt.Errorf("%w: routed cue carries a body", ErrProtocol)
 	}
 	if c.AcceptRouted != nil {
-		return c.AcceptRouted(remote.RelayID, c.acceptTimeout(), cancel)
+		return c.AcceptRouted(remote.RelayID, c.ResolvedAcceptTimeout(), cancel)
 	}
 	return c.acceptRelayDirect(cancel)
 }
@@ -508,7 +466,7 @@ func (c *Connector) acceptRelayDirect(cancel <-chan struct{}) (net.Conn, error) 
 			}
 		}()
 	})
-	deadline := time.After(c.acceptTimeout())
+	deadline := time.After(c.ResolvedAcceptTimeout())
 	for {
 		select {
 		case r := <-c.relayAccepts:

@@ -26,6 +26,11 @@
 //     skips the race entirely; a failure invalidates the entry and
 //     falls back to the full race.
 //
+// Both run on one conversation layer (mux.go): a ServiceMux owns the
+// service link for the length of a connect, gives every establishment a
+// Conversation, and routes each brokering message to the establishment
+// and the racing method it belongs to.
+//
 // The brokering wire protocol, the racing rounds and the cache
 // semantics are specified in DESIGN.md ("Racing establishment and the
 // connectivity cache"); connect latency per method, cold and cached, is

@@ -314,24 +314,19 @@ func Possible(m Method, initiator, acceptor Profile, bootstrap bool) bool {
 	}
 }
 
-// Decide walks the paper's precedence list (Figure 4) and returns the
-// first method that can connect the two endpoints.
+// Decide is the paper's decision tree (Figure 4): the first method of
+// the precedence list that can connect the two endpoints, which is the
+// head of RankCandidates.
 func Decide(initiator, acceptor Profile, bootstrap bool) (Method, error) {
-	for _, m := range Precedence {
-		if bootstrap && !Table1[m].Bootstrap {
-			continue
-		}
-		if Possible(m, initiator, acceptor, bootstrap) {
-			return m, nil
-		}
+	if ranked := RankCandidates(initiator, acceptor, bootstrap); len(ranked) > 0 {
+		return ranked[0], nil
 	}
 	return MethodNone, ErrNoMethod
 }
 
 // RankCandidates returns every method that can connect the two
-// endpoints, in precedence order. Decide returns the head of this list;
-// the racing establishment (race.go) uses the whole list as its
-// staggered launch plan.
+// endpoints, in precedence order; the racing establishment (race.go)
+// uses the whole list as its staggered launch plan.
 func RankCandidates(initiator, acceptor Profile, bootstrap bool) []Method {
 	var out []Method
 	for _, m := range Precedence {

@@ -1,39 +1,55 @@
 package estab
 
-// ServiceMux multiplexes several concurrent brokering conversations over
-// one service link.
+// ServiceMux is the one conversation layer between a connect's
+// establishments and the service link: it frames every brokering message,
+// routes it to the establishment and the racing method it belongs to, and
+// ends the connect with one barrier.
 //
 // A data link's driver stack may need several connections (the
 // parallel-streams driver brokers one per sub-stream), and every
 // establishment is an ordered conversation over the service link: run
 // one at a time they cost WAN-RTT × N of setup latency. The mux gives
-// each conversation its own numbered stream over the service link so the
-// conversations — and the connection establishments they drive — overlap.
+// each establishment its own numbered Conversation, and inside it one
+// ordered queue per racing method plus one for the initiator's control
+// messages (plan, elect, abort), so the establishments — and the method
+// attempts each of them races — overlap on the one link. A message is
+//
+//	uvarint stream ‖ byte method ‖ byte type ‖ body
+//
+// with method 0 (MethodNone) on the control messages. It has one shape:
+// a message cut inside its header, a method above Routed, an unknown
+// type, a control type under a method or the reverse, and any frame that
+// is neither a message nor the done marker end the whole mux with
+// ErrProtocol — the link is out of step and its owner drops it.
 //
 // Pairing needs no negotiation: both endpoints build the same driver
 // stack, so the k-th Dial on the initiator pairs with the k-th Accept on
-// the acceptor; each side numbers its streams 0,1,2,… in Open order, and
-// any establishment conversation is valid against any other (the
+// the acceptor; each side numbers its conversations 0,1,2,… in Open
+// order, and any establishment is valid against any other (the
 // parallel-streams driver reassembles by fragment sequence number, not
-// sub-stream identity), so concurrent Open order does not matter. This
-// holds for the racing protocol too: the race plan travels inside each
-// conversation (race.go), so every stream is self-describing, and the
-// connectivity cache deduplicates the races of sibling streams (the
-// first becomes the leader, the rest reuse its winner).
+// sub-stream identity), so concurrent Open order does not matter. The
+// race plan travels inside each conversation (race.go), so every one is
+// self-describing, and the connectivity cache deduplicates the races of
+// sibling conversations (the first becomes the leader, the rest reuse
+// its winner).
 //
 // Lifecycle: the mux owns the service connection from construction until
 // Finish has returned on both sides. Each side sends a done marker when
 // it will write no more (its stack build completed or failed); a side's
 // reader runs until it has received the peer's done, which guarantees
 // someone is always draining a synchronous link while the peer still
-// writes. Receiving the peer's done also fails every conversation still
-// waiting for data — no more will come — so a half-failed establishment
-// converges instead of hanging. After Finish the connection carries no
-// residual mux traffic and is reusable for ordinary service requests.
+// writes. That reader is the only one a connect has: a race's rounds
+// need no barrier of their own, because a late message of a finished
+// round is filed under its method, and no method runs twice in one
+// conversation. Receiving the peer's done also fails every receive still
+// pending — no more will come — so a half-failed establishment converges
+// instead of hanging. After Finish the connection carries no residual
+// mux traffic and is reusable for ordinary service requests.
 
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 
@@ -52,17 +68,54 @@ const (
 // counterpart conversation failed, no more data will come.
 var ErrEstablishmentEnded = errors.New("estab: peer finished establishment, conversation abandoned")
 
-// ServiceMux multiplexes concurrent brokering conversations over one
-// service connection. See the package comment of this file for the
-// protocol.
+// errControlFromAcceptor ends an initiator's conversation: plan, elect
+// and the untagged abort flow initiator → acceptor only.
+var errControlFromAcceptor = fmt.Errorf("%w: control message from the acceptor", ErrProtocol)
+
+// muxMsg is one decoded brokering message.
+type muxMsg struct {
+	stream uint64
+	method Method // MethodNone: a control message of the initiator
+	t      byte   // msgListen … msgElect
+	body   []byte
+}
+
+func appendMuxHeader(dst []byte, stream uint64, method Method, t byte) []byte {
+	return append(binary.AppendUvarint(dst, stream), byte(method), t)
+}
+
+// decodeMuxMessage parses a kindMuxData payload. The body aliases p. The
+// stream number must be minimally encoded, so a message has exactly one
+// encoding.
+func decodeMuxMessage(p []byte) (muxMsg, error) {
+	stream, k := binary.Uvarint(p)
+	if k <= 0 || (k > 1 && p[k-1] == 0) || len(p) < k+2 {
+		return muxMsg{}, fmt.Errorf("%w: mux message cut inside its header", ErrProtocol)
+	}
+	msg := muxMsg{stream: stream, method: Method(p[k]), t: p[k+1], body: p[k+2:]}
+	switch {
+	case msg.method > Routed:
+		return muxMsg{}, fmt.Errorf("%w: mux message for unknown method %d", ErrProtocol, p[k])
+	case msg.t < msgListen || msg.t > msgElect:
+		return muxMsg{}, fmt.Errorf("%w: unknown mux message type %d", ErrProtocol, msg.t)
+	case msg.t < msgAbort && msg.method == MethodNone, msg.t > msgAbort && msg.method != MethodNone:
+		return muxMsg{}, fmt.Errorf("%w: message type %d on the wrong conversation (method %d)", ErrProtocol, msg.t, p[k])
+	case msg.t == msgAbort && len(msg.body) != 0:
+		return muxMsg{}, fmt.Errorf("%w: abort carries a body", ErrProtocol)
+	}
+	return msg, nil
+}
+
+// ServiceMux multiplexes a connect's establishments over one service
+// connection. See the comment at the top of this file for the protocol.
 type ServiceMux struct {
 	wmu       sync.Mutex
 	w         *wire.Writer
 	localDone bool
 
 	smu      sync.Mutex
-	cond     *sync.Cond
-	streams  map[uint64]*muxStream
+	cond     *sync.Cond // signals every change to the fields below and to any Conversation
+	convs    map[uint64]*Conversation
 	nextID   uint64
 	peerDone bool
 	readErr  error
@@ -70,88 +123,110 @@ type ServiceMux struct {
 	rdone chan struct{}
 }
 
-// muxStream is one conversation's ordered byte stream over the mux.
-type muxStream struct {
-	m   *ServiceMux
-	id  uint64
-	buf []byte
+// Conversation is one establishment's share of the mux, and all the
+// state its race has: what EstablishInitiator and EstablishAcceptor run
+// on. Its fields are guarded by the mux's smu.
+type Conversation struct {
+	m  *ServiceMux
+	id uint64
+
+	// initiator is set once EstablishInitiator runs on the conversation:
+	// control messages flow initiator → acceptor only, so one arriving
+	// here is a violation (err).
+	initiator bool
+	err       error
+	// queues holds the undelivered messages per method conversation;
+	// queues[MethodNone] is the control queue, in arrival order.
+	queues [Routed + 1][]muxMsg
+	// canceled marks the methods whose attempt was called off — by the
+	// local round controller or by the peer's tagged abort — and attempts
+	// holds the cancel channel of each running one, closed exactly once.
+	// No method runs twice in a conversation, so neither is ever reset.
+	canceled [Routed + 1]bool
+	attempts [Routed + 1]chan struct{}
 }
 
 // NewServiceMux wraps a service connection and starts demultiplexing.
 // The caller must not touch the connection until Finish has returned.
 func NewServiceMux(service io.ReadWriter) *ServiceMux {
 	m := &ServiceMux{
-		w:       wire.NewWriter(service),
-		streams: make(map[uint64]*muxStream),
-		rdone:   make(chan struct{}),
+		w:     wire.NewWriter(service),
+		convs: make(map[uint64]*Conversation),
+		rdone: make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.smu)
 	go m.run(wire.NewReader(service))
 	return m
 }
 
-// Open allocates the next conversation stream.
-func (m *ServiceMux) Open() io.ReadWriter {
+// Open allocates the next conversation.
+func (m *ServiceMux) Open() *Conversation {
 	m.smu.Lock()
 	defer m.smu.Unlock()
 	id := m.nextID
 	m.nextID++
-	return m.streamLocked(id)
+	return m.convLocked(id)
 }
 
-func (m *ServiceMux) streamLocked(id uint64) *muxStream {
-	st, ok := m.streams[id]
+func (m *ServiceMux) convLocked(id uint64) *Conversation {
+	cv, ok := m.convs[id]
 	if !ok {
-		st = &muxStream{m: m, id: id}
-		m.streams[id] = st
+		cv = &Conversation{m: m, id: id}
+		m.convs[id] = cv
 	}
-	return st
+	return cv
 }
 
-// run demultiplexes incoming mux frames until the peer's done marker (or
-// a connection failure).
+// run is the connect's one reader: it routes incoming messages until the
+// peer's done marker, a connection failure or a malformed frame.
 func (m *ServiceMux) run(r *wire.Reader) {
 	defer close(m.rdone)
 	for {
 		f, err := r.ReadFrame()
-		if err != nil {
-			m.smu.Lock()
-			m.readErr = err
-			m.peerDone = true
-			m.cond.Broadcast()
-			m.smu.Unlock()
+		var msg muxMsg
+		switch {
+		case err != nil:
+		case f.Kind == kindMuxData:
+			msg, err = decodeMuxMessage(f.Payload)
+		case f.Kind != kindMuxDone:
+			err = fmt.Errorf("%w: frame kind %d inside an establishment", ErrProtocol, f.Kind)
+		}
+		last := err != nil || f.Kind == kindMuxDone
+		m.smu.Lock()
+		if last {
+			m.readErr, m.peerDone = err, true
+		} else {
+			m.convLocked(msg.stream).deliverLocked(msg)
+		}
+		m.cond.Broadcast()
+		m.smu.Unlock()
+		if last {
 			return
 		}
-		switch f.Kind {
-		case kindMuxData:
-			id, k := binary.Uvarint(f.Payload)
-			if k <= 0 {
-				continue
-			}
-			m.smu.Lock()
-			st := m.streamLocked(id)
-			st.buf = append(st.buf, f.Payload[k:]...)
-			m.cond.Broadcast()
-			m.smu.Unlock()
-		case kindMuxDone:
-			m.smu.Lock()
-			m.peerDone = true
-			m.cond.Broadcast()
-			m.smu.Unlock()
-			return
-		default:
-			// Stray frames (late pongs, keep-alives): not part of a
-			// conversation, skip.
-		}
+	}
+}
+
+// deliverLocked files one incoming message. A method-tagged abort is not
+// queued: it cancels the local attempt outright, which also reaches an
+// attempt blocked in a listener accept (which never calls recv), so the
+// round is not stalled for the full accept timeout.
+func (cv *Conversation) deliverLocked(msg muxMsg) {
+	switch {
+	case msg.method == MethodNone && cv.initiator:
+		cv.err = errControlFromAcceptor
+	case msg.method != MethodNone && msg.t == msgAbort:
+		cv.cancelLocked(msg.method)
+	default:
+		cv.queues[msg.method] = append(cv.queues[msg.method], msg)
 	}
 }
 
 // Finish announces that this side will broker no more (its stack build
 // completed or failed), waits until the peer has announced the same and
 // returns the service connection to its owner. It reports a connection
-// failure observed while demultiplexing; a clean establishment failure
-// of an individual conversation is reported by that conversation, not
-// here.
+// failure or a malformed frame observed while demultiplexing; a clean
+// establishment failure of an individual conversation is reported by
+// that conversation, not here.
 func (m *ServiceMux) Finish() error {
 	m.wmu.Lock()
 	var werr error
@@ -173,38 +248,88 @@ func (m *ServiceMux) Finish() error {
 	return err
 }
 
-// Read implements io.Reader for one conversation.
-func (s *muxStream) Read(p []byte) (int, error) {
-	m := s.m
-	m.smu.Lock()
-	defer m.smu.Unlock()
-	for len(s.buf) == 0 {
-		if m.readErr != nil {
-			return 0, m.readErr
-		}
-		if m.peerDone {
-			return 0, ErrEstablishmentEnded
-		}
-		m.cond.Wait()
+// asInitiator marks the conversation as the initiator's end.
+func (cv *Conversation) asInitiator() {
+	cv.m.smu.Lock()
+	defer cv.m.smu.Unlock()
+	cv.initiator = true
+	if len(cv.queues[MethodNone]) > 0 {
+		cv.err = errControlFromAcceptor
 	}
-	n := copy(p, s.buf)
-	s.buf = s.buf[n:]
-	return n, nil
 }
 
-// Write implements io.Writer for one conversation: the bytes travel as
-// one stream-tagged frame on the service link.
-func (s *muxStream) Write(p []byte) (int, error) {
-	var idb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(idb[:], s.id)
-	m := s.m
+// send puts one message of the conversation on the service link, as one
+// frame.
+func (cv *Conversation) send(method Method, t byte, body []byte) error {
+	var hdr [binary.MaxVarintLen64 + 2]byte
+	m := cv.m
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
 	if m.localDone {
-		return 0, ErrEstablishmentEnded
+		return ErrEstablishmentEnded
 	}
-	if err := m.w.WriteFrameBatch([]wire.BatchFrame{{Kind: kindMuxData, Hdr: idb[:n], Payload: p}}); err != nil {
-		return 0, err
+	return m.w.WriteFrameBatch([]wire.BatchFrame{{Kind: kindMuxData, Hdr: appendMuxHeader(hdr[:0], cv.id, method, t), Payload: body}})
+}
+
+// recv takes the next message of one method conversation (MethodNone:
+// the control queue), waiting for it until the conversation, the method's
+// attempt or the whole mux has ended.
+func (cv *Conversation) recv(method Method) (muxMsg, error) {
+	m := cv.m
+	m.smu.Lock()
+	defer m.smu.Unlock()
+	for {
+		q := cv.queues[method]
+		switch {
+		case cv.err != nil:
+			return muxMsg{}, cv.err
+		case len(q) > 0:
+			cv.queues[method] = q[1:]
+			return q[0], nil
+		case m.readErr != nil:
+			return muxMsg{}, m.readErr
+		case cv.canceled[method]:
+			return muxMsg{}, errRaceLost
+		case m.peerDone:
+			return muxMsg{}, ErrEstablishmentEnded
+		}
+		m.cond.Wait()
 	}
-	return len(p), nil
+}
+
+// ended reports why the conversation can carry no further round: a
+// protocol violation, a failed link, or a peer that is done.
+func (cv *Conversation) ended() error {
+	m := cv.m
+	m.smu.Lock()
+	defer m.smu.Unlock()
+	switch {
+	case cv.err != nil:
+		return cv.err
+	case m.readErr != nil:
+		return m.readErr
+	case m.peerDone:
+		return ErrEstablishmentEnded
+	}
+	return nil
+}
+
+// cancelAttempt cancels one method's attempt: the canceled flag wakes a
+// recv blocked on the method's queue, and closing the attempt's cancel
+// channel wakes its blocking primitives — listener accepts, splice
+// offers, routed dials. Safe to call for methods that were never
+// launched.
+func (cv *Conversation) cancelAttempt(method Method) {
+	cv.m.smu.Lock()
+	cv.cancelLocked(method)
+	cv.m.cond.Broadcast()
+	cv.m.smu.Unlock()
+}
+
+func (cv *Conversation) cancelLocked(method Method) {
+	cv.canceled[method] = true
+	if ch := cv.attempts[method]; ch != nil {
+		cv.attempts[method] = nil
+		close(ch)
+	}
 }

@@ -11,7 +11,8 @@ import (
 
 // TestServiceMuxConcurrentConversations runs N request/response
 // conversations concurrently over a single synchronous in-memory
-// connection — the shape of brokering N parallel sub-streams at once.
+// connection — the shape of brokering N parallel sub-streams at once —
+// each on two method conversations at a time, the shape of a race.
 func TestServiceMuxConcurrentConversations(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
@@ -20,45 +21,44 @@ func TestServiceMuxConcurrentConversations(t *testing.T) {
 	acceptor := NewServiceMux(c2)
 
 	const conversations = 8
+	methods := []Method{Splicing, Routed}
 	var wg sync.WaitGroup
-	errs := make(chan error, 2*conversations)
+	errs := make(chan error, 2*conversations*len(methods))
 
-	// Acceptor side: echo each conversation's request back with a prefix.
 	for i := 0; i < conversations; i++ {
-		s := acceptor.Open()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			req := make([]byte, 16)
-			if _, err := io.ReadFull(s, req); err != nil {
-				errs <- fmt.Errorf("acceptor read: %w", err)
-				return
-			}
-			if _, err := s.Write(append([]byte("echo:"), req...)); err != nil {
-				errs <- fmt.Errorf("acceptor write: %w", err)
-			}
-		}()
-	}
-	// Initiator side.
-	for i := 0; i < conversations; i++ {
-		s := initiator.Open()
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := bytes.Repeat([]byte{byte('a' + i)}, 16)
-			if _, err := s.Write(req); err != nil {
-				errs <- fmt.Errorf("initiator write: %w", err)
-				return
-			}
-			resp := make([]byte, 21)
-			if _, err := io.ReadFull(s, resp); err != nil {
-				errs <- fmt.Errorf("initiator read: %w", err)
-				return
-			}
-			if !bytes.Equal(resp, append([]byte("echo:"), req...)) {
-				errs <- fmt.Errorf("conversation %d cross-talk: got %q", i, resp)
-			}
-		}(i)
+		// Acceptor side: echo each request back with a prefix.
+		acc := acceptor.Open()
+		ini := initiator.Open()
+		for _, m := range methods {
+			wg.Add(2)
+			go func(m Method) {
+				defer wg.Done()
+				req, err := acc.recv(m)
+				if err != nil {
+					errs <- fmt.Errorf("acceptor recv: %w", err)
+					return
+				}
+				if err := acc.send(m, req.t, append([]byte("echo:"), req.body...)); err != nil {
+					errs <- fmt.Errorf("acceptor send: %w", err)
+				}
+			}(m)
+			go func(i int, m Method) {
+				defer wg.Done()
+				req := bytes.Repeat([]byte{byte('a' + i), byte(m)}, 8)
+				if err := ini.send(m, msgSplice, req); err != nil {
+					errs <- fmt.Errorf("initiator send: %w", err)
+					return
+				}
+				resp, err := ini.recv(m)
+				if err != nil {
+					errs <- fmt.Errorf("initiator recv: %w", err)
+					return
+				}
+				if resp.t != msgSplice || !bytes.Equal(resp.body, append([]byte("echo:"), req...)) {
+					errs <- fmt.Errorf("conversation %d, %v: cross-talk: got type %d, %q", i, m, resp.t, resp.body)
+				}
+			}(i, m)
+		}
 	}
 	wg.Wait()
 	close(errs)
@@ -79,7 +79,8 @@ func TestServiceMuxConcurrentConversations(t *testing.T) {
 
 // TestServiceMuxPeerDoneFailsPendingReads checks the failure path: when
 // one side finishes (e.g. its build failed), the other side's blocked
-// conversations error out instead of hanging.
+// conversations error out instead of hanging — a method's receive and
+// the control queue's alike.
 func TestServiceMuxPeerDoneFailsPendingReads(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
@@ -87,23 +88,30 @@ func TestServiceMuxPeerDoneFailsPendingReads(t *testing.T) {
 	a := NewServiceMux(c1)
 	b := NewServiceMux(c2)
 
-	blocked := make(chan error, 1)
+	blocked := make(chan error, 2)
 	s := b.Open()
-	go func() {
-		_, err := s.Read(make([]byte, 8))
-		blocked <- err
-	}()
+	for _, m := range []Method{MethodNone, Routed} {
+		go func(m Method) {
+			_, err := s.recv(m)
+			blocked <- err
+		}(m)
+	}
 
 	aFin := make(chan error, 1)
 	go func() { aFin <- a.Finish() }()
-	if err := <-blocked; err != ErrEstablishmentEnded {
-		t.Fatalf("blocked read got %v, want ErrEstablishmentEnded", err)
+	for range [2]int{} {
+		if err := <-blocked; err != ErrEstablishmentEnded {
+			t.Fatalf("blocked receive got %v, want ErrEstablishmentEnded", err)
+		}
 	}
 	if err := b.Finish(); err != nil {
 		t.Fatalf("b.Finish: %v", err)
 	}
 	if err := <-aFin; err != nil {
 		t.Fatalf("a.Finish: %v", err)
+	}
+	if err := s.send(Routed, msgRouted, nil); err != ErrEstablishmentEnded {
+		t.Fatalf("send after Finish got %v, want ErrEstablishmentEnded", err)
 	}
 }
 
@@ -116,10 +124,9 @@ func TestServiceMuxConnReusableAfterFinish(t *testing.T) {
 	a := NewServiceMux(c1)
 	b := NewServiceMux(c2)
 	s1, s2 := a.Open(), b.Open()
-	go s1.Write([]byte("ping"))
-	buf := make([]byte, 4)
-	if _, err := io.ReadFull(s2, buf); err != nil {
-		t.Fatal(err)
+	go s1.send(Routed, msgRouted, nil)
+	if msg, err := s2.recv(Routed); err != nil || msg.t != msgRouted {
+		t.Fatalf("recv: %+v, %v", msg, err)
 	}
 	fin := make(chan error, 2)
 	go func() { fin <- a.Finish() }()
@@ -136,4 +143,27 @@ func TestServiceMuxConnReusableAfterFinish(t *testing.T) {
 	if _, err := io.ReadFull(c2, after); err != nil || string(after) != "after" {
 		t.Fatalf("conn not clean after mux: %q %v", after, err)
 	}
+}
+
+// FuzzMuxMessage: the mux message decoder never panics, and a message it
+// accepts has exactly the encoding it arrived in.
+func FuzzMuxMessage(f *testing.F) {
+	for _, seed := range [][]byte{
+		append(appendMuxHeader(nil, 0, MethodNone, msgPlan), byte(ClientServer), byte(Routed)),
+		append(appendMuxHeader(nil, 300, Splicing, msgSplice), "\x0810.1.0.2\xd2\x09"...),
+		appendMuxHeader(nil, 1, Routed, msgAbort),
+		{0x80},
+		{},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		msg, err := decodeMuxMessage(data)
+		if err != nil {
+			return
+		}
+		if again := append(appendMuxHeader(nil, msg.stream, msg.method, msg.t), msg.body...); !bytes.Equal(again, data) {
+			t.Fatalf("%x decodes to %+v, which encodes to %x", data, msg, again)
+		}
+	})
 }

@@ -14,25 +14,25 @@ package estab
 // canceled and cleaned up (listener closed, splice offer withdrawn,
 // routed open abandoned so the far side discards its half).
 //
-// Protocol (all messages ride in wire.KindHandshake frames on the
-// service-link stream; both sides already hold each other's profile,
-// handed to EstablishInitiator/EstablishAcceptor by the caller):
+// Protocol. Every message is a ServiceMux message on the establishment's
+// Conversation (mux.go) — method 0 for the initiator's control messages,
+// the racing method for the rest; both sides already hold each other's
+// profile, handed to EstablishInitiator/EstablishAcceptor by the caller:
 //
 //	initiator                                acceptor
 //	   | -- msgPlan [m1 m2 ...] ----------------> |   ordered candidates
-//	   | <=> msgRace [m, inner, body...] <=====> |   per-method conversations
+//	   | <=> [m] msgListen/msgSplice/... <======> |   per-method conversations
 //	   | -- msgElect [m] ----------------------> |   winner (MethodNone: round failed)
-//	   | -- msgRaceDone -----------------------> |
-//	   | <----------------------- msgRaceDone -- |
 //
 // The initiator owns the election: methods complete at slightly
 // different instants on the two sides, so letting each side pick its own
 // first finisher could select different winners. After a failed round
 // the initiator either sends a new msgPlan (the cached-method round
-// falling back to a full race) or msgAbort (giving up). The msgRaceDone
-// barrier guarantees that when a round ends, no frame of it is still in
-// flight — each side keeps reading until the peer's done marker, so a
-// synchronous service link is always drained.
+// falling back to a full race) or msgAbort (giving up). A round has no
+// end marker of its own: a method runs in at most one round of a
+// conversation, so a message that arrives after its round is filed under
+// a method nobody reads again, and the connect's one done marker
+// (ServiceMux.Finish) is what drains the link.
 //
 // The per-pair connectivity Cache short-circuits the whole dance on
 // reconnect: a hit makes round one a single-candidate "race" of the
@@ -42,10 +42,9 @@ package estab
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -73,203 +72,18 @@ func (c *Connector) raceStagger() time.Duration {
 	}
 }
 
-// raceMsg is one tagged message delivered to a method conversation.
-type raceMsg struct {
-	t    byte
-	body []byte
+// methodConv is what a single method attempt talks through: its sends
+// are tagged with the method, its receives take from the method's queue.
+type methodConv struct {
+	cv *Conversation
+	m  Method
 }
 
-// raceSession demultiplexes the race-control protocol: per-method
-// message queues, the election, and the round-done barrier. One session
-// spans all rounds of an establishment; startRound resets the per-round
-// state and spawns the round's reader.
-type raceSession struct {
-	b *broker
+func (mc methodConv) send(t byte, body []byte) error { return mc.cv.send(mc.m, t, body) }
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queues   map[Method][]raceMsg
-	canceled map[Method]bool
-	attempts map[Method]chan struct{} // per-attempt cancel channels, close-once
-	elected  Method
-	hasElect bool
-	peerDone bool
-	err      error
-
-	roundDone chan struct{}
-}
-
-func newRaceSession(b *broker) *raceSession {
-	rs := &raceSession{b: b}
-	rs.cond = sync.NewCond(&rs.mu)
-	return rs
-}
-
-// startRound resets the round state and spawns the reader that routes
-// incoming frames until the peer's done marker.
-func (rs *raceSession) startRound() {
-	rs.mu.Lock()
-	rs.queues = make(map[Method][]raceMsg)
-	rs.canceled = make(map[Method]bool)
-	rs.attempts = make(map[Method]chan struct{})
-	rs.hasElect = false
-	rs.peerDone = false
-	rs.mu.Unlock()
-	rs.roundDone = make(chan struct{})
-	go rs.readRound()
-}
-
-// readRound routes incoming race frames to their consumers. It exits on
-// the peer's round-done marker — everything the peer will ever send for
-// this round precedes it — or on a connection failure.
-func (rs *raceSession) readRound() {
-	defer close(rs.roundDone)
-	for {
-		t, body, err := rs.b.recv()
-		if err != nil {
-			rs.fail(err)
-			return
-		}
-		switch t {
-		case msgRace:
-			if len(body) < 2 {
-				continue
-			}
-			m := Method(body[0])
-			if body[1] == msgAbort {
-				// The peer's side of this method failed. Cancel the
-				// local attempt outright rather than queueing the abort:
-				// cancellation reaches an attempt blocked in a listener
-				// accept (which never calls recv), so the round is not
-				// stalled for the full accept timeout.
-				rs.cancelAttempt(m)
-				continue
-			}
-			rs.mu.Lock()
-			rs.queues[m] = append(rs.queues[m], raceMsg{t: body[1], body: body[2:]})
-			rs.cond.Broadcast()
-			rs.mu.Unlock()
-		case msgElect:
-			if len(body) < 1 {
-				continue
-			}
-			rs.mu.Lock()
-			rs.elected = Method(body[0])
-			rs.hasElect = true
-			rs.cond.Broadcast()
-			rs.mu.Unlock()
-		case msgRaceDone:
-			rs.mu.Lock()
-			rs.peerDone = true
-			rs.cond.Broadcast()
-			rs.mu.Unlock()
-			return
-		case msgAbort:
-			rs.fail(ErrAborted)
-			return
-		default:
-			// Stray message (e.g. a frame of a conversation the peer
-			// started before processing our abort): ignore.
-		}
-	}
-}
-
-func (rs *raceSession) fail(err error) {
-	rs.mu.Lock()
-	if rs.err == nil {
-		rs.err = err
-	}
-	rs.cond.Broadcast()
-	rs.mu.Unlock()
-}
-
-// finishRound completes the round barrier: announce that all local
-// conversations have settled, then wait until the peer has announced the
-// same (the reader exits on it).
-func (rs *raceSession) finishRound() error {
-	rs.b.send(msgRaceDone, nil)
-	<-rs.roundDone
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.err != nil && rs.err != ErrAborted {
-		return rs.err
-	}
-	return nil
-}
-
-// cancelAttempt cancels one method's attempt: the canceled flag wakes a
-// recv blocked on the method's queue, and closing the attempt's cancel
-// channel (exactly once, guarded by the session lock) wakes its
-// blocking primitives — listener accepts, splice offers, routed dials.
-// Safe to call for methods that were never launched this round.
-func (rs *raceSession) cancelAttempt(m Method) {
-	rs.mu.Lock()
-	rs.canceled[m] = true
-	if ch, ok := rs.attempts[m]; ok {
-		delete(rs.attempts, m)
-		close(ch)
-	}
-	rs.cond.Broadcast()
-	rs.mu.Unlock()
-}
-
-// waitElect blocks until the initiator's election arrives (or the
-// session fails).
-func (rs *raceSession) waitElect() (Method, error) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	for {
-		if rs.hasElect {
-			return rs.elected, nil
-		}
-		if rs.err != nil {
-			return MethodNone, rs.err
-		}
-		if rs.peerDone {
-			return MethodNone, fmt.Errorf("%w: round ended without election", ErrProtocol)
-		}
-		rs.cond.Wait()
-	}
-}
-
-// methodBroker is what a single method conversation runs against: sends
-// are tagged with the method, receives consume the method's queue.
-type methodBroker struct {
-	rs     *raceSession
-	m      Method
-	cancel <-chan struct{}
-}
-
-func (mb *methodBroker) send(t byte, body []byte) error {
-	payload := make([]byte, 0, len(body)+2)
-	payload = append(payload, byte(mb.m), t)
-	payload = append(payload, body...)
-	return mb.rs.b.send(msgRace, payload)
-}
-
-func (mb *methodBroker) recv() (byte, []byte, error) {
-	rs := mb.rs
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	for {
-		if q := rs.queues[mb.m]; len(q) > 0 {
-			msg := q[0]
-			rs.queues[mb.m] = q[1:]
-			return msg.t, msg.body, nil
-		}
-		if rs.err != nil {
-			return 0, nil, rs.err
-		}
-		if rs.canceled[mb.m] {
-			return 0, nil, errRaceLost
-		}
-		if rs.peerDone {
-			// The peer settled all its conversations; nothing more will
-			// arrive for this one.
-			return 0, nil, ErrEstablishmentEnded
-		}
-		rs.cond.Wait()
-	}
+func (mc methodConv) recv() (byte, []byte, error) {
+	msg, err := mc.cv.recv(mc.m)
+	return msg.t, msg.body, err
 }
 
 // convResult is the outcome of one racing method attempt.
@@ -295,21 +109,20 @@ func discardLoserConn(conn net.Conn) {
 }
 
 // launchAttempt starts one method conversation in its own goroutine
-// with its own cancellation channel, registered on the session so both
-// the round controller and the reader (peer aborts) can fire it.
-func (c *Connector) launchAttempt(rs *raceSession, m Method, local, remote Profile, initiator bool, results chan<- convResult) {
+// with its own cancellation channel, registered on the conversation so
+// both the round controller and the mux reader (peer aborts) can fire it
+// — already closed when the peer aborted the method before its launch.
+func (c *Connector) launchAttempt(cv *Conversation, m Method, local, remote Profile, initiator bool, results chan<- convResult) {
 	cancel := make(chan struct{})
-	rs.mu.Lock()
-	if rs.canceled[m] {
-		// The peer aborted this method before we launched it.
+	cv.m.smu.Lock()
+	if cv.canceled[m] {
 		close(cancel)
 	} else {
-		rs.attempts[m] = cancel
+		cv.attempts[m] = cancel
 	}
-	rs.mu.Unlock()
-	mb := &methodBroker{rs: rs, m: m, cancel: cancel}
+	cv.m.smu.Unlock()
 	go func() {
-		conn, err := c.runMethod(mb, m, local, remote, initiator, cancel)
+		conn, err := c.runMethod(methodConv{cv, m}, local, remote, initiator, cancel)
 		results <- convResult{m: m, conn: conn, err: err}
 	}()
 }
@@ -317,69 +130,43 @@ func (c *Connector) launchAttempt(rs *raceSession, m Method, local, remote Profi
 // runRoundInitiator races the plan's methods with staggered starts and
 // elects the first success. It returns the winning connection, or an
 // error aggregating every attempt's failure.
-func (c *Connector) runRoundInitiator(rs *raceSession, plan []Method, local, remote Profile) (net.Conn, Method, error) {
-	rs.startRound()
+func (c *Connector) runRoundInitiator(cv *Conversation, plan []Method, local, remote Profile) (net.Conn, Method, error) {
 	stagger := c.raceStagger()
 	results := make(chan convResult, len(plan))
-
-	launch := func(i int) {
-		c.launchAttempt(rs, plan[i], local, remote, true, results)
+	started, finished := 0, 0
+	var staggerC <-chan time.Time // nil, which never fires, once the whole plan is launched
+	launchNext := func() {
+		c.launchAttempt(cv, plan[started], local, remote, true, results)
+		started++
+		staggerC = nil
+		if started < len(plan) {
+			staggerC = time.After(stagger)
+		}
+	}
+	launchNext()
+	for stagger <= 0 && started < len(plan) {
+		launchNext()
 	}
 
-	started, finished := 0, 0
 	var winner convResult
 	var failures []string
-	if stagger <= 0 {
-		for started < len(plan) {
-			launch(started)
-			started++
-		}
-	} else {
-		launch(0)
-		started = 1
-	}
-
-	var staggerC <-chan time.Time
-	if started < len(plan) {
-		staggerC = time.After(stagger)
-	}
 	for winner.conn == nil && finished < len(plan) {
-		if started < len(plan) && finished == started {
+		if finished == started {
 			// Every launched attempt already failed: no point honouring
 			// the remaining head start.
-			launch(started)
-			started++
-			staggerC = nil
-			if started < len(plan) {
-				staggerC = time.After(stagger)
-			}
+			launchNext()
 			continue
 		}
-		if staggerC != nil {
-			select {
-			case r := <-results:
-				finished++
-				if r.err == nil {
-					winner = r
-				} else {
-					failures = append(failures, fmt.Sprintf("%s: %v", r.m, r.err))
-				}
-			case <-staggerC:
-				launch(started)
-				started++
-				staggerC = nil
-				if started < len(plan) {
-					staggerC = time.After(stagger)
-				}
+		select {
+		case r := <-results:
+			finished++
+			if r.err == nil {
+				winner = r
+			} else {
+				failures = append(failures, fmt.Sprintf("%s: %v", r.m, r.err))
 			}
-			continue
-		}
-		r := <-results
-		finished++
-		if r.err == nil {
-			winner = r
-		} else {
-			failures = append(failures, fmt.Sprintf("%s: %v", r.m, r.err))
+		case <-staggerC:
+			launchNext()
 		}
 	}
 
@@ -387,10 +174,10 @@ func (c *Connector) runRoundInitiator(rs *raceSession, plan []Method, local, rem
 	// for the stragglers so nothing outlives the round.
 	for i := 0; i < started; i++ {
 		if winner.conn == nil || plan[i] != winner.m {
-			rs.cancelAttempt(plan[i])
+			cv.cancelAttempt(plan[i])
 		}
 	}
-	rs.b.send(msgElect, []byte{byte(winner.m)})
+	cv.send(MethodNone, msgElect, []byte{byte(winner.m)})
 	for finished < started {
 		r := <-results
 		finished++
@@ -399,12 +186,6 @@ func (c *Connector) runRoundInitiator(rs *raceSession, plan []Method, local, rem
 			// second success when the election had already happened).
 			discardLoserConn(r.conn)
 		}
-	}
-	if err := rs.finishRound(); err != nil {
-		if winner.conn != nil {
-			discardLoserConn(winner.conn)
-		}
-		return nil, MethodNone, err
 	}
 	if winner.conn == nil {
 		return nil, MethodNone, fmt.Errorf("estab: all establishment attempts failed [%s]", strings.Join(failures, "; "))
@@ -416,17 +197,16 @@ func (c *Connector) runRoundInitiator(rs *raceSession, plan []Method, local, rem
 // candidate conversation starts immediately (each mostly blocks until
 // the initiator's staggered tier speaks), the initiator's election picks
 // the survivor, everything else is canceled and discarded.
-func (c *Connector) runRoundAcceptor(rs *raceSession, plan []Method, local, remote Profile) (net.Conn, Method, error) {
-	rs.startRound()
+func (c *Connector) runRoundAcceptor(cv *Conversation, plan []Method, local, remote Profile) (net.Conn, Method, error) {
 	results := make(chan convResult, len(plan))
 	for _, m := range plan {
-		c.launchAttempt(rs, m, local, remote, false, results)
+		c.launchAttempt(cv, m, local, remote, false, results)
 	}
 
-	elected, electErr := rs.waitElect()
+	elected, electErr := cv.waitElect(plan)
 	for _, m := range plan {
 		if electErr != nil || m != elected {
-			rs.cancelAttempt(m)
+			cv.cancelAttempt(m)
 		}
 	}
 	var won convResult
@@ -437,12 +217,6 @@ func (c *Connector) runRoundAcceptor(rs *raceSession, plan []Method, local, remo
 		} else if r.err == nil {
 			discardLoserConn(r.conn)
 		}
-	}
-	if err := rs.finishRound(); err != nil {
-		if won.conn != nil {
-			discardLoserConn(won.conn)
-		}
-		return nil, MethodNone, err
 	}
 	if electErr != nil {
 		return nil, MethodNone, electErr
@@ -467,8 +241,9 @@ func (c *Connector) runRoundAcceptor(rs *raceSession, plan []Method, local, remo
 // profiles still allow, the full staggered race otherwise, and the
 // cached→full fallback in between — and returns the established link and
 // the method used.
-func (c *Connector) EstablishInitiator(service io.ReadWriter, remote Profile, opts EstablishOpts) (net.Conn, Method, error) {
-	rs, local := newRaceSession(newBroker(service)), c.Profile()
+func (c *Connector) EstablishInitiator(cv *Conversation, remote Profile, opts EstablishOpts) (net.Conn, Method, error) {
+	cv.asInitiator()
+	local := c.Profile()
 	start := time.Now()
 	c.Metrics.raceStarted()
 	candidates := RankCandidates(local, remote, false)
@@ -479,7 +254,7 @@ func (c *Connector) EstablishInitiator(service io.ReadWriter, remote Profile, op
 		c.Metrics.failed()
 		// The plan is initiator-authoritative: tell the acceptor
 		// explicitly.
-		rs.b.send(msgPlan, nil)
+		cv.send(MethodNone, msgPlan, nil)
 		return nil, MethodNone, ErrNoMethod
 	}
 
@@ -487,7 +262,7 @@ func (c *Connector) EstablishInitiator(service io.ReadWriter, remote Profile, op
 	plan := candidates
 	cachedRound := false
 	if useCache {
-		if m, ok := c.Cache.Lookup(opts.PeerKey); ok && methodIn(m, candidates) {
+		if m, ok := c.Cache.Lookup(opts.PeerKey); ok && slices.Contains(candidates, m) {
 			c.Metrics.cacheConsulted(true)
 			plan = []Method{m}
 			cachedRound = true
@@ -502,11 +277,11 @@ func (c *Connector) EstablishInitiator(service io.ReadWriter, remote Profile, op
 			// than deadlocking on it.
 			select {
 			case <-wait:
-				if m, ok := c.Cache.Lookup(opts.PeerKey); ok && methodIn(m, candidates) {
+				if m, ok := c.Cache.Lookup(opts.PeerKey); ok && slices.Contains(candidates, m) {
 					plan = []Method{m}
 					cachedRound = true
 				}
-			case <-time.After(c.acceptTimeout()):
+			case <-time.After(c.ResolvedAcceptTimeout()):
 			}
 			c.Metrics.cacheConsulted(cachedRound)
 		} else {
@@ -516,10 +291,10 @@ func (c *Connector) EstablishInitiator(service io.ReadWriter, remote Profile, op
 	}
 
 	for {
-		if err := rs.b.send(msgPlan, encodePlan(plan)); err != nil {
+		if err := cv.send(MethodNone, msgPlan, encodePlan(plan)); err != nil {
 			return nil, MethodNone, err
 		}
-		conn, m, err := c.runRoundInitiator(rs, plan, local, remote)
+		conn, m, err := c.runRoundInitiator(cv, plan, local, remote)
 		if err == nil {
 			if useCache {
 				c.Cache.Store(opts.PeerKey, m)
@@ -529,9 +304,9 @@ func (c *Connector) EstablishInitiator(service io.ReadWriter, remote Profile, op
 				traceKey(opts.PeerKey), m, cachedRound)
 			return conn, m, nil
 		}
-		if errors.Is(err, ErrEstablishmentEnded) || rs.sessionErr() != nil {
+		if ended := cv.ended(); ended != nil {
 			c.Metrics.failed()
-			return nil, MethodNone, err
+			return nil, MethodNone, ended
 		}
 		if cachedRound {
 			// The remembered winner stopped working: forget it and fall
@@ -540,7 +315,8 @@ func (c *Connector) EstablishInitiator(service io.ReadWriter, remote Profile, op
 			c.Metrics.cacheInvalidated()
 			c.Trace.Eventf("estab", "cached method %s to %s failed; falling back to full race",
 				plan[0], traceKey(opts.PeerKey))
-			plan = methodsWithout(candidates, plan[0])
+			failed := plan[0]
+			plan = slices.DeleteFunc(slices.Clone(candidates), func(m Method) bool { return m == failed })
 			cachedRound = false
 			if len(plan) > 0 {
 				continue
@@ -548,7 +324,7 @@ func (c *Connector) EstablishInitiator(service io.ReadWriter, remote Profile, op
 		}
 		c.Metrics.failed()
 		c.Trace.Eventf("estab", "establishment to %s failed: %v", traceKey(opts.PeerKey), err)
-		rs.b.send(msgAbort, nil)
+		cv.send(MethodNone, msgAbort, nil)
 		return nil, MethodNone, err
 	}
 }
@@ -556,61 +332,54 @@ func (c *Connector) EstablishInitiator(service io.ReadWriter, remote Profile, op
 // EstablishAcceptor is the passive counterpart of EstablishInitiator; it
 // must be called on the peer for every EstablishInitiator call, with the
 // initiator's profile. It follows the initiator's plans until a round
-// elects a winner or the initiator gives up.
-func (c *Connector) EstablishAcceptor(service io.ReadWriter, remote Profile) (net.Conn, Method, error) {
-	rs, local := newRaceSession(newBroker(service)), c.Profile()
+// elects a winner or the initiator gives up. A nil error comes with a
+// connection.
+func (c *Connector) EstablishAcceptor(cv *Conversation, remote Profile) (net.Conn, Method, error) {
+	local := c.Profile()
+	var ran [Routed + 1]bool // the methods this conversation's plans have named
 	for {
-		t, body, err := rs.b.recv()
+		body, err := cv.control(msgPlan)
 		if err != nil {
 			return nil, MethodNone, err
 		}
-		switch t {
-		case msgAbort:
-			return nil, MethodNone, ErrAborted
-		case msgPlan:
-			plan, perr := decodePlan(body)
-			if perr != nil {
-				return nil, MethodNone, perr
-			}
-			if len(plan) == 0 {
-				return nil, MethodNone, ErrNoMethod
-			}
-			conn, m, rerr := c.runRoundAcceptor(rs, plan, local, remote)
-			if errors.Is(rerr, errRoundFailed) {
-				continue // the initiator sends a new plan or gives up
-			}
-			return conn, m, rerr
-		default:
-			// Stray frame between rounds; ignore.
+		plan, err := decodePlan(body, &ran)
+		if err != nil {
+			return nil, MethodNone, err
 		}
+		conn, m, err := c.runRoundAcceptor(cv, plan, local, remote)
+		if !errors.Is(err, errRoundFailed) {
+			return conn, m, err
+		}
+		// The initiator sends a new plan or gives up.
 	}
 }
 
-// sessionErr reports a connection-level failure observed by the round
-// reader.
-func (rs *raceSession) sessionErr() error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.err
+// control takes the initiator's next control message, which is of the
+// wanted type or the abort that ends the establishment.
+func (cv *Conversation) control(want byte) ([]byte, error) {
+	msg, err := cv.recv(MethodNone)
+	switch {
+	case err != nil:
+		return nil, err
+	case msg.t == msgAbort:
+		return nil, ErrAborted
+	case msg.t != want:
+		return nil, fmt.Errorf("%w: expected control message %d, got %d", ErrProtocol, want, msg.t)
+	}
+	return msg.body, nil
 }
 
-func methodIn(m Method, set []Method) bool {
-	for _, x := range set {
-		if x == m {
-			return true
-		}
+// waitElect blocks until the initiator's election arrives: one method of
+// the round's plan, or MethodNone for a round without a winner.
+func (cv *Conversation) waitElect(plan []Method) (Method, error) {
+	body, err := cv.control(msgElect)
+	if err != nil {
+		return MethodNone, err
 	}
-	return false
-}
-
-func methodsWithout(set []Method, drop Method) []Method {
-	out := make([]Method, 0, len(set))
-	for _, m := range set {
-		if m != drop {
-			out = append(out, m)
-		}
+	if len(body) != 1 || (Method(body[0]) != MethodNone && !slices.Contains(plan, Method(body[0]))) {
+		return MethodNone, fmt.Errorf("%w: election %v names no method of the plan %v", ErrProtocol, body, plan)
 	}
-	return out
+	return Method(body[0]), nil
 }
 
 // encodePlan serialises an ordered candidate list (one method byte per
@@ -623,15 +392,28 @@ func encodePlan(plan []Method) []byte {
 	return out
 }
 
-// decodePlan parses a plan message, rejecting unknown methods so a
-// protocol skew fails loudly instead of racing garbage.
-func decodePlan(body []byte) ([]Method, error) {
+// decodePlan parses a plan message. ran holds the methods earlier plans
+// of the conversation named, and gains this plan's: a method is planned
+// at most once per conversation, which is what lets a late message of a
+// finished round be told from the next round's by its method alone. An
+// empty plan is the initiator's ErrNoMethod, and only as the first.
+func decodePlan(body []byte, ran *[Routed + 1]bool) ([]Method, error) {
+	if len(body) == 0 {
+		if *ran == ([Routed + 1]bool{}) {
+			return nil, ErrNoMethod
+		}
+		return nil, fmt.Errorf("%w: empty race plan after a round", ErrProtocol)
+	}
 	plan := make([]Method, 0, len(body))
 	for _, bm := range body {
 		m := Method(bm)
 		if m <= MethodNone || m > Routed {
 			return nil, fmt.Errorf("%w: unknown method %d in race plan", ErrProtocol, bm)
 		}
+		if ran[m] {
+			return nil, fmt.Errorf("%w: race plan names %v a second time", ErrProtocol, m)
+		}
+		ran[m] = true
 		plan = append(plan, m)
 	}
 	return plan, nil

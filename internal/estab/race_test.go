@@ -2,22 +2,36 @@ package estab
 
 import (
 	"errors"
+	"io"
 	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"netibis/internal/emunet"
+	"netibis/internal/testutil"
+	"netibis/internal/wire"
 )
 
 // establishPairOpts runs EstablishInitiator/EstablishAcceptor
-// concurrently over an in-memory service link, each side handed the
-// other's profile as core's connect request/reply would, and returns
-// both data links — or the error, so failure paths can be asserted too.
+// concurrently over an in-memory service link, each end wrapped in a
+// ServiceMux and each side handed the other's profile as core's connect
+// request/reply would, and returns both data links — or the error, so
+// failure paths can be asserted too.
 func establishPairOpts(t *testing.T, init, acc *Connector, opts EstablishOpts) (net.Conn, net.Conn, Method, error) {
 	t.Helper()
 	svcInit, svcAcc := net.Pipe()
 	defer svcInit.Close()
 	defer svcAcc.Close()
+	return establishOver(t, svcInit, svcAcc, init, acc, opts)
+}
+
+// establishOver is establishPairOpts on the caller's service link. Like
+// core, each side finishes its mux once its own establishment returned.
+func establishOver(t *testing.T, svcInit, svcAcc net.Conn, init, acc *Connector, opts EstablishOpts) (net.Conn, net.Conn, Method, error) {
+	t.Helper()
+	muxInit, muxAcc := NewServiceMux(svcInit), NewServiceMux(svcAcc)
 
 	type res struct {
 		conn net.Conn
@@ -26,11 +40,20 @@ func establishPairOpts(t *testing.T, init, acc *Connector, opts EstablishOpts) (
 	}
 	ch := make(chan res, 1)
 	go func() {
-		conn, m, err := acc.EstablishAcceptor(svcAcc, init.Profile())
+		conn, m, err := acc.EstablishAcceptor(muxAcc.Open(), init.Profile())
+		if ferr := muxAcc.Finish(); ferr != nil {
+			t.Errorf("acceptor's Finish: %v", ferr)
+		}
 		ch <- res{conn, m, err}
 	}()
-	conn, m, err := init.EstablishInitiator(svcInit, acc.Profile(), opts)
+	conn, m, err := init.EstablishInitiator(muxInit.Open(), acc.Profile(), opts)
+	if ferr := muxInit.Finish(); ferr != nil {
+		t.Errorf("initiator's Finish: %v", ferr)
+	}
 	r := <-ch
+	if (err == nil) != (conn != nil) || (r.err == nil) != (r.conn != nil) {
+		t.Fatalf("a nil error must come with a connection: initiator (%v, %v), acceptor (%v, %v)", conn, err, r.conn, r.err)
+	}
 	if err != nil {
 		if r.conn != nil {
 			r.conn.Close()
@@ -297,6 +320,57 @@ func TestPeerAbortUnblocksListener(t *testing.T) {
 	}
 }
 
+// handPeer drives one end of a service link frame by frame, standing in
+// for a peer that does not follow the protocol. What the node under test
+// writes is read and dropped.
+type handPeer struct {
+	conn    net.Conn
+	drained chan struct{}
+}
+
+func newHandPeer(conn net.Conn) *handPeer {
+	p := &handPeer{conn: conn, drained: make(chan struct{})}
+	go func() {
+		defer close(p.drained)
+		io.Copy(io.Discard, conn)
+	}()
+	return p
+}
+
+// frame is one wire frame of a handPeer's script.
+type frame struct {
+	kind    byte
+	payload []byte
+}
+
+// msg is a well-formed message of conversation 0.
+func msg(method Method, t byte, body ...byte) frame {
+	return frame{kindMuxData, append(appendMuxHeader(nil, 0, method, t), body...)}
+}
+
+var doneMarker = frame{kind: kindMuxDone}
+
+// play writes the script in the background (the link is synchronous, and
+// a node that has given up on it reads no more); the returned function
+// closes the link and waits for the writer and the drain to exit.
+func (p *handPeer) play(script ...frame) (stop func()) {
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		w := wire.NewWriter(p.conn)
+		for _, f := range script {
+			if w.WriteFrame(f.kind, 0, f.payload) != nil {
+				return
+			}
+		}
+	}()
+	return func() {
+		p.conn.Close()
+		<-written
+		<-p.drained
+	}
+}
+
 // TestRoutedCueCarriesNoBody: msgRouted is an empty cue. The acceptor
 // waits for the routed link of the peer whose profile it was handed; a
 // cue that tries to say who is coming is a protocol error.
@@ -304,33 +378,227 @@ func TestRoutedCueCarriesNoBody(t *testing.T) {
 	w := newWorld(t)
 	acc := w.connector(t, "cue-b", "race-a9", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
 	svcInit, svcAcc := net.Pipe()
-	defer svcInit.Close()
 	defer svcAcc.Close()
 
-	done := make(chan error, 1)
-	go func() {
-		conn, _, err := acc.EstablishAcceptor(svcAcc, Profile{HasRelay: true, RelayID: "race-i9"})
-		if conn != nil {
-			conn.Close()
-		}
-		done <- err
-	}()
 	// A hand-driven initiator: plan routed, cue with a body, elect it.
-	b := newBroker(svcInit)
-	go func() {
+	stop := newHandPeer(svcInit).play(
+		msg(MethodNone, msgPlan, byte(Routed)),
+		msg(Routed, msgRouted, []byte("race-a1")...),
+		msg(MethodNone, msgElect, byte(Routed)),
+		doneMarker)
+	defer stop()
+	mux := NewServiceMux(svcAcc)
+	conn, _, err := acc.EstablishAcceptor(mux.Open(), Profile{HasRelay: true, RelayID: "race-i9"})
+	if conn != nil {
+		conn.Close()
+	}
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("acceptor returned %v for a routed cue with a body, want ErrProtocol", err)
+	}
+	if err := mux.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+}
+
+// TestElectOutsidePlanIsProtocolError: the election names a method of the
+// round's plan or MethodNone. Electing anything else used to make the
+// acceptor return no connection and no error, which its caller
+// dereferenced.
+func TestElectOutsidePlanIsProtocolError(t *testing.T) {
+	w := newWorld(t)
+	acc := w.connector(t, "elect-b", "race-a10", emunet.SiteConfig{Firewall: emunet.Open}, false)
+	svcInit, svcAcc := net.Pipe()
+	defer svcAcc.Close()
+
+	stop := newHandPeer(svcInit).play(
+		msg(MethodNone, msgPlan, byte(ClientServer)),
+		msg(MethodNone, msgElect, byte(Proxy)),
+		doneMarker)
+	defer stop()
+	mux := NewServiceMux(svcAcc)
+	conn, _, err := acc.EstablishAcceptor(mux.Open(), Profile{Firewalled: true, HasRelay: true, RelayID: "race-i10"})
+	if conn != nil || !errors.Is(err, ErrProtocol) {
+		t.Fatalf("electing a method outside the plan: conn=%v err=%v, want no connection and ErrProtocol", conn, err)
+	}
+	if err := mux.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+}
+
+// TestEstabStrictDecode: the establishment protocol has one shape, and
+// everything else ends the conversation with ErrProtocol rather than
+// being skipped — a malformed mux message, a message on the wrong
+// conversation or from the wrong side, a plan or an election that breaks
+// the round rules. The first two scripts are well formed and end
+// otherwise, which shows the harness is not what raises ErrProtocol.
+func TestEstabStrictDecode(t *testing.T) {
+	w := newWorld(t)
+	acc := w.connector(t, "strict-b", "race-a11", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
+	init := w.connector(t, "strict-a", "race-i11", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
+	init.ForcedMethod = ClientServer // as the dialing side: one attempt, waiting for msgListen
+	open := Profile{HasRelay: true, RelayID: "race-x11"}
+
+	plan := func(ms ...Method) frame { return msg(MethodNone, msgPlan, encodePlan(ms)...) }
+	elect := func(m Method) frame { return msg(MethodNone, msgElect, byte(m)) }
+	raw := func(p ...byte) frame { return frame{kindMuxData, p} }
+	for _, tc := range []struct {
+		name      string
+		initiator bool // the side under test; the script is its peer's
+		script    []frame
+		want      error
+	}{
+		{"empty first plan", false, []frame{plan()}, ErrNoMethod},
+		{"abort", false, []frame{msg(MethodNone, msgAbort)}, ErrAborted},
+
+		{"message cut inside the stream number", false, []frame{raw(0x80)}, ErrProtocol},
+		{"message cut inside the method", false, []frame{raw(0)}, ErrProtocol},
+		{"message cut inside the type", false, []frame{raw(0, byte(Routed))}, ErrProtocol},
+		{"stream number not minimally encoded", false, []frame{raw(0x80, 0, 0, msgPlan, byte(Routed))}, ErrProtocol},
+		{"method above Routed", false, []frame{msg(Routed+1, msgListen)}, ErrProtocol},
+		{"type zero", false, []frame{msg(MethodNone, 0)}, ErrProtocol},
+		{"type above msgElect", false, []frame{msg(MethodNone, msgElect+1)}, ErrProtocol},
+		{"control type on a method conversation", false, []frame{msg(Routed, msgPlan, byte(Routed))}, ErrProtocol},
+		{"method type on the control conversation", false, []frame{msg(MethodNone, msgRouted)}, ErrProtocol},
+		{"abort with a body", false, []frame{msg(MethodNone, msgAbort, 1)}, ErrProtocol},
+		{"frame that is no mux message", false, []frame{{wire.KindControl, nil}}, ErrProtocol},
+
+		{"plan naming an unknown method", false, []frame{plan(Routed + 1)}, ErrProtocol},
+		{"plan naming MethodNone", false, []frame{plan(MethodNone)}, ErrProtocol},
+		{"plan repeating a method", false, []frame{plan(Routed, Routed)}, ErrProtocol},
+		{"plan naming a method already run", false, []frame{plan(Routed), elect(MethodNone), plan(Splicing, Routed)}, ErrProtocol},
+		{"empty plan after a round", false, []frame{plan(Routed), elect(MethodNone), plan()}, ErrProtocol},
+		{"election before any plan", false, []frame{elect(MethodNone)}, ErrProtocol},
+		{"plan inside a round", false, []frame{plan(Routed), plan(Splicing)}, ErrProtocol},
+		{"election of two methods", false, []frame{plan(Routed), msg(MethodNone, msgElect, byte(Routed), byte(Routed))}, ErrProtocol},
+		{"empty election", false, []frame{plan(Routed), msg(MethodNone, msgElect)}, ErrProtocol},
+		{"election outside the plan", false, []frame{plan(Routed), elect(Splicing)}, ErrProtocol},
+
+		{"plan from the acceptor", true, []frame{plan(Routed)}, ErrProtocol},
+		{"election from the acceptor", true, []frame{elect(MethodNone)}, ErrProtocol},
+		{"establishment abort from the acceptor", true, []frame{msg(MethodNone, msgAbort)}, ErrProtocol},
+	} {
+		hand, svc := net.Pipe()
+		stop := newHandPeer(hand).play(append(tc.script, doneMarker)...)
+		mux := NewServiceMux(svc)
+		var conn net.Conn
+		var err error
+		if tc.initiator {
+			conn, _, err = init.EstablishInitiator(mux.Open(), open, EstablishOpts{})
+		} else {
+			conn, _, err = acc.EstablishAcceptor(mux.Open(), open)
+		}
+		if conn != nil || !errors.Is(err, tc.want) {
+			t.Errorf("%s: conn=%v err=%v, want no connection and %v", tc.name, conn, err, tc.want)
+		}
+		// A malformed frame ends the whole mux, and Finish says so; a
+		// well-formed message that breaks a rule ends its conversation.
+		if ferr := mux.Finish(); ferr != nil && !(errors.Is(ferr, ErrProtocol) && errors.Is(err, ErrProtocol)) {
+			t.Errorf("%s: Finish: %v", tc.name, ferr)
+		}
+		stop()
+		svc.Close()
+	}
+}
+
+// TestFallbackRoundIgnoresLateFrames: a race's rounds share the
+// conversation with no barrier between them, because a method belongs to
+// one round only. Over a synchronous link the cached method (client/
+// server) fails, the initiator sends the second plan at once, and only
+// then do the acceptor's msgListen of the failed method and an abort of
+// it arrive. The second round elects its winner all the same, neither
+// late message reaches one of its attempts, and nothing is left running.
+func TestFallbackRoundIgnoresLateFrames(t *testing.T) {
+	w := newWorld(t)
+	init := w.connector(t, "late-a", "race-i12", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
+	acc := w.connector(t, "late-b", "race-a12", emunet.SiteConfig{Firewall: emunet.Open}, false)
+	init.RaceStagger = time.Hour // round two is decided by its first method alone
+	init.Cache = NewCache(0)
+	init.Cache.Store("race-a12", ClientServer)
+	checkLeaks := testutil.LeakCheck(t, 0)
+
+	// The man in the middle: it withholds the acceptor's msgListen, fails
+	// the method with an abort in its place, and delivers the withheld
+	// message and a second abort right behind the initiator's second plan.
+	svcInit, midInit := net.Pipe()
+	midAcc, svcAcc := net.Pipe()
+	var toInitMu sync.Mutex
+	toInit := wire.NewWriter(midInit)
+	forward := func(from net.Conn, to *wire.Writer, mu *sync.Mutex, tamper func(muxMsg, frame) []frame) {
+		r := wire.NewReader(from)
 		for {
-			if _, _, err := b.recv(); err != nil {
+			f, err := r.ReadFrame()
+			if err != nil {
+				t.Errorf("relaying the service link: %v", err)
+				return
+			}
+			out := []frame{{f.Kind, f.Payload}}
+			if f.Kind == kindMuxData {
+				m, err := decodeMuxMessage(f.Payload)
+				if err != nil {
+					t.Errorf("relaying the service link: %v", err)
+					return
+				}
+				out = tamper(m, out[0])
+			}
+			mu.Lock()
+			for _, o := range out {
+				to.WriteFrame(o.kind, 0, o.payload)
+			}
+			mu.Unlock()
+			if f.Kind == kindMuxDone {
 				return
 			}
 		}
-	}()
-	b.send(msgPlan, encodePlan([]Method{Routed}))
-	b.send(msgRace, append([]byte{byte(Routed), msgRouted}, "race-a1"...))
-	b.send(msgElect, []byte{byte(Routed)})
-	b.send(msgRaceDone, nil)
-	if err := <-done; !errors.Is(err, ErrProtocol) {
-		t.Fatalf("acceptor returned %v for a routed cue with a body, want ErrProtocol", err)
 	}
+	var relays sync.WaitGroup
+	relays.Add(2)
+	withheld := make(chan frame, 1)
+	go func() { // acceptor → initiator
+		defer relays.Done()
+		forward(midAcc, toInit, &toInitMu, func(m muxMsg, f frame) []frame {
+			if m.method == ClientServer && m.t == msgListen {
+				withheld <- f
+				return []frame{msg(ClientServer, msgAbort)}
+			}
+			return []frame{f}
+		})
+	}()
+	go func() { // initiator → acceptor
+		defer relays.Done()
+		plans := 0
+		var toAccMu sync.Mutex
+		forward(midInit, wire.NewWriter(midAcc), &toAccMu, func(m muxMsg, f frame) []frame {
+			if m.t == msgPlan {
+				if plans++; plans == 2 {
+					// Behind the plan, and before anything the acceptor
+					// answers it with.
+					toInitMu.Lock()
+					defer toInitMu.Unlock()
+					late := <-withheld
+					toInit.WriteFrame(late.kind, 0, late.payload)
+					toInit.WriteFrame(kindMuxData, 0, msg(ClientServer, msgAbort).payload)
+				}
+			}
+			return []frame{f}
+		})
+	}()
+
+	a, b, m, err := establishOver(t, svcInit, svcAcc, init, acc, EstablishOpts{PeerKey: "race-a12"})
+	if err != nil {
+		t.Fatalf("fallback round: %v", err)
+	}
+	if m != Splicing {
+		t.Fatalf("method = %v, want Splicing, the head of the second plan", m)
+	}
+	if got, ok := init.Cache.Lookup("race-a12"); !ok || got != Splicing {
+		t.Fatalf("cache after the fallback = %v/%v, want Splicing", got, ok)
+	}
+	verifyLink(t, a, b)
+	relays.Wait()
+	for _, c := range []net.Conn{svcInit, midInit, midAcc, svcAcc} {
+		c.Close()
+	}
+	checkLeaks()
 }
 
 // TestConnectorTimeoutDefaults pins the documented zero-value rule: both
@@ -340,17 +608,17 @@ func TestConnectorTimeoutDefaults(t *testing.T) {
 	if got := c.spliceTimeout(); got != DefaultSpliceTimeout {
 		t.Fatalf("zero SpliceTimeout resolves to %v, want %v", got, DefaultSpliceTimeout)
 	}
-	if got := c.acceptTimeout(); got != DefaultAcceptTimeout {
+	if got := c.ResolvedAcceptTimeout(); got != DefaultAcceptTimeout {
 		t.Fatalf("zero AcceptTimeout resolves to %v, want %v", got, DefaultAcceptTimeout)
 	}
 	c.SpliceTimeout = -time.Second
 	c.AcceptTimeout = -time.Second
-	if c.spliceTimeout() != DefaultSpliceTimeout || c.acceptTimeout() != DefaultAcceptTimeout {
+	if c.spliceTimeout() != DefaultSpliceTimeout || c.ResolvedAcceptTimeout() != DefaultAcceptTimeout {
 		t.Fatal("negative timeouts must resolve to the defaults too")
 	}
 	c.SpliceTimeout = 7 * time.Second
 	c.AcceptTimeout = 9 * time.Second
-	if c.spliceTimeout() != 7*time.Second || c.acceptTimeout() != 9*time.Second {
+	if c.spliceTimeout() != 7*time.Second || c.ResolvedAcceptTimeout() != 9*time.Second {
 		t.Fatal("positive timeouts must be used as-is")
 	}
 }
@@ -403,7 +671,7 @@ func TestRankCandidates(t *testing.T) {
 	if err != nil || d != got[0] {
 		t.Fatalf("Decide (%v) is not the head of RankCandidates (%v)", d, got)
 	}
-	if cands := RankCandidates(open, open, false); !methodIn(ClientServer, cands) {
+	if cands := RankCandidates(open, open, false); !slices.Contains(cands, ClientServer) {
 		t.Fatalf("open pair lost client/server: %v", cands)
 	}
 }

@@ -34,10 +34,10 @@ const (
 	KindControl
 	// KindClose announces an orderly shutdown of the link.
 	KindClose
-	// KindHandshake carries establishment/negotiation payloads.
-	KindHandshake
-	// KindKeepAlive keeps relay-routed links warm.
-	KindKeepAlive
+	// KindKeepAlive keeps relay-routed links warm. Kind 4 is unassigned:
+	// the establishment framing that held it is gone, and a number is not
+	// handed out twice.
+	KindKeepAlive byte = 5
 	// KindUser is the first kind available for driver-private use.
 	KindUser byte = 0x20
 )

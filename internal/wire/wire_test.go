@@ -43,7 +43,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameKindsDistinct(t *testing.T) {
-	kinds := []byte{KindData, KindFlush, KindControl, KindClose, KindHandshake, KindKeepAlive, KindUser}
+	kinds := []byte{KindData, KindFlush, KindControl, KindClose, KindKeepAlive, KindUser}
 	seen := map[byte]bool{}
 	for _, k := range kinds {
 		if seen[k] {

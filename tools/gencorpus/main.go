@@ -201,6 +201,28 @@ func main() {
 	write("core", "FuzzDecodeConnectRequest", "request", connect)
 	write("core", "FuzzDecodeConnectRequest", "request-truncated", connect[:len(connect)-9])
 
+	// estab: one mux message per type, whole and cut by a byte (uvarint
+	// stream ‖ byte method ‖ byte type ‖ body; the type numbers and the
+	// bodies are in DESIGN.md, "Control-frame bodies").
+	endpoint := wire.AppendUvarint(wire.AppendString(nil, "10.1.0.2"), 40001)
+	for _, m := range []struct {
+		name   string
+		method estab.Method
+		t      byte
+		body   []byte
+	}{
+		{"listen", estab.ClientServer, 1, endpoint},
+		{"splice", estab.Splicing, 2, endpoint},
+		{"routed", estab.Routed, 3, nil},
+		{"abort", estab.Proxy, 4, nil},
+		{"plan", estab.MethodNone, 5, []byte{byte(estab.ClientServer), byte(estab.Splicing), byte(estab.Routed)}},
+		{"elect", estab.MethodNone, 6, []byte{byte(estab.Splicing)}},
+	} {
+		full := append(append(wire.AppendUvarint(nil, 3), byte(m.method), m.t), m.body...)
+		write("estab", "FuzzMuxMessage", m.name, full)
+		write("estab", "FuzzMuxMessage", m.name+"-truncated", full[:len(full)-1])
+	}
+
 	// drivers/secure: one sealed record under FuzzSealInput's fixed key,
 	// whole and cut mid-record.
 	var sealed sink
