@@ -6,7 +6,7 @@
 //     use, including a second Release, is a refcount bug that corrupts
 //     the pool (or panics) only under load.
 //   - A function that acquired a reference (wire.GetBuf, ReadFrameBuf,
-//     driver.ReadBuf, BufCursor.Take, Retain) must consume it on every
+//     any call returning a *wire.Buf, Retain) must consume it on every
 //     error return: the error path is exactly the path tests forget,
 //     and a leaked pooled Buf is unreclaimable.
 //   - A Buf that enters a loop holding a single reference must not be
@@ -707,14 +707,6 @@ func (c *checker) acquisition(call *ast.CallExpr) string {
 		}
 	case "ReadFrameBuf":
 		return "ReadFrameBuf"
-	case "ReadBuf":
-		return "ReadBuf"
-	case "Take":
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			if analysis.IsNamedType(sig.Recv().Type(), pkg, "BufCursor") {
-				return "BufCursor.Take"
-			}
-		}
 	}
 	// Any other function returning a *wire.Buf hands over an owned
 	// reference by repository convention (borrowed returns do not

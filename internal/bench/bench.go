@@ -135,7 +135,7 @@ func MeasureCompression(kind workload.Kind, bytes int) CompressionProfile {
 	}
 	payload := workload.Generate(kind, bytes, 1)
 	sink := &discardOutput{}
-	out, err := zip.NewOutput(sink, 1, 0)
+	out, err := zip.NewOutputOptions(sink, zip.Options{Level: 1})
 	if err != nil {
 		return CompressionProfile{Ratio: 1, MeasuredBps: 0, EraBps: EraCompressorBps}
 	}
@@ -400,7 +400,7 @@ func ZlibLevels() []ZlibLevelRow {
 	baseline := 0.0
 	for _, level := range []int{1, 3, 6, 9} {
 		sink := &discardOutput{}
-		out, err := zip.NewOutput(sink, level, 0)
+		out, err := zip.NewOutputOptions(sink, zip.Options{Level: level})
 		if err != nil {
 			continue
 		}

@@ -2,13 +2,12 @@ package driver
 
 import "netibis/internal/wire"
 
-// BufCursor serves the io.Reader/BufReader contracts of an Input from a
-// sequence of owned Bufs: drivers load each decoded block into the
-// cursor and either copy it out piecewise (Read) or hand it over whole
-// (ReadBuf). It single-sources the refcount-sensitive consumption
-// logic — release exactly once when a block is exhausted, handed over,
-// or dropped — that every block-oriented Input otherwise duplicates.
-// Not safe for concurrent use; callers hold their Input's lock.
+// BufCursor serves the io.Reader contract of an Input from a sequence
+// of owned Bufs: BlockInput and the parallel-streams reassembler load
+// each decoded block into the cursor and copy it out piecewise. It
+// single-sources the refcount-sensitive consumption logic — release
+// exactly once when a block is exhausted or dropped. Not safe for
+// concurrent use; callers hold their Input's lock.
 type BufCursor struct {
 	cur *wire.Buf
 	pos int
@@ -40,21 +39,6 @@ func (c *BufCursor) Copy(p []byte) int {
 		c.pos = 0
 	}
 	return n
-}
-
-// Take hands the unconsumed remainder out as an owned Buf — copy-free
-// unless a prior Copy consumed a prefix, in which case the remainder is
-// re-buffered. It must only be called while Loaded.
-func (c *BufCursor) Take() *wire.Buf {
-	b := c.cur
-	if c.pos > 0 {
-		rest := wire.GetBuf(b.Len() - c.pos)
-		copy(rest.Bytes(), b.Bytes()[c.pos:])
-		b.Release()
-		b = rest
-	}
-	c.cur, c.pos = nil, 0
-	return b
 }
 
 // Drop releases any held Buf (teardown).

@@ -10,6 +10,16 @@
 // composable: compression over parallel streams over block-oriented TCP
 // is simply the stack "zip/multi/tcpblk".
 //
+// Block-oriented drivers (tcpblk, zip, secure) share one pipeline,
+// BlockOutput and BlockInput in block.go, which owns everything around a
+// driver's transform: the layer's lock, the aggregation buffer and its
+// large-write bypass, the counters, the Flush and Close order, the Read
+// loop and the close-unblocks-read teardown. Such a driver embeds the
+// two and supplies its builders, its header codec and two hooks: emit
+// (frame, compress or seal a block and hand it down) and fill (read one
+// block from below and decode it). DESIGN.md, "The fast paths, layer by
+// layer", has the per-driver constants and why secure has no bypass.
+//
 // The framework is strictly separated from connection establishment:
 // drivers receive their connections from an Env whose Dial/Accept
 // functions are provided by the socket factories (package estab and the
@@ -51,20 +61,16 @@ type Input interface {
 // BufWriter is the optional zero-copy fast path of an Output. A driver
 // that implements it accepts whole payloads by ownership transfer: the
 // caller hands over its reference to the Buf and must not touch the Buf
-// afterwards; the driver releases it exactly once when it is done (which
-// may be after the write has been aggregated, striped, compressed or
-// sealed). Callers feature-detect the fast path with an interface
-// assertion — see WriteBuf — and fall back to the plain io.Writer path,
-// so stacks mixing old and new drivers keep working.
+// afterwards; the driver releases it exactly once when it is done (the
+// parallel-streams driver after the last fragment aliasing it has been
+// written). Callers feature-detect the fast path with an interface
+// assertion — see WriteBuf — and fall back to the plain io.Writer path.
 type BufWriter interface {
 	WriteBuf(b *wire.Buf) error
 }
 
-// BufReader is the optional zero-copy fast path of an Input: ReadBuf
-// returns the next chunk of the byte stream as an owned pooled Buf that
-// the caller must Release exactly once. Chunk boundaries are
-// driver-defined (TCP_Block hands out whole blocks) and carry no message
-// semantics, exactly like Read.
+// BufReader has no implementation left; the declaration goes with the
+// next benchmark PR (benchmark/ still names it).
 type BufReader interface {
 	ReadBuf() (*wire.Buf, error)
 }
@@ -79,26 +85,6 @@ func WriteBuf(o Output, b *wire.Buf) error {
 	_, err := o.Write(b.Bytes())
 	b.Release()
 	return err
-}
-
-// ReadBuf reads the next chunk from an Input as an owned Buf, using the
-// driver's fast path when available and a pooled copy read (of at most
-// max bytes) otherwise.
-func ReadBuf(in Input, max int) (*wire.Buf, error) {
-	if br, ok := in.(BufReader); ok {
-		return br.ReadBuf()
-	}
-	b := wire.GetBuf(max)
-	n, err := in.Read(b.Bytes())
-	if n <= 0 {
-		b.Release()
-		if err == nil {
-			err = io.ErrNoProgress
-		}
-		return nil, err
-	}
-	b.SetLen(n)
-	return b, nil
 }
 
 // Env gives drivers access to the connections prepared for this link by
@@ -340,26 +326,4 @@ func PipeEnv() (dialer, acceptor *Env) {
 	}
 	accept := func() (net.Conn, error) { return <-ch, nil }
 	return &Env{Dial: dial}, &Env{Accept: accept}
-}
-
-// FuncEnv builds an Env from a connection source: the first call to
-// Dial/Accept returns primary, subsequent calls invoke more (which may
-// be nil to forbid extra connections).
-func FuncEnv(primary net.Conn, more func() (net.Conn, error)) *Env {
-	var mu sync.Mutex
-	used := false
-	get := func() (net.Conn, error) {
-		mu.Lock()
-		first := !used
-		used = true
-		mu.Unlock()
-		if first {
-			return primary, nil
-		}
-		if more == nil {
-			return nil, errors.New("driver: no additional connections available")
-		}
-		return more()
-	}
-	return &Env{Dial: get, Accept: get}
 }

@@ -244,33 +244,3 @@ func TestSingleConnEnv(t *testing.T) {
 		t.Fatal("second Dial should fail")
 	}
 }
-
-func TestFuncEnv(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	extra, extra2 := net.Pipe()
-	defer extra.Close()
-	defer extra2.Close()
-	calls := 0
-	env := FuncEnv(a, func() (net.Conn, error) {
-		calls++
-		return extra, nil
-	})
-	c1, _ := env.Dial()
-	if c1 != a {
-		t.Fatal("first Dial should return the primary")
-	}
-	c2, err := env.Dial()
-	if err != nil || c2 != extra {
-		t.Fatalf("second Dial should use the more function: %v %v", c2, err)
-	}
-	if calls != 1 {
-		t.Fatalf("more called %d times", calls)
-	}
-	envNil := FuncEnv(a, nil)
-	envNil.Dial()
-	if _, err := envNil.Dial(); err == nil {
-		t.Fatal("extra Dial without a more function should fail")
-	}
-}

@@ -41,6 +41,11 @@ const DefaultFragment = 64 * 1024
 // MaxStreams bounds the stream count to keep resource usage sane.
 const MaxStreams = 64
 
+// ErrBadFragment fails a link whose peer sent a fragment sequence number
+// a second time or one already delivered: a conforming sender numbers
+// its fragments 0, 1, 2, … exactly once each.
+var ErrBadFragment = errors.New("multi: stale or duplicate fragment sequence number")
+
 func init() {
 	driver.Register(Name, buildOutput, buildInput)
 }
@@ -107,7 +112,8 @@ func buildInput(spec driver.Spec, _ *driver.Env, lower func() (driver.Input, err
 	return NewInput(subs), nil
 }
 
-// fragment is one unit of striping. It comes in two shapes:
+// fragment is one unit of work for a sub-stream's worker: a flush token
+// or one unit of striping, which comes in two shapes:
 //
 //   - pooled: buf holds the fragment header and a copy of the payload in
 //     one owned pooled Buf (the path for plain Writes, whose payload the
@@ -121,6 +127,7 @@ type fragment struct {
 	hdrLen int
 	data   []byte
 	owner  *wire.Buf
+	flush  bool // a token: flush the sub-stream
 }
 
 // Output is the sending side: it stripes fragments round-robin over the
@@ -130,13 +137,10 @@ type Output struct {
 	subs     []driver.Output
 	fragSize int
 
-	mu       sync.Mutex
-	nextSeq  uint64
-	closed   bool
-	err      error
-	dirty    []bool  // sub-streams with unflushed fragments since last Flush
-	flushIdx []int   // reused scratch: dirty indexes of the current Flush
-	flushErr []error // reused per-sub error slots (lazily sized)
+	mu      sync.Mutex
+	nextSeq uint64
+	closed  bool
+	dirty   []bool // sub-streams with unflushed fragments since last Flush
 
 	queues []chan fragment
 	acks   sync.WaitGroup // outstanding fragments not yet written to a sub-output
@@ -165,8 +169,8 @@ func NewOutput(subs []driver.Output, fragSize int) *Output {
 }
 
 // worker drains one sub-stream's queue. It does not flush per fragment:
-// the sub-stream aggregates fragments until the application's Flush,
-// which flushes all sub-streams concurrently.
+// the sub-stream aggregates fragments until the application's Flush
+// queues a token.
 func (o *Output) worker(i int) {
 	defer o.wg.Done()
 	sub := o.subs[i]
@@ -175,7 +179,9 @@ func (o *Output) worker(i int) {
 	var hdr [2 * binary.MaxVarintLen64]byte
 	for frag := range o.queues[i] {
 		var err error
-		if frag.buf != nil {
+		if frag.flush {
+			err = sub.Flush()
+		} else if frag.buf != nil {
 			// Pooled fragment: header and payload travel down as one
 			// owned buffer (zero further copies on a bypassing lower
 			// driver).
@@ -294,56 +300,27 @@ func (o *Output) WriteBuf(b *wire.Buf) error {
 	return nil
 }
 
-// Flush implements driver.Output: it waits until every fragment handed
-// to the workers has been written into its sub-stream, then flushes all
-// sub-streams concurrently (a sequential flush would serialise one
-// blocking network round per stream).
+// Flush implements driver.Output: every sub-stream that received
+// fragments since the last flush gets a flush token queued behind them,
+// so its worker — a long-lived goroutine, writing in parallel with the
+// others — flushes as soon as it has written its share (a sequential
+// flush would serialise one blocking network round per stream). Flush
+// returns when every fragment and token has been served.
 func (o *Output) Flush() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed {
 		return io.ErrClosedPipe
 	}
-	o.acks.Wait()
-	if err := o.workerErr(); err != nil {
-		return err
-	}
-	// Only sub-streams that received fragments since the last flush have
-	// anything buffered; with one dirty stream (a small message) the
-	// flush is a direct call, with several only the dirty ones run,
-	// concurrently. The index scratch and error slots are reused so the
-	// per-message flush does not allocate.
-	o.flushIdx = o.flushIdx[:0]
 	for i, d := range o.dirty {
 		if d {
-			o.flushIdx = append(o.flushIdx, i)
 			o.dirty[i] = false
+			o.acks.Add(1)
+			o.queues[i] <- fragment{flush: true} //nolint:netibis-locksafe // as in Write: o.mu keeps the token behind this flush's fragments and the workers always drain
 		}
 	}
-	switch len(o.flushIdx) {
-	case 0:
-		return nil
-	case 1:
-		return o.subs[o.flushIdx[0]].Flush()
-	}
-	if o.flushErr == nil {
-		o.flushErr = make([]error, len(o.subs))
-	}
-	var wg sync.WaitGroup
-	for _, i := range o.flushIdx {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			o.flushErr[i] = o.subs[i].Flush()
-		}(i)
-	}
-	wg.Wait()
-	for _, i := range o.flushIdx {
-		if o.flushErr[i] != nil {
-			return o.flushErr[i]
-		}
-	}
-	return nil
+	o.acks.Wait()
+	return o.workerErr()
 }
 
 // Close flushes, stops the workers and closes all sub-streams.
@@ -408,28 +385,34 @@ func (in *Input) reader(i int) {
 	for {
 		seq, err := br.ReadUvarint()
 		if err != nil {
-			in.finish(i, err)
+			in.finish(err)
 			return
 		}
 		length, err := br.ReadUvarint()
 		if err != nil {
-			in.finish(i, io.ErrUnexpectedEOF)
+			in.finish(io.ErrUnexpectedEOF)
 			return
 		}
 		if length > uint64(wire.MaxFrameLen) {
-			in.finish(i, errors.New("multi: fragment exceeds maximum length"))
+			in.finish(errors.New("multi: fragment exceeds maximum length"))
 			return
 		}
 		data := wire.GetBuf(int(length))
 		if _, err := io.ReadFull(sub, data.Bytes()); err != nil {
 			data.Release()
-			in.finish(i, io.ErrUnexpectedEOF)
+			in.finish(io.ErrUnexpectedEOF)
 			return
 		}
 		in.mu.Lock()
 		if in.closed {
 			in.mu.Unlock()
 			data.Release()
+			return
+		}
+		if _, dup := in.pending[seq]; dup || seq < in.nextSeq {
+			in.mu.Unlock()
+			data.Release()
+			in.finish(ErrBadFragment)
 			return
 		}
 		in.pending[seq] = data
@@ -448,7 +431,7 @@ func (in *Input) reader(i int) {
 // finish records a sub-stream's termination. A clean EOF on every
 // sub-stream turns into EOF for the logical link; anything else is an
 // error.
-func (in *Input) finish(_ int, err error) {
+func (in *Input) finish(err error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if err == io.EOF {
@@ -479,7 +462,12 @@ func (in *Input) Read(p []byte) (int, error) {
 		if in.closed {
 			return 0, io.ErrClosedPipe
 		}
-		if in.eofs == len(in.subs) && len(in.pending) == 0 {
+		if in.eofs == len(in.subs) {
+			if len(in.pending) > 0 {
+				// Every sub-stream ended cleanly and fragment nextSeq
+				// never came: one was cut at a block boundary.
+				return 0, io.ErrUnexpectedEOF
+			}
 			return 0, io.EOF
 		}
 		in.cond.Wait()

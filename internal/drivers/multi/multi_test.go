@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -295,6 +296,14 @@ func TestReassemblyQuick(t *testing.T) {
 	}
 }
 
+// frag encodes one fragment as it travels on a sub-stream.
+func frag(seq uint64, payload string) []byte {
+	var hdr [binary.MaxVarintLen64 * 2]byte
+	n := binary.PutUvarint(hdr[:], seq)
+	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
+	return append(hdr[:n:n], payload...)
+}
+
 // TestOutOfOrderArrivalUnblocksRead pins the reassembly wakeup contract:
 // a blocked Read sleeps through out-of-order fragment arrivals (they
 // cannot advance the in-order cursor, so the readers do not wake it) and
@@ -311,12 +320,6 @@ func TestOutOfOrderArrivalUnblocksRead(t *testing.T) {
 	in := NewInput(subs)
 	defer in.Close()
 
-	frag := func(seq uint64, payload string) []byte {
-		var hdr [binary.MaxVarintLen64 * 2]byte
-		n := binary.PutUvarint(hdr[:], seq)
-		n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
-		return append(hdr[:n:n], payload...)
-	}
 	payloads := []string{"seq-zero", "seq-one!", "seq-two!", "seq-three"}
 
 	read := make(chan string, 1)
@@ -378,5 +381,65 @@ func TestOutOfOrderArrivalUnblocksRead(t *testing.T) {
 	}
 	if _, err := io.ReadAll(in); err != nil {
 		t.Fatalf("drain to EOF: %v", err)
+	}
+}
+
+// TestGapAtEOFIsAnError: a sub-stream cut at a block boundary ends in a
+// clean EOF below, so the fragment it should have carried never comes.
+// Once every sub-stream has ended the gap is final and the link must
+// fail rather than wait for it.
+func TestGapAtEOFIsAnError(t *testing.T) {
+	check := testutil.LeakCheck(t, 0)
+	in := NewInput([]driver.Input{
+		io.NopCloser(bytes.NewReader(nil)),
+		io.NopCloser(bytes.NewReader(frag(1, "orphan"))),
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := io.ReadAll(in)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != io.ErrUnexpectedEOF {
+			t.Errorf("read over a gap at end of stream: %v, want io.ErrUnexpectedEOF", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("Read still parked after every sub-stream ended")
+	}
+	in.Close()
+	check()
+}
+
+// TestBadFragmentFailsTheLink: a sequence number seen twice fails the
+// link with ErrBadFragment, whether the first copy still waits in the
+// window (duplicate) or was already delivered (stale).
+func TestBadFragmentFailsTheLink(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		seq       uint64
+		delivered bool // the first copy is read before the second arrives
+	}{
+		{"duplicate", 1, false},
+		{"stale", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := testutil.LeakCheck(t, 0)
+			r, w := io.Pipe()
+			in := NewInput([]driver.Input{r})
+			buf := make([]byte, 16)
+			w.Write(frag(tc.seq, "once"))
+			if tc.delivered {
+				if n, err := in.Read(buf); err != nil || string(buf[:n]) != "once" {
+					t.Fatalf("first copy: %q, %v", buf[:n], err)
+				}
+			}
+			w.Write(frag(tc.seq, "twice"))
+			if n, err := in.Read(buf); !errors.Is(err, ErrBadFragment) {
+				t.Errorf("read after a repeated sequence number: %q, %v, want ErrBadFragment", buf[:n], err)
+			}
+			in.Close()
+			check()
+		})
 	}
 }

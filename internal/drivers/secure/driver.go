@@ -51,7 +51,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"netibis/internal/driver"
 	"netibis/internal/wire"
@@ -146,18 +145,16 @@ func linkAEAD(master, salt []byte) (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-// SealOutput is the sealing side of the secure driver.
+// SealOutput is the sealing side of the secure driver: the block
+// pipeline with one sealed record per block.
 type SealOutput struct {
-	mu        sync.Mutex
-	lower     driver.Output
-	aead      cipher.AEAD
-	salt      [saltSize]byte
-	saltSent  bool
-	blockSize int
-	buf       []byte
-	seq       uint64
-	nonce     [12]byte
-	closed    bool
+	*driver.BlockOutput
+	lower    driver.Output
+	aead     cipher.AEAD
+	salt     [saltSize]byte
+	saltSent bool
+	seq      uint64
+	nonce    [12]byte
 }
 
 // NewSealOutput creates a sealing output over lower with the given
@@ -166,7 +163,7 @@ func NewSealOutput(lower driver.Output, master []byte, blockSize int) (*SealOutp
 	if blockSize <= 0 {
 		blockSize = DefaultSealBlock
 	}
-	o := &SealOutput{lower: lower, blockSize: blockSize, buf: make([]byte, 0, blockSize)}
+	o := &SealOutput{lower: lower}
 	if _, err := rand.Read(o.salt[:]); err != nil {
 		return nil, err
 	}
@@ -175,93 +172,34 @@ func NewSealOutput(lower driver.Output, master []byte, blockSize int) (*SealOutp
 		return nil, err
 	}
 	o.aead = aead
+	// No bypass: every write goes through the buffer, so a message's
+	// records leave in the order and sizes the layer below coalesces best
+	// (DESIGN.md, "The fast paths, layer by layer").
+	o.BlockOutput = driver.NewBlockOutput(lower, blockSize, 0, 0, o.emit)
 	return o, nil
 }
 
-// Write implements driver.Output.
-func (o *SealOutput) Write(p []byte) (int, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.closed {
-		return 0, io.ErrClosedPipe
-	}
-	total := 0
-	for len(p) > 0 {
-		space := o.blockSize - len(o.buf)
-		if space == 0 {
-			if err := o.emitLocked(); err != nil {
-				return total, err
-			}
-			continue
-		}
-		n := len(p)
-		if n > space {
-			n = space
-		}
-		o.buf = append(o.buf, p[:n]...)
-		p = p[n:]
-		total += n
-	}
-	return total, nil
-}
-
-// emitLocked seals the buffered plaintext into a pooled record buffer
-// and hands ownership to the lower driver.
-func (o *SealOutput) emitLocked() error {
-	if len(o.buf) == 0 {
-		return nil
-	}
+// emit seals one block of plaintext into a pooled record buffer and
+// hands ownership to the lower driver.
+func (o *SealOutput) emit(_, body []byte) (int, error) {
 	if !o.saltSent {
 		if _, err := o.lower.Write(o.salt[:]); err != nil {
-			return err
+			return 0, err
 		}
 		o.saltSent = true
 	}
 	o.seq++
 	binary.BigEndian.PutUint64(o.nonce[4:], o.seq)
-	out := wire.GetBuf(recordLenSize + len(o.buf) + o.aead.Overhead())
-	ct := o.aead.Seal(out.Bytes()[recordLenSize:recordLenSize], o.nonce[:], o.buf, nil)
+	out := wire.GetBuf(recordLenSize + len(body) + o.aead.Overhead())
+	ct := o.aead.Seal(out.Bytes()[recordLenSize:recordLenSize], o.nonce[:], body, nil)
 	binary.BigEndian.PutUint32(out.Bytes()[:recordLenSize], uint32(len(ct)))
 	out.SetLen(recordLenSize + len(ct))
-	o.buf = o.buf[:0]
-	return driver.WriteBuf(o.lower, out)
-}
-
-// Flush implements driver.Output.
-func (o *SealOutput) Flush() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.closed {
-		return io.ErrClosedPipe
-	}
-	if err := o.emitLocked(); err != nil {
-		return err
-	}
-	return o.lower.Flush()
-}
-
-// Close seals pending data and closes the lower driver.
-func (o *SealOutput) Close() error {
-	o.mu.Lock()
-	if o.closed {
-		o.mu.Unlock()
-		return nil
-	}
-	err := o.emitLocked()
-	o.closed = true
-	o.mu.Unlock()
-	if ferr := o.lower.Flush(); err == nil {
-		err = ferr
-	}
-	if cerr := o.lower.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return out.Len(), driver.WriteBuf(o.lower, out)
 }
 
 // SealInput is the opening side of the secure driver.
 type SealInput struct {
-	mu        sync.Mutex
+	*driver.BlockInput
 	lower     driver.Input
 	master    []byte
 	aead      cipher.AEAD // nil until the salt arrived
@@ -269,10 +207,6 @@ type SealInput struct {
 	seq       uint64
 	nonce     [12]byte
 	lenBuf    [recordLenSize]byte
-	current   driver.BufCursor
-
-	closeOnce sync.Once
-	closed    chan struct{}
 }
 
 // NewSealInput creates an opening input over lower with the given
@@ -282,104 +216,52 @@ func NewSealInput(lower driver.Input, master []byte, blockSize int) *SealInput {
 	if blockSize <= 0 {
 		blockSize = DefaultSealBlock
 	}
-	return &SealInput{lower: lower, master: append([]byte(nil), master...), blockSize: blockSize, closed: make(chan struct{})}
+	in := &SealInput{lower: lower, master: append([]byte(nil), master...), blockSize: blockSize}
+	in.BlockInput = driver.NewBlockInput(lower, in.fill)
+	return in
 }
 
-// Read implements driver.Input.
-func (in *SealInput) Read(p []byte) (int, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for {
-		if in.current.Loaded() {
-			return in.current.Copy(p), nil
-		}
-		select {
-		case <-in.closed:
-			return 0, io.ErrClosedPipe
-		default:
-		}
-		if err := in.fillLocked(); err != nil {
-			return 0, err
-		}
-	}
-}
-
-// ReadBuf implements driver.BufReader.
-func (in *SealInput) ReadBuf() (*wire.Buf, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for {
-		if in.current.Loaded() {
-			return in.current.Take(), nil
-		}
-		select {
-		case <-in.closed:
-			return nil, io.ErrClosedPipe
-		default:
-		}
-		if err := in.fillLocked(); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// fillLocked reads and opens the next sealed record in place in its
-// pooled buffer.
-func (in *SealInput) fillLocked() error {
+// fill reads and opens the next sealed record in place in its pooled
+// buffer.
+func (in *SealInput) fill([]byte) (int, *wire.Buf, error) {
 	if in.aead == nil {
 		var salt [saltSize]byte
 		if _, err := io.ReadFull(in.lower, salt[:]); err != nil {
 			if err == io.ErrUnexpectedEOF {
-				return io.EOF
+				err = io.EOF
 			}
-			return err
+			return 0, nil, err
 		}
 		aead, err := linkAEAD(in.master, salt[:])
 		if err != nil {
-			return err
+			return 0, nil, err
 		}
 		in.aead = aead
 	}
 	if _, err := io.ReadFull(in.lower, in.lenBuf[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			return io.EOF
+			err = io.EOF
 		}
-		return err
+		return 0, nil, err
 	}
 	// Four unauthenticated bytes size the buffer below: hold them to what
 	// a conforming sender emits, one block plus the AEAD tag.
 	ctLen := int64(binary.BigEndian.Uint32(in.lenBuf[:]))
 	if tag := int64(in.aead.Overhead()); ctLen < tag || ctLen > int64(in.blockSize)+tag {
-		return fmt.Errorf("secure: record length %d out of range", ctLen)
+		return 0, nil, fmt.Errorf("secure: record length %d out of range", ctLen)
 	}
 	rec := wire.GetBuf(int(ctLen))
 	if _, err := io.ReadFull(in.lower, rec.Bytes()); err != nil {
 		rec.Release()
-		return fmt.Errorf("secure: truncated record: %w", err)
+		return 0, nil, fmt.Errorf("secure: truncated record: %w", err)
 	}
 	in.seq++
 	binary.BigEndian.PutUint64(in.nonce[4:], in.seq)
 	pt, err := in.aead.Open(rec.Bytes()[:0], in.nonce[:], rec.Bytes(), nil)
 	if err != nil {
 		rec.Release()
-		return fmt.Errorf("secure: record authentication failed: %w", err)
+		return 0, nil, fmt.Errorf("secure: record authentication failed: %w", err)
 	}
 	rec.SetLen(len(pt))
-	in.current.Load(rec) // empty records are released and skipped
-	return nil
-}
-
-// Close closes the lower driver before taking the mutex (so a blocked
-// Read is unblocked by the lower close), then recycles a partially
-// consumed record.
-func (in *SealInput) Close() error {
-	var err error
-	in.closeOnce.Do(func() {
-		close(in.closed)
-		err = in.lower.Close()
-		in.mu.Lock()
-		in.current.Drop()
-		in.mu.Unlock()
-	})
-	return err
+	return 0, rec, nil // the pipeline skips an empty record
 }

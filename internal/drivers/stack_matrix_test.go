@@ -63,11 +63,18 @@ func TestStackCompositionMatrix(t *testing.T) {
 // close frame would block once nobody reads.
 func pipeStack(t testing.TB, spec string) (driver.Output, driver.Input) {
 	t.Helper()
+	dialEnv, acceptEnv := driver.PipeEnv()
+	return buildStack(t, spec, dialEnv, acceptEnv)
+}
+
+// buildStack builds both sides of a stack over a connected pair of
+// environments.
+func buildStack(t testing.TB, spec string, dialEnv, acceptEnv *driver.Env) (driver.Output, driver.Input) {
+	t.Helper()
 	stack, err := driver.ParseStack(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dialEnv, acceptEnv := driver.PipeEnv()
 	outCh := make(chan driver.Output, 1)
 	errCh := make(chan error, 1)
 	go func() {

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sync"
 
 	"netibis/internal/driver"
 	"netibis/internal/wire"
@@ -60,18 +59,11 @@ func buildInput(spec driver.Spec, env *driver.Env, lower func() (driver.Input, e
 	return NewInput(conn), nil
 }
 
-// Output is the sending side of a TCP_Block link.
+// Output is the sending side of a TCP_Block link: the block pipeline
+// over a connection, one data frame per block.
 type Output struct {
-	mu        sync.Mutex
-	conn      net.Conn
-	w         *wire.Writer
-	buf       []byte
-	blockSize int
-	closed    bool
-
-	// Stats.
-	blocksSent int64
-	bytesSent  int64
+	*driver.BlockOutput
+	w *wire.Writer
 }
 
 // NewOutput wraps an established connection. blockSize <= 0 selects the
@@ -85,253 +77,80 @@ func NewOutput(conn net.Conn, blockSize int) *Output {
 		// switched off without drowning in tiny segments.
 		tc.SetNoDelay(true)
 	}
-	return &Output{
-		conn:      conn,
-		w:         wire.NewWriter(conn),
-		buf:       make([]byte, 0, blockSize),
-		blockSize: blockSize,
-	}
+	o := &Output{w: wire.NewWriter(conn)}
+	// Writes of at least one block bypass the aggregation buffer, up to
+	// a whole frame at a time.
+	o.BlockOutput = driver.NewBlockOutput(connEnd{conn, o.w}, blockSize, blockSize, wire.MaxFrameLen, o.emit)
+	return o
 }
 
-// Write implements driver.Output: data is buffered and sent as blocks.
-// Writes of at least one block bypass the aggregation buffer entirely:
-// the buffered bytes (if any) and the large payload leave as one
-// vectored write, so large payloads cross this layer without being
-// copied.
-func (o *Output) Write(p []byte) (int, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.closed {
-		return 0, io.ErrClosedPipe
-	}
-	total := 0
-	for len(p) >= o.blockSize {
-		n := len(p)
-		if n > wire.MaxFrameLen {
-			n = wire.MaxFrameLen
-		}
-		if err := o.emitDirectLocked(p[:n]); err != nil {
-			return total, err
-		}
-		p = p[n:]
-		total += n
-	}
-	n, err := o.writeSmallLocked(p)
-	return total + n, err
-}
-
-// WriteBuf implements driver.BufWriter: block-sized payloads bypass the
-// aggregation buffer without a copy, smaller ones are aggregated like a
-// plain Write. The caller's reference is consumed either way.
-func (o *Output) WriteBuf(b *wire.Buf) error {
-	o.mu.Lock()
-	if o.closed {
-		o.mu.Unlock()
-		b.Release()
-		return io.ErrClosedPipe
-	}
-	var err error
-	if b.Len() >= o.blockSize && b.Len() <= wire.MaxFrameLen {
-		err = o.emitDirectLocked(b.Bytes())
-	} else {
-		_, err = o.writeSmallLocked(b.Bytes())
-	}
-	o.mu.Unlock()
-	b.Release()
-	return err
-}
-
-// writeSmallLocked aggregates a sub-block payload (the tail of Write's
-// loop, factored out for WriteBuf).
-func (o *Output) writeSmallLocked(p []byte) (int, error) {
-	total := 0
-	for len(p) > 0 {
-		space := o.blockSize - len(o.buf)
-		if space == 0 {
-			if err := o.flushLocked(); err != nil {
-				return total, err
-			}
-			continue
-		}
-		n := len(p)
-		if n > space {
-			n = space
-		}
-		o.buf = append(o.buf, p[:n]...)
-		p = p[n:]
-		total += n
-	}
-	return total, nil
-}
-
-// emitDirectLocked sends a block-sized payload around the aggregation
-// buffer: any buffered bytes and the payload leave as one batch (one
-// vectored write, neither copied), preserving byte order on the wire.
-func (o *Output) emitDirectLocked(p []byte) error {
-	batch := [2]wire.BatchFrame{{Kind: wire.KindData, Payload: o.buf}, {Kind: wire.KindData, Payload: p}}
+// emit sends a block. A bypassing payload and the bytes buffered before
+// it leave as one batch (one vectored write, neither copied), preserving
+// byte order on the wire.
+func (o *Output) emit(head, body []byte) (int, error) {
+	batch := [2]wire.BatchFrame{{Kind: wire.KindData, Payload: head}, {Kind: wire.KindData, Payload: body}}
 	frames := batch[:]
-	if len(o.buf) == 0 {
+	if len(head) == 0 {
 		frames = batch[1:]
 	}
-	if err := o.w.WriteFrameBatch(frames); err != nil {
-		return err
-	}
-	o.blocksSent += int64(len(frames))
-	o.bytesSent += int64(len(o.buf)) + int64(len(p))
-	o.buf = o.buf[:0]
-	return nil
+	return len(head) + len(body), o.w.WriteFrameBatch(frames)
 }
 
-// Flush implements driver.Output: the explicit flush that marks a
-// message boundary in the IPL pushes any buffered bytes onto the wire.
-func (o *Output) Flush() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.closed {
-		return io.ErrClosedPipe
-	}
-	return o.flushLocked()
+// connEnd is what lies below the aggregation buffer of a networking
+// driver: nothing to flush, and a close that announces the shutdown to
+// the peer before closing the connection.
+type connEnd struct {
+	conn net.Conn
+	w    *wire.Writer
 }
 
-func (o *Output) flushLocked() error {
-	if len(o.buf) == 0 {
-		return nil
-	}
-	if err := o.w.WriteFrame(wire.KindData, 0, o.buf); err != nil {
-		return err
-	}
-	o.blocksSent++
-	o.bytesSent += int64(len(o.buf))
-	o.buf = o.buf[:0]
-	return nil
-}
+func (connEnd) Flush() error { return nil }
 
-// Close flushes pending data, announces the shutdown to the peer and
-// closes the connection.
-func (o *Output) Close() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.closed {
-		return nil
-	}
-	err := o.flushLocked()
-	o.w.WriteFrame(wire.KindClose, 0, nil)
-	o.closed = true
-	if cerr := o.conn.Close(); err == nil {
-		err = cerr
-	}
-	return err
+func (c connEnd) Close() error {
+	c.w.WriteFrame(wire.KindClose, 0, nil)
+	return c.conn.Close()
 }
 
 // Stats reports the number of blocks and payload bytes sent.
 func (o *Output) Stats() (blocks, bytes int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.blocksSent, o.bytesSent
+	blocks, bytes, _ = o.Counts()
+	return blocks, bytes
 }
 
 // Input is the receiving side of a TCP_Block link.
 type Input struct {
-	mu   sync.Mutex
-	conn net.Conn
-	r    *wire.Reader
-	cur  driver.BufCursor // current block, owned by the Input
-	eof  bool
-
-	closeOnce sync.Once
-	closed    chan struct{}
+	*driver.BlockInput
+	r   *wire.Reader
+	eof bool
 }
 
 // NewInput wraps an established connection.
 func NewInput(conn net.Conn) *Input {
-	return &Input{conn: conn, r: wire.NewReader(conn), closed: make(chan struct{})}
+	i := &Input{r: wire.NewReader(conn)}
+	i.BlockInput = driver.NewBlockInput(conn, i.fill)
+	return i
 }
 
-// Read implements driver.Input. Blocks arrive from the wire in an owned
-// pooled buffer; Read copies out of it (the copy at this final edge is
-// what the io.Reader contract requires — ReadBuf avoids it).
-func (i *Input) Read(p []byte) (int, error) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	for {
-		if i.cur.Loaded() {
-			return i.cur.Copy(p), nil
-		}
-		if err := i.fillLocked(); err != nil {
-			return 0, err
-		}
+// fill reads the next frame: a data block arrives from the wire in an
+// owned pooled buffer, a close frame or the end of the connection ends
+// the stream for good.
+func (i *Input) fill([]byte) (int, *wire.Buf, error) {
+	if i.eof {
+		return 0, nil, io.EOF
 	}
-}
-
-// ReadBuf implements driver.BufReader: it hands the caller the next
-// block as an owned Buf, without any copy when the block is unconsumed.
-func (i *Input) ReadBuf() (*wire.Buf, error) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	for {
-		if i.cur.Loaded() {
-			return i.cur.Take(), nil
-		}
-		if err := i.fillLocked(); err != nil {
-			return nil, err
-		}
+	kind, _, b, err := i.r.ReadFrameBuf()
+	if err != nil {
+		i.eof = err == io.EOF
+		return 0, nil, err
 	}
-}
-
-// fillLocked reads frames until a data block is available or the stream
-// ends.
-func (i *Input) fillLocked() error {
-	for {
-		if i.eof {
-			return io.EOF
-		}
-		select {
-		case <-i.closed:
-			return io.ErrClosedPipe
-		default:
-		}
-		kind, _, b, err := i.r.ReadFrameBuf()
-		if err != nil {
-			if err == io.EOF {
-				i.eof = true
-				continue
-			}
-			select {
-			case <-i.closed:
-				return io.ErrClosedPipe
-			default:
-			}
-			return err
-		}
-		switch kind {
-		case wire.KindData:
-			i.cur.Load(b)
-			if i.cur.Loaded() {
-				return nil
-			}
-			// Empty block: keep reading.
-		case wire.KindClose:
-			b.Release()
-			i.eof = true
-		default:
-			// Ignore foreign frames (keep-alives etc.).
-			b.Release()
-		}
+	switch kind {
+	case wire.KindData:
+		return 0, b, nil
+	case wire.KindClose:
+		i.eof = true
+		b.Release()
+		return 0, nil, io.EOF
 	}
-}
-
-// Close releases the connection. It closes the connection before taking
-// the Read mutex: a blocked Read is unblocked by the close and releases
-// the mutex promptly, after which a partially consumed block is
-// recycled (release-exactly-once).
-func (i *Input) Close() error {
-	var err error
-	i.closeOnce.Do(func() {
-		close(i.closed)
-		err = i.conn.Close()
-		i.mu.Lock()
-		i.cur.Drop()
-		i.mu.Unlock()
-	})
-	return err
+	b.Release() // foreign frames (keep-alives etc.) are skipped
+	return 0, nil, nil
 }

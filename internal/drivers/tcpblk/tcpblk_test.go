@@ -189,8 +189,8 @@ func TestCloseSendsEOFToReader(t *testing.T) {
 func TestDefaultBlockSize(t *testing.T) {
 	c1, _ := pipePair()
 	out := NewOutput(c1, 0)
-	if out.blockSize != DefaultBlockSize {
-		t.Fatalf("default block size not applied: %d", out.blockSize)
+	if out.BlockSize() != DefaultBlockSize {
+		t.Fatalf("default block size not applied: %d", out.BlockSize())
 	}
 }
 

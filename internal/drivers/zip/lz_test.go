@@ -226,7 +226,7 @@ func TestMixedCodecStreamDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flateOut, err := NewOutput(memOutput{link}, 1, 0) // legacy constructor
+	flateOut, err := newOutput(memOutput{link}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

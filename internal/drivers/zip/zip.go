@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"netibis/internal/driver"
 	"netibis/internal/wire"
@@ -102,25 +101,12 @@ type Options struct {
 	Block int
 }
 
-// Output is the compressing side.
+// Output is the compressing side: the block pipeline with one
+// compressed block per emitted block.
 type Output struct {
-	mu        sync.Mutex
-	lower     driver.Output
-	codec     Codec
-	blockSize int
-	buf       []byte
-	closed    bool
-
-	// Stats for the evaluation harness.
-	bytesIn  int64
-	bytesOut int64
-	blocks   int64
-}
-
-// NewOutput creates a DEFLATE-compressing output over lower — the
-// original constructor, kept for callers that predate pluggable codecs.
-func NewOutput(lower driver.Output, level, blockSize int) (*Output, error) {
-	return NewOutputOptions(lower, Options{Level: level, Block: blockSize})
+	*driver.BlockOutput
+	lower driver.Output
+	codec Codec
 }
 
 // NewOutputOptions creates a compressing output over lower.
@@ -136,70 +122,13 @@ func NewOutputOptions(lower driver.Output, o Options) (*Output, error) {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	return &Output{
-		lower:     lower,
-		codec:     codec,
-		blockSize: blockSize,
-		buf:       make([]byte, 0, blockSize),
-	}, nil
-}
-
-// Write implements driver.Output.
-func (o *Output) Write(p []byte) (int, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.closed {
-		return 0, io.ErrClosedPipe
-	}
-	total := 0
-	for len(p) > 0 {
-		// Large writes with nothing buffered compress straight from the
-		// caller's slice — the block a copy-then-flush would have built
-		// is identical, and the buffering memcpy is pure overhead at
-		// these sizes. The half-block threshold keeps small writes
-		// coalescing through the buffer for ratio.
-		if len(o.buf) == 0 && len(p) >= o.blockSize/2 {
-			n := len(p)
-			if n > o.blockSize {
-				n = o.blockSize
-			}
-			if err := o.emitSliceLocked(p[:n]); err != nil {
-				return total, err
-			}
-			p = p[n:]
-			total += n
-			continue
-		}
-		space := o.blockSize - len(o.buf)
-		if space == 0 {
-			if err := o.emitLocked(); err != nil {
-				return total, err
-			}
-			continue
-		}
-		n := len(p)
-		if n > space {
-			n = space
-		}
-		o.buf = append(o.buf, p[:n]...)
-		p = p[n:]
-		total += n
-	}
-	return total, nil
-}
-
-// Flush compresses and sends any buffered data, then flushes the lower
-// driver.
-func (o *Output) Flush() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.closed {
-		return io.ErrClosedPipe
-	}
-	if err := o.emitLocked(); err != nil {
-		return err
-	}
-	return o.lower.Flush()
+	out := &Output{lower: lower, codec: codec}
+	// Large writes compress straight from the caller's slice, a block at
+	// a time — the buffering memcpy is pure overhead at these sizes. The
+	// half-block threshold keeps small writes coalescing through the
+	// buffer for ratio.
+	out.BlockOutput = driver.NewBlockOutput(lower, blockSize, blockSize/2, blockSize, out.emit)
+	return out, nil
 }
 
 // compressBlock encodes src as one self-contained wire block (header and
@@ -229,218 +158,116 @@ func compressBlock(codec Codec, src []byte) (*wire.Buf, error) {
 	return out, nil
 }
 
-// emitLocked compresses the buffered data and hands the resulting block
-// to the lower driver.
-func (o *Output) emitLocked() error {
-	if len(o.buf) == 0 {
-		return nil
+// emit compresses body — and first, as a block of their own, the bytes
+// still buffered when a large write bypasses them — and writes the
+// blocks down.
+func (o *Output) emit(head, body []byte) (int, error) {
+	sent := 0
+	for _, src := range [2][]byte{head, body} {
+		if len(src) == 0 {
+			continue
+		}
+		out, err := compressBlock(o.codec, src)
+		if err != nil {
+			return sent, err
+		}
+		sent += out.Len()
+		if err := driver.WriteBuf(o.lower, out); err != nil {
+			return sent, err
+		}
 	}
-	if err := o.emitSliceLocked(o.buf); err != nil {
-		return err
-	}
-	o.buf = o.buf[:0]
-	return nil
-}
-
-// emitSliceLocked compresses data (the accumulation buffer or a large
-// caller slice passed through zero-copy) and writes the block down.
-func (o *Output) emitSliceLocked(data []byte) error {
-	out, err := compressBlock(o.codec, data)
-	if err != nil {
-		return err
-	}
-	o.countLocked(len(data), out.Len())
-	return driver.WriteBuf(o.lower, out)
-}
-
-func (o *Output) countLocked(in, out int) {
-	o.bytesIn += int64(in)
-	o.bytesOut += int64(out)
-	o.blocks++
-}
-
-// Close flushes and closes the lower driver.
-func (o *Output) Close() error {
-	o.mu.Lock()
-	if o.closed {
-		o.mu.Unlock()
-		return nil
-	}
-	err := o.emitLocked()
-	o.closed = true
-	o.mu.Unlock()
-	if ferr := o.lower.Flush(); err == nil {
-		err = ferr
-	}
-	if cerr := o.lower.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return sent, nil
 }
 
 // Ratio returns the achieved compression ratio (input bytes / output
 // bytes); 1.0 when nothing has been sent yet.
 func (o *Output) Ratio() float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.bytesOut == 0 {
+	_, in, out := o.Counts()
+	if out == 0 {
 		return 1
 	}
-	return float64(o.bytesIn) / float64(o.bytesOut)
+	return float64(in) / float64(out)
 }
 
 // Stats returns input bytes, output (wire) bytes and block count.
 func (o *Output) Stats() (in, out, blocks int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.bytesIn, o.bytesOut, o.blocks
+	blocks, in, out = o.Counts()
+	return in, out, blocks
 }
 
 // Input is the decompressing side. It dispatches per block on the flag
 // byte (codec registry in codec.go), so streams from any codec — and
-// any mix, including legacy flagDeflate-only senders — decode through
-// the same Input.
+// any mix — decode through the same Input.
 type Input struct {
-	mu      sync.Mutex
-	lower   driver.Input
-	current driver.BufCursor // owned decoded block
-	hdrBuf  [headerSize]byte
-
-	closeOnce sync.Once
-	closed    chan struct{}
+	*driver.BlockInput
+	lower  driver.Input
+	hdrBuf [headerSize]byte
 }
 
 // NewInput creates a decompressing input over lower.
 func NewInput(lower driver.Input) *Input {
-	return &Input{lower: lower, closed: make(chan struct{})}
+	in := &Input{lower: lower}
+	in.BlockInput = driver.NewBlockInput(lower, in.fill)
+	return in
 }
 
-// Read implements driver.Input.
-func (in *Input) Read(p []byte) (int, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for {
-		if in.current.Loaded() {
-			return in.current.Copy(p), nil
-		}
-		select {
-		case <-in.closed:
-			return 0, io.ErrClosedPipe
-		default:
-		}
-		n, err := in.fillLocked(p)
-		if err != nil {
-			return 0, err
-		}
-		if n > 0 {
-			return n, nil
-		}
+// readPayload reads a block's n stored bytes into a pooled buffer.
+func (in *Input) readPayload(n uint32) (*wire.Buf, error) {
+	payload := wire.GetBuf(int(n))
+	if _, err := io.ReadFull(in.lower, payload.Bytes()); err != nil {
+		payload.Release()
+		return nil, fmt.Errorf("zip: truncated block: %w", err)
 	}
+	return payload, nil
 }
 
-// ReadBuf implements driver.BufReader: the next decoded block is handed
-// over as an owned Buf without a copy (unless a previous Read consumed a
-// prefix of it).
-func (in *Input) ReadBuf() (*wire.Buf, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for {
-		if in.current.Loaded() {
-			return in.current.Take(), nil
-		}
-		select {
-		case <-in.closed:
-			return nil, io.ErrClosedPipe
-		default:
-		}
-		if _, err := in.fillLocked(nil); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// fillLocked reads the next block from the lower driver. When the whole
+// fill reads the next block from the lower driver. When the whole
 // decoded block fits the caller's destination slice, it is decoded (or,
 // for stored blocks, read) straight into it and the consumed length is
 // returned — no pooled intermediate block. Otherwise the block is
-// decoded into a pooled buffer loaded as in.current and 0 is returned.
-func (in *Input) fillLocked(direct []byte) (int, error) {
+// decoded into a pooled buffer.
+func (in *Input) fill(direct []byte) (int, *wire.Buf, error) {
 	if _, err := io.ReadFull(in.lower, in.hdrBuf[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			return 0, io.EOF
+			err = io.EOF
 		}
-		return 0, err
+		return 0, nil, err
 	}
 	flag := in.hdrBuf[0]
 	origLen := binary.BigEndian.Uint32(in.hdrBuf[1:5])
 	storedLen := binary.BigEndian.Uint32(in.hdrBuf[5:9])
 	if origLen > uint32(wire.MaxFrameLen) || storedLen > uint32(wire.MaxFrameLen) {
-		return 0, fmt.Errorf("zip: block length out of range (%d/%d)", origLen, storedLen)
+		return 0, nil, fmt.Errorf("zip: block length out of range (%d/%d)", origLen, storedLen)
 	}
 	if flag == flagStored {
+		if origLen != storedLen {
+			return 0, nil, fmt.Errorf("zip: stored block of %d bytes declares %d", storedLen, origLen)
+		}
 		if int(storedLen) <= len(direct) && storedLen > 0 {
 			if _, err := io.ReadFull(in.lower, direct[:storedLen]); err != nil {
-				return 0, fmt.Errorf("zip: truncated block: %w", err)
+				return 0, nil, fmt.Errorf("zip: truncated block: %w", err)
 			}
-			return int(storedLen), nil
+			return int(storedLen), nil, nil
 		}
-		payload := wire.GetBuf(int(storedLen))
-		if _, err := io.ReadFull(in.lower, payload.Bytes()); err != nil {
-			payload.Release()
-			return 0, fmt.Errorf("zip: truncated block: %w", err)
-		}
-		in.current.Load(payload)
-		return 0, nil
+		payload, err := in.readPayload(storedLen)
+		return 0, payload, err
 	}
-	payload := wire.GetBuf(int(storedLen))
-	if _, err := io.ReadFull(in.lower, payload.Bytes()); err != nil {
-		payload.Release()
-		return 0, fmt.Errorf("zip: truncated block: %w", err)
+	payload, err := in.readPayload(storedLen)
+	if err != nil {
+		return 0, nil, err
 	}
+	defer payload.Release()
 	decode := decoders[flag]
 	if decode == nil {
-		payload.Release()
-		return 0, fmt.Errorf("zip: unknown block flag %d", flag)
+		return 0, nil, fmt.Errorf("zip: unknown block flag %d", flag)
 	}
 	if int(origLen) <= len(direct) && origLen > 0 {
-		err := decode(direct[:origLen], payload.Bytes())
-		payload.Release()
-		if err != nil {
-			return 0, err
-		}
-		return int(origLen), nil
+		return int(origLen), nil, decode(direct[:origLen], payload.Bytes())
 	}
 	out := wire.GetBuf(int(origLen))
-	err := decode(out.Bytes(), payload.Bytes())
-	payload.Release()
-	if err != nil {
+	if err := decode(out.Bytes(), payload.Bytes()); err != nil {
 		out.Release()
-		return 0, err
+		return 0, nil, err
 	}
-	in.current.Load(out)
-	return 0, nil
-}
-
-// Close closes the lower driver before taking the Read mutex (so the
-// close can unblock a Read waiting for data), then recycles a partially
-// consumed block.
-func (in *Input) Close() error {
-	var err error
-	in.closeOnce.Do(func() {
-		close(in.closed)
-		err = in.lower.Close()
-		in.mu.Lock()
-		in.current.Drop()
-		in.mu.Unlock()
-	})
-	return err
-}
-
-// CompressBound estimates the wire size of n input bytes at the given
-// ratio; used by the evaluation harness for capacity planning.
-func CompressBound(n int64, ratio float64) int64 {
-	if ratio <= 1 {
-		return n + headerSize
-	}
-	return int64(float64(n)/ratio) + headerSize
+	return 0, out, nil
 }

@@ -83,9 +83,14 @@ func compressible(n int) []byte {
 	return b.Bytes()[:n]
 }
 
+// newOutput is a DEFLATE output at the given level and block size.
+func newOutput(lower driver.Output, level, blockSize int) (*Output, error) {
+	return NewOutputOptions(lower, Options{Level: level, Block: blockSize})
+}
+
 func TestRoundTripCompressible(t *testing.T) {
 	link := newMemLink()
-	out, err := NewOutput(memOutput{link}, 1, 0)
+	out, err := newOutput(memOutput{link}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +122,7 @@ func TestRoundTripCompressible(t *testing.T) {
 
 func TestRoundTripIncompressible(t *testing.T) {
 	link := newMemLink()
-	out, err := NewOutput(memOutput{link}, 1, 0)
+	out, err := newOutput(memOutput{link}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +155,7 @@ func TestRoundTripIncompressible(t *testing.T) {
 
 func TestEmptyFlush(t *testing.T) {
 	link := newMemLink()
-	out, _ := NewOutput(memOutput{link}, 1, 0)
+	out, _ := newOutput(memOutput{link}, 1, 0)
 	if err := out.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +170,7 @@ func TestEmptyFlush(t *testing.T) {
 
 func TestMultipleBlocksAndMessages(t *testing.T) {
 	link := newMemLink()
-	out, _ := NewOutput(memOutput{link}, 1, 4096)
+	out, _ := newOutput(memOutput{link}, 1, 4096)
 	in := NewInput(memInput{link})
 	var want []byte
 	for i := 0; i < 30; i++ {
@@ -195,7 +200,7 @@ func TestCompressionLevelsAblation(t *testing.T) {
 	payload := compressible(400_000)
 	ratio := func(level int) float64 {
 		link := newMemLink()
-		out, err := NewOutput(memOutput{link}, level, 0)
+		out, err := newOutput(memOutput{link}, level, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,14 +225,14 @@ func TestCompressionLevelsAblation(t *testing.T) {
 
 func TestInvalidLevelRejected(t *testing.T) {
 	link := newMemLink()
-	if _, err := NewOutput(memOutput{link}, 42, 0); err == nil {
+	if _, err := newOutput(memOutput{link}, 42, 0); err == nil {
 		t.Fatal("invalid compression level accepted")
 	}
 }
 
 func TestWriteAfterClose(t *testing.T) {
 	link := newMemLink()
-	out, _ := NewOutput(memOutput{link}, 1, 0)
+	out, _ := newOutput(memOutput{link}, 1, 0)
 	out.Close()
 	if _, err := out.Write([]byte("x")); err == nil {
 		t.Fatal("write after close should fail")
@@ -239,7 +244,7 @@ func TestWriteAfterClose(t *testing.T) {
 
 func TestCorruptStreamDetected(t *testing.T) {
 	link := newMemLink()
-	out, _ := NewOutput(memOutput{link}, 1, 0)
+	out, _ := newOutput(memOutput{link}, 1, 0)
 	out.Write(compressible(10_000))
 	out.Flush()
 	// Corrupt a byte in the middle of the compressed payload.
@@ -299,15 +304,6 @@ func TestZipOverTCPBlockUsesTCPBlkBuilder(t *testing.T) {
 	_ = tcpblk.Name // document the intended composition
 }
 
-func TestCompressBound(t *testing.T) {
-	if CompressBound(1000, 2) != 500+headerSize {
-		t.Fatal("CompressBound with ratio 2 wrong")
-	}
-	if CompressBound(1000, 0.5) != 1000+headerSize {
-		t.Fatal("CompressBound with ratio < 1 should not shrink")
-	}
-}
-
 func TestRoundTripQuick(t *testing.T) {
 	f := func(seed int64, size uint16, compressibleData bool) bool {
 		n := int(size) % 40000
@@ -319,7 +315,7 @@ func TestRoundTripQuick(t *testing.T) {
 			rand.New(rand.NewSource(seed)).Read(payload)
 		}
 		link := newMemLink()
-		out, err := NewOutput(memOutput{link}, 1, 7000)
+		out, err := newOutput(memOutput{link}, 1, 7000)
 		if err != nil {
 			return false
 		}

@@ -284,10 +284,14 @@ func (h *Host) completeDial(extSrc Endpoint, dstHost *Host, dst Endpoint) (net.C
 	}
 	sh := h.fabric.shaperFor(h.site.name, dstHost.site.name)
 	cLocal, cRemote := newConnPair(extSrc, dst, sh, h.fabric.sockBuf)
+	// Track before deliver: an acceptor may close cRemote the moment it
+	// has it, and Close reads what tracking writes.
+	h.fabric.trackConnPair(h.site.name, dstHost.site.name, cLocal, cRemote)
 	if !l.deliver(cRemote) {
+		cLocal.Close() // untracks
+		cRemote.Close()
 		return nil, ErrConnRefused
 	}
-	h.fabric.trackConnPair(h.site.name, dstHost.site.name, cLocal, cRemote)
 	return cLocal, nil
 }
 

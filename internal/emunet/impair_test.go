@@ -120,7 +120,7 @@ func TestPartitionLeavesOtherLinksAlone(t *testing.T) {
 }
 
 func TestConnTrackingDrainsOnClose(t *testing.T) {
-	f, _, _, conn, accepted := twoSiteWorld(t)
+	f, ha, hb, conn, accepted := twoSiteWorld(t)
 	defer f.Close()
 
 	f.mu.Lock()
@@ -136,6 +136,58 @@ func TestConnTrackingDrainsOnClose(t *testing.T) {
 	f.mu.Unlock()
 	if live != 0 {
 		t.Fatalf("tracked conns after close: got %d, want 0", live)
+	}
+
+	// An acceptor that closes at once must not race the dial's tracking
+	// (run under -race) nor leave a closed conn tracked for good, and a
+	// dial the listener's full backlog refuses leaves nothing behind.
+	l, err := hb.Listen(7001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := Endpoint{Addr: hb.Address(), Port: 7001}
+	const dials = 200
+	closed := make(chan error)
+	go func() {
+		for i := 0; i < dials; i++ {
+			c, err := l.Accept()
+			if err == nil {
+				c.Close() // possibly while the dial is still returning
+			}
+			closed <- err
+		}
+	}()
+	for i := 0; i < dials; i++ {
+		c, err := ha.Dial(target)
+		if err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		c.Close()
+		if err := <-closed; err != nil {
+			t.Fatalf("accept %d: %v", i, err)
+		}
+	}
+	var queued []net.Conn
+	for {
+		c, err := ha.Dial(target)
+		if err != nil {
+			break
+		}
+		queued = append(queued, c)
+	}
+	for _, c := range queued {
+		c.Close()
+		far, err := l.Accept()
+		if err != nil {
+			t.Fatalf("draining the backlog: %v", err)
+		}
+		far.Close()
+	}
+	f.mu.Lock()
+	live = len(f.conns[orderedLinkKey("alpha", "beta")])
+	f.mu.Unlock()
+	if live != 0 {
+		t.Fatalf("tracked conns after accept-and-close and refused dials: got %d, want 0", live)
 	}
 }
 

@@ -78,6 +78,7 @@ type Server struct {
 	closed  bool
 
 	lnMu      sync.Mutex
+	lnClosed  bool // Close has run: no further conn is tracked or served
 	listeners []net.Listener
 	conns     map[net.Conn]struct{}
 	wg        sync.WaitGroup
@@ -133,10 +134,18 @@ func (s *Server) Serve(l net.Listener) error {
 		if err != nil {
 			return err
 		}
+		// Tracking and wg.Add happen under the lock Close takes before it
+		// walks conns and waits: a conn accepted after that is refused,
+		// not left open with nobody to close it.
 		s.lnMu.Lock()
+		if s.lnClosed {
+			s.lnMu.Unlock()
+			c.Close()
+			return net.ErrClosed
+		}
 		s.conns[c] = struct{}{}
-		s.lnMu.Unlock()
 		s.wg.Add(1)
+		s.lnMu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			s.handle(c)
@@ -155,6 +164,7 @@ func (s *Server) Close() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.lnMu.Lock()
+	s.lnClosed = true
 	for _, l := range s.listeners {
 		l.Close()
 	}

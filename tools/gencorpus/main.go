@@ -15,7 +15,10 @@ import (
 	"os"
 	"path/filepath"
 
+	"netibis/internal/driver"
+	"netibis/internal/drivers/multi"
 	"netibis/internal/drivers/secure"
+	"netibis/internal/drivers/zip"
 	"netibis/internal/estab"
 	"netibis/internal/identity"
 	"netibis/internal/wire"
@@ -234,6 +237,25 @@ func main() {
 	so.Flush()
 	write("drivers/secure", "FuzzSealInput", "one-record", sealed.Bytes())
 	write("drivers/secure", "FuzzSealInput", "one-record-truncated", sealed.Bytes()[:sealed.Len()-5])
+
+	// drivers/zip and drivers/multi: one valid stream each, whole and cut
+	// by a byte.
+	var zipped sink
+	zo, err := zip.NewOutputOptions(&zipped, zip.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	zo.Write(bytes.Repeat([]byte("one compressed block "), 40))
+	zo.Flush()
+	write("drivers/zip", "FuzzZipInput", "one-block", zipped.Bytes())
+	write("drivers/zip", "FuzzZipInput", "one-block-truncated", zipped.Bytes()[:zipped.Len()-1])
+
+	var sub0, sub1 sink
+	mo := multi.NewOutput([]driver.Output{&sub0, &sub1}, 8)
+	mo.Write([]byte("fragments striped over two sub-streams"))
+	mo.Close()
+	write("drivers/multi", "FuzzMultiInput", "two-streams", sub0.Bytes(), sub1.Bytes())
+	write("drivers/multi", "FuzzMultiInput", "two-streams-truncated", sub0.Bytes(), sub1.Bytes()[:sub1.Len()-1])
 
 	fmt.Println("corpus written")
 }
