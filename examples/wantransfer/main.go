@@ -22,8 +22,12 @@ const payloadBytes = 2 << 20
 
 func main() {
 	// Shaped emulated WAN: the Amsterdam–Rennes link of Figure 9, run at
-	// 1/200th of real time so the example finishes quickly.
-	fabric := emunet.NewFabric(emunet.WithSeed(2), emunet.WithTimeScale(0.005))
+	// 1/20th of real time so the example finishes quickly. Link time is
+	// scaled and CPU time is not: at this scale the link carries 32 MB/s
+	// of wall clock, under what level-1 compression sustains, so
+	// compression wins as it did on the paper's link; at 1/200th it
+	// would read as the bottleneck it is not.
+	fabric := emunet.NewFabric(emunet.WithSeed(2), emunet.WithTimeScale(0.05))
 	defer fabric.Close()
 	dep, err := core.NewDeployment(fabric)
 	if err != nil {

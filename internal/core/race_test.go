@@ -14,24 +14,18 @@ import (
 
 // TestLostRaceLeavesNothingBehind is the lost-race cleanup regression
 // test: two nodes whose pair admits direct, splicing and routed
-// establishment race all three with no stagger, so the direct path wins
-// over an in-flight splice and an in-flight routed open on every
-// connect. After 100 such races nothing may linger: no extra goroutines,
-// no relay virtual links (the routed losers must have been abandoned on
-// both sides), no parked splice offers, and no usable-looking half-open
+// establishment race all three with no stagger, so every connect has
+// one winner and two losers still in flight. Which method wins is the
+// scheduler's business and is only logged; what is asserted holds
+// whoever wins. After 100 such races, each of whose links has carried a
+// verified message, nothing may linger: no extra goroutines, no relay
+// virtual links (the routed losers must have been abandoned on both
+// sides), no parked splice offers, and no usable-looking half-open
 // routed conns in the nodes' accept queues.
 func TestLostRaceLeavesNothingBehind(t *testing.T) {
-	// The data plane is time-shaped so the race has a deterministic
-	// winner: the sites are close to each other (1 ms) but far from the
-	// gateway (16 ms), making the direct dial complete while the
-	// relay-crossing routed open (two extra gateway crossings) and the
-	// extra splice round trip are still in flight. At scale 0.25 a
-	// gateway crossing costs 2 ms real, so the direct path wins by ~4 ms
-	// — comfortably above scheduler jitter, cheap enough for 100 races.
-	f := emunet.NewFabric(emunet.WithSeed(23), emunet.WithTimeScale(0.25))
-	f.SetLink("race-open-a", "race-open-b", emunet.LinkParams{CapacityBps: 12.5e6, RTT: time.Millisecond})
-	f.SetLink("race-open-a", "gateway", emunet.LinkParams{CapacityBps: 12.5e6, RTT: 16 * time.Millisecond})
-	f.SetLink("race-open-b", "gateway", emunet.LinkParams{CapacityBps: 12.5e6, RTT: 16 * time.Millisecond})
+	// Time-shaped, so the three candidates are in flight together for a
+	// few real milliseconds and a loser is cancelled mid-establishment.
+	f := emunet.NewFabric(emunet.WithSeed(23), emunet.WithTimeScale(0.25), emunet.WithDefaultLink(emunet.LinkParams{CapacityBps: 12.5e6, RTT: 4 * time.Millisecond}))
 	defer f.Close()
 	dep, err := NewDeployment(f)
 	if err != nil {
@@ -97,6 +91,7 @@ func TestLostRaceLeavesNothingBehind(t *testing.T) {
 	// Goroutines must return to the pre-race baseline (losers' helpers
 	// all unwound); allow a small slack for runtime background ones.
 	checkLeaks := testutil.LeakCheck(t, 3)
+	winners := map[estab.Method]int{}
 	for i := 0; i < 100; i++ {
 		sp, err := sender.CreateSendPort(pt)
 		if err != nil {
@@ -106,21 +101,24 @@ func TestLostRaceLeavesNothingBehind(t *testing.T) {
 			t.Fatalf("race %d: %v", i, err)
 		}
 		for _, m := range SendPortMethods(sp) {
-			if m != estab.ClientServer {
-				t.Fatalf("race %d won by %v, want the direct path", i, m)
-			}
+			winners[m]++
 		}
 		// Prove the winning link works, then tear it down.
 		msg, err := sp.NewMessage()
 		if err != nil {
 			t.Fatal(err)
 		}
-		msg.WriteString("ping")
+		want := fmt.Sprintf("ping %d", i)
+		msg.WriteString(want)
 		if err := msg.Finish(); err != nil {
 			t.Fatalf("race %d: deliver: %v", i, err)
 		}
-		if _, err := rp.Receive(); err != nil {
+		in, err := rp.Receive()
+		if err != nil {
 			t.Fatalf("race %d: receive: %v", i, err)
+		}
+		if got, err := in.ReadString(); err != nil || got != want {
+			t.Fatalf("race %d: received %q, %v; want %q", i, got, err, want)
 		}
 		if err := sp.Close(); err != nil {
 			t.Fatal(err)
@@ -128,6 +126,8 @@ func TestLostRaceLeavesNothingBehind(t *testing.T) {
 		// Each iteration must race afresh: forget the cached winner.
 		sender.connector.Cache.Invalidate("race/receiver")
 	}
+
+	t.Logf("winners of 100 races: %v", winners)
 
 	// No parked splice offers: every losing simultaneous open was
 	// withdrawn when its race was canceled.

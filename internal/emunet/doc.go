@@ -11,7 +11,7 @@
 // address spaces, stateful firewalls, NAT devices (standards compliant,
 // deliberately broken, and port-restricted, as encountered by the
 // paper's authors), and WAN links with configurable capacity, round-trip
-// time and loss rate.
+// time, jitter and loss rate.
 //
 // Everything above this package — connection establishment methods,
 // relays, SOCKS proxies, driver stacks — exercises its real code path:
@@ -31,7 +31,61 @@
 // brokering hang until its timeout — or until the caller cancels it via
 // Host.SpliceDialCancel.
 //
-// The data plane can optionally shape traffic (latency and capacity) by
-// a configurable time scale, so that examples behave like a real WAN
-// while tests run in milliseconds.
+// # The link law
+//
+// A fabric with a time scale (WithTimeScale > 0) carries bytes the way
+// the paper's links carried TCP; every duration below is multiplied by
+// the scale.
+//
+// Each direction of each site pair is one pacer, shared by every
+// connection crossing it that way: the link's capacity as a queue.
+// Bytes are reserved on it in the order writers ask, at most a quantum
+// (two segments) at a time, each reservation starting when the link is
+// next free and lasting bytes/CapacityBps. A reservation becomes
+// readable at the far end RTT/2 after it has left the link, plus a
+// jitter drawn from the direction's seeded generator; a connection
+// clamps its delivery times monotone, because a byte stream never
+// reorders. Its acknowledgement is back a further RTT/2 later. The two
+// directions are two queues: a bulk transfer one way does not delay
+// what comes back.
+//
+// Conn.Write copies into the connection's send buffer and returns; it
+// blocks only while the bytes written and not yet acknowledged fill the
+// window, min(congestion window, socket buffer). Latency lands on the
+// bytes, never on the caller, and a connection bound by its window runs
+// at window/RTT. Bytes whose delivery waits on a full receive buffer —
+// a reader stalled with SetReadStall, or just slow — are not
+// acknowledged, so the writer feels the reader. A Write blocked on the
+// window honours SetWriteDeadline and SetDeadline: ErrTimeout, with the
+// count of bytes it had buffered.
+//
+// The congestion window is TCP Reno's, per connection and direction
+// (renoStep): it starts at ten segments, grows by what is acknowledged
+// in slow start and by a segment per window after, and is halved when a
+// loss is acknowledged. Loss is one Bernoulli draw of LossRate per
+// segment of bytes crossing a direction, from the direction's second
+// seeded generator, so the lost segments are a function of the seed and
+// the byte count. A lost segment is delivered one RTT late (the
+// retransmission) and so is everything behind it on its connection.
+// There is no retransmission timeout and no selective acknowledgement;
+// a link with LossRate 0 never shrinks a window.
+//
+// Close is a FIN behind the data: what the closing end has written is
+// still delivered at the link's pace and then the peer reads io.EOF;
+// what the peer had in flight the other way is dropped. A sever —
+// SetLink with Down, Partition, Fabric.Close — drops what is in flight
+// both ways at once and fails both ends. One goroutine per connection
+// direction delivers bytes when they are due, one wake-up per batch of
+// due bytes; it exists only while bytes are undelivered, and ends in
+// both cases.
+//
+// SetLink on a live link changes the pair's two pacers in place, so
+// connections already open see the new parameters from their next
+// reservation and go on sharing the link with later ones.
+//
+// At time scale 0, the default, none of this exists: a direction is an
+// in-memory pipe bounded by the socket buffer, Write blocks only on a
+// reader that has stopped reading, write deadlines are accepted and not
+// enforced, and no goroutine or clock is involved. The CPU-bound tests
+// and benchmarks run there.
 package emunet

@@ -136,15 +136,19 @@ type LinkParams struct {
 	CapacityBps float64
 	// RTT is the round-trip time of the link.
 	RTT time.Duration
-	// LossRate is the packet loss probability (used by the TCP
-	// throughput model in package simtcp; the emulated data plane
-	// itself delivers reliably, as TCP would).
+	// LossRate is the probability that a segment is lost. The data
+	// plane delivers reliably, as TCP does: a loss costs the segment
+	// and what is behind it on its connection one RTT and halves the
+	// connection's congestion window (see the package comment). It is
+	// also what the throughput model in package simtcp reads. Ignored
+	// at time scale 0.
 	LossRate float64
-	// Jitter is the maximum additional random one-way delay applied per
-	// write on top of RTT/2. The actual jitter of each write is drawn
-	// uniformly from [0, Jitter) by a per-link seeded generator, so runs
-	// are replayable. Like RTT, jitter is scaled by the fabric time
-	// scale and ignored entirely at time scale 0.
+	// Jitter is the maximum additional random one-way delay on top of
+	// RTT/2. The jitter of each run of at most two segments is drawn
+	// uniformly from [0, Jitter) by a per-direction seeded generator,
+	// so runs are replayable; a connection's bytes still arrive in
+	// order. Like RTT, jitter is scaled by the fabric time scale and
+	// ignored entirely at time scale 0.
 	Jitter time.Duration
 	// Down marks the link as partitioned: new cross-site connections
 	// over it fail with ErrPartitioned and existing connections are

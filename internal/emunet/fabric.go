@@ -15,7 +15,7 @@ type Fabric struct {
 	sites     map[string]*Site
 	hosts     map[Address]*Host
 	links     map[linkKey]LinkParams
-	shapers   map[linkKey]*shaper
+	pacers    map[linkKey][2]*pacer          // created once per site pair, [0] carries a to b of the key
 	conns     map[linkKey]map[*Conn]struct{} // live cross-site conns, for partition severing
 	defLink   LinkParams
 	timeScale float64
@@ -43,10 +43,10 @@ func orderedLinkKey(a, b string) linkKey {
 type Option func(*Fabric)
 
 // WithTimeScale sets the ratio between emulated time and wall-clock time
-// used by the data plane shaper. 0 (the default) disables shaping
-// delays entirely, so tests run as fast as possible. 1.0 emulates the
-// configured latencies and capacities in real time; 0.01 runs a 30 ms
-// RTT link with 0.3 ms of real delay.
+// used by the data plane. 0 (the default) turns the link law off
+// entirely — connections are in-memory pipes — so tests run as fast as
+// possible. 1.0 emulates the configured latencies and capacities in
+// real time; 0.01 runs a 30 ms RTT link with 0.3 ms of real delay.
 func WithTimeScale(scale float64) Option {
 	return func(f *Fabric) { f.timeScale = scale }
 }
@@ -57,13 +57,14 @@ func WithDefaultLink(p LinkParams) Option {
 	return func(f *Fabric) { f.defLink = p }
 }
 
-// WithSocketBuffer bounds the in-flight bytes of each connection
-// direction (the emulated socket buffer; DefaultSocketBuffer when
-// unset). Writers block once the peer's unread backlog reaches the
-// bound, so a small buffer makes a stalled reader (SetReadStall)
-// backpressure its sender after realistically few bytes — the
-// slow-consumer scenarios of the flow-control tests shrink it to make a
-// stalled destination socket bite quickly.
+// WithSocketBuffer sets the socket buffer of each connection direction
+// (DefaultSocketBuffer when unset): the bound on the peer's unread
+// backlog and, on a shaped link, on a connection's window. Writers
+// block once it is reached, so a small buffer makes a stalled reader
+// (SetReadStall) backpressure its sender after realistically few bytes
+// — the slow-consumer scenarios of the flow-control tests shrink it to
+// make a stalled destination socket bite quickly — and 64 KiB gives a
+// shaped connection the window of a TCP without window scaling.
 func WithSocketBuffer(bytes int) Option {
 	return func(f *Fabric) { f.sockBuf = bytes }
 }
@@ -83,7 +84,7 @@ func NewFabric(opts ...Option) *Fabric {
 		sites:   make(map[string]*Site),
 		hosts:   make(map[Address]*Host),
 		links:   make(map[linkKey]LinkParams),
-		shapers: make(map[linkKey]*shaper),
+		pacers:  make(map[linkKey][2]*pacer),
 		conns:   make(map[linkKey]map[*Conn]struct{}),
 		defLink: LinkParams{CapacityBps: 1.25e6, RTT: 30 * time.Millisecond, LossRate: 0.0001},
 		rng:     rand.New(rand.NewSource(1)),
@@ -181,7 +182,10 @@ func (f *Fabric) Sites() []string {
 	return names
 }
 
-// SetLink configures the WAN link parameters between two sites.
+// SetLink configures the WAN link parameters between two sites. The
+// link changes under the connections already crossing it: their next
+// bytes see the new capacity, delay, jitter and loss rate, and they go
+// on sharing the link with connections opened afterwards.
 // Setting Down severs every live connection currently crossing the
 // site pair and makes new dials over it fail with ErrPartitioned until
 // the link is configured up again (see also Partition and Heal).
@@ -189,7 +193,10 @@ func (f *Fabric) SetLink(siteA, siteB string, p LinkParams) {
 	f.mu.Lock()
 	k := orderedLinkKey(siteA, siteB)
 	f.links[k] = p
-	delete(f.shapers, k)
+	if pcs, ok := f.pacers[k]; ok {
+		pcs[0].setParams(p)
+		pcs[1].setParams(p)
+	}
 	var sever []*Conn
 	if p.Down {
 		for c := range f.conns[k] {
@@ -236,8 +243,8 @@ func (f *Fabric) linkDown(siteA, siteB string) bool {
 // later partition of that site pair can sever them.
 func (f *Fabric) trackConnPair(siteA, siteB string, a, b *Conn) {
 	k := orderedLinkKey(siteA, siteB)
-	a.fabric, a.link = f, k
-	b.fabric, b.link = f, k
+	a.fabric, a.pair = f, k
+	b.fabric, b.pair = f, k
 	f.mu.Lock()
 	m := f.conns[k]
 	if m == nil {
@@ -275,25 +282,38 @@ func (f *Fabric) Link(siteA, siteB string) LinkParams {
 	return f.defLink
 }
 
-// shaperFor returns the shared traffic shaper for the path between two
-// sites, creating it on first use.
-func (f *Fabric) shaperFor(siteA, siteB string) *shaper {
-	p := f.Link(siteA, siteB)
+// pacersFor returns the two directions of the path between two sites,
+// the one siteA sends on first, creating the pair on first use. Every
+// connection between the two sites shares them.
+func (f *Fabric) pacersFor(siteA, siteB string) (out, back *pacer) {
 	k := orderedLinkKey(siteA, siteB)
 	if siteA == siteB {
 		k = linkKey{siteA, siteA + "/lan"}
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if sh, ok := f.shapers[k]; ok {
-		return sh
+	pcs, ok := f.pacers[k]
+	if !ok {
+		// Read under the lock SetLink holds, or a SetLink between the
+		// read and the insert would be lost on this pair for good.
+		p, configured := f.links[k]
+		switch {
+		case siteA == siteB:
+			p = DefaultLAN
+		case !configured:
+			p = f.defLink
+		}
+		// Each direction's jitter and loss streams are seeded from the
+		// fabric seed and the link identity, so impaired runs replay
+		// identically for a given -seed regardless of creation order.
+		seed := f.seed ^ linkSeed(k)
+		pcs = [2]*pacer{newPacer(p, f.timeScale, seed), newPacer(p, f.timeScale, seed+2)}
+		f.pacers[k] = pcs
 	}
-	// Each link's jitter stream is seeded from the fabric seed and the
-	// link identity, so impaired runs replay identically for a given
-	// -seed regardless of shaper creation order.
-	sh := newShaper(p, f.timeScale, f.seed^linkSeed(k))
-	f.shapers[k] = sh
-	return sh
+	if siteA == k.a {
+		return pcs[0], pcs[1]
+	}
+	return pcs[1], pcs[0]
 }
 
 // linkSeed derives a stable per-link seed component from the link key
@@ -309,7 +329,9 @@ func linkSeed(k linkKey) int64 {
 	return int64(h)
 }
 
-// Close shuts the fabric down; all hosts and connections become unusable.
+// Close shuts the fabric down; all hosts and connections become
+// unusable. Cross-site connections are severed as by a partition: what
+// they have in flight is dropped.
 func (f *Fabric) Close() {
 	f.mu.Lock()
 	addrs := make([]string, 0, len(f.hosts))
@@ -321,10 +343,20 @@ func (f *Fabric) Close() {
 	for _, a := range addrs {
 		hosts = append(hosts, f.hosts[Address(a)])
 	}
+	var sever []*Conn
+	for _, conns := range f.conns {
+		for c := range conns { //nolint:netibis-determinism // every conn is closed and close order is unobservable to the scenario
+			sever = append(sever, c) //nolint:netibis-determinism // as above
+		}
+	}
 	f.closed = true
 	f.mu.Unlock()
 	for _, h := range hosts {
 		h.Close()
+	}
+	// Close outside the fabric lock: Close re-enters untrackConn.
+	for _, c := range sever {
+		c.Close()
 	}
 }
 

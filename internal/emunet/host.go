@@ -264,8 +264,8 @@ func (h *Host) connectLocal(src Endpoint, dstHost *Host, dst Endpoint) (net.Conn
 	if !ok {
 		return nil, ErrConnRefused
 	}
-	sh := h.fabric.shaperFor(h.site.name, dstHost.site.name)
-	cLocal, cRemote := newConnPair(src, dst, sh, h.fabric.sockBuf)
+	out, back := h.fabric.pacersFor(h.site.name, dstHost.site.name)
+	cLocal, cRemote := newConnPair(src, dst, out, back, h.fabric.sockBuf)
 	if !l.deliver(cRemote) {
 		return nil, ErrConnRefused
 	}
@@ -282,8 +282,8 @@ func (h *Host) completeDial(extSrc Endpoint, dstHost *Host, dst Endpoint) (net.C
 	if !ok {
 		return nil, ErrConnRefused
 	}
-	sh := h.fabric.shaperFor(h.site.name, dstHost.site.name)
-	cLocal, cRemote := newConnPair(extSrc, dst, sh, h.fabric.sockBuf)
+	out, back := h.fabric.pacersFor(h.site.name, dstHost.site.name)
+	cLocal, cRemote := newConnPair(extSrc, dst, out, back, h.fabric.sockBuf)
 	// Track before deliver: an acceptor may close cRemote the moment it
 	// has it, and Close reads what tracking writes.
 	h.fabric.trackConnPair(h.site.name, dstHost.site.name, cLocal, cRemote)
@@ -422,8 +422,8 @@ func (f *Fabric) registerSplice(offer *spliceOffer) bool {
 	delete(f.splices, peerKey)
 	f.mu.Unlock()
 
-	sh := f.shaperFor(siteA, siteB)
-	cA, cB := newConnPair(offer.actual, peer.actual, sh, f.sockBuf)
+	out, back := f.pacersFor(siteA, siteB)
+	cA, cB := newConnPair(offer.actual, peer.actual, out, back, f.sockBuf)
 	if siteA != siteB {
 		f.trackConnPair(siteA, siteB, cA, cB)
 	}

@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"netibis/internal/testutil"
 )
 
 // twoSiteWorld builds two open public sites with one host each and a
@@ -192,14 +194,16 @@ func TestConnTrackingDrainsOnClose(t *testing.T) {
 }
 
 func TestJitterAddsBoundedDelay(t *testing.T) {
-	// At time scale 1 a 0-RTT link with jitter must delay writes by
-	// [0, Jitter); with the same seed the delays replay identically.
+	// At time scale 1 a 0-RTT link with jitter delivers [0, Jitter)
+	// after the write; with the same seed the delays replay identically.
 	params := LinkParams{CapacityBps: 0, RTT: 0, Jitter: 20 * time.Millisecond}
+	now := time.Unix(1000, 0)
 	sample := func(seed int64) []time.Duration {
-		sh := newShaper(params, 1.0, seed)
+		pc := newPacer(params, 1.0, seed)
 		out := make([]time.Duration, 8)
 		for i := range out {
-			out[i] = sh.sendDelay(1)
+			at, _, _ := pc.reserve(1, now)
+			out[i] = at.Sub(now)
 		}
 		return out
 	}
@@ -221,5 +225,67 @@ func TestJitterAddsBoundedDelay(t *testing.T) {
 	}
 	if c := sample(8); c[0] == a[0] && c[1] == a[1] && c[2] == a[2] {
 		t.Fatalf("different seeds produced identical jitter prefix")
+	}
+
+	// Jitter moves when bytes arrive, never their order: a connection
+	// clamps its delivery times monotone. Each byte carries its index.
+	defer testutil.LeakCheck(t, 0)()
+	f, dial := shapedLink(t, LinkParams{CapacityBps: 1e6, RTT: 2 * time.Millisecond, Jitter: 20 * time.Millisecond}, WithTimeScale(0.1), WithSeed(7))
+	defer f.Close()
+	w, e := dial()
+	defer e.Close()
+	const count = 200
+	go func() {
+		for i := 0; i < count; i++ {
+			w.Write([]byte{byte(i)})
+		}
+		w.Close()
+	}()
+	got, err := io.ReadAll(e)
+	if err != nil || len(got) != count {
+		t.Fatalf("read %d of %d bytes, err %v", len(got), count, err)
+	}
+	for i, b := range got {
+		if b != byte(i) {
+			t.Fatalf("byte %d arrived in place %d: jitter reordered the stream", b, i)
+		}
+	}
+}
+
+// TestSetLinkChangesLiveConns: SetLink changes the link under the
+// connections already crossing it, and connections opened before and
+// after it go on sharing one link.
+func TestSetLinkChangesLiveConns(t *testing.T) {
+	defer testutil.LeakCheck(t, 0)()
+	link := LinkParams{CapacityBps: 2e6, RTT: 10 * time.Millisecond}
+	f, dial := shapedLink(t, link, WithTimeScale(1), WithSocketBuffer(64<<10))
+	defer f.Close()
+
+	oldW, oldE := dial()
+	if got := pingPong(t, oldW, oldE, 5); !within(got.Seconds(), link.RTT.Seconds(), 0.25) {
+		t.Fatalf("before SetLink: ping-pong %v, want the link's %v", got, link.RTT)
+	}
+	slow := link
+	slow.RTT *= 4
+	f.SetLink("west", "east", slow)
+	if got := oldW.(*Conn).LinkParams(); got != slow {
+		t.Errorf("a conn opened before SetLink reports %+v, want %+v", got, slow)
+	}
+	if got := pingPong(t, oldW, oldE, 5); !within(got.Seconds(), slow.RTT.Seconds(), 0.25) {
+		t.Errorf("a conn opened before SetLink(RTT x4): ping-pong %v, want the new %v", got, slow.RTT)
+	}
+
+	// One link, not one per generation of conns: together the old conn
+	// and a new one get the capacity once, and about half each.
+	f.SetLink("west", "east", link)
+	newW, newE := dial()
+	rates := blast([]net.Conn{oldW, newW}, []net.Conn{oldE, newE}, 1, 10*link.RTT, 40*link.RTT)
+	if total := sum(rates); !within(total, link.CapacityBps, 0.15) {
+		t.Errorf("conns opened either side of a SetLink carry %.2f MB/s together, want the link's %.2f", total/1e6, link.CapacityBps/1e6)
+	}
+	for i, r := range rates {
+		if share := r / sum(rates); share < 0.3 || share > 0.7 {
+			t.Errorf("conn %d got %.0f%% of the link, want about half", i, share*100)
+		}
 	}
 }

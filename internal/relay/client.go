@@ -71,6 +71,10 @@ func (c *Client) FlowStats() FlowStats {
 type pendingDial struct {
 	ch    chan dialResult
 	offer *identity.LinkOffer
+	// canceled (guarded by Client.mu) is set by abandonDial: an OpenOK
+	// being completed for this dial must not register its link, for
+	// nobody is left to receive it.
+	canceled bool
 }
 
 // dialResult is the outcome of an open: an established link or a typed
@@ -482,6 +486,9 @@ func (c *Client) DialCancel(peerID string, timeout time.Duration, cancel <-chan 
 func (c *Client) abandonDial(key linkID, pd *pendingDial) error {
 	c.mu.Lock()
 	delete(c.pending, key)
+	// Dispatch may hold the waiter already, between taking it off
+	// pending and registering the link: tell it not to.
+	pd.canceled = true
 	rc := c.links[key]
 	c.mu.Unlock()
 	if rc == nil {
@@ -662,7 +669,7 @@ func (c *Client) handleOpenOK(channel uint64, body []byte) {
 	}
 	c.mu.Lock()
 	var rc *routedConn
-	if !c.closed {
+	if !c.closed && !pd.canceled {
 		// c.mu is held: read the window field directly.
 		rc = newRoutedConn(c, from, channel, true, peerWindow, c.window)
 		rc.keys = keys
@@ -670,6 +677,8 @@ func (c *Client) handleOpenOK(channel uint64, body []byte) {
 	}
 	c.mu.Unlock()
 	if rc == nil {
+		// Closed, or canceled while the answer was being verified:
+		// abandonDial has told the peer, and its waiter is gone.
 		pd.ch <- dialResult{err: ErrClosed}
 		return
 	}
