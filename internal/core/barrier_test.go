@@ -1,0 +1,278 @@
+package core
+
+// Tests of a connect's tail: once the data link is up the connect's
+// barrier (estab.ServiceMux.Finish) passes on a goroutine that keeps the
+// service link to itself, so the caller does not wait for it, the next
+// user of the link does, and its failure is the service link's alone.
+
+import (
+	"errors"
+	"fmt"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"netibis/internal/emunet"
+	"netibis/internal/estab"
+	"netibis/internal/ipl"
+	"netibis/internal/obs"
+	"netibis/internal/testutil"
+)
+
+// newShapedGrid is newTestGrid on a fabric whose links take time: 4 ms of
+// round trip, scaled.
+func newShapedGrid(t *testing.T, scale float64) *testGrid {
+	t.Helper()
+	f := emunet.NewFabric(emunet.WithSeed(29), emunet.WithTimeScale(scale), emunet.WithDefaultLink(emunet.LinkParams{CapacityBps: 9e6, RTT: 4 * time.Millisecond}))
+	dep, err := NewDeployment(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &testGrid{t: t, fabric: f, dep: dep}
+	t.Cleanup(func() {
+		g.closeAll()
+		dep.Close()
+		f.Close()
+	})
+	return g
+}
+
+// TestBarrierOrdersServiceLinkUse: fifty connects and pings back to back
+// on one service link whose frames take real time. Each takes the link
+// only once the previous connect's barrier has passed, so no ping (which
+// reads exactly one frame) and no connect request sees a stray frame of
+// an establishment, and the link is never evicted.
+func TestBarrierOrdersServiceLinkUse(t *testing.T) {
+	g := newShapedGrid(t, 0.25)
+	a := g.node("alice", "site-a", stateful, nil)
+	b := g.node("bob", "site-b", emunet.SiteConfig{Firewall: emunet.Open}, nil)
+	pt := ipl.PortType{Name: "chan", Stack: "tcpblk"}
+	rp, err := b.CreateReceivePort(pt, "inbox")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	if _, err := a.Ping("bob"); err != nil {
+		t.Fatal(err)
+	}
+	first, err := a.serviceLinkTo("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 50; i++ {
+		sp, err := a.CreateSendPort(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Connect(rp.ID()); err != nil {
+			t.Fatalf("connect %d: %v", i, err)
+		}
+		if _, err := a.Ping("bob"); err != nil {
+			t.Fatalf("ping behind connect %d: %v", i, err)
+		}
+		want := fmt.Sprintf("message %d", i)
+		sendText(t, sp, want)
+		if got, _ := recvText(t, rp); got != want {
+			t.Fatalf("connect %d carried %q, want %q", i, got, want)
+		}
+		if err := sp.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if now, err := a.serviceLinkTo("bob"); err != nil || now != first {
+		t.Fatalf("the service link was evicted along the way (%v)", err)
+	}
+}
+
+// TestServiceLinkSeveredAfterElection: the service link dies under the
+// initiator's done marker — after the election, before the barrier. The
+// connect has succeeded all the same, on both sides: the data link
+// carries a verified message, the broken service link is evicted, and the
+// next connect gets a fresh one.
+func TestServiceLinkSeveredAfterElection(t *testing.T) {
+	g := newTestGrid(t)
+	a := g.node("alice", "site-a", stateful, nil)
+	b := g.node("bob", "site-b", emunet.SiteConfig{Firewall: emunet.Open}, nil)
+	rec, severed := recordServiceLink(t, a, "bob")
+	rec.onDone = func() error {
+		rec.Conn.Close()
+		return net.ErrClosed
+	}
+
+	pt := ipl.PortType{Name: "chan", Stack: "tcpblk"}
+	sp, rp := channel(t, a, b, pt, "inbox")
+	defer sp.Close()
+	defer rp.Close()
+	waitForCondition(t, 3*time.Second, "the severed service link stayed cached", func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.serviceLinks) == 0
+	})
+	sendText(t, sp, "over a link whose broker died")
+	if got, origin := recvText(t, rp); got != "over a link whose broker died" || origin != a.Identifier() {
+		t.Fatalf("got %q from %v", got, origin)
+	}
+
+	sp2, err := a.CreateSendPort(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp2.Close()
+	if err := sp2.Connect(rp.ID()); err != nil {
+		t.Fatalf("connect after the eviction: %v", err)
+	}
+	if fresh, err := a.serviceLinkTo("bob"); err != nil || fresh == severed {
+		t.Fatalf("the connect after the eviction ran over the severed link (%v)", err)
+	}
+	sendText(t, sp2, "over a fresh one")
+	if got, _ := recvText(t, rp); got != "over a fresh one" {
+		t.Fatalf("got %q", got)
+	}
+}
+
+// TestCloseWithBarrierPending: Node.Close while a connect's barrier is
+// still open — its done marker held back — returns, and the goroutine
+// that held the service link for the barrier is gone with the rest.
+func TestCloseWithBarrierPending(t *testing.T) {
+	g := newTestGrid(t)
+	b := g.node("bob", "site-b", emunet.SiteConfig{Firewall: emunet.Open}, nil)
+	pt := ipl.PortType{Name: "chan", Stack: "tcpblk"}
+	rp, err := b.CreateReceivePort(pt, "inbox")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+
+	checkLeaks := testutil.LeakCheck(t, 0)
+	a := g.node("alice", "site-a", stateful, nil)
+	rec, sl := recordServiceLink(t, a, "bob")
+	rec.onDone = func() error {
+		<-rec.closed
+		return net.ErrClosed
+	}
+	sp, err := a.CreateSendPort(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Connect(rp.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if sl.mu.TryLock() {
+		t.Fatal("the service link is free while the connect's barrier is open")
+	}
+	sendText(t, sp, "the data link does not wait for the barrier")
+	if got, _ := recvText(t, rp); !strings.HasPrefix(got, "the data link") {
+		t.Fatalf("got %q", got)
+	}
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		a.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Node.Close did not return with a barrier pending")
+	}
+	checkLeaks()
+}
+
+// TestHealthySpliceNeverLaunchesRouted: on a 4 ms grid the head start a
+// race gives splicing is twice the service-link round trip the connect
+// just measured, and a healthy splice finishes well inside it: over
+// twenty cold races the routed candidate is never launched — the relay
+// sees no link open beyond the service link's — where a constant stagger
+// below the round trip would have opened (and abandoned) one per connect.
+func TestHealthySpliceNeverLaunchesRouted(t *testing.T) {
+	g := newShapedGrid(t, 1)
+	a := g.node("alice", "site-a", stateful, nil)
+	b := g.node("bob", "site-b", stateful, nil)
+	if got := estab.RankCandidates(a.Profile(), b.Profile(), false); len(got) != 2 || got[0] != estab.Splicing || got[1] != estab.Routed {
+		t.Fatalf("the pair ranks %v, want splicing then routed", got)
+	}
+	reg := obs.NewRegistry()
+	g.dep.Relays[0].Server.MetricsInto(reg)
+	opens := func() float64 {
+		var sb strings.Builder
+		if err := reg.WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := obs.ParseText(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := sc.Value("netibis_estab_open_frames_total")
+		if !ok {
+			t.Fatal("the relay reports no open-frame counter")
+		}
+		return v
+	}
+
+	pt := ipl.PortType{Name: "chan", Stack: "tcpblk"}
+	rp, err := b.CreateReceivePort(pt, "inbox")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	if _, err := a.Ping("bob"); err != nil { // the service link's open
+		t.Fatal(err)
+	}
+	base := opens()
+	for i := 0; i < 20; i++ {
+		sp, err := a.CreateSendPort(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Connect(rp.ID()); err != nil {
+			t.Fatalf("connect %d: %v", i, err)
+		}
+		if m := SendPortMethods(sp)[rp.ID().String()]; m != estab.Splicing {
+			t.Fatalf("connect %d came up by %v, want splicing", i, m)
+		}
+		sendText(t, sp, "spliced")
+		if got, _ := recvText(t, rp); got != "spliced" {
+			t.Fatalf("connect %d carried %q", i, got)
+		}
+		if err := sp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		a.connector.Cache.Invalidate(b.relayID()) // every connect races afresh
+	}
+	if now := opens(); now != base {
+		t.Fatalf("the relay saw %v link opens over twenty healthy splices, want none: a routed candidate was launched", now-base)
+	}
+}
+
+// TestServiceLinkToAbsentPeerFailsFast: a first connect dials the peer
+// without asking the registry first; the refusal asks it, and its "never
+// joined" is final: ErrPeerUnavailable long before the dial's retries
+// (the accept timeout) run out, with no goroutine and no half-open routed
+// link left behind.
+func TestServiceLinkToAbsentPeerFailsFast(t *testing.T) {
+	g := newShapedGrid(t, 0.25)
+	a := g.node("alice", "site-a", stateful, nil)
+	links := a.relayCli.LinkCount()
+	checkLeaks := testutil.LeakCheck(t, 0)
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		if _, err := a.Ping("nobody"); !errors.Is(err, ErrPeerUnavailable) {
+			t.Fatalf("ping to a peer that never joined: %v, want ErrPeerUnavailable", err)
+		}
+		if elapsed := time.Since(start); elapsed > a.connector.ResolvedAcceptTimeout()/2 {
+			t.Fatalf("ping to a peer that never joined took %v: the dial's retries ran on", elapsed)
+		}
+	}
+	if why := testutil.Settle(func() (bool, string) {
+		n := a.relayCli.LinkCount()
+		return n == links, fmt.Sprintf("%d routed links, %d before", n, links)
+	}); why != "" {
+		t.Error(why)
+	}
+	checkLeaks()
+}

@@ -8,8 +8,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +25,15 @@ import (
 )
 
 var stateful = emunet.SiteConfig{Firewall: emunet.Stateful}
+
+// The establishment's frames, written as DESIGN.md ("Control-frame
+// bodies") lays them out: a mux message is stream ‖ method ‖ type ‖ body,
+// the done marker is the next frame kind and empty.
+const (
+	kindMuxData, kindMuxDone = wire.KindUser + 0x28, wire.KindUser + 0x29
+	msgListen, msgSplice     = 1, 2
+	msgElect                 = 5
+)
 
 // request sends one frame on a service link and returns the reply's op
 // and payload.
@@ -168,13 +179,12 @@ func TestPurposeHeaderCarriesNoName(t *testing.T) {
 
 // TestSecureMemberCannotCrashAcceptor: a member's brokering messages are
 // input from outside like any other. An authenticated member used to be
-// able to kill any node that owns a receive port with three frames on
-// its own service link — a plan, the election of a method the plan does
-// not name, the done marker — because the acceptor's establishment
-// returned no connection and no error, and the port's reader
-// dereferenced it. Now the establishment is a protocol error: bob
-// refuses the link, keeps serving that service link, and still accepts an
-// honest connect.
+// able to kill any node that owns a receive port with a few frames on its
+// own service link — the election of a method that is no candidate, the
+// done marker — because the acceptor's establishment returned no
+// connection and no error, and the port's reader dereferenced it. Now
+// the establishment is a protocol error: bob refuses the link, keeps
+// serving that service link, and still accepts an honest connect.
 func TestSecureMemberCannotCrashAcceptor(t *testing.T) {
 	g := newSecureGrid(t, 1)
 	alice := g.secureNode("alice", "site-a", stateful, nil)
@@ -196,25 +206,17 @@ func TestSecureMemberCannotCrashAcceptor(t *testing.T) {
 	if op, _ := request(t, sl, opConnect, encodeConnectRequest(req)); op != opConnectOK {
 		t.Fatalf("mallory's own connect request: reply op %d, want opConnectOK", op)
 	}
-	// The establishment's frames, written as DESIGN.md ("Control-frame
-	// bodies") lays them out: a mux message is stream ‖ method ‖ type ‖
-	// body, the done marker is the next frame kind and empty.
-	const (
-		kindMuxData, kindMuxDone = wire.KindUser + 0x28, wire.KindUser + 0x29
-		msgPlan, msgElect        = 5, 6
-	)
-	for _, f := range [][]byte{
-		{0, byte(estab.MethodNone), msgPlan, byte(estab.ClientServer)},
-		{0, byte(estab.MethodNone), msgElect, byte(estab.Proxy)},
-	} {
-		if err := sl.w.WriteFrame(kindMuxData, 0, f); err != nil {
-			t.Fatal(err)
-		}
+	if slices.Contains(estab.RankCandidates(mallory.Profile(), bob.Profile(), false), estab.Proxy) {
+		t.Fatal("the pair ranks the proxy method: the script elects nothing foreign")
+	}
+	if err := sl.w.WriteFrame(kindMuxData, 0, []byte{0, byte(estab.MethodNone), msgElect, byte(estab.Proxy)}); err != nil {
+		t.Fatal(err)
 	}
 	if err := sl.w.WriteFrame(kindMuxDone, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Bob ends the connect with his own done marker, and took no source.
+	// Bob ends the connect with his own done marker (behind what his
+	// candidates' halves had to say first), and took no source.
 	sl.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for {
 		f, err := sl.r.ReadFrame()
@@ -251,6 +253,107 @@ func TestSecureMemberCannotCrashAcceptor(t *testing.T) {
 	}
 }
 
+// scriptedPeer attaches a bare relay client under testpool/<name>,
+// registers it as a node, and answers every request frame on the service
+// links it accepts with what reply returns for it (nil: no answer).
+func scriptedPeer(t *testing.T, g *testGrid, a *Node, name string, reply func(req wire.Frame) *wire.Frame) {
+	t.Helper()
+	host := g.dep.AddSite("site-"+name, emunet.SiteConfig{Firewall: emunet.Open}).AddHost(name)
+	conn, err := host.Dial(g.dep.RelayEndpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := relay.Attach(conn, "testpool/"+name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	if err := a.registry.Register(a.nodeKey(name), wire.AppendString(nil, "testpool/"+name)); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			link, err := peer.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer link.Close()
+				r, w := wire.NewReader(link), wire.NewWriter(link)
+				if _, err := r.ReadFrame(); err != nil { // the purpose header
+					return
+				}
+				for {
+					f, err := r.ReadFrame()
+					if err != nil {
+						return
+					}
+					if out := reply(f); out != nil {
+						w.WriteFrame(out.Kind, out.Flags, out.Payload)
+					}
+				}
+			}()
+		}
+	}()
+}
+
+// TestPingFailsClosed: a ping reads exactly one frame, its pong. Anything
+// else — a stale frame of an establishment above all — means the link is
+// out of step: the ping fails, the link is evicted, and the next ping
+// runs over a fresh one. Ping used to skip whatever was not its pong.
+func TestPingFailsClosed(t *testing.T) {
+	g := newTestGrid(t)
+	a := g.node("alice", "site-a", stateful, nil)
+	var mu sync.Mutex
+	answer := wire.Frame{Kind: wire.KindControl, Flags: opPong}
+	scriptedPeer(t, g, a, "fake", func(wire.Frame) *wire.Frame {
+		mu.Lock()
+		defer mu.Unlock()
+		out := answer
+		return &out
+	})
+
+	for _, tc := range []struct {
+		what  string
+		reply wire.Frame
+	}{
+		{"a stale done marker", wire.Frame{Kind: kindMuxDone}},
+		{"a stale mux message", wire.Frame{Kind: kindMuxData, Payload: []byte{0, byte(estab.ClientServer), msgListen}}},
+		{"a connect reply", wire.Frame{Kind: wire.KindControl, Flags: opConnectOK}},
+		{"a ping", wire.Frame{Kind: wire.KindControl, Flags: opPing}},
+		{"a pong of another frame kind", wire.Frame{Kind: kindMuxData, Flags: opPong}},
+	} {
+		if _, err := a.Ping("fake"); err != nil {
+			t.Fatalf("%s: ping over a fresh link: %v", tc.what, err)
+		}
+		before, err := a.serviceLinkTo("fake")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		answer = tc.reply
+		mu.Unlock()
+		if _, err := a.Ping("fake"); err == nil {
+			t.Errorf("%s in place of the pong: the ping succeeded", tc.what)
+		}
+		a.mu.Lock()
+		cached := len(a.serviceLinks)
+		a.mu.Unlock()
+		if cached != 0 {
+			t.Errorf("%s in place of the pong: the service link stayed cached", tc.what)
+		}
+		mu.Lock()
+		answer = wire.Frame{Kind: wire.KindControl, Flags: opPong}
+		mu.Unlock()
+		if _, err := a.Ping("fake"); err != nil {
+			t.Errorf("%s: ping after the eviction: %v", tc.what, err)
+		}
+		if after, err := a.serviceLinkTo("fake"); err != nil || after == before {
+			t.Errorf("%s: the ping after the eviction ran over the evicted link (%v)", tc.what, err)
+		}
+	}
+}
+
 // recordingConn records everything written through it, and everything
 // read from it: what the far end wrote.
 type recordingConn struct {
@@ -258,12 +361,25 @@ type recordingConn struct {
 	mu    sync.Mutex
 	wrote bytes.Buffer
 	read  bytes.Buffer
+
+	// onDone, when set, runs before the write that completes the
+	// establishment's done marker goes out; its error fails that write.
+	onDone func() error
+	// closed is closed by Close.
+	closed    chan struct{}
+	closeOnce sync.Once
 }
 
 func (rc *recordingConn) Write(p []byte) (int, error) {
 	rc.mu.Lock()
 	rc.wrote.Write(p)
+	done := rc.onDone != nil && slices.ContainsFunc(parseFrames(rc.wrote.Bytes()), func(f wire.Frame) bool { return f.Kind == kindMuxDone })
 	rc.mu.Unlock()
+	if done {
+		if err := rc.onDone(); err != nil {
+			return 0, err
+		}
+	}
 	return rc.Conn.Write(p)
 }
 
@@ -275,9 +391,34 @@ func (rc *recordingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+func (rc *recordingConn) Close() error {
+	rc.closeOnce.Do(func() { close(rc.closed) })
+	return rc.Conn.Close()
+}
+
+// frames returns the whole frames written and read so far.
+func (rc *recordingConn) frames() (wrote, read []wire.Frame) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return parseFrames(rc.wrote.Bytes()), parseFrames(rc.read.Bytes())
+}
+
+// parseFrames returns the whole frames at the head of a recorded stream.
+func parseFrames(stream []byte) []wire.Frame {
+	var out []wire.Frame
+	r := wire.NewReader(bytes.NewReader(stream))
+	for {
+		f, err := r.ReadFrame()
+		if err != nil {
+			return out
+		}
+		out = append(out, f)
+	}
+}
+
 // recordServiceLink puts a recordingConn under a's cached service link to
-// the named peer.
-func recordServiceLink(t *testing.T, a *Node, peer string) *recordingConn {
+// the named peer, which it also returns.
+func recordServiceLink(t *testing.T, a *Node, peer string) (*recordingConn, *serviceLink) {
 	t.Helper()
 	if _, err := a.Ping(peer); err != nil {
 		t.Fatal(err)
@@ -286,9 +427,11 @@ func recordServiceLink(t *testing.T, a *Node, peer string) *recordingConn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recordingConn{Conn: sl.conn}
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	rec := &recordingConn{Conn: sl.conn, closed: make(chan struct{})}
 	sl.conn, sl.r, sl.w = rec, wire.NewReader(rec), wire.NewWriter(rec)
-	return rec
+	return rec, sl
 }
 
 // TestProfilesCrossServiceLinkOncePerConnect: a stack of four parallel
@@ -299,7 +442,7 @@ func TestProfilesCrossServiceLinkOncePerConnect(t *testing.T) {
 	g := newTestGrid(t)
 	a := g.node("alice", "site-a", stateful, nil)
 	b := g.node("bob", "site-b", stateful, nil)
-	rec := recordServiceLink(t, a, "bob")
+	rec, _ := recordServiceLink(t, a, "bob")
 
 	pt := ipl.PortType{Name: "striped", Stack: "multi:streams=4/tcpblk"}
 	sp, rp := channel(t, a, b, pt, "inbox")
@@ -321,48 +464,76 @@ func TestProfilesCrossServiceLinkOncePerConnect(t *testing.T) {
 }
 
 // TestConnectFrameCount pins what a cold connect puts on the service
-// link when the paper's simplest method wins: four frames from the
-// initiator (connect request, plan, election, done marker) and three from
-// the acceptor (connect-OK, its listening endpoint, done marker). The
-// losing candidates of the plan say nothing, and a round has no end
-// marker of its own.
+// link when the paper's simplest method wins. When Connect returns the
+// initiator has written the two frames a connect needs of it — the
+// connect request and the election; the candidates are implied by the two
+// profiles — and read the two it waited for: the connect-OK and, back to
+// back with it, the acceptor's listening endpoint. Off the caller's path
+// the barrier adds the initiator's done marker, three in all, and the
+// acceptor's total is four: the splice prediction its splicing half
+// advertises whether or not the initiator ever launches that method, and
+// its done marker. Its routed half waits for a cue that never comes.
 func TestConnectFrameCount(t *testing.T) {
 	g := newTestGrid(t)
 	a := g.node("alice", "site-a", stateful, nil)
 	b := g.node("bob", "site-b", emunet.SiteConfig{Firewall: emunet.Open}, nil)
-	rec := recordServiceLink(t, a, "bob")
+	if got := estab.RankCandidates(a.Profile(), b.Profile(), false); !slices.Equal(got, []estab.Method{estab.ClientServer, estab.Splicing, estab.Routed}) {
+		t.Fatalf("the pair ranks %v; the counts below assume client/server, splicing and routed", got)
+	}
+	rec, sl := recordServiceLink(t, a, "bob")
 
 	sp, rp := channel(t, a, b, ipl.PortType{Name: "chan", Stack: "tcpblk"}, "inbox")
 	defer sp.Close()
 	defer rp.Close()
+	sent, got := rec.frames()
 	if m := SendPortMethods(sp)[rp.ID().String()]; m != estab.ClientServer {
 		t.Fatalf("connected via %v, want client/server", m)
 	}
 
-	frames := func(stream []byte) (n int, first wire.Frame) {
-		r := wire.NewReader(bytes.NewReader(stream))
-		for {
-			f, err := r.ReadFrame()
-			if err == io.EOF {
-				return n, first
-			}
-			if err != nil {
-				t.Fatalf("frame %d of the recorded stream: %v", n, err)
-			}
-			if n++; n == 1 {
-				first = f
-			}
+	// what names a frame: an op of the connect exchange, a message type of
+	// the establishment, or the done marker.
+	what := func(f wire.Frame) string {
+		switch {
+		case f.Kind == wire.KindControl:
+			return fmt.Sprintf("op %d", f.Flags)
+		case f.Kind == kindMuxData && len(f.Payload) >= 3:
+			return fmt.Sprintf("msg %d", f.Payload[2])
+		case f.Kind == kindMuxDone:
+			return "done"
 		}
+		return f.String()
 	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	sent, request := frames(rec.wrote.Bytes())
-	got, reply := frames(rec.read.Bytes())
-	if request.Flags != opConnect || reply.Flags != opConnectOK {
-		t.Fatalf("recorded streams start with ops %d and %d, want the connect request and its reply", request.Flags, reply.Flags)
+	names := func(fs []wire.Frame) (out []string) {
+		for _, f := range fs {
+			out = append(out, what(f))
+		}
+		return out
 	}
-	if sent != 4 || got != 3 {
-		t.Fatalf("a cold client/server connect put %d frames from the initiator and %d from the acceptor on the service link, want 4 and 3", sent, got)
+	request, elect, done := fmt.Sprintf("op %d", opConnect), fmt.Sprintf("msg %d", msgElect), "done"
+	ok, listen, splice := fmt.Sprintf("op %d", opConnectOK), fmt.Sprintf("msg %d", msgListen), fmt.Sprintf("msg %d", msgSplice)
+
+	// At Connect's return the barrier may or may not have written its
+	// marker yet; what the caller waited for is the rest.
+	atReturn := names(sent)
+	if n := len(atReturn); n > 0 && atReturn[n-1] == done {
+		atReturn = atReturn[:n-1]
+	}
+	if !slices.Equal(atReturn, []string{request, elect}) {
+		t.Fatalf("when Connect returned the initiator had written %v, want the connect request and the election", atReturn)
+	}
+	if r := names(got); len(r) < 2 || r[0] != ok || !slices.Contains(r, listen) {
+		t.Fatalf("when Connect returned the initiator had read %v, want the connect-OK and the listening endpoint", r)
+	}
+
+	sl.mu.Lock() // the barrier has passed
+	sl.mu.Unlock()
+	sent, got = rec.frames()
+	if !slices.Equal(names(sent), []string{request, elect, done}) {
+		t.Fatalf("a cold client/server connect put %v from the initiator on the service link, want the connect request, the election and the done marker", names(sent))
+	}
+	r := names(got)
+	if len(r) != 4 || r[0] != ok || r[3] != done || !slices.Contains(r, listen) || !slices.Contains(r, splice) {
+		t.Fatalf("a cold client/server connect put %v from the acceptor on the service link, want the connect-OK, the listening endpoint and the splice prediction in either order, and the done marker", r)
 	}
 }
 
@@ -374,7 +545,7 @@ func TestPassphraseStaysHome(t *testing.T) {
 	g := newTestGrid(t)
 	a := g.node("alice", "site-a", stateful, nil)
 	b := g.node("bob", "site-b", stateful, nil)
-	rec := recordServiceLink(t, a, "bob")
+	rec, _ := recordServiceLink(t, a, "bob")
 
 	pt := ipl.PortType{Name: "sealed", Stack: "secure:psk=correct-horse/tcpblk"}
 	sp, rp := channel(t, a, b, pt, "inbox")
@@ -416,48 +587,16 @@ func TestConnectRefusesBadReply(t *testing.T) {
 
 	// The acceptor is a bare relay attachment that answers every connect
 	// request with the reply under test.
-	host := g.dep.AddSite("site-f", emunet.SiteConfig{Firewall: emunet.Open}).AddHost("fake")
-	conn, err := host.Dial(g.dep.RelayEndpoint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fake, err := relay.Attach(conn, "testpool/fake")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fake.Close()
-	if err := a.registry.Register(a.nodeKey("fake"), wire.AppendString(nil, "testpool/fake")); err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
 	var reply []byte
-	go func() {
-		for {
-			link, err := fake.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer link.Close()
-				r, w := wire.NewReader(link), wire.NewWriter(link)
-				if _, err := r.ReadFrame(); err != nil { // the purpose header
-					return
-				}
-				for {
-					f, err := r.ReadFrame()
-					if err != nil {
-						return
-					}
-					if f.Flags == opConnect {
-						mu.Lock()
-						p := reply
-						mu.Unlock()
-						w.WriteFrame(wire.KindControl, opConnectOK, p)
-					}
-				}
-			}()
+	scriptedPeer(t, g, a, "fake", func(f wire.Frame) *wire.Frame {
+		if f.Flags != opConnect {
+			return nil
 		}
-	}()
+		mu.Lock()
+		defer mu.Unlock()
+		return &wire.Frame{Kind: wire.KindControl, Flags: opConnectOK, Payload: reply}
+	})
 
 	good := estab.Profile{HasRelay: true, RelayID: "testpool/fake"}.Encode()
 	pt := ipl.PortType{Name: "chan", Stack: "tcpblk"}

@@ -139,8 +139,9 @@ type Config struct {
 	// SpliceTimeout.
 	AcceptTimeout time.Duration
 	// RaceStagger is the head start between candidate methods of a
-	// racing establishment; zero means estab.DefaultRaceStagger,
-	// negative launches all candidates at once.
+	// racing establishment; zero means twice the service-link round trip
+	// each connect measures (at least estab.MinRaceStagger), negative
+	// launches all candidates at once.
 	RaceStagger time.Duration
 	// EstabCacheTTL is the lifetime of connectivity-cache entries
 	// (which method last won the establishment race per peer); zero
@@ -760,16 +761,7 @@ func (n *Node) serviceLinkTo(peerName string) (*serviceLink, error) {
 	}
 	n.mu.Unlock()
 
-	// A routed dial retries refusals to bridge the mesh's gossip window,
-	// which would make dialing a node that never joined slow. The
-	// registry knows instantly whether the peer exists, so check there
-	// first and only pay the retries for peers that are really joining.
-	// Nothing in the record is used: the dial below targets the peer ID,
-	// whose attachment the relay authenticated.
-	if _, lerr := n.registry.Lookup(n.nodeKey(peerName), 0); errors.Is(lerr, nameservice.ErrNotFound) {
-		return nil, fmt.Errorf("%w: %v", ErrPeerUnavailable, lerr)
-	}
-	conn, err := n.dialRouted(peerID)
+	conn, err := n.dialRouted(peerName, peerID)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrPeerUnavailable, err)
 	}
@@ -794,9 +786,23 @@ func (n *Node) serviceLinkTo(peerName string) (*serviceLink, error) {
 
 // dialRouted opens a routed link to a peer node, retrying refusals and
 // detachments (the mesh's gossip window, or our own attachment being
-// resumed after a failover) until the accept timeout expires.
-func (n *Node) dialRouted(peerID string) (net.Conn, error) {
-	return estab.RetryRoutedDial(n.relayCli.Dial, peerID, n.connector.ResolvedAcceptTimeout(), n.done)
+// resumed after a failover) until the accept timeout expires. That would
+// make dialing a node that never joined slow, and the registry knows at
+// once whether the peer exists: a refusal asks it, and is final for a
+// peer it does not know. Nothing in the record is used — the dial targets
+// the peer ID, whose attachment the relay authenticated — so a dial that
+// succeeds never asks.
+func (n *Node) dialRouted(peerName, peerID string) (net.Conn, error) {
+	dial := func(peerID string, timeout time.Duration) (net.Conn, error) {
+		conn, err := n.relayCli.Dial(peerID, timeout)
+		if errors.Is(err, relay.ErrRefused) {
+			if _, lerr := n.registry.Lookup(n.nodeKey(peerName), 0); errors.Is(lerr, nameservice.ErrNotFound) {
+				return nil, lerr
+			}
+		}
+		return conn, err
+	}
+	return estab.RetryRoutedDial(dial, peerID, n.connector.ResolvedAcceptTimeout(), n.done)
 }
 
 // dropServiceLink evicts one cached service link (because an
@@ -840,15 +846,16 @@ func (n *Node) Ping(peerName string) (time.Duration, error) {
 	if err := sl.w.WriteFrame(wire.KindControl, opPing, nil); err != nil {
 		return 0, err
 	}
-	for {
-		f, err := sl.r.ReadFrame()
-		if err != nil {
-			return 0, err
-		}
-		if f.Kind == wire.KindControl && f.Flags == opPong {
-			return time.Since(start), nil
-		}
+	f, err := sl.r.ReadFrame()
+	if err != nil {
+		return 0, err
 	}
+	if f.Kind != wire.KindControl || f.Flags != opPong {
+		// The link is out of step: nothing on it can be trusted again.
+		n.dropServiceLink(sl)
+		return 0, fmt.Errorf("core: unexpected reply (kind %d, op %d) to a ping", f.Kind, f.Flags)
+	}
+	return time.Since(start), nil
 }
 
 // serveServiceLink handles requests arriving on a service link created
@@ -879,9 +886,9 @@ func (n *Node) serveServiceLink(conn net.Conn) {
 // connectRequest is the decoded form of an opConnect payload. sender and
 // profile.RelayID are checked against the service link's Peer() before
 // anything else is done with the request; profile is what the acceptor
-// plans its side of every establishment of this connect with. The port
-// type crosses as a digest: the acceptor only tests it for equality with
-// its own port's, and a stack string may hold a psk= passphrase.
+// ranks the candidates of every establishment of this connect with. The
+// port type crosses as a digest: the acceptor only tests it for equality
+// with its own port's, and a stack string may hold a psk= passphrase.
 type connectRequest struct {
 	portName   string
 	typeDigest [sha256.Size]byte
@@ -955,7 +962,9 @@ func (n *Node) handleConnect(conn net.Conn, w *wire.Writer, payload []byte) erro
 	// Build the input side of the driver stack; every Accept call runs
 	// one brokered establishment over a mux conversation of this service
 	// link, mirroring (and overlapping with) the Dial calls the
-	// initiator makes concurrently on its side.
+	// initiator makes concurrently on its side. Each starts every
+	// candidate's half at once, so what the acceptor has to say first
+	// (its listening endpoint) follows the reply above back to back.
 	mux := estab.NewServiceMux(conn)
 	env := &driver.Env{
 		Accept: func() (net.Conn, error) {
@@ -964,20 +973,13 @@ func (n *Node) handleConnect(conn net.Conn, w *wire.Writer, payload []byte) erro
 		},
 		LinkKey: linkKey(conn),
 	}
-	input, err := driver.BuildInput(stack, env)
-	if merr := mux.Finish(); merr != nil {
-		// The service connection itself broke mid-establishment; tell
-		// the serve loop to stop using it.
-		if input != nil {
-			input.Close()
-		}
-		return merr
+	if input, err := driver.BuildInput(stack, env); err == nil {
+		// The data link is up, whatever becomes of the service link.
+		rp.addSource(req.sender, input)
 	}
-	if err != nil {
-		// The initiator will observe the failure through its own
-		// establishment errors; nothing more we can do here.
-		return nil
-	}
-	rp.addSource(req.sender, input)
-	return nil
+	// A failed build the initiator observes through its own establishment
+	// errors. Either way the barrier passes before the serve loop reads
+	// the link again; its error means the service connection itself
+	// broke, and tells the loop to stop using it.
+	return mux.Finish()
 }

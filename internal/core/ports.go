@@ -124,7 +124,8 @@ func (sp *sendPort) ConnectedTo() []ipl.PortID {
 // rejection or an establishment failure) evicts the cached link —
 // its conversation state is unrecoverable, e.g. after a relay failover
 // lost frames in flight — and the connect is retried once over a fresh
-// one.
+// one. Once the data link is up the connect has succeeded, whatever
+// becomes of the service link afterwards.
 func (sp *sendPort) Connect(to ipl.PortID) error {
 	err := sp.connect(to)
 	var broken *serviceLinkBrokenError
@@ -170,14 +171,22 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	}
 
 	// The whole brokering conversation for this connect owns the service
-	// link exclusively.
+	// link exclusively, until its barrier has passed — on a goroutine,
+	// once the data link is up (below).
 	sl.mu.Lock()
-	defer sl.mu.Unlock()
+	barrierOwnsLink := false
+	defer func() {
+		if !barrierOwnsLink {
+			sl.mu.Unlock()
+		}
+	}()
 
 	// The request carries this node's connectivity profile and the
 	// accepting reply the peer's: one exchange per connect, shared by
-	// every establishment (one per sub-stream of the stack) below.
+	// every establishment (one per sub-stream of the stack) below, and
+	// timed: it is the round trip the races size their head starts by.
 	req := connectRequest{portName: to.Port, typeDigest: portTypeDigest(sp.portType), sender: n.id, profile: n.connector.Profile()}
+	asked := time.Now()
 	if err := sl.w.WriteFrame(wire.KindControl, opConnect, encodeConnectRequest(req)); err != nil {
 		return broken(err)
 	}
@@ -185,6 +194,7 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	if err != nil {
 		return broken(err)
 	}
+	estOpts := estab.EstablishOpts{PeerKey: sl.peer, ServiceRTT: time.Since(asked)}
 	if f.Kind == wire.KindControl && f.Flags == opConnectErr {
 		d := wire.NewDecoder(f.Payload)
 		return fmt.Errorf("%w: %s", ErrConnectRejected, d.String())
@@ -210,7 +220,6 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	// concurrent-safe; the method is recorded under its own lock. The
 	// peer key routes the establishments through the connectivity cache
 	// (one race per peer, cached winner on reconnect).
-	estOpts := estab.EstablishOpts{PeerKey: sl.peer}
 	mux := estab.NewServiceMux(sl.conn)
 	var methodMu sync.Mutex
 	var usedMethod estab.Method
@@ -233,17 +242,32 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	// half-finished conversations when our build failed. A Finish error
 	// means the service connection itself broke (or could not carry the
 	// done marker): evict the link so nobody reuses its wedged state.
-	if merr := mux.Finish(); merr != nil {
-		if err == nil {
-			// Release the freshly built stack and its brokered
-			// connections.
-			out.Close()
-		}
-		return broken(merr)
-	}
 	if err != nil {
+		if merr := mux.Finish(); merr != nil {
+			return broken(merr)
+		}
 		return err
 	}
+	// The build succeeded: the elections are sent and the data link is
+	// usable, so the barrier holds the service link, not the caller. Its
+	// failure now is the service link's alone.
+	n.mu.Lock()
+	if n.closed {
+		// Close has closed the service link under the mux already.
+		n.mu.Unlock()
+		out.Close()
+		return ErrClosed
+	}
+	n.wg.Add(1)
+	n.mu.Unlock()
+	barrierOwnsLink = true
+	go func() {
+		defer n.wg.Done()
+		defer sl.mu.Unlock()
+		if mux.Finish() != nil {
+			n.dropServiceLink(sl)
+		}
+	}()
 
 	sp.mu.Lock()
 	defer sp.mu.Unlock()

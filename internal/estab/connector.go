@@ -16,16 +16,15 @@ import (
 
 // Brokering protocol message types, the type byte of a ServiceMux message
 // (mux.go). The order is part of the decoder: the types below msgAbort
-// belong to a method's conversation, the ones above it are the
-// initiator's control messages (method 0), and msgAbort is both — under a
+// belong to a method's conversation, the election above it is the
+// initiator's control message (method 0), and msgAbort is both — under a
 // method it calls that attempt off, under method 0 the establishment.
 const (
 	msgListen byte = iota + 1 // "I am listening at this endpoint, dial me"
 	msgSplice                 // "my predicted external endpoint for the splice is ..."
 	msgRouted                 // "I am opening a routed link to you" (empty: the link names its sender)
 	msgAbort                  // failed on my side (empty)
-	msgPlan                   // ordered candidate list for the next round, one method byte each
-	msgElect                  // winner of the current round, one method byte (MethodNone = round failed)
+	msgElect                  // the race's winner, one method byte (MethodNone: nothing won, the establishment is over)
 )
 
 // DefaultSpliceTimeout bounds how long a simultaneous open waits for the
@@ -120,12 +119,13 @@ type Connector struct {
 	// RaceStagger is the delay between launching successive candidate
 	// methods of a racing establishment: the preferred method gets a
 	// head start of one stagger per precedence rank before the next
-	// candidate is tried concurrently. Zero selects
-	// DefaultRaceStagger; a negative value launches all candidates at
-	// once (no head starts). A stagger longer than every method timeout
-	// is the strict one-method-at-a-time decision tree: the next
-	// candidate starts only once every launched one has failed. Only the
-	// initiator's value matters.
+	// candidate is tried concurrently. Zero derives it from the service
+	// link (twice EstablishOpts.ServiceRTT, at least MinRaceStagger;
+	// DefaultRaceStagger when nothing was measured); a negative value
+	// launches all candidates at once (no head starts). A stagger longer
+	// than every method timeout is the strict one-method-at-a-time
+	// decision tree: the next candidate starts only once every launched
+	// one has failed. Only the initiator's value matters.
 	RaceStagger time.Duration
 	// Cache, when non-nil, remembers the winning method per peer so a
 	// reconnect can skip the race (see Cache). It is consulted and
@@ -222,6 +222,11 @@ type EstablishOpts struct {
 	// the connectivity cache is consulted before racing and updated with
 	// the winner afterwards.
 	PeerKey string
+	// ServiceRTT is a round trip over the service link as the caller just
+	// measured it (the integration layer times its connect request and
+	// the reply); zero when nothing was measured. It sizes the race's
+	// head starts while Connector.RaceStagger is zero.
+	ServiceRTT time.Duration
 }
 
 // runMethod runs one establishment method's conversation over b. cancel,
@@ -232,7 +237,7 @@ func (c *Connector) runMethod(b methodConv, local, remote Profile, initiator boo
 	case ClientServer:
 		return c.establishClientServer(b, local, remote, initiator, cancel)
 	case Splicing:
-		return c.establishSplicing(b, initiator, cancel)
+		return c.establishSplicing(b, cancel)
 	case Proxy:
 		return c.establishProxy(b, local, remote, cancel)
 	case Routed:
@@ -280,27 +285,15 @@ func (c *Connector) establishClientServer(b methodConv, local, remote Profile, i
 }
 
 // establishSplicing: both sides reserve a local port, advertise the
-// predicted external endpoint, and issue simultaneous connection
-// requests towards each other's prediction. The exchange is ordered
-// (initiator advertises first) so it works over synchronous service
-// links; the connection requests themselves are simultaneous.
-func (c *Connector) establishSplicing(b methodConv, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
+// predicted external endpoint — each at once, neither waits for the
+// other's — and issue simultaneous connection requests towards each
+// other's prediction.
+func (c *Connector) establishSplicing(b methodConv, cancel <-chan struct{}) (net.Conn, error) {
 	localPort := c.Host.AllocatePort()
-	predicted := c.Host.PredictExternalEndpoint(localPort)
-
-	var target emunet.Endpoint
-	var err error
-	if initiator {
-		if serr := sendEndpoint(b, msgSplice, predicted); serr != nil {
-			return nil, serr
-		}
-		target, err = recvEndpoint(b, msgSplice)
-	} else {
-		target, err = recvEndpoint(b, msgSplice)
-		if err == nil {
-			err = sendEndpoint(b, msgSplice, predicted)
-		}
+	if err := sendEndpoint(b, msgSplice, c.Host.PredictExternalEndpoint(localPort)); err != nil {
+		return nil, err
 	}
+	target, err := recvEndpoint(b, msgSplice)
 	if err != nil {
 		return nil, err
 	}

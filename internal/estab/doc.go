@@ -20,18 +20,21 @@
 //     the losers are canceled and cleaned up on both sides. This bounds
 //     the setup cost of a pair whose preferred method hangs — an
 //     asymmetric splice-hostile firewall, an unpredictable NAT — to one
-//     stagger tier instead of a full method timeout.
+//     stagger tier (two service-link round trips, as measured by the
+//     caller) instead of a full method timeout. Both sides derive the
+//     candidates from the two profiles, so an establishment costs what
+//     its method's own messages cost and one election.
 //   - A per-pair connectivity cache (cache.go): the winning method is
-//     remembered with a TTL, so a reconnect runs the winner alone and
-//     skips the race entirely; a failure invalidates the entry and
-//     falls back to the full race.
+//     remembered with a TTL, so a reconnect launches the winner alone;
+//     a failure invalidates the entry and launches the rest of the
+//     ranking in the same conversation.
 //
 // Both run on one conversation layer (mux.go): a ServiceMux owns the
 // service link for the length of a connect, gives every establishment a
 // Conversation, and routes each brokering message to the establishment
 // and the racing method it belongs to.
 //
-// The brokering wire protocol, the racing rounds and the cache
+// The brokering wire protocol, the race and the cache
 // semantics are specified in DESIGN.md ("Racing establishment and the
 // connectivity cache"); connect latency per method, cold and cached, is
 // measured by the connect_matrix workload of ./benchmark.

@@ -11,7 +11,7 @@ package estab
 // one at a time they cost WAN-RTT × N of setup latency. The mux gives
 // each establishment its own numbered Conversation, and inside it one
 // ordered queue per racing method plus one for the initiator's control
-// messages (plan, elect, abort), so the establishments — and the method
+// messages (elect, abort), so the establishments — and the method
 // attempts each of them races — overlap on the one link. A message is
 //
 //	uvarint stream ‖ byte method ‖ byte type ‖ body
@@ -27,10 +27,10 @@ package estab
 // the acceptor; each side numbers its conversations 0,1,2,… in Open
 // order, and any establishment is valid against any other (the
 // parallel-streams driver reassembles by fragment sequence number, not
-// sub-stream identity), so concurrent Open order does not matter. The
-// race plan travels inside each conversation (race.go), so every one is
-// self-describing, and the connectivity cache deduplicates the races of
-// sibling conversations (the first becomes the leader, the rest reuse
+// sub-stream identity), so concurrent Open order does not matter. Every
+// conversation races the same candidates — the ranking of the two
+// profiles (race.go) — and the connectivity cache deduplicates the races
+// of sibling conversations (the first becomes the leader, the rest reuse
 // its winner).
 //
 // Lifecycle: the mux owns the service connection from construction until
@@ -38,13 +38,15 @@ package estab
 // it will write no more (its stack build completed or failed); a side's
 // reader runs until it has received the peer's done, which guarantees
 // someone is always draining a synchronous link while the peer still
-// writes. That reader is the only one a connect has: a race's rounds
-// need no barrier of their own, because a late message of a finished
-// round is filed under its method, and no method runs twice in one
-// conversation. Receiving the peer's done also fails every receive still
-// pending — no more will come — so a half-failed establishment converges
-// instead of hanging. After Finish the connection carries no residual
-// mux traffic and is reusable for ordinary service requests.
+// writes. That reader is the only one a connect has: a late message of a
+// finished attempt is filed under its method, and no method runs twice
+// in one conversation. Receiving the peer's done also fails every receive
+// still pending — no more will come — so a half-failed establishment
+// converges instead of hanging. After Finish the connection carries no
+// residual mux traffic and is reusable for ordinary service requests;
+// that barrier is the only thing Finish waits for, so a caller whose
+// data links are up may pass it on a goroutine that keeps the link to
+// itself meanwhile (core does).
 
 import (
 	"encoding/binary"
@@ -68,7 +70,7 @@ const (
 // counterpart conversation failed, no more data will come.
 var ErrEstablishmentEnded = errors.New("estab: peer finished establishment, conversation abandoned")
 
-// errControlFromAcceptor ends an initiator's conversation: plan, elect
+// errControlFromAcceptor ends an initiator's conversation: the election
 // and the untagged abort flow initiator → acceptor only.
 var errControlFromAcceptor = fmt.Errorf("%w: control message from the acceptor", ErrProtocol)
 
@@ -139,7 +141,7 @@ type Conversation struct {
 	// queues[MethodNone] is the control queue, in arrival order.
 	queues [Routed + 1][]muxMsg
 	// canceled marks the methods whose attempt was called off — by the
-	// local round controller or by the peer's tagged abort — and attempts
+	// local race or by the peer's tagged abort — and attempts
 	// holds the cancel channel of each running one, closed exactly once.
 	// No method runs twice in a conversation, so neither is ever reset.
 	canceled [Routed + 1]bool
@@ -209,7 +211,7 @@ func (m *ServiceMux) run(r *wire.Reader) {
 // deliverLocked files one incoming message. A method-tagged abort is not
 // queued: it cancels the local attempt outright, which also reaches an
 // attempt blocked in a listener accept (which never calls recv), so the
-// round is not stalled for the full accept timeout.
+// race is not stalled for the full accept timeout.
 func (cv *Conversation) deliverLocked(msg muxMsg) {
 	switch {
 	case msg.method == MethodNone && cv.initiator:
@@ -297,7 +299,7 @@ func (cv *Conversation) recv(method Method) (muxMsg, error) {
 	}
 }
 
-// ended reports why the conversation can carry no further round: a
+// ended reports why the conversation can carry no further attempt: a
 // protocol violation, a failed link, or a peer that is done.
 func (cv *Conversation) ended() error {
 	m := cv.m

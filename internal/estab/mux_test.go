@@ -149,7 +149,7 @@ func TestServiceMuxConnReusableAfterFinish(t *testing.T) {
 // accepts has exactly the encoding it arrived in.
 func FuzzMuxMessage(f *testing.F) {
 	for _, seed := range [][]byte{
-		append(appendMuxHeader(nil, 0, MethodNone, msgPlan), byte(ClientServer), byte(Routed)),
+		append(appendMuxHeader(nil, 0, MethodNone, msgElect), byte(Routed)),
 		append(appendMuxHeader(nil, 300, Splicing, msgSplice), "\x0810.1.0.2\xd2\x09"...),
 		appendMuxHeader(nil, 1, Routed, msgAbort),
 		{0x80},

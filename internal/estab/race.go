@@ -9,38 +9,43 @@ package estab
 // mappings defy prediction — the pair pays the full timeout of the
 // preferred method on every connect before falling back. Racing turns
 // the ranked candidate list into staggered concurrent attempts: the best
-// method gets a head start of one RaceStagger per precedence rank, the
-// first attempt to produce a connection wins, and the losers are
-// canceled and cleaned up (listener closed, splice offer withdrawn,
-// routed open abandoned so the far side discards its half).
+// method gets a head start of one stagger per precedence rank, the first
+// attempt to produce a connection wins, and the losers are canceled and
+// cleaned up (listener closed, splice offer withdrawn, routed open
+// abandoned so the far side discards its half).
 //
 // Protocol. Every message is a ServiceMux message on the establishment's
-// Conversation (mux.go) — method 0 for the initiator's control messages,
-// the racing method for the rest; both sides already hold each other's
-// profile, handed to EstablishInitiator/EstablishAcceptor by the caller:
+// Conversation (mux.go) — method 0 for the initiator's election, the
+// racing method for the rest. Both sides hold each other's profile,
+// handed to EstablishInitiator/EstablishAcceptor by the caller, and the
+// candidates are RankCandidates of the two (or the forced method): a pure
+// function, so no message announces them and an establishment is one
+// race, request-free:
 //
 //	initiator                                acceptor
-//	   | -- msgPlan [m1 m2 ...] ----------------> |   ordered candidates
 //	   | <=> [m] msgListen/msgSplice/... <======> |   per-method conversations
-//	   | -- msgElect [m] ----------------------> |   winner (MethodNone: round failed)
+//	   | -- msgElect [m] ----------------------> |   winner (MethodNone: nothing won)
 //
-// The initiator owns the election: methods complete at slightly
+// The acceptor starts its half of every candidate the moment it is
+// called and speaks first where the method lets it (its listening
+// endpoint, its splice prediction; the routed half waits for its cue).
+// The cost is the halves of candidates the initiator never launches — a
+// listener, a reserved splice port and its advertisement, a parked routed
+// accept per conversation, cached reconnects included — which the
+// election cancels like any loser. The initiator decides which candidates
+// run and when, and it alone elects: methods complete at slightly
 // different instants on the two sides, so letting each side pick its own
-// first finisher could select different winners. After a failed round
-// the initiator either sends a new msgPlan (the cached-method round
-// falling back to a full race) or msgAbort (giving up). A round has no
-// end marker of its own: a method runs in at most one round of a
-// conversation, so a message that arrives after its round is filed under
-// a method nobody reads again, and the connect's one done marker
-// (ServiceMux.Finish) is what drains the link.
+// first finisher could select different winners. An election outside the
+// candidates is ErrProtocol; two sides whose candidates differ end with a
+// typed error each (the one with none returns ErrNoMethod at once, its
+// done marker — ServiceMux.Finish — ends the other's waits).
 //
-// The per-pair connectivity Cache short-circuits the whole dance on
-// reconnect: a hit makes round one a single-candidate "race" of the
-// remembered winner, and only a failure of that method falls back to the
-// full candidate list (invalidating the entry). See cache.go.
+// The per-pair connectivity Cache decides the launch order on reconnect:
+// the remembered winner runs first and alone, and only its failure
+// (which invalidates the entry) launches the rest of the ranking, in the
+// same conversation. See cache.go.
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -49,27 +54,41 @@ import (
 )
 
 // DefaultRaceStagger is the head start each candidate method gets over
-// the next one in precedence order when Connector.RaceStagger is zero.
-// It is deliberately of the order of a WAN round trip: long enough that
-// a healthy preferred method wins before the next candidate spends any
-// resources, short enough that a hanging preferred method costs one tier
-// instead of a multi-second timeout.
+// the next one in precedence order when Connector.RaceStagger is zero and
+// the caller measured no service-link round trip. It is of the order of a
+// WAN round trip: long enough that a healthy preferred method wins before
+// the next candidate spends any resources, short enough that a hanging
+// preferred method costs one tier instead of a multi-second timeout.
 const DefaultRaceStagger = 150 * time.Millisecond
 
-// errRoundFailed propagates "this round produced no winner" from the
-// acceptor's round runner to its outer loop, which then waits for the
-// initiator's next plan (or its abort).
-var errRoundFailed = errors.New("estab: race round failed")
+// MinRaceStagger floors a head start derived from a measured round trip:
+// RFC 8305's minimum connection-attempt delay.
+const MinRaceStagger = 10 * time.Millisecond
 
-func (c *Connector) raceStagger() time.Duration {
+// raceStagger resolves the head start per tier. A method's brokering is
+// about one service-link round trip (its endpoints cross, then it dials),
+// so twice the round trip the caller just measured lets a healthy method
+// finish before the next one starts.
+func (c *Connector) raceStagger(serviceRTT time.Duration) time.Duration {
 	switch {
 	case c.RaceStagger > 0:
 		return c.RaceStagger
 	case c.RaceStagger < 0:
 		return 0
-	default:
+	case serviceRTT <= 0:
 		return DefaultRaceStagger
+	default:
+		return max(2*serviceRTT, MinRaceStagger)
 	}
+}
+
+// candidates is the ranking both sides derive from the two profiles (or
+// the one method both were forced to).
+func (c *Connector) candidates(initiator, acceptor Profile) []Method {
+	if c.ForcedMethod != MethodNone {
+		return []Method{c.ForcedMethod}
+	}
+	return RankCandidates(initiator, acceptor, false)
 }
 
 // methodConv is what a single method attempt talks through: its sends
@@ -110,7 +129,7 @@ func discardLoserConn(conn net.Conn) {
 
 // launchAttempt starts one method conversation in its own goroutine
 // with its own cancellation channel, registered on the conversation so
-// both the round controller and the mux reader (peer aborts) can fire it
+// both the race and the mux reader (peer aborts) can fire it
 // — already closed when the peer aborted the method before its launch.
 func (c *Connector) launchAttempt(cv *Conversation, m Method, local, remote Profile, initiator bool, results chan<- convResult) {
 	cancel := make(chan struct{})
@@ -127,33 +146,30 @@ func (c *Connector) launchAttempt(cv *Conversation, m Method, local, remote Prof
 	}()
 }
 
-// runRoundInitiator races the plan's methods with staggered starts and
-// elects the first success. It returns the winning connection, or an
-// error aggregating every attempt's failure.
-func (c *Connector) runRoundInitiator(cv *Conversation, plan []Method, local, remote Profile) (net.Conn, Method, error) {
-	stagger := c.raceStagger()
-	results := make(chan convResult, len(plan))
+// race launches the methods of order — one per stagger tier; when the
+// first is the cache's remembered winner, that one alone until it fails —
+// and elects the first success. It returns the winner (no connection when
+// nothing won) and what each failed attempt said.
+func (c *Connector) race(cv *Conversation, order []Method, cachedFirst bool, stagger time.Duration, local, remote Profile) (winner convResult, failures []string) {
+	results := make(chan convResult, len(order))
 	started, finished := 0, 0
-	var staggerC <-chan time.Time // nil, which never fires, once the whole plan is launched
+	var staggerC <-chan time.Time // nil, which never fires: the next launch waits for a failure
 	launchNext := func() {
-		c.launchAttempt(cv, plan[started], local, remote, true, results)
+		c.launchAttempt(cv, order[started], local, remote, true, results)
 		started++
 		staggerC = nil
-		if started < len(plan) {
+		if started < len(order) && !(cachedFirst && started == 1) {
 			staggerC = time.After(stagger)
 		}
 	}
-	launchNext()
-	for stagger <= 0 && started < len(plan) {
-		launchNext()
-	}
-
-	var winner convResult
-	var failures []string
-	for winner.conn == nil && finished < len(plan) {
+	for winner.conn == nil && finished < len(order) {
 		if finished == started {
 			// Every launched attempt already failed: no point honouring
-			// the remaining head start.
+			// the remaining head start — nor the rest of the ranking, once
+			// the conversation itself has ended.
+			if cv.ended() != nil {
+				break
+			}
 			launchNext()
 			continue
 		}
@@ -170,64 +186,23 @@ func (c *Connector) runRoundInitiator(cv *Conversation, plan []Method, local, re
 		}
 	}
 
-	// Cancel everything still in flight, announce the verdict, then wait
-	// for the stragglers so nothing outlives the round.
-	for i := 0; i < started; i++ {
-		if winner.conn == nil || plan[i] != winner.m {
-			cv.cancelAttempt(plan[i])
+	// Cancel everything still in flight, announce the verdict (which also
+	// calls off the acceptor's halves of what was never launched), then
+	// wait for the stragglers so nothing outlives the race.
+	for _, m := range order[:started] {
+		if m != winner.m {
+			cv.cancelAttempt(m)
 		}
 	}
 	cv.send(MethodNone, msgElect, []byte{byte(winner.m)})
-	for finished < started {
-		r := <-results
-		finished++
-		if r.err == nil {
+	for ; finished < started; finished++ {
+		if r := <-results; r.err == nil {
 			// A loser that completed despite the cancellation (or a
 			// second success when the election had already happened).
 			discardLoserConn(r.conn)
 		}
 	}
-	if winner.conn == nil {
-		return nil, MethodNone, fmt.Errorf("estab: all establishment attempts failed [%s]", strings.Join(failures, "; "))
-	}
-	return winner.conn, winner.m, nil
-}
-
-// runRoundAcceptor runs the acceptor's side of one round: every
-// candidate conversation starts immediately (each mostly blocks until
-// the initiator's staggered tier speaks), the initiator's election picks
-// the survivor, everything else is canceled and discarded.
-func (c *Connector) runRoundAcceptor(cv *Conversation, plan []Method, local, remote Profile) (net.Conn, Method, error) {
-	results := make(chan convResult, len(plan))
-	for _, m := range plan {
-		c.launchAttempt(cv, m, local, remote, false, results)
-	}
-
-	elected, electErr := cv.waitElect(plan)
-	for _, m := range plan {
-		if electErr != nil || m != elected {
-			cv.cancelAttempt(m)
-		}
-	}
-	var won convResult
-	for range plan {
-		r := <-results
-		if electErr == nil && r.m == elected {
-			won = r
-		} else if r.err == nil {
-			discardLoserConn(r.conn)
-		}
-	}
-	if electErr != nil {
-		return nil, MethodNone, electErr
-	}
-	if elected == MethodNone {
-		return nil, MethodNone, errRoundFailed
-	}
-	if won.err != nil {
-		return nil, elected, won.err
-	}
-	return won.conn, elected, nil
+	return winner, failures
 }
 
 // EstablishInitiator negotiates and establishes a data link with the
@@ -236,36 +211,27 @@ func (c *Connector) runRoundAcceptor(cv *Conversation, plan []Method, local, rem
 // receive port). remote is the peer's connectivity profile: whoever asks
 // for a link is already talking to the peer, so the two profiles travel
 // in that conversation (core's connect request and its reply), once, and
-// not again per establishment. It drives the rounds — a single-candidate
-// cached round when the connectivity cache has a fresh winner that the
-// profiles still allow, the full staggered race otherwise, and the
-// cached→full fallback in between — and returns the established link and
+// not again per establishment. It runs the one race of the conversation —
+// the cached winner first and alone when the connectivity cache has a
+// fresh one that the profiles still allow, staggered tiers otherwise and
+// after the cached winner failed — and returns the established link and
 // the method used.
 func (c *Connector) EstablishInitiator(cv *Conversation, remote Profile, opts EstablishOpts) (net.Conn, Method, error) {
 	cv.asInitiator()
 	local := c.Profile()
 	start := time.Now()
 	c.Metrics.raceStarted()
-	candidates := RankCandidates(local, remote, false)
-	if c.ForcedMethod != MethodNone {
-		candidates = []Method{c.ForcedMethod}
-	}
-	if len(candidates) == 0 {
+	order := c.candidates(local, remote)
+	if len(order) == 0 {
 		c.Metrics.failed()
-		// The plan is initiator-authoritative: tell the acceptor
-		// explicitly.
-		cv.send(MethodNone, msgPlan, nil)
 		return nil, MethodNone, ErrNoMethod
 	}
 
 	useCache := c.Cache != nil && opts.PeerKey != "" && c.ForcedMethod == MethodNone
-	plan := candidates
-	cachedRound := false
+	cached := MethodNone
 	if useCache {
-		if m, ok := c.Cache.Lookup(opts.PeerKey); ok && slices.Contains(candidates, m) {
-			c.Metrics.cacheConsulted(true)
-			plan = []Method{m}
-			cachedRound = true
+		if m, ok := c.Cache.Lookup(opts.PeerKey); ok && slices.Contains(order, m) {
+			cached = m
 		} else if leader, wait := c.Cache.beginRace(opts.PeerKey); !leader {
 			// Another establishment to the same peer is already racing
 			// (a parallel-streams stack brokers several links at once);
@@ -277,144 +243,98 @@ func (c *Connector) EstablishInitiator(cv *Conversation, remote Profile, opts Es
 			// than deadlocking on it.
 			select {
 			case <-wait:
-				if m, ok := c.Cache.Lookup(opts.PeerKey); ok && slices.Contains(candidates, m) {
-					plan = []Method{m}
-					cachedRound = true
+				if m, ok := c.Cache.Lookup(opts.PeerKey); ok && slices.Contains(order, m) {
+					cached = m
 				}
 			case <-time.After(c.ResolvedAcceptTimeout()):
 			}
-			c.Metrics.cacheConsulted(cachedRound)
 		} else {
-			c.Metrics.cacheConsulted(false)
 			defer c.Cache.endRace(opts.PeerKey)
 		}
+		c.Metrics.cacheConsulted(cached != MethodNone)
+	}
+	if cached != MethodNone {
+		order = append([]Method{cached}, slices.DeleteFunc(order, func(m Method) bool { return m == cached })...)
 	}
 
-	for {
-		if err := cv.send(MethodNone, msgPlan, encodePlan(plan)); err != nil {
-			return nil, MethodNone, err
-		}
-		conn, m, err := c.runRoundInitiator(cv, plan, local, remote)
-		if err == nil {
-			if useCache {
-				c.Cache.Store(opts.PeerKey, m)
-			}
-			c.Metrics.won(m, cachedRound, time.Since(start))
-			c.Trace.Eventf("estab", "established to %s via %s (cached=%v)",
-				traceKey(opts.PeerKey), m, cachedRound)
-			return conn, m, nil
-		}
+	winner, failures := c.race(cv, order, cached != MethodNone, c.raceStagger(opts.ServiceRTT), local, remote)
+	if winner.conn == nil {
+		c.Metrics.failed()
 		if ended := cv.ended(); ended != nil {
-			c.Metrics.failed()
 			return nil, MethodNone, ended
 		}
-		if cachedRound {
-			// The remembered winner stopped working: forget it and fall
-			// back to the full race (minus the method that just failed).
-			c.Cache.Invalidate(opts.PeerKey)
-			c.Metrics.cacheInvalidated()
-			c.Trace.Eventf("estab", "cached method %s to %s failed; falling back to full race",
-				plan[0], traceKey(opts.PeerKey))
-			failed := plan[0]
-			plan = slices.DeleteFunc(slices.Clone(candidates), func(m Method) bool { return m == failed })
-			cachedRound = false
-			if len(plan) > 0 {
-				continue
-			}
-		}
-		c.Metrics.failed()
+	}
+	if cached != MethodNone && winner.m != cached {
+		// The remembered winner stopped working: the race went on to the
+		// rest of the ranking, and the entry goes.
+		c.Cache.Invalidate(opts.PeerKey)
+		c.Metrics.cacheInvalidated()
+		c.Trace.Eventf("estab", "cached method %s to %s failed; raced the rest", cached, traceKey(opts.PeerKey))
+	}
+	if winner.conn == nil {
+		err := fmt.Errorf("estab: all establishment attempts failed [%s]", strings.Join(failures, "; "))
 		c.Trace.Eventf("estab", "establishment to %s failed: %v", traceKey(opts.PeerKey), err)
-		cv.send(MethodNone, msgAbort, nil)
 		return nil, MethodNone, err
 	}
+	if useCache {
+		c.Cache.Store(opts.PeerKey, winner.m)
+	}
+	c.Metrics.won(winner.m, winner.m == cached, time.Since(start))
+	c.Trace.Eventf("estab", "established to %s via %s (cached=%v)", traceKey(opts.PeerKey), winner.m, winner.m == cached)
+	return winner.conn, winner.m, nil
 }
 
 // EstablishAcceptor is the passive counterpart of EstablishInitiator; it
 // must be called on the peer for every EstablishInitiator call, with the
-// initiator's profile. It follows the initiator's plans until a round
-// elects a winner or the initiator gives up. A nil error comes with a
+// initiator's profile. Every candidate's half starts immediately (each
+// speaks first where its method lets it, then mostly blocks until the
+// initiator's tier does), the initiator's election picks the survivor,
+// everything else is canceled and discarded. A nil error comes with a
 // connection.
 func (c *Connector) EstablishAcceptor(cv *Conversation, remote Profile) (net.Conn, Method, error) {
 	local := c.Profile()
-	var ran [Routed + 1]bool // the methods this conversation's plans have named
-	for {
-		body, err := cv.control(msgPlan)
-		if err != nil {
-			return nil, MethodNone, err
-		}
-		plan, err := decodePlan(body, &ran)
-		if err != nil {
-			return nil, MethodNone, err
-		}
-		conn, m, err := c.runRoundAcceptor(cv, plan, local, remote)
-		if !errors.Is(err, errRoundFailed) {
-			return conn, m, err
-		}
-		// The initiator sends a new plan or gives up.
+	candidates := c.candidates(remote, local)
+	if len(candidates) == 0 {
+		return nil, MethodNone, ErrNoMethod
 	}
+	results := make(chan convResult, len(candidates))
+	for _, m := range candidates {
+		c.launchAttempt(cv, m, local, remote, false, results)
+	}
+
+	elected, err := cv.waitElect(candidates)
+	for _, m := range candidates {
+		if err != nil || m != elected {
+			cv.cancelAttempt(m)
+		}
+	}
+	var won convResult
+	for range candidates {
+		r := <-results
+		if err == nil && r.m == elected {
+			won = r
+		} else if r.err == nil {
+			discardLoserConn(r.conn)
+		}
+	}
+	if err != nil {
+		return nil, MethodNone, err
+	}
+	return won.conn, elected, won.err
 }
 
-// control takes the initiator's next control message, which is of the
-// wanted type or the abort that ends the establishment.
-func (cv *Conversation) control(want byte) ([]byte, error) {
+// waitElect blocks until the initiator's verdict arrives: the election of
+// one of the candidates, or the end of the establishment — the election
+// of MethodNone, or the abort.
+func (cv *Conversation) waitElect(candidates []Method) (Method, error) {
 	msg, err := cv.recv(MethodNone)
 	switch {
 	case err != nil:
-		return nil, err
-	case msg.t == msgAbort:
-		return nil, ErrAborted
-	case msg.t != want:
-		return nil, fmt.Errorf("%w: expected control message %d, got %d", ErrProtocol, want, msg.t)
-	}
-	return msg.body, nil
-}
-
-// waitElect blocks until the initiator's election arrives: one method of
-// the round's plan, or MethodNone for a round without a winner.
-func (cv *Conversation) waitElect(plan []Method) (Method, error) {
-	body, err := cv.control(msgElect)
-	if err != nil {
 		return MethodNone, err
+	case msg.t == msgAbort || (len(msg.body) == 1 && Method(msg.body[0]) == MethodNone):
+		return MethodNone, ErrAborted
+	case len(msg.body) != 1 || !slices.Contains(candidates, Method(msg.body[0])):
+		return MethodNone, fmt.Errorf("%w: election %v names no candidate of %v", ErrProtocol, msg.body, candidates)
 	}
-	if len(body) != 1 || (Method(body[0]) != MethodNone && !slices.Contains(plan, Method(body[0]))) {
-		return MethodNone, fmt.Errorf("%w: election %v names no method of the plan %v", ErrProtocol, body, plan)
-	}
-	return Method(body[0]), nil
-}
-
-// encodePlan serialises an ordered candidate list (one method byte per
-// entry).
-func encodePlan(plan []Method) []byte {
-	out := make([]byte, len(plan))
-	for i, m := range plan {
-		out[i] = byte(m)
-	}
-	return out
-}
-
-// decodePlan parses a plan message. ran holds the methods earlier plans
-// of the conversation named, and gains this plan's: a method is planned
-// at most once per conversation, which is what lets a late message of a
-// finished round be told from the next round's by its method alone. An
-// empty plan is the initiator's ErrNoMethod, and only as the first.
-func decodePlan(body []byte, ran *[Routed + 1]bool) ([]Method, error) {
-	if len(body) == 0 {
-		if *ran == ([Routed + 1]bool{}) {
-			return nil, ErrNoMethod
-		}
-		return nil, fmt.Errorf("%w: empty race plan after a round", ErrProtocol)
-	}
-	plan := make([]Method, 0, len(body))
-	for _, bm := range body {
-		m := Method(bm)
-		if m <= MethodNone || m > Routed {
-			return nil, fmt.Errorf("%w: unknown method %d in race plan", ErrProtocol, bm)
-		}
-		if ran[m] {
-			return nil, fmt.Errorf("%w: race plan names %v a second time", ErrProtocol, m)
-		}
-		ran[m] = true
-		plan = append(plan, m)
-	}
-	return plan, nil
+	return Method(msg.body[0]), nil
 }

@@ -1,6 +1,7 @@
 package estab
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -129,7 +130,7 @@ func TestRacePortRestrictedNAT(t *testing.T) {
 }
 
 // TestCacheSkipsRaceOnReconnect: after a cold race the winner is
-// remembered, and the reconnect's plan is the single cached method.
+// remembered, and the reconnect launches the cached method alone.
 func TestCacheSkipsRaceOnReconnect(t *testing.T) {
 	w := newWorld(t)
 	init := w.connector(t, "cache-a", "race-i3", emunet.SiteConfig{Firewall: emunet.Stateful, SpliceHostile: true}, false)
@@ -154,8 +155,9 @@ func TestCacheSkipsRaceOnReconnect(t *testing.T) {
 		t.Fatalf("cache entry = %v/%v, want Routed/true", got, ok)
 	}
 
-	// Reconnect: the cached round runs the winner alone — no splice
-	// offer is ever registered, so it settles immediately.
+	// Reconnect: the winner runs alone — the acceptor's splice half
+	// advertises and hears nothing back, no splice offer is ever
+	// registered, so it settles immediately.
 	start := time.Now()
 	a, b, m, err = establishPairOpts(t, init, acc, opts)
 	if err != nil {
@@ -174,8 +176,9 @@ func TestCacheSkipsRaceOnReconnect(t *testing.T) {
 }
 
 // TestCacheFailureFallsBackToFullRace: a cached winner that stopped
-// working is invalidated in-establishment and the full race still
-// connects the pair.
+// working runs first and alone, fails, and the rest of the ranking is
+// launched in the same conversation — one race, one election — and wins;
+// the entry is invalidated and replaced.
 func TestCacheFailureFallsBackToFullRace(t *testing.T) {
 	w := newWorld(t)
 	init := w.connector(t, "fall-a", "race-i4", emunet.SiteConfig{Firewall: emunet.Stateful, SpliceHostile: true}, false)
@@ -185,11 +188,16 @@ func TestCacheFailureFallsBackToFullRace(t *testing.T) {
 	init.RaceStagger = 30 * time.Millisecond
 	acc.RaceStagger = 30 * time.Millisecond
 	init.Cache = NewCache(0)
+	init.Metrics = NewMetrics()
 	// Poison the cache with the method that cannot work for this pair.
 	init.Cache.Store("race-a4", Splicing)
 	opts := EstablishOpts{PeerKey: "race-a4"}
 
-	a, b, m, err := establishPairOpts(t, init, acc, opts)
+	svcInit, svcAcc := net.Pipe()
+	defer svcInit.Close()
+	defer svcAcc.Close()
+	tap := &tapConn{Conn: svcInit}
+	a, b, m, err := establishOver(t, tap, svcAcc, init, acc, opts)
 	if err != nil {
 		t.Fatalf("fallback race: %v", err)
 	}
@@ -199,13 +207,69 @@ func TestCacheFailureFallsBackToFullRace(t *testing.T) {
 	if got, ok := init.Cache.Lookup("race-a4"); !ok || got != Routed {
 		t.Fatalf("cache after fallback = %v/%v, want Routed", got, ok)
 	}
+	mt := init.Metrics
+	if mt.Races.Value() != 1 || mt.CacheHits.Value() != 1 || mt.Invalidations.Value() != 1 || mt.CachedRounds.Value() != 0 || mt.Wins(Routed) != 1 {
+		t.Fatalf("races %d hits %d invalidations %d cached rounds %d routed wins %d, want one race that hit, invalidated and won by routed",
+			mt.Races.Value(), mt.CacheHits.Value(), mt.Invalidations.Value(), mt.CachedRounds.Value(), mt.Wins(Routed))
+	}
+	// What the initiator wrote: its splice prediction, its routed cue, one
+	// election and the done marker — the fallback asked for nothing.
+	var elections int
+	for _, f := range tap.frames(t) {
+		if f.Kind != kindMuxData {
+			continue
+		}
+		msg, err := decodeMuxMessage(f.Payload)
+		if err != nil || msg.stream != 0 {
+			t.Fatalf("initiator wrote %+v (%v), want messages of conversation 0 only", msg, err)
+		}
+		if msg.t == msgElect {
+			elections++
+		}
+	}
+	if elections != 1 {
+		t.Fatalf("the initiator sent %d elections, want 1", elections)
+	}
 	verifyLink(t, a, b)
+}
+
+// tapConn records what is written through it.
+type tapConn struct {
+	net.Conn
+	mu    sync.Mutex
+	wrote bytes.Buffer
+}
+
+func (c *tapConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.wrote.Write(p)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// frames parses what has been written so far.
+func (c *tapConn) frames(t *testing.T) []wire.Frame {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []wire.Frame
+	r := wire.NewReader(bytes.NewReader(c.wrote.Bytes()))
+	for {
+		f, err := r.ReadFrame()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("frame %d of the recorded stream: %v", len(out), err)
+		}
+		out = append(out, f)
+	}
 }
 
 // TestCachedMethodNoLongerPossibleIsSkipped: a remembered winner that the
 // two live profiles rule out (client/server between two stateful
 // firewalls — the peer was reachable when the entry was written) never
-// reaches a plan. The consultation counts as a miss, nothing is
+// is launched. The consultation counts as a miss, nothing is
 // invalidated or retried, the full race runs, and its winner replaces
 // the entry.
 func TestCachedMethodNoLongerPossibleIsSkipped(t *testing.T) {
@@ -225,7 +289,7 @@ func TestCachedMethodNoLongerPossibleIsSkipped(t *testing.T) {
 	}
 	mt := init.Metrics
 	if mt.CacheHits.Value() != 0 || mt.CacheMisses.Value() != 1 || mt.Invalidations.Value() != 0 || mt.CachedRounds.Value() != 0 {
-		t.Fatalf("hits %d misses %d invalidations %d cached rounds %d: the impossible remembered method was planned",
+		t.Fatalf("hits %d misses %d invalidations %d cached rounds %d: the impossible remembered method was launched",
 			mt.CacheHits.Value(), mt.CacheMisses.Value(), mt.Invalidations.Value(), mt.CachedRounds.Value())
 	}
 	if got, ok := init.Cache.Lookup("race-a8"); !ok || got != Splicing {
@@ -234,25 +298,35 @@ func TestCachedMethodNoLongerPossibleIsSkipped(t *testing.T) {
 	verifyLink(t, a, b)
 }
 
-// TestRaceNoMethodIsProtocolDriven: with no relay and no reachable
-// direction the initiator announces the empty plan, so both sides agree
-// on ErrNoMethod without relying on identical local decisions.
-func TestRaceNoMethodIsProtocolDriven(t *testing.T) {
+// TestRaceNoMethodNeedsNoFrame: with no relay and no reachable direction
+// the two profiles rank nothing, on both sides alike, so both return
+// ErrNoMethod and neither writes anything but its done marker.
+func TestRaceNoMethodNeedsNoFrame(t *testing.T) {
 	f := emunet.NewFabric(emunet.WithSeed(3))
 	t.Cleanup(f.Close)
 	hA := f.AddSite("nm-a", emunet.SiteConfig{Firewall: emunet.Stateful, NAT: emunet.BrokenNAT}).AddHost("a")
 	hB := f.AddSite("nm-b", emunet.SiteConfig{Firewall: emunet.Stateful, NAT: emunet.BrokenNAT}).AddHost("b")
 	init := &Connector{Host: hA}
 	acc := &Connector{Host: hB}
-	_, _, _, err := establishPairOpts(t, init, acc, EstablishOpts{})
+	svcInit, svcAcc := net.Pipe()
+	defer svcInit.Close()
+	defer svcAcc.Close()
+	tapInit, tapAcc := &tapConn{Conn: svcInit}, &tapConn{Conn: svcAcc}
+	_, _, _, err := establishOver(t, tapInit, tapAcc, init, acc, EstablishOpts{})
 	if !errors.Is(err, ErrNoMethod) {
 		t.Fatalf("err = %v, want ErrNoMethod", err)
+	}
+	for who, tap := range map[string]*tapConn{"initiator": tapInit, "acceptor": tapAcc} {
+		if fs := tap.frames(t); len(fs) != 1 || fs[0].Kind != kindMuxDone {
+			t.Errorf("the %s wrote %v, want its done marker and nothing else", who, fs)
+		}
 	}
 }
 
 // TestSequentialModePreserved: the strict one-method-at-a-time decision
 // tree is the race with a stagger no method outlasts, set on the
-// initiator alone (the acceptor follows the initiator's plan).
+// initiator alone (the acceptor has every half ready and follows the
+// initiator's launches).
 func TestSequentialModePreserved(t *testing.T) {
 	w := newWorld(t)
 	init := w.connector(t, "seq-a", "race-i5", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
@@ -296,7 +370,7 @@ func TestSequentialPaysHostileSpliceTimeout(t *testing.T) {
 // fast (here: the proxy side cannot reach its SOCKS proxy), its tagged
 // abort must cancel the counterpart attempt even though that attempt is
 // blocked in a listener accept and never reads the conversation — the
-// round settles promptly instead of waiting out the accept timeout.
+// race settles promptly instead of waiting out the accept timeout.
 func TestPeerAbortUnblocksListener(t *testing.T) {
 	w := newWorld(t)
 	init := w.connector(t, "abort-a", "race-i7", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
@@ -316,7 +390,7 @@ func TestPeerAbortUnblocksListener(t *testing.T) {
 		t.Fatal("establishment unexpectedly succeeded through a dead proxy")
 	}
 	if elapsed > 1500*time.Millisecond {
-		t.Fatalf("round took %v: the acceptor's listener waited out its timeout instead of being aborted", elapsed)
+		t.Fatalf("race took %v: the acceptor's listener waited out its timeout instead of being aborted", elapsed)
 	}
 }
 
@@ -380,9 +454,8 @@ func TestRoutedCueCarriesNoBody(t *testing.T) {
 	svcInit, svcAcc := net.Pipe()
 	defer svcAcc.Close()
 
-	// A hand-driven initiator: plan routed, cue with a body, elect it.
+	// A hand-driven initiator: cue with a body, elect routed.
 	stop := newHandPeer(svcInit).play(
-		msg(MethodNone, msgPlan, byte(Routed)),
 		msg(Routed, msgRouted, []byte("race-a1")...),
 		msg(MethodNone, msgElect, byte(Routed)),
 		doneMarker)
@@ -400,25 +473,28 @@ func TestRoutedCueCarriesNoBody(t *testing.T) {
 	}
 }
 
-// TestElectOutsidePlanIsProtocolError: the election names a method of the
-// round's plan or MethodNone. Electing anything else used to make the
-// acceptor return no connection and no error, which its caller
-// dereferenced.
+// TestElectOutsidePlanIsProtocolError: the election names a candidate —
+// a method the two profiles rank — or MethodNone. Electing anything else
+// used to make the acceptor return no connection and no error, which its
+// caller dereferenced.
 func TestElectOutsidePlanIsProtocolError(t *testing.T) {
 	w := newWorld(t)
 	acc := w.connector(t, "elect-b", "race-a10", emunet.SiteConfig{Firewall: emunet.Open}, false)
 	svcInit, svcAcc := net.Pipe()
 	defer svcAcc.Close()
 
+	remote := Profile{Firewalled: true, HasRelay: true, RelayID: "race-i10"}
+	if slices.Contains(RankCandidates(remote, acc.Profile(), false), Proxy) {
+		t.Fatal("the pair ranks the proxy method: the script elects nothing foreign")
+	}
 	stop := newHandPeer(svcInit).play(
-		msg(MethodNone, msgPlan, byte(ClientServer)),
 		msg(MethodNone, msgElect, byte(Proxy)),
 		doneMarker)
 	defer stop()
 	mux := NewServiceMux(svcAcc)
-	conn, _, err := acc.EstablishAcceptor(mux.Open(), Profile{Firewalled: true, HasRelay: true, RelayID: "race-i10"})
+	conn, _, err := acc.EstablishAcceptor(mux.Open(), remote)
 	if conn != nil || !errors.Is(err, ErrProtocol) {
-		t.Fatalf("electing a method outside the plan: conn=%v err=%v, want no connection and ErrProtocol", conn, err)
+		t.Fatalf("electing a method outside the ranking: conn=%v err=%v, want no connection and ErrProtocol", conn, err)
 	}
 	if err := mux.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -428,17 +504,19 @@ func TestElectOutsidePlanIsProtocolError(t *testing.T) {
 // TestEstabStrictDecode: the establishment protocol has one shape, and
 // everything else ends the conversation with ErrProtocol rather than
 // being skipped — a malformed mux message, a message on the wrong
-// conversation or from the wrong side, a plan or an election that breaks
-// the round rules. The first two scripts are well formed and end
-// otherwise, which shows the harness is not what raises ErrProtocol.
+// conversation or from the wrong side, an election that names no
+// candidate. The first two scripts are well formed and end otherwise,
+// which shows the harness is not what raises ErrProtocol.
 func TestEstabStrictDecode(t *testing.T) {
 	w := newWorld(t)
 	acc := w.connector(t, "strict-b", "race-a11", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
 	init := w.connector(t, "strict-a", "race-i11", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
 	init.ForcedMethod = ClientServer // as the dialing side: one attempt, waiting for msgListen
 	open := Profile{HasRelay: true, RelayID: "race-x11"}
+	if got := RankCandidates(open, acc.Profile(), false); !slices.Equal(got, []Method{ClientServer, Splicing, Routed}) {
+		t.Fatalf("the scripted initiator and the acceptor rank %v; the cases below assume every method but the proxy", got)
+	}
 
-	plan := func(ms ...Method) frame { return msg(MethodNone, msgPlan, encodePlan(ms)...) }
 	elect := func(m Method) frame { return msg(MethodNone, msgElect, byte(m)) }
 	raw := func(p ...byte) frame { return frame{kindMuxData, p} }
 	for _, tc := range []struct {
@@ -447,33 +525,28 @@ func TestEstabStrictDecode(t *testing.T) {
 		script    []frame
 		want      error
 	}{
-		{"empty first plan", false, []frame{plan()}, ErrNoMethod},
+		{"election of no method", false, []frame{elect(MethodNone)}, ErrAborted},
 		{"abort", false, []frame{msg(MethodNone, msgAbort)}, ErrAborted},
 
 		{"message cut inside the stream number", false, []frame{raw(0x80)}, ErrProtocol},
 		{"message cut inside the method", false, []frame{raw(0)}, ErrProtocol},
 		{"message cut inside the type", false, []frame{raw(0, byte(Routed))}, ErrProtocol},
-		{"stream number not minimally encoded", false, []frame{raw(0x80, 0, 0, msgPlan, byte(Routed))}, ErrProtocol},
+		{"stream number not minimally encoded", false, []frame{raw(0x80, 0, 0, msgElect, byte(Routed))}, ErrProtocol},
 		{"method above Routed", false, []frame{msg(Routed+1, msgListen)}, ErrProtocol},
 		{"type zero", false, []frame{msg(MethodNone, 0)}, ErrProtocol},
-		{"type above msgElect", false, []frame{msg(MethodNone, msgElect+1)}, ErrProtocol},
-		{"control type on a method conversation", false, []frame{msg(Routed, msgPlan, byte(Routed))}, ErrProtocol},
+		// Type 5 was the plan and is the election; 6 was the election.
+		{"a plan as it used to be written", false, []frame{msg(MethodNone, 5, byte(ClientServer), byte(Routed))}, ErrProtocol},
+		{"type above msgElect", false, []frame{msg(MethodNone, 6, byte(Routed))}, ErrProtocol},
+		{"control type on a method conversation", false, []frame{msg(Routed, msgElect, byte(Routed))}, ErrProtocol},
 		{"method type on the control conversation", false, []frame{msg(MethodNone, msgRouted)}, ErrProtocol},
 		{"abort with a body", false, []frame{msg(MethodNone, msgAbort, 1)}, ErrProtocol},
 		{"frame that is no mux message", false, []frame{{wire.KindControl, nil}}, ErrProtocol},
 
-		{"plan naming an unknown method", false, []frame{plan(Routed + 1)}, ErrProtocol},
-		{"plan naming MethodNone", false, []frame{plan(MethodNone)}, ErrProtocol},
-		{"plan repeating a method", false, []frame{plan(Routed, Routed)}, ErrProtocol},
-		{"plan naming a method already run", false, []frame{plan(Routed), elect(MethodNone), plan(Splicing, Routed)}, ErrProtocol},
-		{"empty plan after a round", false, []frame{plan(Routed), elect(MethodNone), plan()}, ErrProtocol},
-		{"election before any plan", false, []frame{elect(MethodNone)}, ErrProtocol},
-		{"plan inside a round", false, []frame{plan(Routed), plan(Splicing)}, ErrProtocol},
-		{"election of two methods", false, []frame{plan(Routed), msg(MethodNone, msgElect, byte(Routed), byte(Routed))}, ErrProtocol},
-		{"empty election", false, []frame{plan(Routed), msg(MethodNone, msgElect)}, ErrProtocol},
-		{"election outside the plan", false, []frame{plan(Routed), elect(Splicing)}, ErrProtocol},
+		{"election of two methods", false, []frame{msg(MethodNone, msgElect, byte(Routed), byte(Routed))}, ErrProtocol},
+		{"empty election", false, []frame{msg(MethodNone, msgElect)}, ErrProtocol},
+		{"election of an unknown method", false, []frame{elect(Routed + 1)}, ErrProtocol},
+		{"election outside the ranking", false, []frame{elect(Proxy)}, ErrProtocol},
 
-		{"plan from the acceptor", true, []frame{plan(Routed)}, ErrProtocol},
 		{"election from the acceptor", true, []frame{elect(MethodNone)}, ErrProtocol},
 		{"establishment abort from the acceptor", true, []frame{msg(MethodNone, msgAbort)}, ErrProtocol},
 	} {
@@ -498,27 +571,118 @@ func TestEstabStrictDecode(t *testing.T) {
 		stop()
 		svc.Close()
 	}
+	if msgElect != 5 {
+		t.Fatalf("msgElect = %d: the protocol has five message types, the election the last", msgElect)
+	}
 }
 
-// TestFallbackRoundIgnoresLateFrames: a race's rounds share the
-// conversation with no barrier between them, because a method belongs to
-// one round only. Over a synchronous link the cached method (client/
-// server) fails, the initiator sends the second plan at once, and only
-// then do the acceptor's msgListen of the failed method and an abort of
-// it arrive. The second round elects its winner all the same, neither
-// late message reaches one of its attempts, and nothing is left running.
+// TestDifferentRankingsEndTyped: the candidates are a pure function of
+// the two profiles, so two sides that hold different profiles of each
+// other disagree without a frame to say so. Whichever side ranks nothing
+// returns ErrNoMethod at once; its done marker ends the other's waits
+// with ErrEstablishmentEnded. Neither hangs, neither holds a link.
+func TestDifferentRankingsEndTyped(t *testing.T) {
+	w := newWorld(t)
+	init := w.connector(t, "differ-a", "race-i13", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
+	acc := w.connector(t, "differ-b", "race-a13", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
+	init.Relay, acc.Relay = nil, nil // the pair ranks splicing and nothing else
+	if got := RankCandidates(init.Profile(), acc.Profile(), false); !slices.Equal(got, []Method{Splicing}) {
+		t.Fatalf("the pair ranks %v, want splicing alone", got)
+	}
+	strict := func(p Profile) Profile { p.Strict = true; return p } // rules splicing out
+	checkLeaks := testutil.LeakCheck(t, 0)
+
+	for _, tc := range []struct {
+		name             string
+		toInit, toAcc    Profile // the peer's profile as each side is handed it
+		wantInit, wantAc error
+	}{
+		{"the acceptor ranks nothing", acc.Profile(), strict(init.Profile()), ErrEstablishmentEnded, ErrNoMethod},
+		{"the initiator ranks nothing", strict(acc.Profile()), init.Profile(), ErrNoMethod, ErrEstablishmentEnded},
+	} {
+		svcInit, svcAcc := net.Pipe()
+		muxInit, muxAcc := NewServiceMux(svcInit), NewServiceMux(svcAcc)
+		type res struct {
+			conn net.Conn
+			err  error
+		}
+		ch := make(chan res, 1)
+		go func() {
+			conn, _, err := acc.EstablishAcceptor(muxAcc.Open(), tc.toAcc)
+			muxAcc.Finish()
+			ch <- res{conn, err}
+		}()
+		start := time.Now()
+		conn, _, err := init.EstablishInitiator(muxInit.Open(), tc.toInit, EstablishOpts{})
+		muxInit.Finish()
+		r := <-ch
+		if conn != nil || !errors.Is(err, tc.wantInit) {
+			t.Errorf("%s: initiator conn=%v err=%v, want no connection and %v", tc.name, conn, err, tc.wantInit)
+		}
+		if r.conn != nil || !errors.Is(r.err, tc.wantAc) {
+			t.Errorf("%s: acceptor conn=%v err=%v, want no connection and %v", tc.name, r.conn, r.err, tc.wantAc)
+		}
+		if elapsed := time.Since(start); elapsed > acc.ResolvedAcceptTimeout() {
+			t.Errorf("%s: took %v, longer than the accept timeout", tc.name, elapsed)
+		}
+		svcInit.Close()
+		svcAcc.Close()
+	}
+	if n := w.fabric.PendingSplices(); n != 0 {
+		t.Errorf("%d splice offers left behind", n)
+	}
+	checkLeaks()
+}
+
+// TestRaceStaggerRule: the head start per tier is the connector's when it
+// names one, and otherwise twice the service-link round trip the caller
+// measured, floored — the constant only when nothing was measured.
+func TestRaceStaggerRule(t *testing.T) {
+	for _, tc := range []struct {
+		configured, measured, want time.Duration
+	}{
+		{0, 0, DefaultRaceStagger},
+		{0, 8 * time.Millisecond, 16 * time.Millisecond},
+		{0, time.Millisecond, MinRaceStagger},
+		{0, 5 * time.Millisecond, 10 * time.Millisecond},
+		{0, time.Second, 2 * time.Second},
+		{50 * time.Millisecond, 0, 50 * time.Millisecond},
+		{50 * time.Millisecond, 8 * time.Millisecond, 50 * time.Millisecond},
+		{time.Hour, time.Millisecond, time.Hour},
+		{-1, 0, 0},
+		{-1, 8 * time.Millisecond, 0},
+	} {
+		c := &Connector{RaceStagger: tc.configured}
+		if got := c.raceStagger(tc.measured); got != tc.want {
+			t.Errorf("RaceStagger %v, measured %v: stagger %v, want %v", tc.configured, tc.measured, got, tc.want)
+		}
+	}
+	if MinRaceStagger != 10*time.Millisecond {
+		t.Errorf("MinRaceStagger = %v, want RFC 8305's 10 ms", MinRaceStagger)
+	}
+}
+
+// TestFallbackRoundIgnoresLateFrames: the fallback from a failed cached
+// winner shares the conversation with it, with no barrier in between,
+// because a method runs once per conversation. Over a synchronous link
+// the cached method (client/server) fails, the initiator launches the
+// rest of the ranking at once, and only then do the acceptor's msgListen
+// of the failed method and an abort of it arrive. The race elects its
+// winner all the same, neither late message reaches one of its attempts,
+// and nothing is left running.
 func TestFallbackRoundIgnoresLateFrames(t *testing.T) {
 	w := newWorld(t)
 	init := w.connector(t, "late-a", "race-i12", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
 	acc := w.connector(t, "late-b", "race-a12", emunet.SiteConfig{Firewall: emunet.Open}, false)
-	init.RaceStagger = time.Hour // round two is decided by its first method alone
+	init.RaceStagger = time.Hour // the fallback is decided by its first method alone
 	init.Cache = NewCache(0)
 	init.Cache.Store("race-a12", ClientServer)
 	checkLeaks := testutil.LeakCheck(t, 0)
 
 	// The man in the middle: it withholds the acceptor's msgListen, fails
 	// the method with an abort in its place, and delivers the withheld
-	// message and a second abort right behind the initiator's second plan.
+	// message and a second abort right behind the first thing the
+	// initiator's fallback says (its splice prediction).
 	svcInit, midInit := net.Pipe()
 	midAcc, svcAcc := net.Pipe()
 	var toInitMu sync.Mutex
@@ -565,19 +729,16 @@ func TestFallbackRoundIgnoresLateFrames(t *testing.T) {
 	}()
 	go func() { // initiator → acceptor
 		defer relays.Done()
-		plans := 0
 		var toAccMu sync.Mutex
 		forward(midInit, wire.NewWriter(midAcc), &toAccMu, func(m muxMsg, f frame) []frame {
-			if m.t == msgPlan {
-				if plans++; plans == 2 {
-					// Behind the plan, and before anything the acceptor
-					// answers it with.
-					toInitMu.Lock()
-					defer toInitMu.Unlock()
-					late := <-withheld
-					toInit.WriteFrame(late.kind, 0, late.payload)
-					toInit.WriteFrame(kindMuxData, 0, msg(ClientServer, msgAbort).payload)
-				}
+			if m.method == Splicing && m.t == msgSplice {
+				// Behind the fallback's first message, and before anything
+				// the acceptor answers it with.
+				toInitMu.Lock()
+				defer toInitMu.Unlock()
+				late := <-withheld
+				toInit.WriteFrame(late.kind, 0, late.payload)
+				toInit.WriteFrame(kindMuxData, 0, msg(ClientServer, msgAbort).payload)
 			}
 			return []frame{f}
 		})
@@ -585,10 +746,10 @@ func TestFallbackRoundIgnoresLateFrames(t *testing.T) {
 
 	a, b, m, err := establishOver(t, svcInit, svcAcc, init, acc, EstablishOpts{PeerKey: "race-a12"})
 	if err != nil {
-		t.Fatalf("fallback round: %v", err)
+		t.Fatalf("fallback: %v", err)
 	}
 	if m != Splicing {
-		t.Fatalf("method = %v, want Splicing, the head of the second plan", m)
+		t.Fatalf("method = %v, want Splicing, the head of the rest of the ranking", m)
 	}
 	if got, ok := init.Cache.Lookup("race-a12"); !ok || got != Splicing {
 		t.Fatalf("cache after the fallback = %v/%v, want Splicing", got, ok)

@@ -218,8 +218,7 @@ func main() {
 		{"splice", estab.Splicing, 2, endpoint},
 		{"routed", estab.Routed, 3, nil},
 		{"abort", estab.Proxy, 4, nil},
-		{"plan", estab.MethodNone, 5, []byte{byte(estab.ClientServer), byte(estab.Splicing), byte(estab.Routed)}},
-		{"elect", estab.MethodNone, 6, []byte{byte(estab.Splicing)}},
+		{"elect", estab.MethodNone, 5, []byte{byte(estab.Splicing)}},
 	} {
 		full := append(append(wire.AppendUvarint(nil, 3), byte(m.method), m.t), m.body...)
 		write("estab", "FuzzMuxMessage", m.name, full)
