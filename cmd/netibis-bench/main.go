@@ -187,9 +187,9 @@ func scale(args []string) {
 			})
 		}
 	case *soak:
-		sched, err = bench.SoakScaleSchedule(*seed)
+		sched, err = churn.SoakScaleSchedule(*seed)
 	default:
-		sched, err = bench.DefaultScaleSchedule(*seed)
+		sched, err = churn.DefaultScaleSchedule(*seed)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scale: %v\n", err)
@@ -201,13 +201,13 @@ func scale(args []string) {
 	if *logTrail {
 		trail = os.Stderr
 	}
-	rep, err := bench.RunScaleSuite(sched, *soak, trail)
+	rep, err := churn.RunScaleSuite(sched, *soak, trail)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scale: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Print(bench.FormatScale(rep))
-	path, err := bench.WriteScaleReport(rep, *out)
+	fmt.Print(churn.FormatScale(rep))
+	path, err := churn.WriteScaleReport(rep, *out)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scale: writing report: %v\n", err)
 		os.Exit(1)

@@ -64,6 +64,11 @@ func TestChurnSuiteSmoke(t *testing.T) {
 	if len(res.HealConvergeMs) < 2 {
 		t.Errorf("heal convergences = %d, want >= 2 (partition heal + crash rejoin)", len(res.HealConvergeMs))
 	}
+	// The crash of relay 2 detaches a sender, a receiver and a probe; each
+	// fails over the way a node does, and its core metric family says so.
+	if res.Recoveries == 0 {
+		t.Errorf(`the crash moved no netibis_core_reattach_total{result="ok"}`)
+	}
 	t.Logf("attaches=%d (%.0f/s, p99 %.1fms) opens=%d (p99 %.1fms) resent=%d resets=%d recoveries=%d peakHeap=%dMiB",
 		res.Attaches, res.AttachPerSec, res.AttachP99Ms, res.Opens, res.OpenP99Ms,
 		res.StreamResent, res.StreamResets, res.Recoveries, res.PeakHeapBytes>>20)

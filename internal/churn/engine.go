@@ -70,8 +70,10 @@ type Result struct {
 	HealConvergeMs  []float64 `json:"heal_converge_ms"`
 	FinalConvergeMs float64   `json:"final_converge_ms"`
 
-	// Client failover: detach-to-resume durations observed by the
-	// stream/probe clients across relay crashes.
+	// Client failover across relay crashes, as the stream/probe
+	// attachments (core.Attachment, the failover every node runs) report
+	// it: netibis_core_reattach_total{result="ok"} and the
+	// detach-to-resume durations.
 	Recoveries   int     `json:"recoveries"`
 	RecoverP50Ms float64 `json:"recover_p50_ms"`
 	RecoverMaxMs float64 `json:"recover_max_ms"`
@@ -118,24 +120,6 @@ func (h *latHist) percentile(p float64) float64 {
 	return s[i]
 }
 
-func (h *latHist) max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	m := 0.0
-	for _, v := range h.samples {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-func (h *latHist) count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
-
 // liveSet tracks which simulated nodes are attached where: the ground
 // truth the relays' gossiped directories must converge to.
 type liveSet struct {
@@ -179,8 +163,7 @@ type engine struct {
 
 	// relayEps are snapshotted at startup: endpoints survive restarts
 	// (same host, same port), so hot paths read them without locking.
-	relayEps   []emunet.Endpoint
-	relayNames []string
+	relayEps []emunet.Endpoint
 
 	// mu guards the mutable relay state: down flags, the per-relay
 	// metrics registries (recreated on restart), and dep.Relays swaps.
@@ -212,9 +195,11 @@ type engine struct {
 	stormConverge   []float64
 	healConverge    []float64
 
-	slots         []*poolSlot
-	probeClients  []*rClient
-	streamClients []*rClient
+	slots []*poolSlot
+	// clients are the stream and probe attachments, clientRegs their
+	// core metric families (netibis_core_reattach_total).
+	clients    []*core.Attachment
+	clientRegs []*obs.Registry
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -323,12 +308,10 @@ func (e *engine) setup() error {
 	e.issueCA = ca
 
 	e.relayEps = make([]emunet.Endpoint, s.Relays)
-	e.relayNames = make([]string, s.Relays)
 	e.down = make([]bool, s.Relays)
 	e.regs = make([]*obs.Registry, s.Relays)
 	for i, ri := range dep.Relays {
 		e.relayEps[i] = ri.Endpoint()
-		e.relayNames[i] = ri.Name
 		reg := obs.NewRegistry()
 		ri.Server.MetricsInto(reg)
 		e.regs[i] = reg
@@ -362,150 +345,91 @@ func (e *engine) stopped() bool {
 	}
 }
 
-// issue mints an identity from the engine's current CA (swapped live by
-// rotate events).
-func (e *engine) issue(name string) (*identity.Identity, error) {
+// auth is the relay client security configuration of node id: on a
+// secure mesh an identity minted by the engine's current CA (swapped
+// live by rotate events), nil otherwise.
+func (e *engine) auth(id string) (*relay.AuthConfig, error) {
+	if !e.sched.Secure {
+		return nil, nil
+	}
 	e.issueMu.Lock()
 	ca := e.issueCA
 	e.issueMu.Unlock()
-	if ca == nil {
-		return nil, fmt.Errorf("churn: no CA")
+	ident, err := ca.Issue(id)
+	if err != nil {
+		return nil, err
 	}
-	return ca.Issue(name)
+	return &relay.AuthConfig{Identity: ident, Trust: e.dep.Trust}, nil
 }
 
 // attachClient dials relay relayIdx from host and attaches as id,
 // authenticated when the mesh is secure.
 func (e *engine) attachClient(host *emunet.Host, id string, relayIdx int) (*relay.Client, error) {
+	auth, err := e.auth(id)
+	if err != nil {
+		return nil, err
+	}
 	conn, err := host.Dial(e.relayEps[relayIdx])
 	if err != nil {
 		return nil, err
 	}
-	if e.sched.Secure {
-		ident, err := e.issue(id)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		cli, err := relay.AttachAuth(conn, id, &relay.AuthConfig{Identity: ident, Trust: e.dep.Trust})
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		return cli, nil
-	}
-	cli, err := relay.Attach(conn, id)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return cli, nil
+	return relay.AttachAuth(conn, id, auth) // closes conn on error
 }
 
-// liveRelays returns the indices of relays not currently down,
-// preferred first.
-func (e *engine) liveRelays(pref int) []int {
+// liveRelay returns the first relay at or after pref that is not
+// currently down. It places the storm's arrivals, which never fail over;
+// nothing that does is told which relays are up.
+func (e *engine) liveRelay(pref int) (int, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]int, 0, len(e.down))
-	n := len(e.down)
-	for k := 0; k < n; k++ {
-		i := (pref + k) % n
-		if !e.down[i] {
-			out = append(out, i)
+	for k := range e.down {
+		if i := (pref + k) % len(e.down); !e.down[i] {
+			return i, true
 		}
 	}
-	return out
+	return 0, false
 }
 
-// --- resuming clients (streams, probes) -----------------------------------------
+// allRelays lists the deployment's relay endpoints, dead ones included.
+func (e *engine) allRelays() []emunet.Endpoint { return e.relayEps }
 
-// rClient is a relay client that survives relay crashes: on detach it
-// resumes against the next live relay, recording the recovery time. The
-// underlying *relay.Client pointer never changes — Resume re-attaches
-// the same client object.
-type rClient struct {
-	e    *engine
-	id   string
-	host *emunet.Host
-	pref int
+// --- stream and probe attachments -----------------------------------------------
 
-	mu     sync.Mutex
-	cli    *relay.Client
-	closed bool
-}
-
-func (e *engine) newResumingClient(id string, host *emunet.Host, pref int) (*rClient, error) {
-	rc := &rClient{e: e, id: id, host: host, pref: pref}
-	cli, err := e.attachClient(host, id, pref)
+// attach joins the mesh as id the way a node does: a core.Attachment,
+// pinned to relay pref so the layout is the scenario's, that on a relay
+// crash probes the deployment's relays and resumes on the nearest
+// survivor. The recovery times and the live set come from its resume
+// callback.
+func (e *engine) attach(id string, host *emunet.Host, pref int) (*core.Attachment, error) {
+	att := &core.Attachment{Host: host, NodeID: id, Pinned: []emunet.Endpoint{e.relayEps[pref]}, Discover: e.allRelays}
+	att.OnResume = func(took time.Duration) {
+		e.recoverLat.add(took)
+		home := att.Client().ServerID()
+		e.live.set(id, home)
+		e.rec.Eventf("client %s resumed on %s after %v", id, home, took.Round(time.Millisecond))
+	}
+	var err error
+	if att.Auth, err = e.auth(id); err == nil {
+		err = att.Attach()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("churn: attach %s: %w", id, err)
 	}
-	rc.cli = cli
-	cli.SetDetachHandler(rc.onDetach)
-	e.live.set(id, e.relayNames[pref])
-	return rc, nil
+	e.live.set(id, att.Client().ServerID())
+	reg := obs.NewRegistry()
+	att.MetricsInto(reg)
+	e.clients = append(e.clients, att)
+	e.clientRegs = append(e.clientRegs, reg)
+	return att, nil
 }
 
-func (rc *rClient) current() *relay.Client {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.cli
-}
-
-func (rc *rClient) onDetach(err error) {
-	rc.mu.Lock()
-	closed := rc.closed
-	rc.mu.Unlock()
-	if closed || rc.e.stopped() {
-		return
+// scrape renders and parses one registry, as a poller would.
+func scrape(reg *obs.Registry) (*obs.Scrape, error) {
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		return nil, err
 	}
-	rc.e.rec.Eventf("client %s detached (%v), resuming", rc.id, err)
-	start := time.Now() //nolint:netibis-determinism // recovery-latency stopwatch; never feeds scenario decisions
-	go rc.resumeLoop(start)
-}
-
-func (rc *rClient) resumeLoop(start time.Time) {
-	for !rc.e.stopped() {
-		rc.mu.Lock()
-		if rc.closed {
-			rc.mu.Unlock()
-			return
-		}
-		cli := rc.cli
-		rc.mu.Unlock()
-		for _, i := range rc.e.liveRelays(rc.pref) {
-			conn, err := rc.host.Dial(rc.e.relayEps[i])
-			if err != nil {
-				continue
-			}
-			if err := cli.Resume(conn); err != nil {
-				conn.Close()
-				if err == relay.ErrClosed {
-					return
-				}
-				continue
-			}
-			rc.e.recoverLat.add(time.Since(start)) //nolint:netibis-determinism // recovery-latency stopwatch; never feeds scenario decisions
-			rc.e.live.set(rc.id, rc.e.relayNames[i])
-			rc.e.rec.Eventf("client %s resumed on %s after %v", rc.id, rc.e.relayNames[i], time.Since(start).Round(time.Millisecond)) //nolint:netibis-determinism // wall-clock duration in the event log only
-			return
-		}
-		select {
-		case <-rc.e.stopCh:
-			return
-		case <-time.After(25 * time.Millisecond):
-		}
-	}
-}
-
-func (rc *rClient) close() {
-	rc.mu.Lock()
-	rc.closed = true
-	cli := rc.cli
-	rc.mu.Unlock()
-	rc.e.live.remove(rc.id)
-	cli.Close()
+	return obs.ParseText(strings.NewReader(sb.String()))
 }
 
 // --- invariant-checked streams --------------------------------------------------
@@ -514,8 +438,8 @@ type streamPair struct {
 	cfg invariant.StreamConfig
 	snd *invariant.Sender
 	rcv *invariant.Receiver
-	tx  *rClient
-	rx  *rClient
+	tx  *core.Attachment
+	rx  *core.Attachment
 }
 
 // startStreams launches the sequence-checked routed streams: sender i
@@ -537,14 +461,13 @@ func (e *engine) startStreams() ([]*invariant.Sender, []*streamPair) {
 		txID := fmt.Sprintf("churn/tx-%d", i)
 		rxID := fmt.Sprintf("churn/rx-%d", i)
 		host := e.nodeHosts[i%len(e.nodeHosts)]
-		tx, err := e.newResumingClient(txID, host, i%s.Relays)
+		tx, err := e.attach(txID, host, i%s.Relays)
 		if err != nil {
 			e.rec.Violatef("stream-incomplete", "stream %d: sender attach: %v", i, err)
 			continue
 		}
-		rx, err := e.newResumingClient(rxID, host, (i+1)%s.Relays)
+		rx, err := e.attach(rxID, host, (i+1)%s.Relays)
 		if err != nil {
-			tx.close()
 			e.rec.Violatef("stream-incomplete", "stream %d: receiver attach: %v", i, err)
 			continue
 		}
@@ -568,7 +491,6 @@ func (e *engine) startStreams() ([]*invariant.Sender, []*streamPair) {
 		p := &streamPair{cfg: cfg, snd: invariant.NewSender(cfg), rcv: invariant.NewReceiver(cfg, e.rec), tx: tx, rx: rx}
 		senders = append(senders, p.snd)
 		pairs = append(pairs, p)
-		e.streamClients = append(e.streamClients, tx, rx)
 
 		// Receiver: accept loop; every accepted conn is one sender
 		// incarnation. Accept blocks across detach/resume and returns
@@ -577,7 +499,7 @@ func (e *engine) startStreams() ([]*invariant.Sender, []*streamPair) {
 		go func(p *streamPair) {
 			defer e.wg.Done()
 			for {
-				conn, err := p.rx.current().Accept()
+				conn, err := p.rx.Client().Accept()
 				if err != nil {
 					return
 				}
@@ -596,8 +518,7 @@ func (e *engine) startStreams() ([]*invariant.Sender, []*streamPair) {
 		go func(p *streamPair, rxID string) {
 			defer e.wg.Done()
 			for !p.snd.Done() && !e.stopped() {
-				cli := p.tx.current()
-				conn, err := estab.RetryRoutedDial(cli.Dial, rxID, 4*time.Second, e.stopCh)
+				conn, err := estab.RetryRoutedDial(p.tx.Client().Dial, rxID, 4*time.Second, e.stopCh)
 				if err != nil {
 					select {
 					case <-e.stopCh:
@@ -639,14 +560,13 @@ func (e *engine) startProbes() {
 		return
 	}
 	host := e.nodeHosts[0]
-	pb, err := e.newResumingClient("churn/probe-b", host, e.sched.Relays-1)
+	pb, err := e.attach("churn/probe-b", host, e.sched.Relays-1)
 	if err != nil {
 		e.rec.Eventf("probe acceptor attach failed: %v", err)
 		return
 	}
-	pa, err := e.newResumingClient("churn/probe-a", host, 0)
+	pa, err := e.attach("churn/probe-a", host, 0)
 	if err != nil {
-		pb.close()
 		e.rec.Eventf("probe dialer attach failed: %v", err)
 		return
 	}
@@ -655,7 +575,7 @@ func (e *engine) startProbes() {
 	go func() {
 		defer e.wg.Done()
 		for {
-			conn, err := pb.current().Accept()
+			conn, err := pb.Client().Accept()
 			if err != nil {
 				return
 			}
@@ -668,7 +588,7 @@ func (e *engine) startProbes() {
 		defer e.wg.Done()
 		for !e.stopped() {
 			t0 := time.Now() //nolint:netibis-determinism // open-latency stopwatch; never feeds scenario decisions
-			conn, err := pa.current().DialCancel("churn/probe-b", 2*time.Second, e.stopCh)
+			conn, err := pa.Client().DialCancel("churn/probe-b", 2*time.Second, e.stopCh)
 			e.countMu.Lock()
 			if err != nil {
 				e.openFailures++
@@ -687,9 +607,6 @@ func (e *engine) startProbes() {
 			}
 		}
 	}()
-
-	// Closed at teardown alongside the pool.
-	e.probeClients = append(e.probeClients, pa, pb)
 }
 
 // --- attach storm ----------------------------------------------------------------
@@ -761,8 +678,8 @@ func (e *engine) attachSim(slotIdx, n int) {
 
 	id := fmt.Sprintf("churn/n-%d", n)
 	host := e.nodeHosts[slotIdx%len(e.nodeHosts)]
-	relays := e.liveRelays(n % e.sched.Relays)
-	if len(relays) == 0 {
+	relayIdx, ok := e.liveRelay(n % e.sched.Relays)
+	if !ok {
 		e.countMu.Lock()
 		e.attachFailures++
 		e.countMu.Unlock()
@@ -770,7 +687,7 @@ func (e *engine) attachSim(slotIdx, n int) {
 	}
 
 	t0 := time.Now() //nolint:netibis-determinism // attach-latency stopwatch; never feeds scenario decisions
-	cli, err := e.attachClient(host, id, relays[0])
+	cli, err := e.attachClient(host, id, relayIdx)
 	if err != nil {
 		e.countMu.Lock()
 		e.attachFailures++
@@ -803,7 +720,7 @@ func (e *engine) attachSim(slotIdx, n int) {
 	s.cli = cli
 	s.id = id
 	s.mu.Unlock()
-	e.live.set(id, e.relayNames[relays[0]])
+	e.live.set(id, cli.ServerID())
 }
 
 // --- convergence -----------------------------------------------------------------
@@ -972,16 +889,16 @@ func (e *engine) runRotate() {
 
 	// Prove the rotation took: a canary attach with a new-CA identity
 	// must be accepted by the (old-CA-issued) relays.
-	relays := e.liveRelays(0)
-	if len(relays) == 0 {
-		return
+	canary := &core.Attachment{Host: e.nodeHosts[0], NodeID: "churn/rotate-canary", Discover: e.allRelays}
+	if canary.Auth, err = e.auth(canary.NodeID); err == nil {
+		if err = canary.Attach(); err == nil {
+			canary.Close()
+		}
 	}
-	cli, err := e.attachClient(e.nodeHosts[0], "churn/rotate-canary", relays[0])
 	if err != nil {
 		e.rec.Violatef("rotation", "canary attach with rotated identity refused: %v", err)
 		return
 	}
-	cli.Close()
 	e.rec.Eventf("rotate: canary attach under new CA accepted")
 }
 
@@ -1036,21 +953,17 @@ func (e *engine) monitor() {
 		var targets []scrapeTarget
 		for i, reg := range e.regs {
 			if !e.down[i] && reg != nil {
-				targets = append(targets, scrapeTarget{e.relayNames[i], reg})
+				targets = append(targets, scrapeTarget{e.dep.Relays[i].Name, reg})
 			}
 		}
 		e.mu.Unlock()
 
 		for _, t := range targets {
-			var sb strings.Builder
-			if err := t.reg.WriteText(&sb); err != nil {
-				continue
-			}
-			scrape, err := obs.ParseText(strings.NewReader(sb.String()))
+			sc, err := scrape(t.reg)
 			if err != nil {
 				continue
 			}
-			if v, ok := scrape.Value("netibis_flow_egress_backlog_frames"); ok {
+			if v, ok := sc.Value("netibis_flow_egress_backlog_frames"); ok {
 				e.countMu.Lock()
 				if v > e.peakBacklog {
 					e.peakBacklog = v
@@ -1075,11 +988,9 @@ func (e *engine) teardown() {
 			cli.Close()
 		}
 	}
-	for _, rc := range e.probeClients {
-		rc.close()
-	}
-	for _, rc := range e.streamClients {
-		rc.close()
+	for _, att := range e.clients {
+		e.live.remove(att.NodeID)
+		att.Close()
 	}
 	e.wg.Wait()
 	e.dep.Close()
@@ -1125,13 +1036,17 @@ func (e *engine) buildResult(senders []*invariant.Sender, pairs []*streamPair) *
 		OpenFailures:   e.openFailures,
 		OpenP50Ms:      e.openLat.percentile(0.50),
 		OpenP99Ms:      e.openLat.percentile(0.99),
-		Recoveries:     e.recoverLat.count(),
 		RecoverP50Ms:   e.recoverLat.percentile(0.50),
-		RecoverMaxMs:   e.recoverLat.max(),
+		RecoverMaxMs:   e.recoverLat.percentile(1),
 		PeakHeapBytes:  e.peakHeap,
 		Violations:     e.rec.Violations(),
 	}
 	res.PeakBacklogFrames = e.peakBacklog
+	for _, reg := range e.clientRegs {
+		if sc, err := scrape(reg); err == nil {
+			res.Recoveries += int(sc.Labeled("netibis_core_reattach_total", "result")["ok"])
+		}
+	}
 	if e.stormWindow > 0 {
 		res.AttachPerSec = float64(e.attaches) / e.stormWindow.Seconds()
 	}

@@ -1,13 +1,14 @@
-package bench
+package churn
 
-// This file is the scale-and-churn suite: it runs the internal/churn
-// scenario engine — a flash-crowd attach storm, a WAN partition, an
-// impaired relay pair and a relay crash, all against a spread relay
-// mesh — with continuous invariant checking, and reports the headline
-// numbers the scenario measures: attach throughput, directory (gossip)
-// convergence times, routed-open p99 under churn, and client failover
-// recovery times. Results are written to BENCH_scale.json at the
-// repository root (see EXPERIMENTS.md, "Surviving a flash crowd").
+// This file is the scale-and-churn suite: it runs the scenario engine —
+// a flash-crowd attach storm, a WAN partition, an impaired relay pair
+// and a relay crash, all against a spread relay mesh — with continuous
+// invariant checking, and reports the headline numbers the scenario
+// measures: attach throughput, directory (gossip) convergence times,
+// routed-open p99 under churn, and the recovery times of the failover
+// every node runs (core.Attachment). Results are written to
+// BENCH_scale.json at the repository root (see EXPERIMENTS.md,
+// "Surviving a flash crowd").
 
 import (
 	"encoding/json"
@@ -19,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"netibis/internal/churn"
 	"netibis/internal/churn/invariant"
 )
 
@@ -70,14 +70,14 @@ partition at=260s a=0 b=3 for=5s
 
 // DefaultScaleSchedule returns the standard scale scenario under the
 // given seed.
-func DefaultScaleSchedule(seed int64) (*churn.Schedule, error) {
-	return churn.ParseSchedule([]byte(fmt.Sprintf(defaultScaleText, seed)))
+func DefaultScaleSchedule(seed int64) (*Schedule, error) {
+	return ParseSchedule([]byte(fmt.Sprintf(defaultScaleText, seed)))
 }
 
 // SoakScaleSchedule returns the nightly soak scenario under the given
 // seed.
-func SoakScaleSchedule(seed int64) (*churn.Schedule, error) {
-	return churn.ParseSchedule([]byte(fmt.Sprintf(soakScaleText, seed)))
+func SoakScaleSchedule(seed int64) (*Schedule, error) {
+	return ParseSchedule([]byte(fmt.Sprintf(soakScaleText, seed)))
 }
 
 // ScaleReport is the full suite written to BENCH_scale.json.
@@ -90,20 +90,20 @@ type ScaleReport struct {
 	Soak bool `json:"soak"`
 	// Result is the churn engine's measured outcome, violations
 	// included.
-	Result *churn.Result `json:"result"`
+	Result *Result `json:"result"`
 }
 
 // RunScaleSuite executes one scale scenario. The engine's live
 // event/violation trail goes to log (nil discards it). The error return
 // is for setup failures; invariant violations land in the report's
 // Result and fail the suite via Result.Failed().
-func RunScaleSuite(sched *churn.Schedule, soak bool, log io.Writer) (ScaleReport, error) {
+func RunScaleSuite(sched *Schedule, soak bool, log io.Writer) (ScaleReport, error) {
 	rep := ScaleReport{
-		GeneratedAt: time.Now(),
+		GeneratedAt: time.Now(), //nolint:netibis-determinism // the report's timestamp; never feeds scenario decisions
 		GoVersion:   runtime.Version(),
 		Soak:        soak,
 	}
-	res, err := churn.Run(churn.Options{Schedule: sched, Log: log})
+	res, err := Run(Options{Schedule: sched, Log: log})
 	if err != nil {
 		return rep, err
 	}
@@ -164,7 +164,7 @@ func findRepoRoot() (string, error) {
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			return "", fmt.Errorf("bench: no go.mod above working directory")
+			return "", fmt.Errorf("churn: no go.mod above working directory")
 		}
 		dir = parent
 	}

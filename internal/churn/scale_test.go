@@ -1,4 +1,4 @@
-package bench
+package churn
 
 import (
 	"encoding/json"
@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"netibis/internal/churn"
 )
 
 func TestScaleSchedulesParse(t *testing.T) {
@@ -31,7 +29,7 @@ func TestScaleSchedulesParse(t *testing.T) {
 // checks the report pipeline: clean invariants, populated headline
 // metrics, JSON round trip.
 func TestScaleSuiteSmoke(t *testing.T) {
-	sched, err := churn.ParseSchedule([]byte(`
+	sched, err := ParseSchedule([]byte(`
 seed 11
 relays 2
 pool 16

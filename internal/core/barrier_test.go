@@ -199,15 +199,7 @@ func TestHealthySpliceNeverLaunchesRouted(t *testing.T) {
 	reg := obs.NewRegistry()
 	g.dep.Relays[0].Server.MetricsInto(reg)
 	opens := func() float64 {
-		var sb strings.Builder
-		if err := reg.WriteText(&sb); err != nil {
-			t.Fatal(err)
-		}
-		sc, err := obs.ParseText(strings.NewReader(sb.String()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, ok := sc.Value("netibis_estab_open_frames_total")
+		v, ok := scrapeReg(t, reg).Value("netibis_estab_open_frames_total")
 		if !ok {
 			t.Fatal("the relay reports no open-frame counter")
 		}
@@ -275,4 +267,35 @@ func TestServiceLinkToAbsentPeerFailsFast(t *testing.T) {
 		t.Error(why)
 	}
 	checkLeaks()
+}
+
+// TestRefusedDialAsksRegistryOnce: a peer whose registry record outlived
+// its attachment is refused on every retry of the dial's gossip window;
+// the registry, which cannot tell that apart from gossip in flight, is
+// asked about it once per dial, not once per retry.
+func TestRefusedDialAsksRegistryOnce(t *testing.T) {
+	g := newTestGrid(t)
+	reg := obs.NewRegistry()
+	g.dep.Registry.MetricsInto(reg)
+	g.dep.Relays[0].Server.MetricsInto(reg)
+	a := g.node("alice", "site-a", stateful, func(c *Config) { c.AcceptTimeout = 300 * time.Millisecond })
+	if err := a.Registry().Register(a.nodeKey("ghost"), []byte("a record that outlived its node")); err != nil {
+		t.Fatal(err)
+	}
+	counts := func() (opens, lookups float64) {
+		sc := scrapeReg(t, reg)
+		opens, _ = sc.Value("netibis_estab_open_frames_total")
+		return opens, sc.Labeled("netibis_nameservice_lookup_total", "result")["ok"]
+	}
+	opens0, lookups0 := counts()
+	if _, err := a.Ping("ghost"); !errors.Is(err, ErrPeerUnavailable) {
+		t.Fatalf("ping to a peer no relay knows: %v, want ErrPeerUnavailable", err)
+	}
+	opens, lookups := counts()
+	if opens -= opens0; opens < 3 {
+		t.Fatalf("the dial was refused %v times; the test needs it retried", opens)
+	}
+	if lookups -= lookups0; lookups != 1 {
+		t.Errorf("%v refusals asked the registry %v times, want once", opens, lookups)
+	}
 }

@@ -313,7 +313,6 @@ func (d *Deployment) NodeConfig(host *emunet.Host, pool, name string) Config {
 		Pool:     pool,
 		Host:     host,
 		Registry: d.RegistryEndpoint(),
-		Relay:    d.RelayEndpoint(),
 	}
 	topo := host.Topology()
 	if topo.NAT == emunet.BrokenNAT || topo.NAT == emunet.PortRestrictedNAT || topo.StrictFirewall {

@@ -321,26 +321,24 @@ func TestLowestRTTRelaySelection(t *testing.T) {
 	nearEP := emunet.Endpoint{Addr: near.Address(), Port: RelayPort}
 	farEP := emunet.Endpoint{Addr: far.Address(), Port: RelayPort}
 	// Deliberately list the far relay first: the probe must reorder.
-	cli, ep, err := attachBestRelay(nodeHost, "pool/picker", []emunet.Endpoint{farEP, nearEP}, nil)
-	if err != nil {
+	att := &Attachment{Host: nodeHost, NodeID: "pool/picker", Pinned: []emunet.Endpoint{farEP, nearEP}}
+	if err := att.Attach(); err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
-	if ep != nearEP {
+	defer att.Close()
+	if ep := att.Endpoint(); ep != nearEP {
 		t.Fatalf("attached to %v, want the near relay %v", ep, nearEP)
 	}
-	if cli.ServerID() != "near-relay" {
-		t.Fatalf("attached to relay %q, want near-relay", cli.ServerID())
+	if id := att.Client().ServerID(); id != "near-relay" {
+		t.Fatalf("attached to relay %q, want near-relay", id)
 	}
 }
 
-// TestRegistryOnlyRelayDiscovery joins a node with no static relay
-// endpoint at all: the mesh is found through the name service.
+// TestRegistryOnlyRelayDiscovery joins a node that names no relay at
+// all: the mesh is found through the name service.
 func TestRegistryOnlyRelayDiscovery(t *testing.T) {
 	g := newFederatedGrid(t, 2)
-	n := g.node("discoverer", "site-disc", emunet.SiteConfig{Firewall: emunet.Stateful}, func(c *Config) {
-		c.Relay = emunet.Endpoint{}
-	})
+	n := g.node("discoverer", "site-disc", emunet.SiteConfig{Firewall: emunet.Stateful}, nil)
 	if n.HomeRelay() == "" {
 		t.Fatal("node did not discover a mesh relay")
 	}

@@ -93,9 +93,9 @@ var (
 
 // Connector is the socket-factory side of one endpoint: it knows the
 // endpoint's host, its optional relay attachment and its optional SOCKS
-// proxy, and it can establish data links to peers either directly
-// (bootstrap factory) or by negotiating over a service link (brokered
-// factory).
+// proxy, and it establishes data links to peers by negotiating over a
+// service link (the paper's brokered factory; its bootstrap factory is
+// a plain Host.Dial to a public gateway).
 type Connector struct {
 	// Host is the endpoint's machine in the emulated internetwork.
 	Host *emunet.Host
@@ -200,17 +200,6 @@ func (c *Connector) ResolvedAcceptTimeout() time.Duration {
 		return c.AcceptTimeout
 	}
 	return DefaultAcceptTimeout
-}
-
-// --- bootstrap factory -------------------------------------------------------------
-
-// Bootstrap establishes a connection without any pre-existing peer link,
-// as needed for name-service and relay connections: direct client/server
-// if the destination is dialable, nothing otherwise (the caller falls
-// back to attaching to a relay, which is itself a bootstrap dial to a
-// public gateway).
-func (c *Connector) Bootstrap(dst emunet.Endpoint) (net.Conn, error) {
-	return c.Host.Dial(dst)
 }
 
 // --- brokered factory ---------------------------------------------------------------

@@ -302,7 +302,7 @@ func TestBootstrapDial(t *testing.T) {
 			conn.Close()
 		}
 	}()
-	conn, err := c.Bootstrap(emunet.Endpoint{Addr: w.gateway.Address(), Port: 9999})
+	conn, err := c.Host.Dial(emunet.Endpoint{Addr: w.gateway.Address(), Port: 9999})
 	if err != nil {
 		t.Fatalf("bootstrap dial: %v", err)
 	}
