@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,7 +24,7 @@ func (n *Node) CreateSendPort(pt ipl.PortType) (ipl.SendPort, error) {
 	if _, err := pt.ParseStack(); err != nil {
 		return nil, err
 	}
-	return &sendPort{node: n, portType: pt, links: make(map[string]*outLink)}, nil
+	return &sendPort{node: n, portType: pt}, nil
 }
 
 // CreateReceivePort creates a receiving endpoint with the given name and
@@ -94,10 +96,16 @@ type sendPort struct {
 	node     *Node
 	portType ipl.PortType
 
-	mu        sync.Mutex
-	links     map[string]*outLink // keyed by PortID.String()
+	mu sync.Mutex
+	// links is replaced, never modified in place, so Deliver sends on a
+	// snapshot of it without holding the lock.
+	links     []*outLink
 	msgActive bool
-	closed    bool
+	// spare is the buffer of the last message, for the next one: one
+	// message is active at a time, and every Output.Write is done with
+	// its argument when it returns.
+	spare  []byte
+	closed bool
 
 	// Stats.
 	messagesSent int64
@@ -106,6 +114,16 @@ type sendPort struct {
 
 // Type implements ipl.SendPort.
 func (sp *sendPort) Type() ipl.PortType { return sp.portType }
+
+// maxSpare is the largest message buffer a send port keeps for its next
+// message: one that once sent a huge message does not pin its buffer.
+const maxSpare = 4 << 20
+
+// link returns the index of the link to the given receive port, or -1.
+// The caller holds sp.mu.
+func (sp *sendPort) link(to ipl.PortID) int {
+	return slices.IndexFunc(sp.links, func(l *outLink) bool { return l.to == to })
+}
 
 // ConnectedTo implements ipl.SendPort.
 func (sp *sendPort) ConnectedTo() []ipl.PortID {
@@ -154,7 +172,7 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 		sp.mu.Unlock()
 		return ipl.ErrClosed
 	}
-	if _, dup := sp.links[to.String()]; dup {
+	if sp.link(to) >= 0 {
 		sp.mu.Unlock()
 		return nil // already connected; Connect is idempotent
 	}
@@ -275,19 +293,25 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 		out.Close()
 		return ipl.ErrClosed
 	}
-	sp.links[to.String()] = &outLink{to: to, out: out, method: usedMethod}
+	if sp.link(to) >= 0 {
+		out.Close() // a concurrent Connect to the same port won
+		return nil
+	}
+	sp.links = append(slices.Clip(sp.links), &outLink{to: to, out: out, method: usedMethod})
 	return nil
 }
 
 // Disconnect implements ipl.SendPort.
 func (sp *sendPort) Disconnect(to ipl.PortID) error {
 	sp.mu.Lock()
-	l, ok := sp.links[to.String()]
-	delete(sp.links, to.String())
-	sp.mu.Unlock()
-	if !ok {
+	i := sp.link(to)
+	if i < 0 {
+		sp.mu.Unlock()
 		return nil
 	}
+	l := sp.links[i]
+	sp.links = slices.Delete(slices.Clone(sp.links), i, i+1)
+	sp.mu.Unlock()
 	return l.out.Close()
 }
 
@@ -309,8 +333,8 @@ func (sp *sendPort) Methods() map[string]estab.Method {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	out := make(map[string]estab.Method, len(sp.links))
-	for k, l := range sp.links {
-		out[k] = l.method
+	for _, l := range sp.links {
+		out[l.to.String()] = l.method
 	}
 	return out
 }
@@ -326,34 +350,39 @@ func (sp *sendPort) NewMessage() (*ipl.WriteMessage, error) {
 		return nil, ipl.ErrMessageActive
 	}
 	sp.msgActive = true
-	return ipl.NewWriteMessage(sp, func() {
-		sp.mu.Lock()
-		sp.msgActive = false
-		sp.mu.Unlock()
-	}), nil
+	buf := sp.spare
+	sp.spare = nil
+	return ipl.NewWriteMessage(sp, buf, sp.messageDone), nil
 }
 
-// Deliver implements ipl.MessageSink: the finished message is framed and
-// pushed down every connected link.
-func (sp *sendPort) Deliver(payload []byte) error {
+// messageDone ends the active message and keeps its buffer for the next.
+func (sp *sendPort) messageDone(buf []byte) {
 	sp.mu.Lock()
-	links := make([]*outLink, 0, len(sp.links))
-	for _, l := range sp.links {
-		links = append(links, l)
+	sp.msgActive = false
+	if cap(buf) <= maxSpare {
+		sp.spare = buf
 	}
+	sp.mu.Unlock()
+}
+
+// Deliver implements ipl.MessageSink: the message's length goes into the
+// headroom in front of it, and length and message go down every
+// connected link as one Write, then a Flush.
+func (sp *sendPort) Deliver(msg []byte) error {
+	size := len(msg) - ipl.Headroom
+	sp.mu.Lock()
+	links := sp.links
 	sp.messagesSent++
-	sp.bytesSent += int64(len(payload))
+	sp.bytesSent += int64(size)
 	sp.mu.Unlock()
 
-	var hdr []byte
-	hdr = wire.AppendUvarint(hdr, uint64(len(payload)))
+	var length [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(length[:], uint64(size))
+	framed := msg[ipl.Headroom-n:]
+	copy(framed, length[:n])
 	var first error
 	for _, l := range links {
-		if _, err := l.out.Write(hdr); err != nil && first == nil {
-			first = err
-			continue
-		}
-		if _, err := l.out.Write(payload); err != nil && first == nil {
+		if _, err := l.out.Write(framed); err != nil && first == nil {
 			first = err
 			continue
 		}
@@ -379,11 +408,8 @@ func (sp *sendPort) Close() error {
 		return nil
 	}
 	sp.closed = true
-	links := make([]*outLink, 0, len(sp.links))
-	for _, l := range sp.links {
-		links = append(links, l)
-	}
-	sp.links = make(map[string]*outLink)
+	links := sp.links
+	sp.links, sp.spare = nil, nil
 	sp.mu.Unlock()
 	var first error
 	for _, l := range links {

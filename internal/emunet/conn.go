@@ -30,22 +30,21 @@ const DefaultSocketBuffer = 4 << 20
 // halfPipe is one direction of an emulated connection: an in-memory byte
 // buffer with blocking reads, close semantics and read deadlines.
 type halfPipe struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	buf      []byte
+	mu   sync.Mutex
+	cond *sync.Cond
+	// buf holds the unread bytes. Its limit, the socket buffer, bounds
+	// them and gives the writer backpressure.
+	buf      ring
 	closed   bool
 	stalled  bool
 	deadline time.Time
-	// maxBuffered bounds the in-flight data to model a socket buffer and
-	// give the writer backpressure.
-	maxBuffered int
 }
 
 func newHalfPipe(maxBuffered int) *halfPipe {
 	if maxBuffered <= 0 {
 		maxBuffered = DefaultSocketBuffer
 	}
-	hp := &halfPipe{maxBuffered: maxBuffered}
+	hp := &halfPipe{buf: ring{limit: maxBuffered}}
 	hp.cond = sync.NewCond(&hp.mu)
 	return hp
 }
@@ -58,16 +57,13 @@ func (hp *halfPipe) write(p []byte) (int, error) {
 		if hp.closed {
 			return total, io.ErrClosedPipe
 		}
-		space := hp.maxBuffered - len(hp.buf)
+		space := hp.buf.limit - hp.buf.n
 		if space <= 0 {
 			hp.cond.Wait()
 			continue
 		}
-		n := len(p)
-		if n > space {
-			n = space
-		}
-		hp.buf = append(hp.buf, p[:n]...)
+		n := min(len(p), space)
+		hp.buf.push(p[:n])
 		p = p[n:]
 		total += n
 		hp.cond.Broadcast()
@@ -79,11 +75,10 @@ func (hp *halfPipe) read(p []byte) (int, error) {
 	hp.mu.Lock()
 	defer hp.mu.Unlock()
 	for {
-		if len(hp.buf) > 0 && !hp.stalled {
-			n := copy(p, hp.buf)
-			hp.buf = hp.buf[n:]
-			if len(hp.buf) == 0 {
-				hp.buf = nil
+		if hp.buf.n > 0 && !hp.stalled {
+			n := hp.buf.read(p)
+			if hp.closed && hp.buf.n == 0 {
+				hp.buf.reset() // drained to EOF: nothing will be written again
 			}
 			hp.cond.Broadcast()
 			return n, nil
@@ -112,9 +107,14 @@ func (hp *halfPipe) read(p []byte) (int, error) {
 	}
 }
 
+// close ends the pipe: writes fail, and the reader drains what is
+// buffered and then reads EOF. The storage goes once it is drained.
 func (hp *halfPipe) close() {
 	hp.mu.Lock()
 	hp.closed = true
+	if hp.buf.n == 0 {
+		hp.buf.reset()
+	}
 	hp.cond.Broadcast()
 	hp.mu.Unlock()
 }
@@ -137,7 +137,7 @@ func (hp *halfPipe) setStall(stalled bool) {
 func (hp *halfPipe) room() int {
 	hp.mu.Lock()
 	defer hp.mu.Unlock()
-	return hp.maxBuffered - len(hp.buf)
+	return hp.buf.limit - hp.buf.n
 }
 
 // waitRoom blocks until the reader has left room for n bytes, and
@@ -145,22 +145,24 @@ func (hp *halfPipe) room() int {
 func (hp *halfPipe) waitRoom(n int) bool {
 	hp.mu.Lock()
 	defer hp.mu.Unlock()
-	for !hp.closed && hp.maxBuffered-len(hp.buf) < n {
+	for !hp.closed && hp.buf.limit-hp.buf.n < n {
 		hp.cond.Wait()
 	}
 	return !hp.closed
 }
 
-// ring is a byte FIFO that grows to what it has to hold and then runs in
-// place: a send buffer that stays a window full is never moved.
+// ring is a byte FIFO that grows to what it has to hold, up to limit,
+// and then runs in place: a socket buffer that stays full is never
+// moved, and a byte is copied once in and once out.
 type ring struct {
 	buf     []byte
 	head, n int
+	limit   int // the socket buffer; callers never push past it
 }
 
 func (r *ring) push(p []byte) {
 	if r.n+len(p) > len(r.buf) {
-		grown := make([]byte, max(2*len(r.buf), r.n+len(p), 4<<10))
+		grown := make([]byte, min(max(2*len(r.buf), r.n+len(p), 4<<10), r.limit))
 		a, b := r.pop(r.n)
 		copy(grown[copy(grown, a):], b)
 		r.buf, r.head, r.n = grown, 0, len(a)+len(b)
@@ -182,6 +184,16 @@ func (r *ring) pop(n int) (a, b []byte) {
 	r.n -= n
 	return a, b
 }
+
+// read moves the first bytes, as many as fit, into p.
+func (r *ring) read(p []byte) int {
+	a, b := r.pop(min(len(p), r.n))
+	n := copy(p, a)
+	return n + copy(p[n:], b)
+}
+
+// reset empties the ring and drops its storage.
+func (r *ring) reset() { r.buf, r.head, r.n = nil, 0, 0 }
 
 // mark is one pacer reservation of a sender: n bytes that become
 // readable at the far end at at, and whose acknowledgement is back at
@@ -223,8 +235,10 @@ type sender struct {
 }
 
 func newSender(link *pacer, dst *halfPipe) *sender {
-	limit := float64(dst.maxBuffered)
-	s := &sender{link: link, dst: dst, cwnd: min(initialWindow, limit), ssthresh: limit, done: make(chan struct{})}
+	// The window never exceeds the socket buffer, so neither does the
+	// send buffer it bounds.
+	limit := float64(dst.buf.limit)
+	s := &sender{link: link, dst: dst, buf: ring{limit: dst.buf.limit}, cwnd: min(initialWindow, limit), ssthresh: limit, done: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -296,7 +310,7 @@ func (s *sender) reap(now time.Time) bool {
 	s.inflight -= m.n
 	s.freed = m.ack
 	s.cwnd, s.ssthresh = renoStep(s.cwnd, s.ssthresh, m.n, m.lost)
-	s.cwnd = min(s.cwnd, float64(s.dst.maxBuffered))
+	s.cwnd = min(s.cwnd, float64(s.dst.buf.limit))
 	return true
 }
 
@@ -374,6 +388,7 @@ func (s *sender) deliver() {
 		s.cond.Broadcast()
 	}
 	if s.fin {
+		s.buf.reset()
 		s.dst.close()
 	}
 	s.running = false
@@ -387,6 +402,7 @@ func (s *sender) finish() {
 	if !s.closed {
 		s.closed, s.fin = true, true
 		if !s.running {
+			s.buf.reset()
 			s.dst.close()
 		}
 		s.cond.Broadcast()
@@ -405,7 +421,8 @@ func (s *sender) sever() {
 	}
 	close(s.done)
 	s.closed, s.fin = true, false
-	s.buf, s.marks, s.delivered, s.inflight = ring{}, nil, 0, 0
+	s.buf.reset()
+	s.marks, s.delivered, s.inflight = nil, 0, 0
 	s.dst.close()
 	s.cond.Broadcast()
 }

@@ -3,9 +3,11 @@ package emunet
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -323,6 +325,145 @@ func TestConcurrentDialsManyClients(t *testing.T) {
 	}
 	wg.Wait()
 	l.Close()
+}
+
+// TestHalfPipeRingProperty: seeded random walks over one halfPipe,
+// checked against a bytes.Buffer oracle. Writes and reads of random
+// sizes wrap the ring at every offset; a writer pushing past the socket
+// buffer blocks until reads make room; a stalled pipe and an expired
+// read deadline time out with bytes buffered and without; close drains
+// to EOF and drops the storage. After every step the pipe holds what
+// the oracle holds, and its storage never exceeds the socket buffer.
+func TestHalfPipeRingProperty(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { halfPipeWalk(t, seed, 300) })
+	}
+}
+
+func halfPipeWalk(t *testing.T, seed int64, steps int) {
+	rng := rand.New(rand.NewSource(seed))
+	sockBuf := 1000 + rng.Intn(9000) // not a power of two: wraps land anywhere
+	hp := newHalfPipe(sockBuf)
+	var want bytes.Buffer // written, not yet read
+	next := byte(0)
+	data := func(n int) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i], next = next, next*7+byte(seed)+1
+		}
+		return p
+	}
+	check := func(step string) {
+		t.Helper()
+		hp.mu.Lock()
+		n, size := hp.buf.n, len(hp.buf.buf)
+		hp.mu.Unlock()
+		if n != want.Len() {
+			t.Fatalf("%s: pipe holds %d bytes, oracle %d", step, n, want.Len())
+		}
+		if size > sockBuf {
+			t.Fatalf("%s: ring storage %d bytes, socket buffer %d", step, size, sockBuf)
+		}
+		if room := hp.room(); room != sockBuf-want.Len() {
+			t.Fatalf("%s: room %d, want %d", step, room, sockBuf-want.Len())
+		}
+	}
+	read := func(step string, max int) {
+		t.Helper()
+		got := make([]byte, 1+rng.Intn(max))
+		n, err := hp.read(got)
+		if err != nil {
+			t.Fatalf("%s: read: %v", step, err)
+		}
+		if exp := want.Next(n); !bytes.Equal(got[:n], exp) {
+			t.Fatalf("%s: read %d bytes that differ from the oracle's", step, n)
+		}
+	}
+	expectTimeout := func(step string) {
+		t.Helper()
+		if _, err := hp.read(make([]byte, 16)); err != ErrTimeout {
+			t.Fatalf("%s: read = %v, want ErrTimeout", step, err)
+		}
+		hp.setDeadline(time.Time{})
+	}
+
+	for i := 0; i < steps; i++ {
+		switch op := rng.Intn(10); {
+		case op < 4: // a write that fits
+			if room := sockBuf - want.Len(); room > 0 {
+				p := data(1 + rng.Intn(room))
+				if n, err := hp.write(p); n != len(p) || err != nil {
+					t.Fatalf("write of %d: %d, %v", len(p), n, err)
+				}
+				want.Write(p)
+			}
+			check("write")
+		case op < 7: // a read of what is there
+			if want.Len() > 0 {
+				read("read", sockBuf)
+			}
+			check("read")
+		case op == 7: // a writer blocks on a full buffer until reads make room
+			p := data(sockBuf - want.Len() + 1 + rng.Intn(sockBuf))
+			done := make(chan error, 1)
+			go func() {
+				_, err := hp.write(p)
+				done <- err
+			}()
+			for hp.room() > 0 {
+				runtime.Gosched()
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("a write past the socket buffer returned (%v) with no reader", err)
+			default:
+			}
+			want.Write(p)
+			for want.Len() > 0 {
+				read("read under a blocked writer", sockBuf)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("blocked write: %v", err)
+			}
+			check("blocked write")
+		case op == 8: // a stalled pipe times out with bytes buffered
+			hp.setStall(true)
+			hp.setDeadline(time.Now().Add(time.Millisecond))
+			expectTimeout("stalled read")
+			hp.setStall(false)
+			check("stall")
+		default: // an expired deadline times out, with or without bytes
+			hp.setDeadline(time.Now().Add(-time.Millisecond))
+			if want.Len() > 0 {
+				hp.setStall(true) // buffered bytes would be returned, not a timeout
+				expectTimeout("expired deadline, stalled")
+				hp.setStall(false)
+			} else {
+				expectTimeout("expired deadline, empty")
+			}
+			check("deadline")
+		}
+	}
+
+	// Close: writes fail, the reader drains and reads EOF, the storage goes.
+	if room := sockBuf - want.Len(); room > 0 {
+		p := data(1 + rng.Intn(room))
+		hp.write(p)
+		want.Write(p)
+	}
+	hp.close()
+	if _, err := hp.write([]byte{1}); err != io.ErrClosedPipe {
+		t.Fatalf("write after close = %v, want io.ErrClosedPipe", err)
+	}
+	for want.Len() > 0 {
+		read("drain after close", 512)
+	}
+	if _, err := hp.read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read past the drained bytes = %v, want io.EOF", err)
+	}
+	if hp.buf.buf != nil {
+		t.Fatalf("a closed, drained pipe keeps %d bytes of storage", len(hp.buf.buf))
+	}
 }
 
 // TestReadStallFreezesConsumerAndBackpressuresWriter: the slow-consumer

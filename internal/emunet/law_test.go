@@ -505,7 +505,7 @@ func TestCloseDrainsSeverDrops(t *testing.T) {
 
 // TestShaperZeroScaleNoDelay is gate (g): at time scale 0 a connection
 // is two halfPipes and nothing else — no sender, no goroutine, no
-// delay, and a Write+Read pair allocates what halfPipe's append does.
+// delay, and a Write+Read pair allocates nothing.
 func TestShaperZeroScaleNoDelay(t *testing.T) {
 	f, dial := shapedLink(t, delftSophia) // a link with delay, on a fabric without a time scale
 	defer f.Close()
@@ -529,11 +529,10 @@ func TestShaperZeroScaleNoDelay(t *testing.T) {
 	if took := time.Since(start); took > delftSophia.RTT {
 		t.Errorf("200 write+read pairs took %v at time scale 0", took)
 	}
-	// One: halfPipe.write appends to the buffer the read before it
-	// emptied and dropped. The same at the parent of the PR that gave
-	// shaped conns a sender.
-	if !testutil.RaceEnabled && allocs != 1 {
-		t.Errorf("a Write+Read pair at time scale 0 allocates %v times, want 1", allocs)
+	// None: the pipe's ring grew to the bytes in flight on the first
+	// write and runs in place from then on.
+	if !testutil.RaceEnabled && allocs != 0 {
+		t.Errorf("a Write+Read pair at time scale 0 allocates %v times, want 0", allocs)
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("writing at time scale 0 started %d goroutines", after-before)

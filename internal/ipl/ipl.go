@@ -135,9 +135,18 @@ type ReceivePort interface {
 // MessageSink is where a finished WriteMessage goes; implemented by the
 // NetIbis send port over its driver stack outputs.
 type MessageSink interface {
-	// Deliver sends one complete, encoded message.
-	Deliver(payload []byte) error
+	// Deliver sends one complete message: msg[Headroom:] is the payload,
+	// the encoded message, and msg[:Headroom] is free for the sink's
+	// framing, so that frame and payload can go down as one write. The
+	// sink must not retain msg, the payload included, after returning:
+	// the send port encodes its next message into the same buffer.
+	Deliver(msg []byte) error
 }
+
+// Headroom is how many bytes a WriteMessage keeps free in front of its
+// encoding for the sink: the uvarint length of any message up to
+// MaxMessageLen fits.
+const Headroom = 4
 
 // --- typed message serialization -----------------------------------------------
 
@@ -163,16 +172,23 @@ var ErrShortMessage = errors.New("ipl: read past end of message")
 // by SendPort.NewMessage and delivered atomically by Finish.
 type WriteMessage struct {
 	sink     MessageSink
-	buf      []byte
+	buf      []byte // Headroom free bytes, then the encoding
 	finished bool
-	onDone   func()
+	onDone   func(buf []byte)
 }
 
 // NewWriteMessage creates a message that will be delivered to sink on
-// Finish; onDone (may be nil) is invoked after delivery, successful or
-// not — the send port uses it to allow the next message.
-func NewWriteMessage(sink MessageSink, onDone func()) *WriteMessage {
-	return &WriteMessage{sink: sink, buf: make([]byte, 0, 256), onDone: onDone}
+// Finish. It encodes into buf's storage when there is any (its contents
+// are ignored), so a port with one message active at a time can hand
+// each message the buffer of the one before. onDone (may be nil) is
+// invoked after delivery, successful or not, with the message's buffer,
+// which the message no longer references — the send port uses it to
+// allow the next message and to keep the buffer for it.
+func NewWriteMessage(sink MessageSink, buf []byte, onDone func(buf []byte)) *WriteMessage {
+	if cap(buf) < Headroom {
+		buf = make([]byte, 0, 256)
+	}
+	return &WriteMessage{sink: sink, buf: buf[:Headroom], onDone: onDone}
 }
 
 // WriteBool appends a boolean.
@@ -217,7 +233,7 @@ func (m *WriteMessage) WriteBytes(p []byte) *WriteMessage {
 }
 
 // Size returns the current encoded size of the message.
-func (m *WriteMessage) Size() int { return len(m.buf) }
+func (m *WriteMessage) Size() int { return len(m.buf) - Headroom }
 
 // Finish completes the message and delivers it to every connected
 // receive port. After Finish the message must not be used again.
@@ -227,17 +243,20 @@ func (m *WriteMessage) Finish() error {
 	}
 	m.finished = true
 	err := ErrMessageTooLarge
-	if len(m.buf) <= MaxMessageLen {
+	if m.Size() <= MaxMessageLen {
 		err = m.sink.Deliver(m.buf)
 	}
+	buf := m.buf
+	m.buf = m.buf[:Headroom:Headroom] // a stray write after Finish cannot reach the next message
 	if m.onDone != nil {
-		m.onDone()
+		m.onDone(buf)
 	}
 	return err
 }
 
-// Payload exposes the encoded bytes (used by the send port internally).
-func (m *WriteMessage) Payload() []byte { return m.buf }
+// Payload exposes the encoded bytes. They are invalid after Finish: the
+// send port encodes its next message into the same buffer.
+func (m *WriteMessage) Payload() []byte { return m.buf[Headroom:] }
 
 // ReadMessage decodes the typed items of one received message.
 type ReadMessage struct {

@@ -7,14 +7,15 @@ import (
 	"testing/quick"
 )
 
-// captureSink remembers the last delivered payload.
+// captureSink remembers every delivered payload. It keeps a copy: a
+// sink must not retain what it is handed.
 type captureSink struct {
 	payloads [][]byte
 	err      error
 }
 
-func (s *captureSink) Deliver(p []byte) error {
-	cp := append([]byte(nil), p...)
+func (s *captureSink) Deliver(msg []byte) error {
+	cp := append([]byte(nil), msg[Headroom:]...)
 	s.payloads = append(s.payloads, cp)
 	return s.err
 }
@@ -67,7 +68,7 @@ func TestPortTypeStackAndCompatibility(t *testing.T) {
 func TestWriteReadMessageRoundTrip(t *testing.T) {
 	sink := &captureSink{}
 	done := 0
-	m := NewWriteMessage(sink, func() { done++ })
+	m := NewWriteMessage(sink, nil, func([]byte) { done++ })
 	m.WriteBool(true).
 		WriteInt(-123456789).
 		WriteFloat(math.Pi).
@@ -119,7 +120,7 @@ func TestWriteReadMessageRoundTrip(t *testing.T) {
 
 func TestReadMessageTypeMismatch(t *testing.T) {
 	sink := &captureSink{}
-	m := NewWriteMessage(sink, nil)
+	m := NewWriteMessage(sink, nil, nil)
 	m.WriteInt(7)
 	m.Finish()
 	r := NewReadMessage(Identifier{}, sink.payloads[0])
@@ -146,7 +147,7 @@ func TestReadMessageShort(t *testing.T) {
 
 func TestReadMessageLeftoverDetected(t *testing.T) {
 	sink := &captureSink{}
-	m := NewWriteMessage(sink, nil)
+	m := NewWriteMessage(sink, nil, nil)
 	m.WriteInt(1).WriteInt(2)
 	m.Finish()
 	r := NewReadMessage(Identifier{}, sink.payloads[0])
@@ -158,7 +159,7 @@ func TestReadMessageLeftoverDetected(t *testing.T) {
 
 func TestDeliverErrorPropagates(t *testing.T) {
 	sink := &captureSink{err: errors.New("link broken")}
-	m := NewWriteMessage(sink, nil)
+	m := NewWriteMessage(sink, nil, nil)
 	m.WriteBool(false)
 	if err := m.Finish(); err == nil {
 		t.Fatal("sink error should propagate from Finish")
@@ -171,18 +172,50 @@ func TestDeliverErrorPropagates(t *testing.T) {
 func TestMessageTooLarge(t *testing.T) {
 	sink := &captureSink{}
 	done := 0
-	m := NewWriteMessage(sink, func() { done++ })
-	m.buf = make([]byte, MaxMessageLen)
+	m := NewWriteMessage(sink, nil, func([]byte) { done++ })
+	m.buf = make([]byte, Headroom+MaxMessageLen)
 	if err := m.Finish(); err != nil || len(sink.payloads) != 1 {
 		t.Fatalf("message at the bound: %v, %d delivered", err, len(sink.payloads))
 	}
-	m = NewWriteMessage(sink, func() { done++ })
-	m.buf = make([]byte, MaxMessageLen+1)
+	m = NewWriteMessage(sink, nil, func([]byte) { done++ })
+	m.buf = make([]byte, Headroom+MaxMessageLen+1)
 	if err := m.Finish(); !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("oversize message: got %v, want ErrMessageTooLarge", err)
 	}
 	if len(sink.payloads) != 1 || done != 2 {
 		t.Fatalf("oversize message reached the sink (%d delivered) or left the port busy (%d done)", len(sink.payloads), done)
+	}
+}
+
+// TestWriteMessageReusesBuffer: the buffer onDone hands back is what the
+// next message encodes into, the headroom in front of the encoding holds
+// the length of any message the bound allows, and a write after Finish
+// cannot reach the next message.
+func TestWriteMessageReusesBuffer(t *testing.T) {
+	if n := len(appendUvarint(nil, MaxMessageLen)); n > Headroom {
+		t.Fatalf("the length of a maximal message takes %d bytes, headroom is %d", n, Headroom)
+	}
+	sink := &captureSink{}
+	var spare []byte
+	keep := func(buf []byte) { spare = buf }
+	first := NewWriteMessage(sink, nil, keep)
+	first.WriteBytes(make([]byte, 1000))
+	if err := first.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	storage := &spare[0]
+	second := NewWriteMessage(sink, spare, keep)
+	second.WriteString("second")
+	if &second.buf[0] != storage {
+		t.Fatal("the next message did not encode into the returned buffer")
+	}
+	first.WriteString("stray")
+	if err := second.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReadMessage(Identifier{}, sink.payloads[1])
+	if s, err := r.ReadString(); err != nil || s != "second" || r.Finish() != nil {
+		t.Fatalf("second message decoded as %q, %v", s, err)
 	}
 }
 
@@ -192,7 +225,7 @@ func TestSerializationQuick(t *testing.T) {
 			fl = 0 // NaN != NaN would fail the comparison below
 		}
 		sink := &captureSink{}
-		m := NewWriteMessage(sink, nil)
+		m := NewWriteMessage(sink, nil, nil)
 		m.WriteBool(b).WriteInt(i).WriteFloat(fl).WriteString(s).WriteBytes(raw)
 		if err := m.Finish(); err != nil {
 			return false
