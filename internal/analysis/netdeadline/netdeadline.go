@@ -7,9 +7,9 @@
 // The trust boundary is declared, not guessed: functions that run
 // before authentication carry a `//netibis:preauth` pragma in their doc
 // comment. Inside a pre-auth function the analyzer requires every read
-// call (Read, ReadByte, ReadFrame, ReadFrameBuf, io.ReadFull) to be
-// preceded — textually, in the same function — by an arming
-// SetReadDeadline/SetDeadline call (clearing a deadline with
+// call (Read, ReadByte, ReadFrame, ReadFrameBuf, ReadFrameInto,
+// io.ReadFull) to be preceded — textually, in the same function — by an
+// arming SetReadDeadline/SetDeadline call (clearing a deadline with
 // time.Time{} does not count, nor does a deferred clear). And a
 // pre-auth function may hand its conn or reader only to callees that
 // are themselves marked pre-auth, so the boundary annotation cannot
@@ -45,11 +45,12 @@ var Analyzer = &analysis.Analyzer{
 }
 
 var readNames = map[string]bool{
-	"Read":         true,
-	"ReadByte":     true,
-	"ReadFrame":    true,
-	"ReadFrameBuf": true,
-	"ReadFull":     true,
+	"Read":          true,
+	"ReadByte":      true,
+	"ReadFrame":     true,
+	"ReadFrameBuf":  true,
+	"ReadFrameInto": true,
+	"ReadFull":      true,
 }
 
 func run(pass *analysis.Pass) error {

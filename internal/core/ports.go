@@ -8,6 +8,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"netibis/internal/driver"
@@ -49,7 +50,7 @@ func (n *Node) CreateReceivePort(pt ipl.PortType, name string) (ipl.ReceivePort,
 		node:     n,
 		name:     name,
 		portType: pt,
-		messages: make(chan *ipl.ReadMessage, 64),
+		messages: make(chan inMessage, 64),
 		done:     make(chan struct{}),
 		sources:  make(map[*inSource]struct{}),
 	}
@@ -437,11 +438,25 @@ type receivePort struct {
 	mu       sync.Mutex
 	sources  map[*inSource]struct{}
 	closed   bool
-	messages chan *ipl.ReadMessage
+	messages chan inMessage
 	done     chan struct{}
+	// last holds the message handed out last, for the next Receive to
+	// recycle.
+	last atomic.Pointer[wire.Buf]
 
 	received int64
 }
+
+// inMessage is a received message and the pooled Buf holding its bytes.
+type inMessage struct {
+	msg *ipl.ReadMessage
+	buf *wire.Buf
+}
+
+// poisonRecycled makes Receive overwrite the message it recycles, so a
+// read past its lifetime fails deterministically instead of by luck.
+// Only tests set it.
+var poisonRecycled bool
 
 // Type implements ipl.ReceivePort.
 func (rp *receivePort) Type() ipl.PortType { return rp.portType }
@@ -473,53 +488,176 @@ func (rp *receivePort) addSource(origin ipl.Identifier, in driver.Input) {
 
 // readLoop pulls framed messages off one incoming link.
 func (rp *receivePort) readLoop(src *inSource) {
+	msgs := newMsgReader(src.in)
 	defer func() {
 		rp.mu.Lock()
 		delete(rp.sources, src)
 		rp.mu.Unlock()
 		src.in.Close()
+		msgs.close()
 	}()
-	lengths := wire.NewUvarintReader(src.in)
 	for {
-		length, err := lengths.ReadUvarint()
-		if err != nil || length > ipl.MaxMessageLen {
-			// End of stream, or a corrupt or hostile peer: the buffer
-			// below is sized from this length, so an announcement past
-			// the bound drops the link instead of being allocated.
-			return
+		buf, body, err := msgs.next()
+		if err != nil {
+			return // end of stream, or a corrupt or hostile peer
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(src.in, payload); err != nil {
-			return
-		}
-		msg := ipl.NewReadMessage(src.origin, payload)
+		m := inMessage{msg: ipl.NewReadMessage(src.origin, body), buf: buf}
 		rp.mu.Lock()
 		rp.received++
 		rp.mu.Unlock()
 		// Block (preserving FIFO reliability and backpressure) until the
 		// application drains the port or the port is closed.
 		select {
-		case rp.messages <- msg:
+		case rp.messages <- m:
 		case <-rp.done:
+			m.buf.Release()
 			return
 		}
 	}
 }
 
-// Receive implements ipl.ReceivePort.
+// Receive implements ipl.ReceivePort. It first recycles the message it
+// handed out last: one message per port is live at a time.
 func (rp *receivePort) Receive() (*ipl.ReadMessage, error) {
+	if b := rp.last.Swap(nil); b != nil {
+		if poisonRecycled {
+			p := b.Bytes()
+			for i := range p {
+				p[i] ^= 0xff
+			}
+		}
+		b.Release()
+	}
+	var m inMessage
 	select {
-	case msg := <-rp.messages:
-		return msg, nil
+	case m = <-rp.messages:
 	case <-rp.done:
 		// Drain anything already queued before reporting closure.
 		select {
-		case msg := <-rp.messages:
-			return msg, nil
+		case m = <-rp.messages:
 		default:
 			return nil, ipl.ErrClosed
 		}
 	}
+	rp.last.Store(m.buf)
+	return m.msg, nil
+}
+
+// readAhead is the size of a link's read-ahead buffer: a 64 KiB block
+// and its framing fit its size class, so a Read of a block-sized message
+// reaches the driver with room for the whole block, which the driver
+// then decodes straight into it.
+const readAhead = 64 << 10
+
+// errMessageTooLarge drops a link that announces a message past
+// ipl.MaxMessageLen: a message's buffer is sized from the announced
+// length, so it is refused before anything is allocated.
+var errMessageTooLarge = errors.New("core: message length past ipl.MaxMessageLen")
+
+// msgReader splits a link's byte stream into messages, each a uvarint
+// length followed by the encoded message. It reads ahead into a pooled
+// buffer and parses the length from there. A message of the read-ahead
+// buffer's own size class that fits in it is handed out in that buffer,
+// and the bytes read past it move to a fresh one. A smaller message is
+// copied into a buffer of its own class, so a queued message never pins
+// more than that; a larger one takes the bytes read so far and reads the
+// rest straight into its own buffer. A byte read ahead is carried into
+// another buffer at most once.
+type msgReader struct {
+	in       io.Reader
+	ahead    *wire.Buf // at full capacity; [off:end) is read, not yet consumed
+	off, end int
+}
+
+func newMsgReader(in io.Reader) *msgReader {
+	return &msgReader{in: in, ahead: newReadAhead()}
+}
+
+func newReadAhead() *wire.Buf {
+	b := wire.GetBuf(readAhead)
+	b.SetLen(b.Cap())
+	return b
+}
+
+// close releases the read-ahead buffer.
+func (r *msgReader) close() { r.ahead.Release() }
+
+// next returns the next message's bytes and the Buf holding them, whose
+// reference passes to the caller.
+func (r *msgReader) next() (*wire.Buf, []byte, error) {
+	length, err := r.length()
+	if err != nil {
+		return nil, nil, err
+	}
+	n := int(length)
+	if end := r.off + n; end <= r.ahead.Len() && wire.ClassSize(n) == r.ahead.Cap() {
+		for r.end < end {
+			if err := r.fill(); err != nil {
+				return nil, nil, unexpectedEOF(err)
+			}
+		}
+		msg := r.ahead
+		r.ahead = newReadAhead()
+		r.end = copy(r.ahead.Bytes(), msg.Bytes()[end:r.end])
+		body := msg.Bytes()[r.off:end]
+		r.off = 0
+		return msg, body, nil
+	}
+	msg := wire.GetBuf(n)
+	body := msg.Bytes()
+	k := copy(body, r.ahead.Bytes()[r.off:r.end])
+	r.off += k
+	if _, err := io.ReadFull(r.in, body[k:]); err != nil {
+		msg.Release()
+		return nil, nil, unexpectedEOF(err)
+	}
+	return msg, body, nil
+}
+
+// length parses the next message's length, reading ahead as needed. It
+// yields io.EOF only when the stream ends between messages.
+func (r *msgReader) length() (uint64, error) {
+	for {
+		buf := r.ahead.Bytes()
+		v, k := binary.Uvarint(buf[r.off:r.end])
+		switch {
+		case k > 0 && v <= ipl.MaxMessageLen:
+			r.off += k
+			return v, nil
+		case k != 0:
+			return 0, errMessageTooLarge // past the bound, or past 64 bits
+		case r.off == r.end:
+			r.off, r.end = 0, 0
+		case r.end == len(buf):
+			// A length cut at the end of the buffer: move its first bytes
+			// to the front.
+			r.end = copy(buf, buf[r.off:r.end])
+			r.off = 0
+		}
+		if err := r.fill(); err != nil {
+			if r.off < r.end {
+				err = unexpectedEOF(err)
+			}
+			return 0, err
+		}
+	}
+}
+
+// fill reads more of the stream into the read-ahead buffer.
+func (r *msgReader) fill() error {
+	n, err := r.in.Read(r.ahead.Bytes()[r.end:])
+	r.end += n
+	if n > 0 {
+		return nil
+	}
+	return err
+}
+
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Received reports how many messages have arrived on this port.

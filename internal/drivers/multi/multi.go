@@ -349,21 +349,28 @@ func (o *Output) Close() error {
 	return first
 }
 
+// maxPending bounds the bytes of the fragments waiting in the reassembly
+// window for an earlier one: one whole message (wire.MaxFrameLen, which
+// ipl.MaxMessageLen equals). Only tests lower it.
+var maxPending = wire.MaxFrameLen
+
 // Input is the receiving side: per-sub-stream readers push fragments
 // into a reassembly window; Read delivers bytes strictly in sequence
 // order.
 type Input struct {
 	subs []driver.Input
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	pending map[uint64]*wire.Buf
-	nextSeq uint64
-	current driver.BufCursor
-	eofs    int
-	err     error
-	closed  bool
-	wg      sync.WaitGroup
+	mu           sync.Mutex
+	cond         *sync.Cond
+	pending      map[uint64]*wire.Buf
+	pendingBytes int
+	stalled      int // readers waiting for room in the window
+	nextSeq      uint64
+	current      driver.BufCursor
+	eofs         int
+	err          error
+	closed       bool
+	wg           sync.WaitGroup
 }
 
 // NewInput creates a parallel-streams input over the given sub-inputs.
@@ -404,6 +411,16 @@ func (in *Input) reader(i int) {
 			return
 		}
 		in.mu.Lock()
+		// A fragment ahead of the one Read needs next waits while the
+		// window is full. A sub-stream carries its fragments in sequence
+		// order, so the reader of the one Read needs is never the one
+		// waiting; only a peer that skips numbers leaves everyone waiting,
+		// and Close still ends that.
+		for seq > in.nextSeq && in.pendingBytes+data.Len() > maxPending && !in.closed && in.err == nil {
+			in.stalled++
+			in.cond.Wait()
+			in.stalled--
+		}
 		if in.closed {
 			in.mu.Unlock()
 			data.Release()
@@ -416,6 +433,7 @@ func (in *Input) reader(i int) {
 			return
 		}
 		in.pending[seq] = data
+		in.pendingBytes += data.Len()
 		// Only the arrival of the next in-order fragment can unblock a
 		// Read: it waits for pending[nextSeq] and drains any later
 		// fragments from the map without sleeping again. Waking on every
@@ -452,7 +470,11 @@ func (in *Input) Read(p []byte) (int, error) {
 		}
 		if data, ok := in.pending[in.nextSeq]; ok {
 			delete(in.pending, in.nextSeq)
+			in.pendingBytes -= data.Len()
 			in.nextSeq++
+			if in.stalled > 0 {
+				in.cond.Broadcast() // room in the window
+			}
 			in.current.Load(data) // empty fragments are released and skipped
 			continue
 		}
@@ -497,6 +519,7 @@ func (in *Input) Close() error {
 		delete(in.pending, seq)
 		b.Release()
 	}
+	in.pendingBytes = 0
 	in.current.Drop()
 	in.mu.Unlock()
 	return first

@@ -443,3 +443,114 @@ func TestBadFragmentFailsTheLink(t *testing.T) {
 		})
 	}
 }
+
+// fragmentSource is a sub-stream whose peer sends fragments numbered
+// next, next+2, next+4, …: left of them, or without end when left is
+// negative, each of size bytes of a content its number determines. It
+// counts the bytes read from it.
+type fragmentSource struct {
+	next uint64
+	left int
+	size int
+	buf  []byte // the current fragment's unread bytes
+	read atomic.Int64
+}
+
+func fragmentPayload(seq uint64, size int) string {
+	p := make([]byte, size)
+	for k := range p {
+		p[k] = byte(seq*7 + uint64(k))
+	}
+	return string(p)
+}
+
+func (s *fragmentSource) Read(p []byte) (int, error) {
+	if len(s.buf) == 0 {
+		if s.left == 0 {
+			return 0, io.EOF
+		}
+		s.left--
+		s.buf = frag(s.next, fragmentPayload(s.next, s.size))
+		s.next += 2
+	}
+	n := copy(p, s.buf)
+	s.buf = s.buf[n:]
+	s.read.Add(int64(n))
+	return n, nil
+}
+
+func (s *fragmentSource) Close() error { return nil }
+
+// TestPendingWindowIsBounded: fragments ahead of the one Read needs wait
+// in the reassembly window only up to maxPending bytes. Past that, the
+// reader holding one waits for room — it neither fails the link nor
+// grows the window — so a hostile sub-stream sending far-ahead sequence
+// numbers without end costs a bounded amount of memory and Close still
+// ends it, and a slow sub-stream that fills the gap later gets every
+// byte delivered in order.
+func TestPendingWindowIsBounded(t *testing.T) {
+	defer func(bound int) { maxPending = bound }(maxPending)
+	maxPending = 64 << 10
+	const size = 4 << 10
+	for _, tc := range []struct {
+		name  string
+		ahead *fragmentSource // the odd-numbered sub-stream
+		fill  bool            // the other then sends 0, 2, 4, … as many
+	}{
+		{"far-ahead fragments from a hostile peer", &fragmentSource{next: 1<<40 + 1, left: -1, size: size}, false},
+		{"a slow sub-stream fills the gap", &fragmentSource{next: 1, left: 64, size: size}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := testutil.LeakCheck(t, 0)
+			r, w := io.Pipe()
+			in := NewInput([]driver.Input{r, tc.ahead})
+			stalled := func() (bool, string) {
+				in.mu.Lock()
+				defer in.mu.Unlock()
+				return in.stalled == 1, fmt.Sprintf("%d readers waiting, %d bytes pending", in.stalled, in.pendingBytes)
+			}
+			if why := testutil.Settle(stalled); why != "" {
+				t.Fatalf("the reader of the far-ahead sub-stream never waited: %s", why)
+			}
+			in.mu.Lock()
+			pending, held := in.pendingBytes, len(in.pending)
+			in.mu.Unlock()
+			if pending > maxPending || held > maxPending/size {
+				t.Errorf("the window holds %d fragments of %d bytes, bound %d bytes", held, pending, maxPending)
+			}
+			if read := tc.ahead.read.Load(); read > int64(maxPending+2*(size+16)) {
+				t.Errorf("%d bytes read off the sub-stream, bound %d and the fragment held", read, maxPending)
+			}
+
+			if !tc.fill {
+				done := make(chan error, 1)
+				go func() {
+					_, err := in.Read(make([]byte, 16))
+					done <- err
+				}()
+				in.Close()
+				if err := <-done; !errors.Is(err, io.ErrClosedPipe) {
+					t.Errorf("Read on a closed link: %v, want io.ErrClosedPipe", err)
+				}
+				check()
+				return
+			}
+			var want bytes.Buffer
+			go func() {
+				for seq := uint64(0); seq < 2*64; seq += 2 {
+					w.Write(frag(seq, fragmentPayload(seq, size)))
+				}
+				w.Close()
+			}()
+			for seq := uint64(0); seq < 2*64; seq++ {
+				want.WriteString(fragmentPayload(seq, size))
+			}
+			got, err := io.ReadAll(in)
+			if err != nil || !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("delivered %d bytes (err %v), want the %d sent in order", len(got), err, want.Len())
+			}
+			in.Close()
+			check()
+		})
+	}
+}

@@ -26,7 +26,8 @@
 // the per-record counter nonces can never collide across the many links
 // that share one master key. Sealing and opening reuse the AEAD codec
 // state and work in pooled buffers: a record is sealed into the buffer
-// that travels down the stack by ownership transfer, and opened in place
+// that travels down the stack by ownership transfer, and opened straight
+// into the reader's slice when the plaintext fits it, otherwise in place
 // in the buffer the ciphertext was read into.
 //
 // Nonce-reuse safety across reconnects and Resume: the record nonce is
@@ -221,9 +222,11 @@ func NewSealInput(lower driver.Input, master []byte, blockSize int) *SealInput {
 	return in
 }
 
-// fill reads and opens the next sealed record in place in its pooled
-// buffer.
-func (in *SealInput) fill([]byte) (int, *wire.Buf, error) {
+// fill reads the next sealed record and opens it: straight into the
+// caller's slice when the plaintext fits it, otherwise in place in the
+// record's pooled buffer. Either way nothing is delivered unless the
+// record authenticates.
+func (in *SealInput) fill(direct []byte) (int, *wire.Buf, error) {
 	if in.aead == nil {
 		var salt [saltSize]byte
 		if _, err := io.ReadFull(in.lower, salt[:]); err != nil {
@@ -257,10 +260,20 @@ func (in *SealInput) fill([]byte) (int, *wire.Buf, error) {
 	}
 	in.seq++
 	binary.BigEndian.PutUint64(in.nonce[4:], in.seq)
-	pt, err := in.aead.Open(rec.Bytes()[:0], in.nonce[:], rec.Bytes(), nil)
+	dst := rec.Bytes()[:0]
+	ptLen := int(ctLen) - in.aead.Overhead()
+	fits := ptLen > 0 && ptLen <= len(direct)
+	if fits {
+		dst = direct[:0]
+	}
+	pt, err := in.aead.Open(dst, in.nonce[:], rec.Bytes(), nil)
 	if err != nil {
 		rec.Release()
 		return 0, nil, fmt.Errorf("secure: record authentication failed: %w", err)
+	}
+	if fits {
+		rec.Release()
+		return len(pt), nil, nil
 	}
 	rec.SetLen(len(pt))
 	return 0, rec, nil // the pipeline skips an empty record

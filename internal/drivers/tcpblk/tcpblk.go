@@ -131,26 +131,28 @@ func NewInput(conn net.Conn) *Input {
 	return i
 }
 
-// fill reads the next frame: a data block arrives from the wire in an
-// owned pooled buffer, a close frame or the end of the connection ends
+// fill reads the next frame: a data block that fits the caller's slice
+// is read from the conn straight into it, a larger one arrives in an
+// owned pooled buffer; a close frame or the end of the connection ends
 // the stream for good.
-func (i *Input) fill([]byte) (int, *wire.Buf, error) {
+func (i *Input) fill(direct []byte) (int, *wire.Buf, error) {
 	if i.eof {
 		return 0, nil, io.EOF
 	}
-	kind, _, b, err := i.r.ReadFrameBuf()
+	kind, _, n, b, err := i.r.ReadFrameInto(direct)
 	if err != nil {
 		i.eof = err == io.EOF
 		return 0, nil, err
 	}
-	switch kind {
-	case wire.KindData:
-		return 0, b, nil
-	case wire.KindClose:
+	if kind == wire.KindData {
+		return n, b, nil
+	}
+	if b != nil {
+		b.Release() // a foreign frame (keep-alive etc.) is skipped
+	}
+	if kind == wire.KindClose {
 		i.eof = true
-		b.Release()
 		return 0, nil, io.EOF
 	}
-	b.Release() // foreign frames (keep-alives etc.) are skipped
 	return 0, nil, nil
 }

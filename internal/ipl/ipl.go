@@ -126,7 +126,10 @@ type ReceivePort interface {
 	Type() PortType
 	// ID returns the port's identity (owner + name).
 	ID() PortID
-	// Receive blocks until the next message arrives and returns it.
+	// Receive blocks until the next message arrives and returns it. One
+	// message per port is live at a time: a message, and every slice its
+	// ReadBytes returned, is valid until the next Receive on the same
+	// port, which recycles its buffer.
 	Receive() (*ReadMessage, error)
 	// Close releases the port; blocked Receive calls return ErrClosed.
 	Close() error
@@ -258,7 +261,8 @@ func (m *WriteMessage) Finish() error {
 // send port encodes its next message into the same buffer.
 func (m *WriteMessage) Payload() []byte { return m.buf[Headroom:] }
 
-// ReadMessage decodes the typed items of one received message.
+// ReadMessage decodes the typed items of one received message. It and
+// its bytes are valid until the next Receive on the port it came from.
 type ReadMessage struct {
 	// Origin identifies the sending instance.
 	Origin Identifier
@@ -334,7 +338,8 @@ func (m *ReadMessage) ReadString() (string, error) {
 }
 
 // ReadBytes reads a byte slice. The returned slice aliases the message
-// buffer; callers that retain it must copy.
+// buffer: it is valid until the next Receive on the port, and a caller
+// that keeps it longer must copy it.
 func (m *ReadMessage) ReadBytes() ([]byte, error) {
 	if err := m.expect(tagBytes); err != nil {
 		return nil, err

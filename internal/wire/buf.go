@@ -67,6 +67,17 @@ func GetBuf(n int) *Buf {
 	return b
 }
 
+// ClassSize returns the storage size GetBuf(n) hands out: the smallest
+// size class that holds n, or n itself above the largest class.
+func ClassSize(n int) int {
+	for _, size := range bufClassSizes {
+		if n <= size {
+			return size
+		}
+	}
+	return n
+}
+
 // Bytes returns the Buf's payload. The slice aliases the pooled storage:
 // it is valid until the final Release.
 func (b *Buf) Bytes() []byte { return b.data[:b.n] }

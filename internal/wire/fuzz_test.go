@@ -1,10 +1,10 @@
 package wire
 
 // Native fuzz targets for the hand-rolled frame and varint parsing: the
-// Reader (both the copying and the pooled-Buf path) and the primitive
-// Decoder must never panic, loop forever or over-read on arbitrary
-// bytes. Seed corpora live in testdata/fuzz; CI runs each target for a
-// short bounded time on every push.
+// Reader (the copying path, the pooled-Buf and the direct one) and the
+// primitive Decoder must never panic, loop forever or over-read on
+// arbitrary bytes. Seed corpora live in testdata/fuzz; CI runs each
+// target for a short bounded time on every push.
 
 import (
 	"bytes"
@@ -30,6 +30,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The copying path.
 		r := NewReader(bytes.NewReader(data))
+		var frames []Frame
 		for i := 0; i < 64; i++ {
 			fr, err := r.ReadFrame()
 			if err != nil {
@@ -38,18 +39,30 @@ func FuzzReadFrame(f *testing.F) {
 			if len(fr.Payload) > MaxFrameLen {
 				t.Fatalf("frame exceeds MaxFrameLen: %d", len(fr.Payload))
 			}
+			frames = append(frames, fr)
 		}
-		// The pooled-Buf path must agree and release cleanly.
+		// The pooled-Buf path, and the direct one where a payload fits a
+		// 64-byte slice, must agree and release cleanly.
 		rb := NewReader(bytes.NewReader(data))
+		direct := make([]byte, 64)
 		for i := 0; i < 64; i++ {
-			_, _, b, err := rb.ReadFrameBuf()
+			kind, flags, n, b, err := rb.ReadFrameInto(direct)
 			if err != nil {
+				if i < len(frames) {
+					t.Fatalf("frame %d: %v where the copying path read it", i, err)
+				}
 				break
 			}
-			if b.Len() > MaxFrameLen {
-				t.Fatalf("buf frame exceeds MaxFrameLen: %d", b.Len())
+			payload := direct[:n]
+			if b != nil {
+				payload = b.Bytes()
 			}
-			b.Release()
+			if i >= len(frames) || kind != frames[i].Kind || flags != frames[i].Flags || !bytes.Equal(payload, frames[i].Payload) {
+				t.Fatalf("frame %d disagrees with the copying path", i)
+			}
+			if b != nil {
+				b.Release()
+			}
 		}
 	})
 }

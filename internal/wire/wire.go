@@ -205,33 +205,53 @@ func (fr *Reader) ReadFrame() (Frame, error) {
 		return Frame{}, err
 	}
 	payload := make([]byte, length)
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	if err := fr.readPayload(payload); err != nil {
 		return Frame{}, err
 	}
 	return Frame{Kind: kind, Flags: flags, Payload: payload}, nil
 }
 
 // ReadFrameBuf reads the next frame into a pooled Buf and transfers
-// ownership to the caller, who must Release it exactly once. This is the
-// allocation-free fast path of the data plane: the payload is read off
-// the stream once and can then travel by ownership transfer.
+// ownership to the caller, who must Release it exactly once: the
+// ReadFrameInto of a caller with no slice of its own.
 func (fr *Reader) ReadFrameBuf() (kind, flags byte, payload *Buf, err error) {
+	kind, flags, _, payload, err = fr.ReadFrameInto(nil)
+	return kind, flags, payload, err
+}
+
+// ReadFrameInto reads the next frame, its payload off the stream once. A
+// non-empty payload that fits direct is read straight into it and n is
+// its length; any other payload arrives in a pooled Buf whose ownership
+// passes to the caller, who must Release it exactly once — the
+// allocation-free fast path of the data plane, where the payload then
+// travels by ownership transfer. On error nothing is held.
+func (fr *Reader) ReadFrameInto(direct []byte) (kind, flags byte, n int, payload *Buf, err error) {
 	kind, flags, length, err := fr.readHeader()
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, 0, nil, err
+	}
+	if length > 0 && length <= uint64(len(direct)) {
+		if err := fr.readPayload(direct[:length]); err != nil {
+			return 0, 0, 0, nil, err
+		}
+		return kind, flags, int(length), nil, nil
 	}
 	b := GetBuf(int(length))
-	if _, err := io.ReadFull(fr.r, b.Bytes()); err != nil {
+	if err := fr.readPayload(b.Bytes()); err != nil {
 		b.Release()
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, 0, nil, err
+		return 0, 0, 0, nil, err
 	}
-	return kind, flags, b, nil
+	return kind, flags, 0, b, nil
+}
+
+// readPayload fills p from the stream: the header announced it, so an
+// end of stream inside it is unexpected.
+func (fr *Reader) readPayload(p []byte) error {
+	_, err := io.ReadFull(fr.r, p)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // readHeader reads and validates the frame header.
@@ -256,10 +276,11 @@ func (fr *Reader) readHeader() (kind, flags byte, length uint64, err error) {
 // time, so nothing past the varint is consumed and the payload behind
 // it can be read from the same stream directly. It is the one
 // stream-varint reader of the tree (frame headers here, fragment
-// headers in multi, message lengths in core).
+// headers in multi).
 type UvarintReader struct {
 	r   io.Reader
 	one [1]byte
+	err error // the last ReadByte's error
 }
 
 // NewUvarintReader returns a UvarintReader consuming from r.
@@ -268,6 +289,7 @@ func NewUvarintReader(r io.Reader) *UvarintReader { return &UvarintReader{r: r} 
 // ReadByte implements io.ByteReader.
 func (u *UvarintReader) ReadByte() (byte, error) {
 	if _, err := io.ReadFull(u.r, u.one[:]); err != nil {
+		u.err = err
 		return 0, err
 	}
 	return u.one[0], nil
@@ -276,9 +298,14 @@ func (u *UvarintReader) ReadByte() (byte, error) {
 // ReadUvarint reads one unsigned varint. A stream that ends cleanly
 // before the first byte yields io.EOF, one that ends inside the varint
 // io.ErrUnexpectedEOF; any other read error is passed through, and an
-// encoding that overflows 64 bits is an error.
+// encoding that overflows 64 bits is ErrCorruptFrame.
 func (u *UvarintReader) ReadUvarint() (uint64, error) {
-	return binary.ReadUvarint(u)
+	u.err = nil
+	v, err := binary.ReadUvarint(u)
+	if err != nil && u.err == nil {
+		err = ErrCorruptFrame
+	}
+	return v, err
 }
 
 // --- primitive encoding helpers -------------------------------------------

@@ -237,6 +237,20 @@ func main() {
 	write("drivers/secure", "FuzzSealInput", "one-record", sealed.Bytes())
 	write("drivers/secure", "FuzzSealInput", "one-record-truncated", sealed.Bytes()[:sealed.Len()-5])
 
+	// drivers/tcpblk: data frames around a skipped keep-alive, one of a
+	// single byte (it fits a 1-byte read), then the close frame; whole and
+	// cut inside the last data frame.
+	var blk bytes.Buffer
+	bw := wire.NewWriter(&blk)
+	bw.WriteFrame(wire.KindData, 0, []byte("one block"))
+	bw.WriteFrame(wire.KindKeepAlive, 0, []byte("skipped"))
+	bw.WriteFrame(wire.KindData, 0, []byte("!"))
+	bw.WriteFrame(wire.KindData, 0, bytes.Repeat([]byte{0x5a}, 300))
+	cut := blk.Len() - 3
+	bw.WriteFrame(wire.KindClose, 0, nil)
+	write("drivers/tcpblk", "FuzzTcpblkInput", "frames", blk.Bytes())
+	write("drivers/tcpblk", "FuzzTcpblkInput", "frames-truncated", blk.Bytes()[:cut])
+
 	// drivers/zip and drivers/multi: one valid stream each, whole and cut
 	// by a byte.
 	var zipped sink
