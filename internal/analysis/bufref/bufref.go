@@ -21,9 +21,10 @@
 // it cannot see (stored into a field, captured by a closure, passed to
 // a callee with an unknown contract) it stops tracking that variable
 // rather than guess. Known borrow-and-retain callees (route, Inject,
-// ForwardFrame, sendForward, handleForward — they retain internally
-// and the caller's release stays valid, see the route contract in
-// internal/relay) keep the variable tracked.
+// ForwardFrame, handleForward, and the relay client's dispatch,
+// handleData and deliver — they retain internally and the caller's
+// release stays valid, see the route contract in internal/relay) keep
+// the variable tracked.
 package bufref
 
 import (
@@ -679,11 +680,11 @@ func callContract(fn *types.Func) contract {
 		if analysis.IsMethodOn(fn, "Load", pkg, "BufCursor") {
 			return contractConsume
 		}
-	case "Enqueue", "enqueue":
+	case "Enqueue", "EnqueueFrom", "enqueue":
 		// Egress scheduling holds the reference the caller retained for
 		// it and releases after the write.
 		return contractConsume
-	case "route", "Inject", "ForwardFrame", "sendForward", "handleForward", "handleNack":
+	case "route", "Inject", "ForwardFrame", "handleForward", "handleNack", "dispatch", "handleData", "deliver":
 		// Documented borrow-and-retain: the callee retains for any queue
 		// it enters; the caller's release stays valid (see route's
 		// contract comment in internal/relay).

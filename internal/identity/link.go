@@ -146,10 +146,18 @@ func OfferLink(id *Identity, initID, respID string, channel uint64) (*LinkOffer,
 // LinkKeys is a routed link's established end-to-end state: one sealing
 // AEAD (our sends), one opening AEAD (the peer's sends), the exporter
 // secret (see Export) and the authenticated peer key for diagnostics.
+//
+// Each direction keeps its nonce in the struct (a local would escape
+// into the AEAD interface, one allocation per record), so Seal calls must
+// not run concurrently with each other, nor Open calls with each other; a
+// routed link serialises its sends under its send lock and its receives
+// under its link lock.
 type LinkKeys struct {
-	seal     cipher.AEAD
-	open     cipher.AEAD
-	exporter []byte
+	seal      cipher.AEAD
+	open      cipher.AEAD
+	sealNonce [12]byte
+	openNonce [12]byte
+	exporter  []byte
 	// PeerPublic is the peer's authenticated identity key.
 	PeerPublic []byte
 }
@@ -290,24 +298,23 @@ func (o *LinkOffer) CompleteLink(ts *TrustStore, answerBlob []byte) (*LinkKeys, 
 // so). seq must be strictly increasing per link direction; the caller
 // owns the counter.
 func (k *LinkKeys) Seal(dst []byte, seq uint64, plaintext []byte) []byte {
-	var nonce [12]byte
-	binary.BigEndian.PutUint64(nonce[4:], seq)
+	binary.BigEndian.PutUint64(k.sealNonce[4:], seq)
 	dst = binary.BigEndian.AppendUint64(dst, seq)
-	return k.seal.Seal(dst, nonce[:], plaintext, nil)
+	return k.seal.Seal(dst, k.sealNonce[:], plaintext, nil)
 }
 
 // Open authenticates and decrypts one incoming record, appending the
 // plaintext to dst and returning it together with the record's sequence
 // number. It is the caller's job to enforce that sequences are strictly
-// increasing (Open has no memory).
+// increasing (Open has no memory). record[8:8] as dst opens the record
+// in place.
 func (k *LinkKeys) Open(dst []byte, record []byte) (plaintext []byte, seq uint64, err error) {
 	if len(record) < 8 {
 		return nil, 0, ErrMalformed
 	}
 	seq = binary.BigEndian.Uint64(record[:8])
-	var nonce [12]byte
-	binary.BigEndian.PutUint64(nonce[4:], seq)
-	pt, err := k.open.Open(dst, nonce[:], record[8:], nil)
+	binary.BigEndian.PutUint64(k.openNonce[4:], seq)
+	pt, err := k.open.Open(dst, k.openNonce[:], record[8:], nil)
 	if err != nil {
 		return nil, seq, ErrBadSignature
 	}

@@ -128,10 +128,11 @@ func (d *directory) merge(e Entry) bool {
 }
 
 // lookup returns the home relay of a node, if it is known and present.
-func (d *directory) lookup(node string) (home string, ok bool) {
+// node may alias a frame: the lookup converts nothing.
+func (d *directory) lookup(node []byte) (home string, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, ok := d.entries[node]
+	e, ok := d.entries[string(node)]
 	if !ok || !e.Present {
 		return "", false
 	}

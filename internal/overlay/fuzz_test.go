@@ -6,6 +6,7 @@ package overlay
 // panic or over-read on arbitrary bytes.
 
 import (
+	"bytes"
 	"testing"
 
 	"netibis/internal/identity"
@@ -47,17 +48,17 @@ func FuzzDecodeForward(f *testing.F) {
 	f.Add([]byte{0x01, 'x'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		origin, firstHop, srcNode, hops, kind, routed, err := decodeForward(data)
+		env, err := decodeForward(data)
 		if err != nil {
 			return
 		}
-		_ = origin
-		_ = firstHop
-		_ = srcNode
-		_ = hops
-		_ = kind
-		if len(routed) > len(data) {
+		if len(env.routed) > len(data) {
 			t.Fatal("routed payload longer than input")
+		}
+		// The IDs a re-forward re-sends verbatim lead the input and hold
+		// the three decoded ones, each behind its length.
+		if !bytes.HasPrefix(data, env.ids) || len(env.ids) < 3+len(env.origin)+len(env.firstHop)+len(env.srcNode) {
+			t.Fatalf("envelope IDs %x do not hold the decoded IDs", env.ids)
 		}
 	})
 }

@@ -140,27 +140,34 @@ func (p *peerLink) send(kind byte, payload []byte) error {
 	return p.eg.Enqueue("", kind, nil, payload, nil)
 }
 
-// sendForward emits a forward envelope around a routed payload: the
-// envelope header is assembled in a small stack buffer (copied into the
-// egress slot) while the routed payload bytes are re-emitted verbatim —
-// the relay-to-relay leg of cut-through forwarding never copies them.
-// owner is the pooled buffer backing routed; sendForward retains it for
-// the egress (the caller's own release stays valid). Frames are queued
-// under the source node's link, so one link's backlog towards a slow
-// peer relay blocks only that link's reader.
-func (p *peerLink) sendForward(origin, firstHop, srcNode string, hops uint64, kind byte, routed []byte, owner *wire.Buf) error {
-	var arr [128]byte
-	head := arr[:0]
-	head = wire.AppendString(head, origin)
-	head = wire.AppendString(head, firstHop)
-	head = wire.AppendString(head, srcNode)
+// The forward envelope around a routed payload is
+//
+//	string(origin) ‖ string(firstHop) ‖ string(srcNode) ‖ uvarint(hops) ‖ kind ‖ bytes(routed)
+//
+// A relay sends it as a small header, built on its stack and copied into
+// the egress slot, plus the routed payload as a second vector re-emitted
+// verbatim — the relay-to-relay leg of cut-through forwarding never
+// copies it. The sender retains the payload's pooled buffer for the
+// egress (its caller's own release stays valid) and queues the frame
+// under the source node's link, so one link's backlog towards a slow peer
+// relay blocks only that link's reader.
+
+// appendForwardTail completes a forward envelope header after its three
+// IDs: the hop count, the frame kind and the routed payload's length.
+func appendForwardTail(head []byte, hops uint64, kind byte, routedLen int) []byte {
 	head = wire.AppendUvarint(head, hops)
 	head = append(head, kind)
-	head = wire.AppendUvarint(head, uint64(len(routed)))
-	if owner != nil {
-		owner.Retain()
-	}
-	return p.eg.Enqueue(srcNode, kindForward, head, routed, owner)
+	return wire.AppendUvarint(head, uint64(routedLen))
+}
+
+// forwardEnvelope is a decoded forward envelope. Every field aliases the
+// frame it was decoded from.
+type forwardEnvelope struct {
+	origin, firstHop, srcNode []byte
+	ids                       []byte // the encoded three IDs, re-sent verbatim on a re-forward
+	hops                      uint64
+	kind                      byte
+	routed                    []byte
 }
 
 // New federates the given relay server into the mesh: it installs the
@@ -642,8 +649,8 @@ func (o *Relay) readPeer(p *peerLink, r *wire.Reader) {
 // it for routed frames addressed to nodes that are not attached here.
 // owner (when non-nil) is the pooled buffer backing payload; it is
 // retained for the peer link's egress queue, so the payload crosses the
-// relay-to-relay leg without a copy.
-func (o *Relay) ForwardFrame(srcNode, dstNode string, channel uint64, kind byte, payload []byte, owner *wire.Buf) (string, bool) {
+// relay-to-relay leg without a copy or an allocation.
+func (o *Relay) ForwardFrame(srcNode string, dstNode []byte, kind byte, payload []byte, owner *wire.Buf) (string, bool) {
 	home, ok := o.dir.lookup(dstNode)
 	if !ok || home == o.cfg.ID {
 		// Unknown, or the directory claims the node is local while the
@@ -654,7 +661,15 @@ func (o *Relay) ForwardFrame(srcNode, dstNode string, channel uint64, kind byte,
 	if p == nil {
 		return "", false
 	}
-	if err := p.sendForward(o.cfg.ID, home, srcNode, 1, kind, payload, owner); err != nil {
+	var arr [128]byte
+	head := wire.AppendString(arr[:0], o.cfg.ID)
+	head = wire.AppendString(head, home)
+	head = wire.AppendString(head, srcNode)
+	head = appendForwardTail(head, 1, kind, len(payload))
+	if owner != nil {
+		owner.Retain()
+	}
+	if err := p.eg.Enqueue(srcNode, kindForward, head, payload, owner); err != nil {
 		return "", false
 	}
 	return home, true
@@ -662,41 +677,45 @@ func (o *Relay) ForwardFrame(srcNode, dstNode string, channel uint64, kind byte,
 
 // handleForward delivers (or re-forwards, or NACKs) a frame that arrived
 // over a peer link. b is the frame's pooled payload buffer, released by
-// the caller; delivery and re-forwarding retain it as needed.
+// the caller; delivery and re-forwarding retain it as needed. Neither
+// allocates: the envelope is parsed in place.
 func (o *Relay) handleForward(from *peerLink, b *wire.Buf) {
-	origin, firstHop, srcNode, hops, kind, routed, err := decodeForward(b.Bytes())
+	env, err := decodeForward(b.Bytes())
 	if err != nil {
 		return
 	}
-	if kind == relay.KindOpen && origin != o.cfg.ID {
+	if env.kind == relay.KindOpen && string(env.origin) != o.cfg.ID {
 		// Reverse-path learning, before the open is delivered: its answer
 		// may come back before the dialer's attach gossip does.
-		o.dir.learn(srcNode, origin)
+		o.dir.learn(string(env.srcNode), string(env.origin))
 	}
-	if o.cfg.Server.Inject(from.id, kind, routed, b) {
+	if o.cfg.Server.Inject(from.id, env.kind, env.routed, b) {
 		return
 	}
-	dst, channel, ok := relay.ParseRouted(routed)
+	dst, channel, _, ok := relay.ParseRouted(env.routed)
 	if !ok {
 		return
 	}
-	if origin == o.cfg.ID {
+	if string(env.origin) == o.cfg.ID {
 		// The frame came home: a circular stale route. Repair the hop we
 		// originally chose (only that one — gossip may have corrected the
 		// entry to the true home while the frame was looping) and fail
 		// the open without another round trip.
-		o.dir.invalidate(dst, firstHop)
-		if kind == relay.KindOpen {
-			o.cfg.Server.Inject("", relay.KindOpenFail, relay.AppendRouted(nil, srcNode, channel, nil), nil)
+		o.dir.invalidate(string(dst), string(env.firstHop))
+		if env.kind == relay.KindOpen {
+			o.cfg.Server.Inject("", relay.KindOpenFail, relay.AppendRouted(nil, string(env.srcNode), channel, nil), nil)
 		}
 		return
 	}
 	// Owner/hop check: re-forward only while the hop budget lasts, never
 	// back over the link the frame arrived on and never to ourselves —
 	// together these make forwarding loops impossible.
-	if home, ok := o.dir.lookup(dst); ok && home != o.cfg.ID && home != from.id && int(hops) < o.cfg.MaxHops {
+	if home, ok := o.dir.lookup(dst); ok && home != o.cfg.ID && home != from.id && int(env.hops) < o.cfg.MaxHops {
 		if p := o.peer(home); p != nil {
-			if p.sendForward(origin, firstHop, srcNode, hops+1, kind, routed, b) == nil {
+			var arr [128]byte
+			head := appendForwardTail(append(arr[:0], env.ids...), env.hops+1, env.kind, len(env.routed))
+			b.Retain()
+			if p.eg.EnqueueFrom(env.srcNode, kindForward, head, env.routed, b) == nil {
 				return
 			}
 		}
@@ -705,7 +724,7 @@ func (o *Relay) handleForward(from *peerLink, b *wire.Buf) {
 	// the repair walks the reverse path — every hop of a stale chain
 	// invalidated its own bad entry, not just the origin.
 	o.nackSent.Add(1)
-	from.send(kindNack, encodeNack(origin, dst, srcNode, channel, kind))
+	from.send(kindNack, encodeNack(string(env.origin), string(dst), string(env.srcNode), channel, env.kind))
 }
 
 // handleNack processes an undeliverable notice: the sender of the NACK
@@ -850,18 +869,19 @@ func decodeGossip(p []byte) ([]Entry, error) {
 	return entries, nil
 }
 
-// The forward envelope is encoded by peerLink.sendForward (vectored, so
-// the routed payload is never copied into an assembled body).
-
-func decodeForward(p []byte) (origin, firstHop, srcNode string, hops uint64, kind byte, routed []byte, err error) {
+// decodeForward parses a forward envelope in place (see the envelope's
+// layout above appendForwardTail).
+func decodeForward(p []byte) (forwardEnvelope, error) {
 	d := wire.NewDecoder(p)
-	origin = d.String()
-	firstHop = d.String()
-	srcNode = d.String()
-	hops = d.Uvarint()
-	kind = d.Byte()
-	routed = d.Bytes()
-	return origin, firstHop, srcNode, hops, kind, routed, d.Err()
+	var env forwardEnvelope
+	env.origin = d.Bytes()
+	env.firstHop = d.Bytes()
+	env.srcNode = d.Bytes()
+	env.ids = p[:len(p)-d.Remaining()]
+	env.hops = d.Uvarint()
+	env.kind = d.Byte()
+	env.routed = d.Bytes()
+	return env, d.Err()
 }
 
 func encodeNack(origin, dst, srcNode string, channel uint64, kind byte) []byte {

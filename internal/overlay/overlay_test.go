@@ -24,7 +24,7 @@ func TestDirectoryVersioning(t *testing.T) {
 	if e1.Version != 1 || !e1.Present {
 		t.Fatalf("first attach entry = %+v", e1)
 	}
-	if home, ok := d.lookup("n1"); !ok || home != "relay-0" {
+	if home, ok := d.lookup([]byte("n1")); !ok || home != "relay-0" {
 		t.Fatalf("lookup after attach = %q %v", home, ok)
 	}
 
@@ -32,7 +32,7 @@ func TestDirectoryVersioning(t *testing.T) {
 	if !d.merge(Entry{Node: "n1", Home: "relay-1", Version: 2, Present: true}) {
 		t.Fatal("higher-version entry should be adopted")
 	}
-	if home, _ := d.lookup("n1"); home != "relay-1" {
+	if home, _ := d.lookup([]byte("n1")); home != "relay-1" {
 		t.Fatalf("home after merge = %q", home)
 	}
 
@@ -48,14 +48,14 @@ func TestDirectoryVersioning(t *testing.T) {
 	if d.merge(Entry{Node: "n1", Home: "relay-0", Version: 5, Present: false}) {
 		t.Fatal("foreign tombstone must not retract another relay's attachment")
 	}
-	if home, ok := d.lookup("n1"); !ok || home != "relay-1" {
+	if home, ok := d.lookup([]byte("n1")); !ok || home != "relay-1" {
 		t.Fatalf("present record should survive a foreign tombstone: %q %v", home, ok)
 	}
 	// The home relay's own newer tombstone does retract it.
 	if !d.merge(Entry{Node: "n1", Home: "relay-1", Version: 3, Present: false}) {
 		t.Fatal("own-home tombstone should be adopted")
 	}
-	if _, ok := d.lookup("n1"); ok {
+	if _, ok := d.lookup([]byte("n1")); ok {
 		t.Fatal("retracted node should not resolve")
 	}
 	// And a presence claim beats the foreign tombstone when the node
@@ -63,7 +63,7 @@ func TestDirectoryVersioning(t *testing.T) {
 	if !d.merge(Entry{Node: "n1", Home: "relay-2", Version: 2, Present: true}) {
 		t.Fatal("presence claim should override a foreign tombstone")
 	}
-	if home, _ := d.lookup("n1"); home != "relay-2" {
+	if home, _ := d.lookup([]byte("n1")); home != "relay-2" {
 		t.Fatalf("home after reattach = %q", home)
 	}
 }
@@ -81,7 +81,7 @@ func TestDirectoryLateDetachDoesNotKillNewHome(t *testing.T) {
 	if _, ok := d.localDetach("n1", "relay-0"); ok {
 		t.Fatal("late detach after a reattach must not produce a tombstone")
 	}
-	if home, ok := d.lookup("n1"); !ok || home != "relay-1" {
+	if home, ok := d.lookup([]byte("n1")); !ok || home != "relay-1" {
 		t.Fatalf("new home lost: %q %v", home, ok)
 	}
 
@@ -103,14 +103,14 @@ func TestDirectoryInvalidateAndDropRelay(t *testing.T) {
 	if !d.invalidate("a", "relay-0") {
 		t.Fatal("invalidate with matching home should repair")
 	}
-	if _, ok := d.lookup("a"); ok {
+	if _, ok := d.lookup([]byte("a")); ok {
 		t.Fatal("invalidated route should not resolve")
 	}
 
 	d.localUpdate("c", "relay-1", true)
 	d.dropRelay("relay-1")
 	for _, n := range []string{"b", "c"} {
-		if _, ok := d.lookup(n); ok {
+		if _, ok := d.lookup([]byte(n)); ok {
 			t.Fatalf("node %s should be dropped with its relay", n)
 		}
 	}
@@ -124,13 +124,13 @@ func TestDirectorySnapshotRepairsDroppedRelay(t *testing.T) {
 	d := newDirectory("observer")
 	d.merge(Entry{Node: "a", Home: "relay-1", Version: 3, Present: true})
 	d.dropRelay("relay-1")
-	if _, ok := d.lookup("a"); ok {
+	if _, ok := d.lookup([]byte("a")); ok {
 		t.Fatal("dropRelay should tombstone the entry")
 	}
 	if !d.merge(Entry{Node: "a", Home: "relay-1", Version: 3, Present: true}) {
 		t.Fatal("re-received same-home same-version presence should repair the drop")
 	}
-	if home, ok := d.lookup("a"); !ok || home != "relay-1" {
+	if home, ok := d.lookup([]byte("a")); !ok || home != "relay-1" {
 		t.Fatal("entry should resolve again after the snapshot merge")
 	}
 	// The symmetric direction: another relay's snapshot echoing the
@@ -139,7 +139,7 @@ func TestDirectorySnapshotRepairsDroppedRelay(t *testing.T) {
 	if d.merge(Entry{Node: "a", Home: "relay-1", Version: 3, Present: false}) {
 		t.Fatal("equal-version repair tombstone must not beat a live presence")
 	}
-	if home, ok := d.lookup("a"); !ok || home != "relay-1" {
+	if home, ok := d.lookup([]byte("a")); !ok || home != "relay-1" {
 		t.Fatal("presence should survive an echoed equal-version tombstone")
 	}
 	// The home's own newer tombstone (a real detach bumps the version)
@@ -147,7 +147,7 @@ func TestDirectorySnapshotRepairsDroppedRelay(t *testing.T) {
 	if !d.merge(Entry{Node: "a", Home: "relay-1", Version: 4, Present: false}) {
 		t.Fatal("the home's own newer tombstone should stand")
 	}
-	if _, ok := d.lookup("a"); ok {
+	if _, ok := d.lookup([]byte("a")); ok {
 		t.Fatal("newer tombstone should win over the older presence")
 	}
 }
@@ -161,7 +161,7 @@ func TestDirectorySelfAuthority(t *testing.T) {
 	if d.merge(Entry{Node: "n1", Home: "relay-0", Version: 1, Present: false}) {
 		t.Fatal("echoed tombstone must not retract a live local attachment")
 	}
-	if home, ok := d.lookup("n1"); !ok || home != "relay-0" {
+	if home, ok := d.lookup([]byte("n1")); !ok || home != "relay-0" {
 		t.Fatalf("local attachment lost: %q %v", home, ok)
 	}
 	// The local detach itself still works and its tombstone survives
@@ -169,7 +169,7 @@ func TestDirectorySelfAuthority(t *testing.T) {
 	if _, ok := d.localDetach("n1", "relay-0"); !ok {
 		t.Fatal("genuine local detach should tombstone")
 	}
-	if _, ok := d.lookup("n1"); ok {
+	if _, ok := d.lookup([]byte("n1")); ok {
 		t.Fatal("detached node should not resolve")
 	}
 }
@@ -211,7 +211,7 @@ func TestSupersededPeerLinkKeepsDirectory(t *testing.T) {
 	// new link's snapshot merge) must leave relay-b's entries intact.
 	fresh := pipePeer()
 	o.removePeer(stale)
-	if home, ok := o.dir.lookup("n1"); !ok || home != "relay-b" {
+	if home, ok := o.dir.lookup([]byte("n1")); !ok || home != "relay-b" {
 		t.Fatalf("superseded link teardown dropped relay-b's entries (home=%q ok=%v)", home, ok)
 	}
 	if p := o.peer("relay-b"); p == nil || p.conn != fresh {
@@ -220,7 +220,7 @@ func TestSupersededPeerLinkKeepsDirectory(t *testing.T) {
 
 	// The current link dying is a real peer loss: entries must drop.
 	o.removePeer(o.peer("relay-b"))
-	if _, ok := o.dir.lookup("n1"); ok {
+	if _, ok := o.dir.lookup([]byte("n1")); ok {
 		t.Fatal("losing the live peer link should drop its entries")
 	}
 }
@@ -642,7 +642,7 @@ func TestNackRepairsStaleRoute(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("stale-route dial took %v; want a NACK-driven failure, not a timeout", elapsed)
 	}
-	if _, ok := w.relays[0].overlay.dir.lookup("phantom"); ok {
+	if _, ok := w.relays[0].overlay.dir.lookup([]byte("phantom")); ok {
 		t.Fatal("stale route should have been invalidated by the NACK")
 	}
 }

@@ -35,13 +35,13 @@ type captureForwarder struct {
 	frames [][]byte
 }
 
-func (c *captureForwarder) ForwardFrame(srcNode, dstNode string, channel uint64, kind byte, payload []byte, owner *wire.Buf) (string, bool) {
+func (c *captureForwarder) ForwardFrame(srcNode string, dstNode []byte, kind byte, payload []byte, owner *wire.Buf) (string, bool) {
 	if kind == relay.KindData {
 		c.mu.Lock()
 		c.frames = append(c.frames, append([]byte(nil), payload...))
 		c.mu.Unlock()
 	}
-	return c.inner.ForwardFrame(srcNode, dstNode, channel, kind, payload, owner)
+	return c.inner.ForwardFrame(srcNode, dstNode, kind, payload, owner)
 }
 
 func (c *captureForwarder) NodeAttached(id string) { c.inner.NodeAttached(id) }

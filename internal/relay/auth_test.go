@@ -428,7 +428,7 @@ func stripE2EBlob(strip byte) func(kind, flags byte, payload []byte) []proxyFram
 		if kind != strip {
 			return passFrame(kind, flags, payload)
 		}
-		hdr, body, ok := parseRouted(payload)
+		dst, channel, body, ok := ParseRouted(payload)
 		if !ok {
 			return passFrame(kind, flags, payload)
 		}
@@ -437,7 +437,7 @@ func stripE2EBlob(strip byte) func(kind, flags byte, payload []byte) []proxyFram
 			return passFrame(kind, flags, payload)
 		}
 		body = appendOpenBody(nil, from, window, nil)
-		return []proxyFrame{{kind: kind, flags: flags, payload: AppendRouted(nil, hdr.dst, hdr.channel, body)}}
+		return []proxyFrame{{kind: kind, flags: flags, payload: AppendRouted(nil, string(dst), channel, body)}}
 	}
 }
 

@@ -17,9 +17,10 @@ type Client struct {
 	id   string
 	auth *AuthConfig // security posture (nil: anonymous, plaintext links)
 
-	wmu  sync.Mutex
-	conn net.Conn
-	w    *wire.Writer
+	wmu     sync.Mutex
+	conn    net.Conn
+	w       *wire.Writer
+	linkHdr []byte // sendLink's header scratch (guarded by wmu)
 
 	mu       sync.Mutex
 	serverID string
@@ -365,11 +366,15 @@ func (c *Client) send(kind byte, payload []byte) error {
 	return c.w.WriteFrame(kind, 0, payload)
 }
 
-// sendParts sends one frame whose payload is hdr followed by data: a
-// small one leaves as a single conn write, and above the wire layer's
-// coalescing threshold the data bytes (an application Write in flight)
-// are never assembled into an intermediate body buffer.
-func (c *Client) sendParts(kind byte, hdr, data []byte) error {
+// sendLink sends one frame on an established link: the routing header,
+// the from ‖ role prefix of every link frame and ext (a data frame's
+// length, a credit grant; built on the caller's stack) are encoded into
+// the client's scratch under the write lock, and data (an application
+// Write in flight) rides as a second vector. A small frame leaves as a
+// single conn write; above the wire layer's coalescing threshold the
+// data bytes are never assembled into an intermediate body buffer.
+// Nothing is allocated.
+func (c *Client) sendLink(kind byte, peer string, channel uint64, role byte, ext, data []byte) error {
 	c.mu.Lock()
 	detached := c.detached
 	c.mu.Unlock()
@@ -378,6 +383,12 @@ func (c *Client) sendParts(kind byte, hdr, data []byte) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	hdr := wire.AppendString(c.linkHdr[:0], peer)
+	hdr = wire.AppendUvarint(hdr, channel)
+	hdr = wire.AppendString(hdr, c.id)
+	hdr = wire.AppendUvarint(hdr, uint64(role))
+	hdr = append(hdr, ext...)
+	c.linkHdr = hdr
 	return c.w.WriteFrameBatch([]wire.BatchFrame{{Kind: kind, Hdr: hdr, Payload: data}})
 }
 
@@ -395,7 +406,7 @@ func (c *Client) Close() error {
 	}
 	c.mu.Unlock()
 	for _, l := range links {
-		l.closeWithError(ErrClosed)
+		l.discard(ErrClosed)
 	}
 	c.send(wire.KindClose, nil)
 	close(c.accepts)
@@ -516,10 +527,10 @@ func (c *Client) Accept() (net.Conn, error) {
 	return rc, nil
 }
 
-// readLoop demultiplexes frames arriving from the relay. Frames are
-// read into a pooled buffer (released after dispatch); the payload of a
-// data frame is copied exactly once, into the destination link's
-// receive buffer.
+// readLoop demultiplexes frames arriving from the relay. Each frame is
+// read into a pooled buffer that dispatch borrows and readLoop releases;
+// a data frame's link retains the buffer and its reader copies the
+// payload out of it, once, into the caller's slice.
 func (c *Client) readLoop(r *wire.Reader, gen int) {
 	for {
 		kind, _, b, err := r.ReadFrameBuf()
@@ -527,33 +538,33 @@ func (c *Client) readLoop(r *wire.Reader, gen int) {
 			c.disconnected(err, gen)
 			return
 		}
-		c.dispatch(kind, b.Bytes())
+		c.dispatch(kind, b)
 		b.Release()
 	}
 }
 
-// dispatch handles one frame from the relay; payload is only valid for
-// the duration of the call.
-func (c *Client) dispatch(kind byte, payload []byte) {
-	hdr, body, ok := parseRouted(payload)
+// dispatch handles one frame from the relay, parsed in place. It borrows
+// b: a link that keeps the payload retains b itself.
+func (c *Client) dispatch(kind byte, b *wire.Buf) {
+	_, channel, body, ok := ParseRouted(b.Bytes())
 	if !ok {
 		return
 	}
 	switch kind {
 	case KindOpen:
-		c.handleOpen(hdr.channel, body)
+		c.handleOpen(channel, body)
 	case KindOpenOK:
-		c.handleOpenOK(hdr.channel, body)
+		c.handleOpenOK(channel, body)
 	case KindOpenFail:
-		c.handleOpenFail(hdr.channel)
+		c.handleOpenFail(channel)
 	case KindData:
-		c.handleData(hdr.channel, body)
+		c.handleData(channel, body, b)
 	case KindCredit:
-		c.handleCredit(hdr.channel, body)
+		c.handleCredit(channel, body)
 	case KindShut:
-		c.handleShut(hdr.channel, body)
+		c.handleShut(channel, body)
 	case KindAbandon:
-		c.handleAbandon(hdr.channel, body)
+		c.handleAbandon(channel, body)
 	}
 }
 
@@ -706,36 +717,39 @@ func (c *Client) handleOpenFail(channel uint64) {
 // frame sent on an established link and resolves the link it names (nil
 // when there is none, or when the prefix does not decode — d.Err reports
 // that). A frame sent by the channel's initiator belongs to a link we
-// accepted, and vice versa. d is the caller's, so that it stays on the
-// caller's stack, and is left positioned after the prefix.
-func (c *Client) linkFrame(channel uint64, d *wire.Decoder) (key linkID, rc *routedConn) {
-	from := d.String()
-	role := byte(d.Uvarint())
+// accepted, and vice versa. from aliases the frame and the lookup
+// converts nothing, so a data frame costs no allocation. d is the
+// caller's, so that it stays on the caller's stack, and is left
+// positioned after the prefix.
+func (c *Client) linkFrame(channel uint64, d *wire.Decoder) (from []byte, outbound bool, rc *routedConn) {
+	from = d.Bytes()
+	outbound = byte(d.Uvarint()) == roleAcceptor
 	if d.Err() != nil {
-		return linkID{}, nil
+		return nil, false, nil
 	}
-	key = linkID{peer: from, channel: channel, outbound: role == roleAcceptor}
 	c.mu.Lock()
-	rc = c.links[key]
+	rc = c.links[linkID{peer: string(from), channel: channel, outbound: outbound}]
 	c.mu.Unlock()
-	return key, rc
+	return from, outbound, rc
 }
 
-func (c *Client) handleData(channel uint64, body []byte) {
+// handleData queues a data frame on its link; b is the frame's buffer,
+// which body aliases (see routedConn.deliver).
+func (c *Client) handleData(channel uint64, body []byte, b *wire.Buf) {
 	d := wire.NewDecoder(body)
-	_, rc := c.linkFrame(channel, d)
+	_, _, rc := c.linkFrame(channel, d)
 	data := d.Bytes()
 	if rc == nil || d.Err() != nil || d.Remaining() != 0 {
 		return
 	}
-	rc.deliver(data)
+	rc.deliver(data, b)
 }
 
 // handleCredit: the peer's reader drained bytes and returns them to our
 // send window.
 func (c *Client) handleCredit(channel uint64, body []byte) {
 	d := wire.NewDecoder(body)
-	_, rc := c.linkFrame(channel, d)
+	_, _, rc := c.linkFrame(channel, d)
 	amount := d.Uvarint()
 	if rc == nil || d.Err() != nil || d.Remaining() != 0 {
 		return
@@ -745,7 +759,7 @@ func (c *Client) handleCredit(channel uint64, body []byte) {
 
 func (c *Client) handleShut(channel uint64, body []byte) {
 	d := wire.NewDecoder(body)
-	_, rc := c.linkFrame(channel, d)
+	_, _, rc := c.linkFrame(channel, d)
 	if rc == nil || d.Err() != nil || d.Remaining() != 0 {
 		return
 	}
@@ -758,10 +772,11 @@ func (c *Client) handleShut(channel uint64, body []byte) {
 // queue knows to skip it rather than use a dead conn.
 func (c *Client) handleAbandon(channel uint64, body []byte) {
 	d := wire.NewDecoder(body)
-	key, rc := c.linkFrame(channel, d)
+	from, outbound, rc := c.linkFrame(channel, d)
 	if d.Err() != nil || d.Remaining() != 0 {
 		return
 	}
+	key := linkID{peer: string(from), channel: channel, outbound: outbound}
 	c.mu.Lock()
 	delete(c.links, key)
 	// An abandon can also cross an OpenOK still in flight the other
@@ -842,9 +857,7 @@ func (c *Client) dropLink(key linkID) {
 // establishment race, telling the peer to discard its half rather than
 // hold a half-open conn.
 func (c *Client) abandonLink(peer string, channel uint64, role byte) {
-	body := wire.AppendString(nil, c.id)
-	body = wire.AppendUvarint(body, uint64(role))
-	c.send(KindAbandon, AppendRouted(nil, peer, channel, body))
+	c.sendLink(KindAbandon, peer, channel, role, nil, nil)
 }
 
 // LinkCount reports the number of currently open virtual links.

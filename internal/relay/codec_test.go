@@ -160,7 +160,7 @@ func TestMalformedOpenFailsClosed(t *testing.T) {
 		if open.Kind != KindOpen {
 			t.Fatalf("expected the dial's open, got kind %d", open.Kind)
 		}
-		_, channel, _ := ParseRouted(open.Payload)
+		_, channel, _, _ := ParseRouted(open.Payload)
 		if err := raw.w.WriteFrame(KindOpenOK, 0, AppendRouted(nil, "good", channel, body)); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"encoding/binary"
 	"io"
 	"net"
 	"os"
@@ -17,20 +18,34 @@ import (
 // Flow control: each side advertises its receive window when the link is
 // opened. A sender consumes window for every data byte and blocks (up to
 // the write deadline) once the peer's window is exhausted; the reader
-// returns drained bytes with credit frames. The receive buffer is
-// thereby bounded by the advertised window — a fast sender over a slow
-// reader holds bounded memory on both ends and in every relay queue
-// between them, instead of growing without limit.
+// returns drained bytes with credit frames. A fast sender over a slow
+// reader thereby holds bounded memory on both ends and in every relay
+// queue between them, and deliver enforces the bound on the receiving
+// end whatever the peer sends (see maxQueued).
+//
+// Receive path: a data frame's payload is not copied on arrival. The
+// link keeps the frame's pooled Buf in a queue of segments and Read
+// copies straight out of it, once, releasing each Buf when it is
+// drained. A frame too small to be worth pinning its Buf (see deliver)
+// is copied into the link's tail Buf instead, next to the small frames
+// before it.
 type routedConn struct {
 	client   *Client
 	peer     string
 	channel  uint64
 	outbound bool // true on the side that dialed
 
-	mu     sync.Mutex
-	cond   *sync.Cond // readers: data arrival, close, deadline wake-ups
-	wcond  *sync.Cond // writers: credit arrival, close, deadline wake-ups
-	buf    []byte
+	mu    sync.Mutex
+	cond  *sync.Cond // readers: data arrival, close, deadline wake-ups
+	wcond *sync.Cond // writers: credit arrival, close, deadline wake-ups
+	// segs is a ring of the queued payload, oldest at segs[head]; it
+	// grows by doubling and is never slid or shrunk. queued counts its
+	// unread bytes.
+	segs   []rxSeg
+	head   int
+	nsegs  int
+	queued int
+	tail   *wire.Buf // small-frame storage; the link holds one reference (nil until needed)
 	rerr   error
 	closed bool
 	// peerShut is set once the peer closed the link: it dropped its half,
@@ -38,7 +53,7 @@ type routedConn struct {
 	// at the far end. Writes stop waiting for credit (see reserve).
 	peerShut bool
 
-	recvWindow int // our advertised window; deliver never exceeds it (conforming peers)
+	recvWindow int // our advertised window
 	unacked    int // bytes drained by Read but not yet returned as credit
 	sendWindow int // remaining credit for sends
 	sendInit   int // the peer's advertised window
@@ -85,33 +100,158 @@ func (rc *routedConn) role() byte {
 	return roleAcceptor
 }
 
-// deliver appends received payload to the link's receive buffer. The
-// buffer is bounded by the flow-control invariant, not by a check here:
-// outstanding credit plus buffered bytes never exceeds recvWindow for a
-// conforming peer, because credit is only granted as Read drains.
+// rxSeg is one queued piece of received payload: data is the unread
+// part, and it aliases buf, of which the segment holds one reference.
+type rxSeg struct {
+	buf  *wire.Buf
+	data []byte
+}
+
+// tailSize is the smallest tail Buf: the 4 KiB class, which holds many
+// small messages.
+const tailSize = 4 << 10
+
+// maxQueued is the most unread payload a link holds. A conforming peer
+// keeps the queue within the window (outstanding credit plus queued
+// bytes never exceed it); a resync after a relay failover over-grants
+// at most one window more (see Client.Resume).
+func (rc *routedConn) maxQueued() int { return 2 * rc.recvWindow }
+
+// deliver queues one data frame's payload p, which aliases the frame's
+// pooled Buf b. deliver borrows b: it retains b when it queues p in
+// place, so the caller's release stays valid either way.
 //
-// On a sealed link p is an AEAD record: it is authenticated and
-// decrypted in place (the plaintext is appended straight into the
-// receive buffer, no intermediate copy). A record that fails
-// authentication, or replays an already-accepted sequence number — an
-// injected, tampered or replayed frame, or plaintext smuggled onto a
-// sealed link — kills the link with ErrE2E instead of delivering it.
-func (rc *routedConn) deliver(p []byte) {
+// A payload smaller than half of b's size class is copied into the
+// link's tail Buf instead. Pinning b for it would hold more than twice
+// its bytes — a peer sending 1-byte frames would pin a 4 KiB Buf per
+// byte — so the link's pinned storage stays within twice what it queues,
+// plus the tail.
+//
+// On a sealed link p is an AEAD record: it is authenticated and opened
+// in place in b, and the plaintext is queued as above. A record that
+// fails authentication, or replays an already-accepted sequence number —
+// an injected, tampered or replayed frame, or plaintext smuggled onto a
+// sealed link — kills the link with ErrE2E and queues nothing. So does a
+// frame that would take the queue past maxQueued, with
+// ErrWindowExceeded: only a peer that ignores the credit protocol sends
+// one. A closed link queues nothing.
+func (rc *routedConn) deliver(p []byte, b *wire.Buf) {
 	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if rc.closed {
+		return
+	}
 	if rc.keys != nil {
-		pt, seq, err := rc.keys.Open(rc.buf, p)
+		if len(p) < identity.SealOverhead {
+			rc.failLocked(ErrE2E)
+			return
+		}
+		pt, seq, err := rc.keys.Open(p[8:8], p)
 		if err != nil || seq <= rc.recvSeq {
 			rc.failLocked(ErrE2E)
-			rc.mu.Unlock()
 			return
 		}
 		rc.recvSeq = seq
-		rc.buf = pt
-	} else {
-		rc.buf = append(rc.buf, p...)
+		p = pt
 	}
+	if len(p) == 0 {
+		return
+	}
+	if rc.queued+len(p) > rc.maxQueued() {
+		rc.failLocked(ErrWindowExceeded)
+		return
+	}
+	if 2*len(p) < b.Cap() {
+		rc.appendTailLocked(p)
+	} else {
+		b.Retain()
+		rc.pushLocked(rxSeg{buf: b, data: p})
+	}
+	rc.queued += len(p)
 	rc.cond.Broadcast()
-	rc.mu.Unlock()
+}
+
+// appendTailLocked queues a copy of a small payload in the tail Buf,
+// extending the newest segment when that one already ends there. A full
+// tail is handed to the segments still reading from it.
+func (rc *routedConn) appendTailLocked(p []byte) {
+	t := rc.tail
+	if t == nil || t.Cap()-t.Len() < len(p) {
+		if t != nil {
+			t.Release()
+		}
+		t = wire.GetBuf(max(len(p), tailSize))
+		t.SetLen(0)
+		rc.tail = t
+	}
+	off := t.Len()
+	t.SetLen(off + len(p))
+	copy(t.Bytes()[off:], p)
+	if rc.nsegs > 0 {
+		// Bytes are only ever appended to the tail for the newest
+		// segment, so a newest segment on the tail ends at off.
+		if last := &rc.segs[(rc.head+rc.nsegs-1)%len(rc.segs)]; last.buf == t {
+			last.data = last.data[:len(last.data)+len(p)]
+			return
+		}
+	}
+	t.Retain()
+	rc.pushLocked(rxSeg{buf: t, data: t.Bytes()[off:]})
+}
+
+// pushLocked appends a segment to the ring, doubling it when full.
+func (rc *routedConn) pushLocked(s rxSeg) {
+	if rc.nsegs == len(rc.segs) {
+		segs := make([]rxSeg, max(8, 2*len(rc.segs)))
+		for i := 0; i < rc.nsegs; i++ {
+			segs[i] = rc.segs[(rc.head+i)%len(rc.segs)]
+		}
+		rc.segs, rc.head = segs, 0
+	}
+	rc.segs[(rc.head+rc.nsegs)%len(rc.segs)] = s
+	rc.nsegs++
+}
+
+// readLocked copies queued payload into p, releasing every segment it
+// drains, and returns the byte count.
+func (rc *routedConn) readLocked(p []byte) int {
+	n := 0
+	for n < len(p) && rc.nsegs > 0 {
+		s := &rc.segs[rc.head]
+		k := copy(p[n:], s.data)
+		n += k
+		s.data = s.data[k:]
+		if len(s.data) == 0 {
+			rc.popLocked()
+		}
+	}
+	rc.queued -= n
+	if rc.nsegs == 0 && rc.tail != nil {
+		rc.tail.SetLen(0) // no segment reads from it any more
+	}
+	return n
+}
+
+// popLocked releases the oldest segment.
+func (rc *routedConn) popLocked() {
+	s := &rc.segs[rc.head]
+	s.buf.Release()
+	*s = rxSeg{}
+	rc.head = (rc.head + 1) % len(rc.segs)
+	rc.nsegs--
+}
+
+// releaseLocked drops everything queued, the tail included: the link was
+// closed locally and nothing will read it.
+func (rc *routedConn) releaseLocked() {
+	for rc.nsegs > 0 {
+		rc.popLocked()
+	}
+	rc.queued = 0
+	if rc.tail != nil {
+		rc.tail.Release()
+		rc.tail = nil
+	}
 }
 
 // failLocked closes the link for good with rc.mu held: reads report err
@@ -158,9 +298,11 @@ func (rc *routedConn) Abandoned() bool {
 
 // Abort discards the link as part of losing an establishment race: the
 // peer receives an abandon frame (not a half-close), telling it the link
-// must not be treated as a usable or half-open connection.
+// must not be treated as a usable or half-open connection. Like Close, it
+// releases whatever is still queued.
 func (rc *routedConn) Abort() error {
 	rc.mu.Lock()
+	rc.releaseLocked()
 	if rc.closed {
 		rc.mu.Unlock()
 		return nil
@@ -172,9 +314,20 @@ func (rc *routedConn) Abort() error {
 	return nil
 }
 
+// closeWithError fails the link with err. What was queued stays
+// readable; Close releases it.
 func (rc *routedConn) closeWithError(err error) {
 	rc.mu.Lock()
 	rc.failLocked(err)
+	rc.mu.Unlock()
+}
+
+// discard fails the link with err and releases what was queued: the
+// whole client was closed, and nothing will read the link.
+func (rc *routedConn) discard(err error) {
+	rc.mu.Lock()
+	rc.failLocked(err)
+	rc.releaseLocked()
 	rc.mu.Unlock()
 }
 
@@ -200,16 +353,16 @@ func waitDeadline(cond *sync.Cond, mu *sync.Mutex, deadline time.Time) error {
 	return nil
 }
 
-// Read implements net.Conn. Draining the buffer grants credit back to
-// the sender once half the window has been consumed (batching the grants
-// keeps the credit-frame overhead at two frames per window, not one per
-// Read).
+// Read implements net.Conn. It copies out of the queued frames, and a
+// link that failed is drained before Read reports the failure. Draining
+// grants credit back to the sender once half the window has been
+// consumed (batching the grants keeps the credit-frame overhead at two
+// frames per window, not one per Read).
 func (rc *routedConn) Read(p []byte) (int, error) {
 	rc.mu.Lock()
 	for {
-		if len(rc.buf) > 0 {
-			n := copy(p, rc.buf)
-			rc.buf = rc.buf[n:]
+		if rc.queued > 0 {
+			n := rc.readLocked(p)
 			grant := 0
 			if rc.rerr == nil && !rc.closed {
 				rc.unacked += n
@@ -245,10 +398,8 @@ func (rc *routedConn) Read(p []byte) (int, error) {
 // in-flight operation observes through its own error path.
 func (rc *routedConn) sendCredit(n int) {
 	rc.client.flowCreditSent.Add(1)
-	body := wire.AppendString(nil, rc.client.id)
-	body = wire.AppendUvarint(body, uint64(rc.role()))
-	body = wire.AppendUvarint(body, uint64(n))
-	rc.client.send(KindCredit, AppendRouted(nil, rc.peer, rc.channel, body))
+	var ext [binary.MaxVarintLen64]byte
+	rc.client.sendLink(KindCredit, rc.peer, rc.channel, rc.role(), wire.AppendUvarint(ext[:0], uint64(n)), nil)
 }
 
 // resyncAfterResume re-arms flow control after the client resumed its
@@ -263,7 +414,7 @@ func (rc *routedConn) resyncAfterResume() {
 		return
 	}
 	rc.sendWindow = rc.sendInit
-	grant := rc.recvWindow - len(rc.buf) - rc.unacked
+	grant := rc.recvWindow - rc.queued - rc.unacked
 	rc.unacked = 0
 	rc.wcond.Broadcast()
 	rc.mu.Unlock()
@@ -337,42 +488,33 @@ func (rc *routedConn) Write(p []byte) (int, error) {
 		if err != nil {
 			return total, err
 		}
-		// Routing header and data-frame body prefix in one small stack
-		// buffer; the payload itself rides along as a second vector and
-		// is never copied into an assembled body.
-		var arr [96]byte
-		hdr := arr[:0]
-		hdr = wire.AppendString(hdr, rc.peer)
-		hdr = wire.AppendUvarint(hdr, rc.channel)
-		hdr = wire.AppendString(hdr, rc.client.id)
-		hdr = wire.AppendUvarint(hdr, uint64(rc.role()))
 		if rc.keys != nil {
 			// Sequence assignment and frame emission under one lock, so
 			// concurrent writers cannot reorder sequence numbers on the
 			// wire (the receiver requires strictly increasing).
 			rc.sendMu.Lock()
 			rc.sendSeq++
-			seq := rc.sendSeq
 			sealed := wire.GetBuf(n + identity.SealOverhead)
-			rec := rc.keys.Seal(sealed.Bytes()[:0], seq, p[:n])
-			sealed.SetLen(len(rec))
-			hdr = wire.AppendUvarint(hdr, uint64(len(rec)))
-			err := rc.client.sendParts(KindData, hdr, rec)
+			rec := rc.keys.Seal(sealed.Bytes()[:0], rc.sendSeq, p[:n])
+			err = rc.sendData(rec)
 			sealed.Release()
 			rc.sendMu.Unlock()
-			if err != nil {
-				return total, err
-			}
 		} else {
-			hdr = wire.AppendUvarint(hdr, uint64(n))
-			if err := rc.client.sendParts(KindData, hdr, p[:n]); err != nil {
-				return total, err
-			}
+			err = rc.sendData(p[:n])
+		}
+		if err != nil {
+			return total, err
 		}
 		total += n
 		p = p[n:]
 	}
 	return total, nil
+}
+
+// sendData sends one data frame carrying data.
+func (rc *routedConn) sendData(data []byte) error {
+	var ext [binary.MaxVarintLen64]byte
+	return rc.client.sendLink(KindData, rc.peer, rc.channel, rc.role(), wire.AppendUvarint(ext[:0], uint64(len(data))), data)
 }
 
 // SendWindow reports the link's remaining send credit and the window the
@@ -386,8 +528,11 @@ func (rc *routedConn) SendWindow() (avail, size int) {
 }
 
 // Close implements net.Conn.
+// Close implements net.Conn. It releases whatever is still queued,
+// also on a link that already failed.
 func (rc *routedConn) Close() error {
 	rc.mu.Lock()
+	rc.releaseLocked()
 	if rc.closed {
 		rc.mu.Unlock()
 		return nil
@@ -396,9 +541,7 @@ func (rc *routedConn) Close() error {
 	rc.cond.Broadcast()
 	rc.wcond.Broadcast()
 	rc.mu.Unlock()
-	body := wire.AppendString(nil, rc.client.id)
-	body = wire.AppendUvarint(body, uint64(rc.role()))
-	rc.client.send(KindShut, AppendRouted(nil, rc.peer, rc.channel, body))
+	rc.client.sendLink(KindShut, rc.peer, rc.channel, rc.role(), nil, nil)
 	rc.client.dropLink(linkID{peer: rc.peer, channel: rc.channel, outbound: rc.outbound})
 	return nil
 }

@@ -50,12 +50,14 @@ type egressSource struct {
 	n       int // number of queued entries
 }
 
-func (q *egressSource) push(e egressEntry) {
+// push queues one frame. hdr is only read (copied into the slot), so a
+// caller's stack-built header stays on its stack.
+func (q *egressSource) push(kind byte, hdr, payload []byte, owner *wire.Buf) {
 	slot := &q.entries[(q.head+q.n)%len(q.entries)]
-	slot.kind = e.kind
-	slot.hdr = append(slot.hdr[:0], e.hdr...)
-	slot.payload = e.payload
-	slot.owner = e.owner
+	slot.kind = kind
+	slot.hdr = append(slot.hdr[:0], hdr...)
+	slot.payload = payload
+	slot.owner = owner
 	q.n++
 }
 
@@ -173,11 +175,29 @@ func (e *Egress) SetBatch(frames, bytes int) {
 // full and returns ErrClosed once the egress has shut down.
 func (e *Egress) Enqueue(src string, kind byte, hdr, payload []byte, owner *wire.Buf) error {
 	e.mu.Lock()
-	q := e.sources[src]
+	return e.enqueueLocked(e.sources[src], src, kind, hdr, payload, owner)
+}
+
+// EnqueueFrom is Enqueue for a source ID that still aliases a frame: a
+// source the egress already queues for is found without converting it,
+// so forwarding a frame under its parsed source costs no allocation.
+func (e *Egress) EnqueueFrom(src []byte, kind byte, hdr, payload []byte, owner *wire.Buf) error {
+	e.mu.Lock()
+	q := e.sources[string(src)]
+	id := ""
+	if q == nil {
+		id = string(src)
+	}
+	return e.enqueueLocked(q, id, kind, hdr, payload, owner)
+}
+
+// enqueueLocked is Enqueue with e.mu held and the source's queue looked
+// up (nil: create it under id); it unlocks.
+func (e *Egress) enqueueLocked(q *egressSource, id string, kind byte, hdr, payload []byte, owner *wire.Buf) error {
 	created := q == nil
 	if created {
-		q = &egressSource{id: src, entries: make([]egressEntry, e.limit)}
-		e.sources[src] = q
+		q = &egressSource{id: id, entries: make([]egressEntry, e.limit)}
+		e.sources[id] = q
 		e.order = append(e.order, q)
 	}
 	for q.n == e.limit && !e.closed {
@@ -196,15 +216,15 @@ func (e *Egress) Enqueue(src string, kind byte, hdr, payload []byte, owner *wire
 		// queue is either still registered — about to become non-empty —
 		// or was reclaimed by compaction while this enqueuer waited out
 		// a full ring and must be re-registered.
-		if e.sources[src] == nil {
-			e.sources[src] = q
+		if e.sources[q.id] == nil {
+			e.sources[q.id] = q
 			e.order = append(e.order, q)
 		} else {
 			e.empties--
 		}
 	}
 	wasIdle := e.pending == 0
-	q.push(egressEntry{kind: kind, hdr: hdr, payload: payload, owner: owner})
+	q.push(kind, hdr, payload, owner)
 	e.pending++
 	e.mu.Unlock()
 	// The writer sleeps only when nothing at all is pending (it re-picks

@@ -120,7 +120,7 @@ func TestEgressCompactPreservesOrderAndCursor(t *testing.T) {
 	add := func(id string, queued int) *egressSource {
 		q := &egressSource{id: id, entries: make([]egressEntry, e.limit)}
 		for i := 0; i < queued; i++ {
-			q.push(egressEntry{kind: KindData})
+			q.push(KindData, nil, nil, nil)
 			e.pending++
 		}
 		e.sources[id] = q

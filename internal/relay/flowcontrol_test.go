@@ -96,7 +96,7 @@ func TestRoutedWindowBlocksSenderAndResumes(t *testing.T) {
 	// The receiver's buffer is bounded by the window.
 	rc := bc.(*routedConn)
 	rc.mu.Lock()
-	buffered := len(rc.buf)
+	buffered := rc.queued
 	rc.mu.Unlock()
 	if buffered > window {
 		t.Fatalf("receiver buffered %d bytes, window is %d", buffered, window)
@@ -447,6 +447,128 @@ func TestStalledReceiverDoesNotDelayHealthyLinks(t *testing.T) {
 		t.Fatal("stalled sender's Write never unblocked on teardown")
 	}
 	checkLeaks()
+}
+
+// TestRoutedLinkBoundsHostilePeer: a peer that ignores the credit
+// protocol cannot make a routed link hold more than its bound (twice the
+// window, see routedConn.maxQueued). A frame past the bound fails the
+// link with ErrWindowExceeded and is not queued; 1-byte frames pack into
+// the tail instead of pinning a Buf each, so pinned storage stays within
+// twice the bound plus one tail Buf; 0-byte frames queue nothing. A
+// conforming link on the same client keeps working throughout, and the
+// scenario leaks no goroutine.
+func TestRoutedLinkBoundsHostilePeer(t *testing.T) {
+	cases := []struct {
+		name    string
+		window  int
+		size    int // payload bytes per hostile frame
+		frames  int
+		wantErr error // nil: the link stays healthy
+	}{
+		{"full frames past the window", 64 << 10, maxDataFrame, 6, ErrWindowExceeded},
+		{"1-byte frames past the window", 8 << 10, 1, 2*(8<<10) + 1, ErrWindowExceeded},
+		{"0-byte frames", 8 << 10, 0, 10000, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newRelayWorld(t)
+			checkLeaks := testutil.LeakCheck(t, 3)
+			victim := w.attach(t, "victim", emunet.NoNAT)
+			honest := w.attach(t, "honest", emunet.NoNAT)
+			victim.SetWindow(tc.window)
+			raw := w.attachRaw(t, "hostile")
+
+			// The hostile node opens a link to the victim by hand.
+			accepted := make(chan net.Conn, 1)
+			go func() {
+				c, err := victim.Accept()
+				if err == nil {
+					accepted <- c
+				}
+			}()
+			open := appendOpenBody(nil, "hostile", DefaultWindowBytes, nil)
+			if err := raw.w.WriteFrame(KindOpen, 0, AppendRouted(nil, "victim", 1, open)); err != nil {
+				t.Fatal(err)
+			}
+			if f := raw.read(t); f.Kind != KindOpenOK {
+				t.Fatalf("hostile open answered with kind %d", f.Kind)
+			}
+			var vc *routedConn
+			select {
+			case c := <-accepted:
+				vc = c.(*routedConn)
+			case <-time.After(2 * time.Second):
+				t.Fatal("victim never accepted the hostile link")
+			}
+			hc, hv := dialPair(t, honest, victim, "victim")
+
+			// Then it sends without waiting for credit, in batches, and
+			// ends with a 3-byte marker frame.
+			data := func(p []byte) wire.BatchFrame {
+				body := wire.AppendUvarint(wire.AppendString(nil, "hostile"), uint64(roleInitiator))
+				return wire.BatchFrame{Kind: KindData, Payload: AppendRouted(nil, "victim", 1, wire.AppendBytes(body, p))}
+			}
+			batch := make([]wire.BatchFrame, 256)
+			for i := range batch {
+				batch[i] = data(pattern(tc.size, 1))
+			}
+			for sent := 0; sent < tc.frames; sent += len(batch) {
+				if err := raw.w.WriteFrameBatch(batch[:min(len(batch), tc.frames-sent)]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := raw.w.WriteFrame(KindData, 0, data([]byte("end")).Payload); err != nil {
+				t.Fatal(err)
+			}
+			bound := vc.maxQueued()
+			if why := testutil.Settle(func() (bool, string) {
+				vc.mu.Lock()
+				defer vc.mu.Unlock()
+				if tc.wantErr != nil {
+					return vc.rerr == tc.wantErr, fmt.Sprintf("link error %v, want %v", vc.rerr, tc.wantErr)
+				}
+				return vc.queued == 3, fmt.Sprintf("%d bytes queued, want the 3-byte marker", vc.queued)
+			}); why != "" {
+				t.Fatal(why)
+			}
+			if pinned := vc.pinned(); pinned > 2*bound+tailSize {
+				t.Fatalf("link pins %d bytes, bound %d (at most %d pinned)", pinned, bound, 2*bound+tailSize)
+			}
+			if tc.wantErr != nil {
+				got, err := io.ReadAll(vc)
+				if !errors.Is(err, tc.wantErr) || len(got) > bound {
+					t.Fatalf("hostile link read %d bytes then %v, want at most %d bytes then %v", len(got), err, bound, tc.wantErr)
+				}
+			} else {
+				got := make([]byte, 3)
+				if _, err := io.ReadFull(vc, got); err != nil || string(got) != "end" {
+					t.Fatalf("after 0-byte frames: read %q, %v; want the marker", got, err)
+				}
+			}
+
+			// The conforming link on the same client is unaffected.
+			const healthy = 1 << 20
+			done := make(chan error, 1)
+			go func() {
+				_, err := io.CopyN(io.Discard, hv, healthy)
+				done <- err
+			}()
+			if _, err := hc.Write(pattern(healthy, 9)); err != nil {
+				t.Fatalf("conforming link write: %v", err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("conforming link read: %v", err)
+			}
+
+			vc.Close()
+			hc.Close()
+			hv.Close()
+			raw.conn.Close()
+			victim.Close()
+			honest.Close()
+			checkLeaks()
+		})
+	}
 }
 
 // TestEgressCompactsIdleSources: per-source queues of identities that

@@ -6,6 +6,7 @@ package relay
 // nodes; none may panic, over-read or accept a malformed handshake.
 
 import (
+	"bytes"
 	"testing"
 
 	"netibis/internal/identity"
@@ -18,16 +19,15 @@ func FuzzParseRouted(f *testing.F) {
 	f.Add([]byte{0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dst, channel, ok := ParseRouted(data)
-		zdst, zch, zok := parseRoutedZero(data)
-		if ok != zok {
-			t.Fatalf("ParseRouted ok=%v, parseRoutedZero ok=%v", ok, zok)
-		}
+		dst, channel, body, ok := ParseRouted(data)
 		if !ok {
 			return
 		}
-		if dst != string(zdst) || channel != zch {
-			t.Fatal("allocating and zero-copy parses disagree")
+		// The in-place parse splits the payload: the body is its tail, and
+		// the header (at least one length byte, dst, one channel byte)
+		// fits in front of it.
+		if !bytes.HasSuffix(data, body) || 2+len(dst)+len(body) > len(data) {
+			t.Fatalf("ParseRouted(%x) = %q, %d, %x does not split the input", data, dst, channel, body)
 		}
 	})
 }

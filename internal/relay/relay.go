@@ -51,6 +51,10 @@ var (
 	// fails authentication or replays an already-seen sequence number:
 	// the link fails closed rather than deliver forged or replayed bytes.
 	ErrE2E = errors.New("relay: end-to-end record verification failed")
+	// ErrWindowExceeded is returned on a routed link whose peer sent data
+	// past the receive window it was granted (beyond the slack a relay
+	// failover allows): the link fails rather than buffer without limit.
+	ErrWindowExceeded = errors.New("relay: peer sent past the receive window")
 )
 
 // maxDataFrame bounds the payload of a single routed data frame; larger
@@ -67,13 +71,6 @@ const maxDataFrame = 32 * 1024
 // busy while bounding a stalled link's memory to a quarter megabyte.
 const DefaultWindowBytes = 256 * 1024
 
-// routedHeader is the routing prefix of every routed frame: the
-// destination node ID and the channel number within that pair of nodes.
-type routedHeader struct {
-	dst     string
-	channel uint64
-}
-
 // AppendRouted builds a routed frame payload addressed to dst. It is
 // exported for the overlay mesh, which synthesises open-failure frames
 // when a forwarded open cannot be delivered.
@@ -84,50 +81,27 @@ func AppendRouted(buf []byte, dst string, channel uint64, body []byte) []byte {
 	return buf
 }
 
-// ParseRouted extracts the routing header (destination node ID and
-// channel) of a routed payload. It is exported for the overlay mesh,
-// which routes forwarded frames by the same header.
-func ParseRouted(p []byte) (dst string, channel uint64, ok bool) {
-	hdr, _, ok := parseRouted(p)
-	return hdr.dst, hdr.channel, ok
-}
-
-// parseRouted splits a routed payload into its header and body.
-func parseRouted(p []byte) (routedHeader, []byte, bool) {
-	d := wire.NewDecoder(p)
-	dst := d.String()
-	ch := d.Uvarint()
-	if d.Err() != nil {
-		return routedHeader{}, nil, false
-	}
-	body := p[len(p)-d.Remaining():]
-	return routedHeader{dst: dst, channel: ch}, body, true
-}
-
-// parseRoutedZero extracts the routing header without allocating: dst
-// aliases p and is only valid while p is.
-func parseRoutedZero(p []byte) (dst []byte, channel uint64, ok bool) {
+// ParseRouted splits a routed payload into its routing header (the
+// destination node ID and the channel number within that pair of nodes)
+// and its body, in place: dst and body alias p and are valid while p is.
+// It is exported for the overlay mesh, which routes forwarded frames by
+// the same header.
+func ParseRouted(p []byte) (dst []byte, channel uint64, body []byte, ok bool) {
 	d := wire.NewDecoder(p)
 	dst = d.Bytes()
 	channel = d.Uvarint()
 	if d.Err() != nil {
-		return nil, 0, false
+		return nil, 0, nil, false
 	}
-	return dst, channel, true
+	return dst, channel, p[len(p)-d.Remaining():], true
 }
 
-// parseRoutedSrcZero extracts the source-node field that leads the body
-// of every routed frame except open-failures, without allocating: src
-// aliases p and is only valid while p is.
-func parseRoutedSrcZero(p []byte) (src []byte, ok bool) {
-	d := wire.NewDecoder(p)
-	d.Bytes()   // dst
-	d.Uvarint() // channel
+// routedSrc extracts the source-node field that leads the body of every
+// routed frame except open-failures, in place: src aliases body.
+func routedSrc(body []byte) (src []byte, ok bool) {
+	d := wire.NewDecoder(body)
 	src = d.Bytes()
-	if d.Err() != nil {
-		return nil, false
-	}
-	return src, true
+	return src, d.Err() == nil
 }
 
 // appendOpenBody builds the body of an open or an open-OK, which share

@@ -409,11 +409,11 @@ func TestRoutedConnAddrs(t *testing.T) {
 
 func TestRoutedFrameParsing(t *testing.T) {
 	payload := AppendRouted(nil, "destination-node", 42, []byte("body"))
-	hdr, body, ok := parseRouted(payload)
-	if !ok || hdr.dst != "destination-node" || hdr.channel != 42 || string(body) != "body" {
-		t.Fatalf("parseRouted = %+v %q %v", hdr, body, ok)
+	dst, channel, body, ok := ParseRouted(payload)
+	if !ok || string(dst) != "destination-node" || channel != 42 || string(body) != "body" {
+		t.Fatalf("ParseRouted = %q %d %q %v", dst, channel, body, ok)
 	}
-	if _, _, ok := parseRouted([]byte{0xFF}); ok {
+	if _, _, _, ok := ParseRouted([]byte{0xFF}); ok {
 		t.Fatal("corrupt routed frame should not parse")
 	}
 }

@@ -17,13 +17,13 @@ type Forwarder interface {
 	// ForwardFrame is called for a routed frame whose destination node
 	// is not attached to this relay. srcNode is the locally attached
 	// node the frame arrived from; payload is the complete routed
-	// payload (still prefixed with dst and channel) and is only valid
-	// for the duration of the call unless the implementation retains
-	// owner (the pooled buffer backing payload; nil for synthesized
-	// frames, in which case payload must be copied to outlive the
-	// call). It returns the ID of the peer relay the frame was handed
-	// to, and whether forwarding succeeded.
-	ForwardFrame(srcNode, dstNode string, channel uint64, kind byte, payload []byte, owner *wire.Buf) (peerRelay string, ok bool)
+	// payload (still prefixed with dst and channel), and dstNode aliases
+	// it. Both are only valid for the duration of the call unless the
+	// implementation retains owner (the pooled buffer backing payload;
+	// nil for synthesized frames, in which case payload must be copied
+	// to outlive the call). It returns the ID of the peer relay the frame
+	// was handed to, and whether forwarding succeeded.
+	ForwardFrame(srcNode string, dstNode []byte, kind byte, payload []byte, owner *wire.Buf) (peerRelay string, ok bool)
 	// NodeAttached is called after a node registered with this relay.
 	NodeAttached(id string)
 	// NodeDetached is called after a node's attachment ended.
@@ -398,7 +398,7 @@ func (s *Server) lookupKey(id []byte) *serverPeer {
 // caller's own release stays valid. A nil owner means payload is a
 // caller-allocated slice handed over for good.
 func (s *Server) Inject(src string, kind byte, payload []byte, owner *wire.Buf) bool {
-	dst, _, ok := parseRoutedZero(payload)
+	dst, _, _, ok := ParseRouted(payload)
 	if !ok {
 		return false
 	}
@@ -602,14 +602,14 @@ func (s *Server) handleNode(c net.Conn, r *wire.Reader, attach wire.Frame) {
 // open-failure back to the sender. b holds the routed payload; route
 // borrows it for the duration of the call and retains it itself when the
 // frame is queued (the caller's release stays valid either way). The
-// payload is parsed in place and re-emitted verbatim; on the
-// local-delivery path route performs no allocation and no payload copy
-// (gated by a regression test). Delivery enqueues on the destination's
+// payload is parsed in place and re-emitted verbatim; delivered locally
+// or handed to the mesh, route performs no allocation and no payload
+// copy (gated by regression tests). Delivery enqueues on the destination's
 // egress scheduler: a stalled destination backpressures this source once
 // its bounded queue fills, without delaying any other link.
 func (s *Server) route(from *serverPeer, kind byte, b *wire.Buf) {
 	payload := b.Bytes()
-	dst, channel, ok := parseRoutedZero(payload)
+	dst, channel, body, ok := ParseRouted(payload)
 	if !ok {
 		return
 	}
@@ -622,7 +622,7 @@ func (s *Server) route(from *serverPeer, kind byte, b *wire.Buf) {
 		// KindOpenFail is exempt: refusals carry an empty body. The
 		// check parses and compares in place — no allocation, the
 		// cut-through property is untouched.
-		src, ok := parseRoutedSrcZero(payload)
+		src, ok := routedSrc(body)
 		if !ok || string(src) != from.id {
 			return
 		}
@@ -631,7 +631,7 @@ func (s *Server) route(from *serverPeer, kind byte, b *wire.Buf) {
 	if target == nil {
 		// Not attached here: try the mesh.
 		if fwd := s.forwarder(); fwd != nil {
-			if peerRelay, ok := fwd.ForwardFrame(from.id, string(dst), channel, kind, payload, b); ok {
+			if peerRelay, ok := fwd.ForwardFrame(from.id, dst, kind, payload, b); ok {
 				s.countForward(peerRelay)
 				return
 			}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestGetBufSizes(t *testing.T) {
-	for _, n := range []int{0, 1, 4096, 64 << 10, 64<<10 + 512, 1 << 20, 3 << 20} {
+	for _, n := range []int{0, 1, 4096, 32 << 10, 32<<10 + 513, 64 << 10, 64<<10 + 512, 1 << 20, 3 << 20} {
 		b := GetBuf(n)
 		if b.Len() != n {
 			t.Fatalf("GetBuf(%d).Len() = %d", n, b.Len())
