@@ -61,18 +61,17 @@ func allocsPerMessage(t *testing.T, spec string) float64 {
 }
 
 // TestStackAllocsPerMessage gates allocations per 64 KiB message on the
-// paper's full zip/multi/tcpblk stack (~41 before the pooled data path,
-// ~18 since; the remainder is the standard library's DEFLATE decoder
-// rebuilding Huffman tables per block) and on bare tcpblk, at several
-// GOMAXPROCS: the stack's goroutines (multi's workers and readers)
-// interleave differently with more than one P. Under the race detector
-// the bound is looser: race-mode sync.Pool drops one put in four, so a
-// fraction of blocks rebuild pooled flate state from scratch — that
-// measures the instrumentation, not the data path.
+// paper's full zip/multi/tcpblk stack (~1: the codec's state, tables and
+// buffers are pooled) and on bare tcpblk, at several GOMAXPROCS: the
+// stack's goroutines (multi's workers and readers) interleave
+// differently with more than one P. Under the race detector the bound is
+// looser: race-mode sync.Pool drops one put in four, so a fraction of
+// blocks rebuild pooled codec state from scratch — that measures the
+// instrumentation, not the data path.
 func TestStackAllocsPerMessage(t *testing.T) {
-	fullBound := 25.0
+	fullBound := 5.0
 	if testutil.RaceEnabled {
-		fullBound = 35.0
+		fullBound = 20.0
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {

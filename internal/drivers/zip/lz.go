@@ -19,7 +19,7 @@ package zip
 
 import (
 	"encoding/binary"
-	"errors"
+	"fmt"
 	"math/bits"
 	"sync"
 )
@@ -204,7 +204,7 @@ func lzCompressBlock(dst, src []byte, table *[1 << lzHashLog]int32) (int, error)
 	return di, nil
 }
 
-var errLZCorrupt = errors.New("zip: corrupt lz block")
+var errLZCorrupt = fmt.Errorf("%w: bad lz sequence", ErrCorrupt)
 
 // decodeLZ decodes one flagLZ block. src must decode to exactly len(dst)
 // bytes; every length, offset and copy is bounds-checked so corrupt or

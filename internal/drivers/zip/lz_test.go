@@ -249,7 +249,7 @@ func TestMixedCodecStreamDecodes(t *testing.T) {
 	link.eof = true
 	link.cond.Broadcast()
 	link.mu.Unlock()
-	in := NewInput(memInput{link})
+	in := NewInput(memInput{link}, 0)
 	got, err := io.ReadAll(in)
 	if err != nil {
 		t.Fatal(err)

@@ -87,7 +87,7 @@ func buildInput(spec driver.Spec, _ *driver.Env, lower func() (driver.Input, err
 	if err != nil {
 		return nil, err
 	}
-	return NewInput(sub), nil
+	return NewInput(sub, spec.IntParam("block", DefaultBlockSize)), nil
 }
 
 // Options configures an Output beyond its lower driver.
@@ -195,18 +195,28 @@ func (o *Output) Stats() (in, out, blocks int64) {
 	return in, out, blocks
 }
 
+// ErrBlockTooLarge is wrapped by the error an Input returns for a block
+// header no block of its stack can have: past its block= size or the
+// flag's worst case, or a stored block whose two lengths differ.
+var ErrBlockTooLarge = errors.New("zip: block larger than the stack's bound")
+
 // Input is the decompressing side. It dispatches per block on the flag
 // byte (codec registry in codec.go), so streams from any codec — and
 // any mix — decode through the same Input.
 type Input struct {
 	*driver.BlockInput
-	lower  driver.Input
-	hdrBuf [headerSize]byte
+	lower    driver.Input
+	maxBlock uint32
+	hdrBuf   [headerSize]byte
 }
 
-// NewInput creates a decompressing input over lower.
-func NewInput(lower driver.Input) *Input {
-	in := &Input{lower: lower}
+// NewInput creates a decompressing input over lower for blocks of at most
+// block bytes (0 = DefaultBlockSize), the stack's block= size.
+func NewInput(lower driver.Input, block int) *Input {
+	if block <= 0 {
+		block = DefaultBlockSize
+	}
+	in := &Input{lower: lower, maxBlock: uint32(min(block, wire.MaxFrameLen))}
 	in.BlockInput = driver.NewBlockInput(lower, in.fill)
 	return in
 }
@@ -236,12 +246,14 @@ func (in *Input) fill(direct []byte) (int, *wire.Buf, error) {
 	flag := in.hdrBuf[0]
 	origLen := binary.BigEndian.Uint32(in.hdrBuf[1:5])
 	storedLen := binary.BigEndian.Uint32(in.hdrBuf[5:9])
-	if origLen > uint32(wire.MaxFrameLen) || storedLen > uint32(wire.MaxFrameLen) {
-		return 0, nil, fmt.Errorf("zip: block length out of range (%d/%d)", origLen, storedLen)
+	// Nine unauthenticated bytes: hold them to the stack's block size and
+	// the flag's worst case before taking a buffer.
+	if origLen > in.maxBlock {
+		return 0, nil, fmt.Errorf("%w: %d bytes declared, blocks hold %d", ErrBlockTooLarge, origLen, in.maxBlock)
 	}
 	if flag == flagStored {
-		if origLen != storedLen {
-			return 0, nil, fmt.Errorf("zip: stored block of %d bytes declares %d", storedLen, origLen)
+		if storedLen != origLen {
+			return 0, nil, fmt.Errorf("%w: stored block of %d bytes declares %d", ErrBlockTooLarge, storedLen, origLen)
 		}
 		if int(storedLen) <= len(direct) && storedLen > 0 {
 			if _, err := io.ReadFull(in.lower, direct[:storedLen]); err != nil {
@@ -252,20 +264,23 @@ func (in *Input) fill(direct []byte) (int, *wire.Buf, error) {
 		payload, err := in.readPayload(storedLen)
 		return 0, payload, err
 	}
+	dec, ok := decoders[flag]
+	if !ok {
+		return 0, nil, fmt.Errorf("zip: unknown block flag %d", flag)
+	}
+	if bound := dec.bound(int(origLen)); int64(storedLen) > int64(bound) {
+		return 0, nil, fmt.Errorf("%w: %d stored bytes for %d, at most %d", ErrBlockTooLarge, storedLen, origLen, bound)
+	}
 	payload, err := in.readPayload(storedLen)
 	if err != nil {
 		return 0, nil, err
 	}
 	defer payload.Release()
-	decode := decoders[flag]
-	if decode == nil {
-		return 0, nil, fmt.Errorf("zip: unknown block flag %d", flag)
-	}
 	if int(origLen) <= len(direct) && origLen > 0 {
-		return int(origLen), nil, decode(direct[:origLen], payload.Bytes())
+		return int(origLen), nil, dec.decode(direct[:origLen], payload.Bytes())
 	}
 	out := wire.GetBuf(int(origLen))
-	if err := decode(out.Bytes(), payload.Bytes()); err != nil {
+	if err := dec.decode(out.Bytes(), payload.Bytes()); err != nil {
 		out.Release()
 		return 0, nil, err
 	}

@@ -94,7 +94,7 @@ func TestRoundTripCompressible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewInput(memInput{link})
+	in := NewInput(memInput{link}, 0)
 
 	payload := compressible(500_000)
 	if _, err := out.Write(payload); err != nil {
@@ -126,7 +126,7 @@ func TestRoundTripIncompressible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewInput(memInput{link})
+	in := NewInput(memInput{link}, 0)
 
 	payload := make([]byte, 300_000)
 	rand.New(rand.NewSource(9)).Read(payload)
@@ -171,7 +171,7 @@ func TestEmptyFlush(t *testing.T) {
 func TestMultipleBlocksAndMessages(t *testing.T) {
 	link := newMemLink()
 	out, _ := newOutput(memOutput{link}, 1, 4096)
-	in := NewInput(memInput{link})
+	in := NewInput(memInput{link}, 0)
 	var want []byte
 	for i := 0; i < 30; i++ {
 		msg := compressible(1000 + i*512)
@@ -252,7 +252,7 @@ func TestCorruptStreamDetected(t *testing.T) {
 	link.buf[headerSize+50] ^= 0xFF
 	link.eof = true
 	link.mu.Unlock()
-	in := NewInput(memInput{link})
+	in := NewInput(memInput{link}, 0)
 	_, err := io.ReadAll(in)
 	if err == nil {
 		t.Fatal("corrupted compressed stream should not decode cleanly")
@@ -319,7 +319,7 @@ func TestRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		in := NewInput(memInput{link})
+		in := NewInput(memInput{link}, 0)
 		out.Write(payload)
 		out.Flush()
 		out.Close()

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"compress/flate"
 	"crypto/sha256"
 	"fmt"
 	"log"
@@ -64,6 +65,8 @@ func write(pkg, target, name string, args ...any) {
 			fmt.Fprintf(&b, "[]byte(%q)\n", v)
 		case byte:
 			fmt.Fprintf(&b, "byte(%q)\n", v)
+		case uint32:
+			fmt.Fprintf(&b, "uint32(%d)\n", v)
 		default:
 			log.Fatalf("unsupported arg type %T", a)
 		}
@@ -262,6 +265,44 @@ func main() {
 	zo.Flush()
 	write("drivers/zip", "FuzzZipInput", "one-block", zipped.Bytes())
 	write("drivers/zip", "FuzzZipInput", "one-block-truncated", zipped.Bytes()[:zipped.Len()-1])
+
+	// drivers/zip FuzzInflate: raw DEFLATE streams and their lengths. The
+	// zip driver's own encoder writes a fixed block (short input) and a
+	// dynamic one; compress/flate writes stored blocks and a multi-block
+	// stream at its highest level. Each also cut by a byte.
+	records := bytes.Repeat([]byte("record=7 velocity=0.000000 energy=3.141592\n"), 64)
+	for _, c := range []struct {
+		name string
+		src  []byte
+	}{{"fixed", []byte("one compressed block")}, {"dynamic", records}} {
+		var z sink
+		zo, err := zip.NewOutputOptions(&z, zip.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		zo.Write(bytes.Repeat(c.src, 3))
+		zo.Flush()
+		stream := z.Bytes()[9:] // the block's 9-byte header
+		write("drivers/zip", "FuzzInflate", c.name, stream, uint32(3*len(c.src)))
+		write("drivers/zip", "FuzzInflate", c.name+"-truncated", stream[:len(stream)-1], uint32(3*len(c.src)))
+	}
+	for _, c := range []struct {
+		name  string
+		level int
+		src   []byte
+	}{{"stored", flate.NoCompression, []byte("stored as it is")}, {"level9", flate.BestCompression, records}} {
+		var z bytes.Buffer
+		fw, err := flate.NewWriter(&z, c.level)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fw.Write(c.src)
+		fw.Flush()
+		fw.Write(c.src)
+		fw.Close()
+		write("drivers/zip", "FuzzInflate", c.name, z.Bytes(), uint32(2*len(c.src)))
+		write("drivers/zip", "FuzzInflate", c.name+"-truncated", z.Bytes()[:z.Len()-1], uint32(2*len(c.src)))
+	}
 
 	var sub0, sub1 sink
 	mo := multi.NewOutput([]driver.Output{&sub0, &sub1}, 8)
