@@ -3,8 +3,8 @@ package driver
 import "netibis/internal/wire"
 
 // BufCursor serves the io.Reader contract of an Input from a sequence
-// of owned Bufs: BlockInput and the parallel-streams reassembler load
-// each decoded block into the cursor and copy it out piecewise. It
+// of owned Bufs: BlockInput loads each decoded block that did not fit the
+// caller's slice into the cursor and copies it out piecewise. It
 // single-sources the refcount-sensitive consumption logic — release
 // exactly once when a block is exhausted or dropped. Not safe for
 // concurrent use; callers hold their Input's lock.

@@ -63,8 +63,9 @@ type Input interface {
 // caller hands over its reference to the Buf and must not touch the Buf
 // afterwards; the driver releases it exactly once when it is done (the
 // parallel-streams driver after the last fragment aliasing it has been
-// written). Callers feature-detect the fast path with an interface
-// assertion — see WriteBuf — and fall back to the plain io.Writer path.
+// handed to its sub-stream). Callers feature-detect the fast path with an
+// interface assertion — see WriteBuf — and fall back to the plain
+// io.Writer path.
 type BufWriter interface {
 	WriteBuf(b *wire.Buf) error
 }
@@ -314,8 +315,8 @@ func SingleConnEnv(conn net.Conn) *Env {
 // net.Pipe connections: every Dial on the first environment produces a
 // fresh pipe whose other end is handed out by the second environment's
 // Accept. Sub-stream pairing is by arrival order, which is sufficient
-// for every NetIbis driver (the parallel-streams driver reassembles by
-// sequence number, not by sub-stream identity). Used by unit tests and
+// for every NetIbis driver (the parallel-streams driver orders its
+// sub-streams by the index each one starts with). Used by unit tests and
 // the measured data-path benchmarks.
 func PipeEnv() (dialer, acceptor *Env) {
 	ch := make(chan net.Conn, 64)

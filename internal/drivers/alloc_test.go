@@ -3,6 +3,7 @@ package drivers_test
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 
@@ -11,9 +12,10 @@ import (
 )
 
 // allocsPerMessage pushes 64 KiB grid-workload messages through a stack
-// over in-memory pipes and returns the process-wide heap allocations
-// per message (both sides of the stack and their goroutines).
-func allocsPerMessage(t *testing.T, spec string) float64 {
+// over in-memory pipes and returns the process-wide heap allocations and
+// allocated bytes per message (both sides of the stack and their
+// goroutines).
+func allocsPerMessage(t *testing.T, spec string) (allocs, bytes float64) {
 	t.Helper()
 	const msgSize, warmup, messages = 64 << 10, 4, 128
 	out, in := pipeStack(t, spec)
@@ -57,36 +59,41 @@ func allocsPerMessage(t *testing.T, spec string) float64 {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / messages
+	return float64(after.Mallocs-before.Mallocs) / messages, float64(after.TotalAlloc-before.TotalAlloc) / messages
 }
 
 // TestStackAllocsPerMessage gates allocations per 64 KiB message on the
 // paper's full zip/multi/tcpblk stack (~1: the codec's state, tables and
-// buffers are pooled) and on bare tcpblk, at several GOMAXPROCS: the
-// stack's goroutines (multi's workers and readers) interleave
-// differently with more than one P. Under the race detector the bound is
-// looser: race-mode sync.Pool drops one put in four, so a fraction of
-// blocks rebuild pooled codec state from scratch — that measures the
-// instrumentation, not the data path.
+// buffers are pooled), on bare tcpblk and on multi over it, at several
+// GOMAXPROCS: the stack's goroutines (multi's workers) interleave
+// differently with more than one P. tcpblk and multi also have their
+// allocated bytes gated: neither takes a pooled buffer per 64 KiB block
+// or fragment, and a single pool miss of one across the measured
+// messages would cost more than the bound. Under the race detector the
+// bounds are looser or off: race-mode sync.Pool drops one put in four,
+// so a fraction of blocks rebuild pooled state from scratch — that
+// measures the instrumentation, not the data path.
 func TestStackAllocsPerMessage(t *testing.T) {
-	fullBound := 5.0
+	fullBound, bytesBound := 5.0, 256.0
 	if testutil.RaceEnabled {
-		fullBound = 20.0
+		fullBound, bytesBound = 20, math.Inf(1)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, tc := range []struct {
 			spec  string
-			bound float64
+			bound float64 // allocations per message
+			bytes float64 // allocated bytes per message
 		}{
-			{"zip/multi:streams=4/tcpblk", fullBound},
-			{"tcpblk", 2},
+			{"zip/multi:streams=4/tcpblk", fullBound, math.Inf(1)},
+			{"tcpblk", 2, bytesBound},
+			{"multi:streams=4/tcpblk", 2, bytesBound},
 		} {
 			t.Run(fmt.Sprintf("procs=%d/%s", procs, tc.spec), func(t *testing.T) {
-				got := allocsPerMessage(t, tc.spec)
-				t.Logf("%.1f allocs per message (bound %.0f)", got, tc.bound)
-				if got > tc.bound {
+				allocs, bytes := allocsPerMessage(t, tc.spec)
+				t.Logf("%.1f allocs and %.0f B per message (bounds %.0f, %.0f B)", allocs, bytes, tc.bound, tc.bytes)
+				if allocs > tc.bound || bytes > tc.bytes {
 					t.Fatalf("allocations per message regressed")
 				}
 			})

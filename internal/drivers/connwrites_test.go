@@ -89,11 +89,11 @@ func TestStackConnWritesPerMessage(t *testing.T) {
 		spec string
 		want [3]int64 // conn writes per four messages of 64 B, 64 KiB, 1 MiB
 	}{
-		{"tcpblk", [3]int64{4, 16, 16}},
-		{"multi:streams=4/tcpblk", [3]int64{8, 12, 136}},
+		{"tcpblk", [3]int64{4, 8, 8}},
+		{"multi:streams=4/tcpblk", [3]int64{8, 12, 132}},
 		{"zip/tcpblk", [3]int64{4, 8, 40}},
 		{"secure:psk=bench/tcpblk", [3]int64{4, 12, 132}},
-		{"zip:codec=lz/secure:psk=bench/multi:streams=4/tcpblk", [3]int64{4, 8, 112}},
+		{"zip:codec=lz/secure:psk=bench/multi:streams=4/tcpblk", [3]int64{4, 8, 80}},
 	} {
 		for i, size := range sizes {
 			t.Run(fmt.Sprintf("%s/%d", tc.spec, size), func(t *testing.T) {

@@ -9,11 +9,12 @@
 // GridFTP-style transfers approach the capacity of such links.
 //
 // The driver fragments the outgoing byte stream into numbered fragments
-// and stripes them across N lower (sub-)driver instances, each of which
-// typically is a TCP_Block driver over its own brokered connection. The
-// receiving side reassembles fragments strictly in sequence order, so
-// the logical link stays a FIFO byte stream, exactly as the IPL
-// requires.
+// and stripes them round-robin across N lower (sub-)driver instances,
+// each of which typically is a TCP_Block driver over its own brokered
+// connection. Every sub-stream starts with its stream index, so the
+// receiving side knows which fragments each one carries and reads them
+// strictly in sequence order, each straight into the caller's slice: the
+// logical link stays a FIFO byte stream, exactly as the IPL requires.
 package multi
 
 import (
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"netibis/internal/driver"
 	"netibis/internal/wire"
@@ -41,93 +43,118 @@ const DefaultFragment = 64 * 1024
 // MaxStreams bounds the stream count to keep resource usage sane.
 const MaxStreams = 64
 
-// ErrBadFragment fails a link whose peer sent a fragment sequence number
-// a second time or one already delivered: a conforming sender numbers
-// its fragments 0, 1, 2, … exactly once each.
-var ErrBadFragment = errors.New("multi: stale or duplicate fragment sequence number")
+var (
+	// ErrBadFragment fails a link whose peer sent a fragment out of
+	// sequence: a conforming sender numbers its fragments 0, 1, 2, …
+	// and puts fragment s on sub-stream s mod n.
+	ErrBadFragment = errors.New("multi: fragment out of sequence")
+	// ErrBadStreamIndex fails the build of a link one of whose
+	// sub-streams starts with an index out of range or already taken.
+	ErrBadStreamIndex = errors.New("multi: duplicate or out-of-range stream index")
+)
 
 func init() {
 	driver.Register(Name, buildOutput, buildInput)
 }
 
-// buildConcurrently establishes the n sub-streams of a parallel-streams
-// link concurrently: each lower() call runs its own brokered
-// establishment, and running them one at a time costs WAN-RTT × n setup
-// latency, which is exactly what parallel streams are meant to avoid.
-// Env.Dial/Accept are documented to be safe for concurrent use.
-func buildConcurrently[S any](n int, lower func() (S, error), closer func(S)) ([]S, error) {
-	subs := make([]S, n)
+// buildSubStreams establishes the sub-streams of a parallel-streams link
+// concurrently: each lower() call runs its own brokered establishment,
+// and running them one at a time costs WAN-RTT × n setup latency, which
+// is exactly what parallel streams are meant to avoid. Env.Dial/Accept
+// are documented to be safe for concurrent use. The same goroutine then
+// runs index on its sub-stream — the sending side writes the stream's
+// index, the receiving side reads it — and the sub-stream takes the
+// place index returns. The exchanges run concurrently too: on an
+// unbuffered conn a write waits for its reader, and the two sides pair
+// their sub-streams in any order.
+func buildSubStreams[S io.Closer](spec driver.Spec, lower func() (S, error), index func(i int, s S) (int, error)) ([]S, error) {
+	if lower == nil {
+		return nil, errors.New("multi: requires a lower driver (it is a filtering driver)")
+	}
+	n := spec.IntParam("streams", DefaultStreams)
+	if n < 1 || n > MaxStreams {
+		return nil, fmt.Errorf("multi: invalid stream count %d", n)
+	}
+	built := make([]S, n)
+	ok := make([]bool, n)
+	at := make([]int, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range n {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			subs[i], errs[i] = lower()
-		}(i)
+			if built[i], errs[i] = lower(); errs[i] == nil {
+				ok[i] = true
+				at[i], errs[i] = index(i, built[i])
+			}
+		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err == nil {
-			continue
+	subs := make([]S, n)
+	placed := make([]bool, n)
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		switch {
+		case errs[i] != nil:
+			err = fmt.Errorf("multi: building sub-stream %d: %w", i, errs[i])
+		case at[i] >= n || placed[at[i]]:
+			err = fmt.Errorf("multi: sub-stream %d: index %d: %w", i, at[i], ErrBadStreamIndex)
+		default:
+			placed[at[i]] = true
+			subs[at[i]] = built[i]
 		}
-		for j, jerr := range errs {
-			if jerr == nil {
-				closer(subs[j])
+	}
+	if err != nil {
+		for i, s := range built {
+			if ok[i] {
+				s.Close()
 			}
 		}
-		return nil, fmt.Errorf("multi: building sub-stream %d: %w", i, err)
+		return nil, err
 	}
 	return subs, nil
 }
 
+// writeIndex starts sub-stream i with its index.
+func writeIndex(i int, out driver.Output) (int, error) {
+	if _, err := out.Write(binary.AppendUvarint(nil, uint64(i))); err != nil {
+		return i, err
+	}
+	return i, out.Flush()
+}
+
+// readIndex reads the index a sub-stream starts with.
+func readIndex(_ int, in driver.Input) (int, error) {
+	v, err := wire.NewUvarintReader(in).ReadUvarint()
+	return int(min(v, MaxStreams)), err
+}
+
 func buildOutput(spec driver.Spec, _ *driver.Env, lower func() (driver.Output, error)) (driver.Output, error) {
-	if lower == nil {
-		return nil, errors.New("multi: requires a lower driver (it is a filtering driver)")
-	}
-	n := spec.IntParam("streams", DefaultStreams)
-	frag := spec.IntParam("fragment", DefaultFragment)
-	if n < 1 || n > MaxStreams {
-		return nil, fmt.Errorf("multi: invalid stream count %d", n)
-	}
-	subs, err := buildConcurrently(n, lower, func(s driver.Output) { s.Close() })
+	subs, err := buildSubStreams(spec, lower, writeIndex)
 	if err != nil {
 		return nil, err
 	}
-	return NewOutput(subs, frag), nil
+	return NewOutput(subs, spec.IntParam("fragment", DefaultFragment)), nil
 }
 
 func buildInput(spec driver.Spec, _ *driver.Env, lower func() (driver.Input, error)) (driver.Input, error) {
-	if lower == nil {
-		return nil, errors.New("multi: requires a lower driver (it is a filtering driver)")
-	}
-	n := spec.IntParam("streams", DefaultStreams)
-	if n < 1 || n > MaxStreams {
-		return nil, fmt.Errorf("multi: invalid stream count %d", n)
-	}
-	subs, err := buildConcurrently(n, lower, func(s driver.Input) { s.Close() })
+	subs, err := buildSubStreams(spec, lower, readIndex)
 	if err != nil {
 		return nil, err
 	}
 	return NewInput(subs), nil
 }
 
-// fragment is one unit of work for a sub-stream's worker: a flush token
-// or one unit of striping, which comes in two shapes:
-//
-//   - pooled: buf holds the fragment header and a copy of the payload in
-//     one owned pooled Buf (the path for plain Writes, whose payload the
-//     caller may reuse immediately);
-//   - aliased: data aliases a caller-owned Buf passed through WriteBuf,
-//     and owner carries the reference the worker releases after the
-//     write — the payload itself is never copied at this layer.
+// fragment is one unit of striping: its header and the payload that
+// header announces, which aliases the caller's bytes — a Write's, which
+// that Write waits out, or a WriteBuf's Buf, whose reference owner
+// carries until the worker has handed the fragment down.
 type fragment struct {
-	buf    *wire.Buf // pooled header+payload, or nil for aliased fragments
 	hdr    [2 * binary.MaxVarintLen64]byte
 	hdrLen int
 	data   []byte
-	owner  *wire.Buf
-	flush  bool // a token: flush the sub-stream
+	owner  *wire.Buf // nil for a Write's fragments
 }
 
 // Output is the sending side: it stripes fragments round-robin over the
@@ -140,10 +167,9 @@ type Output struct {
 	mu      sync.Mutex
 	nextSeq uint64
 	closed  bool
-	dirty   []bool // sub-streams with unflushed fragments since last Flush
 
 	queues []chan fragment
-	acks   sync.WaitGroup // outstanding fragments not yet written to a sub-output
+	acks   sync.WaitGroup // fragments not yet handed to their sub-stream
 	wg     sync.WaitGroup // worker goroutines
 	errMu  sync.Mutex
 	werr   error
@@ -157,7 +183,6 @@ func NewOutput(subs []driver.Output, fragSize int) *Output {
 	o := &Output{
 		subs:     subs,
 		fragSize: fragSize,
-		dirty:    make([]bool, len(subs)),
 		queues:   make([]chan fragment, len(subs)),
 	}
 	for i := range subs {
@@ -168,9 +193,11 @@ func NewOutput(subs []driver.Output, fragSize int) *Output {
 	return o
 }
 
-// worker drains one sub-stream's queue. It does not flush per fragment:
-// the sub-stream aggregates fragments until the application's Flush
-// queues a token.
+// worker hands one sub-stream its fragments: header, payload, flush, so
+// no fragment waits below for a later one or for Flush. Once its queue
+// is closed it closes the sub-stream, concurrently with the others: a
+// sub-stream's close may wait for the peer to read up to it, and the
+// peer reads the sub-streams in sequence order, not one after another.
 func (o *Output) worker(i int) {
 	defer o.wg.Done()
 	sub := o.subs[i]
@@ -178,31 +205,33 @@ func (o *Output) worker(i int) {
 	// interface would make every received fragment escape to the heap.
 	var hdr [2 * binary.MaxVarintLen64]byte
 	for frag := range o.queues[i] {
-		var err error
-		if frag.flush {
+		n := copy(hdr[:], frag.hdr[:frag.hdrLen])
+		_, err := sub.Write(hdr[:n])
+		if err == nil {
+			_, err = sub.Write(frag.data)
+		}
+		if err == nil {
 			err = sub.Flush()
-		} else if frag.buf != nil {
-			// Pooled fragment: header and payload travel down as one
-			// owned buffer (zero further copies on a bypassing lower
-			// driver).
-			err = driver.WriteBuf(sub, frag.buf)
-		} else {
-			n := copy(hdr[:], frag.hdr[:frag.hdrLen])
-			_, err = sub.Write(hdr[:n])
-			if err == nil {
-				_, err = sub.Write(frag.data)
-			}
+		}
+		if frag.owner != nil {
 			frag.owner.Release()
 		}
-		if err != nil {
-			o.errMu.Lock()
-			if o.werr == nil {
-				o.werr = err
-			}
-			o.errMu.Unlock()
-		}
+		o.fail(err)
 		o.acks.Done()
 	}
+	o.fail(sub.Close())
+}
+
+// fail records the first error of any worker.
+func (o *Output) fail(err error) {
+	if err == nil {
+		return
+	}
+	o.errMu.Lock()
+	if o.werr == nil {
+		o.werr = err
+	}
+	o.errMu.Unlock()
 }
 
 func (o *Output) workerErr() error {
@@ -211,119 +240,85 @@ func (o *Output) workerErr() error {
 	return o.werr
 }
 
+// usable reports why the output takes no more data, if it does not.
+// Called under o.mu.
+func (o *Output) usable() error {
+	if o.closed {
+		return io.ErrClosedPipe
+	}
+	return o.workerErr()
+}
+
 // Streams returns the number of parallel sub-streams.
 func (o *Output) Streams() int { return len(o.subs) }
 
-// appendFragHeader encodes seq and length into the fragment's inline
-// header array.
-func appendFragHeader(frag *fragment, seq uint64, length int) {
-	n := binary.PutUvarint(frag.hdr[:], seq)
-	n += binary.PutUvarint(frag.hdr[n:], uint64(length))
-	frag.hdrLen = n
+// stripe cuts p into fragments that alias it and queues them
+// round-robin; owner, when set, holds one reference per fragment. Called
+// under o.mu, which keeps every queue in sequence order.
+func (o *Output) stripe(p []byte, owner *wire.Buf) {
+	for len(p) > 0 {
+		n := min(len(p), o.fragSize)
+		frag := fragment{data: p[:n], owner: owner}
+		frag.hdrLen = binary.PutUvarint(frag.hdr[:], o.nextSeq)
+		frag.hdrLen += binary.PutUvarint(frag.hdr[frag.hdrLen:], uint64(n))
+		o.acks.Add(1)
+		o.queues[o.nextSeq%uint64(len(o.queues))] <- frag //nolint:netibis-locksafe // o.mu serialises writers so queue order matches seq order; the bounded queue is the intended backpressure and workers drain it even after an error
+		o.nextSeq++
+		p = p[n:]
+	}
 }
 
-// Write implements driver.Output: data is cut into fragments and striped
-// across the sub-streams. Each fragment is copied once into a pooled
-// buffer (the Write contract allows the caller to reuse p immediately);
-// from there the fragment travels by ownership transfer.
+// Write implements driver.Output: p is cut into fragments that alias it
+// and striped across the sub-streams, and Write returns once every one
+// of them has been handed to its sub-stream. The io.Writer contract lets
+// the caller reuse p from then on, and nothing here has copied it.
 func (o *Output) Write(p []byte) (int, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.closed {
-		return 0, io.ErrClosedPipe
+	if err := o.usable(); err != nil {
+		return 0, err
 	}
+	o.stripe(p, nil)
+	o.acks.Wait()
 	if err := o.workerErr(); err != nil {
 		return 0, err
 	}
-	total := 0
-	for len(p) > 0 {
-		n := len(p)
-		if n > o.fragSize {
-			n = o.fragSize
-		}
-		seq := o.nextSeq
-		o.nextSeq++
-		var frag fragment
-		appendFragHeader(&frag, seq, n)
-		frag.buf = wire.GetBuf(frag.hdrLen + n)
-		b := frag.buf.Bytes()
-		copy(b, frag.hdr[:frag.hdrLen])
-		copy(b[frag.hdrLen:], p[:n])
-		o.acks.Add(1)
-		q := int(seq) % len(o.queues)
-		o.dirty[q] = true
-		o.queues[q] <- frag //nolint:netibis-locksafe // o.mu serialises writers so queue order matches seq order; the bounded queue is the intended backpressure and workers drain it even after an error
-		p = p[n:]
-		total += n
-	}
-	return total, nil
+	return len(p), nil
 }
 
 // WriteBuf implements driver.BufWriter: the owned payload is striped
-// across the sub-streams without copying — each fragment aliases the
-// caller's Buf and holds one reference, released by the worker after the
+// across the sub-streams without waiting for them — each fragment holds
+// one reference to the caller's Buf, released by the worker after the
 // fragment has been handed to its sub-stream.
 func (o *Output) WriteBuf(b *wire.Buf) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.closed {
-		b.Release()
-		return io.ErrClosedPipe
-	}
-	if err := o.workerErr(); err != nil {
+	if err := o.usable(); err != nil || b.Len() == 0 {
 		b.Release()
 		return err
 	}
-	p := b.Bytes()
-	if len(p) == 0 {
-		b.Release()
-		return nil
-	}
-	frags := (len(p) + o.fragSize - 1) / o.fragSize
-	for i := 1; i < frags; i++ {
+	for range (b.Len() - 1) / o.fragSize {
 		b.Retain() // one reference per fragment; the caller's covers the first
 	}
-	for off := 0; off < len(p); off += o.fragSize {
-		end := off + o.fragSize
-		if end > len(p) {
-			end = len(p)
-		}
-		seq := o.nextSeq
-		o.nextSeq++
-		frag := fragment{data: p[off:end], owner: b}
-		appendFragHeader(&frag, seq, end-off)
-		o.acks.Add(1)
-		q := int(seq) % len(o.queues)
-		o.dirty[q] = true
-		o.queues[q] <- frag //nolint:netibis-locksafe // o.mu serialises writers so queue order matches seq order; the bounded queue is the intended backpressure and workers drain it even after an error
-	}
+	o.stripe(b.Bytes(), b)
 	return nil
 }
 
-// Flush implements driver.Output: every sub-stream that received
-// fragments since the last flush gets a flush token queued behind them,
-// so its worker — a long-lived goroutine, writing in parallel with the
-// others — flushes as soon as it has written its share (a sequential
-// flush would serialise one blocking network round per stream). Flush
-// returns when every fragment and token has been served.
+// Flush implements driver.Output. Each worker flushes its sub-stream
+// behind every fragment, so Flush only waits for the fragments of
+// earlier WriteBufs still on their way.
 func (o *Output) Flush() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed {
 		return io.ErrClosedPipe
 	}
-	for i, d := range o.dirty {
-		if d {
-			o.dirty[i] = false
-			o.acks.Add(1)
-			o.queues[i] <- fragment{flush: true} //nolint:netibis-locksafe // as in Write: o.mu keeps the token behind this flush's fragments and the workers always drain
-		}
-	}
 	o.acks.Wait()
 	return o.workerErr()
 }
 
-// Close flushes, stops the workers and closes all sub-streams.
+// Close stops the workers, each of which closes its sub-stream behind
+// the last fragment queued for it.
 func (o *Output) Close() error {
 	o.mu.Lock()
 	if o.closed {
@@ -331,196 +326,124 @@ func (o *Output) Close() error {
 		return nil
 	}
 	o.closed = true
-	o.acks.Wait()
 	for _, q := range o.queues {
 		close(q)
 	}
 	o.mu.Unlock()
 	o.wg.Wait()
-	var first error
-	for _, s := range o.subs {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if first == nil {
-		first = o.workerErr()
-	}
-	return first
+	return o.workerErr()
 }
 
-// maxPending bounds the bytes of the fragments waiting in the reassembly
-// window for an earlier one: one whole message (wire.MaxFrameLen, which
-// ipl.MaxMessageLen equals). Only tests lower it.
-var maxPending = wire.MaxFrameLen
-
-// Input is the receiving side: per-sub-stream readers push fragments
-// into a reassembly window; Read delivers bytes strictly in sequence
-// order.
+// Input is the receiving side. Sub-stream i carries fragments i, i+n,
+// i+2n, … in that order, so Read reassembles nothing: it reads fragment
+// nextSeq's header off sub-stream nextSeq mod n and its payload from
+// there straight into the caller's slice. Bytes Read does not need yet
+// wait in their sub-stream's transport buffer, which flow control
+// bounds; the Input itself holds none.
 type Input struct {
 	subs []driver.Input
+	hdrs []*wire.UvarintReader // fragment headers, one reader per sub-stream
 
-	mu           sync.Mutex
-	cond         *sync.Cond
-	pending      map[uint64]*wire.Buf
-	pendingBytes int
-	stalled      int // readers waiting for room in the window
-	nextSeq      uint64
-	current      driver.BufCursor
-	eofs         int
-	err          error
-	closed       bool
-	wg           sync.WaitGroup
+	mu      sync.Mutex
+	nextSeq uint64
+	left    int   // payload bytes of fragment nextSeq-1 not yet read
+	err     error // sticky: the end or failure of the link
+	closed  atomic.Bool
 }
 
-// NewInput creates a parallel-streams input over the given sub-inputs.
+// NewInput creates a parallel-streams input over the given sub-inputs,
+// sub-stream i carrying fragments i, i+n, i+2n, …
 func NewInput(subs []driver.Input) *Input {
-	in := &Input{subs: subs, pending: make(map[uint64]*wire.Buf)}
-	in.cond = sync.NewCond(&in.mu)
-	for i := range subs {
-		in.wg.Add(1)
-		go in.reader(i)
+	in := &Input{subs: subs, hdrs: make([]*wire.UvarintReader, len(subs))}
+	for i, s := range subs {
+		in.hdrs[i] = wire.NewUvarintReader(s)
 	}
 	return in
 }
 
-// reader pulls fragments off one sub-stream into pooled buffers.
-func (in *Input) reader(i int) {
-	defer in.wg.Done()
-	sub := in.subs[i]
-	br := wire.NewUvarintReader(sub)
-	for {
-		seq, err := br.ReadUvarint()
-		if err != nil {
-			in.finish(err)
-			return
-		}
-		length, err := br.ReadUvarint()
-		if err != nil {
-			in.finish(io.ErrUnexpectedEOF)
-			return
-		}
-		if length > uint64(wire.MaxFrameLen) {
-			in.finish(errors.New("multi: fragment exceeds maximum length"))
-			return
-		}
-		data := wire.GetBuf(int(length))
-		if _, err := io.ReadFull(sub, data.Bytes()); err != nil {
-			data.Release()
-			in.finish(io.ErrUnexpectedEOF)
-			return
-		}
-		in.mu.Lock()
-		// A fragment ahead of the one Read needs next waits while the
-		// window is full. A sub-stream carries its fragments in sequence
-		// order, so the reader of the one Read needs is never the one
-		// waiting; only a peer that skips numbers leaves everyone waiting,
-		// and Close still ends that.
-		for seq > in.nextSeq && in.pendingBytes+data.Len() > maxPending && !in.closed && in.err == nil {
-			in.stalled++
-			in.cond.Wait()
-			in.stalled--
-		}
-		if in.closed {
-			in.mu.Unlock()
-			data.Release()
-			return
-		}
-		if _, dup := in.pending[seq]; dup || seq < in.nextSeq {
-			in.mu.Unlock()
-			data.Release()
-			in.finish(ErrBadFragment)
-			return
-		}
-		in.pending[seq] = data
-		in.pendingBytes += data.Len()
-		// Only the arrival of the next in-order fragment can unblock a
-		// Read: it waits for pending[nextSeq] and drains any later
-		// fragments from the map without sleeping again. Waking on every
-		// out-of-order arrival would make each delivered fragment cost up
-		// to streams-1 futile wakeups of the reading goroutine.
-		if seq == in.nextSeq {
-			in.cond.Broadcast()
-		}
-		in.mu.Unlock()
-	}
-}
-
-// finish records a sub-stream's termination. A clean EOF on every
-// sub-stream turns into EOF for the logical link; anything else is an
-// error.
-func (in *Input) finish(err error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if err == io.EOF {
-		in.eofs++
-	} else if in.err == nil && err != nil {
-		in.err = err
-	}
-	in.cond.Broadcast()
-}
-
-// Read implements driver.Input.
+// Read implements driver.Input. A fragment longer than p carries over to
+// the next Read.
 func (in *Input) Read(p []byte) (int, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for {
-		if in.current.Loaded() {
-			return in.current.Copy(p), nil
-		}
-		if data, ok := in.pending[in.nextSeq]; ok {
-			delete(in.pending, in.nextSeq)
-			in.pendingBytes -= data.Len()
-			in.nextSeq++
-			if in.stalled > 0 {
-				in.cond.Broadcast() // room in the window
-			}
-			in.current.Load(data) // empty fragments are released and skipped
-			continue
-		}
-		if in.err != nil {
-			return 0, in.err
-		}
-		if in.closed {
-			return 0, io.ErrClosedPipe
-		}
-		if in.eofs == len(in.subs) {
-			if len(in.pending) > 0 {
-				// Every sub-stream ended cleanly and fragment nextSeq
-				// never came: one was cut at a block boundary.
-				return 0, io.ErrUnexpectedEOF
-			}
-			return 0, io.EOF
-		}
-		in.cond.Wait()
+	n, err := 0, in.err
+	if in.closed.Load() {
+		err = io.ErrClosedPipe
 	}
+	for err == nil && in.left == 0 && len(p) > 0 {
+		err = in.next()
+	}
+	if err == nil && len(p) > 0 {
+		n, err = in.subs[(in.nextSeq-1)%uint64(len(in.subs))].Read(p[:min(len(p), in.left)])
+		in.left -= n
+		if err == io.EOF {
+			err = nil
+			if in.left > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+		}
+	}
+	if err != nil && in.closed.Load() {
+		err = io.ErrClosedPipe // whatever a sub-stream said as it was closed
+	}
+	in.err = err
+	return n, err
 }
 
-// Close stops the readers and closes all sub-streams.
+// next reads the header of fragment nextSeq off its sub-stream.
+func (in *Input) next() error {
+	i := int(in.nextSeq % uint64(len(in.subs)))
+	seq, err := in.hdrs[i].ReadUvarint()
+	if err == io.EOF {
+		return in.end(i)
+	}
+	if err != nil {
+		return err
+	}
+	if seq != in.nextSeq {
+		return ErrBadFragment
+	}
+	length, err := in.hdrs[i].ReadUvarint()
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return err
+	}
+	if length > wire.MaxFrameLen {
+		return wire.ErrFrameTooLarge
+	}
+	in.nextSeq++
+	in.left = int(length)
+	return nil
+}
+
+// end handles a clean end of sub-stream ended where fragment nextSeq
+// would start. The link ends there only if every other sub-stream ends
+// too: a fragment still on one lies past the gap the ended one left.
+func (in *Input) end(ended int) error {
+	for i, h := range in.hdrs {
+		if i == ended {
+			continue
+		}
+		if _, err := h.ReadUvarint(); err != io.EOF {
+			return io.ErrUnexpectedEOF
+		}
+	}
+	return io.EOF
+}
+
+// Close closes all sub-streams; a Read parked in one returns
+// io.ErrClosedPipe.
 func (in *Input) Close() error {
-	in.mu.Lock()
-	if in.closed {
-		in.mu.Unlock()
+	if in.closed.Swap(true) {
 		return nil
 	}
-	in.closed = true
-	in.cond.Broadcast()
-	in.mu.Unlock()
 	var first error
 	for _, s := range in.subs {
 		if err := s.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	in.wg.Wait()
-	// All readers have exited; recycle whatever never got delivered.
-	in.mu.Lock()
-	for seq, b := range in.pending {
-		delete(in.pending, seq)
-		b.Release()
-	}
-	in.pendingBytes = 0
-	in.current.Drop()
-	in.mu.Unlock()
 	return first
 }

@@ -9,15 +9,16 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"netibis/internal/driver"
 	"netibis/internal/drivers/tcpblk"
 	"netibis/internal/testutil"
+	"netibis/internal/wire"
 )
 
 // testLink builds a parallel-streams link with n streams over in-memory
@@ -161,8 +162,10 @@ func TestStreamsAccessor(t *testing.T) {
 	if out.(*Output).Streams() != 5 {
 		t.Fatalf("Streams() = %d", out.(*Output).Streams())
 	}
-	out.Close()
+	// The input first: over unbuffered pipes a close frame waits for a
+	// reader, and nothing reads here.
 	in.Close()
+	out.Close()
 }
 
 func TestWriteAfterClose(t *testing.T) {
@@ -217,32 +220,36 @@ func TestBuilderPropagatesLowerErrors(t *testing.T) {
 	}
 }
 
-func TestFullStackViaRegistry(t *testing.T) {
-	// Build "multi/tcpblk" through the registry with an Env that hands
-	// out one in-memory connection per sub-stream.
-	const n = 4
-	outConns := make(chan net.Conn, n)
-	inConns := make(chan net.Conn, n)
-	for i := 0; i < n; i++ {
-		c1, c2 := net.Pipe()
-		outConns <- c1
-		inConns <- c2
+// registryLink builds both sides of a stack through the registry over
+// unbuffered pipes, paired in arrival order. The two sides build at
+// once: each sub-stream's index crosses a pipe, whose write waits for
+// the read.
+func registryLink(t *testing.T, spec string) (driver.Output, driver.Input) {
+	t.Helper()
+	stack, err := driver.ParseStack(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	envOut := &driver.Env{Dial: func() (net.Conn, error) { return <-outConns, nil }}
-	envIn := &driver.Env{Accept: func() (net.Conn, error) { return <-inConns, nil }}
+	dial, accept := driver.PipeEnv()
+	var out driver.Output
+	built := make(chan error, 1)
+	go func() {
+		var err error
+		out, err = driver.BuildOutput(stack, dial)
+		built <- err
+	}()
+	in, err := driver.BuildInput(stack, accept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-built; err != nil {
+		t.Fatal(err)
+	}
+	return out, in
+}
 
-	stack, err := driver.ParseStack("multi:streams=4:fragment=2048/tcpblk:block=4096")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := driver.BuildOutput(stack, envOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := driver.BuildInput(stack, envIn)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestFullStackViaRegistry(t *testing.T) {
+	out, in := registryLink(t, "multi:streams=4:fragment=2048/tcpblk:block=4096")
 	payload := bytes.Repeat([]byte("registry built parallel streams "), 3000)
 	got := transfer(t, out, in, payload)
 	if !bytes.Equal(got, payload) {
@@ -296,261 +303,215 @@ func TestReassemblyQuick(t *testing.T) {
 	}
 }
 
+// index encodes the stream index a sub-stream starts with.
+func index(i uint64) []byte { return binary.AppendUvarint(nil, i) }
+
 // frag encodes one fragment as it travels on a sub-stream.
 func frag(seq uint64, payload string) []byte {
-	var hdr [binary.MaxVarintLen64 * 2]byte
-	n := binary.PutUvarint(hdr[:], seq)
-	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
-	return append(hdr[:n:n], payload...)
+	return append(binary.AppendUvarint(binary.AppendUvarint(nil, seq), uint64(len(payload))), payload...)
 }
 
-// TestOutOfOrderArrivalUnblocksRead pins the reassembly wakeup contract:
-// a blocked Read sleeps through out-of-order fragment arrivals (they
-// cannot advance the in-order cursor, so the readers do not wake it) and
-// is woken by exactly the fragment carrying nextSeq — after which the
-// buffered later fragments drain without further sleeping.
-func TestOutOfOrderArrivalUnblocksRead(t *testing.T) {
-	const streams = 4
-	writers := make([]*io.PipeWriter, streams)
-	subs := make([]driver.Input, streams)
-	for i := range subs {
-		r, w := io.Pipe()
-		writers[i], subs[i] = w, r
+// readFrom builds an input over sub-streams carrying the given bytes, as
+// the registry builds it, and reads it to its end: it returns what the
+// build or the reads failed with, and what was delivered before.
+func readFrom(t *testing.T, subs ...[]byte) ([]byte, error) {
+	t.Helper()
+	lower := make(chan driver.Input, len(subs))
+	for _, s := range subs {
+		lower <- io.NopCloser(bytes.NewReader(s))
 	}
-	in := NewInput(subs)
+	spec := driver.Spec{Name: Name, Params: map[string]string{"streams": strconv.Itoa(len(subs))}}
+	in, err := buildInput(spec, nil, func() (driver.Input, error) { return <-lower, nil })
+	if err != nil {
+		return nil, err
+	}
 	defer in.Close()
+	got, err := io.ReadAll(in)
+	last := err
+	if last == nil {
+		last = io.EOF
+	}
+	if n, again := in.Read(make([]byte, 8)); n != 0 || again != last {
+		t.Errorf("Read after %v: %d bytes, %v; an ended link stays ended and holds nothing", last, n, again)
+	}
+	return got, err
+}
 
-	payloads := []string{"seq-zero", "seq-one!", "seq-two!", "seq-three"}
+// cat concatenates byte slices.
+func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
-	read := make(chan string, 1)
-	go func() {
-		buf := make([]byte, 16)
-		n, err := in.Read(buf)
-		if err != nil {
-			t.Errorf("read: %v", err)
-		}
-		read <- string(buf[:n])
-	}()
+// TestBadStreamIndexFailsTheBuild: the sub-streams of a link must start
+// with the indexes 0 … n-1, one each; anything else fails the build
+// typed, and every sub-stream built so far is closed.
+func TestBadStreamIndexFailsTheBuild(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		subs [][]byte
+	}{
+		{"duplicate", [][]byte{index(0), index(0)}},
+		{"out of range", [][]byte{index(0), index(2)}},
+		{"beyond MaxStreams", [][]byte{index(1), index(1 << 40)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := testutil.LeakCheck(t, 0)
+			if _, err := readFrom(t, tc.subs...); !errors.Is(err, ErrBadStreamIndex) {
+				t.Errorf("build: %v, want ErrBadStreamIndex", err)
+			}
+			check()
+		})
+	}
+}
 
-	// Fragments 1..3 land first; none of them is nextSeq, so the Read
-	// must stay blocked.
-	for i := 1; i < streams; i++ {
-		if _, err := writers[i].Write(frag(uint64(i), payloads[i])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if why := testutil.Settle(func() (bool, string) {
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		return len(in.pending) == streams-1, fmt.Sprintf("pending=%d", len(in.pending))
-	}); why != "" {
-		t.Fatalf("out-of-order fragments never reached the window: %s", why)
-	}
-	select {
-	case got := <-read:
-		t.Fatalf("Read returned %q before the in-order fragment arrived", got)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	// The in-order fragment arrives; the Read must wake and deliver it.
-	if _, err := writers[0].Write(frag(0, payloads[0])); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-read:
-		if got != payloads[0] {
-			t.Fatalf("first Read delivered %q, want %q", got, payloads[0])
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Read still blocked after the in-order fragment arrived")
-	}
-
-	// The rest must drain from the window in sequence order.
-	for _, want := range payloads[1:] {
-		buf := make([]byte, 16)
-		n, err := in.Read(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(buf[:n]) != want {
-			t.Fatalf("got %q, want %q", buf[:n], want)
-		}
-	}
-	for _, w := range writers {
-		w.Close()
-	}
-	if _, err := io.ReadAll(in); err != nil {
-		t.Fatalf("drain to EOF: %v", err)
+// TestBadFragmentFailsTheLink: Read wants fragment s from sub-stream
+// s mod n and nothing else. A sequence number seen before (on another
+// sub-stream or on the same one) or skipped ahead fails the link with
+// ErrBadFragment, an announced length above wire.MaxFrameLen with
+// wire.ErrFrameTooLarge — after the fragments before it, and with
+// nothing of the bad one delivered.
+func TestBadFragmentFailsTheLink(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		subs [][]byte
+		good string // what is delivered before the bad fragment
+		want error
+	}{
+		{"duplicate", [][]byte{cat(index(0), frag(0, "once")), cat(index(1), frag(0, "twice"))}, "once", ErrBadFragment},
+		{"stale", [][]byte{cat(index(0), frag(0, "once"), frag(0, "twice")), cat(index(1), frag(1, "!"))}, "once!", ErrBadFragment},
+		{"ahead", [][]byte{cat(index(0), frag(0, "once")), cat(index(1), frag(3, "ahead"))}, "once", ErrBadFragment},
+		{"oversize", [][]byte{cat(index(0), frag(0, "once")), cat(index(1), binary.AppendUvarint(index(1), wire.MaxFrameLen+1))}, "once", wire.ErrFrameTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := testutil.LeakCheck(t, 0)
+			got, err := readFrom(t, tc.subs...)
+			if err != tc.want || string(got) != tc.good {
+				t.Errorf("read %q, %v; want %q, %v", got, err, tc.good, tc.want)
+			}
+			check()
+		})
 	}
 }
 
 // TestGapAtEOFIsAnError: a sub-stream cut at a block boundary ends in a
 // clean EOF below, so the fragment it should have carried never comes.
-// Once every sub-stream has ended the gap is final and the link must
-// fail rather than wait for it.
+// The link ends cleanly only where every sub-stream ends; a fragment
+// still on another, or one cut short, fails it.
 func TestGapAtEOFIsAnError(t *testing.T) {
-	check := testutil.LeakCheck(t, 0)
-	in := NewInput([]driver.Input{
-		io.NopCloser(bytes.NewReader(nil)),
-		io.NopCloser(bytes.NewReader(frag(1, "orphan"))),
-	})
-	done := make(chan error, 1)
-	go func() {
-		_, err := io.ReadAll(in)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != io.ErrUnexpectedEOF {
-			t.Errorf("read over a gap at end of stream: %v, want io.ErrUnexpectedEOF", err)
+	whole := frag(0, "whole")
+	for _, tc := range []struct {
+		name string
+		subs [][]byte
+		want error
+	}{
+		{"clean end", [][]byte{cat(index(0), whole), index(1)}, nil},
+		{"fragment past the gap", [][]byte{index(0), cat(index(1), frag(1, "orphan"))}, io.ErrUnexpectedEOF},
+		{"cut inside a payload", [][]byte{cat(index(0), whole[:len(whole)-1]), index(1)}, io.ErrUnexpectedEOF},
+		{"cut inside a header", [][]byte{cat(index(0), whole[:1]), index(1)}, io.ErrUnexpectedEOF},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := testutil.LeakCheck(t, 0)
+			_, err := readFrom(t, tc.subs...)
+			if err != tc.want {
+				t.Errorf("read to the end: %v, want %v", err, tc.want)
+			}
+			check()
+		})
+	}
+}
+
+// aliasSub is a sub-stream that checks where multi reads it into: a
+// fragment header is read a byte at a time, every other read must land
+// at the start of the slice the caller handed Read.
+type aliasSub struct {
+	r       io.Reader
+	caller  *[]byte // the slice of the Read in progress
+	payload *int    // payload bytes read off all sub-streams
+	t       *testing.T
+}
+
+func (s aliasSub) Read(p []byte) (int, error) {
+	if len(p) > 1 && &p[0] != &(*s.caller)[0] {
+		s.t.Errorf("a %d-byte read off a sub-stream lands outside the caller's slice", len(p))
+	}
+	n, err := s.r.Read(p)
+	if len(p) > 1 || len(p) == 1 && &p[0] == &(*s.caller)[0] {
+		*s.payload += n
+	}
+	return n, err
+}
+
+func (aliasSub) Close() error { return nil }
+
+// TestInputHoldsNoBytes: multi buffers nothing. Apart from fragment
+// headers, every byte read off a sub-stream is read straight into the
+// caller's slice and is delivered by the same Read, whether the caller's
+// slice is smaller than a fragment (the rest carries over) or larger.
+func TestInputHoldsNoBytes(t *testing.T) {
+	const streams, fragments = 3, 24
+	var want []byte
+	contents := make([][]byte, streams)
+	for seq := uint64(0); seq < fragments; seq++ {
+		p := fmt.Sprintf("fragment %d %s", seq, bytes.Repeat([]byte{'x'}, int(seq*37%200)))
+		contents[seq%streams] = append(contents[seq%streams], frag(seq, p)...)
+		want = append(want, p...)
+	}
+	var caller []byte
+	payload := 0
+	subs := make([]driver.Input, streams)
+	for i := range subs {
+		subs[i] = aliasSub{r: bytes.NewReader(contents[i]), caller: &caller, payload: &payload, t: t}
+	}
+	in := NewInput(subs)
+	defer in.Close()
+	var got []byte
+	rng := rand.New(rand.NewSource(3))
+	for {
+		caller = make([]byte, 1+rng.Intn(300))
+		n, err := in.Read(caller)
+		got = append(got, caller[:n]...)
+		if payload != len(got) {
+			t.Fatalf("%d payload bytes read off the sub-streams, %d delivered", payload, len(got))
 		}
-	case <-time.After(2 * time.Second):
-		t.Error("Read still parked after every sub-stream ended")
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("delivered %d bytes, want the %d sent, in order", len(got), len(want))
+	}
+}
+
+// TestUnflushedWriteThenClose: a small Write, then a Write of many
+// fragments per sub-stream with no Flush, then Close, on a stack built
+// over unbuffered pipes with the reader draining concurrently. The
+// stream indexes are exchanged concurrently, each worker flushes its
+// fragments and the sub-streams close concurrently, so every byte
+// arrives, the link ends in EOF and nothing is left running.
+func TestUnflushedWriteThenClose(t *testing.T) {
+	check := testutil.LeakCheck(t, 0)
+	const streams, fragment = 4, 4096
+	out, in := registryLink(t, fmt.Sprintf("multi:streams=%d:fragment=%d/tcpblk:block=%d", streams, fragment, fragment))
+	big := make([]byte, 5*streams*fragment+17)
+	rand.New(rand.NewSource(9)).Read(big)
+	want := append([]byte("small"), big...)
+
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := out.Write(want[:5])
+		if err == nil {
+			_, err = out.Write(big)
+		}
+		wrote <- errors.Join(err, out.Close())
+	}()
+	got, err := io.ReadAll(in)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Errorf("read %d bytes (%v), want the %d written", len(got), err, len(want))
+	}
+	if err := <-wrote; err != nil {
+		t.Errorf("write and close: %v", err)
 	}
 	in.Close()
 	check()
-}
-
-// TestBadFragmentFailsTheLink: a sequence number seen twice fails the
-// link with ErrBadFragment, whether the first copy still waits in the
-// window (duplicate) or was already delivered (stale).
-func TestBadFragmentFailsTheLink(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		seq       uint64
-		delivered bool // the first copy is read before the second arrives
-	}{
-		{"duplicate", 1, false},
-		{"stale", 0, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			check := testutil.LeakCheck(t, 0)
-			r, w := io.Pipe()
-			in := NewInput([]driver.Input{r})
-			buf := make([]byte, 16)
-			w.Write(frag(tc.seq, "once"))
-			if tc.delivered {
-				if n, err := in.Read(buf); err != nil || string(buf[:n]) != "once" {
-					t.Fatalf("first copy: %q, %v", buf[:n], err)
-				}
-			}
-			w.Write(frag(tc.seq, "twice"))
-			if n, err := in.Read(buf); !errors.Is(err, ErrBadFragment) {
-				t.Errorf("read after a repeated sequence number: %q, %v, want ErrBadFragment", buf[:n], err)
-			}
-			in.Close()
-			check()
-		})
-	}
-}
-
-// fragmentSource is a sub-stream whose peer sends fragments numbered
-// next, next+2, next+4, …: left of them, or without end when left is
-// negative, each of size bytes of a content its number determines. It
-// counts the bytes read from it.
-type fragmentSource struct {
-	next uint64
-	left int
-	size int
-	buf  []byte // the current fragment's unread bytes
-	read atomic.Int64
-}
-
-func fragmentPayload(seq uint64, size int) string {
-	p := make([]byte, size)
-	for k := range p {
-		p[k] = byte(seq*7 + uint64(k))
-	}
-	return string(p)
-}
-
-func (s *fragmentSource) Read(p []byte) (int, error) {
-	if len(s.buf) == 0 {
-		if s.left == 0 {
-			return 0, io.EOF
-		}
-		s.left--
-		s.buf = frag(s.next, fragmentPayload(s.next, s.size))
-		s.next += 2
-	}
-	n := copy(p, s.buf)
-	s.buf = s.buf[n:]
-	s.read.Add(int64(n))
-	return n, nil
-}
-
-func (s *fragmentSource) Close() error { return nil }
-
-// TestPendingWindowIsBounded: fragments ahead of the one Read needs wait
-// in the reassembly window only up to maxPending bytes. Past that, the
-// reader holding one waits for room — it neither fails the link nor
-// grows the window — so a hostile sub-stream sending far-ahead sequence
-// numbers without end costs a bounded amount of memory and Close still
-// ends it, and a slow sub-stream that fills the gap later gets every
-// byte delivered in order.
-func TestPendingWindowIsBounded(t *testing.T) {
-	defer func(bound int) { maxPending = bound }(maxPending)
-	maxPending = 64 << 10
-	const size = 4 << 10
-	for _, tc := range []struct {
-		name  string
-		ahead *fragmentSource // the odd-numbered sub-stream
-		fill  bool            // the other then sends 0, 2, 4, … as many
-	}{
-		{"far-ahead fragments from a hostile peer", &fragmentSource{next: 1<<40 + 1, left: -1, size: size}, false},
-		{"a slow sub-stream fills the gap", &fragmentSource{next: 1, left: 64, size: size}, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			check := testutil.LeakCheck(t, 0)
-			r, w := io.Pipe()
-			in := NewInput([]driver.Input{r, tc.ahead})
-			stalled := func() (bool, string) {
-				in.mu.Lock()
-				defer in.mu.Unlock()
-				return in.stalled == 1, fmt.Sprintf("%d readers waiting, %d bytes pending", in.stalled, in.pendingBytes)
-			}
-			if why := testutil.Settle(stalled); why != "" {
-				t.Fatalf("the reader of the far-ahead sub-stream never waited: %s", why)
-			}
-			in.mu.Lock()
-			pending, held := in.pendingBytes, len(in.pending)
-			in.mu.Unlock()
-			if pending > maxPending || held > maxPending/size {
-				t.Errorf("the window holds %d fragments of %d bytes, bound %d bytes", held, pending, maxPending)
-			}
-			if read := tc.ahead.read.Load(); read > int64(maxPending+2*(size+16)) {
-				t.Errorf("%d bytes read off the sub-stream, bound %d and the fragment held", read, maxPending)
-			}
-
-			if !tc.fill {
-				done := make(chan error, 1)
-				go func() {
-					_, err := in.Read(make([]byte, 16))
-					done <- err
-				}()
-				in.Close()
-				if err := <-done; !errors.Is(err, io.ErrClosedPipe) {
-					t.Errorf("Read on a closed link: %v, want io.ErrClosedPipe", err)
-				}
-				check()
-				return
-			}
-			var want bytes.Buffer
-			go func() {
-				for seq := uint64(0); seq < 2*64; seq += 2 {
-					w.Write(frag(seq, fragmentPayload(seq, size)))
-				}
-				w.Close()
-			}()
-			for seq := uint64(0); seq < 2*64; seq++ {
-				want.WriteString(fragmentPayload(seq, size))
-			}
-			got, err := io.ReadAll(in)
-			if err != nil || !bytes.Equal(got, want.Bytes()) {
-				t.Errorf("delivered %d bytes (err %v), want the %d sent in order", len(got), err, want.Len())
-			}
-			in.Close()
-			check()
-		})
-	}
 }

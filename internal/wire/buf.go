@@ -29,16 +29,15 @@ type Buf struct {
 // bufClassSizes are the pooled size classes. Small control frames land
 // in the first class, the 32 KiB class matches a full routed data frame
 // (relay.maxDataFrame), the 64 KiB class the TCP_Block default block
-// size and the parallel-streams fragment size (the dominant frame size
-// on the data path), and the large classes serve compression blocks and
-// oversize application writes.
+// size (the dominant frame size on the data path), and the large classes
+// serve compression blocks and oversize application writes.
 var bufClassSizes = [...]int{4 << 10, 16 << 10, 32<<10 + 512, 64<<10 + 512, 256 << 10, 1 << 20}
 
 // The 32 and 64 KiB classes have 512 bytes of slack so a frame-size
-// payload plus its headers (routing and seal overhead, zip's 9 bytes,
-// multi's fragment header) still fits the class instead of spilling into
-// the next one: a routed link keeps a full data frame's Buf, so that Buf
-// must not be twice the frame.
+// payload plus its headers (routing and seal overhead, zip's 9 bytes)
+// still fits the class instead of spilling into the next one: a routed
+// link keeps a full data frame's Buf, so that Buf must not be twice the
+// frame.
 
 var bufPools [len(bufClassSizes)]sync.Pool
 

@@ -76,6 +76,11 @@ func (f Frame) String() string {
 // have each prefixed theirs.
 const coalesceMax = 4096 + 512
 
+// smallFrame is the largest frame body, in encoded payload bytes, that a
+// vectored write carries in its header arena, next to the wire header of
+// the frame that follows it (see WriteFrameBatch).
+const smallFrame = 64
+
 // Writer encodes frames onto an io.Writer. It is not safe for concurrent
 // use; callers serialise access (the drivers hold a per-link mutex).
 type Writer struct {
@@ -130,23 +135,27 @@ type BatchFrame struct {
 // (emulated, relay-routed) each Write is a link crossing. Above it
 // the batch leaves as one vectored write of wire header plus non-empty
 // parts per frame (one writev on TCP, one Write per element elsewhere)
-// and nothing is copied or allocated: a block-sized frame, a buffered
+// and no payload is copied or allocated: a block-sized frame, a buffered
 // block followed by a bypassing one, and a relay egress burst all cross
-// the socket layer once. The bytes on the wire are the same either way,
-// and MaxFrameLen is checked for every frame before anything is written.
+// the socket layer once. On that path a frame of at most smallFrame
+// payload bytes is copied whole into the header arena, where the next
+// frame's wire header joins it, so a small frame in front of a large one
+// (a length, a fragment header) costs no element of its own. The bytes on
+// the wire are the same either way, and MaxFrameLen is checked for every
+// frame before anything is written.
 func (fw *Writer) WriteFrameBatch(frames []BatchFrame) error {
 	if len(frames) == 0 {
 		return nil
 	}
 	// Size the header arena up front: growing it mid-build would leave
 	// the earlier vec entries aliasing the abandoned backing array.
-	need := len(frames) * (2 + binary.MaxVarintLen64)
+	need := len(frames) * (2 + binary.MaxVarintLen64 + smallFrame)
 	if cap(fw.batchHdr) < need {
 		fw.batchHdr = make([]byte, 0, need)
 	}
 	hdrs := fw.batchHdr[:0]
 	vec := fw.vecBase[:0]
-	size := 0
+	size, open := 0, 0 // open: where the arena bytes not yet in vec start
 	for i := range frames {
 		f := &frames[i]
 		total := len(f.Hdr) + len(f.Payload)
@@ -155,14 +164,22 @@ func (fw *Writer) WriteFrameBatch(frames []BatchFrame) error {
 		}
 		start := len(hdrs)
 		hdrs = binary.AppendUvarint(append(hdrs, f.Kind, f.Flags), uint64(total))
-		vec = append(vec, hdrs[start:])
+		size += len(hdrs) - start + total
+		if total <= smallFrame {
+			hdrs = append(append(hdrs, f.Hdr...), f.Payload...)
+			continue
+		}
+		vec = append(vec, hdrs[open:])
+		open = len(hdrs)
 		if len(f.Hdr) > 0 {
 			vec = append(vec, f.Hdr)
 		}
 		if len(f.Payload) > 0 {
 			vec = append(vec, f.Payload)
 		}
-		size += len(hdrs) - start + total
+	}
+	if open < len(hdrs) {
+		vec = append(vec, hdrs[open:])
 	}
 	if cap(vec) > cap(fw.vecBase) {
 		fw.vecBase = vec[:0]

@@ -361,8 +361,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // TestWriteFrameBatchConnWrites pins the one conn-write rule: what a
 // batch costs depends on its encoded size and on nothing else. Up to
 // coalesceMax it is exactly one Write; above it, it is the one vectored
-// write — wire header plus each non-empty part, per frame — and a Reader
-// decodes the same frames either way.
+// write — wire header plus each non-empty part per frame, where a run of
+// small frames and the wire header after it share one element — and a
+// Reader decodes the same frames either way.
 func TestWriteFrameBatchConnWrites(t *testing.T) {
 	fill := func(n int) []byte { return bytes.Repeat([]byte{'x'}, n) }
 	for _, n := range []int{1, 2, 16} {
@@ -373,6 +374,7 @@ func TestWriteFrameBatchConnWrites(t *testing.T) {
 				// every frame is empty and the batch is 3n bytes.
 				var batch []BatchFrame
 				encoded, vectored := 0, 0
+				inArena := false // the last element is the header arena's
 				for i := 0; i < n; i++ {
 					body := 8
 					if i == n-1 {
@@ -390,7 +392,13 @@ func TestWriteFrameBatchConnWrites(t *testing.T) {
 					batch = append(batch, f)
 					body = len(f.Hdr) + len(f.Payload)
 					encoded += 2 + len(AppendUvarint(nil, uint64(body))) + body
-					vectored += 1 + min(len(f.Hdr), 1) + min(len(f.Payload), 1)
+					if !inArena {
+						vectored++
+					}
+					inArena = body <= smallFrame
+					if !inArena {
+						vectored += min(len(f.Hdr), 1) + min(len(f.Payload), 1)
+					}
 				}
 				name := fmt.Sprintf("%d frames hdr=%v payload=%v, %d bytes", n, shape.hdr, shape.payload, encoded)
 				if (shape.hdr || shape.payload) && encoded != size {
@@ -417,6 +425,31 @@ func TestWriteFrameBatchConnWrites(t *testing.T) {
 				if _, err := r.ReadFrame(); err != io.EOF {
 					t.Fatalf("%s: bytes after the batch: %v", name, err)
 				}
+			}
+		}
+	}
+}
+
+// TestWriteFrameBatchSmallFrameRule pins the boundary of the vectored
+// path's small-frame rule: a frame of at most smallFrame payload bytes
+// in front of a large one rides in the header arena with the large
+// one's wire header, so the pair is two conn writes; one byte more and
+// each frame is a wire header and a payload of its own, four writes.
+func TestWriteFrameBatchSmallFrameRule(t *testing.T) {
+	large := bytes.Repeat([]byte{'y'}, 2*coalesceMax)
+	for _, tc := range []struct{ small, want int }{{3, 2}, {smallFrame, 2}, {smallFrame + 1, 4}} {
+		small := bytes.Repeat([]byte{'x'}, tc.small)
+		cw := &countingWriter{}
+		if err := NewWriter(cw).WriteFrameBatch([]BatchFrame{{Kind: KindData, Payload: small}, {Kind: KindData, Payload: large}}); err != nil {
+			t.Fatal(err)
+		}
+		if cw.writes != tc.want {
+			t.Errorf("%d-byte frame, then a large one: %d conn writes, want %d", tc.small, cw.writes, tc.want)
+		}
+		r := NewReader(cw)
+		for _, want := range [][]byte{small, large} {
+			if f, err := r.ReadFrame(); err != nil || !bytes.Equal(f.Payload, want) {
+				t.Fatalf("%d-byte frame, then a large one: decoded %v, %v", tc.small, f, err)
 			}
 		}
 	}

@@ -304,7 +304,11 @@ func main() {
 		write("drivers/zip", "FuzzInflate", c.name+"-truncated", z.Bytes()[:z.Len()-1], uint32(2*len(c.src)))
 	}
 
+	// drivers/multi: each sub-stream starts with its stream index, written
+	// as multi's builder writes it.
 	var sub0, sub1 sink
+	sub0.Write(wire.AppendUvarint(nil, 0))
+	sub1.Write(wire.AppendUvarint(nil, 1))
 	mo := multi.NewOutput([]driver.Output{&sub0, &sub1}, 8)
 	mo.Write([]byte("fragments striped over two sub-streams"))
 	mo.Close()
