@@ -183,16 +183,21 @@ func TestCloseWithBarrierPending(t *testing.T) {
 	checkLeaks()
 }
 
-// TestHealthySpliceNeverLaunchesRouted: on a 4 ms grid the head start a
-// race gives splicing is twice the service-link round trip the connect
-// just measured, and a healthy splice finishes well inside it: over
-// twenty cold races the routed candidate is never launched — the relay
-// sees no link open beyond the service link's — where a constant stagger
-// below the round trip would have opened (and abandoned) one per connect.
+// TestHealthySpliceNeverLaunchesRouted: an acceptor whose pair ranks
+// splicing before routed opens its routed link only on the initiator's
+// cue, and the initiator cues only once it launches routed — here never,
+// since only the splice's failure would (the head start outlasts the
+// test). Over twenty cold races on a 4 ms grid the relay sees no link
+// open beyond the service link's: the acceptor opens nothing
+// speculatively, whatever the scheduler does.
 func TestHealthySpliceNeverLaunchesRouted(t *testing.T) {
 	g := newShapedGrid(t, 1)
-	a := g.node("alice", "site-a", stateful, nil)
-	b := g.node("bob", "site-b", stateful, nil)
+	patient := func(c *Config) {
+		c.RaceStagger = time.Hour
+		c.SpliceTimeout = 10 * time.Second
+	}
+	a := g.node("alice", "site-a", stateful, patient)
+	b := g.node("bob", "site-b", stateful, patient)
 	if got := estab.RankCandidates(a.Profile(), b.Profile(), false); len(got) != 2 || got[0] != estab.Splicing || got[1] != estab.Routed {
 		t.Fatalf("the pair ranks %v, want splicing then routed", got)
 	}

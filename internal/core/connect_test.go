@@ -21,6 +21,7 @@ import (
 	"netibis/internal/estab"
 	"netibis/internal/ipl"
 	"netibis/internal/relay"
+	"netibis/internal/testutil"
 	"netibis/internal/wire"
 )
 
@@ -115,65 +116,135 @@ func TestConnectRejectsImpersonation(t *testing.T) {
 	}
 }
 
-// TestPurposeHeaderCarriesNoName: a purpose header is a flag with an
-// empty payload, and a service link carries requests only; anything else
-// closes the link. A purposeData header used to name its sender, so a
-// member could park links under any name — or hand its link to the
-// establishment waiting for someone else's.
+// TestPurposeHeaderCarriesNoName: a link's purpose is the byte its open
+// ends with, and no byte on the link names anyone — the consumer is keyed
+// by the link's Peer(). An untagged link, a data link no connect waits
+// for and a service link that carries anything but requests are closed;
+// an open of unknown purpose is refused. No member can park a link under
+// another's name.
 func TestPurposeHeaderCarriesNoName(t *testing.T) {
 	g := newSecureGrid(t, 1)
 	bob := g.secureNode("bob", "site-b", stateful, nil)
 	mallory := g.secureNode("mallory", "site-m", stateful, nil)
-	victim := wire.AppendString(nil, "testpool/alice")
 
 	for _, tc := range []struct {
 		what    string
 		purpose byte
-		payload []byte
-		then    byte // a frame to send after a valid service header (0: none)
+		then    byte // a request op to send on the link (0: none)
 	}{
-		{"data header naming a sender", purposeData, victim, 0},
-		{"service header naming a sender", purposeService, victim, 0},
-		{"unknown purpose", 9, nil, 0},
-		{"unknown op on a service link", purposeService, nil, 99},
-		{"stray reply on a service link", purposeService, nil, opConnectOK},
+		{"untagged link", 0, 0},
+		{"data link no connect waits for", relay.PurposeData, 0},
+		{"unknown op on a service link", relay.PurposeService, 99},
+		{"stray reply on a service link", relay.PurposeService, opConnectOK},
 	} {
-		conn, err := mallory.relayCli.Dial(bob.relayID(), 2*time.Second)
+		conn, err := mallory.relayCli.DialPurpose(bob.relayID(), tc.purpose, 2*time.Second, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := wire.NewWriter(conn)
-		if err := w.WriteFrame(wire.KindControl, tc.purpose, tc.payload); err != nil {
-			t.Fatal(err)
-		}
 		if tc.then != 0 {
-			if err := w.WriteFrame(wire.KindControl, tc.then, nil); err != nil {
+			if err := wire.NewWriter(conn).WriteFrame(wire.KindControl, tc.then, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		expectClosed(t, tc.what, conn)
 		conn.Close()
 	}
-
-	// A well-formed data link is parked under the name the relay pinned,
-	// whatever the sender would like.
-	conn, err := mallory.relayCli.Dial(bob.relayID(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := mallory.relayCli.DialPurpose(bob.relayID(), 9, 2*time.Second, nil); !errors.Is(err, relay.ErrRefused) {
+		t.Errorf("open of unknown purpose: %v, want ErrRefused", err)
 	}
-	defer conn.Close()
-	if err := wire.NewWriter(conn).WriteFrame(wire.KindControl, purposeData, nil); err != nil {
-		t.Fatal(err)
-	}
-	waitForCondition(t, 3*time.Second, "the data link was not parked", func() bool {
-		bob.mu.Lock()
-		defer bob.mu.Unlock()
-		return len(bob.pendingData) > 0
-	})
 	bob.mu.Lock()
 	defer bob.mu.Unlock()
-	if _, ok := bob.pendingData[mallory.relayID()]; !ok || len(bob.pendingData) != 1 {
-		t.Fatalf("routed data links parked under %d name(s), want only %s", len(bob.pendingData), mallory.relayID())
+	if len(bob.pendingData) != 0 {
+		t.Fatalf("routed data links parked under %d name(s), want none", len(bob.pendingData))
+	}
+}
+
+// TestRoutedDataLinksNeedAWaiter: a routed data link is admitted only
+// while a connect of this node to its peer establishes, and the last
+// connect to leave takes the entry with it. A link nobody waits for is
+// closed at once, a link abandoned while parked is never handed over and
+// leaves nothing parked, and a hundred routed connects leave no entry and
+// no goroutine behind.
+func TestRoutedDataLinksNeedAWaiter(t *testing.T) {
+	g := newTestGrid(t)
+	strict := emunet.SiteConfig{Firewall: emunet.Strict}
+	alice := g.node("alice", "site-a", strict, nil)
+	bob := g.node("bob", "site-b", strict, nil)
+	entries := func() int {
+		alice.mu.Lock()
+		defer alice.mu.Unlock()
+		return len(alice.pendingData)
+	}
+	open := func() net.Conn {
+		conn, err := bob.relayCli.DialPurpose(alice.relayID(), relay.PurposeData, 2*time.Second, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"unsolicited", func(t *testing.T) {
+			expectClosed(t, "a data link no connect waits for", open())
+		}},
+		{"abandoned while parked", func(t *testing.T) {
+			links := alice.relayCli.LinkCount()
+			leave := alice.expectRoutedData(bob.relayID())
+			conn := open()
+			waitForCondition(t, 3*time.Second, "the data link was not parked", func() bool {
+				alice.mu.Lock()
+				defer alice.mu.Unlock()
+				return len(alice.pendingData[bob.relayID()].links) == 1
+			})
+			conn.(interface{ Abort() error }).Abort()
+			waitForCondition(t, 3*time.Second, "the abandon did not arrive", func() bool { return alice.relayCli.LinkCount() == links })
+			if got, err := alice.acceptRoutedData(bob.relayID(), 50*time.Millisecond, nil); err == nil {
+				got.Close()
+				t.Fatal("an abandoned link was handed to an establishment")
+			}
+			leave()
+		}},
+		{"a hundred connects", func(t *testing.T) {
+			pt := ipl.PortType{Name: "chan", Stack: "tcpblk"}
+			rp, err := bob.CreateReceivePort(pt, "inbox")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rp.Close()
+			if _, err := alice.Ping("bob"); err != nil {
+				t.Fatal(err)
+			}
+			checkLeaks := testutil.LeakCheck(t, 3)
+			for i := 0; i < 100; i++ {
+				sp, err := alice.CreateSendPort(pt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sp.Connect(rp.ID()); err != nil {
+					t.Fatalf("connect %d: %v", i, err)
+				}
+				if m := SendPortMethods(sp)[rp.ID().String()]; m != estab.Routed {
+					t.Fatalf("connect %d came up by %v, want routed", i, m)
+				}
+				sendText(t, sp, "routed")
+				if got, _ := recvText(t, rp); got != "routed" {
+					t.Fatalf("connect %d carried %q", i, got)
+				}
+				if n := entries(); n != 0 {
+					t.Fatalf("connect %d left %d entries", i, n)
+				}
+				sp.Close()
+			}
+			checkLeaks()
+		}},
+	} {
+		t.Run(tc.name, tc.run)
+		if n := entries(); n != 0 {
+			t.Errorf("%s: %d entries left", tc.name, n)
+		}
 	}
 }
 
@@ -280,9 +351,6 @@ func scriptedPeer(t *testing.T, g *testGrid, a *Node, name string, reply func(re
 			go func() {
 				defer link.Close()
 				r, w := wire.NewReader(link), wire.NewWriter(link)
-				if _, err := r.ReadFrame(); err != nil { // the purpose header
-					return
-				}
 				for {
 					f, err := r.ReadFrame()
 					if err != nil {
@@ -633,14 +701,15 @@ func TestConnectRefusesBadReply(t *testing.T) {
 
 // TestConnectRequestStrictDecode: the connect request has one layout.
 // Cut anywhere, with a trailing byte, with a profile field of the wrong
-// length or a port type digest that is not 32 bytes, it is a protocol
-// error.
+// length, a port type digest that is not 32 bytes or a first method that
+// is none of estab's, it is a protocol error.
 func TestConnectRequestStrictDecode(t *testing.T) {
 	req := connectRequest{
 		portName:   "inbox",
 		typeDigest: portTypeDigest(ipl.PortType{Name: "chan", Stack: "zip/tcpblk"}),
 		sender:     ipl.Identifier{Name: "alice", Pool: "testpool"},
 		profile:    estab.Profile{SiteName: "site-a", Firewalled: true, HasRelay: true, RelayID: "testpool/alice", HomeRelay: "relay-0"},
+		first:      estab.Routed,
 	}
 	full := encodeConnectRequest(req)
 	got, err := decodeConnectRequest(full)
@@ -652,9 +721,13 @@ func TestConnectRequestStrictDecode(t *testing.T) {
 			t.Errorf("request cut to %d of %d bytes accepted", cut, len(full))
 		}
 	}
+	last := len(full) - 1 // the first method's byte
 	withProfile := func(p []byte) []byte {
-		head := full[:len(full)-len(wire.AppendBytes(nil, req.profile.Encode()))]
-		return wire.AppendBytes(append([]byte(nil), head...), p)
+		head := full[:last-len(wire.AppendBytes(nil, req.profile.Encode()))]
+		return append(wire.AppendBytes(append([]byte(nil), head...), p), full[last])
+	}
+	if _, err := decodeConnectRequest(withProfile(req.profile.Encode())); err != nil {
+		t.Fatalf("withProfile does not rebuild the request: %v", err)
 	}
 	withDigest := func(digest []byte) []byte {
 		b := wire.AppendBytes(wire.AppendString(nil, req.portName), digest)
@@ -671,6 +744,7 @@ func TestConnectRequestStrictDecode(t *testing.T) {
 		"31-byte digest":         withDigest(req.typeDigest[:31]),
 		"33-byte digest":         withDigest(append(req.typeDigest[:], 0)),
 		"empty digest":           withDigest(nil),
+		"first method unknown":   append(append([]byte(nil), full[:last]...), byte(estab.Routed+1)),
 	} {
 		if _, err := decodeConnectRequest(bad); err == nil {
 			t.Errorf("request with %s accepted", what)
@@ -699,6 +773,7 @@ func FuzzDecodeConnectRequest(f *testing.F) {
 		typeDigest: portTypeDigest(ipl.PortType{Name: "chan", Stack: "tcpblk"}),
 		sender:     ipl.Identifier{Name: "alice", Pool: "pool"},
 		profile:    estab.Profile{HasRelay: true, RelayID: "pool/alice"},
+		first:      estab.Routed,
 	})
 	f.Add(full)
 	f.Add(full[:len(full)-3])

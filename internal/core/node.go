@@ -26,7 +26,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -181,7 +180,7 @@ type Node struct {
 	mu           sync.Mutex
 	serviceLinks map[string]*serviceLink
 	recvPorts    map[string]*receivePort
-	pendingData  map[string]chan net.Conn
+	pendingData  map[string]*routedWaiters
 	closed       bool
 	done         chan struct{}
 
@@ -209,7 +208,7 @@ func Join(cfg Config) (*Node, error) {
 		registry:     registry,
 		serviceLinks: make(map[string]*serviceLink),
 		recvPorts:    make(map[string]*receivePort),
-		pendingData:  make(map[string]chan net.Conn),
+		pendingData:  make(map[string]*routedWaiters),
 		done:         make(chan struct{}),
 	}
 	// Attach to a routed-messages relay under the node name; this is
@@ -248,7 +247,6 @@ func Join(cfg Config) (*Node, error) {
 		RaceStagger:   cfg.RaceStagger,
 		Cache:         estab.NewCache(estab.DefaultCacheTTL),
 		AcceptRouted:  n.acceptRoutedData,
-		DialRouted:    n.dialRoutedData,
 		Trace:         cfg.Trace,
 	}
 	if cfg.Metrics != nil {

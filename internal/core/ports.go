@@ -200,11 +200,15 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 		}
 	}()
 
-	// The request carries this node's connectivity profile and the
-	// accepting reply the peer's: one exchange per connect, shared by
-	// every establishment (one per sub-stream of the stack) below, and
-	// timed: it is the round trip the races size their head starts by.
-	req := connectRequest{portName: to.Port, typeDigest: portTypeDigest(sp.portType), sender: n.id, profile: n.connector.Profile()}
+	// The request carries this node's connectivity profile and the method
+	// it launches first, the accepting reply the peer's profile: one
+	// exchange per connect, shared by every establishment (one per
+	// sub-stream of the stack) below, and timed: it is the round trip the
+	// races size their head starts by. The routed data links the peer
+	// opens are admitted until the establishments are done.
+	first, _ := n.connector.Cache.Lookup(sl.peer)
+	req := connectRequest{portName: to.Port, typeDigest: portTypeDigest(sp.portType), sender: n.id, profile: n.connector.Profile(), first: first}
+	defer n.expectRoutedData(sl.peer)()
 	asked := time.Now()
 	if err := sl.w.WriteFrame(wire.KindControl, opConnect, encodeConnectRequest(req)); err != nil {
 		return broken(err)
@@ -213,7 +217,7 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	if err != nil {
 		return broken(err)
 	}
-	estOpts := estab.EstablishOpts{PeerKey: sl.peer, ServiceRTT: time.Since(asked)}
+	estOpts := estab.EstablishOpts{PeerKey: sl.peer, ServiceRTT: time.Since(asked), First: first}
 	if f.Kind == wire.KindControl && f.Flags == opConnectErr {
 		d := wire.NewDecoder(f.Payload)
 		return fmt.Errorf("%w: %s", ErrConnectRejected, d.String())

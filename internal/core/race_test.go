@@ -19,9 +19,9 @@ import (
 // scheduler's business and is only logged; what is asserted holds
 // whoever wins. After 100 such races, each of whose links has carried a
 // verified message, nothing may linger: no extra goroutines, no relay
-// virtual links (the routed losers must have been abandoned on both
-// sides), no parked splice offers, and no usable-looking half-open
-// routed conns in the nodes' accept queues.
+// virtual links (the acceptor's routed losers must have been abandoned
+// on both sides), no parked splice offers, and no routed link parked for
+// an establishment.
 func TestLostRaceLeavesNothingBehind(t *testing.T) {
 	// Time-shaped, so the three candidates are in flight together for a
 	// few real milliseconds and a loser is cancelled mid-establishment.
@@ -149,30 +149,14 @@ func TestLostRaceLeavesNothingBehind(t *testing.T) {
 		t.Error(why)
 	}
 
-	// Anything still parked in the routed-accept queues must be marked
-	// abandoned — a lost race may leave a discarded conn to be skipped,
-	// but never a usable-looking half-open one.
-	receiver.mu.Lock()
-	pend := make([]string, 0, len(receiver.pendingData))
-	for peer := range receiver.pendingData {
-		pend = append(pend, peer)
-	}
-	receiver.mu.Unlock()
-	for _, peer := range pend {
-		ch := receiver.pendingDataChan(peer)
-		for {
-			select {
-			case conn := <-ch:
-				ab, ok := conn.(interface{ Abandoned() bool })
-				if !ok || !ab.Abandoned() {
-					t.Errorf("half-open routed conn from %s left in accept queue", peer)
-				}
-				conn.Close()
-				continue
-			default:
-			}
-			break
+	// Nothing parked for an establishment: the routed links the acceptor
+	// opened for races it lost left with their connects.
+	for _, n := range []*Node{sender, receiver} {
+		n.mu.Lock()
+		if len(n.pendingData) != 0 {
+			t.Errorf("%s keeps routed data links parked for %d peer(s)", n.id.Name, len(n.pendingData))
 		}
+		n.mu.Unlock()
 	}
 
 	checkLeaks()

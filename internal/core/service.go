@@ -9,20 +9,12 @@ import (
 	"time"
 
 	"netibis/internal/driver"
+	"netibis/internal/drivers/multi"
 	"netibis/internal/estab"
 	"netibis/internal/ipl"
 	"netibis/internal/nameservice"
 	"netibis/internal/relay"
 	"netibis/internal/wire"
-)
-
-// Purpose header values stamped on relay-routed connections between
-// nodes, so the receiving node's dispatcher knows what arrived: the flag
-// of a wire.KindControl frame with an empty payload. Who it arrived from
-// is the link's own Peer(), never something the sender writes.
-const (
-	purposeService byte = 1
-	purposeData    byte = 2
 )
 
 // Service-link operation codes (frame flags on wire.KindControl frames).
@@ -48,9 +40,11 @@ type serviceLink struct {
 
 // --- dispatcher: incoming routed connections ------------------------------------------
 
-// dispatcher accepts relay-routed connections from peers and hands them
-// to the right consumer: service links get a handler goroutine, routed
-// data links are delivered to the establishment waiting for them.
+// dispatcher accepts relay-routed connections from peers and hands each
+// to the consumer the purpose byte of its open names: a service link gets
+// a handler goroutine, a data link goes to the connect waiting for it,
+// anything else is closed. Who a link is from is its own Peer(), never
+// something the sender writes.
 func (n *Node) dispatcher() {
 	defer n.wg.Done()
 	for {
@@ -58,11 +52,18 @@ func (n *Node) dispatcher() {
 		if err != nil {
 			return
 		}
-		n.wg.Add(1)
-		go func(conn net.Conn) {
-			defer n.wg.Done()
-			n.dispatch(conn)
-		}(conn)
+		switch conn.(interface{ Purpose() byte }).Purpose() {
+		case relay.PurposeService:
+			n.wg.Add(1)
+			go func() {
+				defer n.wg.Done()
+				n.serveServiceLink(conn)
+			}()
+		case relay.PurposeData:
+			n.parkRoutedData(conn)
+		default:
+			conn.Close()
+		}
 	}
 }
 
@@ -87,58 +88,75 @@ func linkKey(conn net.Conn) []byte {
 	return nil
 }
 
-// dispatch reads the purpose header of one incoming routed connection:
-// a flag and nothing else. The consumer is keyed by the link's Peer().
-func (n *Node) dispatch(conn net.Conn) {
-	f, err := wire.NewReader(conn).ReadFrame()
-	peer := linkPeer(conn)
-	if err != nil || f.Kind != wire.KindControl || len(f.Payload) != 0 || peer == "" {
-		conn.Close()
-		return
-	}
-	switch f.Flags {
-	case purposeService:
-		n.serveServiceLink(conn)
-	case purposeData:
-		n.deliverRoutedData(peer, conn)
-	default:
-		conn.Close()
-	}
+// routedWaiters parks the routed data links a peer opens to this node
+// while connects to it establish: an acceptor opens its link right
+// behind its connect reply, before the establishment that takes it runs.
+// An establishment takes one link, a stack brokers at most
+// multi.MaxStreams.
+type routedWaiters struct {
+	links   chan net.Conn
+	waiters int // connects establishing
 }
 
-// pendingDataChan returns (creating if needed) the hand-off channel for
-// routed data links from the given peer.
-func (n *Node) pendingDataChan(peer string) chan net.Conn {
+// expectRoutedData admits routed data links from peer until the returned
+// function is called; the last connect to leave drops the entry and
+// closes what is parked (lost races' links, a peer's surplus), for no
+// establishment is left to take it.
+func (n *Node) expectRoutedData(peer string) (leave func()) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	ch, ok := n.pendingData[peer]
-	if !ok {
-		ch = make(chan net.Conn, 8)
-		n.pendingData[peer] = ch
+	w := n.pendingData[peer]
+	if w == nil {
+		w = &routedWaiters{links: make(chan net.Conn, multi.MaxStreams)}
+		n.pendingData[peer] = w
 	}
-	return ch
+	w.waiters++
+	n.mu.Unlock()
+	return func() {
+		n.mu.Lock()
+		w.waiters--
+		last := w.waiters == 0
+		if last {
+			delete(n.pendingData, peer)
+		}
+		n.mu.Unlock()
+		for last && len(w.links) > 0 {
+			(<-w.links).Close()
+		}
+	}
 }
 
-func (n *Node) deliverRoutedData(peer string, conn net.Conn) {
-	select {
-	case n.pendingDataChan(peer) <- conn:
-	default:
-		// Nobody is waiting and the buffer is full: drop the link.
+// parkRoutedData hands a routed data link to the connect waiting for it,
+// or closes it at once: no connect to its peer is establishing, or that
+// one's links are all parked.
+func (n *Node) parkRoutedData(conn net.Conn) {
+	parked := false
+	n.mu.Lock()
+	if w := n.pendingData[linkPeer(conn)]; w != nil {
+		select {
+		case w.links <- conn:
+			parked = true
+		default:
+		}
+	}
+	n.mu.Unlock()
+	if !parked {
 		conn.Close()
 	}
 }
 
-// acceptRoutedData is the estab.Connector hook used on the accepting
-// side of a routed data-link establishment. Links whose initiator lost
-// an establishment race arrive abandoned (see relay.KindAbandon); they
-// are discarded here rather than handed to an establishment, so a lost
-// race never leaves a half-open accept behind. cancel fires when this
-// establishment itself lost its race.
+// acceptRoutedData is the estab.Connector hook on the initiating side of
+// a routed establishment, which runs inside a connect to peerID: it
+// takes the next data link that peer opened. Links whose acceptor lost
+// an establishment race arrive abandoned (see relay.KindAbandon) and are
+// discarded. cancel fires when this establishment lost its race.
 func (n *Node) acceptRoutedData(peerID string, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error) {
+	n.mu.Lock()
+	w := n.pendingData[peerID]
+	n.mu.Unlock()
 	deadline := time.After(timeout)
 	for {
 		select {
-		case conn := <-n.pendingDataChan(peerID):
+		case conn := <-w.links:
 			if ab, ok := conn.(interface{ Abandoned() bool }); ok && ab.Abandoned() {
 				conn.Close()
 				continue
@@ -152,24 +170,6 @@ func (n *Node) acceptRoutedData(peerID string, timeout time.Duration, cancel <-c
 			return nil, fmt.Errorf("core: timed out waiting for routed data link from %s", peerID)
 		}
 	}
-}
-
-// dialRoutedData is the estab.Connector hook used on the initiating side
-// of a routed data-link establishment: it opens the relay link and
-// stamps it with the data purpose header. A canceled (race-lost) dial is
-// abandoned inside the relay client, which tells the far side to discard
-// its half of the link.
-func (n *Node) dialRoutedData(peerID string, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error) {
-	conn, err := n.relayCli.DialCancel(peerID, timeout, cancel)
-	if err != nil {
-		return nil, err
-	}
-	w := wire.NewWriter(conn)
-	if err := w.WriteFrame(wire.KindControl, purposeData, nil); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return conn, nil
 }
 
 // --- service links -------------------------------------------------------------------
@@ -195,12 +195,7 @@ func (n *Node) serviceLinkTo(peerName string) (*serviceLink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrPeerUnavailable, err)
 	}
-	w := wire.NewWriter(conn)
-	if err := w.WriteFrame(wire.KindControl, purposeService, nil); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	sl := &serviceLink{peer: linkPeer(conn), conn: conn, r: wire.NewReader(conn), w: w}
+	sl := &serviceLink{peer: linkPeer(conn), conn: conn, r: wire.NewReader(conn), w: wire.NewWriter(conn)}
 
 	n.mu.Lock()
 	if existing, ok := n.serviceLinks[sl.peer]; ok {
@@ -214,7 +209,7 @@ func (n *Node) serviceLinkTo(peerName string) (*serviceLink, error) {
 	return sl, nil
 }
 
-// dialRouted opens a routed link to a peer node, retrying refusals and
+// dialRouted opens a service link to a peer node, retrying refusals and
 // detachments (the mesh's gossip window, or our own attachment being
 // resumed after a failover) until the accept timeout expires. That would
 // make dialing a node that never joined slow, and the registry knows at
@@ -225,7 +220,7 @@ func (n *Node) serviceLinkTo(peerName string) (*serviceLink, error) {
 func (n *Node) dialRouted(peerName, peerID string) (net.Conn, error) {
 	asked := false
 	dial := func(peerID string, timeout time.Duration) (net.Conn, error) {
-		conn, err := n.relayCli.Dial(peerID, timeout)
+		conn, err := n.relayCli.DialPurpose(peerID, relay.PurposeService, timeout, nil)
 		if errors.Is(err, relay.ErrRefused) && !asked {
 			asked = true
 			if _, lerr := n.registry.Lookup(n.nodeKey(peerName), 0); errors.Is(lerr, nameservice.ErrNotFound) {
@@ -317,15 +312,16 @@ func (n *Node) serveServiceLink(conn net.Conn) {
 
 // connectRequest is the decoded form of an opConnect payload. sender and
 // profile.RelayID are checked against the service link's Peer() before
-// anything else is done with the request; profile is what the acceptor
-// ranks the candidates of every establishment of this connect with. The
-// port type crosses as a digest: the acceptor only tests it for equality
-// with its own port's, and a stack string may hold a psk= passphrase.
+// anything else is done with the request; profile and first are what the
+// acceptor's establishments of this connect race with. The port type
+// crosses as a digest: the acceptor only tests it for equality with its
+// own port's, and a stack string may hold a psk= passphrase.
 type connectRequest struct {
 	portName   string
 	typeDigest [sha256.Size]byte
 	sender     ipl.Identifier
 	profile    estab.Profile
+	first      estab.Method
 }
 
 // portTypeDigest is SHA-256 over string name ‖ string stack.
@@ -339,7 +335,7 @@ func encodeConnectRequest(req connectRequest) []byte {
 	b = wire.AppendBytes(b, req.typeDigest[:])
 	b = wire.AppendString(b, req.sender.Name)
 	b = wire.AppendString(b, req.sender.Pool)
-	return wire.AppendBytes(b, req.profile.Encode())
+	return append(wire.AppendBytes(b, req.profile.Encode()), byte(req.first))
 }
 
 func decodeConnectRequest(p []byte) (connectRequest, error) {
@@ -350,7 +346,8 @@ func decodeConnectRequest(p []byte) (connectRequest, error) {
 	req.sender.Name = d.String()
 	req.sender.Pool = d.String()
 	profile := d.Bytes()
-	if d.Err() != nil || d.Remaining() != 0 || len(digest) != len(req.typeDigest) {
+	req.first = estab.Method(d.Byte())
+	if d.Err() != nil || d.Remaining() != 0 || len(digest) != len(req.typeDigest) || req.first > estab.Routed {
 		return connectRequest{}, errors.New("core: corrupt connect request")
 	}
 	copy(req.typeDigest[:], digest)
@@ -396,11 +393,12 @@ func (n *Node) handleConnect(conn net.Conn, w *wire.Writer, payload []byte) erro
 	// link, mirroring (and overlapping with) the Dial calls the
 	// initiator makes concurrently on its side. Each starts every
 	// candidate's half at once, so what the acceptor has to say first
-	// (its listening endpoint) follows the reply above back to back.
+	// (its listening endpoint, or its routed open when routed leads)
+	// follows the reply above back to back.
 	mux := estab.NewServiceMux(conn)
 	env := &driver.Env{
 		Accept: func() (net.Conn, error) {
-			dataConn, _, err := n.connector.EstablishAcceptor(mux.Open(), req.profile)
+			dataConn, _, err := n.connector.EstablishAcceptor(mux.Open(), req.profile, req.first)
 			return dataConn, err
 		},
 		LinkKey: linkKey(conn),

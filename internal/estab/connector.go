@@ -22,23 +22,18 @@ import (
 const (
 	msgListen byte = iota + 1 // "I am listening at this endpoint, dial me"
 	msgSplice                 // "my predicted external endpoint for the splice is ..."
-	msgRouted                 // "I am opening a routed link to you" (empty: the link names its sender)
+	msgRouted                 // "open the routed link to me" (empty: the link names its sender)
 	msgAbort                  // failed on my side (empty)
 	msgElect                  // the race's winner, one method byte (MethodNone: nothing won, the establishment is over)
 )
 
 // DefaultSpliceTimeout bounds how long a simultaneous open waits for the
-// peer's connection request. It applies whenever Connector.SpliceTimeout
-// is zero (or negative); the same zero-value rule governs
-// DefaultAcceptTimeout and Connector.AcceptTimeout, so the two knobs
-// behave identically.
+// peer's connection request when Connector.SpliceTimeout is not positive.
 const DefaultSpliceTimeout = 2 * time.Second
 
-// DefaultAcceptTimeout bounds how long the listening side of a brokered
-// client/server or proxy establishment (and the accepting side of a
-// routed establishment) waits for the peer to arrive. It applies
-// whenever Connector.AcceptTimeout is zero (or negative), mirroring the
-// DefaultSpliceTimeout rule.
+// DefaultAcceptTimeout bounds how long the waiting side of a brokered
+// establishment — a listener, or the initiator of a routed one — waits
+// for its peer when Connector.AcceptTimeout is not positive.
 const DefaultAcceptTimeout = 10 * time.Second
 
 // routedRetryDelay spaces the retries of a refused cross-relay routed
@@ -106,15 +101,12 @@ type Connector struct {
 	ProxyAddr emunet.Endpoint
 	// ProxyCreds are optional SOCKS credentials.
 	ProxyCreds *socks.Credentials
-	// SpliceTimeout bounds a simultaneous open. Zero (or negative)
-	// selects DefaultSpliceTimeout; the zero-value rule is identical to
-	// AcceptTimeout's, so a zero-valued Connector gets consistent,
-	// documented defaults for both.
+	// SpliceTimeout bounds a simultaneous open; zero (or negative)
+	// selects DefaultSpliceTimeout.
 	SpliceTimeout time.Duration
-	// AcceptTimeout bounds the passive side of brokered establishments
-	// (waiting for the peer's connection, proxy CONNECT or routed open).
-	// Zero (or negative) selects DefaultAcceptTimeout, exactly as
-	// SpliceTimeout defaults to DefaultSpliceTimeout.
+	// AcceptTimeout bounds the waiting side of brokered establishments
+	// (for the peer's connection, proxy CONNECT or routed open); zero (or
+	// negative) selects DefaultAcceptTimeout, as for SpliceTimeout.
 	AcceptTimeout time.Duration
 	// RaceStagger is the delay between launching successive candidate
 	// methods of a racing establishment: the preferred method gets a
@@ -132,18 +124,11 @@ type Connector struct {
 	// updated only when EstablishOpts.PeerKey identifies the peer.
 	Cache *Cache
 	// AcceptRouted, when set, is used instead of Relay.Accept to obtain
-	// the incoming routed link during a routed establishment (the
+	// the routed link the acceptor opens to the initiator (the
 	// integration layer multiplexes a single relay attachment between
 	// many concurrent establishments). cancel, when it fires, means the
 	// establishment raced and lost: the wait must end promptly.
 	AcceptRouted func(peerID string, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error)
-	// DialRouted, when set, is used instead of Relay.Dial to open the
-	// outgoing routed link; the integration layer uses it to stamp the
-	// link with a purpose header before the driver stack takes over.
-	// cancel has the same lost-race semantics as in AcceptRouted; a
-	// canceled dial must abandon the open so the far side does not keep
-	// a half-open accept (relay.Client.DialCancel does this).
-	DialRouted func(peerID string, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error)
 	// ForcedMethod, when non-zero, skips the decision tree and forces a
 	// specific method; used by benchmarks and ablation experiments.
 	ForcedMethod Method
@@ -157,13 +142,7 @@ type Connector struct {
 	// relayAccepts is the single long-lived pump over Relay.Accept used
 	// when no AcceptRouted hook is installed; see acceptRelayDirect.
 	relayAcceptOnce sync.Once
-	relayAccepts    chan relayAccept
-}
-
-// relayAccept is one result of the Relay.Accept pump.
-type relayAccept struct {
-	conn net.Conn
-	err  error
+	relayAccepts    chan net.Conn
 }
 
 // Profile reports this endpoint's connectivity profile.
@@ -216,6 +195,9 @@ type EstablishOpts struct {
 	// the reply); zero when nothing was measured. It sizes the race's
 	// head starts while Connector.RaceStagger is zero.
 	ServiceRTT time.Duration
+	// First is the method the caller announced to the acceptor as the
+	// one it launches first: its cached winner, or MethodNone.
+	First Method
 }
 
 // runMethod runs one establishment method's conversation over b. cancel,
@@ -364,102 +346,99 @@ func (c *Connector) listenAndAccept(b methodConv, cancel <-chan struct{}) (net.C
 	return acceptWithTimeout(l, c.ResolvedAcceptTimeout(), cancel)
 }
 
-// establishRouted: the initiator opens a routed virtual link through the
-// relay; the acceptor waits for it. A canceled (race-lost) routed open
-// is abandoned — the far side receives an abandon frame and discards its
-// half of the link instead of keeping a half-open accept.
+// establishRouted: the acceptor opens a routed data link through the
+// relay — at once when routed leads, else on the initiator's cue — and
+// the initiator waits for it. A failed open aborts the initiator's wait;
+// a canceled (race-lost) one is abandoned, so the initiator discards its
+// half instead of keeping a half-open link.
 func (c *Connector) establishRouted(b methodConv, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
 	if c.Relay == nil {
 		b.send(msgAbort, nil)
 		return nil, ErrNoRelay
 	}
 	if initiator {
-		// Let the acceptor know we are coming; it knows from where (the
-		// link it accepts carries the relay-pinned sender).
-		if err := b.send(msgRouted, nil); err != nil {
-			return nil, err
-		}
-		dial := c.DialRouted
-		if dial == nil {
-			dial = c.Relay.DialCancel
-		}
-		dialC := func(peerID string, timeout time.Duration) (net.Conn, error) {
-			return dial(peerID, timeout, cancel)
-		}
-		// When both endpoints are attached to the same relay of the mesh
-		// no directory gossip is involved, so a refusal is authoritative
-		// and the open is not retried. A detachment is different even
-		// then: the local attachment may be mid-resume on a surviving
-		// relay (after which the homes differ and the gossip window
-		// applies again), so it falls through to the retrying path.
-		// Across relays the open is forwarded relay-to-relay and a
-		// refusal can mean "the directory gossip announcing the acceptor
-		// has not reached my relay yet" — the acceptor is already
-		// waiting, so the retries cover exactly the propagation window.
-		if remote.HomeRelay != "" && remote.HomeRelay == c.Relay.ServerID() {
-			conn, err := dialC(remote.RelayID, c.ResolvedAcceptTimeout())
-			if !errors.Is(err, relay.ErrDetached) {
-				return conn, err
+		if !b.cv.routedLeads {
+			if err := b.send(msgRouted, nil); err != nil {
+				return nil, err
 			}
 		}
-		return RetryRoutedDial(dialC, remote.RelayID, c.ResolvedAcceptTimeout(), cancel)
+		if c.AcceptRouted != nil {
+			return c.AcceptRouted(remote.RelayID, c.ResolvedAcceptTimeout(), cancel)
+		}
+		return c.acceptRelayDirect(cancel)
 	}
-	t, body, err := b.recv()
+	if !b.cv.routedLeads {
+		t, body, err := b.recv()
+		if err != nil {
+			return nil, err
+		}
+		if t != msgRouted {
+			return nil, fmt.Errorf("%w: expected routed, got message %d", ErrProtocol, t)
+		}
+		if len(body) != 0 {
+			return nil, fmt.Errorf("%w: routed cue carries a body", ErrProtocol)
+		}
+	}
+	conn, err := c.dialRoutedData(remote, cancel)
 	if err != nil {
-		return nil, err
+		b.send(msgAbort, nil)
 	}
-	if t != msgRouted {
-		return nil, fmt.Errorf("%w: expected routed, got message %d", ErrProtocol, t)
+	return conn, err
+}
+
+// dialRoutedData opens the acceptor's routed data link to the initiator.
+// On one relay a refusal is authoritative; a detachment (our attachment
+// may be resuming elsewhere) and a refusal across relays (the
+// initiator's home changed since the service link's open taught it to
+// our relay) are retried while the initiator waits.
+func (c *Connector) dialRoutedData(remote Profile, cancel <-chan struct{}) (net.Conn, error) {
+	dial := func(peerID string, timeout time.Duration) (net.Conn, error) {
+		return c.Relay.DialPurpose(peerID, relay.PurposeData, timeout, cancel)
 	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("%w: routed cue carries a body", ErrProtocol)
+	if remote.HomeRelay != "" && remote.HomeRelay == c.Relay.ServerID() {
+		conn, err := dial(remote.RelayID, c.ResolvedAcceptTimeout())
+		if !errors.Is(err, relay.ErrDetached) {
+			return conn, err
+		}
 	}
-	if c.AcceptRouted != nil {
-		return c.AcceptRouted(remote.RelayID, c.ResolvedAcceptTimeout(), cancel)
-	}
-	return c.acceptRelayDirect(cancel)
+	return RetryRoutedDial(dial, remote.RelayID, c.ResolvedAcceptTimeout(), cancel)
 }
 
 // acceptRelayDirect accepts the next routed link straight off the relay
 // attachment, made cancelable for the race. All waits share one
-// long-lived pump goroutine over the unbuffered relayAccepts channel: a
+// long-lived pump goroutine over the relayAccepts channel: a
 // canceled or timed-out wait simply stops receiving, the pump keeps
 // holding the next link for the next waiter, and no goroutine per
 // attempt is spawned that could later steal (and close) a legitimate
-// link from a future establishment. Links whose initiator abandoned
-// them (lost races) are discarded here.
+// link from a future establishment; the pump closes the channel and
+// exits with the relay attachment. Links whose acceptor abandoned them
+// (lost races) are discarded here.
 func (c *Connector) acceptRelayDirect(cancel <-chan struct{}) (net.Conn, error) {
 	c.relayAcceptOnce.Do(func() {
-		c.relayAccepts = make(chan relayAccept, 1)
+		c.relayAccepts = make(chan net.Conn, 1)
 		go func() {
+			defer close(c.relayAccepts)
 			for {
 				conn, err := c.Relay.Accept()
 				if err != nil {
-					// Deposit the terminal error if a slot is free and
-					// exit either way, so the pump never outlives the
-					// relay attachment.
-					select {
-					case c.relayAccepts <- relayAccept{err: err}:
-					default:
-					}
 					return
 				}
-				c.relayAccepts <- relayAccept{conn: conn}
+				c.relayAccepts <- conn
 			}
 		}()
 	})
 	deadline := time.After(c.ResolvedAcceptTimeout())
 	for {
 		select {
-		case r := <-c.relayAccepts:
-			if r.err != nil {
-				return nil, r.err
+		case conn, ok := <-c.relayAccepts:
+			if !ok {
+				return nil, relay.ErrClosed
 			}
-			if ab, ok := r.conn.(interface{ Abandoned() bool }); ok && ab.Abandoned() {
-				r.conn.Close()
+			if ab, ok := conn.(interface{ Abandoned() bool }); ok && ab.Abandoned() {
+				conn.Close()
 				continue
 			}
-			return r.conn, nil
+			return conn, nil
 		case <-cancel:
 			return nil, errRaceLost
 		case <-deadline:

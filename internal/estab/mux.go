@@ -137,6 +137,8 @@ type Conversation struct {
 	// here is a violation (err).
 	initiator bool
 	err       error
+	// routedLeads is set before any attempt starts.
+	routedLeads bool
 	// queues holds the undelivered messages per method conversation;
 	// queues[MethodNone] is the control queue, in arrival order.
 	queues [Routed + 1][]muxMsg

@@ -16,23 +16,26 @@ package estab
 //
 // Protocol. Every message is a ServiceMux message on the establishment's
 // Conversation (mux.go) — method 0 for the initiator's election, the
-// racing method for the rest. Both sides hold each other's profile,
-// handed to EstablishInitiator/EstablishAcceptor by the caller, and the
-// candidates are RankCandidates of the two (or the forced method): a pure
+// racing method for the rest. Both sides hold each other's profile and
+// the method the initiator announced it launches first (its cached
+// winner, or none), handed to them by the caller, and the candidates are
+// RankCandidates of the two profiles (or the forced method): a pure
 // function, so no message announces them and an establishment is one
 // race, request-free:
 //
 //	initiator                                acceptor
 //	   | <=> [m] msgListen/msgSplice/... <======> |   per-method conversations
+//	   | <~~ routed open, through the relay ~~~~ |   at once, or on the cue msgRouted
 //	   | -- msgElect [m] ----------------------> |   winner (MethodNone: nothing won)
 //
 // The acceptor starts its half of every candidate the moment it is
-// called and speaks first where the method lets it (its listening
-// endpoint, its splice prediction; the routed half waits for its cue).
-// The cost is the halves of candidates the initiator never launches — a
-// listener, a reserved splice port and its advertisement, a parked routed
-// accept per conversation, cached reconnects included — which the
-// election cancels like any loser. The initiator decides which candidates
+// called and speaks first where the method lets it: its listening
+// endpoint, its splice prediction, and its routed open when routed is
+// the initiator's first launch (routedLeads); otherwise that waits for
+// the initiator's cue, "open it to me". The cost is the halves of
+// candidates the initiator never launches — a listener, a reserved
+// splice port and its advertisement, cached reconnects included — which
+// the election cancels like any loser. The initiator decides which candidates
 // run and when, and it alone elects: methods complete at slightly
 // different instants on the two sides, so letting each side pick its own
 // first finisher could select different winners. An election outside the
@@ -89,6 +92,15 @@ func (c *Connector) candidates(initiator, acceptor Profile) []Method {
 		return []Method{c.ForcedMethod}
 	}
 	return RankCandidates(initiator, acceptor, false)
+}
+
+// routedLeads reports whether the initiator launches routed first: the
+// announced method when it is a candidate, the ranking's head otherwise.
+func routedLeads(candidates []Method, announced Method) bool {
+	if !slices.Contains(candidates, announced) {
+		announced = candidates[0]
+	}
+	return announced == Routed
 }
 
 // methodConv is what a single method attempt talks through: its sends
@@ -226,6 +238,7 @@ func (c *Connector) EstablishInitiator(cv *Conversation, remote Profile, opts Es
 		c.Metrics.failed()
 		return nil, MethodNone, ErrNoMethod
 	}
+	cv.routedLeads = routedLeads(order, opts.First)
 
 	useCache := c.Cache != nil && opts.PeerKey != "" && c.ForcedMethod == MethodNone
 	cached := MethodNone
@@ -286,17 +299,18 @@ func (c *Connector) EstablishInitiator(cv *Conversation, remote Profile, opts Es
 
 // EstablishAcceptor is the passive counterpart of EstablishInitiator; it
 // must be called on the peer for every EstablishInitiator call, with the
-// initiator's profile. Every candidate's half starts immediately (each
-// speaks first where its method lets it, then mostly blocks until the
-// initiator's tier does), the initiator's election picks the survivor,
-// everything else is canceled and discarded. A nil error comes with a
-// connection.
-func (c *Connector) EstablishAcceptor(cv *Conversation, remote Profile) (net.Conn, Method, error) {
+// initiator's profile and EstablishOpts.First. Every candidate's half
+// starts immediately (each speaks first where its method lets it, then
+// mostly blocks until the initiator's tier does), the initiator's
+// election picks the survivor, everything else is canceled and
+// discarded. A nil error comes with a connection.
+func (c *Connector) EstablishAcceptor(cv *Conversation, remote Profile, first Method) (net.Conn, Method, error) {
 	local := c.Profile()
 	candidates := c.candidates(remote, local)
 	if len(candidates) == 0 {
 		return nil, MethodNone, ErrNoMethod
 	}
+	cv.routedLeads = routedLeads(candidates, first)
 	results := make(chan convResult, len(candidates))
 	for _, m := range candidates {
 		c.launchAttempt(cv, m, local, remote, false, results)

@@ -3,14 +3,19 @@ package estab
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"netibis/internal/emunet"
+	"netibis/internal/identity"
+	"netibis/internal/obs"
+	"netibis/internal/relay"
 	"netibis/internal/testutil"
 	"netibis/internal/wire"
 )
@@ -29,10 +34,15 @@ func establishPairOpts(t *testing.T, init, acc *Connector, opts EstablishOpts) (
 }
 
 // establishOver is establishPairOpts on the caller's service link. Like
-// core, each side finishes its mux once its own establishment returned.
+// core, the initiator announces its cached winner as the method it
+// launches first, and each side finishes its mux once its own
+// establishment returned.
 func establishOver(t *testing.T, svcInit, svcAcc net.Conn, init, acc *Connector, opts EstablishOpts) (net.Conn, net.Conn, Method, error) {
 	t.Helper()
 	muxInit, muxAcc := NewServiceMux(svcInit), NewServiceMux(svcAcc)
+	if init.Cache != nil && opts.PeerKey != "" {
+		opts.First, _ = init.Cache.Lookup(opts.PeerKey)
+	}
 
 	type res struct {
 		conn net.Conn
@@ -41,7 +51,7 @@ func establishOver(t *testing.T, svcInit, svcAcc net.Conn, init, acc *Connector,
 	}
 	ch := make(chan res, 1)
 	go func() {
-		conn, m, err := acc.EstablishAcceptor(muxAcc.Open(), init.Profile())
+		conn, m, err := acc.EstablishAcceptor(muxAcc.Open(), init.Profile(), opts.First)
 		if ferr := muxAcc.Finish(); ferr != nil {
 			t.Errorf("acceptor's Finish: %v", ferr)
 		}
@@ -446,8 +456,8 @@ func (p *handPeer) play(script ...frame) (stop func()) {
 }
 
 // TestRoutedCueCarriesNoBody: msgRouted is an empty cue. The acceptor
-// waits for the routed link of the peer whose profile it was handed; a
-// cue that tries to say who is coming is a protocol error.
+// opens its routed link to the peer whose profile it was handed; a cue
+// that tries to say where to is a protocol error.
 func TestRoutedCueCarriesNoBody(t *testing.T) {
 	w := newWorld(t)
 	acc := w.connector(t, "cue-b", "race-a9", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
@@ -461,7 +471,7 @@ func TestRoutedCueCarriesNoBody(t *testing.T) {
 		doneMarker)
 	defer stop()
 	mux := NewServiceMux(svcAcc)
-	conn, _, err := acc.EstablishAcceptor(mux.Open(), Profile{HasRelay: true, RelayID: "race-i9"})
+	conn, _, err := acc.EstablishAcceptor(mux.Open(), Profile{HasRelay: true, RelayID: "race-i9"}, MethodNone)
 	if conn != nil {
 		conn.Close()
 	}
@@ -471,6 +481,180 @@ func TestRoutedCueCarriesNoBody(t *testing.T) {
 	if err := mux.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
+}
+
+// opens reports how many link opens the world's relay has routed.
+func (w *world) opens(t *testing.T) float64 {
+	t.Helper()
+	reg := obs.NewRegistry()
+	w.relaySrv.MetricsInto(reg)
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := obs.ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := sc.Value("netibis_estab_open_frames_total")
+	return v
+}
+
+// TestRoutedOpensAtOnceOnlyWhenItLeads: the acceptor opens the routed
+// data link without a cue when routed is what the initiator launches
+// first — the pair's only candidate, or the cached winner the connect
+// request announced — and otherwise only on the cue: an establishment
+// that ends without one opened nothing. The initiator here is a script
+// and a bare relay attachment that takes the link.
+func TestRoutedOpensAtOnceOnlyWhenItLeads(t *testing.T) {
+	w := newWorld(t)
+	for i, tc := range []struct {
+		name      string
+		site      emunet.SiteConfig // both sides'
+		announced Method
+		ranking   []Method
+		cue       bool // the acceptor waits for one
+	}{
+		{"routed alone", emunet.SiteConfig{Firewall: emunet.Strict}, MethodNone, []Method{Routed}, false},
+		{"behind splicing", emunet.SiteConfig{Firewall: emunet.Stateful}, MethodNone, []Method{Splicing, Routed}, true},
+		{"announced behind splicing", emunet.SiteConfig{Firewall: emunet.Stateful}, Routed, []Method{Splicing, Routed}, false},
+	} {
+		init := w.connector(t, fmt.Sprintf("leads-a%d", i), fmt.Sprintf("leads-i%d", i), tc.site, false)
+		acc := w.connector(t, fmt.Sprintf("leads-b%d", i), fmt.Sprintf("leads-a%d", i), tc.site, false)
+		if got := RankCandidates(init.Profile(), acc.Profile(), false); !slices.Equal(got, tc.ranking) {
+			t.Fatalf("%s: the pair ranks %v, want %v", tc.name, got, tc.ranking)
+		}
+		establish := func(script ...frame) (net.Conn, error) {
+			svcInit, svcAcc := net.Pipe()
+			defer svcAcc.Close()
+			stop := newHandPeer(svcInit).play(append(script, doneMarker)...)
+			defer stop()
+			mux := NewServiceMux(svcAcc)
+			conn, _, err := acc.EstablishAcceptor(mux.Open(), init.Profile(), tc.announced)
+			if ferr := mux.Finish(); ferr != nil {
+				t.Errorf("%s: Finish: %v", tc.name, ferr)
+			}
+			return conn, err
+		}
+
+		base := w.opens(t)
+		if tc.cue {
+			if _, err := establish(msg(MethodNone, msgElect, byte(MethodNone))); !errors.Is(err, ErrAborted) {
+				t.Fatalf("%s: establishment ended without a cue: %v, want ErrAborted", tc.name, err)
+			}
+		}
+		script := []frame{msg(MethodNone, msgElect, byte(Routed))}
+		if tc.cue {
+			script = append([]frame{msg(Routed, msgRouted)}, script...)
+		}
+		conn, err := establish(script...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		link, err := init.Relay.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := link.(interface{ Purpose() byte }).Purpose(); p != relay.PurposeData {
+			t.Errorf("%s: the routed link's open carried purpose %d, want data", tc.name, p)
+		}
+		verifyLink(t, link, conn)
+		// Frames of one client cross the relay in order: an open of the
+		// first establishment would have been counted before this one.
+		if n := w.opens(t) - base; n != 1 {
+			t.Errorf("%s: the relay routed %v opens, want the one the election took", tc.name, n)
+		}
+	}
+}
+
+// TestCanceledRoutedOpenIsDiscarded: an election that ends the
+// acceptor's routed attempt calls its open off. An open still in flight
+// is withdrawn with an abandon frame; a link the initiator's relay
+// client already accepted is aborted, and the initiator's accept skips
+// it — neither side is left holding a link.
+func TestCanceledRoutedOpenIsDiscarded(t *testing.T) {
+	w := newWorld(t)
+	strict := emunet.SiteConfig{Firewall: emunet.Strict}
+	acc := w.connector(t, "cancel-b", "cancel-a", strict, false)
+	// run starts the acceptor's half of a routed-only establishment,
+	// waits for ready, then has the initiator elect nothing.
+	run := func(remote Profile, ready func()) {
+		t.Helper()
+		svcInit, svcAcc := net.Pipe()
+		defer svcAcc.Close()
+		hand := newHandPeer(svcInit)
+		done := make(chan error, 1)
+		go func() {
+			mux := NewServiceMux(svcAcc)
+			_, _, err := acc.EstablishAcceptor(mux.Open(), remote, MethodNone)
+			mux.Finish()
+			done <- err
+		}()
+		ready()
+		stop := hand.play(msg(MethodNone, msgElect, byte(MethodNone)), doneMarker)
+		defer stop()
+		if err := <-done; !errors.Is(err, ErrAborted) {
+			t.Fatalf("acceptor: %v, want ErrAborted", err)
+		}
+	}
+
+	t.Run("in flight", func(t *testing.T) {
+		// A bare attachment that reads the open and never answers it.
+		h := w.fabric.AddSite("cancel-raw", emunet.SiteConfig{Firewall: emunet.Open}).AddHost("cancel-raw")
+		conn, err := h.Dial(emunet.Endpoint{Addr: w.gateway.Address(), Port: w.relayPort})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		rw, rr := wire.NewWriter(conn), wire.NewReader(conn)
+		if err := rw.WriteFrame(relay.KindAttach, 0, wire.AppendUvarint(wire.AppendString(nil, "cancel-raw"), identity.AuthAnonymous)); err != nil {
+			t.Fatal(err)
+		}
+		next := func() wire.Frame {
+			conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+			f, err := rr.ReadFrame()
+			if err != nil {
+				t.Fatalf("raw attachment: %v", err)
+			}
+			return f
+		}
+		if f := next(); f.Kind != relay.KindAttachOK {
+			t.Fatalf("attach answered with kind %d", f.Kind)
+		}
+		var channel uint64
+		run(Profile{Firewalled: true, Strict: true, HasRelay: true, RelayID: "cancel-raw"}, func() {
+			f := next()
+			if f.Kind != relay.KindOpen {
+				t.Fatalf("got kind %d, want the acceptor's open", f.Kind)
+			}
+			_, channel, _, _ = relay.ParseRouted(f.Payload)
+		})
+		f := next()
+		if _, ch, _, _ := relay.ParseRouted(f.Payload); f.Kind != relay.KindAbandon || ch != channel {
+			t.Fatalf("after the election: kind %d on channel %d, want an abandon of channel %d", f.Kind, ch, channel)
+		}
+	})
+
+	t.Run("accepted", func(t *testing.T) {
+		init := w.connector(t, "cancel-c", "cancel-i", strict, false)
+		init.AcceptTimeout = 100 * time.Millisecond
+		run(init.Profile(), func() {
+			if why := testutil.Settle(func() (bool, string) {
+				return acc.Relay.LinkCount() == 1, "the acceptor's open was not answered"
+			}); why != "" {
+				t.Fatal(why)
+			}
+		})
+		if why := testutil.Settle(func() (bool, string) {
+			return init.Relay.LinkCount() == 0 && acc.Relay.LinkCount() == 0, "the aborted link is still registered"
+		}); why != "" {
+			t.Fatal(why)
+		}
+		if conn, err := init.acceptRelayDirect(nil); err == nil {
+			conn.Close()
+			t.Fatal("the initiator's accept handed over the aborted link")
+		}
+	})
 }
 
 // TestElectOutsidePlanIsProtocolError: the election names a candidate —
@@ -492,7 +676,7 @@ func TestElectOutsidePlanIsProtocolError(t *testing.T) {
 		doneMarker)
 	defer stop()
 	mux := NewServiceMux(svcAcc)
-	conn, _, err := acc.EstablishAcceptor(mux.Open(), remote)
+	conn, _, err := acc.EstablishAcceptor(mux.Open(), remote, MethodNone)
 	if conn != nil || !errors.Is(err, ErrProtocol) {
 		t.Fatalf("electing a method outside the ranking: conn=%v err=%v, want no connection and ErrProtocol", conn, err)
 	}
@@ -558,7 +742,7 @@ func TestEstabStrictDecode(t *testing.T) {
 		if tc.initiator {
 			conn, _, err = init.EstablishInitiator(mux.Open(), open, EstablishOpts{})
 		} else {
-			conn, _, err = acc.EstablishAcceptor(mux.Open(), open)
+			conn, _, err = acc.EstablishAcceptor(mux.Open(), open, MethodNone)
 		}
 		if conn != nil || !errors.Is(err, tc.want) {
 			t.Errorf("%s: conn=%v err=%v, want no connection and %v", tc.name, conn, err, tc.want)
@@ -608,7 +792,7 @@ func TestDifferentRankingsEndTyped(t *testing.T) {
 		}
 		ch := make(chan res, 1)
 		go func() {
-			conn, _, err := acc.EstablishAcceptor(muxAcc.Open(), tc.toAcc)
+			conn, _, err := acc.EstablishAcceptor(muxAcc.Open(), tc.toAcc, MethodNone)
 			muxAcc.Finish()
 			ch <- res{conn, err}
 		}()

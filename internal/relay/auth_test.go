@@ -432,11 +432,14 @@ func stripE2EBlob(strip byte) func(kind, flags byte, payload []byte) []proxyFram
 		if !ok {
 			return passFrame(kind, flags, payload)
 		}
-		from, window, _, err := decodeOpenBody(body)
+		from, window, _, purpose, err := decodeOpenBody(body)
 		if err != nil {
 			return passFrame(kind, flags, payload)
 		}
 		body = appendOpenBody(nil, from, window, nil)
+		if purpose != 0 {
+			body = append(body, purpose)
+		}
 		return []proxyFrame{{kind: kind, flags: flags, payload: AppendRouted(nil, string(dst), channel, body)}}
 	}
 }

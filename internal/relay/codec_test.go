@@ -38,7 +38,7 @@ func TestStrictDecode(t *testing.T) {
 	ack := func(p []byte) error { _, err := parseAttachAck(p); return err }
 	challenge := func(p []byte) error { _, err := decodeChallenge(p); return err }
 	authResp := func(p []byte) error { _, err := decodeAuthResponse(p); return err }
-	open := func(p []byte) error { _, _, _, err := decodeOpenBody(p); return err }
+	open := func(p []byte) error { _, _, _, _, err := decodeOpenBody(p); return err }
 
 	// Fresh slices each time: the cases below append to them.
 	name := func() []byte { return wire.AppendString(nil, "pool/alice") }
@@ -82,6 +82,86 @@ func TestStrictDecode(t *testing.T) {
 	}
 	if err := open(wire.AppendBytes(wire.AppendUvarint(name(), 1<<63), nil)); err == nil {
 		t.Error("open body with a window beyond int accepted")
+	}
+}
+
+// TestOpenPurposeTag: an open body ends in at most one purpose byte, and
+// only a known one. Without it the link is untagged; an unknown tag, an
+// explicit zero or a byte after the tag make the body malformed, and so
+// does a tag on an open-OK, which answers for no purpose.
+func TestOpenPurposeTag(t *testing.T) {
+	body := func(tail ...byte) []byte {
+		return append(appendOpenBody(nil, "pool/alice", DefaultWindowBytes, nil), tail...)
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want byte // the decoded purpose, when ok
+		ok   bool
+	}{
+		{"missing", body(), 0, true},
+		{"service", body(PurposeService), PurposeService, true},
+		{"data", body(PurposeData), PurposeData, true},
+		{"unknown", body(9), 0, false},
+		{"explicit zero", body(0), 0, false},
+		{"trailing byte", body(PurposeData, 0), 0, false},
+	} {
+		_, _, _, purpose, err := decodeOpenBody(tc.body)
+		if (err == nil) != tc.ok || purpose != tc.want {
+			t.Errorf("%s: purpose %d, err %v; want purpose %d, ok %v", tc.name, purpose, err, tc.want, tc.ok)
+		}
+	}
+
+	// End to end: the tag reaches the accepting side's link; an untagged
+	// Dial still works; an unknown tag is refused; a tagged open-OK fails
+	// the dial and abandons the far half.
+	w := newRelayWorld(t)
+	a := w.attach(t, "a", emunet.NoNAT)
+	defer a.Close()
+	b := w.attach(t, "b", emunet.NoNAT)
+	defer b.Close()
+	for _, purpose := range []byte{0, PurposeService, PurposeData} {
+		conn, err := a.DialPurpose("b", purpose, 2*time.Second, nil)
+		if err != nil {
+			t.Fatalf("dial with purpose %d: %v", purpose, err)
+		}
+		in, err := b.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := in.(*routedConn).Purpose(); got != purpose {
+			t.Errorf("open with purpose %d accepted as %d", purpose, got)
+		}
+		if got := conn.(*routedConn).Purpose(); got != 0 {
+			t.Errorf("the dialing side's link reports purpose %d", got)
+		}
+		conn.Close()
+		in.Close()
+	}
+	if _, err := a.DialPurpose("b", 9, 2*time.Second, nil); !errors.Is(err, ErrRefused) {
+		t.Errorf("open with an unknown purpose: %v, want ErrRefused", err)
+	}
+
+	raw := w.attachRaw(t, "raw")
+	dialed := make(chan error, 1)
+	go func() {
+		_, err := a.Dial("raw", 2*time.Second)
+		dialed <- err
+	}()
+	open := raw.read(t)
+	if open.Kind != KindOpen {
+		t.Fatalf("expected the dial's open, got kind %d", open.Kind)
+	}
+	_, channel, _, _ := ParseRouted(open.Payload)
+	tagged := append(appendOpenBody(nil, "raw", DefaultWindowBytes, nil), PurposeData)
+	if err := raw.w.WriteFrame(KindOpenOK, 0, AppendRouted(nil, "a", channel, tagged)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-dialed; !errors.Is(err, identity.ErrMalformed) {
+		t.Fatalf("dial answered by a tagged open-OK: %v, want ErrMalformed", err)
+	}
+	if f := raw.read(t); f.Kind != KindAbandon {
+		t.Fatalf("tagged open-OK: far half got kind %d, want an abandon", f.Kind)
 	}
 }
 

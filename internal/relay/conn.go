@@ -34,6 +34,7 @@ type routedConn struct {
 	peer     string
 	channel  uint64
 	outbound bool // true on the side that dialed
+	purpose  byte // the accepted open's purpose byte (0: none, or dialed here)
 
 	mu    sync.Mutex
 	cond  *sync.Cond // readers: data arrival, close, deadline wake-ups
@@ -593,6 +594,10 @@ func (rc *routedConn) SetWriteDeadline(t time.Time) error {
 
 // Peer returns the node ID of the remote end of the routed link.
 func (rc *routedConn) Peer() string { return rc.peer }
+
+// Purpose returns the purpose byte the link's open ended with (0 when it
+// carried none, and on a link this side opened).
+func (rc *routedConn) Purpose() byte { return rc.purpose }
 
 // ExportKey returns a 32-byte key bound to label that only the two ends
 // of this sealed link can derive, or nil on a plaintext link.

@@ -82,26 +82,31 @@ func FuzzDecodeAuthResponse(f *testing.F) {
 }
 
 // FuzzOpenBody fuzzes the open/open-OK body decode exactly as dispatch
-// performs it: originator ID, window, end-to-end exchange blob. A body is
-// either rejected or yields a positive window — never an unbounded sender.
+// performs it: originator ID, window, end-to-end exchange blob, purpose.
+// A body is either rejected or yields a positive window and a known
+// purpose — never an unbounded sender, never a link of unknown use.
 func FuzzOpenBody(f *testing.F) {
 	f.Add(wire.AppendString(nil, "pool/alice")) // truncated: no window
 	f.Add(appendOpenBody(nil, "pool/alice", 256<<10, nil))
 	if id, err := identity.Generate("pool/alice"); err == nil {
 		if offer, err := identity.OfferLink(id, "pool/alice", "pool/bob", 3); err == nil {
-			f.Add(appendOpenBody(nil, "pool/alice", DefaultWindowBytes, offer.Blob()))
+			f.Add(append(appendOpenBody(nil, "pool/alice", DefaultWindowBytes, offer.Blob()), PurposeData))
 		}
 	}
+	f.Add(append(appendOpenBody(nil, "pool/alice", 256<<10, nil), PurposeService))
 	f.Add([]byte{})
 	f.Add([]byte{0x02, 'h', 'i', 0x80})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		from, window, blob, err := decodeOpenBody(data)
+		from, window, blob, purpose, err := decodeOpenBody(data)
 		if err != nil {
 			return
 		}
 		if window <= 0 {
 			t.Fatalf("accepted a body with window %d", window)
+		}
+		if purpose != 0 && purpose != PurposeService && purpose != PurposeData {
+			t.Fatalf("accepted a body with purpose %d", purpose)
 		}
 		if len(blob) > 0 {
 			// The blob decode inside AcceptLink must never panic either;

@@ -104,30 +104,45 @@ func routedSrc(body []byte) (src []byte, ok bool) {
 	return src, d.Err() == nil
 }
 
+// Link purposes: the byte an open may end with, saying what the link is
+// for to the node that accepts it (see routedConn.Purpose). Relays
+// forward it unread with the rest of the body.
+const (
+	PurposeService byte = 1 // a service link: brokering requests
+	PurposeData    byte = 2 // a data link an establishment of the accepting node waits for
+)
+
 // appendOpenBody builds the body of an open or an open-OK, which share
 // one layout: the sender's node ID, its receive window in bytes (always
 // positive) and its end-to-end exchange blob — the signed offer in an
 // open, the answer in an open-OK, empty when the sender does not seal.
+// An open may append a purpose byte.
 func appendOpenBody(buf []byte, from string, window int, blob []byte) []byte {
 	buf = wire.AppendString(buf, from)
 	buf = wire.AppendUvarint(buf, uint64(window))
 	return wire.AppendBytes(buf, blob)
 }
 
-// decodeOpenBody parses an open or open-OK body; blob aliases body. A
-// truncated body, trailing bytes, an empty sender or a window that is
-// zero or beyond int is malformed. On error from is still returned when
-// it decoded, so the caller can answer the sender.
-func decodeOpenBody(body []byte) (from string, window int, blob []byte, err error) {
+// decodeOpenBody parses an open or open-OK body; blob aliases body, and
+// purpose is 0 when the body ends without one. A truncated body, a
+// purpose that is not PurposeService or PurposeData, trailing bytes, an
+// empty sender or a window that is zero or beyond int is malformed. On
+// error from is still returned when it decoded, so the caller can answer
+// the sender.
+func decodeOpenBody(body []byte) (from string, window int, blob []byte, purpose byte, err error) {
 	d := wire.NewDecoder(body)
 	from = d.String()
 	if d.Err() != nil || from == "" {
-		return "", 0, nil, identity.ErrMalformed
+		return "", 0, nil, 0, identity.ErrMalformed
 	}
 	w := d.Uvarint()
 	blob = d.Bytes()
-	if d.Err() != nil || d.Remaining() != 0 || w == 0 || w > math.MaxInt {
-		return from, 0, nil, identity.ErrMalformed
+	tagged := d.Err() == nil && d.Remaining() > 0
+	if tagged {
+		purpose = d.Byte()
 	}
-	return from, int(w), blob, nil
+	if d.Err() != nil || d.Remaining() != 0 || w == 0 || w > math.MaxInt || tagged && purpose != PurposeService && purpose != PurposeData {
+		return from, 0, nil, 0, identity.ErrMalformed
+	}
+	return from, int(w), blob, purpose, nil
 }

@@ -22,6 +22,7 @@ import (
 	"netibis/internal/drivers/zip"
 	"netibis/internal/estab"
 	"netibis/internal/identity"
+	"netibis/internal/relay"
 	"netibis/internal/wire"
 )
 
@@ -148,10 +149,12 @@ func main() {
 	resp = wire.AppendBytes(resp, sig)
 	write("relay", "FuzzDecodeAuthResponse", "basic", resp)
 
+	// An open body ends in a purpose byte or in nothing.
 	openBody := wire.AppendString(nil, "pool/alice")
 	openBody = wire.AppendUvarint(openBody, 256<<10)
 	write("relay", "FuzzOpenBody", "windowed", wire.AppendBytes(openBody, nil))
-	write("relay", "FuzzOpenBody", "secure-open", wire.AppendBytes(openBody, offer.Blob()))
+	write("relay", "FuzzOpenBody", "secure-open", append(wire.AppendBytes(openBody, offer.Blob()), relay.PurposeData))
+	write("relay", "FuzzOpenBody", "service-open", append(wire.AppendBytes(openBody, nil), relay.PurposeService))
 
 	// overlay: gossip / forward / nack / hello (formats documented in
 	// internal/overlay/overlay.go).
@@ -194,7 +197,8 @@ func main() {
 	write("overlay", "FuzzDecodePeerHello", "authenticated", hello)
 
 	// core: the connect request (DESIGN.md, "Control-frame bodies"),
-	// which nests the initiator's profile.
+	// which nests the initiator's profile and ends in the method it
+	// launches first.
 	connect := wire.AppendString(nil, "inbox")
 	typeDigest := sha256.Sum256(wire.AppendString(wire.AppendString(nil, "chan"), "zip/multi:streams=4/tcpblk"))
 	connect = wire.AppendBytes(connect, typeDigest[:])
@@ -204,6 +208,7 @@ func main() {
 		SiteName: "site-a", Firewalled: true, Addr: "10.1.0.2", PublicAddr: "10.1.0.1",
 		HasRelay: true, RelayID: "pool/alice", HomeRelay: "relay-0",
 	}.Encode())
+	connect = append(connect, byte(estab.Routed))
 	write("core", "FuzzDecodeConnectRequest", "request", connect)
 	write("core", "FuzzDecodeConnectRequest", "request-truncated", connect[:len(connect)-9])
 
