@@ -18,7 +18,8 @@
 // two and supplies its builders, its header codec and two hooks: emit
 // (frame, compress or seal a block and hand it down) and fill (read one
 // block from below and decode it). DESIGN.md, "The fast paths, layer by
-// layer", has the per-driver constants and why secure has no bypass.
+// layer", has the per-driver constants: each of the three bypasses its
+// buffer for large writes.
 //
 // The framework is strictly separated from connection establishment:
 // drivers receive their connections from an Env whose Dial/Accept

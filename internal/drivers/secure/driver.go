@@ -24,11 +24,14 @@
 //
 // Each link derives its own record key as SHA-256(master key ‖ salt), so
 // the per-record counter nonces can never collide across the many links
-// that share one master key. Sealing and opening reuse the AEAD codec
-// state and work in pooled buffers: a record is sealed into the buffer
-// that travels down the stack by ownership transfer, and opened straight
-// into the reader's slice when the plaintext fits it, otherwise in place
-// in the buffer the ciphertext was read into.
+// that share one master key. Each byte is touched once per direction
+// beyond the AEAD pass. A block-sized write is sealed straight from the
+// writer's slice into the pooled buffer that travels down the stack by
+// ownership transfer; smaller writes aggregate into a block first. The
+// reader reads ahead into one pooled buffer with room for a whole record,
+// so the layer below reads each record's frame straight into it, and a
+// record is opened from there into the reader's slice when the plaintext
+// fits it, otherwise into a pooled buffer of its own.
 //
 // Nonce-reuse safety across reconnects and Resume: the record nonce is
 // a plain counter that restarts at 1 on every SealOutput — including
@@ -70,6 +73,11 @@ const saltSize = 16
 
 // recordLenSize is the ciphertext length prefix.
 const recordLenSize = 4
+
+// tagSize is the AES-GCM authentication tag a record's ciphertext
+// carries: a record is at most recordLenSize + block + tagSize bytes,
+// the size of the reader's read-ahead buffer.
+const tagSize = 16
 
 // ErrNoKey is returned when the secure driver has no key material: no
 // key= or psk= in the stack, no 32-byte identity-derived key on the link.
@@ -173,26 +181,40 @@ func NewSealOutput(lower driver.Output, master []byte, blockSize int) (*SealOutp
 		return nil, err
 	}
 	o.aead = aead
-	// No bypass: every write goes through the buffer, so a message's
-	// records leave in the order and sizes the layer below coalesces best
-	// (DESIGN.md, "The fast paths, layer by layer").
-	o.BlockOutput = driver.NewBlockOutput(lower, blockSize, 0, 0, o.emit)
+	// Writes of at least one block bypass the aggregation buffer, a block
+	// at a time, so every record still holds at most one block.
+	o.BlockOutput = driver.NewBlockOutput(lower, blockSize, blockSize, blockSize, o.emit)
 	return o, nil
 }
 
-// emit seals one block of plaintext into a pooled record buffer and
-// hands ownership to the lower driver.
-func (o *SealOutput) emit(_, body []byte) (int, error) {
+// emit seals the pending bytes (head) as a record of their own, then the
+// block or bypassing piece (body) as the next.
+func (o *SealOutput) emit(head, body []byte) (int, error) {
 	if !o.saltSent {
 		if _, err := o.lower.Write(o.salt[:]); err != nil {
 			return 0, err
 		}
 		o.saltSent = true
 	}
+	n := 0
+	if len(head) > 0 {
+		k, err := o.seal(head)
+		if err != nil {
+			return 0, err
+		}
+		n = k
+	}
+	k, err := o.seal(body)
+	return n + k, err
+}
+
+// seal seals one record into a pooled buffer and hands ownership to the
+// lower driver.
+func (o *SealOutput) seal(pt []byte) (int, error) {
 	o.seq++
 	binary.BigEndian.PutUint64(o.nonce[4:], o.seq)
-	out := wire.GetBuf(recordLenSize + len(body) + o.aead.Overhead())
-	ct := o.aead.Seal(out.Bytes()[recordLenSize:recordLenSize], o.nonce[:], body, nil)
+	out := wire.GetBuf(recordLenSize + len(pt) + o.aead.Overhead())
+	ct := o.aead.Seal(out.Bytes()[recordLenSize:recordLenSize], o.nonce[:], pt, nil)
 	binary.BigEndian.PutUint32(out.Bytes()[:recordLenSize], uint32(len(ct)))
 	out.SetLen(recordLenSize + len(ct))
 	return out.Len(), driver.WriteBuf(o.lower, out)
@@ -207,7 +229,12 @@ type SealInput struct {
 	blockSize int
 	seq       uint64
 	nonce     [12]byte
-	lenBuf    [recordLenSize]byte
+
+	// ahead is the read-ahead buffer, one whole record long, taken from
+	// the pool when a read needs it and returned as soon as it is drained;
+	// [off:end) is read from below and not yet consumed.
+	ahead    *wire.Buf
+	off, end int
 }
 
 // NewSealInput creates an opening input over lower with the given
@@ -223,58 +250,102 @@ func NewSealInput(lower driver.Input, master []byte, blockSize int) *SealInput {
 }
 
 // fill reads the next sealed record and opens it: straight into the
-// caller's slice when the plaintext fits it, otherwise in place in the
-// record's pooled buffer. Either way nothing is delivered unless the
-// record authenticates.
+// caller's slice when the plaintext fits it, otherwise into a pooled
+// buffer. Either way nothing is delivered unless the record
+// authenticates.
 func (in *SealInput) fill(direct []byte) (int, *wire.Buf, error) {
 	if in.aead == nil {
-		var salt [saltSize]byte
-		if _, err := io.ReadFull(in.lower, salt[:]); err != nil {
-			if err == io.ErrUnexpectedEOF {
-				err = io.EOF
-			}
-			return 0, nil, err
+		if err := in.buffer(saltSize, 0); err != nil {
+			return 0, nil, endOfStream(err)
 		}
-		aead, err := linkAEAD(in.master, salt[:])
+		aead, err := linkAEAD(in.master, in.ahead.Bytes()[in.off:in.off+saltSize])
 		if err != nil {
 			return 0, nil, err
 		}
 		in.aead = aead
+		in.consume(saltSize)
 	}
-	if _, err := io.ReadFull(in.lower, in.lenBuf[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
-		}
-		return 0, nil, err
+	if err := in.buffer(recordLenSize, 0); err != nil {
+		return 0, nil, endOfStream(err)
 	}
-	// Four unauthenticated bytes size the buffer below: hold them to what
-	// a conforming sender emits, one block plus the AEAD tag.
-	ctLen := int64(binary.BigEndian.Uint32(in.lenBuf[:]))
-	if tag := int64(in.aead.Overhead()); ctLen < tag || ctLen > int64(in.blockSize)+tag {
+	// Four unauthenticated bytes say how much more to read: hold them to
+	// what a conforming sender emits, one block plus the AEAD tag.
+	ctLen := int64(binary.BigEndian.Uint32(in.ahead.Bytes()[in.off:]))
+	if ctLen < tagSize || ctLen > int64(in.blockSize)+tagSize {
 		return 0, nil, fmt.Errorf("secure: record length %d out of range", ctLen)
 	}
-	rec := wire.GetBuf(int(ctLen))
-	if _, err := io.ReadFull(in.lower, rec.Bytes()); err != nil {
-		rec.Release()
+	recLen := recordLenSize + int(ctLen)
+	if err := in.buffer(recLen, recordLenSize); err != nil {
 		return 0, nil, fmt.Errorf("secure: truncated record: %w", err)
 	}
+	ct := in.ahead.Bytes()[in.off+recordLenSize : in.off+recLen]
 	in.seq++
 	binary.BigEndian.PutUint64(in.nonce[4:], in.seq)
-	dst := rec.Bytes()[:0]
-	ptLen := int(ctLen) - in.aead.Overhead()
-	fits := ptLen > 0 && ptLen <= len(direct)
-	if fits {
-		dst = direct[:0]
+	var rec *wire.Buf
+	dst := direct[:0]
+	if ptLen := int(ctLen) - tagSize; ptLen > len(direct) {
+		rec = wire.GetBuf(ptLen)
+		dst = rec.Bytes()[:0]
 	}
-	pt, err := in.aead.Open(dst, in.nonce[:], rec.Bytes(), nil)
+	pt, err := in.aead.Open(dst, in.nonce[:], ct, nil)
+	in.consume(recLen)
 	if err != nil {
-		rec.Release()
+		if rec != nil {
+			rec.Release()
+		}
 		return 0, nil, fmt.Errorf("secure: record authentication failed: %w", err)
 	}
-	if fits {
-		rec.Release()
-		return len(pt), nil, nil
+	if rec == nil {
+		return len(pt), nil, nil // the pipeline skips an empty record
 	}
-	rec.SetLen(len(pt))
-	return 0, rec, nil // the pipeline skips an empty record
+	return 0, rec, nil
+}
+
+// buffer reads from below until n bytes are read ahead, and fails the way
+// io.ReadFull would for the bytes past the first from of them. Leftovers
+// move to the front of the buffer before a read, so every read leaves
+// room for the whole record they begin, and the layer below can read a
+// record's frame straight into place.
+func (in *SealInput) buffer(n, from int) error {
+	if in.end-in.off >= n {
+		return nil
+	}
+	if in.ahead == nil {
+		in.ahead = wire.GetBuf(recordLenSize + in.blockSize + tagSize)
+	}
+	buf := in.ahead.Bytes()
+	if in.off > 0 {
+		in.end = copy(buf, buf[in.off:in.end])
+		in.off = 0
+	}
+	for in.end < n {
+		k, err := in.lower.Read(buf[in.end:])
+		in.end += k
+		if err != nil && in.end < n {
+			if err == io.EOF && in.end > from {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// consume drops n opened bytes from the read-ahead buffer and returns the
+// buffer to the pool once it is drained.
+func (in *SealInput) consume(n int) {
+	in.off += n
+	if in.off == in.end {
+		in.ahead.Release()
+		in.ahead, in.off, in.end = nil, 0, 0
+	}
+}
+
+// endOfStream reports a stream cut between records, or inside a salt or a
+// length prefix, as its clean end.
+func endOfStream(err error) error {
+	if err == io.ErrUnexpectedEOF {
+		return io.EOF
+	}
+	return err
 }

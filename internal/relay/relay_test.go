@@ -554,3 +554,66 @@ func TestClientResumeOnSecondRelay(t *testing.T) {
 		t.Fatalf("echo after resume: %q %v", buf, err)
 	}
 }
+
+// TestServeCloseAttachRace runs Serve, Close and a node's attach at once,
+// in whatever order the scheduler picks, many times over. Close returns,
+// Serve returns (also when it starts after Close), and a node whose
+// attach went through is detached by the time Close returns.
+func TestServeCloseAttachRace(t *testing.T) {
+	const deadline = 5 * time.Second
+	for i := 0; i < 40; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer()
+		served := make(chan error, 1)
+		attached := make(chan *Client, 1)
+		go func() { served <- srv.Serve(l) }()
+		go func() {
+			conn, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				attached <- nil // the relay closed its listener first
+				return
+			}
+			c, err := Attach(conn, "node")
+			if err != nil {
+				conn.Close()
+				attached <- nil // refused: the relay was closing
+				return
+			}
+			attached <- c
+		}()
+		time.Sleep(time.Duration(i%8) * 50 * time.Microsecond)
+		closed := make(chan struct{})
+		go func() {
+			srv.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(deadline):
+			t.Fatalf("round %d: Close hung", i)
+		}
+		select {
+		case <-served:
+		case <-time.After(deadline):
+			t.Fatalf("round %d: Serve still accepting after Close", i)
+		}
+		c := <-attached
+		if c == nil {
+			continue
+		}
+		gone := make(chan error, 1)
+		go func() {
+			_, err := c.Accept()
+			gone <- err
+		}()
+		select {
+		case <-gone:
+		case <-time.After(deadline):
+			t.Fatalf("round %d: the node is still attached after Close", i)
+		}
+		c.Close()
+	}
+}

@@ -79,6 +79,10 @@ type Server struct {
 	connH  ConnHandler
 	auth   AuthConfig
 	closed bool
+	// listeners are the ones Serve accepts on, closed by Close; like wg.Add
+	// they are guarded by mu, so nothing is added to either after Close.
+	listeners []net.Listener
+	wg        sync.WaitGroup
 
 	// attachMu serialises each {s.nodes update, Forwarder notification}
 	// pair of handleNode. Without it a detaching handler could delete its
@@ -87,10 +91,6 @@ type Server struct {
 	// gossiping a higher-versioned tombstone for a live attachment that
 	// nothing would ever repair.
 	attachMu sync.Mutex
-
-	lnMu      sync.Mutex
-	listeners []net.Listener
-	wg        sync.WaitGroup
 
 	// egressLimit is the per-source queue bound applied to every
 	// attached node's egress scheduler (0 = DefaultEgressQueueFrames).
@@ -264,17 +264,30 @@ func (s *Server) connHandler() ConnHandler {
 	return s.connH
 }
 
-// Serve accepts relay clients on l until the listener is closed.
+// Serve accepts relay clients on l until the listener is closed. After
+// Close it closes l and returns net.ErrClosed.
 func (s *Server) Serve(l net.Listener) error {
-	s.lnMu.Lock()
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		l.Close()
+		return net.ErrClosed
+	}
 	s.listeners = append(s.listeners, l)
-	s.lnMu.Unlock()
+	s.mu.Unlock()
 	for {
 		c, err := l.Accept()
 		if err != nil {
 			return err
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			c.Close()
+			return net.ErrClosed
+		}
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			s.handle(c)
@@ -282,10 +295,19 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Close shuts the relay down, disconnecting all nodes.
+// Close shuts the relay down: it stops accepting, then disconnects all
+// nodes and waits for their handlers. Once it has begun, Serve starts no
+// handler and handleNode attaches no node.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
+	listeners := s.listeners
+	s.listeners = nil
+	s.mu.Unlock()
+	for _, l := range listeners {
+		l.Close()
+	}
+	s.mu.Lock()
 	peers := make([]*serverPeer, 0, len(s.nodes))
 	for _, p := range s.nodes {
 		peers = append(peers, p)
@@ -295,11 +317,6 @@ func (s *Server) Close() {
 		p.conn.Close()
 		p.eg.Close()
 	}
-	s.lnMu.Lock()
-	for _, l := range s.listeners {
-		l.Close()
-	}
-	s.lnMu.Unlock()
 	s.wg.Wait()
 }
 
