@@ -11,12 +11,14 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"netibis/internal/drivers/multi"
 	"netibis/internal/emunet"
 	"netibis/internal/estab"
 	"netibis/internal/ipl"
@@ -32,8 +34,7 @@ var stateful = emunet.SiteConfig{Firewall: emunet.Stateful}
 // the done marker is the next frame kind and empty.
 const (
 	kindMuxData, kindMuxDone = wire.KindUser + 0x28, wire.KindUser + 0x29
-	msgListen, msgSplice     = 1, 2
-	msgElect                 = 5
+	msgListen, msgElect      = 1, 4
 )
 
 // request sends one frame on a service link and returns the reply's op
@@ -255,7 +256,9 @@ func TestRoutedDataLinksNeedAWaiter(t *testing.T) {
 // done marker — because the acceptor's establishment returned no
 // connection and no error, and the port's reader dereferenced it. Now
 // the establishment is a protocol error: bob refuses the link, keeps
-// serving that service link, and still accepts an honest connect.
+// serving that service link, and still accepts an honest connect. A
+// request whose splice endpoints do not number the stack's
+// establishments is refused before anything starts.
 func TestSecureMemberCannotCrashAcceptor(t *testing.T) {
 	g := newSecureGrid(t, 1)
 	alice := g.secureNode("alice", "site-a", stateful, nil)
@@ -273,7 +276,15 @@ func TestSecureMemberCannotCrashAcceptor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := connectRequest{portName: "inbox", typeDigest: portTypeDigest(pt), sender: mallory.id, profile: mallory.Profile()}
+	_, predicted := mallory.connector.ReserveSplice(1)
+	req := connectRequest{portName: "inbox", typeDigest: portTypeDigest(pt), sender: mallory.id, profile: mallory.Profile(), splice: predicted}
+	for what, splice := range map[string][]emunet.Endpoint{"no": nil, "two": append(predicted, predicted...)} {
+		bad := req
+		bad.splice = splice
+		if op, _ := request(t, sl, opConnect, encodeConnectRequest(bad)); op != opConnectErr {
+			t.Errorf("%s splice endpoints for a one-establishment stack: reply op %d, want opConnectErr", what, op)
+		}
+	}
 	if op, _ := request(t, sl, opConnect, encodeConnectRequest(req)); op != opConnectOK {
 		t.Fatalf("mallory's own connect request: reply op %d, want opConnectOK", op)
 	}
@@ -433,6 +444,11 @@ type recordingConn struct {
 	// onDone, when set, runs before the write that completes the
 	// establishment's done marker goes out; its error fails that write.
 	onDone func() error
+	// holding, when set, lets the first frame through (a connect request)
+	// and keeps everything written after it in held, unsent, until
+	// release: the far end's reader sees nothing more.
+	holding bool
+	held    []byte
 	// closed is closed by Close.
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -441,6 +457,11 @@ type recordingConn struct {
 func (rc *recordingConn) Write(p []byte) (int, error) {
 	rc.mu.Lock()
 	rc.wrote.Write(p)
+	if rc.holding && len(parseFrames(rc.wrote.Bytes())) > 1 {
+		rc.held = append(rc.held, p...)
+		rc.mu.Unlock()
+		return len(p), nil
+	}
 	done := rc.onDone != nil && slices.ContainsFunc(parseFrames(rc.wrote.Bytes()), func(f wire.Frame) bool { return f.Kind == kindMuxDone })
 	rc.mu.Unlock()
 	if done {
@@ -449,6 +470,16 @@ func (rc *recordingConn) Write(p []byte) (int, error) {
 		}
 	}
 	return rc.Conn.Write(p)
+}
+
+// release sends what holding kept back and stops holding. Writes that
+// come meanwhile wait, so nothing overtakes the held bytes.
+func (rc *recordingConn) release() error {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	rc.holding = false
+	_, err := rc.Conn.Write(rc.held)
+	return err
 }
 
 func (rc *recordingConn) Read(p []byte) (int, error) {
@@ -532,21 +563,40 @@ func TestProfilesCrossServiceLinkOncePerConnect(t *testing.T) {
 }
 
 // TestConnectFrameCount pins what a cold connect puts on the service
-// link when the paper's simplest method wins. When Connect returns the
-// initiator has written the two frames a connect needs of it — the
-// connect request and the election; the candidates are implied by the two
-// profiles — and read the two it waited for: the connect-OK and, back to
-// back with it, the acceptor's listening endpoint. Off the caller's path
-// the barrier adds the initiator's done marker, three in all, and the
-// acceptor's total is four: the splice prediction its splicing half
-// advertises whether or not the initiator ever launches that method, and
-// its done marker. Its routed half waits for a cue that never comes.
+// link, for the paper's simplest method and for splicing. When Connect
+// returns the initiator has written the two frames a connect needs of it
+// — the connect request and the election; the candidates are implied by
+// the two profiles, and both sides' splice endpoints ride in the request
+// and its reply — and read what it waited for: the connect-OK and, for
+// client/server, the acceptor's listening endpoint back to back with it.
+// Off the caller's path the barrier adds the initiator's done marker,
+// three frames in all. The acceptor writes its connect-OK, the listening
+// endpoint when client/server is a candidate, and its done marker: two
+// frames for a spliced connect, three for a client/server one. Its
+// splicing half says nothing at all. (It used to advertise a prediction
+// whether or not the initiator ever launched splicing, which made the
+// client/server count four; that is decided away, not just unmeasured.)
+// Its routed half waits for a cue that never comes.
 func TestConnectFrameCount(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		acc     emunet.SiteConfig
+		ranking []estab.Method
+		method  estab.Method
+	}{
+		{"client/server", emunet.SiteConfig{Firewall: emunet.Open}, []estab.Method{estab.ClientServer, estab.Splicing, estab.Routed}, estab.ClientServer},
+		{"splice", stateful, []estab.Method{estab.Splicing, estab.Routed}, estab.Splicing},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testConnectFrameCount(t, tc.acc, tc.ranking, tc.method) })
+	}
+}
+
+func testConnectFrameCount(t *testing.T, acc emunet.SiteConfig, ranking []estab.Method, method estab.Method) {
 	g := newTestGrid(t)
 	a := g.node("alice", "site-a", stateful, nil)
-	b := g.node("bob", "site-b", emunet.SiteConfig{Firewall: emunet.Open}, nil)
-	if got := estab.RankCandidates(a.Profile(), b.Profile(), false); !slices.Equal(got, []estab.Method{estab.ClientServer, estab.Splicing, estab.Routed}) {
-		t.Fatalf("the pair ranks %v; the counts below assume client/server, splicing and routed", got)
+	b := g.node("bob", "site-b", acc, nil)
+	if got := estab.RankCandidates(a.Profile(), b.Profile(), false); !slices.Equal(got, ranking) {
+		t.Fatalf("the pair ranks %v; the counts below assume %v", got, ranking)
 	}
 	rec, sl := recordServiceLink(t, a, "bob")
 
@@ -554,8 +604,8 @@ func TestConnectFrameCount(t *testing.T) {
 	defer sp.Close()
 	defer rp.Close()
 	sent, got := rec.frames()
-	if m := SendPortMethods(sp)[rp.ID().String()]; m != estab.ClientServer {
-		t.Fatalf("connected via %v, want client/server", m)
+	if m := SendPortMethods(sp)[rp.ID().String()]; m != method {
+		t.Fatalf("connected via %v, want %v", m, method)
 	}
 
 	// what names a frame: an op of the connect exchange, a message type of
@@ -578,7 +628,11 @@ func TestConnectFrameCount(t *testing.T) {
 		return out
 	}
 	request, elect, done := fmt.Sprintf("op %d", opConnect), fmt.Sprintf("msg %d", msgElect), "done"
-	ok, listen, splice := fmt.Sprintf("op %d", opConnectOK), fmt.Sprintf("msg %d", msgListen), fmt.Sprintf("msg %d", msgSplice)
+	ok, listen := fmt.Sprintf("op %d", opConnectOK), fmt.Sprintf("msg %d", msgListen)
+	fromAcceptor := []string{ok, done}
+	if slices.Contains(ranking, estab.ClientServer) {
+		fromAcceptor = []string{ok, listen, done}
+	}
 
 	// At Connect's return the barrier may or may not have written its
 	// marker yet; what the caller waited for is the rest.
@@ -589,19 +643,86 @@ func TestConnectFrameCount(t *testing.T) {
 	if !slices.Equal(atReturn, []string{request, elect}) {
 		t.Fatalf("when Connect returned the initiator had written %v, want the connect request and the election", atReturn)
 	}
-	if r := names(got); len(r) < 2 || r[0] != ok || !slices.Contains(r, listen) {
-		t.Fatalf("when Connect returned the initiator had read %v, want the connect-OK and the listening endpoint", r)
+	if r := names(got); len(r) == 0 || r[0] != ok || (method == estab.ClientServer && !slices.Contains(r, listen)) {
+		t.Fatalf("when Connect returned the initiator had read %v, want the connect-OK (and, for client/server, the listening endpoint)", r)
 	}
 
 	sl.mu.Lock() // the barrier has passed
 	sl.mu.Unlock()
 	sent, got = rec.frames()
 	if !slices.Equal(names(sent), []string{request, elect, done}) {
-		t.Fatalf("a cold client/server connect put %v from the initiator on the service link, want the connect request, the election and the done marker", names(sent))
+		t.Fatalf("a cold %v connect put %v from the initiator on the service link, want the connect request, the election and the done marker", method, names(sent))
 	}
-	r := names(got)
-	if len(r) != 4 || r[0] != ok || r[3] != done || !slices.Contains(r, listen) || !slices.Contains(r, splice) {
-		t.Fatalf("a cold client/server connect put %v from the acceptor on the service link, want the connect-OK, the listening endpoint and the splice prediction in either order, and the done marker", r)
+	if r := names(got); !slices.Equal(r, fromAcceptor) {
+		t.Fatalf("a cold %v connect put %v from the acceptor on the service link, want %v", method, r, fromAcceptor)
+	}
+}
+
+// TestSplicedConnectNeedsNothingAfterTheReply: the acceptor's splice
+// endpoints are in its connect reply and its simultaneous open goes out
+// right behind it, so a spliced Connect needs nothing the acceptor's
+// service-link reader would get after the request. Here that reader is
+// stalled: everything the initiator writes after its request is held
+// back. Connect returns a spliced link all the same; then the held frames
+// (the election and the done marker) go through, the acceptor takes the
+// link, and it carries a message.
+func TestSplicedConnectNeedsNothingAfterTheReply(t *testing.T) {
+	g := newTestGrid(t)
+	patient := func(c *Config) { c.RaceStagger = time.Hour } // splicing alone, no routed cue
+	a := g.node("alice", "site-a", stateful, patient)
+	b := g.node("bob", "site-b", stateful, patient)
+	if got := estab.RankCandidates(a.Profile(), b.Profile(), false); len(got) == 0 || got[0] != estab.Splicing {
+		t.Fatalf("the pair ranks %v, want splicing first", got)
+	}
+	rec, _ := recordServiceLink(t, a, "bob")
+	rec.mu.Lock()
+	rec.holding = true
+	rec.mu.Unlock()
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			if err := rec.release(); err != nil {
+				t.Errorf("releasing the held frames: %v", err)
+			}
+		}
+	}
+	defer release()
+
+	pt := ipl.PortType{Name: "chan", Stack: "tcpblk"}
+	rp, err := b.CreateReceivePort(pt, "inbox")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	sp, err := a.CreateSendPort(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	connected := make(chan error, 1)
+	go func() { connected <- sp.Connect(rp.ID()) }()
+	select {
+	case err := <-connected:
+		if err != nil {
+			t.Fatalf("connect with the acceptor's reader stalled after the request: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Connect waits for the acceptor to read something after the request")
+	}
+	if m := SendPortMethods(sp)[rp.ID().String()]; m != estab.Splicing {
+		t.Fatalf("connected via %v, want splicing", m)
+	}
+	rec.mu.Lock()
+	heldFrames := parseFrames(rec.held)
+	rec.mu.Unlock()
+	if len(heldFrames) == 0 {
+		t.Fatal("nothing was held back: the stall did not cover the establishment")
+	}
+	release()
+	sendText(t, sp, "spliced before the acceptor heard the election")
+	if got, _ := recvText(t, rp); got != "spliced before the acceptor heard the election" {
+		t.Fatalf("got %q", got)
 	}
 }
 
@@ -666,14 +787,23 @@ func TestConnectRefusesBadReply(t *testing.T) {
 		return &wire.Frame{Kind: wire.KindControl, Flags: opConnectOK, Payload: reply}
 	})
 
-	good := estab.Profile{HasRelay: true, RelayID: "testpool/fake"}.Encode()
+	// The fake peer is open, so the pair ranks splicing: the reply carries
+	// one splice endpoint for the stack's one establishment.
+	fake := estab.Profile{HasRelay: true, RelayID: "testpool/fake"}
+	endpoint := emunet.Endpoint{Addr: "10.9.0.2", Port: 40001}
+	replyOf := func(p estab.Profile, splice ...emunet.Endpoint) []byte { return encodeConnectReply(p, splice) }
+	good := replyOf(fake, endpoint)
 	pt := ipl.PortType{Name: "chan", Stack: "tcpblk"}
 	for what, p := range map[string][]byte{
-		"empty":           nil,
-		"truncated":       good[:len(good)-1],
-		"trailing byte":   append(append([]byte(nil), good...), 0),
-		"another node's":  estab.Profile{HasRelay: true, RelayID: "testpool/bob"}.Encode(),
-		"the initiator's": a.Profile().Encode(),
+		"empty":                            nil,
+		"truncated":                        good[:len(good)-1],
+		"trailing byte":                    append(append([]byte(nil), good...), 0),
+		"another node's profile":           replyOf(estab.Profile{HasRelay: true, RelayID: "testpool/bob"}, endpoint),
+		"the initiator's profile":          replyOf(a.Profile(), endpoint),
+		"no splice endpoint":               replyOf(fake),
+		"two splice endpoints":             replyOf(fake, endpoint, endpoint),
+		"a splice port above 65535":        wire.AppendUvarint(wire.AppendString(wire.AppendUvarint(wire.AppendBytes(nil, fake.Encode()), 1), "10.9.0.2"), 65536),
+		"a bare profile, as it used to be": fake.Encode(),
 	} {
 		mu.Lock()
 		reply = p
@@ -684,25 +814,26 @@ func TestConnectRefusesBadReply(t *testing.T) {
 		}
 		err = sp.Connect(ipl.PortID{Owner: ipl.Identifier{Name: "fake", Pool: "testpool"}, Port: "inbox"})
 		if err == nil || errors.Is(err, ErrConnectRejected) {
-			t.Errorf("%s profile in the connect reply: Connect = %v, want a service-link failure", what, err)
+			t.Errorf("connect reply with %s: Connect = %v, want a service-link failure", what, err)
 		}
 		if len(sp.ConnectedTo()) != 0 {
-			t.Errorf("%s profile in the connect reply: the send port reports a link", what)
+			t.Errorf("connect reply with %s: the send port reports a link", what)
 		}
 		sp.Close()
 		a.mu.Lock()
 		cached := len(a.serviceLinks)
 		a.mu.Unlock()
 		if cached != 0 {
-			t.Errorf("%s profile in the connect reply: the service link stayed cached", what)
+			t.Errorf("connect reply with %s: the service link stayed cached", what)
 		}
 	}
 }
 
 // TestConnectRequestStrictDecode: the connect request has one layout.
 // Cut anywhere, with a trailing byte, with a profile field of the wrong
-// length, a port type digest that is not 32 bytes or a first method that
-// is none of estab's, it is a protocol error.
+// length, a port type digest that is not 32 bytes, a first method that
+// is none of estab's, a splice port above 65535 or more splice endpoints
+// than multi.MaxStreams, it is a protocol error.
 func TestConnectRequestStrictDecode(t *testing.T) {
 	req := connectRequest{
 		portName:   "inbox",
@@ -710,10 +841,11 @@ func TestConnectRequestStrictDecode(t *testing.T) {
 		sender:     ipl.Identifier{Name: "alice", Pool: "testpool"},
 		profile:    estab.Profile{SiteName: "site-a", Firewalled: true, HasRelay: true, RelayID: "testpool/alice", HomeRelay: "relay-0"},
 		first:      estab.Routed,
+		splice:     []emunet.Endpoint{{Addr: "10.1.0.2", Port: 40001}},
 	}
 	full := encodeConnectRequest(req)
 	got, err := decodeConnectRequest(full)
-	if err != nil || got != req {
+	if err != nil || !reflect.DeepEqual(got, req) {
 		t.Fatalf("round trip: %+v, %v", got, err)
 	}
 	for cut := 0; cut < len(full); cut++ {
@@ -721,10 +853,15 @@ func TestConnectRequestStrictDecode(t *testing.T) {
 			t.Errorf("request cut to %d of %d bytes accepted", cut, len(full))
 		}
 	}
-	last := len(full) - 1 // the first method's byte
+	tail := estab.AppendEndpoints(nil, req.splice)
+	last := len(full) - len(tail) - 1 // the first method's byte
 	withProfile := func(p []byte) []byte {
 		head := full[:last-len(wire.AppendBytes(nil, req.profile.Encode()))]
-		return append(wire.AppendBytes(append([]byte(nil), head...), p), full[last])
+		return append(wire.AppendBytes(append([]byte(nil), head...), p), full[last:]...)
+	}
+	withSplice := func(list []byte) []byte { return append(append([]byte(nil), full[:last+1]...), list...) }
+	if _, err := decodeConnectRequest(withSplice(tail)); err != nil {
+		t.Fatalf("withSplice does not rebuild the request: %v", err)
 	}
 	if _, err := decodeConnectRequest(withProfile(req.profile.Encode())); err != nil {
 		t.Fatalf("withProfile does not rebuild the request: %v", err)
@@ -744,10 +881,50 @@ func TestConnectRequestStrictDecode(t *testing.T) {
 		"31-byte digest":         withDigest(req.typeDigest[:31]),
 		"33-byte digest":         withDigest(append(req.typeDigest[:], 0)),
 		"empty digest":           withDigest(nil),
-		"first method unknown":   append(append([]byte(nil), full[:last]...), byte(estab.Routed+1)),
+		"first method unknown":   append(append(append([]byte(nil), full[:last]...), byte(estab.Routed+1)), tail...),
+		"no splice list":         withSplice(nil),
+		"splice port 65536":      withSplice(wire.AppendUvarint(wire.AppendString(wire.AppendUvarint(nil, 1), "10.1.0.2"), 65536)),
+		"65 splice endpoints":    withSplice(estab.AppendEndpoints(nil, make([]emunet.Endpoint, multi.MaxStreams+1))),
 	} {
 		if _, err := decodeConnectRequest(bad); err == nil {
 			t.Errorf("request with %s accepted", what)
+		}
+	}
+	if _, err := decodeConnectRequest(withSplice(estab.AppendEndpoints(nil, make([]emunet.Endpoint, multi.MaxStreams)))); err != nil {
+		t.Errorf("request with multi.MaxStreams splice endpoints: %v", err)
+	}
+}
+
+// TestConnectReplyStrictDecode: the connect reply is bytes profile ‖ the
+// acceptor's splice endpoints, in one encoding. A trailing byte, a cut, a
+// port above 65535, more endpoints than multi.MaxStreams or a varint that
+// is not minimal is a corrupt reply.
+func TestConnectReplyStrictDecode(t *testing.T) {
+	profile := estab.Profile{SiteName: "site-b", Firewalled: true, HasRelay: true, RelayID: "testpool/bob"}
+	splice := []emunet.Endpoint{{Addr: "10.2.0.2", Port: 40001}, {Addr: "10.2.0.2", Port: 40002}}
+	full := encodeConnectReply(profile, splice)
+	if p, s, err := decodeConnectReply(full); err != nil || p != profile || !slices.Equal(s, splice) {
+		t.Fatalf("round trip: %+v, %v, %v", p, s, err)
+	}
+	if p, s, err := decodeConnectReply(encodeConnectReply(profile, nil)); err != nil || p != profile || s != nil {
+		t.Fatalf("a reply without endpoints: %+v, %v, %v", p, s, err)
+	}
+	for cut := 0; cut < len(full); cut++ {
+		if _, _, err := decodeConnectReply(full[:cut]); err == nil {
+			t.Errorf("reply cut to %d of %d bytes accepted", cut, len(full))
+		}
+	}
+	head := wire.AppendBytes(nil, profile.Encode())
+	for what, bad := range map[string][]byte{
+		"trailing byte":         append(append([]byte(nil), full...), 0),
+		"port 65536":            wire.AppendUvarint(wire.AppendString(wire.AppendUvarint(head, 1), "10.2.0.2"), 65536),
+		"65 endpoints":          estab.AppendEndpoints(head, make([]emunet.Endpoint, multi.MaxStreams+1)),
+		"a count of two bytes":  append(append([]byte(nil), head...), 0x80, 0x00),
+		"a port of four bytes":  append(wire.AppendString(wire.AppendUvarint(head, 1), "10.2.0.2"), 0x80, 0x80, 0x80, 0x00),
+		"a profile with a tail": estab.AppendEndpoints(wire.AppendBytes(nil, append(profile.Encode(), 0)), splice),
+	} {
+		if _, _, err := decodeConnectReply(bad); err == nil {
+			t.Errorf("reply with %s accepted", what)
 		}
 	}
 }
@@ -774,6 +951,7 @@ func FuzzDecodeConnectRequest(f *testing.F) {
 		sender:     ipl.Identifier{Name: "alice", Pool: "pool"},
 		profile:    estab.Profile{HasRelay: true, RelayID: "pool/alice"},
 		first:      estab.Routed,
+		splice:     []emunet.Endpoint{{Addr: "10.1.0.2", Port: 40001}},
 	})
 	f.Add(full)
 	f.Add(full[:len(full)-3])
@@ -785,8 +963,38 @@ func FuzzDecodeConnectRequest(f *testing.F) {
 			return
 		}
 		// Whatever decodes survives its own encoding unchanged.
-		if again, err := decodeConnectRequest(encodeConnectRequest(req)); err != nil || again != req {
+		if again, err := decodeConnectRequest(encodeConnectRequest(req)); err != nil || !reflect.DeepEqual(again, req) {
 			t.Fatalf("%+v re-encodes to %+v (%v)", req, again, err)
+		}
+	})
+}
+
+// FuzzDecodeConnectReply: what decodes as a connect reply is exactly what
+// encodeConnectReply makes of it, and holds at most multi.MaxStreams
+// endpoints, each with a port.
+func FuzzDecodeConnectReply(f *testing.F) {
+	full := encodeConnectReply(estab.Profile{Firewalled: true, HasRelay: true, RelayID: "pool/bob"},
+		[]emunet.Endpoint{{Addr: "10.2.0.2", Port: 40001}, {Addr: "10.2.0.2", Port: 40002}})
+	f.Add(full)
+	f.Add(full[:len(full)-3])
+	f.Add(encodeConnectReply(estab.Profile{RelayID: "pool/bob"}, nil))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		profile, splice, err := decodeConnectReply(data)
+		if err != nil {
+			return
+		}
+		if again := encodeConnectReply(profile, splice); !bytes.Equal(again, data) {
+			t.Fatalf("%x decodes to %+v %v, which encodes to %x", data, profile, splice, again)
+		}
+		if len(splice) > multi.MaxStreams {
+			t.Fatalf("%d splice endpoints decoded", len(splice))
+		}
+		for _, ep := range splice {
+			if ep.Port < 0 || ep.Port > 65535 {
+				t.Fatalf("splice endpoint %v decoded", ep)
+			}
 		}
 	})
 }

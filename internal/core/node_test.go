@@ -149,7 +149,7 @@ func TestBasicMessageChannelAcrossFirewalls(t *testing.T) {
 		t.Fatalf("origin = %v", origin)
 	}
 	// Both sites are firewalled, so the data link must have been spliced.
-	methods := sp.(*sendPort).Methods()
+	methods := SendPortMethods(sp)
 	for _, m := range methods {
 		if m != estab.Splicing {
 			t.Fatalf("expected splicing data link, got %v", m)
@@ -205,7 +205,7 @@ func TestBrokenNATFallsBackToProxy(t *testing.T) {
 	}
 	// The open peer is directly reachable, so client/server is chosen —
 	// the point is that the broken NAT does not break connectivity.
-	for _, m := range sp.(*sendPort).Methods() {
+	for _, m := range SendPortMethods(sp) {
 		if m == estab.Splicing {
 			t.Fatalf("splicing should not have been selected for a broken NAT")
 		}
@@ -225,7 +225,7 @@ func TestRoutedFallbackBetweenBrokenNATAndFirewalledPeer(t *testing.T) {
 	if got, _ := recvText(t, rp); got != "routed through the relay" {
 		t.Fatalf("got %q", got)
 	}
-	for _, m := range sp.(*sendPort).Methods() {
+	for _, m := range SendPortMethods(sp) {
 		if m != estab.Routed {
 			t.Fatalf("expected routed data link, got %v", m)
 		}

@@ -200,14 +200,21 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 		}
 	}()
 
-	// The request carries this node's connectivity profile and the method
-	// it launches first, the accepting reply the peer's profile: one
-	// exchange per connect, shared by every establishment (one per
-	// sub-stream of the stack) below, and timed: it is the round trip the
-	// races size their head starts by. The routed data links the peer
-	// opens are admitted until the establishments are done.
+	// The request carries this node's connectivity profile, the method it
+	// launches first and a splice endpoint per establishment of the stack,
+	// the accepting reply the peer's profile and endpoints: one exchange
+	// per connect, shared by every establishment (one per sub-stream of
+	// the stack) below, and timed: it is the round trip the races size
+	// their head starts by. The routed data links the peer opens are
+	// admitted until the establishments are done.
+	stack, err := sp.portType.ParseStack()
+	if err != nil {
+		return err
+	}
+	count := establishments(stack)
+	ports, predicted := n.connector.ReserveSplice(count)
 	first, _ := n.connector.Cache.Lookup(sl.peer)
-	req := connectRequest{portName: to.Port, typeDigest: portTypeDigest(sp.portType), sender: n.id, profile: n.connector.Profile(), first: first}
+	req := connectRequest{portName: to.Port, typeDigest: portTypeDigest(sp.portType), sender: n.id, profile: n.connector.Profile(), first: first, splice: predicted}
 	defer n.expectRoutedData(sl.peer)()
 	asked := time.Now()
 	if err := sl.w.WriteFrame(wire.KindControl, opConnect, encodeConnectRequest(req)); err != nil {
@@ -225,25 +232,27 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	if f.Kind != wire.KindControl || f.Flags != opConnectOK {
 		return broken(fmt.Errorf("core: unexpected reply (kind %d, op %d) to a connect request", f.Kind, f.Flags))
 	}
-	remote, err := estab.DecodeProfile(f.Payload)
+	remote, peerSplice, err := decodeConnectReply(f.Payload)
+	want := 0
+	if n.connector.Splices(req.profile, remote) {
+		want = count
+	}
 	if err == nil && remote.RelayID != sl.peer {
 		err = fmt.Errorf("core: connect reply names %q on the service link to %q", remote.RelayID, sl.peer)
+	} else if err == nil && len(peerSplice) != want {
+		err = fmt.Errorf("%w: %d splice endpoints in the connect reply, want %d", estab.ErrProtocol, len(peerSplice), want)
 	}
 	if err != nil {
 		return broken(err)
 	}
 
-	stack, err := sp.portType.ParseStack()
-	if err != nil {
-		return err
-	}
 	// Establishment conversations are multiplexed over the service link
 	// so a stack needing several connections (parallel streams) brokers
 	// them concurrently instead of paying WAN-RTT × N. Env.Dial must be
 	// concurrent-safe; the method is recorded under its own lock. The
 	// peer key routes the establishments through the connectivity cache
 	// (one race per peer, cached winner on reconnect).
-	mux := estab.NewServiceMux(sl.conn)
+	mux := estab.NewServiceMux(sl.conn, count, estab.Splice{Ports: ports, Peer: peerSplice})
 	var methodMu sync.Mutex
 	var usedMethod estab.Method
 	env := &driver.Env{
@@ -326,19 +335,14 @@ func (sp *sendPort) Disconnect(to ipl.PortID) error {
 // evaluation harness and the examples use it to report how connectivity
 // was achieved.
 func SendPortMethods(sp ipl.SendPort) map[string]estab.Method {
-	if p, ok := sp.(*sendPort); ok {
-		return p.Methods()
+	p, ok := sp.(*sendPort)
+	if !ok {
+		return nil
 	}
-	return nil
-}
-
-// Methods reports which establishment method each connected link uses
-// (exposed for the evaluation and the examples' reporting).
-func (sp *sendPort) Methods() map[string]estab.Method {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	out := make(map[string]estab.Method, len(sp.links))
-	for _, l := range sp.links {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make(map[string]estab.Method, len(p.links))
+	for _, l := range p.links {
 		out[l.to.String()] = l.method
 	}
 	return out

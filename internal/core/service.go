@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 
 	"netibis/internal/driver"
 	"netibis/internal/drivers/multi"
+	"netibis/internal/emunet"
 	"netibis/internal/estab"
 	"netibis/internal/ipl"
 	"netibis/internal/nameservice"
@@ -312,21 +314,34 @@ func (n *Node) serveServiceLink(conn net.Conn) {
 
 // connectRequest is the decoded form of an opConnect payload. sender and
 // profile.RelayID are checked against the service link's Peer() before
-// anything else is done with the request; profile and first are what the
-// acceptor's establishments of this connect race with. The port type
-// crosses as a digest: the acceptor only tests it for equality with its
-// own port's, and a stack string may hold a psk= passphrase.
+// anything else is done with the request; profile, first and splice are
+// what the acceptor's establishments of this connect race with. The port
+// type crosses as a digest: the acceptor only tests it for equality with
+// its own port's, and a stack string may hold a psk= passphrase.
 type connectRequest struct {
 	portName   string
 	typeDigest [sha256.Size]byte
 	sender     ipl.Identifier
 	profile    estab.Profile
 	first      estab.Method
+	splice     []emunet.Endpoint // one predicted endpoint per establishment
 }
 
 // portTypeDigest is SHA-256 over string name ‖ string stack.
 func portTypeDigest(pt ipl.PortType) [sha256.Size]byte {
 	return sha256.Sum256(wire.AppendString(wire.AppendString(nil, pt.Name), pt.Stack))
+}
+
+// establishments is how many establishments building stack runs: the
+// product of its multi layers' streams, capped at multi.MaxStreams.
+func establishments(stack driver.Stack) int {
+	n := 1
+	for _, s := range stack {
+		if s.Name == multi.Name {
+			n = min(n*min(max(s.IntParam("streams", multi.DefaultStreams), 1), multi.MaxStreams), multi.MaxStreams)
+		}
+	}
+	return n
 }
 
 func encodeConnectRequest(req connectRequest) []byte {
@@ -335,7 +350,8 @@ func encodeConnectRequest(req connectRequest) []byte {
 	b = wire.AppendBytes(b, req.typeDigest[:])
 	b = wire.AppendString(b, req.sender.Name)
 	b = wire.AppendString(b, req.sender.Pool)
-	return append(wire.AppendBytes(b, req.profile.Encode()), byte(req.first))
+	b = append(wire.AppendBytes(b, req.profile.Encode()), byte(req.first))
+	return estab.AppendEndpoints(b, req.splice)
 }
 
 func decodeConnectRequest(p []byte) (connectRequest, error) {
@@ -347,13 +363,34 @@ func decodeConnectRequest(p []byte) (connectRequest, error) {
 	req.sender.Pool = d.String()
 	profile := d.Bytes()
 	req.first = estab.Method(d.Byte())
-	if d.Err() != nil || d.Remaining() != 0 || len(digest) != len(req.typeDigest) || req.first > estab.Routed {
+	splice, err := estab.ReadEndpoints(d, multi.MaxStreams)
+	if err != nil || d.Remaining() != 0 || len(digest) != len(req.typeDigest) || req.first > estab.Routed {
 		return connectRequest{}, errors.New("core: corrupt connect request")
 	}
 	copy(req.typeDigest[:], digest)
-	var err error
+	req.splice = splice
 	req.profile, err = estab.DecodeProfile(profile)
 	return req, err
+}
+
+// encodeConnectReply is the opConnectOK payload: the acceptor's profile,
+// and its splice endpoints when splicing is a candidate.
+func encodeConnectReply(profile estab.Profile, splice []emunet.Endpoint) []byte {
+	return estab.AppendEndpoints(wire.AppendBytes(nil, profile.Encode()), splice)
+}
+
+// decodeConnectReply accepts one encoding: what encodeConnectReply makes
+// of the result (no trailing bytes, no varint that is not minimal).
+func decodeConnectReply(p []byte) (profile estab.Profile, splice []emunet.Endpoint, err error) {
+	d := wire.NewDecoder(p)
+	enc := d.Bytes()
+	if splice, err = estab.ReadEndpoints(d, multi.MaxStreams); err == nil {
+		profile, err = estab.DecodeProfile(enc)
+	}
+	if err != nil || !bytes.Equal(encodeConnectReply(profile, splice), p) {
+		return estab.Profile{}, nil, errors.New("core: corrupt connect reply")
+	}
+	return profile, splice, nil
 }
 
 // handleConnect processes one data-link establishment request on the
@@ -384,7 +421,17 @@ func (n *Node) handleConnect(conn net.Conn, w *wire.Writer, payload []byte) erro
 	if err != nil {
 		return reject(err.Error())
 	}
-	if err := w.WriteFrame(wire.KindControl, opConnectOK, n.connector.Profile().Encode()); err != nil {
+	count := establishments(stack) // equal digests: the initiator's count too
+	if len(req.splice) != count {
+		return reject(fmt.Sprintf("%d splice endpoints for a stack of %d establishments", len(req.splice), count))
+	}
+	local := n.connector.Profile()
+	var ports []int
+	var predicted []emunet.Endpoint
+	if n.connector.Splices(req.profile, local) {
+		ports, predicted = n.connector.ReserveSplice(count)
+	}
+	if err := w.WriteFrame(wire.KindControl, opConnectOK, encodeConnectReply(local, predicted)); err != nil {
 		return err
 	}
 
@@ -392,10 +439,10 @@ func (n *Node) handleConnect(conn net.Conn, w *wire.Writer, payload []byte) erro
 	// one brokered establishment over a mux conversation of this service
 	// link, mirroring (and overlapping with) the Dial calls the
 	// initiator makes concurrently on its side. Each starts every
-	// candidate's half at once, so what the acceptor has to say first
-	// (its listening endpoint, or its routed open when routed leads)
-	// follows the reply above back to back.
-	mux := estab.NewServiceMux(conn)
+	// candidate's half at once, so what the acceptor does first (its
+	// listening endpoint, its splice request, or its routed open when
+	// routed leads) follows the reply above back to back.
+	mux := estab.NewServiceMux(conn, count, estab.Splice{Ports: ports, Peer: req.splice})
 	env := &driver.Env{
 		Accept: func() (net.Conn, error) {
 			dataConn, _, err := n.connector.EstablishAcceptor(mux.Open(), req.profile, req.first)

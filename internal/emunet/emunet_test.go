@@ -320,6 +320,47 @@ func TestSplicingWithCompliantNAT(t *testing.T) {
 	}
 }
 
+// TestCompliantPredictionHoldsItsPort: an endpoint-independent NAT maps a
+// port when the probe that learns it leaves, so the prediction a splice
+// advertises is the mapping itself. Host A predicts port p; host B of the
+// same site then dials out from p and gets another external port; A's
+// splice lands on the predicted endpoint. The prediction used to create
+// no mapping, B's flow took the port, and the splice missed.
+func TestCompliantPredictionHoldsItsPort(t *testing.T) {
+	f := NewFabric(WithSeed(7))
+	defer f.Close()
+	natted := f.AddSite("natted", SiteConfig{Firewall: Stateful, NAT: CompliantNAT})
+	ha, hb := natted.AddHost("node-a"), natted.AddHost("node-b")
+	hc := f.AddSite("remote", SiteConfig{Firewall: Stateful}).AddHost("node-c")
+
+	const p = 7300
+	predicted := ha.PredictExternalEndpoint(p)
+	if _, err := hb.SpliceDial(p, Endpoint{Addr: hc.Address(), Port: 9}, 10*time.Millisecond); err != ErrSpliceTimeout {
+		t.Fatalf("B's dial out from port %d: %v, want a splice nobody answers", p, err)
+	}
+	epC := hc.PredictExternalEndpoint(7400)
+	var (
+		ca, cc     net.Conn
+		errA, errC error
+		wg         sync.WaitGroup
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		ca, errA = ha.SpliceDial(p, epC, 300*time.Millisecond)
+	}()
+	go func() {
+		defer wg.Done()
+		cc, errC = hc.SpliceDial(7400, predicted, 300*time.Millisecond)
+	}()
+	wg.Wait()
+	if errA != nil || errC != nil {
+		t.Fatalf("splice to A's predicted endpoint %v: %v / %v", predicted, errA, errC)
+	}
+	ca.Close()
+	cc.Close()
+}
+
 // TestSplicingWithBrokenNATFails reproduces the paper's observation that
 // several non-standards-compliant NAT implementations "did not let TCP
 // splicing connections across, even though they should have".

@@ -615,23 +615,15 @@ func (n *natState) translate(internal Endpoint, dst Endpoint) int {
 }
 
 // predict returns the external port an internal endpoint would expect to
-// be mapped to, as advertised during splice brokering. For a compliant
-// NAT the prediction matches reality; for a broken NAT it does not.
+// be mapped to, as advertised during splice brokering. A compliant NAT
+// is endpoint-independent: the probe that learns the port creates the
+// mapping, so the prediction is the mapping, and no other flow of the
+// site can take the port before the splice uses it. For a broken NAT the
+// prediction does not match reality.
 func (n *natState) predict(internal Endpoint) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	switch n.mode {
-	case NoNAT:
-		return internal.Port
-	case CompliantNAT:
-		if m, ok := n.mappings[internal]; ok {
-			return m.external
-		}
-		ext := internal.Port
-		for n.used[ext] {
-			ext++
-		}
-		return ext
+	case NoNAT, CompliantNAT:
+		return n.translate(internal, Endpoint{})
 	default:
 		// Broken and port-restricted NATs also advertise the
 		// port-preserving prediction; the actual mapping will differ,

@@ -314,9 +314,10 @@ type spliceOffer struct {
 // PredictExternalEndpoint returns the endpoint under which a connection
 // bound to localPort on this host is expected to appear outside the
 // site. This prediction is what splice brokering advertises to the peer;
-// for a standards-compliant (port-preserving) NAT it matches reality,
-// for a broken NAT it does not, which makes the splice fail exactly as
-// the paper observed.
+// a standards-compliant (port-preserving) NAT creates the mapping it
+// reports, so it matches reality however long the splice takes to
+// follow; for a broken NAT it does not, which makes the splice fail
+// exactly as the paper observed.
 func (h *Host) PredictExternalEndpoint(localPort int) Endpoint {
 	internal := Endpoint{Addr: h.addr, Port: localPort}
 	return Endpoint{Addr: h.externalAddr(), Port: h.site.nat.predict(internal)}

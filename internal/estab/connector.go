@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
+	"slices"
 	"time"
 
 	"netibis/internal/emunet"
@@ -21,7 +21,6 @@ import (
 // method it calls that attempt off, under method 0 the establishment.
 const (
 	msgListen byte = iota + 1 // "I am listening at this endpoint, dial me"
-	msgSplice                 // "my predicted external endpoint for the splice is ..."
 	msgRouted                 // "open the routed link to me" (empty: the link names its sender)
 	msgAbort                  // failed on my side (empty)
 	msgElect                  // the race's winner, one method byte (MethodNone: nothing won, the establishment is over)
@@ -101,8 +100,8 @@ type Connector struct {
 	ProxyAddr emunet.Endpoint
 	// ProxyCreds are optional SOCKS credentials.
 	ProxyCreds *socks.Credentials
-	// SpliceTimeout bounds a simultaneous open; zero (or negative)
-	// selects DefaultSpliceTimeout.
+	// SpliceTimeout bounds the initiator's simultaneous open (the
+	// acceptor's waits like a listener); zero or negative: the default.
 	SpliceTimeout time.Duration
 	// AcceptTimeout bounds the waiting side of brokered establishments
 	// (for the peer's connection, proxy CONNECT or routed open); zero (or
@@ -123,11 +122,12 @@ type Connector struct {
 	// reconnect can skip the race (see Cache). It is consulted and
 	// updated only when EstablishOpts.PeerKey identifies the peer.
 	Cache *Cache
-	// AcceptRouted, when set, is used instead of Relay.Accept to obtain
-	// the routed link the acceptor opens to the initiator (the
+	// AcceptRouted obtains the routed link the acceptor opens to the
+	// initiator, which the routed method's initiator needs (the
 	// integration layer multiplexes a single relay attachment between
-	// many concurrent establishments). cancel, when it fires, means the
-	// establishment raced and lost: the wait must end promptly.
+	// many concurrent establishments, and skips links their acceptor
+	// abandoned). cancel, when it fires, means the establishment raced
+	// and lost: the wait must end promptly.
 	AcceptRouted func(peerID string, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error)
 	// ForcedMethod, when non-zero, skips the decision tree and forces a
 	// specific method; used by benchmarks and ablation experiments.
@@ -138,11 +138,6 @@ type Connector struct {
 	// Trace, when non-nil, records establishment wins and failures as
 	// trace-ring events (one per establishment, never per frame).
 	Trace *obs.Trace
-
-	// relayAccepts is the single long-lived pump over Relay.Accept used
-	// when no AcceptRouted hook is installed; see acceptRelayDirect.
-	relayAcceptOnce sync.Once
-	relayAccepts    chan net.Conn
 }
 
 // Profile reports this endpoint's connectivity profile.
@@ -208,7 +203,7 @@ func (c *Connector) runMethod(b methodConv, local, remote Profile, initiator boo
 	case ClientServer:
 		return c.establishClientServer(b, local, remote, initiator, cancel)
 	case Splicing:
-		return c.establishSplicing(b, cancel)
+		return c.establishSplicing(b, initiator, cancel)
 	case Proxy:
 		return c.establishProxy(b, local, remote, cancel)
 	case Routed:
@@ -225,17 +220,12 @@ func (c *Connector) runMethod(b methodConv, local, remote Profile, initiator boo
 func (c *Connector) establishClientServer(b methodConv, local, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
 	// Prefer the acceptor as the listening side (matching the IPL's
 	// receive-port-listens convention) but fall back to whichever
-	// direction is dialable.
-	var localListens bool
-	var initiatorDials bool
+	// direction is dialable: the acceptor listens when the initiator can
+	// dial it.
+	localListens := canDialDirect(remote, local)
 	if initiator {
-		initiatorDials = canDialDirect(local, remote)
-		localListens = !initiatorDials
-	} else {
-		initiatorDials = canDialDirect(remote, local)
-		localListens = initiatorDials
+		localListens = !canDialDirect(local, remote)
 	}
-
 	if localListens {
 		return c.listenAndAccept(b, cancel)
 	}
@@ -255,20 +245,36 @@ func (c *Connector) establishClientServer(b methodConv, local, remote Profile, i
 	return conn, nil
 }
 
-// establishSplicing: both sides reserve a local port, advertise the
-// predicted external endpoint — each at once, neither waits for the
-// other's — and issue simultaneous connection requests towards each
-// other's prediction.
-func (c *Connector) establishSplicing(b methodConv, cancel <-chan struct{}) (net.Conn, error) {
-	localPort := c.Host.AllocatePort()
-	if err := sendEndpoint(b, msgSplice, c.Host.PredictExternalEndpoint(localPort)); err != nil {
-		return nil, err
+// establishSplicing: each side dials from its port for this conversation
+// to the peer's prediction, both from the connect request and reply, so
+// the acceptor's offer goes out right behind its reply, without a message.
+func (c *Connector) establishSplicing(b methodConv, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
+	s, k := b.cv.m.splice, b.cv.id
+	if k >= uint64(min(len(s.Ports), len(s.Peer))) {
+		return nil, fmt.Errorf("%w: no splice endpoints for establishment %d", ErrProtocol, k)
 	}
-	target, err := recvEndpoint(b, msgSplice)
-	if err != nil {
-		return nil, err
+	timeout := c.spliceTimeout()
+	if !initiator {
+		timeout = c.ResolvedAcceptTimeout()
 	}
-	return c.Host.SpliceDialCancel(localPort, target, c.spliceTimeout(), cancel)
+	return c.Host.SpliceDialCancel(s.Ports[k], s.Peer[k], timeout, cancel)
+}
+
+// ReserveSplice reserves a splice port for each of a connect's n
+// establishments and predicts its external endpoint.
+func (c *Connector) ReserveSplice(n int) ([]int, []emunet.Endpoint) {
+	ports, predicted := make([]int, n), make([]emunet.Endpoint, n)
+	for i := range ports {
+		ports[i] = c.Host.AllocatePort()
+		predicted[i] = c.Host.PredictExternalEndpoint(ports[i])
+	}
+	return ports, predicted
+}
+
+// Splices reports whether splicing is a candidate for the two profiles,
+// and so whether the connect reply carries splice endpoints.
+func (c *Connector) Splices(initiator, acceptor Profile) bool {
+	return slices.Contains(c.candidates(initiator, acceptor), Splicing)
 }
 
 // establishProxy: the side with a SOCKS proxy dials out through it; the
@@ -299,11 +305,44 @@ func (c *Connector) establishProxy(b methodConv, local, remote Profile, cancel <
 	return c.listenAndAccept(b, cancel)
 }
 
-// sendEndpoint announces an endpoint to the peer: string addr ‖ uvarint
-// port, the body of msgListen and msgSplice.
-func sendEndpoint(b methodConv, msgType byte, ep emunet.Endpoint) error {
-	body := wire.AppendString(nil, string(ep.Addr))
-	return b.send(msgType, wire.AppendUvarint(body, uint64(ep.Port)))
+// appendEndpoint appends string addr ‖ uvarint port.
+func appendEndpoint(b []byte, ep emunet.Endpoint) []byte {
+	return wire.AppendUvarint(wire.AppendString(b, string(ep.Addr)), uint64(ep.Port))
+}
+
+// readEndpoint reads one endpoint; a port that is not one is ErrProtocol.
+func readEndpoint(d *wire.Decoder) (emunet.Endpoint, error) {
+	addr, port := d.String(), d.Uvarint()
+	if d.Err() != nil || port > 65535 {
+		return emunet.Endpoint{}, fmt.Errorf("%w: malformed endpoint", ErrProtocol)
+	}
+	return emunet.Endpoint{Addr: emunet.Address(addr), Port: int(port)}, nil
+}
+
+// AppendEndpoints appends a splice endpoint list: uvarint n ‖ n endpoints.
+func AppendEndpoints(b []byte, eps []emunet.Endpoint) []byte {
+	b = wire.AppendUvarint(b, uint64(len(eps)))
+	for _, ep := range eps {
+		b = appendEndpoint(b, ep)
+	}
+	return b
+}
+
+// ReadEndpoints reads a list of at most limit (nil when empty).
+func ReadEndpoints(d *wire.Decoder, limit int) ([]emunet.Endpoint, error) {
+	n := d.Uvarint()
+	if d.Err() != nil || n > uint64(limit) {
+		return nil, fmt.Errorf("%w: malformed splice endpoint list", ErrProtocol)
+	}
+	var eps []emunet.Endpoint
+	for ; n > 0; n-- {
+		ep, err := readEndpoint(d)
+		if err != nil {
+			return nil, err
+		}
+		eps = append(eps, ep)
+	}
+	return eps, nil
 }
 
 // recvEndpoint waits for the peer's announcement of the given type (the
@@ -323,12 +362,11 @@ func recvEndpoint(b methodConv, want byte) (emunet.Endpoint, error) {
 
 func decodeEndpoint(body []byte) (emunet.Endpoint, error) {
 	d := wire.NewDecoder(body)
-	addr := d.String()
-	port := d.Uvarint()
-	if d.Err() != nil || d.Remaining() != 0 || port > 65535 {
-		return emunet.Endpoint{}, fmt.Errorf("%w: malformed endpoint", ErrProtocol)
+	ep, err := readEndpoint(d)
+	if err == nil && d.Remaining() != 0 {
+		err = fmt.Errorf("%w: trailing bytes behind an endpoint", ErrProtocol)
 	}
-	return emunet.Endpoint{Addr: emunet.Address(addr), Port: int(port)}, nil
+	return ep, err
 }
 
 // listenAndAccept is the listening half of a client/server or proxy
@@ -340,7 +378,7 @@ func (c *Connector) listenAndAccept(b methodConv, cancel <-chan struct{}) (net.C
 		return nil, err
 	}
 	defer l.Close()
-	if err := sendEndpoint(b, msgListen, emunet.Endpoint{Addr: c.Host.Address(), Port: l.Port()}); err != nil {
+	if err := b.send(msgListen, appendEndpoint(nil, emunet.Endpoint{Addr: c.Host.Address(), Port: l.Port()})); err != nil {
 		return nil, err
 	}
 	return acceptWithTimeout(l, c.ResolvedAcceptTimeout(), cancel)
@@ -352,7 +390,7 @@ func (c *Connector) listenAndAccept(b methodConv, cancel <-chan struct{}) (net.C
 // a canceled (race-lost) one is abandoned, so the initiator discards its
 // half instead of keeping a half-open link.
 func (c *Connector) establishRouted(b methodConv, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
-	if c.Relay == nil {
+	if c.Relay == nil || (initiator && c.AcceptRouted == nil) {
 		b.send(msgAbort, nil)
 		return nil, ErrNoRelay
 	}
@@ -362,10 +400,7 @@ func (c *Connector) establishRouted(b methodConv, remote Profile, initiator bool
 				return nil, err
 			}
 		}
-		if c.AcceptRouted != nil {
-			return c.AcceptRouted(remote.RelayID, c.ResolvedAcceptTimeout(), cancel)
-		}
-		return c.acceptRelayDirect(cancel)
+		return c.AcceptRouted(remote.RelayID, c.ResolvedAcceptTimeout(), cancel)
 	}
 	if !b.cv.routedLeads {
 		t, body, err := b.recv()
@@ -402,49 +437,6 @@ func (c *Connector) dialRoutedData(remote Profile, cancel <-chan struct{}) (net.
 		}
 	}
 	return RetryRoutedDial(dial, remote.RelayID, c.ResolvedAcceptTimeout(), cancel)
-}
-
-// acceptRelayDirect accepts the next routed link straight off the relay
-// attachment, made cancelable for the race. All waits share one
-// long-lived pump goroutine over the relayAccepts channel: a
-// canceled or timed-out wait simply stops receiving, the pump keeps
-// holding the next link for the next waiter, and no goroutine per
-// attempt is spawned that could later steal (and close) a legitimate
-// link from a future establishment; the pump closes the channel and
-// exits with the relay attachment. Links whose acceptor abandoned them
-// (lost races) are discarded here.
-func (c *Connector) acceptRelayDirect(cancel <-chan struct{}) (net.Conn, error) {
-	c.relayAcceptOnce.Do(func() {
-		c.relayAccepts = make(chan net.Conn, 1)
-		go func() {
-			defer close(c.relayAccepts)
-			for {
-				conn, err := c.Relay.Accept()
-				if err != nil {
-					return
-				}
-				c.relayAccepts <- conn
-			}
-		}()
-	})
-	deadline := time.After(c.ResolvedAcceptTimeout())
-	for {
-		select {
-		case conn, ok := <-c.relayAccepts:
-			if !ok {
-				return nil, relay.ErrClosed
-			}
-			if ab, ok := conn.(interface{ Abandoned() bool }); ok && ab.Abandoned() {
-				conn.Close()
-				continue
-			}
-			return conn, nil
-		case <-cancel:
-			return nil, errRaceLost
-		case <-deadline:
-			return nil, fmt.Errorf("estab: timed out waiting for routed link")
-		}
-	}
 }
 
 // acceptWithTimeout waits for one connection on l or gives up — on

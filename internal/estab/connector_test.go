@@ -2,6 +2,7 @@ package estab
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -78,12 +79,54 @@ func (w *world) connector(t *testing.T, siteName, hostName string, cfg emunet.Si
 	if err != nil {
 		t.Fatalf("%s: attach relay: %v", hostName, err)
 	}
-	c := &Connector{Host: h, Relay: rc, SpliceTimeout: 500 * time.Millisecond, AcceptTimeout: 5 * time.Second}
+	c := &Connector{Host: h, Relay: rc, AcceptRouted: acceptRouted(rc), SpliceTimeout: 500 * time.Millisecond, AcceptTimeout: 5 * time.Second}
 	if withProxy {
 		c.ProxyAddr = emunet.Endpoint{Addr: w.gateway.Address(), Port: w.socksPort}
 	}
 	t.Cleanup(func() { rc.Close() })
 	return c
+}
+
+// acceptRouted is a test connector's AcceptRouted hook, what core's
+// dispatcher is to a node: on first use it starts one pump over the relay
+// attachment, which lives as long as the attachment, every wait takes the
+// pump's next link, and a link its acceptor abandoned (a lost race) is
+// discarded.
+func acceptRouted(rc *relay.Client) func(string, time.Duration, <-chan struct{}) (net.Conn, error) {
+	var once sync.Once
+	links := make(chan net.Conn, 1)
+	return func(_ string, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error) {
+		once.Do(func() {
+			go func() {
+				defer close(links)
+				for {
+					conn, err := rc.Accept()
+					if err != nil {
+						return
+					}
+					links <- conn
+				}
+			}()
+		})
+		deadline := time.After(timeout)
+		for {
+			select {
+			case conn, ok := <-links:
+				if !ok {
+					return nil, relay.ErrClosed
+				}
+				if conn.(interface{ Abandoned() bool }).Abandoned() {
+					conn.Close()
+					continue
+				}
+				return conn, nil
+			case <-cancel:
+				return nil, errRaceLost
+			case <-deadline:
+				return nil, errors.New("timed out waiting for a routed link")
+			}
+		}
+	}
 }
 
 // establishPair is establishPairOpts without a cache key, fatal on

@@ -33,22 +33,14 @@ const (
 	Routed
 )
 
+var methodNames = [...]string{"none", "client/server", "tcp-splicing", "tcp-proxy", "routed-messages"}
+
 // String implements fmt.Stringer.
 func (m Method) String() string {
-	switch m {
-	case MethodNone:
-		return "none"
-	case ClientServer:
-		return "client/server"
-	case Splicing:
-		return "tcp-splicing"
-	case Proxy:
-		return "tcp-proxy"
-	case Routed:
-		return "routed-messages"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
+	if m >= 0 && int(m) < len(methodNames) {
+		return methodNames[m]
 	}
+	return fmt.Sprintf("Method(%d)", int(m))
 }
 
 // NATSupport grades how well a method copes with network address
@@ -68,20 +60,14 @@ const (
 	NATYes
 )
 
+var natSupportNames = [...]string{"no", "client", "partial", "yes"}
+
 // String implements fmt.Stringer.
 func (n NATSupport) String() string {
-	switch n {
-	case NATNo:
-		return "no"
-	case NATClientOnly:
-		return "client"
-	case NATPartial:
-		return "partial"
-	case NATYes:
-		return "yes"
-	default:
-		return fmt.Sprintf("NATSupport(%d)", int(n))
+	if n >= 0 && int(n) < len(natSupportNames) {
+		return natSupportNames[n]
 	}
+	return fmt.Sprintf("NATSupport(%d)", int(n))
 }
 
 // Properties is one row of the paper's Table 1.

@@ -268,8 +268,8 @@ func TestProfileDecodeCorrupt(t *testing.T) {
 	}
 }
 
-// TestEndpointDecodeCorrupt: the msgListen/msgSplice body is string addr ‖
-// uvarint port and nothing else, and a port is at most 65535.
+// TestEndpointDecodeCorrupt: the msgListen body is string addr ‖ uvarint
+// port and nothing else, and a port is at most 65535.
 func TestEndpointDecodeCorrupt(t *testing.T) {
 	body := func(addr string, port uint64) []byte {
 		return wire.AppendUvarint(wire.AppendString(nil, addr), port)

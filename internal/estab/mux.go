@@ -26,8 +26,10 @@ package estab
 // stack, so the k-th Dial on the initiator pairs with the k-th Accept on
 // the acceptor; each side numbers its conversations 0,1,2,… in Open
 // order, and any establishment is valid against any other (the
-// parallel-streams driver reassembles by fragment sequence number, not
-// sub-stream identity), so concurrent Open order does not matter. Every
+// parallel-streams driver tells its sub-streams apart by the index each
+// starts with), so concurrent Open order does not matter. The same stack
+// fixes how many establishments a connect runs, and the mux holds that
+// count: a message on a stream past it is ErrProtocol. Every
 // conversation races the same candidates — the ranking of the two
 // profiles (race.go) — and the connectivity cache deduplicates the races
 // of sibling conversations (the first becomes the leader, the rest reuse
@@ -55,6 +57,7 @@ import (
 	"io"
 	"sync"
 
+	"netibis/internal/emunet"
 	"netibis/internal/wire"
 )
 
@@ -108,12 +111,21 @@ func decodeMuxMessage(p []byte) (muxMsg, error) {
 	return msg, nil
 }
 
+// Splice is what a connect's establishments splice with: conversation k
+// dials from the local port Ports[k] to the peer's prediction Peer[k].
+type Splice struct {
+	Ports []int
+	Peer  []emunet.Endpoint
+}
+
 // ServiceMux multiplexes a connect's establishments over one service
 // connection. See the comment at the top of this file for the protocol.
 type ServiceMux struct {
 	wmu       sync.Mutex
 	w         *wire.Writer
 	localDone bool
+	n         int // the connect's establishments: streams 0 … n-1
+	splice    Splice
 
 	smu      sync.Mutex
 	cond     *sync.Cond // signals every change to the fields below and to any Conversation
@@ -150,13 +162,16 @@ type Conversation struct {
 	attempts [Routed + 1]chan struct{}
 }
 
-// NewServiceMux wraps a service connection and starts demultiplexing.
-// The caller must not touch the connection until Finish has returned.
-func NewServiceMux(service io.ReadWriter) *ServiceMux {
+// NewServiceMux wraps the service connection of a connect that runs n
+// establishments and starts demultiplexing. The caller must not touch
+// the connection until Finish has returned.
+func NewServiceMux(service io.ReadWriter, n int, splice Splice) *ServiceMux {
 	m := &ServiceMux{
-		w:     wire.NewWriter(service),
-		convs: make(map[uint64]*Conversation),
-		rdone: make(chan struct{}),
+		w:      wire.NewWriter(service),
+		n:      n,
+		splice: splice,
+		convs:  make(map[uint64]*Conversation),
+		rdone:  make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.smu)
 	go m.run(wire.NewReader(service))
@@ -192,6 +207,9 @@ func (m *ServiceMux) run(r *wire.Reader) {
 		case err != nil:
 		case f.Kind == kindMuxData:
 			msg, err = decodeMuxMessage(f.Payload)
+			if err == nil && msg.stream >= uint64(m.n) {
+				err = fmt.Errorf("%w: message on stream %d of a connect of %d establishments", ErrProtocol, msg.stream, m.n)
+			}
 		case f.Kind != kindMuxDone:
 			err = fmt.Errorf("%w: frame kind %d inside an establishment", ErrProtocol, f.Kind)
 		}

@@ -17,10 +17,10 @@ func TestServiceMuxConcurrentConversations(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	initiator := NewServiceMux(c1)
-	acceptor := NewServiceMux(c2)
-
 	const conversations = 8
+	initiator := NewServiceMux(c1, conversations, Splice{})
+	acceptor := NewServiceMux(c2, conversations, Splice{})
+
 	methods := []Method{Splicing, Routed}
 	var wg sync.WaitGroup
 	errs := make(chan error, 2*conversations*len(methods))
@@ -45,7 +45,7 @@ func TestServiceMuxConcurrentConversations(t *testing.T) {
 			go func(i int, m Method) {
 				defer wg.Done()
 				req := bytes.Repeat([]byte{byte('a' + i), byte(m)}, 8)
-				if err := ini.send(m, msgSplice, req); err != nil {
+				if err := ini.send(m, msgListen, req); err != nil {
 					errs <- fmt.Errorf("initiator send: %w", err)
 					return
 				}
@@ -54,7 +54,7 @@ func TestServiceMuxConcurrentConversations(t *testing.T) {
 					errs <- fmt.Errorf("initiator recv: %w", err)
 					return
 				}
-				if resp.t != msgSplice || !bytes.Equal(resp.body, append([]byte("echo:"), req...)) {
+				if resp.t != msgListen || !bytes.Equal(resp.body, append([]byte("echo:"), req...)) {
 					errs <- fmt.Errorf("conversation %d, %v: cross-talk: got type %d, %q", i, m, resp.t, resp.body)
 				}
 			}(i, m)
@@ -85,8 +85,8 @@ func TestServiceMuxPeerDoneFailsPendingReads(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	a := NewServiceMux(c1)
-	b := NewServiceMux(c2)
+	a := NewServiceMux(c1, 1, Splice{})
+	b := NewServiceMux(c2, 1, Splice{})
 
 	blocked := make(chan error, 2)
 	s := b.Open()
@@ -121,8 +121,8 @@ func TestServiceMuxConnReusableAfterFinish(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	a := NewServiceMux(c1)
-	b := NewServiceMux(c2)
+	a := NewServiceMux(c1, 1, Splice{})
+	b := NewServiceMux(c2, 1, Splice{})
 	s1, s2 := a.Open(), b.Open()
 	go s1.send(Routed, msgRouted, nil)
 	if msg, err := s2.recv(Routed); err != nil || msg.t != msgRouted {
@@ -150,7 +150,7 @@ func TestServiceMuxConnReusableAfterFinish(t *testing.T) {
 func FuzzMuxMessage(f *testing.F) {
 	for _, seed := range [][]byte{
 		append(appendMuxHeader(nil, 0, MethodNone, msgElect), byte(Routed)),
-		append(appendMuxHeader(nil, 300, Splicing, msgSplice), "\x0810.1.0.2\xd2\x09"...),
+		append(appendMuxHeader(nil, 300, ClientServer, msgListen), "\x0810.1.0.2\xd2\x09"...),
 		appendMuxHeader(nil, 1, Routed, msgAbort),
 		{0x80},
 		{},

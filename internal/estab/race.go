@@ -16,26 +16,27 @@ package estab
 //
 // Protocol. Every message is a ServiceMux message on the establishment's
 // Conversation (mux.go) — method 0 for the initiator's election, the
-// racing method for the rest. Both sides hold each other's profile and
-// the method the initiator announced it launches first (its cached
-// winner, or none), handed to them by the caller, and the candidates are
-// RankCandidates of the two profiles (or the forced method): a pure
-// function, so no message announces them and an establishment is one
-// race, request-free:
+// racing method for the rest. Both sides hold each other's profile, the
+// method the initiator announced it launches first (its cached winner,
+// or none) and each other's splice endpoints, handed to them by the
+// caller, and the candidates are RankCandidates of the two profiles (or
+// the forced method): a pure function, so no message announces them and
+// an establishment is one race, request-free:
 //
 //	initiator                                acceptor
-//	   | <=> [m] msgListen/msgSplice/... <======> |   per-method conversations
+//	   | <=> [m] msgListen/msgAbort <========> |   per-method conversations
 //	   | <~~ routed open, through the relay ~~~~ |   at once, or on the cue msgRouted
+//	   | <~~ simultaneous open, both ways ~~~~~> |   no message at all
 //	   | -- msgElect [m] ----------------------> |   winner (MethodNone: nothing won)
 //
 // The acceptor starts its half of every candidate the moment it is
-// called and speaks first where the method lets it: its listening
-// endpoint, its splice prediction, and its routed open when routed is
-// the initiator's first launch (routedLeads); otherwise that waits for
-// the initiator's cue, "open it to me". The cost is the halves of
-// candidates the initiator never launches — a listener, a reserved
-// splice port and its advertisement, cached reconnects included — which
-// the election cancels like any loser. The initiator decides which candidates
+// called and acts first where the method lets it: it announces its
+// listening endpoint, sends its splice request, and opens routed when
+// routed is the initiator's first launch (routedLeads); otherwise that
+// waits for the initiator's cue, "open it to me". The cost is the halves
+// of candidates the initiator never launches — a listener, a splice
+// request, cached reconnects included — which the election cancels like
+// any loser. The initiator decides which candidates
 // run and when, and it alone elects: methods complete at slightly
 // different instants on the two sides, so letting each side pick its own
 // first finisher could select different winners. An election outside the

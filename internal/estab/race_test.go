@@ -33,13 +33,23 @@ func establishPairOpts(t *testing.T, init, acc *Connector, opts EstablishOpts) (
 	return establishOver(t, svcInit, svcAcc, init, acc, opts)
 }
 
+// newMuxPair wraps the two ends of a one-establishment connect's service
+// link, each side holding the splice port it reserved and the other's
+// prediction, as core's connect request and reply hand them over.
+func newMuxPair(svcInit, svcAcc net.Conn, init, acc *Connector) (*ServiceMux, *ServiceMux) {
+	initPorts, initPredicted := init.ReserveSplice(1)
+	accPorts, accPredicted := acc.ReserveSplice(1)
+	return NewServiceMux(svcInit, 1, Splice{Ports: initPorts, Peer: accPredicted}),
+		NewServiceMux(svcAcc, 1, Splice{Ports: accPorts, Peer: initPredicted})
+}
+
 // establishOver is establishPairOpts on the caller's service link. Like
 // core, the initiator announces its cached winner as the method it
 // launches first, and each side finishes its mux once its own
 // establishment returned.
 func establishOver(t *testing.T, svcInit, svcAcc net.Conn, init, acc *Connector, opts EstablishOpts) (net.Conn, net.Conn, Method, error) {
 	t.Helper()
-	muxInit, muxAcc := NewServiceMux(svcInit), NewServiceMux(svcAcc)
+	muxInit, muxAcc := newMuxPair(svcInit, svcAcc, init, acc)
 	if init.Cache != nil && opts.PeerKey != "" {
 		opts.First, _ = init.Cache.Lookup(opts.PeerKey)
 	}
@@ -165,9 +175,9 @@ func TestCacheSkipsRaceOnReconnect(t *testing.T) {
 		t.Fatalf("cache entry = %v/%v, want Routed/true", got, ok)
 	}
 
-	// Reconnect: the winner runs alone — the acceptor's splice half
-	// advertises and hears nothing back, no splice offer is ever
-	// registered, so it settles immediately.
+	// Reconnect: the winner runs alone — the acceptor's splice request
+	// goes unanswered until the election withdraws it, so it settles
+	// immediately and leaves no offer behind.
 	start := time.Now()
 	a, b, m, err = establishPairOpts(t, init, acc, opts)
 	if err != nil {
@@ -222,8 +232,8 @@ func TestCacheFailureFallsBackToFullRace(t *testing.T) {
 		t.Fatalf("races %d hits %d invalidations %d cached rounds %d routed wins %d, want one race that hit, invalidated and won by routed",
 			mt.Races.Value(), mt.CacheHits.Value(), mt.Invalidations.Value(), mt.CachedRounds.Value(), mt.Wins(Routed))
 	}
-	// What the initiator wrote: its splice prediction, its routed cue, one
-	// election and the done marker — the fallback asked for nothing.
+	// What the initiator wrote: its routed cue, one election and the done
+	// marker — the fallback asked for nothing.
 	var elections int
 	for _, f := range tap.frames(t) {
 		if f.Kind != kindMuxData {
@@ -470,7 +480,7 @@ func TestRoutedCueCarriesNoBody(t *testing.T) {
 		msg(MethodNone, msgElect, byte(Routed)),
 		doneMarker)
 	defer stop()
-	mux := NewServiceMux(svcAcc)
+	mux := NewServiceMux(svcAcc, 1, Splice{})
 	conn, _, err := acc.EstablishAcceptor(mux.Open(), Profile{HasRelay: true, RelayID: "race-i9"}, MethodNone)
 	if conn != nil {
 		conn.Close()
@@ -529,7 +539,7 @@ func TestRoutedOpensAtOnceOnlyWhenItLeads(t *testing.T) {
 			defer svcAcc.Close()
 			stop := newHandPeer(svcInit).play(append(script, doneMarker)...)
 			defer stop()
-			mux := NewServiceMux(svcAcc)
+			mux := NewServiceMux(svcAcc, 1, Splice{})
 			conn, _, err := acc.EstablishAcceptor(mux.Open(), init.Profile(), tc.announced)
 			if ferr := mux.Finish(); ferr != nil {
 				t.Errorf("%s: Finish: %v", tc.name, ferr)
@@ -585,7 +595,7 @@ func TestCanceledRoutedOpenIsDiscarded(t *testing.T) {
 		hand := newHandPeer(svcInit)
 		done := make(chan error, 1)
 		go func() {
-			mux := NewServiceMux(svcAcc)
+			mux := NewServiceMux(svcAcc, 1, Splice{})
 			_, _, err := acc.EstablishAcceptor(mux.Open(), remote, MethodNone)
 			mux.Finish()
 			done <- err
@@ -650,7 +660,7 @@ func TestCanceledRoutedOpenIsDiscarded(t *testing.T) {
 		}); why != "" {
 			t.Fatal(why)
 		}
-		if conn, err := init.acceptRelayDirect(nil); err == nil {
+		if conn, err := init.AcceptRouted(acc.Profile().RelayID, init.AcceptTimeout, nil); err == nil {
 			conn.Close()
 			t.Fatal("the initiator's accept handed over the aborted link")
 		}
@@ -675,7 +685,7 @@ func TestElectOutsidePlanIsProtocolError(t *testing.T) {
 		msg(MethodNone, msgElect, byte(Proxy)),
 		doneMarker)
 	defer stop()
-	mux := NewServiceMux(svcAcc)
+	mux := NewServiceMux(svcAcc, 1, Splice{})
 	conn, _, err := acc.EstablishAcceptor(mux.Open(), remote, MethodNone)
 	if conn != nil || !errors.Is(err, ErrProtocol) {
 		t.Fatalf("electing a method outside the ranking: conn=%v err=%v, want no connection and ErrProtocol", conn, err)
@@ -718,13 +728,13 @@ func TestEstabStrictDecode(t *testing.T) {
 		{"stream number not minimally encoded", false, []frame{raw(0x80, 0, 0, msgElect, byte(Routed))}, ErrProtocol},
 		{"method above Routed", false, []frame{msg(Routed+1, msgListen)}, ErrProtocol},
 		{"type zero", false, []frame{msg(MethodNone, 0)}, ErrProtocol},
-		// Type 5 was the plan and is the election; 6 was the election.
-		{"a plan as it used to be written", false, []frame{msg(MethodNone, 5, byte(ClientServer), byte(Routed))}, ErrProtocol},
-		{"type above msgElect", false, []frame{msg(MethodNone, 6, byte(Routed))}, ErrProtocol},
+		// Type 5 was the election while a splice prediction was a message.
+		{"type above msgElect", false, []frame{msg(MethodNone, 5, byte(Routed))}, ErrProtocol},
 		{"control type on a method conversation", false, []frame{msg(Routed, msgElect, byte(Routed))}, ErrProtocol},
 		{"method type on the control conversation", false, []frame{msg(MethodNone, msgRouted)}, ErrProtocol},
 		{"abort with a body", false, []frame{msg(MethodNone, msgAbort, 1)}, ErrProtocol},
 		{"frame that is no mux message", false, []frame{{wire.KindControl, nil}}, ErrProtocol},
+		{"message on a stream past the connect's count", false, []frame{{kindMuxData, append(appendMuxHeader(nil, 1, MethodNone, msgElect), byte(Routed))}}, ErrProtocol},
 
 		{"election of two methods", false, []frame{msg(MethodNone, msgElect, byte(Routed), byte(Routed))}, ErrProtocol},
 		{"empty election", false, []frame{msg(MethodNone, msgElect)}, ErrProtocol},
@@ -736,7 +746,7 @@ func TestEstabStrictDecode(t *testing.T) {
 	} {
 		hand, svc := net.Pipe()
 		stop := newHandPeer(hand).play(append(tc.script, doneMarker)...)
-		mux := NewServiceMux(svc)
+		mux := NewServiceMux(svc, 1, Splice{})
 		var conn net.Conn
 		var err error
 		if tc.initiator {
@@ -755,8 +765,8 @@ func TestEstabStrictDecode(t *testing.T) {
 		stop()
 		svc.Close()
 	}
-	if msgElect != 5 {
-		t.Fatalf("msgElect = %d: the protocol has five message types, the election the last", msgElect)
+	if msgElect != 4 {
+		t.Fatalf("msgElect = %d: the protocol has four message types, the election the last", msgElect)
 	}
 }
 
@@ -785,7 +795,7 @@ func TestDifferentRankingsEndTyped(t *testing.T) {
 		{"the initiator ranks nothing", strict(acc.Profile()), init.Profile(), ErrNoMethod, ErrEstablishmentEnded},
 	} {
 		svcInit, svcAcc := net.Pipe()
-		muxInit, muxAcc := NewServiceMux(svcInit), NewServiceMux(svcAcc)
+		muxInit, muxAcc := newMuxPair(svcInit, svcAcc, init, acc)
 		type res struct {
 			conn net.Conn
 			err  error
@@ -856,17 +866,24 @@ func TestRaceStaggerRule(t *testing.T) {
 // and nothing is left running.
 func TestFallbackRoundIgnoresLateFrames(t *testing.T) {
 	w := newWorld(t)
-	init := w.connector(t, "late-a", "race-i12", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
+	// A NAT that rules splicing out: the rest of the ranking is routed,
+	// whose cue is what the fallback says first.
+	init := w.connector(t, "late-a", "race-i12", emunet.SiteConfig{Firewall: emunet.Stateful, NAT: emunet.BrokenNAT}, false)
 	acc := w.connector(t, "late-b", "race-a12", emunet.SiteConfig{Firewall: emunet.Open}, false)
-	init.RaceStagger = time.Hour // the fallback is decided by its first method alone
+	if got := RankCandidates(init.Profile(), acc.Profile(), false); !slices.Equal(got, []Method{ClientServer, Routed}) {
+		t.Fatalf("the pair ranks %v, want client/server then routed", got)
+	}
 	init.Cache = NewCache(0)
 	init.Cache.Store("race-a12", ClientServer)
+	// The routed link the acceptor opens is the next one the relay hands
+	// over (the connector's own accept pump would outlive the test).
+	init.AcceptRouted = func(string, time.Duration, <-chan struct{}) (net.Conn, error) { return init.Relay.Accept() }
 	checkLeaks := testutil.LeakCheck(t, 0)
 
 	// The man in the middle: it withholds the acceptor's msgListen, fails
 	// the method with an abort in its place, and delivers the withheld
 	// message and a second abort right behind the first thing the
-	// initiator's fallback says (its splice prediction).
+	// initiator's fallback says (its routed cue).
 	svcInit, midInit := net.Pipe()
 	midAcc, svcAcc := net.Pipe()
 	var toInitMu sync.Mutex
@@ -915,7 +932,7 @@ func TestFallbackRoundIgnoresLateFrames(t *testing.T) {
 		defer relays.Done()
 		var toAccMu sync.Mutex
 		forward(midInit, wire.NewWriter(midAcc), &toAccMu, func(m muxMsg, f frame) []frame {
-			if m.method == Splicing && m.t == msgSplice {
+			if m.method == Routed && m.t == msgRouted {
 				// Behind the fallback's first message, and before anything
 				// the acceptor answers it with.
 				toInitMu.Lock()
@@ -932,11 +949,11 @@ func TestFallbackRoundIgnoresLateFrames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fallback: %v", err)
 	}
-	if m != Splicing {
-		t.Fatalf("method = %v, want Splicing, the head of the rest of the ranking", m)
+	if m != Routed {
+		t.Fatalf("method = %v, want Routed, the rest of the ranking", m)
 	}
-	if got, ok := init.Cache.Lookup("race-a12"); !ok || got != Splicing {
-		t.Fatalf("cache after the fallback = %v/%v, want Splicing", got, ok)
+	if got, ok := init.Cache.Lookup("race-a12"); !ok || got != Routed {
+		t.Fatalf("cache after the fallback = %v/%v, want Routed", got, ok)
 	}
 	verifyLink(t, a, b)
 	relays.Wait()

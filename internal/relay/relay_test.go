@@ -2,14 +2,17 @@ package relay
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
 
 	"netibis/internal/emunet"
+	"netibis/internal/wire"
 )
 
 // relayWorld models the deployment of paper Figure 3: a relay on a
@@ -615,5 +618,53 @@ func TestServeCloseAttachRace(t *testing.T) {
 			t.Fatalf("round %d: the node is still attached after Close", i)
 		}
 		c.Close()
+	}
+}
+
+// TestCloseDoesNotWaitForSilentDialers: a connection whose first
+// meaningful frame never comes — one that sends nothing at all, one that
+// probes the round trip once and falls silent — used to hold Close for
+// the 30 s pre-attach deadline. Close closes them and returns at once.
+func TestCloseDoesNotWaitForSilentDialers(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer()
+	go srv.Serve(l)
+	var conns []net.Conn
+	for range 2 {
+		c, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns = append(conns, c)
+	}
+	// The second one probes: its echo says the relay has accepted both.
+	prober := conns[1]
+	if err := wire.NewWriter(prober).WriteFrame(wire.KindKeepAlive, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	prober.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if f, err := wire.NewReader(prober).ReadFrame(); err != nil || f.Kind != wire.KindKeepAlive {
+		t.Fatalf("probe answered with %v (%v), want its echo", f, err)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close waits for connections that never sent their first frame")
+	}
+	for i, c := range conns {
+		c.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if n, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("connection %d: read %d bytes, %v after Close, want the relay to have closed it", i, n, err)
+		}
 	}
 }

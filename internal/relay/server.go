@@ -82,7 +82,11 @@ type Server struct {
 	// listeners are the ones Serve accepts on, closed by Close; like wg.Add
 	// they are guarded by mu, so nothing is added to either after Close.
 	listeners []net.Listener
-	wg        sync.WaitGroup
+	// unheard are the accepted connections whose first frame has not
+	// arrived, which Close closes too: a dialer that never speaks would
+	// hold it for preAttachTimeout. Guarded by mu like listeners.
+	unheard map[net.Conn]struct{}
+	wg      sync.WaitGroup
 
 	// attachMu serialises each {s.nodes update, Forwarder notification}
 	// pair of handleNode. Without it a detaching handler could delete its
@@ -176,6 +180,7 @@ func (p *serverPeer) enqueue(src string, kind byte, payload []byte, owner *wire.
 func NewServer() *Server {
 	return &Server{
 		nodes:           make(map[string]*serverPeer),
+		unheard:         make(map[net.Conn]struct{}),
 		forwardedByPeer: make(map[string]int64),
 		// Power-of-two buckets up to the default batch budget: the
 		// interesting signal is "how far above 1 frame per writev".
@@ -287,6 +292,7 @@ func (s *Server) Serve(l net.Listener) error {
 			return net.ErrClosed
 		}
 		s.wg.Add(1)
+		s.unheard[c] = struct{}{}
 		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
@@ -303,9 +309,16 @@ func (s *Server) Close() {
 	s.closed = true
 	listeners := s.listeners
 	s.listeners = nil
+	unheard := make([]net.Conn, 0, len(s.unheard))
+	for c := range s.unheard {
+		unheard = append(unheard, c)
+	}
 	s.mu.Unlock()
 	for _, l := range listeners {
 		l.Close()
+	}
+	for _, c := range unheard {
+		c.Close()
 	}
 	s.mu.Lock()
 	peers := make([]*serverPeer, 0, len(s.nodes))
@@ -454,22 +467,22 @@ func (s *Server) handle(c net.Conn) {
 	// deadline-bounded (refreshed per keep-alive: an RTT probe may echo
 	// several times before the client picks this relay).
 	var f wire.Frame
+	var err error
 	for {
 		c.SetReadDeadline(time.Now().Add(preAttachTimeout))
-		var err error
-		f, err = r.ReadFrame()
-		if err != nil {
-			c.Close()
-			return
+		if f, err = r.ReadFrame(); err != nil || f.Kind != wire.KindKeepAlive {
+			break
 		}
-		if f.Kind == wire.KindKeepAlive {
-			if pw.WriteFrame(wire.KindKeepAlive, 0, nil) != nil {
-				c.Close()
-				return
-			}
-			continue
+		if err = pw.WriteFrame(wire.KindKeepAlive, 0, nil); err != nil {
+			break
 		}
-		break
+	}
+	s.mu.Lock()
+	delete(s.unheard, c)
+	s.mu.Unlock()
+	if err != nil {
+		c.Close()
+		return
 	}
 	// The meaningful frame is in: hand the connection on with the
 	// pre-attach deadline cleared (attach authentication and the overlay

@@ -20,6 +20,7 @@ import (
 	"netibis/internal/drivers/multi"
 	"netibis/internal/drivers/secure"
 	"netibis/internal/drivers/zip"
+	"netibis/internal/emunet"
 	"netibis/internal/estab"
 	"netibis/internal/identity"
 	"netibis/internal/relay"
@@ -196,9 +197,15 @@ func main() {
 	hello = wire.AppendBytes(hello, sig)
 	write("overlay", "FuzzDecodePeerHello", "authenticated", hello)
 
-	// core: the connect request (DESIGN.md, "Control-frame bodies"),
-	// which nests the initiator's profile and ends in the method it
-	// launches first.
+	// core: the connect request and its reply (DESIGN.md, "Control-frame
+	// bodies"). The request nests the initiator's profile, then the
+	// method it launches first and a splice endpoint per establishment of
+	// its four-stream stack; the reply is the acceptor's profile and its
+	// own four endpoints.
+	splice := make([]emunet.Endpoint, 4)
+	for i := range splice {
+		splice[i] = emunet.Endpoint{Addr: "10.1.0.1", Port: 40001 + i}
+	}
 	connect := wire.AppendString(nil, "inbox")
 	typeDigest := sha256.Sum256(wire.AppendString(wire.AppendString(nil, "chan"), "zip/multi:streams=4/tcpblk"))
 	connect = wire.AppendBytes(connect, typeDigest[:])
@@ -208,9 +215,18 @@ func main() {
 		SiteName: "site-a", Firewalled: true, Addr: "10.1.0.2", PublicAddr: "10.1.0.1",
 		HasRelay: true, RelayID: "pool/alice", HomeRelay: "relay-0",
 	}.Encode())
-	connect = append(connect, byte(estab.Routed))
+	connect = estab.AppendEndpoints(append(connect, byte(estab.Routed)), splice)
 	write("core", "FuzzDecodeConnectRequest", "request", connect)
 	write("core", "FuzzDecodeConnectRequest", "request-truncated", connect[:len(connect)-9])
+
+	reply := wire.AppendBytes(nil, estab.Profile{
+		SiteName: "site-b", Firewalled: true, Addr: "10.2.0.2", PublicAddr: "10.2.0.2",
+		HasRelay: true, RelayID: "pool/bob", HomeRelay: "relay-1",
+	}.Encode())
+	write("core", "FuzzDecodeConnectReply", "reply-no-splice", estab.AppendEndpoints(reply, nil))
+	reply = estab.AppendEndpoints(reply, splice)
+	write("core", "FuzzDecodeConnectReply", "reply", reply)
+	write("core", "FuzzDecodeConnectReply", "reply-truncated", reply[:len(reply)-5])
 
 	// estab: one mux message per type, whole and cut by a byte (uvarint
 	// stream ‖ byte method ‖ byte type ‖ body; the type numbers and the
@@ -223,10 +239,9 @@ func main() {
 		body   []byte
 	}{
 		{"listen", estab.ClientServer, 1, endpoint},
-		{"splice", estab.Splicing, 2, endpoint},
-		{"routed", estab.Routed, 3, nil},
-		{"abort", estab.Proxy, 4, nil},
-		{"elect", estab.MethodNone, 5, []byte{byte(estab.Splicing)}},
+		{"routed", estab.Routed, 2, nil},
+		{"abort", estab.Proxy, 3, nil},
+		{"elect", estab.MethodNone, 4, []byte{byte(estab.Splicing)}},
 	} {
 		full := append(append(wire.AppendUvarint(nil, 3), byte(m.method), m.t), m.body...)
 		write("estab", "FuzzMuxMessage", m.name, full)
