@@ -11,7 +11,6 @@ import (
 	"log"
 	"time"
 
-	"netibis/internal/bench"
 	"netibis/internal/core"
 	"netibis/internal/emunet"
 	"netibis/internal/ipl"
@@ -38,9 +37,9 @@ func main() {
 	ams := dep.AddSite("amsterdam", emunet.SiteConfig{Firewall: emunet.Stateful})
 	ren := dep.AddSite("rennes", emunet.SiteConfig{Firewall: emunet.Stateful})
 	fabric.SetLink("amsterdam", "rennes", emunet.LinkParams{
-		CapacityBps: bench.AmsterdamRennes.CapacityBps,
-		RTT:         bench.AmsterdamRennes.RTT,
-		LossRate:    bench.AmsterdamRennes.LossRate,
+		CapacityBps: 1.6e6,
+		RTT:         30 * time.Millisecond,
+		LossRate:    0.003,
 	})
 
 	sender, err := core.Join(dep.NodeConfig(ams.AddHost("sender"), "wantransfer", "sender"))
@@ -114,7 +113,4 @@ func main() {
 		sp.Close()
 		rp.Close()
 	}
-
-	fmt.Println("\nmodelled full-speed WAN bandwidth for the same methods (Figure 9 reproduction):")
-	fmt.Print(bench.FormatRows(bench.Fig9()))
 }

@@ -33,7 +33,7 @@ import (
 const Pragma = "//netibis:deterministic"
 
 // scopedPackages are always in scope, pragma or not: their replayability
-// is load-bearing for `netibis-bench scale -seed` and the soak harness.
+// is load-bearing for `netibis-bench -seed` and the soak harness.
 var scopedPackages = []string{
 	"internal/churn",
 	"internal/churn/invariant",

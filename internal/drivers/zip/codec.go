@@ -13,12 +13,8 @@ package zip
 // several Outputs, so per-call encoder state is pooled inside the codec.
 
 import (
-	"bytes"
-	"compress/flate"
 	"errors"
 	"fmt"
-	"io"
-	"sync"
 )
 
 // Codec compresses independent blocks. Compress appends nothing and
@@ -60,60 +56,13 @@ var decoders = map[byte]blockDecoder{
 }
 
 // codecByName resolves the zip:codec= stack parameter.
-func codecByName(name string, level int) (Codec, error) {
+func codecByName(name string) (Codec, error) {
 	switch name {
 	case "", "flate":
-		return newFlateCodec(level)
+		return deflateCodec{}, nil
 	case "lz":
-		if level != 0 && level != DefaultLevel {
-			return nil, fmt.Errorf("zip: codec lz has no compression levels (level=%d given)", level)
-		}
 		return lzCodec{}, nil
 	default:
 		return nil, fmt.Errorf("zip: unknown codec %q (have flate, lz)", name)
 	}
-}
-
-// newFlateCodec returns DEFLATE at level (0 = DefaultLevel): deflate.go's
-// codec at level 1, compress/flate's writer at any other, which only the
-// compression-level sweep in internal/bench asks for.
-func newFlateCodec(level int) (Codec, error) {
-	if level == 0 || level == DefaultLevel {
-		return deflateCodec{}, nil
-	}
-	if level < flate.HuffmanOnly || level > flate.BestCompression {
-		return nil, fmt.Errorf("zip: invalid compression level %d", level)
-	}
-	return &stdlibFlateCodec{writers: sync.Pool{New: func() any {
-		fw, _ := flate.NewWriter(io.Discard, level)
-		return fw
-	}}}, nil
-}
-
-// stdlibFlateCodec is DEFLATE through compress/flate's writers, pooled:
-// each holds ~half a MiB of window and tables.
-type stdlibFlateCodec struct {
-	deflateCodec // name, flag and bound
-	writers      sync.Pool
-}
-
-// Compress writes into dst's storage; a stream longer than dst has left
-// it for a grown buffer, and is errBound.
-func (c *stdlibFlateCodec) Compress(dst, src []byte) (int, error) {
-	fw := c.writers.Get().(*flate.Writer)
-	b := bytes.NewBuffer(dst[:0])
-	fw.Reset(b)
-	_, err := fw.Write(src)
-	if err == nil {
-		err = fw.Close()
-	}
-	fw.Reset(io.Discard) // do not pin the caller's Buf in the pool
-	c.writers.Put(fw)
-	switch {
-	case err != nil:
-		return 0, err
-	case b.Len() > len(dst):
-		return 0, errBound
-	}
-	return b.Len(), nil
 }

@@ -182,14 +182,11 @@ func TestIncompressibleEmitZeroAllocs(t *testing.T) {
 	rand.New(rand.NewSource(3)).Read(noise)
 	for _, codec := range []string{"flate", "lz"} {
 		t.Run(codec, func(t *testing.T) {
-			c, err := codecByName(codec, 0)
+			c, err := codecByName(codec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := NewOutputOptions(discardOutput{}, Options{Codec: c})
-			if err != nil {
-				t.Fatal(err)
-			}
+			out := NewOutputOptions(discardOutput{}, Options{Codec: c})
 			defer out.Close()
 			// Warm the codec and Buf pools once.
 			out.Write(noise)
@@ -218,18 +215,12 @@ func TestIncompressibleEmitZeroAllocs(t *testing.T) {
 // is exactly what a rolling upgrade of senders produces.
 func TestMixedCodecStreamDecodes(t *testing.T) {
 	link := newMemLink()
-	lz, err := codecByName("lz", 0)
+	lz, err := codecByName("lz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	lzOut, err := NewOutputOptions(memOutput{link}, Options{Codec: lz})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flateOut, err := newOutput(memOutput{link}, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lzOut := NewOutputOptions(memOutput{link}, Options{Codec: lz})
+	flateOut := newOutput(memOutput{link}, 0)
 	var want []byte
 	for i := 0; i < 6; i++ {
 		msg := compressible(20_000 + i*1000)
@@ -260,11 +251,8 @@ func TestMixedCodecStreamDecodes(t *testing.T) {
 }
 
 func TestUnknownCodecRejected(t *testing.T) {
-	if _, err := codecByName("zstd", 0); err == nil {
+	if _, err := codecByName("zstd"); err == nil {
 		t.Fatal("unknown codec accepted")
-	}
-	if _, err := codecByName("lz", 5); err == nil {
-		t.Fatal("lz with a compression level accepted")
 	}
 }
 

@@ -4,9 +4,9 @@
 // With a fast CPU and a slow wide-area link it pays off to compress data
 // before sending it: the paper measures a 1.6 MB/s WAN link delivering
 // over 3 MB/s of application payload with zlib level 1. Higher
-// compression levels consume far more CPU for little extra gain, so
-// level 1 is the default, exactly as in the paper; the level is a stack
-// parameter so the ablation benchmarks can sweep it.
+// compression levels consume far more CPU for little extra gain ("only
+// the first level of compression turned out to be useful"), so level 1
+// is the only level: zip:level=1 is accepted, any other level is not.
 //
 // The driver buffers written data into blocks. On flush (or when a block
 // fills up) the block is compressed and sent down the stack as a small
@@ -30,10 +30,6 @@ import (
 
 // Name is the registered driver name.
 const Name = "zip"
-
-// DefaultLevel is zlib/DEFLATE level 1, the paper's choice: "only the
-// first level of compression turned out to be useful".
-const DefaultLevel = 1
 
 // DefaultBlockSize is the compression block size. Bigger blocks compress
 // better but add latency and memory.
@@ -59,29 +55,29 @@ func buildOutput(spec driver.Spec, _ *driver.Env, lower func() (driver.Output, e
 	if lower == nil {
 		return nil, errors.New("zip: requires a lower driver (it is a filtering driver)")
 	}
+	if err := checkLevel(spec); err != nil {
+		return nil, err
+	}
+	codec, err := codecByName(spec.Param("codec", ""))
+	if err != nil {
+		return nil, err
+	}
 	sub, err := lower()
 	if err != nil {
 		return nil, err
 	}
-	codec, err := codecByName(spec.Param("codec", ""), spec.IntParam("level", 0))
-	if err != nil {
-		sub.Close()
-		return nil, err
-	}
-	out, err := NewOutputOptions(sub, Options{
+	return NewOutputOptions(sub, Options{
 		Codec: codec,
 		Block: spec.IntParam("block", DefaultBlockSize),
-	})
-	if err != nil {
-		sub.Close()
-		return nil, err
-	}
-	return out, nil
+	}), nil
 }
 
 func buildInput(spec driver.Spec, _ *driver.Env, lower func() (driver.Input, error)) (driver.Input, error) {
 	if lower == nil {
 		return nil, errors.New("zip: requires a lower driver (it is a filtering driver)")
+	}
+	if err := checkLevel(spec); err != nil {
+		return nil, err
 	}
 	sub, err := lower()
 	if err != nil {
@@ -90,13 +86,19 @@ func buildInput(spec driver.Spec, _ *driver.Env, lower func() (driver.Input, err
 	return NewInput(sub, spec.IntParam("block", DefaultBlockSize)), nil
 }
 
+// checkLevel accepts a stack whose level parameter is absent or exactly
+// 1, the one level the driver compresses at.
+func checkLevel(spec driver.Spec) error {
+	if v, ok := spec.Params["level"]; ok && v != "1" {
+		return fmt.Errorf("zip: level=%s: only level 1 is supported", v)
+	}
+	return nil
+}
+
 // Options configures an Output beyond its lower driver.
 type Options struct {
-	// Codec compresses the blocks; nil selects DEFLATE at Level.
+	// Codec compresses the blocks; nil selects DEFLATE.
 	Codec Codec
-	// Level is the DEFLATE level used when Codec is nil (0 =
-	// DefaultLevel).
-	Level int
 	// Block is the buffering granularity (0 = DefaultBlockSize).
 	Block int
 }
@@ -110,13 +112,10 @@ type Output struct {
 }
 
 // NewOutputOptions creates a compressing output over lower.
-func NewOutputOptions(lower driver.Output, o Options) (*Output, error) {
+func NewOutputOptions(lower driver.Output, o Options) *Output {
 	codec := o.Codec
 	if codec == nil {
-		var err error
-		if codec, err = newFlateCodec(o.Level); err != nil {
-			return nil, err
-		}
+		codec = deflateCodec{}
 	}
 	blockSize := o.Block
 	if blockSize <= 0 {
@@ -128,7 +127,7 @@ func NewOutputOptions(lower driver.Output, o Options) (*Output, error) {
 	// half-block threshold keeps small writes coalescing through the
 	// buffer for ratio.
 	out.BlockOutput = driver.NewBlockOutput(lower, blockSize, blockSize/2, blockSize, out.emit)
-	return out, nil
+	return out
 }
 
 // compressBlock encodes src as one self-contained wire block (header and

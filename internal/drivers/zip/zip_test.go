@@ -83,17 +83,14 @@ func compressible(n int) []byte {
 	return b.Bytes()[:n]
 }
 
-// newOutput is a DEFLATE output at the given level and block size.
-func newOutput(lower driver.Output, level, blockSize int) (*Output, error) {
-	return NewOutputOptions(lower, Options{Level: level, Block: blockSize})
+// newOutput is a DEFLATE output at the given block size.
+func newOutput(lower driver.Output, blockSize int) *Output {
+	return NewOutputOptions(lower, Options{Block: blockSize})
 }
 
 func TestRoundTripCompressible(t *testing.T) {
 	link := newMemLink()
-	out, err := newOutput(memOutput{link}, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := newOutput(memOutput{link}, 0)
 	in := NewInput(memInput{link}, 0)
 
 	payload := compressible(500_000)
@@ -122,10 +119,7 @@ func TestRoundTripCompressible(t *testing.T) {
 
 func TestRoundTripIncompressible(t *testing.T) {
 	link := newMemLink()
-	out, err := newOutput(memOutput{link}, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := newOutput(memOutput{link}, 0)
 	in := NewInput(memInput{link}, 0)
 
 	payload := make([]byte, 300_000)
@@ -155,7 +149,7 @@ func TestRoundTripIncompressible(t *testing.T) {
 
 func TestEmptyFlush(t *testing.T) {
 	link := newMemLink()
-	out, _ := newOutput(memOutput{link}, 1, 0)
+	out := newOutput(memOutput{link}, 0)
 	if err := out.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +164,7 @@ func TestEmptyFlush(t *testing.T) {
 
 func TestMultipleBlocksAndMessages(t *testing.T) {
 	link := newMemLink()
-	out, _ := newOutput(memOutput{link}, 1, 4096)
+	out := newOutput(memOutput{link}, 4096)
 	in := NewInput(memInput{link}, 0)
 	var want []byte
 	for i := 0; i < 30; i++ {
@@ -193,46 +187,50 @@ func TestMultipleBlocksAndMessages(t *testing.T) {
 	}
 }
 
-func TestCompressionLevelsAblation(t *testing.T) {
-	// Higher levels must never produce a *worse* ratio on compressible
-	// data, and level 1 must already capture most of the win — the
-	// paper's justification for using level 1.
-	payload := compressible(400_000)
-	ratio := func(level int) float64 {
-		link := newMemLink()
-		out, err := newOutput(memOutput{link}, level, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.Write(payload)
-		out.Flush()
-		out.Close()
-		return out.Ratio()
-	}
-	r1 := ratio(1)
-	r6 := ratio(6)
-	r9 := ratio(9)
-	if r1 < 2 {
-		t.Fatalf("level 1 ratio %.2f too low", r1)
-	}
-	if r9 < r1*0.95 {
-		t.Fatalf("level 9 (%.2f) should not be much worse than level 1 (%.2f)", r9, r1)
-	}
-	if r1 < r6*0.5 {
-		t.Fatalf("level 1 (%.2f) should capture a large fraction of level 6 (%.2f)", r1, r6)
-	}
-}
-
+// TestInvalidLevelRejected: level 1 is the only level, so a stack that
+// names any other, or a malformed one, fails to build on either side.
 func TestInvalidLevelRejected(t *testing.T) {
-	link := newMemLink()
-	if _, err := newOutput(memOutput{link}, 42, 0); err == nil {
-		t.Fatal("invalid compression level accepted")
+	build := func(t *testing.T, stack string) (outErr, inErr error) {
+		st, err := driver.ParseStack(stack)
+		if err != nil {
+			t.Fatalf("%s does not parse: %v", stack, err)
+		}
+		link := newMemLink()
+		if out, err := buildOutput(st[0], nil, func() (driver.Output, error) { return memOutput{link}, nil }); err != nil {
+			outErr = err
+		} else {
+			out.Close()
+		}
+		if in, err := buildInput(st[0], nil, func() (driver.Input, error) { return memInput{link}, nil }); err != nil {
+			inErr = err
+		} else {
+			in.Close()
+		}
+		return outErr, inErr
+	}
+	for _, stack := range []string{"zip", "zip:level=1", "zip:codec=lz:level=1"} {
+		if outErr, inErr := build(t, stack); outErr != nil || inErr != nil {
+			t.Errorf("%s rejected: output %v, input %v", stack, outErr, inErr)
+		}
+	}
+	for _, stack := range []string{
+		"zip:level=6",
+		"zip:level=0",
+		"zip:level=9:block=4096",
+		"zip:codec=lz:level=9",
+		"zip:level=nine",
+		"zip:level=",
+		"zip:level=01",
+	} {
+		if outErr, inErr := build(t, stack); outErr == nil || inErr == nil {
+			t.Errorf("%s built: output error %v, input error %v", stack, outErr, inErr)
+		}
 	}
 }
 
 func TestWriteAfterClose(t *testing.T) {
 	link := newMemLink()
-	out, _ := newOutput(memOutput{link}, 1, 0)
+	out := newOutput(memOutput{link}, 0)
 	out.Close()
 	if _, err := out.Write([]byte("x")); err == nil {
 		t.Fatal("write after close should fail")
@@ -244,7 +242,7 @@ func TestWriteAfterClose(t *testing.T) {
 
 func TestCorruptStreamDetected(t *testing.T) {
 	link := newMemLink()
-	out, _ := newOutput(memOutput{link}, 1, 0)
+	out := newOutput(memOutput{link}, 0)
 	out.Write(compressible(10_000))
 	out.Flush()
 	// Corrupt a byte in the middle of the compressed payload.
@@ -315,10 +313,7 @@ func TestRoundTripQuick(t *testing.T) {
 			rand.New(rand.NewSource(seed)).Read(payload)
 		}
 		link := newMemLink()
-		out, err := newOutput(memOutput{link}, 1, 7000)
-		if err != nil {
-			return false
-		}
+		out := newOutput(memOutput{link}, 7000)
 		in := NewInput(memInput{link}, 0)
 		out.Write(payload)
 		out.Flush()

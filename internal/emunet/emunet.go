@@ -139,9 +139,8 @@ type LinkParams struct {
 	// LossRate is the probability that a segment is lost. The data
 	// plane delivers reliably, as TCP does: a loss costs the segment
 	// and what is behind it on its connection one RTT and halves the
-	// connection's congestion window (see the package comment). It is
-	// also what the throughput model in package simtcp reads. Ignored
-	// at time scale 0.
+	// connection's congestion window (see the package comment).
+	// Ignored at time scale 0.
 	LossRate float64
 	// Jitter is the maximum additional random one-way delay on top of
 	// RTT/2. The jitter of each run of at most two segments is drawn

@@ -3,6 +3,7 @@ package emunet
 import (
 	"bytes"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"slices"
@@ -12,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"netibis/internal/simtcp"
 	"netibis/internal/testutil"
 )
 
@@ -217,21 +217,23 @@ func TestWindowLaw(t *testing.T) {
 }
 
 // TestLossLaw is gate (b): on the paper's lossy link one 64 KiB
-// connection is held where the Reno model says it is, and four recover
-// the link.
+// connection is held where the Reno loss law says it is, and four
+// recover the link.
 //
-// The 8 MiB the single connection is timed over hold some seventeen
-// losses, so what it reads depends on where they fall: 50 to 74 % over
-// eight seeds, 61 % in the mean — under the model's 67 %, which charges
-// a loss a halved window but no stalled round trip. The seed pins one
-// ordinary sequence; given it, the same bytes are lost on every run.
+// The law is the closed form of Mathis et al. (1997) capped by the link
+// and the window: min(capacity, window/RTT, MSS/RTT·√(3/2p)), 68 % of
+// Amsterdam–Rennes. The 8 MiB the single connection is timed over hold
+// some seventeen losses, so what it reads depends on where they fall:
+// 50 to 74 % over eight seeds, 61 % in the mean — under the law, which
+// charges a loss a halved window but no stalled round trip. The seed
+// pins one ordinary sequence; given it, the same bytes are lost on
+// every run.
 func TestLossLaw(t *testing.T) {
 	defer testutil.LeakCheck(t, 0)()
 	const scale = 0.2
-	model := simtcp.SteadyState(simtcp.Params{
-		CapacityBps: amsterdamRennes.CapacityBps, RTT: amsterdamRennes.RTT, LossRate: amsterdamRennes.LossRate,
-		MaxWindow: 64 << 10, Seed: 1,
-	}).Utilization
+	p := amsterdamRennes
+	law := min(p.CapacityBps, (64<<10)/p.RTT.Seconds(),
+		mss/p.RTT.Seconds()*math.Sqrt(3/(2*p.LossRate))) / p.CapacityBps
 	opts := []Option{WithTimeScale(scale), WithSocketBuffer(64 << 10), WithSeed(5)}
 
 	f, dial := shapedLink(t, amsterdamRennes, opts...)
@@ -239,8 +241,8 @@ func TestLossLaw(t *testing.T) {
 	const count = 8 << 20
 	one := count / crossing(t, w, e, scale, 256<<10, count).Seconds() / amsterdamRennes.CapacityBps
 	f.Close()
-	if one < model-0.10 || one > model+0.10 {
-		t.Errorf("one conn: %.0f%% of capacity, want the model's %.0f%% +-10 points", one*100, model*100)
+	if one < law-0.10 || one > law+0.10 {
+		t.Errorf("one conn: %.0f%% of capacity, want the law's %.0f%% +-10 points", one*100, law*100)
 	}
 
 	f, dial = shapedLink(t, amsterdamRennes, opts...)
@@ -253,7 +255,7 @@ func TestLossLaw(t *testing.T) {
 	if four < 0.9 || four > 1.05 {
 		t.Errorf("four conns: %.0f%% of capacity, want 90-105%%", four*100)
 	}
-	t.Logf("one conn %.0f%% of capacity (model %.0f%%), four conns %.0f%%", one*100, model*100, four*100)
+	t.Logf("one conn %.0f%% of capacity (law %.0f%%), four conns %.0f%%", one*100, law*100, four*100)
 }
 
 // TestLossSequenceReplays: the losses of a direction are a function of

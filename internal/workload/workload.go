@@ -134,16 +134,3 @@ func writeInt(buf *bytes.Buffer, v int) {
 	}
 	buf.Write(tmp[i:])
 }
-
-// MessageSizesFig9 are the x-axis points of paper Figure 9
-// (Amsterdam–Rennes): 16 KiB to 4 MiB.
-var MessageSizesFig9 = []int64{16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
-
-// MessageSizesFig10 are the x-axis points of paper Figure 10
-// (Delft–Sophia): 46656, 279936 and 1679616 bytes (powers of six, the
-// sizes the paper plots).
-var MessageSizesFig10 = []int64{46656, 279936, 1679616}
-
-// SmallMessageSizes are used by the Section 4.1 LAN aggregation
-// experiment: the small messages typical of parallel applications.
-var SmallMessageSizes = []int64{64, 256, 1024, 4096}

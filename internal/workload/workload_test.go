@@ -85,20 +85,3 @@ func TestKindString(t *testing.T) {
 		t.Fatal("unknown kind string wrong")
 	}
 }
-
-func TestMessageSizeTables(t *testing.T) {
-	if len(MessageSizesFig9) == 0 || MessageSizesFig9[0] != 16<<10 || MessageSizesFig9[len(MessageSizesFig9)-1] != 4<<20 {
-		t.Fatalf("Fig9 sizes wrong: %v", MessageSizesFig9)
-	}
-	want := []int64{46656, 279936, 1679616}
-	for i, v := range want {
-		if MessageSizesFig10[i] != v {
-			t.Fatalf("Fig10 sizes wrong: %v", MessageSizesFig10)
-		}
-	}
-	for i := 1; i < len(SmallMessageSizes); i++ {
-		if SmallMessageSizes[i] <= SmallMessageSizes[i-1] {
-			t.Fatal("small message sizes must be increasing")
-		}
-	}
-}
