@@ -24,7 +24,13 @@ import (
 // round trip, scaled.
 func newShapedGrid(t *testing.T, scale float64) *testGrid {
 	t.Helper()
-	f := emunet.NewFabric(emunet.WithSeed(29), emunet.WithTimeScale(scale), emunet.WithDefaultLink(emunet.LinkParams{CapacityBps: 9e6, RTT: 4 * time.Millisecond}))
+	return newLinkedGrid(t, scale, 4*time.Millisecond)
+}
+
+// newLinkedGrid is newShapedGrid with links of the given round trip.
+func newLinkedGrid(t *testing.T, scale float64, rtt time.Duration) *testGrid {
+	t.Helper()
+	f := emunet.NewFabric(emunet.WithSeed(29), emunet.WithTimeScale(scale), emunet.WithDefaultLink(emunet.LinkParams{CapacityBps: 9e6, RTT: rtt}))
 	dep, err := NewDeployment(f)
 	if err != nil {
 		t.Fatal(err)
@@ -191,13 +197,30 @@ func TestCloseWithBarrierPending(t *testing.T) {
 // open beyond the service link's: the acceptor opens nothing
 // speculatively, whatever the scheduler does.
 func TestHealthySpliceNeverLaunchesRouted(t *testing.T) {
+	raceHealthySplices(t, time.Hour)
+}
+
+// TestHealthySpliceWinsAtDerivedHeadStart: the same twenty cold races
+// with no head-start override, so routed is due one measured
+// service-link round trip after the reply. A healthy splice is won right
+// behind the reply, long before that: every connect still comes up by
+// splicing and the relay still sees no routed open. The gate is a timer,
+// not an event order.
+func TestHealthySpliceWinsAtDerivedHeadStart(t *testing.T) {
+	raceHealthySplices(t, 0)
+}
+
+// raceHealthySplices runs twenty cold connects between two stateful
+// sites on the 4 ms grid at time scale 1, the initiator's head start
+// set to stagger (zero: derived from the service link), and fails
+// unless each comes up by splicing and carries a message while the
+// relay sees no link open beyond the service link's.
+func raceHealthySplices(t *testing.T, stagger time.Duration) {
 	g := newShapedGrid(t, 1)
-	patient := func(c *Config) {
-		c.RaceStagger = time.Hour
-		c.SpliceTimeout = 10 * time.Second
-	}
+	patient := func(c *Config) { c.SpliceTimeout = 10 * time.Second }
 	a := g.node("alice", "site-a", stateful, patient)
 	b := g.node("bob", "site-b", stateful, patient)
+	a.connector.RaceStagger = stagger
 	if got := estab.RankCandidates(a.Profile(), b.Profile(), false); len(got) != 2 || got[0] != estab.Splicing || got[1] != estab.Routed {
 		t.Fatalf("the pair ranks %v, want splicing then routed", got)
 	}

@@ -668,9 +668,9 @@ func testConnectFrameCount(t *testing.T, acc emunet.SiteConfig, ranking []estab.
 // link, and it carries a message.
 func TestSplicedConnectNeedsNothingAfterTheReply(t *testing.T) {
 	g := newTestGrid(t)
-	patient := func(c *Config) { c.RaceStagger = time.Hour } // splicing alone, no routed cue
-	a := g.node("alice", "site-a", stateful, patient)
-	b := g.node("bob", "site-b", stateful, patient)
+	a := g.node("alice", "site-a", stateful, nil)
+	b := g.node("bob", "site-b", stateful, nil)
+	a.connector.RaceStagger = time.Hour // splicing alone, no routed cue
 	if got := estab.RankCandidates(a.Profile(), b.Profile(), false); len(got) == 0 || got[0] != estab.Splicing {
 		t.Fatalf("the pair ranks %v, want splicing first", got)
 	}

@@ -108,11 +108,6 @@ type Config struct {
 	// zero (or negative) means estab.DefaultAcceptTimeout, mirroring
 	// SpliceTimeout.
 	AcceptTimeout time.Duration
-	// RaceStagger is the head start between candidate methods of a
-	// racing establishment; zero means twice the service-link round trip
-	// each connect measures (at least estab.MinRaceStagger), negative
-	// launches all candidates at once.
-	RaceStagger time.Duration
 	// RoutedWindowBytes is the receive window this node advertises on
 	// relay-routed virtual links (credit-based flow control: a peer
 	// sending to this node blocks once that many bytes are in flight
@@ -244,7 +239,6 @@ func Join(cfg Config) (*Node, error) {
 		ProxyCreds:    cfg.ProxyCreds,
 		SpliceTimeout: cfg.SpliceTimeout,
 		AcceptTimeout: cfg.AcceptTimeout,
-		RaceStagger:   cfg.RaceStagger,
 		Cache:         estab.NewCache(estab.DefaultCacheTTL),
 		AcceptRouted:  n.acceptRoutedData,
 		Trace:         cfg.Trace,

@@ -36,13 +36,13 @@ func TestLostRaceLeavesNothingBehind(t *testing.T) {
 	mkNode := func(site, name string) *Node {
 		host := dep.AddSite(site, emunet.SiteConfig{Firewall: emunet.Open}).AddHost(name)
 		cfg := dep.NodeConfig(host, "race", name)
-		cfg.RaceStagger = -1 // launch every candidate at once: the race always has losers
 		cfg.SpliceTimeout = 2 * time.Second
 		cfg.AcceptTimeout = 5 * time.Second
 		n, err := Join(cfg)
 		if err != nil {
 			t.Fatalf("join %s: %v", name, err)
 		}
+		n.connector.RaceStagger = -1 // launch every candidate at once: the race always has losers
 		return n
 	}
 	sender := mkNode("race-open-a", "sender")

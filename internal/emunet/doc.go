@@ -88,4 +88,17 @@
 // reader that has stopped reading, write deadlines are accepted and not
 // enforced, and no goroutine or clock is involved. The CPU-bound tests
 // and benchmarks run there.
+//
+// # What the link law leaves out
+//
+// A connection comes up without crossing its link: Host.Dial
+// (completeDial) and a matched simultaneous open (registerSplice) hand
+// back a connected pair at once, so a SYN and its SYN-ACK take no time.
+// A cold direct or spliced connect above this package therefore reads
+// the one service-link round trip of its brokering and nothing more,
+// and no emulated handshake ever runs against the race's head start
+// (estab's raceStagger, one measured service-link round trip). That
+// rule holds on a real link because a direct or spliced handshake
+// crosses a path no longer than the relay's; the emulator does not
+// test it. Modelling the handshake would move every connect time.
 package emunet

@@ -111,7 +111,7 @@ type Connector struct {
 	// methods of a racing establishment: the preferred method gets a
 	// head start of one stagger per precedence rank before the next
 	// candidate is tried concurrently. Zero derives it from the service
-	// link (twice EstablishOpts.ServiceRTT, at least MinRaceStagger;
+	// link (one EstablishOpts.ServiceRTT, at least MinRaceStagger;
 	// DefaultRaceStagger when nothing was measured); a negative value
 	// launches all candidates at once (no head starts). A stagger longer
 	// than every method timeout is the strict one-method-at-a-time
@@ -187,8 +187,9 @@ type EstablishOpts struct {
 	PeerKey string
 	// ServiceRTT is a round trip over the service link as the caller just
 	// measured it (the integration layer times its connect request and
-	// the reply); zero when nothing was measured. It sizes the race's
-	// head starts while Connector.RaceStagger is zero.
+	// the reply); zero when nothing was measured. While
+	// Connector.RaceStagger is zero it is the race's head start per tier
+	// (at least MinRaceStagger).
 	ServiceRTT time.Duration
 	// First is the method the caller announced to the acceptor as the
 	// one it launches first: its cached winner, or MethodNone.

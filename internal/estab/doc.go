@@ -20,7 +20,7 @@
 //     the losers are canceled and cleaned up on both sides. This bounds
 //     the setup cost of a pair whose preferred method hangs — an
 //     asymmetric splice-hostile firewall, an unpredictable NAT — to one
-//     stagger tier (two service-link round trips, as measured by the
+//     stagger tier (one service-link round trip, as measured by the
 //     caller) instead of a full method timeout. Both sides derive the
 //     candidates from the two profiles, so an establishment costs what
 //     its method's own messages cost and one election.

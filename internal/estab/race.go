@@ -59,20 +59,24 @@ import (
 
 // DefaultRaceStagger is the head start each candidate method gets over
 // the next one in precedence order when Connector.RaceStagger is zero and
-// the caller measured no service-link round trip. It is of the order of a
-// WAN round trip: long enough that a healthy preferred method wins before
-// the next candidate spends any resources, short enough that a hanging
-// preferred method costs one tier instead of a multi-second timeout.
+// the caller measured no service-link round trip (a measured one is the
+// head start itself). It is of the order of a WAN round trip: long
+// enough that a healthy preferred method wins before the next candidate
+// spends any resources, short enough that a hanging preferred method
+// costs one tier instead of a multi-second timeout.
 const DefaultRaceStagger = 150 * time.Millisecond
 
 // MinRaceStagger floors a head start derived from a measured round trip:
 // RFC 8305's minimum connection-attempt delay.
 const MinRaceStagger = 10 * time.Millisecond
 
-// raceStagger resolves the head start per tier. A method's brokering is
-// about one service-link round trip (its endpoints cross, then it dials),
-// so twice the round trip the caller just measured lets a healthy method
-// finish before the next one starts.
+// raceStagger resolves the head start per tier. Both sides' splice
+// endpoints ride in the connect request and its reply, and the
+// acceptor's half of every candidate goes out right behind the reply, so
+// a healthy method needs at most one crossing of the service link and
+// its own handshake, whose path is no longer than the relay's: the round
+// trip the caller just measured lets it finish before the next one
+// starts (RFC 8305 §5 sizes its attempt delay the same way).
 func (c *Connector) raceStagger(serviceRTT time.Duration) time.Duration {
 	switch {
 	case c.RaceStagger > 0:
@@ -82,7 +86,7 @@ func (c *Connector) raceStagger(serviceRTT time.Duration) time.Duration {
 	case serviceRTT <= 0:
 		return DefaultRaceStagger
 	default:
-		return max(2*serviceRTT, MinRaceStagger)
+		return max(serviceRTT, MinRaceStagger)
 	}
 }
 

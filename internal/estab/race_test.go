@@ -829,17 +829,18 @@ func TestDifferentRankingsEndTyped(t *testing.T) {
 }
 
 // TestRaceStaggerRule: the head start per tier is the connector's when it
-// names one, and otherwise twice the service-link round trip the caller
+// names one, and otherwise the service-link round trip the caller
 // measured, floored — the constant only when nothing was measured.
 func TestRaceStaggerRule(t *testing.T) {
 	for _, tc := range []struct {
 		configured, measured, want time.Duration
 	}{
 		{0, 0, DefaultRaceStagger},
-		{0, 8 * time.Millisecond, 16 * time.Millisecond},
+		{0, 8 * time.Millisecond, 10 * time.Millisecond},
 		{0, time.Millisecond, MinRaceStagger},
 		{0, 5 * time.Millisecond, 10 * time.Millisecond},
-		{0, time.Second, 2 * time.Second},
+		{0, 12 * time.Millisecond, 12 * time.Millisecond},
+		{0, time.Second, time.Second},
 		{50 * time.Millisecond, 0, 50 * time.Millisecond},
 		{50 * time.Millisecond, 8 * time.Millisecond, 50 * time.Millisecond},
 		{time.Hour, time.Millisecond, time.Hour},
