@@ -6,10 +6,11 @@
 // bandwidth for the chosen driver stack.
 //
 //	netibis-perf -server -listen :9100
-//	netibis-perf -connect host:9100 -stack zip:level=1/multi:streams=4/tcpblk -bytes 64000000
+//	netibis-perf -connect host:9100 -stack zip/multi:streams=4/tcpblk -bytes 64000000
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,7 +28,7 @@ func main() {
 	server := flag.Bool("server", false, "run as the receiving side")
 	listen := flag.String("listen", ":9100", "server: TCP address to listen on")
 	connect := flag.String("connect", "", "client: server address to connect to")
-	stackSpec := flag.String("stack", "tcpblk", "driver stack, e.g. zip:level=1/multi:streams=4/tcpblk")
+	stackSpec := flag.String("stack", "tcpblk", "driver stack, e.g. zip/multi:streams=4/tcpblk")
 	totalBytes := flag.Int64("bytes", 64<<20, "client: payload bytes to transfer")
 	kind := flag.String("workload", "grid-records", "payload kind: text-like, grid-records, mixed, random")
 	seed := flag.Int64("seed", 1, "payload generator seed; the same seed replays the exact same bytes")
@@ -72,6 +73,9 @@ func runServer(addr string, stack driver.Stack) {
 	for {
 		env := &driver.Env{Accept: func() (net.Conn, error) { return l.Accept() }}
 		in, err := driver.BuildInput(stack, env)
+		if errors.Is(err, driver.ErrBadParam) {
+			log.Fatalf("netibis-perf: build input: %v", err) // fails alike on every attempt
+		}
 		if err != nil {
 			log.Printf("netibis-perf: build input: %v", err)
 			continue

@@ -47,7 +47,7 @@ func main() {
 	defer master.Close()
 
 	taskType := ipl.PortType{Name: "tasks", Stack: "tcpblk"}
-	resultType := ipl.PortType{Name: "results", Stack: "zip:level=1/tcpblk"}
+	resultType := ipl.PortType{Name: "results", Stack: "zip/tcpblk"}
 
 	results, err := master.CreateReceivePort(resultType, "results")
 	if err != nil {

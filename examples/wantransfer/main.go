@@ -61,8 +61,8 @@ func main() {
 	}{
 		{"plain TCP (TCP_Block)", "tcpblk"},
 		{"4 parallel streams", "multi:streams=4/tcpblk"},
-		{"compression (zlib level 1)", "zip:level=1/tcpblk"},
-		{"compression + 4 streams", "zip:level=1/multi:streams=4/tcpblk"},
+		{"compression (zlib level 1)", "zip/tcpblk"},
+		{"compression + 4 streams", "zip/multi:streams=4/tcpblk"},
 	}
 
 	fmt.Printf("transferring %d bytes of %s data per method (emulated WAN, scaled time)\n\n",

@@ -217,9 +217,10 @@ func TestHealthySpliceWinsAtDerivedHeadStart(t *testing.T) {
 // relay sees no link open beyond the service link's.
 func raceHealthySplices(t *testing.T, stagger time.Duration) {
 	g := newShapedGrid(t, 1)
-	patient := func(c *Config) { c.SpliceTimeout = 10 * time.Second }
-	a := g.node("alice", "site-a", stateful, patient)
-	b := g.node("bob", "site-b", stateful, patient)
+	a := g.node("alice", "site-a", stateful, nil)
+	b := g.node("bob", "site-b", stateful, nil)
+	a.connector.SpliceTimeout = 10 * time.Second
+	b.connector.SpliceTimeout = 10 * time.Second
 	a.connector.RaceStagger = stagger
 	if got := estab.RankCandidates(a.Profile(), b.Profile(), false); len(got) != 2 || got[0] != estab.Splicing || got[1] != estab.Routed {
 		t.Fatalf("the pair ranks %v, want splicing then routed", got)
@@ -306,7 +307,8 @@ func TestRefusedDialAsksRegistryOnce(t *testing.T) {
 	reg := obs.NewRegistry()
 	g.dep.Registry.MetricsInto(reg)
 	g.dep.Relays[0].Server.MetricsInto(reg)
-	a := g.node("alice", "site-a", stateful, func(c *Config) { c.AcceptTimeout = 300 * time.Millisecond })
+	a := g.node("alice", "site-a", stateful, nil)
+	a.connector.AcceptTimeout = 300 * time.Millisecond
 	if err := a.Registry().Register(a.nodeKey("ghost"), []byte("a record that outlived its node")); err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"netibis/internal/driver"
 	"netibis/internal/drivers/multi"
 	"netibis/internal/emunet"
 	"netibis/internal/estab"
@@ -559,6 +560,65 @@ func TestProfilesCrossServiceLinkOncePerConnect(t *testing.T) {
 	}
 	if n := bytes.Count(rec.read.Bytes(), b.Profile().Encode()); n != 1 {
 		t.Fatalf("the acceptor's profile crossed the service link %d times in one connect, want 1", n)
+	}
+}
+
+// TestUnbuildableStackFailsBeforeTheRequest: a stack whose streams the
+// initiator cannot count — more than multi.MaxStreams in all, or a multi
+// layer naming a parameter it does not take — fails the connect with
+// driver.ErrBadParam at once, before the connect request is written, and
+// leaves the service link fit for the next connect.
+func TestUnbuildableStackFailsBeforeTheRequest(t *testing.T) {
+	g := newTestGrid(t)
+	a := g.node("alice", "site-a", stateful, nil)
+	b := g.node("bob", "site-b", stateful, nil)
+	rec, _ := recordServiceLink(t, a, "bob")
+	connects := func() int {
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		n := 0
+		for _, f := range parseFrames(rec.wrote.Bytes()) {
+			if f.Kind == wire.KindControl && f.Flags == opConnect {
+				n++
+			}
+		}
+		return n
+	}
+
+	for i, stack := range []string{"multi:streams=16/multi:streams=8/tcpblk", "multi:stream=8/tcpblk"} {
+		pt := ipl.PortType{Name: fmt.Sprintf("bad-%d", i), Stack: stack}
+		rp, err := b.CreateReceivePort(pt, pt.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rp.Close()
+		sp, err := a.CreateSendPort(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sp.Close()
+		start := time.Now()
+		err = sp.Connect(rp.ID())
+		if took := time.Since(start); took > a.connector.ResolvedAcceptTimeout()/10 {
+			t.Errorf("%s: the connect took %v to fail", stack, took)
+		}
+		if !errors.Is(err, driver.ErrBadParam) {
+			t.Errorf("%s: connect: %v, want driver.ErrBadParam", stack, err)
+		}
+	}
+	if n := connects(); n != 0 {
+		t.Fatalf("%d connect requests were written for stacks that cannot be built", n)
+	}
+
+	sp, rp := channel(t, a, b, ipl.PortType{Name: "plain", Stack: "tcpblk"}, "plain")
+	defer sp.Close()
+	defer rp.Close()
+	sendText(t, sp, "after two refusals")
+	if got, _ := recvText(t, rp); got != "after two refusals" {
+		t.Fatalf("got %q", got)
+	}
+	if n := connects(); n != 1 {
+		t.Fatalf("%d connect requests written in all, want the plain stack's one", n)
 	}
 }
 

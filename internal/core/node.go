@@ -100,21 +100,6 @@ type Config struct {
 	// DefaultStack is the driver stack used by port types that do not
 	// name one ("tcpblk" if empty).
 	DefaultStack string
-	// SpliceTimeout bounds a simultaneous open during establishment;
-	// zero (or negative) means estab.DefaultSpliceTimeout. The
-	// zero-value rule is the same as AcceptTimeout's.
-	SpliceTimeout time.Duration
-	// AcceptTimeout bounds the passive side of brokered establishments;
-	// zero (or negative) means estab.DefaultAcceptTimeout, mirroring
-	// SpliceTimeout.
-	AcceptTimeout time.Duration
-	// RoutedWindowBytes is the receive window this node advertises on
-	// relay-routed virtual links (credit-based flow control: a peer
-	// sending to this node blocks once that many bytes are in flight
-	// unread). Zero means relay.DefaultWindowBytes. Larger windows keep
-	// fatter pipes busy; smaller ones bound the memory a slow consumer
-	// can pin per link.
-	RoutedWindowBytes int
 	// Metrics, when non-nil, receives the node's metric families: the
 	// estab family (race outcomes, cache effectiveness, establishment
 	// latency), the node side of the flow family (credit stalls,
@@ -231,17 +216,14 @@ func Join(cfg Config) (*Node, error) {
 	}
 	relayCli := n.att.Client()
 	n.relayCli = relayCli
-	relayCli.SetWindow(cfg.RoutedWindowBytes)
 	n.connector = &estab.Connector{
-		Host:          cfg.Host,
-		Relay:         relayCli,
-		ProxyAddr:     cfg.Proxy,
-		ProxyCreds:    cfg.ProxyCreds,
-		SpliceTimeout: cfg.SpliceTimeout,
-		AcceptTimeout: cfg.AcceptTimeout,
-		Cache:         estab.NewCache(estab.DefaultCacheTTL),
-		AcceptRouted:  n.acceptRoutedData,
-		Trace:         cfg.Trace,
+		Host:         cfg.Host,
+		Relay:        relayCli,
+		ProxyAddr:    cfg.Proxy,
+		ProxyCreds:   cfg.ProxyCreds,
+		Cache:        estab.NewCache(estab.DefaultCacheTTL),
+		AcceptRouted: n.acceptRoutedData,
+		Trace:        cfg.Trace,
 	}
 	if cfg.Metrics != nil {
 		em := estab.NewMetrics()

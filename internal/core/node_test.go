@@ -64,8 +64,6 @@ func (g *testGrid) node(name, siteName string, cfg emunet.SiteConfig, mutate fun
 	}
 	host := site.AddHost(name)
 	nodeCfg := g.dep.NodeConfig(host, "testpool", name)
-	nodeCfg.SpliceTimeout = 500 * time.Millisecond
-	nodeCfg.AcceptTimeout = 5 * time.Second
 	if mutate != nil {
 		mutate(&nodeCfg)
 	}
@@ -73,6 +71,8 @@ func (g *testGrid) node(name, siteName string, cfg emunet.SiteConfig, mutate fun
 	if err != nil {
 		g.t.Fatalf("join %s: %v", name, err)
 	}
+	n.connector.SpliceTimeout = 500 * time.Millisecond
+	n.connector.AcceptTimeout = 5 * time.Second
 	g.addNode(n)
 	return n
 }
@@ -164,7 +164,7 @@ func TestCompressedParallelStreamsChannel(t *testing.T) {
 	a := g.node("n1", "site-a", emunet.SiteConfig{Firewall: emunet.Stateful}, nil)
 	b := g.node("n2", "site-b", emunet.SiteConfig{Firewall: emunet.Stateful}, nil)
 
-	pt := ipl.PortType{Name: "bulk", Stack: "zip:level=1/multi:streams=4/tcpblk"}
+	pt := ipl.PortType{Name: "bulk", Stack: "zip/multi:streams=4/tcpblk"}
 	sp, rp := channel(t, a, b, pt, "bulk-data")
 
 	payload := bytes.Repeat([]byte("grid application data block "), 40000) // ~1.1 MiB
@@ -342,16 +342,19 @@ func TestIncompatiblePortTypesRejected(t *testing.T) {
 	a := g.node("pa", "site-pa", emunet.SiteConfig{Firewall: emunet.Stateful}, nil)
 	b := g.node("pb", "site-pb", emunet.SiteConfig{Firewall: emunet.Stateful}, nil)
 
-	rp, err := b.CreateReceivePort(ipl.PortType{Name: "bulk", Stack: "zip:level=1/tcpblk"}, "mismatch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := a.CreateSendPort(ipl.PortType{Name: "bulk", Stack: "tcpblk"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Connect(rp.ID()); !errors.Is(err, ErrConnectRejected) {
-		t.Fatalf("expected ErrConnectRejected, got %v", err)
+	// Another stack, and a sealed stack against the same one unsealed.
+	for i, stacks := range [][2]string{{"tcpblk", "zip/tcpblk"}, {"zip/tcpblk", "zip/secure/tcpblk"}} {
+		rp, err := b.CreateReceivePort(ipl.PortType{Name: "bulk", Stack: stacks[1]}, fmt.Sprintf("mismatch-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := a.CreateSendPort(ipl.PortType{Name: "bulk", Stack: stacks[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Connect(rp.ID()); !errors.Is(err, ErrConnectRejected) {
+			t.Fatalf("%s to %s: expected ErrConnectRejected, got %v", stacks[0], stacks[1], err)
+		}
 	}
 }
 

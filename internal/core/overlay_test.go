@@ -38,8 +38,6 @@ func (g *testGrid) nodeOnRelay(name, siteName string, cfg emunet.SiteConfig, rel
 	}
 	host := site.AddHost(name)
 	nodeCfg := g.dep.NodeConfigOnRelay(host, "testpool", name, relayIdx)
-	nodeCfg.SpliceTimeout = 500 * time.Millisecond
-	nodeCfg.AcceptTimeout = 5 * time.Second
 	if mutate != nil {
 		mutate(&nodeCfg)
 	}
@@ -47,6 +45,8 @@ func (g *testGrid) nodeOnRelay(name, siteName string, cfg emunet.SiteConfig, rel
 	if err != nil {
 		g.t.Fatalf("join %s: %v", name, err)
 	}
+	n.connector.SpliceTimeout = 500 * time.Millisecond
+	n.connector.AcceptTimeout = 5 * time.Second
 	g.addNode(n)
 	return n
 }
@@ -86,7 +86,7 @@ func TestCrossRelayTransfer(t *testing.T) {
 
 	// Full driver stack: compression over parallel streams, every stream
 	// a routed link crossing the relay mesh.
-	pt := ipl.PortType{Name: "bulk", Stack: "zip:level=1/multi:streams=2/tcpblk"}
+	pt := ipl.PortType{Name: "bulk", Stack: "zip/multi:streams=2/tcpblk"}
 	sp, rp := channel(t, a, b, pt, "xr-inbox")
 
 	payload := bytes.Repeat([]byte("cross-relay grid data "), 20000) // ~430 KiB
@@ -132,12 +132,10 @@ func TestCrossRelayTransfer(t *testing.T) {
 // the sender would wedge at the window and the test would time out.
 func TestRoutedFlowControlAcrossMesh(t *testing.T) {
 	g := newFederatedGrid(t, 2)
-	smallWindow := func(c *Config) {
-		noProxy(c)
-		c.RoutedWindowBytes = 16 * 1024
-	}
-	a := g.nodeOnRelay("fcm-a", "site-fcm-a", emunet.SiteConfig{Firewall: emunet.Stateful, NAT: emunet.BrokenNAT}, 0, smallWindow)
-	b := g.nodeOnRelay("fcm-b", "site-fcm-b", emunet.SiteConfig{Firewall: emunet.Stateful}, 1, smallWindow)
+	a := g.nodeOnRelay("fcm-a", "site-fcm-a", emunet.SiteConfig{Firewall: emunet.Stateful, NAT: emunet.BrokenNAT}, 0, noProxy)
+	b := g.nodeOnRelay("fcm-b", "site-fcm-b", emunet.SiteConfig{Firewall: emunet.Stateful}, 1, noProxy)
+	a.relayCli.SetWindow(16 * 1024)
+	b.relayCli.SetWindow(16 * 1024)
 
 	pt := ipl.PortType{Name: "fcmesh", Stack: "tcpblk"}
 	sp, rp := channel(t, a, b, pt, "fcm-inbox")

@@ -179,6 +179,15 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	}
 	sp.mu.Unlock()
 
+	// A stack that cannot be built fails here, before a peer hears of it.
+	stack, err := sp.portType.ParseStack()
+	if err != nil {
+		return err
+	}
+	count, err := establishments(stack)
+	if err != nil {
+		return err
+	}
 	n := sp.node
 	sl, err := n.serviceLinkTo(to.Owner.Name)
 	if err != nil {
@@ -207,11 +216,6 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	// the stack) below, and timed: it is the round trip the races size
 	// their head starts by. The routed data links the peer opens are
 	// admitted until the establishments are done.
-	stack, err := sp.portType.ParseStack()
-	if err != nil {
-		return err
-	}
-	count := establishments(stack)
 	ports, predicted := n.connector.ReserveSplice(count)
 	first, _ := n.connector.Cache.Lookup(sl.peer)
 	req := connectRequest{portName: to.Port, typeDigest: portTypeDigest(sp.portType), sender: n.id, profile: n.connector.Profile(), first: first, splice: predicted}

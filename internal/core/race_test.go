@@ -36,12 +36,12 @@ func TestLostRaceLeavesNothingBehind(t *testing.T) {
 	mkNode := func(site, name string) *Node {
 		host := dep.AddSite(site, emunet.SiteConfig{Firewall: emunet.Open}).AddHost(name)
 		cfg := dep.NodeConfig(host, "race", name)
-		cfg.SpliceTimeout = 2 * time.Second
-		cfg.AcceptTimeout = 5 * time.Second
 		n, err := Join(cfg)
 		if err != nil {
 			t.Fatalf("join %s: %v", name, err)
 		}
+		n.connector.SpliceTimeout = 2 * time.Second
+		n.connector.AcceptTimeout = 5 * time.Second
 		n.connector.RaceStagger = -1 // launch every candidate at once: the race always has losers
 		return n
 	}

@@ -47,8 +47,6 @@ func (g *testGrid) secureNode(name, siteName string, cfg emunet.SiteConfig, muta
 	if err != nil {
 		g.t.Fatal(err)
 	}
-	nodeCfg.SpliceTimeout = 500 * time.Millisecond
-	nodeCfg.AcceptTimeout = 5 * time.Second
 	if mutate != nil {
 		mutate(&nodeCfg)
 	}
@@ -56,6 +54,8 @@ func (g *testGrid) secureNode(name, siteName string, cfg emunet.SiteConfig, muta
 	if err != nil {
 		g.t.Fatalf("join %s: %v", name, err)
 	}
+	n.connector.SpliceTimeout = 500 * time.Millisecond
+	n.connector.AcceptTimeout = 5 * time.Second
 	g.addNode(n)
 	return n
 }

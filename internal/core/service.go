@@ -333,15 +333,22 @@ func portTypeDigest(pt ipl.PortType) [sha256.Size]byte {
 }
 
 // establishments is how many establishments building stack runs: the
-// product of its multi layers' streams, capped at multi.MaxStreams.
-func establishments(stack driver.Stack) int {
+// product of its multi layers' streams, at most multi.MaxStreams.
+func establishments(stack driver.Stack) (int, error) {
 	n := 1
 	for _, s := range stack {
-		if s.Name == multi.Name {
-			n = min(n*min(max(s.IntParam("streams", multi.DefaultStreams), 1), multi.MaxStreams), multi.MaxStreams)
+		if s.Name != multi.Name {
+			continue
+		}
+		streams, err := multi.Streams(s)
+		if err != nil {
+			return 0, err
+		}
+		if n *= streams; n > multi.MaxStreams {
+			return 0, fmt.Errorf("%w: %s builds more than %d streams", driver.ErrBadParam, stack, multi.MaxStreams)
 		}
 	}
-	return n
+	return n, nil
 }
 
 func encodeConnectRequest(req connectRequest) []byte {
@@ -421,7 +428,10 @@ func (n *Node) handleConnect(conn net.Conn, w *wire.Writer, payload []byte) erro
 	if err != nil {
 		return reject(err.Error())
 	}
-	count := establishments(stack) // equal digests: the initiator's count too
+	count, err := establishments(stack) // equal digests: the initiator's count too
+	if err != nil {
+		return reject(err.Error())
+	}
 	if len(req.splice) != count {
 		return reject(fmt.Sprintf("%d splice endpoints for a stack of %d establishments", len(req.splice), count))
 	}

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -125,7 +126,8 @@ func (s Spec) Param(key, def string) string {
 	return def
 }
 
-// IntParam returns a named integer parameter or the default.
+// IntParam returns a named integer parameter, or the default when it is
+// absent or malformed. The benchmark's probe driver is its last caller.
 func (s Spec) IntParam(key string, def int) int {
 	v, ok := s.Params[key]
 	if !ok {
@@ -170,9 +172,10 @@ func (st Stack) String() string {
 
 // ParseStack parses the textual stack syntax:
 //
-//	"zip/multi:streams=4/tcpblk:block=65536"
+//	"zip:codec=lz/secure:psk=grid/multi:streams=4/tcpblk"
 //
 // Driver names are separated by '/', parameters by ':' as key=value.
+// Every parameter names a key and a value, and no key twice.
 func ParseStack(s string) (Stack, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, errors.New("driver: empty stack specification")
@@ -186,17 +189,14 @@ func ParseStack(s string) (Stack, error) {
 		}
 		spec := Spec{Name: name}
 		for _, kv := range fields[1:] {
-			if kv == "" {
-				continue
-			}
-			eq := strings.IndexByte(kv, '=')
-			if eq < 0 {
+			key, value, ok := strings.Cut(kv, "=")
+			if _, dup := spec.Params[key]; !ok || key == "" || value == "" || dup {
 				return nil, fmt.Errorf("driver: malformed parameter %q in %q", kv, s)
 			}
 			if spec.Params == nil {
 				spec.Params = make(map[string]string)
 			}
-			spec.Params[kv[:eq]] = kv[eq+1:]
+			spec.Params[key] = value
 		}
 		stack = append(stack, spec)
 	}
@@ -232,66 +232,52 @@ func Register(name string, ob OutputBuilder, ib InputBuilder) {
 	inBuilder[name] = ib
 }
 
-// Registered returns the names of all installed drivers, sorted.
-func Registered() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(outBuilder))
-	for n := range outBuilder {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // ErrUnknownDriver is returned when a stack names a driver that has not
 // been registered.
 var ErrUnknownDriver = errors.New("driver: unknown driver")
 
-// BuildOutput instantiates the sending side of the stack over env.
-func BuildOutput(stack Stack, env *Env) (Output, error) {
-	if len(stack) == 0 {
-		return nil, errors.New("driver: empty stack")
+// ErrBadParam is wrapped by the error a builder returns for a stack
+// parameter its driver does not take, or a value it cannot use.
+var ErrBadParam = errors.New("driver: bad stack parameter")
+
+// CheckParams fails a spec that names a parameter outside keys. A driver's
+// two builders call it before they build anything, so both ends fail.
+func CheckParams(spec Spec, keys ...string) error {
+	for k := range spec.Params {
+		if !slices.Contains(keys, k) {
+			return fmt.Errorf("%w: %s takes no %q", ErrBadParam, spec.Name, k)
+		}
 	}
-	return buildOutputFrom(stack, 0, env)
+	return nil
 }
 
-func buildOutputFrom(stack Stack, i int, env *Env) (Output, error) {
-	spec := stack[i]
-	regMu.RLock()
-	b, ok := outBuilder[spec.Name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownDriver, spec.Name)
-	}
-	var lower func() (Output, error)
-	if i+1 < len(stack) {
-		lower = func() (Output, error) { return buildOutputFrom(stack, i+1, env) }
-	}
-	return b(spec, env, lower)
+// BuildOutput instantiates the sending side of the stack over env.
+func BuildOutput(stack Stack, env *Env) (Output, error) {
+	return build(stack, 0, env, outBuilder)
 }
 
 // BuildInput instantiates the receiving side of the stack over env.
 func BuildInput(stack Stack, env *Env) (Input, error) {
-	if len(stack) == 0 {
-		return nil, errors.New("driver: empty stack")
-	}
-	return buildInputFrom(stack, 0, env)
+	return build(stack, 0, env, inBuilder)
 }
 
-func buildInputFrom(stack Stack, i int, env *Env) (Input, error) {
-	spec := stack[i]
+// build instantiates stack[i:] over env with one side's builders.
+func build[T any, B ~func(Spec, *Env, func() (T, error)) (T, error)](stack Stack, i int, env *Env, builders map[string]B) (T, error) {
+	var none T
+	if len(stack) == 0 {
+		return none, errors.New("driver: empty stack")
+	}
 	regMu.RLock()
-	b, ok := inBuilder[spec.Name]
+	b, ok := builders[stack[i].Name]
 	regMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownDriver, spec.Name)
+		return none, fmt.Errorf("%w: %q", ErrUnknownDriver, stack[i].Name)
 	}
-	var lower func() (Input, error)
+	var lower func() (T, error)
 	if i+1 < len(stack) {
-		lower = func() (Input, error) { return buildInputFrom(stack, i+1, env) }
+		lower = func() (T, error) { return build(stack, i+1, env, builders) }
 	}
-	return b(spec, env, lower)
+	return b(stack[i], env, lower)
 }
 
 // SingleConnEnv is a convenience Env for links that consist of exactly

@@ -23,26 +23,34 @@ func TestParseStackSimple(t *testing.T) {
 }
 
 func TestParseStackWithParams(t *testing.T) {
-	st, err := ParseStack("zip:level=1/multi:streams=8:fragment=32768/tcpblk:block=65536")
+	st, err := ParseStack("zip:codec=lz/secure:psk=a=b:key=00/multi:streams=8/tcpblk")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st) != 3 {
+	if len(st) != 4 {
 		t.Fatalf("got %d drivers", len(st))
 	}
-	if st[0].Name != "zip" || st[0].IntParam("level", 0) != 1 {
+	if st[0].Name != "zip" || st[0].Param("codec", "") != "lz" {
 		t.Fatalf("zip spec wrong: %+v", st[0])
 	}
-	if st[1].Name != "multi" || st[1].IntParam("streams", 0) != 8 || st[1].IntParam("fragment", 0) != 32768 {
-		t.Fatalf("multi spec wrong: %+v", st[1])
+	if st[1].Name != "secure" || st[1].Param("psk", "") != "a=b" || st[1].Param("key", "") != "00" {
+		t.Fatalf("secure spec wrong: %+v", st[1])
 	}
-	if st[2].Name != "tcpblk" || st[2].IntParam("block", 0) != 65536 {
-		t.Fatalf("tcpblk spec wrong: %+v", st[2])
+	if st[2].Name != "multi" || st[2].IntParam("streams", 0) != 8 {
+		t.Fatalf("multi spec wrong: %+v", st[2])
+	}
+	if st[3].Name != "tcpblk" || len(st[3].Params) != 0 {
+		t.Fatalf("tcpblk spec wrong: %+v", st[3])
 	}
 }
 
 func TestParseStackErrors(t *testing.T) {
-	for _, bad := range []string{"", "  ", "zip/", "/tcpblk", "zip:notkeyvalue/tcpblk"} {
+	for _, bad := range []string{
+		"", "  ", "zip/", "/tcpblk", "zip:notkeyvalue/tcpblk",
+		"tcpblk:", "zip::codec=lz/tcpblk", // an empty parameter field
+		"secure:psk=/tcpblk", "zip:=lz/tcpblk", // an empty value or key
+		"multi:streams=2:streams=8/tcpblk", // a key twice
+	} {
 		if _, err := ParseStack(bad); err == nil {
 			t.Errorf("ParseStack(%q) should fail", bad)
 		}
@@ -50,7 +58,7 @@ func TestParseStackErrors(t *testing.T) {
 }
 
 func TestStackStringRoundTrip(t *testing.T) {
-	in := "zip:level=1/multi:fragment=32768:streams=8/tcpblk"
+	in := "zip:codec=lz/secure:psk=x:key=00/multi:streams=8/tcpblk"
 	st, err := ParseStack(in)
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +80,20 @@ func TestSpecParamDefaults(t *testing.T) {
 	}
 	if s.IntParam("a", 1) != 5 || s.IntParam("missing", 7) != 7 || s.IntParam("bad", 9) != 9 {
 		t.Fatal("IntParam defaults wrong")
+	}
+}
+
+func TestCheckParams(t *testing.T) {
+	spec := Spec{Name: "secure", Params: map[string]string{"psk": "x"}}
+	if err := CheckParams(spec, "key", "psk"); err != nil {
+		t.Fatal(err)
+	}
+	err := CheckParams(spec, "key")
+	if !errors.Is(err, ErrBadParam) || !strings.Contains(err.Error(), `secure takes no "psk"`) {
+		t.Fatalf("a key the driver does not take: %v, want ErrBadParam naming the driver and the key", err)
+	}
+	if err := CheckParams(Spec{Name: "tcpblk"}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -166,17 +188,6 @@ func init() {
 }
 
 func TestRegisterAndBuild(t *testing.T) {
-	names := Registered()
-	found := false
-	for _, n := range names {
-		if n == "testloop" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("testloop not in registry: %v", names)
-	}
-
 	stack, err := ParseStack("testupper/testloop")
 	if err != nil {
 		t.Fatal(err)

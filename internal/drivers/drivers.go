@@ -1,7 +1,7 @@
 // Package drivers registers every built-in NetIbis link utilization
 // driver with the driver framework. Importing it (usually blank) makes
 // the textual stack specifications such as
-// "zip:level=1/multi:streams=4/tcpblk" resolvable.
+// "zip/multi:streams=4/tcpblk" resolvable.
 package drivers
 
 import (
@@ -11,9 +11,3 @@ import (
 	_ "netibis/internal/drivers/tcpblk"
 	_ "netibis/internal/drivers/zip"
 )
-
-// Installed reports the driver names guaranteed to be available after
-// importing this package.
-func Installed() []string {
-	return []string{"multi", "secure", "tcpblk", "zip"}
-}

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -57,6 +58,20 @@ func init() {
 	driver.Register(Name, buildOutput, buildInput)
 }
 
+// Streams is the one reading of spec's stream count, for both builders
+// and core's establishments: a canonical decimal from 1 to MaxStreams.
+func Streams(spec driver.Spec) (int, error) {
+	if err := driver.CheckParams(spec, "streams"); err != nil {
+		return 0, err
+	}
+	v := spec.Param("streams", strconv.Itoa(DefaultStreams))
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 || n > MaxStreams || strconv.Itoa(n) != v {
+		return 0, fmt.Errorf("%w: multi:streams=%s is not a count from 1 to %d", driver.ErrBadParam, v, MaxStreams)
+	}
+	return n, nil
+}
+
 // buildSubStreams establishes the sub-streams of a parallel-streams link
 // concurrently: each lower() call runs its own brokered establishment,
 // and running them one at a time costs WAN-RTT × n setup latency, which
@@ -68,12 +83,12 @@ func init() {
 // unbuffered conn a write waits for its reader, and the two sides pair
 // their sub-streams in any order.
 func buildSubStreams[S io.Closer](spec driver.Spec, lower func() (S, error), index func(i int, s S) (int, error)) ([]S, error) {
+	n, err := Streams(spec)
+	if err != nil {
+		return nil, err
+	}
 	if lower == nil {
 		return nil, errors.New("multi: requires a lower driver (it is a filtering driver)")
-	}
-	n := spec.IntParam("streams", DefaultStreams)
-	if n < 1 || n > MaxStreams {
-		return nil, fmt.Errorf("multi: invalid stream count %d", n)
 	}
 	built := make([]S, n)
 	ok := make([]bool, n)
@@ -93,7 +108,6 @@ func buildSubStreams[S io.Closer](spec driver.Spec, lower func() (S, error), ind
 	wg.Wait()
 	subs := make([]S, n)
 	placed := make([]bool, n)
-	var err error
 	for i := 0; i < n && err == nil; i++ {
 		switch {
 		case errs[i] != nil:
@@ -135,7 +149,7 @@ func buildOutput(spec driver.Spec, _ *driver.Env, lower func() (driver.Output, e
 	if err != nil {
 		return nil, err
 	}
-	return NewOutput(subs, spec.IntParam("fragment", DefaultFragment)), nil
+	return NewOutput(subs, DefaultFragment), nil
 }
 
 func buildInput(spec driver.Spec, _ *driver.Env, lower func() (driver.Input, error)) (driver.Input, error) {

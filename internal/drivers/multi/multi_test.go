@@ -202,6 +202,29 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
+// TestStreams: the stream count is a canonical decimal from 1 to
+// MaxStreams, streams is multi's one parameter, and anything else fails
+// with driver.ErrBadParam.
+func TestStreams(t *testing.T) {
+	for v, want := range map[string]int{"": DefaultStreams, "1": 1, "8": 8, "64": MaxStreams} {
+		spec := driver.Spec{Name: Name}
+		if v != "" {
+			spec.Params = map[string]string{"streams": v}
+		}
+		if n, err := Streams(spec); n != want || err != nil {
+			t.Errorf("streams=%q: %d, %v, want %d", v, n, err, want)
+		}
+	}
+	for _, params := range []map[string]string{
+		{"streams": "0"}, {"streams": "65"}, {"streams": "04"}, {"streams": "+4"},
+		{"streams": " 4"}, {"streams": "four"}, {"stream": "4"}, {"streams": "4", "fragment": "8"},
+	} {
+		if _, err := Streams(driver.Spec{Name: Name, Params: params}); !errors.Is(err, driver.ErrBadParam) {
+			t.Errorf("%v: %v, want driver.ErrBadParam", params, err)
+		}
+	}
+}
+
 func TestBuilderPropagatesLowerErrors(t *testing.T) {
 	spec := driver.Spec{Name: Name, Params: map[string]string{"streams": "3"}}
 	// Sub-streams are established concurrently, so the builder's lower
@@ -249,8 +272,8 @@ func registryLink(t *testing.T, spec string) (driver.Output, driver.Input) {
 }
 
 func TestFullStackViaRegistry(t *testing.T) {
-	out, in := registryLink(t, "multi:streams=4:fragment=2048/tcpblk:block=4096")
-	payload := bytes.Repeat([]byte("registry built parallel streams "), 3000)
+	out, in := registryLink(t, "multi:streams=4/tcpblk")
+	payload := bytes.Repeat([]byte("registry built parallel streams "), 20000) // ten fragments
 	got := transfer(t, out, in, payload)
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload mismatch")
@@ -491,8 +514,8 @@ func TestInputHoldsNoBytes(t *testing.T) {
 // arrives, the link ends in EOF and nothing is left running.
 func TestUnflushedWriteThenClose(t *testing.T) {
 	check := testutil.LeakCheck(t, 0)
-	const streams, fragment = 4, 4096
-	out, in := registryLink(t, fmt.Sprintf("multi:streams=%d:fragment=%d/tcpblk:block=%d", streams, fragment, fragment))
+	const streams, fragment = 4, DefaultFragment
+	out, in := registryLink(t, fmt.Sprintf("multi:streams=%d/tcpblk", streams))
 	big := make([]byte, 5*streams*fragment+17)
 	rand.New(rand.NewSource(9)).Read(big)
 	want := append([]byte("small"), big...)

@@ -88,11 +88,16 @@ func init() {
 }
 
 // masterKey selects the 32-byte master key: key=, psk= (hashed), link key.
+// key and psk are the layer's only parameters; both builders check them
+// here, before anything below is built.
 func masterKey(spec driver.Spec, env *driver.Env) ([]byte, error) {
+	if err := driver.CheckParams(spec, "key", "psk"); err != nil {
+		return nil, err
+	}
 	if h := spec.Param("key", ""); h != "" {
 		key, err := hex.DecodeString(h)
 		if err != nil || len(key) != 32 {
-			return nil, fmt.Errorf("secure: key= must be 64 hex characters (32 bytes)")
+			return nil, fmt.Errorf("%w: secure: key= must be 64 hex characters (32 bytes)", driver.ErrBadParam)
 		}
 		return key, nil
 	}
@@ -118,7 +123,7 @@ func buildDriverOutput(spec driver.Spec, env *driver.Env, lower func() (driver.O
 	if err != nil {
 		return nil, err
 	}
-	out, err := NewSealOutput(sub, key, spec.IntParam("block", DefaultSealBlock))
+	out, err := NewSealOutput(sub, key, DefaultSealBlock)
 	if err != nil {
 		sub.Close()
 		return nil, err
@@ -138,7 +143,7 @@ func buildDriverInput(spec driver.Spec, env *driver.Env, lower func() (driver.In
 	if err != nil {
 		return nil, err
 	}
-	return NewSealInput(sub, key, spec.IntParam("block", DefaultSealBlock)), nil
+	return NewSealInput(sub, key, DefaultSealBlock), nil
 }
 
 // linkAEAD derives the per-link record cipher from the master key and
@@ -239,7 +244,8 @@ type SealInput struct {
 
 // NewSealInput creates an opening input over lower with the given
 // 32-byte master key. blockSize is the sender's plaintext record size
-// (both ends parse the same stack string); a longer record is refused.
+// (DefaultSealBlock on every link a stack builds); a longer record is
+// refused.
 func NewSealInput(lower driver.Input, master []byte, blockSize int) *SealInput {
 	if blockSize <= 0 {
 		blockSize = DefaultSealBlock

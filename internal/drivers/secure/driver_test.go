@@ -2,6 +2,7 @@ package secure
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -42,7 +43,7 @@ func sealedLinkOver(t *testing.T, spec string, dialEnv, acceptEnv *driver.Env) (
 }
 
 func TestSealRoundTrip(t *testing.T) {
-	out, in := sealedLink(t, "secure:psk=grid-secret/tcpblk:block=4096")
+	out, in := sealedLink(t, "secure:psk=grid-secret/tcpblk")
 	payload := make([]byte, 300*1024)
 	rand.New(rand.NewSource(11)).Read(payload)
 	go func() {
@@ -113,8 +114,12 @@ func TestDriverSpecValidation(t *testing.T) {
 		t.Fatal("secure without key material should be rejected")
 	}
 	bad := driver.Spec{Name: DriverName, Params: map[string]string{"key": "zz"}}
-	if _, err := buildDriverOutput(bad, nil, lower); err == nil {
-		t.Fatal("malformed hex key should be rejected")
+	if _, err := buildDriverOutput(bad, nil, lower); !errors.Is(err, driver.ErrBadParam) {
+		t.Fatalf("malformed hex key: %v, want driver.ErrBadParam", err)
+	}
+	bad = driver.Spec{Name: DriverName, Params: map[string]string{"psk": "x", "block": "4096"}}
+	if _, err := buildDriverOutput(bad, nil, lower); !errors.Is(err, driver.ErrBadParam) {
+		t.Fatalf("a parameter secure does not take: %v, want driver.ErrBadParam", err)
 	}
 	if _, err := buildDriverOutput(driver.Spec{Name: DriverName, Params: map[string]string{"psk": "x"}}, nil, nil); err == nil {
 		t.Fatal("secure as bottom driver should be rejected")

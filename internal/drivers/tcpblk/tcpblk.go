@@ -32,6 +32,9 @@ func init() {
 }
 
 func buildOutput(spec driver.Spec, env *driver.Env, lower func() (driver.Output, error)) (driver.Output, error) {
+	if err := driver.CheckParams(spec); err != nil {
+		return nil, err
+	}
 	if lower != nil {
 		return nil, errors.New("tcpblk: must be the bottom (networking) driver of a stack")
 	}
@@ -42,10 +45,13 @@ func buildOutput(spec driver.Spec, env *driver.Env, lower func() (driver.Output,
 	if err != nil {
 		return nil, err
 	}
-	return NewOutput(conn, spec.IntParam("block", DefaultBlockSize)), nil
+	return NewOutput(conn, DefaultBlockSize), nil
 }
 
 func buildInput(spec driver.Spec, env *driver.Env, lower func() (driver.Input, error)) (driver.Input, error) {
+	if err := driver.CheckParams(spec); err != nil {
+		return nil, err
+	}
 	if lower != nil {
 		return nil, errors.New("tcpblk: must be the bottom (networking) driver of a stack")
 	}

@@ -214,7 +214,7 @@ func TestBuilderRequiresBottomPosition(t *testing.T) {
 
 func TestBuilderViaRegistry(t *testing.T) {
 	c1, c2 := pipePair()
-	stack, err := driver.ParseStack("tcpblk:block=2048")
+	stack, err := driver.ParseStack("tcpblk")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,8 @@ package zip
 import (
 	"errors"
 	"fmt"
+
+	"netibis/internal/driver"
 )
 
 // Codec compresses independent blocks. Compress appends nothing and
@@ -63,6 +65,6 @@ func codecByName(name string) (Codec, error) {
 	case "lz":
 		return lzCodec{}, nil
 	default:
-		return nil, fmt.Errorf("zip: unknown codec %q (have flate, lz)", name)
+		return nil, fmt.Errorf("%w: zip: unknown codec %q (have flate, lz)", driver.ErrBadParam, name)
 	}
 }

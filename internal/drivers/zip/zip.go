@@ -6,7 +6,7 @@
 // over 3 MB/s of application payload with zlib level 1. Higher
 // compression levels consume far more CPU for little extra gain ("only
 // the first level of compression turned out to be useful"), so level 1
-// is the only level: zip:level=1 is accepted, any other level is not.
+// is the only level, and the stack has no parameter for it.
 //
 // The driver buffers written data into blocks. On flush (or when a block
 // fills up) the block is compressed and sent down the stack as a small
@@ -55,10 +55,7 @@ func buildOutput(spec driver.Spec, _ *driver.Env, lower func() (driver.Output, e
 	if lower == nil {
 		return nil, errors.New("zip: requires a lower driver (it is a filtering driver)")
 	}
-	if err := checkLevel(spec); err != nil {
-		return nil, err
-	}
-	codec, err := codecByName(spec.Param("codec", ""))
+	codec, err := specCodec(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -66,33 +63,30 @@ func buildOutput(spec driver.Spec, _ *driver.Env, lower func() (driver.Output, e
 	if err != nil {
 		return nil, err
 	}
-	return NewOutputOptions(sub, Options{
-		Codec: codec,
-		Block: spec.IntParam("block", DefaultBlockSize),
-	}), nil
+	return NewOutputOptions(sub, Options{Codec: codec}), nil
 }
 
 func buildInput(spec driver.Spec, _ *driver.Env, lower func() (driver.Input, error)) (driver.Input, error) {
 	if lower == nil {
 		return nil, errors.New("zip: requires a lower driver (it is a filtering driver)")
 	}
-	if err := checkLevel(spec); err != nil {
+	if _, err := specCodec(spec); err != nil {
 		return nil, err
 	}
 	sub, err := lower()
 	if err != nil {
 		return nil, err
 	}
-	return NewInput(sub, spec.IntParam("block", DefaultBlockSize)), nil
+	return NewInput(sub, DefaultBlockSize), nil
 }
 
-// checkLevel accepts a stack whose level parameter is absent or exactly
-// 1, the one level the driver compresses at.
-func checkLevel(spec driver.Spec) error {
-	if v, ok := spec.Params["level"]; ok && v != "1" {
-		return fmt.Errorf("zip: level=%s: only level 1 is supported", v)
+// specCodec is the codec a zip layer's spec names; codec is its one
+// parameter. Both builders check it, so both ends reject the same stacks.
+func specCodec(spec driver.Spec) (Codec, error) {
+	if err := driver.CheckParams(spec, "codec"); err != nil {
+		return nil, err
 	}
-	return nil
+	return codecByName(spec.Param("codec", ""))
 }
 
 // Options configures an Output beyond its lower driver.
@@ -195,7 +189,7 @@ func (o *Output) Stats() (in, out, blocks int64) {
 }
 
 // ErrBlockTooLarge is wrapped by the error an Input returns for a block
-// header no block of its stack can have: past its block= size or the
+// header no block of its stack can have: past its block size or the
 // flag's worst case, or a stored block whose two lengths differ.
 var ErrBlockTooLarge = errors.New("zip: block larger than the stack's bound")
 
@@ -210,7 +204,7 @@ type Input struct {
 }
 
 // NewInput creates a decompressing input over lower for blocks of at most
-// block bytes (0 = DefaultBlockSize), the stack's block= size.
+// block bytes (0 = DefaultBlockSize), the sender's block size.
 func NewInput(lower driver.Input, block int) *Input {
 	if block <= 0 {
 		block = DefaultBlockSize

@@ -2,6 +2,7 @@ package zip
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"net"
@@ -187,8 +188,10 @@ func TestMultipleBlocksAndMessages(t *testing.T) {
 	}
 }
 
-// TestInvalidLevelRejected: level 1 is the only level, so a stack that
-// names any other, or a malformed one, fails to build on either side.
+// TestInvalidLevelRejected: level 1 is the only level and the stack has
+// no parameter for it, so a stack that names a level, or a codec the
+// driver does not have, fails to build on either side with
+// driver.ErrBadParam.
 func TestInvalidLevelRejected(t *testing.T) {
 	build := func(t *testing.T, stack string) (outErr, inErr error) {
 		st, err := driver.ParseStack(stack)
@@ -208,22 +211,28 @@ func TestInvalidLevelRejected(t *testing.T) {
 		}
 		return outErr, inErr
 	}
-	for _, stack := range []string{"zip", "zip:level=1", "zip:codec=lz:level=1"} {
+	for _, stack := range []string{"zip", "zip:codec=lz", "zip:codec=flate"} {
 		if outErr, inErr := build(t, stack); outErr != nil || inErr != nil {
 			t.Errorf("%s rejected: output %v, input %v", stack, outErr, inErr)
 		}
 	}
 	for _, stack := range []string{
+		"zip:level=1",
+		"zip:codec=lz:level=1",
+		"zip:codec=LZ",
+		"zip:codec=zstd",
 		"zip:level=6",
 		"zip:level=0",
 		"zip:level=9:block=4096",
 		"zip:codec=lz:level=9",
 		"zip:level=nine",
-		"zip:level=",
 		"zip:level=01",
 	} {
-		if outErr, inErr := build(t, stack); outErr == nil || inErr == nil {
+		outErr, inErr := build(t, stack)
+		if outErr == nil || inErr == nil {
 			t.Errorf("%s built: output error %v, input error %v", stack, outErr, inErr)
+		} else if !errors.Is(outErr, driver.ErrBadParam) || !errors.Is(inErr, driver.ErrBadParam) {
+			t.Errorf("%s: output error %v, input error %v, want driver.ErrBadParam", stack, outErr, inErr)
 		}
 	}
 }
@@ -260,7 +269,7 @@ func TestCorruptStreamDetected(t *testing.T) {
 func TestZipOverTCPBlockStack(t *testing.T) {
 	// The composition actually used on slow WAN links: zip/tcpblk.
 	c1, c2 := net.Pipe()
-	stack, err := driver.ParseStack("zip:level=1/tcpblk:block=8192")
+	stack, err := driver.ParseStack("zip/tcpblk")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,8 @@ type PortType struct {
 	// Name identifies the port type.
 	Name string
 	// Stack is the link utilization configuration, e.g.
-	// "zip:level=1/multi:streams=4/tcpblk".
+	// "zip/multi:streams=4/tcpblk". Ports connect only when their types
+	// are equal, name and stack string alike.
 	Stack string
 }
 
@@ -56,11 +57,6 @@ func (pt PortType) ParseStack() (driver.Stack, error) {
 		spec = "tcpblk"
 	}
 	return driver.ParseStack(spec)
-}
-
-// Compatible reports whether two port types can be connected.
-func (pt PortType) Compatible(other PortType) bool {
-	return pt.Name == other.Name && pt.Stack == other.Stack
 }
 
 // PortID names one receive port of one Ibis instance.

@@ -37,8 +37,8 @@ func TestIdentifierAndPortID(t *testing.T) {
 	}
 }
 
-func TestPortTypeStackAndCompatibility(t *testing.T) {
-	pt := PortType{Name: "bulk", Stack: "zip:level=1/tcpblk"}
+func TestPortTypeStack(t *testing.T) {
+	pt := PortType{Name: "bulk", Stack: "zip/tcpblk"}
 	st, err := pt.ParseStack()
 	if err != nil {
 		t.Fatal(err)
@@ -53,15 +53,6 @@ func TestPortTypeStackAndCompatibility(t *testing.T) {
 	}
 	if len(def) != 1 || def[0].Name != "tcpblk" {
 		t.Fatalf("default stack %+v", def)
-	}
-	if !pt.Compatible(PortType{Name: "bulk", Stack: "zip:level=1/tcpblk"}) {
-		t.Fatal("identical port types should be compatible")
-	}
-	if pt.Compatible(PortType{Name: "bulk", Stack: "tcpblk"}) {
-		t.Fatal("different stacks should be incompatible")
-	}
-	if pt.Compatible(PortType{Name: "bulk", Stack: "zip:level=1/secure/tcpblk"}) {
-		t.Fatal("a sealed and an unsealed stack should be incompatible")
 	}
 }
 

@@ -20,7 +20,7 @@
 //     node's ordinary relay connection.
 //
 // Forwarding loops are impossible by construction: a frame is forwarded
-// at most MaxHops times, never back over the link it arrived on, and
+// at most DefaultMaxHops times, never back over the link it arrived on, and
 // never to the relay itself. When a forwarded frame reaches a relay
 // that no longer hosts the destination (a stale route), the relay NACKs
 // back to the origin, which repairs its directory and — for link-open

@@ -66,8 +66,6 @@ type Config struct {
 	Dial func(addr string) (net.Conn, error)
 	// RescanInterval overrides DefaultRescanInterval when positive.
 	RescanInterval time.Duration
-	// MaxHops overrides DefaultMaxHops when positive.
-	MaxHops int
 	// Identity is the relay's Ed25519 identity. With one configured the
 	// relay signs its registry record (so nodes and peers can detect a
 	// poisoned address) and proves itself in peer-link handshakes.
@@ -193,9 +191,6 @@ func New(cfg Config) (*Relay, error) {
 	}
 	if cfg.RescanInterval <= 0 {
 		cfg.RescanInterval = DefaultRescanInterval
-	}
-	if cfg.MaxHops <= 0 {
-		cfg.MaxHops = DefaultMaxHops
 	}
 	o := &Relay{
 		cfg:   cfg,
@@ -710,7 +705,7 @@ func (o *Relay) handleForward(from *peerLink, b *wire.Buf) {
 	// Owner/hop check: re-forward only while the hop budget lasts, never
 	// back over the link the frame arrived on and never to ourselves —
 	// together these make forwarding loops impossible.
-	if home, ok := o.dir.lookup(dst); ok && home != o.cfg.ID && home != from.id && int(env.hops) < o.cfg.MaxHops {
+	if home, ok := o.dir.lookup(dst); ok && home != o.cfg.ID && home != from.id && int(env.hops) < DefaultMaxHops {
 		if p := o.peer(home); p != nil {
 			var arr [128]byte
 			head := appendForwardTail(append(arr[:0], env.ids...), env.hops+1, env.kind, len(env.routed))
