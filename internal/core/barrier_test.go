@@ -189,32 +189,34 @@ func TestCloseWithBarrierPending(t *testing.T) {
 	checkLeaks()
 }
 
-// TestHealthySpliceNeverLaunchesRouted: an acceptor whose pair ranks
-// splicing before routed opens its routed link only on the initiator's
-// cue, and the initiator cues only once it launches routed — here never,
-// since only the splice's failure would (the head start outlasts the
-// test). Over twenty cold races on a 4 ms grid the relay sees no link
-// open beyond the service link's: the acceptor opens nothing
-// speculatively, whatever the scheduler does.
-func TestHealthySpliceNeverLaunchesRouted(t *testing.T) {
+// TestHealthySpliceDiscardsRoutedHalf: an acceptor whose pair ranks
+// splicing before routed opens its routed link right behind its reply,
+// unasked, and the initiator never launches routed, for only the
+// splice's failure would (the head start outlasts the test). Over twenty
+// cold races on a 4 ms grid each connect comes up by splicing, the relay
+// sees exactly one data open per connect, and the discarded halves leave
+// no routed link on either node and no goroutine behind, whatever the
+// scheduler does.
+func TestHealthySpliceDiscardsRoutedHalf(t *testing.T) {
 	raceHealthySplices(t, time.Hour)
 }
 
-// TestHealthySpliceWinsAtDerivedHeadStart: the same twenty cold races
+// TestHealthySpliceBeatsDerivedHeadStart: the same twenty cold races
 // with no head-start override, so routed is due one measured
-// service-link round trip after the reply. A healthy splice is won right
-// behind the reply, long before that: every connect still comes up by
-// splicing and the relay still sees no routed open. The gate is a timer,
+// service-link round trip after the reply, and its link is parked by
+// then. A healthy splice is won right behind the reply, long before
+// that: every connect still comes up by splicing. The gate is a timer,
 // not an event order.
-func TestHealthySpliceWinsAtDerivedHeadStart(t *testing.T) {
+func TestHealthySpliceBeatsDerivedHeadStart(t *testing.T) {
 	raceHealthySplices(t, 0)
 }
 
 // raceHealthySplices runs twenty cold connects between two stateful
 // sites on the 4 ms grid at time scale 1, the initiator's head start
 // set to stagger (zero: derived from the service link), and fails
-// unless each comes up by splicing and carries a message while the
-// relay sees no link open beyond the service link's.
+// unless each comes up by splicing and carries a message with one data
+// open at the relay, and the routed links and goroutines of the lot are
+// gone at the end.
 func raceHealthySplices(t *testing.T, stagger time.Duration) {
 	g := newShapedGrid(t, 1)
 	a := g.node("alice", "site-a", stateful, nil)
@@ -244,7 +246,8 @@ func raceHealthySplices(t *testing.T, stagger time.Duration) {
 	if _, err := a.Ping("bob"); err != nil { // the service link's open
 		t.Fatal(err)
 	}
-	base := opens()
+	base, linksA, linksB := opens(), a.relayCli.LinkCount(), b.relayCli.LinkCount()
+	checkLeaks := testutil.LeakCheck(t, 0)
 	for i := 0; i < 20; i++ {
 		sp, err := a.CreateSendPort(pt)
 		if err != nil {
@@ -263,11 +266,21 @@ func raceHealthySplices(t *testing.T, stagger time.Duration) {
 		if err := sp.Close(); err != nil {
 			t.Fatal(err)
 		}
+		if why := testutil.Settle(func() (bool, string) {
+			n := opens() - base
+			return n == float64(i+1), fmt.Sprintf("the relay saw %v link opens over %d healthy splices, want one each", n, i+1)
+		}); why != "" {
+			t.Fatal(why)
+		}
 		a.connector.Cache.Invalidate(b.relayID()) // every connect races afresh
 	}
-	if now := opens(); now != base {
-		t.Fatalf("the relay saw %v link opens over twenty healthy splices, want none: a routed candidate was launched", now-base)
+	if why := testutil.Settle(func() (bool, string) {
+		na, nb := a.relayCli.LinkCount(), b.relayCli.LinkCount()
+		return na == linksA && nb == linksB, fmt.Sprintf("routed links: the initiator holds %d (%d before), the acceptor %d (%d before)", na, linksA, nb, linksB)
+	}); why != "" {
+		t.Error(why)
 	}
+	checkLeaks()
 }
 
 // TestServiceLinkToAbsentPeerFailsFast: a first connect dials the peer

@@ -35,7 +35,7 @@ var stateful = emunet.SiteConfig{Firewall: emunet.Stateful}
 // the done marker is the next frame kind and empty.
 const (
 	kindMuxData, kindMuxDone = wire.KindUser + 0x28, wire.KindUser + 0x29
-	msgListen, msgElect      = 1, 4
+	msgListen, msgElect      = 1, 3
 )
 
 // request sends one frame on a service link and returns the reply's op
@@ -139,7 +139,7 @@ func TestPurposeHeaderCarriesNoName(t *testing.T) {
 		{"unknown op on a service link", relay.PurposeService, 99},
 		{"stray reply on a service link", relay.PurposeService, opConnectOK},
 	} {
-		conn, err := mallory.relayCli.DialPurpose(bob.relayID(), tc.purpose, 2*time.Second, nil)
+		conn, err := mallory.relayCli.DialPurpose(bob.relayID(), tc.purpose, 0, 2*time.Second, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestPurposeHeaderCarriesNoName(t *testing.T) {
 		expectClosed(t, tc.what, conn)
 		conn.Close()
 	}
-	if _, err := mallory.relayCli.DialPurpose(bob.relayID(), 9, 2*time.Second, nil); !errors.Is(err, relay.ErrRefused) {
+	if _, err := mallory.relayCli.DialPurpose(bob.relayID(), 9, 0, 2*time.Second, nil); !errors.Is(err, relay.ErrRefused) {
 		t.Errorf("open of unknown purpose: %v, want ErrRefused", err)
 	}
 	bob.mu.Lock()
@@ -178,7 +178,7 @@ func TestRoutedDataLinksNeedAWaiter(t *testing.T) {
 		return len(alice.pendingData)
 	}
 	open := func() net.Conn {
-		conn, err := bob.relayCli.DialPurpose(alice.relayID(), relay.PurposeData, 2*time.Second, nil)
+		conn, err := bob.relayCli.DialPurpose(alice.relayID(), relay.PurposeData, 0, 2*time.Second, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,11 +199,11 @@ func TestRoutedDataLinksNeedAWaiter(t *testing.T) {
 			waitForCondition(t, 3*time.Second, "the data link was not parked", func() bool {
 				alice.mu.Lock()
 				defer alice.mu.Unlock()
-				return len(alice.pendingData[bob.relayID()].links) == 1
+				return len(alice.pendingData[bob.relayID()].links[0]) == 1
 			})
 			conn.(interface{ Abort() error }).Abort()
 			waitForCondition(t, 3*time.Second, "the abandon did not arrive", func() bool { return alice.relayCli.LinkCount() == links })
-			if got, err := alice.acceptRoutedData(bob.relayID(), 50*time.Millisecond, nil); err == nil {
+			if got, err := alice.acceptRoutedData(bob.relayID(), 0, 50*time.Millisecond, nil); err == nil {
 				got.Close()
 				t.Fatal("an abandoned link was handed to an establishment")
 			}
@@ -247,6 +247,62 @@ func TestRoutedDataLinksNeedAWaiter(t *testing.T) {
 		if n := entries(); n != 0 {
 			t.Errorf("%s: %d entries left", tc.name, n)
 		}
+	}
+}
+
+// TestRoutedDataLinkPerEstablishment: an acceptor opens one routed data
+// link per establishment of a connect and names the establishment in the
+// open; establishment k takes link k and no other, whatever order the
+// opens arrive in. Here the acceptor's halves of a four-establishment
+// connect open in reverse order, while two of the initiator's
+// establishments already wait and two come after every link is parked.
+func TestRoutedDataLinkPerEstablishment(t *testing.T) {
+	g := newTestGrid(t)
+	strict := emunet.SiteConfig{Firewall: emunet.Strict}
+	alice := g.node("alice", "site-a", strict, nil)
+	bob := g.node("bob", "site-b", strict, nil)
+	defer alice.expectRoutedData(bob.relayID())()
+
+	const n = 4
+	took := make([]net.Conn, n)
+	var wg sync.WaitGroup
+	establish := func(k int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := alice.acceptRoutedData(bob.relayID(), uint64(k), 3*time.Second, nil)
+			if err != nil {
+				t.Errorf("establishment %d: %v", k, err)
+				return
+			}
+			took[k] = conn
+		}()
+	}
+	establish(0)
+	establish(1)
+	for k := n - 1; k >= 0; k-- {
+		conn, err := bob.relayCli.DialPurpose(alice.relayID(), relay.PurposeData, uint64(k), 2*time.Second, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte{byte(k)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	establish(2)
+	establish(3)
+	wg.Wait()
+	for k, conn := range took {
+		if conn == nil {
+			continue
+		}
+		b := make([]byte, 1)
+		conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+		if _, err := io.ReadFull(conn, b); err != nil || b[0] != byte(k) {
+			t.Errorf("establishment %d took the link of establishment %d (%v)", k, b[0], err)
+		}
+		conn.Close()
 	}
 }
 
@@ -636,7 +692,7 @@ func TestUnbuildableStackFailsBeforeTheRequest(t *testing.T) {
 // splicing half says nothing at all. (It used to advertise a prediction
 // whether or not the initiator ever launched splicing, which made the
 // client/server count four; that is decided away, not just unmeasured.)
-// Its routed half waits for a cue that never comes.
+// Its routed half opens its link through the relay, not on this link.
 func TestConnectFrameCount(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -730,7 +786,7 @@ func TestSplicedConnectNeedsNothingAfterTheReply(t *testing.T) {
 	g := newTestGrid(t)
 	a := g.node("alice", "site-a", stateful, nil)
 	b := g.node("bob", "site-b", stateful, nil)
-	a.connector.RaceStagger = time.Hour // splicing alone, no routed cue
+	a.connector.RaceStagger = time.Hour // splicing alone: routed never launches
 	if got := estab.RankCandidates(a.Profile(), b.Profile(), false); len(got) == 0 || got[0] != estab.Splicing {
 		t.Fatalf("the pair ranks %v, want splicing first", got)
 	}
@@ -891,16 +947,15 @@ func TestConnectRefusesBadReply(t *testing.T) {
 
 // TestConnectRequestStrictDecode: the connect request has one layout.
 // Cut anywhere, with a trailing byte, with a profile field of the wrong
-// length, a port type digest that is not 32 bytes, a first method that
-// is none of estab's, a splice port above 65535 or more splice endpoints
-// than multi.MaxStreams, it is a protocol error.
+// length, a port type digest that is not 32 bytes, a splice port above
+// 65535 or more splice endpoints than multi.MaxStreams, it is a protocol
+// error.
 func TestConnectRequestStrictDecode(t *testing.T) {
 	req := connectRequest{
 		portName:   "inbox",
 		typeDigest: portTypeDigest(ipl.PortType{Name: "chan", Stack: "zip/tcpblk"}),
 		sender:     ipl.Identifier{Name: "alice", Pool: "testpool"},
 		profile:    estab.Profile{SiteName: "site-a", Firewalled: true, HasRelay: true, RelayID: "testpool/alice", HomeRelay: "relay-0"},
-		first:      estab.Routed,
 		splice:     []emunet.Endpoint{{Addr: "10.1.0.2", Port: 40001}},
 	}
 	full := encodeConnectRequest(req)
@@ -914,12 +969,12 @@ func TestConnectRequestStrictDecode(t *testing.T) {
 		}
 	}
 	tail := estab.AppendEndpoints(nil, req.splice)
-	last := len(full) - len(tail) - 1 // the first method's byte
+	last := len(full) - len(tail) // where the splice list starts
 	withProfile := func(p []byte) []byte {
 		head := full[:last-len(wire.AppendBytes(nil, req.profile.Encode()))]
 		return append(wire.AppendBytes(append([]byte(nil), head...), p), full[last:]...)
 	}
-	withSplice := func(list []byte) []byte { return append(append([]byte(nil), full[:last+1]...), list...) }
+	withSplice := func(list []byte) []byte { return append(append([]byte(nil), full[:last]...), list...) }
 	if _, err := decodeConnectRequest(withSplice(tail)); err != nil {
 		t.Fatalf("withSplice does not rebuild the request: %v", err)
 	}
@@ -941,7 +996,6 @@ func TestConnectRequestStrictDecode(t *testing.T) {
 		"31-byte digest":         withDigest(req.typeDigest[:31]),
 		"33-byte digest":         withDigest(append(req.typeDigest[:], 0)),
 		"empty digest":           withDigest(nil),
-		"first method unknown":   append(append(append([]byte(nil), full[:last]...), byte(estab.Routed+1)), tail...),
 		"no splice list":         withSplice(nil),
 		"splice port 65536":      withSplice(wire.AppendUvarint(wire.AppendString(wire.AppendUvarint(nil, 1), "10.1.0.2"), 65536)),
 		"65 splice endpoints":    withSplice(estab.AppendEndpoints(nil, make([]emunet.Endpoint, multi.MaxStreams+1))),
@@ -1010,7 +1064,6 @@ func FuzzDecodeConnectRequest(f *testing.F) {
 		typeDigest: portTypeDigest(ipl.PortType{Name: "chan", Stack: "tcpblk"}),
 		sender:     ipl.Identifier{Name: "alice", Pool: "pool"},
 		profile:    estab.Profile{HasRelay: true, RelayID: "pool/alice"},
-		first:      estab.Routed,
 		splice:     []emunet.Endpoint{{Addr: "10.1.0.2", Port: 40001}},
 	})
 	f.Add(full)

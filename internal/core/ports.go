@@ -209,16 +209,15 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 		}
 	}()
 
-	// The request carries this node's connectivity profile, the method it
-	// launches first and a splice endpoint per establishment of the stack,
-	// the accepting reply the peer's profile and endpoints: one exchange
-	// per connect, shared by every establishment (one per sub-stream of
-	// the stack) below, and timed: it is the round trip the races size
-	// their head starts by. The routed data links the peer opens are
+	// The request carries this node's connectivity profile and a splice
+	// endpoint per establishment of the stack, the accepting reply the
+	// peer's profile and endpoints: one exchange per connect, shared by
+	// every establishment (one per sub-stream of the stack) below, and
+	// timed: it is the round trip the races size their head starts by.
+	// The routed data links the peer opens, one per establishment, are
 	// admitted until the establishments are done.
 	ports, predicted := n.connector.ReserveSplice(count)
-	first, _ := n.connector.Cache.Lookup(sl.peer)
-	req := connectRequest{portName: to.Port, typeDigest: portTypeDigest(sp.portType), sender: n.id, profile: n.connector.Profile(), first: first, splice: predicted}
+	req := connectRequest{portName: to.Port, typeDigest: portTypeDigest(sp.portType), sender: n.id, profile: n.connector.Profile(), splice: predicted}
 	defer n.expectRoutedData(sl.peer)()
 	asked := time.Now()
 	if err := sl.w.WriteFrame(wire.KindControl, opConnect, encodeConnectRequest(req)); err != nil {
@@ -228,7 +227,7 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	if err != nil {
 		return broken(err)
 	}
-	estOpts := estab.EstablishOpts{PeerKey: sl.peer, ServiceRTT: time.Since(asked), First: first}
+	estOpts := estab.EstablishOpts{PeerKey: sl.peer, ServiceRTT: time.Since(asked)}
 	if f.Kind == wire.KindControl && f.Flags == opConnectErr {
 		d := wire.NewDecoder(f.Payload)
 		return fmt.Errorf("%w: %s", ErrConnectRejected, d.String())

@@ -44,9 +44,9 @@ type serviceLink struct {
 
 // dispatcher accepts relay-routed connections from peers and hands each
 // to the consumer the purpose byte of its open names: a service link gets
-// a handler goroutine, a data link goes to the connect waiting for it,
-// anything else is closed. Who a link is from is its own Peer(), never
-// something the sender writes.
+// a handler goroutine, a data link goes to the establishment its open
+// names, anything else is closed. Who a link is from is its own Peer(),
+// never something the sender writes.
 func (n *Node) dispatcher() {
 	defer n.wg.Done()
 	for {
@@ -54,7 +54,7 @@ func (n *Node) dispatcher() {
 		if err != nil {
 			return
 		}
-		switch conn.(interface{ Purpose() byte }).Purpose() {
+		switch purpose, conv := conn.(interface{ Purpose() (byte, uint64) }).Purpose(); purpose {
 		case relay.PurposeService:
 			n.wg.Add(1)
 			go func() {
@@ -62,7 +62,7 @@ func (n *Node) dispatcher() {
 				n.serveServiceLink(conn)
 			}()
 		case relay.PurposeData:
-			n.parkRoutedData(conn)
+			n.parkRoutedData(conn, conv)
 		default:
 			conn.Close()
 		}
@@ -91,13 +91,26 @@ func linkKey(conn net.Conn) []byte {
 }
 
 // routedWaiters parks the routed data links a peer opens to this node
-// while connects to it establish: an acceptor opens its link right
-// behind its connect reply, before the establishment that takes it runs.
-// An establishment takes one link, a stack brokers at most
-// multi.MaxStreams.
+// while connects to it establish: an acceptor opens one per
+// establishment right behind its connect reply, before the establishment
+// that takes it runs, and its open names the establishment. links[k]
+// parks establishment k's link, made on first use; a stack brokers at
+// most multi.MaxStreams.
 type routedWaiters struct {
-	links   chan net.Conn
+	links   [multi.MaxStreams]chan net.Conn
 	waiters int // connects establishing
+}
+
+// slot is where establishment k's link parks, nil past the bound. The
+// caller holds n.mu.
+func (w *routedWaiters) slot(k uint64) chan net.Conn {
+	if k >= uint64(len(w.links)) {
+		return nil
+	}
+	if w.links[k] == nil {
+		w.links[k] = make(chan net.Conn, 1)
+	}
+	return w.links[k]
 }
 
 // expectRoutedData admits routed data links from peer until the returned
@@ -108,7 +121,7 @@ func (n *Node) expectRoutedData(peer string) (leave func()) {
 	n.mu.Lock()
 	w := n.pendingData[peer]
 	if w == nil {
-		w = &routedWaiters{links: make(chan net.Conn, multi.MaxStreams)}
+		w = &routedWaiters{}
 		n.pendingData[peer] = w
 	}
 	w.waiters++
@@ -121,21 +134,26 @@ func (n *Node) expectRoutedData(peer string) (leave func()) {
 			delete(n.pendingData, peer)
 		}
 		n.mu.Unlock()
-		for last && len(w.links) > 0 {
-			(<-w.links).Close()
+		if !last {
+			return
+		}
+		for _, ch := range w.links {
+			for len(ch) > 0 {
+				(<-ch).Close()
+			}
 		}
 	}
 }
 
-// parkRoutedData hands a routed data link to the connect waiting for it,
-// or closes it at once: no connect to its peer is establishing, or that
-// one's links are all parked.
-func (n *Node) parkRoutedData(conn net.Conn) {
+// parkRoutedData hands a routed data link to establishment conv of the
+// connect waiting for it, or closes it at once: no connect to its peer
+// is establishing, or that establishment's link is parked already.
+func (n *Node) parkRoutedData(conn net.Conn, conv uint64) {
 	parked := false
 	n.mu.Lock()
 	if w := n.pendingData[linkPeer(conn)]; w != nil {
 		select {
-		case w.links <- conn:
+		case w.slot(conv) <- conn: // a nil slot never takes it
 			parked = true
 		default:
 		}
@@ -148,17 +166,18 @@ func (n *Node) parkRoutedData(conn net.Conn) {
 
 // acceptRoutedData is the estab.Connector hook on the initiating side of
 // a routed establishment, which runs inside a connect to peerID: it
-// takes the next data link that peer opened. Links whose acceptor lost
-// an establishment race arrive abandoned (see relay.KindAbandon) and are
-// discarded. cancel fires when this establishment lost its race.
-func (n *Node) acceptRoutedData(peerID string, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error) {
+// takes the data link that peer opened for establishment conv. Links
+// whose acceptor lost an establishment race arrive abandoned (see
+// relay.KindAbandon) and are discarded. cancel fires when this
+// establishment lost its race.
+func (n *Node) acceptRoutedData(peerID string, conv uint64, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error) {
 	n.mu.Lock()
-	w := n.pendingData[peerID]
+	links := n.pendingData[peerID].slot(conv)
 	n.mu.Unlock()
 	deadline := time.After(timeout)
 	for {
 		select {
-		case conn := <-w.links:
+		case conn := <-links:
 			if ab, ok := conn.(interface{ Abandoned() bool }); ok && ab.Abandoned() {
 				conn.Close()
 				continue
@@ -222,7 +241,7 @@ func (n *Node) serviceLinkTo(peerName string) (*serviceLink, error) {
 func (n *Node) dialRouted(peerName, peerID string) (net.Conn, error) {
 	asked := false
 	dial := func(peerID string, timeout time.Duration) (net.Conn, error) {
-		conn, err := n.relayCli.DialPurpose(peerID, relay.PurposeService, timeout, nil)
+		conn, err := n.relayCli.DialPurpose(peerID, relay.PurposeService, 0, timeout, nil)
 		if errors.Is(err, relay.ErrRefused) && !asked {
 			asked = true
 			if _, lerr := n.registry.Lookup(n.nodeKey(peerName), 0); errors.Is(lerr, nameservice.ErrNotFound) {
@@ -314,7 +333,7 @@ func (n *Node) serveServiceLink(conn net.Conn) {
 
 // connectRequest is the decoded form of an opConnect payload. sender and
 // profile.RelayID are checked against the service link's Peer() before
-// anything else is done with the request; profile, first and splice are
+// anything else is done with the request; profile and splice are
 // what the acceptor's establishments of this connect race with. The port
 // type crosses as a digest: the acceptor only tests it for equality with
 // its own port's, and a stack string may hold a psk= passphrase.
@@ -323,7 +342,6 @@ type connectRequest struct {
 	typeDigest [sha256.Size]byte
 	sender     ipl.Identifier
 	profile    estab.Profile
-	first      estab.Method
 	splice     []emunet.Endpoint // one predicted endpoint per establishment
 }
 
@@ -357,7 +375,7 @@ func encodeConnectRequest(req connectRequest) []byte {
 	b = wire.AppendBytes(b, req.typeDigest[:])
 	b = wire.AppendString(b, req.sender.Name)
 	b = wire.AppendString(b, req.sender.Pool)
-	b = append(wire.AppendBytes(b, req.profile.Encode()), byte(req.first))
+	b = wire.AppendBytes(b, req.profile.Encode())
 	return estab.AppendEndpoints(b, req.splice)
 }
 
@@ -369,9 +387,8 @@ func decodeConnectRequest(p []byte) (connectRequest, error) {
 	req.sender.Name = d.String()
 	req.sender.Pool = d.String()
 	profile := d.Bytes()
-	req.first = estab.Method(d.Byte())
 	splice, err := estab.ReadEndpoints(d, multi.MaxStreams)
-	if err != nil || d.Remaining() != 0 || len(digest) != len(req.typeDigest) || req.first > estab.Routed {
+	if err != nil || d.Remaining() != 0 || len(digest) != len(req.typeDigest) {
 		return connectRequest{}, errors.New("core: corrupt connect request")
 	}
 	copy(req.typeDigest[:], digest)
@@ -450,12 +467,12 @@ func (n *Node) handleConnect(conn net.Conn, w *wire.Writer, payload []byte) erro
 	// link, mirroring (and overlapping with) the Dial calls the
 	// initiator makes concurrently on its side. Each starts every
 	// candidate's half at once, so what the acceptor does first (its
-	// listening endpoint, its splice request, or its routed open when
-	// routed leads) follows the reply above back to back.
+	// listening endpoint, its splice request and its routed open)
+	// follows the reply above back to back.
 	mux := estab.NewServiceMux(conn, count, estab.Splice{Ports: ports, Peer: req.splice})
 	env := &driver.Env{
 		Accept: func() (net.Conn, error) {
-			dataConn, _, err := n.connector.EstablishAcceptor(mux.Open(), req.profile, req.first)
+			dataConn, _, err := n.connector.EstablishAcceptor(mux.Open(), req.profile)
 			return dataConn, err
 		},
 		LinkKey: linkKey(conn),

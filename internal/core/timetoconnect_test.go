@@ -18,9 +18,10 @@ import (
 // no link); a spliced or routed connect costs what direct does, for the
 // acceptor's simultaneous open and its routed open go out right behind
 // its reply. A raced connect whose splice hangs pays the request and
-// reply, one head start of max(r, estab.MinRaceStagger), and the routed
-// cue and the acceptor's open, one r more. Each row is the median of
-// five connects, each with the connectivity cache emptied.
+// reply and one head start of max(r, estab.MinRaceStagger), after which
+// routed takes the link the acceptor opened behind its reply. Each row
+// is the median of five connects, each with the connectivity cache
+// emptied.
 func TestTimeToConnect(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's instrumentation adds milliseconds to a connect, which is what the rows time")
@@ -113,9 +114,9 @@ func TestTimeToConnect(t *testing.T) {
 				}
 			}
 			rr := r["raced"]
-			want := 2*rr + max(rr, estab.MinRaceStagger)
+			want := rr + max(rr, estab.MinRaceStagger)
 			if got := took["raced"]; got < want-rr/2 || got > want+rr/2 {
-				t.Errorf("raced took %v, want 2 r + max(r, %v) = %v ± r/2 (r = %v)", got, estab.MinRaceStagger, want, rr)
+				t.Errorf("raced took %v, want r + max(r, %v) = %v ± r/2 (r = %v)", got, estab.MinRaceStagger, want, rr)
 			}
 		})
 	}

@@ -15,13 +15,14 @@ import (
 )
 
 // Brokering protocol message types, the type byte of a ServiceMux message
-// (mux.go). The order is part of the decoder: the types below msgAbort
-// belong to a method's conversation, the election above it is the
+// (mux.go). The order is part of the decoder: the type below msgAbort
+// belongs to a method's conversation, the election above it is the
 // initiator's control message (method 0), and msgAbort is both — under a
 // method it calls that attempt off, under method 0 the establishment.
+// Splicing and routed say nothing on the service link: both endpoints
+// ride in the connect exchange, and the acceptor opens routed unasked.
 const (
 	msgListen byte = iota + 1 // "I am listening at this endpoint, dial me"
-	msgRouted                 // "open the routed link to me" (empty: the link names its sender)
 	msgAbort                  // failed on my side (empty)
 	msgElect                  // the race's winner, one method byte (MethodNone: nothing won, the establishment is over)
 )
@@ -122,13 +123,14 @@ type Connector struct {
 	// reconnect can skip the race (see Cache). It is consulted and
 	// updated only when EstablishOpts.PeerKey identifies the peer.
 	Cache *Cache
-	// AcceptRouted obtains the routed link the acceptor opens to the
-	// initiator, which the routed method's initiator needs (the
-	// integration layer multiplexes a single relay attachment between
-	// many concurrent establishments, and skips links their acceptor
-	// abandoned). cancel, when it fires, means the establishment raced
-	// and lost: the wait must end promptly.
-	AcceptRouted func(peerID string, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error)
+	// AcceptRouted obtains the routed link the acceptor opened to the
+	// initiator for the establishment conv (its Conversation's number),
+	// which the routed method's initiator needs (the integration layer
+	// multiplexes a single relay attachment between many concurrent
+	// establishments, and skips links their acceptor abandoned). cancel,
+	// when it fires, means the establishment raced and lost: the wait
+	// must end promptly.
+	AcceptRouted func(peerID string, conv uint64, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error)
 	// ForcedMethod, when non-zero, skips the decision tree and forces a
 	// specific method; used by benchmarks and ablation experiments.
 	ForcedMethod Method
@@ -191,9 +193,6 @@ type EstablishOpts struct {
 	// Connector.RaceStagger is zero it is the race's head start per tier
 	// (at least MinRaceStagger).
 	ServiceRTT time.Duration
-	// First is the method the caller announced to the acceptor as the
-	// one it launches first: its cached winner, or MethodNone.
-	First Method
 }
 
 // runMethod runs one establishment method's conversation over b. cancel,
@@ -385,51 +384,39 @@ func (c *Connector) listenAndAccept(b methodConv, cancel <-chan struct{}) (net.C
 	return acceptWithTimeout(l, c.ResolvedAcceptTimeout(), cancel)
 }
 
-// establishRouted: the acceptor opens a routed data link through the
-// relay — at once when routed leads, else on the initiator's cue — and
-// the initiator waits for it. A failed open aborts the initiator's wait;
-// a canceled (race-lost) one is abandoned, so the initiator discards its
-// half instead of keeping a half-open link.
+// establishRouted: the acceptor opens a routed data link for this
+// establishment through the relay the moment it starts, right behind its
+// connect reply, and the initiator takes that link when it launches
+// routed. A failed open aborts the initiator's wait; a canceled
+// (race-lost) one says nothing and is abandoned, so the initiator
+// discards its half instead of keeping a half-open link.
 func (c *Connector) establishRouted(b methodConv, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
 	if c.Relay == nil || (initiator && c.AcceptRouted == nil) {
 		b.send(msgAbort, nil)
 		return nil, ErrNoRelay
 	}
 	if initiator {
-		if !b.cv.routedLeads {
-			if err := b.send(msgRouted, nil); err != nil {
-				return nil, err
-			}
-		}
-		return c.AcceptRouted(remote.RelayID, c.ResolvedAcceptTimeout(), cancel)
+		return c.AcceptRouted(remote.RelayID, b.cv.id, c.ResolvedAcceptTimeout(), cancel)
 	}
-	if !b.cv.routedLeads {
-		t, body, err := b.recv()
-		if err != nil {
-			return nil, err
-		}
-		if t != msgRouted {
-			return nil, fmt.Errorf("%w: expected routed, got message %d", ErrProtocol, t)
-		}
-		if len(body) != 0 {
-			return nil, fmt.Errorf("%w: routed cue carries a body", ErrProtocol)
-		}
-	}
-	conn, err := c.dialRoutedData(remote, cancel)
+	conn, err := c.dialRoutedData(remote, b.cv.id, cancel)
 	if err != nil {
-		b.send(msgAbort, nil)
+		select {
+		case <-cancel: // lost the race: the election already ended it
+		default:
+			b.send(msgAbort, nil)
+		}
 	}
 	return conn, err
 }
 
-// dialRoutedData opens the acceptor's routed data link to the initiator.
-// On one relay a refusal is authoritative; a detachment (our attachment
-// may be resuming elsewhere) and a refusal across relays (the
-// initiator's home changed since the service link's open taught it to
-// our relay) are retried while the initiator waits.
-func (c *Connector) dialRoutedData(remote Profile, cancel <-chan struct{}) (net.Conn, error) {
+// dialRoutedData opens the acceptor's routed data link for establishment
+// conv to the initiator. On one relay a refusal is authoritative; a
+// detachment (our attachment may be resuming elsewhere) and a refusal
+// across relays (the initiator's home changed since the service link's
+// open taught it to our relay) are retried while the initiator waits.
+func (c *Connector) dialRoutedData(remote Profile, conv uint64, cancel <-chan struct{}) (net.Conn, error) {
 	dial := func(peerID string, timeout time.Duration) (net.Conn, error) {
-		return c.Relay.DialPurpose(peerID, relay.PurposeData, timeout, cancel)
+		return c.Relay.DialPurpose(peerID, relay.PurposeData, conv, timeout, cancel)
 	}
 	if remote.HomeRelay != "" && remote.HomeRelay == c.Relay.ServerID() {
 		conn, err := dial(remote.RelayID, c.ResolvedAcceptTimeout())

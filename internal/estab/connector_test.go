@@ -92,10 +92,10 @@ func (w *world) connector(t *testing.T, siteName, hostName string, cfg emunet.Si
 // attachment, which lives as long as the attachment, every wait takes the
 // pump's next link, and a link its acceptor abandoned (a lost race) is
 // discarded.
-func acceptRouted(rc *relay.Client) func(string, time.Duration, <-chan struct{}) (net.Conn, error) {
+func acceptRouted(rc *relay.Client) func(string, uint64, time.Duration, <-chan struct{}) (net.Conn, error) {
 	var once sync.Once
 	links := make(chan net.Conn, 1)
-	return func(_ string, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error) {
+	return func(_ string, _ uint64, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error) {
 		once.Do(func() {
 			go func() {
 				defer close(links)

@@ -110,7 +110,7 @@ func TestServiceMuxPeerDoneFailsPendingReads(t *testing.T) {
 	if err := <-aFin; err != nil {
 		t.Fatalf("a.Finish: %v", err)
 	}
-	if err := s.send(Routed, msgRouted, nil); err != ErrEstablishmentEnded {
+	if err := s.send(Routed, msgAbort, nil); err != ErrEstablishmentEnded {
 		t.Fatalf("send after Finish got %v, want ErrEstablishmentEnded", err)
 	}
 }
@@ -124,8 +124,8 @@ func TestServiceMuxConnReusableAfterFinish(t *testing.T) {
 	a := NewServiceMux(c1, 1, Splice{})
 	b := NewServiceMux(c2, 1, Splice{})
 	s1, s2 := a.Open(), b.Open()
-	go s1.send(Routed, msgRouted, nil)
-	if msg, err := s2.recv(Routed); err != nil || msg.t != msgRouted {
+	go s1.send(ClientServer, msgListen, []byte("endpoint"))
+	if msg, err := s2.recv(ClientServer); err != nil || msg.t != msgListen || string(msg.body) != "endpoint" {
 		t.Fatalf("recv: %+v, %v", msg, err)
 	}
 	fin := make(chan error, 2)

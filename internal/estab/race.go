@@ -16,28 +16,27 @@ package estab
 //
 // Protocol. Every message is a ServiceMux message on the establishment's
 // Conversation (mux.go) — method 0 for the initiator's election, the
-// racing method for the rest. Both sides hold each other's profile, the
-// method the initiator announced it launches first (its cached winner,
-// or none) and each other's splice endpoints, handed to them by the
-// caller, and the candidates are RankCandidates of the two profiles (or
+// racing method for the rest. Both sides hold each other's profile and
+// each other's splice endpoints, handed to them by the caller, and the
+// candidates are RankCandidates of the two profiles (or
 // the forced method): a pure function, so no message announces them and
 // an establishment is one race, request-free:
 //
 //	initiator                                acceptor
 //	   | <=> [m] msgListen/msgAbort <========> |   per-method conversations
-//	   | <~~ routed open, through the relay ~~~~ |   at once, or on the cue msgRouted
+//	   | <~~ routed open, through the relay ~~~~ |   right behind the reply, unasked
 //	   | <~~ simultaneous open, both ways ~~~~~> |   no message at all
 //	   | -- msgElect [m] ----------------------> |   winner (MethodNone: nothing won)
 //
 // The acceptor starts its half of every candidate the moment it is
-// called and acts first where the method lets it: it announces its
-// listening endpoint, sends its splice request, and opens routed when
-// routed is the initiator's first launch (routedLeads); otherwise that
-// waits for the initiator's cue, "open it to me". The cost is the halves
-// of candidates the initiator never launches — a listener, a splice
-// request, cached reconnects included — which the election cancels like
-// any loser. The initiator decides which candidates
-// run and when, and it alone elects: methods complete at slightly
+// called and speaks first: it announces its listening endpoint, sends its
+// splice request and opens its routed link, all right behind the connect
+// reply, so the initiator's launch of any method finds the acceptor's
+// half already under way. The cost is the halves of candidates the
+// initiator never launches — a listener, a splice request, a routed link
+// opened and discarded, cached reconnects included — which the election
+// cancels like any loser. The initiator decides which candidates run and
+// when, and it alone elects: methods complete at slightly
 // different instants on the two sides, so letting each side pick its own
 // first finisher could select different winners. An election outside the
 // candidates is ErrProtocol; two sides whose candidates differ end with a
@@ -97,15 +96,6 @@ func (c *Connector) candidates(initiator, acceptor Profile) []Method {
 		return []Method{c.ForcedMethod}
 	}
 	return RankCandidates(initiator, acceptor, false)
-}
-
-// routedLeads reports whether the initiator launches routed first: the
-// announced method when it is a candidate, the ranking's head otherwise.
-func routedLeads(candidates []Method, announced Method) bool {
-	if !slices.Contains(candidates, announced) {
-		announced = candidates[0]
-	}
-	return announced == Routed
 }
 
 // methodConv is what a single method attempt talks through: its sends
@@ -243,7 +233,6 @@ func (c *Connector) EstablishInitiator(cv *Conversation, remote Profile, opts Es
 		c.Metrics.failed()
 		return nil, MethodNone, ErrNoMethod
 	}
-	cv.routedLeads = routedLeads(order, opts.First)
 
 	useCache := c.Cache != nil && opts.PeerKey != "" && c.ForcedMethod == MethodNone
 	cached := MethodNone
@@ -304,18 +293,16 @@ func (c *Connector) EstablishInitiator(cv *Conversation, remote Profile, opts Es
 
 // EstablishAcceptor is the passive counterpart of EstablishInitiator; it
 // must be called on the peer for every EstablishInitiator call, with the
-// initiator's profile and EstablishOpts.First. Every candidate's half
-// starts immediately (each speaks first where its method lets it, then
-// mostly blocks until the initiator's tier does), the initiator's
-// election picks the survivor, everything else is canceled and
-// discarded. A nil error comes with a connection.
-func (c *Connector) EstablishAcceptor(cv *Conversation, remote Profile, first Method) (net.Conn, Method, error) {
+// initiator's profile. Every candidate's half starts immediately (each
+// speaks first, then mostly blocks until the initiator's tier does),
+// the initiator's election picks the survivor, everything else is
+// canceled and discarded. A nil error comes with a connection.
+func (c *Connector) EstablishAcceptor(cv *Conversation, remote Profile) (net.Conn, Method, error) {
 	local := c.Profile()
 	candidates := c.candidates(remote, local)
 	if len(candidates) == 0 {
 		return nil, MethodNone, ErrNoMethod
 	}
-	cv.routedLeads = routedLeads(candidates, first)
 	results := make(chan convResult, len(candidates))
 	for _, m := range candidates {
 		c.launchAttempt(cv, m, local, remote, false, results)

@@ -44,15 +44,10 @@ func newMuxPair(svcInit, svcAcc net.Conn, init, acc *Connector) (*ServiceMux, *S
 }
 
 // establishOver is establishPairOpts on the caller's service link. Like
-// core, the initiator announces its cached winner as the method it
-// launches first, and each side finishes its mux once its own
-// establishment returned.
+// core, each side finishes its mux once its own establishment returned.
 func establishOver(t *testing.T, svcInit, svcAcc net.Conn, init, acc *Connector, opts EstablishOpts) (net.Conn, net.Conn, Method, error) {
 	t.Helper()
 	muxInit, muxAcc := newMuxPair(svcInit, svcAcc, init, acc)
-	if init.Cache != nil && opts.PeerKey != "" {
-		opts.First, _ = init.Cache.Lookup(opts.PeerKey)
-	}
 
 	type res struct {
 		conn net.Conn
@@ -61,7 +56,7 @@ func establishOver(t *testing.T, svcInit, svcAcc net.Conn, init, acc *Connector,
 	}
 	ch := make(chan res, 1)
 	go func() {
-		conn, m, err := acc.EstablishAcceptor(muxAcc.Open(), init.Profile(), opts.First)
+		conn, m, err := acc.EstablishAcceptor(muxAcc.Open(), init.Profile())
 		if ferr := muxAcc.Finish(); ferr != nil {
 			t.Errorf("acceptor's Finish: %v", ferr)
 		}
@@ -232,20 +227,18 @@ func TestCacheFailureFallsBackToFullRace(t *testing.T) {
 		t.Fatalf("races %d hits %d invalidations %d cached rounds %d routed wins %d, want one race that hit, invalidated and won by routed",
 			mt.Races.Value(), mt.CacheHits.Value(), mt.Invalidations.Value(), mt.CachedRounds.Value(), mt.Wins(Routed))
 	}
-	// What the initiator wrote: its routed cue, one election and the done
-	// marker — the fallback asked for nothing.
+	// What the initiator wrote: one election and the done marker — the
+	// fallback asked for nothing.
 	var elections int
 	for _, f := range tap.frames(t) {
 		if f.Kind != kindMuxData {
 			continue
 		}
 		msg, err := decodeMuxMessage(f.Payload)
-		if err != nil || msg.stream != 0 {
-			t.Fatalf("initiator wrote %+v (%v), want messages of conversation 0 only", msg, err)
+		if err != nil || msg.stream != 0 || msg.t != msgElect {
+			t.Fatalf("initiator wrote %+v (%v), want the election of conversation 0 only", msg, err)
 		}
-		if msg.t == msgElect {
-			elections++
-		}
+		elections++
 	}
 	if elections != 1 {
 		t.Fatalf("the initiator sent %d elections, want 1", elections)
@@ -465,34 +458,6 @@ func (p *handPeer) play(script ...frame) (stop func()) {
 	}
 }
 
-// TestRoutedCueCarriesNoBody: msgRouted is an empty cue. The acceptor
-// opens its routed link to the peer whose profile it was handed; a cue
-// that tries to say where to is a protocol error.
-func TestRoutedCueCarriesNoBody(t *testing.T) {
-	w := newWorld(t)
-	acc := w.connector(t, "cue-b", "race-a9", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
-	svcInit, svcAcc := net.Pipe()
-	defer svcAcc.Close()
-
-	// A hand-driven initiator: cue with a body, elect routed.
-	stop := newHandPeer(svcInit).play(
-		msg(Routed, msgRouted, []byte("race-a1")...),
-		msg(MethodNone, msgElect, byte(Routed)),
-		doneMarker)
-	defer stop()
-	mux := NewServiceMux(svcAcc, 1, Splice{})
-	conn, _, err := acc.EstablishAcceptor(mux.Open(), Profile{HasRelay: true, RelayID: "race-i9"}, MethodNone)
-	if conn != nil {
-		conn.Close()
-	}
-	if !errors.Is(err, ErrProtocol) {
-		t.Fatalf("acceptor returned %v for a routed cue with a body, want ErrProtocol", err)
-	}
-	if err := mux.Finish(); err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-}
-
 // opens reports how many link opens the world's relay has routed.
 func (w *world) opens(t *testing.T) float64 {
 	t.Helper()
@@ -510,67 +475,70 @@ func (w *world) opens(t *testing.T) float64 {
 	return v
 }
 
-// TestRoutedOpensAtOnceOnlyWhenItLeads: the acceptor opens the routed
-// data link without a cue when routed is what the initiator launches
-// first — the pair's only candidate, or the cached winner the connect
-// request announced — and otherwise only on the cue: an establishment
-// that ends without one opened nothing. The initiator here is a script
-// and a bare relay attachment that takes the link.
-func TestRoutedOpensAtOnceOnlyWhenItLeads(t *testing.T) {
+// TestRoutedOpensAtOnce: the acceptor opens the routed data link of an
+// establishment the moment it starts, before the initiator says
+// anything — whether routed is the pair's only candidate, trails a
+// better one, or trails two. The acceptor is not told what the initiator
+// launches first, so a cached reconnect looks the same to it. The
+// initiator here is a script that stays silent until its bare relay
+// attachment has taken the link, and then elects routed.
+func TestRoutedOpensAtOnce(t *testing.T) {
 	w := newWorld(t)
 	for i, tc := range []struct {
 		name      string
-		site      emunet.SiteConfig // both sides'
-		announced Method
+		init, acc emunet.SiteConfig
 		ranking   []Method
-		cue       bool // the acceptor waits for one
 	}{
-		{"routed alone", emunet.SiteConfig{Firewall: emunet.Strict}, MethodNone, []Method{Routed}, false},
-		{"behind splicing", emunet.SiteConfig{Firewall: emunet.Stateful}, MethodNone, []Method{Splicing, Routed}, true},
-		{"announced behind splicing", emunet.SiteConfig{Firewall: emunet.Stateful}, Routed, []Method{Splicing, Routed}, false},
+		{"routed alone", emunet.SiteConfig{Firewall: emunet.Strict}, emunet.SiteConfig{Firewall: emunet.Strict}, []Method{Routed}},
+		{"behind splicing", emunet.SiteConfig{Firewall: emunet.Stateful}, emunet.SiteConfig{Firewall: emunet.Stateful}, []Method{Splicing, Routed}},
+		{"behind client/server and splicing", emunet.SiteConfig{Firewall: emunet.Stateful}, emunet.SiteConfig{Firewall: emunet.Open}, []Method{ClientServer, Splicing, Routed}},
 	} {
-		init := w.connector(t, fmt.Sprintf("leads-a%d", i), fmt.Sprintf("leads-i%d", i), tc.site, false)
-		acc := w.connector(t, fmt.Sprintf("leads-b%d", i), fmt.Sprintf("leads-a%d", i), tc.site, false)
+		init := w.connector(t, fmt.Sprintf("atonce-a%d", i), fmt.Sprintf("atonce-i%d", i), tc.init, false)
+		acc := w.connector(t, fmt.Sprintf("atonce-b%d", i), fmt.Sprintf("atonce-a%d", i), tc.acc, false)
 		if got := RankCandidates(init.Profile(), acc.Profile(), false); !slices.Equal(got, tc.ranking) {
 			t.Fatalf("%s: the pair ranks %v, want %v", tc.name, got, tc.ranking)
 		}
-		establish := func(script ...frame) (net.Conn, error) {
-			svcInit, svcAcc := net.Pipe()
-			defer svcAcc.Close()
-			stop := newHandPeer(svcInit).play(append(script, doneMarker)...)
-			defer stop()
+		base := w.opens(t)
+		svcInit, svcAcc := net.Pipe()
+		hand := newHandPeer(svcInit)
+		type res struct {
+			conn net.Conn
+			err  error
+		}
+		done := make(chan res, 1)
+		go func() {
 			mux := NewServiceMux(svcAcc, 1, Splice{})
-			conn, _, err := acc.EstablishAcceptor(mux.Open(), init.Profile(), tc.announced)
+			conn, _, err := acc.EstablishAcceptor(mux.Open(), init.Profile())
 			if ferr := mux.Finish(); ferr != nil {
 				t.Errorf("%s: Finish: %v", tc.name, ferr)
 			}
-			return conn, err
-		}
+			done <- res{conn, err}
+		}()
 
-		base := w.opens(t)
-		if tc.cue {
-			if _, err := establish(msg(MethodNone, msgElect, byte(MethodNone))); !errors.Is(err, ErrAborted) {
-				t.Fatalf("%s: establishment ended without a cue: %v, want ErrAborted", tc.name, err)
+		accepted := make(chan net.Conn, 1)
+		go func() {
+			if link, err := init.Relay.Accept(); err == nil {
+				accepted <- link
 			}
+		}()
+		var link net.Conn
+		select {
+		case link = <-accepted:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: no routed link from an acceptor that has heard nothing", tc.name)
 		}
-		script := []frame{msg(MethodNone, msgElect, byte(Routed))}
-		if tc.cue {
-			script = append([]frame{msg(Routed, msgRouted)}, script...)
+		stop := hand.play(msg(MethodNone, msgElect, byte(Routed)), doneMarker)
+		r := <-done
+		stop()
+		svcAcc.Close()
+		if r.err != nil {
+			t.Fatalf("%s: %v", tc.name, r.err)
 		}
-		conn, err := establish(script...)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		if p, conv := link.(interface{ Purpose() (byte, uint64) }).Purpose(); p != relay.PurposeData || conv != 0 {
+			t.Errorf("%s: the routed link's open carried purpose %d of establishment %d, want data of 0", tc.name, p, conv)
 		}
-		link, err := init.Relay.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p := link.(interface{ Purpose() byte }).Purpose(); p != relay.PurposeData {
-			t.Errorf("%s: the routed link's open carried purpose %d, want data", tc.name, p)
-		}
-		verifyLink(t, link, conn)
-		// Frames of one client cross the relay in order: an open of the
-		// first establishment would have been counted before this one.
+		verifyLink(t, link, r.conn)
+		// base was read before the acceptor started: its one open is all.
 		if n := w.opens(t) - base; n != 1 {
 			t.Errorf("%s: the relay routed %v opens, want the one the election took", tc.name, n)
 		}
@@ -581,7 +549,9 @@ func TestRoutedOpensAtOnceOnlyWhenItLeads(t *testing.T) {
 // acceptor's routed attempt calls its open off. An open still in flight
 // is withdrawn with an abandon frame; a link the initiator's relay
 // client already accepted is aborted, and the initiator's accept skips
-// it — neither side is left holding a link.
+// it — neither side is left holding a link. Either way the acceptor says
+// nothing on the service link but its done marker: the election ended
+// the attempt, so no abort tells the initiator about it.
 func TestCanceledRoutedOpenIsDiscarded(t *testing.T) {
 	w := newWorld(t)
 	strict := emunet.SiteConfig{Firewall: emunet.Strict}
@@ -593,10 +563,11 @@ func TestCanceledRoutedOpenIsDiscarded(t *testing.T) {
 		svcInit, svcAcc := net.Pipe()
 		defer svcAcc.Close()
 		hand := newHandPeer(svcInit)
+		tap := &tapConn{Conn: svcAcc}
 		done := make(chan error, 1)
 		go func() {
-			mux := NewServiceMux(svcAcc, 1, Splice{})
-			_, _, err := acc.EstablishAcceptor(mux.Open(), remote, MethodNone)
+			mux := NewServiceMux(tap, 1, Splice{})
+			_, _, err := acc.EstablishAcceptor(mux.Open(), remote)
 			mux.Finish()
 			done <- err
 		}()
@@ -605,6 +576,9 @@ func TestCanceledRoutedOpenIsDiscarded(t *testing.T) {
 		defer stop()
 		if err := <-done; !errors.Is(err, ErrAborted) {
 			t.Fatalf("acceptor: %v, want ErrAborted", err)
+		}
+		if fs := tap.frames(t); len(fs) != 1 || fs[0].Kind != kindMuxDone {
+			t.Errorf("the acceptor wrote %v, want its done marker and nothing else", fs)
 		}
 	}
 
@@ -660,7 +634,7 @@ func TestCanceledRoutedOpenIsDiscarded(t *testing.T) {
 		}); why != "" {
 			t.Fatal(why)
 		}
-		if conn, err := init.AcceptRouted(acc.Profile().RelayID, init.AcceptTimeout, nil); err == nil {
+		if conn, err := init.AcceptRouted(acc.Profile().RelayID, 0, init.AcceptTimeout, nil); err == nil {
 			conn.Close()
 			t.Fatal("the initiator's accept handed over the aborted link")
 		}
@@ -686,7 +660,7 @@ func TestElectOutsidePlanIsProtocolError(t *testing.T) {
 		doneMarker)
 	defer stop()
 	mux := NewServiceMux(svcAcc, 1, Splice{})
-	conn, _, err := acc.EstablishAcceptor(mux.Open(), remote, MethodNone)
+	conn, _, err := acc.EstablishAcceptor(mux.Open(), remote)
 	if conn != nil || !errors.Is(err, ErrProtocol) {
 		t.Fatalf("electing a method outside the ranking: conn=%v err=%v, want no connection and ErrProtocol", conn, err)
 	}
@@ -728,10 +702,12 @@ func TestEstabStrictDecode(t *testing.T) {
 		{"stream number not minimally encoded", false, []frame{raw(0x80, 0, 0, msgElect, byte(Routed))}, ErrProtocol},
 		{"method above Routed", false, []frame{msg(Routed+1, msgListen)}, ErrProtocol},
 		{"type zero", false, []frame{msg(MethodNone, 0)}, ErrProtocol},
-		// Type 5 was the election while a splice prediction was a message.
+		// Type 5 was the election while a splice prediction was a message,
+		// type 4 while the routed cue was one.
 		{"type above msgElect", false, []frame{msg(MethodNone, 5, byte(Routed))}, ErrProtocol},
+		{"type 4, the old election", false, []frame{msg(MethodNone, 4, byte(Routed))}, ErrProtocol},
 		{"control type on a method conversation", false, []frame{msg(Routed, msgElect, byte(Routed))}, ErrProtocol},
-		{"method type on the control conversation", false, []frame{msg(MethodNone, msgRouted)}, ErrProtocol},
+		{"method type on the control conversation", false, []frame{msg(MethodNone, msgListen, []byte("\x0810.1.0.2\xd2\x09")...)}, ErrProtocol},
 		{"abort with a body", false, []frame{msg(MethodNone, msgAbort, 1)}, ErrProtocol},
 		{"frame that is no mux message", false, []frame{{wire.KindControl, nil}}, ErrProtocol},
 		{"message on a stream past the connect's count", false, []frame{{kindMuxData, append(appendMuxHeader(nil, 1, MethodNone, msgElect), byte(Routed))}}, ErrProtocol},
@@ -752,7 +728,7 @@ func TestEstabStrictDecode(t *testing.T) {
 		if tc.initiator {
 			conn, _, err = init.EstablishInitiator(mux.Open(), open, EstablishOpts{})
 		} else {
-			conn, _, err = acc.EstablishAcceptor(mux.Open(), open, MethodNone)
+			conn, _, err = acc.EstablishAcceptor(mux.Open(), open)
 		}
 		if conn != nil || !errors.Is(err, tc.want) {
 			t.Errorf("%s: conn=%v err=%v, want no connection and %v", tc.name, conn, err, tc.want)
@@ -765,8 +741,8 @@ func TestEstabStrictDecode(t *testing.T) {
 		stop()
 		svc.Close()
 	}
-	if msgElect != 4 {
-		t.Fatalf("msgElect = %d: the protocol has four message types, the election the last", msgElect)
+	if msgElect != 3 {
+		t.Fatalf("msgElect = %d: the protocol has three message types, the election the last", msgElect)
 	}
 }
 
@@ -802,7 +778,7 @@ func TestDifferentRankingsEndTyped(t *testing.T) {
 		}
 		ch := make(chan res, 1)
 		go func() {
-			conn, _, err := acc.EstablishAcceptor(muxAcc.Open(), tc.toAcc, MethodNone)
+			conn, _, err := acc.EstablishAcceptor(muxAcc.Open(), tc.toAcc)
 			muxAcc.Finish()
 			ch <- res{conn, err}
 		}()
@@ -867,8 +843,7 @@ func TestRaceStaggerRule(t *testing.T) {
 // and nothing is left running.
 func TestFallbackRoundIgnoresLateFrames(t *testing.T) {
 	w := newWorld(t)
-	// A NAT that rules splicing out: the rest of the ranking is routed,
-	// whose cue is what the fallback says first.
+	// A NAT that rules splicing out: the rest of the ranking is routed.
 	init := w.connector(t, "late-a", "race-i12", emunet.SiteConfig{Firewall: emunet.Stateful, NAT: emunet.BrokenNAT}, false)
 	acc := w.connector(t, "late-b", "race-a12", emunet.SiteConfig{Firewall: emunet.Open}, false)
 	if got := RankCandidates(init.Profile(), acc.Profile(), false); !slices.Equal(got, []Method{ClientServer, Routed}) {
@@ -876,15 +851,10 @@ func TestFallbackRoundIgnoresLateFrames(t *testing.T) {
 	}
 	init.Cache = NewCache(0)
 	init.Cache.Store("race-a12", ClientServer)
-	// The routed link the acceptor opens is the next one the relay hands
-	// over (the connector's own accept pump would outlive the test).
-	init.AcceptRouted = func(string, time.Duration, <-chan struct{}) (net.Conn, error) { return init.Relay.Accept() }
 	checkLeaks := testutil.LeakCheck(t, 0)
 
-	// The man in the middle: it withholds the acceptor's msgListen, fails
-	// the method with an abort in its place, and delivers the withheld
-	// message and a second abort right behind the first thing the
-	// initiator's fallback says (its routed cue).
+	// The man in the middle: it withholds the acceptor's msgListen and
+	// fails the method with an abort in its place.
 	svcInit, midInit := net.Pipe()
 	midAcc, svcAcc := net.Pipe()
 	var toInitMu sync.Mutex
@@ -932,19 +902,21 @@ func TestFallbackRoundIgnoresLateFrames(t *testing.T) {
 	go func() { // initiator → acceptor
 		defer relays.Done()
 		var toAccMu sync.Mutex
-		forward(midInit, wire.NewWriter(midAcc), &toAccMu, func(m muxMsg, f frame) []frame {
-			if m.method == Routed && m.t == msgRouted {
-				// Behind the fallback's first message, and before anything
-				// the acceptor answers it with.
-				toInitMu.Lock()
-				defer toInitMu.Unlock()
-				late := <-withheld
-				toInit.WriteFrame(late.kind, 0, late.payload)
-				toInit.WriteFrame(kindMuxData, 0, msg(ClientServer, msgAbort).payload)
-			}
-			return []frame{f}
-		})
+		forward(midInit, wire.NewWriter(midAcc), &toAccMu, func(_ muxMsg, f frame) []frame { return []frame{f} })
 	}()
+	// The fallback's routed attempt says nothing on the service link, so
+	// its start is where the late messages go in: the withheld msgListen
+	// and a second abort reach the initiator's reader before the attempt
+	// takes the routed link, the next one the relay hands over (the
+	// connector's own accept pump would outlive the test).
+	init.AcceptRouted = func(string, uint64, time.Duration, <-chan struct{}) (net.Conn, error) {
+		toInitMu.Lock()
+		late := <-withheld
+		toInit.WriteFrame(late.kind, 0, late.payload)
+		toInit.WriteFrame(kindMuxData, 0, msg(ClientServer, msgAbort).payload)
+		toInitMu.Unlock()
+		return init.Relay.Accept()
+	}
 
 	a, b, m, err := establishOver(t, svcInit, svcAcc, init, acc, EstablishOpts{PeerKey: "race-a12"})
 	if err != nil {

@@ -432,14 +432,11 @@ func stripE2EBlob(strip byte) func(kind, flags byte, payload []byte) []proxyFram
 		if !ok {
 			return passFrame(kind, flags, payload)
 		}
-		from, window, _, purpose, err := decodeOpenBody(body)
+		from, window, _, purpose, conv, err := decodeOpenBody(body)
 		if err != nil {
 			return passFrame(kind, flags, payload)
 		}
-		body = appendOpenBody(nil, from, window, nil)
-		if purpose != 0 {
-			body = append(body, purpose)
-		}
+		body = appendPurpose(appendOpenBody(nil, from, window, nil), purpose, conv)
 		return []proxyFrame{{kind: kind, flags: flags, payload: AppendRouted(nil, string(dst), channel, body)}}
 	}
 }

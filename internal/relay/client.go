@@ -428,13 +428,14 @@ func (c *Client) Dial(peerID string, timeout time.Duration) (net.Conn, error) {
 // it to call off an in-flight routed open the moment another method
 // wins.
 func (c *Client) DialCancel(peerID string, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error) {
-	return c.DialPurpose(peerID, 0, timeout, cancel)
+	return c.DialPurpose(peerID, 0, 0, timeout, cancel)
 }
 
 // DialPurpose is DialCancel for an open that ends in a purpose byte
-// (PurposeService, PurposeData; 0 for none), which the accepting side
-// reads off the link it accepts.
-func (c *Client) DialPurpose(peerID string, purpose byte, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error) {
+// (PurposeService, PurposeData; 0 for none) and, for a data link, the
+// establishment conv it is for; the accepting side reads both off the
+// link it accepts.
+func (c *Client) DialPurpose(peerID string, purpose byte, conv uint64, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -473,10 +474,7 @@ func (c *Client) DialPurpose(peerID string, purpose byte, timeout time.Duration,
 	// The body tells the peer who we are, our receive window (the credit
 	// it starts with for sends towards us), our e2e offer and the link's
 	// purpose, if any.
-	body := appendOpenBody(nil, c.id, c.recvWindow(), offerBlob)
-	if purpose != 0 {
-		body = append(body, purpose)
-	}
+	body := appendPurpose(appendOpenBody(nil, c.id, c.recvWindow(), offerBlob), purpose, conv)
 	if err := c.send(KindOpen, AppendRouted(nil, peerID, ch, body)); err != nil {
 		c.mu.Lock()
 		delete(c.pending, key)
@@ -584,7 +582,7 @@ func (c *Client) dispatch(kind byte, b *wire.Buf) {
 // credit on this link, so the link is usable the moment it is accepted —
 // its signed e2e link offer and the link's purpose, if any.
 func (c *Client) handleOpen(channel uint64, body []byte) {
-	from, peerWindow, offerBlob, purpose, err := decodeOpenBody(body)
+	from, peerWindow, offerBlob, purpose, conv, err := decodeOpenBody(body)
 	if err != nil {
 		if from != "" {
 			c.send(KindOpenFail, AppendRouted(nil, from, channel, nil))
@@ -612,7 +610,7 @@ func (c *Client) handleOpen(channel uint64, body []byte) {
 	}
 	key := linkID{peer: from, channel: channel, outbound: false}
 	rc := newRoutedConn(c, from, channel, false, peerWindow, c.recvWindow())
-	rc.keys, rc.purpose = keys, purpose
+	rc.keys, rc.purpose, rc.conv = keys, purpose, conv
 	c.mu.Lock()
 	closed := c.closed
 	if !closed {
@@ -648,7 +646,7 @@ func (c *Client) handleOpen(channel uint64, body []byte) {
 // handleOpenOK completes a dial: the body mirrors the open's, with the
 // acceptor's window and its e2e answer, and no purpose.
 func (c *Client) handleOpenOK(channel uint64, body []byte) {
-	from, peerWindow, answerBlob, purpose, bodyErr := decodeOpenBody(body)
+	from, peerWindow, answerBlob, purpose, _, bodyErr := decodeOpenBody(body)
 	if purpose != 0 {
 		bodyErr = identity.ErrMalformed
 	}

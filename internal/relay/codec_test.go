@@ -38,7 +38,7 @@ func TestStrictDecode(t *testing.T) {
 	ack := func(p []byte) error { _, err := parseAttachAck(p); return err }
 	challenge := func(p []byte) error { _, err := decodeChallenge(p); return err }
 	authResp := func(p []byte) error { _, err := decodeAuthResponse(p); return err }
-	open := func(p []byte) error { _, _, _, _, err := decodeOpenBody(p); return err }
+	open := func(p []byte) error { _, _, _, _, _, err := decodeOpenBody(p); return err }
 
 	// Fresh slices each time: the cases below append to them.
 	name := func() []byte { return wire.AppendString(nil, "pool/alice") }
@@ -86,9 +86,11 @@ func TestStrictDecode(t *testing.T) {
 }
 
 // TestOpenPurposeTag: an open body ends in at most one purpose byte, and
-// only a known one. Without it the link is untagged; an unknown tag, an
-// explicit zero or a byte after the tag make the body malformed, and so
-// does a tag on an open-OK, which answers for no purpose.
+// only a known one, which a data link follows with the establishment it
+// is for. Without it the link is untagged; an unknown tag, an explicit
+// zero, a data tag without its establishment, a number that is not
+// minimally encoded or a byte after the purpose make the body malformed,
+// and so does a tag on an open-OK, which answers for no purpose.
 func TestOpenPurposeTag(t *testing.T) {
 	body := func(tail ...byte) []byte {
 		return append(appendOpenBody(nil, "pool/alice", DefaultWindowBytes, nil), tail...)
@@ -96,19 +98,25 @@ func TestOpenPurposeTag(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		body []byte
-		want byte // the decoded purpose, when ok
+		want byte   // the decoded purpose, when ok
+		conv uint64 // the decoded establishment, when ok
 		ok   bool
 	}{
-		{"missing", body(), 0, true},
-		{"service", body(PurposeService), PurposeService, true},
-		{"data", body(PurposeData), PurposeData, true},
-		{"unknown", body(9), 0, false},
-		{"explicit zero", body(0), 0, false},
-		{"trailing byte", body(PurposeData, 0), 0, false},
+		{"missing", body(), 0, 0, true},
+		{"service", body(PurposeService), PurposeService, 0, true},
+		{"data", body(PurposeData, 0), PurposeData, 0, true},
+		{"data of establishment 300", body(PurposeData, 0xac, 0x02), PurposeData, 300, true},
+		{"data without its establishment", body(PurposeData), 0, 0, false},
+		{"establishment not minimally encoded", body(PurposeData, 0x80, 0), 0, 0, false},
+		{"establishment cut", body(PurposeData, 0x80), 0, 0, false},
+		{"service with an establishment", body(PurposeService, 0), 0, 0, false},
+		{"unknown", body(9), 0, 0, false},
+		{"explicit zero", body(0), 0, 0, false},
+		{"trailing byte", body(PurposeData, 0, 0), 0, 0, false},
 	} {
-		_, _, _, purpose, err := decodeOpenBody(tc.body)
-		if (err == nil) != tc.ok || purpose != tc.want {
-			t.Errorf("%s: purpose %d, err %v; want purpose %d, ok %v", tc.name, purpose, err, tc.want, tc.ok)
+		_, _, _, purpose, conv, err := decodeOpenBody(tc.body)
+		if (err == nil) != tc.ok || purpose != tc.want || conv != tc.conv {
+			t.Errorf("%s: purpose %d of %d, err %v; want purpose %d of %d, ok %v", tc.name, purpose, conv, err, tc.want, tc.conv, tc.ok)
 		}
 	}
 
@@ -120,25 +128,28 @@ func TestOpenPurposeTag(t *testing.T) {
 	defer a.Close()
 	b := w.attach(t, "b", emunet.NoNAT)
 	defer b.Close()
-	for _, purpose := range []byte{0, PurposeService, PurposeData} {
-		conn, err := a.DialPurpose("b", purpose, 2*time.Second, nil)
+	for _, tc := range []struct {
+		purpose byte
+		conv    uint64
+	}{{0, 0}, {PurposeService, 0}, {PurposeData, 0}, {PurposeData, 7}} {
+		conn, err := a.DialPurpose("b", tc.purpose, tc.conv, 2*time.Second, nil)
 		if err != nil {
-			t.Fatalf("dial with purpose %d: %v", purpose, err)
+			t.Fatalf("dial with purpose %d: %v", tc.purpose, err)
 		}
 		in, err := b.Accept()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := in.(*routedConn).Purpose(); got != purpose {
-			t.Errorf("open with purpose %d accepted as %d", purpose, got)
+		if got, conv := in.(*routedConn).Purpose(); got != tc.purpose || conv != tc.conv {
+			t.Errorf("open with purpose %d of %d accepted as %d of %d", tc.purpose, tc.conv, got, conv)
 		}
-		if got := conn.(*routedConn).Purpose(); got != 0 {
+		if got, _ := conn.(*routedConn).Purpose(); got != 0 {
 			t.Errorf("the dialing side's link reports purpose %d", got)
 		}
 		conn.Close()
 		in.Close()
 	}
-	if _, err := a.DialPurpose("b", 9, 2*time.Second, nil); !errors.Is(err, ErrRefused) {
+	if _, err := a.DialPurpose("b", 9, 0, 2*time.Second, nil); !errors.Is(err, ErrRefused) {
 		t.Errorf("open with an unknown purpose: %v, want ErrRefused", err)
 	}
 
@@ -153,7 +164,7 @@ func TestOpenPurposeTag(t *testing.T) {
 		t.Fatalf("expected the dial's open, got kind %d", open.Kind)
 	}
 	_, channel, _, _ := ParseRouted(open.Payload)
-	tagged := append(appendOpenBody(nil, "raw", DefaultWindowBytes, nil), PurposeData)
+	tagged := appendPurpose(appendOpenBody(nil, "raw", DefaultWindowBytes, nil), PurposeData, 0)
 	if err := raw.w.WriteFrame(KindOpenOK, 0, AppendRouted(nil, "a", channel, tagged)); err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,9 @@ type routedConn struct {
 	client   *Client
 	peer     string
 	channel  uint64
-	outbound bool // true on the side that dialed
-	purpose  byte // the accepted open's purpose byte (0: none, or dialed here)
+	outbound bool   // true on the side that dialed
+	purpose  byte   // the accepted open's purpose byte (0: none, or dialed here)
+	conv     uint64 // a data link's establishment, from the same open
 
 	mu    sync.Mutex
 	cond  *sync.Cond // readers: data arrival, close, deadline wake-ups
@@ -528,7 +529,6 @@ func (rc *routedConn) SendWindow() (avail, size int) {
 	return rc.sendWindow, rc.sendInit
 }
 
-// Close implements net.Conn.
 // Close implements net.Conn. It releases whatever is still queued,
 // also on a link that already failed.
 func (rc *routedConn) Close() error {
@@ -596,8 +596,9 @@ func (rc *routedConn) SetWriteDeadline(t time.Time) error {
 func (rc *routedConn) Peer() string { return rc.peer }
 
 // Purpose returns the purpose byte the link's open ended with (0 when it
-// carried none, and on a link this side opened).
-func (rc *routedConn) Purpose() byte { return rc.purpose }
+// carried none, and on a link this side opened) and, on a data link, the
+// establishment it is for.
+func (rc *routedConn) Purpose() (purpose byte, conv uint64) { return rc.purpose, rc.conv }
 
 // ExportKey returns a 32-byte key bound to label that only the two ends
 // of this sealed link can derive, or nil on a plaintext link.

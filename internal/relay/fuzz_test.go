@@ -84,13 +84,14 @@ func FuzzDecodeAuthResponse(f *testing.F) {
 // FuzzOpenBody fuzzes the open/open-OK body decode exactly as dispatch
 // performs it: originator ID, window, end-to-end exchange blob, purpose.
 // A body is either rejected or yields a positive window and a known
-// purpose — never an unbounded sender, never a link of unknown use.
+// purpose that ends it in exactly the encoding it arrived in — never an
+// unbounded sender, never a link of unknown use.
 func FuzzOpenBody(f *testing.F) {
 	f.Add(wire.AppendString(nil, "pool/alice")) // truncated: no window
 	f.Add(appendOpenBody(nil, "pool/alice", 256<<10, nil))
 	if id, err := identity.Generate("pool/alice"); err == nil {
 		if offer, err := identity.OfferLink(id, "pool/alice", "pool/bob", 3); err == nil {
-			f.Add(append(appendOpenBody(nil, "pool/alice", DefaultWindowBytes, offer.Blob()), PurposeData))
+			f.Add(appendPurpose(appendOpenBody(nil, "pool/alice", DefaultWindowBytes, offer.Blob()), PurposeData, 3))
 		}
 	}
 	f.Add(append(appendOpenBody(nil, "pool/alice", 256<<10, nil), PurposeService))
@@ -98,9 +99,12 @@ func FuzzOpenBody(f *testing.F) {
 	f.Add([]byte{0x02, 'h', 'i', 0x80})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		from, window, blob, purpose, err := decodeOpenBody(data)
+		from, window, blob, purpose, conv, err := decodeOpenBody(data)
 		if err != nil {
 			return
+		}
+		if tail := appendPurpose(nil, purpose, conv); !bytes.HasSuffix(data, tail) {
+			t.Fatalf("%x decodes to purpose %d of %d, which encodes to %x", data, purpose, conv, tail)
 		}
 		if window <= 0 {
 			t.Fatalf("accepted a body with window %d", window)

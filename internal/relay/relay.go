@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 
@@ -105,8 +106,10 @@ func routedSrc(body []byte) (src []byte, ok bool) {
 }
 
 // Link purposes: the byte an open may end with, saying what the link is
-// for to the node that accepts it (see routedConn.Purpose). Relays
-// forward it unread with the rest of the body.
+// for to the node that accepts it (see routedConn.Purpose). A data link's
+// purpose is followed by the number of the establishment it is for, in
+// the accepting node's connect. Relays forward both unread with the rest
+// of the body.
 const (
 	PurposeService byte = 1 // a service link: brokering requests
 	PurposeData    byte = 2 // a data link an establishment of the accepting node waits for
@@ -116,33 +119,57 @@ const (
 // one layout: the sender's node ID, its receive window in bytes (always
 // positive) and its end-to-end exchange blob — the signed offer in an
 // open, the answer in an open-OK, empty when the sender does not seal.
-// An open may append a purpose byte.
+// An open may append a purpose (appendPurpose).
 func appendOpenBody(buf []byte, from string, window int, blob []byte) []byte {
 	buf = wire.AppendString(buf, from)
 	buf = wire.AppendUvarint(buf, uint64(window))
 	return wire.AppendBytes(buf, blob)
 }
 
+// appendPurpose appends an open's purpose (0: none): PurposeService
+// alone, PurposeData and the establishment conv.
+func appendPurpose(buf []byte, purpose byte, conv uint64) []byte {
+	if purpose == 0 {
+		return buf
+	}
+	buf = append(buf, purpose)
+	if purpose == PurposeData {
+		buf = wire.AppendUvarint(buf, conv)
+	}
+	return buf
+}
+
 // decodeOpenBody parses an open or open-OK body; blob aliases body, and
-// purpose is 0 when the body ends without one. A truncated body, a
-// purpose that is not PurposeService or PurposeData, trailing bytes, an
-// empty sender or a window that is zero or beyond int is malformed. On
-// error from is still returned when it decoded, so the caller can answer
-// the sender.
-func decodeOpenBody(body []byte) (from string, window int, blob []byte, purpose byte, err error) {
+// purpose is 0 when the body ends without one. It accepts exactly what
+// appendOpenBody and appendPurpose make: a truncated body, a purpose that
+// is not PurposeService or PurposeData, a data purpose without its
+// minimally encoded establishment, trailing bytes, an empty sender or a
+// window that is zero or beyond int is malformed. On error from is still
+// returned when it decoded, so the caller can answer the sender.
+func decodeOpenBody(body []byte) (from string, window int, blob []byte, purpose byte, conv uint64, err error) {
 	d := wire.NewDecoder(body)
 	from = d.String()
 	if d.Err() != nil || from == "" {
-		return "", 0, nil, 0, identity.ErrMalformed
+		return "", 0, nil, 0, 0, identity.ErrMalformed
 	}
 	w := d.Uvarint()
 	blob = d.Bytes()
-	tagged := d.Err() == nil && d.Remaining() > 0
-	if tagged {
-		purpose = d.Byte()
+	ok := d.Err() == nil && w > 0 && w <= math.MaxInt
+	if tail := body[len(body)-d.Remaining():]; ok && len(tail) > 0 {
+		purpose = tail[0]
+		switch purpose {
+		case PurposeService:
+			ok = len(tail) == 1
+		case PurposeData:
+			var k int
+			conv, k = binary.Uvarint(tail[1:])
+			ok = k > 0 && k == len(tail)-1 && (k == 1 || tail[k] != 0)
+		default:
+			ok = false
+		}
 	}
-	if d.Err() != nil || d.Remaining() != 0 || w == 0 || w > math.MaxInt || tagged && purpose != PurposeService && purpose != PurposeData {
-		return from, 0, nil, 0, identity.ErrMalformed
+	if !ok {
+		return from, 0, nil, 0, 0, identity.ErrMalformed
 	}
-	return from, int(w), blob, purpose, nil
+	return from, int(w), blob, purpose, conv, nil
 }

@@ -149,11 +149,12 @@ func main() {
 	resp = wire.AppendBytes(resp, sig)
 	write("relay", "FuzzDecodeAuthResponse", "basic", resp)
 
-	// An open body ends in a purpose byte or in nothing.
+	// An open body ends in a purpose — a data link's followed by its
+	// establishment — or in nothing.
 	openBody := wire.AppendString(nil, "pool/alice")
 	openBody = wire.AppendUvarint(openBody, 256<<10)
 	write("relay", "FuzzOpenBody", "windowed", wire.AppendBytes(openBody, nil))
-	write("relay", "FuzzOpenBody", "secure-open", append(wire.AppendBytes(openBody, offer.Blob()), relay.PurposeData))
+	write("relay", "FuzzOpenBody", "secure-open", append(wire.AppendBytes(openBody, offer.Blob()), relay.PurposeData, 3))
 	write("relay", "FuzzOpenBody", "service-open", append(wire.AppendBytes(openBody, nil), relay.PurposeService))
 
 	// overlay: gossip / forward / nack / hello (formats documented in
@@ -197,9 +198,8 @@ func main() {
 	write("overlay", "FuzzDecodePeerHello", "authenticated", hello)
 
 	// core: the connect request and its reply (DESIGN.md, "Control-frame
-	// bodies"). The request nests the initiator's profile, then the
-	// method it launches first and a splice endpoint per establishment of
-	// its four-stream stack; the reply is the acceptor's profile and its
+	// bodies"). The request nests the initiator's profile, then a splice
+	// endpoint per establishment of its four-stream stack; the reply is the acceptor's profile and its
 	// own four endpoints.
 	splice := make([]emunet.Endpoint, 4)
 	for i := range splice {
@@ -214,7 +214,7 @@ func main() {
 		SiteName: "site-a", Firewalled: true, Addr: "10.1.0.2", PublicAddr: "10.1.0.1",
 		HasRelay: true, RelayID: "pool/alice", HomeRelay: "relay-0",
 	}.Encode())
-	connect = estab.AppendEndpoints(append(connect, byte(estab.Routed)), splice)
+	connect = estab.AppendEndpoints(connect, splice)
 	write("core", "FuzzDecodeConnectRequest", "request", connect)
 	write("core", "FuzzDecodeConnectRequest", "request-truncated", connect[:len(connect)-9])
 
@@ -227,9 +227,10 @@ func main() {
 	write("core", "FuzzDecodeConnectReply", "reply", reply)
 	write("core", "FuzzDecodeConnectReply", "reply-truncated", reply[:len(reply)-5])
 
-	// estab: one mux message per type, whole and cut by a byte (uvarint
-	// stream ‖ byte method ‖ byte type ‖ body; the type numbers and the
-	// bodies are in DESIGN.md, "Control-frame bodies").
+	// estab: one mux message per type, and the abort of each method that
+	// says nothing else on the service link, whole and cut by a byte
+	// (uvarint stream ‖ byte method ‖ byte type ‖ body; the type numbers
+	// and the bodies are in DESIGN.md, "Control-frame bodies").
 	endpoint := wire.AppendUvarint(wire.AppendString(nil, "10.1.0.2"), 40001)
 	for _, m := range []struct {
 		name   string
@@ -238,9 +239,10 @@ func main() {
 		body   []byte
 	}{
 		{"listen", estab.ClientServer, 1, endpoint},
+		{"abort", estab.Proxy, 2, nil},
+		{"splice", estab.Splicing, 2, nil},
 		{"routed", estab.Routed, 2, nil},
-		{"abort", estab.Proxy, 3, nil},
-		{"elect", estab.MethodNone, 4, []byte{byte(estab.Splicing)}},
+		{"elect", estab.MethodNone, 3, []byte{byte(estab.Splicing)}},
 	} {
 		full := append(append(wire.AppendUvarint(nil, 3), byte(m.method), m.t), m.body...)
 		write("estab", "FuzzMuxMessage", m.name, full)
