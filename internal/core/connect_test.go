@@ -120,10 +120,10 @@ func TestConnectRejectsImpersonation(t *testing.T) {
 
 // TestPurposeHeaderCarriesNoName: a link's purpose is the byte its open
 // ends with, and no byte on the link names anyone — the consumer is keyed
-// by the link's Peer(). An untagged link, a data link no connect waits
-// for and a service link that carries anything but requests are closed;
-// an open of unknown purpose is refused. No member can park a link under
-// another's name.
+// by the link's Peer(). An untagged link and a service link that carries
+// anything but requests are closed; a sealed data link no connect waits
+// for is closed unanswered, so its open is refused, as an open of unknown
+// purpose is. No member can park a link under another's name.
 func TestPurposeHeaderCarriesNoName(t *testing.T) {
 	g := newSecureGrid(t, 1)
 	bob := g.secureNode("bob", "site-b", stateful, nil)
@@ -135,7 +135,6 @@ func TestPurposeHeaderCarriesNoName(t *testing.T) {
 		then    byte // a request op to send on the link (0: none)
 	}{
 		{"untagged link", 0, 0},
-		{"data link no connect waits for", relay.PurposeData, 0},
 		{"unknown op on a service link", relay.PurposeService, 99},
 		{"stray reply on a service link", relay.PurposeService, opConnectOK},
 	} {
@@ -151,8 +150,10 @@ func TestPurposeHeaderCarriesNoName(t *testing.T) {
 		expectClosed(t, tc.what, conn)
 		conn.Close()
 	}
-	if _, err := mallory.relayCli.DialPurpose(bob.relayID(), 9, 0, 2*time.Second, nil); !errors.Is(err, relay.ErrRefused) {
-		t.Errorf("open of unknown purpose: %v, want ErrRefused", err)
+	for _, purpose := range []byte{relay.PurposeData, 9} {
+		if _, err := mallory.relayCli.DialPurpose(bob.relayID(), purpose, 0, 2*time.Second, nil); !errors.Is(err, relay.ErrRefused) {
+			t.Errorf("open of purpose %d: %v, want ErrRefused", purpose, err)
+		}
 	}
 	bob.mu.Lock()
 	defer bob.mu.Unlock()
@@ -164,9 +165,10 @@ func TestPurposeHeaderCarriesNoName(t *testing.T) {
 // TestRoutedDataLinksNeedAWaiter: a routed data link is admitted only
 // while a connect of this node to its peer establishes, and the last
 // connect to leave takes the entry with it. A link nobody waits for is
-// closed at once, a link abandoned while parked is never handed over and
-// leaves nothing parked, and a hundred routed connects leave no entry and
-// no goroutine behind.
+// closed at once, a link abandoned while parked is never handed over,
+// leaves nothing parked and gives way to the next link for its
+// establishment, and a hundred routed connects leave no entry and no
+// goroutine behind.
 func TestRoutedDataLinksNeedAWaiter(t *testing.T) {
 	g := newTestGrid(t)
 	strict := emunet.SiteConfig{Firewall: emunet.Strict}
@@ -208,6 +210,34 @@ func TestRoutedDataLinksNeedAWaiter(t *testing.T) {
 				t.Fatal("an abandoned link was handed to an establishment")
 			}
 			leave()
+		}},
+		{"an abandoned link gives way", func(t *testing.T) {
+			links := alice.relayCli.LinkCount()
+			leave := alice.expectRoutedData(bob.relayID())
+			defer leave()
+			stale := open()
+			waitForCondition(t, 3*time.Second, "the data link was not parked", func() bool {
+				alice.mu.Lock()
+				defer alice.mu.Unlock()
+				return len(alice.pendingData[bob.relayID()].links[0]) == 1
+			})
+			stale.(interface{ Abort() error }).Abort()
+			waitForCondition(t, 3*time.Second, "the abandon did not arrive", func() bool { return alice.relayCli.LinkCount() == links })
+			fresh := open()
+			defer fresh.Close()
+			if _, err := fresh.Write([]byte{7}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := alice.acceptRoutedData(bob.relayID(), 0, 3*time.Second, nil)
+			if err != nil {
+				t.Fatalf("establishment 0 lost its link to an abandoned one: %v", err)
+			}
+			defer got.Close()
+			b := make([]byte, 1)
+			got.SetReadDeadline(time.Now().Add(3 * time.Second))
+			if _, err := io.ReadFull(got, b); err != nil || b[0] != 7 {
+				t.Fatalf("establishment 0 read %v, %v from its link", b, err)
+			}
 		}},
 		{"a hundred connects", func(t *testing.T) {
 			pt := ipl.PortType{Name: "chan", Stack: "tcpblk"}

@@ -93,9 +93,7 @@ const keylessStack = "zip:codec=lz/secure/multi:streams=2/tcpblk"
 // TestSecureStackSealedOnEveryMethod: the key of a keyless secure layer
 // comes from the service link's handshake, so it is there — and the same
 // on both ends — whichever establishment method carries the data link,
-// for each sub-stream of the stack. The initiator's head start outlasts
-// the test, so the ranking's head carries the link however slowly the
-// acceptor's sealed routed halves, opened alongside, load the CPU.
+// for each sub-stream of the stack.
 func TestSecureStackSealedOnEveryMethod(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -110,7 +108,6 @@ func TestSecureStackSealedOnEveryMethod(t *testing.T) {
 			g := newSecureGrid(t, 1)
 			a := g.secureNode("alice", "site-a", tc.site, nil)
 			b := g.secureNode("bob", "site-b", tc.site, nil)
-			a.connector.RaceStagger = time.Hour
 			sp, rp := channel(t, a, b, ipl.PortType{Name: "sealed", Stack: keylessStack}, "inbox")
 			defer sp.Close()
 			defer rp.Close()

@@ -91,11 +91,9 @@ func linkKey(conn net.Conn) []byte {
 }
 
 // routedWaiters parks the routed data links a peer opens to this node
-// while connects to it establish: an acceptor opens one per
-// establishment right behind its connect reply, before the establishment
-// that takes it runs, and its open names the establishment. links[k]
-// parks establishment k's link, made on first use; a stack brokers at
-// most multi.MaxStreams.
+// while connects to it establish, one per establishment, sent right
+// behind the connect reply: links[k], made on first use, holds the one
+// naming establishment k (a stack brokers at most multi.MaxStreams).
 type routedWaiters struct {
 	links   [multi.MaxStreams]chan net.Conn
 	waiters int // connects establishing
@@ -147,29 +145,43 @@ func (n *Node) expectRoutedData(peer string) (leave func()) {
 
 // parkRoutedData hands a routed data link to establishment conv of the
 // connect waiting for it, or closes it at once: no connect to its peer
-// is establishing, or that establishment's link is parked already.
+// is establishing, or that establishment holds a live link already (an
+// abandoned one, left by an earlier connect's lost race, gives way).
 func (n *Node) parkRoutedData(conn net.Conn, conv uint64) {
-	parked := false
 	n.mu.Lock()
 	if w := n.pendingData[linkPeer(conn)]; w != nil {
+		slot := w.slot(conv) // nil: neither case is ever ready
 		select {
-		case w.slot(conv) <- conn: // a nil slot never takes it
-			parked = true
+		case slot <- conn:
+			conn = nil
+		case parked := <-slot: // full: the live one of the two stays
+			if abandoned(parked) {
+				parked, conn = conn, parked
+			}
+			select {
+			case slot <- parked: // just emptied, and only parkers fill it
+			default:
+			}
 		default:
 		}
 	}
 	n.mu.Unlock()
-	if !parked {
+	if conn != nil {
 		conn.Close()
 	}
 }
 
+// abandoned reports whether conn's peer discarded it (relay.KindAbandon).
+func abandoned(conn net.Conn) bool {
+	ab, ok := conn.(interface{ Abandoned() bool })
+	return ok && ab.Abandoned()
+}
+
 // acceptRoutedData is the estab.Connector hook on the initiating side of
 // a routed establishment, which runs inside a connect to peerID: it
-// takes the data link that peer opened for establishment conv. Links
-// whose acceptor lost an establishment race arrive abandoned (see
-// relay.KindAbandon) and are discarded. cancel fires when this
-// establishment lost its race.
+// takes the data link that peer opened for establishment conv, skipping
+// abandoned ones (their acceptor lost an establishment race). cancel
+// fires when this establishment lost its race.
 func (n *Node) acceptRoutedData(peerID string, conv uint64, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error) {
 	n.mu.Lock()
 	links := n.pendingData[peerID].slot(conv)
@@ -178,7 +190,7 @@ func (n *Node) acceptRoutedData(peerID string, conv uint64, timeout time.Duratio
 	for {
 		select {
 		case conn := <-links:
-			if ab, ok := conn.(interface{ Abandoned() bool }); ok && ab.Abandoned() {
+			if abandoned(conn) {
 				conn.Close()
 				continue
 			}

@@ -358,6 +358,7 @@ func AttachAuth(conn net.Conn, nodeID string, auth *AuthConfig) (*Client, error)
 		links:    make(map[linkID]*routedConn),
 		accepts:  make(chan *routedConn, 64),
 		pending:  make(map[linkID]*pendingDial),
+		opening:  make(map[linkID]*routedConn),
 		window:   DefaultWindowBytes,
 		gen:      1,
 	}

@@ -11,6 +11,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -132,6 +133,126 @@ func TestAuthenticatedAttachAndSealedLink(t *testing.T) {
 	}
 	ac.Close()
 	bc.Close()
+	alice.Close()
+	bob.Close()
+	check()
+}
+
+// TestSealedDataLinkAnsweredOnUse: a sealed data link is accepted
+// unanswered. Its dial completes only once the accepting side uses the
+// link, which is then sealed like any other, however many goroutines
+// use it first at once; closed unused, the link refuses its open;
+// abandoned by its dialer, it reports so and is never answered. Unused
+// links leave nothing registered.
+func TestSealedDataLinkAnsweredOnUse(t *testing.T) {
+	check := testutil.LeakCheck(t, 3)
+	w := newAuthWorld(t, "relay-0")
+	alice := w.attach("alice", w.issue("alice"), true)
+	bob := w.attach("bob", w.issue("bob"), true)
+	type dialed struct {
+		conn net.Conn
+		err  error
+	}
+	open := func(conv uint64, cancel <-chan struct{}) (<-chan dialed, net.Conn) {
+		t.Helper()
+		res := make(chan dialed, 1)
+		go func() {
+			conn, err := bob.DialPurpose("alice", PurposeData, conv, 2*time.Second, cancel)
+			res <- dialed{conn, err}
+		}()
+		conn, err := alice.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, k := conn.(*routedConn).Purpose(); p != PurposeData || k != conv {
+			t.Fatalf("accepted purpose %d, establishment %d; want %d, %d", p, k, PurposeData, conv)
+		}
+		return res, conn
+	}
+
+	res, ac := open(3, nil)
+	select {
+	case d := <-res:
+		t.Fatalf("dial answered before the link was used: %v", d.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := ac.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	d := <-res
+	if d.err != nil {
+		t.Fatalf("dial after use: %v", d.err)
+	}
+	got := make([]byte, 1)
+	if _, err := io.ReadFull(d.conn, got); err != nil || got[0] != 'x' {
+		t.Fatalf("read %q, %v", got, err)
+	}
+	type exporter interface{ ExportKey(label string) []byte }
+	if key := ac.(exporter).ExportKey("x"); len(key) != 32 || !bytes.Equal(key, d.conn.(exporter).ExportKey("x")) {
+		t.Fatal("the two ends of the used link derive no common key")
+	}
+	ac.Close()
+	d.conn.Close()
+
+	// First uses from several goroutines at once answer the link once.
+	res, ac = open(6, nil)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if _, err := ac.Write([]byte("y")); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if len(ac.(exporter).ExportKey("x")) != 32 {
+				t.Error("a concurrent first use exports no key")
+			}
+		}()
+	}
+	wg.Wait()
+	if d = <-res; d.err != nil {
+		t.Fatalf("dial after concurrent use: %v", d.err)
+	}
+	got4 := make([]byte, 4)
+	if _, err := io.ReadFull(d.conn, got4); err != nil || string(got4) != "yyyy" {
+		t.Fatalf("read %q, %v", got4, err)
+	}
+	ac.Close()
+	d.conn.Close()
+
+	res, ac = open(4, nil)
+	ac.Close()
+	if d := <-res; !errors.Is(d.err, ErrRefused) {
+		t.Fatalf("dial of a link closed unused: %v, want ErrRefused", d.err)
+	}
+
+	cancel := make(chan struct{})
+	res, ac = open(5, cancel)
+	close(cancel)
+	if d := <-res; !errors.Is(d.err, ErrDialCanceled) {
+		t.Fatalf("canceled dial: %v", d.err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for !ac.(*routedConn).Abandoned() {
+		if time.Now().After(deadline) {
+			t.Fatal("a link abandoned unanswered does not say so")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := ac.Read(got); err == nil {
+		t.Fatal("an abandoned link reads")
+	}
+	ac.Close()
+
+	alice.mu.Lock()
+	opening := len(alice.opening)
+	alice.mu.Unlock()
+	if opening != 0 || alice.LinkCount() != 0 {
+		t.Fatalf("%d unanswered and %d registered links left", opening, alice.LinkCount())
+	}
 	alice.Close()
 	bob.Close()
 	check()

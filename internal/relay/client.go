@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -27,6 +28,7 @@ type Client struct {
 	links    map[linkID]*routedConn
 	accepts  chan *routedConn
 	pending  map[linkID]*pendingDial
+	opening  map[linkID]*routedConn // sealed data links accepted, not yet answered (see settle)
 	nextChan uint64
 	window   int // receive window advertised on new links
 	closed   bool
@@ -400,10 +402,14 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	links := make([]*routedConn, 0, len(c.links))
+	links := make([]*routedConn, 0, len(c.links)+len(c.opening))
 	for _, l := range c.links {
 		links = append(links, l)
 	}
+	for _, l := range c.opening {
+		links = append(links, l)
+	}
+	clear(c.opening)
 	c.mu.Unlock()
 	for _, l := range links {
 		l.discard(ErrClosed)
@@ -580,7 +586,10 @@ func (c *Client) dispatch(kind byte, b *wire.Buf) {
 // handleOpen accepts (or refuses) an incoming virtual link. The body
 // carries the originator's node ID, its receive window — our initial send
 // credit on this link, so the link is usable the moment it is accepted —
-// its signed e2e link offer and the link's purpose, if any.
+// its signed e2e link offer and the link's purpose, if any. A sealed
+// data link is delivered unanswered and answered on its first use (see
+// routedConn.settle): an establishment's routed half that loses its race
+// costs this side no key agreement, and the read loop runs none for it.
 func (c *Client) handleOpen(channel uint64, body []byte) {
 	from, peerWindow, offerBlob, purpose, conv, err := decodeOpenBody(body)
 	if err != nil {
@@ -589,19 +598,8 @@ func (c *Client) handleOpen(channel uint64, body []byte) {
 		}
 		return
 	}
-	var keys *identity.LinkKeys
-	var answer []byte
-	if len(offerBlob) > 0 && c.auth.e2eCapable() {
-		k, a, err := identity.AcceptLink(c.auth.Identity, c.auth.Trust, from, c.id, channel, offerBlob)
-		if err != nil {
-			// An offer we cannot verify (untrusted initiator, forged
-			// signature, spoofed "from"): refuse rather than silently
-			// fall back to plaintext with an unverified peer.
-			c.send(KindOpenFail, AppendRouted(nil, from, channel, nil))
-			return
-		}
-		keys, answer = k, a
-	} else if c.auth != nil && c.auth.RequireE2E {
+	sealed := len(offerBlob) > 0 && c.auth.e2eCapable()
+	if !sealed && c.auth != nil && c.auth.RequireE2E {
 		// Sealing is mandatory here but the open carries no usable
 		// offer (an anonymous peer, or the offer was stripped in
 		// transit): fail closed.
@@ -610,22 +608,33 @@ func (c *Client) handleOpen(channel uint64, body []byte) {
 	}
 	key := linkID{peer: from, channel: channel, outbound: false}
 	rc := newRoutedConn(c, from, channel, false, peerWindow, c.recvWindow())
-	rc.keys, rc.purpose, rc.conv = keys, purpose, conv
+	rc.purpose, rc.conv = purpose, conv
 	c.mu.Lock()
 	closed := c.closed
-	if !closed {
+	switch {
+	case closed:
+	case sealed:
+		rc.offer = bytes.Clone(offerBlob) // body is the read loop's buffer
+		c.opening[key] = rc
+	default:
 		c.links[key] = rc
 	}
 	c.mu.Unlock()
 	if closed {
 		return
 	}
-	// Acknowledge and deliver to Accept. The send into accepts is
-	// flag-guarded under mu: Close/fail set closed under mu before
-	// closing the channel, so a sender either completes first or
-	// observes closed — never a send on a closed channel.
-	ack := appendOpenBody(nil, c.id, rc.recvWindow, answer)
-	c.send(KindOpenOK, AppendRouted(nil, from, channel, ack))
+	switch {
+	case !sealed:
+		c.ackOpen(rc, nil)
+	case purpose != PurposeData:
+		if rc.settle(true) != nil {
+			return
+		}
+	}
+	// Deliver to Accept. The send into accepts is flag-guarded under
+	// mu: Close/fail set closed under mu before closing the channel, so
+	// a sender either completes first or observes closed — never a send
+	// on a closed channel.
 	delivered := false
 	c.mu.Lock()
 	if !c.closed {
@@ -636,11 +645,59 @@ func (c *Client) handleOpen(channel uint64, body []byte) {
 		}
 	}
 	c.mu.Unlock()
-	if !delivered {
-		// Backlog full (or closing): refuse.
+	if !delivered && rc.settle(false) == nil {
+		// Backlog full (or closing): refuse what was acknowledged.
 		c.send(KindOpenFail, AppendRouted(nil, from, channel, nil))
 		c.dropLink(key)
 	}
+}
+
+// ackOpen acknowledges an accepted link with our window and answer, its
+// e2e answer (nil on a plaintext link).
+func (c *Client) ackOpen(rc *routedConn, answer []byte) {
+	ack := appendOpenBody(nil, c.id, rc.recvWindow, answer)
+	c.send(KindOpenOK, AppendRouted(nil, rc.peer, rc.channel, ack))
+}
+
+// answerOpen settles a sealed open held in opening: on use it verifies
+// the offer (an untrusted initiator, a forged signature or a spoofed
+// "from" is refused rather than let through as plaintext), registers the
+// link with its keys and acknowledges it; unused, it refuses it. A link
+// the peer abandoned, or the client dropped, meanwhile is gone from
+// opening and keeps the error that ended it.
+func (c *Client) answerOpen(rc *routedConn, use bool) error {
+	key := linkID{peer: rc.peer, channel: rc.channel, outbound: false}
+	var keys *identity.LinkKeys
+	var answer []byte
+	err := ErrClosed
+	if use {
+		keys, answer, err = identity.AcceptLink(c.auth.Identity, c.auth.Trust, rc.peer, c.id, rc.channel, rc.offer)
+	}
+	c.mu.Lock()
+	live := c.opening[key] == rc
+	if live {
+		delete(c.opening, key)
+		if err == nil {
+			rc.keys = keys
+			c.links[key] = rc
+		}
+	}
+	c.mu.Unlock()
+	if !live {
+		rc.mu.Lock()
+		defer rc.mu.Unlock()
+		if rc.rerr == nil { // failed by its remover, but not yet
+			return ErrClosed
+		}
+		return rc.rerr
+	}
+	if err != nil {
+		c.send(KindOpenFail, AppendRouted(nil, rc.peer, rc.channel, nil))
+		rc.closeWithError(err)
+		return err
+	}
+	c.ackOpen(rc, answer)
+	return nil
 }
 
 // handleOpenOK completes a dial: the body mirrors the open's, with the
@@ -791,7 +848,11 @@ func (c *Client) handleAbandon(channel uint64, body []byte) {
 	}
 	key := linkID{peer: string(from), channel: channel, outbound: outbound}
 	c.mu.Lock()
+	if rc == nil {
+		rc = c.opening[key] // a sealed data link not yet answered
+	}
 	delete(c.links, key)
+	delete(c.opening, key)
 	// An abandon can also cross an OpenOK still in flight the other
 	// way; fail the pending dial like a refusal.
 	var failed []*pendingDial
@@ -843,10 +904,14 @@ func (c *Client) fail(err error) {
 		return
 	}
 	c.closed = true
-	links := make([]*routedConn, 0, len(c.links))
+	links := make([]*routedConn, 0, len(c.links)+len(c.opening))
 	for _, l := range c.links {
 		links = append(links, l)
 	}
+	for _, l := range c.opening {
+		links = append(links, l)
+	}
+	clear(c.opening)
 	pend := c.pending
 	c.pending = make(map[linkID]*pendingDial)
 	c.mu.Unlock()

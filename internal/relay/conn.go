@@ -77,6 +77,12 @@ type routedConn struct {
 
 	rdeadline time.Time
 	wdeadline time.Time
+
+	// offer is the e2e offer of a sealed data link accepted unanswered;
+	// settle answers it on first use, or refuses it on Close or Abort.
+	offer     []byte
+	settled   sync.Once
+	settleErr error
 }
 
 func newRoutedConn(c *Client, peer string, channel uint64, outbound bool, peerWindow, recvWindow int) *routedConn {
@@ -289,6 +295,19 @@ func (rc *routedConn) peerClosed() {
 	rc.mu.Unlock()
 }
 
+// settle answers the link's sealed open on first use (use), or refuses
+// it when the link is closed unused; it runs once, and does nothing on a
+// link that was answered on arrival. Every use and every close goes
+// through it first.
+func (rc *routedConn) settle(use bool) error {
+	rc.settled.Do(func() {
+		if rc.offer != nil {
+			rc.settleErr = rc.client.answerOpen(rc, use)
+		}
+	})
+	return rc.settleErr
+}
+
 // Abandoned reports whether the peer discarded this link with an abandon
 // frame (it lost an establishment race on the peer's side), so a consumer
 // holding the conn (e.g. in an accept backlog) can recognise and skip it.
@@ -303,6 +322,7 @@ func (rc *routedConn) Abandoned() bool {
 // must not be treated as a usable or half-open connection. Like Close, it
 // releases whatever is still queued.
 func (rc *routedConn) Abort() error {
+	rc.settle(false)
 	rc.mu.Lock()
 	rc.releaseLocked()
 	if rc.closed {
@@ -361,6 +381,9 @@ func waitDeadline(cond *sync.Cond, mu *sync.Mutex, deadline time.Time) error {
 // consumed (batching the grants keeps the credit-frame overhead at two
 // frames per window, not one per Read).
 func (rc *routedConn) Read(p []byte) (int, error) {
+	if err := rc.settle(true); err != nil {
+		return 0, err
+	}
 	rc.mu.Lock()
 	for {
 		if rc.queued > 0 {
@@ -484,6 +507,9 @@ func (rc *routedConn) reserve(want int) (n int, err error) {
 // both ends; the per-record overhead (identity.SealOverhead) rides
 // outside the window.
 func (rc *routedConn) Write(p []byte) (int, error) {
+	if err := rc.settle(true); err != nil {
+		return 0, err
+	}
 	total := 0
 	for len(p) > 0 {
 		n, err := rc.reserve(len(p))
@@ -532,6 +558,7 @@ func (rc *routedConn) SendWindow() (avail, size int) {
 // Close implements net.Conn. It releases whatever is still queued,
 // also on a link that already failed.
 func (rc *routedConn) Close() error {
+	rc.settle(false)
 	rc.mu.Lock()
 	rc.releaseLocked()
 	if rc.closed {
@@ -603,7 +630,7 @@ func (rc *routedConn) Purpose() (purpose byte, conv uint64) { return rc.purpose,
 // ExportKey returns a 32-byte key bound to label that only the two ends
 // of this sealed link can derive, or nil on a plaintext link.
 func (rc *routedConn) ExportKey(label string) []byte {
-	if rc.keys == nil {
+	if rc.settle(true) != nil || rc.keys == nil {
 		return nil
 	}
 	return rc.keys.Export(label)
