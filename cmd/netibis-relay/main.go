@@ -41,10 +41,6 @@ func main() {
 	nameserver := flag.String("nameserver", "", "Ibis Name Service address for mesh registration and discovery")
 	join := flag.String("join", "", "comma-separated peer relay addresses to join statically")
 	advertise := flag.String("advertise", "", "address peers and nodes dial to reach this relay (defaults to the listen address)")
-	egressQueue := flag.Int("egress-queue", relay.DefaultEgressQueueFrames,
-		"per-source egress queue bound towards each attached node (frames); overflow backpressures the offending link only")
-	egressBatch := flag.Int("egress-batch", relay.DefaultEgressBatchFrames,
-		"max frames drained into one egress vectored write (1 disables batching); see netibis_relay_egress_frames_per_write")
 	identityFile := flag.String("identity", "",
 		"Ed25519 identity file for this relay (generated and persisted on first use); enables signed registry records and lets the relay prove itself to nodes and peers")
 	trustFile := flag.String("trust", "",
@@ -58,8 +54,6 @@ func main() {
 		log.Fatalf("netibis-relay: listen %s: %v", *addr, err)
 	}
 	srv := relay.NewServer()
-	srv.SetEgressQueue(*egressQueue)
-	srv.SetEgressBatch(*egressBatch)
 	log.Printf("netibis-relay: listening on %s", l.Addr())
 
 	// Observability is opt-in: with no -metrics flag nothing listens and

@@ -579,6 +579,9 @@ func (e *engine) startProbes() {
 			if err != nil {
 				return
 			}
+			// Use the link before closing it: on a secure mesh an open is
+			// answered on its first use, and refused if closed unused.
+			conn.Write(nil)
 			conn.Close()
 		}
 	}()

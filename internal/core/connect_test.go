@@ -120,10 +120,11 @@ func TestConnectRejectsImpersonation(t *testing.T) {
 
 // TestPurposeHeaderCarriesNoName: a link's purpose is the byte its open
 // ends with, and no byte on the link names anyone — the consumer is keyed
-// by the link's Peer(). An untagged link and a service link that carries
-// anything but requests are closed; a sealed data link no connect waits
-// for is closed unanswered, so its open is refused, as an open of unknown
-// purpose is. No member can park a link under another's name.
+// by the link's Peer(). A service link that carries anything but
+// requests is closed; a sealed untagged link, and a sealed data link no
+// connect waits for, is closed unanswered, so its open is refused, as an
+// open of unknown purpose is. No member can park a link under another's
+// name.
 func TestPurposeHeaderCarriesNoName(t *testing.T) {
 	g := newSecureGrid(t, 1)
 	bob := g.secureNode("bob", "site-b", stateful, nil)
@@ -134,7 +135,6 @@ func TestPurposeHeaderCarriesNoName(t *testing.T) {
 		purpose byte
 		then    byte // a request op to send on the link (0: none)
 	}{
-		{"untagged link", 0, 0},
 		{"unknown op on a service link", relay.PurposeService, 99},
 		{"stray reply on a service link", relay.PurposeService, opConnectOK},
 	} {
@@ -150,7 +150,7 @@ func TestPurposeHeaderCarriesNoName(t *testing.T) {
 		expectClosed(t, tc.what, conn)
 		conn.Close()
 	}
-	for _, purpose := range []byte{relay.PurposeData, 9} {
+	for _, purpose := range []byte{0, relay.PurposeData, 9} {
 		if _, err := mallory.relayCli.DialPurpose(bob.relayID(), purpose, 0, 2*time.Second, nil); !errors.Is(err, relay.ErrRefused) {
 			t.Errorf("open of purpose %d: %v, want ErrRefused", purpose, err)
 		}

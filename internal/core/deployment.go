@@ -323,8 +323,7 @@ func (d *Deployment) NodeConfig(host *emunet.Host, pool, name string) Config {
 
 // SecureNodeConfig is NodeConfig on a secure deployment: the node gets
 // a CA-issued identity under its relay ID ("pool/name"), the
-// deployment's trust store, the require-secure-routed policy and
-// "secure/tcpblk" as its default stack — its attaches are authenticated,
+// deployment's trust store and "secure/tcpblk" as its default stack — its attaches are authenticated,
 // its routed links sealed end to end, and a port type that names no
 // stack is sealed whatever method carries its data link.
 func (d *Deployment) SecureNodeConfig(host *emunet.Host, pool, name string) (Config, error) {
@@ -338,7 +337,6 @@ func (d *Deployment) SecureNodeConfig(host *emunet.Host, pool, name string) (Con
 	}
 	cfg.NodeIdentity = id
 	cfg.Trust = d.Trust
-	cfg.RequireSecureRouted = true
 	cfg.DefaultStack = "secure/tcpblk"
 	return cfg, nil
 }

@@ -83,20 +83,17 @@ type Config struct {
 	// NodeIdentity is the node's Ed25519 mesh identity (package
 	// identity), named after the node's relay ID ("pool/name"). With one
 	// configured the node authenticates its relay attachments (including
-	// re-attachments after failover), signs its registry record, can seal
-	// routed links end to end and keys a "secure" stack layer that names
-	// no key. Use identity.LoadOrGenerate for file persistence.
+	// re-attachments after failover), signs its registry record, seals
+	// every routed link end to end when Trust is set too, and keys a
+	// "secure" stack layer that names no key. Use identity.LoadOrGenerate
+	// for file persistence.
 	NodeIdentity *identity.Identity
 	// Trust is the set of trusted identities (deployment CA keys and/or
 	// pinned keys). With one configured the node demands that relays
 	// prove a trusted identity during attach, verifies signed registry
-	// records on discovery, and verifies end-to-end link peers.
+	// records on discovery, and verifies end-to-end link peers: with
+	// NodeIdentity, a routed link is sealed or fails (relay.AuthConfig).
 	Trust *identity.TrustStore
-	// RequireSecureRouted makes the end-to-end seal mandatory on every
-	// relay-routed link: an open answered without the secure capability
-	// fails closed (identity.ErrDowngraded) instead of running in the
-	// clear. Requires NodeIdentity and Trust.
-	RequireSecureRouted bool
 	// DefaultStack is the driver stack used by port types that do not
 	// name one ("tcpblk" if empty).
 	DefaultStack string
@@ -129,9 +126,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: NodeIdentity is named %q, want the node's relay identity %q",
 			c.NodeIdentity.Name, c.Pool+"/"+c.Name)
 	}
-	if c.RequireSecureRouted && (c.NodeIdentity == nil || c.Trust == nil) {
-		return errors.New("core: RequireSecureRouted needs NodeIdentity and Trust")
-	}
 	return nil
 }
 
@@ -141,11 +135,7 @@ func (c Config) relayAuth() *relay.AuthConfig {
 	if c.NodeIdentity == nil && c.Trust == nil {
 		return nil
 	}
-	return &relay.AuthConfig{
-		Identity:   c.NodeIdentity,
-		Trust:      c.Trust,
-		RequireE2E: c.RequireSecureRouted,
-	}
+	return &relay.AuthConfig{Identity: c.NodeIdentity, Trust: c.Trust}
 }
 
 // Node is one NetIbis instance.

@@ -27,16 +27,14 @@ type cacheEntry struct {
 // profiles no longer allow is not the cache's business: the initiator
 // uses an entry only when its method is among the current candidates.
 //
-// The cache also deduplicates concurrent races: when several
-// establishments to the same peer run at once (a parallel-streams driver
-// stack brokers all its sub-links concurrently), one of them races and
-// the rest wait for its verdict. A Cache is safe for concurrent use.
+// Concurrent establishments to one peer (a parallel-streams driver stack
+// brokers all its sub-links at once) each race on their own; the entry
+// serves the connects after them. A Cache is safe for concurrent use.
 type Cache struct {
-	mu       sync.Mutex
-	ttl      time.Duration
-	now      func() time.Time // test hook
-	entries  map[string]cacheEntry
-	inflight map[string]chan struct{}
+	mu      sync.Mutex
+	ttl     time.Duration
+	now     func() time.Time // test hook
+	entries map[string]cacheEntry
 }
 
 // NewCache creates a connectivity cache. A non-positive ttl selects
@@ -46,10 +44,9 @@ func NewCache(ttl time.Duration) *Cache {
 		ttl = DefaultCacheTTL
 	}
 	return &Cache{
-		ttl:      ttl,
-		now:      time.Now,
-		entries:  make(map[string]cacheEntry),
-		inflight: make(map[string]chan struct{}),
+		ttl:     ttl,
+		now:     time.Now,
+		entries: make(map[string]cacheEntry),
 	}
 }
 
@@ -92,31 +89,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// beginRace claims the in-flight race slot for a peer. The first caller
-// becomes the leader (and must call endRace when its establishment
-// settles); later callers get leader == false and a channel that closes
-// when the leader is done, after which they should re-consult the cache.
-func (c *Cache) beginRace(peer string) (leader bool, wait <-chan struct{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ch, ok := c.inflight[peer]; ok {
-		return false, ch
-	}
-	ch := make(chan struct{})
-	c.inflight[peer] = ch
-	return true, ch
-}
-
-// endRace releases the in-flight slot claimed by beginRace and wakes the
-// followers.
-func (c *Cache) endRace(peer string) {
-	c.mu.Lock()
-	ch := c.inflight[peer]
-	delete(c.inflight, peer)
-	c.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
 }

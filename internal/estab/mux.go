@@ -31,9 +31,7 @@ package estab
 // fixes how many establishments a connect runs, and the mux holds that
 // count: a message on a stream past it is ErrProtocol. Every
 // conversation races the same candidates — the ranking of the two
-// profiles (race.go) — and the connectivity cache deduplicates the races
-// of sibling conversations (the first becomes the leader, the rest reuse
-// its winner).
+// profiles (race.go) — on its own.
 //
 // Lifecycle: the mux owns the service connection from construction until
 // Finish has returned on both sides. Each side sends a done marker when

@@ -239,24 +239,6 @@ func (c *Connector) EstablishInitiator(cv *Conversation, remote Profile, opts Es
 	if useCache {
 		if m, ok := c.Cache.Lookup(opts.PeerKey); ok && slices.Contains(order, m) {
 			cached = m
-		} else if leader, wait := c.Cache.beginRace(opts.PeerKey); !leader {
-			// Another establishment to the same peer is already racing
-			// (a parallel-streams stack brokers several links at once);
-			// ride on its result instead of racing redundantly. The wait
-			// is bounded: if the leader cannot make progress (e.g. a
-			// foreign driver stack that accepts its sub-streams
-			// sequentially, so the leader's conversation is not being
-			// served yet), fall back to racing independently rather
-			// than deadlocking on it.
-			select {
-			case <-wait:
-				if m, ok := c.Cache.Lookup(opts.PeerKey); ok && slices.Contains(order, m) {
-					cached = m
-				}
-			case <-time.After(c.ResolvedAcceptTimeout()):
-			}
-		} else {
-			defer c.Cache.endRace(opts.PeerKey)
 		}
 		c.Metrics.cacheConsulted(cached != MethodNone)
 	}

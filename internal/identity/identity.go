@@ -74,11 +74,10 @@ var (
 	// ErrAuthRequired is returned when the peer did not authenticate and
 	// local policy demands it.
 	ErrAuthRequired = errors.New("identity: authentication required but peer sent none")
-	// ErrDowngraded is returned when a secure capability this side
-	// offered came back stripped: either the peer has no identity to
-	// seal with or something on the path removed the offer. With a
-	// require-secure policy the link fails closed instead of silently
-	// running in the clear.
+	// ErrDowngraded is returned when a link exchange this side offered
+	// came back without its answer: either the peer cannot seal or
+	// something on the path removed the answer. The link fails closed
+	// instead of running in the clear.
 	ErrDowngraded = errors.New("identity: secure capability stripped (peer answered without it)")
 	// ErrMalformed is returned when a handshake blob or signed record
 	// cannot be decoded.

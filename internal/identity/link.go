@@ -10,18 +10,20 @@ package identity
 //
 // Offer (appended to the routed open body, after the receive window):
 //
-//	caps     uvarint  capability bits (bit 0: AEAD v1)
 //	ephPub   bytes    X25519 ephemeral public key
 //	nonce    bytes    fresh random
 //	announce          identity public key + cert
-//	sig      bytes    Sign(ctxLinkOffer, H(initID ‖ respID ‖ channel ‖ caps ‖ ephPub ‖ nonce ‖ pub))
+//	sig      bytes    Sign(ctxLinkOffer, H(initID ‖ respID ‖ channel ‖ ephPub ‖ nonce ‖ pub))
 //
 // Answer (appended to the open-OK body, same layout); its signature
 // additionally covers the SHA-256 of the complete offer blob, so a
-// middleman cannot mix and match halves of different exchanges or strip
-// capability bits from a signed offer:
+// middleman cannot mix and match halves of different exchanges:
 //
-//	sig = Sign(ctxLinkAccept, H(H(offer) ‖ initID ‖ respID ‖ channel ‖ caps ‖ ephPub ‖ nonce ‖ pub))
+//	sig = Sign(ctxLinkAccept, H(H(offer) ‖ initID ‖ respID ‖ channel ‖ ephPub ‖ nonce ‖ pub))
+//
+// There is one kind of exchange and one record format, so nothing is
+// negotiated: a peer that can seal seals, and one that meets an open or
+// open-OK without its half fails (package relay).
 //
 // Key schedule: HKDF-SHA256(ikm = X25519 shared secret,
 // salt = nonceI ‖ nonceR, info = "netibis/link-aead/v1 " + direction)
@@ -50,12 +52,6 @@ import (
 	"netibis/internal/wire"
 )
 
-// Link capability bits.
-const (
-	// LinkCapAEAD negotiates AEAD-sealed payload frames (v1).
-	LinkCapAEAD = 1 << 0
-)
-
 // SealOverhead is the per-record byte overhead of a sealed link frame:
 // the explicit sequence number plus the AEAD tag.
 const SealOverhead = 8 + 16
@@ -76,11 +72,10 @@ func (o *LinkOffer) Blob() []byte { return o.blob }
 
 // linkTranscript is the byte string a link signature covers (minus the
 // answer's offer-hash prefix).
-func linkTranscript(initID, respID string, channel, caps uint64, ephPub, nonce []byte, pub []byte) []byte {
+func linkTranscript(initID, respID string, channel uint64, ephPub, nonce []byte, pub []byte) []byte {
 	t := wire.AppendString(nil, initID)
 	t = wire.AppendString(t, respID)
 	t = wire.AppendUvarint(t, channel)
-	t = wire.AppendUvarint(t, caps)
 	t = wire.AppendBytes(t, ephPub)
 	t = wire.AppendBytes(t, nonce)
 	t = wire.AppendBytes(t, pub)
@@ -89,15 +84,13 @@ func linkTranscript(initID, respID string, channel, caps uint64, ephPub, nonce [
 
 // linkBlob is the decoded form of an offer or answer blob.
 type linkBlob struct {
-	caps     uint64
 	ephPub   []byte
 	nonce    []byte
 	announce Announce
 	sig      []byte
 }
 
-func appendLinkBlob(dst []byte, caps uint64, ephPub, nonce []byte, a Announce, sig []byte) []byte {
-	dst = wire.AppendUvarint(dst, caps)
+func appendLinkBlob(dst []byte, ephPub, nonce []byte, a Announce, sig []byte) []byte {
 	dst = wire.AppendBytes(dst, ephPub)
 	dst = wire.AppendBytes(dst, nonce)
 	dst = AppendAnnounce(dst, a)
@@ -108,7 +101,6 @@ func appendLinkBlob(dst []byte, caps uint64, ephPub, nonce []byte, a Announce, s
 func decodeLinkBlob(p []byte) (linkBlob, error) {
 	d := wire.NewDecoder(p)
 	var b linkBlob
-	b.caps = d.Uvarint()
 	b.ephPub = append([]byte(nil), d.Bytes()...)
 	b.nonce = append([]byte(nil), d.Bytes()...)
 	a, err := DecodeAnnounce(d)
@@ -137,9 +129,8 @@ func OfferLink(id *Identity, initID, respID string, channel uint64) (*LinkOffer,
 	if err != nil {
 		return nil, err
 	}
-	caps := uint64(LinkCapAEAD)
-	sig := id.sign(ctxLinkOffer, linkTranscript(initID, respID, channel, caps, eph.PublicKey().Bytes(), nonce, id.Public))
-	blob := appendLinkBlob(nil, caps, eph.PublicKey().Bytes(), nonce, id.Announce(), sig)
+	sig := id.sign(ctxLinkOffer, linkTranscript(initID, respID, channel, eph.PublicKey().Bytes(), nonce, id.Public))
+	blob := appendLinkBlob(nil, eph.PublicKey().Bytes(), nonce, id.Announce(), sig)
 	return &LinkOffer{initID: initID, respID: respID, channel: channel, eph: eph, nonce: nonce, blob: blob}, nil
 }
 
@@ -216,14 +207,11 @@ func AcceptLink(id *Identity, ts *TrustStore, initID, respID string, channel uin
 	if err != nil {
 		return nil, nil, err
 	}
-	if offer.caps&LinkCapAEAD == 0 {
-		return nil, nil, ErrDowngraded
-	}
 	if err := ts.VerifyPeer(initID, offer.announce.Public, offer.announce.Cert); err != nil {
 		return nil, nil, err
 	}
 	if !verifySig(offer.announce.Public, ctxLinkOffer,
-		linkTranscript(initID, respID, channel, offer.caps, offer.ephPub, offer.nonce, offer.announce.Public), offer.sig) {
+		linkTranscript(initID, respID, channel, offer.ephPub, offer.nonce, offer.announce.Public), offer.sig) {
 		return nil, nil, ErrBadSignature
 	}
 	peerEph, err := ecdh.X25519().NewPublicKey(offer.ephPub)
@@ -242,12 +230,11 @@ func AcceptLink(id *Identity, ts *TrustStore, initID, respID string, channel uin
 	if err != nil {
 		return nil, nil, err
 	}
-	caps := uint64(LinkCapAEAD)
 	offerSum := sha256.Sum256(offerBlob)
 	t := wire.AppendBytes(nil, offerSum[:])
-	t = append(t, linkTranscript(initID, respID, channel, caps, eph.PublicKey().Bytes(), nonce, id.Public)...)
+	t = append(t, linkTranscript(initID, respID, channel, eph.PublicKey().Bytes(), nonce, id.Public)...)
 	sig := id.sign(ctxLinkAccept, t)
-	answer := appendLinkBlob(nil, caps, eph.PublicKey().Bytes(), nonce, id.Announce(), sig)
+	answer := appendLinkBlob(nil, eph.PublicKey().Bytes(), nonce, id.Announce(), sig)
 	keys, err := deriveLinkKeys(shared, offer.nonce, nonce, false)
 	if err != nil {
 		return nil, nil, err
@@ -264,15 +251,12 @@ func (o *LinkOffer) CompleteLink(ts *TrustStore, answerBlob []byte) (*LinkKeys, 
 	if err != nil {
 		return nil, err
 	}
-	if answer.caps&LinkCapAEAD == 0 {
-		return nil, ErrDowngraded
-	}
 	if err := ts.VerifyPeer(o.respID, answer.announce.Public, answer.announce.Cert); err != nil {
 		return nil, err
 	}
 	offerSum := sha256.Sum256(o.blob)
 	t := wire.AppendBytes(nil, offerSum[:])
-	t = append(t, linkTranscript(o.initID, o.respID, o.channel, answer.caps, answer.ephPub, answer.nonce, answer.announce.Public)...)
+	t = append(t, linkTranscript(o.initID, o.respID, o.channel, answer.ephPub, answer.nonce, answer.announce.Public)...)
 	if !verifySig(answer.announce.Public, ctxLinkAccept, t, answer.sig) {
 		return nil, ErrBadSignature
 	}

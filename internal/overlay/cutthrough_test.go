@@ -55,7 +55,7 @@ func forwardFixture(t *testing.T) (o *Relay, b, c *peerLink, sink *countConn) {
 	}
 	sink = &countConn{}
 	peer := func(id string, conn net.Conn) *peerLink {
-		p := &peerLink{id: id, conn: conn, eg: relay.NewEgress(conn, wire.NewWriter(conn), 0, nil)}
+		p := &peerLink{id: id, conn: conn, eg: relay.NewEgress(conn, wire.NewWriter(conn), nil)}
 		o.mu.Lock()
 		o.peers[id] = p
 		o.mu.Unlock()

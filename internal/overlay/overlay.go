@@ -538,7 +538,7 @@ func (o *Relay) handlePeerConn(first wire.Frame, conn net.Conn, r *wire.Reader) 
 func (o *Relay) startPeer(peerID string, conn net.Conn, w *wire.Writer, r *wire.Reader) error {
 	// The handshake used w synchronously; from here on the egress writer
 	// owns the connection.
-	p := &peerLink{id: peerID, conn: conn, eg: relay.NewEgress(conn, w, 0, nil)}
+	p := &peerLink{id: peerID, conn: conn, eg: relay.NewEgress(conn, w, nil)}
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()

@@ -45,19 +45,16 @@ type AuthConfig struct {
 	// makes authentication mandatory: unauthenticated or unverifiable
 	// attaches are rejected with a typed failure. On a client, a non-nil
 	// Trust demands the relay prove a trusted identity during attach
-	// (the challenge must carry a valid relay signature), and enables
-	// verification of end-to-end link peers.
+	// (the challenge must carry a valid relay signature) and, with an
+	// Identity, seals every routed link end to end (see e2eCapable).
 	Trust *identity.TrustStore
-	// RequireE2E (clients) makes the end-to-end seal mandatory on every
-	// routed link: an open answered without the secure capability — an
-	// anonymous peer, or a stripped offer — fails closed with
-	// identity.ErrDowngraded instead of running in the clear.
-	RequireE2E bool
 }
 
 // e2eCapable reports whether this side can offer/accept the end-to-end
 // link exchange (it needs a signing identity and a verifier for the
-// peer's).
+// peer's). A capable client seals every routed link or fails it: it
+// refuses an open without an offer and fails a dial answered without
+// one with identity.ErrDowngraded.
 func (a *AuthConfig) e2eCapable() bool {
 	return a != nil && a.Identity != nil && a.Trust != nil
 }

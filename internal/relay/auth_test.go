@@ -8,6 +8,7 @@ package relay
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -76,10 +77,16 @@ func (w *authWorld) dial() net.Conn {
 	return conn
 }
 
-// attach attaches a node with full auth + e2e configuration.
-func (w *authWorld) attach(name string, id *identity.Identity, require bool) *Client {
+// attach attaches a node with its identity and the deployment's trust:
+// a client that seals every routed link.
+func (w *authWorld) attach(name string, id *identity.Identity) *Client {
 	w.t.Helper()
-	cli, err := AttachAuth(w.dial(), name, &AuthConfig{Identity: id, Trust: w.trust, RequireE2E: require})
+	return w.attachWith(name, &AuthConfig{Identity: id, Trust: w.trust})
+}
+
+func (w *authWorld) attachWith(name string, auth *AuthConfig) *Client {
+	w.t.Helper()
+	cli, err := AttachAuth(w.dial(), name, auth)
 	if err != nil {
 		w.t.Fatalf("attach %s: %v", name, err)
 	}
@@ -87,22 +94,31 @@ func (w *authWorld) attach(name string, id *identity.Identity, require bool) *Cl
 	return cli
 }
 
+// acceptUsed accepts cli's next link and writes nothing on it: a first
+// use, which answers a sealed open without sending a data frame, so the
+// dial completes.
+func acceptUsed(t *testing.T, cli *Client) <-chan net.Conn {
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := cli.Accept()
+		if err == nil {
+			_, err = conn.Write(nil)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- conn
+	}()
+	return accepted
+}
+
 func TestAuthenticatedAttachAndSealedLink(t *testing.T) {
 	check := testutil.LeakCheck(t, 3)
 	w := newAuthWorld(t, "relay-0")
-	alice := w.attach("alice", w.issue("alice"), true)
-	bob := w.attach("bob", w.issue("bob"), true)
+	alice := w.attach("alice", w.issue("alice"))
+	bob := w.attach("bob", w.issue("bob"))
 
-	done := make(chan net.Conn, 1)
-	go func() {
-		conn, err := bob.Accept()
-		if err != nil {
-			t.Error(err)
-			done <- nil
-			return
-		}
-		done <- conn
-	}()
+	done := acceptUsed(t, bob)
 	ac, err := alice.Dial("bob", 2*time.Second)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -138,123 +154,198 @@ func TestAuthenticatedAttachAndSealedLink(t *testing.T) {
 	check()
 }
 
-// TestSealedDataLinkAnsweredOnUse: a sealed data link is accepted
-// unanswered. Its dial completes only once the accepting side uses the
-// link, which is then sealed like any other, however many goroutines
-// use it first at once; closed unused, the link refuses its open;
-// abandoned by its dialer, it reports so and is never answered. Unused
-// links leave nothing registered.
-func TestSealedDataLinkAnsweredOnUse(t *testing.T) {
+// TestSealedOpenByPurpose: every open is sealed one way, whatever its
+// purpose (none, service, data). Between two clients that can seal, an
+// accepted link is answered on its first use — once, however many
+// goroutines use it at once — and then both ends export one key; closed
+// unused it is refused; abandoned unanswered it says so and never reads.
+// A capable acceptor refuses an open that carries no offer, a capable
+// dialer fails an open-OK that carries no answer with
+// identity.ErrDowngraded, and only two clients that cannot seal link in
+// plaintext. An open waiting for its answer holds up no other link:
+// frames of a live link cross meanwhile. Nothing is left registered.
+func TestSealedOpenByPurpose(t *testing.T) {
 	check := testutil.LeakCheck(t, 3)
 	w := newAuthWorld(t, "relay-0")
-	alice := w.attach("alice", w.issue("alice"), true)
-	bob := w.attach("bob", w.issue("bob"), true)
+	sealA := w.attach("seal-a", w.issue("seal-a"))
+	sealB := w.attach("seal-b", w.issue("seal-b"))
+	// An identity without a trust store authenticates the attach but
+	// cannot verify a peer, so it cannot seal.
+	plainA := w.attachWith("plain-a", &AuthConfig{Identity: w.issue("plain-a")})
+	plainB := w.attachWith("plain-b", &AuthConfig{Identity: w.issue("plain-b")})
+
 	type dialed struct {
 		conn net.Conn
 		err  error
 	}
-	open := func(conv uint64, cancel <-chan struct{}) (<-chan dialed, net.Conn) {
-		t.Helper()
+	dial := func(from, to *Client, purpose byte, conv uint64, cancel <-chan struct{}) <-chan dialed {
 		res := make(chan dialed, 1)
 		go func() {
-			conn, err := bob.DialPurpose("alice", PurposeData, conv, 2*time.Second, cancel)
+			conn, err := from.DialPurpose(to.ID(), purpose, conv, 2*time.Second, cancel)
 			res <- dialed{conn, err}
 		}()
-		conn, err := alice.Accept()
+		return res
+	}
+	accept := func(t *testing.T, to *Client, purpose byte, conv uint64) net.Conn {
+		t.Helper()
+		conn, err := to.Accept()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p, k := conn.(*routedConn).Purpose(); p != PurposeData || k != conv {
-			t.Fatalf("accepted purpose %d, establishment %d; want %d, %d", p, k, PurposeData, conv)
+		if p, k := conn.(*routedConn).Purpose(); p != purpose || k != conv {
+			t.Fatalf("accepted purpose %d, establishment %d; want %d, %d", p, k, purpose, conv)
 		}
-		return res, conn
-	}
-
-	res, ac := open(3, nil)
-	select {
-	case d := <-res:
-		t.Fatalf("dial answered before the link was used: %v", d.err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if _, err := ac.Write([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	d := <-res
-	if d.err != nil {
-		t.Fatalf("dial after use: %v", d.err)
-	}
-	got := make([]byte, 1)
-	if _, err := io.ReadFull(d.conn, got); err != nil || got[0] != 'x' {
-		t.Fatalf("read %q, %v", got, err)
+		return conn
 	}
 	type exporter interface{ ExportKey(label string) []byte }
-	if key := ac.(exporter).ExportKey("x"); len(key) != 32 || !bytes.Equal(key, d.conn.(exporter).ExportKey("x")) {
-		t.Fatal("the two ends of the used link derive no common key")
-	}
-	ac.Close()
-	d.conn.Close()
 
-	// First uses from several goroutines at once answer the link once.
-	res, ac = open(6, nil)
-	var wg sync.WaitGroup
-	for range 4 {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			if _, err := ac.Write([]byte("y")); err != nil {
-				t.Error(err)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			if len(ac.(exporter).ExportKey("x")) != 32 {
-				t.Error("a concurrent first use exports no key")
-			}
-		}()
+	// A live sealed link from seal-a to seal-b, whose frames seal-b's read
+	// loop dispatches while an open waits for its answer.
+	liveRes := dial(sealA, sealB, 0, 0, nil)
+	liveIn := accept(t, sealB, 0, 0)
+	liveIn.Write(nil)
+	live := <-liveRes
+	if live.err != nil {
+		t.Fatal(live.err)
 	}
-	wg.Wait()
-	if d = <-res; d.err != nil {
-		t.Fatalf("dial after concurrent use: %v", d.err)
-	}
-	got4 := make([]byte, 4)
-	if _, err := io.ReadFull(d.conn, got4); err != nil || string(got4) != "yyyy" {
-		t.Fatalf("read %q, %v", got4, err)
-	}
-	ac.Close()
-	d.conn.Close()
-
-	res, ac = open(4, nil)
-	ac.Close()
-	if d := <-res; !errors.Is(d.err, ErrRefused) {
-		t.Fatalf("dial of a link closed unused: %v, want ErrRefused", d.err)
-	}
-
-	cancel := make(chan struct{})
-	res, ac = open(5, cancel)
-	close(cancel)
-	if d := <-res; !errors.Is(d.err, ErrDialCanceled) {
-		t.Fatalf("canceled dial: %v", d.err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !ac.(*routedConn).Abandoned() {
-		if time.Now().After(deadline) {
-			t.Fatal("a link abandoned unanswered does not say so")
+	crosses := func(t *testing.T) {
+		t.Helper()
+		if _, err := live.conn.Write([]byte("ping")); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		got := make([]byte, 4)
+		liveIn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := io.ReadFull(liveIn, got); err != nil || string(got) != "ping" {
+			t.Fatalf("a live link's frame did not cross while an open waited: %q, %v", got, err)
+		}
 	}
-	if _, err := ac.Read(got); err == nil {
-		t.Fatal("an abandoned link reads")
-	}
-	ac.Close()
 
-	alice.mu.Lock()
-	opening := len(alice.opening)
-	alice.mu.Unlock()
-	if opening != 0 || alice.LinkCount() != 0 {
-		t.Fatalf("%d unanswered and %d registered links left", opening, alice.LinkCount())
+	for _, p := range []struct {
+		name    string
+		purpose byte
+		conv    uint64
+	}{{"none", 0, 0}, {"service", PurposeService, 0}, {"data", PurposeData, 5}} {
+		t.Run(p.name, func(t *testing.T) {
+			t.Run("answered on first use", func(t *testing.T) {
+				res := dial(sealA, sealB, p.purpose, p.conv, nil)
+				in := accept(t, sealB, p.purpose, p.conv)
+				crosses(t)
+				select {
+				case d := <-res:
+					t.Fatalf("dial answered before the link was used: %v", d.err)
+				case <-time.After(50 * time.Millisecond):
+				}
+				var wg sync.WaitGroup
+				for range 4 {
+					wg.Add(2)
+					go func() {
+						defer wg.Done()
+						if _, err := in.Write([]byte("y")); err != nil {
+							t.Error(err)
+						}
+					}()
+					go func() {
+						defer wg.Done()
+						if len(in.(exporter).ExportKey("x")) != 32 {
+							t.Error("a concurrent first use exports no key")
+						}
+					}()
+				}
+				wg.Wait()
+				d := <-res
+				if d.err != nil {
+					t.Fatalf("dial after use: %v", d.err)
+				}
+				got := make([]byte, 4)
+				if _, err := io.ReadFull(d.conn, got); err != nil || string(got) != "yyyy" {
+					t.Fatalf("read %q, %v", got, err)
+				}
+				if key := in.(exporter).ExportKey("x"); len(key) != 32 || !bytes.Equal(key, d.conn.(exporter).ExportKey("x")) {
+					t.Fatal("the two ends of the used link derive no common key")
+				}
+				in.Close()
+				d.conn.Close()
+			})
+			t.Run("closed unused", func(t *testing.T) {
+				res := dial(sealA, sealB, p.purpose, p.conv, nil)
+				accept(t, sealB, p.purpose, p.conv).Close()
+				if d := <-res; !errors.Is(d.err, ErrRefused) {
+					t.Fatalf("dial of a link closed unused: %v, want ErrRefused", d.err)
+				}
+			})
+			t.Run("abandoned unanswered", func(t *testing.T) {
+				cancel := make(chan struct{})
+				res := dial(sealA, sealB, p.purpose, p.conv, cancel)
+				in := accept(t, sealB, p.purpose, p.conv)
+				close(cancel)
+				if d := <-res; !errors.Is(d.err, ErrDialCanceled) {
+					t.Fatalf("canceled dial: %v", d.err)
+				}
+				if why := testutil.Settle(func() (bool, string) {
+					return in.(*routedConn).Abandoned(), "a link abandoned unanswered does not say so"
+				}); why != "" {
+					t.Fatal(why)
+				}
+				if _, err := in.Read(make([]byte, 1)); err == nil {
+					t.Fatal("an abandoned link reads")
+				}
+				in.Close()
+			})
+			t.Run("offer-less open to a capable acceptor", func(t *testing.T) {
+				if d := <-dial(plainA, sealB, p.purpose, p.conv, nil); !errors.Is(d.err, ErrRefused) {
+					t.Fatalf("dial without an offer: %v, want ErrRefused", d.err)
+				}
+			})
+			t.Run("answer-less open-OK to a capable dialer", func(t *testing.T) {
+				res := dial(sealA, plainB, p.purpose, p.conv, nil)
+				in := accept(t, plainB, p.purpose, p.conv)
+				if d := <-res; !errors.Is(d.err, identity.ErrDowngraded) {
+					t.Fatalf("dial answered without an answer: %v, want ErrDowngraded", d.err)
+				}
+				if why := testutil.Settle(func() (bool, string) {
+					return in.(*routedConn).Abandoned(), "the acceptor's plaintext half was not abandoned"
+				}); why != "" {
+					t.Fatal(why)
+				}
+				in.Close()
+			})
+			t.Run("neither side capable", func(t *testing.T) {
+				res := dial(plainA, plainB, p.purpose, p.conv, nil)
+				in := accept(t, plainB, p.purpose, p.conv)
+				d := <-res
+				if d.err != nil {
+					t.Fatalf("plaintext dial: %v", d.err)
+				}
+				if _, err := d.conn.Write([]byte("clear")); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]byte, 5)
+				if _, err := io.ReadFull(in, got); err != nil || string(got) != "clear" {
+					t.Fatalf("read %q, %v", got, err)
+				}
+				if d.conn.(exporter).ExportKey("x") != nil || in.(exporter).ExportKey("x") != nil {
+					t.Fatal("a plaintext link exported a key")
+				}
+				in.Close()
+				d.conn.Close()
+			})
+		})
 	}
-	alice.Close()
-	bob.Close()
+
+	live.conn.Close()
+	liveIn.Close()
+	for _, c := range []*Client{sealA, sealB, plainA, plainB} {
+		if why := testutil.Settle(func() (bool, string) {
+			c.mu.Lock()
+			opening := len(c.opening)
+			c.mu.Unlock()
+			return opening == 0 && c.LinkCount() == 0,
+				fmt.Sprintf("%s: %d unanswered and %d registered links left", c.ID(), opening, c.LinkCount())
+		}); why != "" {
+			t.Fatal(why)
+		}
+		c.Close()
+	}
 	check()
 }
 
@@ -567,7 +658,7 @@ func TestDowngradeStrippedOfferFailsClosed(t *testing.T) {
 	w := newAuthWorld(t, "relay-0")
 	proxy := newTamperProxy(t, w.ln.Addr().String(), stripE2EBlob(KindOpen))
 
-	bob := w.attach("bob", w.issue("bob"), true)
+	bob := w.attach("bob", w.issue("bob"))
 	go func() {
 		// Bob never sees a valid secure open; it refuses each one, so
 		// nothing arrives here. The Accept unblocks on Close.
@@ -578,21 +669,21 @@ func TestDowngradeStrippedOfferFailsClosed(t *testing.T) {
 		}
 	}()
 
-	// Alice attaches *through the tampering proxy* with RequireE2E.
+	// Alice attaches *through the tampering proxy*.
 	aliceID := w.issue("alice")
 	conn, err := net.Dial("tcp", proxy.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	alice, err := AttachAuth(conn, "alice", &AuthConfig{Identity: aliceID, Trust: w.trust, RequireE2E: true})
+	alice, err := AttachAuth(conn, "alice", &AuthConfig{Identity: aliceID, Trust: w.trust})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer alice.Close()
 
-	// The stripped open reaches Bob as a plaintext open; Bob
-	// requires e2e and refuses it, so the dial fails — and must *not*
-	// produce a usable cleartext link.
+	// The stripped open reaches Bob as a plaintext open; Bob can seal
+	// and refuses it, so the dial fails — and must *not* produce a
+	// usable cleartext link.
 	_, err = alice.Dial("bob", time.Second)
 	if err == nil {
 		t.Fatal("stripped-capability open produced a link")
@@ -628,13 +719,15 @@ func TestDowngradeStrippedAnswerFailsClosed(t *testing.T) {
 	defer bob.Close()
 	go func() {
 		for {
-			if _, err := bob.Accept(); err != nil {
+			conn, err := bob.Accept()
+			if err != nil {
 				return
 			}
+			conn.Write(nil) // the first use answers; the proxy strips the answer
 		}
 	}()
 
-	alice := w.attach("alice", w.issue("alice"), true)
+	alice := w.attach("alice", w.issue("alice"))
 	_, err = alice.Dial("bob", time.Second)
 	if !errors.Is(err, identity.ErrDowngraded) {
 		t.Fatalf("stripped answer: got %v", err)
@@ -656,20 +749,16 @@ func TestDowngradeStrippedAnswerFailsClosed(t *testing.T) {
 func TestRelayDropsSourceSpoofedFrames(t *testing.T) {
 	check := testutil.LeakCheck(t, 4)
 	w := newAuthWorld(t, "relay-0")
-	alice := w.attach("alice", w.issue("alice"), true)
-	bob := w.attach("bob", w.issue("bob"), true)
+	alice := w.attach("alice", w.issue("alice"))
+	bob := w.attach("bob", w.issue("bob"))
 	// Mallory authenticates legitimately — then forges data frames
 	// claiming to come from alice on alice's link to bob. A
 	// trust-enforcing relay pins the embedded source to the
 	// authenticated attachment, so the forgeries are dropped at the
 	// edge: they never reach bob and cannot reset the sealed link.
-	mallory := w.attach("mallory", w.issue("mallory"), false)
+	mallory := w.attach("mallory", w.issue("mallory"))
 
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		conn, _ := bob.Accept()
-		accepted <- conn
-	}()
+	accepted := acceptUsed(t, bob)
 	ac, err := alice.Dial("bob", 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -738,19 +827,15 @@ func TestSealedLinkRejectsTamperedRecords(t *testing.T) {
 	}
 	proxy := newTamperProxy(t, w.ln.Addr().String(), corrupt)
 
-	bob := w.attach("bob", w.issue("bob"), true)
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		conn, _ := bob.Accept()
-		accepted <- conn
-	}()
+	bob := w.attach("bob", w.issue("bob"))
+	accepted := acceptUsed(t, bob)
 
 	aliceID := w.issue("alice")
 	conn, err := net.Dial("tcp", proxy.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	alice, err := AttachAuth(conn, "alice", &AuthConfig{Identity: aliceID, Trust: w.trust, RequireE2E: true})
+	alice, err := AttachAuth(conn, "alice", &AuthConfig{Identity: aliceID, Trust: w.trust})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -798,19 +883,15 @@ func TestSealedLinkRejectsReplayedRecords(t *testing.T) {
 	}
 	proxy := newTamperProxy(t, w.ln.Addr().String(), duplicate)
 
-	bob := w.attach("bob", w.issue("bob"), true)
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		conn, _ := bob.Accept()
-		accepted <- conn
-	}()
+	bob := w.attach("bob", w.issue("bob"))
+	accepted := acceptUsed(t, bob)
 
 	aliceID := w.issue("alice")
 	conn, err := net.Dial("tcp", proxy.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	alice, err := AttachAuth(conn, "alice", &AuthConfig{Identity: aliceID, Trust: w.trust, RequireE2E: true})
+	alice, err := AttachAuth(conn, "alice", &AuthConfig{Identity: aliceID, Trust: w.trust})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -845,7 +926,7 @@ func TestResumeReauthenticates(t *testing.T) {
 	check := testutil.LeakCheck(t, 4)
 	w := newAuthWorld(t, "relay-0")
 	aliceID := w.issue("alice")
-	alice := w.attach("alice", aliceID, true)
+	alice := w.attach("alice", aliceID)
 
 	detached := make(chan error, 1)
 	alice.SetDetachHandler(func(err error) { detached <- err })
@@ -893,21 +974,14 @@ func TestResumeReauthenticates(t *testing.T) {
 // link exports nil.
 func TestExportKeyBindsLink(t *testing.T) {
 	w := newAuthWorld(t, "relay-0")
-	alice := w.attach("alice", w.issue("alice"), true)
-	bob := w.attach("bob", w.issue("bob"), true)
-	carol := w.attach("carol", w.issue("carol"), true)
+	alice := w.attach("alice", w.issue("alice"))
+	bob := w.attach("bob", w.issue("bob"))
+	carol := w.attach("carol", w.issue("carol"))
 
 	type exporter interface{ ExportKey(label string) []byte }
 	link := func(from, to *Client) (dialed, accepted exporter) {
 		t.Helper()
-		accepts := make(chan net.Conn, 1)
-		go func() {
-			conn, err := to.Accept()
-			if err != nil {
-				t.Error(err)
-			}
-			accepts <- conn
-		}()
+		accepts := acceptUsed(t, to)
 		conn, err := from.Dial(to.ID(), 2*time.Second)
 		if err != nil {
 			t.Fatalf("dial %s: %v", to.ID(), err)

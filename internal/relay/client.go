@@ -28,7 +28,7 @@ type Client struct {
 	links    map[linkID]*routedConn
 	accepts  chan *routedConn
 	pending  map[linkID]*pendingDial
-	opening  map[linkID]*routedConn // sealed data links accepted, not yet answered (see settle)
+	opening  map[linkID]*routedConn // sealed links accepted, not yet answered (see settle)
 	nextChan uint64
 	window   int // receive window advertised on new links
 	closed   bool
@@ -586,24 +586,22 @@ func (c *Client) dispatch(kind byte, b *wire.Buf) {
 // handleOpen accepts (or refuses) an incoming virtual link. The body
 // carries the originator's node ID, its receive window — our initial send
 // credit on this link, so the link is usable the moment it is accepted —
-// its signed e2e link offer and the link's purpose, if any. A sealed
-// data link is delivered unanswered and answered on its first use (see
-// routedConn.settle): an establishment's routed half that loses its race
-// costs this side no key agreement, and the read loop runs none for it.
+// its signed e2e link offer and the link's purpose, if any. A client that
+// can seal refuses an open that carries no offer (an anonymous peer, or
+// an offer stripped in transit) and delivers every other one unanswered:
+// it is answered on its first use (see routedConn.settle), so a link
+// closed unused costs this side no key agreement, and the read loop runs
+// none.
 func (c *Client) handleOpen(channel uint64, body []byte) {
 	from, peerWindow, offerBlob, purpose, conv, err := decodeOpenBody(body)
+	sealed := c.auth.e2eCapable()
+	if err == nil && sealed && len(offerBlob) == 0 {
+		err = identity.ErrDowngraded
+	}
 	if err != nil {
 		if from != "" {
 			c.send(KindOpenFail, AppendRouted(nil, from, channel, nil))
 		}
-		return
-	}
-	sealed := len(offerBlob) > 0 && c.auth.e2eCapable()
-	if !sealed && c.auth != nil && c.auth.RequireE2E {
-		// Sealing is mandatory here but the open carries no usable
-		// offer (an anonymous peer, or the offer was stripped in
-		// transit): fail closed.
-		c.send(KindOpenFail, AppendRouted(nil, from, channel, nil))
 		return
 	}
 	key := linkID{peer: from, channel: channel, outbound: false}
@@ -623,13 +621,8 @@ func (c *Client) handleOpen(channel uint64, body []byte) {
 	if closed {
 		return
 	}
-	switch {
-	case !sealed:
+	if !sealed {
 		c.ackOpen(rc, nil)
-	case purpose != PurposeData:
-		if rc.settle(true) != nil {
-			return
-		}
 	}
 	// Deliver to Accept. The send into accepts is flag-guarded under
 	// mu: Close/fail set closed under mu before closing the channel, so
@@ -725,27 +718,17 @@ func (c *Client) handleOpenOK(channel uint64, body []byte) {
 	}
 	var keys *identity.LinkKeys
 	if pd.offer != nil {
-		if len(answerBlob) == 0 {
-			// We offered the secure capability and the answer came back
-			// without it: an acceptor that cannot seal, or a stripped
-			// exchange.
-			if c.auth != nil && c.auth.RequireE2E {
-				c.abandonLink(from, channel, roleInitiator)
-				pd.ch <- dialResult{err: fmt.Errorf("relay: open %s#%d answered without the secure capability: %w",
-					from, channel, identity.ErrDowngraded)}
-				return
-			}
-			// Plaintext fallback permitted by policy.
-		} else {
-			k, err := pd.offer.CompleteLink(c.auth.Trust, answerBlob)
-			if err != nil {
-				// Unverifiable answer: tear the far half down and fail
-				// the dial with the precise reason.
-				c.abandonLink(from, channel, roleInitiator)
-				pd.ch <- dialResult{err: fmt.Errorf("relay: link key exchange with %s failed: %w", from, err)}
-				return
-			}
-			keys = k
+		// We offered the seal: an open-OK without an answer (an acceptor
+		// that cannot seal, or an answer stripped in transit) fails
+		// closed like an unverifiable one, and the far half is torn down.
+		err := identity.ErrDowngraded
+		if len(answerBlob) > 0 {
+			keys, err = pd.offer.CompleteLink(c.auth.Trust, answerBlob)
+		}
+		if err != nil {
+			c.abandonLink(from, channel, roleInitiator)
+			pd.ch <- dialResult{err: fmt.Errorf("relay: link key exchange with %s failed: %w", from, err)}
+			return
 		}
 	}
 	c.mu.Lock()
@@ -849,7 +832,7 @@ func (c *Client) handleAbandon(channel uint64, body []byte) {
 	key := linkID{peer: string(from), channel: channel, outbound: outbound}
 	c.mu.Lock()
 	if rc == nil {
-		rc = c.opening[key] // a sealed data link not yet answered
+		rc = c.opening[key] // a sealed link not yet answered
 	}
 	delete(c.links, key)
 	delete(c.opening, key)

@@ -13,8 +13,9 @@ import (
 
 // TestStrictDecode: every control-frame body has one layout. For each,
 // the canonical encoding decodes, and the same bytes minus the last
-// field, plus one trailing byte, or (open bodies) with a zero window are
-// an error — never a valid body of some other shape.
+// field, plus one trailing byte, or (open bodies) with a zero window or a
+// varint that is not minimal are an error — never a valid body of some
+// other shape.
 func TestStrictDecode(t *testing.T) {
 	id, err := identity.Generate("pool/alice")
 	if err != nil {
@@ -82,6 +83,15 @@ func TestStrictDecode(t *testing.T) {
 	}
 	if err := open(wire.AppendBytes(wire.AppendUvarint(name(), 1<<63), nil)); err == nil {
 		t.Error("open body with a window beyond int accepted")
+	}
+	for field, body := range map[string][]byte{
+		"window":        wire.AppendBytes(append(name(), 0x81, 0), nil),
+		"sender length": wire.AppendBytes(wire.AppendUvarint(append([]byte{0x8a, 0}, "pool/alice"...), DefaultWindowBytes), nil),
+		"blob length":   append(windowed, 0x80, 0),
+	} {
+		if err := open(body); err == nil {
+			t.Errorf("open body whose %s is not minimally encoded accepted", field)
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ type routedConn struct {
 	rdeadline time.Time
 	wdeadline time.Time
 
-	// offer is the e2e offer of a sealed data link accepted unanswered;
+	// offer is the e2e offer of a sealed link accepted unanswered;
 	// settle answers it on first use, or refuses it on Close or Abort.
 	offer     []byte
 	settled   sync.Once
@@ -297,7 +297,7 @@ func (rc *routedConn) peerClosed() {
 
 // settle answers the link's sealed open on first use (use), or refuses
 // it when the link is closed unused; it runs once, and does nothing on a
-// link that was answered on arrival. Every use and every close goes
+// plaintext link or one this side dialed. Every use and every close goes
 // through it first.
 func (rc *routedConn) settle(use bool) error {
 	rc.settled.Do(func() {

@@ -40,7 +40,7 @@ func (c *aliasConn) SetWriteDeadline(time.Time) error { return nil }
 
 // newTestPeer builds a serverPeer with a running egress over conn.
 func newTestPeer(id string, conn net.Conn) *serverPeer {
-	return &serverPeer{id: id, conn: conn, eg: NewEgress(conn, wire.NewWriter(conn), 0, nil)}
+	return &serverPeer{id: id, conn: conn, eg: NewEgress(conn, wire.NewWriter(conn), nil)}
 }
 
 // routeFixture builds a Server with two directly registered peers whose
@@ -161,7 +161,7 @@ func TestRouteToMeshZeroAllocs(t *testing.T) {
 	defer b.Release()
 	delete(s.nodes, "dst-node")
 	sink := &aliasConn{}
-	eg := NewEgress(sink, wire.NewWriter(sink), 0, nil)
+	eg := NewEgress(sink, wire.NewWriter(sink), nil)
 	defer eg.Close()
 	s.SetForwarder(meshStub{eg: eg})
 	s.route(source, KindData, b) // warm the forward counters' map entry

@@ -48,10 +48,10 @@
 // trust store a Server demands an authenticated attach — a
 // challenge/response proving possession of an Ed25519 key bound to the
 // claimed node ID (KindChallenge/KindAuth, typed KindAttachFail
-// rejections) — and clients configured via AttachAuth run an
-// identity-signed X25519 exchange in the open/open-OK bodies and seal
-// every data frame with per-direction AEAD subkeys before it enters the
-// relay path. Relays forward such frames as ciphertext through the
+// rejections) — and clients given an identity and a trust store via
+// AttachAuth run an identity-signed X25519 exchange in the open/open-OK
+// bodies of every link, or fail it, and seal every data frame with
+// per-direction AEAD subkeys before it enters the relay path. Relays forward such frames as ciphertext through the
 // unchanged cut-through/egress/credit machinery; only the routing
 // header and control kinds stay cleartext. See DESIGN.md, "Identity and
 // end-to-end security".

@@ -72,30 +72,27 @@ func (q *egressSource) push(kind byte, hdr, payload []byte, owner *wire.Buf) {
 // actual writes, so a stalled destination connection never blocks a
 // source's reader beyond its own bounded queue.
 //
-// The writer drains a burst per wakeup: up to batchFrames frames (and
-// batchBytes payload bytes), collected round-robin across the sources,
-// leave in one multi-frame write (wire.Writer.WriteFrameBatch — one
-// writev instead of one per frame, or one plain write when the burst is
-// a few small control frames). The batch holds one reference to
-// every frame's owner Buf; all of them are released after the single
-// syscall, successful or not (see DESIGN.md, "Buffer ownership and the
-// zero-copy path").
+// The writer drains a burst per wakeup: up to DefaultEgressBatchFrames
+// frames (and DefaultEgressBatchBytes payload bytes), collected
+// round-robin across the sources, leave in one multi-frame write
+// (wire.Writer.WriteFrameBatch — one writev instead of one per frame, or
+// one plain write when the burst is a few small control frames). The
+// batch holds one reference to every frame's owner Buf; all of them are
+// released after the single syscall, successful or not (see DESIGN.md,
+// "Buffer ownership and the zero-copy path").
 type Egress struct {
 	conn net.Conn
 	w    *wire.Writer
 	hist *obs.Histogram // frames-per-write observer; nil disables
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	limit       int
-	batchFrames int
-	batchBytes  int
-	sources     map[string]*egressSource
-	order       []*egressSource // round-robin ring over the known sources
-	next        int             // round-robin cursor into order
-	pending     int             // total queued entries across sources
-	empties     int             // sources whose queue is currently empty
-	closed      bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	sources map[string]*egressSource
+	order   []*egressSource // round-robin ring over the known sources
+	next    int             // round-robin cursor into order
+	pending int             // total queued entries across sources
+	empties int             // sources whose queue is currently empty
+	closed  bool
 
 	// Writer-local batch state, reused across wakeups so the steady
 	// state drains without allocating. collect fills entries/hdrArena
@@ -130,41 +127,19 @@ const egressCompactThreshold = 16
 
 // NewEgress creates the scheduler for conn, writing frames through w
 // (which must not be used by anyone else from this point on), and starts
-// its writer goroutine. limit <= 0 selects DefaultEgressQueueFrames.
-// hist, when non-nil, receives one observation per vectored write: the
-// number of frames the write emitted (the relay registers it as
-// netibis_relay_egress_frames_per_write).
-func NewEgress(conn net.Conn, w *wire.Writer, limit int, hist *obs.Histogram) *Egress {
-	if limit <= 0 {
-		limit = DefaultEgressQueueFrames
-	}
+// its writer goroutine. hist, when non-nil, receives one observation per
+// vectored write: the number of frames the write emitted (the relay
+// registers it as netibis_relay_egress_frames_per_write).
+func NewEgress(conn net.Conn, w *wire.Writer, hist *obs.Histogram) *Egress {
 	e := &Egress{
-		conn:        conn,
-		w:           w,
-		hist:        hist,
-		limit:       limit,
-		batchFrames: DefaultEgressBatchFrames,
-		batchBytes:  DefaultEgressBatchBytes,
-		sources:     make(map[string]*egressSource),
+		conn:    conn,
+		w:       w,
+		hist:    hist,
+		sources: make(map[string]*egressSource),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	go e.run()
 	return e
-}
-
-// SetBatch overrides the per-write drain budgets (frames and payload
-// bytes; <= 0 keeps the default for that budget). Meant to be called
-// right after NewEgress, before traffic flows; 1 frame restores the
-// pre-batching one-write-per-frame behaviour.
-func (e *Egress) SetBatch(frames, bytes int) {
-	e.mu.Lock()
-	if frames > 0 {
-		e.batchFrames = frames
-	}
-	if bytes > 0 {
-		e.batchBytes = bytes
-	}
-	e.mu.Unlock()
 }
 
 // Enqueue schedules one frame whose body is hdr followed by payload.
@@ -196,11 +171,11 @@ func (e *Egress) EnqueueFrom(src []byte, kind byte, hdr, payload []byte, owner *
 func (e *Egress) enqueueLocked(q *egressSource, id string, kind byte, hdr, payload []byte, owner *wire.Buf) error {
 	created := q == nil
 	if created {
-		q = &egressSource{id: id, entries: make([]egressEntry, e.limit)}
+		q = &egressSource{id: id, entries: make([]egressEntry, DefaultEgressQueueFrames)}
 		e.sources[id] = q
 		e.order = append(e.order, q)
 	}
-	for q.n == e.limit && !e.closed {
+	for q.n == DefaultEgressQueueFrames && !e.closed {
 		e.cond.Wait()
 	}
 	if e.closed {
@@ -261,13 +236,13 @@ func (e *Egress) collectLocked() (wake bool) {
 	e.batch = e.batch[:0]
 	e.hdrArena = e.hdrArena[:0]
 	bytes := 0
-	for len(e.batch) < e.batchFrames && bytes < e.batchBytes {
+	for len(e.batch) < DefaultEgressBatchFrames && bytes < DefaultEgressBatchBytes {
 		q := e.pickLocked()
 		if q == nil {
 			break
 		}
 		slot := &q.entries[q.head]
-		if q.n == e.limit {
+		if q.n == DefaultEgressQueueFrames {
 			wake = true
 		}
 		off := len(e.hdrArena)

@@ -115,10 +115,10 @@ func seqPayload(src byte, seq uint32) []byte {
 func TestEgressCompactPreservesOrderAndCursor(t *testing.T) {
 	// Handle the lock and state directly — no writer goroutine, so the
 	// pre-compaction shape is exactly what the test laid out.
-	e := &Egress{limit: 4, sources: make(map[string]*egressSource)}
+	e := &Egress{sources: make(map[string]*egressSource)}
 	e.cond = sync.NewCond(&e.mu)
 	add := func(id string, queued int) *egressSource {
-		q := &egressSource{id: id, entries: make([]egressEntry, e.limit)}
+		q := &egressSource{id: id, entries: make([]egressEntry, DefaultEgressQueueFrames)}
 		for i := 0; i < queued; i++ {
 			q.push(KindData, nil, nil, nil)
 			e.pending++
@@ -162,7 +162,7 @@ func TestEgressFairnessAcrossCompaction(t *testing.T) {
 	defer testutil.LeakCheck(t, 0)()
 	conn := newScriptConn()
 	conn.hold()
-	eg := NewEgress(conn, wire.NewWriter(conn), 8, nil)
+	eg := NewEgress(conn, wire.NewWriter(conn), nil)
 	defer eg.Close()
 	// One sacrificial frame occupies the writer (parked in the held
 	// Write) so everything below queues up behind it deterministically.
@@ -233,8 +233,7 @@ func TestEgressBatchPreservesPerLinkOrder(t *testing.T) {
 	conn := newScriptConn()
 	conn.hold()
 	hist := obs.NewHistogram([]float64{1, 2, 4, 8, 16, 32})
-	eg := NewEgress(conn, wire.NewWriter(conn), 64, hist)
-	eg.SetBatch(4, 0) // several boundaries inside one test's burst
+	eg := NewEgress(conn, wire.NewWriter(conn), hist)
 	defer eg.Close()
 
 	if err := eg.Enqueue("warmup", KindData, nil, seqPayload('w', 0), nil); err != nil {
@@ -245,7 +244,8 @@ func TestEgressBatchPreservesPerLinkOrder(t *testing.T) {
 	}); why != "" {
 		t.Fatal(why)
 	}
-	const perSource = 16
+	// Each source fills its queue: four batch budgets' worth of frames.
+	const perSource = DefaultEgressQueueFrames
 	for i := uint32(0); i < perSource; i++ {
 		if err := eg.Enqueue("a", KindData, nil, seqPayload('A', i), nil); err != nil {
 			t.Fatal(err)
@@ -277,14 +277,14 @@ func TestEgressBatchPreservesPerLinkOrder(t *testing.T) {
 	if tagged != 2*perSource {
 		t.Fatalf("parsed %d tagged frames, want %d", tagged, 2*perSource)
 	}
-	// 32 queued frames at a 4-frame budget: at least 8 writes, and far
-	// fewer than one write per frame.
+	// The warmup's write, then the burst cut by the production budget:
+	// at least one write per budget, and far fewer than one per frame.
 	writes, frames := hist.Count(), int64(hist.Sum())
 	if frames < 2*perSource {
 		t.Fatalf("histogram saw %d frames, want >= %d", frames, 2*perSource)
 	}
-	if writes >= frames {
-		t.Fatalf("%d writes for %d frames: no batching happened", writes, frames)
+	if least := 1 + 2*perSource/DefaultEgressBatchFrames; writes < int64(least) || writes >= frames {
+		t.Fatalf("%d writes for %d frames: want at least %d (the budget cuts the burst) and fewer than one per frame", writes, frames, least)
 	}
 }
 
@@ -296,8 +296,8 @@ func TestEgressStalledDestinationIsolatesSource(t *testing.T) {
 	defer testutil.LeakCheck(t, 0)()
 	conn := newScriptConn()
 	conn.hold()
-	const limit = 4
-	eg := NewEgress(conn, wire.NewWriter(conn), limit, nil)
+	const limit = DefaultEgressQueueFrames
+	eg := NewEgress(conn, wire.NewWriter(conn), nil)
 	defer eg.Close()
 
 	// Wedge the writer mid-batch, then fill the offender's ring.
@@ -355,7 +355,7 @@ func TestEgressAbortedBatchReleasesOwnersOnce(t *testing.T) {
 	defer testutil.LeakCheck(t, 0)()
 	conn := newScriptConn()
 	conn.hold()
-	eg := NewEgress(conn, wire.NewWriter(conn), 64, nil)
+	eg := NewEgress(conn, wire.NewWriter(conn), nil)
 	defer eg.Close()
 
 	// Wedge the writer on a throwaway frame, then queue owned frames
@@ -414,7 +414,7 @@ func TestEgressAbortedBatchReleasesOwnersOnce(t *testing.T) {
 // that broadcasts unconditionally to see the herd cost.
 func BenchmarkEgressEnqueueContended(b *testing.B) {
 	conn := &aliasConn{} // discards writes: the cost measured is the scheduler's
-	eg := NewEgress(conn, wire.NewWriter(conn), 0, nil)
+	eg := NewEgress(conn, wire.NewWriter(conn), nil)
 	defer eg.Close()
 	payload := bytes.Repeat([]byte{0x42}, 512)
 	var srcID atomic.Int64

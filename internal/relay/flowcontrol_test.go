@@ -576,7 +576,7 @@ func TestRoutedLinkBoundsHostilePeer(t *testing.T) {
 // accumulate one idle ring per source it ever heard from.
 func TestEgressCompactsIdleSources(t *testing.T) {
 	sink := &aliasConn{}
-	eg := NewEgress(sink, wire.NewWriter(sink), 4, nil)
+	eg := NewEgress(sink, wire.NewWriter(sink), nil)
 	defer eg.Close()
 	const churn = 200
 	for i := 0; i < churn; i++ {

@@ -84,8 +84,9 @@ func FuzzDecodeAuthResponse(f *testing.F) {
 // FuzzOpenBody fuzzes the open/open-OK body decode exactly as dispatch
 // performs it: originator ID, window, end-to-end exchange blob, purpose.
 // A body is either rejected or yields a positive window and a known
-// purpose that ends it in exactly the encoding it arrived in — never an
-// unbounded sender, never a link of unknown use.
+// purpose, and the result encodes to exactly the body it arrived as —
+// one encoding per open, never an unbounded sender, never a link of
+// unknown use.
 func FuzzOpenBody(f *testing.F) {
 	f.Add(wire.AppendString(nil, "pool/alice")) // truncated: no window
 	f.Add(appendOpenBody(nil, "pool/alice", 256<<10, nil))
@@ -103,8 +104,8 @@ func FuzzOpenBody(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if tail := appendPurpose(nil, purpose, conv); !bytes.HasSuffix(data, tail) {
-			t.Fatalf("%x decodes to purpose %d of %d, which encodes to %x", data, purpose, conv, tail)
+		if enc := appendPurpose(appendOpenBody(nil, from, window, blob), purpose, conv); !bytes.Equal(enc, data) {
+			t.Fatalf("%x decodes to a body that encodes to %x", data, enc)
 		}
 		if window <= 0 {
 			t.Fatalf("accepted a body with window %d", window)

@@ -102,13 +102,7 @@ func (s *Server) MetricsInto(reg *obs.Registry) {
 		s.egressHist)
 	reg.GaugeFunc("netibis_flow_egress_queue_limit_frames",
 		"Per-source egress queue bound (frames).",
-		func() float64 {
-			limit := s.egressQueue()
-			if limit <= 0 {
-				limit = DefaultEgressQueueFrames
-			}
-			return float64(limit)
-		})
+		func() float64 { return DefaultEgressQueueFrames })
 }
 
 // MetricsInto registers the client's flow-control counters (the node

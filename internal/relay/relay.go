@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -140,12 +141,13 @@ func appendPurpose(buf []byte, purpose byte, conv uint64) []byte {
 }
 
 // decodeOpenBody parses an open or open-OK body; blob aliases body, and
-// purpose is 0 when the body ends without one. It accepts exactly what
-// appendOpenBody and appendPurpose make: a truncated body, a purpose that
-// is not PurposeService or PurposeData, a data purpose without its
-// minimally encoded establishment, trailing bytes, an empty sender or a
-// window that is zero or beyond int is malformed. On error from is still
-// returned when it decoded, so the caller can answer the sender.
+// purpose is 0 when the body ends without one. It accepts exactly one
+// encoding: what appendOpenBody and appendPurpose make of the result. A
+// truncated body, a purpose that is not PurposeService or PurposeData, a
+// data purpose without its establishment, trailing bytes, a varint that
+// is not minimal, an empty sender or a window that is zero or beyond int
+// is malformed. On error from is still returned when it decoded, so the
+// caller can answer the sender.
 func decodeOpenBody(body []byte) (from string, window int, blob []byte, purpose byte, conv uint64, err error) {
 	d := wire.NewDecoder(body)
 	from = d.String()
@@ -154,21 +156,12 @@ func decodeOpenBody(body []byte) (from string, window int, blob []byte, purpose 
 	}
 	w := d.Uvarint()
 	blob = d.Bytes()
-	ok := d.Err() == nil && w > 0 && w <= math.MaxInt
-	if tail := body[len(body)-d.Remaining():]; ok && len(tail) > 0 {
+	if tail := body[len(body)-d.Remaining():]; len(tail) > 0 {
 		purpose = tail[0]
-		switch purpose {
-		case PurposeService:
-			ok = len(tail) == 1
-		case PurposeData:
-			var k int
-			conv, k = binary.Uvarint(tail[1:])
-			ok = k > 0 && k == len(tail)-1 && (k == 1 || tail[k] != 0)
-		default:
-			ok = false
-		}
+		conv, _ = binary.Uvarint(tail[1:]) // a missing or cut establishment reads 0, which the re-encoding below catches
 	}
-	if !ok {
+	ok := d.Err() == nil && w > 0 && w <= math.MaxInt && (purpose == 0 || purpose == PurposeService || purpose == PurposeData)
+	if !ok || !bytes.Equal(appendPurpose(appendOpenBody(nil, from, int(w), blob), purpose, conv), body) {
 		return from, 0, nil, 0, 0, identity.ErrMalformed
 	}
 	return from, int(w), blob, purpose, conv, nil

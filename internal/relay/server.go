@@ -96,12 +96,6 @@ type Server struct {
 	// nothing would ever repair.
 	attachMu sync.Mutex
 
-	// egressLimit is the per-source queue bound applied to every
-	// attached node's egress scheduler (0 = DefaultEgressQueueFrames).
-	egressLimit int
-	// egressBatch is the per-write frame budget applied to every
-	// attached node's egress scheduler (0 = DefaultEgressBatchFrames).
-	egressBatch int
 	// egressHist observes, for every vectored write an attached node's
 	// egress performs, how many frames that write emitted (the batching
 	// win: mean > 1 under load). Shared by all egress schedulers;
@@ -202,36 +196,6 @@ func (s *Server) ID() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.id
-}
-
-// SetEgressQueue overrides the per-source egress queue bound applied to
-// nodes attaching from now on (frames; <= 0 restores the default). It is
-// meant to be set before Serve.
-func (s *Server) SetEgressQueue(frames int) {
-	s.mu.Lock()
-	s.egressLimit = frames
-	s.mu.Unlock()
-}
-
-func (s *Server) egressQueue() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.egressLimit
-}
-
-// SetEgressBatch overrides the frames-per-write budget of the egress
-// schedulers of nodes attaching from now on (<= 0 restores the default,
-// 1 disables batching). It is meant to be set before Serve.
-func (s *Server) SetEgressBatch(frames int) {
-	s.mu.Lock()
-	s.egressBatch = frames
-	s.mu.Unlock()
-}
-
-func (s *Server) egressBatchFrames() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.egressBatch
 }
 
 // EgressWriteStats reports, across all attached nodes' egress schedulers,
@@ -553,10 +517,7 @@ func (s *Server) handleNode(c net.Conn, r *wire.Reader, attach wire.Frame) {
 	// frame) before the ack is queued, and the ack cannot be written
 	// before the node is published. A fresh egress never blocks.
 	ack := wire.AppendString(nil, s.ID())
-	peer.eg = NewEgress(c, w, s.egressQueue(), s.egressHist)
-	if batch := s.egressBatchFrames(); batch > 0 {
-		peer.eg.SetBatch(batch, 0)
-	}
+	peer.eg = NewEgress(c, w, s.egressHist)
 	defer peer.eg.Close()
 
 	s.attachMu.Lock()
