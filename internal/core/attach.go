@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -119,36 +120,54 @@ func (a *Attachment) candidates(failover bool) []emunet.Endpoint {
 }
 
 // relayProbe is one probed candidate: an open, not yet attached
-// connection plus its measured round-trip time.
+// connection plus its measured round-trip time (zero when it was the
+// only one reachable).
 type relayProbe struct {
 	ep   emunet.Endpoint
 	conn net.Conn
 	rtt  time.Duration
 }
 
-// probe dials every distinct candidate, measures the pre-attach
-// round-trip time and returns the reachable ones ordered best-first
-// (lowest RTT bucket, ties spread by a hash of the node ID). The caller
-// owns the returned connections.
+// probe dials every distinct candidate at once and returns the reachable
+// ones ordered best-first. Only a choice needs ranking: when more than one
+// is reachable, each measures its pre-attach round-trip time, all at
+// once, and they are ordered by RTT bucket (ties spread by a hash of the
+// node ID); a lone one is returned unprobed. The caller owns the returned
+// connections.
 func (a *Attachment) probe(cands []emunet.Endpoint) []relayProbe {
-	seen := make(map[emunet.Endpoint]bool)
 	var probes []relayProbe
 	for _, ep := range cands {
-		if ep.IsZero() || seen[ep] {
-			continue
+		if !ep.IsZero() && !slices.ContainsFunc(probes, func(p relayProbe) bool { return p.ep == ep }) {
+			probes = append(probes, relayProbe{ep: ep})
 		}
-		seen[ep] = true
-		conn, err := a.Host.Dial(ep)
-		if err != nil {
-			continue // unreachable or dead relay: skip
-		}
-		rtt, err := relay.ProbeRTT(conn)
-		if err != nil {
-			conn.Close()
-			continue
-		}
-		probes = append(probes, relayProbe{ep: ep, conn: conn, rtt: rtt})
 	}
+	// each runs f on every probe concurrently and keeps those left with a
+	// connection.
+	each := func(f func(p *relayProbe)) {
+		var wg sync.WaitGroup
+		for i := range probes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f(&probes[i])
+			}()
+		}
+		wg.Wait()
+		probes = slices.DeleteFunc(probes, func(p relayProbe) bool { return p.conn == nil })
+	}
+	each(func(p *relayProbe) {
+		p.conn, _ = a.Host.Dial(p.ep) // nil: unreachable or dead relay, skipped
+	})
+	if len(probes) < 2 {
+		return probes
+	}
+	each(func(p *relayProbe) {
+		var err error
+		if p.rtt, err = relay.ProbeRTT(p.conn); err != nil {
+			p.conn.Close()
+			p.conn = nil
+		}
+	})
 	spread := func(ep emunet.Endpoint) uint32 {
 		h := fnv.New32a()
 		h.Write([]byte(a.NodeID))

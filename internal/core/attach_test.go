@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"net"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"netibis/internal/obs"
 	"netibis/internal/relay"
 	"netibis/internal/testutil"
+	"netibis/internal/wire"
 )
 
 // attachWorld is a fabric with stand-alone relays a test kills and
@@ -19,8 +22,54 @@ type attachWorld struct {
 	t       *testing.T
 	hosts   []*emunet.Host
 	srvs    []*relay.Server // nil while killed
+	probes  []atomic.Int64  // per relay: the RTT probes it answered
 	node    *emunet.Host
 	closers []func() error
+}
+
+// probeCounter is a relay's listener that counts the keep-alives each
+// accepted connection carries before its first other frame: the
+// pre-attach RTT probes the relay answers.
+type probeCounter struct {
+	net.Listener
+	probes *atomic.Int64
+}
+
+func (l probeCounter) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &probeCountingConn{Conn: conn, probes: l.probes}, nil
+}
+
+// probeCountingConn parses what the relay reads until the first frame
+// that is not a keep-alive. Only the relay's reader touches it.
+type probeCountingConn struct {
+	net.Conn
+	probes  *atomic.Int64
+	head    []byte
+	counted int
+	done    bool
+}
+
+func (c *probeCountingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if c.done {
+		return n, err
+	}
+	c.head = append(c.head, p[:n]...)
+	leading := 0
+	for _, f := range parseFrames(c.head) {
+		if f.Kind != wire.KindKeepAlive {
+			c.done, c.head = true, nil
+			break
+		}
+		leading++
+	}
+	c.probes.Add(int64(leading - c.counted))
+	c.counted = leading
+	return n, err
 }
 
 // newAttachWorld starts one relay per entry of rtts, each behind a link
@@ -34,7 +83,7 @@ func newAttachWorld(t *testing.T, rtts []time.Duration) *attachWorld {
 	}
 	f := emunet.NewFabric(emunet.WithSeed(5), emunet.WithTimeScale(scale))
 	t.Cleanup(f.Close)
-	w := &attachWorld{t: t, srvs: make([]*relay.Server, len(rtts))}
+	w := &attachWorld{t: t, srvs: make([]*relay.Server, len(rtts)), probes: make([]atomic.Int64, len(rtts))}
 	w.node = f.AddSite("nodes", emunet.SiteConfig{Firewall: emunet.Stateful}).AddHost("node")
 	for i, rtt := range rtts {
 		site := "relay-" + string(rune('a'+i))
@@ -81,7 +130,7 @@ func (w *attachWorld) restore(i int) {
 	}
 	w.srvs[i] = relay.NewServer()
 	w.srvs[i].SetID(w.hosts[i].Name())
-	go w.srvs[i].Serve(l)
+	go w.srvs[i].Serve(probeCounter{Listener: l, probes: &w.probes[i]})
 }
 
 // attached is an Attachment pinned to relay 0 that finds the others
@@ -184,8 +233,24 @@ func TestAttachmentPolicy(t *testing.T) {
 				if a.Endpoint() != w.ep(2) || a.Client().ServerID() != "relay-c" {
 					t.Errorf("resumed on %v (%s), want the nearer survivor %v", a.Endpoint(), a.Client().ServerID(), w.ep(2))
 				}
+				// The pinned first attach had nothing to rank.
+				if got := []int64{w.probes[0].Load(), w.probes[1].Load(), w.probes[2].Load()}; !slices.Equal(got, []int64{0, 1, 1}) {
+					t.Errorf("the relays answered %v RTT probes, want [0 1 1]", got)
+				}
 				if d, ok, ab := a.counters(t); d != 1 || ok != 1 || ab != 0 {
 					t.Errorf("detaches %v, resumed %v, abandoned %v; want 1, 1, 0", d, ok, ab)
+				}
+			}},
+		{"a lone candidate attaches unprobed, on join and on failover", []time.Duration{4 * time.Millisecond, 4 * time.Millisecond},
+			func(t *testing.T, w *attachWorld) {
+				a := w.attach("pool/single")
+				w.kill(0)
+				a.awaitResume(t)
+				if a.Endpoint() != w.ep(1) {
+					t.Errorf("resumed on %v, want the one survivor %v", a.Endpoint(), w.ep(1))
+				}
+				if p0, p1 := w.probes[0].Load(), w.probes[1].Load(); p0 != 0 || p1 != 0 {
+					t.Errorf("the relays answered %d and %d RTT probes, want none: each attach had one candidate reachable", p0, p1)
 				}
 			}},
 		{"every candidate dead: abandons after the retry budget", []time.Duration{0, 0},

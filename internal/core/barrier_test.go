@@ -2,8 +2,10 @@ package core
 
 // Tests of a connect's tail: once the data link is up the connect's
 // barrier (estab.ServiceMux.Finish) passes on a goroutine that keeps the
-// service link to itself, so the caller does not wait for it, the next
-// user of the link does, and its failure is the service link's alone.
+// service link's write half until the done marker is out and its read
+// half until the peer's is in, so the caller does not wait for it, the
+// next request goes out right behind the marker and only its reply
+// waits, and the barrier's failure is the service link's alone.
 
 import (
 	"errors"
@@ -45,10 +47,10 @@ func newLinkedGrid(t *testing.T, scale float64, rtt time.Duration) *testGrid {
 }
 
 // TestBarrierOrdersServiceLinkUse: fifty connects and pings back to back
-// on one service link whose frames take real time. Each takes the link
+// on one service link whose frames take real time. Each reads the link
 // only once the previous connect's barrier has passed, so no ping (which
-// reads exactly one frame) and no connect request sees a stray frame of
-// an establishment, and the link is never evicted.
+// reads exactly one frame) and no connect reply sees a stray frame of an
+// establishment, and the link is never evicted.
 func TestBarrierOrdersServiceLinkUse(t *testing.T) {
 	g := newShapedGrid(t, 0.25)
 	a := g.node("alice", "site-a", stateful, nil)
@@ -165,8 +167,11 @@ func TestCloseWithBarrierPending(t *testing.T) {
 	if err := sp.Connect(rp.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if sl.mu.TryLock() {
-		t.Fatal("the service link is free while the connect's barrier is open")
+	if sl.rmu.TryLock() {
+		t.Fatal("the service link's read half is free while the connect's barrier is open")
+	}
+	if sl.wmu.TryLock() {
+		t.Fatal("the service link's write half is free while the connect's done marker is held back")
 	}
 	sendText(t, sp, "the data link does not wait for the barrier")
 	if got, _ := recvText(t, rp); !strings.HasPrefix(got, "the data link") {

@@ -613,8 +613,10 @@ func recordServiceLink(t *testing.T, a *Node, peer string) (*recordingConn, *ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
+	sl.wmu.Lock()
+	defer sl.wmu.Unlock()
+	sl.rmu.Lock()
+	defer sl.rmu.Unlock()
 	rec := &recordingConn{Conn: sl.conn, closed: make(chan struct{})}
 	sl.conn, sl.r, sl.w = rec, wire.NewReader(rec), wire.NewWriter(rec)
 	return rec, sl
@@ -793,8 +795,8 @@ func testConnectFrameCount(t *testing.T, acc emunet.SiteConfig, ranking []estab.
 		t.Fatalf("when Connect returned the initiator had read %v, want the connect-OK (and, for client/server, the listening endpoint)", r)
 	}
 
-	sl.mu.Lock() // the barrier has passed
-	sl.mu.Unlock()
+	sl.rmu.Lock() // the barrier has passed
+	sl.rmu.Unlock()
 	sent, got = rec.frames()
 	if !slices.Equal(names(sent), []string{request, elect, done}) {
 		t.Fatalf("a cold %v connect put %v from the initiator on the service link, want the connect request, the election and the done marker", method, names(sent))

@@ -198,14 +198,20 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 		return &serviceLinkBrokenError{cause: err}
 	}
 
-	// The whole brokering conversation for this connect owns the service
-	// link exclusively, until its barrier has passed — on a goroutine,
-	// once the data link is up (below).
-	sl.mu.Lock()
-	barrierOwnsLink := false
+	// The connect holds the service link's write half from its request
+	// until its done marker is written, and its read half from the reply
+	// until the peer's done marker is read — on a goroutine, once the
+	// data link is up (below). A request written while the previous
+	// connect's barrier is still open is read by the peer only once that
+	// barrier has passed there, so only its reply waits for it.
+	sl.wmu.Lock()
+	writing, reading := true, false
 	defer func() {
-		if !barrierOwnsLink {
-			sl.mu.Unlock()
+		if writing {
+			sl.wmu.Unlock()
+		}
+		if reading {
+			sl.rmu.Unlock()
 		}
 	}()
 
@@ -215,7 +221,12 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	// every establishment (one per sub-stream of the stack) below, and
 	// timed: it is the round trip the races size their head starts by.
 	// The routed data links the peer opens, one per establishment, are
-	// admitted until the establishments are done.
+	// admitted until the establishments are done. They may be admitted
+	// while the previous connect's barrier is open, and that connect's
+	// late routed halves then park here too; none is taken, for each is
+	// abandoned by the time this reply is read: the acceptor abandons
+	// what its election discarded before it writes its done marker, and
+	// this reply follows that marker on the same FIFO relay path.
 	ports, predicted := n.connector.ReserveSplice(count)
 	req := connectRequest{portName: to.Port, typeDigest: portTypeDigest(sp.portType), sender: n.id, profile: n.connector.Profile(), splice: predicted}
 	defer n.expectRoutedData(sl.peer)()
@@ -223,11 +234,23 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	if err := sl.w.WriteFrame(wire.KindControl, opConnect, encodeConnectRequest(req)); err != nil {
 		return broken(err)
 	}
+	queued := !sl.rmu.TryLock()
+	if queued {
+		sl.rmu.Lock()
+	}
+	reading = true
 	f, err := sl.r.ReadFrame()
 	if err != nil {
 		return broken(err)
 	}
-	estOpts := estab.EstablishOpts{PeerKey: sl.peer, ServiceRTT: time.Since(asked)}
+	// A request queued behind a barrier was read late, so its round trip
+	// may time the peer's build as well: the last one timed bounds it.
+	rtt := time.Since(asked)
+	if queued {
+		rtt = min(rtt, sl.rtt)
+	}
+	sl.rtt = rtt
+	estOpts := estab.EstablishOpts{PeerKey: sl.peer, ServiceRTT: rtt}
 	if f.Kind == wire.KindControl && f.Flags == opConnectErr {
 		d := wire.NewDecoder(f.Payload)
 		return fmt.Errorf("%w: %s", ErrConnectRejected, d.String())
@@ -284,8 +307,10 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 		return err
 	}
 	// The build succeeded: the elections are sent and the data link is
-	// usable, so the barrier holds the service link, not the caller. Its
-	// failure now is the service link's alone.
+	// usable, so a goroutine holds the service link for the barrier, not
+	// the caller: the write half until the done marker is out, which lets
+	// the next request go, the read half until the peer's marker is in.
+	// Its failure now is the service link's alone.
 	n.mu.Lock()
 	if n.closed {
 		// Close has closed the service link under the mux already.
@@ -295,10 +320,12 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	}
 	n.wg.Add(1)
 	n.mu.Unlock()
-	barrierOwnsLink = true
+	writing, reading = false, false
 	go func() {
 		defer n.wg.Done()
-		defer sl.mu.Unlock()
+		defer sl.rmu.Unlock()
+		mux.Done() // a failed write fails the barrier too
+		sl.wmu.Unlock()
 		if mux.Finish() != nil {
 			n.dropServiceLink(sl)
 		}

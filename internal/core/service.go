@@ -29,15 +29,26 @@ const (
 )
 
 // serviceLink is an outgoing service path to one peer, used to broker
-// data links. Requests over one service link are serialised.
+// data links. It is owned in two halves, each taken in request order:
+// wmu, the write half, from a request until its last frame (a connect's
+// done marker, a ping) is written; rmu, the read half, from the reply
+// until the last frame the request draws (the peer's done marker, the
+// pong) is read. Whoever holds the write half takes the read half before
+// giving the write half up, so replies are read in the order requests
+// went out, and the next request goes out right behind the previous
+// connect's done marker while only its reply waits for the barrier: the
+// peer reads requests in order and each only after its own barrier, and
+// its frame readers read no further than the frame they return.
 type serviceLink struct {
-	mu sync.Mutex
+	wmu sync.Mutex
+	rmu sync.Mutex
 	// peer is the routed link's Peer(): the serviceLinks key, and the
 	// one name the peer's replies are held against.
 	peer string
 	conn net.Conn
-	r    *wire.Reader
-	w    *wire.Writer
+	r    *wire.Reader  // under rmu
+	w    *wire.Writer  // under wmu
+	rtt  time.Duration // under rmu: the last round trip timed on the link
 }
 
 // --- dispatcher: incoming routed connections ------------------------------------------
@@ -294,16 +305,21 @@ func (n *Node) dropAllServiceLinks() {
 }
 
 // Ping measures the round-trip time to a peer over the (relay-routed)
-// service link; it doubles as a liveness check.
+// service link; it doubles as a liveness check. The ping goes out only
+// once the read half is free — behind any barrier — so it times one round
+// trip and nothing else, and the write half is given up right behind it.
 func (n *Node) Ping(peerName string) (time.Duration, error) {
 	sl, err := n.serviceLinkTo(peerName)
 	if err != nil {
 		return 0, err
 	}
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
+	sl.wmu.Lock()
+	sl.rmu.Lock()
+	defer sl.rmu.Unlock()
 	start := time.Now()
-	if err := sl.w.WriteFrame(wire.KindControl, opPing, nil); err != nil {
+	err = sl.w.WriteFrame(wire.KindControl, opPing, nil)
+	sl.wmu.Unlock()
+	if err != nil {
 		return 0, err
 	}
 	f, err := sl.r.ReadFrame()
@@ -315,7 +331,8 @@ func (n *Node) Ping(peerName string) (time.Duration, error) {
 		n.dropServiceLink(sl)
 		return 0, fmt.Errorf("core: unexpected reply (kind %d, op %d) to a ping", f.Kind, f.Flags)
 	}
-	return time.Since(start), nil
+	sl.rtt = time.Since(start)
+	return sl.rtt, nil
 }
 
 // serveServiceLink handles requests arriving on a service link created

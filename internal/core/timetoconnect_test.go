@@ -19,7 +19,11 @@ import (
 // acceptor's simultaneous open and its routed open go out right behind
 // its reply. A raced connect whose splice hangs pays the request and
 // reply and one head start of max(r, estab.MinRaceStagger), after which
-// routed takes the link the acceptor opened behind its reply. Each row
+// routed takes the link the acceptor opened behind its reply. A direct
+// connect issued back to back behind another, as soon as that one
+// returned and with no ping between, costs what a lone one does: its
+// request goes out right behind the previous connect's done marker, and
+// only its reply waits for that connect's barrier. Each row
 // is the fastest of its connects, each with the connectivity cache
 // emptied, against the fastest of the pings before them: on a shared
 // host the wall clock also counts the time the hypervisor holds the
@@ -55,6 +59,7 @@ func TestTimeToConnect(t *testing.T) {
 				init, acc   *Node
 				rp          ipl.ReceivePort
 				pings, took []time.Duration
+				behind      []time.Duration // direct: the connect back to back behind each
 			}
 			rigs := make([]*rig, len(scenarios))
 			for j, sc := range scenarios {
@@ -76,33 +81,50 @@ func TestTimeToConnect(t *testing.T) {
 			}
 			// The scenarios take turns, so whatever else loads the host
 			// falls on all four rows alike.
+			// connect runs one cold connect of scenario j, timed, and checks
+			// the method it came up by.
+			connect := func(j, i int) (ipl.SendPort, time.Duration) {
+				sc, rg := scenarios[j], rigs[j]
+				rg.init.connector.Cache.Invalidate(rg.acc.relayID())
+				sp, err := rg.init.CreateSendPort(pt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				start := time.Now()
+				if err := sp.Connect(rg.rp.ID()); err != nil {
+					t.Fatalf("%s connect %d: %v", sc.name, i, err)
+				}
+				took := time.Since(start)
+				if m := SendPortMethods(sp)[rg.rp.ID().String()]; m != sc.want {
+					t.Fatalf("%s connect %d came up by %v, want %v", sc.name, i, m, sc.want)
+				}
+				return sp, took
+			}
 			for i := range row.connects {
 				for j, sc := range scenarios {
 					rg := rigs[j]
-					// The ping also waits out the previous connect's
-					// barrier, which a cold connect does not pay.
+					// The ping waits out the previous connect's barrier
+					// before it goes, so it times one round trip, and the
+					// cold connect behind it finds the link idle.
 					r, err := rg.init.Ping(rg.acc.id.Name)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rg.init.connector.Cache.Invalidate(rg.acc.relayID())
-					sp, err := rg.init.CreateSendPort(pt)
-					if err != nil {
-						t.Fatal(err)
+					sp, took := connect(j, i)
+					rg.pings, rg.took = append(rg.pings, r), append(rg.took, took)
+					sps := []ipl.SendPort{sp}
+					if sc.name == "direct" {
+						behind, took := connect(j, i)
+						rg.behind = append(rg.behind, took)
+						sps = append(sps, behind)
 					}
-					start := time.Now()
-					if err := sp.Connect(rg.rp.ID()); err != nil {
-						t.Fatalf("%s connect %d: %v", sc.name, i, err)
+					for _, sp := range sps {
+						sendText(t, sp, sc.name)
+						if got, _ := recvText(t, rg.rp); got != sc.name {
+							t.Fatalf("%s connect %d carried %q", sc.name, i, got)
+						}
+						sp.Close()
 					}
-					rg.pings, rg.took = append(rg.pings, r), append(rg.took, time.Since(start))
-					if m := SendPortMethods(sp)[rg.rp.ID().String()]; m != sc.want {
-						t.Fatalf("%s connect %d came up by %v, want %v", sc.name, i, m, sc.want)
-					}
-					sendText(t, sp, sc.name)
-					if got, _ := recvText(t, rg.rp); got != sc.name {
-						t.Fatalf("%s connect %d carried %q", sc.name, i, got)
-					}
-					sp.Close()
 				}
 			}
 			// r and took are each scenario's fastest readings: the service
@@ -112,9 +134,14 @@ func TestTimeToConnect(t *testing.T) {
 				r[sc.name], took[sc.name] = slices.Min(rigs[j].pings), slices.Min(rigs[j].took)
 				t.Logf("%s: r %v, connects %v", sc.name, r[sc.name], rigs[j].took)
 			}
+			behind := slices.Min(rigs[0].behind)
+			t.Logf("direct back to back: connects %v", rigs[0].behind)
 
 			if d, r := took["direct"], r["direct"]; d < r/2 || d > r*3/2 {
 				t.Errorf("direct took %v, want 1 r = %v ± r/2", d, r)
+			}
+			if behind > took["direct"]*11/10 {
+				t.Errorf("a direct connect back to back behind another took %v, want at most 1.1 × a lone one's %v", behind, took["direct"])
 			}
 			for _, name := range []string{"splice", "routed"} {
 				if took[name] > took["direct"]*11/10 {

@@ -33,20 +33,24 @@ package estab
 // conversation races the same candidates — the ranking of the two
 // profiles (race.go) — on its own.
 //
-// Lifecycle: the mux owns the service connection from construction until
-// Finish has returned on both sides. Each side sends a done marker when
-// it will write no more (its stack build completed or failed); a side's
-// reader runs until it has received the peer's done, which guarantees
-// someone is always draining a synchronous link while the peer still
-// writes. That reader is the only one a connect has: a late message of a
-// finished attempt is filed under its method, and no method runs twice
-// in one conversation. Receiving the peer's done also fails every receive
-// still pending — no more will come — so a half-failed establishment
-// converges instead of hanging. After Finish the connection carries no
-// residual mux traffic and is reusable for ordinary service requests;
-// that barrier is the only thing Finish waits for, so a caller whose
-// data links are up may pass it on a goroutine that keeps the link to
-// itself meanwhile (core does).
+// Lifecycle: the mux owns the service connection in two halves, each
+// handed back on its own. The write half is the mux's from construction
+// until Done has written this side's done marker, which it sends when it
+// will write no more (its stack build completed or failed); after it the
+// owner may write on the connection again, right behind the marker. The
+// read half is the mux's until Finish has returned: a side's reader runs
+// until it has received the peer's done, which guarantees someone is
+// always draining a synchronous link while the peer still writes, and
+// reads no frame past that marker. That reader is the only one a connect
+// has: a late message of a finished attempt is filed under its method,
+// and no method runs twice in one conversation. Receiving the peer's done
+// also fails every receive still pending — no more will come — so a
+// half-failed establishment converges instead of hanging. After Finish
+// the connection carries no residual mux traffic in either direction and
+// is reusable for ordinary service requests; that barrier is the only
+// thing Finish waits for, so a caller whose data links are up may pass it
+// on a goroutine that keeps the read half to itself meanwhile (core
+// does, and writes its next request behind the done marker).
 
 import (
 	"encoding/binary"
@@ -122,7 +126,8 @@ type ServiceMux struct {
 	wmu       sync.Mutex
 	w         *wire.Writer
 	localDone bool
-	n         int // the connect's establishments: streams 0 … n-1
+	werr      error // the done marker's write error
+	n         int   // the connect's establishments: streams 0 … n-1
 	splice    Splice
 
 	smu      sync.Mutex
@@ -159,8 +164,8 @@ type Conversation struct {
 }
 
 // NewServiceMux wraps the service connection of a connect that runs n
-// establishments and starts demultiplexing. The caller must not touch
-// the connection until Finish has returned.
+// establishments and starts demultiplexing. The caller must not write on
+// the connection until Done has returned, nor read it until Finish has.
 func NewServiceMux(service io.ReadWriter, n int, splice Splice) *ServiceMux {
 	m := &ServiceMux{
 		w:      wire.NewWriter(service),
@@ -239,20 +244,27 @@ func (cv *Conversation) deliverLocked(msg muxMsg) {
 	}
 }
 
-// Finish announces that this side will broker no more (its stack build
-// completed or failed), waits until the peer has announced the same and
-// returns the service connection to its owner. It reports a connection
-// failure or a malformed frame observed while demultiplexing; a clean
-// establishment failure of an individual conversation is reported by
-// that conversation, not here.
-func (m *ServiceMux) Finish() error {
+// Done announces that this side will broker no more (its stack build
+// completed or failed): it writes the done marker, once, and hands the
+// connection's write half back to its owner, for the mux writes nothing
+// after it. It reports the marker's write error.
+func (m *ServiceMux) Done() error {
 	m.wmu.Lock()
-	var werr error
+	defer m.wmu.Unlock()
 	if !m.localDone {
 		m.localDone = true
-		werr = m.w.WriteFrame(kindMuxDone, 0, nil)
+		m.werr = m.w.WriteFrame(kindMuxDone, 0, nil)
 	}
-	m.wmu.Unlock()
+	return m.werr
+}
+
+// Finish is Done, then the barrier: it waits until the peer has announced
+// the same and hands the read half back too. It reports a connection
+// failure or a malformed frame observed while demultiplexing, or the done
+// marker's write error; a clean establishment failure of an individual
+// conversation is reported by that conversation, not here.
+func (m *ServiceMux) Finish() error {
+	werr := m.Done()
 	<-m.rdone
 	m.smu.Lock()
 	err := m.readErr

@@ -115,8 +115,11 @@ func TestServiceMuxPeerDoneFailsPendingReads(t *testing.T) {
 	}
 }
 
-// TestServiceMuxConnReusableAfterFinish checks that after both sides
-// finished, the connection carries no residual mux traffic.
+// TestServiceMuxConnReusableAfterFinish checks that the connection's
+// owner may write again right behind its done marker, before the peer's
+// barrier has passed, and that the peer's mux reads nothing past the
+// marker: after both sides finished, what the owner wrote is the next
+// thing the peer reads, and no residual mux traffic is left.
 func TestServiceMuxConnReusableAfterFinish(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
@@ -128,6 +131,10 @@ func TestServiceMuxConnReusableAfterFinish(t *testing.T) {
 	if msg, err := s2.recv(ClientServer); err != nil || msg.t != msgListen || string(msg.body) != "endpoint" {
 		t.Fatalf("recv: %+v, %v", msg, err)
 	}
+	if err := a.Done(); err != nil {
+		t.Fatal(err)
+	}
+	go c1.Write([]byte("after")) // behind the marker, b's barrier still open
 	fin := make(chan error, 2)
 	go func() { fin <- a.Finish() }()
 	go func() { fin <- b.Finish() }()
@@ -137,8 +144,6 @@ func TestServiceMuxConnReusableAfterFinish(t *testing.T) {
 	if err := <-fin; err != nil {
 		t.Fatal(err)
 	}
-	// The raw connection is clean again: a fresh exchange works.
-	go c1.Write([]byte("after"))
 	after := make([]byte, 5)
 	if _, err := io.ReadFull(c2, after); err != nil || string(after) != "after" {
 		t.Fatalf("conn not clean after mux: %q %v", after, err)

@@ -349,6 +349,43 @@ func TestSealedOpenByPurpose(t *testing.T) {
 	check()
 }
 
+// TestTimedOutSealedDialLeavesNoHalf: a sealed service open whose dial
+// times out is withdrawn like a canceled one. The acceptor, which holds
+// the open unanswered and uses it only after the dialer gave up, fails
+// that use — with ErrAbandoned when the abandon came first, ErrClosed
+// when the use answered the open and the abandon then tore the link
+// down — instead of writing into the void, and neither client keeps a
+// link.
+func TestTimedOutSealedDialLeavesNoHalf(t *testing.T) {
+	w := newAuthWorld(t, "relay-0")
+	a := w.attach("seal-a", w.issue("seal-a"))
+	b := w.attach("seal-b", w.issue("seal-b"))
+	check := testutil.LeakCheck(t, 0)
+	if _, err := a.DialPurpose(b.ID(), PurposeService, 0, 100*time.Millisecond, nil); !errors.Is(err, ErrUnknownPeer) {
+		t.Fatalf("an unanswered dial after its timeout: %v, want ErrUnknownPeer", err)
+	}
+	in, err := b.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The abandon and this use race; whichever lands first, the use fails
+	// once the abandon is in.
+	if why := testutil.Settle(func() (bool, string) {
+		_, err := in.Write([]byte("late"))
+		return errors.Is(err, ErrAbandoned) || errors.Is(err, ErrClosed), fmt.Sprintf("the acceptor's use after the dialer gave up: %v, want ErrAbandoned or ErrClosed", err)
+	}); why != "" {
+		t.Fatal(why)
+	}
+	in.Close()
+	if why := testutil.Settle(func() (bool, string) {
+		na, nb := a.LinkCount(), b.LinkCount()
+		return na == 0 && nb == 0, fmt.Sprintf("links: dialer %d, acceptor %d; want none", na, nb)
+	}); why != "" {
+		t.Fatal(why)
+	}
+	check()
+}
+
 func TestAttachWrongKey(t *testing.T) {
 	check := testutil.LeakCheck(t, 3)
 	w := newAuthWorld(t, "relay-0")

@@ -440,7 +440,8 @@ func (c *Client) DialCancel(peerID string, timeout time.Duration, cancel <-chan 
 // DialPurpose is DialCancel for an open that ends in a purpose byte
 // (PurposeService, PurposeData; 0 for none) and, for a data link, the
 // establishment conv it is for; the accepting side reads both off the
-// link it accepts.
+// link it accepts. A dial that times out is withdrawn like a canceled
+// one and returns ErrUnknownPeer.
 func (c *Client) DialPurpose(peerID string, purpose byte, conv uint64, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -496,16 +497,17 @@ func (c *Client) DialPurpose(peerID string, purpose byte, conv uint64, timeout t
 	case <-cancel: // nil cancel blocks forever, i.e. never fires
 		return nil, c.abandonDial(key, pd)
 	case <-time.After(timeout):
-		c.mu.Lock()
-		delete(c.pending, key)
-		c.mu.Unlock()
+		// Withdrawn like a canceled open, so an acceptor that answers it
+		// late holds no half whose dialer is gone.
+		c.abandonDial(key, pd)
 		return nil, ErrUnknownPeer
 	}
 }
 
-// abandonDial withdraws a canceled open. The OpenOK may already have
-// crossed (the dispatch loop registers the link before handing it to the
-// waiter), so both outcomes are covered: a link that materialised is
+// abandonDial withdraws a canceled or timed-out open. The OpenOK may
+// already have crossed (the dispatch loop registers the link before
+// handing it to the waiter), so both outcomes are covered: a link that
+// materialised is
 // aborted with the abandon handshake, a still-pending open gets a bare
 // abandon frame so the peer's accepted half is discarded when (if) its
 // OpenOK arrives at a dead letter box.
