@@ -35,7 +35,7 @@ var stateful = emunet.SiteConfig{Firewall: emunet.Stateful}
 // the done marker is the next frame kind and empty.
 const (
 	kindMuxData, kindMuxDone = wire.KindUser + 0x28, wire.KindUser + 0x29
-	msgListen, msgElect      = 1, 3
+	msgAbort, msgElect       = 1, 2
 )
 
 // request sends one frame on a service link and returns the reply's op
@@ -344,8 +344,10 @@ func TestRoutedDataLinkPerEstablishment(t *testing.T) {
 // connection and no error, and the port's reader dereferenced it. Now
 // the establishment is a protocol error: bob refuses the link, keeps
 // serving that service link, and still accepts an honest connect. A
-// request whose splice endpoints do not number the stack's
-// establishments is refused before anything starts.
+// request whose endpoint lists are not what estab.Connector.Carries asks
+// of the initiator — splice endpoints numbering the stack's
+// establishments, and listen endpoints only from a reachable initiator —
+// is refused before anything starts.
 func TestSecureMemberCannotCrashAcceptor(t *testing.T) {
 	g := newSecureGrid(t, 1)
 	alice := g.secureNode("alice", "site-a", stateful, nil)
@@ -363,13 +365,22 @@ func TestSecureMemberCannotCrashAcceptor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, predicted := mallory.connector.ReserveSplice(1)
-	req := connectRequest{portName: "inbox", typeDigest: portTypeDigest(pt), sender: mallory.id, profile: mallory.Profile(), splice: predicted}
-	for what, splice := range map[string][]emunet.Endpoint{"no": nil, "two": append(predicted, predicted...)} {
+	endpoints, err := mallory.connector.Reserve(mallory.connector.Carries(1, mallory.Profile(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer endpoints.Close()
+	req := connectRequest{portName: "inbox", typeDigest: portTypeDigest(pt), sender: mallory.id, profile: mallory.Profile(), endpoints: endpoints}
+	predicted := endpoints.Splice
+	for what, e := range map[string]estab.Endpoints{
+		"no splice endpoints":                       {},
+		"two splice endpoints":                      {Splice: append(predicted, predicted...)},
+		"a listen endpoint of a stateful initiator": {Splice: predicted, Listen: predicted},
+	} {
 		bad := req
-		bad.splice = splice
+		bad.endpoints = e
 		if op, _ := request(t, sl, opConnect, encodeConnectRequest(bad)); op != opConnectErr {
-			t.Errorf("%s splice endpoints for a one-establishment stack: reply op %d, want opConnectErr", what, op)
+			t.Errorf("%s for a one-establishment stack: reply op %d, want opConnectErr", what, op)
 		}
 	}
 	if op, _ := request(t, sl, opConnect, encodeConnectRequest(req)); op != opConnectOK {
@@ -484,7 +495,7 @@ func TestPingFailsClosed(t *testing.T) {
 		reply wire.Frame
 	}{
 		{"a stale done marker", wire.Frame{Kind: kindMuxDone}},
-		{"a stale mux message", wire.Frame{Kind: kindMuxData, Payload: []byte{0, byte(estab.ClientServer), msgListen}}},
+		{"a stale mux message", wire.Frame{Kind: kindMuxData, Payload: []byte{0, byte(estab.ClientServer), msgAbort}}},
 		{"a connect reply", wire.Frame{Kind: wire.KindControl, Flags: opConnectOK}},
 		{"a ping", wire.Frame{Kind: wire.KindControl, Flags: opPing}},
 		{"a pong of another frame kind", wire.Frame{Kind: kindMuxData, Flags: opPong}},
@@ -711,37 +722,34 @@ func TestUnbuildableStackFailsBeforeTheRequest(t *testing.T) {
 }
 
 // TestConnectFrameCount pins what a cold connect puts on the service
-// link, for the paper's simplest method and for splicing. When Connect
-// returns the initiator has written the two frames a connect needs of it
-// — the connect request and the election; the candidates are implied by
-// the two profiles, and both sides' splice endpoints ride in the request
-// and its reply — and read what it waited for: the connect-OK and, for
-// client/server, the acceptor's listening endpoint back to back with it.
-// Off the caller's path the barrier adds the initiator's done marker,
-// three frames in all. The acceptor writes its connect-OK, the listening
-// endpoint when client/server is a candidate, and its done marker: two
-// frames for a spliced connect, three for a client/server one. Its
-// splicing half says nothing at all. (It used to advertise a prediction
-// whether or not the initiator ever launched splicing, which made the
-// client/server count four; that is decided away, not just unmeasured.)
-// Its routed half opens its link through the relay, not on this link.
+// link, for the paper's simplest method both ways round — the acceptor
+// listening, and the initiator (a reverse connect) — and for splicing.
+// No method says anything on the service link: both sides' listen and
+// splice endpoints ride in the connect request and its reply, and the
+// routed half opens its link through the relay. So when Connect returns
+// the initiator has written the two frames a connect needs of it — the
+// connect request and the election — and read the connect-OK, and off
+// the caller's path the barrier adds the two done markers: connect,
+// connect-OK and elect, then two markers, whatever the method.
 func TestConnectFrameCount(t *testing.T) {
+	open := emunet.SiteConfig{Firewall: emunet.Open}
 	for _, tc := range []struct {
-		name    string
-		acc     emunet.SiteConfig
-		ranking []estab.Method
-		method  estab.Method
+		name      string
+		init, acc emunet.SiteConfig
+		ranking   []estab.Method
+		method    estab.Method
 	}{
-		{"client/server", emunet.SiteConfig{Firewall: emunet.Open}, []estab.Method{estab.ClientServer, estab.Splicing, estab.Routed}, estab.ClientServer},
-		{"splice", stateful, []estab.Method{estab.Splicing, estab.Routed}, estab.Splicing},
+		{"client/server", stateful, open, []estab.Method{estab.ClientServer, estab.Splicing, estab.Routed}, estab.ClientServer},
+		{"reverse", open, stateful, []estab.Method{estab.ClientServer, estab.Splicing, estab.Routed}, estab.ClientServer},
+		{"splice", stateful, stateful, []estab.Method{estab.Splicing, estab.Routed}, estab.Splicing},
 	} {
-		t.Run(tc.name, func(t *testing.T) { testConnectFrameCount(t, tc.acc, tc.ranking, tc.method) })
+		t.Run(tc.name, func(t *testing.T) { testConnectFrameCount(t, tc.init, tc.acc, tc.ranking, tc.method) })
 	}
 }
 
-func testConnectFrameCount(t *testing.T, acc emunet.SiteConfig, ranking []estab.Method, method estab.Method) {
+func testConnectFrameCount(t *testing.T, init, acc emunet.SiteConfig, ranking []estab.Method, method estab.Method) {
 	g := newTestGrid(t)
-	a := g.node("alice", "site-a", stateful, nil)
+	a := g.node("alice", "site-a", init, nil)
 	b := g.node("bob", "site-b", acc, nil)
 	if got := estab.RankCandidates(a.Profile(), b.Profile(), false); !slices.Equal(got, ranking) {
 		t.Fatalf("the pair ranks %v; the counts below assume %v", got, ranking)
@@ -776,11 +784,7 @@ func testConnectFrameCount(t *testing.T, acc emunet.SiteConfig, ranking []estab.
 		return out
 	}
 	request, elect, done := fmt.Sprintf("op %d", opConnect), fmt.Sprintf("msg %d", msgElect), "done"
-	ok, listen := fmt.Sprintf("op %d", opConnectOK), fmt.Sprintf("msg %d", msgListen)
-	fromAcceptor := []string{ok, done}
-	if slices.Contains(ranking, estab.ClientServer) {
-		fromAcceptor = []string{ok, listen, done}
-	}
+	ok := fmt.Sprintf("op %d", opConnectOK)
 
 	// At Connect's return the barrier may or may not have written its
 	// marker yet; what the caller waited for is the rest.
@@ -791,8 +795,8 @@ func testConnectFrameCount(t *testing.T, acc emunet.SiteConfig, ranking []estab.
 	if !slices.Equal(atReturn, []string{request, elect}) {
 		t.Fatalf("when Connect returned the initiator had written %v, want the connect request and the election", atReturn)
 	}
-	if r := names(got); len(r) == 0 || r[0] != ok || (method == estab.ClientServer && !slices.Contains(r, listen)) {
-		t.Fatalf("when Connect returned the initiator had read %v, want the connect-OK (and, for client/server, the listening endpoint)", r)
+	if r := names(got); len(r) == 0 || r[0] != ok {
+		t.Fatalf("when Connect returned the initiator had read %v, want the connect-OK first", r)
 	}
 
 	sl.rmu.Lock() // the barrier has passed
@@ -801,8 +805,8 @@ func testConnectFrameCount(t *testing.T, acc emunet.SiteConfig, ranking []estab.
 	if !slices.Equal(names(sent), []string{request, elect, done}) {
 		t.Fatalf("a cold %v connect put %v from the initiator on the service link, want the connect request, the election and the done marker", method, names(sent))
 	}
-	if r := names(got); !slices.Equal(r, fromAcceptor) {
-		t.Fatalf("a cold %v connect put %v from the acceptor on the service link, want %v", method, r, fromAcceptor)
+	if r := names(got); !slices.Equal(r, []string{ok, done}) {
+		t.Fatalf("a cold %v connect put %v from the acceptor on the service link, want the connect-OK and the done marker", method, r)
 	}
 }
 
@@ -935,22 +939,29 @@ func TestConnectRefusesBadReply(t *testing.T) {
 		return &wire.Frame{Kind: wire.KindControl, Flags: opConnectOK, Payload: reply}
 	})
 
-	// The fake peer is open, so the pair ranks splicing: the reply carries
-	// one splice endpoint for the stack's one establishment.
+	// The fake peer is open, so the pair ranks client/server with the
+	// fake listening, and splicing: the reply carries one splice and one
+	// listen endpoint for the stack's one establishment.
 	fake := estab.Profile{HasRelay: true, RelayID: "testpool/fake"}
-	endpoint := emunet.Endpoint{Addr: "10.9.0.2", Port: 40001}
-	replyOf := func(p estab.Profile, splice ...emunet.Endpoint) []byte { return encodeConnectReply(p, splice) }
-	good := replyOf(fake, endpoint)
+	endpoint := []emunet.Endpoint{{Addr: "10.9.0.2", Port: 40001}}
+	replyOf := func(p estab.Profile, splice, listen []emunet.Endpoint) []byte {
+		return encodeConnectReply(p, estab.Endpoints{Splice: splice, Listen: listen})
+	}
+	good := replyOf(fake, endpoint, endpoint)
+	two := append(endpoint, endpoint...)
+	listenList := estab.AppendEndpoints(nil, estab.Endpoints{Listen: endpoint})[1:] // behind the splice list's count
 	pt := ipl.PortType{Name: "chan", Stack: "tcpblk"}
 	for what, p := range map[string][]byte{
 		"empty":                            nil,
 		"truncated":                        good[:len(good)-1],
 		"trailing byte":                    append(append([]byte(nil), good...), 0),
-		"another node's profile":           replyOf(estab.Profile{HasRelay: true, RelayID: "testpool/bob"}, endpoint),
-		"the initiator's profile":          replyOf(a.Profile(), endpoint),
-		"no splice endpoint":               replyOf(fake),
-		"two splice endpoints":             replyOf(fake, endpoint, endpoint),
-		"a splice port above 65535":        wire.AppendUvarint(wire.AppendString(wire.AppendUvarint(wire.AppendBytes(nil, fake.Encode()), 1), "10.9.0.2"), 65536),
+		"another node's profile":           replyOf(estab.Profile{HasRelay: true, RelayID: "testpool/bob"}, endpoint, endpoint),
+		"the initiator's profile":          replyOf(a.Profile(), endpoint, endpoint),
+		"no splice endpoint":               replyOf(fake, nil, endpoint),
+		"two splice endpoints":             replyOf(fake, two, endpoint),
+		"no listen endpoint":               replyOf(fake, endpoint, nil),
+		"two listen endpoints":             replyOf(fake, endpoint, two),
+		"a splice port above 65535":        append(wire.AppendUvarint(wire.AppendString(wire.AppendUvarint(wire.AppendBytes(nil, fake.Encode()), 1), "10.9.0.2"), 65536), listenList...),
 		"a bare profile, as it used to be": fake.Encode(),
 	} {
 		mu.Lock()
@@ -979,16 +990,19 @@ func TestConnectRefusesBadReply(t *testing.T) {
 
 // TestConnectRequestStrictDecode: the connect request has one layout.
 // Cut anywhere, with a trailing byte, with a profile field of the wrong
-// length, a port type digest that is not 32 bytes, a splice port above
-// 65535 or more splice endpoints than multi.MaxStreams, it is a protocol
-// error.
+// length, a port type digest that is not 32 bytes, a port above 65535, a
+// missing endpoint list or more endpoints in one than multi.MaxStreams,
+// it is a protocol error.
 func TestConnectRequestStrictDecode(t *testing.T) {
 	req := connectRequest{
 		portName:   "inbox",
 		typeDigest: portTypeDigest(ipl.PortType{Name: "chan", Stack: "zip/tcpblk"}),
 		sender:     ipl.Identifier{Name: "alice", Pool: "testpool"},
-		profile:    estab.Profile{SiteName: "site-a", Firewalled: true, HasRelay: true, RelayID: "testpool/alice", HomeRelay: "relay-0"},
-		splice:     []emunet.Endpoint{{Addr: "10.1.0.2", Port: 40001}},
+		profile:    estab.Profile{SiteName: "site-a", HasRelay: true, RelayID: "testpool/alice", HomeRelay: "relay-0"},
+		endpoints: estab.Endpoints{
+			Splice: []emunet.Endpoint{{Addr: "10.1.0.2", Port: 40001}},
+			Listen: []emunet.Endpoint{{Addr: "10.1.0.2", Port: 40002}},
+		},
 	}
 	full := encodeConnectRequest(req)
 	got, err := decodeConnectRequest(full)
@@ -1000,15 +1014,15 @@ func TestConnectRequestStrictDecode(t *testing.T) {
 			t.Errorf("request cut to %d of %d bytes accepted", cut, len(full))
 		}
 	}
-	tail := estab.AppendEndpoints(nil, req.splice)
-	last := len(full) - len(tail) // where the splice list starts
+	tail := estab.AppendEndpoints(nil, req.endpoints)
+	last := len(full) - len(tail) // where the endpoint lists start
 	withProfile := func(p []byte) []byte {
 		head := full[:last-len(wire.AppendBytes(nil, req.profile.Encode()))]
 		return append(wire.AppendBytes(append([]byte(nil), head...), p), full[last:]...)
 	}
-	withSplice := func(list []byte) []byte { return append(append([]byte(nil), full[:last]...), list...) }
-	if _, err := decodeConnectRequest(withSplice(tail)); err != nil {
-		t.Fatalf("withSplice does not rebuild the request: %v", err)
+	withEndpoints := func(lists []byte) []byte { return append(append([]byte(nil), full[:last]...), lists...) }
+	if _, err := decodeConnectRequest(withEndpoints(tail)); err != nil {
+		t.Fatalf("withEndpoints does not rebuild the request: %v", err)
 	}
 	if _, err := decodeConnectRequest(withProfile(req.profile.Encode())); err != nil {
 		t.Fatalf("withProfile does not rebuild the request: %v", err)
@@ -1020,6 +1034,7 @@ func TestConnectRequestStrictDecode(t *testing.T) {
 	if _, err := decodeConnectRequest(withDigest(req.typeDigest[:])); err != nil {
 		t.Fatalf("withDigest does not rebuild the request: %v", err)
 	}
+	tooMany := make([]emunet.Endpoint, multi.MaxStreams+1)
 	for what, bad := range map[string][]byte{
 		"trailing byte":          append(append([]byte(nil), full...), 0),
 		"profile one byte short": withProfile(req.profile.Encode()[:len(req.profile.Encode())-1]),
@@ -1028,32 +1043,45 @@ func TestConnectRequestStrictDecode(t *testing.T) {
 		"31-byte digest":         withDigest(req.typeDigest[:31]),
 		"33-byte digest":         withDigest(append(req.typeDigest[:], 0)),
 		"empty digest":           withDigest(nil),
-		"no splice list":         withSplice(nil),
-		"splice port 65536":      withSplice(wire.AppendUvarint(wire.AppendString(wire.AppendUvarint(nil, 1), "10.1.0.2"), 65536)),
-		"65 splice endpoints":    withSplice(estab.AppendEndpoints(nil, make([]emunet.Endpoint, multi.MaxStreams+1))),
+		"no endpoint lists":      withEndpoints(nil),
+		"no listen list":         withEndpoints(spliceList(req.endpoints.Splice)),
+		"splice port 65536":      withEndpoints(append(wire.AppendUvarint(wire.AppendString(wire.AppendUvarint(nil, 1), "10.1.0.2"), 65536), 0)),
+		"65 splice endpoints":    withEndpoints(estab.AppendEndpoints(nil, estab.Endpoints{Splice: tooMany})),
+		"65 listen endpoints":    withEndpoints(estab.AppendEndpoints(nil, estab.Endpoints{Listen: tooMany})),
 	} {
 		if _, err := decodeConnectRequest(bad); err == nil {
 			t.Errorf("request with %s accepted", what)
 		}
 	}
-	if _, err := decodeConnectRequest(withSplice(estab.AppendEndpoints(nil, make([]emunet.Endpoint, multi.MaxStreams)))); err != nil {
-		t.Errorf("request with multi.MaxStreams splice endpoints: %v", err)
+	most := make([]emunet.Endpoint, multi.MaxStreams)
+	if _, err := decodeConnectRequest(withEndpoints(estab.AppendEndpoints(nil, estab.Endpoints{Splice: most, Listen: most}))); err != nil {
+		t.Errorf("request with multi.MaxStreams endpoints in each list: %v", err)
 	}
 }
 
+// spliceList is a splice endpoint list with no listen list behind it.
+func spliceList(eps []emunet.Endpoint) []byte {
+	b := estab.AppendEndpoints(nil, estab.Endpoints{Splice: eps})
+	return b[:len(b)-1] // the empty listen list's count
+}
+
 // TestConnectReplyStrictDecode: the connect reply is bytes profile ‖ the
-// acceptor's splice endpoints, in one encoding. A trailing byte, a cut, a
-// port above 65535, more endpoints than multi.MaxStreams or a varint that
-// is not minimal is a corrupt reply.
+// acceptor's splice endpoints ‖ its listen endpoints, in one encoding. A
+// trailing byte, a cut, a port above 65535, more endpoints in a list
+// than multi.MaxStreams or a varint that is not minimal is a corrupt
+// reply.
 func TestConnectReplyStrictDecode(t *testing.T) {
-	profile := estab.Profile{SiteName: "site-b", Firewalled: true, HasRelay: true, RelayID: "testpool/bob"}
-	splice := []emunet.Endpoint{{Addr: "10.2.0.2", Port: 40001}, {Addr: "10.2.0.2", Port: 40002}}
-	full := encodeConnectReply(profile, splice)
-	if p, s, err := decodeConnectReply(full); err != nil || p != profile || !slices.Equal(s, splice) {
-		t.Fatalf("round trip: %+v, %v, %v", p, s, err)
+	profile := estab.Profile{SiteName: "site-b", HasRelay: true, RelayID: "testpool/bob"}
+	endpoints := estab.Endpoints{
+		Splice: []emunet.Endpoint{{Addr: "10.2.0.2", Port: 40001}, {Addr: "10.2.0.2", Port: 40002}},
+		Listen: []emunet.Endpoint{{Addr: "10.2.0.2", Port: 40003}, {Addr: "10.2.0.2", Port: 40004}},
 	}
-	if p, s, err := decodeConnectReply(encodeConnectReply(profile, nil)); err != nil || p != profile || s != nil {
-		t.Fatalf("a reply without endpoints: %+v, %v, %v", p, s, err)
+	full := encodeConnectReply(profile, endpoints)
+	if p, e, err := decodeConnectReply(full); err != nil || p != profile || !reflect.DeepEqual(e, endpoints) {
+		t.Fatalf("round trip: %+v, %v, %v", p, e, err)
+	}
+	if p, e, err := decodeConnectReply(encodeConnectReply(profile, estab.Endpoints{})); err != nil || p != profile || e.Splice != nil || e.Listen != nil {
+		t.Fatalf("a reply without endpoints: %+v, %v, %v", p, e, err)
 	}
 	for cut := 0; cut < len(full); cut++ {
 		if _, _, err := decodeConnectReply(full[:cut]); err == nil {
@@ -1063,11 +1091,12 @@ func TestConnectReplyStrictDecode(t *testing.T) {
 	head := wire.AppendBytes(nil, profile.Encode())
 	for what, bad := range map[string][]byte{
 		"trailing byte":         append(append([]byte(nil), full...), 0),
-		"port 65536":            wire.AppendUvarint(wire.AppendString(wire.AppendUvarint(head, 1), "10.2.0.2"), 65536),
-		"65 endpoints":          estab.AppendEndpoints(head, make([]emunet.Endpoint, multi.MaxStreams+1)),
-		"a count of two bytes":  append(append([]byte(nil), head...), 0x80, 0x00),
-		"a port of four bytes":  append(wire.AppendString(wire.AppendUvarint(head, 1), "10.2.0.2"), 0x80, 0x80, 0x80, 0x00),
-		"a profile with a tail": estab.AppendEndpoints(wire.AppendBytes(nil, append(profile.Encode(), 0)), splice),
+		"port 65536":            append(wire.AppendUvarint(wire.AppendString(wire.AppendUvarint(head, 1), "10.2.0.2"), 65536), 0),
+		"65 endpoints":          estab.AppendEndpoints(head, estab.Endpoints{Listen: make([]emunet.Endpoint, multi.MaxStreams+1)}),
+		"a count of two bytes":  append(append([]byte(nil), head...), 0x80, 0x00, 0),
+		"a port of four bytes":  append(append(wire.AppendString(wire.AppendUvarint(head, 1), "10.2.0.2"), 0x80, 0x80, 0x80, 0x00), 0),
+		"no listen list":        append(head, spliceList(endpoints.Splice)...),
+		"a profile with a tail": estab.AppendEndpoints(wire.AppendBytes(nil, append(profile.Encode(), 0)), endpoints),
 	} {
 		if _, _, err := decodeConnectReply(bad); err == nil {
 			t.Errorf("reply with %s accepted", what)
@@ -1095,8 +1124,8 @@ func FuzzDecodeConnectRequest(f *testing.F) {
 		portName:   "inbox",
 		typeDigest: portTypeDigest(ipl.PortType{Name: "chan", Stack: "tcpblk"}),
 		sender:     ipl.Identifier{Name: "alice", Pool: "pool"},
-		profile:    estab.Profile{HasRelay: true, RelayID: "pool/alice"},
-		splice:     []emunet.Endpoint{{Addr: "10.1.0.2", Port: 40001}},
+		profile:    estab.Profile{Firewalled: true, HasRelay: true, RelayID: "pool/alice"},
+		endpoints:  estab.Endpoints{Splice: []emunet.Endpoint{{Addr: "10.1.0.2", Port: 40001}}},
 	})
 	f.Add(full)
 	f.Add(full[:len(full)-3])
@@ -1116,29 +1145,31 @@ func FuzzDecodeConnectRequest(f *testing.F) {
 
 // FuzzDecodeConnectReply: what decodes as a connect reply is exactly what
 // encodeConnectReply makes of it, and holds at most multi.MaxStreams
-// endpoints, each with a port.
+// endpoints in each list, each with a port.
 func FuzzDecodeConnectReply(f *testing.F) {
 	full := encodeConnectReply(estab.Profile{Firewalled: true, HasRelay: true, RelayID: "pool/bob"},
-		[]emunet.Endpoint{{Addr: "10.2.0.2", Port: 40001}, {Addr: "10.2.0.2", Port: 40002}})
+		estab.Endpoints{Splice: []emunet.Endpoint{{Addr: "10.2.0.2", Port: 40001}, {Addr: "10.2.0.2", Port: 40002}}})
 	f.Add(full)
 	f.Add(full[:len(full)-3])
-	f.Add(encodeConnectReply(estab.Profile{RelayID: "pool/bob"}, nil))
+	f.Add(encodeConnectReply(estab.Profile{RelayID: "pool/bob"}, estab.Endpoints{}))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		profile, splice, err := decodeConnectReply(data)
+		profile, endpoints, err := decodeConnectReply(data)
 		if err != nil {
 			return
 		}
-		if again := encodeConnectReply(profile, splice); !bytes.Equal(again, data) {
-			t.Fatalf("%x decodes to %+v %v, which encodes to %x", data, profile, splice, again)
+		if again := encodeConnectReply(profile, endpoints); !bytes.Equal(again, data) {
+			t.Fatalf("%x decodes to %+v %+v, which encodes to %x", data, profile, endpoints, again)
 		}
-		if len(splice) > multi.MaxStreams {
-			t.Fatalf("%d splice endpoints decoded", len(splice))
-		}
-		for _, ep := range splice {
-			if ep.Port < 0 || ep.Port > 65535 {
-				t.Fatalf("splice endpoint %v decoded", ep)
+		for _, list := range [][]emunet.Endpoint{endpoints.Splice, endpoints.Listen} {
+			if len(list) > multi.MaxStreams {
+				t.Fatalf("%d endpoints decoded in one list", len(list))
+			}
+			for _, ep := range list {
+				if ep.Port < 0 || ep.Port > 65535 {
+					t.Fatalf("endpoint %v decoded", ep)
+				}
 			}
 		}
 	})

@@ -72,6 +72,7 @@ func TestConnectivityMatrix(t *testing.T) {
 				t.Errorf("%s -> %s carried %q", from.name, to.name, got)
 			}
 			m := SendPortMethods(sp)[ports[j].ID().String()]
+			t.Logf("%s -> %s: %v", from.name, to.name, m)
 			sp.Close()
 			involves := func(name string) bool { return from.name == name || to.name == name }
 			switch {

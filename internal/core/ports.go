@@ -215,20 +215,26 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 		}
 	}()
 
-	// The request carries this node's connectivity profile and a splice
-	// endpoint per establishment of the stack, the accepting reply the
-	// peer's profile and endpoints: one exchange per connect, shared by
-	// every establishment (one per sub-stream of the stack) below, and
-	// timed: it is the round trip the races size their head starts by.
-	// The routed data links the peer opens, one per establishment, are
-	// admitted until the establishments are done. They may be admitted
-	// while the previous connect's barrier is open, and that connect's
-	// late routed halves then park here too; none is taken, for each is
-	// abandoned by the time this reply is read: the acceptor abandons
-	// what its election discarded before it writes its done marker, and
-	// this reply follows that marker on the same FIFO relay path.
-	ports, predicted := n.connector.ReserveSplice(count)
-	req := connectRequest{portName: to.Port, typeDigest: portTypeDigest(sp.portType), sender: n.id, profile: n.connector.Profile(), splice: predicted}
+	// The request carries this node's profile and its endpoints for each
+	// establishment of the stack (a splice endpoint, and a listener when
+	// a peer could dial it), the accepting reply the peer's: one exchange
+	// per connect, shared by every establishment (one per sub-stream)
+	// below, and timed: it is the round trip the races size their head
+	// starts by. The routed data links the peer opens, one per
+	// establishment, are admitted until the establishments are done.
+	// They may be admitted while the previous connect's barrier is open,
+	// and that connect's late routed halves then park here too; none is
+	// taken, for each is abandoned by the time this reply is read: the
+	// acceptor abandons what its election discarded before it writes its
+	// done marker, and this reply follows that marker on the same FIFO
+	// relay path.
+	profile := n.connector.Profile()
+	local, err := n.connector.Reserve(n.connector.Carries(count, profile, nil))
+	if err != nil {
+		return err
+	}
+	defer local.Close()
+	req := connectRequest{portName: to.Port, typeDigest: portTypeDigest(sp.portType), sender: n.id, profile: profile, endpoints: local}
 	defer n.expectRoutedData(sl.peer)()
 	asked := time.Now()
 	if err := sl.w.WriteFrame(wire.KindControl, opConnect, encodeConnectRequest(req)); err != nil {
@@ -258,15 +264,15 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	if f.Kind != wire.KindControl || f.Flags != opConnectOK {
 		return broken(fmt.Errorf("core: unexpected reply (kind %d, op %d) to a connect request", f.Kind, f.Flags))
 	}
-	remote, peerSplice, err := decodeConnectReply(f.Payload)
-	want := 0
-	if n.connector.Splices(req.profile, remote) {
-		want = count
-	}
-	if err == nil && remote.RelayID != sl.peer {
+	remote, peer, err := decodeConnectReply(f.Payload)
+	s, l := n.connector.Carries(count, profile, &remote)
+	switch {
+	case err != nil:
+	case remote.RelayID != sl.peer:
 		err = fmt.Errorf("core: connect reply names %q on the service link to %q", remote.RelayID, sl.peer)
-	} else if err == nil && len(peerSplice) != want {
-		err = fmt.Errorf("%w: %d splice endpoints in the connect reply, want %d", estab.ErrProtocol, len(peerSplice), want)
+	case len(peer.Splice) != s || len(peer.Listen) != l:
+		err = fmt.Errorf("%w: %d splice and %d listen endpoints in the connect reply, want %d and %d",
+			estab.ErrProtocol, len(peer.Splice), len(peer.Listen), s, l)
 	}
 	if err != nil {
 		return broken(err)
@@ -278,7 +284,7 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	// concurrent-safe; the method is recorded under its own lock. The
 	// peer key routes the establishments through the connectivity cache
 	// (one race per peer, cached winner on reconnect).
-	mux := estab.NewServiceMux(sl.conn, count, estab.Splice{Ports: ports, Peer: peerSplice})
+	mux := estab.NewServiceMux(sl.conn, count, local, peer)
 	var methodMu sync.Mutex
 	var usedMethod estab.Method
 	env := &driver.Env{

@@ -11,7 +11,6 @@ import (
 
 	"netibis/internal/driver"
 	"netibis/internal/drivers/multi"
-	"netibis/internal/emunet"
 	"netibis/internal/estab"
 	"netibis/internal/ipl"
 	"netibis/internal/nameservice"
@@ -362,7 +361,7 @@ func (n *Node) serveServiceLink(conn net.Conn) {
 
 // connectRequest is the decoded form of an opConnect payload. sender and
 // profile.RelayID are checked against the service link's Peer() before
-// anything else is done with the request; profile and splice are
+// anything else is done with the request; profile and endpoints are
 // what the acceptor's establishments of this connect race with. The port
 // type crosses as a digest: the acceptor only tests it for equality with
 // its own port's, and a stack string may hold a psk= passphrase.
@@ -371,7 +370,7 @@ type connectRequest struct {
 	typeDigest [sha256.Size]byte
 	sender     ipl.Identifier
 	profile    estab.Profile
-	splice     []emunet.Endpoint // one predicted endpoint per establishment
+	endpoints  estab.Endpoints // the initiator's, per estab.Connector.Carries
 }
 
 // portTypeDigest is SHA-256 over string name ‖ string stack.
@@ -405,7 +404,7 @@ func encodeConnectRequest(req connectRequest) []byte {
 	b = wire.AppendString(b, req.sender.Name)
 	b = wire.AppendString(b, req.sender.Pool)
 	b = wire.AppendBytes(b, req.profile.Encode())
-	return estab.AppendEndpoints(b, req.splice)
+	return estab.AppendEndpoints(b, req.endpoints)
 }
 
 func decodeConnectRequest(p []byte) (connectRequest, error) {
@@ -416,34 +415,34 @@ func decodeConnectRequest(p []byte) (connectRequest, error) {
 	req.sender.Name = d.String()
 	req.sender.Pool = d.String()
 	profile := d.Bytes()
-	splice, err := estab.ReadEndpoints(d, multi.MaxStreams)
+	endpoints, err := estab.ReadEndpoints(d, multi.MaxStreams)
 	if err != nil || d.Remaining() != 0 || len(digest) != len(req.typeDigest) {
 		return connectRequest{}, errors.New("core: corrupt connect request")
 	}
 	copy(req.typeDigest[:], digest)
-	req.splice = splice
+	req.endpoints = endpoints
 	req.profile, err = estab.DecodeProfile(profile)
 	return req, err
 }
 
-// encodeConnectReply is the opConnectOK payload: the acceptor's profile,
-// and its splice endpoints when splicing is a candidate.
-func encodeConnectReply(profile estab.Profile, splice []emunet.Endpoint) []byte {
-	return estab.AppendEndpoints(wire.AppendBytes(nil, profile.Encode()), splice)
+// encodeConnectReply is the opConnectOK payload: the acceptor's profile
+// and its endpoints, per estab.Connector.Carries.
+func encodeConnectReply(profile estab.Profile, endpoints estab.Endpoints) []byte {
+	return estab.AppendEndpoints(wire.AppendBytes(nil, profile.Encode()), endpoints)
 }
 
 // decodeConnectReply accepts one encoding: what encodeConnectReply makes
 // of the result (no trailing bytes, no varint that is not minimal).
-func decodeConnectReply(p []byte) (profile estab.Profile, splice []emunet.Endpoint, err error) {
+func decodeConnectReply(p []byte) (profile estab.Profile, endpoints estab.Endpoints, err error) {
 	d := wire.NewDecoder(p)
 	enc := d.Bytes()
-	if splice, err = estab.ReadEndpoints(d, multi.MaxStreams); err == nil {
+	if endpoints, err = estab.ReadEndpoints(d, multi.MaxStreams); err == nil {
 		profile, err = estab.DecodeProfile(enc)
 	}
-	if err != nil || !bytes.Equal(encodeConnectReply(profile, splice), p) {
-		return estab.Profile{}, nil, errors.New("core: corrupt connect reply")
+	if err != nil || !bytes.Equal(encodeConnectReply(profile, endpoints), p) {
+		return estab.Profile{}, estab.Endpoints{}, errors.New("core: corrupt connect reply")
 	}
-	return profile, splice, nil
+	return profile, endpoints, nil
 }
 
 // handleConnect processes one data-link establishment request on the
@@ -478,16 +477,17 @@ func (n *Node) handleConnect(conn net.Conn, w *wire.Writer, payload []byte) erro
 	if err != nil {
 		return reject(err.Error())
 	}
-	if len(req.splice) != count {
-		return reject(fmt.Sprintf("%d splice endpoints for a stack of %d establishments", len(req.splice), count))
+	if s, l := n.connector.Carries(count, req.profile, nil); len(req.endpoints.Splice) != s || len(req.endpoints.Listen) != l {
+		return reject(fmt.Sprintf("%d splice and %d listen endpoints for a stack of %d establishments, want %d and %d",
+			len(req.endpoints.Splice), len(req.endpoints.Listen), count, s, l))
 	}
 	local := n.connector.Profile()
-	var ports []int
-	var predicted []emunet.Endpoint
-	if n.connector.Splices(req.profile, local) {
-		ports, predicted = n.connector.ReserveSplice(count)
+	endpoints, err := n.connector.Reserve(n.connector.Carries(count, req.profile, &local))
+	if err != nil {
+		return reject(err.Error())
 	}
-	if err := w.WriteFrame(wire.KindControl, opConnectOK, encodeConnectReply(local, predicted)); err != nil {
+	defer endpoints.Close()
+	if err := w.WriteFrame(wire.KindControl, opConnectOK, encodeConnectReply(local, endpoints)); err != nil {
 		return err
 	}
 
@@ -496,9 +496,9 @@ func (n *Node) handleConnect(conn net.Conn, w *wire.Writer, payload []byte) erro
 	// link, mirroring (and overlapping with) the Dial calls the
 	// initiator makes concurrently on its side. Each starts every
 	// candidate's half at once, so what the acceptor does first (its
-	// listening endpoint, its splice request and its routed open)
-	// follows the reply above back to back.
-	mux := estab.NewServiceMux(conn, count, estab.Splice{Ports: ports, Peer: req.splice})
+	// dial of the initiator's listener, its splice request and its
+	// routed open) follows the reply above back to back.
+	mux := estab.NewServiceMux(conn, count, endpoints, req.endpoints)
 	env := &driver.Env{
 		Accept: func() (net.Conn, error) {
 			dataConn, _, err := n.connector.EstablishAcceptor(mux.Open(), req.profile)

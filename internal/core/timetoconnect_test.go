@@ -13,11 +13,13 @@ import (
 
 // TestTimeToConnect pins the time a cold Connect takes, in round trips
 // r of the service link it brokers over, for the benchmark's four
-// connect scenarios on 4, 30 and 43 ms links at time scale 1. Direct is
-// the connect request and its reply, one r (the emulator's dial crosses
-// no link); a spliced or routed connect costs what direct does, for the
-// acceptor's simultaneous open and its routed open go out right behind
-// its reply. A raced connect whose splice hangs pays the request and
+// connect scenarios and a reverse one on 4, 30 and 43 ms links at time
+// scale 1. Direct is the connect request and its reply, one r (the
+// emulator's dial crosses no link); a spliced, routed or reverse connect
+// costs what direct does, for the acceptor's simultaneous open, its
+// routed open and its dial of the listener the initiator sent in the
+// request (reverse: the initiator listens) go out right behind its
+// reply. A raced connect whose splice hangs pays the request and
 // reply and one head start of max(r, estab.MinRaceStagger), after which
 // routed takes the link the acceptor opened behind its reply. A direct
 // connect issued back to back behind another, as soon as that one
@@ -46,6 +48,7 @@ func TestTimeToConnect(t *testing.T) {
 		{"splice", stateful, stateful, false, estab.Splicing},
 		{"routed", emunet.SiteConfig{Firewall: emunet.Stateful, NAT: emunet.BrokenNAT}, stateful, true, estab.Routed},
 		{"raced", emunet.SiteConfig{Firewall: emunet.Stateful, SpliceHostile: true}, stateful, false, estab.Routed},
+		{"reverse", emunet.SiteConfig{Firewall: emunet.Open}, stateful, false, estab.ClientServer},
 	}
 	for _, row := range []struct {
 		rtt      time.Duration
@@ -80,7 +83,7 @@ func TestTimeToConnect(t *testing.T) {
 				rigs[j] = &rig{init: a, acc: b, rp: rp}
 			}
 			// The scenarios take turns, so whatever else loads the host
-			// falls on all four rows alike.
+			// falls on all rows alike.
 			// connect runs one cold connect of scenario j, timed, and checks
 			// the method it came up by.
 			connect := func(j, i int) (ipl.SendPort, time.Duration) {
@@ -143,7 +146,7 @@ func TestTimeToConnect(t *testing.T) {
 			if behind > took["direct"]*11/10 {
 				t.Errorf("a direct connect back to back behind another took %v, want at most 1.1 × a lone one's %v", behind, took["direct"])
 			}
-			for _, name := range []string{"splice", "routed"} {
+			for _, name := range []string{"splice", "routed", "reverse"} {
 				if took[name] > took["direct"]*11/10 {
 					t.Errorf("%s took %v, want at most 1.1 × direct's %v", name, took[name], took["direct"])
 				}

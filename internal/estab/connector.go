@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"time"
 
 	"netibis/internal/emunet"
@@ -15,16 +14,14 @@ import (
 )
 
 // Brokering protocol message types, the type byte of a ServiceMux message
-// (mux.go). The order is part of the decoder: the type below msgAbort
-// belongs to a method's conversation, the election above it is the
-// initiator's control message (method 0), and msgAbort is both — under a
-// method it calls that attempt off, under method 0 the establishment.
-// Splicing and routed say nothing on the service link: both endpoints
-// ride in the connect exchange, and the acceptor opens routed unasked.
+// (mux.go). No method speaks on the service link: every endpoint an
+// establishment dials rides in the connect exchange (Endpoints), and the
+// acceptor opens routed unasked. What is left is the abort, under a
+// method the call-off of that attempt, under method 0 of the
+// establishment, and the initiator's election (method 0 only).
 const (
-	msgListen byte = iota + 1 // "I am listening at this endpoint, dial me"
-	msgAbort                  // failed on my side (empty)
-	msgElect                  // the race's winner, one method byte (MethodNone: nothing won, the establishment is over)
+	msgAbort byte = iota + 1 // failed on my side (empty)
+	msgElect                 // the race's winner, one method byte (MethodNone: nothing won, the establishment is over)
 )
 
 // DefaultSpliceTimeout bounds how long a simultaneous open waits for the
@@ -195,51 +192,82 @@ type EstablishOpts struct {
 	ServiceRTT time.Duration
 }
 
-// runMethod runs one establishment method's conversation over b. cancel,
+// runMethod runs one establishment method on conversation cv. cancel,
 // when it fires, means the attempt lost the race and must wind down
 // promptly.
-func (c *Connector) runMethod(b methodConv, local, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
-	switch b.m {
+func (c *Connector) runMethod(cv *Conversation, m Method, local, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
+	ini, acc := local, remote
+	if !initiator {
+		ini, acc = remote, local
+	}
+	switch m {
 	case ClientServer:
-		return c.establishClientServer(b, local, remote, initiator, cancel)
+		return c.establishDirect(cv, m, listens(m, ini, acc, initiator), c.Host.Dial, cancel)
 	case Splicing:
-		return c.establishSplicing(b, initiator, cancel)
+		return c.establishSplicing(cv, initiator, cancel)
 	case Proxy:
-		return c.establishProxy(b, local, remote, cancel)
+		return c.establishDirect(cv, m, listens(m, ini, acc, initiator), c.dialProxy, cancel)
 	case Routed:
-		return c.establishRouted(b, remote, initiator, cancel)
+		return c.establishRouted(cv, remote, initiator, cancel)
 	default:
 		return nil, ErrNoMethod
 	}
 }
 
-// establishClientServer: the dialable side listens on a fresh port and
-// advertises it; the other side dials. Which side listens is decided
-// deterministically from the two profiles, so no extra negotiation is
-// needed.
-func (c *Connector) establishClientServer(b methodConv, local, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
-	// Prefer the acceptor as the listening side (matching the IPL's
-	// receive-port-listens convention) but fall back to whichever
-	// direction is dialable: the acceptor listens when the initiator can
-	// dial it.
-	localListens := canDialDirect(remote, local)
-	if initiator {
-		localListens = !canDialDirect(local, remote)
+// listens reports whether the initiator's side (asInitiator) or the
+// acceptor's listens in method m, by one rule both sides evaluate alike.
+// In client/server the acceptor listens when the initiator can dial it
+// (the IPL's receive-port-listens convention), in proxy when the
+// initiator's proxy can reach it; otherwise the initiator listens, and
+// Possible has made sure the acceptor can reach it. Cross-site, a side
+// that listens is Reachable. No other method listens.
+func listens(m Method, initiator, acceptor Profile, asInitiator bool) bool {
+	switch m {
+	case ClientServer:
+		return canDialDirect(initiator, acceptor) != asInitiator
+	case Proxy:
+		return (initiator.HasProxy && acceptor.Reachable()) != asInitiator
 	}
-	if localListens {
-		return c.listenAndAccept(b, cancel)
-	}
+	return false
+}
 
-	// Dialing side: wait for the peer's listen announcement.
-	ep, err := recvEndpoint(b, msgListen)
-	if err != nil {
-		return nil, err
+// establishDirect is client/server and proxy: the listening side accepts
+// on the listener it reserved for this establishment, and the other
+// dials that listener's endpoint, from the connect exchange, the moment
+// it launches — no message. A failed dial aborts the peer's accept.
+func (c *Connector) establishDirect(cv *Conversation, m Method, listening bool, dial func(emunet.Endpoint) (net.Conn, error), cancel <-chan struct{}) (net.Conn, error) {
+	local, peer, k := cv.m.local, cv.m.peer, cv.id
+	var conn net.Conn
+	var err error
+	switch {
+	case listening && k < uint64(len(local.listeners)):
+		return acceptWithTimeout(local.listeners[k], c.ResolvedAcceptTimeout(), cancel)
+	case listening:
+		err = fmt.Errorf("%w: no listener for establishment %d", ErrProtocol, k)
+	case k < uint64(len(peer.Listen)):
+		conn, err = dial(peer.Listen[k])
+	default:
+		err = fmt.Errorf("%w: no listen endpoint for establishment %d", ErrProtocol, k)
 	}
-	conn, err := c.Host.Dial(ep)
 	if err != nil {
 		// Let the listening side give up instead of waiting out its
 		// accept timeout.
-		b.send(msgAbort, nil)
+		cv.send(m, msgAbort, nil)
+	}
+	return conn, err
+}
+
+// dialProxy connects to ep through this endpoint's SOCKS proxy.
+func (c *Connector) dialProxy(ep emunet.Endpoint) (net.Conn, error) {
+	if c.ProxyAddr.IsZero() {
+		return nil, ErrNoProxy
+	}
+	conn, err := c.Host.Dial(c.ProxyAddr)
+	if err != nil {
+		return nil, err
+	}
+	if err := socks.Connect(conn, string(ep.Addr), ep.Port, c.ProxyCreds); err != nil {
+		conn.Close()
 		return nil, err
 	}
 	return conn, nil
@@ -248,140 +276,113 @@ func (c *Connector) establishClientServer(b methodConv, local, remote Profile, i
 // establishSplicing: each side dials from its port for this conversation
 // to the peer's prediction, both from the connect request and reply, so
 // the acceptor's offer goes out right behind its reply, without a message.
-func (c *Connector) establishSplicing(b methodConv, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
-	s, k := b.cv.m.splice, b.cv.id
-	if k >= uint64(min(len(s.Ports), len(s.Peer))) {
+func (c *Connector) establishSplicing(cv *Conversation, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
+	local, peer, k := cv.m.local, cv.m.peer, cv.id
+	if k >= uint64(min(len(local.ports), len(peer.Splice))) {
 		return nil, fmt.Errorf("%w: no splice endpoints for establishment %d", ErrProtocol, k)
 	}
 	timeout := c.spliceTimeout()
 	if !initiator {
 		timeout = c.ResolvedAcceptTimeout()
 	}
-	return c.Host.SpliceDialCancel(s.Ports[k], s.Peer[k], timeout, cancel)
+	return c.Host.SpliceDialCancel(local.ports[k], peer.Splice[k], timeout, cancel)
 }
 
-// ReserveSplice reserves a splice port for each of a connect's n
-// establishments and predicts its external endpoint.
-func (c *Connector) ReserveSplice(n int) ([]int, []emunet.Endpoint) {
-	ports, predicted := make([]int, n), make([]emunet.Endpoint, n)
-	for i := range ports {
-		ports[i] = c.Host.AllocatePort()
-		predicted[i] = c.Host.PredictExternalEndpoint(ports[i])
+// Endpoints is one side's endpoints for a connect's establishments, as
+// the connect exchange carries them: establishment k splices from the
+// port predicted as Splice[k] and listens at Listen[k]. A list is empty
+// or holds one entry per establishment (Carries says which). The side
+// that reserved them also holds the ports and listeners behind them; a
+// peer's, decoded from the exchange, is the two lists alone.
+type Endpoints struct {
+	Splice, Listen []emunet.Endpoint
+	ports          []int
+	listeners      []*emunet.Listener
+}
+
+// Carries is the one rule for how many splice and listen endpoints a
+// side's half of a connect exchange of n establishments holds: n or none.
+// The request precedes the acceptor's profile (acceptor nil): splice
+// always, listen when the initiator is Reachable, which cross-site it must
+// be to listen. The reply: splice when splicing is a candidate of the two
+// profiles, listen when the acceptor listens for a candidate.
+func (c *Connector) Carries(n int, initiator Profile, acceptor *Profile) (splice, listen int) {
+	if acceptor == nil {
+		if initiator.Reachable() {
+			return n, n
+		}
+		return n, 0
 	}
-	return ports, predicted
+	for _, m := range c.candidates(initiator, *acceptor) {
+		if m == Splicing {
+			splice = n
+		}
+		if listens(m, initiator, *acceptor, false) {
+			listen = n
+		}
+	}
+	return splice, listen
 }
 
-// Splices reports whether splicing is a candidate for the two profiles,
-// and so whether the connect reply carries splice endpoints.
-func (c *Connector) Splices(initiator, acceptor Profile) bool {
-	return slices.Contains(c.candidates(initiator, acceptor), Splicing)
-}
-
-// establishProxy: the side with a SOCKS proxy dials out through it; the
-// reachable side listens and advertises its endpoint.
-func (c *Connector) establishProxy(b methodConv, local, remote Profile, cancel <-chan struct{}) (net.Conn, error) {
-	if local.HasProxy && remote.Reachable() {
-		// Wait for the peer's listener endpoint, then CONNECT to it.
-		ep, err := recvEndpoint(b, msgListen)
+// Reserve reserves this side's endpoints, in the numbers Carries gives: a
+// splice port each, with its predicted external endpoint, and a listener
+// each. An establishment closes its listener when it ends, used or not.
+func (c *Connector) Reserve(splice, listen int) (Endpoints, error) {
+	var e Endpoints
+	for range splice {
+		port := c.Host.AllocatePort()
+		e.ports = append(e.ports, port)
+		e.Splice = append(e.Splice, c.Host.PredictExternalEndpoint(port))
+	}
+	for range listen {
+		l, err := c.Host.Listen(0)
 		if err != nil {
-			return nil, err
+			e.Close()
+			return Endpoints{}, err
 		}
-		if c.ProxyAddr.IsZero() {
-			b.send(msgAbort, nil)
-			return nil, ErrNoProxy
-		}
-		proxyConn, err := c.Host.Dial(c.ProxyAddr)
-		if err != nil {
-			b.send(msgAbort, nil)
-			return nil, err
-		}
-		if err := socks.Connect(proxyConn, string(ep.Addr), ep.Port, c.ProxyCreds); err != nil {
-			proxyConn.Close()
-			b.send(msgAbort, nil)
-			return nil, err
-		}
-		return proxyConn, nil
+		e.listeners = append(e.listeners, l)
+		e.Listen = append(e.Listen, emunet.Endpoint{Addr: c.Host.Address(), Port: l.Port()})
 	}
-	return c.listenAndAccept(b, cancel)
+	return e, nil
 }
 
-// appendEndpoint appends string addr ‖ uvarint port.
-func appendEndpoint(b []byte, ep emunet.Endpoint) []byte {
-	return wire.AppendUvarint(wire.AppendString(b, string(ep.Addr)), uint64(ep.Port))
-}
-
-// readEndpoint reads one endpoint; a port that is not one is ErrProtocol.
-func readEndpoint(d *wire.Decoder) (emunet.Endpoint, error) {
-	addr, port := d.String(), d.Uvarint()
-	if d.Err() != nil || port > 65535 {
-		return emunet.Endpoint{}, fmt.Errorf("%w: malformed endpoint", ErrProtocol)
+// Close closes the listeners behind Listen.
+func (e Endpoints) Close() {
+	for _, l := range e.listeners {
+		l.Close()
 	}
-	return emunet.Endpoint{Addr: emunet.Address(addr), Port: int(port)}, nil
 }
 
-// AppendEndpoints appends a splice endpoint list: uvarint n ‖ n endpoints.
-func AppendEndpoints(b []byte, eps []emunet.Endpoint) []byte {
-	b = wire.AppendUvarint(b, uint64(len(eps)))
-	for _, ep := range eps {
-		b = appendEndpoint(b, ep)
+// AppendEndpoints appends e's two lists, splice then listen, each
+// uvarint n ‖ n × (string addr ‖ uvarint port).
+func AppendEndpoints(b []byte, e Endpoints) []byte {
+	for _, list := range [][]emunet.Endpoint{e.Splice, e.Listen} {
+		b = wire.AppendUvarint(b, uint64(len(list)))
+		for _, ep := range list {
+			b = wire.AppendUvarint(wire.AppendString(b, string(ep.Addr)), uint64(ep.Port))
+		}
 	}
 	return b
 }
 
-// ReadEndpoints reads a list of at most limit (nil when empty).
-func ReadEndpoints(d *wire.Decoder, limit int) ([]emunet.Endpoint, error) {
-	n := d.Uvarint()
-	if d.Err() != nil || n > uint64(limit) {
-		return nil, fmt.Errorf("%w: malformed splice endpoint list", ErrProtocol)
-	}
-	var eps []emunet.Endpoint
-	for ; n > 0; n-- {
-		ep, err := readEndpoint(d)
-		if err != nil {
-			return nil, err
+// ReadEndpoints reads what AppendEndpoints wrote, each list at most limit
+// long (nil when empty). A port that is not one is ErrProtocol.
+func ReadEndpoints(d *wire.Decoder, limit int) (Endpoints, error) {
+	var e Endpoints
+	for _, list := range []*[]emunet.Endpoint{&e.Splice, &e.Listen} {
+		n := d.Uvarint()
+		if d.Err() != nil || n > uint64(limit) {
+			return Endpoints{}, fmt.Errorf("%w: malformed endpoint list", ErrProtocol)
 		}
-		eps = append(eps, ep)
+		for ; n > 0; n-- {
+			addr, port := d.String(), d.Uvarint()
+			if d.Err() != nil || port > 65535 {
+				return Endpoints{}, fmt.Errorf("%w: malformed endpoint", ErrProtocol)
+			}
+			*list = append(*list, emunet.Endpoint{Addr: emunet.Address(addr), Port: int(port)})
+		}
 	}
-	return eps, nil
-}
-
-// recvEndpoint waits for the peer's announcement of the given type (the
-// peer's abort cancels the attempt, which fails the wait). Any other
-// message, a truncated body, trailing bytes or a port that is not one are
-// ErrProtocol.
-func recvEndpoint(b methodConv, want byte) (emunet.Endpoint, error) {
-	t, body, err := b.recv()
-	if err != nil {
-		return emunet.Endpoint{}, err
-	}
-	if t != want {
-		return emunet.Endpoint{}, fmt.Errorf("%w: expected message %d, got %d", ErrProtocol, want, t)
-	}
-	return decodeEndpoint(body)
-}
-
-func decodeEndpoint(body []byte) (emunet.Endpoint, error) {
-	d := wire.NewDecoder(body)
-	ep, err := readEndpoint(d)
-	if err == nil && d.Remaining() != 0 {
-		err = fmt.Errorf("%w: trailing bytes behind an endpoint", ErrProtocol)
-	}
-	return ep, err
-}
-
-// listenAndAccept is the listening half of a client/server or proxy
-// establishment: listen on a fresh port, advertise it, wait for the peer.
-func (c *Connector) listenAndAccept(b methodConv, cancel <-chan struct{}) (net.Conn, error) {
-	l, err := c.Host.Listen(0)
-	if err != nil {
-		b.send(msgAbort, nil)
-		return nil, err
-	}
-	defer l.Close()
-	if err := b.send(msgListen, appendEndpoint(nil, emunet.Endpoint{Addr: c.Host.Address(), Port: l.Port()})); err != nil {
-		return nil, err
-	}
-	return acceptWithTimeout(l, c.ResolvedAcceptTimeout(), cancel)
+	return e, nil
 }
 
 // establishRouted: the acceptor opens a routed data link for this
@@ -390,20 +391,20 @@ func (c *Connector) listenAndAccept(b methodConv, cancel <-chan struct{}) (net.C
 // routed. A failed open aborts the initiator's wait; a canceled
 // (race-lost) one says nothing and is abandoned, so the initiator
 // discards its half instead of keeping a half-open link.
-func (c *Connector) establishRouted(b methodConv, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
+func (c *Connector) establishRouted(cv *Conversation, remote Profile, initiator bool, cancel <-chan struct{}) (net.Conn, error) {
 	if c.Relay == nil || (initiator && c.AcceptRouted == nil) {
-		b.send(msgAbort, nil)
+		cv.send(Routed, msgAbort, nil)
 		return nil, ErrNoRelay
 	}
 	if initiator {
-		return c.AcceptRouted(remote.RelayID, b.cv.id, c.ResolvedAcceptTimeout(), cancel)
+		return c.AcceptRouted(remote.RelayID, cv.id, c.ResolvedAcceptTimeout(), cancel)
 	}
-	conn, err := c.dialRoutedData(remote, b.cv.id, cancel)
+	conn, err := c.dialRoutedData(remote, cv.id, cancel)
 	if err != nil {
 		select {
 		case <-cancel: // lost the race: the election already ended it
 		default:
-			b.send(msgAbort, nil)
+			cv.send(Routed, msgAbort, nil)
 		}
 	}
 	return conn, err
@@ -456,10 +457,6 @@ func acceptWithTimeout(l *emunet.Listener, timeout time.Duration, cancel <-chan 
 	case <-cancel: // nil cancel never fires
 		return settle(errRaceLost)
 	case <-time.After(timeout):
-		conn, err := settle(nil)
-		if err == nil && conn != nil {
-			return conn, nil
-		}
-		return nil, fmt.Errorf("estab: timed out waiting for peer connection")
+		return settle(errors.New("estab: timed out waiting for peer connection"))
 	}
 }

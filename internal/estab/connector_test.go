@@ -3,8 +3,10 @@ package estab
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"netibis/internal/emunet"
 	"netibis/internal/relay"
 	"netibis/internal/socks"
+	"netibis/internal/testutil"
 )
 
 // world builds the multi-site grid used throughout the establishment
@@ -242,6 +245,61 @@ func TestEstablishProxyForBrokenNAT(t *testing.T) {
 	verifyLink(t, a, b)
 	if w.socksSrv.Connections() == 0 {
 		t.Fatal("SOCKS proxy saw no connections")
+	}
+}
+
+// TestProxyRoleRule: which side of a proxy establishment dials through
+// its proxy and which listens is one rule of the two profiles, evaluated
+// alike by both — the initiator dials when its proxy can reach the
+// acceptor, the acceptor otherwise — so two sides that could each dial
+// never both do and wait for a listener that never comes. Each pair
+// connects by proxy within the accept timeout and leaves nothing
+// running. Left to rank on their own, these pairs would listen on one
+// side for client/server and proxy alike, on the one listener an
+// establishment has, so they race client/server without the proxy.
+func TestProxyRoleRule(t *testing.T) {
+	w := newWorld(t)
+	open := emunet.SiteConfig{Firewall: emunet.Open}
+	broken := emunet.SiteConfig{Firewall: emunet.Stateful, NAT: emunet.BrokenNAT}
+	for i, tc := range []struct {
+		name                string
+		init, acc           emunet.SiteConfig
+		initProxy, accProxy bool
+		initListens         bool
+		ranked              []Method // unforced
+	}{
+		{"the acceptor dials through its proxy", open, broken, false, true, true, []Method{ClientServer, Routed}},
+		{"both reachable, both with a proxy", open, open, true, true, false, []Method{ClientServer, Splicing, Routed}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			init := w.connector(t, fmt.Sprintf("role-a%d", i), fmt.Sprintf("role-i%d", i), tc.init, tc.initProxy)
+			acc := w.connector(t, fmt.Sprintf("role-b%d", i), fmt.Sprintf("role-a%d", i), tc.acc, tc.accProxy)
+			if got := init.candidates(init.Profile(), acc.Profile()); !slices.Equal(got, tc.ranked) {
+				t.Fatalf("unforced, the pair ranks %v, want %v", got, tc.ranked)
+			}
+			init.ForcedMethod, acc.ForcedMethod = Proxy, Proxy
+			if got := listens(Proxy, init.Profile(), acc.Profile(), true); got != tc.initListens {
+				t.Fatalf("the initiator listens: %v, want %v", got, tc.initListens)
+			}
+			check := testutil.LeakCheck(t, 0)
+			before := w.socksSrv.Connections()
+			start := time.Now()
+			a, b, m, err := establishPairOpts(t, init, acc, EstablishOpts{})
+			if err != nil {
+				t.Fatalf("after %v: %v", time.Since(start), err)
+			}
+			if elapsed := time.Since(start); elapsed > acc.ResolvedAcceptTimeout() {
+				t.Fatalf("took %v, longer than the accept timeout", elapsed)
+			}
+			if m != Proxy {
+				t.Fatalf("method = %v, want Proxy", m)
+			}
+			verifyLink(t, a, b)
+			if w.socksSrv.Connections() == before {
+				t.Fatal("the SOCKS proxy saw no connection")
+			}
+			check()
+		})
 	}
 }
 

@@ -22,8 +22,9 @@
 //     asymmetric splice-hostile firewall, an unpredictable NAT — to one
 //     stagger tier (one service-link round trip, as measured by the
 //     caller) instead of a full method timeout. Both sides derive the
-//     candidates from the two profiles, so an establishment costs what
-//     its method's own messages cost and one election.
+//     candidates from the two profiles and take every endpoint from the
+//     connect exchange, so an establishment costs its method's own
+//     handshake and one election.
 //   - A per-pair connectivity cache (cache.go): the winning method is
 //     remembered with a TTL, so a reconnect launches the winner alone;
 //     a failure invalidates the entry and launches the rest of the
@@ -31,8 +32,8 @@
 //
 // Both run on one conversation layer (mux.go): a ServiceMux owns the
 // service link for the length of a connect, gives every establishment a
-// Conversation, and routes each brokering message to the establishment
-// and the racing method it belongs to.
+// Conversation, and routes each brokering message — an abort or the
+// election — to the establishment it belongs to.
 //
 // The brokering wire protocol, the race and the cache
 // semantics are specified in DESIGN.md ("Racing establishment and the

@@ -1,7 +1,9 @@
 package estab
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -268,28 +270,44 @@ func TestProfileDecodeCorrupt(t *testing.T) {
 	}
 }
 
-// TestEndpointDecodeCorrupt: the msgListen body is string addr ‖ uvarint
-// port and nothing else, and a port is at most 65535.
+// TestEndpointDecodeCorrupt: a side's endpoints are two lists, splice
+// then listen, each uvarint n ‖ n × (string addr ‖ uvarint port) and
+// nothing else; a list is at most the limit long, and a port is at most
+// 65535.
 func TestEndpointDecodeCorrupt(t *testing.T) {
-	body := func(addr string, port uint64) []byte {
-		return wire.AppendUvarint(wire.AppendString(nil, addr), port)
+	list := func(addr string, ports ...uint64) []byte {
+		b := wire.AppendUvarint(nil, uint64(len(ports)))
+		for _, port := range ports {
+			b = wire.AppendUvarint(wire.AppendString(b, addr), port)
+		}
+		return b
 	}
-	full := body("10.1.0.2", 40000)
-	if ep, err := decodeEndpoint(full); err != nil || ep != (emunet.Endpoint{Addr: "10.1.0.2", Port: 40000}) {
-		t.Fatalf("canonical endpoint: %+v, %v", ep, err)
+	read := func(b []byte) (Endpoints, error) {
+		d := wire.NewDecoder(b)
+		e, err := ReadEndpoints(d, 2)
+		if err == nil && d.Remaining() != 0 {
+			t.Fatalf("%x: %d bytes left unread", b, d.Remaining())
+		}
+		return e, err
 	}
-	if _, err := decodeEndpoint(body("10.1.0.2", 65535)); err != nil {
-		t.Fatalf("port 65535: %v", err)
+	full := append(list("10.1.0.2", 40000), list("10.1.0.2", 40001)...)
+	want := Endpoints{Splice: []emunet.Endpoint{{Addr: "10.1.0.2", Port: 40000}}, Listen: []emunet.Endpoint{{Addr: "10.1.0.2", Port: 40001}}}
+	if e, err := read(full); err != nil || !reflect.DeepEqual(e, want) || !bytes.Equal(AppendEndpoints(nil, e), full) {
+		t.Fatalf("canonical endpoints: %+v, %v", e, err)
+	}
+	if e, err := read(append(list("10.1.0.2", 65535, 1), list("")...)); err != nil || len(e.Splice) != 2 || e.Listen != nil {
+		t.Fatalf("port 65535, two splice endpoints, no listen endpoint: %+v, %v", e, err)
 	}
 	for what, bad := range map[string][]byte{
-		"empty":         nil,
-		"truncated":     full[:len(full)-1],
-		"no port":       wire.AppendString(nil, "10.1.0.2"),
-		"trailing byte": append(append([]byte(nil), full...), 0),
-		"port 65536":    body("10.1.0.2", 65536),
+		"empty":           nil,
+		"no listen list":  list("10.1.0.2", 40000),
+		"truncated":       full[:len(full)-1],
+		"no port":         wire.AppendString(wire.AppendUvarint(nil, 1), "10.1.0.2"),
+		"port 65536":      append(list("10.1.0.2", 65536), list("")...),
+		"three endpoints": append(list(""), list("10.1.0.2", 1, 2, 3)...),
 	} {
-		if _, err := decodeEndpoint(bad); !errors.Is(err, ErrProtocol) {
-			t.Errorf("endpoint with %s: %v, want ErrProtocol", what, err)
+		if _, err := ReadEndpoints(wire.NewDecoder(bad), 2); !errors.Is(err, ErrProtocol) {
+			t.Errorf("endpoints with %s: %v, want ErrProtocol", what, err)
 		}
 	}
 }

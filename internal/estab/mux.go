@@ -2,25 +2,26 @@ package estab
 
 // ServiceMux is the one conversation layer between a connect's
 // establishments and the service link: it frames every brokering message,
-// routes it to the establishment and the racing method it belongs to, and
-// ends the connect with one barrier.
+// routes it to the establishment it belongs to, and ends the connect with
+// one barrier.
 //
 // A data link's driver stack may need several connections (the
-// parallel-streams driver brokers one per sub-stream), and every
-// establishment is an ordered conversation over the service link: run
-// one at a time they cost WAN-RTT × N of setup latency. The mux gives
-// each establishment its own numbered Conversation, and inside it one
-// ordered queue per racing method plus one for the initiator's control
-// messages (elect, abort), so the establishments — and the method
-// attempts each of them races — overlap on the one link. A message is
+// parallel-streams driver brokers one per sub-stream): run one at a time
+// their establishments would cost WAN-RTT × N of setup latency. The mux
+// gives each its own numbered Conversation, so the establishments — and
+// the method attempts each of them races — overlap on the one link. No
+// method speaks: the endpoints every method dials ride in the connect
+// exchange (Endpoints), so a conversation holds one slot for the
+// initiator's verdict and a cancel channel per method. A message is
 //
 //	uvarint stream ‖ byte method ‖ byte type ‖ body
 //
-// with method 0 (MethodNone) on the control messages. It has one shape:
-// a message cut inside its header, a method above Routed, an unknown
-// type, a control type under a method or the reverse, and any frame that
-// is neither a message nor the done marker end the whole mux with
-// ErrProtocol — the link is out of step and its owner drops it.
+// with method 0 (MethodNone) on the initiator's control messages (elect,
+// abort); under a method it is that attempt's abort, and nothing else. It
+// has one shape: a message cut inside its header, a method above Routed,
+// an unknown type, an election under a method, an abort with a body, and
+// any frame that is neither a message nor the done marker end the whole
+// mux with ErrProtocol — the link is out of step and its owner drops it.
 //
 // Pairing needs no negotiation: both endpoints build the same driver
 // stack, so the k-th Dial on the initiator pairs with the k-th Accept on
@@ -31,7 +32,7 @@ package estab
 // fixes how many establishments a connect runs, and the mux holds that
 // count: a message on a stream past it is ErrProtocol. Every
 // conversation races the same candidates — the ranking of the two
-// profiles (race.go) — on its own.
+// profiles (race.go) — on its own, with the k-th endpoints of each side.
 //
 // Lifecycle: the mux owns the service connection in two halves, each
 // handed back on its own. The write half is the mux's from construction
@@ -42,15 +43,15 @@ package estab
 // until it has received the peer's done, which guarantees someone is
 // always draining a synchronous link while the peer still writes, and
 // reads no frame past that marker. That reader is the only one a connect
-// has: a late message of a finished attempt is filed under its method,
-// and no method runs twice in one conversation. Receiving the peer's done
-// also fails every receive still pending — no more will come — so a
-// half-failed establishment converges instead of hanging. After Finish
-// the connection carries no residual mux traffic in either direction and
-// is reusable for ordinary service requests; that barrier is the only
-// thing Finish waits for, so a caller whose data links are up may pass it
-// on a goroutine that keeps the read half to itself meanwhile (core
-// does, and writes its next request behind the done marker).
+// has: a late abort cancels an attempt that has ended, and no method runs
+// twice in one conversation. Receiving the peer's done also fails a wait
+// for the verdict — none will come — so a half-failed establishment
+// converges instead of hanging. After Finish the connection carries no
+// residual mux traffic in either direction and is reusable for ordinary
+// service requests; that barrier is the only thing Finish waits for, so a
+// caller whose data links are up may pass it on a goroutine that keeps
+// the read half to itself meanwhile (core does, and writes its next
+// request behind the done marker).
 
 import (
 	"encoding/binary"
@@ -59,7 +60,6 @@ import (
 	"io"
 	"sync"
 
-	"netibis/internal/emunet"
 	"netibis/internal/wire"
 )
 
@@ -83,7 +83,7 @@ var errControlFromAcceptor = fmt.Errorf("%w: control message from the acceptor",
 type muxMsg struct {
 	stream uint64
 	method Method // MethodNone: a control message of the initiator
-	t      byte   // msgListen … msgElect
+	t      byte   // msgAbort or msgElect
 	body   []byte
 }
 
@@ -103,21 +103,14 @@ func decodeMuxMessage(p []byte) (muxMsg, error) {
 	switch {
 	case msg.method > Routed:
 		return muxMsg{}, fmt.Errorf("%w: mux message for unknown method %d", ErrProtocol, p[k])
-	case msg.t < msgListen || msg.t > msgElect:
+	case msg.t != msgAbort && msg.t != msgElect:
 		return muxMsg{}, fmt.Errorf("%w: unknown mux message type %d", ErrProtocol, msg.t)
-	case msg.t < msgAbort && msg.method == MethodNone, msg.t > msgAbort && msg.method != MethodNone:
-		return muxMsg{}, fmt.Errorf("%w: message type %d on the wrong conversation (method %d)", ErrProtocol, msg.t, p[k])
+	case msg.t == msgElect && msg.method != MethodNone:
+		return muxMsg{}, fmt.Errorf("%w: election on a method's conversation (method %d)", ErrProtocol, p[k])
 	case msg.t == msgAbort && len(msg.body) != 0:
 		return muxMsg{}, fmt.Errorf("%w: abort carries a body", ErrProtocol)
 	}
 	return msg, nil
-}
-
-// Splice is what a connect's establishments splice with: conversation k
-// dials from the local port Ports[k] to the peer's prediction Peer[k].
-type Splice struct {
-	Ports []int
-	Peer  []emunet.Endpoint
 }
 
 // ServiceMux multiplexes a connect's establishments over one service
@@ -128,7 +121,9 @@ type ServiceMux struct {
 	localDone bool
 	werr      error // the done marker's write error
 	n         int   // the connect's establishments: streams 0 … n-1
-	splice    Splice
+	// local and peer are the two sides' endpoints from the connect
+	// exchange; conversation k uses entry k of each list.
+	local, peer Endpoints
 
 	smu      sync.Mutex
 	cond     *sync.Cond // signals every change to the fields below and to any Conversation
@@ -149,30 +144,29 @@ type Conversation struct {
 
 	// initiator is set once EstablishInitiator runs on the conversation:
 	// control messages flow initiator → acceptor only, so one arriving
-	// here is a violation (err).
+	// here is a violation (err), which also cancels every attempt.
 	initiator bool
 	err       error
-	// queues holds the undelivered messages per method conversation;
-	// queues[MethodNone] is the control queue, in arrival order.
-	queues [Routed + 1][]muxMsg
-	// canceled marks the methods whose attempt was called off — by the
-	// local race or by the peer's tagged abort — and attempts
-	// holds the cancel channel of each running one, closed exactly once.
-	// No method runs twice in a conversation, so neither is ever reset.
-	canceled [Routed + 1]bool
-	attempts [Routed + 1]chan struct{}
+	control   *muxMsg // the initiator's verdict (elect or abort), once it came
+	// cancels holds each method's cancel channel, closed at most once —
+	// by the local race, by the peer's tagged abort (perhaps before the
+	// attempt launched) or by a violation. No method runs twice in a
+	// conversation, so none is reset; the array itself never changes.
+	cancels [Routed + 1]chan struct{}
 }
 
 // NewServiceMux wraps the service connection of a connect that runs n
-// establishments and starts demultiplexing. The caller must not write on
-// the connection until Done has returned, nor read it until Finish has.
-func NewServiceMux(service io.ReadWriter, n int, splice Splice) *ServiceMux {
+// establishments, with this side's endpoints and the peer's, and starts
+// demultiplexing. The caller must not write on the connection until Done
+// has returned, nor read it until Finish has.
+func NewServiceMux(service io.ReadWriter, n int, local, peer Endpoints) *ServiceMux {
 	m := &ServiceMux{
-		w:      wire.NewWriter(service),
-		n:      n,
-		splice: splice,
-		convs:  make(map[uint64]*Conversation),
-		rdone:  make(chan struct{}),
+		w:     wire.NewWriter(service),
+		n:     n,
+		local: local,
+		peer:  peer,
+		convs: make(map[uint64]*Conversation),
+		rdone: make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.smu)
 	go m.run(wire.NewReader(service))
@@ -192,6 +186,9 @@ func (m *ServiceMux) convLocked(id uint64) *Conversation {
 	cv, ok := m.convs[id]
 	if !ok {
 		cv = &Conversation{m: m, id: id}
+		for i := range cv.cancels {
+			cv.cancels[i] = make(chan struct{})
+		}
 		m.convs[id] = cv
 	}
 	return cv
@@ -229,18 +226,18 @@ func (m *ServiceMux) run(r *wire.Reader) {
 	}
 }
 
-// deliverLocked files one incoming message. A method-tagged abort is not
-// queued: it cancels the local attempt outright, which also reaches an
-// attempt blocked in a listener accept (which never calls recv), so the
-// race is not stalled for the full accept timeout.
+// deliverLocked files one incoming message. A method-tagged message is
+// an abort: it cancels the local attempt outright, which also reaches an
+// attempt blocked in a listener accept, so the race is not stalled for
+// the full accept timeout. The first control message is the verdict.
 func (cv *Conversation) deliverLocked(msg muxMsg) {
 	switch {
 	case msg.method == MethodNone && cv.initiator:
-		cv.err = errControlFromAcceptor
-	case msg.method != MethodNone && msg.t == msgAbort:
+		cv.failLocked(errControlFromAcceptor)
+	case msg.method != MethodNone:
 		cv.cancelLocked(msg.method)
-	default:
-		cv.queues[msg.method] = append(cv.queues[msg.method], msg)
+	case cv.control == nil:
+		cv.control = &msg
 	}
 }
 
@@ -283,8 +280,17 @@ func (cv *Conversation) asInitiator() {
 	cv.m.smu.Lock()
 	defer cv.m.smu.Unlock()
 	cv.initiator = true
-	if len(cv.queues[MethodNone]) > 0 {
-		cv.err = errControlFromAcceptor
+	if cv.control != nil {
+		cv.failLocked(errControlFromAcceptor)
+	}
+}
+
+// failLocked ends the conversation with a violation: err, and every
+// attempt canceled.
+func (cv *Conversation) failLocked(err error) {
+	cv.err = err
+	for m := range cv.cancels {
+		cv.cancelLocked(Method(m))
 	}
 }
 
@@ -301,65 +307,48 @@ func (cv *Conversation) send(method Method, t byte, body []byte) error {
 	return m.w.WriteFrameBatch([]wire.BatchFrame{{Kind: kindMuxData, Hdr: appendMuxHeader(hdr[:0], cv.id, method, t), Payload: body}})
 }
 
-// recv takes the next message of one method conversation (MethodNone:
-// the control queue), waiting for it until the conversation, the method's
-// attempt or the whole mux has ended.
-func (cv *Conversation) recv(method Method) (muxMsg, error) {
-	m := cv.m
-	m.smu.Lock()
-	defer m.smu.Unlock()
-	for {
-		q := cv.queues[method]
-		switch {
-		case cv.err != nil:
-			return muxMsg{}, cv.err
-		case len(q) > 0:
-			cv.queues[method] = q[1:]
-			return q[0], nil
-		case m.readErr != nil:
-			return muxMsg{}, m.readErr
-		case cv.canceled[method]:
-			return muxMsg{}, errRaceLost
-		case m.peerDone:
-			return muxMsg{}, ErrEstablishmentEnded
-		}
-		m.cond.Wait()
-	}
-}
-
 // ended reports why the conversation can carry no further attempt: a
 // protocol violation, a failed link, or a peer that is done.
 func (cv *Conversation) ended() error {
-	m := cv.m
-	m.smu.Lock()
-	defer m.smu.Unlock()
+	cv.m.smu.Lock()
+	defer cv.m.smu.Unlock()
+	return cv.endedLocked()
+}
+
+func (cv *Conversation) endedLocked() error {
 	switch {
 	case cv.err != nil:
 		return cv.err
-	case m.readErr != nil:
-		return m.readErr
-	case m.peerDone:
+	case cv.m.readErr != nil:
+		return cv.m.readErr
+	case cv.m.peerDone:
 		return ErrEstablishmentEnded
 	}
 	return nil
 }
 
-// cancelAttempt cancels one method's attempt: the canceled flag wakes a
-// recv blocked on the method's queue, and closing the attempt's cancel
-// channel wakes its blocking primitives — listener accepts, splice
-// offers, routed dials. Safe to call for methods that were never
-// launched.
-func (cv *Conversation) cancelAttempt(method Method) {
+// cancelAttempt cancels one method's attempt: closing its cancel channel
+// wakes its blocking primitives — listener accepts, splice offers, routed
+// dials. Safe to call for methods that were never launched.
+func (cv *Conversation) cancelAttempt(m Method) {
 	cv.m.smu.Lock()
-	cv.cancelLocked(method)
-	cv.m.cond.Broadcast()
+	cv.cancelLocked(m)
 	cv.m.smu.Unlock()
 }
 
-func (cv *Conversation) cancelLocked(method Method) {
-	cv.canceled[method] = true
-	if ch := cv.attempts[method]; ch != nil {
-		cv.attempts[method] = nil
-		close(ch)
+func (cv *Conversation) cancelLocked(m Method) {
+	select {
+	case <-cv.cancels[m]:
+	default:
+		close(cv.cancels[m])
+	}
+}
+
+// release closes the listener reserved for the conversation's
+// establishment once it has ended: used or not, it takes no more
+// connections.
+func (cv *Conversation) release() {
+	if ls := cv.m.local.listeners; cv.id < uint64(len(ls)) {
+		ls[cv.id].Close()
 	}
 }

@@ -9,56 +9,55 @@ import (
 	"testing"
 )
 
-// TestServiceMuxConcurrentConversations runs N request/response
-// conversations concurrently over a single synchronous in-memory
-// connection — the shape of brokering N parallel sub-streams at once —
-// each on two method conversations at a time, the shape of a race.
+// TestServiceMuxConcurrentConversations runs N conversations
+// concurrently over a single synchronous in-memory connection — the
+// shape of brokering N parallel sub-streams at once — each with what a
+// race puts on the link: a tagged abort and an election, a different
+// method each per conversation. Every abort cancels its own
+// conversation's attempt and no other, and every election reaches its
+// own conversation.
 func TestServiceMuxConcurrentConversations(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
 	const conversations = 8
-	initiator := NewServiceMux(c1, conversations, Splice{})
-	acceptor := NewServiceMux(c2, conversations, Splice{})
+	initiator := NewServiceMux(c1, conversations, Endpoints{}, Endpoints{})
+	acceptor := NewServiceMux(c2, conversations, Endpoints{}, Endpoints{})
+	methods := []Method{ClientServer, Splicing, Proxy, Routed}
 
-	methods := []Method{Splicing, Routed}
 	var wg sync.WaitGroup
-	errs := make(chan error, 2*conversations*len(methods))
-
-	for i := 0; i < conversations; i++ {
-		// Acceptor side: echo each request back with a prefix.
-		acc := acceptor.Open()
-		ini := initiator.Open()
-		for _, m := range methods {
-			wg.Add(2)
-			go func(m Method) {
-				defer wg.Done()
-				req, err := acc.recv(m)
-				if err != nil {
-					errs <- fmt.Errorf("acceptor recv: %w", err)
-					return
+	errs := make(chan error, 2*conversations)
+	for i := range conversations {
+		acc, ini := acceptor.Open(), initiator.Open()
+		aborted, elected := methods[i%len(methods)], methods[(i+1)%len(methods)]
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if err := ini.send(aborted, msgAbort, nil); err != nil {
+				errs <- fmt.Errorf("initiator's abort: %w", err)
+			}
+			if err := ini.send(MethodNone, msgElect, []byte{byte(elected)}); err != nil {
+				errs <- fmt.Errorf("initiator's election: %w", err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			m, err := acc.waitElect(methods)
+			if err != nil || m != elected {
+				errs <- fmt.Errorf("conversation %d: elected %v (%v), want %v", i, m, err, elected)
+				return
+			}
+			<-acc.cancels[aborted] // the abort went out first, on a FIFO link
+			for _, other := range methods {
+				select {
+				case <-acc.cancels[other]:
+					if other != aborted {
+						errs <- fmt.Errorf("conversation %d: %v canceled by another's abort", i, other)
+					}
+				default:
 				}
-				if err := acc.send(m, req.t, append([]byte("echo:"), req.body...)); err != nil {
-					errs <- fmt.Errorf("acceptor send: %w", err)
-				}
-			}(m)
-			go func(i int, m Method) {
-				defer wg.Done()
-				req := bytes.Repeat([]byte{byte('a' + i), byte(m)}, 8)
-				if err := ini.send(m, msgListen, req); err != nil {
-					errs <- fmt.Errorf("initiator send: %w", err)
-					return
-				}
-				resp, err := ini.recv(m)
-				if err != nil {
-					errs <- fmt.Errorf("initiator recv: %w", err)
-					return
-				}
-				if resp.t != msgListen || !bytes.Equal(resp.body, append([]byte("echo:"), req...)) {
-					errs <- fmt.Errorf("conversation %d, %v: cross-talk: got type %d, %q", i, m, resp.t, resp.body)
-				}
-			}(i, m)
-		}
+			}
+		}()
 	}
 	wg.Wait()
 	close(errs)
@@ -78,31 +77,26 @@ func TestServiceMuxConcurrentConversations(t *testing.T) {
 }
 
 // TestServiceMuxPeerDoneFailsPendingReads checks the failure path: when
-// one side finishes (e.g. its build failed), the other side's blocked
-// conversations error out instead of hanging — a method's receive and
-// the control queue's alike.
+// one side finishes (e.g. its build failed), the other side's wait for
+// the election errors out instead of hanging.
 func TestServiceMuxPeerDoneFailsPendingReads(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	a := NewServiceMux(c1, 1, Splice{})
-	b := NewServiceMux(c2, 1, Splice{})
+	a := NewServiceMux(c1, 1, Endpoints{}, Endpoints{})
+	b := NewServiceMux(c2, 1, Endpoints{}, Endpoints{})
 
-	blocked := make(chan error, 2)
+	blocked := make(chan error, 1)
 	s := b.Open()
-	for _, m := range []Method{MethodNone, Routed} {
-		go func(m Method) {
-			_, err := s.recv(m)
-			blocked <- err
-		}(m)
-	}
+	go func() {
+		_, err := s.waitElect([]Method{Routed})
+		blocked <- err
+	}()
 
 	aFin := make(chan error, 1)
 	go func() { aFin <- a.Finish() }()
-	for range [2]int{} {
-		if err := <-blocked; err != ErrEstablishmentEnded {
-			t.Fatalf("blocked receive got %v, want ErrEstablishmentEnded", err)
-		}
+	if err := <-blocked; err != ErrEstablishmentEnded {
+		t.Fatalf("blocked wait for the election got %v, want ErrEstablishmentEnded", err)
 	}
 	if err := b.Finish(); err != nil {
 		t.Fatalf("b.Finish: %v", err)
@@ -124,12 +118,12 @@ func TestServiceMuxConnReusableAfterFinish(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	a := NewServiceMux(c1, 1, Splice{})
-	b := NewServiceMux(c2, 1, Splice{})
+	a := NewServiceMux(c1, 1, Endpoints{}, Endpoints{})
+	b := NewServiceMux(c2, 1, Endpoints{}, Endpoints{})
 	s1, s2 := a.Open(), b.Open()
-	go s1.send(ClientServer, msgListen, []byte("endpoint"))
-	if msg, err := s2.recv(ClientServer); err != nil || msg.t != msgListen || string(msg.body) != "endpoint" {
-		t.Fatalf("recv: %+v, %v", msg, err)
+	go s1.send(MethodNone, msgElect, []byte{byte(Splicing)})
+	if m, err := s2.waitElect([]Method{Splicing}); err != nil || m != Splicing {
+		t.Fatalf("election: %v, %v", m, err)
 	}
 	if err := a.Done(); err != nil {
 		t.Fatal(err)
@@ -155,7 +149,7 @@ func TestServiceMuxConnReusableAfterFinish(t *testing.T) {
 func FuzzMuxMessage(f *testing.F) {
 	for _, seed := range [][]byte{
 		append(appendMuxHeader(nil, 0, MethodNone, msgElect), byte(Routed)),
-		append(appendMuxHeader(nil, 300, ClientServer, msgListen), "\x0810.1.0.2\xd2\x09"...),
+		appendMuxHeader(nil, 300, ClientServer, msgAbort),
 		appendMuxHeader(nil, 1, Routed, msgAbort),
 		{0x80},
 		{},

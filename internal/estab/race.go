@@ -14,34 +14,36 @@ package estab
 // cleaned up (listener closed, splice offer withdrawn, routed open
 // abandoned so the far side discards its half).
 //
-// Protocol. Every message is a ServiceMux message on the establishment's
-// Conversation (mux.go) — method 0 for the initiator's election, the
-// racing method for the rest. Both sides hold each other's profile and
-// each other's splice endpoints, handed to them by the caller, and the
-// candidates are RankCandidates of the two profiles (or
-// the forced method): a pure function, so no message announces them and
-// an establishment is one race, request-free:
+// Protocol. Both sides hold each other's profile and each other's
+// endpoints (Endpoints: a splice port's prediction and, on the side that
+// listens, a listener's endpoint, per establishment), handed to them by
+// the caller from the connect exchange, and the candidates are a pure
+// function of the two profiles (or the forced method), so no message
+// announces them, and no method says anything on the service link. What a conversation (mux.go) carries is a tagged
+// abort of a failed attempt and the initiator's election:
 //
 //	initiator                                acceptor
-//	   | <=> [m] msgListen/msgAbort <========> |   per-method conversations
+//	   | <~~ dial the peer's listener ~~~~~~~~~> |   client/server, proxy: no message
+//	   | <~~ simultaneous open, both ways ~~~~~> |   splicing: no message
 //	   | <~~ routed open, through the relay ~~~~ |   right behind the reply, unasked
-//	   | <~~ simultaneous open, both ways ~~~~~> |   no message at all
+//	   | <=> [m] msgAbort <====================> |   a failed attempt, either side
 //	   | -- msgElect [m] ----------------------> |   winner (MethodNone: nothing won)
 //
 // The acceptor starts its half of every candidate the moment it is
-// called and speaks first: it announces its listening endpoint, sends its
+// called: it accepts on its listener or dials the initiator's, sends its
 // splice request and opens its routed link, all right behind the connect
 // reply, so the initiator's launch of any method finds the acceptor's
 // half already under way. The cost is the halves of candidates the
-// initiator never launches — a listener, a splice request, a routed link
-// opened and discarded, cached reconnects included — which the election
-// cancels like any loser. The initiator decides which candidates run and
-// when, and it alone elects: methods complete at slightly
-// different instants on the two sides, so letting each side pick its own
-// first finisher could select different winners. An election outside the
-// candidates is ErrProtocol; two sides whose candidates differ end with a
-// typed error each (the one with none returns ErrNoMethod at once, its
-// done marker — ServiceMux.Finish — ends the other's waits).
+// initiator never launches — a listener, a dial, a splice request, a
+// routed link opened and discarded, cached reconnects included — which
+// the election cancels like any loser. The initiator decides which
+// candidates run and when, and it alone elects: methods complete at
+// slightly different instants on the two sides, so letting each side
+// pick its own first finisher could select different winners. An
+// election outside the candidates is ErrProtocol; two sides whose
+// candidates differ end with a typed error each (the one with none
+// returns ErrNoMethod at once, its done marker — ServiceMux.Finish —
+// ends the other's wait for the election).
 //
 // The per-pair connectivity Cache decides the launch order on reconnect:
 // the remembered winner runs first and alone, and only its failure
@@ -90,26 +92,20 @@ func (c *Connector) raceStagger(serviceRTT time.Duration) time.Duration {
 }
 
 // candidates is the ranking both sides derive from the two profiles (or
-// the one method both were forced to).
+// the one method both were forced to). Client/server and proxy accept on
+// the one listener an establishment has, where their connections cannot
+// be told apart, so a pair that would listen on the same side for both
+// races client/server alone: the proxied dial reaches the listener the
+// direct one does, by another route.
 func (c *Connector) candidates(initiator, acceptor Profile) []Method {
 	if c.ForcedMethod != MethodNone {
 		return []Method{c.ForcedMethod}
 	}
-	return RankCandidates(initiator, acceptor, false)
-}
-
-// methodConv is what a single method attempt talks through: its sends
-// are tagged with the method, its receives take from the method's queue.
-type methodConv struct {
-	cv *Conversation
-	m  Method
-}
-
-func (mc methodConv) send(t byte, body []byte) error { return mc.cv.send(mc.m, t, body) }
-
-func (mc methodConv) recv() (byte, []byte, error) {
-	msg, err := mc.cv.recv(mc.m)
-	return msg.t, msg.body, err
+	ranked := RankCandidates(initiator, acceptor, false)
+	if slices.Contains(ranked, ClientServer) && listens(ClientServer, initiator, acceptor, true) == listens(Proxy, initiator, acceptor, true) {
+		ranked = slices.DeleteFunc(ranked, func(m Method) bool { return m == Proxy })
+	}
+	return ranked
 }
 
 // convResult is the outcome of one racing method attempt.
@@ -134,21 +130,14 @@ func discardLoserConn(conn net.Conn) {
 	conn.Close()
 }
 
-// launchAttempt starts one method conversation in its own goroutine
-// with its own cancellation channel, registered on the conversation so
-// both the race and the mux reader (peer aborts) can fire it
-// — already closed when the peer aborted the method before its launch.
+// launchAttempt starts one method attempt of the conversation in its own
+// goroutine, on the method's cancel channel, which both the race and the
+// mux reader (peer aborts) can close — already closed when the peer
+// aborted the method before its launch.
 func (c *Connector) launchAttempt(cv *Conversation, m Method, local, remote Profile, initiator bool, results chan<- convResult) {
-	cancel := make(chan struct{})
-	cv.m.smu.Lock()
-	if cv.canceled[m] {
-		close(cancel)
-	} else {
-		cv.attempts[m] = cancel
-	}
-	cv.m.smu.Unlock()
+	cancel := cv.cancels[m]
 	go func() {
-		conn, err := c.runMethod(methodConv{cv, m}, local, remote, initiator, cancel)
+		conn, err := c.runMethod(cv, m, local, remote, initiator, cancel)
 		results <- convResult{m: m, conn: conn, err: err}
 	}()
 }
@@ -224,6 +213,7 @@ func (c *Connector) race(cv *Conversation, order []Method, cachedFirst bool, sta
 // after the cached winner failed — and returns the established link and
 // the method used.
 func (c *Connector) EstablishInitiator(cv *Conversation, remote Profile, opts EstablishOpts) (net.Conn, Method, error) {
+	defer cv.release()
 	cv.asInitiator()
 	local := c.Profile()
 	start := time.Now()
@@ -275,11 +265,12 @@ func (c *Connector) EstablishInitiator(cv *Conversation, remote Profile, opts Es
 
 // EstablishAcceptor is the passive counterpart of EstablishInitiator; it
 // must be called on the peer for every EstablishInitiator call, with the
-// initiator's profile. Every candidate's half starts immediately (each
-// speaks first, then mostly blocks until the initiator's tier does),
-// the initiator's election picks the survivor, everything else is
-// canceled and discarded. A nil error comes with a connection.
+// initiator's profile. Every candidate's half starts immediately (it
+// accepts, dials, splices or opens at once, then mostly waits for the
+// initiator's tier), the initiator's election picks the survivor,
+// everything else is canceled and discarded. A nil error comes with a connection.
 func (c *Connector) EstablishAcceptor(cv *Conversation, remote Profile) (net.Conn, Method, error) {
+	defer cv.release()
 	local := c.Profile()
 	candidates := c.candidates(remote, local)
 	if len(candidates) == 0 {
@@ -315,9 +306,14 @@ func (c *Connector) EstablishAcceptor(cv *Conversation, remote Profile) (net.Con
 // one of the candidates, or the end of the establishment — the election
 // of MethodNone, or the abort.
 func (cv *Conversation) waitElect(candidates []Method) (Method, error) {
-	msg, err := cv.recv(MethodNone)
+	cv.m.smu.Lock()
+	for cv.control == nil && cv.endedLocked() == nil {
+		cv.m.cond.Wait()
+	}
+	msg, err := cv.control, cv.endedLocked()
+	cv.m.smu.Unlock()
 	switch {
-	case err != nil:
+	case msg == nil:
 		return MethodNone, err
 	case msg.t == msgAbort || (len(msg.body) == 1 && Method(msg.body[0]) == MethodNone):
 		return MethodNone, ErrAborted

@@ -34,20 +34,27 @@ func establishPairOpts(t *testing.T, init, acc *Connector, opts EstablishOpts) (
 }
 
 // newMuxPair wraps the two ends of a one-establishment connect's service
-// link, each side holding the splice port it reserved and the other's
-// prediction, as core's connect request and reply hand them over.
-func newMuxPair(svcInit, svcAcc net.Conn, init, acc *Connector) (*ServiceMux, *ServiceMux) {
-	initPorts, initPredicted := init.ReserveSplice(1)
-	accPorts, accPredicted := acc.ReserveSplice(1)
-	return NewServiceMux(svcInit, 1, Splice{Ports: initPorts, Peer: accPredicted}),
-		NewServiceMux(svcAcc, 1, Splice{Ports: accPorts, Peer: initPredicted})
+// link, each side holding the endpoints it reserved and the other's, by
+// the rule core's connect request and reply hand them over with.
+func newMuxPair(t *testing.T, svcInit, svcAcc net.Conn, init, acc *Connector) (*ServiceMux, *ServiceMux) {
+	t.Helper()
+	ip, ap := init.Profile(), acc.Profile()
+	initEps, err := init.Reserve(init.Carries(1, ip, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	accEps, err := acc.Reserve(acc.Carries(1, ip, &ap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewServiceMux(svcInit, 1, initEps, accEps), NewServiceMux(svcAcc, 1, accEps, initEps)
 }
 
 // establishOver is establishPairOpts on the caller's service link. Like
 // core, each side finishes its mux once its own establishment returned.
 func establishOver(t *testing.T, svcInit, svcAcc net.Conn, init, acc *Connector, opts EstablishOpts) (net.Conn, net.Conn, Method, error) {
 	t.Helper()
-	muxInit, muxAcc := newMuxPair(svcInit, svcAcc, init, acc)
+	muxInit, muxAcc := newMuxPair(t, svcInit, svcAcc, init, acc)
 
 	type res struct {
 		conn net.Conn
@@ -507,7 +514,7 @@ func TestRoutedOpensAtOnce(t *testing.T) {
 		}
 		done := make(chan res, 1)
 		go func() {
-			mux := NewServiceMux(svcAcc, 1, Splice{})
+			mux := NewServiceMux(svcAcc, 1, Endpoints{}, Endpoints{})
 			conn, _, err := acc.EstablishAcceptor(mux.Open(), init.Profile())
 			if ferr := mux.Finish(); ferr != nil {
 				t.Errorf("%s: Finish: %v", tc.name, ferr)
@@ -566,7 +573,7 @@ func TestCanceledRoutedOpenIsDiscarded(t *testing.T) {
 		tap := &tapConn{Conn: svcAcc}
 		done := make(chan error, 1)
 		go func() {
-			mux := NewServiceMux(tap, 1, Splice{})
+			mux := NewServiceMux(tap, 1, Endpoints{}, Endpoints{})
 			_, _, err := acc.EstablishAcceptor(mux.Open(), remote)
 			mux.Finish()
 			done <- err
@@ -659,7 +666,7 @@ func TestElectOutsidePlanIsProtocolError(t *testing.T) {
 		msg(MethodNone, msgElect, byte(Proxy)),
 		doneMarker)
 	defer stop()
-	mux := NewServiceMux(svcAcc, 1, Splice{})
+	mux := NewServiceMux(svcAcc, 1, Endpoints{}, Endpoints{})
 	conn, _, err := acc.EstablishAcceptor(mux.Open(), remote)
 	if conn != nil || !errors.Is(err, ErrProtocol) {
 		t.Fatalf("electing a method outside the ranking: conn=%v err=%v, want no connection and ErrProtocol", conn, err)
@@ -679,7 +686,7 @@ func TestEstabStrictDecode(t *testing.T) {
 	w := newWorld(t)
 	acc := w.connector(t, "strict-b", "race-a11", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
 	init := w.connector(t, "strict-a", "race-i11", emunet.SiteConfig{Firewall: emunet.Stateful}, false)
-	init.ForcedMethod = ClientServer // as the dialing side: one attempt, waiting for msgListen
+	init.ForcedMethod = Routed // one attempt, waiting for the acceptor's routed link
 	open := Profile{HasRelay: true, RelayID: "race-x11"}
 	if got := RankCandidates(open, acc.Profile(), false); !slices.Equal(got, []Method{ClientServer, Splicing, Routed}) {
 		t.Fatalf("the scripted initiator and the acceptor rank %v; the cases below assume every method but the proxy", got)
@@ -700,15 +707,16 @@ func TestEstabStrictDecode(t *testing.T) {
 		{"message cut inside the method", false, []frame{raw(0)}, ErrProtocol},
 		{"message cut inside the type", false, []frame{raw(0, byte(Routed))}, ErrProtocol},
 		{"stream number not minimally encoded", false, []frame{raw(0x80, 0, 0, msgElect, byte(Routed))}, ErrProtocol},
-		{"method above Routed", false, []frame{msg(Routed+1, msgListen)}, ErrProtocol},
+		{"method above Routed", false, []frame{msg(Routed+1, msgAbort)}, ErrProtocol},
 		{"type zero", false, []frame{msg(MethodNone, 0)}, ErrProtocol},
-		// Type 5 was the election while a splice prediction was a message,
-		// type 4 while the routed cue was one.
+		// Type 3 was the election while a listening endpoint was a
+		// message, type 4 while the routed cue was one, type 5 while a
+		// splice prediction was one.
 		{"type above msgElect", false, []frame{msg(MethodNone, 5, byte(Routed))}, ErrProtocol},
-		{"type 4, the old election", false, []frame{msg(MethodNone, 4, byte(Routed))}, ErrProtocol},
-		{"control type on a method conversation", false, []frame{msg(Routed, msgElect, byte(Routed))}, ErrProtocol},
-		{"method type on the control conversation", false, []frame{msg(MethodNone, msgListen, []byte("\x0810.1.0.2\xd2\x09")...)}, ErrProtocol},
+		{"type 3, the old election", false, []frame{msg(MethodNone, 3, byte(Routed))}, ErrProtocol},
+		{"election on a method conversation", false, []frame{msg(Routed, msgElect, byte(Routed))}, ErrProtocol},
 		{"abort with a body", false, []frame{msg(MethodNone, msgAbort, 1)}, ErrProtocol},
+		{"method's abort with a body", false, []frame{msg(ClientServer, msgAbort, 1)}, ErrProtocol},
 		{"frame that is no mux message", false, []frame{{wire.KindControl, nil}}, ErrProtocol},
 		{"message on a stream past the connect's count", false, []frame{{kindMuxData, append(appendMuxHeader(nil, 1, MethodNone, msgElect), byte(Routed))}}, ErrProtocol},
 
@@ -722,7 +730,7 @@ func TestEstabStrictDecode(t *testing.T) {
 	} {
 		hand, svc := net.Pipe()
 		stop := newHandPeer(hand).play(append(tc.script, doneMarker)...)
-		mux := NewServiceMux(svc, 1, Splice{})
+		mux := NewServiceMux(svc, 1, Endpoints{}, Endpoints{})
 		var conn net.Conn
 		var err error
 		if tc.initiator {
@@ -741,8 +749,8 @@ func TestEstabStrictDecode(t *testing.T) {
 		stop()
 		svc.Close()
 	}
-	if msgElect != 3 {
-		t.Fatalf("msgElect = %d: the protocol has three message types, the election the last", msgElect)
+	if msgAbort != 1 || msgElect != 2 {
+		t.Fatalf("msgAbort = %d, msgElect = %d: the protocol has two message types, abort and election", msgAbort, msgElect)
 	}
 }
 
@@ -771,7 +779,7 @@ func TestDifferentRankingsEndTyped(t *testing.T) {
 		{"the initiator ranks nothing", strict(acc.Profile()), init.Profile(), ErrNoMethod, ErrEstablishmentEnded},
 	} {
 		svcInit, svcAcc := net.Pipe()
-		muxInit, muxAcc := newMuxPair(svcInit, svcAcc, init, acc)
+		muxInit, muxAcc := newMuxPair(t, svcInit, svcAcc, init, acc)
 		type res struct {
 			conn net.Conn
 			err  error
@@ -836,11 +844,11 @@ func TestRaceStaggerRule(t *testing.T) {
 // TestFallbackRoundIgnoresLateFrames: the fallback from a failed cached
 // winner shares the conversation with it, with no barrier in between,
 // because a method runs once per conversation. Over a synchronous link
-// the cached method (client/server) fails, the initiator launches the
-// rest of the ranking at once, and only then do the acceptor's msgListen
-// of the failed method and an abort of it arrive. The race elects its
-// winner all the same, neither late message reaches one of its attempts,
-// and nothing is left running.
+// the cached method (client/server) fails — the two sites are
+// partitioned, so its dial is refused — the initiator launches the rest
+// of the ranking at once, and only then do two late aborts of the failed
+// method arrive. The race elects its winner all the same, neither late
+// message reaches one of its attempts, and nothing is left running.
 func TestFallbackRoundIgnoresLateFrames(t *testing.T) {
 	w := newWorld(t)
 	// A NAT that rules splicing out: the rest of the ranking is routed.
@@ -851,15 +859,16 @@ func TestFallbackRoundIgnoresLateFrames(t *testing.T) {
 	}
 	init.Cache = NewCache(0)
 	init.Cache.Store("race-a12", ClientServer)
+	w.fabric.Partition("late-a", "late-b")
 	checkLeaks := testutil.LeakCheck(t, 0)
 
-	// The man in the middle: it withholds the acceptor's msgListen and
-	// fails the method with an abort in its place.
+	// The man in the middle relays both ways, and puts the late aborts
+	// in front of the initiator.
 	svcInit, midInit := net.Pipe()
 	midAcc, svcAcc := net.Pipe()
 	var toInitMu sync.Mutex
 	toInit := wire.NewWriter(midInit)
-	forward := func(from net.Conn, to *wire.Writer, mu *sync.Mutex, tamper func(muxMsg, frame) []frame) {
+	forward := func(from net.Conn, to *wire.Writer, mu *sync.Mutex) {
 		r := wire.NewReader(from)
 		for {
 			f, err := r.ReadFrame()
@@ -867,19 +876,8 @@ func TestFallbackRoundIgnoresLateFrames(t *testing.T) {
 				t.Errorf("relaying the service link: %v", err)
 				return
 			}
-			out := []frame{{f.Kind, f.Payload}}
-			if f.Kind == kindMuxData {
-				m, err := decodeMuxMessage(f.Payload)
-				if err != nil {
-					t.Errorf("relaying the service link: %v", err)
-					return
-				}
-				out = tamper(m, out[0])
-			}
 			mu.Lock()
-			for _, o := range out {
-				to.WriteFrame(o.kind, 0, o.payload)
-			}
+			to.WriteFrame(f.Kind, 0, f.Payload)
 			mu.Unlock()
 			if f.Kind == kindMuxDone {
 				return
@@ -888,32 +886,25 @@ func TestFallbackRoundIgnoresLateFrames(t *testing.T) {
 	}
 	var relays sync.WaitGroup
 	relays.Add(2)
-	withheld := make(chan frame, 1)
 	go func() { // acceptor → initiator
 		defer relays.Done()
-		forward(midAcc, toInit, &toInitMu, func(m muxMsg, f frame) []frame {
-			if m.method == ClientServer && m.t == msgListen {
-				withheld <- f
-				return []frame{msg(ClientServer, msgAbort)}
-			}
-			return []frame{f}
-		})
+		forward(midAcc, toInit, &toInitMu)
 	}()
 	go func() { // initiator → acceptor
 		defer relays.Done()
 		var toAccMu sync.Mutex
-		forward(midInit, wire.NewWriter(midAcc), &toAccMu, func(_ muxMsg, f frame) []frame { return []frame{f} })
+		forward(midInit, wire.NewWriter(midAcc), &toAccMu)
 	}()
 	// The fallback's routed attempt says nothing on the service link, so
-	// its start is where the late messages go in: the withheld msgListen
-	// and a second abort reach the initiator's reader before the attempt
-	// takes the routed link, the next one the relay hands over (the
-	// connector's own accept pump would outlive the test).
+	// its start is where the late aborts go in: both reach the
+	// initiator's reader before the attempt takes the routed link, the
+	// next one the relay hands over (the connector's own accept pump
+	// would outlive the test).
 	init.AcceptRouted = func(string, uint64, time.Duration, <-chan struct{}) (net.Conn, error) {
 		toInitMu.Lock()
-		late := <-withheld
-		toInit.WriteFrame(late.kind, 0, late.payload)
-		toInit.WriteFrame(kindMuxData, 0, msg(ClientServer, msgAbort).payload)
+		for range 2 {
+			toInit.WriteFrame(kindMuxData, 0, msg(ClientServer, msgAbort).payload)
+		}
 		toInitMu.Unlock()
 		return init.Relay.Accept()
 	}

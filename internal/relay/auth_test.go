@@ -352,10 +352,9 @@ func TestSealedOpenByPurpose(t *testing.T) {
 // TestTimedOutSealedDialLeavesNoHalf: a sealed service open whose dial
 // times out is withdrawn like a canceled one. The acceptor, which holds
 // the open unanswered and uses it only after the dialer gave up, fails
-// that use — with ErrAbandoned when the abandon came first, ErrClosed
-// when the use answered the open and the abandon then tore the link
-// down — instead of writing into the void, and neither client keeps a
-// link.
+// that use with ErrAbandoned — whether the abandon came first or the use
+// answered the open and the abandon then tore the link down — instead of
+// writing into the void, and neither client keeps a link.
 func TestTimedOutSealedDialLeavesNoHalf(t *testing.T) {
 	w := newAuthWorld(t, "relay-0")
 	a := w.attach("seal-a", w.issue("seal-a"))
@@ -372,7 +371,7 @@ func TestTimedOutSealedDialLeavesNoHalf(t *testing.T) {
 	// once the abandon is in.
 	if why := testutil.Settle(func() (bool, string) {
 		_, err := in.Write([]byte("late"))
-		return errors.Is(err, ErrAbandoned) || errors.Is(err, ErrClosed), fmt.Sprintf("the acceptor's use after the dialer gave up: %v, want ErrAbandoned or ErrClosed", err)
+		return errors.Is(err, ErrAbandoned), fmt.Sprintf("the acceptor's use after the dialer gave up: %v, want ErrAbandoned", err)
 	}); why != "" {
 		t.Fatal(why)
 	}

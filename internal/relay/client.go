@@ -836,6 +836,13 @@ func (c *Client) handleAbandon(channel uint64, body []byte) {
 	if rc == nil {
 		rc = c.opening[key] // a sealed link not yet answered
 	}
+	c.mu.Unlock()
+	if rc != nil {
+		// Failed before it is removed, so a first use that finds it
+		// gone from opening, or answered it just before, reads why.
+		rc.closeWithError(ErrAbandoned)
+	}
+	c.mu.Lock()
 	delete(c.links, key)
 	delete(c.opening, key)
 	// An abandon can also cross an OpenOK still in flight the other
@@ -848,9 +855,6 @@ func (c *Client) handleAbandon(channel uint64, body []byte) {
 		}
 	}
 	c.mu.Unlock()
-	if rc != nil {
-		rc.closeWithError(ErrAbandoned)
-	}
 	for _, pd := range failed {
 		pd.ch <- dialResult{err: ErrRefused}
 	}

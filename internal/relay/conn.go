@@ -470,7 +470,9 @@ func (rc *routedConn) reserve(want int) (n int, err error) {
 		}
 	}()
 	for {
-		if rc.closed {
+		if rc.closed && rc.rerr == ErrAbandoned {
+			return 0, ErrAbandoned // either side abandoned it
+		} else if rc.closed {
 			return 0, ErrClosed
 		}
 		if rc.peerShut {
@@ -565,9 +567,7 @@ func (rc *routedConn) Close() error {
 		rc.mu.Unlock()
 		return nil
 	}
-	rc.closed = true
-	rc.cond.Broadcast()
-	rc.wcond.Broadcast()
+	rc.failLocked(ErrClosed) // an abandon arriving after it changes nothing
 	rc.mu.Unlock()
 	rc.client.sendLink(KindShut, rc.peer, rc.channel, rc.role(), nil, nil)
 	rc.client.dropLink(linkID{peer: rc.peer, channel: rc.channel, outbound: rc.outbound})

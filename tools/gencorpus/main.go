@@ -198,51 +198,53 @@ func main() {
 	write("overlay", "FuzzDecodePeerHello", "authenticated", hello)
 
 	// core: the connect request and its reply (DESIGN.md, "Control-frame
-	// bodies"). The request nests the initiator's profile, then a splice
-	// endpoint per establishment of its four-stream stack; the reply is the acceptor's profile and its
-	// own four endpoints.
-	splice := make([]emunet.Endpoint, 4)
-	for i := range splice {
-		splice[i] = emunet.Endpoint{Addr: "10.1.0.1", Port: 40001 + i}
+	// bodies"). The request nests the initiator's profile, then its
+	// endpoints for the establishments of its four-stream stack: a splice
+	// endpoint each, and a listen endpoint each when it is reachable; the
+	// reply is the acceptor's profile and its own endpoints by the same
+	// rule, a list empty or four long.
+	four := func(addr emunet.Address, base int) []emunet.Endpoint {
+		return []emunet.Endpoint{{Addr: addr, Port: base}, {Addr: addr, Port: base + 1}, {Addr: addr, Port: base + 2}, {Addr: addr, Port: base + 3}}
 	}
-	connect := wire.AppendString(nil, "inbox")
 	typeDigest := sha256.Sum256(wire.AppendString(wire.AppendString(nil, "chan"), "zip/multi:streams=4/tcpblk"))
-	connect = wire.AppendBytes(connect, typeDigest[:])
-	connect = wire.AppendString(connect, "alice")
-	connect = wire.AppendString(connect, "pool")
-	connect = wire.AppendBytes(connect, estab.Profile{
-		SiteName: "site-a", Firewalled: true, Addr: "10.1.0.2", PublicAddr: "10.1.0.1",
-		HasRelay: true, RelayID: "pool/alice", HomeRelay: "relay-0",
-	}.Encode())
-	connect = estab.AppendEndpoints(connect, splice)
+	head := wire.AppendBytes(wire.AppendString(nil, "inbox"), typeDigest[:])
+	head = wire.AppendString(wire.AppendString(head, "alice"), "pool")
+	head = head[:len(head):len(head)] // each request below appends to a copy
+	initP := estab.Profile{SiteName: "site-a", Firewalled: true, Addr: "10.1.0.2", PublicAddr: "10.1.0.1", HasRelay: true, RelayID: "pool/alice", HomeRelay: "relay-0"}
+	connect := estab.AppendEndpoints(wire.AppendBytes(head, initP.Encode()), estab.Endpoints{Splice: four("10.1.0.1", 40001)})
 	write("core", "FuzzDecodeConnectRequest", "request", connect)
 	write("core", "FuzzDecodeConnectRequest", "request-truncated", connect[:len(connect)-9])
+	initP = estab.Profile{SiteName: "site-a", Addr: "198.51.1.2", PublicAddr: "198.51.1.2", HasRelay: true, RelayID: "pool/alice", HomeRelay: "relay-0"}
+	write("core", "FuzzDecodeConnectRequest", "request-listen", estab.AppendEndpoints(wire.AppendBytes(head, initP.Encode()),
+		estab.Endpoints{Splice: four("198.51.1.2", 40001), Listen: four("198.51.1.2", 40005)}))
 
-	reply := wire.AppendBytes(nil, estab.Profile{
-		SiteName: "site-b", Firewalled: true, Addr: "10.2.0.2", PublicAddr: "10.2.0.2",
-		HasRelay: true, RelayID: "pool/bob", HomeRelay: "relay-1",
-	}.Encode())
-	write("core", "FuzzDecodeConnectReply", "reply-no-splice", estab.AppendEndpoints(reply, nil))
-	reply = estab.AppendEndpoints(reply, splice)
+	accP := estab.Profile{SiteName: "site-b", Firewalled: true, Addr: "10.2.0.2", PublicAddr: "10.2.0.2", HasRelay: true, RelayID: "pool/bob", HomeRelay: "relay-1"}
+	reply := wire.AppendBytes(nil, accP.Encode())
+	write("core", "FuzzDecodeConnectReply", "reply-no-splice", estab.AppendEndpoints(reply, estab.Endpoints{}))
+	reply = estab.AppendEndpoints(reply, estab.Endpoints{Splice: four("10.2.0.2", 40001)})
 	write("core", "FuzzDecodeConnectReply", "reply", reply)
 	write("core", "FuzzDecodeConnectReply", "reply-truncated", reply[:len(reply)-5])
+	accP = estab.Profile{SiteName: "site-b", Addr: "198.51.2.2", PublicAddr: "198.51.2.2", HasRelay: true, RelayID: "pool/bob", HomeRelay: "relay-1"}
+	write("core", "FuzzDecodeConnectReply", "reply-listen", estab.AppendEndpoints(wire.AppendBytes(nil, accP.Encode()),
+		estab.Endpoints{Splice: four("198.51.2.2", 40001), Listen: four("198.51.2.2", 40005)}))
 
-	// estab: one mux message per type, and the abort of each method that
-	// says nothing else on the service link, whole and cut by a byte
-	// (uvarint stream ‖ byte method ‖ byte type ‖ body; the type numbers
-	// and the bodies are in DESIGN.md, "Control-frame bodies").
-	endpoint := wire.AppendUvarint(wire.AppendString(nil, "10.1.0.2"), 40001)
+	// estab: one mux message per type, and the abort of each method,
+	// whole and cut by a byte (uvarint stream ‖ byte method ‖ byte type ‖
+	// body; the type numbers and the bodies are in DESIGN.md,
+	// "Control-frame bodies"). No method says anything but its abort, so
+	// "listen", "splice" and "routed" — once each method's own message —
+	// are the client/server, splicing and routed aborts.
 	for _, m := range []struct {
 		name   string
 		method estab.Method
 		t      byte
 		body   []byte
 	}{
-		{"listen", estab.ClientServer, 1, endpoint},
-		{"abort", estab.Proxy, 2, nil},
-		{"splice", estab.Splicing, 2, nil},
-		{"routed", estab.Routed, 2, nil},
-		{"elect", estab.MethodNone, 3, []byte{byte(estab.Splicing)}},
+		{"listen", estab.ClientServer, 1, nil},
+		{"abort", estab.Proxy, 1, nil},
+		{"splice", estab.Splicing, 1, nil},
+		{"routed", estab.Routed, 1, nil},
+		{"elect", estab.MethodNone, 2, []byte{byte(estab.Splicing)}},
 	} {
 		full := append(append(wire.AppendUvarint(nil, 3), byte(m.method), m.t), m.body...)
 		write("estab", "FuzzMuxMessage", m.name, full)
