@@ -53,9 +53,9 @@ func dataPair(t *testing.T) (src, dst *Node) {
 // holds one grows once with them); the test runs on one P, so a pooled
 // object is never out of reach in another P's private slot, and the
 // collector is off while the measured messages run, so it cannot empty
-// the pools half-way. Over tcpblk each message is one block: its length rides in
-// the send buffer's headroom, in the same Write. Skipped under the race
-// detector, as the other alloc gates are.
+// the pools half-way. Over tcpblk each message is one block: its length
+// and the payload the message lends ride in one frame. Skipped under the
+// race detector, as the other alloc gates are.
 func TestPortToPortAllocsPerMessage(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -130,9 +130,10 @@ func TestPortToPortAllocsPerMessage(t *testing.T) {
 // send port does, length then message, and keeps it.
 type framedSink struct{ framed []byte }
 
-func (s *framedSink) Deliver(msg []byte) error {
-	s.framed = binary.AppendUvarint(s.framed, uint64(len(msg)-ipl.Headroom))
-	s.framed = append(s.framed, msg[ipl.Headroom:]...)
+func (s *framedSink) Deliver(head, body []byte) error {
+	s.framed = binary.AppendUvarint(s.framed, uint64(len(head)-ipl.Headroom+len(body)))
+	s.framed = append(s.framed, head[ipl.Headroom:]...)
+	s.framed = append(s.framed, body...)
 	return nil
 }
 
@@ -295,7 +296,9 @@ func TestReceiveRecyclesAtNextReceive(t *testing.T) {
 
 // TestSendPortSpareBound: a send port keeps its last message's buffer
 // for the next one, but not one past maxSpare — a port that once sent
-// a huge message does not pin its buffer.
+// a huge message does not pin its buffer. Both rows send the shape that
+// still copies its payload into that buffer, a large item with another
+// item behind it: a large last item is borrowed and never grows it.
 func TestSendPortSpareBound(t *testing.T) {
 	src, dst := dataPair(t)
 	sp, rp := channel(t, src, dst, ipl.PortType{Name: "spare", Stack: "tcpblk"}, "spare-in")
@@ -310,7 +313,7 @@ func TestSendPortSpareBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.WriteBytes(make([]byte, size)).Finish(); err != nil {
+		if err := m.WriteBytes(make([]byte, size)).WriteBool(true).Finish(); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := rp.Receive(); err != nil {

@@ -411,10 +411,12 @@ func (sp *sendPort) messageDone(buf []byte) {
 }
 
 // Deliver implements ipl.MessageSink: the message's length goes into the
-// headroom in front of it, and length and message go down every
-// connected link as one Write, then a Flush.
-func (sp *sendPort) Deliver(msg []byte) error {
-	size := len(msg) - ipl.Headroom
+// headroom in front of head, and every connected link gets length and
+// head as one Write, a borrowed body as the next, then a Flush. Each
+// layer cuts the two writes as it cut them when they were one: the
+// length and head ride at the front of the body's block or fragment.
+func (sp *sendPort) Deliver(head, body []byte) error {
+	size := len(head) - ipl.Headroom + len(body)
 	sp.mu.Lock()
 	links := sp.links
 	sp.messagesSent++
@@ -423,12 +425,18 @@ func (sp *sendPort) Deliver(msg []byte) error {
 
 	var length [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(length[:], uint64(size))
-	framed := msg[ipl.Headroom-n:]
+	framed := head[ipl.Headroom-n:]
 	copy(framed, length[:n])
 	var first error
 	for _, l := range links {
-		if _, err := l.out.Write(framed); err != nil && first == nil {
-			first = err
+		_, err := l.out.Write(framed)
+		if err == nil && len(body) > 0 {
+			_, err = l.out.Write(body)
+		}
+		if err != nil {
+			if first == nil {
+				first = err
+			}
 			continue
 		}
 		if err := l.out.Flush(); err != nil && first == nil {

@@ -23,10 +23,12 @@ type FlushCloser interface {
 type BlockOutput struct {
 	mu     sync.Mutex
 	lower  FlushCloser
-	emit   func(head, body []byte) (int, error)
+	emit   func(own, lead, body []byte) (int, error)
 	buf    []byte // pending bytes; cap(buf) is the block size
+	units  int    // buf[:units] holds every byte pending up to the last WriteBuf
 	bypass int
 	chunk  int
+	ride   bool
 	closed bool
 
 	blocks, in, out int64
@@ -38,11 +40,19 @@ type BlockOutput struct {
 // straight from the caller's slice.
 //
 // emit is called under the pipeline's lock with a non-empty body: one
-// aggregated block, or one bypassing piece. Only for the latter can head
-// be non-empty — the bytes still pending, which must reach the peer
-// before body. It returns the bytes it handed down.
-func NewBlockOutput(lower FlushCloser, block, bypass, chunk int, emit func(head, body []byte) (int, error)) *BlockOutput {
-	return &BlockOutput{lower: lower, emit: emit, buf: make([]byte, 0, block), bypass: bypass, chunk: chunk}
+// aggregated block, or one bypassing piece. Only for the latter can own
+// and lead be non-empty: the bytes still pending, which must reach the
+// peer before body. own leaves as a block of its own. lead is non-empty
+// only for a pipeline built with ride: it holds the bytes a Write left
+// pending after the last WriteBuf, and emit carries them at the front of
+// body's block. A Write reaching bypass together with them bypasses too,
+// in pieces of at most chunk bytes lead included, so lead ‖ body is the
+// block one Write of those bytes would have made. A WriteBuf's bytes
+// never ride: each is a whole unit its producer framed and its reader
+// takes alone (a sealed record, a compressed block, a fragment header).
+// emit returns the bytes it handed down.
+func NewBlockOutput(lower FlushCloser, block, bypass, chunk int, ride bool, emit func(own, lead, body []byte) (int, error)) *BlockOutput {
+	return &BlockOutput{lower: lower, emit: emit, buf: make([]byte, 0, block), bypass: bypass, chunk: chunk, ride: ride}
 }
 
 // BlockSize returns the aggregation block size.
@@ -52,20 +62,39 @@ func (o *BlockOutput) BlockSize() int { return cap(o.buf) }
 func (o *BlockOutput) Write(p []byte) (int, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	return o.writeLocked(p, false)
+}
+
+// WriteBuf implements BufWriter: b's bytes go down as a Write's would,
+// except that they are a unit no later Write rides with, and b is
+// released.
+func (o *BlockOutput) WriteBuf(b *wire.Buf) error {
+	o.mu.Lock()
+	_, err := o.writeLocked(b.Bytes(), true)
+	o.mu.Unlock()
+	b.Release()
+	return err
+}
+
+func (o *BlockOutput) writeLocked(p []byte, unit bool) (int, error) {
 	if o.closed {
 		return 0, io.ErrClosedPipe
 	}
 	total := 0
 	for len(p) > 0 {
+		lead := 0
+		if o.ride && !unit {
+			lead = len(o.buf) - o.units
+		}
 		var n int
-		if o.bypass > 0 && len(p) >= o.bypass {
-			n = min(len(p), o.chunk)
-			if err := o.emitLocked(p[:n]); err != nil {
+		if o.bypass > 0 && lead+len(p) >= o.bypass {
+			n = min(len(p), o.chunk-lead)
+			if err := o.emitLocked(p[:n], lead); err != nil {
 				return total, err
 			}
 		} else {
 			if len(o.buf) == cap(o.buf) {
-				if err := o.emitLocked(nil); err != nil {
+				if err := o.emitLocked(nil, 0); err != nil {
 					return total, err
 				}
 			}
@@ -75,30 +104,35 @@ func (o *BlockOutput) Write(p []byte) (int, error) {
 		p = p[n:]
 		total += n
 	}
+	if unit {
+		o.units = len(o.buf)
+	}
 	return total, nil
 }
 
 // emitLocked hands the driver the pending bytes, ahead of the bypassing
-// piece body when there is one, and counts what left.
-func (o *BlockOutput) emitLocked(body []byte) error {
-	head := o.buf
+// piece body when there is one — their last lead bytes riding in its
+// block — and counts what left.
+func (o *BlockOutput) emitLocked(body []byte, lead int) error {
+	own := o.buf
 	if body == nil {
-		head, body = nil, head
+		own, body = nil, own
 	}
 	if len(body) == 0 {
 		return nil
 	}
-	n, err := o.emit(head, body)
+	split := len(own) - lead
+	n, err := o.emit(own[:split], own[split:], body)
 	if err != nil {
 		return err
 	}
 	o.blocks++
-	if len(head) > 0 {
+	if split > 0 {
 		o.blocks++
 	}
-	o.in += int64(len(head) + len(body))
+	o.in += int64(len(own) + len(body))
 	o.out += int64(n)
-	o.buf = o.buf[:0]
+	o.buf, o.units = o.buf[:0], 0
 	return nil
 }
 
@@ -110,7 +144,7 @@ func (o *BlockOutput) Flush() error {
 	if o.closed {
 		return io.ErrClosedPipe
 	}
-	if err := o.emitLocked(nil); err != nil {
+	if err := o.emitLocked(nil, 0); err != nil {
 		return err
 	}
 	return o.lower.Flush()
@@ -124,7 +158,7 @@ func (o *BlockOutput) Close() error {
 		o.mu.Unlock()
 		return nil
 	}
-	err := o.emitLocked(nil)
+	err := o.emitLocked(nil, 0)
 	o.closed = true
 	o.mu.Unlock()
 	if ferr := o.lower.Flush(); err == nil {

@@ -17,12 +17,16 @@ type recorder struct {
 	fail  error
 }
 
-func (r *recorder) emit(head, body []byte) (int, error) {
+func (r *recorder) emit(own, lead, body []byte) (int, error) {
 	if r.fail != nil {
 		return 0, r.fail
 	}
-	r.calls = append(r.calls, "emit "+string(head)+"|"+string(body))
-	return len(head) + len(body) + 1, nil // a one-byte header per emit
+	call := "emit " + string(own) + "|" + string(body)
+	if len(lead) > 0 {
+		call = "emit " + string(own) + "|" + string(lead) + "+" + string(body)
+	}
+	r.calls = append(r.calls, call)
+	return len(own) + len(lead) + len(body) + 1, nil // a one-byte header per emit
 }
 
 func (r *recorder) Flush() error { r.calls = append(r.calls, "flush"); return nil }
@@ -35,7 +39,7 @@ func (r *recorder) Close() error { r.calls = append(r.calls, "close"); return ni
 // everything with io.ErrClosedPipe.
 func TestBlockOutputPipeline(t *testing.T) {
 	var r recorder
-	o := NewBlockOutput(&r, 8, 4, 6, r.emit)
+	o := NewBlockOutput(&r, 8, 4, 6, false, r.emit)
 	for _, w := range []string{"ab", "cdefghijkl", "mn", "opqrstu", "vw"} {
 		if n, err := o.Write([]byte(w)); n != len(w) || err != nil {
 			t.Fatalf("Write(%q) = %d, %v", w, n, err)
@@ -73,11 +77,55 @@ func TestBlockOutputPipeline(t *testing.T) {
 	}
 }
 
+// TestBlockOutputRide pins the pipeline of a driver that carries the
+// bytes a Write left pending in the bypassing piece's block (tcpblk): a
+// write that reaches the threshold together with them bypasses, cut so
+// that the block stays within chunk, and is one block; bytes that came
+// by WriteBuf keep a block of their own in front of it, and a WriteBuf's
+// own bypassing piece carries nothing.
+func TestBlockOutputRide(t *testing.T) {
+	var r recorder
+	o := NewBlockOutput(&r, 8, 4, 6, true, r.emit)
+	unit := func(s string) {
+		b := wire.GetBuf(len(s))
+		copy(b.Bytes(), s)
+		if err := o.WriteBuf(b); err != nil {
+			t.Fatal(err)
+		}
+		if b.Refs() != 0 {
+			t.Fatalf("WriteBuf left %d references", b.Refs())
+		}
+	}
+	o.Write([]byte("ab"))
+	o.Write([]byte("cd"))      // with "ab" pending it reaches the threshold
+	o.Write([]byte("efghijk")) // a piece of at most six bytes, then "k" pending
+	unit("lm")                 // a unit behind "k"
+	o.Write([]byte("n"))
+	o.Write([]byte("opqrstuv")) // "n" rides, cut to six; "klm" keeps its own block
+	unit("wxyz")                // a unit reaching the threshold carries nothing
+	if err := o.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"emit |ab+cd",
+		"emit |efghij",
+		"emit klm|n+opqrs",
+		"emit tuv|wxyz",
+		"flush",
+	}
+	if !reflect.DeepEqual(r.calls, want) {
+		t.Fatalf("pipeline calls:\n got %q\nwant %q", r.calls, want)
+	}
+	if blocks, in, _ := o.Counts(); blocks != 6 || in != 26 {
+		t.Fatalf("Counts() = %d blocks, %d in; want 6, 26", blocks, in)
+	}
+}
+
 // TestBlockOutputKeepsPendingOnError: a failed emit consumes nothing, so
 // the bytes are still there for the Close that follows.
 func TestBlockOutputKeepsPendingOnError(t *testing.T) {
 	r := recorder{fail: errors.New("link down")}
-	o := NewBlockOutput(&r, 8, 0, 0, r.emit)
+	o := NewBlockOutput(&r, 8, 0, 0, false, r.emit)
 	o.Write([]byte("abc"))
 	if err := o.Flush(); err != r.fail {
 		t.Fatalf("Flush over a failing emit: %v", err)

@@ -65,7 +65,9 @@ type Input interface {
 // caller hands over its reference to the Buf and must not touch the Buf
 // afterwards; the driver releases it exactly once when it is done (the
 // parallel-streams driver after the last fragment aliasing it has been
-// handed to its sub-stream). Callers feature-detect the fast path with an
+// handed to its sub-stream). A block driver takes the payload as a unit
+// its reader reads alone: no later Write rides in its block (see
+// NewBlockOutput). Callers feature-detect the fast path with an
 // interface assertion — see WriteBuf — and fall back to the plain
 // io.Writer path.
 type BufWriter interface {

@@ -160,13 +160,22 @@ func buildInput(spec driver.Spec, _ *driver.Env, lower func() (driver.Input, err
 	return NewInput(subs), nil
 }
 
+// maxLead is the longest Write the output holds back to ride at the
+// front of the next one's first fragment: wire's small-frame size, up to
+// which a block layer below carries a frame's head in the arena of its
+// vectored write, so the lead costs the sub-stream no write of its own.
+const maxLead = 64
+
 // fragment is one unit of striping: its header and the payload that
-// header announces, which aliases the caller's bytes — a Write's, which
-// that Write waits out, or a WriteBuf's Buf, whose reference owner
-// carries until the worker has handed the fragment down.
+// header announces, lead ‖ data. data aliases the caller's bytes — a
+// Write's, which that Write waits out, or a WriteBuf's Buf, whose
+// reference owner carries until the worker has handed the fragment down
+// — and lead the output's copy of a held Write, which every call that
+// stripes it waits out.
 type fragment struct {
 	hdr    [2 * binary.MaxVarintLen64]byte
 	hdrLen int
+	lead   []byte
 	data   []byte
 	owner  *wire.Buf // nil for a Write's fragments
 }
@@ -181,6 +190,8 @@ type Output struct {
 	mu      sync.Mutex
 	nextSeq uint64
 	closed  bool
+	lead    [maxLead]byte // lead[:leadLen] is a held short Write, not yet striped
+	leadLen int
 
 	queues []chan fragment
 	acks   sync.WaitGroup // fragments not yet handed to their sub-stream
@@ -208,19 +219,22 @@ func NewOutput(subs []driver.Output, fragSize int) *Output {
 }
 
 // worker hands one sub-stream its fragments: header, payload, flush, so
-// no fragment waits below for a later one or for Flush. Once its queue
-// is closed it closes the sub-stream, concurrently with the others: a
-// sub-stream's close may wait for the peer to read up to it, and the
-// peer reads the sub-streams in sequence order, not one after another.
+// no fragment waits below for a later one or for Flush. The header goes
+// down as a unit (WriteBuf), so a block layer below never carries it in
+// the payload's block: the peer reads the header alone and the payload
+// straight into its slice. Once its queue is closed it closes the
+// sub-stream, concurrently with the others: a sub-stream's close may
+// wait for the peer to read up to it, and the peer reads the
+// sub-streams in sequence order, not one after another.
 func (o *Output) worker(i int) {
 	defer o.wg.Done()
 	sub := o.subs[i]
-	// Header scratch outside the loop: passing frag.hdr to the Write
-	// interface would make every received fragment escape to the heap.
-	var hdr [2 * binary.MaxVarintLen64]byte
+	var hdr unitBuf
 	for frag := range o.queues[i] {
-		n := copy(hdr[:], frag.hdr[:frag.hdrLen])
-		_, err := sub.Write(hdr[:n])
+		err := hdr.write(sub, frag.hdr[:frag.hdrLen])
+		if err == nil && len(frag.lead) > 0 {
+			_, err = sub.Write(frag.lead)
+		}
 		if err == nil {
 			_, err = sub.Write(frag.data)
 		}
@@ -233,7 +247,37 @@ func (o *Output) worker(i int) {
 		o.fail(err)
 		o.acks.Done()
 	}
+	hdr.release()
 	o.fail(sub.Close())
+}
+
+// unitBuf is a worker's buffer for the fragment headers it hands its
+// sub-stream as units: one pooled buffer serves every fragment, not one
+// per fragment.
+type unitBuf struct{ b *wire.Buf }
+
+// write hands sub a copy of p as a unit (WriteBuf). The worker keeps its
+// own reference across the call and takes a fresh buffer only when sub
+// still holds the last one.
+func (u *unitBuf) write(sub driver.Output, p []byte) error {
+	if u.b != nil && u.b.Refs() > 1 {
+		u.b.Release()
+		u.b = nil
+	}
+	if u.b == nil {
+		u.b = wire.GetBuf(len(fragment{}.hdr))
+	}
+	u.b.SetLen(len(p))
+	copy(u.b.Bytes(), p)
+	u.b.Retain()
+	return driver.WriteBuf(sub, u.b)
+}
+
+// release drops the worker's reference.
+func (u *unitBuf) release() {
+	if u.b != nil {
+		u.b.Release()
+	}
 }
 
 // fail records the first error of any worker.
@@ -267,30 +311,57 @@ func (o *Output) usable() error {
 func (o *Output) Streams() int { return len(o.subs) }
 
 // stripe cuts p into fragments that alias it and queues them
-// round-robin; owner, when set, holds one reference per fragment. Called
-// under o.mu, which keeps every queue in sequence order.
+// round-robin; owner, when set, holds one reference per fragment. A held
+// lead goes first: at the front of a Write's first fragment, cut so the
+// two fill exactly one fragment, when p fills it, otherwise as a fragment
+// of its own. So a short Write and a long one behind it are cut as one
+// Write of their bytes would be. Called under o.mu, which keeps every
+// queue in sequence order.
 func (o *Output) stripe(p []byte, owner *wire.Buf) {
+	if o.leadLen > 0 {
+		lead := o.lead[:o.leadLen]
+		o.leadLen = 0
+		frag := fragment{data: lead}
+		if owner == nil && len(lead)+len(p) >= o.fragSize {
+			n := o.fragSize - len(lead)
+			frag.lead, frag.data = lead, p[:n]
+			p = p[n:]
+		}
+		o.queue(frag)
+	}
 	for len(p) > 0 {
 		n := min(len(p), o.fragSize)
-		frag := fragment{data: p[:n], owner: owner}
-		frag.hdrLen = binary.PutUvarint(frag.hdr[:], o.nextSeq)
-		frag.hdrLen += binary.PutUvarint(frag.hdr[frag.hdrLen:], uint64(n))
-		o.acks.Add(1)
-		o.queues[o.nextSeq%uint64(len(o.queues))] <- frag //nolint:netibis-locksafe // o.mu serialises writers so queue order matches seq order; the bounded queue is the intended backpressure and workers drain it even after an error
-		o.nextSeq++
+		o.queue(fragment{data: p[:n], owner: owner})
 		p = p[n:]
 	}
+}
+
+// queue numbers frag and hands it to its sub-stream's worker. Called
+// under o.mu.
+func (o *Output) queue(frag fragment) {
+	frag.hdrLen = binary.PutUvarint(frag.hdr[:], o.nextSeq)
+	frag.hdrLen += binary.PutUvarint(frag.hdr[frag.hdrLen:], uint64(len(frag.lead)+len(frag.data)))
+	o.acks.Add(1)
+	o.queues[o.nextSeq%uint64(len(o.queues))] <- frag //nolint:netibis-locksafe // o.mu serialises writers so queue order matches seq order; the bounded queue is the intended backpressure and workers drain it even after an error
+	o.nextSeq++
 }
 
 // Write implements driver.Output: p is cut into fragments that alias it
 // and striped across the sub-streams, and Write returns once every one
 // of them has been handed to its sub-stream. The io.Writer contract lets
-// the caller reuse p from then on, and nothing here has copied it.
+// the caller reuse p from then on, and nothing here has copied it — but
+// a Write of at most maxLead bytes, which is copied and held to lead the
+// next Write (ipl's length and items ahead of the payload it lends) and
+// is striped by that Write, a WriteBuf, Flush or Close.
 func (o *Output) Write(p []byte) (int, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if err := o.usable(); err != nil {
+	if err := o.usable(); err != nil || len(p) == 0 {
 		return 0, err
+	}
+	if o.leadLen == 0 && len(p) <= maxLead {
+		o.leadLen = copy(o.lead[:], p)
+		return len(p), nil
 	}
 	o.stripe(p, nil)
 	o.acks.Wait()
@@ -303,7 +374,8 @@ func (o *Output) Write(p []byte) (int, error) {
 // WriteBuf implements driver.BufWriter: the owned payload is striped
 // across the sub-streams without waiting for them — each fragment holds
 // one reference to the caller's Buf, released by the worker after the
-// fragment has been handed to its sub-stream.
+// fragment has been handed to its sub-stream. Only a held Write striped
+// ahead of it is waited out, as its bytes are the output's own.
 func (o *Output) WriteBuf(b *wire.Buf) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -314,25 +386,30 @@ func (o *Output) WriteBuf(b *wire.Buf) error {
 	for range (b.Len() - 1) / o.fragSize {
 		b.Retain() // one reference per fragment; the caller's covers the first
 	}
+	held := o.leadLen > 0
 	o.stripe(b.Bytes(), b)
+	if held {
+		o.acks.Wait()
+	}
 	return nil
 }
 
 // Flush implements driver.Output. Each worker flushes its sub-stream
-// behind every fragment, so Flush only waits for the fragments of
-// earlier WriteBufs still on their way.
+// behind every fragment, so Flush stripes a held lead and then only waits
+// for it and the fragments of earlier WriteBufs still on their way.
 func (o *Output) Flush() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed {
 		return io.ErrClosedPipe
 	}
+	o.stripe(nil, nil)
 	o.acks.Wait()
 	return o.workerErr()
 }
 
-// Close stops the workers, each of which closes its sub-stream behind
-// the last fragment queued for it.
+// Close stripes a held lead and stops the workers, each of which closes
+// its sub-stream behind the last fragment queued for it.
 func (o *Output) Close() error {
 	o.mu.Lock()
 	if o.closed {
@@ -340,6 +417,7 @@ func (o *Output) Close() error {
 		return nil
 	}
 	o.closed = true
+	o.stripe(nil, nil)
 	for _, q := range o.queues {
 		close(q)
 	}

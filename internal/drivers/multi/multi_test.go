@@ -538,3 +538,90 @@ func TestUnflushedWriteThenClose(t *testing.T) {
 	in.Close()
 	check()
 }
+
+// recordSub is a sub-stream output that keeps every byte written to it.
+type recordSub struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (s *recordSub) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buf.Write(p)
+}
+
+func (s *recordSub) Flush() error { return nil }
+func (s *recordSub) Close() error { return nil }
+
+// TestShortWriteRidesTheNextFragment pins how a held short Write is cut:
+// in front of a Write that fills a fragment with it, it rides at the
+// front of that Write's first fragment, cut so the two fill exactly one,
+// which is how one Write of their bytes is cut; otherwise it goes as a
+// fragment of its own, ahead of the next Write, WriteBuf or Flush. A
+// Write longer than maxLead is never held.
+func TestShortWriteRidesTheNextFragment(t *testing.T) {
+	const fragment = 1024
+	short, long := make([]byte, 3), make([]byte, maxLead+1)
+	for _, tc := range []struct {
+		name  string
+		write func(o *Output)
+		want  []int // fragment lengths in sequence order
+	}{
+		{"short, then two fragments and more", func(o *Output) {
+			o.Write(short)
+			o.Write(make([]byte, 2*fragment+10))
+		}, []int{fragment, fragment, 13}},
+		{"short, then exactly the rest of a fragment", func(o *Output) {
+			o.Write(short)
+			o.Write(make([]byte, fragment-3))
+		}, []int{fragment}},
+		{"short, then less than a fragment", func(o *Output) {
+			o.Write(short)
+			o.Write(make([]byte, 100))
+		}, []int{3, 100}},
+		{"short, then a WriteBuf", func(o *Output) {
+			o.Write(short)
+			b := wire.GetBuf(2 * fragment)
+			o.WriteBuf(b)
+		}, []int{3, fragment, fragment}},
+		{"short, then Flush", func(o *Output) { o.Write(short) }, []int{3}},
+		{"longer than maxLead", func(o *Output) {
+			o.Write(long)
+			o.Write(make([]byte, fragment))
+		}, []int{maxLead + 1, fragment}},
+	} {
+		subs := []*recordSub{{}, {}, {}}
+		outs := make([]driver.Output, len(subs))
+		for i, s := range subs {
+			outs[i] = s
+		}
+		o := NewOutput(outs, fragment)
+		tc.write(o)
+		if err := o.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		o.Close()
+		var got []int
+		readers := make([]*bytes.Reader, len(subs))
+		for i, s := range subs {
+			readers[i] = bytes.NewReader(s.buf.Bytes())
+		}
+		for seq := uint64(0); ; seq++ {
+			r := readers[seq%uint64(len(subs))]
+			if r.Len() == 0 {
+				break
+			}
+			s, err1 := binary.ReadUvarint(r)
+			n, err2 := binary.ReadUvarint(r)
+			if err1 != nil || err2 != nil || s != seq || int64(n) > int64(r.Len()) {
+				t.Fatalf("%s: fragment %d: bad header (seq %d, len %d)", tc.name, seq, s, n)
+			}
+			r.Seek(int64(n), io.SeekCurrent)
+			got = append(got, int(n))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: fragments %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -188,13 +188,14 @@ func NewSealOutput(lower driver.Output, master []byte, blockSize int) (*SealOutp
 	o.aead = aead
 	// Writes of at least one block bypass the aggregation buffer, a block
 	// at a time, so every record still holds at most one block.
-	o.BlockOutput = driver.NewBlockOutput(lower, blockSize, blockSize, blockSize, o.emit)
+	o.BlockOutput = driver.NewBlockOutput(lower, blockSize, blockSize, blockSize, false, o.emit)
 	return o, nil
 }
 
-// emit seals the pending bytes (head) as a record of their own, then the
-// block or bypassing piece (body) as the next.
-func (o *SealOutput) emit(head, body []byte) (int, error) {
+// emit seals the pending bytes (own) as a record of their own, then the
+// block or bypassing piece (body) as the next. Nothing rides (lead is
+// empty): a record is sealed from one contiguous slice.
+func (o *SealOutput) emit(own, _, body []byte) (int, error) {
 	if !o.saltSent {
 		if _, err := o.lower.Write(o.salt[:]); err != nil {
 			return 0, err
@@ -202,8 +203,8 @@ func (o *SealOutput) emit(head, body []byte) (int, error) {
 		o.saltSent = true
 	}
 	n := 0
-	if len(head) > 0 {
-		k, err := o.seal(head)
+	if len(own) > 0 {
+		k, err := o.seal(own)
 		if err != nil {
 			return 0, err
 		}

@@ -85,21 +85,24 @@ func NewOutput(conn net.Conn, blockSize int) *Output {
 	}
 	o := &Output{w: wire.NewWriter(conn)}
 	// Writes of at least one block bypass the aggregation buffer, up to
-	// a whole frame at a time.
-	o.BlockOutput = driver.NewBlockOutput(connEnd{conn, o.w}, blockSize, blockSize, wire.MaxFrameLen, o.emit)
+	// a whole frame at a time, and the bytes a Write left pending ride in
+	// the same frame: ipl's length and items in front of the payload it
+	// lends are one frame, as they are when written at once.
+	o.BlockOutput = driver.NewBlockOutput(connEnd{conn, o.w}, blockSize, blockSize, wire.MaxFrameLen, true, o.emit)
 	return o
 }
 
-// emit sends a block. A bypassing payload and the bytes buffered before
-// it leave as one batch (one vectored write, neither copied), preserving
-// byte order on the wire.
-func (o *Output) emit(head, body []byte) (int, error) {
-	batch := [2]wire.BatchFrame{{Kind: wire.KindData, Payload: head}, {Kind: wire.KindData, Payload: body}}
+// emit sends a block. A bypassing payload, with the pending bytes that
+// ride at its front and, before it, the pending bytes that keep a frame
+// of their own, leaves as one batch: one vectored write, nothing copied
+// but what fits the header arena.
+func (o *Output) emit(own, lead, body []byte) (int, error) {
+	batch := [2]wire.BatchFrame{{Kind: wire.KindData, Payload: own}, {Kind: wire.KindData, Hdr: lead, Payload: body}}
 	frames := batch[:]
-	if len(head) == 0 {
+	if len(own) == 0 {
 		frames = batch[1:]
 	}
-	return len(head) + len(body), o.w.WriteFrameBatch(frames)
+	return len(own) + len(lead) + len(body), o.w.WriteFrameBatch(frames)
 }
 
 // connEnd is what lies below the aggregation buffer of a networking

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"netibis/internal/driver"
+	"netibis/internal/wire"
 )
 
 // pipePair returns two ends of an in-memory connection suitable for
@@ -110,36 +111,55 @@ func TestOverflowTriggersBlockSend(t *testing.T) {
 }
 
 func TestLargeWriteFlushesBufferedBytesFirst(t *testing.T) {
-	c1, c2 := pipePair()
-	out := NewOutput(c1, 1000)
-	in := NewInput(c2)
-	done := make(chan []byte, 1)
-	go func() {
-		b, _ := io.ReadAll(in)
-		done <- b
-	}()
-	// A small aggregated write followed by a bypassing large write: the
-	// buffered bytes and the large payload leave as one vectored pair of
-	// blocks, in order.
-	if _, err := out.Write([]byte("small-head-")); err != nil {
-		t.Fatal(err)
-	}
 	large := bytes.Repeat([]byte{0x42}, 1200)
-	if _, err := out.Write(large); err != nil {
-		t.Fatal(err)
-	}
-	blocks, bytesSent := out.Stats()
-	if blocks != 2 {
-		t.Fatalf("expected buffered+direct pair of blocks, got %d", blocks)
-	}
-	if want := int64(len("small-head-") + len(large)); bytesSent != want {
-		t.Fatalf("bytes sent = %d, want %d", bytesSent, want)
-	}
-	out.Close()
-	got := <-done
-	want := append([]byte("small-head-"), large...)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("byte order broken across the bypass: got %d bytes want %d", len(got), len(want))
+	for _, tc := range []struct {
+		name   string
+		unit   bool // the small bytes come by WriteBuf
+		blocks int64
+	}{
+		// A small aggregated write followed by a bypassing large write:
+		// the buffered bytes ride at the front of the large payload's
+		// frame, which is the frame one write of both would have made.
+		{"write", false, 1},
+		// Bytes that came by WriteBuf are a unit of their own: the pair
+		// leaves as two frames of one vectored write.
+		{"writebuf", true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c1, c2 := pipePair()
+			out := NewOutput(c1, 1000)
+			in := NewInput(c2)
+			done := make(chan []byte, 1)
+			go func() {
+				b, _ := io.ReadAll(in)
+				done <- b
+			}()
+			head := []byte("small-head-")
+			if tc.unit {
+				b := wire.GetBuf(len(head))
+				copy(b.Bytes(), head)
+				if err := out.WriteBuf(b); err != nil {
+					t.Fatal(err)
+				}
+			} else if _, err := out.Write(head); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := out.Write(large); err != nil {
+				t.Fatal(err)
+			}
+			blocks, bytesSent := out.Stats()
+			if blocks != tc.blocks {
+				t.Fatalf("got %d blocks, want %d", blocks, tc.blocks)
+			}
+			if want := int64(len(head) + len(large)); bytesSent != want {
+				t.Fatalf("bytes sent = %d, want %d", bytesSent, want)
+			}
+			out.Close()
+			got := <-done
+			if want := append(head, large...); !bytes.Equal(got, want) {
+				t.Fatalf("byte order broken across the bypass: got %d bytes want %d", len(got), len(want))
+			}
+		})
 	}
 }
 

@@ -120,7 +120,10 @@ func NewOutputOptions(lower driver.Output, o Options) *Output {
 	// a time — the buffering memcpy is pure overhead at these sizes. The
 	// half-block threshold keeps small writes coalescing through the
 	// buffer for ratio.
-	out.BlockOutput = driver.NewBlockOutput(lower, blockSize, blockSize/2, blockSize, out.emit)
+	// The bytes a Write left pending ride in the block of a bypassing
+	// one, so ipl's head and the payload it lends are one block, as one
+	// Write of both is.
+	out.BlockOutput = driver.NewBlockOutput(lower, blockSize, blockSize/2, blockSize, true, out.emit)
 	return out
 }
 
@@ -152,11 +155,19 @@ func compressBlock(codec Codec, src []byte) (*wire.Buf, error) {
 }
 
 // emit compresses body — and first, as a block of their own, the bytes
-// still buffered when a large write bypasses them — and writes the
-// blocks down.
-func (o *Output) emit(head, body []byte) (int, error) {
+// still buffered when a large write bypasses them (own) — and writes the
+// blocks down. A block is compressed from one contiguous slice, so bytes
+// that ride (lead) are joined with body in a pooled buffer first: the
+// copy a lent payload spared the layer above, which compression dwarfs.
+func (o *Output) emit(own, lead, body []byte) (int, error) {
+	if len(lead) > 0 {
+		joined := wire.GetBuf(len(lead) + len(body))
+		defer joined.Release()
+		copy(joined.Bytes()[copy(joined.Bytes(), lead):], body)
+		body = joined.Bytes()
+	}
 	sent := 0
-	for _, src := range [2][]byte{head, body} {
+	for _, src := range [2][]byte{own, body} {
 		if len(src) == 0 {
 			continue
 		}

@@ -225,6 +225,8 @@ type sender struct {
 
 	cwnd, ssthresh float64
 	lastAt         time.Time // a byte stream never reorders: delivery times are clamped monotone
+	lastLeft       time.Time // when the bytes due at lastAt left
+	reserved       int64     // bytes reserved on the link so far; with lastAt, what the law gates read
 	freed          time.Time // when the acknowledgement reaped last came back
 
 	deadline time.Time
@@ -283,7 +285,8 @@ func (s *sender) write(p []byte) (int, error) {
 			m.ack = m.ack.Add(s.lastAt.Sub(m.at))
 			m.at = s.lastAt
 		}
-		s.lastAt = m.at
+		s.lastAt, s.lastLeft = m.at, leave
+		s.reserved += int64(n)
 		s.buf.push(p[:n])
 		s.marks = append(s.marks, m)
 		s.inflight += n

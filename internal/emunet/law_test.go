@@ -9,7 +9,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,46 +48,47 @@ func shapedLink(t *testing.T, p LinkParams, opts ...Option) (*Fabric, func() (we
 }
 
 // blast writes from[i] -> to[i] as fast as the conns take it and
-// returns, per pair, the bytes per emulated second that arrived during
-// the window of emulated time that follows the warm-up. It closes the
-// conns.
+// returns, per pair, the link's rate over the window of emulated time
+// that follows the warm-up: the bytes it scheduled per emulated second of
+// their delivery times. It closes the conns.
+//
+// The rate is read off the link's schedule, not off the instants a reader
+// got the bytes, so host load cannot bias it. On a loaded host every
+// goroutine wakes late. A late reader leaves a full receive buffer, which
+// holds no more than the window; that stalls delivery and, with it, the
+// acknowledgements that open the window, so bytes arrive late. But each
+// byte is still scheduled to leave when the acknowledgement that made
+// room for it came back, however late the sender ran. Each writer makes
+// one long Write, so no byte waits for the host to call it again.
 func blast(from, to []net.Conn, scale float64, warm, window time.Duration) []float64 {
-	counts := make([]atomic.Int64, len(from))
+	src := make([]byte, 16<<20)
 	var wg sync.WaitGroup
 	for i := range from {
 		wg.Add(2)
 		go func(c net.Conn) {
 			defer wg.Done()
-			chunk := make([]byte, 32<<10)
 			for {
-				if _, err := c.Write(chunk); err != nil {
+				if _, err := c.Write(src); err != nil {
 					return
 				}
 			}
 		}(from[i])
-		go func(c net.Conn, n *atomic.Int64) {
+		go func(c net.Conn) {
 			defer wg.Done()
-			buf := make([]byte, 64<<10)
-			for {
-				k, err := c.Read(buf)
-				n.Add(int64(k))
-				if err != nil {
-					return
-				}
-			}
-		}(to[i], &counts[i])
+			io.Copy(io.Discard, c)
+		}(to[i])
 	}
-	snap := func() ([]int64, time.Time) {
-		at := make([]int64, len(counts))
-		for i := range counts {
-			at[i] = counts[i].Load()
+	snap := func() (sent []int64, at []time.Time) {
+		for _, c := range from {
+			n, due, _ := schedule(c)
+			sent, at = append(sent, n), append(at, due)
 		}
-		return at, time.Now()
+		return sent, at
 	}
 	time.Sleep(time.Duration(float64(warm) * scale))
-	c0, t0 := snap()
+	n0, at0 := snap()
 	time.Sleep(time.Duration(float64(window) * scale))
-	c1, t1 := snap()
+	n1, at1 := snap()
 	for i := range from {
 		from[i].Close()
 		to[i].Close()
@@ -96,9 +96,21 @@ func blast(from, to []net.Conn, scale float64, warm, window time.Duration) []flo
 	wg.Wait()
 	rates := make([]float64, len(from))
 	for i := range rates {
-		rates[i] = float64(c1[i]-c0[i]) / (t1.Sub(t0).Seconds() / scale)
+		if d := at1[i].Sub(at0[i]).Seconds() / scale; d > 0 {
+			rates[i] = float64(n1[i]-n0[i]) / d
+		}
 	}
 	return rates
+}
+
+// schedule reports what the link has scheduled on the direction c sends
+// on: the bytes reserved so far, when the last of them is due at the far
+// end, and when they left c.
+func schedule(c net.Conn) (sent int64, due, left time.Time) {
+	s := c.(*Conn).tx
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.reserved, s.lastAt, s.lastLeft
 }
 
 // crossing blasts w -> e and returns the emulated time bytes
@@ -143,7 +155,12 @@ func sum(xs []float64) (s float64) {
 	return s
 }
 
-// pingPong returns the median of n round trips of one byte a -> b -> a.
+// pingPong returns the median of n round trips of one byte a -> b -> a
+// on a link at time scale 1, as the link scheduled them: for each
+// direction, the time from when the byte left its sender to when it was
+// due at the far end. The bytes make the trip; what is read is the link's
+// delay, which host load cannot lengthen, and not how late the host woke
+// the goroutines that carry them.
 func pingPong(t *testing.T, a, b net.Conn, n int) time.Duration {
 	t.Helper()
 	done := make(chan struct{})
@@ -160,14 +177,15 @@ func pingPong(t *testing.T, a, b net.Conn, n int) time.Duration {
 	rtts := make([]time.Duration, n)
 	buf := make([]byte, 1)
 	for i := range rtts {
-		start := time.Now()
 		if _, err := a.Write(buf); err != nil {
 			t.Fatalf("ping %d: %v", i, err)
 		}
+		_, due, left := schedule(a)
 		if _, err := io.ReadFull(a, buf); err != nil {
 			t.Fatalf("pong %d: %v", i, err)
 		}
-		rtts[i] = time.Since(start)
+		_, backDue, backLeft := schedule(b)
+		rtts[i] = due.Sub(left) + backDue.Sub(backLeft)
 	}
 	<-done
 	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })

@@ -14,6 +14,8 @@ package ipl
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"testing"
 
 	"netibis/internal/driver"
 )
@@ -134,12 +136,14 @@ type ReceivePort interface {
 // MessageSink is where a finished WriteMessage goes; implemented by the
 // NetIbis send port over its driver stack outputs.
 type MessageSink interface {
-	// Deliver sends one complete message: msg[Headroom:] is the payload,
-	// the encoded message, and msg[:Headroom] is free for the sink's
-	// framing, so that frame and payload can go down as one write. The
-	// sink must not retain msg, the payload included, after returning:
-	// the send port encodes its next message into the same buffer.
-	Deliver(msg []byte) error
+	// Deliver sends one complete message, the encoding head[Headroom:] ‖
+	// body. head[:Headroom] is free for the sink's framing, so that frame
+	// and head can go down as one write. body is nil, or the caller's own
+	// slice of a borrowed last WriteBytes, whose tag and length end head.
+	// The sink must not retain either after returning: the send port
+	// encodes its next message into head's buffer, and body is the
+	// application's again once Finish returns.
+	Deliver(head, body []byte) error
 }
 
 // Headroom is how many bytes a WriteMessage keeps free in front of its
@@ -171,10 +175,25 @@ var ErrShortMessage = errors.New("ipl: read past end of message")
 // by SendPort.NewMessage and delivered atomically by Finish.
 type WriteMessage struct {
 	sink     MessageSink
-	buf      []byte // Headroom free bytes, then the encoding
+	buf      []byte // Headroom free bytes, then the encoding up to body
+	body     []byte // the borrowed last item's bytes, or nil
+	sum      uint32 // body's checksum when it was borrowed, under checkBorrowed
 	finished bool
 	onDone   func(buf []byte)
 }
+
+// borrowMin is the shortest WriteBytes a message borrows instead of
+// copying: 64 KiB, tcpblk's block, secure's record, multi's fragment and
+// zip's bypass, from which on each layer below sends a write straight
+// from the caller's slice, and cuts the head in front of it as it cut
+// the message when it was one contiguous write.
+const borrowMin = 64 << 10
+
+// checkBorrowed makes a message checksum the slice it borrows, and fail
+// loudly when the slice changed before Finish returned. It is on in
+// test binaries, so every test that sends a message enforces the
+// borrowing rule; nothing else sets it.
+var checkBorrowed = testing.Testing()
 
 // NewWriteMessage creates a message that will be delivered to sink on
 // Finish. It encodes into buf's storage when there is any (its contents
@@ -190,8 +209,27 @@ func NewWriteMessage(sink MessageSink, buf []byte, onDone func(buf []byte)) *Wri
 	return &WriteMessage{sink: sink, buf: buf[:Headroom], onDone: onDone}
 }
 
+// settle copies a borrowed slice into the buffer, ahead of a write that
+// follows it: a message borrows at most its last item.
+func (m *WriteMessage) settle() {
+	if m.body != nil {
+		m.checkBody()
+		m.buf = append(m.buf, m.body...)
+		m.body = nil
+	}
+}
+
+// checkBody panics, under checkBorrowed, if the borrowed slice no longer
+// holds what it held when it was borrowed.
+func (m *WriteMessage) checkBody() {
+	if checkBorrowed && m.body != nil && crc32.ChecksumIEEE(m.body) != m.sum {
+		panic("ipl: a slice passed to WriteBytes changed before Finish returned")
+	}
+}
+
 // WriteBool appends a boolean.
 func (m *WriteMessage) WriteBool(v bool) *WriteMessage {
+	m.settle()
 	b := byte(0)
 	if v {
 		b = 1
@@ -202,6 +240,7 @@ func (m *WriteMessage) WriteBool(v bool) *WriteMessage {
 
 // WriteInt appends a signed integer (64-bit on the wire).
 func (m *WriteMessage) WriteInt(v int64) *WriteMessage {
+	m.settle()
 	m.buf = append(m.buf, tagInt64)
 	m.buf = appendZigZag(m.buf, v)
 	return m
@@ -209,6 +248,7 @@ func (m *WriteMessage) WriteInt(v int64) *WriteMessage {
 
 // WriteFloat appends a float64.
 func (m *WriteMessage) WriteFloat(v float64) *WriteMessage {
+	m.settle()
 	m.buf = append(m.buf, tagFloat64)
 	m.buf = appendUint64(m.buf, mathFloat64bits(v))
 	return m
@@ -216,6 +256,7 @@ func (m *WriteMessage) WriteFloat(v float64) *WriteMessage {
 
 // WriteString appends a string.
 func (m *WriteMessage) WriteString(s string) *WriteMessage {
+	m.settle()
 	m.buf = append(m.buf, tagString)
 	m.buf = appendUvarint(m.buf, uint64(len(s)))
 	m.buf = append(m.buf, s...)
@@ -223,16 +264,28 @@ func (m *WriteMessage) WriteString(s string) *WriteMessage {
 }
 
 // WriteBytes appends a byte slice (the bulk-data path used by the
-// bandwidth benchmarks).
+// bandwidth benchmarks). A slice of at least 64 KiB is borrowed, not
+// copied: if it stays the message's last item, Finish sends it down the
+// stack from the caller's slice. So p must not change until Finish
+// returns — the rule MPI gives a send buffer. A later write to the
+// message, or Payload, copies it in first.
 func (m *WriteMessage) WriteBytes(p []byte) *WriteMessage {
+	m.settle()
 	m.buf = append(m.buf, tagBytes)
 	m.buf = appendUvarint(m.buf, uint64(len(p)))
-	m.buf = append(m.buf, p...)
+	if len(p) < borrowMin {
+		m.buf = append(m.buf, p...)
+		return m
+	}
+	m.body = p
+	if checkBorrowed {
+		m.sum = crc32.ChecksumIEEE(p)
+	}
 	return m
 }
 
 // Size returns the current encoded size of the message.
-func (m *WriteMessage) Size() int { return len(m.buf) - Headroom }
+func (m *WriteMessage) Size() int { return len(m.buf) - Headroom + len(m.body) }
 
 // Finish completes the message and delivers it to every connected
 // receive port. After Finish the message must not be used again.
@@ -243,19 +296,25 @@ func (m *WriteMessage) Finish() error {
 	m.finished = true
 	err := ErrMessageTooLarge
 	if m.Size() <= MaxMessageLen {
-		err = m.sink.Deliver(m.buf)
+		err = m.sink.Deliver(m.buf, m.body)
 	}
 	buf := m.buf
 	m.buf = m.buf[:Headroom:Headroom] // a stray write after Finish cannot reach the next message
 	if m.onDone != nil {
 		m.onDone(buf)
 	}
+	m.checkBody()
+	m.body = nil
 	return err
 }
 
-// Payload exposes the encoded bytes. They are invalid after Finish: the
-// send port encodes its next message into the same buffer.
-func (m *WriteMessage) Payload() []byte { return m.buf[Headroom:] }
+// Payload exposes the encoded bytes, copying a borrowed slice in first.
+// They are invalid after Finish: the send port encodes its next message
+// into the same buffer.
+func (m *WriteMessage) Payload() []byte {
+	m.settle()
+	return m.buf[Headroom:]
+}
 
 // ReadMessage decodes the typed items of one received message. It and
 // its bytes are valid until the next Receive on the port it came from.

@@ -1,22 +1,29 @@
 package ipl
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"netibis/internal/drivers/multi"
+	"netibis/internal/drivers/secure"
+	"netibis/internal/drivers/tcpblk"
 )
 
 // captureSink remembers every delivered payload. It keeps a copy: a
 // sink must not retain what it is handed.
 type captureSink struct {
 	payloads [][]byte
+	bodies   []int // the length of each borrowed body, 0 for none
 	err      error
 }
 
-func (s *captureSink) Deliver(msg []byte) error {
-	cp := append([]byte(nil), msg[Headroom:]...)
+func (s *captureSink) Deliver(head, body []byte) error {
+	cp := append(append([]byte(nil), head[Headroom:]...), body...)
 	s.payloads = append(s.payloads, cp)
+	s.bodies = append(s.bodies, len(body))
 	return s.err
 }
 
@@ -207,6 +214,96 @@ func TestWriteMessageReusesBuffer(t *testing.T) {
 	r := NewReadMessage(Identifier{}, sink.payloads[1])
 	if s, err := r.ReadString(); err != nil || s != "second" || r.Finish() != nil {
 		t.Fatalf("second message decoded as %q, %v", s, err)
+	}
+}
+
+// TestWriteBytesBorrowsTheLastLargeItem: a WriteBytes of at least
+// borrowMin bytes reaches the sink as the caller's own slice when it is
+// the message's last item; a shorter one, one with a write behind it, and
+// one whose message is read through Payload are copied into the encoding.
+// The message the sink sees is the same either way.
+func TestWriteBytesBorrowsTheLastLargeItem(t *testing.T) {
+	big, small := make([]byte, borrowMin), make([]byte, borrowMin-1)
+	for _, tc := range []struct {
+		name  string
+		write func(m *WriteMessage)
+		body  int // bytes the sink gets as the borrowed body
+	}{
+		{"large last", func(m *WriteMessage) { m.WriteInt(1).WriteBytes(big) }, borrowMin},
+		{"under the borrow size", func(m *WriteMessage) { m.WriteInt(1).WriteBytes(small) }, 0},
+		{"large, then small", func(m *WriteMessage) { m.WriteBytes(big).WriteBool(true) }, 0},
+		{"two large", func(m *WriteMessage) { m.WriteBytes(big).WriteBytes(big) }, borrowMin},
+		{"large, then Payload", func(m *WriteMessage) { m.WriteBytes(big).Payload() }, 0},
+	} {
+		sink, ref := &captureSink{}, &captureSink{}
+		m := NewWriteMessage(sink, nil, nil)
+		tc.write(m)
+		size := m.Size()
+		if err := m.Finish(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// The same items again, every one copied: the encoding to match.
+		want := NewWriteMessage(ref, nil, nil)
+		tc.write(want)
+		want.Payload()
+		want.Finish()
+		if sink.bodies[0] != tc.body {
+			t.Errorf("%s: %d bytes borrowed, want %d", tc.name, sink.bodies[0], tc.body)
+		}
+		if !bytes.Equal(sink.payloads[0], ref.payloads[0]) || size != len(ref.payloads[0]) {
+			t.Errorf("%s: the message differs from its copied encoding, or Size %d is not its length %d", tc.name, size, len(ref.payloads[0]))
+		}
+	}
+}
+
+// TestBorrowedSliceChangeFailsLoudly: under checkBorrowed, which test
+// binaries run with, a borrowed slice that changed before Finish returned
+// panics — at Finish, after the port has its buffer back, or at the write
+// that would have copied the changed bytes in.
+func TestBorrowedSliceChangeFailsLoudly(t *testing.T) {
+	if !checkBorrowed {
+		t.Fatal("checkBorrowed is off in a test binary")
+	}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	done := 0
+	p := make([]byte, borrowMin)
+	m := NewWriteMessage(&captureSink{}, nil, func([]byte) { done++ })
+	m.WriteBytes(p)
+	p[7]++
+	mustPanic("changed before Finish", func() { m.Finish() })
+	if done != 1 {
+		t.Errorf("the port did not get its buffer back before the panic")
+	}
+	m = NewWriteMessage(&captureSink{}, nil, nil)
+	m.WriteBytes(p)
+	p[borrowMin-1]++
+	mustPanic("changed before a later write", func() { m.WriteInt(1) })
+	sink := &captureSink{}
+	m = NewWriteMessage(sink, nil, nil)
+	m.WriteBytes(p)
+	if err := m.Finish(); err != nil || sink.bodies[0] != borrowMin {
+		t.Fatalf("an unchanged borrowed slice: %v, %d bytes borrowed", err, sink.bodies[0])
+	}
+	p[0]++ // after Finish the slice is the caller's again
+}
+
+// TestBorrowSizeIsTheBlockSize ties borrowMin to the size from which on
+// every block layer below sends a write from the caller's slice.
+func TestBorrowSizeIsTheBlockSize(t *testing.T) {
+	for layer, size := range map[string]int{
+		"tcpblk block": tcpblk.DefaultBlockSize, "secure record": secure.DefaultSealBlock, "multi fragment": multi.DefaultFragment,
+	} {
+		if size != borrowMin {
+			t.Errorf("borrowMin is %d, the %s %d", borrowMin, layer, size)
+		}
 	}
 }
 

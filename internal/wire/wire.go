@@ -76,9 +76,10 @@ func (f Frame) String() string {
 // have each prefixed theirs.
 const coalesceMax = 4096 + 512
 
-// smallFrame is the largest frame body, in encoded payload bytes, that a
-// vectored write carries in its header arena, next to the wire header of
-// the frame that follows it (see WriteFrameBatch).
+// smallFrame is the largest frame body, or frame Hdr, in encoded bytes,
+// that a vectored write carries in its header arena, next to the wire
+// header of the frame that follows it or that it belongs to (see
+// WriteFrameBatch).
 const smallFrame = 64
 
 // Writer encodes frames onto an io.Writer. It is not safe for concurrent
@@ -140,9 +141,10 @@ type BatchFrame struct {
 // the socket layer once. On that path a frame of at most smallFrame
 // payload bytes is copied whole into the header arena, where the next
 // frame's wire header joins it, so a small frame in front of a large one
-// (a length, a fragment header) costs no element of its own. The bytes on
-// the wire are the same either way, and MaxFrameLen is checked for every
-// frame before anything is written.
+// (a length, a fragment header) costs no element of its own, and so does a
+// Hdr of at most smallFrame bytes, which joins its own wire header there.
+// The bytes on the wire are the same either way, and MaxFrameLen is
+// checked for every frame before anything is written.
 func (fw *Writer) WriteFrameBatch(frames []BatchFrame) error {
 	if len(frames) == 0 {
 		return nil
@@ -169,9 +171,12 @@ func (fw *Writer) WriteFrameBatch(frames []BatchFrame) error {
 			hdrs = append(append(hdrs, f.Hdr...), f.Payload...)
 			continue
 		}
+		if len(f.Hdr) <= smallFrame {
+			hdrs = append(hdrs, f.Hdr...)
+		}
 		vec = append(vec, hdrs[open:])
 		open = len(hdrs)
-		if len(f.Hdr) > 0 {
+		if len(f.Hdr) > smallFrame {
 			vec = append(vec, f.Hdr)
 		}
 		if len(f.Payload) > 0 {

@@ -362,7 +362,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // batch costs depends on its encoded size and on nothing else. Up to
 // coalesceMax it is exactly one Write; above it, it is the one vectored
 // write — wire header plus each non-empty part per frame, where a run of
-// small frames and the wire header after it share one element — and a
+// small frames and the wire header after it share one element, and so do
+// a wire header and a Hdr of at most smallFrame bytes behind it — and a
 // Reader decodes the same frames either way.
 func TestWriteFrameBatchConnWrites(t *testing.T) {
 	fill := func(n int) []byte { return bytes.Repeat([]byte{'x'}, n) }
@@ -397,7 +398,10 @@ func TestWriteFrameBatchConnWrites(t *testing.T) {
 					}
 					inArena = body <= smallFrame
 					if !inArena {
-						vectored += min(len(f.Hdr), 1) + min(len(f.Payload), 1)
+						vectored += min(len(f.Payload), 1)
+						if len(f.Hdr) > smallFrame {
+							vectored++
+						}
 					}
 				}
 				name := fmt.Sprintf("%d frames hdr=%v payload=%v, %d bytes", n, shape.hdr, shape.payload, encoded)
@@ -434,23 +438,37 @@ func TestWriteFrameBatchConnWrites(t *testing.T) {
 // path's small-frame rule: a frame of at most smallFrame payload bytes
 // in front of a large one rides in the header arena with the large
 // one's wire header, so the pair is two conn writes; one byte more and
-// each frame is a wire header and a payload of its own, four writes.
+// each frame is a wire header and a payload of its own, four writes. A
+// Hdr in front of a large Payload follows the same boundary: up to
+// smallFrame bytes it joins its wire header, two writes; one byte more
+// and it is an element of its own, three.
 func TestWriteFrameBatchSmallFrameRule(t *testing.T) {
 	large := bytes.Repeat([]byte{'y'}, 2*coalesceMax)
-	for _, tc := range []struct{ small, want int }{{3, 2}, {smallFrame, 2}, {smallFrame + 1, 4}} {
+	for _, tc := range []struct{ small, pair, hdr int }{{3, 2, 2}, {smallFrame, 2, 2}, {smallFrame + 1, 4, 3}} {
 		small := bytes.Repeat([]byte{'x'}, tc.small)
 		cw := &countingWriter{}
 		if err := NewWriter(cw).WriteFrameBatch([]BatchFrame{{Kind: KindData, Payload: small}, {Kind: KindData, Payload: large}}); err != nil {
 			t.Fatal(err)
 		}
-		if cw.writes != tc.want {
-			t.Errorf("%d-byte frame, then a large one: %d conn writes, want %d", tc.small, cw.writes, tc.want)
+		if cw.writes != tc.pair {
+			t.Errorf("%d-byte frame, then a large one: %d conn writes, want %d", tc.small, cw.writes, tc.pair)
 		}
 		r := NewReader(cw)
 		for _, want := range [][]byte{small, large} {
 			if f, err := r.ReadFrame(); err != nil || !bytes.Equal(f.Payload, want) {
 				t.Fatalf("%d-byte frame, then a large one: decoded %v, %v", tc.small, f, err)
 			}
+		}
+
+		cw = &countingWriter{}
+		if err := NewWriter(cw).WriteFrameBatch([]BatchFrame{{Kind: KindData, Hdr: small, Payload: large}}); err != nil {
+			t.Fatal(err)
+		}
+		if cw.writes != tc.hdr {
+			t.Errorf("%d-byte Hdr in front of a large payload: %d conn writes, want %d", tc.small, cw.writes, tc.hdr)
+		}
+		if f, err := NewReader(cw).ReadFrame(); err != nil || !bytes.Equal(f.Payload, append(small, large...)) {
+			t.Fatalf("%d-byte Hdr in front of a large payload: decoded %v, %v", tc.small, f, err)
 		}
 	}
 }
