@@ -46,6 +46,27 @@ func errBranchIsNil(r *wire.Reader) error {
 	return nil
 }
 
+func nextHandOut(r *wire.Reader) error {
+	b, body, err := r.Next(64)
+	if err != nil {
+		return err // allowed: the unit is nil on the acquisition's error branch
+	}
+	if len(body) == 0 {
+		return errors.New("empty") // want "error return leaks b acquired via Next"
+	}
+	b.Release()
+	return nil
+}
+
+func nextReleasedTwice(r *wire.Reader) {
+	b, _, err := r.Next(64)
+	if err != nil {
+		return
+	}
+	b.Release()
+	b.Release() // want "double release of b: already released at"
+}
+
 func doubleRelease(b *wire.Buf) {
 	b.Release()
 	b.Release() // want "double release of b: already released at"

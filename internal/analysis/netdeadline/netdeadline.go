@@ -7,8 +7,9 @@
 // The trust boundary is declared, not guessed: functions that run
 // before authentication carry a `//netibis:preauth` pragma in their doc
 // comment. Inside a pre-auth function the analyzer requires every read
-// call (Read, ReadByte, ReadFrame, ReadFrameBuf, ReadFrameInto,
-// io.ReadFull) to be preceded — textually, in the same function — by an
+// call (Read, ReadByte, ReadFrame, ReadFrameBuf, ReadFrameInto, and the
+// wire.Reader's ReadFull, ReadUvarint, Peek and Next; io.ReadFull) to be
+// preceded — textually, in the same function — by an
 // arming SetReadDeadline/SetDeadline call (clearing a deadline with
 // time.Time{} does not count, nor does a deferred clear). And a
 // pre-auth function may hand its conn or reader only to callees that
@@ -51,6 +52,9 @@ var readNames = map[string]bool{
 	"ReadFrameBuf":  true,
 	"ReadFrameInto": true,
 	"ReadFull":      true,
+	"ReadUvarint":   true,
+	"Peek":          true,
+	"Next":          true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -50,6 +50,24 @@ func readerUnarmed(r *wire.Reader) {
 }
 
 //netibis:preauth
+func readerMethodsUnarmed(r *wire.Reader, p []byte) {
+	r.Peek(4)       // want "pre-auth read without a preceding SetReadDeadline in readerMethodsUnarmed"
+	r.Next(4)       // want "pre-auth read without a preceding SetReadDeadline in readerMethodsUnarmed"
+	r.ReadFull(p)   // want "pre-auth read without a preceding SetReadDeadline in readerMethodsUnarmed"
+	r.ReadUvarint() // want "pre-auth read without a preceding SetReadDeadline in readerMethodsUnarmed"
+	r.Discard(4)    // allowed: consumes what a read returned, reads nothing
+}
+
+//netibis:preauth
+func readerMethodsArmed(c net.Conn, r *wire.Reader, p []byte) {
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	r.Peek(4)       // allowed: deadline armed above
+	r.Next(4)       // allowed
+	r.ReadFull(p)   // allowed
+	r.ReadUvarint() // allowed
+}
+
+//netibis:preauth
 func handsOff(c net.Conn) {
 	sessionLoop(c) // want "pre-auth function handsOff passes its conn/reader to sessionLoop, which is not marked //netibis:preauth"
 }

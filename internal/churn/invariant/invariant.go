@@ -31,6 +31,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"netibis/internal/wire"
 )
 
 // Violation is one observed breach of a scenario invariant.
@@ -284,18 +286,19 @@ func (s *Sender) Run(conn net.Conn) error {
 	ackErr := make(chan error, 1)
 	progress := make(chan struct{}, 1)
 	go func() {
-		r := newByteReader(conn)
+		r := wire.NewReader(conn)
 		for {
-			magic, err := r.ReadByte()
+			magic, err := r.Peek(1)
 			if err != nil {
 				ackErr <- err
 				return
 			}
-			if magic != ackMagic {
-				ackErr <- fmt.Errorf("%w: bad ack magic 0x%02x", ErrDesync, magic)
+			if magic[0] != ackMagic {
+				ackErr <- fmt.Errorf("%w: bad ack magic 0x%02x", ErrDesync, magic[0])
 				return
 			}
-			nextExpected, err := binary.ReadUvarint(r)
+			r.Discard(1)
+			nextExpected, err := r.ReadUvarint()
 			if err != nil {
 				ackErr <- err
 				return
@@ -446,7 +449,7 @@ func (r *Receiver) Resets() uint64 {
 // repairs it on the next incarnation.
 func (r *Receiver) Run(conn net.Conn) error {
 	defer conn.Close()
-	br := newByteReader(conn)
+	br := wire.NewReader(conn)
 	sinceAck := 0
 	ackBuf := make([]byte, 0, 16)
 	sendAck := func() error {
@@ -550,36 +553,29 @@ var (
 
 // readRecord parses one record (magic already peeked). It returns the
 // payload, sequence number and stream ID.
-func (r *Receiver) readRecord(br *byteReader) (payload []byte, seq, id uint64, err error) {
-	hdr := make([]byte, 0, 32)
-	magic, err := br.ReadByte()
-	if err != nil {
-		return nil, 0, 0, err
+func (r *Receiver) readRecord(br *wire.Reader) (payload []byte, seq, id uint64, err error) {
+	br.Discard(1)
+	var fields [3]uint64 // id, seq, payload length
+	for i := range fields {
+		if fields[i], err = br.ReadUvarint(); err != nil {
+			return nil, 0, 0, wrapFrame(err)
+		}
 	}
-	hdr = append(hdr, magic)
-	id, hdr, err = readUvarintRecording(br, hdr)
-	if err != nil {
-		return nil, 0, 0, wrapFrame(err)
-	}
-	seq, hdr, err = readUvarintRecording(br, hdr)
-	if err != nil {
-		return nil, 0, 0, wrapFrame(err)
-	}
-	n, hdr, err := readUvarintRecording(br, hdr)
-	if err != nil {
-		return nil, 0, 0, wrapFrame(err)
-	}
+	id, seq, n := fields[0], fields[1], fields[2]
 	if n > 16<<20 {
 		return nil, 0, 0, errBadFrame
 	}
 	payload = make([]byte, int(n))
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, 0, 0, wrapFrame(err)
-	}
 	var crcBytes [4]byte
-	if _, err := io.ReadFull(br, crcBytes[:]); err != nil {
+	if err := br.ReadFull(payload); err != nil {
 		return nil, 0, 0, wrapFrame(err)
 	}
+	if err := br.ReadFull(crcBytes[:]); err != nil {
+		return nil, 0, 0, wrapFrame(err)
+	}
+	// The CRC covers the header as the sender encodes it: a varint that
+	// is not minimal fails it.
+	hdr := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint([]byte{recordMagic}, id), seq), n)
 	crc := crc32.Checksum(hdr, castagnoli)
 	crc = crc32.Update(crc, castagnoli, payload)
 	if crc != binary.BigEndian.Uint32(crcBytes[:]) {
@@ -589,32 +585,13 @@ func (r *Receiver) readRecord(br *byteReader) (payload []byte, seq, id uint64, e
 }
 
 func wrapFrame(err error) error {
-	if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+	switch {
+	case err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF):
 		return io.ErrUnexpectedEOF
+	case err == wire.ErrCorruptFrame:
+		return errBadFrame
 	}
 	return err
-}
-
-// readUvarintRecording reads a uvarint while appending its raw bytes to
-// hdr (for CRC coverage).
-func readUvarintRecording(br *byteReader, hdr []byte) (uint64, []byte, error) {
-	var x uint64
-	var s uint
-	for i := 0; ; i++ {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, hdr, err
-		}
-		hdr = append(hdr, b)
-		if i == 10 {
-			return 0, hdr, errBadFrame
-		}
-		if b < 0x80 {
-			return x | uint64(b)<<s, hdr, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
 }
 
 func bytesEqual(a, b []byte) bool {
@@ -627,67 +604,6 @@ func bytesEqual(a, b []byte) bool {
 		}
 	}
 	return true
-}
-
-// byteReader is a small buffered reader with Peek, avoiding a bufio
-// dependency on the hot path semantics we need (Peek(1) only).
-type byteReader struct {
-	r   io.Reader
-	buf []byte
-	pos int
-	end int
-}
-
-func newByteReader(r io.Reader) *byteReader {
-	return &byteReader{r: r, buf: make([]byte, 32<<10)}
-}
-
-func (b *byteReader) fill() error {
-	if b.pos < b.end {
-		return nil
-	}
-	b.pos, b.end = 0, 0
-	n, err := b.r.Read(b.buf)
-	if n > 0 {
-		b.end = n
-		return nil
-	}
-	if err == nil {
-		err = io.ErrNoProgress
-	}
-	return err
-}
-
-// Peek returns the next n (=1) bytes without consuming them.
-func (b *byteReader) Peek(n int) ([]byte, error) {
-	if err := b.fill(); err != nil {
-		return nil, err
-	}
-	if b.end-b.pos < n {
-		// n is 1 in this package; fill guarantees at least one byte.
-		return nil, io.ErrUnexpectedEOF
-	}
-	return b.buf[b.pos : b.pos+n], nil
-}
-
-// ReadByte implements io.ByteReader.
-func (b *byteReader) ReadByte() (byte, error) {
-	if err := b.fill(); err != nil {
-		return 0, err
-	}
-	c := b.buf[b.pos]
-	b.pos++
-	return c, nil
-}
-
-// Read implements io.Reader.
-func (b *byteReader) Read(p []byte) (int, error) {
-	if err := b.fill(); err != nil {
-		return 0, err
-	}
-	n := copy(p, b.buf[b.pos:b.end])
-	b.pos += n
-	return n, nil
 }
 
 // --- directory convergence ---------------------------------------------------

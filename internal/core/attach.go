@@ -17,6 +17,7 @@ import (
 	"netibis/internal/obs"
 	"netibis/internal/overlay"
 	"netibis/internal/relay"
+	"netibis/internal/wire"
 )
 
 // rttBucket quantises probe round-trip times: relays whose RTTs fall in
@@ -120,11 +121,12 @@ func (a *Attachment) candidates(failover bool) []emunet.Endpoint {
 }
 
 // relayProbe is one probed candidate: an open, not yet attached
-// connection plus its measured round-trip time (zero when it was the
-// only one reachable).
+// connection plus its measured round-trip time and the Reader the probe
+// built (zero and nil when it was the only one reachable).
 type relayProbe struct {
 	ep   emunet.Endpoint
 	conn net.Conn
+	r    *wire.Reader
 	rtt  time.Duration
 }
 
@@ -163,7 +165,7 @@ func (a *Attachment) probe(cands []emunet.Endpoint) []relayProbe {
 	}
 	each(func(p *relayProbe) {
 		var err error
-		if p.rtt, err = relay.ProbeRTT(p.conn); err != nil {
+		if p.rtt, p.r, err = relay.ProbeRTT(p.conn); err != nil {
 			p.conn.Close()
 			p.conn = nil
 		}
@@ -189,10 +191,10 @@ func (a *Attachment) probe(cands []emunet.Endpoint) []relayProbe {
 // accepts; try closes a connection it refuses, firstOf the ones that
 // lost to a better candidate. It returns the winner's endpoint, or the
 // first refusal.
-func firstOf(probes []relayProbe, try func(net.Conn) error) (emunet.Endpoint, error) {
+func firstOf(probes []relayProbe, try func(net.Conn, *wire.Reader) error) (emunet.Endpoint, error) {
 	err := ErrPeerUnavailable
 	for i, p := range probes {
-		terr := try(p.conn)
+		terr := try(p.conn, p.r)
 		if terr == nil {
 			for _, rest := range probes[i+1:] {
 				rest.conn.Close()
@@ -211,8 +213,8 @@ func firstOf(probes []relayProbe, try func(net.Conn) error) (emunet.Endpoint, er
 // set), then arms the failover. ErrPeerUnavailable means no candidate
 // was reachable.
 func (a *Attachment) Attach() error {
-	ep, err := firstOf(a.probe(a.candidates(false)), func(conn net.Conn) (err error) {
-		a.cli, err = relay.AttachAuth(conn, a.NodeID, a.Auth) // closes conn on error
+	ep, err := firstOf(a.probe(a.candidates(false)), func(conn net.Conn, r *wire.Reader) (err error) {
+		a.cli, err = relay.AttachProbed(conn, r, a.NodeID, a.Auth) // closes conn on error
 		return err
 	})
 	if err != nil {

@@ -284,7 +284,7 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 	// concurrent-safe; the method is recorded under its own lock. The
 	// peer key routes the establishments through the connectivity cache
 	// (one race per peer, cached winner on reconnect).
-	mux := estab.NewServiceMux(sl.conn, count, local, peer)
+	mux := estab.NewServiceMux(sl.conn, sl.r, count, local, peer)
 	var methodMu sync.Mutex
 	var usedMethod estab.Method
 	env := &driver.Env{
@@ -546,7 +546,6 @@ func (rp *receivePort) readLoop(src *inSource) {
 		delete(rp.sources, src)
 		rp.mu.Unlock()
 		src.in.Close()
-		msgs.close()
 	}()
 	for {
 		buf, body, err := msgs.next()
@@ -595,10 +594,10 @@ func (rp *receivePort) Receive() (*ipl.ReadMessage, error) {
 	return m.msg, nil
 }
 
-// readAhead is the size of a link's read-ahead buffer: a 64 KiB block
-// and its framing fit its size class, so a Read of a block-sized message
-// reaches the driver with room for the whole block, which the driver
-// then decodes straight into it.
+// readAhead is the block a link's read-ahead holds: a 64 KiB block and
+// its framing fit the read-ahead's size class, so a Read of a block-sized
+// message reaches the driver with room for the whole block, which the
+// driver then decodes straight into it.
 const readAhead = 64 << 10
 
 // errMessageTooLarge drops a link that announces a message past
@@ -607,109 +606,34 @@ const readAhead = 64 << 10
 var errMessageTooLarge = errors.New("core: message length past ipl.MaxMessageLen")
 
 // msgReader splits a link's byte stream into messages, each a uvarint
-// length followed by the encoded message. It reads ahead into a pooled
-// buffer and parses the length from there. A message of the read-ahead
-// buffer's own size class that fits in it is handed out in that buffer,
-// and the bytes read past it move to a fresh one. A smaller message is
-// copied into a buffer of its own class, so a queued message never pins
-// more than that; a larger one takes the bytes read so far and reads the
-// rest straight into its own buffer. A byte read ahead is carried into
-// another buffer at most once.
-type msgReader struct {
-	in       io.Reader
-	ahead    *wire.Buf // at full capacity; [off:end) is read, not yet consumed
-	off, end int
-}
+// length followed by the encoded message, through a wire.Reader whose
+// read-ahead is readAhead's size class. A message of that class leaves
+// in the read-ahead buffer itself; a smaller one is copied into a buffer
+// of its own class, so a queued message never pins more than that; a
+// larger one takes the bytes read so far and reads the rest straight
+// into its own buffer (see wire.Reader.Next).
+type msgReader struct{ r *wire.Reader }
 
-func newMsgReader(in io.Reader) *msgReader {
-	return &msgReader{in: in, ahead: newReadAhead()}
+func newMsgReader(in io.Reader) msgReader {
+	return msgReader{wire.NewUnitReader(in, wire.ClassSize(readAhead))}
 }
-
-func newReadAhead() *wire.Buf {
-	b := wire.GetBuf(readAhead)
-	b.SetLen(b.Cap())
-	return b
-}
-
-// close releases the read-ahead buffer.
-func (r *msgReader) close() { r.ahead.Release() }
 
 // next returns the next message's bytes and the Buf holding them, whose
-// reference passes to the caller.
-func (r *msgReader) next() (*wire.Buf, []byte, error) {
-	length, err := r.length()
-	if err != nil {
+// reference passes to the caller. It yields io.EOF only when the stream
+// ends between messages.
+func (m msgReader) next() (*wire.Buf, []byte, error) {
+	length, err := m.r.ReadUvarint()
+	switch {
+	case err == wire.ErrCorruptFrame || err == nil && length > ipl.MaxMessageLen:
+		return nil, nil, errMessageTooLarge // past the bound, or past 64 bits
+	case err != nil:
 		return nil, nil, err
 	}
-	n := int(length)
-	if end := r.off + n; end <= r.ahead.Len() && wire.ClassSize(n) == r.ahead.Cap() {
-		for r.end < end {
-			if err := r.fill(); err != nil {
-				return nil, nil, unexpectedEOF(err)
-			}
-		}
-		msg := r.ahead
-		r.ahead = newReadAhead()
-		r.end = copy(r.ahead.Bytes(), msg.Bytes()[end:r.end])
-		body := msg.Bytes()[r.off:end]
-		r.off = 0
-		return msg, body, nil
-	}
-	msg := wire.GetBuf(n)
-	body := msg.Bytes()
-	k := copy(body, r.ahead.Bytes()[r.off:r.end])
-	r.off += k
-	if _, err := io.ReadFull(r.in, body[k:]); err != nil {
-		msg.Release()
-		return nil, nil, unexpectedEOF(err)
-	}
-	return msg, body, nil
-}
-
-// length parses the next message's length, reading ahead as needed. It
-// yields io.EOF only when the stream ends between messages.
-func (r *msgReader) length() (uint64, error) {
-	for {
-		buf := r.ahead.Bytes()
-		v, k := binary.Uvarint(buf[r.off:r.end])
-		switch {
-		case k > 0 && v <= ipl.MaxMessageLen:
-			r.off += k
-			return v, nil
-		case k != 0:
-			return 0, errMessageTooLarge // past the bound, or past 64 bits
-		case r.off == r.end:
-			r.off, r.end = 0, 0
-		case r.end == len(buf):
-			// A length cut at the end of the buffer: move its first bytes
-			// to the front.
-			r.end = copy(buf, buf[r.off:r.end])
-			r.off = 0
-		}
-		if err := r.fill(); err != nil {
-			if r.off < r.end {
-				err = unexpectedEOF(err)
-			}
-			return 0, err
-		}
-	}
-}
-
-// fill reads more of the stream into the read-ahead buffer.
-func (r *msgReader) fill() error {
-	n, err := r.in.Read(r.ahead.Bytes()[r.end:])
-	r.end += n
-	if n > 0 {
-		return nil
-	}
-	return err
-}
-
-func unexpectedEOF(err error) error {
+	buf, body, err := m.r.Next(int(length))
 	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+		err = io.ErrUnexpectedEOF
 	}
-	return err
+	return buf, body, err
 }
 
 // Received reports how many messages have arrived on this port.

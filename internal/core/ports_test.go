@@ -97,9 +97,10 @@ func (s *splitReader) Read(p []byte) (int, error) {
 // matters — a length cut across two reads, one cut at the end of the
 // read-ahead buffer, a payload spanning many reads, many messages in one
 // read — and checks each message against a reference decoder. Every
-// message's Buf is of its own size class, and bytes read ahead move to a
-// new buffer only when a message leaves in the old one, so several
-// messages in one read are never re-copied once per message.
+// message's Buf is of its own size class. That bytes read ahead move to
+// a new buffer only when a message leaves in the old one, so several
+// messages in one read are never re-copied once per message, is the
+// reader's own rule, held by wire's TestNextLendsOrDrainsTheReadAhead.
 func TestReceiveSplitsAnyReadPattern(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var stream []byte
@@ -169,9 +170,7 @@ func TestReceiveSplitsAnyReadPattern(t *testing.T) {
 	for _, sc := range schedules {
 		t.Run(sc.name, func(t *testing.T) {
 			r := newMsgReader(&splitReader{data: stream, cuts: sc.cuts(rand.New(rand.NewSource(12)))})
-			defer r.close()
 			for i, w := range want {
-				ahead := r.ahead
 				buf, body, err := r.next()
 				if err != nil {
 					t.Fatalf("message %d: %v", i, err)
@@ -181,9 +180,6 @@ func TestReceiveSplitsAnyReadPattern(t *testing.T) {
 				}
 				if buf.Cap() != wire.ClassSize(len(w)) {
 					t.Fatalf("message %d of %d B is held in a %d B buffer, its class is %d B", i, len(w), buf.Cap(), wire.ClassSize(len(w)))
-				}
-				if r.ahead != ahead && buf != ahead {
-					t.Fatalf("message %d: the read-ahead bytes moved without a message leaving in their buffer", i)
 				}
 				buf.Release()
 			}
@@ -213,10 +209,95 @@ func TestReceiveRefusesBadStreams(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newMsgReader(bytes.NewReader(tc.stream))
-			defer r.close()
 			if _, _, err := r.next(); err != tc.want {
 				t.Fatalf("%v, want %v", err, tc.want)
 			}
 		})
 	}
+}
+
+// cycleReader serves a stream in reads no longer than the sizes it
+// cycles through (0: all the caller asks for).
+type cycleReader struct {
+	data  []byte
+	sizes []byte
+	i     int
+}
+
+func (c *cycleReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := len(p)
+	if len(c.sizes) > 0 {
+		if size := int(c.sizes[c.i%len(c.sizes)]); size > 0 {
+			n = min(n, size)
+		}
+		c.i++
+	}
+	n = copy(p, c.data[:min(n, len(c.data))])
+	c.data = c.data[n:]
+	return n, nil
+}
+
+// FuzzReceiveStream feeds arbitrary bytes, cut into arbitrary reads, to
+// a receive port's message parser. It must yield what a reference
+// decoder reads — each message, then io.EOF at a clean end and
+// io.ErrUnexpectedEOF inside a length or a message — and refuse a length
+// past ipl.MaxMessageLen, or past 64 bits, with errMessageTooLarge before
+// anything is sized from it.
+func FuzzReceiveStream(f *testing.F) {
+	var stream []byte
+	for _, n := range []int{0, 5, 300, 40 << 10, 70 << 10} {
+		stream = append(binary.AppendUvarint(stream, uint64(n)), bytes.Repeat([]byte{byte(n)}, n)...)
+	}
+	f.Add(stream, []byte{0})
+	f.Add(stream, []byte{1, 7, 200})
+	f.Add(stream[:len(stream)-9], []byte{3})
+	f.Add(wire.AppendUvarint(nil, ipl.MaxMessageLen+1), []byte{})
+	f.Add(append(bytes.Repeat([]byte{0x80}, 10), 0x01), []byte{2})
+	f.Add([]byte{0x80}, []byte{})
+
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		var want [][]byte
+		var wantErr error
+		for off := 0; wantErr == nil; {
+			rest := stream[off:]
+			n, k := binary.Uvarint(rest[:min(len(rest), binary.MaxVarintLen64)])
+			switch {
+			case len(rest) == 0:
+				wantErr = io.EOF
+			case k < 0 || k == 0 && len(rest) >= binary.MaxVarintLen64 || k > 0 && n > ipl.MaxMessageLen:
+				wantErr = errMessageTooLarge
+			case k == 0 || uint64(len(rest)-k) < n:
+				wantErr = io.ErrUnexpectedEOF
+			case n > 1<<20:
+				t.Skip("message above the fuzzing budget")
+			default:
+				want = append(want, rest[k:k+int(n)])
+				off += k + int(n)
+			}
+		}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := newMsgReader(&cycleReader{data: stream, sizes: cuts})
+		for i := 0; ; i++ {
+			buf, body, err := r.next()
+			if i == len(want) {
+				if err != wantErr {
+					t.Fatalf("after %d messages: %v, the reference ends in %v", i, err, wantErr)
+				}
+				break
+			}
+			if err != nil || !bytes.Equal(body, want[i]) {
+				t.Fatalf("message %d: %d bytes, %v; the reference read %d bytes", i, len(body), err, len(want[i]))
+			}
+			buf.Release()
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; wantErr == errMessageTooLarge && grew >= ipl.MaxMessageLen {
+			t.Fatalf("allocated %d bytes before refusing an oversize length", grew)
+		}
+	})
 }

@@ -36,8 +36,8 @@ const (
 // giving the write half up, so replies are read in the order requests
 // went out, and the next request goes out right behind the previous
 // connect's done marker while only its reply waits for the barrier: the
-// peer reads requests in order and each only after its own barrier, and
-// its frame readers read no further than the frame they return.
+// peer reads requests in order and each only after its own barrier,
+// through the link's one reader, which its mux reads through too.
 type serviceLink struct {
 	wmu sync.Mutex
 	rmu sync.Mutex
@@ -349,7 +349,7 @@ func (n *Node) serveServiceLink(conn net.Conn) {
 		case opPing:
 			err = w.WriteFrame(wire.KindControl, opPong, nil)
 		case opConnect:
-			err = n.handleConnect(conn, w, f.Payload)
+			err = n.handleConnect(conn, r, w, f.Payload)
 		default:
 			return
 		}
@@ -449,7 +449,7 @@ func decodeConnectReply(p []byte) (profile estab.Profile, endpoints estab.Endpoi
 // accepting side: validate the sender and the target port, acknowledge
 // with this node's profile, then establish as many connections as the
 // driver stack needs and build its input side.
-func (n *Node) handleConnect(conn net.Conn, w *wire.Writer, payload []byte) error {
+func (n *Node) handleConnect(conn net.Conn, r *wire.Reader, w *wire.Writer, payload []byte) error {
 	reject := func(reason string) error {
 		return w.WriteFrame(wire.KindControl, opConnectErr, wire.AppendString(nil, reason))
 	}
@@ -498,7 +498,7 @@ func (n *Node) handleConnect(conn net.Conn, w *wire.Writer, payload []byte) erro
 	// candidate's half at once, so what the acceptor does first (its
 	// dial of the initiator's listener, its splice request and its
 	// routed open) follows the reply above back to back.
-	mux := estab.NewServiceMux(conn, count, endpoints, req.endpoints)
+	mux := estab.NewServiceMux(conn, r, count, endpoints, req.endpoints)
 	env := &driver.Env{
 		Accept: func() (net.Conn, error) {
 			dataConn, _, err := n.connector.EstablishAcceptor(mux.Open(), req.profile)

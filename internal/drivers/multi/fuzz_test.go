@@ -12,29 +12,22 @@ import (
 
 // declaresLargeFragment reports whether a sub-stream, walked as the
 // reader walks it (its stream index, then fragments), names a fragment
-// above the fuzzing budget: two unauthenticated uvarints may declare up
-// to wire.MaxFrameLen (ROADMAP item 5's audit), more than a fuzz worker
+// above the fuzzing budget: an unauthenticated header may declare up to
+// wire.MaxFrameLen (ROADMAP item 5's audit), more than a fuzz worker
 // should read.
 func declaresLargeFragment(sub []byte) bool {
-	if _, n := binary.Uvarint(sub); n > 0 {
-		sub = sub[n:]
+	if len(sub) > 0 {
+		sub = sub[1:]
 	}
-	for len(sub) > 0 {
-		_, n := binary.Uvarint(sub)
-		if n <= 0 {
-			return false
-		}
-		length, m := binary.Uvarint(sub[n:])
-		if m <= 0 {
-			return false
-		}
+	for len(sub) >= headerSize {
+		length := binary.BigEndian.Uint32(sub[8:])
 		if length > 1<<20 {
 			return true
 		}
-		if uint64(len(sub)-n-m) < length {
+		if uint64(len(sub)-headerSize) < uint64(length) {
 			return false
 		}
-		sub = sub[n+m+int(length):]
+		sub = sub[headerSize+int(length):]
 	}
 	return false
 }

@@ -3,7 +3,6 @@ package multi
 import (
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,24 +17,15 @@ import (
 // is held below the link by its window and its losses, four fill it.
 var amsterdamRennes = emunet.LinkParams{CapacityBps: 1.6e6, RTT: 30 * time.Millisecond, LossRate: 0.003}
 
-// countingConn counts the bytes read off a conn.
-type countingConn struct {
-	net.Conn
-	read *atomic.Int64
-}
-
-func (c countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.read.Add(int64(n))
-	return n, err
-}
-
 // lossyGoodput dials n conns across an Amsterdam–Rennes link, lets link
 // turn them into stack pairs, pushes 1 MiB writes through every pair and
-// returns the bytes per emulated second that the receiving stacks read
-// off all the conns together in the window after the warm-up. (Counted
-// at the conns: a tcpblk reader hands out a 1 MiB frame only whole,
-// which would quantise a window of a few MB too coarsely.)
+// returns the bytes per emulated second the link scheduled on all the
+// conns together in the window after the warm-up: per conn, the bytes
+// it reserved over the emulated time their delivery spans, read off the
+// sending conn's schedule, so a late goroutine on a loaded host biases
+// neither configuration. A receiving stack that stops reading a conn
+// fills its receive buffer and stalls its window, and with it the
+// schedule of the writes behind.
 func lossyGoodput(t *testing.T, n int, link func(west, east []net.Conn) ([]driver.Output, []driver.Input)) float64 {
 	t.Helper()
 	const scale = 0.2
@@ -48,17 +38,14 @@ func lossyGoodput(t *testing.T, n int, link func(west, east []net.Conn) ([]drive
 	if err != nil {
 		t.Fatal(err)
 	}
-	var delivered atomic.Int64
 	west, east := make([]net.Conn, n), make([]net.Conn, n)
 	for i := range west {
 		if west[i], err = hw.Dial(emunet.Endpoint{Addr: he.Address(), Port: 7000}); err != nil {
 			t.Fatal(err)
 		}
-		c, err := l.Accept()
-		if err != nil {
+		if east[i], err = l.Accept(); err != nil {
 			t.Fatal(err)
 		}
-		east[i] = countingConn{c, &delivered}
 	}
 	outs, ins := link(west, east)
 
@@ -87,10 +74,17 @@ func lossyGoodput(t *testing.T, n int, link func(west, east []net.Conn) ([]drive
 			}
 		}(ins[i])
 	}
+	snap := func() (sent []int64, due []time.Time) {
+		for _, c := range west {
+			n, at, _ := c.(*emunet.Conn).Scheduled()
+			sent, due = append(sent, n), append(due, at)
+		}
+		return sent, due
+	}
 	time.Sleep(time.Duration(float64(10*amsterdamRennes.RTT) * scale))
-	c0, t0 := delivered.Load(), time.Now()
+	n0, at0 := snap()
 	time.Sleep(time.Duration(float64(200*amsterdamRennes.RTT) * scale))
-	c1, t1 := delivered.Load(), time.Now()
+	n1, at1 := snap()
 	for i := range west {
 		west[i].Close()
 		east[i].Close()
@@ -100,7 +94,13 @@ func lossyGoodput(t *testing.T, n int, link func(west, east []net.Conn) ([]drive
 		ins[i].Close()
 		outs[i].Close()
 	}
-	return float64(c1-c0) / (t1.Sub(t0).Seconds() / scale)
+	rate := 0.0
+	for i := range west {
+		if d := at1[i].Sub(at0[i]).Seconds() / scale; d > 0 {
+			rate += float64(n1[i]-n0[i]) / d
+		}
+	}
+	return rate
 }
 
 // TestLossyLinkKeepsEveryStreamsWindow: Read pulls fragments in sequence

@@ -15,6 +15,16 @@
 // receiving side knows which fragments each one carries and reads them
 // strictly in sequence order, each straight into the caller's slice: the
 // logical link stays a FIFO byte stream, exactly as the IPL requires.
+//
+// Wire format, per sub-stream:
+//
+//	index[1]                                   once, the sub-stream's index
+//	{ seq[8 big-endian] len[4 big-endian] payload[len] }*   fragments
+//
+// The header is fixed-width, so the reader takes it with one read of
+// twelve bytes off its sub-stream — which a block layer below fills
+// straight from the header's own block — and reads nothing past it: the
+// Input holds no bytes, and reads no sub-stream ahead.
 package multi
 
 import (
@@ -29,6 +39,10 @@ import (
 	"netibis/internal/driver"
 	"netibis/internal/wire"
 )
+
+// headerSize is a fragment header: its sequence number and its payload
+// length.
+const headerSize = 8 + 4
 
 // Name is the registered driver name.
 const Name = "multi"
@@ -130,9 +144,10 @@ func buildSubStreams[S io.Closer](spec driver.Spec, lower func() (S, error), ind
 	return subs, nil
 }
 
-// writeIndex starts sub-stream i with its index.
+// writeIndex starts sub-stream i with its index, one byte (MaxStreams
+// is below 256).
 func writeIndex(i int, out driver.Output) (int, error) {
-	if _, err := out.Write(binary.AppendUvarint(nil, uint64(i))); err != nil {
+	if _, err := out.Write([]byte{byte(i)}); err != nil {
 		return i, err
 	}
 	return i, out.Flush()
@@ -140,8 +155,9 @@ func writeIndex(i int, out driver.Output) (int, error) {
 
 // readIndex reads the index a sub-stream starts with.
 func readIndex(_ int, in driver.Input) (int, error) {
-	v, err := wire.NewUvarintReader(in).ReadUvarint()
-	return int(min(v, MaxStreams)), err
+	var index [1]byte
+	_, err := io.ReadFull(in, index[:])
+	return int(index[0]), err
 }
 
 func buildOutput(spec driver.Spec, _ *driver.Env, lower func() (driver.Output, error)) (driver.Output, error) {
@@ -173,11 +189,10 @@ const maxLead = 64
 // — and lead the output's copy of a held Write, which every call that
 // stripes it waits out.
 type fragment struct {
-	hdr    [2 * binary.MaxVarintLen64]byte
-	hdrLen int
-	lead   []byte
-	data   []byte
-	owner  *wire.Buf // nil for a Write's fragments
+	hdr   [headerSize]byte
+	lead  []byte
+	data  []byte
+	owner *wire.Buf // nil for a Write's fragments
 }
 
 // Output is the sending side: it stripes fragments round-robin over the
@@ -231,7 +246,7 @@ func (o *Output) worker(i int) {
 	sub := o.subs[i]
 	var hdr unitBuf
 	for frag := range o.queues[i] {
-		err := hdr.write(sub, frag.hdr[:frag.hdrLen])
+		err := hdr.write(sub, frag.hdr[:])
 		if err == nil && len(frag.lead) > 0 {
 			_, err = sub.Write(frag.lead)
 		}
@@ -322,7 +337,7 @@ func (o *Output) stripe(p []byte, owner *wire.Buf) {
 		lead := o.lead[:o.leadLen]
 		o.leadLen = 0
 		frag := fragment{data: lead}
-		if owner == nil && len(lead)+len(p) >= o.fragSize {
+		if owner == nil && len(lead) < o.fragSize && len(lead)+len(p) >= o.fragSize {
 			n := o.fragSize - len(lead)
 			frag.lead, frag.data = lead, p[:n]
 			p = p[n:]
@@ -339,8 +354,8 @@ func (o *Output) stripe(p []byte, owner *wire.Buf) {
 // queue numbers frag and hands it to its sub-stream's worker. Called
 // under o.mu.
 func (o *Output) queue(frag fragment) {
-	frag.hdrLen = binary.PutUvarint(frag.hdr[:], o.nextSeq)
-	frag.hdrLen += binary.PutUvarint(frag.hdr[frag.hdrLen:], uint64(len(frag.lead)+len(frag.data)))
+	binary.BigEndian.PutUint64(frag.hdr[:8], o.nextSeq)
+	binary.BigEndian.PutUint32(frag.hdr[8:], uint32(len(frag.lead)+len(frag.data)))
 	o.acks.Add(1)
 	o.queues[o.nextSeq%uint64(len(o.queues))] <- frag //nolint:netibis-locksafe // o.mu serialises writers so queue order matches seq order; the bounded queue is the intended backpressure and workers drain it even after an error
 	o.nextSeq++
@@ -431,12 +446,14 @@ func (o *Output) Close() error {
 // nextSeq's header off sub-stream nextSeq mod n and its payload from
 // there straight into the caller's slice. Bytes Read does not need yet
 // wait in their sub-stream's transport buffer, which flow control
-// bounds; the Input itself holds none.
+// bounds; the Input itself holds none. Each sub-stream is read only
+// through its driver.Input, by the index read and then by the fragment
+// reads.
 type Input struct {
 	subs []driver.Input
-	hdrs []*wire.UvarintReader // fragment headers, one reader per sub-stream
 
 	mu      sync.Mutex
+	hdr     [headerSize]byte
 	nextSeq uint64
 	left    int   // payload bytes of fragment nextSeq-1 not yet read
 	err     error // sticky: the end or failure of the link
@@ -445,13 +462,7 @@ type Input struct {
 
 // NewInput creates a parallel-streams input over the given sub-inputs,
 // sub-stream i carrying fragments i, i+n, i+2n, …
-func NewInput(subs []driver.Input) *Input {
-	in := &Input{subs: subs, hdrs: make([]*wire.UvarintReader, len(subs))}
-	for i, s := range subs {
-		in.hdrs[i] = wire.NewUvarintReader(s)
-	}
-	return in
-}
+func NewInput(subs []driver.Input) *Input { return &Input{subs: subs} }
 
 // Read implements driver.Input. A fragment longer than p carries over to
 // the next Read.
@@ -485,23 +496,17 @@ func (in *Input) Read(p []byte) (int, error) {
 // next reads the header of fragment nextSeq off its sub-stream.
 func (in *Input) next() error {
 	i := int(in.nextSeq % uint64(len(in.subs)))
-	seq, err := in.hdrs[i].ReadUvarint()
+	_, err := io.ReadFull(in.subs[i], in.hdr[:])
 	if err == io.EOF {
 		return in.end(i)
 	}
 	if err != nil {
 		return err
 	}
-	if seq != in.nextSeq {
+	if binary.BigEndian.Uint64(in.hdr[:8]) != in.nextSeq {
 		return ErrBadFragment
 	}
-	length, err := in.hdrs[i].ReadUvarint()
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	if err != nil {
-		return err
-	}
+	length := binary.BigEndian.Uint32(in.hdr[8:])
 	if length > wire.MaxFrameLen {
 		return wire.ErrFrameTooLarge
 	}
@@ -514,11 +519,11 @@ func (in *Input) next() error {
 // would start. The link ends there only if every other sub-stream ends
 // too: a fragment still on one lies past the gap the ended one left.
 func (in *Input) end(ended int) error {
-	for i, h := range in.hdrs {
+	for i, s := range in.subs {
 		if i == ended {
 			continue
 		}
-		if _, err := h.ReadUvarint(); err != io.EOF {
+		if _, err := io.ReadFull(s, in.hdr[:]); err != io.EOF {
 			return io.ErrUnexpectedEOF
 		}
 	}

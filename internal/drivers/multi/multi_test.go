@@ -327,11 +327,16 @@ func TestReassemblyQuick(t *testing.T) {
 }
 
 // index encodes the stream index a sub-stream starts with.
-func index(i uint64) []byte { return binary.AppendUvarint(nil, i) }
+func index(i byte) []byte { return []byte{i} }
+
+// header encodes a fragment header: sequence number, payload length.
+func header(seq uint64, length uint32) []byte {
+	return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, seq), length)
+}
 
 // frag encodes one fragment as it travels on a sub-stream.
 func frag(seq uint64, payload string) []byte {
-	return append(binary.AppendUvarint(binary.AppendUvarint(nil, seq), uint64(len(payload))), payload...)
+	return append(header(seq, uint32(len(payload))), payload...)
 }
 
 // readFrom builds an input over sub-streams carrying the given bytes, as
@@ -373,7 +378,7 @@ func TestBadStreamIndexFailsTheBuild(t *testing.T) {
 	}{
 		{"duplicate", [][]byte{index(0), index(0)}},
 		{"out of range", [][]byte{index(0), index(2)}},
-		{"beyond MaxStreams", [][]byte{index(1), index(1 << 40)}},
+		{"beyond MaxStreams", [][]byte{index(1), index(255)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			check := testutil.LeakCheck(t, 0)
@@ -401,7 +406,7 @@ func TestBadFragmentFailsTheLink(t *testing.T) {
 		{"duplicate", [][]byte{cat(index(0), frag(0, "once")), cat(index(1), frag(0, "twice"))}, "once", ErrBadFragment},
 		{"stale", [][]byte{cat(index(0), frag(0, "once"), frag(0, "twice")), cat(index(1), frag(1, "!"))}, "once!", ErrBadFragment},
 		{"ahead", [][]byte{cat(index(0), frag(0, "once")), cat(index(1), frag(3, "ahead"))}, "once", ErrBadFragment},
-		{"oversize", [][]byte{cat(index(0), frag(0, "once")), cat(index(1), binary.AppendUvarint(index(1), wire.MaxFrameLen+1))}, "once", wire.ErrFrameTooLarge},
+		{"oversize", [][]byte{cat(index(0), frag(0, "once")), cat(index(1), header(1, wire.MaxFrameLen+1))}, "once", wire.ErrFrameTooLarge},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			check := testutil.LeakCheck(t, 0)
@@ -442,8 +447,8 @@ func TestGapAtEOFIsAnError(t *testing.T) {
 }
 
 // aliasSub is a sub-stream that checks where multi reads it into: a
-// fragment header is read a byte at a time, every other read must land
-// at the start of the slice the caller handed Read.
+// fragment header is read whole into multi's own header, every other
+// read must land at the start of the slice the caller handed Read.
 type aliasSub struct {
 	r       io.Reader
 	caller  *[]byte // the slice of the Read in progress
@@ -452,11 +457,12 @@ type aliasSub struct {
 }
 
 func (s aliasSub) Read(p []byte) (int, error) {
-	if len(p) > 1 && &p[0] != &(*s.caller)[0] {
+	caller := &p[0] == &(*s.caller)[0]
+	if !caller && len(p) > headerSize {
 		s.t.Errorf("a %d-byte read off a sub-stream lands outside the caller's slice", len(p))
 	}
 	n, err := s.r.Read(p)
-	if len(p) > 1 || len(p) == 1 && &p[0] == &(*s.caller)[0] {
+	if caller {
 		*s.payload += n
 	}
 	return n, err
@@ -612,9 +618,13 @@ func TestShortWriteRidesTheNextFragment(t *testing.T) {
 			if r.Len() == 0 {
 				break
 			}
-			s, err1 := binary.ReadUvarint(r)
-			n, err2 := binary.ReadUvarint(r)
-			if err1 != nil || err2 != nil || s != seq || int64(n) > int64(r.Len()) {
+			var hdr struct {
+				Seq uint64
+				Len uint32
+			}
+			err := binary.Read(r, binary.BigEndian, &hdr)
+			s, n := hdr.Seq, hdr.Len
+			if err != nil || s != seq || int64(n) > int64(r.Len()) {
 				t.Fatalf("%s: fragment %d: bad header (seq %d, len %d)", tc.name, seq, s, n)
 			}
 			r.Seek(int64(n), io.SeekCurrent)

@@ -28,10 +28,10 @@
 // beyond the AEAD pass. A block-sized write is sealed straight from the
 // writer's slice into the pooled buffer that travels down the stack by
 // ownership transfer; smaller writes aggregate into a block first. The
-// reader reads ahead into one pooled buffer with room for a whole record,
-// so the layer below reads each record's frame straight into it, and a
-// record is opened from there into the reader's slice when the plaintext
-// fits it, otherwise into a pooled buffer of its own.
+// input reads records through a wire.Reader whose read-ahead is one
+// record long (see wire's package doc), and opens each from there into
+// the reader's slice when the plaintext fits it, otherwise into a pooled
+// buffer of its own.
 //
 // Nonce-reuse safety across reconnects and Resume: the record nonce is
 // a plain counter that restarts at 1 on every SealOutput — including
@@ -229,18 +229,12 @@ func (o *SealOutput) seal(pt []byte) (int, error) {
 // SealInput is the opening side of the secure driver.
 type SealInput struct {
 	*driver.BlockInput
-	lower     driver.Input
+	r         *wire.Reader // read-ahead of one whole record
 	master    []byte
 	aead      cipher.AEAD // nil until the salt arrived
 	blockSize int
 	seq       uint64
 	nonce     [12]byte
-
-	// ahead is the read-ahead buffer, one whole record long, taken from
-	// the pool when a read needs it and returned as soon as it is drained;
-	// [off:end) is read from below and not yet consumed.
-	ahead    *wire.Buf
-	off, end int
 }
 
 // NewSealInput creates an opening input over lower with the given
@@ -251,7 +245,11 @@ func NewSealInput(lower driver.Input, master []byte, blockSize int) *SealInput {
 	if blockSize <= 0 {
 		blockSize = DefaultSealBlock
 	}
-	in := &SealInput{lower: lower, master: append([]byte(nil), master...), blockSize: blockSize}
+	in := &SealInput{
+		r:         wire.NewUnitReader(lower, recordLenSize+blockSize+tagSize),
+		master:    append([]byte(nil), master...),
+		blockSize: blockSize,
+	}
 	in.BlockInput = driver.NewBlockInput(lower, in.fill)
 	return in
 }
@@ -259,33 +257,38 @@ func NewSealInput(lower driver.Input, master []byte, blockSize int) *SealInput {
 // fill reads the next sealed record and opens it: straight into the
 // caller's slice when the plaintext fits it, otherwise into a pooled
 // buffer. Either way nothing is delivered unless the record
-// authenticates.
+// authenticates. A stream cut between records, or inside a salt or a
+// length prefix, ends cleanly.
 func (in *SealInput) fill(direct []byte) (int, *wire.Buf, error) {
+	need := recordLenSize
 	if in.aead == nil {
-		if err := in.buffer(saltSize, 0); err != nil {
-			return 0, nil, endOfStream(err)
-		}
-		aead, err := linkAEAD(in.master, in.ahead.Bytes()[in.off:in.off+saltSize])
-		if err != nil {
+		need += saltSize
+	}
+	hdr, err := in.r.Peek(need)
+	if err == io.ErrUnexpectedEOF {
+		err = io.EOF
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	if in.aead == nil {
+		if in.aead, err = linkAEAD(in.master, hdr[:saltSize]); err != nil {
 			return 0, nil, err
 		}
-		in.aead = aead
-		in.consume(saltSize)
-	}
-	if err := in.buffer(recordLenSize, 0); err != nil {
-		return 0, nil, endOfStream(err)
+		in.r.Discard(saltSize)
+		hdr = hdr[saltSize:]
 	}
 	// Four unauthenticated bytes say how much more to read: hold them to
 	// what a conforming sender emits, one block plus the AEAD tag.
-	ctLen := int64(binary.BigEndian.Uint32(in.ahead.Bytes()[in.off:]))
+	ctLen := int64(binary.BigEndian.Uint32(hdr))
 	if ctLen < tagSize || ctLen > int64(in.blockSize)+tagSize {
 		return 0, nil, fmt.Errorf("secure: record length %d out of range", ctLen)
 	}
-	recLen := recordLenSize + int(ctLen)
-	if err := in.buffer(recLen, recordLenSize); err != nil {
+	in.r.Discard(recordLenSize)
+	ct, err := in.r.Peek(int(ctLen))
+	if err != nil {
 		return 0, nil, fmt.Errorf("secure: truncated record: %w", err)
 	}
-	ct := in.ahead.Bytes()[in.off+recordLenSize : in.off+recLen]
 	in.seq++
 	binary.BigEndian.PutUint64(in.nonce[4:], in.seq)
 	var rec *wire.Buf
@@ -295,7 +298,7 @@ func (in *SealInput) fill(direct []byte) (int, *wire.Buf, error) {
 		dst = rec.Bytes()[:0]
 	}
 	pt, err := in.aead.Open(dst, in.nonce[:], ct, nil)
-	in.consume(recLen)
+	in.r.Discard(int(ctLen))
 	if err != nil {
 		if rec != nil {
 			rec.Release()
@@ -306,53 +309,4 @@ func (in *SealInput) fill(direct []byte) (int, *wire.Buf, error) {
 		return len(pt), nil, nil // the pipeline skips an empty record
 	}
 	return 0, rec, nil
-}
-
-// buffer reads from below until n bytes are read ahead, and fails the way
-// io.ReadFull would for the bytes past the first from of them. Leftovers
-// move to the front of the buffer before a read, so every read leaves
-// room for the whole record they begin, and the layer below can read a
-// record's frame straight into place.
-func (in *SealInput) buffer(n, from int) error {
-	if in.end-in.off >= n {
-		return nil
-	}
-	if in.ahead == nil {
-		in.ahead = wire.GetBuf(recordLenSize + in.blockSize + tagSize)
-	}
-	buf := in.ahead.Bytes()
-	if in.off > 0 {
-		in.end = copy(buf, buf[in.off:in.end])
-		in.off = 0
-	}
-	for in.end < n {
-		k, err := in.lower.Read(buf[in.end:])
-		in.end += k
-		if err != nil && in.end < n {
-			if err == io.EOF && in.end > from {
-				err = io.ErrUnexpectedEOF
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// consume drops n opened bytes from the read-ahead buffer and returns the
-// buffer to the pool once it is drained.
-func (in *SealInput) consume(n int) {
-	in.off += n
-	if in.off == in.end {
-		in.ahead.Release()
-		in.ahead, in.off, in.end = nil, 0, 0
-	}
-}
-
-// endOfStream reports a stream cut between records, or inside a salt or a
-// length prefix, as its clean end.
-func endOfStream(err error) error {
-	if err == io.ErrUnexpectedEOF {
-		return io.EOF
-	}
-	return err
 }

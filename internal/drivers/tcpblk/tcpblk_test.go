@@ -7,6 +7,7 @@ import (
 	"net"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"netibis/internal/driver"
 	"netibis/internal/wire"
@@ -291,3 +292,70 @@ func TestRandomWriteSizesQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// memConn is a conn whose far end wrote a whole stream before it is
+// read: each Read returns all the stream it is asked for, and counts.
+type memConn struct {
+	net.Conn
+	r     *bytes.Reader
+	reads int
+}
+
+func (c *memConn) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+func (c *memConn) Close() error { return nil }
+
+// TestConnReadsPerBlock counts the conn Reads the input makes: a burst
+// of 64 B blocks costs at most one per block, a 64 KiB block at most two
+// (the read-ahead holding its header, and the rest read straight into
+// the caller's slice).
+func TestConnReadsPerBlock(t *testing.T) {
+	var burst bytes.Buffer
+	out := NewOutput(nopConn{&burst}, 0)
+	const blocks = 500
+	for range blocks {
+		out.Write(make([]byte, 64))
+		out.Flush()
+	}
+	conn := &memConn{r: bytes.NewReader(burst.Bytes())}
+	in := NewInput(conn)
+	p := make([]byte, 64)
+	for i := range blocks {
+		if _, err := io.ReadFull(in, p); err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+	}
+	if perBlock := float64(conn.reads) / blocks; perBlock > 1 {
+		t.Errorf("a burst of 64 B blocks costs %.2f conn reads per block, want at most 1", perBlock)
+	}
+	t.Logf("%d conn reads for %d blocks of 64 B", conn.reads, blocks)
+
+	var big bytes.Buffer
+	out = NewOutput(nopConn{&big}, 0)
+	out.Write(make([]byte, DefaultBlockSize))
+	out.Flush()
+	conn = &memConn{r: bytes.NewReader(big.Bytes())}
+	in = NewInput(conn)
+	if n, err := in.Read(make([]byte, DefaultBlockSize)); n != DefaultBlockSize || err != nil {
+		t.Fatalf("Read of a 64 KiB block: %d, %v", n, err)
+	}
+	if conn.reads > 2 {
+		t.Errorf("a 64 KiB block costs %d conn reads, want at most 2", conn.reads)
+	}
+	t.Logf("%d conn reads for a 64 KiB block", conn.reads)
+}
+
+// nopConn is a conn that appends what is written to it to a buffer.
+type nopConn struct{ w *bytes.Buffer }
+
+func (c nopConn) Read([]byte) (int, error)         { return 0, io.EOF }
+func (c nopConn) Write(p []byte) (int, error)      { return c.w.Write(p) }
+func (c nopConn) Close() error                     { return nil }
+func (c nopConn) LocalAddr() net.Addr              { return nil }
+func (c nopConn) RemoteAddr() net.Addr             { return nil }
+func (c nopConn) SetDeadline(time.Time) error      { return nil }
+func (c nopConn) SetReadDeadline(time.Time) error  { return nil }
+func (c nopConn) SetWriteDeadline(time.Time) error { return nil }

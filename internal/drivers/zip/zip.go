@@ -206,12 +206,13 @@ var ErrBlockTooLarge = errors.New("zip: block larger than the stack's bound")
 
 // Input is the decompressing side. It dispatches per block on the flag
 // byte (codec registry in codec.go), so streams from any codec — and
-// any mix — decode through the same Input.
+// any mix — decode through the same Input. It reads blocks through a
+// wire.Reader whose read-ahead holds the largest block the stack can
+// send, header included, and decodes each from there.
 type Input struct {
 	*driver.BlockInput
-	lower    driver.Input
+	r        *wire.Reader
 	maxBlock uint32
-	hdrBuf   [headerSize]byte
 }
 
 // NewInput creates a decompressing input over lower for blocks of at most
@@ -220,19 +221,14 @@ func NewInput(lower driver.Input, block int) *Input {
 	if block <= 0 {
 		block = DefaultBlockSize
 	}
-	in := &Input{lower: lower, maxBlock: uint32(min(block, wire.MaxFrameLen))}
+	in := &Input{maxBlock: uint32(min(block, wire.MaxFrameLen))}
+	stored := int(in.maxBlock)
+	for _, dec := range decoders {
+		stored = max(stored, dec.bound(int(in.maxBlock)))
+	}
+	in.r = wire.NewUnitReader(lower, headerSize+stored)
 	in.BlockInput = driver.NewBlockInput(lower, in.fill)
 	return in
-}
-
-// readPayload reads a block's n stored bytes into a pooled buffer.
-func (in *Input) readPayload(n uint32) (*wire.Buf, error) {
-	payload := wire.GetBuf(int(n))
-	if _, err := io.ReadFull(in.lower, payload.Bytes()); err != nil {
-		payload.Release()
-		return nil, fmt.Errorf("zip: truncated block: %w", err)
-	}
-	return payload, nil
 }
 
 // fill reads the next block from the lower driver. When the whole
@@ -241,52 +237,54 @@ func (in *Input) readPayload(n uint32) (*wire.Buf, error) {
 // returned — no pooled intermediate block. Otherwise the block is
 // decoded into a pooled buffer.
 func (in *Input) fill(direct []byte) (int, *wire.Buf, error) {
-	if _, err := io.ReadFull(in.lower, in.hdrBuf[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
-		}
-		return 0, nil, err
+	hdr, err := in.r.Peek(headerSize)
+	if err == io.ErrUnexpectedEOF {
+		err = io.EOF // a stream cut inside a header ends cleanly
 	}
-	flag := in.hdrBuf[0]
-	origLen := binary.BigEndian.Uint32(in.hdrBuf[1:5])
-	storedLen := binary.BigEndian.Uint32(in.hdrBuf[5:9])
-	// Nine unauthenticated bytes: hold them to the stack's block size and
-	// the flag's worst case before taking a buffer.
-	if origLen > in.maxBlock {
-		return 0, nil, fmt.Errorf("%w: %d bytes declared, blocks hold %d", ErrBlockTooLarge, origLen, in.maxBlock)
-	}
-	if flag == flagStored {
-		if storedLen != origLen {
-			return 0, nil, fmt.Errorf("%w: stored block of %d bytes declares %d", ErrBlockTooLarge, storedLen, origLen)
-		}
-		if int(storedLen) <= len(direct) && storedLen > 0 {
-			if _, err := io.ReadFull(in.lower, direct[:storedLen]); err != nil {
-				return 0, nil, fmt.Errorf("zip: truncated block: %w", err)
-			}
-			return int(storedLen), nil, nil
-		}
-		payload, err := in.readPayload(storedLen)
-		return 0, payload, err
-	}
-	dec, ok := decoders[flag]
-	if !ok {
-		return 0, nil, fmt.Errorf("zip: unknown block flag %d", flag)
-	}
-	if bound := dec.bound(int(origLen)); int64(storedLen) > int64(bound) {
-		return 0, nil, fmt.Errorf("%w: %d stored bytes for %d, at most %d", ErrBlockTooLarge, storedLen, origLen, bound)
-	}
-	payload, err := in.readPayload(storedLen)
 	if err != nil {
 		return 0, nil, err
 	}
-	defer payload.Release()
-	if int(origLen) <= len(direct) && origLen > 0 {
-		return int(origLen), nil, dec.decode(direct[:origLen], payload.Bytes())
+	flag := hdr[0]
+	origLen := binary.BigEndian.Uint32(hdr[1:5])
+	storedLen := binary.BigEndian.Uint32(hdr[5:9])
+	// Nine unauthenticated bytes: hold them to the stack's block size and
+	// the flag's worst case before a read grows or a buffer is taken.
+	if origLen > in.maxBlock {
+		return 0, nil, fmt.Errorf("%w: %d bytes declared, blocks hold %d", ErrBlockTooLarge, origLen, in.maxBlock)
 	}
-	out := wire.GetBuf(int(origLen))
-	if err := dec.decode(out.Bytes(), payload.Bytes()); err != nil {
-		out.Release()
+	dec, ok := decoders[flag]
+	switch {
+	case flag == flagStored && storedLen != origLen:
+		return 0, nil, fmt.Errorf("%w: stored block of %d bytes declares %d", ErrBlockTooLarge, storedLen, origLen)
+	case flag == flagStored:
+	case !ok:
+		return 0, nil, fmt.Errorf("zip: unknown block flag %d", flag)
+	case int64(storedLen) > int64(dec.bound(int(origLen))):
+		return 0, nil, fmt.Errorf("%w: %d stored bytes for %d, at most %d", ErrBlockTooLarge, storedLen, origLen, dec.bound(int(origLen)))
+	}
+	in.r.Discard(headerSize)
+	payload, err := in.r.Peek(int(storedLen))
+	if err != nil {
+		return 0, nil, fmt.Errorf("zip: truncated block: %w", err)
+	}
+	defer in.r.Discard(int(storedLen))
+	var out *wire.Buf
+	dst := direct
+	if int(origLen) > len(direct) || origLen == 0 {
+		out = wire.GetBuf(int(origLen))
+		dst = out.Bytes()
+	}
+	dst = dst[:origLen]
+	if flag == flagStored {
+		copy(dst, payload)
+	} else if err := dec.decode(dst, payload); err != nil {
+		if out != nil {
+			out.Release()
+		}
 		return 0, nil, err
 	}
-	return 0, out, nil
+	if out != nil {
+		return 0, out, nil
+	}
+	return int(origLen), nil, nil
 }

@@ -485,6 +485,17 @@ func newConnPair(epA, epB Endpoint, ab, ba *pacer, sockBuf int) (*Conn, *Conn) {
 // Read implements net.Conn.
 func (c *Conn) Read(p []byte) (int, error) { return c.recv.read(p) }
 
+// Scheduled reports what the link has scheduled on the direction c
+// sends on: the bytes reserved so far, when the last of them is due at
+// the far end, and when they left c. A rate read off it is the link's,
+// which host load cannot bias. It must not be called at time scale 0.
+func (c *Conn) Scheduled() (sent int64, due, left time.Time) {
+	s := c.tx
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.reserved, s.lastAt, s.lastLeft
+}
+
 // SetReadStall freezes (or thaws) this end's inbound byte stream: while
 // stalled, Read blocks even when data is buffered, as if the consuming
 // process stopped draining its socket. Arriving data accumulates up to

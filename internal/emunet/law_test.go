@@ -80,7 +80,7 @@ func blast(from, to []net.Conn, scale float64, warm, window time.Duration) []flo
 	}
 	snap := func() (sent []int64, at []time.Time) {
 		for _, c := range from {
-			n, due, _ := schedule(c)
+			n, due, _ := c.(*Conn).Scheduled()
 			sent, at = append(sent, n), append(at, due)
 		}
 		return sent, at
@@ -103,49 +103,48 @@ func blast(from, to []net.Conn, scale float64, warm, window time.Duration) []flo
 	return rates
 }
 
-// schedule reports what the link has scheduled on the direction c sends
-// on: the bytes reserved so far, when the last of them is due at the far
-// end, and when they left c.
-func schedule(c net.Conn) (sent int64, due, left time.Time) {
-	s := c.(*Conn).tx
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reserved, s.lastAt, s.lastLeft
-}
-
-// crossing blasts w -> e and returns the emulated time bytes
-// [skip, skip+count) of the stream took to arrive. It closes the conns.
-// Measured between two places in the stream and not two instants, it
-// covers the same bytes, and so the same losses, on every run.
-func crossing(t *testing.T, w, e net.Conn, scale float64, skip, count int) time.Duration {
+// crossing blasts w -> e and returns the rate, in bytes per emulated
+// second, at which the link scheduled the stream from where the reader
+// passes byte skip to where it passes byte skip+count. It closes the
+// conns.
+//
+// The stream positions are read off the sender's schedule when the
+// reader passes them, as blast reads them, and not off the instants the
+// reader got the bytes: a late reader or writer moves neither. Measured
+// between two places in the stream and not two instants, it covers
+// nearly the same bytes, and so the same losses, on every run. The
+// writer makes one long Write, so no byte waits for the host to call it
+// again.
+func crossing(t *testing.T, w, e net.Conn, scale float64, skip, count int) float64 {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		chunk := make([]byte, 32<<10)
+		src := make([]byte, 16<<20)
 		for {
-			if _, err := w.Write(chunk); err != nil {
+			if _, err := w.Write(src); err != nil {
 				return
 			}
 		}
 	}()
 	buf := make([]byte, 64<<10)
-	var from time.Time
+	var n0 int64
+	var at0 time.Time
 	for got := 0; got < skip+count; {
 		n, err := e.Read(buf)
 		if err != nil {
 			t.Fatalf("read after %d bytes: %v", got, err)
 		}
 		if got < skip && got+n >= skip {
-			from = time.Now()
+			n0, at0, _ = w.(*Conn).Scheduled()
 		}
 		got += n
 	}
-	took := time.Since(from)
+	n1, at1, _ := w.(*Conn).Scheduled()
 	w.Close()
 	e.Close()
 	<-done
-	return time.Duration(float64(took) / scale)
+	return float64(n1-n0) / (at1.Sub(at0).Seconds() / scale)
 }
 
 func sum(xs []float64) (s float64) {
@@ -180,11 +179,11 @@ func pingPong(t *testing.T, a, b net.Conn, n int) time.Duration {
 		if _, err := a.Write(buf); err != nil {
 			t.Fatalf("ping %d: %v", i, err)
 		}
-		_, due, left := schedule(a)
+		_, due, left := a.(*Conn).Scheduled()
 		if _, err := io.ReadFull(a, buf); err != nil {
 			t.Fatalf("pong %d: %v", i, err)
 		}
-		_, backDue, backLeft := schedule(b)
+		_, backDue, backLeft := b.(*Conn).Scheduled()
 		rtts[i] = due.Sub(left) + backDue.Sub(backLeft)
 	}
 	<-done
@@ -210,7 +209,7 @@ func TestWindowLaw(t *testing.T) {
 		f, dial := shapedLink(t, delftSophia, append(opts, WithTimeScale(scale))...)
 		defer f.Close()
 		w, e := dial()
-		return float64(count) / crossing(t, w, e, scale, skip, count).Seconds()
+		return crossing(t, w, e, scale, skip, count)
 	}
 	if got := one(0.25, 256<<10, 2<<20, WithSocketBuffer(window)); !within(got, perConn, 0.15) {
 		t.Errorf("one conn, 64 KiB window: %.2f MB/s, want window/RTT = %.2f MB/s +-15%%", got/1e6, perConn/1e6)
@@ -257,7 +256,7 @@ func TestLossLaw(t *testing.T) {
 	f, dial := shapedLink(t, amsterdamRennes, opts...)
 	w, e := dial()
 	const count = 8 << 20
-	one := count / crossing(t, w, e, scale, 256<<10, count).Seconds() / amsterdamRennes.CapacityBps
+	one := crossing(t, w, e, scale, 256<<10, count) / amsterdamRennes.CapacityBps
 	f.Close()
 	if one < law-0.10 || one > law+0.10 {
 		t.Errorf("one conn: %.0f%% of capacity, want the law's %.0f%% +-10 points", one*100, law*100)

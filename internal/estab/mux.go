@@ -157,9 +157,11 @@ type Conversation struct {
 
 // NewServiceMux wraps the service connection of a connect that runs n
 // establishments, with this side's endpoints and the peer's, and starts
-// demultiplexing. The caller must not write on the connection until Done
-// has returned, nor read it until Finish has.
-func NewServiceMux(service io.ReadWriter, n int, local, peer Endpoints) *ServiceMux {
+// demultiplexing: it writes on service and reads through r, the one
+// Reader of the connection (see wire's package doc). The caller must not
+// write on the connection until Done has returned, nor read r until
+// Finish has.
+func NewServiceMux(service io.Writer, r *wire.Reader, n int, local, peer Endpoints) *ServiceMux {
 	m := &ServiceMux{
 		w:     wire.NewWriter(service),
 		n:     n,
@@ -169,7 +171,7 @@ func NewServiceMux(service io.ReadWriter, n int, local, peer Endpoints) *Service
 		rdone: make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.smu)
-	go m.run(wire.NewReader(service))
+	go m.run(r)
 	return m
 }
 

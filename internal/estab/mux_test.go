@@ -7,6 +7,8 @@ import (
 	"net"
 	"sync"
 	"testing"
+
+	"netibis/internal/wire"
 )
 
 // TestServiceMuxConcurrentConversations runs N conversations
@@ -21,8 +23,8 @@ func TestServiceMuxConcurrentConversations(t *testing.T) {
 	defer c1.Close()
 	defer c2.Close()
 	const conversations = 8
-	initiator := NewServiceMux(c1, conversations, Endpoints{}, Endpoints{})
-	acceptor := NewServiceMux(c2, conversations, Endpoints{}, Endpoints{})
+	initiator := NewServiceMux(c1, wire.NewReader(c1), conversations, Endpoints{}, Endpoints{})
+	acceptor := NewServiceMux(c2, wire.NewReader(c2), conversations, Endpoints{}, Endpoints{})
 	methods := []Method{ClientServer, Splicing, Proxy, Routed}
 
 	var wg sync.WaitGroup
@@ -83,8 +85,8 @@ func TestServiceMuxPeerDoneFailsPendingReads(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	a := NewServiceMux(c1, 1, Endpoints{}, Endpoints{})
-	b := NewServiceMux(c2, 1, Endpoints{}, Endpoints{})
+	a := NewServiceMux(c1, wire.NewReader(c1), 1, Endpoints{}, Endpoints{})
+	b := NewServiceMux(c2, wire.NewReader(c2), 1, Endpoints{}, Endpoints{})
 
 	blocked := make(chan error, 1)
 	s := b.Open()
@@ -118,8 +120,8 @@ func TestServiceMuxConnReusableAfterFinish(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	a := NewServiceMux(c1, 1, Endpoints{}, Endpoints{})
-	b := NewServiceMux(c2, 1, Endpoints{}, Endpoints{})
+	a := NewServiceMux(c1, wire.NewReader(c1), 1, Endpoints{}, Endpoints{})
+	b := NewServiceMux(c2, wire.NewReader(c2), 1, Endpoints{}, Endpoints{})
 	s1, s2 := a.Open(), b.Open()
 	go s1.send(MethodNone, msgElect, []byte{byte(Splicing)})
 	if m, err := s2.waitElect([]Method{Splicing}); err != nil || m != Splicing {

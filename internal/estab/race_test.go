@@ -47,7 +47,7 @@ func newMuxPair(t *testing.T, svcInit, svcAcc net.Conn, init, acc *Connector) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewServiceMux(svcInit, 1, initEps, accEps), NewServiceMux(svcAcc, 1, accEps, initEps)
+	return NewServiceMux(svcInit, wire.NewReader(svcInit), 1, initEps, accEps), NewServiceMux(svcAcc, wire.NewReader(svcAcc), 1, accEps, initEps)
 }
 
 // establishOver is establishPairOpts on the caller's service link. Like
@@ -514,7 +514,7 @@ func TestRoutedOpensAtOnce(t *testing.T) {
 		}
 		done := make(chan res, 1)
 		go func() {
-			mux := NewServiceMux(svcAcc, 1, Endpoints{}, Endpoints{})
+			mux := NewServiceMux(svcAcc, wire.NewReader(svcAcc), 1, Endpoints{}, Endpoints{})
 			conn, _, err := acc.EstablishAcceptor(mux.Open(), init.Profile())
 			if ferr := mux.Finish(); ferr != nil {
 				t.Errorf("%s: Finish: %v", tc.name, ferr)
@@ -573,7 +573,7 @@ func TestCanceledRoutedOpenIsDiscarded(t *testing.T) {
 		tap := &tapConn{Conn: svcAcc}
 		done := make(chan error, 1)
 		go func() {
-			mux := NewServiceMux(tap, 1, Endpoints{}, Endpoints{})
+			mux := NewServiceMux(tap, wire.NewReader(tap), 1, Endpoints{}, Endpoints{})
 			_, _, err := acc.EstablishAcceptor(mux.Open(), remote)
 			mux.Finish()
 			done <- err
@@ -666,7 +666,7 @@ func TestElectOutsidePlanIsProtocolError(t *testing.T) {
 		msg(MethodNone, msgElect, byte(Proxy)),
 		doneMarker)
 	defer stop()
-	mux := NewServiceMux(svcAcc, 1, Endpoints{}, Endpoints{})
+	mux := NewServiceMux(svcAcc, wire.NewReader(svcAcc), 1, Endpoints{}, Endpoints{})
 	conn, _, err := acc.EstablishAcceptor(mux.Open(), remote)
 	if conn != nil || !errors.Is(err, ErrProtocol) {
 		t.Fatalf("electing a method outside the ranking: conn=%v err=%v, want no connection and ErrProtocol", conn, err)
@@ -730,7 +730,7 @@ func TestEstabStrictDecode(t *testing.T) {
 	} {
 		hand, svc := net.Pipe()
 		stop := newHandPeer(hand).play(append(tc.script, doneMarker)...)
-		mux := NewServiceMux(svc, 1, Endpoints{}, Endpoints{})
+		mux := NewServiceMux(svc, wire.NewReader(svc), 1, Endpoints{}, Endpoints{})
 		var conn net.Conn
 		var err error
 		if tc.initiator {

@@ -686,7 +686,7 @@ func TestNodeReattachOverridesOldHome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Resume(conn); err != nil {
+	if err := a.Resume(conn, nil); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 	if got := a.ServerID(); got != "relay-2" {

@@ -198,7 +198,7 @@ func TestLiveTCPRelayBlindMeshWithFailover(t *testing.T) {
 			resumed <- err
 			return
 		}
-		resumed <- alice.Resume(conn)
+		resumed <- alice.Resume(conn, nil)
 	})
 
 	accepted := make(chan net.Conn, 1)

@@ -341,7 +341,13 @@ func (s *Server) authenticateNode(c net.Conn, r *wire.Reader, w *wire.Writer, id
 // relay a fatal attach error), and arms end-to-end sealing for routed
 // links (see AuthConfig). A nil auth is exactly Attach.
 func AttachAuth(conn net.Conn, nodeID string, auth *AuthConfig) (*Client, error) {
-	w, r, serverID, err := handshake(conn, nodeID, auth)
+	return AttachProbed(conn, nil, nodeID, auth)
+}
+
+// AttachProbed is AttachAuth on a connection that has a Reader already:
+// r is the one ProbeRTT returned, or nil for a connection never probed.
+func AttachProbed(conn net.Conn, r *wire.Reader, nodeID string, auth *AuthConfig) (*Client, error) {
+	w, r, serverID, err := handshake(conn, r, nodeID, auth)
 	if err != nil {
 		conn.Close()
 		return nil, err

@@ -988,7 +988,7 @@ func TestResumeReauthenticates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := alice.Resume(conn); err != nil {
+	if err := alice.Resume(conn, nil); err != nil {
 		t.Fatalf("authenticated resume: %v", err)
 	}
 	if got := alice.ServerID(); got != "relay-1" {

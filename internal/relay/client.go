@@ -105,14 +105,15 @@ const (
 
 // handshake performs the attach exchange on conn — including the
 // authentication challenge/response when the relay demands it and auth
-// provides an identity — and returns the framing objects plus the relay
-// server's announced ID. The whole exchange is bounded by
+// provides an identity — reading through r, or a Reader of its own when
+// r is nil, and returns the framing objects plus the relay server's
+// announced ID. The whole exchange is bounded by
 // authHandshakeTimeout: until the relay answers (and, with a trust
 // store, proves itself) it is just something that accepted a TCP
 // connection.
 //
 //netibis:preauth
-func handshake(conn net.Conn, nodeID string, auth *AuthConfig) (*wire.Writer, *wire.Reader, string, error) {
+func handshake(conn net.Conn, r *wire.Reader, nodeID string, auth *AuthConfig) (*wire.Writer, *wire.Reader, string, error) {
 	conn.SetReadDeadline(time.Now().Add(authHandshakeTimeout))
 	defer conn.SetReadDeadline(time.Time{})
 	w := wire.NewWriter(conn)
@@ -130,7 +131,9 @@ func handshake(conn net.Conn, nodeID string, auth *AuthConfig) (*wire.Writer, *w
 	if err := w.WriteFrame(KindAttach, 0, body); err != nil {
 		return nil, nil, "", err
 	}
-	r := wire.NewReader(conn)
+	if r == nil {
+		r = wire.NewReader(conn)
+	}
 	challenged := false
 	for {
 		f, err := r.ReadFrame()
@@ -190,27 +193,28 @@ const probeTimeout = 5 * time.Second
 
 // ProbeRTT measures the round-trip time to a relay over an established
 // but not yet attached connection, using the pre-attach keep-alive echo.
-// The connection remains usable for a subsequent Attach. The probe is
-// bounded by probeTimeout, so a black-holed relay yields an error
-// instead of hanging relay selection.
+// The connection remains usable for a subsequent AttachProbed or Resume,
+// which take the Reader the probe returns: it is the connection's one
+// (see wire's package doc). The probe is bounded by probeTimeout, so a
+// black-holed relay yields an error instead of hanging relay selection.
 //
 //netibis:preauth
-func ProbeRTT(conn net.Conn) (time.Duration, error) {
+func ProbeRTT(conn net.Conn) (time.Duration, *wire.Reader, error) {
 	w := wire.NewWriter(conn)
 	r := wire.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(probeTimeout))
 	defer conn.SetReadDeadline(time.Time{})
 	start := time.Now()
 	if err := w.WriteFrame(wire.KindKeepAlive, 0, nil); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	for {
 		f, err := r.ReadFrame()
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		if f.Kind == wire.KindKeepAlive {
-			return time.Since(start), nil
+			return time.Since(start), r, nil
 		}
 	}
 }
@@ -275,8 +279,9 @@ func (c *Client) Detached() bool {
 // node ID, so once the mesh's directory learns the new home relay,
 // frames flow again — including the close handshake of links the
 // application shuts down after the failover. Frames sent while detached
-// are lost, exactly as with a real TCP failure.
-func (c *Client) Resume(conn net.Conn) error {
+// are lost, exactly as with a real TCP failure. r is the connection's
+// Reader if ProbeRTT built one, nil otherwise.
+func (c *Client) Resume(conn net.Conn, r *wire.Reader) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -288,7 +293,7 @@ func (c *Client) Resume(conn net.Conn) error {
 	// The same handshake as the original attach, security included: a
 	// failover onto a surviving relay re-authenticates the node there
 	// (and re-verifies the relay) before any link state is resynced.
-	w, r, serverID, err := handshake(conn, c.id, c.auth)
+	w, r, serverID, err := handshake(conn, r, c.id, c.auth)
 	if err != nil {
 		conn.Close()
 		return err

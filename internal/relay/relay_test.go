@@ -529,7 +529,7 @@ func TestClientResumeOnSecondRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Resume(conn); err != nil {
+	if err := a.Resume(conn, nil); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 	if a.Detached() || a.ServerID() != "second" {

@@ -13,6 +13,38 @@
 // The header is deliberately tiny: the paper's TCP_Block driver sends
 // many small application messages and the per-frame overhead directly
 // eats into the achievable bandwidth on slow WAN links.
+//
+// # Reading a stream
+//
+// Reader is the one way the tree reads a framed byte stream: frames on
+// conns (relay, overlay, name service, service links, tcpblk), and the
+// units framed inside a stream (the receive port's messages, secure's
+// records, zip's blocks, the churn checker's records). Its rules:
+//
+//   - One Reader per stream. A Reader reads ahead, so a second reader on
+//     the same stream would miss what the first took. A stream that
+//     passes from one framed phase to the next (relay probe → attach →
+//     read loop, service link → establishment mux → service link) passes
+//     its Reader, never the bare conn.
+//   - The read-ahead is one pooled buffer of a fixed size, derived from
+//     the unit it must hold: a coalesced frame batch on a conn, a block
+//     and its framing for the receive port, a record for secure, the
+//     largest block for zip. It is taken when a read needs it and
+//     returned as soon as it is drained, so only a Reader with bytes
+//     buffered or a read parked holds one; a bulk payload read straight
+//     past it keeps it for the header behind, which saves the pool a
+//     round trip per bulk frame.
+//   - Headers, lengths and small payloads are parsed out of the buffer.
+//     A payload past what is buffered is read straight into its
+//     destination once the buffered bytes are copied, when the rest is
+//     at least a read-ahead's worth (bufio's large-read rule): a bulk
+//     payload copies at most a read-ahead's worth, and a 64 KiB frame
+//     costs two reads.
+//   - A unit that does not fit behind the bytes already buffered moves
+//     them to the front first, so it always finds room for all of it and
+//     the layer below reads it straight into place.
+//   - Every length is checked before a buffer is sized from it:
+//     MaxFrameLen here, the caller's own bound before Next or Peek.
 package wire
 
 import (
@@ -203,131 +235,6 @@ func (fw *Writer) WriteFrameBatch(frames []BatchFrame) error {
 	fw.vecView = vec
 	_, err := fw.vecView.WriteTo(fw.w)
 	return err
-}
-
-// Reader decodes frames from an io.Reader.
-type Reader struct {
-	r      io.Reader
-	uv     *UvarintReader
-	hdrBuf [2]byte // reused header scratch (a local would escape into ReadFull)
-}
-
-// NewReader returns a frame Reader consuming from r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r, uv: NewUvarintReader(r)}
-}
-
-// ReadFrame reads the next frame. The returned payload is a stable copy
-// owned by the caller: it stays valid across subsequent reads. Hot paths
-// that process every payload should use ReadFrameBuf instead, which
-// avoids the per-frame allocation by handing out a pooled Buf.
-func (fr *Reader) ReadFrame() (Frame, error) {
-	kind, flags, length, err := fr.readHeader()
-	if err != nil {
-		return Frame{}, err
-	}
-	payload := make([]byte, length)
-	if err := fr.readPayload(payload); err != nil {
-		return Frame{}, err
-	}
-	return Frame{Kind: kind, Flags: flags, Payload: payload}, nil
-}
-
-// ReadFrameBuf reads the next frame into a pooled Buf and transfers
-// ownership to the caller, who must Release it exactly once: the
-// ReadFrameInto of a caller with no slice of its own.
-func (fr *Reader) ReadFrameBuf() (kind, flags byte, payload *Buf, err error) {
-	kind, flags, _, payload, err = fr.ReadFrameInto(nil)
-	return kind, flags, payload, err
-}
-
-// ReadFrameInto reads the next frame, its payload off the stream once. A
-// non-empty payload that fits direct is read straight into it and n is
-// its length; any other payload arrives in a pooled Buf whose ownership
-// passes to the caller, who must Release it exactly once — the
-// allocation-free fast path of the data plane, where the payload then
-// travels by ownership transfer. On error nothing is held.
-func (fr *Reader) ReadFrameInto(direct []byte) (kind, flags byte, n int, payload *Buf, err error) {
-	kind, flags, length, err := fr.readHeader()
-	if err != nil {
-		return 0, 0, 0, nil, err
-	}
-	if length > 0 && length <= uint64(len(direct)) {
-		if err := fr.readPayload(direct[:length]); err != nil {
-			return 0, 0, 0, nil, err
-		}
-		return kind, flags, int(length), nil, nil
-	}
-	b := GetBuf(int(length))
-	if err := fr.readPayload(b.Bytes()); err != nil {
-		b.Release()
-		return 0, 0, 0, nil, err
-	}
-	return kind, flags, 0, b, nil
-}
-
-// readPayload fills p from the stream: the header announced it, so an
-// end of stream inside it is unexpected.
-func (fr *Reader) readPayload(p []byte) error {
-	_, err := io.ReadFull(fr.r, p)
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// readHeader reads and validates the frame header.
-func (fr *Reader) readHeader() (kind, flags byte, length uint64, err error) {
-	if _, err := io.ReadFull(fr.r, fr.hdrBuf[:]); err != nil {
-		return 0, 0, 0, err
-	}
-	length, err = fr.uv.ReadUvarint()
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, 0, 0, err
-	}
-	if length > MaxFrameLen {
-		return 0, 0, 0, ErrFrameTooLarge
-	}
-	return fr.hdrBuf[0], fr.hdrBuf[1], length, nil
-}
-
-// UvarintReader reads length prefixes off a byte stream: one byte at a
-// time, so nothing past the varint is consumed and the payload behind
-// it can be read from the same stream directly. It is the one
-// stream-varint reader of the tree (frame headers here, fragment
-// headers in multi).
-type UvarintReader struct {
-	r   io.Reader
-	one [1]byte
-	err error // the last ReadByte's error
-}
-
-// NewUvarintReader returns a UvarintReader consuming from r.
-func NewUvarintReader(r io.Reader) *UvarintReader { return &UvarintReader{r: r} }
-
-// ReadByte implements io.ByteReader.
-func (u *UvarintReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(u.r, u.one[:]); err != nil {
-		u.err = err
-		return 0, err
-	}
-	return u.one[0], nil
-}
-
-// ReadUvarint reads one unsigned varint. A stream that ends cleanly
-// before the first byte yields io.EOF, one that ends inside the varint
-// io.ErrUnexpectedEOF; any other read error is passed through, and an
-// encoding that overflows 64 bits is ErrCorruptFrame.
-func (u *UvarintReader) ReadUvarint() (uint64, error) {
-	u.err = nil
-	v, err := binary.ReadUvarint(u)
-	if err != nil && u.err == nil {
-		err = ErrCorruptFrame
-	}
-	return v, err
 }
 
 // --- primitive encoding helpers -------------------------------------------

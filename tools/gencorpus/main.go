@@ -306,13 +306,13 @@ func main() {
 		write("drivers/zip", "FuzzInflate", c.name+"-truncated", stream[:len(stream)-1], uint32(3*len(c.src)))
 	}
 
-	// drivers/multi: each sub-stream starts with its stream index, written
-	// as multi's builder writes it.
+	// drivers/multi: each sub-stream starts with its one-byte stream
+	// index, written as multi's builder writes it.
 	var sub0, sub1 sink
-	sub0.Write(wire.AppendUvarint(nil, 0))
-	sub1.Write(wire.AppendUvarint(nil, 1))
+	sub0.Write([]byte{0})
+	sub1.Write([]byte{1})
 	mo := multi.NewOutput([]driver.Output{&sub0, &sub1}, 8)
-	mo.Write([]byte("fragments striped over two sub-streams"))
+	mo.Write([]byte("fragments striped over two sub-streams, past the few bytes held to lead the next write"))
 	mo.Close()
 	write("drivers/multi", "FuzzMultiInput", "two-streams", sub0.Bytes(), sub1.Bytes())
 	write("drivers/multi", "FuzzMultiInput", "two-streams-truncated", sub0.Bytes(), sub1.Bytes()[:sub1.Len()-1])
