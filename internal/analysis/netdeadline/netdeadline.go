@@ -19,11 +19,14 @@
 // Many handlers are pre-auth only in a prefix: they authenticate the
 // peer and then run the session loop in the same body. The analyzer
 // recognises the authentication gate syntactically — a call into
-// another pre-auth function that receives the conn or reader (the
-// relay's authenticateNode shape), or a call to an identity.Verify*
-// function (the overlay's inline shape) — and stops checking reads and
+// another pre-auth function that receives the conn or reader (an
+// authentication sub-handshake), or a call to identity's handshake
+// (identity.Initiate, identity.Respond) or to an identity.Verify*
+// function (inline proof checking) — and stops checking reads and
 // handoffs after it: past the gate either the peer has proven itself or
-// the function is on its way out.
+// the function is on its way out. identity's handshake functions are
+// themselves pre-auth, so their own reads are checked where they are
+// defined.
 package netdeadline
 
 import (
@@ -125,9 +128,9 @@ func checkPreauthFunc(pass *analysis.Pass, fd *ast.FuncDecl, preauth map[*types.
 
 // gatePos finds the position where fd stops being pre-auth: the first
 // call to a same-package pre-auth function that receives the conn or
-// reader (an authentication sub-handshake like authenticateNode), or to
-// an identity.Verify* function (inline proof checking). token.NoPos when
-// the whole body is pre-auth.
+// reader (an authentication sub-handshake), to identity's handshake, or
+// to an identity.Verify* function (inline proof checking). token.NoPos
+// when the whole body is pre-auth.
 func gatePos(pass *analysis.Pass, fd *ast.FuncDecl, preauth map[*types.Func]bool) token.Pos {
 	gate := token.NoPos
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -149,8 +152,8 @@ func gatePos(pass *analysis.Pass, fd *ast.FuncDecl, preauth map[*types.Func]bool
 				}
 			}
 		}
-		if pkg := analysis.FuncPkgPath(fn); strings.HasPrefix(fn.Name(), "Verify") &&
-			(pkg == "internal/identity" || strings.HasSuffix(pkg, "/identity")) {
+		if pkg := analysis.FuncPkgPath(fn); (pkg == "internal/identity" || strings.HasSuffix(pkg, "/identity")) &&
+			(strings.HasPrefix(fn.Name(), "Verify") || fn.Name() == "Initiate" || fn.Name() == "Respond") {
 			isGate = true
 		}
 		if isGate && (gate == token.NoPos || call.Pos() < gate) {

@@ -102,10 +102,19 @@ func identityGated(c net.Conn, ts *identity.TrustStore, a identity.Announce, sig
 	if _, err := c.Read(buf); err != nil {
 		return
 	}
-	if identity.VerifyPeerAuth(ts, "a", "b", a, nil, nil, sig) != nil {
+	if (identity.Transcript{InitID: "a", RespID: "b"}).Verify(ts, identity.Initiator, a, sig) != nil {
 		return
 	}
 	sessionLoop(c) // allowed: identity.Verify* gates the rest of the body
+}
+
+//netibis:preauth
+func handshakeGated(c net.Conn, r *wire.Reader, w *wire.Writer, opening []byte) {
+	if _, err := identity.Respond(c, r, w, opening, identity.PeerLink, identity.Side{ID: "b"}); err != nil {
+		return
+	}
+	r.ReadFrame()  // allowed: identity's handshake gates the rest of the body
+	sessionLoop(c) // allowed likewise
 }
 
 func notPreauth(c net.Conn) {

@@ -598,7 +598,7 @@ func TestCanceledRoutedOpenIsDiscarded(t *testing.T) {
 		}
 		defer conn.Close()
 		rw, rr := wire.NewWriter(conn), wire.NewReader(conn)
-		if err := rw.WriteFrame(relay.KindAttach, 0, wire.AppendUvarint(wire.AppendString(nil, "cancel-raw"), identity.AuthAnonymous)); err != nil {
+		if err := rw.WriteFrame(relay.KindAttach, 0, identity.AppendHello(nil, identity.Hello{ID: "cancel-raw"})); err != nil {
 			t.Fatal(err)
 		}
 		next := func() wire.Frame {
@@ -609,8 +609,11 @@ func TestCanceledRoutedOpenIsDiscarded(t *testing.T) {
 			}
 			return f
 		}
-		if f := next(); f.Kind != relay.KindAttachOK {
+		if f := next(); f.Kind != identity.KindHello {
 			t.Fatalf("attach answered with kind %d", f.Kind)
+		}
+		if f := next(); f.Kind != relay.KindAttachOK {
+			t.Fatalf("attach acked with kind %d", f.Kind)
 		}
 		var channel uint64
 		run(Profile{Firewalled: true, Strict: true, HasRelay: true, RelayID: "cancel-raw"}, func() {

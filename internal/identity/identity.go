@@ -1,8 +1,8 @@
 // Package identity provides the mesh-wide security foundation of
 // NetIbis: Ed25519 node identities with a lightweight trust model, the
-// challenge/response handshakes that authenticate relay attachments and
-// peer links, end-to-end key agreement for relay-blind routed links, and
-// signed name-service records.
+// mutual-authentication handshake of relay attachments and peer links,
+// end-to-end key agreement for relay-blind routed links, and signed
+// name-service records.
 //
 // The paper's title promises an integrated solution to connectivity,
 // performance *and* security. This package is the one identity and the
@@ -20,9 +20,10 @@
 //     pinned identities. VerifyPeer rejects unknown identities and,
 //     crucially, identities whose proven key does not match the claimed
 //     name (one node cannot attach as another).
-//   - Attach/peer handshake transcripts: nonce-based challenge/response
-//     signatures with channel binding, so a captured handshake cannot be
-//     replayed against a fresh connection.
+//   - The handshake: one mutual-authentication exchange for a node
+//     attaching to a relay and for a relay linking to a peer relay
+//     (below), with nonce-bound, channel-bound proofs, so a captured
+//     handshake cannot be replayed against a fresh connection.
 //   - Link key agreement: an identity-signed X25519 exchange carried in
 //     the routed open/open-OK bodies, deriving per-direction AEAD
 //     subkeys. Payload frames sealed under those keys cross any number
@@ -32,6 +33,36 @@
 //
 // All primitives come from the Go standard library (crypto/ed25519,
 // crypto/ecdh, crypto/hkdf); there is no external dependency.
+//
+// # The handshake
+//
+// Relay attach (initiator: the node) and relay peer links (initiator: the
+// dialing relay) run one exchange. Only the frame that opens it differs
+// (relay.KindAttach, the overlay's peer hello), and an attach ends with
+// the relay's KindAttachOK once the node is routable:
+//
+//	I -> R  opening frame  hello(idI, nonceI, announceI)
+//	R -> I  KindHello      hello(idR, nonceR, announceR, sigR)   or KindVerdict(refusal)
+//	I -> R  KindProof      echo(nonceR) ‖ sigI                   only when R sent a nonce
+//	R -> I  KindVerdict    code                                  only when R sent a nonce
+//
+//	sigR = Sign(ctx(purpose, Responder), H(idI ‖ idR ‖ nonceI ‖ nonceR ‖ pubR))
+//	sigI = Sign(ctx(purpose, Initiator), H(idI ‖ idR ‖ nonceI ‖ nonceR ‖ pubI))
+//
+// A side sends a nonce exactly when it holds a trust store: it asks the
+// other side to prove a trusted identity over that nonce. A side with an
+// identity sends its announce, and the responder signs when asked. A
+// responder with a trust store refuses an anonymous hello at once
+// (ErrAuthRequired), and its verdict names the check a refused proof
+// failed, so both callers surface typed refusals. Without a trust store
+// on the responder the exchange is one round trip.
+//
+// Each verifier rebuilds the transcript from its own view of the
+// exchange: the nonce it issued, the IDs it holds. The echo in a proof
+// only tells a replayed capture (ErrReplayedNonce) from a forgery
+// (ErrBadSignature). The four contexts (attach or peer link, initiator
+// or responder) keep a proof made for one from passing as another. The
+// whole exchange runs under one read deadline, HandshakeTimeout.
 package identity
 
 import (
@@ -67,9 +98,9 @@ var (
 	// ErrBadSignature is returned when a handshake or record signature
 	// does not verify.
 	ErrBadSignature = errors.New("identity: signature verification failed")
-	// ErrReplayedNonce is returned when a handshake response echoes a
-	// nonce other than the one issued for this connection — a captured
-	// exchange replayed against a fresh challenge.
+	// ErrReplayedNonce is returned when a handshake proof echoes a nonce
+	// other than the one issued for this connection — a captured
+	// exchange replayed against a fresh one.
 	ErrReplayedNonce = errors.New("identity: handshake nonce replayed")
 	// ErrAuthRequired is returned when the peer did not authenticate and
 	// local policy demands it.
@@ -92,14 +123,10 @@ const NonceSize = 16
 
 // Domain-separation contexts. Every signature in the protocol signs
 // context ‖ SHA-256(transcript), with a distinct context per message
-// type, so a signature produced for one exchange can never be presented
-// as another.
+// type (the handshake's four are proofContexts), so a signature produced
+// for one exchange can never be presented as another.
 const (
 	ctxCert       = "netibis/identity-cert/v1"
-	ctxNodeAuth   = "netibis/node-auth/v1"
-	ctxRelayAuth  = "netibis/relay-auth/v1"
-	ctxPeerAccept = "netibis/peer-accept/v1"
-	ctxPeerAuth   = "netibis/peer-auth/v1"
 	ctxLinkOffer  = "netibis/link-offer/v1"
 	ctxLinkAccept = "netibis/link-accept/v1"
 	ctxRecord     = "netibis/record/v1"

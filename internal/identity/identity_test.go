@@ -5,6 +5,8 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+
+	"netibis/internal/wire"
 )
 
 func TestSaveLoadRoundtrip(t *testing.T) {
@@ -107,56 +109,98 @@ func TestTrustStorePersistence(t *testing.T) {
 	}
 }
 
-func TestAttachHandshakeSignatures(t *testing.T) {
+// TestHandshakeSignatures: for each purpose and role, a proof verifies
+// against its own transcript only — not against a fresh nonce of the
+// verifier's (a replay), not as the other role's proof (cross-context),
+// not under the other purpose (cross-purpose), and not when made with
+// another key (foreign key).
+func TestHandshakeSignatures(t *testing.T) {
 	ca, _ := NewAuthority()
-	node, _ := ca.Issue("pool/alice")
-	relay, _ := ca.Issue("relay-0")
+	ids := map[Role]*Identity{}
+	ids[Initiator], _ = ca.Issue("pool/alice")
+	ids[Responder], _ = ca.Issue("relay-0")
 	ts := ca.TrustStore()
+	ni, _ := NewNonce()
+	nr, _ := NewNonce()
+	fresh, _ := NewNonce()
 
-	cn, _ := NewNonce()
-	sn, _ := NewNonce()
-
-	relaySig := SignAttachRelay(relay, cn, sn, "relay-0", "pool/alice")
-	if err := VerifyAttachRelay(ts, "relay-0", relay.Announce(), cn, sn, "pool/alice", relaySig); err != nil {
-		t.Fatalf("relay sig: %v", err)
-	}
-	nodeSig := SignAttachNode(node, cn, sn, "relay-0", "pool/alice")
-	if err := VerifyAttachNode(ts, "pool/alice", node.Announce(), cn, sn, "relay-0", nodeSig); err != nil {
-		t.Fatalf("node sig: %v", err)
-	}
-	// A different server nonce (a fresh challenge) must invalidate the
-	// captured signature — the replay case.
-	sn2, _ := NewNonce()
-	if err := VerifyAttachNode(ts, "pool/alice", node.Announce(), cn, sn2, "relay-0", nodeSig); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("replayed node sig against fresh nonce: got %v", err)
-	}
-	// The node signature is not a relay signature (domain separation).
-	if err := VerifyAttachRelay(ts, "relay-0", relay.Announce(), cn, sn, "pool/alice", nodeSig); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("cross-context signature accepted: %v", err)
+	for _, p := range []Purpose{Attach, PeerLink} {
+		for _, role := range []Role{Initiator, Responder} {
+			other := Initiator + Responder - role
+			tr := Transcript{Purpose: p, InitID: "pool/alice", RespID: "relay-0", NonceI: ni, NonceR: nr}
+			sig := tr.Sign(ids[role], role)
+			// The verifier's own nonce is the other side's.
+			replay := tr
+			if role == Initiator {
+				replay.NonceR = fresh
+			} else {
+				replay.NonceI = fresh
+			}
+			crossPurpose := tr
+			crossPurpose.Purpose = Attach + PeerLink - p
+			for _, c := range []struct {
+				name string
+				tr   Transcript
+				role Role
+				a    Announce
+				sig  []byte
+				want error
+			}{
+				{"genuine", tr, role, ids[role].Announce(), sig, nil},
+				{"replay against a fresh nonce", replay, role, ids[role].Announce(), sig, ErrBadSignature},
+				{"cross-context", tr, other, ids[other].Announce(), sig, ErrBadSignature},
+				{"cross-purpose", crossPurpose, role, ids[role].Announce(), sig, ErrBadSignature},
+				{"foreign key", tr, role, ids[role].Announce(), tr.Sign(ids[other], role), ErrBadSignature},
+			} {
+				if err := c.tr.Verify(ts, c.role, c.a, c.sig); !errors.Is(err, c.want) {
+					t.Errorf("purpose %d, role %d, %s: got %v, want %v", p, role, c.name, err, c.want)
+				}
+			}
+		}
 	}
 }
 
-func TestPeerHandshakeSignatures(t *testing.T) {
-	ca, _ := NewAuthority()
-	ra, _ := ca.Issue("relay-a")
-	rb, _ := ca.Issue("relay-b")
-	ts := ca.TrustStore()
-	na, _ := NewNonce()
-	nb, _ := NewNonce()
-
-	accept := SignPeerAccept(rb, "relay-a", "relay-b", na, nb)
-	if err := VerifyPeerAccept(ts, "relay-a", "relay-b", rb.Announce(), na, nb, accept); err != nil {
-		t.Fatalf("peer accept: %v", err)
+// TestHandshakeStrictDecode: each handshake body decodes in its
+// canonical encoding only; the same bytes without the last field, with a
+// trailing byte, with an unknown mode or with a nonce of another size
+// are malformed — never an anonymous peer inferred from a short body.
+func TestHandshakeStrictDecode(t *testing.T) {
+	id, _ := Generate("relay-0")
+	nonce, _ := NewNonce()
+	hello := func(p []byte) error { _, err := DecodeHello(p); return err }
+	proof := func(p []byte) error { _, err := DecodeProof(p); return err }
+	for _, c := range []struct {
+		body     string
+		full     []byte
+		lastSize int // encoded size of the body's last field
+		decode   func([]byte) error
+	}{
+		{"hello/anonymous", AppendHello(nil, Hello{ID: "pool/alice"}), 1, hello},
+		{"hello/asking", AppendHello(nil, Hello{ID: "pool/alice", Nonce: nonce}), 1, hello},
+		{"hello/identified", AppendHello(nil, Hello{ID: "relay-0", Nonce: nonce, Announce: id.Announce()}), 1, hello},
+		{"hello/signed", AppendHello(nil, Hello{ID: "relay-0", Announce: id.Announce(), Sig: []byte("sig")}), 1 + len("sig"), hello},
+		{"proof", AppendProof(nil, Proof{Echo: nonce, Sig: []byte("sig")}), 1 + len("sig"), proof},
+	} {
+		if err := c.decode(c.full); err != nil {
+			t.Errorf("%s: canonical body rejected: %v", c.body, err)
+		}
+		if err := c.decode(c.full[:len(c.full)-c.lastSize]); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: body without its last field: %v", c.body, err)
+		}
+		if err := c.decode(append(append([]byte(nil), c.full...), 0)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: body with a trailing byte: %v", c.body, err)
+		}
 	}
-	auth := SignPeerAuth(ra, "relay-a", "relay-b", na, nb)
-	if err := VerifyPeerAuth(ts, "relay-a", "relay-b", ra.Announce(), na, nb, auth); err != nil {
-		t.Fatalf("peer auth: %v", err)
+	name := wire.AppendBytes(wire.AppendString(nil, "pool/alice"), nil)
+	if _, err := DecodeHello(wire.AppendUvarint(name, AuthVersion+1)); !errors.Is(err, ErrMalformed) {
+		t.Errorf("hello with an unknown mode: %v", err)
 	}
-	// A signature made with another relay's key does not verify under the
-	// dialer's announced identity.
-	forged := SignPeerAuth(rb, "relay-a", "relay-b", na, nb)
-	if err := VerifyPeerAuth(ts, "relay-a", "relay-b", ra.Announce(), na, nb, forged); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("peer auth with foreign key: got %v", err)
+	if _, err := DecodeHello(AppendAnnounce(wire.AppendUvarint(name, AuthVersion), Announce{})); !errors.Is(err, ErrMalformed) {
+		t.Errorf("identified hello without a key: %v", err)
+	}
+	short := AppendHello(nil, Hello{ID: "pool/alice", Nonce: nonce[:NonceSize-1]})
+	if _, err := DecodeHello(short); !errors.Is(err, ErrMalformed) {
+		t.Errorf("hello with a %d-byte nonce: %v", NonceSize-1, err)
 	}
 }
 

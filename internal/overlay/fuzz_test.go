@@ -1,15 +1,19 @@
 package overlay
 
 // Native fuzz targets for the overlay's hand-rolled decoders: directory
-// gossip, forward envelopes, NACKs and the peer-link hello — everything
-// a (possibly malicious) peer relay can put on a peer link. None may
-// panic or over-read on arbitrary bytes.
+// gossip, forward envelopes and NACKs, and the acceptor's end of the
+// peer-link handshake — everything a (possibly malicious) peer relay can
+// put on a peer link. None may panic or over-read on arbitrary bytes.
 
 import (
 	"bytes"
+	"errors"
+	"net"
 	"testing"
+	"time"
 
 	"netibis/internal/identity"
+	"netibis/internal/relay"
 	"netibis/internal/wire"
 )
 
@@ -81,56 +85,96 @@ func FuzzDecodeNack(f *testing.F) {
 	})
 }
 
-// TestPeerHelloStrictDecode: the hello has one layout per mode. Without
-// its last field, with a trailing byte or with an unknown mode it is a
-// handshake error — never an anonymous peer inferred from a short body.
-func TestPeerHelloStrictDecode(t *testing.T) {
-	id, err := identity.Generate("relay-1")
+// trustedAcceptor is a mesh member that holds a trust store, to hand
+// peer hellos to, and an identity its trust store accepts.
+func trustedAcceptor(tb testing.TB) (*Relay, *identity.Identity) {
+	ca, err := identity.NewAuthority()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	own, _ := ca.Issue("relay-0")
+	peer, _ := ca.Issue("relay-1")
+	o, err := New(Config{
+		ID:       "relay-0",
+		Server:   relay.NewServer(),
+		Dial:     func(string) (net.Conn, error) { return nil, errors.New("no dialing") },
+		Identity: own,
+		Trust:    ca.TrustStore(),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(o.Close)
+	return o, peer
+}
+
+// answerHello hands one peer hello to o's connection handler over an
+// in-memory pipe and returns the frame o answers with.
+func answerHello(o *Relay, hello []byte) (wire.Frame, error) {
+	dialer, acceptor := net.Pipe()
+	dialer.SetDeadline(time.Now().Add(identity.HandshakeTimeout))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		o.handlePeerConn(wire.Frame{Kind: kindPeerHello, Payload: hello}, acceptor, wire.NewReader(acceptor))
+	}()
+	f, err := wire.NewReader(dialer).ReadFrame()
+	dialer.Close()
+	<-done
+	return f, err
+}
+
+// TestPeerHelloStrictDecode: a peer hello has one layout per mode.
+// Without its last field, with a trailing byte or with an unknown mode
+// the acceptor refuses it with a malformed verdict — it never infers an
+// anonymous peer from a short body, and admits no link.
+func TestPeerHelloStrictDecode(t *testing.T) {
+	o, peer := trustedAcceptor(t)
 	nonce, _ := identity.NewNonce()
-	name := wire.AppendString(nil, "relay-1")
-	for _, tc := range []struct {
-		mode     string
-		full     []byte
-		lastSize int // encoded size of the body's last field
-	}{
-		{"anonymous", encodePeerHello("relay-1", nil, nil, nil), 1},
-		{"authenticated", encodePeerHello("relay-1", id, nonce, []byte("sig")), 1 + len("sig")},
+	full := identity.AppendHello(nil, identity.Hello{ID: "relay-1", Nonce: nonce, Announce: peer.Announce()})
+	if f, err := answerHello(o, full); err != nil || f.Kind != identity.KindHello {
+		t.Fatalf("canonical hello answered with kind %d, %v", f.Kind, err)
+	}
+	c, _ := identity.VerdictCode(identity.ErrMalformed)
+	malformed := wire.AppendUvarint(nil, uint64(c))
+	for name, hello := range map[string][]byte{
+		"without its last field": full[:len(full)-1],
+		"with a trailing byte":   append(append([]byte(nil), full...), 0),
+		"with an unknown mode":   wire.AppendUvarint(wire.AppendBytes(wire.AppendString(nil, "relay-1"), nonce), identity.AuthVersion+1),
 	} {
-		if h, err := decodePeerHello(tc.full); err != nil || h.id != "relay-1" {
-			t.Errorf("%s: canonical hello rejected: %v", tc.mode, err)
-		}
-		if _, err := decodePeerHello(tc.full[:len(tc.full)-tc.lastSize]); err == nil {
-			t.Errorf("%s: hello without its last field accepted", tc.mode)
-		}
-		if _, err := decodePeerHello(append(append([]byte(nil), tc.full...), 0)); err == nil {
-			t.Errorf("%s: hello with a trailing byte accepted", tc.mode)
+		if f, err := answerHello(o, hello); err != nil || f.Kind != identity.KindVerdict || !bytes.Equal(f.Payload, malformed) {
+			t.Errorf("hello %s: answered with kind %d %x, %v; want a malformed verdict", name, f.Kind, f.Payload, err)
 		}
 	}
-	if _, err := decodePeerHello(wire.AppendUvarint(name, identity.AuthVersion+1)); err == nil {
-		t.Error("hello with an unknown authentication mode accepted")
+	if p := o.Peers(); len(p) != 0 {
+		t.Fatalf("peers admitted without a proof: %v", p)
 	}
 }
 
+// FuzzDecodePeerHello: a mesh member that holds a trust store answers
+// any peer hello with a hello that asks for a proof, or with a refusal,
+// and admits no link without the proof.
 func FuzzDecodePeerHello(f *testing.F) {
-	f.Add(encodePeerHello("relay-1", nil, nil, nil))
-	if id, err := identity.Generate("relay-1"); err == nil {
-		nonce, _ := identity.NewNonce()
-		f.Add(encodePeerHello("relay-1", id, nonce, nil))
-		f.Add(encodePeerHello("relay-1", id, nonce, []byte("sig")))
-	}
+	o, peer := trustedAcceptor(f)
+	nonce, _ := identity.NewNonce()
+	f.Add(identity.AppendHello(nil, identity.Hello{ID: "relay-1"}))
+	f.Add(identity.AppendHello(nil, identity.Hello{ID: "relay-1", Nonce: nonce, Announce: peer.Announce()}))
+	f.Add(identity.AppendHello(nil, identity.Hello{ID: "relay-1", Announce: peer.Announce(), Sig: []byte("sig")}))
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 'x', 0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := decodePeerHello(data)
+		fr, err := answerHello(o, data)
 		if err != nil {
-			return
+			t.Fatalf("no answer to hello %x: %v", data, err)
 		}
-		if h.id == "" {
-			t.Fatal("accepted hello with empty ID")
+		switch h, err := identity.DecodeHello(fr.Payload); {
+		case fr.Kind == identity.KindVerdict:
+		case fr.Kind != identity.KindHello || err != nil || len(h.Nonce) == 0:
+			t.Fatalf("hello %x answered with kind %d (%v), not a hello that asks for a proof", data, fr.Kind, err)
+		}
+		if p := o.Peers(); len(p) != 0 {
+			t.Fatalf("hello %x admitted peers %v without a proof", data, p)
 		}
 	})
 }

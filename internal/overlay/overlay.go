@@ -21,14 +21,13 @@ import (
 const RegistryPrefix = "overlay/relay/"
 
 // Peer-link frame kinds, disjoint from the relay node protocol so that
-// one listener serves both nodes and peer relays.
+// one listener serves both nodes and peer relays. The rest of the
+// peer-link handshake is identity's; 0x11 and 0x15 are not reused.
 const (
-	kindPeerHello   = wire.KindUser + 0x10 + iota // dialer -> acceptor: relay ID (+ identity announce)
-	kindPeerHelloOK                               // acceptor -> dialer: relay ID (+ identity proof)
-	kindGossip                                    // directory entries
-	kindForward                                   // forwarded routed frame
-	kindNack                                      // forwarded frame was undeliverable
-	kindPeerAuth                                  // dialer -> acceptor: challenge response signature
+	kindPeerHello = wire.KindUser + 0x10 // dialer -> acceptor: opens the handshake (payload: identity.Hello)
+	kindGossip    = wire.KindUser + 0x12 // directory entries
+	kindForward   = wire.KindUser + 0x13 // forwarded routed frame
+	kindNack      = wire.KindUser + 0x14 // forwarded frame was undeliverable
 )
 
 // DefaultRescanInterval is how often a relay re-lists the registry to
@@ -182,11 +181,10 @@ func New(cfg Config) (*Relay, error) {
 		return nil, errors.New("overlay: config needs a Dial function")
 	}
 	if cfg.Trust != nil && cfg.Identity == nil {
-		// Peer-link authentication is mutual by construction: the
-		// handshake's freshness comes from *both* sides' nonces, and a
-		// verifier that contributes no nonce of its own would accept
-		// replayable proofs (and could never answer the peer's challenge
-		// back). A trust-enforcing mesh member must carry an identity.
+		// Peer-link authentication is mutual by construction: a
+		// trust-enforcing member asks each peer for a proof, and its
+		// trust-enforcing peers ask it for one, which it can give only
+		// with an identity of its own.
 		return nil, errors.New("overlay: Trust requires an Identity (peer authentication is mutual)")
 	}
 	if cfg.RescanInterval <= 0 {
@@ -348,66 +346,16 @@ func (o *Relay) peer(id string) *peerLink {
 	return o.peers[id]
 }
 
-// peerAuthTimeout bounds the authenticated peer-link handshake, so a
-// stalled or malicious dialer cannot pin an acceptor goroutine between
-// hello and proof.
-const peerAuthTimeout = 10 * time.Second
-
-// peerHello is the decoded hello / hello-OK payload: the relay ID plus,
-// when the sender has an identity, its identity section. The body is
-// string(id) ‖ uvarint(mode) ‖ [bytes(nonce) ‖ announce ‖ bytes(sig)].
-type peerHello struct {
-	id       string
-	nonce    []byte
-	announce identity.Announce
-	sig      []byte // hello-OK only: the acceptor's proof
-}
-
-// encodePeerHello builds a hello or hello-OK payload. sig is nil on the
-// dialer's hello (its proof follows in kindPeerAuth, once it has seen
-// the acceptor's nonce).
-func encodePeerHello(id string, ident *identity.Identity, nonce, sig []byte) []byte {
-	b := wire.AppendString(nil, id)
-	if ident == nil {
-		return wire.AppendUvarint(b, identity.AuthAnonymous)
-	}
-	b = wire.AppendUvarint(b, identity.AuthVersion)
-	b = wire.AppendBytes(b, nonce)
-	b = identity.AppendAnnounce(b, ident.Announce())
-	return wire.AppendBytes(b, sig)
-}
-
-func decodePeerHello(p []byte) (peerHello, error) {
-	d := wire.NewDecoder(p)
-	var h peerHello
-	h.id = d.String()
-	if d.Err() != nil || h.id == "" {
-		return peerHello{}, ErrHandshake
-	}
-	switch d.Uvarint() { // 0 on a decode error, which the final check reports
-	case identity.AuthAnonymous:
-	case identity.AuthVersion:
-		h.nonce = append([]byte(nil), d.Bytes()...)
-		a, err := identity.DecodeAnnounce(d)
-		if err != nil {
-			return peerHello{}, ErrHandshake
-		}
-		h.announce = a
-		h.sig = append([]byte(nil), d.Bytes()...)
-	default:
-		return peerHello{}, ErrHandshake
-	}
-	if d.Err() != nil || d.Remaining() != 0 {
-		return peerHello{}, ErrHandshake
-	}
-	return h, nil
+// side is this relay's part in peer-link handshakes.
+func (o *Relay) side() identity.Side {
+	return identity.Side{ID: o.cfg.ID, Identity: o.cfg.Identity, Trust: o.cfg.Trust}
 }
 
 // AddPeer dials another relay's advertised address and establishes a
 // peer link (used by discovery, and directly for registry-less static
-// meshes). With an identity configured the link is mutually
-// authenticated; with a trust store the peer *must* prove an identity
-// bound to its claimed mesh ID or the link is refused.
+// meshes) through identity's handshake. With a trust store the peer
+// *must* prove an identity bound to its claimed mesh ID, and a peer that
+// holds one refuses us with a typed error unless we prove ours.
 //
 //netibis:preauth
 func (o *Relay) AddPeer(addr string) error {
@@ -421,116 +369,38 @@ func (o *Relay) AddPeer(addr string) error {
 	if err != nil {
 		return err
 	}
-	var nonceA []byte
-	if o.cfg.Identity != nil {
-		if nonceA, err = identity.NewNonce(); err != nil {
-			conn.Close()
-			return err
-		}
-	}
-	w := wire.NewWriter(conn)
-	if err := w.WriteFrame(kindPeerHello, 0, encodePeerHello(o.cfg.ID, o.cfg.Identity, nonceA, nil)); err != nil {
-		conn.Close()
-		return err
-	}
-	r := wire.NewReader(conn)
-	conn.SetReadDeadline(time.Now().Add(peerAuthTimeout))
-	f, err := r.ReadFrame()
+	w, r := wire.NewWriter(conn), wire.NewReader(conn)
+	peerID, err := identity.Initiate(conn, r, w, kindPeerHello, identity.PeerLink, o.side())
 	conn.SetReadDeadline(time.Time{})
+	if err == nil && (peerID == "" || peerID == o.cfg.ID) {
+		err = fmt.Errorf("%w: bad peer ID %q", ErrHandshake, peerID)
+	}
 	if err != nil {
 		conn.Close()
-		return err
+		return fmt.Errorf("overlay: peer link to %s: %w", addr, err)
 	}
-	if f.Kind != kindPeerHelloOK {
-		conn.Close()
-		return fmt.Errorf("%w: unexpected response kind %d", ErrHandshake, f.Kind)
-	}
-	hello, err := decodePeerHello(f.Payload)
-	if err != nil || hello.id == o.cfg.ID {
-		conn.Close()
-		return fmt.Errorf("%w: bad peer ID", ErrHandshake)
-	}
-	if o.cfg.Trust != nil {
-		// The acceptor must have proven an identity bound to its claimed
-		// mesh ID, over our nonce.
-		if len(hello.announce.Public) == 0 {
-			conn.Close()
-			return fmt.Errorf("overlay: peer %s did not authenticate: %w", hello.id, identity.ErrAuthRequired)
-		}
-		if err := identity.VerifyPeerAccept(o.cfg.Trust, o.cfg.ID, hello.id, hello.announce, nonceA, hello.nonce, hello.sig); err != nil {
-			conn.Close()
-			return fmt.Errorf("overlay: peer %s authentication failed: %w", hello.id, err)
-		}
-	}
-	if o.cfg.Identity != nil && len(hello.nonce) > 0 {
-		// Prove ourselves back (the acceptor enforces this when it has a
-		// trust store).
-		sig := identity.SignPeerAuth(o.cfg.Identity, o.cfg.ID, hello.id, nonceA, hello.nonce)
-		if err := w.WriteFrame(kindPeerAuth, 0, wire.AppendBytes(nil, sig)); err != nil {
-			conn.Close()
-			return err
-		}
-	}
-	return o.startPeer(hello.id, conn, w, r)
+	return o.startPeer(peerID, conn, w, r)
 }
 
-// handlePeerConn is the relay.ConnHandler: it accepts the peer-link
+// handlePeerConn is the relay.ConnHandler: it answers identity's
 // handshake on a connection whose first frame was not a node attach.
-// With a trust store configured, the dialer must complete the
-// authentication exchange (announce in the hello, signature in
-// kindPeerAuth) before the link is admitted to the mesh — an
-// unauthenticated dialer is dropped without learning anything.
+// With a trust store configured, the dialer must prove a trusted
+// identity before the link is admitted to the mesh; a refused dialer
+// learns which check failed, and nothing else.
 //
 //netibis:preauth
 func (o *Relay) handlePeerConn(first wire.Frame, conn net.Conn, r *wire.Reader) {
-	if first.Kind != kindPeerHello {
-		conn.Close()
-		return
-	}
-	hello, err := decodePeerHello(first.Payload)
-	if err != nil || hello.id == o.cfg.ID {
-		conn.Close()
-		return
-	}
-	if o.cfg.Trust != nil && len(hello.announce.Public) == 0 {
-		conn.Close()
-		return
-	}
-	var nonceB, sig []byte
-	if o.cfg.Identity != nil {
-		if nonceB, err = identity.NewNonce(); err != nil {
-			conn.Close()
-			return
-		}
-		sig = identity.SignPeerAccept(o.cfg.Identity, hello.id, o.cfg.ID, hello.nonce, nonceB)
-	}
 	w := wire.NewWriter(conn)
-	if err := w.WriteFrame(kindPeerHelloOK, 0, encodePeerHello(o.cfg.ID, o.cfg.Identity, nonceB, sig)); err != nil {
+	peerID, err := "", ErrHandshake
+	if first.Kind == kindPeerHello {
+		peerID, err = identity.Respond(conn, r, w, first.Payload, identity.PeerLink, o.side())
+	}
+	conn.SetReadDeadline(time.Time{})
+	if err != nil || peerID == o.cfg.ID {
 		conn.Close()
 		return
 	}
-	if o.cfg.Trust != nil {
-		// Wait for the dialer's proof, bounded: verify possession of the
-		// key its announce claimed, bound to both nonces and both IDs.
-		conn.SetReadDeadline(time.Now().Add(peerAuthTimeout))
-		f, err := r.ReadFrame()
-		conn.SetReadDeadline(time.Time{})
-		if err != nil || f.Kind != kindPeerAuth {
-			conn.Close()
-			return
-		}
-		d := wire.NewDecoder(f.Payload)
-		authSig := d.Bytes()
-		if d.Err() != nil || d.Remaining() != 0 {
-			conn.Close()
-			return
-		}
-		if err := identity.VerifyPeerAuth(o.cfg.Trust, hello.id, o.cfg.ID, hello.announce, hello.nonce, nonceB, authSig); err != nil {
-			conn.Close()
-			return
-		}
-	}
-	o.startPeer(hello.id, conn, w, r)
+	o.startPeer(peerID, conn, w, r)
 }
 
 // startPeer registers an established peer link, pushes our directory

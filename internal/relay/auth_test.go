@@ -230,10 +230,14 @@ func TestSealedOpenByPurpose(t *testing.T) {
 				res := dial(sealA, sealB, p.purpose, p.conv, nil)
 				in := accept(t, sealB, p.purpose, p.conv)
 				crosses(t)
-				select {
-				case d := <-res:
-					t.Fatalf("dial answered before the link was used: %v", d.err)
-				case <-time.After(50 * time.Millisecond):
+				// answerOpen takes an open out of opening before it acks
+				// it, so one still held there is unanswered.
+				rc := in.(*routedConn)
+				sealB.mu.Lock()
+				held := sealB.opening[linkID{peer: rc.peer, channel: rc.channel}] == rc
+				sealB.mu.Unlock()
+				if !held {
+					t.Fatal("open answered before the link was used")
 				}
 				var wg sync.WaitGroup
 				for range 4 {
@@ -440,45 +444,51 @@ func TestAttachReplayedNonce(t *testing.T) {
 	w := newAuthWorld(t, "relay-0")
 	alice := w.issue("alice")
 
-	// Run the handshake manually, answering the fresh challenge with a
-	// response captured for a *previous* exchange (a stale nonce): the
-	// relay must detect the replay, not just a bad signature.
+	// Run the handshake manually, answering the fresh hello with a proof
+	// captured for a *previous* exchange (a stale nonce): the relay must
+	// detect the replay, not just a bad signature.
 	conn := w.dial()
 	defer conn.Close()
 	fw := wire.NewWriter(conn)
 	fr := wire.NewReader(conn)
 	clientNonce, _ := identity.NewNonce()
-	body := wire.AppendString(nil, "alice")
-	body = appendAttachAuth(body, alice, clientNonce)
-	if err := fw.WriteFrame(KindAttach, 0, body); err != nil {
+	hello := identity.Hello{ID: "alice", Nonce: clientNonce, Announce: alice.Announce()}
+	if err := fw.WriteFrame(KindAttach, 0, identity.AppendHello(nil, hello)); err != nil {
 		t.Fatal(err)
 	}
 	f, err := fr.ReadFrame()
-	if err != nil || f.Kind != KindChallenge {
-		t.Fatalf("expected challenge, got %v %v", f, err)
+	if err != nil || f.Kind != identity.KindHello {
+		t.Fatalf("expected the relay's hello, got %v %v", f, err)
 	}
-	cb, err := decodeChallenge(f.Payload)
+	rh, err := identity.DecodeHello(f.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Replay: sign and echo an *old* server nonce instead of the fresh one.
-	stale := make([]byte, serverNonceSize)
-	sig := identity.SignAttachNode(alice, clientNonce, stale, cb.serverID, "alice")
-	if err := fw.WriteFrame(KindAuth, 0, encodeAuthResponse(stale, sig)); err != nil {
+	// Replay: sign and echo an *old* relay nonce instead of the fresh one.
+	stale := make([]byte, identity.NonceSize)
+	tr := identity.Transcript{Purpose: identity.Attach, InitID: "alice", RespID: rh.ID, NonceI: clientNonce, NonceR: stale}
+	proof := identity.Proof{Echo: stale, Sig: tr.Sign(alice, identity.Initiator)}
+	if err := fw.WriteFrame(identity.KindProof, 0, identity.AppendProof(nil, proof)); err != nil {
 		t.Fatal(err)
 	}
 	f, err = fr.ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Kind != KindAttachFail {
-		t.Fatalf("expected attach failure, got kind %d", f.Kind)
+	if f.Kind != identity.KindVerdict {
+		t.Fatalf("expected a verdict, got kind %d", f.Kind)
 	}
 	d := wire.NewDecoder(f.Payload)
-	if code := d.Uvarint(); code != attachFailReplay {
-		t.Fatalf("expected replay code, got %d", code)
+	if code, replay := d.Uvarint(), verdictOf(identity.ErrReplayedNonce); code != replay {
+		t.Fatalf("expected replay code %d, got %d", replay, code)
 	}
 	check()
+}
+
+// verdictOf is the verdict code a relay refuses with for err.
+func verdictOf(err error) uint64 {
+	c, _ := identity.VerdictCode(err)
+	return uint64(c)
 }
 
 func TestAttachGarbageHandshakeFrames(t *testing.T) {
@@ -486,55 +496,75 @@ func TestAttachGarbageHandshakeFrames(t *testing.T) {
 	w := newAuthWorld(t, "relay-0")
 	alice := w.issue("alice")
 
-	// Garbage attach extension: must be rejected as malformed, not
-	// panic or hang.
+	// Garbage attach hello: must be refused as malformed, not panic or
+	// hang.
 	conn := w.dial()
 	fw := wire.NewWriter(conn)
 	fr := wire.NewReader(conn)
 	body := wire.AppendString(nil, "alice")
-	body = append(body, 0xff, 0xff, 0xff) // truncated extension
+	body = append(body, 0xff, 0xff, 0xff) // truncated hello
 	if err := fw.WriteFrame(KindAttach, 0, body); err != nil {
 		t.Fatal(err)
 	}
 	f, err := fr.ReadFrame()
-	if err != nil || f.Kind != KindAttachFail {
-		t.Fatalf("garbage extension: got %v %v", f, err)
+	if err != nil || f.Kind != identity.KindVerdict {
+		t.Fatalf("garbage hello: got %v %v", f, err)
 	}
 	conn.Close()
 
-	// Garbage auth response after a valid challenge.
+	// Garbage proof after a valid hello.
 	conn = w.dial()
 	fw = wire.NewWriter(conn)
 	fr = wire.NewReader(conn)
 	clientNonce, _ := identity.NewNonce()
-	body = wire.AppendString(nil, "alice")
-	body = appendAttachAuth(body, alice, clientNonce)
+	body = identity.AppendHello(nil, identity.Hello{ID: "alice", Nonce: clientNonce, Announce: alice.Announce()})
 	fw.WriteFrame(KindAttach, 0, body)
-	if f, err = fr.ReadFrame(); err != nil || f.Kind != KindChallenge {
-		t.Fatalf("expected challenge: %v %v", f, err)
+	if f, err = fr.ReadFrame(); err != nil || f.Kind != identity.KindHello {
+		t.Fatalf("expected the relay's hello: %v %v", f, err)
 	}
-	fw.WriteFrame(KindAuth, 0, []byte{0x01})
-	if f, err = fr.ReadFrame(); err != nil || f.Kind != KindAttachFail {
-		t.Fatalf("garbage auth response: got %v %v", f, err)
+	fw.WriteFrame(identity.KindProof, 0, []byte{0x01})
+	if f, err = fr.ReadFrame(); err != nil || f.Kind != identity.KindVerdict {
+		t.Fatalf("garbage proof: got %v %v", f, err)
 	}
 	conn.Close()
 
-	// A wrong frame kind instead of the auth response.
+	// A wrong frame kind instead of the proof.
 	conn = w.dial()
 	fw = wire.NewWriter(conn)
 	fr = wire.NewReader(conn)
-	clientNonce, _ = identity.NewNonce()
-	body = wire.AppendString(nil, "alice")
-	body = appendAttachAuth(body, alice, clientNonce)
 	fw.WriteFrame(KindAttach, 0, body)
-	if f, err = fr.ReadFrame(); err != nil || f.Kind != KindChallenge {
-		t.Fatalf("expected challenge: %v %v", f, err)
+	if f, err = fr.ReadFrame(); err != nil || f.Kind != identity.KindHello {
+		t.Fatalf("expected the relay's hello: %v %v", f, err)
 	}
 	fw.WriteFrame(KindData, 0, []byte("nope"))
-	if f, err = fr.ReadFrame(); err != nil || f.Kind != KindAttachFail {
-		t.Fatalf("wrong-kind auth response: got %v %v", f, err)
+	if f, err = fr.ReadFrame(); err != nil || f.Kind != identity.KindVerdict {
+		t.Fatalf("wrong-kind proof: got %v %v", f, err)
 	}
 	conn.Close()
+	check()
+}
+
+// TestCloseCutsStalledAttach: a node that opens an identity attach and
+// never answers the relay's hello holds up no part of Close, which
+// closes a connection still in its handshake rather than waiting out the
+// handshake's deadline.
+func TestCloseCutsStalledAttach(t *testing.T) {
+	check := testutil.LeakCheck(t, 3)
+	w := newAuthWorld(t, "relay-0")
+	alice := w.issue("alice")
+	conn := w.dial()
+	defer conn.Close()
+	fw, fr := wire.NewWriter(conn), wire.NewReader(conn)
+	fw.WriteFrame(KindAttach, 0, identity.AppendHello(nil, identity.Hello{ID: "alice", Announce: alice.Announce()}))
+	if f, err := fr.ReadFrame(); err != nil || f.Kind != identity.KindHello {
+		t.Fatalf("expected the relay's hello: %v %v", f, err)
+	}
+	// The relay now waits for a proof that never comes.
+	start := time.Now()
+	w.srv.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v behind a stalled attach", took)
+	}
 	check()
 }
 

@@ -103,88 +103,33 @@ const (
 	roleAcceptor  byte = 0
 )
 
-// handshake performs the attach exchange on conn — including the
-// authentication challenge/response when the relay demands it and auth
-// provides an identity — reading through r, or a Reader of its own when
-// r is nil, and returns the framing objects plus the relay server's
-// announced ID. The whole exchange is bounded by
-// authHandshakeTimeout: until the relay answers (and, with a trust
-// store, proves itself) it is just something that accepted a TCP
+// handshake attaches nodeID over conn: identity's handshake opened by
+// KindAttach, then the relay's KindAttachOK, once the node is routable.
+// It reads through r, or a Reader of its own when r is nil, and returns
+// the framing objects plus the relay's server ID. The exchange's one
+// deadline bounds the ack too: until the relay answers (and, with a
+// trust store, proves itself) it is just something that accepted a TCP
 // connection.
 //
 //netibis:preauth
 func handshake(conn net.Conn, r *wire.Reader, nodeID string, auth *AuthConfig) (*wire.Writer, *wire.Reader, string, error) {
-	conn.SetReadDeadline(time.Now().Add(authHandshakeTimeout))
 	defer conn.SetReadDeadline(time.Time{})
 	w := wire.NewWriter(conn)
-	var ident *identity.Identity
-	var clientNonce []byte
-	if auth != nil && auth.Identity != nil {
-		ident = auth.Identity
-		var err error
-		clientNonce, err = identity.NewNonce()
-		if err != nil {
-			return nil, nil, "", err
-		}
-	}
-	body := appendAttachAuth(wire.AppendString(nil, nodeID), ident, clientNonce)
-	if err := w.WriteFrame(KindAttach, 0, body); err != nil {
-		return nil, nil, "", err
-	}
 	if r == nil {
 		r = wire.NewReader(conn)
 	}
-	challenged := false
-	for {
-		f, err := r.ReadFrame()
-		if err != nil {
-			return nil, nil, "", err
-		}
-		switch f.Kind {
-		case KindChallenge:
-			if challenged {
-				return nil, nil, "", fmt.Errorf("relay: duplicate challenge")
-			}
-			challenged = true
-			if err := clientAuthExchange(r, w, nodeID, auth, clientNonce, f); err != nil {
-				return nil, nil, "", err
-			}
-		case KindAttachFail:
-			d := wire.NewDecoder(f.Payload)
-			code := d.Uvarint()
-			msg := d.String()
-			if d.Err() != nil {
-				return nil, nil, "", fmt.Errorf("relay: attach rejected")
-			}
-			return nil, nil, "", fmt.Errorf("relay: attach rejected (%s): %w", msg, attachFailErr(code))
-		case KindAttachOK:
-			if auth != nil && auth.Trust != nil && !challenged {
-				// Policy: with a trust store configured the relay must have
-				// proven itself inside a challenge. An un-challenged accept
-				// means an unauthenticated relay — fail closed rather than
-				// route traffic through an unverified box.
-				return nil, nil, "", fmt.Errorf("relay: relay did not authenticate: %w", identity.ErrAuthRequired)
-			}
-			serverID, err := parseAttachAck(f.Payload)
-			if err != nil {
-				return nil, nil, "", err
-			}
-			return w, r, serverID, nil
-		default:
-			return nil, nil, "", fmt.Errorf("relay: unexpected attach response kind %d", f.Kind)
-		}
+	serverID, err := identity.Initiate(conn, r, w, KindAttach, identity.Attach, auth.side(nodeID))
+	if err != nil {
+		return nil, nil, "", fmt.Errorf("relay: attach: %w", err)
 	}
-}
-
-// parseAttachAck decodes the attach ack: the relay's server ID (empty
-// for a relay that has none set) and nothing else.
-func parseAttachAck(payload []byte) (serverID string, err error) {
-	d := wire.NewDecoder(payload)
-	serverID = d.String()
-	if d.Err() != nil || d.Remaining() != 0 {
-		return "", fmt.Errorf("relay: malformed attach ack: %w", identity.ErrMalformed)
+	f, err := r.ReadFrame()
+	if err != nil {
+		return nil, nil, "", err
 	}
-	return serverID, nil
+	if f.Kind != KindAttachOK || len(f.Payload) != 0 {
+		return nil, nil, "", fmt.Errorf("relay: attach answered with kind %d: %w", f.Kind, identity.ErrMalformed)
+	}
+	return w, r, serverID, nil
 }
 
 // probeTimeout bounds a single RTT probe: a relay that cannot echo a

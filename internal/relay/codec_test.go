@@ -11,7 +11,7 @@ import (
 	"netibis/internal/wire"
 )
 
-// TestStrictDecode: every control-frame body has one layout. For each,
+// TestStrictDecode: every routed control-frame body has one layout. For each,
 // the canonical encoding decodes, and the same bytes minus the last
 // field, plus one trailing byte, or (open bodies) with a zero window or a
 // varint that is not minimal are an error — never a valid body of some
@@ -21,45 +21,23 @@ func TestStrictDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonce, _ := identity.NewNonce()
 	offer, err := identity.OfferLink(id, "pool/alice", "pool/bob", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := []byte("signature")
-
-	attach := func(p []byte) error {
-		d := wire.NewDecoder(p)
-		if d.String() == "" || d.Err() != nil {
-			return identity.ErrMalformed
-		}
-		_, err := decodeAttachAuth(d)
-		return err
-	}
-	ack := func(p []byte) error { _, err := parseAttachAck(p); return err }
-	challenge := func(p []byte) error { _, err := decodeChallenge(p); return err }
-	authResp := func(p []byte) error { _, err := decodeAuthResponse(p); return err }
 	open := func(p []byte) error { _, _, _, _, _, err := decodeOpenBody(p); return err }
 
 	// Fresh slices each time: the cases below append to them.
 	name := func() []byte { return wire.AppendString(nil, "pool/alice") }
-	chal := func() []byte { return wire.AppendString(wire.AppendBytes(nil, nonce), "relay-0") }
-	authAttach := wire.AppendBytes(wire.AppendUvarint(name(), identity.AuthVersion), nonce)
-	authChal := identity.AppendAnnounce(wire.AppendUvarint(chal(), identity.AuthVersion), id.Announce())
 	windowed := wire.AppendUvarint(name(), DefaultWindowBytes)
 
 	// last is the canonical body's final field; the body is prefix ‖ last.
+	// (The handshake bodies are identity's: TestHandshakeStrictDecode.)
 	cases := []struct {
 		body         string
 		prefix, last []byte
 		decode       func([]byte) error
 	}{
-		{"attach/anonymous", name(), wire.AppendUvarint(nil, identity.AuthAnonymous), attach},
-		{"attach/authenticated", authAttach, identity.AppendAnnounce(nil, id.Announce()), attach},
-		{"attach-ack", nil, wire.AppendString(nil, "relay-0"), ack},
-		{"challenge/anonymous", chal(), wire.AppendUvarint(nil, identity.AuthAnonymous), challenge},
-		{"challenge/signed", authChal, wire.AppendBytes(nil, sig), challenge},
-		{"auth-response", wire.AppendBytes(nil, nonce), wire.AppendBytes(nil, sig), authResp},
 		{"open/plain", windowed, wire.AppendBytes(nil, nil), open},
 		{"open/sealed", windowed, wire.AppendBytes(nil, offer.Blob()), open},
 	}
@@ -74,9 +52,6 @@ func TestStrictDecode(t *testing.T) {
 		if err := tc.decode(append(full, 0)); err == nil {
 			t.Errorf("%s: body with a trailing byte accepted", tc.body)
 		}
-	}
-	if err := attach(wire.AppendUvarint(name(), identity.AuthVersion+1)); err == nil {
-		t.Error("attach with an unknown authentication mode accepted")
 	}
 	if err := open(appendOpenBody(nil, "pool/alice", 0, offer.Blob())); err == nil {
 		t.Error("open body with a zero window accepted")
@@ -204,11 +179,14 @@ func (w *relayWorld) attachRaw(t *testing.T, id string) *rawNode {
 	}
 	t.Cleanup(func() { conn.Close() })
 	n := &rawNode{conn: conn, w: wire.NewWriter(conn), r: wire.NewReader(conn)}
-	if err := n.w.WriteFrame(KindAttach, 0, appendAttachAuth(wire.AppendString(nil, id), nil, nil)); err != nil {
+	if err := n.w.WriteFrame(KindAttach, 0, identity.AppendHello(nil, identity.Hello{ID: id})); err != nil {
 		t.Fatal(err)
 	}
-	if f := n.read(t); f.Kind != KindAttachOK {
+	if f := n.read(t); f.Kind != identity.KindHello {
 		t.Fatalf("raw attach answered with kind %d", f.Kind)
+	}
+	if f := n.read(t); f.Kind != KindAttachOK {
+		t.Fatalf("raw attach acked with kind %d", f.Kind)
 	}
 	return n
 }

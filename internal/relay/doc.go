@@ -45,10 +45,10 @@
 // DESIGN.md, "Flow control on routed links".
 //
 // Virtual links can be secured end to end (package identity): with a
-// trust store a Server demands an authenticated attach — a
-// challenge/response proving possession of an Ed25519 key bound to the
-// claimed node ID (KindChallenge/KindAuth, typed KindAttachFail
-// rejections) — and clients given an identity and a trust store via
+// trust store a Server demands an authenticated attach — identity's
+// handshake, proving possession of an Ed25519 key bound to the claimed
+// node ID, with typed refusals — and clients given an identity and a
+// trust store via
 // AttachAuth run an identity-signed X25519 exchange in the open/open-OK
 // bodies of every link, or fail it, and seal every data frame with
 // per-direction AEAD subkeys before it enters the relay path. Relays forward such frames as ciphertext through the

@@ -1,13 +1,16 @@
 package relay
 
-// Native fuzz targets for the relay protocol's hand-rolled decoders:
-// routed headers, the attach body, the challenge/auth handshake frames
-// and the open/open-OK bodies (window + end-to-end exchange blob). These parse bytes written by arbitrary, possibly hostile
-// nodes; none may panic, over-read or accept a malformed handshake.
+// Native fuzz targets for the relay protocol's hand-rolled decoders —
+// routed headers and the open/open-OK bodies (window + end-to-end
+// exchange blob) — and for its ends of the attach handshake. These read
+// bytes written by arbitrary, possibly hostile nodes; none may panic,
+// over-read or accept a malformed handshake.
 
 import (
 	"bytes"
+	"net"
 	"testing"
+	"time"
 
 	"netibis/internal/identity"
 	"netibis/internal/wire"
@@ -32,52 +35,126 @@ func FuzzParseRouted(f *testing.F) {
 	})
 }
 
-func FuzzDecodeAttach(f *testing.F) {
-	f.Add(appendAttachAuth(wire.AppendString(nil, "pool/alice"), nil, nil))
-	if id, err := identity.Generate("pool/alice"); err == nil {
-		nonce, _ := identity.NewNonce()
-		f.Add(appendAttachAuth(wire.AppendString(nil, "pool/alice"), id, nonce))
+// The handshake's bodies decode in package identity (FuzzDecodeHello,
+// FuzzDecodeProof). The three targets below feed arbitrary bodies to the
+// relay's own ends of the attach handshake, where a hostile node or
+// relay puts them, and check what the relay or client does with them.
+
+// fuzzAuth is a deployment for the handshake targets: a trust store and
+// a node identity it trusts.
+func fuzzAuth(f *testing.F) (*identity.TrustStore, *identity.Identity) {
+	ca, err := identity.NewAuthority()
+	if err != nil {
+		f.Fatal(err)
 	}
+	alice, err := ca.Issue("pool/alice")
+	if err != nil {
+		f.Fatal(err)
+	}
+	return ca.TrustStore(), alice
+}
+
+// attachTo serves one connection of a relay that holds trust over an
+// in-memory pipe and returns the node's end; the returned wait closes it
+// and waits for the relay's handler.
+func attachTo(trust *identity.TrustStore) (*wire.Reader, *wire.Writer, func()) {
+	srv := NewServer()
+	srv.SetID("relay-0")
+	srv.SetAuth(AuthConfig{Trust: trust})
+	node, relay := net.Pipe()
+	node.SetDeadline(time.Now().Add(identity.HandshakeTimeout))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.handle(relay)
+	}()
+	return wire.NewReader(node), wire.NewWriter(node), func() { node.Close(); <-done }
+}
+
+// FuzzDecodeAttach: a relay that holds a trust store answers any attach
+// body with a hello that asks for a proof, or with a refusal — never
+// with an ack.
+func FuzzDecodeAttach(f *testing.F) {
+	trust, alice := fuzzAuth(f)
+	nonce, _ := identity.NewNonce()
+	f.Add(identity.AppendHello(nil, identity.Hello{ID: "pool/alice"}))
+	f.Add(identity.AppendHello(nil, identity.Hello{ID: "pool/alice", Nonce: nonce, Announce: alice.Announce()}))
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 'a', 'l', 'i', 'c', 'e', 0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := wire.NewDecoder(data)
-		id := d.String()
-		if d.Err() != nil || id == "" {
-			return
+		r, w, wait := attachTo(trust)
+		defer wait()
+		if err := w.WriteFrame(KindAttach, 0, data); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := decodeAttachAuth(d); err == nil && d.Remaining() != 0 {
-			t.Fatal("accepted an attach body with trailing bytes")
+		fr, err := r.ReadFrame()
+		if err != nil {
+			t.Fatalf("no answer to attach %x: %v", data, err)
 		}
-	})
-}
-
-func FuzzDecodeChallenge(f *testing.F) {
-	nonce := make([]byte, serverNonceSize)
-	f.Add(encodeChallenge(nonce, "relay-0", nil, nil))
-	if id, err := identity.Generate("relay-0"); err == nil {
-		f.Add(encodeChallenge(nonce, "relay-0", id, []byte("sig")))
-	}
-	f.Add([]byte{})
-	f.Add([]byte{0x01})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := decodeChallenge(data); err != nil {
-			return
+		switch h, err := identity.DecodeHello(fr.Payload); {
+		case fr.Kind == identity.KindVerdict:
+		case fr.Kind != identity.KindHello || err != nil || len(h.Nonce) == 0:
+			t.Fatalf("attach %x answered with kind %d (%v), not a hello that asks for a proof", data, fr.Kind, err)
 		}
 	})
 }
 
+// FuzzDecodeAuthResponse: a relay that asked a node for its proof
+// refuses any proof body but the node's own signature over its nonce.
 func FuzzDecodeAuthResponse(f *testing.F) {
-	f.Add(encodeAuthResponse(make([]byte, serverNonceSize), []byte("sig")))
+	trust, alice := fuzzAuth(f)
+	f.Add(identity.AppendProof(nil, identity.Proof{Echo: make([]byte, identity.NonceSize), Sig: []byte("sig")}))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := decodeAuthResponse(data); err != nil {
-			return
+		r, w, wait := attachTo(trust)
+		defer wait()
+		w.WriteFrame(KindAttach, 0, identity.AppendHello(nil, identity.Hello{ID: "pool/alice", Announce: alice.Announce()}))
+		if fr, err := r.ReadFrame(); err != nil || fr.Kind != identity.KindHello {
+			t.Fatalf("expected the relay's hello: %v, %v", fr.Kind, err)
 		}
+		w.WriteFrame(identity.KindProof, 0, data)
+		fr, err := r.ReadFrame()
+		if err != nil || fr.Kind != identity.KindVerdict || bytes.Equal(fr.Payload, []byte{0}) {
+			t.Fatalf("proof %x: answered with kind %d %x (%v), want a refusal", data, fr.Kind, fr.Payload, err)
+		}
+	})
+}
+
+// FuzzDecodeChallenge: a client that holds a trust store attaches on no
+// relay hello it cannot verify, and answers none with a hang.
+func FuzzDecodeChallenge(f *testing.F) {
+	trust, alice := fuzzAuth(f)
+	nonce := make([]byte, identity.NonceSize)
+	f.Add(identity.AppendHello(nil, identity.Hello{ID: "relay-0", Nonce: nonce}))
+	f.Add(identity.AppendHello(nil, identity.Hello{ID: "relay-0", Nonce: nonce, Announce: alice.Announce(), Sig: []byte("sig")}))
+	f.Add([]byte{})
+	f.Add([]byte{0x01})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		node, relay := net.Pipe()
+		relay.SetDeadline(time.Now().Add(identity.HandshakeTimeout))
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer relay.Close()
+			r, w := wire.NewReader(relay), wire.NewWriter(relay)
+			if _, err := r.ReadFrame(); err != nil {
+				return
+			}
+			w.WriteFrame(identity.KindHello, 0, data)
+			for { // whatever the node sends, until it hangs up
+				if _, err := r.ReadFrame(); err != nil {
+					return
+				}
+			}
+		}()
+		if _, err := AttachAuth(node, "pool/alice", &AuthConfig{Identity: alice, Trust: trust}); err == nil {
+			t.Fatalf("attached behind relay hello %x", data)
+		}
+		<-done
 	})
 }
 

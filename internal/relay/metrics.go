@@ -9,6 +9,7 @@ package relay
 // adds; attaching one adds cost only at scrape time.
 
 import (
+	"netibis/internal/identity"
 	"netibis/internal/obs"
 )
 
@@ -53,7 +54,7 @@ func (s *Server) MetricsInto(reg *obs.Registry) {
 		"Attach verdicts by outcome (ok, auth_required, unknown_identity, identity_mismatch, bad_signature, replay, malformed).",
 		func(emit obs.EmitFunc) {
 			for i := range s.attachOutcomes {
-				emit(obs.Labels("outcome", attachOutcomeNames[i]), float64(s.attachOutcomes[i].Load()))
+				emit(obs.Labels("outcome", identity.VerdictName(i)), float64(s.attachOutcomes[i].Load()))
 			}
 		})
 	reg.CounterFunc("netibis_relay_detach_total",

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"netibis/internal/identity"
 	"netibis/internal/obs"
 	"netibis/internal/wire"
 )
@@ -177,7 +178,8 @@ func TestRelayMetricFamilies(t *testing.T) {
 		t.Fatalf("attached_nodes = %v, want 2", v)
 	}
 	outcomes := sc.Labeled("netibis_relay_attach_total", "outcome")
-	for _, want := range attachOutcomeNames {
+	for c := range identity.NumVerdicts {
+		want := identity.VerdictName(c)
 		if _, ok := outcomes[want]; !ok {
 			t.Errorf("attach_total missing outcome %q", want)
 		}

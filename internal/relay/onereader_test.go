@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"netibis/internal/identity"
 	"netibis/internal/wire"
 )
 
@@ -64,13 +65,14 @@ func (c *scriptedConn) Close() error {
 }
 
 // scriptedRelay writes what a relay sends a node that probes and
-// attaches as "alice": the probe's echo, the attach ack, an open of
-// channel 7 from "bob", and frames of payload on it.
+// attaches as "alice": the probe's echo, its hello, the attach ack, an
+// open of channel 7 from "bob", and frames of payload on it.
 func scriptedRelay(frames int, payload []byte) []byte {
 	var script bytes.Buffer
 	w := wire.NewWriter(&script)
 	w.WriteFrame(wire.KindKeepAlive, 0, nil)
-	w.WriteFrame(KindAttachOK, 0, wire.AppendString(nil, "relay-1"))
+	w.WriteFrame(identity.KindHello, 0, identity.AppendHello(nil, identity.Hello{ID: "relay-1"}))
+	w.WriteFrame(KindAttachOK, 0, nil)
 	w.WriteFrame(KindOpen, 0, AppendRouted(nil, "alice", 7, appendOpenBody(nil, "bob", DefaultWindowBytes, nil)))
 	data := wire.AppendBytes(wire.AppendUvarint(wire.AppendString(nil, "bob"), uint64(roleInitiator)), payload)
 	for range frames {

@@ -14,18 +14,15 @@ import (
 // are exported because the overlay mesh speaks the same framing when it
 // forwards routed frames between relays.
 const (
-	KindAttach     = wire.KindUser + iota // node -> relay: register node ID
-	KindAttachOK                          // relay -> node (payload: relay server ID)
-	KindOpen                              // open a virtual link: src, dst, channel
-	KindOpenOK                            // accept of a virtual link
-	KindOpenFail                          // open failed (unknown node, refused)
-	KindData                              // data on a virtual link
-	KindShut                              // half-close of a virtual link
-	KindAbandon                           // discard a virtual link opened for a lost establishment race
-	KindCredit                            // flow control: the reader returns drained window bytes to the sender
-	KindChallenge                         // relay -> node: authentication challenge (nonce + relay proof)
-	KindAuth                              // node -> relay: challenge response (echo + signature)
-	KindAttachFail                        // relay -> node: attach rejected (typed code + message)
+	KindAttach   = wire.KindUser + iota // node -> relay: opens the attach handshake (payload: the node's identity.Hello)
+	KindAttachOK                        // relay -> node: attached and routable (empty payload)
+	KindOpen                            // open a virtual link: src, dst, channel
+	KindOpenOK                          // accept of a virtual link
+	KindOpenFail                        // open failed (unknown node, refused)
+	KindData                            // data on a virtual link
+	KindShut                            // half-close of a virtual link
+	KindAbandon                         // discard a virtual link opened for a lost establishment race
+	KindCredit                          // flow control: the reader returns drained window bytes to the sender
 )
 
 // Errors.

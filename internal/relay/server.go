@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"netibis/internal/identity"
 	"netibis/internal/obs"
 	"netibis/internal/wire"
 )
@@ -33,7 +34,9 @@ type Forwarder interface {
 // ConnHandler is called with a connection whose first frame is not an
 // attach, handing ownership of the connection (and the frame reader) to
 // the overlay's peer-link protocol. The first frame's payload is a
-// stable copy, safe to retain.
+// stable copy, safe to retain. Until the handler returns, the Server's
+// Close closes the connection too: the handler runs its handshake and
+// returns once the connection is proven or dropped.
 type ConnHandler func(first wire.Frame, conn net.Conn, r *wire.Reader)
 
 // PeerForward is one entry of a Stats.ForwardedByPeer breakdown.
@@ -82,11 +85,12 @@ type Server struct {
 	// listeners are the ones Serve accepts on, closed by Close; like wg.Add
 	// they are guarded by mu, so nothing is added to either after Close.
 	listeners []net.Listener
-	// unheard are the accepted connections whose first frame has not
-	// arrived, which Close closes too: a dialer that never speaks would
-	// hold it for preAttachTimeout. Guarded by mu like listeners.
-	unheard map[net.Conn]struct{}
-	wg      sync.WaitGroup
+	// unproven are the accepted connections whose handshake has not
+	// finished, which Close closes too: a dialer that never speaks, or
+	// stalls mid-handshake, would hold Close for its read deadline.
+	// Guarded by mu like listeners.
+	unproven map[net.Conn]struct{}
+	wg       sync.WaitGroup
 
 	// attachMu serialises each {s.nodes update, Forwarder notification}
 	// pair of handleNode. Without it a detaching handler could delete its
@@ -112,9 +116,9 @@ type Server struct {
 	// establishment traffic (opens, refusals, abandons) and flow
 	// control (credit) crossing it.
 	kindFrames [numRoutedKinds]atomic.Int64
-	// attachOutcomes counts attach verdicts: index 0 is success, the
-	// rest are the attachFail* codes.
-	attachOutcomes [attachFailMalformed + 1]atomic.Int64
+	// attachOutcomes counts attach verdicts by identity verdict code:
+	// index 0 is success.
+	attachOutcomes [identity.NumVerdicts]atomic.Int64
 	detaches       atomic.Int64
 
 	traceMu sync.Mutex
@@ -174,7 +178,7 @@ func (p *serverPeer) enqueue(src string, kind byte, payload []byte, owner *wire.
 func NewServer() *Server {
 	return &Server{
 		nodes:           make(map[string]*serverPeer),
-		unheard:         make(map[net.Conn]struct{}),
+		unproven:        make(map[net.Conn]struct{}),
 		forwardedByPeer: make(map[string]int64),
 		// Power-of-two buckets up to the default batch budget: the
 		// interesting signal is "how far above 1 frame per writev".
@@ -256,7 +260,7 @@ func (s *Server) Serve(l net.Listener) error {
 			return net.ErrClosed
 		}
 		s.wg.Add(1)
-		s.unheard[c] = struct{}{}
+		s.unproven[c] = struct{}{}
 		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
@@ -265,23 +269,24 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Close shuts the relay down: it stops accepting, then disconnects all
-// nodes and waits for their handlers. Once it has begun, Serve starts no
-// handler and handleNode attaches no node.
+// Close shuts the relay down: it stops accepting, closes the connections
+// still in their handshake, then disconnects all nodes and waits for
+// their handlers. Once it has begun, Serve starts no handler and
+// handleNode attaches no node.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
 	listeners := s.listeners
 	s.listeners = nil
-	unheard := make([]net.Conn, 0, len(s.unheard))
-	for c := range s.unheard {
-		unheard = append(unheard, c)
+	unproven := make([]net.Conn, 0, len(s.unproven))
+	for c := range s.unproven {
+		unproven = append(unproven, c)
 	}
 	s.mu.Unlock()
 	for _, l := range listeners {
 		l.Close()
 	}
-	for _, c := range unheard {
+	for _, c := range unproven {
 		c.Close()
 	}
 	s.mu.Lock()
@@ -414,9 +419,10 @@ func (s *Server) Inject(src string, kind byte, payload []byte, owner *wire.Buf) 
 }
 
 // preAttachTimeout bounds how long an accepted connection may idle
-// before committing to an attach (or peer hello): a client probing RTT
-// refreshes it with every keep-alive, while a silent connection costs
-// the relay a timer instead of a goroutine pinned forever.
+// before opening a handshake (an attach or a peer hello): a client
+// probing RTT refreshes it with every keep-alive, while a silent
+// connection costs the relay a timer instead of a goroutine pinned
+// forever.
 const preAttachTimeout = 30 * time.Second
 
 //netibis:preauth
@@ -441,95 +447,76 @@ func (s *Server) handle(c net.Conn) {
 			break
 		}
 	}
-	s.mu.Lock()
-	delete(s.unheard, c)
-	s.mu.Unlock()
-	if err != nil {
+	switch h := s.connHandler(); {
+	case err == nil && f.Kind == KindAttach:
+		s.handleNode(c, r, f)
+	case err == nil && h != nil:
+		// Not a node: maybe a peer relay of the overlay mesh, which runs
+		// its handshake in h. The frame payload is already a stable copy
+		// (ReadFrame contract).
+		c.SetReadDeadline(time.Time{})
+		h(f, c, r)
+	default:
 		c.Close()
-		return
 	}
-	// The meaningful frame is in: hand the connection on with the
-	// pre-attach deadline cleared (attach authentication and the overlay
-	// peer handshake arm their own).
-	c.SetReadDeadline(time.Time{})
+	s.proven(c)
+}
 
-	if f.Kind != KindAttach {
-		// Not a node: maybe a peer relay of the overlay mesh. The frame
-		// payload is already a stable copy (ReadFrame contract).
-		if h := s.connHandler(); h != nil {
-			h(f, c, r)
-			return
-		}
-		c.Close()
-		return
-	}
-	s.handleNode(c, r, f)
+// proven takes c out of the connections Close must close itself: its
+// handshake is over.
+func (s *Server) proven(c net.Conn) {
+	s.mu.Lock()
+	delete(s.unproven, c)
+	s.mu.Unlock()
 }
 
 //netibis:preauth
 func (s *Server) handleNode(c net.Conn, r *wire.Reader, attach wire.Frame) {
 	defer c.Close()
 	w := wire.NewWriter(c)
-	peer := &serverPeer{conn: c}
-
-	d := wire.NewDecoder(attach.Payload)
-	id := d.String()
-	if d.Err() != nil || id == "" {
+	// The handshake binds the *claimed node ID* to the proven key when
+	// the relay holds a trust store, so one node cannot attach as
+	// another.
+	cfg := s.authConfig()
+	id, err := identity.Respond(c, r, w, attach.Payload, identity.Attach, cfg.side(s.ID()))
+	c.SetReadDeadline(time.Time{})
+	if err != nil {
+		if code, ok := identity.VerdictCode(err); ok {
+			s.attachOutcomes[code].Add(1)
+			s.trace().Eventf("relay", "attach of %s refused (%s)", id, identity.VerdictName(code))
+		}
 		return
 	}
-	peer.id = id
+	peer := &serverPeer{id: id, conn: c, enforceSrc: cfg.Trust != nil}
 
-	// Authentication, when enforced: the attach says whether it carries an
-	// identity section, and a trust-configured relay demands one and
-	// verifies it with a challenge/response before anything is
-	// acknowledged. The
-	// handshake binds the *claimed node ID* to the proven key, so one
-	// node cannot attach as another.
-	ext, extErr := decodeAttachAuth(d)
-	if extErr != nil {
-		s.rejectAttach(w, id, attachFailMalformed, "malformed attach body")
-		return
-	}
-	if !s.authenticateNode(c, r, w, id, ext) {
-		return
-	}
-	peer.enforceSrc = s.authConfig().Trust != nil
-
-	// Refuse attaches during shutdown before acking: an ack followed by
-	// the shutdown's conn close would look like a successful attach and
-	// an immediate detach, which in resumable mode burns one of the
-	// client's failover attempts instead of surfacing a clean failure.
-	s.mu.Lock()
-	closing := s.closed
-	s.mu.Unlock()
-	if closing {
-		return
-	}
-
-	// The attach ack must be the first frame the client sees, and the
-	// node must be routable by the time the client sees it: a client
-	// dials the moment Attach returns, and acking first and publishing
-	// after left a window in which an open towards a just-attached node
-	// was refused as unknown. So the egress writer takes over the
-	// connection now, and the node is published and its ack queued as
-	// the scheduler's first entry inside one s.mu critical section:
-	// nobody can look the node up (and enqueue a routed or forwarded
-	// frame) before the ack is queued, and the ack cannot be written
-	// before the node is published. A fresh egress never blocks.
-	ack := wire.AppendString(nil, s.ID())
+	// The attach ack must be the first frame the client sees after the
+	// handshake, and the node must be routable by the time the client
+	// sees it: a client dials the moment Attach returns, and acking first
+	// and publishing after left a window in which an open towards a
+	// just-attached node was refused as unknown. So the egress writer
+	// takes over the connection now, and the node is published and its
+	// ack queued as the scheduler's first entry inside one s.mu critical
+	// section: nobody can look the node up (and enqueue a routed or
+	// forwarded frame) before the ack is queued, and the ack cannot be
+	// written before the node is published. A fresh egress never blocks.
 	peer.eg = NewEgress(c, w, s.egressHist)
 	defer peer.eg.Close()
 
 	s.attachMu.Lock()
 	s.mu.Lock()
 	if s.closed {
+		// No ack during shutdown: an ack followed by the shutdown's conn
+		// close would look like an attach and an immediate detach, which
+		// in resumable mode burns one of the client's failover attempts
+		// instead of surfacing a clean failure.
 		s.mu.Unlock()
 		s.attachMu.Unlock()
 		return
 	}
+	delete(s.unproven, c)
 	old := s.nodes[id]
 	s.nodes[id] = peer
-	peer.eg.Enqueue("", KindAttachOK, nil, ack, nil)
+	peer.eg.Enqueue("", KindAttachOK, nil, nil, nil)
 	s.mu.Unlock()
 	if old != nil {
 		// Latest attachment wins. After an asymmetric failure the relay

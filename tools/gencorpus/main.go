@@ -118,36 +118,37 @@ func main() {
 	write("identity", "FuzzVerifyRecord", "sealed",
 		identity.SealRecord(relay0, "overlay/relay/relay-0", []byte("10.0.0.1:4500")))
 	write("identity", "FuzzVerifyRecord", "raw", []byte("10.0.0.1:4500"))
-	sig := identity.SignAttachNode(alice, nonce, nonce, "relay-0", "pool/alice")
+	// The handshake: hellos and a proof as both handshakes send them
+	// (formats in internal/identity/handshake.go). The relay and overlay
+	// targets take the same bodies where their handshake reads them.
+	t := identity.Transcript{Purpose: identity.Attach, InitID: "pool/alice", RespID: "relay-0", NonceI: nonce, NonceR: nonce}
+	sig := t.Sign(relay0, identity.Responder)
 	write("identity", "FuzzVerifyAttachNode", "real-parts",
-		[]byte(alice.Public), alice.Cert, sig)
+		[]byte(alice.Public), alice.Cert, t.Sign(alice, identity.Initiator))
+	anonymous := identity.AppendHello(nil, identity.Hello{ID: "pool/alice"})
+	identified := identity.AppendHello(nil, identity.Hello{ID: "pool/alice", Nonce: nonce, Announce: alice.Announce()})
+	signed := identity.AppendHello(nil, identity.Hello{ID: "relay-0", Nonce: nonce, Announce: relay0.Announce(), Sig: sig})
+	proof := identity.AppendProof(nil, identity.Proof{Echo: nonce, Sig: sig})
+	write("identity", "FuzzDecodeHello", "anonymous", anonymous)
+	write("identity", "FuzzDecodeHello", "identified", identified)
+	write("identity", "FuzzDecodeHello", "signed", signed)
+	write("identity", "FuzzDecodeProof", "basic", proof)
+	write("relay", "FuzzDecodeAttach", "anonymous", anonymous)
+	write("relay", "FuzzDecodeAttach", "extended", identified)
+	write("relay", "FuzzDecodeChallenge", "anonymous", identity.AppendHello(nil, identity.Hello{ID: "relay-0", Nonce: nonce}))
+	write("relay", "FuzzDecodeChallenge", "signed", signed)
+	write("relay", "FuzzDecodeAuthResponse", "basic", proof)
+	write("overlay", "FuzzDecodePeerHello", "anonymous", identity.AppendHello(nil, identity.Hello{ID: "relay-1"}))
+	write("overlay", "FuzzDecodePeerHello", "authenticated",
+		identity.AppendHello(nil, identity.Hello{ID: "relay-1", Nonce: nonce, Announce: relay0.Announce()}))
 
-	// relay: routed payloads and handshake frames. The encoders are
-	// unexported; rebuild the byte layouts with the wire primitives
-	// (the formats are documented in internal/relay/auth.go).
+	// relay: routed payloads. The encoders are unexported; rebuild the
+	// byte layout with the wire primitives (DESIGN.md, "Control-frame
+	// bodies").
 	routed := wire.AppendString(nil, "pool/bob")
 	routed = wire.AppendUvarint(routed, 7)
 	routed = append(routed, []byte("body")...)
 	write("relay", "FuzzParseRouted", "routed", routed)
-
-	attach := wire.AppendString(nil, "pool/alice")
-	write("relay", "FuzzDecodeAttach", "anonymous", wire.AppendUvarint(attach, identity.AuthAnonymous))
-	ext := wire.AppendUvarint(attach, identity.AuthVersion)
-	ext = wire.AppendBytes(ext, nonce)
-	ext = identity.AppendAnnounce(ext, alice.Announce())
-	write("relay", "FuzzDecodeAttach", "extended", ext)
-
-	challenge := wire.AppendBytes(nil, make([]byte, 32))
-	challenge = wire.AppendString(challenge, "relay-0")
-	write("relay", "FuzzDecodeChallenge", "anonymous", wire.AppendUvarint(challenge, identity.AuthAnonymous))
-	challenge = wire.AppendUvarint(challenge, identity.AuthVersion)
-	challenge = identity.AppendAnnounce(challenge, relay0.Announce())
-	challenge = wire.AppendBytes(challenge, sig)
-	write("relay", "FuzzDecodeChallenge", "signed", challenge)
-
-	resp := wire.AppendBytes(nil, make([]byte, 32))
-	resp = wire.AppendBytes(resp, sig)
-	write("relay", "FuzzDecodeAuthResponse", "basic", resp)
 
 	// An open body ends in a purpose — a data link's followed by its
 	// establishment — or in nothing.
@@ -157,7 +158,7 @@ func main() {
 	write("relay", "FuzzOpenBody", "secure-open", append(wire.AppendBytes(openBody, offer.Blob()), relay.PurposeData, 3))
 	write("relay", "FuzzOpenBody", "service-open", append(wire.AppendBytes(openBody, nil), relay.PurposeService))
 
-	// overlay: gossip / forward / nack / hello (formats documented in
+	// overlay: gossip / forward / nack (formats documented in
 	// internal/overlay/overlay.go).
 	gossip := wire.AppendUvarint(nil, 2)
 	for _, e := range []struct {
@@ -188,14 +189,6 @@ func main() {
 	nack = wire.AppendUvarint(nack, 7)
 	nack = append(nack, 0x22)
 	write("overlay", "FuzzDecodeNack", "nack", nack)
-
-	hello := wire.AppendString(nil, "relay-1")
-	write("overlay", "FuzzDecodePeerHello", "anonymous", wire.AppendUvarint(hello, identity.AuthAnonymous))
-	hello = wire.AppendUvarint(hello, identity.AuthVersion)
-	hello = wire.AppendBytes(hello, nonce)
-	hello = identity.AppendAnnounce(hello, relay0.Announce())
-	hello = wire.AppendBytes(hello, sig)
-	write("overlay", "FuzzDecodePeerHello", "authenticated", hello)
 
 	// core: the connect request and its reply (DESIGN.md, "Control-frame
 	// bodies"). The request nests the initiator's profile, then its
