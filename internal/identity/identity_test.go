@@ -109,52 +109,63 @@ func TestTrustStorePersistence(t *testing.T) {
 	}
 }
 
-// TestHandshakeSignatures: for each purpose and role, a proof verifies
+// TestAttachHandshakeSignatures: checkHandshakeSignatures for the
+// attach handshake of a node to its relay.
+func TestAttachHandshakeSignatures(t *testing.T) {
+	checkHandshakeSignatures(t, Attach, "pool/alice", "relay-0")
+}
+
+// TestPeerHandshakeSignatures: checkHandshakeSignatures for the link
+// handshake between two relays.
+func TestPeerHandshakeSignatures(t *testing.T) {
+	checkHandshakeSignatures(t, PeerLink, "relay-a", "relay-b")
+}
+
+// checkHandshakeSignatures: for each role, a proof of purpose p verifies
 // against its own transcript only — not against a fresh nonce of the
 // verifier's (a replay), not as the other role's proof (cross-context),
 // not under the other purpose (cross-purpose), and not when made with
 // another key (foreign key).
-func TestHandshakeSignatures(t *testing.T) {
+func checkHandshakeSignatures(t *testing.T, p Purpose, initID, respID string) {
+	t.Helper()
 	ca, _ := NewAuthority()
 	ids := map[Role]*Identity{}
-	ids[Initiator], _ = ca.Issue("pool/alice")
-	ids[Responder], _ = ca.Issue("relay-0")
+	ids[Initiator], _ = ca.Issue(initID)
+	ids[Responder], _ = ca.Issue(respID)
 	ts := ca.TrustStore()
 	ni, _ := NewNonce()
 	nr, _ := NewNonce()
 	fresh, _ := NewNonce()
 
-	for _, p := range []Purpose{Attach, PeerLink} {
-		for _, role := range []Role{Initiator, Responder} {
-			other := Initiator + Responder - role
-			tr := Transcript{Purpose: p, InitID: "pool/alice", RespID: "relay-0", NonceI: ni, NonceR: nr}
-			sig := tr.Sign(ids[role], role)
-			// The verifier's own nonce is the other side's.
-			replay := tr
-			if role == Initiator {
-				replay.NonceR = fresh
-			} else {
-				replay.NonceI = fresh
-			}
-			crossPurpose := tr
-			crossPurpose.Purpose = Attach + PeerLink - p
-			for _, c := range []struct {
-				name string
-				tr   Transcript
-				role Role
-				a    Announce
-				sig  []byte
-				want error
-			}{
-				{"genuine", tr, role, ids[role].Announce(), sig, nil},
-				{"replay against a fresh nonce", replay, role, ids[role].Announce(), sig, ErrBadSignature},
-				{"cross-context", tr, other, ids[other].Announce(), sig, ErrBadSignature},
-				{"cross-purpose", crossPurpose, role, ids[role].Announce(), sig, ErrBadSignature},
-				{"foreign key", tr, role, ids[role].Announce(), tr.Sign(ids[other], role), ErrBadSignature},
-			} {
-				if err := c.tr.Verify(ts, c.role, c.a, c.sig); !errors.Is(err, c.want) {
-					t.Errorf("purpose %d, role %d, %s: got %v, want %v", p, role, c.name, err, c.want)
-				}
+	for _, role := range []Role{Initiator, Responder} {
+		other := Initiator + Responder - role
+		tr := Transcript{Purpose: p, InitID: initID, RespID: respID, NonceI: ni, NonceR: nr}
+		sig := tr.Sign(ids[role], role)
+		// The verifier's own nonce is the other side's.
+		replay := tr
+		if role == Initiator {
+			replay.NonceR = fresh
+		} else {
+			replay.NonceI = fresh
+		}
+		crossPurpose := tr
+		crossPurpose.Purpose = Attach + PeerLink - p
+		for _, c := range []struct {
+			name string
+			tr   Transcript
+			role Role
+			a    Announce
+			sig  []byte
+			want error
+		}{
+			{"genuine", tr, role, ids[role].Announce(), sig, nil},
+			{"replay against a fresh nonce", replay, role, ids[role].Announce(), sig, ErrBadSignature},
+			{"cross-context", tr, other, ids[other].Announce(), sig, ErrBadSignature},
+			{"cross-purpose", crossPurpose, role, ids[role].Announce(), sig, ErrBadSignature},
+			{"foreign key", tr, role, ids[role].Announce(), tr.Sign(ids[other], role), ErrBadSignature},
+		} {
+			if err := c.tr.Verify(ts, c.role, c.a, c.sig); !errors.Is(err, c.want) {
+				t.Errorf("purpose %d, role %d, %s: got %v, want %v", p, role, c.name, err, c.want)
 			}
 		}
 	}
