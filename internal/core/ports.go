@@ -25,7 +25,9 @@ func (n *Node) CreateSendPort(pt ipl.PortType) (ipl.SendPort, error) {
 	if _, err := pt.ParseStack(); err != nil {
 		return nil, err
 	}
-	return &sendPort{node: n, portType: pt}, nil
+	sp := &sendPort{node: n, portType: pt}
+	sp.msgs = ipl.NewWriteMessages(sp, sp.messageDone)
+	return sp, nil
 }
 
 // CreateReceivePort creates a receiving endpoint with the given name and
@@ -100,17 +102,17 @@ type sendPort struct {
 	mu sync.Mutex
 	// links is replaced, never modified in place, so Deliver sends on a
 	// snapshot of it without holding the lock.
-	links     []*outLink
-	msgActive bool
+	links  []*outLink
+	closed atomic.Bool // set under mu
+
+	// msgActive is held by the message being filled, from NewMessage to
+	// its Finish, and owns msgs and spare meanwhile.
+	msgActive atomic.Bool
+	msgs      *ipl.WriteMessages
 	// spare is the buffer of the last message, for the next one: one
 	// message is active at a time, and every Output.Write is done with
 	// its argument when it returns.
-	spare  []byte
-	closed bool
-
-	// Stats.
-	messagesSent int64
-	bytesSent    int64
+	spare []byte
 }
 
 // Type implements ipl.SendPort.
@@ -169,7 +171,7 @@ func (e *serviceLinkBrokenError) Unwrap() error { return e.cause }
 
 func (sp *sendPort) connect(to ipl.PortID) error {
 	sp.mu.Lock()
-	if sp.closed {
+	if sp.closed.Load() {
 		sp.mu.Unlock()
 		return ipl.ErrClosed
 	}
@@ -339,7 +341,7 @@ func (sp *sendPort) connect(to ipl.PortID) error {
 
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if sp.closed {
+	if sp.closed.Load() {
 		out.Close()
 		return ipl.ErrClosed
 	}
@@ -384,30 +386,30 @@ func SendPortMethods(sp ipl.SendPort) map[string]estab.Method {
 	return out
 }
 
-// NewMessage implements ipl.SendPort.
+// NewMessage implements ipl.SendPort: the message is one of the port's
+// own two, encoding into the last message's buffer.
 func (sp *sendPort) NewMessage() (*ipl.WriteMessage, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.closed {
-		return nil, ipl.ErrClosed
-	}
-	if sp.msgActive {
+	if !sp.msgActive.CompareAndSwap(false, true) {
+		if sp.closed.Load() {
+			return nil, ipl.ErrClosed
+		}
 		return nil, ipl.ErrMessageActive
 	}
-	sp.msgActive = true
+	if sp.closed.Load() {
+		sp.msgActive.Store(false)
+		return nil, ipl.ErrClosed
+	}
 	buf := sp.spare
 	sp.spare = nil
-	return ipl.NewWriteMessage(sp, buf, sp.messageDone), nil
+	return sp.msgs.Next(buf), nil
 }
 
 // messageDone ends the active message and keeps its buffer for the next.
 func (sp *sendPort) messageDone(buf []byte) {
-	sp.mu.Lock()
-	sp.msgActive = false
 	if cap(buf) <= maxSpare {
 		sp.spare = buf
 	}
-	sp.mu.Unlock()
+	sp.msgActive.Store(false)
 }
 
 // Deliver implements ipl.MessageSink: the message's length goes into the
@@ -419,8 +421,6 @@ func (sp *sendPort) Deliver(head, body []byte) error {
 	size := len(head) - ipl.Headroom + len(body)
 	sp.mu.Lock()
 	links := sp.links
-	sp.messagesSent++
-	sp.bytesSent += int64(size)
 	sp.mu.Unlock()
 
 	var length [binary.MaxVarintLen64]byte
@@ -446,24 +446,22 @@ func (sp *sendPort) Deliver(head, body []byte) error {
 	return first
 }
 
-// Stats reports messages and payload bytes sent.
-func (sp *sendPort) Stats() (messages, bytes int64) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.messagesSent, sp.bytesSent
-}
-
 // Close implements ipl.SendPort.
 func (sp *sendPort) Close() error {
 	sp.mu.Lock()
-	if sp.closed {
+	if sp.closed.Load() {
 		sp.mu.Unlock()
 		return nil
 	}
-	sp.closed = true
+	sp.closed.Store(true)
 	links := sp.links
-	sp.links, sp.spare = nil, nil
+	sp.links = nil
 	sp.mu.Unlock()
+	// Taking the message slot for good drops the spare buffer; a message
+	// still active keeps it until the port is dropped.
+	if sp.msgActive.CompareAndSwap(false, true) {
+		sp.spare = nil
+	}
 	var first error
 	for _, l := range links {
 		if err := l.out.Close(); err != nil && first == nil {
@@ -492,17 +490,20 @@ type receivePort struct {
 	closed   bool
 	messages chan inMessage
 	done     chan struct{}
-	// last holds the message handed out last, for the next Receive to
-	// recycle.
-	last atomic.Pointer[wire.Buf]
+	// msgs and last, the Buf of the message handed out last, are
+	// Receive's: the next Receive recycles both.
+	msgs ipl.ReadMessages
+	last *wire.Buf
 
-	received int64
+	received atomic.Int64
 }
 
-// inMessage is a received message and the pooled Buf holding its bytes.
+// inMessage is a received message, the pooled Buf holding its bytes and
+// the link it came in on.
 type inMessage struct {
-	msg *ipl.ReadMessage
-	buf *wire.Buf
+	body []byte
+	buf  *wire.Buf
+	src  *inSource
 }
 
 // poisonRecycled makes Receive overwrite the message it recycles, so a
@@ -552,12 +553,16 @@ func (rp *receivePort) readLoop(src *inSource) {
 		if err != nil {
 			return // end of stream, or a corrupt or hostile peer
 		}
-		m := inMessage{msg: ipl.NewReadMessage(src.origin, body), buf: buf}
-		rp.mu.Lock()
-		rp.received++
-		rp.mu.Unlock()
-		// Block (preserving FIFO reliability and backpressure) until the
-		// application drains the port or the port is closed.
+		rp.received.Add(1)
+		m := inMessage{body: body, buf: buf, src: src}
+		select {
+		case rp.messages <- m:
+			continue
+		default:
+		}
+		// The queue is full: block (preserving FIFO reliability and
+		// backpressure) until the application drains the port or the port
+		// is closed.
 		select {
 		case rp.messages <- m:
 		case <-rp.done:
@@ -570,7 +575,9 @@ func (rp *receivePort) readLoop(src *inSource) {
 // Receive implements ipl.ReceivePort. It first recycles the message it
 // handed out last: one message per port is live at a time.
 func (rp *receivePort) Receive() (*ipl.ReadMessage, error) {
-	if b := rp.last.Swap(nil); b != nil {
+	rp.msgs.Recycle()
+	if b := rp.last; b != nil {
+		rp.last = nil
 		if poisonRecycled {
 			p := b.Bytes()
 			for i := range p {
@@ -582,16 +589,21 @@ func (rp *receivePort) Receive() (*ipl.ReadMessage, error) {
 	var m inMessage
 	select {
 	case m = <-rp.messages:
-	case <-rp.done:
-		// Drain anything already queued before reporting closure.
+	default:
+		// The queue is empty: wait for a message or for Close.
 		select {
 		case m = <-rp.messages:
-		default:
-			return nil, ipl.ErrClosed
+		case <-rp.done:
+			// Drain anything already queued before reporting closure.
+			select {
+			case m = <-rp.messages:
+			default:
+				return nil, ipl.ErrClosed
+			}
 		}
 	}
-	rp.last.Store(m.buf)
-	return m.msg, nil
+	rp.last = m.buf
+	return rp.msgs.Next(m.src.origin, m.body), nil
 }
 
 // readAhead is the block a link's read-ahead holds: a 64 KiB block and
@@ -637,11 +649,7 @@ func (m msgReader) next() (*wire.Buf, []byte, error) {
 }
 
 // Received reports how many messages have arrived on this port.
-func (rp *receivePort) Received() int64 {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	return rp.received
-}
+func (rp *receivePort) Received() int64 { return rp.received.Load() }
 
 // Close implements ipl.ReceivePort.
 func (rp *receivePort) Close() error {

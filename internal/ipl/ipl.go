@@ -85,6 +85,11 @@ var (
 	// ErrMessageActive is returned when a new message is started while
 	// the previous one has not been finished.
 	ErrMessageActive = errors.New("ipl: previous message not finished")
+	// ErrMessageFinished is returned by a second WriteMessage.Finish.
+	ErrMessageFinished = errors.New("ipl: message already finished")
+	// ErrMessageRecycled is returned by a read of a ReadMessage after the
+	// next Receive on its port.
+	ErrMessageRecycled = errors.New("ipl: message read after the next Receive")
 	// ErrMessageTooLarge is returned by WriteMessage.Finish for a message
 	// whose encoding exceeds MaxMessageLen; nothing is sent.
 	ErrMessageTooLarge = errors.New("ipl: message exceeds maximum length")
@@ -111,7 +116,8 @@ type SendPort interface {
 	// ConnectedTo lists the receive ports currently connected.
 	ConnectedTo() []PortID
 	// NewMessage starts a new outgoing message. Only one message may be
-	// active at a time per send port (IPL semantics).
+	// active at a time per send port (IPL semantics). The message is
+	// the port's: it must not be used after its Finish.
 	NewMessage() (*WriteMessage, error)
 	// Close disconnects everything and releases the port.
 	Close() error
@@ -127,7 +133,8 @@ type ReceivePort interface {
 	// Receive blocks until the next message arrives and returns it. One
 	// message per port is live at a time: a message, and every slice its
 	// ReadBytes returned, is valid until the next Receive on the same
-	// port, which recycles its buffer.
+	// port, which recycles the message and its buffer. The port owns the
+	// message object, so calls to Receive on one port must not overlap.
 	Receive() (*ReadMessage, error)
 	// Close releases the port; blocked Receive calls return ErrClosed.
 	Close() error
@@ -171,8 +178,10 @@ var ErrTypeMismatch = errors.New("ipl: serialization type mismatch")
 // ErrShortMessage is returned when reading past the end of a message.
 var ErrShortMessage = errors.New("ipl: read past end of message")
 
-// WriteMessage accumulates typed items for one message. It is created
-// by SendPort.NewMessage and delivered atomically by Finish.
+// WriteMessage accumulates typed items for one message. It is handed out
+// by SendPort.NewMessage and delivered atomically by Finish. The send
+// port owns it: after Finish it must not be used again, and the port's
+// next message but one reuses it (see WriteMessages).
 type WriteMessage struct {
 	sink     MessageSink
 	buf      []byte // Headroom free bytes, then the encoding up to body
@@ -195,34 +204,58 @@ const borrowMin = 64 << 10
 // borrowing rule; nothing else sets it.
 var checkBorrowed = testing.Testing()
 
-// NewWriteMessage creates a message that will be delivered to sink on
-// Finish. It encodes into buf's storage when there is any (its contents
-// are ignored), so a port with one message active at a time can hand
-// each message the buffer of the one before. onDone (may be nil) is
-// invoked after delivery, successful or not, with the message's buffer,
-// which the message no longer references — the send port uses it to
-// allow the next message and to keep the buffer for it.
-func NewWriteMessage(sink MessageSink, buf []byte, onDone func(buf []byte)) *WriteMessage {
+// WriteMessages are a send port's own two WriteMessage objects, which
+// its messages take in turn, so starting a message allocates nothing.
+// One message is active per port at a time, so the object the next
+// message does not take holds a finished one: a write through a handle
+// of the message before is dropped, and its Finish fails, until the
+// message after the next reuses the object.
+type WriteMessages struct {
+	msgs [2]WriteMessage
+	turn int
+}
+
+// NewWriteMessages makes the message objects of a port whose messages go
+// to sink. onDone (may be nil) is invoked after each delivery,
+// successful or not, with the message's buffer, which the message no
+// longer references — the send port uses it to allow the next message
+// and to keep the buffer for it.
+func NewWriteMessages(sink MessageSink, onDone func(buf []byte)) *WriteMessages {
+	w := &WriteMessages{}
+	for i := range w.msgs {
+		w.msgs[i] = WriteMessage{sink: sink, onDone: onDone, finished: true}
+	}
+	return w
+}
+
+// Next starts the port's next message in the object the last message
+// did not use. The message encodes into buf's storage when there is any
+// (its contents are ignored), so a port can hand each message the buffer
+// of the one before. The caller finishes the last message first.
+func (w *WriteMessages) Next(buf []byte) *WriteMessage {
 	if cap(buf) < Headroom {
 		buf = make([]byte, 0, 256)
 	}
-	return &WriteMessage{sink: sink, buf: buf[:Headroom], onDone: onDone}
+	w.turn ^= 1
+	m := &w.msgs[w.turn]
+	m.buf, m.body, m.finished = buf[:Headroom], nil, false
+	return m
 }
 
 // settle copies a borrowed slice into the buffer, ahead of a write that
 // follows it: a message borrows at most its last item.
 func (m *WriteMessage) settle() {
 	if m.body != nil {
-		m.checkBody()
+		checkBody(m.body, m.sum)
 		m.buf = append(m.buf, m.body...)
 		m.body = nil
 	}
 }
 
-// checkBody panics, under checkBorrowed, if the borrowed slice no longer
-// holds what it held when it was borrowed.
-func (m *WriteMessage) checkBody() {
-	if checkBorrowed && m.body != nil && crc32.ChecksumIEEE(m.body) != m.sum {
+// checkBody panics, under checkBorrowed, if a borrowed slice no longer
+// holds what it held, with checksum sum, when it was borrowed.
+func checkBody(body []byte, sum uint32) {
+	if checkBorrowed && body != nil && crc32.ChecksumIEEE(body) != sum {
 		panic("ipl: a slice passed to WriteBytes changed before Finish returned")
 	}
 }
@@ -288,23 +321,26 @@ func (m *WriteMessage) WriteBytes(p []byte) *WriteMessage {
 func (m *WriteMessage) Size() int { return len(m.buf) - Headroom + len(m.body) }
 
 // Finish completes the message and delivers it to every connected
-// receive port. After Finish the message must not be used again.
+// receive port. After Finish the message must not be used again; a
+// second Finish returns ErrMessageFinished.
 func (m *WriteMessage) Finish() error {
 	if m.finished {
-		return errors.New("ipl: message already finished")
+		return ErrMessageFinished
 	}
 	m.finished = true
 	err := ErrMessageTooLarge
 	if m.Size() <= MaxMessageLen {
 		err = m.sink.Deliver(m.buf, m.body)
 	}
-	buf := m.buf
+	buf, body, sum := m.buf, m.body, m.sum
 	m.buf = m.buf[:Headroom:Headroom] // a stray write after Finish cannot reach the next message
+	m.body = nil
+	// From onDone on, the port's next messages may start on another
+	// goroutine, and the one after next reuses m: Finish reads it no more.
 	if m.onDone != nil {
 		m.onDone(buf)
 	}
-	m.checkBody()
-	m.body = nil
+	checkBody(body, sum)
 	return err
 }
 
@@ -316,18 +352,39 @@ func (m *WriteMessage) Payload() []byte {
 	return m.buf[Headroom:]
 }
 
-// ReadMessage decodes the typed items of one received message. It and
-// its bytes are valid until the next Receive on the port it came from.
+// ReadMessage decodes the typed items of one received message. The
+// receive port owns it: it and its bytes are valid until the next Receive
+// on the port it came from, and a read of it after that fails with
+// ErrMessageRecycled until the Receive after that reuses it (see
+// ReadMessages).
 type ReadMessage struct {
 	// Origin identifies the sending instance.
-	Origin Identifier
-	buf    []byte
-	off    int
+	Origin   Identifier
+	buf      []byte
+	off      int
+	recycled bool
 }
 
-// NewReadMessage wraps a received encoded message.
-func NewReadMessage(origin Identifier, payload []byte) *ReadMessage {
-	return &ReadMessage{Origin: origin, buf: payload}
+// ReadMessages are a receive port's own two ReadMessage objects, which
+// its messages take in turn, so handing a message out allocates nothing.
+type ReadMessages struct {
+	msgs [2]ReadMessage
+	turn int
+}
+
+// Recycle retires the message handed out last: a read of it fails from
+// now on. The port recycles that message's bytes with it.
+func (r *ReadMessages) Recycle() {
+	r.msgs[r.turn] = ReadMessage{recycled: true}
+}
+
+// Next hands out payload from origin as the port's next message, in the
+// object the last message did not use; the caller recycled that one.
+func (r *ReadMessages) Next(origin Identifier, payload []byte) *ReadMessage {
+	r.turn ^= 1
+	m := &r.msgs[r.turn]
+	*m = ReadMessage{Origin: origin, buf: payload}
+	return m
 }
 
 // Remaining reports how many encoded bytes are left unread.
@@ -335,6 +392,9 @@ func (m *ReadMessage) Remaining() int { return len(m.buf) - m.off }
 
 func (m *ReadMessage) expect(tag byte) error {
 	if m.off >= len(m.buf) {
+		if m.recycled {
+			return ErrMessageRecycled
+		}
 		return ErrShortMessage
 	}
 	if m.buf[m.off] != tag {
@@ -419,6 +479,9 @@ func (m *ReadMessage) readLenPrefixed() ([]byte, error) {
 // Finish checks that the whole message has been consumed; a leftover
 // usually means writer and reader disagree about the message layout.
 func (m *ReadMessage) Finish() error {
+	if m.recycled {
+		return ErrMessageRecycled
+	}
 	if m.Remaining() != 0 {
 		return fmt.Errorf("%w: %d bytes left unread", ErrTypeMismatch, m.Remaining())
 	}

@@ -12,6 +12,16 @@ import (
 	"netibis/internal/drivers/tcpblk"
 )
 
+// newWriteMessage starts a message to sink, in message objects of its own.
+func newWriteMessage(sink MessageSink, onDone func([]byte)) *WriteMessage {
+	return NewWriteMessages(sink, onDone).Next(nil)
+}
+
+// newReadMessage hands payload out as a receive port hands out a message.
+func newReadMessage(origin Identifier, payload []byte) *ReadMessage {
+	return new(ReadMessages).Next(origin, payload)
+}
+
 // captureSink remembers every delivered payload. It keeps a copy: a
 // sink must not retain what it is handed.
 type captureSink struct {
@@ -66,7 +76,7 @@ func TestPortTypeStack(t *testing.T) {
 func TestWriteReadMessageRoundTrip(t *testing.T) {
 	sink := &captureSink{}
 	done := 0
-	m := NewWriteMessage(sink, nil, func([]byte) { done++ })
+	m := newWriteMessage(sink, func([]byte) { done++ })
 	m.WriteBool(true).
 		WriteInt(-123456789).
 		WriteFloat(math.Pi).
@@ -89,7 +99,7 @@ func TestWriteReadMessageRoundTrip(t *testing.T) {
 		t.Fatalf("sink got %d payloads", len(sink.payloads))
 	}
 
-	r := NewReadMessage(Identifier{Name: "a", Pool: "p"}, sink.payloads[0])
+	r := newReadMessage(Identifier{Name: "a", Pool: "p"}, sink.payloads[0])
 	if b, err := r.ReadBool(); err != nil || !b {
 		t.Fatalf("ReadBool = %v %v", b, err)
 	}
@@ -118,26 +128,26 @@ func TestWriteReadMessageRoundTrip(t *testing.T) {
 
 func TestReadMessageTypeMismatch(t *testing.T) {
 	sink := &captureSink{}
-	m := NewWriteMessage(sink, nil, nil)
+	m := newWriteMessage(sink, nil)
 	m.WriteInt(7)
 	m.Finish()
-	r := NewReadMessage(Identifier{}, sink.payloads[0])
+	r := newReadMessage(Identifier{}, sink.payloads[0])
 	if _, err := r.ReadString(); !errors.Is(err, ErrTypeMismatch) {
 		t.Fatalf("expected ErrTypeMismatch, got %v", err)
 	}
 }
 
 func TestReadMessageShort(t *testing.T) {
-	r := NewReadMessage(Identifier{}, nil)
+	r := newReadMessage(Identifier{}, nil)
 	if _, err := r.ReadInt(); err != ErrShortMessage {
 		t.Fatalf("expected ErrShortMessage, got %v", err)
 	}
 	// Truncated payload: tag present, body missing.
-	r2 := NewReadMessage(Identifier{}, []byte{tagBool})
+	r2 := newReadMessage(Identifier{}, []byte{tagBool})
 	if _, err := r2.ReadBool(); err != ErrShortMessage {
 		t.Fatalf("expected ErrShortMessage, got %v", err)
 	}
-	r3 := NewReadMessage(Identifier{}, []byte{tagBytes, 200})
+	r3 := newReadMessage(Identifier{}, []byte{tagBytes, 200})
 	if _, err := r3.ReadBytes(); err == nil {
 		t.Fatal("truncated bytes should fail")
 	}
@@ -145,10 +155,10 @@ func TestReadMessageShort(t *testing.T) {
 
 func TestReadMessageLeftoverDetected(t *testing.T) {
 	sink := &captureSink{}
-	m := NewWriteMessage(sink, nil, nil)
+	m := newWriteMessage(sink, nil)
 	m.WriteInt(1).WriteInt(2)
 	m.Finish()
-	r := NewReadMessage(Identifier{}, sink.payloads[0])
+	r := newReadMessage(Identifier{}, sink.payloads[0])
 	r.ReadInt()
 	if err := r.Finish(); !errors.Is(err, ErrTypeMismatch) {
 		t.Fatalf("expected leftover detection, got %v", err)
@@ -157,7 +167,7 @@ func TestReadMessageLeftoverDetected(t *testing.T) {
 
 func TestDeliverErrorPropagates(t *testing.T) {
 	sink := &captureSink{err: errors.New("link broken")}
-	m := NewWriteMessage(sink, nil, nil)
+	m := newWriteMessage(sink, nil)
 	m.WriteBool(false)
 	if err := m.Finish(); err == nil {
 		t.Fatal("sink error should propagate from Finish")
@@ -170,12 +180,12 @@ func TestDeliverErrorPropagates(t *testing.T) {
 func TestMessageTooLarge(t *testing.T) {
 	sink := &captureSink{}
 	done := 0
-	m := NewWriteMessage(sink, nil, func([]byte) { done++ })
+	m := newWriteMessage(sink, func([]byte) { done++ })
 	m.buf = make([]byte, Headroom+MaxMessageLen)
 	if err := m.Finish(); err != nil || len(sink.payloads) != 1 {
 		t.Fatalf("message at the bound: %v, %d delivered", err, len(sink.payloads))
 	}
-	m = NewWriteMessage(sink, nil, func([]byte) { done++ })
+	m = newWriteMessage(sink, func([]byte) { done++ })
 	m.buf = make([]byte, Headroom+MaxMessageLen+1)
 	if err := m.Finish(); !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("oversize message: got %v, want ErrMessageTooLarge", err)
@@ -187,31 +197,35 @@ func TestMessageTooLarge(t *testing.T) {
 
 // TestWriteMessageReusesBuffer: the buffer onDone hands back is what the
 // next message encodes into, the headroom in front of the encoding holds
-// the length of any message the bound allows, and a write after Finish
-// cannot reach the next message.
+// the length of any message the bound allows, and a write or Finish
+// through the finished message while the port's next one is active
+// cannot reach that one.
 func TestWriteMessageReusesBuffer(t *testing.T) {
 	if n := len(appendUvarint(nil, MaxMessageLen)); n > Headroom {
 		t.Fatalf("the length of a maximal message takes %d bytes, headroom is %d", n, Headroom)
 	}
 	sink := &captureSink{}
 	var spare []byte
-	keep := func(buf []byte) { spare = buf }
-	first := NewWriteMessage(sink, nil, keep)
+	msgs := NewWriteMessages(sink, func(buf []byte) { spare = buf })
+	first := msgs.Next(nil)
 	first.WriteBytes(make([]byte, 1000))
 	if err := first.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	storage := &spare[0]
-	second := NewWriteMessage(sink, spare, keep)
+	second := msgs.Next(spare)
 	second.WriteString("second")
 	if &second.buf[0] != storage {
 		t.Fatal("the next message did not encode into the returned buffer")
 	}
 	first.WriteString("stray")
+	if err := first.Finish(); !errors.Is(err, ErrMessageFinished) || len(sink.payloads) != 1 {
+		t.Fatalf("a finished message finished again: %v, %d delivered", err, len(sink.payloads))
+	}
 	if err := second.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReadMessage(Identifier{}, sink.payloads[1])
+	r := newReadMessage(Identifier{}, sink.payloads[1])
 	if s, err := r.ReadString(); err != nil || s != "second" || r.Finish() != nil {
 		t.Fatalf("second message decoded as %q, %v", s, err)
 	}
@@ -236,14 +250,14 @@ func TestWriteBytesBorrowsTheLastLargeItem(t *testing.T) {
 		{"large, then Payload", func(m *WriteMessage) { m.WriteBytes(big).Payload() }, 0},
 	} {
 		sink, ref := &captureSink{}, &captureSink{}
-		m := NewWriteMessage(sink, nil, nil)
+		m := newWriteMessage(sink, nil)
 		tc.write(m)
 		size := m.Size()
 		if err := m.Finish(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		// The same items again, every one copied: the encoding to match.
-		want := NewWriteMessage(ref, nil, nil)
+		want := newWriteMessage(ref, nil)
 		tc.write(want)
 		want.Payload()
 		want.Finish()
@@ -275,19 +289,19 @@ func TestBorrowedSliceChangeFailsLoudly(t *testing.T) {
 	}
 	done := 0
 	p := make([]byte, borrowMin)
-	m := NewWriteMessage(&captureSink{}, nil, func([]byte) { done++ })
+	m := newWriteMessage(&captureSink{}, func([]byte) { done++ })
 	m.WriteBytes(p)
 	p[7]++
 	mustPanic("changed before Finish", func() { m.Finish() })
 	if done != 1 {
 		t.Errorf("the port did not get its buffer back before the panic")
 	}
-	m = NewWriteMessage(&captureSink{}, nil, nil)
+	m = newWriteMessage(&captureSink{}, nil)
 	m.WriteBytes(p)
 	p[borrowMin-1]++
 	mustPanic("changed before a later write", func() { m.WriteInt(1) })
 	sink := &captureSink{}
-	m = NewWriteMessage(sink, nil, nil)
+	m = newWriteMessage(sink, nil)
 	m.WriteBytes(p)
 	if err := m.Finish(); err != nil || sink.bodies[0] != borrowMin {
 		t.Fatalf("an unchanged borrowed slice: %v, %d bytes borrowed", err, sink.bodies[0])
@@ -313,12 +327,12 @@ func TestSerializationQuick(t *testing.T) {
 			fl = 0 // NaN != NaN would fail the comparison below
 		}
 		sink := &captureSink{}
-		m := NewWriteMessage(sink, nil, nil)
+		m := newWriteMessage(sink, nil)
 		m.WriteBool(b).WriteInt(i).WriteFloat(fl).WriteString(s).WriteBytes(raw)
 		if err := m.Finish(); err != nil {
 			return false
 		}
-		r := NewReadMessage(Identifier{}, sink.payloads[0])
+		r := newReadMessage(Identifier{}, sink.payloads[0])
 		gb, e1 := r.ReadBool()
 		gi, e2 := r.ReadInt()
 		gf, e3 := r.ReadFloat()
@@ -346,7 +360,7 @@ func TestSerializationQuick(t *testing.T) {
 }
 
 func TestErrorsDistinct(t *testing.T) {
-	errs := []error{ErrClosed, ErrIncompatiblePortTypes, ErrNoSuchPort, ErrMessageActive, ErrTypeMismatch, ErrShortMessage}
+	errs := []error{ErrClosed, ErrIncompatiblePortTypes, ErrNoSuchPort, ErrMessageActive, ErrMessageFinished, ErrMessageRecycled, ErrTypeMismatch, ErrShortMessage}
 	for i := range errs {
 		for j := range errs {
 			if i != j && errors.Is(errs[i], errs[j]) {

@@ -87,11 +87,14 @@ type Relay struct {
 
 	dir *directory
 
-	mu     sync.Mutex
-	peers  map[string]*peerLink
-	closed bool
-	done   chan struct{}
-	wg     sync.WaitGroup
+	mu    sync.Mutex
+	peers map[string]*peerLink
+	// dialing are the connections AddPeer opened whose handshake is
+	// still running, for shutdown to close.
+	dialing map[net.Conn]struct{}
+	closed  bool
+	done    chan struct{}
+	wg      sync.WaitGroup
 
 	// Delta gossip is broadcast from a dedicated goroutine fed through
 	// this queue: NodeAttached/NodeDetached are called from the relay's
@@ -191,11 +194,12 @@ func New(cfg Config) (*Relay, error) {
 		cfg.RescanInterval = DefaultRescanInterval
 	}
 	o := &Relay{
-		cfg:   cfg,
-		dir:   newDirectory(cfg.ID),
-		peers: make(map[string]*peerLink),
-		done:  make(chan struct{}),
-		gpend: make(map[string]Entry),
+		cfg:     cfg,
+		dir:     newDirectory(cfg.ID),
+		peers:   make(map[string]*peerLink),
+		dialing: make(map[net.Conn]struct{}),
+		done:    make(chan struct{}),
+		gpend:   make(map[string]Entry),
 	}
 	o.gcond = sync.NewCond(&o.gmu)
 	cfg.Server.SetID(cfg.ID)
@@ -247,7 +251,8 @@ func (o *Relay) Peers() []string {
 func (o *Relay) Directory() []Entry { return o.dir.snapshot() }
 
 // Close leaves the mesh gracefully: the relay unregisters from the name
-// service and tears down its peer links.
+// service and tears down its peer links, and a pending AddPeer returns
+// ErrClosed.
 func (o *Relay) Close() { o.shutdown(true) }
 
 // Kill tears the overlay down without unregistering, simulating a crash:
@@ -266,6 +271,9 @@ func (o *Relay) shutdown(unregister bool) {
 	peers := make([]*peerLink, 0, len(o.peers))
 	for _, p := range o.peers {
 		peers = append(peers, p)
+	}
+	for c := range o.dialing {
+		c.Close() // its AddPeer returns ErrClosed
 	}
 	o.mu.Unlock()
 	o.gmu.Lock()
@@ -369,9 +377,23 @@ func (o *Relay) AddPeer(addr string) error {
 	if err != nil {
 		return err
 	}
+	o.mu.Lock()
+	if o.closed {
+		o.mu.Unlock()
+		conn.Close()
+		return ErrClosed
+	}
+	o.dialing[conn] = struct{}{}
+	o.mu.Unlock()
 	w, r := wire.NewWriter(conn), wire.NewReader(conn)
 	peerID, err := identity.Initiate(conn, r, w, kindPeerHello, identity.PeerLink, o.side())
 	conn.SetReadDeadline(time.Time{})
+	o.mu.Lock()
+	delete(o.dialing, conn)
+	if o.closed {
+		err = ErrClosed
+	}
+	o.mu.Unlock()
 	if err == nil && (peerID == "" || peerID == o.cfg.ID) {
 		err = fmt.Errorf("%w: bad peer ID %q", ErrHandshake, peerID)
 	}

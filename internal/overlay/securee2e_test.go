@@ -421,3 +421,83 @@ func TestCloseCutsStalledPeerHello(t *testing.T) {
 		t.Fatalf("Close took %v behind a stalled peer hello", took)
 	}
 }
+
+// TestCloseCutsPendingAddPeer: a peer-link dial to a listener that reads
+// the hello and never answers holds up no part of the overlay's Close,
+// neither a rescan's dial, which Close waits for, nor a direct AddPeer,
+// which returns ErrClosed: Close closes a connection still in its
+// handshake rather than waiting out the handshake's deadline.
+func TestCloseCutsPendingAddPeer(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t, 3))
+	mute, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	accepted := make(chan struct{}, 2)
+	go func() {
+		for {
+			c, err := mute.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- struct{}{}
+			go func() {
+				io.Copy(io.Discard, c)
+				c.Close()
+			}()
+		}
+	}()
+
+	ns := nameservice.NewServer()
+	nsLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ns.Serve(nsLn)
+	defer func() {
+		nsLn.Close()
+		ns.Close()
+	}()
+	nsConn, err := net.Dial("tcp", nsLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := nameservice.NewClient(nsConn)
+	defer reg.Close()
+	srv := relay.NewServer()
+	defer srv.Close()
+	ov, err := New(Config{
+		ID:             "relay-a",
+		Server:         srv,
+		Advertise:      "127.0.0.1:1",
+		Registry:       reg,
+		Dial:           func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
+		RescanInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Registered after New's first scan, so a rescan dials it.
+	if err := reg.Register(RegistryPrefix+"relay-z", []byte(mute.Addr().String())); err != nil {
+		t.Fatal(err)
+	}
+	<-accepted
+	added := make(chan error, 1)
+	go func() { added <- ov.AddPeer(mute.Addr().String()) }()
+	<-accepted
+
+	start := time.Now()
+	ov.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v behind a pending peer handshake", took)
+	}
+	select {
+	case err := <-added:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("pending AddPeer returned %v, want ErrClosed", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("pending AddPeer still running a second after Close")
+	}
+}
