@@ -1,8 +1,9 @@
 // Command netibis-bench runs the churn/scale suite: a seeded chaos
 // scenario (attach storm, partition, impairment, crash) with continuous
-// invariant checking, reporting attach throughput, convergence,
-// open-latency and failover numbers to BENCH_scale.json. Exit status 1
-// if any invariant was violated, so CI soak jobs fail loudly.
+// invariant checking, printing attach throughput, convergence,
+// open-latency and failover numbers, and writing them as JSON to the
+// file -o names. Exit status 1 if any invariant was violated, so CI soak
+// jobs fail loudly.
 //
 // Usage:
 //
@@ -26,7 +27,7 @@ func main() {
 	soak := flag.Bool("soak", false, "run the long nightly soak scenario instead of the standard suite")
 	schedFile := flag.String("schedule", "", "run a custom schedule file instead of the built-in scenario")
 	logTrail := flag.Bool("log", false, "stream the live event/violation trail to stderr")
-	out := flag.String("o", "", "report path (default BENCH_scale.json at the repo root)")
+	out := flag.String("o", "", "write the report as JSON to this file (default: print only)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "netibis-bench takes no arguments, got %q\n", flag.Args())
@@ -69,11 +70,12 @@ func main() {
 		fail(err)
 	}
 	fmt.Print(churn.FormatScale(rep))
-	path, err := churn.WriteScaleReport(rep, *out)
-	if err != nil {
-		fail(fmt.Errorf("writing report: %w", err))
+	if *out != "" {
+		if err := churn.WriteScaleReport(rep, *out); err != nil {
+			fail(fmt.Errorf("writing report: %w", err))
+		}
+		fmt.Printf("report written to %s\n", *out)
 	}
-	fmt.Printf("report written to %s\n", path)
 	if rep.Result.Failed() {
 		os.Exit(1)
 	}

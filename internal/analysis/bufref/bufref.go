@@ -1,5 +1,6 @@
-// Package bufref enforces the wire.Buf ownership contract ("hot-potato
-// refcounting", DESIGN.md) that the PR 2 zero-copy path rests on:
+// Package bufref enforces the wire.Buf ownership contract that the
+// zero-copy path rests on (DESIGN.md, "Buffer ownership and the zero-copy
+// path"):
 //
 //   - A Buf handed to a consuming sink — Release, an egress Enqueue,
 //     driver.WriteBuf, BufCursor.Load — is dead on that path: any later

@@ -6,16 +6,15 @@ package churn
 // invariant checking, and reports the headline numbers the scenario
 // measures: attach throughput, directory (gossip) convergence times,
 // routed-open p99 under churn, and the recovery times of the failover
-// every node runs (core.Attachment). Results are written to
-// BENCH_scale.json at the repository root (see EXPERIMENTS.md,
-// "Surviving a flash crowd").
+// every node runs (core.Attachment). FormatScale renders the report and
+// WriteScaleReport writes it as JSON (see EXPERIMENTS.md, "Surviving a
+// flash crowd").
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -80,7 +79,7 @@ func SoakScaleSchedule(seed int64) (*Schedule, error) {
 	return ParseSchedule([]byte(fmt.Sprintf(soakScaleText, seed)))
 }
 
-// ScaleReport is the full suite written to BENCH_scale.json.
+// ScaleReport is the full suite, as netibis-bench -o writes it.
 type ScaleReport struct {
 	// GeneratedAt is the wall-clock time of the run.
 	GeneratedAt time.Time `json:"generated_at"`
@@ -151,42 +150,11 @@ func fmtMsList(ms []float64) string {
 	return strings.Join(parts, "/")
 }
 
-// findRepoRoot walks up from the working directory to the directory
-// containing go.mod.
-func findRepoRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("churn: no go.mod above working directory")
-		}
-		dir = parent
-	}
-}
-
-// WriteScaleReport writes the report as JSON. An empty path selects
-// BENCH_scale.json at the repository root.
-func WriteScaleReport(rep ScaleReport, path string) (string, error) {
-	if path == "" {
-		root, err := findRepoRoot()
-		if err != nil {
-			return "", err
-		}
-		path = filepath.Join(root, "BENCH_scale.json")
-	}
+// WriteScaleReport writes the report as JSON to path.
+func WriteScaleReport(rep ScaleReport, path string) error {
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		return "", err
+		return err
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

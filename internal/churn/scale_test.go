@@ -61,8 +61,8 @@ crash at=1200ms relay=1 down=300ms
 		}
 	}
 
-	path, err := WriteScaleReport(rep, filepath.Join(t.TempDir(), "BENCH_scale.json"))
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "BENCH_scale.json")
+	if err := WriteScaleReport(rep, path); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	data, err := os.ReadFile(path)

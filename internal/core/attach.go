@@ -6,16 +6,12 @@ import (
 	"net"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"netibis/internal/emunet"
-	"netibis/internal/identity"
-	"netibis/internal/nameservice"
 	"netibis/internal/obs"
-	"netibis/internal/overlay"
 	"netibis/internal/relay"
 	"netibis/internal/wire"
 )
@@ -52,8 +48,9 @@ type Attachment struct {
 	// Pinned, when non-empty, is the candidate set of the first attach.
 	// A failover searches Pinned and Discover together.
 	Pinned []emunet.Endpoint
-	// Discover lists the relays of the mesh (see DiscoverRelays); a dead
-	// relay may linger in it — probing skips it. May be nil.
+	// Discover lists the relays of the mesh (a Node lists the registry's,
+	// through overlay.ListRelays); a dead relay may linger in it — probing
+	// skips it. May be nil.
 	Discover func() []emunet.Endpoint
 	// Auth is the relay client's security configuration (nil for an
 	// anonymous attach). Every resume runs the same handshake again.
@@ -76,39 +73,6 @@ type Attachment struct {
 	// (0 = resumed on a surviving relay, 1 = attachment abandoned).
 	detaches atomic.Int64
 	results  [2]atomic.Int64
-}
-
-// DiscoverRelays returns an Attachment.Discover that lists the relay
-// mesh members registered in the name service. With a trust store, only
-// records carrying a valid signature from the relay they advertise are
-// accepted: a poisoned registry cannot redirect the node to an impostor
-// relay (and even if it could, the attach handshake would unmask the
-// impostor).
-func DiscoverRelays(registry *nameservice.Client, trust *identity.TrustStore) func() []emunet.Endpoint {
-	return func() []emunet.Endpoint {
-		recs, err := registry.List(overlay.RegistryPrefix)
-		if err != nil {
-			return nil
-		}
-		eps := make([]emunet.Endpoint, 0, len(recs))
-		for _, rec := range recs {
-			val := rec.Value
-			if trust != nil {
-				relayID := strings.TrimPrefix(rec.Key, overlay.RegistryPrefix)
-				v, verr := identity.VerifyRecord(trust, relayID, rec.Key, rec.Value)
-				if verr != nil {
-					continue
-				}
-				val = v
-			} else {
-				val = identity.UnwrapRecord(val)
-			}
-			if ep, ok := emunet.ParseEndpoint(string(val)); ok {
-				eps = append(eps, ep)
-			}
-		}
-		return eps
-	}
 }
 
 // candidates is the search set: Pinned alone for a pinned first attach,

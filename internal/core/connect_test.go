@@ -30,9 +30,9 @@ import (
 
 var stateful = emunet.SiteConfig{Firewall: emunet.Stateful}
 
-// The establishment's frames, written as DESIGN.md ("Control-frame
-// bodies") lays them out: a mux message is stream ‖ method ‖ type ‖ body,
-// the done marker is the next frame kind and empty.
+// The establishment's frames, written as estab's ServiceMux lays them
+// out: a mux message is stream ‖ method ‖ type ‖ body, the done marker is
+// the next frame kind and empty.
 const (
 	kindMuxData, kindMuxDone = wire.KindUser + 0x28, wire.KindUser + 0x29
 	msgAbort, msgElect       = 1, 2

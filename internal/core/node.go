@@ -36,6 +36,7 @@ import (
 	"netibis/internal/ipl"
 	"netibis/internal/nameservice"
 	"netibis/internal/obs"
+	"netibis/internal/overlay"
 	"netibis/internal/relay"
 	"netibis/internal/socks"
 	"netibis/internal/wire"
@@ -186,12 +187,20 @@ func Join(cfg Config) (*Node, error) {
 	// the relay dies the attachment resumes on a surviving one, keeping
 	// the node's identity and virtual links.
 	n.att = &Attachment{
-		Host:     cfg.Host,
-		NodeID:   n.relayID(),
-		Pinned:   cfg.Relays,
-		Discover: DiscoverRelays(registry, cfg.Trust),
-		Auth:     cfg.relayAuth(),
-		Trace:    cfg.Trace,
+		Host:   cfg.Host,
+		NodeID: n.relayID(),
+		Pinned: cfg.Relays,
+		Discover: func() (eps []emunet.Endpoint) {
+			ads, _ := overlay.ListRelays(registry, cfg.Trust)
+			for _, ad := range ads {
+				if ep, ok := emunet.ParseEndpoint(ad.Addr); ok {
+					eps = append(eps, ep)
+				}
+			}
+			return eps
+		},
+		Auth:  cfg.relayAuth(),
+		Trace: cfg.Trace,
 		// Routed frames in flight across the failure are lost, and a
 		// service link is a stateful conversation: a lost brokering or
 		// mux-barrier frame would wedge it (and its peer's serve loop)

@@ -17,9 +17,9 @@
 // loop and the close-unblocks-read teardown. Such a driver embeds the
 // two and supplies its builders, its header codec and two hooks: emit
 // (frame, compress or seal a block and hand it down) and fill (read one
-// block from below and decode it). DESIGN.md, "The fast paths, layer by
-// layer", has the per-driver constants: each of the three bypasses its
-// buffer for large writes.
+// block from below and decode it). Each of the three passes its block
+// size, large-write bypass threshold and largest bypassing piece to
+// NewBlockOutput, with the reason next to the call.
 //
 // The framework is strictly separated from connection establishment:
 // drivers receive their connections from an Env whose Dial/Accept

@@ -5,9 +5,9 @@ package zip
 // 4 bytes stored length + stored bytes"; the flag byte names the codec
 // that produced the block. That makes the codec choice a per-block,
 // not per-stream, property: a decoder dispatches on the flag of every
-// block, so new codecs extend the format without a stream-level version
-// negotiation and legacy flagDeflate blocks keep decoding forever (the
-// legacy-decode guarantee — see DESIGN.md, "Pluggable compression").
+// block, so a new codec is a new flag and a decoder registration, flag
+// values are never reused, and one stream may mix codecs
+// (TestMixedCodecStreamDecodes). An unknown flag fails loudly.
 //
 // A Codec must be safe for concurrent use: one instance may serve
 // several Outputs, so per-call encoder state is pooled inside the codec.

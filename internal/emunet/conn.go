@@ -501,7 +501,7 @@ func (c *Conn) Scheduled() (sent int64, due, left time.Time) {
 // process stopped draining its socket. Arriving data accumulates up to
 // the socket buffer, after which the peer's writes block — the emulated
 // equivalent of TCP's receive window closing on an unresponsive host.
-// The slow-consumer scenarios of the flow-control benchmarks are built
+// The slow-consumer tests (relay flow control, the link law) are built
 // on this knob.
 func (c *Conn) SetReadStall(stalled bool) { c.recv.setStall(stalled) }
 

@@ -128,8 +128,9 @@ type Connector struct {
 	// when it fires, means the establishment raced and lost: the wait
 	// must end promptly.
 	AcceptRouted func(peerID string, conv uint64, timeout time.Duration, cancel <-chan struct{}) (net.Conn, error)
-	// ForcedMethod, when non-zero, skips the decision tree and forces a
-	// specific method; used by benchmarks and ablation experiments.
+	// ForcedMethod, when non-zero, replaces the candidate ranking with
+	// that one method and bypasses the cache; the package's tests set it
+	// on both sides to run one method alone.
 	ForcedMethod Method
 	// Metrics, when non-nil, collects establishment outcomes, cache
 	// effectiveness and latency on the initiator side (see Metrics).

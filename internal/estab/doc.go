@@ -11,39 +11,49 @@
 // encryption composable with whichever establishment method the
 // topology requires.
 //
-// On top of the decision tree the package adds two latency mechanisms
-// the paper's analysis motivates but does not implement:
+// On top of the decision tree the package adds what the paper's
+// analysis motivates but does not implement: the ranked candidates race
+// with staggered head starts and the first success wins (race.go), so a
+// pair whose preferred method hangs — a splice-hostile firewall, an
+// unpredictable NAT — pays one head start instead of a method timeout;
+// and a per-pair cache remembers the winner, so a reconnect launches it
+// alone (cache.go). Both run on one conversation layer, the ServiceMux
+// (mux.go), which owns the service link for the length of a connect.
 //
-//   - Racing establishment (race.go): instead of committing to the
-//     single method the profiles predict, the ranked candidate list is
-//     launched with staggered head starts, the first success wins, and
-//     the losers are canceled and cleaned up on both sides. This bounds
-//     the setup cost of a pair whose preferred method hangs — an
-//     asymmetric splice-hostile firewall, an unpredictable NAT — to one
-//     stagger tier (one service-link round trip, as measured by the
-//     caller) instead of a full method timeout. Both sides derive the
-//     candidates from the two profiles and take every endpoint from the
-//     connect exchange, so an establishment costs its method's own
-//     handshake and one election.
-//   - A per-pair connectivity cache (cache.go): the winning method is
-//     remembered with a TTL, so a reconnect launches the winner alone;
-//     a failure invalidates the entry and launches the rest of the
-//     ranking in the same conversation.
+// # The protocol
 //
-// Both run on one conversation layer (mux.go): a ServiceMux owns the
-// service link for the length of a connect, gives every establishment a
-// Conversation, and routes each brokering message — an abort or the
-// election — to the establishment it belongs to.
+// A connect crosses the service link between the two nodes as
 //
-// The brokering wire protocol, the race and the cache
-// semantics are specified in DESIGN.md ("Racing establishment and the
-// connectivity cache"); connect latency per method, cold and cached, is
-// measured by the connect_matrix workload of ./benchmark.
+//	initiator                                        acceptor
+//	   | -- connect request [profile, endpoints] --------> |  core, once per connect
+//	   | <------------------- connect-OK [profile, endpoints] |
+//	   |        then, per establishment (conversation):      |
+//	   | <~~ dial, to a listener of the other ~~~~~~~~~~~~~> |  client/server, proxy
+//	   | <~~ routed open [k], via the relay ~~~~~~~~~~~~~~~~ |  right behind the reply
+//	   | <~~ simultaneous open, both ways ~~~~~~~~~~~~~~~~~> |  splicing
+//	   | <== [m] abort ====================================> |  a failed attempt
+//	   | -- elect [m] -------------------------------------> |  the winner, or MethodNone
+//	   |        and once every establishment returned:       |
+//	   | -- done ------------------------------------------> |  one marker per side
+//	   | <------------------------------------------ done -- |
 //
-// Establishment composes with the security layer transparently: the
-// routed method's dials and accepts go through the relay client, so on
-// nodes configured with identities (core.Config.NodeIdentity/Trust)
-// the racing candidates' routed links come up authenticated and sealed
-// end to end with no changes here — a routed candidate that fails its
-// key exchange simply loses the race like any other failed method.
+// The request and its reply are package core's; they carry each side's
+// Profile (Encode) and Endpoints (AppendEndpoints). The candidates are
+// a pure function of the two profiles and every endpoint a method dials
+// rides in the exchange, so no method speaks on the service link: a
+// cold connect puts the request, the reply and the election on it, then
+// the two done markers, whatever method wins (core
+// TestConnectFrameCount). Each part is specified where it is
+// implemented: the candidates and their order in method.go
+// (RankCandidates, Decide); which endpoints each side reserves and
+// which side listens in connector.go (Carries, Reserve); head starts,
+// the election and cancellation in race.go; the conversation frames,
+// their one shape and the done-marker barrier in mux.go (ServiceMux);
+// reconnects in cache.go (Cache). Connect latency per method, cold and
+// cached, is measured by the connect_matrix workload of ./benchmark.
+//
+// The routed method dials and accepts through the relay client, so
+// between nodes with identities (core.Config.NodeIdentity/Trust) its
+// links come up authenticated and sealed end to end; one that fails its
+// key exchange loses the race like any other failed method.
 package estab

@@ -14,36 +14,24 @@ package estab
 // cleaned up (listener closed, splice offer withdrawn, routed open
 // abandoned so the far side discards its half).
 //
-// Protocol. Both sides hold each other's profile and each other's
-// endpoints (Endpoints: a splice port's prediction and, on the side that
-// listens, a listener's endpoint, per establishment), handed to them by
-// the caller from the connect exchange, and the candidates are a pure
-// function of the two profiles (or the forced method), so no message
-// announces them, and no method says anything on the service link. What a conversation (mux.go) carries is a tagged
-// abort of a failed attempt and the initiator's election:
-//
-//	initiator                                acceptor
-//	   | <~~ dial the peer's listener ~~~~~~~~~> |   client/server, proxy: no message
-//	   | <~~ simultaneous open, both ways ~~~~~> |   splicing: no message
-//	   | <~~ routed open, through the relay ~~~~ |   right behind the reply, unasked
-//	   | <=> [m] msgAbort <====================> |   a failed attempt, either side
-//	   | -- msgElect [m] ----------------------> |   winner (MethodNone: nothing won)
-//
-// The acceptor starts its half of every candidate the moment it is
-// called: it accepts on its listener or dials the initiator's, sends its
-// splice request and opens its routed link, all right behind the connect
-// reply, so the initiator's launch of any method finds the acceptor's
-// half already under way. The cost is the halves of candidates the
-// initiator never launches — a listener, a dial, a splice request, a
-// routed link opened and discarded, cached reconnects included — which
-// the election cancels like any loser. The initiator decides which
-// candidates run and when, and it alone elects: methods complete at
-// slightly different instants on the two sides, so letting each side
-// pick its own first finisher could select different winners. An
-// election outside the candidates is ErrProtocol; two sides whose
-// candidates differ end with a typed error each (the one with none
-// returns ErrNoMethod at once, its done marker — ServiceMux.Finish —
-// ends the other's wait for the election).
+// Both sides hold each other's profile and endpoints from the connect
+// exchange (the protocol is the package doc's), and what a conversation
+// (mux.go) carries is a tagged abort of a failed attempt and the
+// initiator's election. The acceptor starts its half of every candidate
+// the moment it is called: it accepts on its listener or dials the
+// initiator's, sends its splice request and opens its routed link, all
+// right behind the connect reply, so the initiator's launch of any
+// method finds the acceptor's half already under way. The cost is the
+// halves of candidates the initiator never launches — a listener, a
+// dial, a splice request, a routed link opened and discarded, cached
+// reconnects included — which the election cancels like any loser. The
+// initiator decides which candidates run and when, and it alone elects:
+// methods complete at slightly different instants on the two sides, so
+// letting each side pick its own first finisher could select different
+// winners. An election outside the candidates is ErrProtocol; two sides
+// whose candidates differ end with a typed error each (the one with
+// none returns ErrNoMethod at once, its done marker — ServiceMux.Finish
+// — ends the other's wait for the election).
 //
 // The per-pair connectivity Cache decides the launch order on reconnect:
 // the remembered winner runs first and alone, and only its failure

@@ -32,14 +32,29 @@
 // relay.KindAbandon and package estab's racing) cross relay boundaries
 // without the overlay knowing about them.
 //
-// The wire formats of the peer-link protocol are documented in
-// DESIGN.md.
+// # Peer-link frames
+//
+// One listener serves nodes and peer relays: the relay server hands the
+// overlay every connection whose first frame is not a node attach
+// (relay.Server.SetConnHandler). The peer-link kinds, disjoint from the
+// node protocol:
+//
+//	peer hello  the dialer's identity.Hello, opening identity's handshake
+//	gossip      uvarint n ‖ n × (string node ‖ string home ‖ uvarint version ‖ byte present)
+//	forward     string origin ‖ string firstHop ‖ string srcNode ‖ uvarint hops ‖ byte kind ‖ bytes routed
+//	nack        string origin ‖ string dst ‖ string srcNode ‖ uvarint channel ‖ byte kind
+//
+// A gossip frame is a snapshot when a peer link comes up and a delta on
+// every local attach or detach; directory.merge has the rules. firstHop
+// is the relay the origin chose, so a frame that loops home repairs
+// exactly that route, and a NACK goes back over the link its frame
+// arrived on, so the repair walks the reverse path.
 //
 // With identities configured (Config.Identity/Trust, package identity)
 // the mesh is closed to strangers: peer links are mutually
 // authenticated before any gossip or forwarded frame is exchanged, the
 // relay's registry record is signed so discovery cannot be redirected
 // by a registry poisoner, and a trust-enforcing mesh skips unsigned or
-// mis-signed records entirely. See DESIGN.md, "Identity and end-to-end
-// security".
+// mis-signed records entirely (ListRelays). See DESIGN.md, "Identity and
+// end-to-end security".
 package overlay

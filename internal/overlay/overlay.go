@@ -30,8 +30,9 @@ const (
 	kindNack      = wire.KindUser + 0x14 // forwarded frame was undeliverable
 )
 
-// DefaultRescanInterval is how often a relay re-lists the registry to
-// discover newly joined relays.
+// DefaultRescanInterval is the longest wait between a relay's registry
+// scans for newly joined relays, and the wait when Config.RescanInterval
+// is unset.
 const DefaultRescanInterval = 2 * time.Second
 
 // DefaultMaxHops bounds how often a frame may be re-forwarded between
@@ -63,7 +64,9 @@ type Config struct {
 	Registry *nameservice.Client
 	// Dial opens a connection to another relay's advertised address.
 	Dial func(addr string) (net.Conn, error)
-	// RescanInterval overrides DefaultRescanInterval when positive.
+	// RescanInterval, when positive, is the wait after a registry scan
+	// that found a relay to link to and after a lost peer link; each scan
+	// that finds none doubles the wait, up to DefaultRescanInterval.
 	RescanInterval time.Duration
 	// Identity is the relay's Ed25519 identity. With one configured the
 	// relay signs its registry record (so nodes and peers can detect a
@@ -95,6 +98,7 @@ type Relay struct {
 	closed  bool
 	done    chan struct{}
 	wg      sync.WaitGroup
+	relink  chan struct{} // a lost peer link resets rescanLoop's wait
 
 	// Delta gossip is broadcast from a dedicated goroutine fed through
 	// this queue: NodeAttached/NodeDetached are called from the relay's
@@ -199,6 +203,7 @@ func New(cfg Config) (*Relay, error) {
 		peers:   make(map[string]*peerLink),
 		dialing: make(map[net.Conn]struct{}),
 		done:    make(chan struct{}),
+		relink:  make(chan struct{}, 1),
 		gpend:   make(map[string]Entry),
 	}
 	o.gcond = sync.NewCond(&o.gmu)
@@ -292,60 +297,84 @@ func (o *Relay) shutdown(unregister bool) {
 
 // --- discovery -------------------------------------------------------------------
 
+// rescanLoop scans the registry until the relay closes. The first wait
+// is RescanInterval. A scan that finds no relay to link to doubles the
+// wait, up to DefaultRescanInterval; a scan that finds one, or a lost
+// peer link, puts it back to RescanInterval. A complete mesh so lists
+// the registry once per DefaultRescanInterval, however short
+// RescanInterval is.
 func (o *Relay) rescanLoop() {
 	defer o.wg.Done()
-	t := time.NewTicker(o.cfg.RescanInterval)
+	wait := o.cfg.RescanInterval
+	t := time.NewTimer(wait)
 	defer t.Stop()
 	for {
 		select {
 		case <-o.done:
 			return
+		case <-o.relink:
+			wait = o.cfg.RescanInterval
 		case <-t.C:
-			o.scan()
+			wait = o.nextWait(wait, o.scan())
 		}
+		t.Reset(wait)
 	}
 }
 
-// scan lists the registry and dials every relay we should initiate a
-// link to. The relay with the smaller ID initiates, so each pair forms
-// exactly one link; the larger side is picked up by the smaller side's
-// next rescan.
-func (o *Relay) scan() {
-	recs, err := o.cfg.Registry.List(RegistryPrefix)
-	if err != nil {
-		return
+// nextWait is the wait after a scan that found a relay to link to, or
+// found none after waiting wait.
+func (o *Relay) nextWait(wait time.Duration, found bool) time.Duration {
+	if found {
+		return o.cfg.RescanInterval
 	}
+	return min(2*wait, max(o.cfg.RescanInterval, DefaultRescanInterval))
+}
+
+// scan dials every registered relay we should initiate a link to and
+// lack, and reports whether there was one. The relay with the smaller ID
+// initiates, so each pair forms exactly one link.
+func (o *Relay) scan() (found bool) {
+	ads, err := ListRelays(o.cfg.Registry, o.cfg.Trust)
+	if err != nil {
+		return false
+	}
+	for _, ad := range ads {
+		if ad.ID == "" || ad.ID == o.cfg.ID || o.cfg.ID > ad.ID || o.peer(ad.ID) != nil {
+			continue
+		}
+		found = true
+		o.AddPeer(ad.Addr) // best effort; retried next rescan
+	}
+	return found
+}
+
+// Advert is one relay's registry record: its mesh ID and the address it
+// advertises.
+type Advert struct {
+	ID, Addr string
+}
+
+// ListRelays lists the relays registered under RegistryPrefix. With a
+// trust store it skips every record not signed by the relay it names, so
+// a poisoned registry cannot redirect a node or a peer to an impostor;
+// without one it unwraps a sealed record unverified.
+func ListRelays(reg *nameservice.Client, trust *identity.TrustStore) ([]Advert, error) {
+	recs, err := reg.List(RegistryPrefix)
+	if err != nil {
+		return nil, err
+	}
+	ads := make([]Advert, 0, len(recs))
 	for _, rec := range recs {
 		id := strings.TrimPrefix(rec.Key, RegistryPrefix)
-		if id == "" || id == o.cfg.ID || o.cfg.ID > id {
-			continue
-		}
-		if o.hasPeer(id) {
-			continue
-		}
-		addr := rec.Value
-		if o.cfg.Trust != nil {
-			// Trust-enforcing mesh: only dial addresses signed by the
-			// relay they claim to advertise. A poisoned (or unsigned)
-			// record is skipped — the real relay's record, when it
-			// reappears, is picked up by a later rescan.
-			v, err := identity.VerifyRecord(o.cfg.Trust, id, rec.Key, rec.Value)
-			if err != nil {
+		addr := identity.UnwrapRecord(rec.Value)
+		if trust != nil {
+			if addr, err = identity.VerifyRecord(trust, id, rec.Key, rec.Value); err != nil {
 				continue
 			}
-			addr = v
-		} else {
-			addr = identity.UnwrapRecord(rec.Value)
 		}
-		o.AddPeer(string(addr)) // best effort; retried next rescan
+		ads = append(ads, Advert{ID: id, Addr: string(addr)})
 	}
-}
-
-func (o *Relay) hasPeer(id string) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	_, ok := o.peers[id]
-	return ok
+	return ads, nil
 }
 
 func (o *Relay) peer(id string) *peerLink {
@@ -476,6 +505,10 @@ func (o *Relay) removePeer(p *peerLink) {
 		// does not bump versions, so re-received snapshots lose to the
 		// tombstones and the peer's nodes stay unroutable.
 		return
+	}
+	select {
+	case o.relink <- struct{}{}:
+	default:
 	}
 	p.conn.Close()
 	p.eg.Close()

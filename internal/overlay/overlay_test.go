@@ -294,6 +294,13 @@ func newMeshWorld(t *testing.T, relayCount int) *meshWorld {
 
 func (w *meshWorld) addRelay() *meshRelay {
 	w.t.Helper()
+	return w.addRelayCfg(nil)
+}
+
+// addRelayCfg is addRelay with edit, when non-nil, applied to the
+// relay's Config before New.
+func (w *meshWorld) addRelayCfg(edit func(*Config)) *meshRelay {
+	w.t.Helper()
 	id := fmt.Sprintf("relay-%d", len(w.relays))
 	host := w.gwSite.AddHost(id)
 	l, err := host.Listen(testRelayPort)
@@ -308,7 +315,7 @@ func (w *meshWorld) addRelay() *meshRelay {
 	}
 	regCli := nameservice.NewClient(regConn)
 	ep := emunet.Endpoint{Addr: host.Address(), Port: testRelayPort}
-	ov, err := New(Config{
+	cfg := Config{
 		ID:        id,
 		Server:    srv,
 		Advertise: ep.String(),
@@ -321,7 +328,11 @@ func (w *meshWorld) addRelay() *meshRelay {
 			return host.Dial(dep)
 		},
 		RescanInterval: 20 * time.Millisecond,
-	})
+	}
+	if edit != nil {
+		edit(&cfg)
+	}
+	ov, err := New(cfg)
 	if err != nil {
 		w.t.Fatal(err)
 	}
@@ -606,6 +617,59 @@ func TestPeerLinkDropHealsOnReconnect(t *testing.T) {
 	}
 	if string(buf) != "healed" {
 		t.Fatalf("got %q", buf)
+	}
+}
+
+// The rescan wait doubles over scans that find no relay to link to, up
+// to DefaultRescanInterval, and a relay found in the registry or a lost
+// peer link puts it back to RescanInterval. The relay under test runs no
+// rescan loop (it is built without a registry, which is then handed to
+// it), so the test drives its scans one by one, as the loop would.
+func TestRescanBacksOffOnceTheMeshIsComplete(t *testing.T) {
+	w := newMeshWorld(t, 0)
+	r0 := w.addRelayCfg(func(c *Config) { c.Registry = nil })
+	o := r0.overlay
+	o.cfg.Registry = r0.regCli
+	const first = 20 * time.Millisecond
+	wait := first
+	rescan := func() time.Duration {
+		wait = o.nextWait(wait, o.scan())
+		return wait
+	}
+
+	want := first
+	for range 10 {
+		want = min(2*want, DefaultRescanInterval)
+		if got := rescan(); got != want {
+			t.Fatalf("idle scan: wait %v, want %v", got, want)
+		}
+	}
+	if want != DefaultRescanInterval {
+		t.Fatalf("idle scans settled at %v, want the ceiling %v", want, DefaultRescanInterval)
+	}
+
+	// relay-1 registers; relay-0 has the smaller ID, so it links.
+	w.addRelay()
+	if got := rescan(); got != first {
+		t.Fatalf("scan that found relay-1: wait %v, want %v", got, first)
+	}
+	if o.peer("relay-1") == nil {
+		t.Fatal("scan did not link relay-1")
+	}
+	if got := rescan(); got != 2*first {
+		t.Fatalf("scan of a complete mesh: wait %v, want %v", got, 2*first)
+	}
+
+	// A lost peer link tells the loop to reset its wait, and the next
+	// scan relinks.
+	o.removePeer(o.peer("relay-1"))
+	select {
+	case <-o.relink:
+	default:
+		t.Fatal("a lost peer link did not reset the rescan wait")
+	}
+	if got := rescan(); got != first || o.peer("relay-1") == nil {
+		t.Fatalf("scan after the loss: wait %v, linked %v; want %v and relay-1 relinked", got, o.peer("relay-1") != nil, first)
 	}
 }
 

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -499,5 +501,67 @@ func TestCloseCutsPendingAddPeer(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("pending AddPeer still running a second after Close")
+	}
+}
+
+// ListRelays, the one reader of relay records for nodes and relays alike,
+// returns under a trust store only the records signed by the relay they
+// name, and without one every record, a sealed one unwrapped.
+func TestListRelaysVerifiesUnderTrust(t *testing.T) {
+	w := newMeshWorld(t, 0)
+	conn, err := w.gwSite.AddHost("lister").Dial(w.nsEP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := nameservice.NewClient(conn)
+	defer reg.Close()
+	ca, err := identity.NewAuthority()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stranger, err := identity.NewAuthority()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trust := identity.NewTrustStore()
+	trust.AddAuthority(ca.Public)
+	issue := func(a *identity.Authority, name string) *identity.Identity {
+		id, err := a.Issue(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	relayA := issue(ca, "relay-a")
+	// relay-b's record is signed by another relay, relay-c's by no one
+	// and relay-d's by an identity the trust store does not know.
+	records := map[string][]byte{
+		"relay-a": identity.SealRecord(relayA, RegistryPrefix+"relay-a", []byte("addr-a")),
+		"relay-b": identity.SealRecord(relayA, RegistryPrefix+"relay-b", []byte("addr-b")),
+		"relay-c": []byte("addr-c"),
+		"relay-d": identity.SealRecord(issue(stranger, "relay-d"), RegistryPrefix+"relay-d", []byte("addr-d")),
+	}
+	for id, val := range records {
+		if err := reg.Register(RegistryPrefix+id, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list := func(trust *identity.TrustStore) string {
+		ads, err := ListRelays(reg, trust)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, ad := range ads {
+			got = append(got, ad.ID+"="+ad.Addr)
+		}
+		sort.Strings(got)
+		return strings.Join(got, " ")
+	}
+	if got, want := list(trust), "relay-a=addr-a"; got != want {
+		t.Errorf("under trust: %q, want %q", got, want)
+	}
+	if got, want := list(nil), "relay-a=addr-a relay-b=addr-b relay-c=addr-c relay-d=addr-d"; got != want {
+		t.Errorf("without trust: %q, want %q", got, want)
 	}
 }

@@ -13,15 +13,8 @@ import (
 )
 
 // routedConn is one virtual link routed through the relay. It implements
-// net.Conn so the rest of NetIbis treats it like any other link.
-//
-// Flow control: each side advertises its receive window when the link is
-// opened. A sender consumes window for every data byte and blocks (up to
-// the write deadline) once the peer's window is exhausted; the reader
-// returns drained bytes with credit frames. A fast sender over a slow
-// reader thereby holds bounded memory on both ends and in every relay
-// queue between them, and deliver enforces the bound on the receiving
-// end whatever the peer sends (see maxQueued).
+// net.Conn so the rest of NetIbis treats it like any other link, under
+// the flow control of the package doc ("Flow control").
 //
 // Receive path: a data frame's payload is not copied on arrival. The
 // link keeps the frame's pooled Buf in a queue of segments and Read
@@ -550,7 +543,7 @@ func (rc *routedConn) sendData(data []byte) error {
 // SendWindow reports the link's remaining send credit and the window the
 // peer advertised when the link was opened. size minus avail is the
 // sender-resident backlog: bytes sent but not yet drained by the peer's
-// reader — the quantity the flow-control benchmarks assert stays bounded.
+// reader — the quantity the flow-control tests assert stays bounded.
 func (rc *routedConn) SendWindow() (avail, size int) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()

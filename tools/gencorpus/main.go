@@ -143,8 +143,7 @@ func main() {
 		identity.AppendHello(nil, identity.Hello{ID: "relay-1", Nonce: nonce, Announce: relay0.Announce()}))
 
 	// relay: routed payloads. The encoders are unexported; rebuild the
-	// byte layout with the wire primitives (DESIGN.md, "Control-frame
-	// bodies").
+	// byte layout with the wire primitives (relay's package doc, "Frames").
 	routed := wire.AppendString(nil, "pool/bob")
 	routed = wire.AppendUvarint(routed, 7)
 	routed = append(routed, []byte("body")...)
@@ -190,8 +189,8 @@ func main() {
 	nack = append(nack, 0x22)
 	write("overlay", "FuzzDecodeNack", "nack", nack)
 
-	// core: the connect request and its reply (DESIGN.md, "Control-frame
-	// bodies"). The request nests the initiator's profile, then its
+	// core: the connect request and its reply (encodeConnectRequest and
+	// encodeConnectReply in internal/core). The request nests the initiator's profile, then its
 	// endpoints for the establishments of its four-stream stack: a splice
 	// endpoint each, and a listen endpoint each when it is reachable; the
 	// reply is the acceptor's profile and its own endpoints by the same
@@ -223,8 +222,8 @@ func main() {
 
 	// estab: one mux message per type, and the abort of each method,
 	// whole and cut by a byte (uvarint stream ‖ byte method ‖ byte type ‖
-	// body; the type numbers and the bodies are in DESIGN.md,
-	// "Control-frame bodies"). No method says anything but its abort, so
+	// body; the type numbers and the bodies are ServiceMux's, in
+	// internal/estab/mux.go). No method says anything but its abort, so
 	// "listen", "splice" and "routed" — once each method's own message —
 	// are the client/server, splicing and routed aborts.
 	for _, m := range []struct {
